@@ -18,7 +18,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
-from repro.sv.backend import _run_part_serial
+from repro.sv.backend import SerialBackend
 from repro.sv.fusion import compile_part
 from repro.sv.kernels import (
     apply_gate,
@@ -59,16 +59,17 @@ def measure_strided_vs_gather(n: int, repeats: int = 5):
     results = {}
     for label, strided_max in (("strided", 2), ("gather", -1)):
         work = state.copy()
+        backend = SerialBackend(strided_max=strided_max)
 
         def sweep():
-            return _run_part_serial(plan, work, n, "batched", strided_max)
+            return backend.run_plan(plan, work, n)
 
         stats, path = bench.measure(sweep, repeats=repeats, warmup=1)
         assert path == label
         results[label] = stats.min
     a, b = state.copy(), state.copy()
-    _run_part_serial(plan, a, n, "batched", 2)
-    _run_part_serial(plan, b, n, "batched", -1)
+    SerialBackend(strided_max=2).run_plan(plan, a, n)
+    SerialBackend(strided_max=-1).run_plan(plan, b, n)
     return {
         "qubits": n,
         "strided_s": results["strided"],
@@ -147,13 +148,15 @@ def test_gather_scatter_roundtrip(benchmark, state):
 def test_strided_part_sweep(benchmark):
     plan, state = _single_op_part(N)
     work = state.copy()
-    benchmark(lambda: _run_part_serial(plan, work, N, "batched", 2))
+    backend = SerialBackend(strided_max=2)
+    benchmark(lambda: backend.run_plan(plan, work, N))
 
 
 def test_gather_part_sweep(benchmark):
     plan, state = _single_op_part(N)
     work = state.copy()
-    benchmark(lambda: _run_part_serial(plan, work, N, "batched", -1))
+    backend = SerialBackend(strided_max=-1)
+    benchmark(lambda: backend.run_plan(plan, work, N))
 
 
 def test_strided_vs_gather_speedup(save_result):

@@ -19,7 +19,7 @@ Each experiment prints its paper-shaped table and (with ``--save``) writes
 it under ``results/``.  ``simulate`` partitions a generated circuit, runs
 it through the hierarchical executor (part-level gate fusion on by
 default; disable with ``--no-fuse``; pick where sweeps run with
-``--backend serial|threaded|process|array`` and ``--threads``) and reports the
+``--backend serial|threaded|array`` and ``--threads``) and reports the
 compiled sweep counts, per-backend wall time and a cross-check against
 the flat simulator.  ``batch`` feeds a JSON job manifest through the
 :mod:`repro.serve` runtime (shared partition/plan caches across
@@ -60,6 +60,7 @@ from .experiments import (
     thread_scaling,
 )
 from .experiments.common import RESULTS_DIR
+from .sv.backend import BACKEND_NAMES
 
 EXPERIMENTS: Dict[str, Callable] = {
     "table1": table1.run,
@@ -534,11 +535,11 @@ def main(argv=None) -> int:
                        help="arity cap for fused dense unitaries "
                             "(default: 5)")
     p_sim.add_argument("--backend", default=None,
-                       choices=["serial", "threaded", "process", "array"],
+                       choices=BACKEND_NAMES,
                        help="execution backend (default: REPRO_BACKEND, "
                             "else serial; see docs/configuration.md)")
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker count for threaded/process backends "
+                       help="worker count for the threaded backend "
                             "(default: REPRO_THREADS, else core count)")
     p_sim.add_argument("--pad-to", type=int, default=0,
                        help="pad part working sets to this many qubits "
@@ -602,7 +603,7 @@ def main(argv=None) -> int:
                        help="arity cap for fused dense unitaries "
                             "(default: 5)")
     p_cut.add_argument("--backend", default=None,
-                       choices=["serial", "threaded", "process", "array"],
+                       choices=BACKEND_NAMES,
                        help="execution backend (default: REPRO_BACKEND, "
                             "else serial)")
     p_cut.add_argument("--threads", type=int, default=None,
@@ -639,7 +640,7 @@ def main(argv=None) -> int:
     p_batch.add_argument("--workers", type=int, default=None,
                          help="concurrent jobs (default: 1)")
     p_batch.add_argument("--backend", default=None,
-                         choices=["serial", "threaded", "process", "array"],
+                         choices=BACKEND_NAMES,
                          help="execution backend (default: REPRO_BACKEND, "
                               "else serial)")
     p_batch.add_argument("--threads", type=int, default=None,
@@ -692,7 +693,7 @@ def main(argv=None) -> int:
                          help="working-set limit, >= 1 (default: "
                               "qubits - 3 per circuit)")
     p_serve.add_argument("--backend", default=None,
-                         choices=["serial", "threaded", "process", "array"],
+                         choices=BACKEND_NAMES,
                          help="execution backend (default: REPRO_BACKEND, "
                               "else serial)")
     p_serve.add_argument("--threads", type=int, default=None,

@@ -9,8 +9,8 @@ through the hierarchical pipeline with every reusable artefact shared:
   through its structural layer — fusion groupings and gather tables are
   compiled once per structure, only the fused matrices are rebuilt per
   job (``HierarchicalExecutor.run(structural_key=...)``);
-* one **execution backend** — serial, threaded or process workers,
-  exactly as for single-circuit runs.
+* one **execution backend** — serial, threaded or array
+  (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
 Dispatch order comes from a pluggable schedule
 (:mod:`repro.serve.scheduler`); ``workers > 1`` additionally runs jobs

@@ -1,92 +1,83 @@
 """Pluggable execution backends: where kernel sweeps actually run.
 
-The hierarchical executor reduces every part to the same shape of work:
-apply a compiled op sequence to the rows of the ``(2^(n-w), 2^w)``
-gather matrix (``mode="batched"``), or to one gathered inner vector at a
-time (``mode="literal"``).  Rows are independent — a gate only mixes
-amplitudes *within* a row — so row blocks can execute concurrently with
-no synchronisation beyond the part boundary.  This module turns that
-observation into an :class:`ExecutionBackend` seam with three
-implementations:
+The paper's Algorithm 1 is one loop — per part: gather the inner
+vectors, run the part's gates, scatter — and this module holds exactly
+one copy of it, :func:`run_part`.  Every unit of work it produces is a
+function of a *row range*: rows of the ``(2^(n-w), 2^w)`` gather matrix
+(or of the flat state reshaped around the part's top qubit) are
+independent, because a gate only mixes amplitudes within a row.  So the
+only thing a backend decides is how row ranges are visited — its
+:meth:`~ExecutionBackend.map_blocks`:
 
-* :class:`SerialBackend` — the single-threaded baseline (exact previous
-  behaviour of the executor and engines).
-* :class:`ThreadedBackend` — splits the row range into ``threads``
-  deterministic contiguous blocks and runs them on a shared
-  ``ThreadPoolExecutor``.  The heavy work per block is a GEMM
-  (``numpy`` matmul) which releases the GIL into BLAS, so this yields
-  real shared-memory parallelism without processes.  Block boundaries
-  depend only on ``(rows, threads)`` and results are written back to
-  disjoint row slices, so output is **deterministic**: identical bits
-  on every run at a given thread count (BLAS GEMM results can shift by
-  an ulp when the per-block column count changes, so agreement with
-  serial is exact in structure but pinned only to 1e-10 in general).
-* :class:`ProcessBackend` — same row-block decomposition, but blocks run
-  in worker processes against the state held in
-  ``multiprocessing.shared_memory``; for circuits whose per-block GEMMs
-  are too small to amortise GIL-free BLAS sections.  Workers rebuild
-  their block of the gather table locally from ``(n, qubits, lo, hi)``
-  (:func:`~repro.sv.layout.gather_index_rows`), so only the compiled
-  ops cross the process boundary.
-* :class:`ArrayBackend` — the same sweeps expressed through a pluggable
-  array namespace (:func:`resolve_array_module`: NumPy always, CuPy or
-  PyTorch when importable — ``REPRO_ARRAY_MODULE``).  With a device
-  module, the state is uploaded once per run (``begin_run``/``end_run``)
-  and each plan's matrices and gather table are kept device-resident in
-  a per-plan cache, so sweeps never touch the host between part
-  boundaries; with NumPy it shares the serial code path and is
-  **bit-identical** to :class:`SerialBackend`.
+* :class:`SerialBackend` — one block, inline: the single-threaded
+  reference.
+* :class:`ThreadedBackend` — ``threads`` deterministic contiguous
+  blocks on a shared ``ThreadPoolExecutor``.  The heavy work per block
+  is a GEMM (``numpy`` matmul) which releases the GIL into BLAS, so
+  this yields real shared-memory parallelism.  Block boundaries depend
+  only on ``(rows, threads)`` and blocks write disjoint row slices, so
+  output is **deterministic**: identical bits on every run at a given
+  thread count (BLAS GEMM results can shift by an ulp when the
+  per-block column count changes, so agreement with serial is pinned
+  only to 1e-10 in general).
+* :class:`ArrayBackend` — a pluggable array namespace
+  (:func:`resolve_array_module`: NumPy always, CuPy or PyTorch when
+  importable — ``REPRO_ARRAY_MODULE``).  With NumPy it *is* the serial
+  mapper over the shared core, hence **bit-identical** to
+  :class:`SerialBackend`.  With a device module the state is uploaded
+  once per run (``begin_run``/``end_run``), each plan's matrices and
+  gather table stay device-resident in a per-plan cache, and sweeps run
+  out of place (device namespaces cannot alias views — the one piece of
+  sweep code that genuinely differs).
 
-Parts whose fused groups are all small (``<= REPRO_KERNEL_STRIDED_MAX``
-target qubits after control extraction, default 2) skip the gather
-matrix entirely: the in-place strided path
-(:func:`~repro.sv.kernels.apply_matrix_strided`) applies each op
-directly to the flat state, cutting a single-op part's memory traffic
-~3x (no index table, no gather, no scatter) while staying bit-identical
-to the gathered result on the same backend — both paths reduce to
-GEMMs of identical shape, so not even the last ulp moves.  ``run_plan``
-reports which path ran
-(``"strided"`` / ``"gather"``) and the executor's ``ExecutionTrace``
-tallies the counts; see ``docs/backends.md``.
+The three entry points — :meth:`~ExecutionBackend.run_plan` (one
+hierarchical part), :meth:`~ExecutionBackend.apply_matrix_rows` (one
+unitary over the distributed engines' shard matrix) and
+:meth:`~ExecutionBackend.apply_gate_flat` (one gate of the flat
+simulator) — are base-class methods over that mapper.
+
+**The lane rule** (stated here once; ``docs/backends.md`` elaborates):
+a part whose fused ops all have at most ``REPRO_KERNEL_STRIDED_MAX``
+target qubits after control extraction (default 2) skips the gather
+matrix and applies each op to the flat state through bit-strided views,
+cutting a single-op part's memory traffic ~3x.  Both lanes reduce to
+GEMMs of identical shape, so they are bit-identical within a backend.
+The decision is made in :func:`run_part` only and remembered on the
+bound plan; ``run_plan`` reports the lane (``"strided"`` / ``"gather"``)
+and the executor's ``ExecutionTrace`` tallies the counts.
 
 Backends are selected per executor (``backend="threaded"``), from the
 CLI (``repro simulate --backend threaded --threads 4``) or globally via
 the environment (``REPRO_BACKEND`` / ``REPRO_THREADS``), and small
-workloads fall back to the serial path automatically
-(``min_parallel_elements``) so parallel dispatch overhead never taxes
-toy problems.
+workloads run inline automatically (``min_parallel_elements``) so
+parallel dispatch overhead never taxes toy problems.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
-import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.gates import Gate
 from .kernels import (
     _apply_strided,
+    _diagonal_factor,
     _gate_axes,
-    apply_gate,
     apply_matrix,
     apply_matrix_batched,
-    apply_matrix_strided,
     split_controls,
     strided_max_qubits,
 )
-from .layout import gather_index_rows
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadedBackend",
-    "ProcessBackend",
     "ArrayBackend",
     "ArrayModule",
     "BACKEND_NAMES",
@@ -95,15 +86,15 @@ __all__ = [
     "shared_backend",
     "resolve_backend",
     "resolve_array_module",
+    "run_part",
     "split_blocks",
     "DEFAULT_MIN_PARALLEL_ELEMENTS",
     "DEFAULT_BLOCK_ELEMENTS",
 ]
 
-#: Below this many gathered elements a parallel backend runs serially —
-#: dispatch overhead beats any speedup on toy states.  Override per
-#: instance (``min_parallel_elements=``) or globally via
-#: ``REPRO_MIN_PARALLEL``.
+#: Below this many amplitudes a parallel backend runs inline — dispatch
+#: overhead beats any speedup on toy states.  Override per instance
+#: (``min_parallel_elements=``).
 DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
 
 #: Target amplitudes per threaded block (8 MB of complex128).  The
@@ -113,15 +104,8 @@ DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
 #: which is why threaded execution beats serial even on one core.
 DEFAULT_BLOCK_ELEMENTS = 1 << 19
 
-
-def _default_min_parallel() -> int:
-    return int(
-        os.environ.get("REPRO_MIN_PARALLEL", DEFAULT_MIN_PARALLEL_ELEMENTS)
-    )
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+#: ``fn(lo, hi)`` applied to a half-open row range.
+BlockFn = Callable[[int, int], None]
 
 
 def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
@@ -149,23 +133,142 @@ def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
     return blocks
 
 
+# ---------------------------------------------------------------------------
+# The part-sweep core
+# ---------------------------------------------------------------------------
+
+
+def _strided_eligible(plan, strided_max: int) -> bool:
+    """True when every op of ``plan`` fits the gather-free strided path:
+    at most ``strided_max`` target qubits after control extraction.
+
+    Control extraction is a scan of every fused matrix, so the answer is
+    remembered on the bound plan (``plan.lane_memo``) per ``strided_max``.
+    The write is idempotent — concurrent runs sharing a plan can only
+    store the same tuple — so it needs no lock."""
+    if strided_max < 0:
+        return False
+    memo = plan.lane_memo
+    if memo is not None and memo[0] == strided_max:
+        return memo[1]
+    eligible = True
+    for op in plan.ops:
+        if len(op.qubits) <= strided_max:
+            continue  # controls can only shrink the target count
+        _, targets, _ = split_controls(op.matrix(), op.qubits)
+        if len(targets) > strided_max:
+            eligible = False
+            break
+    plan.lane_memo = (strided_max, eligible)
+    return eligible
+
+
+def run_part(
+    plan,
+    state: np.ndarray,
+    num_qubits: int,
+    mode: str,
+    strided_max: int,
+    map_blocks: Callable[[BlockFn, int, int], None],
+) -> str:
+    """Algorithm 1 for one part — the only copy; returns the lane that ran.
+
+    Decides the kernel lane (:func:`_strided_eligible`), builds the
+    per-row-range body for it, and hands that body to ``map_blocks(fn,
+    rows, elements)``, which visits ``range(rows)`` in whatever blocks
+    the backend likes (``elements`` is the amplitude count, for
+    small-workload cut-offs).  Three bodies exist:
+
+    * ``"strided"`` — ops carry *global* qubit labels and touch only
+      qubits below some axis, so the flat state splits into independent
+      leading rows and each op lands on them through bit-strided views:
+      no index table, no gathered copy;
+    * ``"gather"``, ``mode="batched"`` — gather the rows' inner vectors
+      into a matrix, sweep every op over it, scatter back;
+    * ``"gather"``, ``mode="literal"`` — the paper's loop, one inner
+      state vector at a time (validation reference; never strided).
+
+    >>> from repro.circuits.circuit import QuantumCircuit
+    >>> from repro.sv.fusion import compile_part
+    >>> qc = QuantumCircuit(2).x(0).cx(0, 1)
+    >>> plan = compile_part(qc, [0, 1], [0, 1])
+    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
+    >>> inline = lambda fn, rows, elements: fn(0, rows)
+    >>> run_part(plan, state, 2, "batched", 2, inline)
+    'strided'
+    >>> state.real.tolist()
+    [0.0, 0.0, 0.0, 1.0]
+    >>> run_part(plan, state, 2, "literal", 2, inline)   # never strided
+    'gather'
+    >>> state.real.tolist()
+    [0.0, 0.0, 1.0, 0.0]
+    """
+    if mode == "batched" and _strided_eligible(plan, strided_max):
+        if plan.ops:
+            local = 1 + max(q for op in plan.ops for q in op.qubits)
+            view = state.reshape(-1, 1 << local)
+
+            def block(lo: int, hi: int) -> None:
+                sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
+                for op in plan.ops:
+                    _apply_strided(
+                        sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
+                    )
+
+            map_blocks(block, view.shape[0], state.size)
+        return "strided"
+    w = len(plan.qubits)
+    ops = plan.local_ops()
+    table = plan.gather_table(num_qubits)
+    if mode == "batched":
+
+        def block(lo: int, hi: int) -> None:
+            sub = table[lo:hi]
+            inner = state[sub]  # (hi - lo, 2^w) copy
+            for op in ops:
+                apply_matrix_batched(
+                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
+                )
+            state[sub] = inner
+
+    else:
+
+        def block(lo: int, hi: int) -> None:
+            for t in range(lo, hi):
+                in_sv = state[table[t]].copy()
+                for op in ops:
+                    apply_matrix(
+                        in_sv, op.matrix(), op.qubits, w,
+                        diagonal=op.is_diagonal,
+                    )
+                state[table[t]] = in_sv
+
+    map_blocks(block, table.shape[0], table.size)
+    return "gather"
+
+
 class ExecutionBackend:
-    """Strategy interface for running compiled sweeps.
+    """A block mapper plus the three entry points built on it.
 
-    Three entry points mirror the three call sites:
-
-    * :meth:`run_plan` — one hierarchical part: gather the inner
-      vectors, apply the part's compiled ops, scatter back.
+    * :meth:`run_plan` — one hierarchical part (:func:`run_part`).
     * :meth:`apply_matrix_rows` — one unitary over a row-batched state
       (the distributed engines' shard matrix).
     * :meth:`apply_gate_flat` — one gate on a flat ``2^n`` state (the
       flat simulator).
 
-    Backends may hold resources (pools, shared memory); ``close()``
+    All three describe their work as a function of a row range and pass
+    it to :meth:`map_blocks`; a subclass overrides that one method to
+    change *where* rows run and inherits everything else.  The base
+    mapper is inline, which makes a bare subclass a serial backend.
+
+    Backends may hold resources (pools, device arrays); ``close()``
     releases them and instances are usable as context managers.
     ``begin_run``/``end_run`` bracket a multi-part execution so backends
-    that stage the state elsewhere (shared memory) pay the round trip
-    once per run instead of once per part.
+    that stage the state elsewhere (a device) pay the round trip once
+    per run instead of once per part.
+
+    ``strided_max`` is the lane rule's arity ceiling (default
+    ``REPRO_KERNEL_STRIDED_MAX``; negative forces the gather lane).
 
     >>> resolve_backend("serial").describe()
     'serial'
@@ -174,6 +277,16 @@ class ExecutionBackend:
     """
 
     name = "abstract"
+
+    #: Array-namespace identity (``"numpy"``/``"cupy"``/``"torch"``) for
+    #: backends that route kernels through one; surfaced in
+    #: ``ExecutionTrace.array_module``.
+    array_module: Optional[str] = None
+
+    def __init__(self, *, strided_max: Optional[int] = None) -> None:
+        self.strided_max = (
+            strided_max_qubits() if strided_max is None else int(strided_max)
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -184,7 +297,7 @@ class ExecutionBackend:
         """Called by the executor after the last part of a run."""
 
     def close(self) -> None:
-        """Release pools/segments; the backend may be used again after."""
+        """Release pools/caches; the backend may be used again after."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -192,12 +305,21 @@ class ExecutionBackend:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- work --------------------------------------------------------------
+    def describe(self) -> str:
+        """Human-readable identity, e.g. ``threaded[4]``."""
+        return self.name
 
-    #: Array-namespace identity (``"numpy"``/``"cupy"``/``"torch"``) for
-    #: backends that route kernels through one; surfaced in
-    #: ``ExecutionTrace.array_module``.
-    array_module: Optional[str] = None
+    # -- the seam ----------------------------------------------------------
+
+    def map_blocks(self, fn: BlockFn, rows: int, elements: int) -> None:
+        """Run ``fn(lo, hi)`` over blocks that exactly cover
+        ``range(rows)``; ``elements`` is the amplitude count behind
+        them.  Blocks are independent and write disjoint slices; every
+        block must have finished (or its error been raised) on return.
+        Inline here: one block, the caller's thread."""
+        fn(0, rows)
+
+    # -- work --------------------------------------------------------------
 
     def run_plan(
         self,
@@ -209,7 +331,9 @@ class ExecutionBackend:
         """Execute one part plan; returns the kernel path that ran
         (``"strided"`` for the gather-free fast lane, ``"gather"`` for
         the gather-matrix sweep)."""
-        raise NotImplementedError
+        return run_part(
+            plan, state, num_qubits, mode, self.strided_max, self.map_blocks
+        )
 
     def apply_matrix_rows(
         self,
@@ -220,85 +344,42 @@ class ExecutionBackend:
         *,
         diagonal: bool = False,
     ) -> None:
-        raise NotImplementedError
+        """Apply one unitary to every row of ``rows`` (``(B, 2^num_local)``,
+        in place); ``positions`` are row-local qubit indices."""
+
+        def block(lo: int, hi: int) -> None:
+            apply_matrix_batched(
+                rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
+            )
+
+        self.map_blocks(block, rows.shape[0], rows.size)
 
     def apply_gate_flat(
         self, state: np.ndarray, gate: Gate, num_qubits: int
     ) -> None:
-        raise NotImplementedError
+        """Apply one gate to a flat ``2^n`` state (in place).
 
-    def describe(self) -> str:
-        """Human-readable identity, e.g. ``threaded[4]``."""
-        return self.name
-
-
-def _strided_eligible(plan, strided_max: int) -> bool:
-    """True when every op of ``plan`` fits the gather-free strided path:
-    at most ``strided_max`` target qubits after control extraction."""
-    if strided_max < 0:
-        return False
-    for op in plan.ops:
-        if len(op.qubits) <= strided_max:
-            continue  # controls can only shrink the target count
-        _, targets, _ = split_controls(op.matrix(), op.qubits)
-        if len(targets) > strided_max:
-            return False
-    return True
-
-
-def _run_part_strided(plan, state: np.ndarray, num_qubits: int) -> None:
-    """Apply a part's ops directly to the flat state — no gather matrix.
-
-    Ops carry *global* qubit labels, so each one lands on the full state
-    through bit-strided views; bit-identical to the gathered sweep."""
-    for op in plan.ops:
-        apply_matrix_strided(
-            state, op.matrix(), op.qubits, num_qubits,
-            diagonal=op.is_diagonal,
-        )
-
-
-def _run_part_serial(
-    plan,
-    state: np.ndarray,
-    num_qubits: int,
-    mode: str,
-    strided_max: Optional[int] = None,
-) -> str:
-    """The baseline part loop (shared by all backends as the
-    small-workload fallback); returns the kernel path that ran."""
-    if strided_max is None:
-        strided_max = strided_max_qubits()
-    if mode == "batched" and _strided_eligible(plan, strided_max):
-        _run_part_strided(plan, state, num_qubits)
-        return "strided"
-    w = len(plan.qubits)
-    ops = plan.local_ops()
-    table = plan.gather_table(num_qubits)
-    if mode == "batched":
-        inner = state[table]  # (2^(n-w), 2^w) copy
-        for op in ops:
-            apply_matrix_batched(
-                inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
+        A gate on qubits ``< w`` leaves the leading ``2^(n-w)`` blocks of
+        the flat state independent: reshape (no copy) and treat them as
+        rows."""
+        if state.shape != (1 << num_qubits,):
+            raise ValueError(
+                f"state must be a flat vector of {1 << num_qubits} amplitudes"
             )
-        state[table] = inner
-    else:
-        for t in range(table.shape[0]):
-            in_sv = state[table[t]].copy()
-            for op in ops:
-                apply_matrix(
-                    in_sv, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-                )
-            state[table[t]] = in_sv
-    return "gather"
+        w = max(gate.qubits) + 1
+        self.apply_matrix_rows(
+            state.reshape(-1, 1 << w), gate.matrix(), gate.qubits, w,
+            diagonal=gate.is_diagonal,
+        )
 
 
 class SerialBackend(ExecutionBackend):
     """Single-threaded execution — the reference all others must match.
 
-    Small fused groups run gather-free (``strided_max``, default from
+    The inline mapper over the shared core: small fused groups run
+    gather-free (``strided_max``, default from
     ``REPRO_KERNEL_STRIDED_MAX``); everything else takes the classic
-    gather/execute/scatter sweep.  Both paths are bit-identical.
+    gather/execute/scatter sweep.  Both lanes are bit-identical.
 
     >>> import numpy as np
     >>> from repro.circuits.gates import make_gate
@@ -309,26 +390,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-
-    def __init__(self, *, strided_max: Optional[int] = None) -> None:
-        self.strided_max = (
-            strided_max_qubits() if strided_max is None else int(strided_max)
-        )
-
-    def run_plan(self, plan, state, num_qubits, mode="batched"):
-        return _run_part_serial(
-            plan, state, num_qubits, mode, self.strided_max
-        )
-
-    def apply_matrix_rows(
-        self, rows, matrix, positions, num_local, *, diagonal=False
-    ):
-        apply_matrix_batched(
-            rows, matrix, positions, num_local, diagonal=diagonal
-        )
-
-    def apply_gate_flat(self, state, gate, num_qubits):
-        apply_gate(state, gate, num_qubits)
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -348,9 +409,9 @@ class ThreadedBackend(ExecutionBackend):
     threads:
         Worker count (default: ``os.cpu_count()``).
     min_parallel_elements:
-        Workloads touching fewer amplitudes than this run on the serial
-        path (default ``REPRO_MIN_PARALLEL`` or 16384).  Set 0 to force
-        parallel dispatch (the differential tests do).
+        Workloads touching fewer amplitudes than this run inline
+        (default :data:`DEFAULT_MIN_PARALLEL_ELEMENTS`, 16384).  Set 0
+        to force parallel dispatch (the differential tests do).
     block_elements:
         Target amplitudes per block; work splits into
         ``max(threads, total/block_elements)`` blocks (clipped to the
@@ -370,20 +431,18 @@ class ThreadedBackend(ExecutionBackend):
         block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         strided_max: Optional[int] = None,
     ) -> None:
-        self.threads = int(threads) if threads else _default_workers()
+        super().__init__(strided_max=strided_max)
+        self.threads = int(threads) if threads else (os.cpu_count() or 1)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         self.min_parallel_elements = (
-            _default_min_parallel()
+            DEFAULT_MIN_PARALLEL_ELEMENTS
             if min_parallel_elements is None
             else int(min_parallel_elements)
         )
         self.block_elements = int(block_elements)
         if self.block_elements < 1:
             raise ValueError("block_elements must be >= 1")
-        self.strided_max = (
-            strided_max_qubits() if strided_max is None else int(strided_max)
-        )
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
@@ -409,7 +468,15 @@ class ThreadedBackend(ExecutionBackend):
                 self._pool.shutdown(wait=True)
                 self._pool = None
 
-    def _map_blocks(self, fn, blocks) -> None:
+    def map_blocks(self, fn: BlockFn, rows: int, elements: int) -> None:
+        if rows < 2 or elements < self.min_parallel_elements:
+            fn(0, rows)
+            return
+        self._map_blocks(
+            fn, split_blocks(rows, self._num_blocks(rows, elements))
+        )
+
+    def _map_blocks(self, fn: BlockFn, blocks) -> None:
         """Run ``fn(lo, hi)`` per block; reuse the caller thread for the
         last block so a 1-block dispatch never pays pool latency.
 
@@ -436,363 +503,6 @@ class ThreadedBackend(ExecutionBackend):
                     error = exc
         if error is not None:
             raise error
-
-    # -- work --------------------------------------------------------------
-
-    def _run_plan_strided(self, plan, state, num_qubits):
-        """Parallel gather-free sweep: ops touch only qubits below some
-        axis, so the flat state splits into independent leading row
-        blocks — same block math as the gather path, no table."""
-        if not plan.ops:
-            return "strided"  # nothing to apply, nothing to gather
-        q_top = max(q for op in plan.ops for q in op.qubits)
-        local = q_top + 1
-        rows = 1 << (num_qubits - local)
-        if rows < 2 or state.size < self.min_parallel_elements:
-            _run_part_strided(plan, state, num_qubits)
-            return "strided"
-        view = state.reshape(rows, 1 << local)
-
-        def block(lo: int, hi: int) -> None:
-            sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
-            for op in plan.ops:
-                _apply_strided(
-                    sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
-                )
-
-        self._map_blocks(
-            block, split_blocks(rows, self._num_blocks(rows, state.size))
-        )
-        return "strided"
-
-    def run_plan(self, plan, state, num_qubits, mode="batched"):
-        if mode == "batched" and _strided_eligible(plan, self.strided_max):
-            return self._run_plan_strided(plan, state, num_qubits)
-        table = plan.gather_table(num_qubits)
-        rows = table.shape[0]
-        if rows < 2 or table.size < self.min_parallel_elements:
-            return _run_part_serial(
-                plan, state, num_qubits, mode, self.strided_max
-            )
-        w = len(plan.qubits)
-        ops = plan.local_ops()
-
-        if mode == "batched":
-
-            def block(lo: int, hi: int) -> None:
-                sub = table[lo:hi]
-                inner = state[sub]
-                for op in ops:
-                    apply_matrix_batched(
-                        inner, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[sub] = inner
-
-        else:
-
-            def block(lo: int, hi: int) -> None:
-                for t in range(lo, hi):
-                    in_sv = state[table[t]].copy()
-                    for op in ops:
-                        apply_matrix(
-                            in_sv, op.matrix(), op.qubits, w,
-                            diagonal=op.is_diagonal,
-                        )
-                    state[table[t]] = in_sv
-
-        self._map_blocks(
-            block, split_blocks(rows, self._num_blocks(rows, table.size))
-        )
-        return "gather"
-
-    def apply_matrix_rows(
-        self, rows, matrix, positions, num_local, *, diagonal=False
-    ):
-        batch = rows.shape[0]
-        if batch < 2 or rows.size < self.min_parallel_elements:
-            apply_matrix_batched(
-                rows, matrix, positions, num_local, diagonal=diagonal
-            )
-            return
-
-        def block(lo: int, hi: int) -> None:
-            apply_matrix_batched(
-                rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
-            )
-
-        self._map_blocks(
-            block, split_blocks(batch, self._num_blocks(batch, rows.size))
-        )
-
-    def apply_gate_flat(self, state, gate, num_qubits):
-        # A gate on qubits < w leaves the leading 2^(n-w) blocks of the
-        # flat state independent: reshape (no copy) and row-block them.
-        w = max(gate.qubits) + 1
-        rows = 1 << (num_qubits - w)
-        if rows < 2 or state.size < self.min_parallel_elements:
-            apply_gate(state, gate, num_qubits)
-            return
-        view = state.reshape(rows, 1 << w)
-        self.apply_matrix_rows(
-            view, gate.matrix(), gate.qubits, w, diagonal=gate.is_diagonal
-        )
-
-
-def _process_run_block(
-    shm_name: str,
-    num_qubits: int,
-    qubits: Tuple[int, ...],
-    ops,
-    lo: int,
-    hi: int,
-    mode: str,
-) -> None:
-    """Worker-side body: attach the shared state, rebuild this block's
-    gather rows, sweep the ops, scatter back.  Module-level so it pickles
-    under both fork and spawn start methods."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        state = np.ndarray(
-            (1 << num_qubits,), dtype=np.complex128, buffer=shm.buf
-        )
-        table = gather_index_rows(num_qubits, qubits, lo, hi)
-        w = len(qubits)
-        if mode == "batched":
-            inner = state[table]
-            for op in ops:
-                apply_matrix_batched(
-                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
-                )
-            state[table] = inner
-        else:
-            for t in range(table.shape[0]):
-                in_sv = state[table[t]].copy()
-                for op in ops:
-                    apply_matrix(
-                        in_sv, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[table[t]] = in_sv
-    finally:
-        shm.close()
-
-
-# Shared-memory segments must be unlinked before the interpreter exits
-# or resource_tracker reports them leaked (and they survive in /dev/shm
-# until the tracker reaps them).  A run that dies between begin_run and
-# end_run — KeyboardInterrupt, sys.exit inside a worker callback — would
-# otherwise leave its segment behind, so every live ProcessBackend is
-# swept at interpreter shutdown.  WeakSet: the sweep must not keep
-# otherwise-dead backends alive.
-_LIVE_PROCESS_BACKENDS: "weakref.WeakSet[ProcessBackend]" = weakref.WeakSet()
-
-
-@atexit.register
-def _cleanup_process_backends() -> None:
-    for backend in list(_LIVE_PROCESS_BACKENDS):
-        backend._release_sessions()
-
-
-class ProcessBackend(ExecutionBackend):
-    """Row-block parallelism across worker processes over shared memory.
-
-    The full state lives in a ``multiprocessing.shared_memory`` segment
-    for the duration of a run (``begin_run``/``end_run``), so the
-    per-part cost is only op pickling and block-table rebuilding, not
-    state movement.  Falls back to in-process serial execution for
-    workloads under ``min_parallel_elements``.
-
-    Use when per-block GEMMs are too small for :class:`ThreadedBackend`
-    to win against the GIL-holding portions of the sweep; threads are
-    otherwise strictly cheaper.
-
-    >>> backend = ProcessBackend(2)     # small workloads fall back inline,
-    >>> backend.num_active_sessions     # so this spawns no processes
-    0
-    >>> backend.describe()
-    'process[2]'
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        *,
-        min_parallel_elements: Optional[int] = None,
-    ) -> None:
-        self.processes = int(processes) if processes else _default_workers()
-        if self.processes < 1:
-            raise ValueError("processes must be >= 1")
-        self.min_parallel_elements = (
-            _default_min_parallel()
-            if min_parallel_elements is None
-            else int(min_parallel_elements)
-        )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        # Active shared-memory sessions keyed by id(state): backends are
-        # shared process-wide (resolve_backend singletons), so concurrent
-        # runs on *different* states must not trample each other's
-        # segments.  Guarded by _session_lock; a second begin_run on the
-        # same live state is refused.
-        self._sessions: Dict[int, tuple] = {}
-        self._session_lock = threading.Lock()
-        _LIVE_PROCESS_BACKENDS.add(self)
-
-    def describe(self) -> str:
-        return f"process[{self.processes}]"
-
-    @property
-    def num_active_sessions(self) -> int:
-        with self._session_lock:
-            return len(self._sessions)
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        import multiprocessing
-
-        with self._pool_lock:
-            if self._pool is None:
-                # Always spawn: fork in a process that already runs
-                # threads (thread pools, BLAS) can hand workers
-                # permanently-held locks and deadlock them.  The pool
-                # persists across parts/runs, so the spawn cost is paid
-                # once per backend instance.
-                ctx = multiprocessing.get_context("spawn")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.processes, mp_context=ctx
-                )
-            return self._pool
-
-    def close(self) -> None:
-        self._release_sessions()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-    # -- shared-memory session --------------------------------------------
-
-    def _release_sessions(self) -> None:
-        """Unlink every live shared-memory segment (results abandoned).
-
-        The recovery path for runs that never reached ``end_run`` —
-        called from :meth:`close` and from the interpreter-shutdown
-        sweep.  Segments are destroyed without copying back: by the time
-        this runs, the run that owned them is dead.
-        """
-        with self._session_lock:
-            entries = list(self._sessions.values())
-            self._sessions.clear()
-        for entry in entries:
-            if not entry:
-                continue
-            shm, view = entry
-            del view  # release the buffer before closing the segment
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already reaped
-                pass
-
-    def _session_for(self, state: np.ndarray) -> Optional[tuple]:
-        with self._session_lock:
-            return self._sessions.get(id(state))
-
-    def begin_run(self, state: np.ndarray) -> None:
-        from multiprocessing import shared_memory
-
-        key = id(state)
-        with self._session_lock:
-            if key in self._sessions:
-                raise RuntimeError(
-                    "a run on this state is already in progress"
-                )
-            # Reserve the slot under the lock; fill it after the copy so
-            # a concurrent begin_run on the same state is refused early.
-            self._sessions[key] = ()
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=state.nbytes)
-            view = np.ndarray(
-                state.shape, dtype=np.complex128, buffer=shm.buf
-            )
-            view[:] = state
-        except BaseException:
-            with self._session_lock:
-                self._sessions.pop(key, None)
-            raise
-        with self._session_lock:
-            self._sessions[key] = (shm, view)
-
-    def end_run(self, state: np.ndarray) -> None:
-        with self._session_lock:
-            entry = self._sessions.pop(id(state), None)
-        if not entry:
-            return
-        shm, view = entry
-        try:
-            state[:] = view
-        finally:
-            del view  # release the buffer before closing the segment
-            shm.close()
-            shm.unlink()
-
-    # -- work --------------------------------------------------------------
-
-    def run_plan(self, plan, state, num_qubits, mode="batched"):
-        w = len(plan.qubits)
-        rows = 1 << (num_qubits - w)
-        session = self._session_for(state)
-        if rows < 2 or (rows << w) < self.min_parallel_elements:
-            target = session[1] if session else state
-            return _run_part_serial(plan, target, num_qubits, mode)
-        owned = not session
-        if owned:
-            self.begin_run(state)
-            session = self._session_for(state)
-        try:
-            shm = session[0]
-            ops = plan.local_ops()
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    _process_run_block,
-                    shm.name, num_qubits, plan.qubits, ops, lo, hi, mode,
-                )
-                for lo, hi in split_blocks(rows, self.processes)
-            ]
-            # Drain every block before returning or raising: a worker
-            # may still be writing into the segment otherwise.
-            error: Optional[BaseException] = None
-            for f in futures:
-                try:
-                    f.result()
-                except BaseException as exc:
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-        finally:
-            if owned:
-                self.end_run(state)
-        return "gather"
-
-    # Per-gate work does not amortise the process round trip; run those
-    # call sites serially (the hierarchical part path is where this
-    # backend earns its keep).
-    def apply_matrix_rows(
-        self, rows, matrix, positions, num_local, *, diagonal=False
-    ):
-        apply_matrix_batched(
-            rows, matrix, positions, num_local, diagonal=diagonal
-        )
-
-    def apply_gate_flat(self, state, gate, num_qubits):
-        apply_gate(state, gate, num_qubits)
-
 
 # ---------------------------------------------------------------------------
 # Array-namespace backend
@@ -896,15 +606,18 @@ def resolve_array_module(
 class ArrayBackend(ExecutionBackend):
     """Kernel sweeps through a pluggable array namespace.
 
-    With the (default) NumPy module this backend shares the serial code
-    path outright — including the strided fast lane — so it is
-    bit-identical to :class:`SerialBackend` by construction.  With a
-    device module (CuPy, PyTorch) the state uploads once per run
-    (``begin_run``) and downloads once (``end_run``); in between, every
-    sweep runs device-side against matrices and gather tables held in a
-    bounded per-plan device cache (``plan_uploads`` / ``plan_cache_hits``
-    count the round trips saved), so repeated sweeps of a cached plan
-    move no bytes over the host link.  See ``docs/backends.md`` for the
+    With the (default) NumPy module this backend inherits the inline
+    mapper and the shared core untouched — including the strided fast
+    lane — so it is bit-identical to :class:`SerialBackend` by
+    construction.  With a device module (CuPy, PyTorch) the state
+    uploads once per run (``begin_run``) and downloads once
+    (``end_run``); in between, every part is one out-of-place sweep of
+    its whole gather matrix (``mode`` is a host-side distinction: a
+    row-at-a-time device loop would be one kernel launch per inner
+    vector) against matrices and gather tables held in a bounded
+    per-plan device cache (``plan_uploads`` / ``plan_cache_hits`` count
+    the round trips saved), so repeated sweeps of a cached plan move no
+    bytes over the host link.  See ``docs/backends.md`` for the
     residency lifecycle.
 
     >>> backend = ArrayBackend()              # REPRO_ARRAY_MODULE or numpy
@@ -931,11 +644,9 @@ class ArrayBackend(ExecutionBackend):
         strided_max: Optional[int] = None,
     ) -> None:
         del threads  # accepted for uniform construction; no pool here
+        super().__init__(strided_max=strided_max)
         self.module = resolve_array_module(module)
         self.array_module = self.module.name
-        self.strided_max = (
-            strided_max_qubits() if strided_max is None else int(strided_max)
-        )
         self.plan_uploads = 0
         self.plan_cache_hits = 0
         self._plans: "OrderedDict[tuple, dict]" = OrderedDict()
@@ -999,30 +710,14 @@ class ArrayBackend(ExecutionBackend):
                 self.plan_cache_hits += 1
                 self._plans.move_to_end(key)
                 return entry
-        mod = self.module
         w = len(plan.qubits)
-        ops = []
-        for op in plan.local_ops():
-            k = len(op.qubits)
-            axes = _gate_axes(w + 1, w, op.qubits, lead=1)
-            if op.is_diagonal:
-                # Pre-shape the diagonal factor for broadcast over the
-                # (batch,) + (2,)*w view; uploaded once, reused per sweep.
-                fac = np.ascontiguousarray(np.diag(op.matrix()))
-                fac = fac.reshape((2,) * k)
-                fac = fac.transpose(tuple(np.argsort(axes)))
-                shape = [1] * (w + 1)
-                for ax in axes:
-                    shape[ax] = 2
-                ops.append(
-                    (mod.from_host(fac.reshape(shape)), axes, True)
-                )
-            else:
-                ops.append((mod.from_host(op.matrix()), axes, False))
         entry = {
             "plan": plan,
-            "table": mod.from_host(plan.gather_table(num_qubits)),
-            "ops": ops,
+            "table": self.module.from_host(plan.gather_table(num_qubits)),
+            "ops": [
+                self._device_op(op.matrix(), op.qubits, w, op.is_diagonal)
+                for op in plan.local_ops()
+            ],
             "w": w,
         }
         with self._plans_lock:
@@ -1032,7 +727,18 @@ class ArrayBackend(ExecutionBackend):
                 self._plans.popitem(last=False)
         return entry
 
-    # -- work --------------------------------------------------------------
+    def _device_op(self, matrix, positions, w: int, diagonal: bool):
+        """One uploaded op in the :meth:`_sweep_rows` format: ``(operand,
+        view axes, diagonal)``.  A diagonal op uploads as its factor,
+        pre-shaped for broadcast over the ``(batch,) + (2,)*w`` view."""
+        axes = _gate_axes(w + 1, w, positions, lead=1)
+        if diagonal:
+            matrix = _diagonal_factor(
+                np.ascontiguousarray(np.diag(matrix)), axes, w + 1
+            )
+        return (self.module.from_host(matrix), axes, diagonal)
+
+    # -- device-only work ---------------------------------------------------
 
     def _sweep_rows(self, inner, entry: dict):
         """Apply a cached plan's ops to device rows ``(B, 2^w)``
@@ -1058,9 +764,7 @@ class ArrayBackend(ExecutionBackend):
 
     def run_plan(self, plan, state, num_qubits, mode="batched"):
         if self.module.host:
-            return _run_part_serial(
-                plan, state, num_qubits, mode, self.strided_max
-            )
+            return super().run_plan(plan, state, num_qubits, mode)
         session = self._session_for(state)
         owned = session is None
         if owned:
@@ -1071,12 +775,7 @@ class ArrayBackend(ExecutionBackend):
         try:
             entry = self._device_plan(plan, num_qubits)
             table = entry["table"]
-            if mode == "batched":
-                session[table] = self._sweep_rows(session[table], entry)
-            else:
-                for t in range(table.shape[0]):
-                    rows = table[t : t + 1]
-                    session[rows] = self._sweep_rows(session[rows], entry)
+            session[table] = self._sweep_rows(session[table], entry)
         finally:
             if owned:
                 self.end_run(state)
@@ -1089,41 +788,15 @@ class ArrayBackend(ExecutionBackend):
         self, rows, matrix, positions, num_local, *, diagonal=False
     ):
         if self.module.host:
-            apply_matrix_batched(
+            return super().apply_matrix_rows(
                 rows, matrix, positions, num_local, diagonal=diagonal
             )
-            return
-        dev = self.module.from_host(rows)
-        axes = _gate_axes(num_local + 1, num_local, positions, lead=1)
         entry = {
-            "plan": None,
             "w": num_local,
-            "ops": [
-                self._device_op(matrix, axes, num_local, diagonal)
-            ],
+            "ops": [self._device_op(matrix, positions, num_local, diagonal)],
         }
-        rows[...] = self.module.to_host(self._sweep_rows(dev, entry))
-
-    def _device_op(self, matrix, axes, w, diagonal):
-        """One-off device op tuple in the :meth:`_sweep_rows` format."""
-        if diagonal:
-            k = len(axes)
-            fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * k)
-            fac = fac.transpose(tuple(np.argsort(axes)))
-            shape = [1] * (w + 1)
-            for ax in axes:
-                shape[ax] = 2
-            return (self.module.from_host(fac.reshape(shape)), axes, True)
-        return (self.module.from_host(matrix), axes, False)
-
-    def apply_gate_flat(self, state, gate, num_qubits):
-        if self.module.host:
-            apply_gate(state, gate, num_qubits)
-            return
-        view = state.reshape(1, -1)
-        self.apply_matrix_rows(
-            view, gate.matrix(), gate.qubits, num_qubits,
-            diagonal=gate.is_diagonal,
+        rows[...] = self.module.to_host(
+            self._sweep_rows(self.module.from_host(rows), entry)
         )
 
 
@@ -1131,12 +804,11 @@ class ArrayBackend(ExecutionBackend):
 # Selection / sharing
 # ---------------------------------------------------------------------------
 
-BACKEND_NAMES = ("serial", "threaded", "process", "array")
+BACKEND_NAMES = ("serial", "threaded", "array")
 
 _BACKEND_CLASSES = {
     "serial": SerialBackend,
     "threaded": ThreadedBackend,
-    "process": ProcessBackend,
     "array": ArrayBackend,
 }
 

@@ -1,49 +1,27 @@
-"""Per-part execution engines and simulation-method resolution.
+"""Simulation-method resolution.
 
-The hierarchical executor used to hardwire every part through the dense
-gather-matrix path.  This module makes the simulation *method* a
-per-part decision behind one small contract:
-
-* :class:`PartEngine` — the protocol: an engine declares which compiled
-  part plans it can execute (``can_execute``) and applies one to a
-  state (``apply_part``);
-* :class:`DenseSVEngine` — the existing dense path, delegating sweeps
-  to an :class:`~repro.sv.backend.ExecutionBackend` (serial / threaded
-  / process), unchanged in behaviour;
-* :class:`StabilizerEngine` — the Clifford fast path: parts whose gates
-  all carry ``GateDef.clifford`` run on a
-  :class:`~repro.sv.stabilizer.StabilizerState` tableau in polynomial
-  time, and the state converts to dense amplitudes only at the part
-  boundary where a non-Clifford part consumes it.
+The simulation *method* decides which state representation a run starts
+in; :class:`~repro.sv.hier.HierarchicalExecutor` then routes each part
+on the representation it is handed — dense arrays go to an
+:class:`~repro.sv.backend.ExecutionBackend`'s ``run_plan``, a
+:class:`~repro.sv.stabilizer.StabilizerState` tableau takes Clifford
+parts through ``apply_all`` and converts to dense amplitudes only at the
+first non-Clifford part.
 
 Method selection (``resolve_method``): ``auto`` (default) routes
 all-Clifford circuits to the tableau and everything else through the
-dense path bit-identically to before; ``stabilizer`` opts in to hybrid
-prefix routing (Clifford parts in tableau until the first non-Clifford
-part); ``dense`` forces the dense path everywhere.  The environment
-knob is ``REPRO_METHOD`` (see ``docs/configuration.md``).
+dense path; ``stabilizer`` opts in to hybrid prefix routing (Clifford
+parts in tableau until the first non-Clifford part); ``dense`` forces
+the dense path everywhere.  The environment knob is ``REPRO_METHOD``
+(see ``docs/configuration.md``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional
 
-import numpy as np
-
-from ..circuits.gates import Gate
-from .backend import ExecutionBackend
-from .fusion import CompiledPartPlan
-from .stabilizer import StabilizerState, is_clifford_circuit
-
-__all__ = [
-    "METHOD_NAMES",
-    "PartEngine",
-    "DenseSVEngine",
-    "StabilizerEngine",
-    "StabilizerPartPlan",
-    "resolve_method",
-]
+__all__ = ["METHOD_NAMES", "resolve_method"]
 
 #: Valid simulation-method names (CLI ``--method``, ``REPRO_METHOD``).
 METHOD_NAMES = ("auto", "dense", "stabilizer")
@@ -71,157 +49,3 @@ def resolve_method(spec: Optional[str] = None) -> str:
             f"unknown method {spec!r}; choose from {METHOD_NAMES}"
         )
     return spec
-
-
-class StabilizerPartPlan:
-    """A part plan for the tableau path: the source gates, unfused.
-
-    Fused dense matrices are useless to a tableau — the stabilizer
-    engine consumes the part's *source* gates directly (Clifford
-    conjugation is per-gate and already linear-time), so its plan is
-    just the ordered gate tuple plus the part's working set for trace
-    accounting.  ``clifford`` is the capability the executor routes on.
-
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
-    >>> plan = StabilizerPartPlan.from_gates((0, 1), qc.gates)
-    >>> plan.num_source_gates, plan.clifford
-    (2, True)
-    """
-
-    __slots__ = ("qubits", "gates", "num_source_gates")
-
-    def __init__(
-        self, qubits: Tuple[int, ...], gates: Tuple[Gate, ...]
-    ) -> None:
-        self.qubits = tuple(qubits)
-        self.gates = tuple(gates)
-        self.num_source_gates = len(self.gates)
-
-    @classmethod
-    def from_gates(
-        cls, qubits: Sequence[int], gates: Sequence[Gate]
-    ) -> "StabilizerPartPlan":
-        """Build a plan from a part's working set and gate list."""
-        return cls(tuple(qubits), tuple(gates))
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.gates)
-
-    @property
-    def clifford(self) -> bool:
-        return is_clifford_circuit(self.gates)
-
-
-class PartEngine:
-    """The per-part execution contract: capability + application.
-
-    An engine declares whether it can execute a given part plan
-    (``can_execute``) and applies one to a state in place
-    (``apply_part``).  The hierarchical executor holds one engine per
-    method and routes each part to the first capable one — dense is the
-    universal fallback, the stabilizer engine accepts only Clifford
-    plans on tableau states.
-
-    >>> DenseSVEngine().name, StabilizerEngine().name
-    ('dense', 'stabilizer')
-    """
-
-    #: Engine identity, recorded per part in ``ExecutionTrace`` and the
-    #: serving daemon's routing counters.
-    name: str = "abstract"
-
-    def can_execute(self, plan) -> bool:
-        """True when :meth:`apply_part` accepts this plan."""
-        raise NotImplementedError
-
-    def apply_part(self, state, plan, num_qubits: int, mode: str) -> str:
-        """Execute one part plan against ``state`` (mutated in place);
-        returns the kernel-path tag the executor records in its trace
-        (``"strided"`` / ``"gather"`` for dense sweeps, ``"tableau"``
-        for the stabilizer engine)."""
-        raise NotImplementedError
-
-
-class DenseSVEngine(PartEngine):
-    """The default engine: Algorithm-1 gather/execute/scatter sweeps.
-
-    Wraps an :class:`~repro.sv.backend.ExecutionBackend`; behaviour is
-    exactly the pre-refactor dense path (bit-identical — routing through
-    this engine adds no numerics).
-
-    >>> import numpy as np
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> from repro.sv.fusion import compile_part
-    >>> from repro.sv.simulator import zero_state
-    >>> qc = QuantumCircuit(2).x(0).cx(0, 1)
-    >>> plan = compile_part(qc, [0, 1], [0, 1])
-    >>> state = zero_state(2)
-    >>> DenseSVEngine().apply_part(state, plan, 2, "batched")
-    'strided'
-    >>> state.real.tolist()
-    [0.0, 0.0, 0.0, 1.0]
-    """
-
-    name = "dense"
-
-    def __init__(self, backend: Optional[ExecutionBackend] = None) -> None:
-        if backend is None:
-            from .backend import SerialBackend
-
-            backend = SerialBackend()
-        self.backend = backend
-
-    def can_execute(self, plan) -> bool:
-        """Dense execution is the universal fallback."""
-        return isinstance(plan, CompiledPartPlan)
-
-    def apply_part(
-        self,
-        state: np.ndarray,
-        plan: CompiledPartPlan,
-        num_qubits: int,
-        mode: str = "batched",
-    ) -> str:
-        return self.backend.run_plan(plan, state, num_qubits, mode)
-
-    def describe(self) -> str:
-        """Backend identity label (e.g. ``"threaded[4]"``)."""
-        return self.backend.describe()
-
-
-class StabilizerEngine(PartEngine):
-    """Clifford fast path: apply a part's gates to a stabilizer tableau.
-
-    Capability is declared at plan time (every gate of the part carries
-    ``GateDef.clifford``); application is per-gate Pauli conjugation on
-    the shared :class:`~repro.sv.stabilizer.StabilizerState`.  No
-    gather/scatter, no matrices, no ``2^n`` anything — a 60-qubit GHZ
-    part executes in microseconds.
-
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> from repro.sv.stabilizer import StabilizerState
-    >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
-    >>> plan = StabilizerPartPlan.from_gates((0, 1), qc.gates)
-    >>> state = StabilizerState(2)
-    >>> _ = StabilizerEngine().apply_part(state, plan, 2, "batched")
-    >>> abs(abs(state.amplitude(3)) ** 2 - 0.5) < 1e-14
-    True
-    """
-
-    name = "stabilizer"
-
-    def can_execute(self, plan) -> bool:
-        """Only Clifford-capable part plans."""
-        return isinstance(plan, StabilizerPartPlan) and plan.clifford
-
-    def apply_part(
-        self,
-        state: StabilizerState,
-        plan: StabilizerPartPlan,
-        num_qubits: int,
-        mode: str = "batched",
-    ) -> str:
-        state.apply_all(plan.gates)
-        return "tableau"

@@ -201,8 +201,7 @@ class FusedGate:
         return out
 
     # Explicit pickle support: ``__slots__`` classes need it spelled out,
-    # and the restored matrix must come back read-only (the process
-    # backend ships ops to worker processes by pickle).
+    # and the restored matrix must come back read-only, like the original.
     def __getstate__(self):
         return (self.qubits, self.diagonal, self.source_indices, self._matrix)
 
@@ -433,6 +432,11 @@ class CompiledPartPlan:
     structurally identical circuits (parameter sweeps) never rebuild
     the ``O(2^n)`` index table.
 
+    ``lane_memo`` belongs to the execution backends' kernel-lane rule
+    (:func:`repro.sv.backend.run_part`): the rule scans every fused
+    matrix, so its last ``(strided_max, answer)`` is kept here and a
+    bound plan is classified once, not once per run.
+
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
     >>> plan = compile_part(qc, [0, 1, 2], [0, 1])
@@ -449,6 +453,7 @@ class CompiledPartPlan:
         "fused",
         "max_fused_qubits",
         "structure",
+        "lane_memo",
         "_local_ops",
     )
 
@@ -467,6 +472,7 @@ class CompiledPartPlan:
         self.fused = bool(fused)
         self.max_fused_qubits = int(max_fused_qubits)
         self.structure = structure
+        self.lane_memo: Optional[Tuple[int, bool]] = None
         self._local_ops: Optional[Tuple[FusedGate, ...]] = None
 
     @property

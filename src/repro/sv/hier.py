@@ -24,19 +24,19 @@ level part" rule.
 
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
-default), threaded row-block parallelism, shared-memory worker
-processes, or the array-namespace backend (NumPy/CuPy/PyTorch) — all
-bit-identical to each other by construction on the NumPy paths.  Parts
-whose fused groups are small enough skip the gather matrix entirely
-(the strided fast lane — see ``docs/backends.md``); the trace records
-which lane each part took.
+default), threaded row-block parallelism, or the array-namespace backend
+(NumPy/CuPy/PyTorch).  Results are bitwise reproducible *within* a
+backend and ``array[numpy]`` is bit-identical to serial; threaded
+agrees with serial to 1e-10 (its row blocks change per-GEMM column
+counts, and BLAS may shift an ulp).  Parts whose fused groups are small
+enough skip the gather matrix entirely (the strided fast lane — see
+``docs/backends.md``); the trace records which lane each part took.
 
-*What* runs them is a per-part engine decision (``method=``): dense
-gather-matrix sweeps by default, or the
-:class:`~repro.sv.engine.StabilizerEngine` tableau fast path for
-Clifford-only parts when the state is a
-:class:`~repro.sv.stabilizer.StabilizerState` (see
-:meth:`HierarchicalExecutor.initial_state`).  ``method="auto"`` keeps
+*What* runs them is a per-part decision on the state representation
+(``method=``): dense parts go to ``backend.run_plan``; when the state is
+a :class:`~repro.sv.stabilizer.StabilizerState` (see
+:meth:`HierarchicalExecutor.initial_state`), Clifford-only parts apply
+their source gates to the tableau instead.  ``method="auto"`` keeps
 dense inputs on the exact pre-routing path — bit-identical — and only
 all-Clifford circuits start in tableau form.
 """
@@ -52,12 +52,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..partition.base import Partition
 from .backend import ExecutionBackend, resolve_backend
-from .engine import (
-    DenseSVEngine,
-    StabilizerEngine,
-    StabilizerPartPlan,
-    resolve_method,
-)
+from .engine import resolve_method
 from .fusion import (
     DEFAULT_MAX_FUSED_QUBITS,
     CacheCounters,
@@ -195,9 +190,8 @@ class HierarchicalExecutor:
         reuse compiled plans across executors and engines.
     backend:
         Where sweeps run: an :class:`~repro.sv.backend.ExecutionBackend`
-        instance, a name (``"serial"`` / ``"threaded"`` / ``"process"``
-        / ``"array"``), or ``None`` to follow ``REPRO_BACKEND`` (default
-        serial).
+        instance, a name (``"serial"`` / ``"threaded"`` / ``"array"``),
+        or ``None`` to follow ``REPRO_BACKEND`` (default serial).
     threads:
         Worker count for a backend resolved by name/environment
         (default: ``REPRO_THREADS`` or the machine's core count).
@@ -230,8 +224,6 @@ class HierarchicalExecutor:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.backend = resolve_backend(backend, threads)
         self.method = resolve_method(method)
-        self._dense_engine = DenseSVEngine(self.backend)
-        self._stabilizer_engine = StabilizerEngine()
 
     def initial_state(
         self, circuit: QuantumCircuit
@@ -269,8 +261,9 @@ class HierarchicalExecutor:
         A dense ``state`` is mutated in place and returned, exactly as
         before engine routing existed.  A
         :class:`~repro.sv.stabilizer.StabilizerState` (from
-        :meth:`initial_state`) routes Clifford parts through the
-        tableau engine; at the first non-Clifford part the tableau is
+        :meth:`initial_state`) takes Clifford parts on the tableau
+        (each part's *source* gates, unfused — fused dense matrices are
+        useless to it); at the first non-Clifford part the tableau is
         materialised to dense amplitudes (counted in
         ``trace.boundary_conversions``) and the remainder runs dense —
         the return value is then the dense array, not the input object.
@@ -354,16 +347,13 @@ class HierarchicalExecutor:
             for part in partition.parts:
                 gates = [circuit[g] for g in part.gate_indices]
                 if not materialized and is_clifford_circuit(gates):
-                    plan = StabilizerPartPlan.from_gates(part.qubits, gates)
                     t0 = time.perf_counter()
-                    self._stabilizer_engine.apply_part(
-                        current, plan, n, self.mode
-                    )
+                    current.apply_all(gates)
                     elapsed = time.perf_counter() - t0
                     if trace is not None:
                         trace.part_qubits.append(tuple(part.qubits))
-                        trace.part_gates.append(plan.num_source_gates)
-                        trace.part_ops.append(plan.num_ops)
+                        trace.part_gates.append(len(gates))
+                        trace.part_ops.append(len(gates))
                         trace.part_seconds.append(elapsed)
                         self._record_engine(trace, "stabilizer")
                     continue
@@ -395,7 +385,7 @@ class HierarchicalExecutor:
         trace: Optional[ExecutionTrace],
     ) -> None:
         t0 = time.perf_counter()
-        path = self._dense_engine.apply_part(state, plan, n, self.mode)
+        path = self.backend.run_plan(plan, state, n, self.mode)
         elapsed = time.perf_counter() - t0
         if trace is not None:
             trace.part_qubits.append(tuple(plan.qubits))

@@ -73,16 +73,22 @@ def _apply_dense(view: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> N
     moved[...] = res.reshape(shape)
 
 
-def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> None:
-    """Copy-free diagonal-gate path: broadcast multiply over gate axes."""
+def _diagonal_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """``diag`` shaped to broadcast over an ``ndim``-axis view whose gate
+    operands sit on ``axes`` (most-significant operand first)."""
     k = len(axes)
     fac = diag.reshape((2,) * k)
     order = np.argsort(axes)  # fac axes sorted by view-axis index
     fac = fac.transpose(tuple(order))
-    shape = [1] * view.ndim
+    shape = [1] * ndim
     for ax in axes:
         shape[ax] = 2
-    view *= fac.reshape(shape)
+    return fac.reshape(shape)
+
+
+def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> None:
+    """Copy-free diagonal-gate path: broadcast multiply over gate axes."""
+    view *= _diagonal_factor(diag, axes, view.ndim)
 
 
 def apply_matrix(

@@ -113,10 +113,10 @@ def gather_index_rows(
 ) -> np.ndarray:
     """Rows ``lo..hi-1`` of :func:`gather_index_table`, built directly.
 
-    Lets a worker materialise only its block of the gather table (shape
-    ``(hi - lo, 2^w)``) instead of receiving a slice of the full
-    ``O(2^n)`` table — the process backend rebuilds per-block tables on
-    the worker side from ``(n, inner_qubits, lo, hi)`` alone.
+    Materialises only one block of the gather table (shape
+    ``(hi - lo, 2^w)``) from ``(n, inner_qubits, lo, hi)`` alone, never
+    the full ``O(2^n)`` table; :func:`gather_index_table` is the
+    all-rows case.
 
     >>> rows = gather_index_rows(3, [1], 2, 4)
     >>> bool((rows == gather_index_table(3, [1])[2:4]).all())

@@ -4,9 +4,8 @@ Dense state-vector simulation costs ``O(2^n)`` memory no matter how
 simple the circuit; for the Clifford subgroup (generated by
 ``H/S/CX``) the stabilizer formalism (PAPERS.md, quant-ph/0504117)
 tracks the same state in ``O(n^2)`` bits.  This module supplies the
-representation behind :class:`~repro.sv.engine.StabilizerEngine`, the
-per-part fast path the hierarchical executor routes Clifford-only parts
-to.
+representation behind the per-part fast path the hierarchical executor
+routes Clifford-only parts to.
 
 Two ingredients make the representation *amplitude-exact* (not just
 exact up to global phase, which is all a bare tableau gives):

@@ -19,7 +19,6 @@ from repro.sv import (
     FusedGate,
     HierarchicalExecutor,
     PlanCache,
-    ProcessBackend,
     SerialBackend,
     StateVectorSimulator,
     ThreadedBackend,
@@ -97,14 +96,14 @@ class TestSelection:
         assert isinstance(get_backend("serial"), SerialBackend)
         t = get_backend("threaded", threads=3)
         assert isinstance(t, ThreadedBackend) and t.threads == 3
-        p = get_backend("process", threads=2)
-        assert isinstance(p, ProcessBackend) and p.processes == 2
+        a = get_backend("array", threads=2)  # threads accepted, unused
+        assert isinstance(a, ArrayBackend)
 
     def test_invalid_worker_counts(self):
         with pytest.raises(ValueError):
             ThreadedBackend(-2)
         with pytest.raises(ValueError):
-            ProcessBackend(-1)
+            ThreadedBackend(2, block_elements=0)
 
     def test_resolve_passthrough_instance(self):
         b = ThreadedBackend(2)
@@ -131,11 +130,14 @@ class TestSelection:
     def test_describe(self):
         assert SerialBackend().describe() == "serial"
         assert ThreadedBackend(4).describe() == "threaded[4]"
-        assert ProcessBackend(2).describe() == "process[2]"
+        assert ArrayBackend().describe() == "array[numpy]"
 
-    def test_min_parallel_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MIN_PARALLEL", "123")
-        assert ThreadedBackend(2).min_parallel_elements == 123
+    def test_removed_process_backend_is_an_unknown_name(self, monkeypatch):
+        # The KeyError names the backends that remain.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(KeyError, match="process") as exc:
+            resolve_backend(None)
+        assert "('serial', 'threaded', 'array')" in str(exc.value)
 
     def test_resolve_empty_env_means_serial(self, monkeypatch):
         # CI matrix legs export REPRO_BACKEND="" for the serial leg.
@@ -282,7 +284,7 @@ class TestTraceAccounting:
 
 
 # ---------------------------------------------------------------------------
-# FusedGate pickling (process backend transport)
+# FusedGate pickling
 # ---------------------------------------------------------------------------
 
 
@@ -298,106 +300,6 @@ class TestFusedGatePickle:
         # Restored matrices come back read-only, like the originals.
         with pytest.raises(ValueError):
             clone.matrix()[0, 0] = 7
-
-
-# ---------------------------------------------------------------------------
-# Process backend specifics
-# ---------------------------------------------------------------------------
-
-
-class TestProcessBackend:
-    def test_run_session_copies_back_and_cleans_up(self):
-        qc = generators.build("bv", 8)
-        p = get_partitioner("Nat").partition(qc, 5)
-        expected = _reference_state(qc)
-        with ProcessBackend(2, min_parallel_elements=0) as backend:
-            state = zero_state(8)
-            HierarchicalExecutor(backend=backend).run(qc, p, state)
-            assert backend.num_active_sessions == 0  # shm released with run
-            assert float(np.max(np.abs(state - expected))) < 1e-10
-
-    def test_nested_begin_run_same_state_rejected(self):
-        backend = ProcessBackend(2)
-        state = zero_state(4)
-        backend.begin_run(state)
-        try:
-            with pytest.raises(RuntimeError):
-                backend.begin_run(state)
-        finally:
-            backend.end_run(state)
-        assert backend.num_active_sessions == 0
-
-    def test_concurrent_runs_on_shared_instance(self):
-        # resolve_backend hands out one ProcessBackend process-wide, so
-        # concurrent executor runs on *different* states must each get
-        # their own shared-memory session (regression: an instance-level
-        # session raced and could unlink a segment out from under a
-        # concurrent run).
-        qc = random_circuit(6, 14, seed=31)
-        p = get_partitioner("dagP").partition(qc, 4)
-        expected = _reference_state(qc)
-        n_threads = 4
-        barrier = threading.Barrier(n_threads)
-        with ProcessBackend(2, min_parallel_elements=0) as backend:
-
-            def run_one(_):
-                executor = HierarchicalExecutor(backend=backend)
-                barrier.wait()
-                state = zero_state(6)
-                executor.run(qc, p, state)
-                return state
-
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                states = list(pool.map(run_one, range(n_threads)))
-            assert backend.num_active_sessions == 0
-        for state in states:
-            assert float(np.max(np.abs(state - expected))) < 1e-10
-
-    def test_small_workload_falls_back_serial(self):
-        # Under min_parallel_elements nothing is dispatched (no pool is
-        # ever created) yet results are exact.
-        qc = random_circuit(5, 10, seed=3)
-        p = get_partitioner("dagP").partition(qc, 3)
-        backend = ProcessBackend(2, min_parallel_elements=1 << 14)  # >> 2^5
-        state = zero_state(5)
-        HierarchicalExecutor(backend=backend).run(qc, p, state)
-        assert backend._pool is None
-        assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
-
-    def test_close_releases_abandoned_sessions(self):
-        backend = ProcessBackend(2)
-        state = zero_state(4)
-        backend.begin_run(state)  # ...and never end_run
-        backend.close()
-        assert backend.num_active_sessions == 0
-
-    def test_abnormal_exit_leaks_no_shared_memory(self):
-        # Regression: a run dying between begin_run and end_run used to
-        # leave its segment for resource_tracker to report as leaked at
-        # interpreter shutdown.  The atexit sweep must reap it silently.
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from repro.sv.backend import ProcessBackend\n"
-            "backend = ProcessBackend(2)\n"
-            "state = np.zeros(1 << 12, dtype=np.complex128)\n"
-            "backend.begin_run(state)\n"
-            "sys.exit(3)  # dies before end_run\n"
-        )
-        here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(here, "src")
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.returncode == 3
-        assert "leaked shared_memory" not in result.stderr, result.stderr
-        assert "resource_tracker" not in result.stderr, result.stderr
 
 
 # ---------------------------------------------------------------------------

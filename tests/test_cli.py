@@ -78,14 +78,12 @@ class TestCli:
         assert "part wall time" in out
         assert "max |fused - flat|" in out
 
-    def test_simulate_process_backend(self, capsys):
-        assert main([
-            "simulate", "bv", "--qubits", "8", "--backend", "process",
-            "--threads", "2", "--verify",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "backend=process[2]" in out
-        assert "max |fused - flat|" in out
+    def test_removed_process_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "bv", "--qubits", "8", "--backend", "process"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process'" in err
+        assert "'serial', 'threaded', 'array'" in err
 
     def test_simulate_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

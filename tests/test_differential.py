@@ -1,21 +1,24 @@
 """Randomized differential harness over the whole execution matrix.
 
 Every combination of {partitioner} x {fuse on/off} x {serial, threaded,
-process, array backend} x {batched, literal mode} must produce the same
-final state as the literal per-gate reference kernels, on seeded random
+array backend} x {batched, literal mode} must produce the same final
+state as the literal per-gate reference kernels, on seeded random
 circuits drawn from the full gate vocabulary.  This is the repo's
 broadest property test: any regression in partitioning, fusion,
 backends, gather tables or kernels lands somewhere in this grid.
 
 Case economy: circuits/reference states are cached per seed and
 partitions per (seed, strategy), so the sweep's cost is dominated by the
-executions themselves.  The process backend runs a reduced seed set
-(real worker processes per case are the expensive axis); the full grid
-of 48 combinations is still covered and the total case count stays
-above 200 (see ``test_case_count_floor``).  The array backend sweeps
-its NumPy module, which is required to be bit-identical to the serial
-backend (checked against a serial rerun per case, not just the 1e-10
-reference tolerance).
+executions themselves.  The full grid of 36 combinations is covered and
+the total case count stays above 200 (see ``test_case_count_floor``).
+The array backend sweeps its NumPy module, which is required to be
+bit-identical to the serial backend (checked against a serial rerun per
+case, not just the 1e-10 reference tolerance).
+
+A second axis (``test_entry_points``) drives the same circuits through
+each backend's three entry points — ``run_plan``, ``apply_matrix_rows``,
+``apply_gate_flat`` — which all sit on one part-sweep core and one block
+mapper: each must match the reference at 1e-10 and the others bitwise.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from repro.sv import (
     ArrayBackend,
     ExecutionTrace,
     HierarchicalExecutor,
-    ProcessBackend,
     SerialBackend,
     ThreadedBackend,
     apply_gate_reference,
+    compile_part,
 )
 
 from conftest import random_circuit
@@ -43,11 +46,9 @@ STRATEGIES = ("Nat", "DFS", "dagP")
 MODES = ("batched", "literal")
 FUSE = (True, False)
 
-# Seeds per backend: thread dispatch is cheap, real processes are not.
 SEEDS = {
     "serial": tuple(range(8)),
     "threaded": tuple(range(8)),
-    "process": tuple(range(3)),
     "array": tuple(range(6)),
 }
 
@@ -120,12 +121,10 @@ def backends():
     made = {
         "serial": SerialBackend(),
         "threaded": ThreadedBackend(3, min_parallel_elements=0),
-        "process": ProcessBackend(2, min_parallel_elements=0),
         "array": ArrayBackend(),
     }
     yield made
     made["threaded"].close()
-    made["process"].close()
     made["array"].close()
 
 
@@ -163,13 +162,72 @@ def test_differential(backends, backend, seed, strategy, fuse, mode):
         )
 
 
+ENTRY_POINTS = ("run_plan", "apply_matrix_rows", "apply_gate_flat")
+ROW_BITS = NUM_QUBITS - 2
+
+
+def _apply_through(backend, entry: str, seed: int) -> np.ndarray:
+    """The seed's circuit, gate by gate in its dagP parts' order (the one
+    order all three entries can share), through one backend entry point."""
+    qc = _circuit(seed)
+    parts = _partition(seed, "dagP").parts
+    state = np.zeros(1 << NUM_QUBITS, dtype=np.complex128)
+    state[0] = 1.0
+    if entry == "run_plan":
+        # Unfused, so each op is one source gate — the same matrices the
+        # other two entries apply.
+        for part in parts:
+            plan = compile_part(
+                qc, part.gate_indices, part.qubits, fuse=False
+            )
+            backend.run_plan(plan, state, NUM_QUBITS)
+        return state
+    for gate in (qc[g] for part in parts for g in part.gate_indices):
+        if entry == "apply_gate_flat":
+            backend.apply_gate_flat(state, gate, NUM_QUBITS)
+            continue
+        # As the distributed engines call it: the low ROW_BITS qubits are
+        # row-local; gates reaching above them see one full-width row.
+        w = ROW_BITS if max(gate.qubits) < ROW_BITS else NUM_QUBITS
+        backend.apply_matrix_rows(
+            state.reshape(-1, 1 << w), gate.matrix(), gate.qubits, w,
+            diagonal=gate.is_diagonal,
+        )
+    return state
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "backend,seed",
+    [
+        pytest.param(backend, seed, id=f"{backend}-s{seed}")
+        for backend, seeds in SEEDS.items()
+        for seed in seeds
+    ],
+)
+def test_entry_points(backends, backend, seed, entry):
+    state = _apply_through(backends[backend], entry, seed)
+    err = float(np.max(np.abs(state - _reference(seed))))
+    assert err < 1e-10, (
+        f"{backend}.{entry} seed={seed}: max deviation {err:.3e} "
+        f"from reference kernels"
+    )
+    if entry == "apply_gate_flat":
+        return
+    flat = _apply_through(backends[backend], "apply_gate_flat", seed)
+    assert np.array_equal(state, flat), (
+        f"{backend}.{entry} diverged bitwise from {backend}."
+        f"apply_gate_flat, seed={seed}"
+    )
+
+
 def test_case_count_floor():
     """The harness must keep sweeping at least 200 generated cases."""
     assert CASE_COUNT >= 200, CASE_COUNT
 
 
 def test_grid_is_complete():
-    """All 48 backend/strategy/fuse/mode combinations are exercised."""
+    """All 36 backend/strategy/fuse/mode combinations are exercised."""
     combos = {
         (b, s, f, m)
         for b in SEEDS
@@ -177,7 +235,7 @@ def test_grid_is_complete():
         for f in FUSE
         for m in MODES
     }
-    assert len(combos) == 48
+    assert len(combos) == 36
     swept = {
         (p.values[0], p.values[2], p.values[3], p.values[4])
         for p in _case_params()

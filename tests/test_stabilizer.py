@@ -21,11 +21,8 @@ from repro.partition import get_partitioner
 from repro.partition.base import Partition
 from repro.serve import BatchRunner, SimJob, load_manifest
 from repro.sv import (
-    DenseSVEngine,
     ExecutionTrace,
     HierarchicalExecutor,
-    StabilizerEngine,
-    StabilizerPartPlan,
     StabilizerState,
     is_clifford_circuit,
     resolve_method,
@@ -285,22 +282,6 @@ def test_part_plans_record_clifford_capability():
     mixed = QuantumCircuit(3).h(0).t(1).cx(1, 2)
     plan2 = compile_part(mixed, [0, 1, 2], [0, 1, 2])
     assert not plan2.clifford
-
-
-def test_engine_capability_declarations():
-    qc = QuantumCircuit(2).h(0).cx(0, 1)
-    stab_plan = StabilizerPartPlan.from_gates((0, 1), qc.gates)
-    assert StabilizerEngine().can_execute(stab_plan)
-    assert not DenseSVEngine().can_execute(stab_plan)
-    from repro.sv import compile_part
-
-    dense_plan = compile_part(qc, [0, 1], [0, 1])
-    assert DenseSVEngine().can_execute(dense_plan)
-    assert not StabilizerEngine().can_execute(dense_plan)
-    mixed = QuantumCircuit(1).t(0)
-    assert not StabilizerEngine().can_execute(
-        StabilizerPartPlan.from_gates((0,), mixed.gates)
-    )
 
 
 # ---------------------------------------------------------------------------

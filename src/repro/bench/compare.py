@@ -21,10 +21,10 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
+from ..config import ENV, env
 from .schema import BenchSuite
 
 __all__ = [
@@ -40,24 +40,15 @@ __all__ = [
 #: generous: the committed baseline and the CI runner are different
 #: machines.  Tighten via --max-regression / REPRO_BENCH_MAX_REGRESSION
 #: when baseline and run share hardware.
-DEFAULT_MAX_REGRESSION = 10.0
+DEFAULT_MAX_REGRESSION = ENV["REPRO_BENCH_MAX_REGRESSION"].default
 
 #: Baselines faster than this (seconds) are pure noise at CI's timer
 #: resolution and scheduling jitter; their timing is reported but never
 #: gated.
-DEFAULT_TIMING_FLOOR = 0.05
+DEFAULT_TIMING_FLOOR = ENV["REPRO_BENCH_TIMING_FLOOR"].default
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return default if value in (None, "") else float(value)
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes")
 
 
 def metrics_equal(a: Any, b: Any) -> bool:
@@ -141,17 +132,17 @@ def compare_suites(
     """Gate ``run`` against ``baseline``; see the module docstring."""
     report = ComparisonReport(
         max_regression=(
-            _env_float("REPRO_BENCH_MAX_REGRESSION", DEFAULT_MAX_REGRESSION)
+            env("REPRO_BENCH_MAX_REGRESSION")
             if max_regression is None
             else max_regression
         ),
         timing_floor=(
-            _env_float("REPRO_BENCH_TIMING_FLOOR", DEFAULT_TIMING_FLOOR)
+            env("REPRO_BENCH_TIMING_FLOOR")
             if timing_floor is None
             else timing_floor
         ),
         skip_timing=(
-            _env_flag("REPRO_BENCH_SKIP_TIMING")
+            env("REPRO_BENCH_SKIP_TIMING")
             if skip_timing is None
             else skip_timing
         ),

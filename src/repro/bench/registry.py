@@ -30,6 +30,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..config import env
+
 __all__ = [
     "Benchmark",
     "REGISTRY",
@@ -175,11 +177,11 @@ def find_bench_dir() -> str:
     Order: ``REPRO_BENCH_DIR``, the repo root inferred from this file's
     src-layout location, then ``./benchmarks`` relative to the cwd.
     """
-    env = os.environ.get("REPRO_BENCH_DIR")
-    if env:
-        if not os.path.isdir(env):
-            raise BenchError(f"REPRO_BENCH_DIR={env!r} is not a directory")
-        return env
+    path = env("REPRO_BENCH_DIR")
+    if path:
+        if not os.path.isdir(path):
+            raise BenchError(f"REPRO_BENCH_DIR={path!r} is not a directory")
+        return path
     here = os.path.dirname(os.path.abspath(__file__))
     # src/repro/bench -> repo root is three levels up.
     repo_root = os.path.dirname(os.path.dirname(os.path.dirname(here)))

@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..config import env
+
 __all__ = [
     "SCHEMA_VERSION",
     "EnvironmentFingerprint",
@@ -77,14 +79,13 @@ class EnvironmentFingerprint:
         """Fingerprint the current interpreter/host/backend selection."""
         import numpy
 
-        threads_env = os.environ.get("REPRO_THREADS")
         return cls(
             python=platform.python_version(),
             numpy=numpy.__version__,
             platform=sys.platform,
             cpu_count=os.cpu_count() or 1,
-            backend=os.environ.get("REPRO_BACKEND") or "serial",
-            threads=int(threads_env) if threads_env else None,
+            backend=env("REPRO_BACKEND"),
+            threads=env("REPRO_THREADS"),
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -44,6 +44,7 @@ import time
 from typing import Callable, Dict
 
 from .analysis.tables import save_text
+from .config import ENV, RUN_OPTION_FIELDS, RunOptions, env
 from .experiments import (
     SCALES,
     fig5,
@@ -60,7 +61,9 @@ from .experiments import (
     thread_scaling,
 )
 from .experiments.common import RESULTS_DIR
+from .partition import STRATEGIES
 from .sv.backend import BACKEND_NAMES
+from .sv.engine import METHOD_NAMES
 
 EXPERIMENTS: Dict[str, Callable] = {
     "table1": table1.run,
@@ -89,42 +92,80 @@ def _run_one(name: str, scale_name: str, save: bool) -> str:
     return text
 
 
-def _simulate(args) -> int:
-    """Partition, hierarchically execute and summarise one circuit."""
+def _merged(args, keys, manifest=None) -> dict:
+    """Flag > manifest option, first non-``None`` wins; keys nobody set
+    are left out so the consumer (``RunOptions``, ``BatchRunner``)
+    supplies the default.  Environment fallback happens later, where
+    ``backend`` / ``threads`` / ``method`` are resolved.
+    """
+    merged = {}
+    for key in keys:
+        for value in (getattr(args, key, None), (manifest or {}).get(key)):
+            if value is not None:
+                merged.setdefault(key, value)
+    return merged
+
+
+def _run_options(args, manifest=None) -> RunOptions:
+    return RunOptions(**_merged(args, RUN_OPTION_FIELDS, manifest))
+
+
+def _cross_check(qc, state, label: str) -> int:
+    """``--verify``: compare ``state`` with the flat simulator at 1e-10.
+
+    Returns the exit code.  Above 24 qubits the check is skipped — it
+    would materialise (another) ``2^n`` amplitudes.
+    """
     import numpy as np
 
+    from .sv.simulator import StateVectorSimulator
+    from .sv.stabilizer import StabilizerState
+
+    if qc.num_qubits > 24:
+        print(
+            "verify skipped: dense cross-check would materialise "
+            f"2^{qc.num_qubits} amplitudes"
+        )
+        return 0
+    if isinstance(state, StabilizerState):
+        state = state.to_dense()
+    sim = StateVectorSimulator(qc.num_qubits)
+    sim.run(qc)
+    err = float(np.max(np.abs(state - sim.state)))
+    print(f"max |{label}| = {err:.3e}")
+    if err > 1e-10:
+        print("VERIFICATION FAILED")
+        return 1
+    return 0
+
+
+def _simulate(args) -> int:
+    """Partition, hierarchically execute and summarise one circuit."""
     from .circuits import generators
     from .partition import get_partitioner
     from .partition.metrics import evaluate_partition
+    from .serve.runner import default_limit
     from .sv import ExecutionTrace, HierarchicalExecutor
-    from .sv.simulator import StateVectorSimulator
-
     from .sv.stabilizer import StabilizerState
 
+    options = _run_options(args)
     qc = generators.build(args.name, args.qubits)
-    limit = args.limit or max(3, args.qubits - 3)
-    p = get_partitioner(args.strategy).partition(qc, limit)
+    limit = options.limit or default_limit(qc.num_qubits)
+    p = get_partitioner(options.strategy).partition(qc, limit)
     trace = ExecutionTrace()
-    executor = HierarchicalExecutor(
-        pad_to=args.pad_to,
-        fuse=args.fuse,
-        max_fused_qubits=args.max_fused_qubits,
-        backend=args.backend,
-        threads=args.threads,
-        method=args.method,
-    )
+    executor = HierarchicalExecutor(**options.executor_kwargs())
     state = executor.initial_state(qc)
     t0 = time.perf_counter()
     state = executor.run(qc, p, state, trace=trace)
     elapsed = time.perf_counter() - t0
-    m = evaluate_partition(qc, p, max_fused_qubits=args.max_fused_qubits)
+    m = evaluate_partition(qc, p, max_fused_qubits=options.max_fused_qubits)
     print(
         f"{qc.name}: qubits={qc.num_qubits} gates={len(qc)} "
-        f"strategy={args.strategy} limit={limit} parts={p.num_parts}"
+        f"strategy={options.strategy} limit={limit} parts={p.num_parts}"
     )
     print(
-        f"fusion={'on' if args.fuse else 'off'} "
-        f"(max_fused_qubits={args.max_fused_qubits}): "
+        f"fusion={'on' if options.fuse else 'off'} "
+        f"(max_fused_qubits={options.max_fused_qubits}): "
         f"sweeps={trace.total_ops} of {trace.total_gates} gate sweeps "
         f"(saved {trace.sweeps_saved})"
     )
@@ -167,61 +208,30 @@ def _simulate(args) -> int:
             f"{state.support_rank} of 2^{qc.num_qubits} basis states, "
             f"|amp(0)|^2 = {abs(state.amplitude(0)) ** 2:.6f}"
         )
-    if args.verify:
-        target = state
-        if isinstance(target, StabilizerState):
-            if qc.num_qubits > 24:
-                print(
-                    "verify skipped: dense cross-check would materialise "
-                    f"2^{qc.num_qubits} amplitudes"
-                )
-                return 0
-            target = target.to_dense()
-        sim = StateVectorSimulator(qc.num_qubits)
-        sim.run(qc)
-        err = float(np.max(np.abs(target - sim.state)))
-        print(f"max |fused - flat| = {err:.3e}")
-        if err > 1e-10:
-            print("VERIFICATION FAILED")
-            return 1
-    return 0
+    return _cross_check(qc, state, "fused - flat") if args.verify else 0
 
 
 def _cut(args) -> int:
     """Cut, evaluate and recombine one circuit wider than one host."""
     import json
 
-    import numpy as np
-
     from .circuits import generators
     from .cut import CutError, cut_run
 
+    options = _run_options(args)
     qc = generators.build(args.name, args.qubits)
-    max_width = args.max_width
-    if max_width is None:
-        env = os.environ.get("REPRO_CUT_MAX_WIDTH")
-        if env is not None:
-            max_width = int(env)
-    if max_width is None:
-        print("repro cut needs --max-width (or REPRO_CUT_MAX_WIDTH)")
-        return 2
     want_state = args.state or (args.verify and qc.num_qubits <= 24)
     try:
         result = cut_run(
             qc,
-            max_width=max_width,
+            max_width=args.max_width,
             max_cuts=args.cuts,
-            strategy=args.strategy,
             want_state=want_state,
             shots=args.shots,
             seed=args.seed,
             observables=args.observables or (),
             workers=args.workers,
-            fuse=args.fuse,
-            max_fused_qubits=args.max_fused_qubits,
-            backend=args.backend,
-            threads=args.threads,
-            method=args.method,
+            options=options,
         )
     except CutError as exc:
         print(f"cut failed: {exc}")
@@ -229,7 +239,7 @@ def _cut(args) -> int:
     plan, trace = result.plan, result.trace
     print(
         f"{qc.name}: qubits={qc.num_qubits} gates={len(qc)} "
-        f"strategy={args.strategy} max_width={max_width}"
+        f"strategy={options.strategy} max_width={args.max_width}"
     )
     print(plan.summary())
     print(trace.summary())
@@ -245,29 +255,15 @@ def _cut(args) -> int:
     if result.expectations is not None:
         for label, value in zip(args.observables, result.expectations):
             print(f"<{label}> = {value:+.6f}")
-    if args.verify:
-        if qc.num_qubits > 24:
-            print(
-                "verify skipped: dense cross-check would materialise "
-                f"2^{qc.num_qubits} amplitudes"
-            )
-        else:
-            from .sv.simulator import StateVectorSimulator
-
-            sim = StateVectorSimulator(qc.num_qubits)
-            sim.run(qc)
-            err = float(np.max(np.abs(result.state - sim.state)))
-            print(f"max |cut - uncut| = {err:.3e}")
-            if err > 1e-10:
-                print("VERIFICATION FAILED")
-                return 1
+    if args.verify and _cross_check(qc, result.state, "cut - uncut"):
+        return 1
     if args.output:
         payload = {
             "circuit": qc.name,
             "qubits": qc.num_qubits,
             "gates": len(qc),
-            "strategy": args.strategy,
-            "max_width": max_width,
+            "strategy": options.strategy,
+            "max_width": args.max_width,
             "cuts": plan.num_cuts,
             "fragments": plan.num_fragments,
             "fragment_widths": list(plan.widths),
@@ -303,22 +299,10 @@ def _batch(args) -> int:
     from .serve import BatchRunner, load_manifest, results_to_manifest
 
     jobs, options = load_manifest(args.manifest)
-    # CLI flags override manifest options; manifest options override
-    # the runner defaults.
-    for key, value in (
-        ("strategy", args.strategy),
-        ("limit", args.limit),
-        ("schedule", args.schedule),
-        ("workers", args.workers),
-        ("backend", args.backend),
-        ("threads", args.threads),
-        ("method", args.method),
-    ):
-        if value is not None:
-            options[key] = value
-    if args.fuse is not None:
-        options["fuse"] = args.fuse
-    runner = BatchRunner(**options)
+    runner = BatchRunner(
+        _run_options(args, options),
+        **_merged(args, ("schedule", "workers"), options),
+    )
     report = runner.run(jobs)
     print(report.stats.summary())
     for res in report.results:
@@ -346,24 +330,19 @@ def _batch(args) -> int:
     return 0
 
 
+#: ``ServeConfig`` fields settable by flag (``--queue-limit`` style).
+_SERVER_FLAGS = (
+    "host", "port", "queue_limit", "workers", "max_batch", "ttl",
+    "drain_grace",
+)
+
+
 def _serve(args) -> int:
     """Run the resident serving daemon until drained."""
     from .serve import ServeConfig, ServeDaemon
 
     config = ServeConfig.from_env(
-        host=args.host,
-        port=args.port,
-        queue_limit=args.queue_limit,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        ttl=args.ttl,
-        drain_grace=args.drain_grace,
-        strategy=args.strategy,
-        limit=args.limit,
-        backend=args.backend,
-        threads=args.threads,
-        fuse=args.fuse,
-        method=args.method,
+        run=_run_options(args), **_merged(args, _SERVER_FLAGS)
     )
     ServeDaemon(config).run()
     print("repro serve drained cleanly")
@@ -385,33 +364,24 @@ def _dist_worker(args) -> int:
     import numpy as np
 
     from .circuits import generators
-    from .dist import (
-        HiSVSimEngine,
-        engine_exchange_layouts,
-        exchange_rank_stats,
-    )
-    from .dist.transport import SocketTransport, dist_env_defaults
+    from .dist import HiSVSimEngine, verify_exchange_records
+    from .dist.transport import SocketTransport
     from .partition import get_partitioner
     from .runtime.comm import SimComm
+    from .serve.runner import default_limit
 
-    env = dist_env_defaults()
-    transport_kind = args.transport or env["transport"]
     if not 0 <= args.rank < args.ranks:
         print(f"rank {args.rank} out of range for {args.ranks} ranks")
         return 2
+    options = _run_options(args)
     qc = generators.build(args.circuit, args.qubits)
-    limit = args.limit or max(3, args.qubits - 3)
-    partition = get_partitioner(args.strategy).partition(qc, limit)
+    limit = options.limit or default_limit(qc.num_qubits)
+    partition = get_partitioner(options.strategy).partition(qc, limit)
 
     transport = None
-    if transport_kind == "socket":
-        if args.rendezvous:
-            host, _, port = args.rendezvous.rpartition(":")
-            rendezvous = (host or str(env["host"]), int(port))
-        else:
-            rendezvous = (str(env["host"]), int(env["port"]))
+    if args.transport == "socket":
         transport = SocketTransport.connect(
-            args.rank, args.ranks, rendezvous
+            args.rank, args.ranks, args.rendezvous
         )
         comm = SimComm(args.ranks, transport=transport)
     else:
@@ -421,45 +391,26 @@ def _dist_worker(args) -> int:
         state, report = engine.run(qc, partition, comm=comm)
         full = state.to_full()  # collective: every rank participates
 
-        verified = True
         problems = []
         if transport is not None and args.verify:
-            local_bits = state.local_bits
-            expected = engine_exchange_layouts(
-                partition, args.qubits, args.ranks
+            problems = verify_exchange_records(
+                transport.records, partition, args.qubits, args.ranks,
+                args.rank,
             )
-            records = transport.records
-            if len(records) != len(expected):
-                verified = False
-                problems.append(
-                    f"{len(records)} exchanges executed, model expects "
-                    f"{len(expected)}"
-                )
-            for i, (rec, (old, new)) in enumerate(
-                zip(records, expected)
-            ):
-                model = exchange_rank_stats(old, new, local_bits, args.rank)
-                observed = (rec.sent_bytes, rec.sent_msgs,
-                            rec.recv_bytes, rec.recv_msgs)
-                if observed != model:
-                    verified = False
-                    problems.append(
-                        f"exchange {i}: observed {observed} != model {model}"
-                    )
         if args.out and (transport is None or args.rank == 0):
             np.save(args.out, full)
         print(json.dumps({
             "rank": args.rank,
             "ranks": args.ranks,
             "circuit": qc.name,
-            "transport": transport_kind,
+            "transport": args.transport,
             "parts": partition.num_parts,
             "exchanges": report.comm.steps,
             "bytes": report.comm.total_bytes,
-            "verified": verified,
+            "verified": not problems,
             "problems": problems,
         }))
-        return 0 if verified else 2
+        return 2 if problems else 0
     finally:
         if transport is not None:
             transport.close()
@@ -476,40 +427,86 @@ def _working_set_limit(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # ``repro bench`` owns its own argparse tree (list/run/compare);
-    # dispatch before the experiment parser so its flags stay isolated.
-    if argv[:1] == ["bench"]:
-        from .bench.cli import main as bench_main
+def _rendezvous(text: str):
+    """argparse type for ``--rendezvous``: ``HOST:PORT``; an empty half
+    falls back to ``REPRO_DIST_HOST`` / ``REPRO_DIST_PORT``."""
+    host, _, port = text.rpartition(":")
+    try:
+        return (host or env("REPRO_DIST_HOST"),
+                int(port) if port else env("REPRO_DIST_PORT"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with an integer port ({exc})"
+        ) from None
 
-        return bench_main(argv[1:])
 
+#: ``add_argument`` keywords of the execution-option flags, keyed by
+#: :class:`~repro.config.RunOptions` field.  Every flag defaults to
+#: ``None`` = "not given", so :func:`_merged` can tell a flag from a default.
+_RUN_FLAGS = {
+    "strategy": dict(choices=sorted(STRATEGIES),
+                     help=f"partitioner (default: {RunOptions.strategy})"),
+    "limit": dict(type=_working_set_limit,
+                  help="working-set limit, >= 1 (default: qubits - 3, min 3)"),
+    "max_fused_qubits": dict(type=int,
+                             help="arity cap for fused dense unitaries "
+                                  f"(default: {RunOptions.max_fused_qubits})"),
+    "pad_to": dict(type=int,
+                   help="pad part working sets to this width (default: 0)"),
+    "backend": dict(choices=BACKEND_NAMES,
+                    help="execution backend (default: REPRO_BACKEND, else "
+                         "serial; see docs/configuration.md)"),
+    "threads": dict(type=int, help="backend worker count (default: "
+                                   "REPRO_THREADS, else core count)"),
+    "method": dict(choices=METHOD_NAMES,
+                   help="simulation method; auto routes all-Clifford circuits "
+                        "to the tableau engine (default: REPRO_METHOD)"),
+}
+
+#: The options every executing subcommand takes.
+_COMMON_RUN_FLAGS = ("strategy", "fuse", "backend", "threads", "method")
+
+
+def _add_run_options(parser, names) -> None:
+    """Add the flags for the named :class:`RunOptions` fields."""
+    for name in names:
+        if name != "fuse":
+            parser.add_argument("--" + name.replace("_", "-"), default=None,
+                                **_RUN_FLAGS[name])
+            continue
+        parser.add_argument("--fuse", dest="fuse", action="store_true",
+                            default=None, help="fuse part gates into <= "
+                            "max-fused-qubits unitaries (default: on)")
+        parser.add_argument("--no-fuse", dest="fuse", action="store_false",
+                            help="one kernel sweep per gate")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (everything except ``bench``)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HiSVSIM reproduction experiment driver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list experiments")
+    sub.add_parser("list", help="list experiments")
 
-    # Help-only stub: real parsing happens in repro.bench.cli (dispatched
-    # above before parse_args ever sees "bench").
+    # Help-only stub: real parsing happens in repro.bench.cli (main()
+    # dispatches to it before parse_args ever sees "bench").
     sub.add_parser(
         "bench",
         help="benchmark registry: list, run, compare (perf gate)",
     )
 
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run experiment {name}")
-        p.add_argument("--scale", default=os.environ.get("REPRO_SCALE", "small"),
+    for name in (*EXPERIMENTS, "all"):
+        p = sub.add_parser(
+            name,
+            help="run every experiment" if name == "all"
+            else f"run experiment {name}",
+        )
+        p.add_argument("--scale", default=env("REPRO_SCALE"),
                        choices=sorted(SCALES))
-        p.add_argument("--save", action="store_true")
-
-    p_all = sub.add_parser("all", help="run every experiment")
-    p_all.add_argument("--scale", default=os.environ.get("REPRO_SCALE", "small"),
-                       choices=sorted(SCALES))
-    p_all.add_argument("--save", action="store_true", default=True)
+        p.add_argument("--save", action="store_true", default=name == "all")
 
     p_circ = sub.add_parser("circuit", help="inspect a generated circuit")
     p_circ.add_argument("name")
@@ -521,36 +518,12 @@ def main(argv=None) -> int:
     )
     p_sim.add_argument("name")
     p_sim.add_argument("--qubits", type=int, default=16)
-    p_sim.add_argument("--limit", type=int, default=0,
-                       help="working-set limit (default: qubits - 3)")
-    p_sim.add_argument("--strategy", default="dagP",
-                       choices=["Nat", "DFS", "dagP"])
-    p_sim.add_argument("--fuse", dest="fuse", action="store_true",
-                       default=True,
-                       help="fuse part gates into <= max-fused-qubits "
-                            "unitaries (default: on)")
-    p_sim.add_argument("--no-fuse", dest="fuse", action="store_false",
-                       help="one kernel sweep per gate")
-    p_sim.add_argument("--max-fused-qubits", type=int, default=5,
-                       help="arity cap for fused dense unitaries "
-                            "(default: 5)")
-    p_sim.add_argument("--backend", default=None,
-                       choices=BACKEND_NAMES,
-                       help="execution backend (default: REPRO_BACKEND, "
-                            "else serial; see docs/configuration.md)")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker count for the threaded backend "
-                            "(default: REPRO_THREADS, else core count)")
-    p_sim.add_argument("--pad-to", type=int, default=0,
-                       help="pad part working sets to this many qubits "
-                            "(default: 0 = no padding)")
-    p_sim.add_argument("--method", default=None,
-                       choices=["auto", "dense", "stabilizer"],
-                       help="simulation method: auto routes all-Clifford "
-                            "circuits to the stabilizer tableau engine "
-                            "(default: REPRO_METHOD, else auto)")
+    _add_run_options(
+        p_sim, _COMMON_RUN_FLAGS + ("limit", "max_fused_qubits", "pad_to")
+    )
     p_sim.add_argument("--verify", action="store_true",
-                       help="cross-check against the flat simulator")
+                       help="cross-check against the flat simulator "
+                            "(<= 24 qubits)")
 
     p_cut = sub.add_parser(
         "cut",
@@ -567,16 +540,12 @@ def main(argv=None) -> int:
     )
     p_cut.add_argument("name", help="generator name (see `repro circuit`)")
     p_cut.add_argument("--qubits", type=int, default=16)
-    p_cut.add_argument("--max-width", type=int, default=None,
-                       help="max fragment width in qubits (default: "
-                            "REPRO_CUT_MAX_WIDTH; required if unset)")
+    p_cut.add_argument("--max-width", type=int, required=True,
+                       help="max fragment width in qubits (the memory "
+                            "budget; there is no safe universal default)")
     p_cut.add_argument("--cuts", type=int, default=None,
                        help="reject plans needing more than this many "
                             "wire cuts (default: no budget)")
-    p_cut.add_argument("--strategy", default="dagP",
-                       choices=["Nat", "DFS", "dagP"],
-                       help="partitioner used to find the cuts "
-                            "(default: dagP)")
     p_cut.add_argument("--shots", type=int, default=0,
                        help="sample this many measurement shots "
                             "(default: 0 = none)")
@@ -592,26 +561,8 @@ def main(argv=None) -> int:
     p_cut.add_argument("-o", "--output", default=None,
                        help="write a JSON results file here")
     p_cut.add_argument("--workers", type=int, default=None,
-                       help="concurrent fragment variants (default: "
-                            "REPRO_CUT_WORKERS, else 1)")
-    p_cut.add_argument("--fuse", dest="fuse", action="store_true",
-                       default=True,
-                       help="fuse fragment gates (default: on)")
-    p_cut.add_argument("--no-fuse", dest="fuse", action="store_false",
-                       help="one kernel sweep per gate")
-    p_cut.add_argument("--max-fused-qubits", type=int, default=5,
-                       help="arity cap for fused dense unitaries "
-                            "(default: 5)")
-    p_cut.add_argument("--backend", default=None,
-                       choices=BACKEND_NAMES,
-                       help="execution backend (default: REPRO_BACKEND, "
-                            "else serial)")
-    p_cut.add_argument("--threads", type=int, default=None,
-                       help="backend worker count (default: REPRO_THREADS)")
-    p_cut.add_argument("--method", default=None,
-                       choices=["auto", "dense", "stabilizer"],
-                       help="simulation method for fragments (default: "
-                            "REPRO_METHOD, else auto)")
+                       help="concurrent fragment variants (default: 1)")
+    _add_run_options(p_cut, _COMMON_RUN_FLAGS + ("max_fused_qubits",))
     p_cut.add_argument("--verify", action="store_true",
                        help="cross-check the recombined state against "
                             "the uncut flat simulator (<= 24 qubits)")
@@ -621,8 +572,9 @@ def main(argv=None) -> int:
         help="run a JSON job manifest through the batched serving runtime",
         description="Batched multi-circuit execution (repro.serve): jobs "
                     "from a JSON manifest share partition and compiled-plan "
-                    "caches across structurally identical circuits. "
-                    "Manifest schema: docs/serving.md.",
+                    "caches across structurally identical circuits. Flags "
+                    "override same-named manifest options. Manifest "
+                    "schema: docs/serving.md.",
     )
     p_batch.add_argument("manifest", help="path to the JSON job manifest")
     p_batch.add_argument("-o", "--output", default=None,
@@ -631,28 +583,9 @@ def main(argv=None) -> int:
                          choices=["fifo", "grouped"],
                          help="dispatch order (default: grouped — cluster "
                               "structurally identical jobs)")
-    p_batch.add_argument("--strategy", default=None,
-                         choices=["Nat", "DFS", "dagP"],
-                         help="partitioner (default: dagP)")
-    p_batch.add_argument("--limit", type=_working_set_limit, default=None,
-                         help="working-set limit, >= 1 (default: "
-                              "qubits - 3 per circuit)")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="concurrent jobs (default: 1)")
-    p_batch.add_argument("--backend", default=None,
-                         choices=BACKEND_NAMES,
-                         help="execution backend (default: REPRO_BACKEND, "
-                              "else serial)")
-    p_batch.add_argument("--threads", type=int, default=None,
-                         help="backend worker count (default: REPRO_THREADS)")
-    p_batch.add_argument("--method", default=None,
-                         choices=["auto", "dense", "stabilizer"],
-                         help="simulation method (default: REPRO_METHOD, "
-                              "else auto)")
-    p_batch.add_argument("--fuse", dest="fuse", action="store_true",
-                         default=None, help="force fusion on")
-    p_batch.add_argument("--no-fuse", dest="fuse", action="store_false",
-                         help="force fusion off")
+    _add_run_options(p_batch, _COMMON_RUN_FLAGS + ("limit",))
 
     p_serve = sub.add_parser(
         "serve",
@@ -665,48 +598,12 @@ def main(argv=None) -> int:
                     "come from REPRO_SERVE_* (docs/configuration.md); "
                     "flags override.",
     )
-    p_serve.add_argument("--host", default=None,
-                         help="bind address (default: REPRO_SERVE_HOST "
-                              "or 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=None,
-                         help="TCP port, 0 = ephemeral (default: "
-                              "REPRO_SERVE_PORT or 8035)")
-    p_serve.add_argument("--queue-limit", type=int, default=None,
-                         help="max queued jobs before 429 (default: "
-                              "REPRO_SERVE_QUEUE_LIMIT or 256)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="executor worker threads (default: "
-                              "REPRO_SERVE_WORKERS or 2)")
-    p_serve.add_argument("--max-batch", type=int, default=None,
-                         help="max jobs dispatched to a worker at once "
-                              "(default: REPRO_SERVE_MAX_BATCH or 16)")
-    p_serve.add_argument("--ttl", type=float, default=None,
-                         help="seconds finished results stay retrievable "
-                              "(default: REPRO_SERVE_TTL or 600)")
-    p_serve.add_argument("--drain-grace", type=float, default=None,
-                         help="seconds to wait for workers on drain "
-                              "(default: REPRO_SERVE_DRAIN_GRACE or 30)")
-    p_serve.add_argument("--strategy", default=None,
-                         choices=["Nat", "DFS", "dagP"],
-                         help="partitioner (default: dagP)")
-    p_serve.add_argument("--limit", type=_working_set_limit, default=None,
-                         help="working-set limit, >= 1 (default: "
-                              "qubits - 3 per circuit)")
-    p_serve.add_argument("--backend", default=None,
-                         choices=BACKEND_NAMES,
-                         help="execution backend (default: REPRO_BACKEND, "
-                              "else serial)")
-    p_serve.add_argument("--threads", type=int, default=None,
-                         help="backend worker count (default: "
-                              "REPRO_THREADS)")
-    p_serve.add_argument("--method", default=None,
-                         choices=["auto", "dense", "stabilizer"],
-                         help="simulation method (default: REPRO_METHOD, "
-                              "else auto)")
-    p_serve.add_argument("--fuse", dest="fuse", action="store_true",
-                         default=None, help="force fusion on")
-    p_serve.add_argument("--no-fuse", dest="fuse", action="store_false",
-                         help="force fusion off")
+    for name in _SERVER_FLAGS:
+        var = f"REPRO_SERVE_{name.upper()}"
+        p_serve.add_argument(
+            "--" + name.replace("_", "-"), type=ENV[var].cast, default=None,
+            help=f"{ENV[var].effect} (default: {var} or {ENV[var].default})")
+    _add_run_options(p_serve, _COMMON_RUN_FLAGS + ("limit",))
 
     p_dw = sub.add_parser(
         "dist-worker",
@@ -723,20 +620,16 @@ def main(argv=None) -> int:
                       help="this worker's rank in [0, ranks)")
     p_dw.add_argument("--ranks", type=int, required=True,
                       help="total rank count (power of two)")
-    p_dw.add_argument("--rendezvous", default=None,
+    p_dw.add_argument("--rendezvous", type=_rendezvous, default=":",
                       help="HOST:PORT of rank 0's rendezvous listener "
                            "(default: REPRO_DIST_HOST:REPRO_DIST_PORT)")
     p_dw.add_argument("--circuit", required=True,
                       help="generator name (see `repro circuit`)")
     p_dw.add_argument("--qubits", type=int, default=10)
-    p_dw.add_argument("--strategy", default="dagP",
-                      choices=["Nat", "DFS", "dagP"])
-    p_dw.add_argument("--limit", type=int, default=0,
-                      help="working-set limit (default: qubits - 3)")
-    p_dw.add_argument("--transport", default=None,
+    _add_run_options(p_dw, ("strategy", "limit"))
+    p_dw.add_argument("--transport", default="socket",
                       choices=["socket", "recording"],
-                      help="amplitude transport (default: "
-                           "REPRO_DIST_TRANSPORT, else socket)")
+                      help="amplitude transport (default: socket)")
     p_dw.add_argument("--out", default=None,
                       help="write the gathered full state here as .npy "
                            "(rank 0 only under the socket transport)")
@@ -746,11 +639,23 @@ def main(argv=None) -> int:
                            "(default: on)")
     p_dw.add_argument("--no-verify", dest="verify", action="store_false",
                       help="skip the traffic-model check")
+    return parser
 
-    args = parser.parse_args(argv)
 
-    if args.command == "dist-worker":
-        return _dist_worker(args)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # ``repro bench`` owns its own argparse tree (list/run/compare);
+    # dispatch before the experiment parser so its flags stay isolated.
+    if argv[:1] == ["bench"]:
+        from .bench.cli import main as bench_main
+
+        return bench_main(argv[1:])
+    args = build_parser().parse_args(argv)
+
+    handlers = {"simulate": _simulate, "cut": _cut, "batch": _batch,
+                "serve": _serve, "dist-worker": _dist_worker}
+    if args.command in handlers:
+        return handlers[args.command](args)
     if args.command == "list":
         for name in EXPERIMENTS:
             print(name)
@@ -769,14 +674,6 @@ def main(argv=None) -> int:
                 f"depth={st.depth} state={st.memory_human()}"
             )
         return 0
-    if args.command == "simulate":
-        return _simulate(args)
-    if args.command == "cut":
-        return _cut(args)
-    if args.command == "batch":
-        return _batch(args)
-    if args.command == "serve":
-        return _serve(args)
     if args.command == "all":
         for name in EXPERIMENTS:
             print(f"=== {name} ===")

@@ -19,14 +19,14 @@ The pipeline (see ``docs/cutting.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..sv.backend import ExecutionBackend
-from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, PlanCache
+from ..config import RunOptions
+from ..sv.fusion import PlanCache
 from ..sv.pauli import PauliTerm
 from .cutter import (
     CutError,
@@ -115,7 +115,6 @@ def cut_run(
     *,
     max_width: Optional[int] = None,
     max_cuts: Optional[int] = None,
-    strategy: str = "dagP",
     plan: Optional[CutPlan] = None,
     want_state: bool = False,
     want_probabilities: bool = False,
@@ -123,20 +122,17 @@ def cut_run(
     seed: int = 0,
     observables: Sequence[PauliTerm] = (),
     workers: Optional[int] = None,
-    fuse: bool = True,
-    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
-    backend: Union[None, str, ExecutionBackend] = None,
-    threads: Optional[int] = None,
-    method: Optional[str] = None,
+    options: Optional[RunOptions] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> CutResult:
     """Cut, evaluate and recombine one circuit end to end.
 
     Either pass a prebuilt ``plan`` or a ``max_width`` for
-    :func:`find_cuts` (``max_cuts`` bounds the 16^k budget).  Executor
-    knobs (``fuse`` / ``backend`` / ``method`` / ``threads`` /
-    ``plan_cache``) flow into fragment evaluation; ``workers`` fans
-    variants out (default ``REPRO_CUT_WORKERS``).
+    :func:`find_cuts` (``max_cuts`` bounds the 16^k budget).
+    ``options`` (:class:`~repro.config.RunOptions`, default: the
+    defaults) names the partitioner that finds the cuts and configures
+    fragment evaluation, which also shares ``plan_cache``; ``workers``
+    fans variants out (default 1).
 
     >>> from repro.circuits.generators import qaoa
     >>> result = cut_run(qaoa(6, p=1), max_width=4, shots=32,
@@ -146,11 +142,12 @@ def cut_run(
     >>> len(result.expectations)
     1
     """
+    options = options or RunOptions()
     if plan is None:
         if max_width is None:
             raise CutError("cut_run needs a plan or a max_width")
         plan = find_cuts(
-            circuit, max_width, strategy=strategy, max_cuts=max_cuts
+            circuit, max_width, strategy=options.strategy, max_cuts=max_cuts
         )
     elif plan.circuit is not circuit and plan.circuit != circuit:
         raise CutError("plan was built for a different circuit")
@@ -158,12 +155,7 @@ def cut_run(
         plan,
         mode="amplitude",
         workers=workers,
-        strategy=strategy,
-        fuse=fuse,
-        max_fused_qubits=max_fused_qubits,
-        backend=backend,
-        threads=threads,
-        method=method,
+        options=options,
         plan_cache=plan_cache,
     )
     state = recombine_state(plan, tensors) if want_state else None

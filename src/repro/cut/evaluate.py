@@ -6,8 +6,8 @@ partitions each fragment once (variants share a structure — boundary
 ops are always ``u3``, so names/operands/order are identical), compiles
 one plan structure per part via the plan cache's structural layer, and
 binds only the fused matrices per variant.  Variants are embarrassingly
-parallel; ``workers`` (default ``REPRO_CUT_WORKERS``) fans them out on
-the runner's thread pool.
+parallel; ``workers`` (default 1) fans them out on the runner's thread
+pool.
 
 :class:`CutTrace` is the cut-level counterpart of
 :class:`~repro.sv.hier.ExecutionTrace`: the ``16^k`` logical cost, the
@@ -17,31 +17,21 @@ traffic the evaluation produced.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..sv.backend import ExecutionBackend
-from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, PlanCache
+from ..config import RunOptions
+from ..sv.fusion import PlanCache
 from .cutter import CutError, CutFragment, CutPlan
 from .fragments import amplitude_variants, quasi_variants, variant_circuit
 
-__all__ = ["CutTrace", "FragmentTensor", "evaluate_fragments", "default_cut_workers"]
+__all__ = ["CutTrace", "FragmentTensor", "evaluate_fragments"]
 
 #: Variant key: (preparation labels, measurement-basis labels).
 VariantKey = Tuple[Tuple[str, ...], Tuple[str, ...]]
-
-
-def default_cut_workers() -> int:
-    """Variant fan-out width: ``REPRO_CUT_WORKERS``, default 1.
-
-    >>> default_cut_workers() >= 1
-    True
-    """
-    return max(1, int(os.environ.get("REPRO_CUT_WORKERS", "1")))
 
 
 @dataclass
@@ -130,22 +120,16 @@ def evaluate_fragments(
     *,
     mode: str = "amplitude",
     workers: Optional[int] = None,
-    strategy: str = "dagP",
-    limit: Optional[int] = None,
-    fuse: bool = True,
-    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
-    backend: Union[None, str, ExecutionBackend] = None,
-    threads: Optional[int] = None,
-    method: Optional[str] = None,
+    options: Optional[RunOptions] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> Tuple[List[FragmentTensor], CutTrace]:
     """Run every boundary variant of every fragment; collect the states.
 
     ``mode="amplitude"`` evaluates the ``2^incoming`` computational
     variants per fragment for exact contraction; ``mode="quasi"``
-    evaluates the full ``4^in * 3^out`` physical CutQC set.  All
-    executor knobs (``fuse`` / ``backend`` / ``method`` / ...) pass
-    straight through to the shared :class:`BatchRunner`; pass a
+    evaluates the full ``4^in * 3^out`` physical CutQC set.
+    ``options`` configures the shared :class:`BatchRunner` as-is
+    (``workers=None`` runs variants one at a time); pass a
     ``plan_cache`` to share compiled structures with a host runner.
 
     Any failed variant aborts the evaluation: a missing term makes
@@ -167,15 +151,9 @@ def evaluate_fragments(
 
     t0 = time.perf_counter()
     runner = BatchRunner(
-        strategy=strategy,
-        limit=limit,
+        options,
         schedule="grouped",
-        workers=default_cut_workers() if workers is None else workers,
-        fuse=fuse,
-        max_fused_qubits=max_fused_qubits,
-        backend=backend,
-        threads=threads,
-        method=method,
+        workers=1 if workers is None else workers,
         plan_cache=plan_cache,
     )
     jobs: List[SimJob] = []

@@ -30,11 +30,11 @@ variant set — kept as an independent validation path for the identity
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..config import env
 from ..sv.layout import extract_bits, spread_bits
 from ..sv.pauli import PauliTerm, _normalise
 from ..sv.simulator import sample_counts
@@ -75,7 +75,7 @@ def dense_recombine_width() -> int:
     >>> dense_recombine_width()
     26
     """
-    return int(os.environ.get("REPRO_CUT_DENSE_WIDTH", "26"))
+    return env("REPRO_CUT_DENSE_WIDTH")
 
 
 def _bond_cuts(fragment) -> Tuple[int, ...]:

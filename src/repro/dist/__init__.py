@@ -36,6 +36,7 @@ from .analytic import (
     engine_exchange_layouts,
     exchange_rank_stats,
     exchange_step_stats,
+    verify_exchange_records,
 )
 from .exchange import plan_layout_for_part, swap_qubit_positions
 from .hisvsim import HiSVSimEngine
@@ -56,6 +57,7 @@ __all__ = [
     "exchange_step_stats",
     "exchange_rank_stats",
     "engine_exchange_layouts",
+    "verify_exchange_records",
     "plan_layout_for_part",
     "swap_qubit_positions",
     "HiSVSimEngine",

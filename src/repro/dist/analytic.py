@@ -35,6 +35,7 @@ __all__ = [
     "exchange_step_stats",
     "exchange_rank_stats",
     "engine_exchange_layouts",
+    "verify_exchange_records",
     "LayoutOnlyState",
 ]
 
@@ -206,6 +207,43 @@ def engine_exchange_layouts(
             transitions.append((layout, new))
             layout = new
     return transitions
+
+
+def verify_exchange_records(
+    records, partition, num_qubits: int, ranks: int, rank: int
+) -> List[str]:
+    """Check one rank's observed exchanges against the dry-run model.
+
+    ``records`` are the ``ExchangeRecord`` entries a transport collected
+    while ``HiSVSimEngine`` ran ``partition`` over ``ranks`` ranks.
+    Returns one line per disagreement (exchange count, or an exchange
+    whose traffic differs from :func:`exchange_rank_stats`); an empty
+    list means every byte on the wire was predicted.
+
+    >>> from repro.circuits.generators import qft
+    >>> from repro.partition import get_partitioner
+    >>> partition = get_partitioner("dagP").partition(qft(6), 4)
+    >>> verify_exchange_records([], partition, 6, 4, rank=0)[0]
+    '0 exchanges executed, model expects 5'
+    """
+    expected = engine_exchange_layouts(partition, num_qubits, ranks)
+    local_bits = num_qubits - (ranks.bit_length() - 1)
+    problems = []
+    if len(records) != len(expected):
+        problems.append(
+            f"{len(records)} exchanges executed, model expects "
+            f"{len(expected)}"
+        )
+    for i, (rec, (old, new)) in enumerate(zip(records, expected)):
+        model = exchange_rank_stats(old, new, local_bits, rank)
+        observed = (
+            rec.sent_bytes, rec.sent_msgs, rec.recv_bytes, rec.recv_msgs
+        )
+        if observed != model:
+            problems.append(
+                f"exchange {i}: observed {observed} != model {model}"
+            )
+    return problems
 
 
 class LayoutOnlyState(LayoutQueriesMixin):

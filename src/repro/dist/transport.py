@@ -37,7 +37,6 @@ with the local rank.  Defaults come from ``REPRO_DIST_*`` (see
 
 from __future__ import annotations
 
-import os
 import socket
 import struct
 import threading
@@ -47,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import env
 from ..runtime.metrics import CommStats
 
 __all__ = [
@@ -80,21 +80,15 @@ class TransportError(RuntimeError):
 
 
 def dist_env_defaults() -> Dict[str, object]:
-    """The ``REPRO_DIST_*`` environment defaults as a dict.
-
-    Keys: ``host``, ``port``, ``timeout``, ``retries``, ``backoff``,
-    ``transport`` (see ``docs/configuration.md`` for semantics).
+    """The ``REPRO_DIST_*`` environment defaults as a dict (semantics in
+    ``docs/configuration.md``).
 
     >>> sorted(dist_env_defaults())
-    ['backoff', 'host', 'port', 'retries', 'timeout', 'transport']
+    ['backoff', 'host', 'port', 'retries', 'timeout']
     """
     return {
-        "host": os.environ.get("REPRO_DIST_HOST", "") or "127.0.0.1",
-        "port": int(os.environ.get("REPRO_DIST_PORT", "") or 29500),
-        "timeout": float(os.environ.get("REPRO_DIST_TIMEOUT", "") or 30.0),
-        "retries": int(os.environ.get("REPRO_DIST_RETRIES", "") or 5),
-        "backoff": float(os.environ.get("REPRO_DIST_BACKOFF", "") or 0.05),
-        "transport": os.environ.get("REPRO_DIST_TRANSPORT", "") or "socket",
+        key: env(f"REPRO_DIST_{key.upper()}")
+        for key in ("host", "port", "timeout", "retries", "backoff")
     }
 
 
@@ -387,10 +381,10 @@ class SocketTransport(Transport):
         convention: the higher rank connects to the lower rank's data
         listener and introduces itself with a rank frame.
         """
-        env = dist_env_defaults()
-        timeout = float(env["timeout"] if timeout is None else timeout)
-        retries = int(env["retries"] if retries is None else retries)
-        backoff = float(env["backoff"] if backoff is None else backoff)
+        defaults = dist_env_defaults()
+        timeout = float(defaults["timeout"] if timeout is None else timeout)
+        retries = int(defaults["retries"] if retries is None else retries)
+        backoff = float(defaults["backoff"] if backoff is None else backoff)
         if not 0 <= rank < num_ranks:
             raise ValueError(f"rank {rank} out of range for {num_ranks}")
 

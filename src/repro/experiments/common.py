@@ -14,19 +14,14 @@ Select with ``REPRO_SCALE=tiny|small|paper`` or pass a
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.generators import PAPER_SUITE_SPEC, build
-from ..partition import (
-    DagPPartitioner,
-    DFSPartitioner,
-    NaturalPartitioner,
-    Partition,
-)
+from ..config import env
+from ..partition import Partition, get_partitioner
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 
 __all__ = [
@@ -37,11 +32,10 @@ __all__ = [
     "ranks_for",
     "partition_cached",
     "STRATEGY_ORDER",
-    "make_partitioner",
     "RESULTS_DIR",
 ]
 
-RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR", "results")
+RESULTS_DIR = env("REPRO_RESULTS_DIR")
 
 STRATEGY_ORDER = ("Nat", "DFS", "dagP")
 
@@ -72,7 +66,7 @@ SCALES: Dict[str, Scale] = {
 
 
 def current_scale() -> Scale:
-    name = os.environ.get("REPRO_SCALE", "small")
+    name = env("REPRO_SCALE")
     if name not in SCALES:
         raise KeyError(
             f"REPRO_SCALE={name!r} unknown; choose from {sorted(SCALES)}"
@@ -100,16 +94,6 @@ def ranks_for(key: str, scale: Scale) -> Tuple[int, ...]:
     return scale.ranks_large if is_large(key) else scale.ranks_small
 
 
-def make_partitioner(name: str):
-    if name == "Nat":
-        return NaturalPartitioner()
-    if name == "DFS":
-        return DFSPartitioner()
-    if name == "dagP":
-        return DagPPartitioner()
-    raise KeyError(name)
-
-
 _PARTITION_CACHE: Dict[Tuple[int, str, str, int], Partition] = {}
 
 
@@ -120,6 +104,6 @@ def partition_cached(
     key = (base_qubits, circuit.name, strategy, limit)
     part = _PARTITION_CACHE.get(key)
     if part is None:
-        part = make_partitioner(strategy).partition(circuit, limit)
+        part = get_partitioner(strategy).partition(circuit, limit)
         _PARTITION_CACHE[key] = part
     return part

@@ -20,13 +20,13 @@ from typing import Dict, List, Optional
 
 from ..analysis.tables import render_table
 from ..dist.hisvsim import HiSVSimEngine
+from ..partition import get_partitioner
 from ..partition.multilevel import multilevel_partition
 from .common import (
     SCALES,
     STRATEGY_ORDER,
     Scale,
     current_scale,
-    make_partitioner,
     partition_cached,
     ranks_for,
     suite_circuits,
@@ -124,7 +124,7 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
         if limit2 < 2:
             continue
         ml = multilevel_partition(
-            circuit, make_partitioner(best_strategy), local, limit2
+            circuit, get_partitioner(best_strategy), local, limit2
         )
         _, rep = engine.run(
             circuit,

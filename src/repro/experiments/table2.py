@@ -21,8 +21,9 @@ from ..analysis.tables import render_table
 from ..cachesim.hierarchy import analyze_sweeps
 from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
+from ..partition import get_partitioner
 from ..runtime.machine import WORKSTATION_LIKE, MachineModel
-from .common import STRATEGY_ORDER, Scale, current_scale, make_partitioner
+from .common import STRATEGY_ORDER, Scale, current_scale
 
 __all__ = ["PAPER_TABLE2", "Table2Row", "run"]
 
@@ -110,7 +111,7 @@ def run(
         circuit = build(name, num_qubits)
         circuit.name = name
         for strategy in STRATEGY_ORDER:
-            partition = make_partitioner(strategy).partition(circuit, limit)
+            partition = get_partitioner(strategy).partition(circuit, limit)
             events = sweeps_for_partition(circuit, partition)
             prof = analyze_sweeps(
                 events,

@@ -16,7 +16,8 @@ from ..analysis.tables import render_table
 from ..circuits.generators import qaoa
 from ..hybrid.gpu_model import V100, GPUModel
 from ..hybrid.hyquas import HybridEstimate, estimate_hybrid
-from .common import STRATEGY_ORDER, Scale, current_scale, make_partitioner
+from ..partition import get_partitioner
+from .common import STRATEGY_ORDER, Scale, current_scale
 
 __all__ = ["Table3Result", "run", "PAPER_TABLE3"]
 
@@ -77,7 +78,7 @@ def run(
     local = num_qubits - (num_gpus.bit_length() - 1)
     estimates: Dict[str, HybridEstimate] = {}
     for strategy in STRATEGY_ORDER:
-        partition = make_partitioner(strategy).partition(circuit, local)
+        partition = get_partitioner(strategy).partition(circuit, local)
         estimates[strategy] = estimate_hybrid(circuit, partition, num_gpus, gpu=gpu)
     return Table3Result(
         estimates=estimates,

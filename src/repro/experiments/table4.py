@@ -20,7 +20,8 @@ from ..hybrid.hyquas import (
     estimate_hybrid,
     estimate_hyquas_baseline,
 )
-from .common import STRATEGY_ORDER, Scale, current_scale, make_partitioner
+from ..partition import get_partitioner
+from .common import STRATEGY_ORDER, Scale, current_scale
 
 __all__ = ["Table4Result", "run", "PAPER_TABLE4"]
 
@@ -75,7 +76,7 @@ def run(
     local = num_qubits - (num_gpus.bit_length() - 1)
     estimates: Dict[str, HybridEstimate] = {}
     for strategy in STRATEGY_ORDER:
-        partition = make_partitioner(strategy).partition(circuit, local)
+        partition = get_partitioner(strategy).partition(circuit, local)
         estimates[strategy] = estimate_hybrid(
             circuit, partition, num_gpus, gpu=gpu, machine=GPU_CLUSTER
         )

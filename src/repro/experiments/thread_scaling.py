@@ -29,9 +29,10 @@ from ..analysis.tables import render_table
 from ..cachesim.hierarchy import analyze_sweeps
 from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
+from ..partition import get_partitioner
 from ..runtime.machine import WORKSTATION_LIKE
 from ..sv import HierarchicalExecutor, SerialBackend, ThreadedBackend, zero_state
-from .common import Scale, make_partitioner
+from .common import Scale
 
 __all__ = ["ThreadScalingResult", "run", "PAPER_THREADS"]
 
@@ -127,7 +128,7 @@ def run(
         # (tiny runs real amplitudes elsewhere too; don't exceed them).
         measured_qubits = min(measured_qubits, scale.base_qubits)
     circuit = build(circuit_name, num_qubits)
-    partition = make_partitioner("dagP").partition(circuit, limit)
+    partition = get_partitioner("dagP").partition(circuit, limit)
     events = sweeps_for_partition(circuit, partition)
 
     measured: dict = {}
@@ -135,7 +136,7 @@ def run(
     if measure:
         m_qubits = min(measured_qubits, num_qubits)
         m_circuit = build(circuit_name, m_qubits)
-        m_partition = make_partitioner("dagP").partition(
+        m_partition = get_partitioner("dagP").partition(
             m_circuit, min(limit, max(3, m_qubits - 3))
         )
         m_name = f"{circuit_name}_{m_qubits}"

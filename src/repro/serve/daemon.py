@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..sv.backend import ExecutionBackend
-from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS
+from ..config import ENV, RunOptions, env
 from .jobs import (
     load_manifest,
     results_to_manifest,
@@ -68,52 +66,33 @@ _REASONS = {
 }
 
 
-def _env(name: str, default, cast):
-    raw = os.environ.get(name, "")
-    if raw == "":
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad {name}={raw!r}: {exc}") from None
-
-
 @dataclass
 class ServeConfig:
     """Configuration for :class:`ServeDaemon`.
 
-    Server knobs default from ``REPRO_SERVE_*`` environment variables
-    via :meth:`from_env` (table in ``docs/configuration.md``); runner
-    knobs (``strategy``, ``limit``, ``backend``, ...) mirror
-    ``repro batch`` and fix the daemon-wide execution configuration —
-    submitted manifests may restate them only with identical values.
+    Each server field ``x`` takes its default from the
+    ``REPRO_SERVE_X`` entry of :data:`repro.config.ENV`, and
+    :meth:`from_env` reads that variable (table in
+    ``docs/configuration.md``).  ``run`` is the daemon-wide
+    :class:`~repro.config.RunOptions` — submitted manifests may restate
+    its options only with the values the daemon resolved.
 
     >>> ServeConfig().port
     8035
-    >>> ServeConfig(limit=0)
-    Traceback (most recent call last):
-        ...
-    ValueError: limit must be >= 1 (got 0); pass None to derive the per-circuit default
+    >>> ServeConfig(run=RunOptions(strategy="DFS")).run.strategy
+    'DFS'
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8035
-    queue_limit: int = 256
-    workers: int = 2
-    max_batch: int = 16
-    ttl: float = 600.0
-    retry_after: float = 1.0
-    drain_grace: float = 30.0
-    max_body: int = 8_000_000
-    strategy: str = "dagP"
-    limit: Optional[int] = None
-    schedule: str = "grouped"
-    fuse: bool = True
-    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS
-    pad_to: int = 0
-    backend: Union[None, str, ExecutionBackend] = None
-    threads: Optional[int] = None
-    method: Optional[str] = None
+    host: str = ENV["REPRO_SERVE_HOST"].default
+    port: int = ENV["REPRO_SERVE_PORT"].default
+    queue_limit: int = ENV["REPRO_SERVE_QUEUE_LIMIT"].default
+    workers: int = ENV["REPRO_SERVE_WORKERS"].default
+    max_batch: int = ENV["REPRO_SERVE_MAX_BATCH"].default
+    ttl: float = ENV["REPRO_SERVE_TTL"].default
+    retry_after: float = ENV["REPRO_SERVE_RETRY_AFTER"].default
+    drain_grace: float = ENV["REPRO_SERVE_DRAIN_GRACE"].default
+    max_body: int = ENV["REPRO_SERVE_MAX_BODY"].default
+    run: RunOptions = RunOptions()
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -122,11 +101,6 @@ class ServeConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(
-                f"limit must be >= 1 (got {self.limit}); pass None to "
-                f"derive the per-circuit default"
-            )
 
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":
@@ -139,15 +113,9 @@ class ServeConfig:
         1
         """
         values: Dict[str, Any] = {
-            "host": _env("REPRO_SERVE_HOST", cls.host, str),
-            "port": _env("REPRO_SERVE_PORT", cls.port, int),
-            "queue_limit": _env("REPRO_SERVE_QUEUE_LIMIT", cls.queue_limit, int),
-            "workers": _env("REPRO_SERVE_WORKERS", cls.workers, int),
-            "max_batch": _env("REPRO_SERVE_MAX_BATCH", cls.max_batch, int),
-            "ttl": _env("REPRO_SERVE_TTL", cls.ttl, float),
-            "retry_after": _env("REPRO_SERVE_RETRY_AFTER", cls.retry_after, float),
-            "drain_grace": _env("REPRO_SERVE_DRAIN_GRACE", cls.drain_grace, float),
-            "max_body": _env("REPRO_SERVE_MAX_BODY", cls.max_body, int),
+            f.name: env(f"REPRO_SERVE_{f.name.upper()}")
+            for f in fields(cls)
+            if f.name != "run"
         }
         for key, value in overrides.items():
             if value is not None:
@@ -170,18 +138,8 @@ class ServeDaemon:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config if config is not None else ServeConfig.from_env()
-        self._runner = BatchRunner(
-            strategy=self.config.strategy,
-            limit=self.config.limit,
-            schedule=self.config.schedule,
-            workers=1,  # daemon concurrency = worker threads, not pools
-            fuse=self.config.fuse,
-            max_fused_qubits=self.config.max_fused_qubits,
-            pad_to=self.config.pad_to,
-            backend=self.config.backend,
-            threads=self.config.threads,
-            method=self.config.method,
-        )
+        # workers=1: daemon concurrency = worker threads, not pools.
+        self._runner = BatchRunner(self.config.run, workers=1)
         self._queue = AdmissionQueue(
             self.config.queue_limit, retry_after=self.config.retry_after
         )
@@ -471,26 +429,20 @@ class ServeDaemon:
         The daemon executes every request through one shared runner;
         silently honouring a conflicting per-request option would either
         lie or fork the caches, so mismatches are rejected explicitly.
-        ``schedule`` and ``workers`` are dispatch knobs with no meaning
-        per request here (the queue orders, threads execute) — they are
-        accepted only at their configured values too, for symmetry.
+        Options are compared against what the runner *resolved*, so a
+        manifest naming an effective default (``backend: "serial"``,
+        ``method: "auto"``) is accepted.  ``schedule`` and ``workers``
+        are dispatch knobs with no meaning per request here (the queue
+        orders, threads execute) — they are accepted only at the
+        runner's values too, for symmetry.
         """
         configured = {
-            "strategy": self.config.strategy,
-            "limit": self.config.limit,
-            "schedule": self.config.schedule,
-            "fuse": self.config.fuse,
-            "max_fused_qubits": self.config.max_fused_qubits,
-            "pad_to": self.config.pad_to,
-            "backend": self.config.backend,
-            "threads": self.config.threads,
-            # Compare against the *resolved* policy so a manifest naming
-            # the effective default (e.g. method: "auto") is accepted.
-            "method": self._runner.method,
-            "workers": 1,
+            **vars(self._runner.resolved),
+            "schedule": self._runner.schedule,
+            "workers": self._runner.workers,
         }
         for key, value in options.items():
-            if key in configured and value != configured[key]:
+            if value != configured[key]:
                 return (
                     f"manifest option {key}={value!r} conflicts with the "
                     f"daemon's configuration ({key}="

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..circuits import generators, qasm
 from ..circuits.circuit import QuantumCircuit
+from ..config import RUN_OPTION_FIELDS
 from ..sv.pauli import PauliTerm
 
 __all__ = [
@@ -38,19 +39,9 @@ __all__ = [
     "results_to_manifest",
 ]
 
-#: Manifest keys that configure the runner rather than a job.
-_RUNNER_OPTION_KEYS = (
-    "strategy",
-    "limit",
-    "schedule",
-    "fuse",
-    "max_fused_qubits",
-    "pad_to",
-    "backend",
-    "threads",
-    "method",
-    "workers",
-)
+#: Manifest keys that configure the runner rather than a job: the
+#: execution options plus the two dispatch knobs of ``BatchRunner``.
+MANIFEST_OPTION_KEYS = RUN_OPTION_FIELDS + ("schedule", "workers")
 
 
 def structural_fingerprint(circuit: QuantumCircuit) -> str:
@@ -297,7 +288,7 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
         manifest = source
     if not isinstance(manifest, dict) or "jobs" not in manifest:
         raise ValueError("manifest must be an object with a 'jobs' list")
-    valid_keys = ("jobs",) + _RUNNER_OPTION_KEYS
+    valid_keys = ("jobs",) + MANIFEST_OPTION_KEYS
     for key in manifest:
         if key not in valid_keys:
             close = difflib.get_close_matches(str(key), valid_keys, n=1)
@@ -306,7 +297,7 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
             )
             raise ValueError(f"unknown manifest key {key!r}{hint}")
     options = {
-        k: manifest[k] for k in _RUNNER_OPTION_KEYS if k in manifest
+        k: manifest[k] for k in MANIFEST_OPTION_KEYS if k in manifest
     }
     if "limit" in options:
         limit = options["limit"]

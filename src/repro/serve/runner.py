@@ -25,14 +25,14 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import RunOptions
 from ..partition import get_partitioner
 from ..partition.base import Partition
-from ..sv.backend import ExecutionBackend
-from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, CacheCounters, PlanCache
+from ..sv.fusion import CacheCounters, PlanCache
 from ..sv.hier import ExecutionTrace, HierarchicalExecutor
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
@@ -167,11 +167,11 @@ class BatchRunner:
 
     Parameters
     ----------
-    strategy:
-        Partitioner name (``"Nat"`` / ``"DFS"`` / ``"dagP"``).
-    limit:
-        Working-set limit (``>= 1``); ``None`` — and only ``None`` —
-        derives :func:`default_limit` per circuit width.
+    options:
+        The :class:`~repro.config.RunOptions` every job runs with
+        (partitioner, working-set limit — ``None`` derives
+        :func:`default_limit` per circuit width — fusion, backend,
+        method).  ``None`` means the defaults.
     schedule:
         Dispatch order policy (``"fifo"`` or ``"grouped"``; see
         :mod:`repro.serve.scheduler`).
@@ -179,14 +179,15 @@ class BatchRunner:
         Concurrent jobs. ``1`` (default) dispatches sequentially in
         schedule order; ``> 1`` uses a thread pool (results and caches
         stay deterministic — only timing changes).
-    fuse, max_fused_qubits, mode, pad_to, backend, threads, method:
-        Forwarded to the underlying
-        :class:`~repro.sv.hier.HierarchicalExecutor` (``method`` is the
-        engine-routing policy — ``auto`` / ``dense`` / ``stabilizer``,
-        ``None`` follows ``REPRO_METHOD``).
+    mode:
+        Part-sweep mode of the underlying
+        :class:`~repro.sv.hier.HierarchicalExecutor`.
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache`; pass one to
         share compiled structures with other runners or executors.
+    **overrides:
+        Any ``RunOptions`` field by keyword (``strategy="DFS"``,
+        ``backend="threaded"``, ...), folded into ``options``.
 
     >>> from repro.circuits.generators import qaoa
     >>> from repro.serve import SimJob
@@ -201,42 +202,25 @@ class BatchRunner:
 
     def __init__(
         self,
+        options: Optional[RunOptions] = None,
         *,
-        strategy: str = "dagP",
-        limit: Optional[int] = None,
         schedule: str = "grouped",
         workers: int = 1,
-        fuse: bool = True,
-        max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         mode: str = "batched",
-        pad_to: int = 0,
-        backend: Union[None, str, ExecutionBackend] = None,
-        threads: Optional[int] = None,
-        method: Optional[str] = None,
         plan_cache: Optional[PlanCache] = None,
+        **overrides,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if limit is not None and limit < 1:
-            raise ValueError(
-                f"limit must be >= 1 (got {limit}); pass None to derive "
-                f"the per-circuit default"
-            )
         order_jobs(schedule, [])  # validate the schedule name early
-        self.strategy = strategy
-        self.limit = limit
+        self.options = replace(options or RunOptions(), **overrides)
         self.schedule = schedule
         self.workers = int(workers)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor = HierarchicalExecutor(
             mode=mode,
-            pad_to=pad_to,
-            fuse=fuse,
-            max_fused_qubits=max_fused_qubits,
             plan_cache=self.plan_cache,
-            backend=backend,
-            threads=threads,
-            method=method,
+            **self.options.executor_kwargs(),
         )
         # Key -> Partition, or a threading.Event while one worker computes.
         self._partitions: Dict[Tuple[str, str, int], object] = {}
@@ -250,6 +234,23 @@ class BatchRunner:
     def method(self) -> str:
         """The resolved engine-routing policy this runner executes with."""
         return self._executor.method
+
+    @property
+    def resolved(self) -> RunOptions:
+        """The options as executed: the live backend's name and pool
+        width (``None`` if it has no pool) and the resolved method,
+        whatever mix of arguments and environment they came from.
+
+        >>> BatchRunner(backend="serial").resolved.method
+        'auto'
+        """
+        backend = self._executor.backend
+        return replace(
+            self.options,
+            backend=backend.name,
+            threads=getattr(backend, "threads", None),
+            method=self._executor.method,
+        )
 
     def counters_snapshot(self) -> Dict[str, int]:
         """Lifetime cache/routing counters, read atomically.
@@ -294,16 +295,14 @@ class BatchRunner:
         per-key event makes same-structure followers wait on the one
         computing thread instead of on a global lock.
 
-        ``self.limit`` is honoured whenever set — only ``None`` derives
-        the per-circuit :func:`default_limit` (an explicit small limit
-        such as ``1`` is a real configuration, not "unset").
+        ``options.limit`` is honoured whenever set — only ``None``
+        derives the per-circuit :func:`default_limit` (an explicit small
+        limit such as ``1`` is a real configuration, not "unset").
         """
-        limit = (
-            self.limit
-            if self.limit is not None
-            else default_limit(circuit.num_qubits)
-        )
-        key = (fingerprint, self.strategy, limit)
+        strategy, limit = self.options.strategy, self.options.limit
+        if limit is None:
+            limit = default_limit(circuit.num_qubits)
+        key = (fingerprint, strategy, limit)
         while True:
             with self._partition_lock:
                 entry = self._partitions.get(key)
@@ -321,9 +320,7 @@ class BatchRunner:
             # and re-read (the entry is removed if that worker failed).
             entry.wait()
         try:
-            partition = get_partitioner(self.strategy).partition(
-                circuit, limit
-            )
+            partition = get_partitioner(strategy).partition(circuit, limit)
         except BaseException:
             with self._partition_lock:
                 self._partitions.pop(key, None)
@@ -404,7 +401,9 @@ class BatchRunner:
 
         The fragment-variant batch runs on an inner runner that shares
         this runner's plan cache (repeat cut jobs reuse compiled
-        structures) and inherits its executor configuration.
+        structures), its live backend and its resolved method; ``limit``
+        and ``pad_to`` were chosen for the full width and do not carry
+        over to the narrower fragments.
         ``num_parts`` on the result counts *fragments*;
         ``partition_cached`` is always ``False`` — fragment partitions
         live in the cut pipeline, not this runner's partition cache.
@@ -417,16 +416,19 @@ class BatchRunner:
             job.circuit,
             max_width=spec["max_width"],
             max_cuts=spec.get("cuts"),
-            strategy=spec.get("strategy", self.strategy),
             want_state=job.want_state,
             shots=job.shots,
             seed=0 if job.seed is None else job.seed,
             observables=job.observables,
             workers=spec.get("workers"),
-            fuse=self._executor.fuse,
-            max_fused_qubits=self._executor.max_fused_qubits,
-            backend=self._executor.backend,
-            method=self._executor.method,
+            options=replace(
+                self.options,
+                strategy=spec.get("strategy", self.options.strategy),
+                limit=None,
+                pad_to=0,
+                backend=self._executor.backend,
+                method=self._executor.method,
+            ),
             plan_cache=self.plan_cache,
         )
         return JobResult(

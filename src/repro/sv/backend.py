@@ -64,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.gates import Gate
+from ..config import env
 from .kernels import (
     _apply_strided,
     _diagonal_factor,
@@ -586,7 +587,7 @@ def resolve_array_module(
     if isinstance(spec, ArrayModule):
         return spec
     if spec is None:
-        spec = os.environ.get("REPRO_ARRAY_MODULE") or "numpy"
+        spec = env("REPRO_ARRAY_MODULE")
     if spec not in ARRAY_MODULE_NAMES:
         raise KeyError(
             f"unknown array module {spec!r}; choose from {ARRAY_MODULE_NAMES}"
@@ -876,11 +877,9 @@ def resolve_backend(
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:
-        # Empty string counts as unset (CI matrix legs export "").
-        spec = os.environ.get("REPRO_BACKEND") or "serial"
+        spec = env("REPRO_BACKEND")
     if threads is None:
-        env = os.environ.get("REPRO_THREADS")
-        threads = int(env) if env else None
+        threads = env("REPRO_THREADS")
     if spec in ("serial", "array"):
         threads = None  # one shared instance regardless of thread count
     return shared_backend(spec, threads)

@@ -18,8 +18,9 @@ the dense path everywhere.  The environment knob is ``REPRO_METHOD``
 
 from __future__ import annotations
 
-import os
 from typing import Optional
+
+from ..config import env
 
 __all__ = ["METHOD_NAMES", "resolve_method"]
 
@@ -43,7 +44,7 @@ def resolve_method(spec: Optional[str] = None) -> str:
     ValueError: unknown method 'tensor'; choose from ('auto', 'dense', 'stabilizer')
     """
     if spec is None:
-        spec = os.environ.get("REPRO_METHOD", "") or "auto"
+        spec = env("REPRO_METHOD")
     if spec not in METHOD_NAMES:
         raise ValueError(
             f"unknown method {spec!r}; choose from {METHOD_NAMES}"

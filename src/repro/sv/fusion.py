@@ -29,6 +29,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
+from ..config import DEFAULT_MAX_FUSED_QUBITS
 from .kernels import apply_matrix_batched
 from .layout import extract_bits, gather_index_table
 
@@ -46,7 +47,6 @@ __all__ = [
     "DEFAULT_MAX_FUSED_QUBITS",
 ]
 
-DEFAULT_MAX_FUSED_QUBITS = 5
 #: All-diagonal groups may exceed the dense limit by this many qubits.
 DIAGONAL_BONUS_QUBITS = 2
 

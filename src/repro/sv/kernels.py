@@ -23,12 +23,12 @@ All kernels operate **in place** and return their input array.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.gates import Gate
+from ..config import ENV, env
 from .layout import axis_of_qubit, gather_index_table
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 #: Default arity ceiling (in *target* qubits, after control extraction)
 #: for the gather-free strided path; override via
 #: ``REPRO_KERNEL_STRIDED_MAX``.
-DEFAULT_STRIDED_MAX = 2
+DEFAULT_STRIDED_MAX = ENV["REPRO_KERNEL_STRIDED_MAX"].default
 
 
 def _gate_axes(n_axes_total: int, n_qubits: int, qubits: Sequence[int], lead: int) -> list:
@@ -255,19 +255,10 @@ def strided_max_qubits() -> int:
     :data:`DEFAULT_STRIDED_MAX`); a negative value disables the strided
     path entirely.
 
-    >>> import os
-    >>> os.environ.pop("REPRO_KERNEL_STRIDED_MAX", None) and None
-    >>> strided_max_qubits()
+    >>> strided_max_qubits()            # unset in the test run
     2
-    >>> os.environ["REPRO_KERNEL_STRIDED_MAX"] = "-1"   # force gather
-    >>> strided_max_qubits()
-    -1
-    >>> del os.environ["REPRO_KERNEL_STRIDED_MAX"]
     """
-    return int(
-        os.environ.get("REPRO_KERNEL_STRIDED_MAX", "")
-        or DEFAULT_STRIDED_MAX
-    )
+    return env("REPRO_KERNEL_STRIDED_MAX")
 
 
 def split_controls(

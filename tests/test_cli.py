@@ -96,3 +96,94 @@ class TestCli:
     def test_unknown_circuit_family(self):
         with pytest.raises(KeyError):
             main(["circuit", "bogus"])
+
+
+# ---------------------------------------------------------------------------
+# One definition of the execution-option flags; flag > manifest > default
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = {
+    "simulate": ["simulate", "qft"],
+    "cut": ["cut", "qft", "--max-width", "4"],
+    "batch": ["batch", "jobs.json"],
+    "serve": ["serve"],
+}
+
+
+class TestSharedRunFlags:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_same_flags_same_choices(self, command, capsys):
+        from repro.cli import build_parser
+        from repro.partition import STRATEGIES
+        from repro.sv.backend import BACKEND_NAMES
+        from repro.sv.engine import METHOD_NAMES
+
+        parser, base = build_parser(), SUBCOMMANDS[command]
+        args = parser.parse_args(base)
+        assert (args.backend, args.threads, args.method, args.strategy,
+                args.fuse) == (None,) * 5  # None = "flag not given"
+        for flag, choices in (("--backend", BACKEND_NAMES),
+                              ("--method", METHOD_NAMES),
+                              ("--strategy", sorted(STRATEGIES))):
+            for choice in choices:
+                args = parser.parse_args(base + [flag, choice])
+                assert getattr(args, flag[2:]) == choice
+            with pytest.raises(SystemExit):
+                parser.parse_args(base + [flag, "bogus"])
+            assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        args = parser.parse_args(base + ["--threads", "3", "--no-fuse"])
+        assert (args.threads, args.fuse) == (3, False)
+        assert parser.parse_args(base + ["--fuse"]).fuse is True
+
+    def test_batch_flag_beats_manifest_beats_default(self):
+        from repro.cli import _merged, _run_options, build_parser
+        from repro.config import RunOptions
+
+        manifest = {"strategy": "Nat", "method": "dense", "fuse": False,
+                    "schedule": "fifo"}
+        args = build_parser().parse_args(
+            ["batch", "jobs.json", "--strategy", "DFS", "--fuse",
+             "--workers", "2"]
+        )
+        assert _run_options(args, manifest) == RunOptions(
+            strategy="DFS",     # flag beats manifest
+            fuse=True,          # --fuse beats manifest false
+            method="dense",     # manifest beats default
+        )                       # everything else: the dataclass default
+        assert _merged(args, ("schedule", "workers"), manifest) == {
+            "schedule": "fifo", "workers": 2,
+        }
+
+
+class TestLimitAndRendezvousFlags:
+    @pytest.mark.parametrize("command", ["simulate", "dist-worker"])
+    @pytest.mark.parametrize("bad", ["0", "-2"])
+    def test_non_positive_limit_exits_2(self, command, bad, capsys):
+        argv = {
+            "simulate": ["simulate", "qft", "--qubits", "6"],
+            "dist-worker": ["dist-worker", "--rank", "0", "--ranks", "2",
+                            "--circuit", "qft", "--transport", "recording"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--limit", bad])
+        assert excinfo.value.code == 2
+        assert "limit must be >= 1" in capsys.readouterr().err
+
+    def test_omitted_limit_derives_the_default(self, capsys):
+        assert main(["simulate", "qft", "--qubits", "9"]) == 0
+        assert "limit=6 " in capsys.readouterr().out
+
+    def test_malformed_rendezvous_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dist-worker", "--rank", "0", "--ranks", "2",
+                  "--circuit", "qft", "--rendezvous", "localhost:abc"])
+        assert excinfo.value.code == 2
+        assert "expected HOST:PORT" in capsys.readouterr().err
+
+
+def test_empty_scale_env_means_default(monkeypatch):
+    """``REPRO_SCALE="" repro table1`` used to die with ``KeyError: ''``."""
+    from repro.cli import build_parser
+
+    monkeypatch.setenv("REPRO_SCALE", "")
+    assert build_parser().parse_args(["table1"]).scale == "small"

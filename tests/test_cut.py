@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.generators import build
+from repro.config import RunOptions
 from repro.cut import (
     CutError,
     cut_run,
@@ -105,10 +106,9 @@ class TestDifferential:
             qc,
             plan=plan,
             want_state=True,
-            strategy=strategy,
-            fuse=fuse,
-            backend=backend,
-            threads=threads,
+            options=RunOptions(
+                strategy=strategy, fuse=fuse, backend=backend, threads=threads
+            ),
         )
         err = float(np.max(np.abs(result.state - uncut_state(qc))))
         assert err < ATOL
@@ -121,7 +121,10 @@ class TestDifferential:
         plan = find_cuts(qc, 7, strategy=strategy)
         assert plan.num_cuts >= 1
         assert max(plan.widths) <= 7
-        result = cut_run(qc, plan=plan, want_state=True, strategy=strategy)
+        result = cut_run(
+            qc, plan=plan, want_state=True,
+            options=RunOptions(strategy=strategy),
+        )
         err = float(np.max(np.abs(result.state - uncut_state(qc))))
         assert err < ATOL
 

@@ -23,6 +23,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.generators import qaoa, qft
+from repro.config import RunOptions
 from repro.serve import (
     AdmissionQueue,
     BatchRunner,
@@ -264,7 +265,7 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(queue_limit=0)
         with pytest.raises(ValueError, match="limit must be >= 1"):
-            ServeConfig(limit=0)
+            ServeConfig(run=RunOptions(limit=0))
         assert ServeConfig(workers=0).workers == 0  # admission-only mode
 
 
@@ -390,6 +391,38 @@ class TestProtocolErrors:
         assert request(
             daemon.port, "POST", "/jobs", payload=manifest
         )[0] == 202
+
+    def test_restating_resolved_options_accepted(self, daemon):
+        """Options are compared against what the runner resolved, so a
+        manifest naming the effective backend / method / strategy is
+        admitted (backend and threads used to be compared against the
+        unresolved ``None``)."""
+        resolved = daemon._runner.resolved
+        manifest = sweep_manifest(jobs=1)
+        manifest.update(
+            backend=resolved.backend, method=resolved.method,
+            strategy=resolved.strategy,
+        )
+        status, payload, _ = request(
+            daemon.port, "POST", "/jobs", payload=manifest
+        )
+        assert status == 202, payload
+
+    def test_default_daemon_resolves_serial_auto(self, monkeypatch):
+        for name in ("REPRO_BACKEND", "REPRO_THREADS", "REPRO_METHOD"):
+            monkeypatch.delenv(name, raising=False)
+        d = ServeDaemon(ServeConfig(port=0, workers=0))
+        assert d._check_options(
+            {"backend": "serial", "method": "auto", "strategy": "dagP"}
+        ) is None
+        conflict = d._check_options({"backend": "threaded"})
+        assert conflict is not None and "backend='serial'" in conflict
+        # An environment-selected backend is what manifests must restate.
+        monkeypatch.setenv("REPRO_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_THREADS", "2")
+        d = ServeDaemon(ServeConfig(port=0, workers=0))
+        assert d._check_options({"backend": "threaded", "threads": 2}) is None
+        assert d._check_options({"backend": "serial"}) is not None
 
     def test_duplicate_job_ids_rejected(self, daemon):
         manifest = sweep_manifest(jobs=2)

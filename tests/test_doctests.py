@@ -15,6 +15,7 @@ import inspect
 
 import pytest
 
+import repro.config
 import repro.dist
 import repro.dist.analytic
 import repro.dist.exchange
@@ -55,6 +56,7 @@ import repro.sv.simulator
 import repro.sv.stabilizer
 
 DOCTEST_MODULES = [
+    repro.config,
     repro.sv.layout,
     repro.sv.kernels,
     repro.sv.fusion,
@@ -100,7 +102,9 @@ DATA_EXPORTS = {
     "DEFAULT_MAX_FUSED_QUBITS",
     "DEFAULT_MIN_PARALLEL_ELEMENTS",
     "DEFAULT_STRIDED_MAX",
+    "ENV",
     "METHOD_NAMES",
+    "RUN_OPTION_FIELDS",
     "STRATEGIES",
     "SCHEDULES",
     "PauliTerm",
@@ -112,6 +116,7 @@ DATA_EXPORTS = {
 # contract module-wide: every export documented *and* doctested (the
 # backends page in ``docs/backends.md`` leans on these examples).
 PACKAGES = [
+    repro.config,
     repro.sv,
     repro.sv.backend,
     repro.sv.kernels,

@@ -346,10 +346,11 @@ class TestServing:
         assert metrics["parts_routed_stabilizer"] == 0
 
     def test_daemon_rejects_conflicting_method(self):
+        from repro.config import RunOptions
         from repro.serve import ServeConfig, ServeDaemon
 
         daemon = ServeDaemon(
-            ServeConfig(port=0, workers=0, method="dense")
+            ServeConfig(port=0, workers=0, run=RunOptions(method="dense"))
         )
         conflict = daemon._check_options({"method": "stabilizer"})
         assert conflict is not None and "method" in conflict

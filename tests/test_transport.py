@@ -34,9 +34,9 @@ from repro.dist import (
     DistributedStateVector,
     HiSVSimEngine,
     LayoutOnlyState,
-    engine_exchange_layouts,
     exchange_rank_stats,
     exchange_step_stats,
+    verify_exchange_records,
 )
 from repro.dist.transport import (
     AMP_BYTES,
@@ -236,19 +236,11 @@ class TestTrafficOracle:
         qc, partition, _, transports, _ = spmd_engine_run(
             num_ranks, name, qubits
         )
-        expected = engine_exchange_layouts(partition, qubits, num_ranks)
-        local_bits = qubits - (num_ranks.bit_length() - 1)
         for rank, transport in enumerate(transports):
-            assert len(transport.records) == len(expected)
-            for record, (old, new) in zip(transport.records, expected):
-                model = exchange_rank_stats(old, new, local_bits, rank)
-                observed = (
-                    record.sent_bytes,
-                    record.sent_msgs,
-                    record.recv_bytes,
-                    record.recv_msgs,
-                )
-                assert observed == model
+            assert transport.records  # traffic flowed: the check has teeth
+            assert verify_exchange_records(
+                transport.records, partition, qubits, num_ranks, rank
+            ) == []
 
     def test_payload_bytes_are_pure_amplitude_volume(self):
         # wire_bytes carries framing + offsets; the modelled volume is
@@ -412,23 +404,20 @@ class TestEnvDefaults:
     def test_defaults_without_env(self, monkeypatch):
         for key in ("REPRO_DIST_HOST", "REPRO_DIST_PORT",
                     "REPRO_DIST_TIMEOUT", "REPRO_DIST_RETRIES",
-                    "REPRO_DIST_BACKOFF", "REPRO_DIST_TRANSPORT"):
+                    "REPRO_DIST_BACKOFF"):
             monkeypatch.delenv(key, raising=False)
         env = dist_env_defaults()
         assert env["host"] == "127.0.0.1"
         assert env["port"] == 29500
         assert env["timeout"] == 30.0
         assert env["retries"] == 5
-        assert env["transport"] == "socket"
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIST_PORT", "12345")
         monkeypatch.setenv("REPRO_DIST_RETRIES", "1")
-        monkeypatch.setenv("REPRO_DIST_TRANSPORT", "recording")
         env = dist_env_defaults()
         assert env["port"] == 12345
         assert env["retries"] == 1
-        assert env["transport"] == "recording"
 
 
 class TestRecordingTransport:

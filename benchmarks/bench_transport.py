@@ -1,9 +1,9 @@
-"""Socket transport vs the dry-run traffic model and the recording path.
+"""Socket transport vs the dry-run traffic model and the in-process path.
 
 The distributed layer's acceptance bar: a 2-rank SPMD run over real
 localhost TCP sockets must (a) produce a final state **bit-identical**
-to the recording transport (all ranks in-process — the behaviour every
-pinned model number rests on), and (b) move, per exchange and per rank,
+to the in-process communicator (all ranks in one ``SimComm`` — the
+behaviour every pinned model number rests on), and (b) move, per exchange and per rank,
 exactly the amplitude volume the closed-form dry-run model
 (:func:`repro.dist.analytic.exchange_rank_stats`) predicts.  Both are
 gated metrics — a single byte of disagreement fails the benchmark.
@@ -32,7 +32,6 @@ from repro.dist import (
 )
 from repro.dist.transport import run_spmd
 from repro.partition import get_partitioner
-from repro.runtime.comm import SimComm
 
 NUM_RANKS = 2
 QUBITS = 8
@@ -51,9 +50,8 @@ def run_comparison(num_ranks=NUM_RANKS, qubits=QUBITS, circuit=CIRCUIT):
     rec_stats, (reference, rec_report) = bench.measure(recording, repeats=1)
 
     def worker(rank, transport):
-        comm = SimComm(num_ranks, transport=transport)
         state, report = HiSVSimEngine(num_ranks=num_ranks).run(
-            qc, partition, comm=comm
+            qc, partition, comm=transport
         )
         return state.to_full(), report, list(transport.records)
 
@@ -137,7 +135,7 @@ def test_socket_transport_matches_model(save_result):
     warmup=0,
 )
 def run_bench(params):
-    """2-rank socket run vs the recording transport and the dry-run model.
+    """2-rank socket run vs the in-process comm and the dry-run model.
 
     Every metric is deterministic (traffic model + agreement flags);
     wall times stay in ``info``.  ``ok`` is the conjunction of the

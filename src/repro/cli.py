@@ -375,29 +375,30 @@ def _dist_worker(args) -> int:
         return 2
     options = _run_options(args)
     qc = generators.build(args.circuit, args.qubits)
-    limit = options.limit or default_limit(qc.num_qubits)
-    partition = get_partitioner(options.strategy).partition(qc, limit)
-
-    transport = None
-    if args.transport == "socket":
-        transport = SocketTransport.connect(
-            args.rank, args.ranks, args.rendezvous
-        )
-        comm = SimComm(args.ranks, transport=transport)
-    else:
+    try:  # before any peer is contacted: a bad rank count cannot mesh
         comm = SimComm(args.ranks)
+        local_bits = comm.local_bits(qc.num_qubits)
+        # A part must fit one rank's shard, whatever the width default says.
+        limit = options.limit or min(default_limit(qc.num_qubits), local_bits)
+        partition = get_partitioner(options.strategy).partition(qc, limit)
+    except ValueError as exc:
+        print(exc)
+        return 2
+
+    spmd = args.transport == "socket"
+    if spmd:
+        comm = SocketTransport.connect(args.rank, args.ranks, args.rendezvous)
     try:
         engine = HiSVSimEngine(num_ranks=args.ranks)
         state, report = engine.run(qc, partition, comm=comm)
         full = state.to_full()  # collective: every rank participates
 
         problems = []
-        if transport is not None and args.verify:
+        if spmd and args.verify:
             problems = verify_exchange_records(
-                transport.records, partition, args.qubits, args.ranks,
-                args.rank,
+                comm.records, partition, args.qubits, args.ranks, args.rank
             )
-        if args.out and (transport is None or args.rank == 0):
+        if args.out and (not spmd or args.rank == 0):
             np.save(args.out, full)
         print(json.dumps({
             "rank": args.rank,
@@ -412,8 +413,7 @@ def _dist_worker(args) -> int:
         }))
         return 2 if problems else 0
     finally:
-        if transport is not None:
-            transport.close()
+        comm.close()
 
 
 def _working_set_limit(text: str) -> int:
@@ -613,7 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "joins the TCP mesh through the rank-0 rendezvous, "
                     "executes with HiSVSimEngine, and verifies observed "
                     "per-exchange traffic against the closed-form dry-run "
-                    "model (non-zero exit on any mismatch). Defaults come "
+                    "model (non-zero exit on any mismatch). Without --limit "
+                    "the per-width default is capped at the shard width. "
+                    "Defaults come "
                     "from REPRO_DIST_* (docs/configuration.md).",
     )
     p_dw.add_argument("--rank", type=int, required=True,

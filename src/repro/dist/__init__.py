@@ -9,14 +9,17 @@ the rank, so moving a qubit across that boundary is communication.
 Modules
 -------
 ``state``
-    :class:`DistributedStateVector` — real amplitudes, sharded, with
-    layout-changing ``remap`` exchanges routed through ``SimComm``.
+    :class:`LayoutOnlyState` — layout, residency queries and a ``remap``
+    charged in closed form (dry runs at paper widths, no amplitudes) —
+    and its subclass :class:`DistributedStateVector`, which adds the
+    shards and executes ``remap`` as one ``SimComm.exchange``.
 ``exchange``
     Layout planning: minimal-motion working-set eviction with next-part
-    lookahead (the HiSVSIM remap policy).
+    lookahead (the HiSVSIM remap policy), and :func:`remap_schedule`,
+    the per-part layouts both the engine and its oracle read.
 ``analytic``
-    :class:`LayoutOnlyState` and closed-form exchange accounting for
-    dry runs at paper widths (no amplitudes materialised).
+    Closed-form exchange accounting — the dry-run traffic model every
+    executed exchange is checked against.
 ``hisvsim``
     :class:`HiSVSimEngine` — partition-driven execution: one remap per
     part, then every gate of the part runs locally.
@@ -24,29 +27,29 @@ Modules
     :class:`IQSEngine` — the Intel-QS-style static-mapping baseline:
     per-gate exchanges, with control/diagonal communication fast paths.
 ``transport``
-    How exchanges move bytes: :class:`RecordingTransport` (all ranks
-    in-process, the historical behaviour) and :class:`SocketTransport`
-    (one OS process per rank over a TCP mesh, launched via
-    ``repro dist-worker``), verified byte-for-byte against the
-    closed-form model.
+    :class:`SocketTransport` — the ``SimComm`` subclass that runs one OS
+    process per rank over a TCP mesh (launched via ``repro
+    dist-worker``), verified byte-for-byte against the closed-form
+    model.  ``SimComm`` itself is the in-process implementation.
 """
 
 from .analytic import (
-    LayoutOnlyState,
     engine_exchange_layouts,
     exchange_rank_stats,
     exchange_step_stats,
     verify_exchange_records,
 )
-from .exchange import plan_layout_for_part, swap_qubit_positions
+from .exchange import (
+    plan_layout_for_part,
+    remap_schedule,
+    swap_qubit_positions,
+)
 from .hisvsim import HiSVSimEngine
 from .iqs import IQSEngine
-from .state import DistributedStateVector
+from .state import DistributedStateVector, LayoutOnlyState
 from .transport import (
     ExchangeRecord,
-    RecordingTransport,
     SocketTransport,
-    Transport,
     TransportError,
     run_spmd,
 )
@@ -59,12 +62,11 @@ __all__ = [
     "engine_exchange_layouts",
     "verify_exchange_records",
     "plan_layout_for_part",
+    "remap_schedule",
     "swap_qubit_positions",
     "HiSVSimEngine",
     "IQSEngine",
-    "Transport",
     "TransportError",
-    "RecordingTransport",
     "SocketTransport",
     "ExchangeRecord",
     "run_spmd",

@@ -1,12 +1,13 @@
-"""Closed-form exchange accounting and the amplitude-free state.
+"""Closed-form exchange accounting: the dry-run traffic model.
 
 Dry-run engines at paper widths (30+ qubits, up to 1024 ranks) cannot
 materialise amplitudes, but every reproduced figure needs the *exact*
 traffic a real run would generate.  :func:`exchange_step_stats` computes,
 in O(n) for a layout transition, the same four numbers
-:meth:`~repro.runtime.comm.SimComm.alltoall_permute` would record after
-actually scattering ``2^n`` amplitudes; :class:`LayoutOnlyState` is the
-drop-in state object that records those numbers on ``remap``.
+:meth:`~repro.runtime.comm.SimComm.exchange` would record after actually
+scattering ``2^n`` amplitudes (:class:`~repro.dist.state.LayoutOnlyState`
+records them on ``remap``); :func:`exchange_rank_stats` is one rank's
+share, the oracle :func:`verify_exchange_records` holds a socket run to.
 
 Derivation.  A layout change is a permutation ``sigma`` of storage-bit
 positions.  Write ``l = local_bits`` and ``p`` process bits (``R = 2^p``
@@ -25,19 +26,40 @@ of such ranks as ``2^c``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..runtime.comm import SimComm
 from ..sv.layout import QubitLayout
-from .state import AMP_BYTES, LayoutQueriesMixin, _split_bits
+from .exchange import remap_schedule
+from .transport import AMP_BYTES
 
 __all__ = [
     "exchange_step_stats",
     "exchange_rank_stats",
     "engine_exchange_layouts",
     "verify_exchange_records",
-    "LayoutOnlyState",
 ]
+
+
+def _rank_bit_sources(
+    old: QubitLayout, new: QubitLayout, local_bits: int
+) -> Tuple[int, List[Tuple[int, int]]]:
+    """Where the ``old -> new`` transition sources its destination-rank bits.
+
+    Returns ``(k, fixed)``: ``k`` bits come from old *local* positions
+    (free: they vary over the shard); ``fixed`` lists ``(j, i)`` for each
+    destination rank bit ``j`` copied from source rank bit ``i``.
+    """
+    if not 0 <= local_bits <= old.n:
+        raise ValueError("local_bits out of range")
+    # New position -> old position (raises on a layout size mismatch),
+    # cut down to the positions that address the destination rank.
+    rank_sources = new.transition_sigma(old)[local_bits:]
+    fixed = [
+        (j, src - local_bits)
+        for j, src in enumerate(rank_sources)
+        if src >= local_bits
+    ]
+    return len(rank_sources) - len(fixed), fixed
 
 
 def exchange_step_stats(
@@ -47,7 +69,7 @@ def exchange_step_stats(
 
     Returns ``(total_bytes, total_msgs, max_bytes_per_rank,
     max_msgs_per_rank)`` — exactly the step
-    :meth:`~repro.runtime.comm.SimComm.alltoall_permute` would add, with
+    :meth:`~repro.runtime.comm.SimComm.exchange` would add, with
     diagonal (rank-to-self) traffic excluded.
 
     >>> from repro.sv.layout import QubitLayout
@@ -57,26 +79,8 @@ def exchange_step_stats(
     >>> exchange_step_stats(old, new, local_bits=2)     # qubit 0 <-> 2
     (128, 4, 32, 1)
     """
-    n = old.n
-    if new.n != n:
-        raise ValueError("layout size mismatch")
-    if not 0 <= local_bits <= n:
-        raise ValueError("local_bits out of range")
-    process_bits = n - local_bits
-    if old == new or process_bits == 0:
-        return (0, 0, 0, 0)
-
-    sigma = old.transition_sigma(new)  # old position -> new position
-    source_of = [0] * n  # new position -> old position
-    for old_pos, new_pos in enumerate(sigma):
-        source_of[new_pos] = old_pos
-
-    # k: destination-rank bits sourced from old *local* positions.
-    k = sum(
-        1
-        for j in range(process_bits)
-        if source_of[local_bits + j] < local_bits
-    )
+    k, fixed = _rank_bit_sources(old, new, local_bits)
+    process_bits = old.n - local_bits
 
     # Self-message ranks: bits sourced from process positions pin
     # ``r[i] == r[j]``; count satisfying ranks via union-find components.
@@ -88,21 +92,18 @@ def exchange_step_stats(
             x = parent[x]
         return x
 
-    for j in range(process_bits):
-        src = source_of[local_bits + j]
-        if src >= local_bits:
-            ri, rj = find(src - local_bits), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    for j, i in fixed:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     components = len({find(i) for i in range(process_bits)})
     self_ranks = 1 << components  # ranks whose destination set includes self
 
     num_ranks = 1 << process_bits
     fanout = 1 << k  # destination ranks per source rank
-    if k == 0 and self_ranks == num_ranks:
-        # Process mapping is the identity: local-only shuffle, no traffic.
-        return (0, 0, 0, 0)
     msg_bytes = AMP_BYTES << (local_bits - k)
+    # An identity process mapping (same layout, one rank, a local-only
+    # shuffle) has k == 0 and every rank a self-rank: all zeros below.
     total_msgs = num_ranks * fanout - self_ranks
     total_bytes = total_msgs * msg_bytes
     # Per-rank, bytes/messages out equal bytes/messages in (the diagonal
@@ -135,35 +136,15 @@ def exchange_rank_stats(
     >>> exchange_rank_stats(old, old, 2, 0)
     (0, 0, 0, 0)
     """
-    n = old.n
-    if new.n != n:
-        raise ValueError("layout size mismatch")
-    if not 0 <= local_bits <= n:
-        raise ValueError("local_bits out of range")
-    process_bits = n - local_bits
-    if not 0 <= rank < (1 << process_bits):
+    k, fixed = _rank_bit_sources(old, new, local_bits)
+    if not 0 <= rank < (1 << (old.n - local_bits)):
         raise ValueError(f"rank {rank} out of range")
-    if old == new or process_bits == 0:
-        return (0, 0, 0, 0)
-
-    sigma = old.transition_sigma(new)  # old position -> new position
-    source_of = [0] * n  # new position -> old position
-    for old_pos, new_pos in enumerate(sigma):
-        source_of[new_pos] = old_pos
-
-    k = 0
-    self_message = True
-    for j in range(process_bits):
-        src = source_of[local_bits + j]
-        if src < local_bits:
-            k += 1
-        elif (rank >> (src - local_bits)) & 1 != (rank >> j) & 1:
-            # A fixed destination bit differs from this rank's own bit:
-            # the rank's destination set cannot contain itself.
-            self_message = False
+    # A fixed destination bit that differs from the rank's own bit keeps
+    # the rank out of its own destination set.
+    self_message = all(
+        (rank >> i) & 1 == (rank >> j) & 1 for j, i in fixed
+    )
     msgs = (1 << k) - (1 if self_message else 0)
-    if msgs == 0:
-        return (0, 0, 0, 0)
     msg_bytes = AMP_BYTES << (local_bits - k)
     return (msgs * msg_bytes, msgs, msgs * msg_bytes, msgs)
 
@@ -174,8 +155,8 @@ def engine_exchange_layouts(
     """The layout transitions :class:`~repro.dist.hisvsim.HiSVSimEngine`
     performs for ``partition`` — the dry-run oracle for real transports.
 
-    Mirrors the engine's remap loop (minimal-motion planning with
-    one-part lookahead, identical-layout remaps skipped), so entry ``i``
+    The changed layouts of :func:`~repro.dist.exchange.remap_schedule`
+    (the schedule the engine itself executes), so entry ``i``
     corresponds one-to-one with the ``i``-th executed exchange of a real
     run: a :class:`~repro.dist.transport.SocketTransport`'s ``records``
     must match ``exchange_rank_stats`` of these transitions exactly.
@@ -188,25 +169,12 @@ def engine_exchange_layouts(
     >>> len(seq) >= 1 and all(a != b for a, b in seq)
     True
     """
-    from .exchange import plan_layout_for_part
-
-    process_bits = num_ranks.bit_length() - 1
-    local_bits = num_qubits - process_bits
-    layout = QubitLayout.identity(num_qubits)
-    transitions: List[Tuple[QubitLayout, QubitLayout]] = []
-    for i, part in enumerate(partition.parts):
-        next_qubits = (
-            partition.parts[i + 1].qubits
-            if i + 1 < partition.num_parts
-            else None
-        )
-        new = plan_layout_for_part(
-            layout, part.qubits, local_bits, next_qubits
-        )
-        if new != layout:
-            transitions.append((layout, new))
-            layout = new
-    return transitions
+    local_bits = num_qubits - (num_ranks.bit_length() - 1)
+    layouts = [
+        QubitLayout.identity(num_qubits),
+        *remap_schedule(partition, num_qubits, local_bits),
+    ]
+    return [(old, new) for old, new in zip(layouts, layouts[1:]) if old != new]
 
 
 def verify_exchange_records(
@@ -244,54 +212,3 @@ def verify_exchange_records(
                 f"exchange {i}: observed {observed} != model {model}"
             )
     return problems
-
-
-class LayoutOnlyState(LayoutQueriesMixin):
-    """A distributed state with no amplitudes — layout and traffic only.
-
-    Interface-compatible with
-    :class:`~repro.dist.state.DistributedStateVector` for everything the
-    engines' planning and accounting paths touch (``layout``, ``remap``,
-    residency queries); ``shards`` is ``None``.
-
-    >>> from repro.runtime.comm import SimComm
-    >>> from repro.sv.layout import QubitLayout
-    >>> state = LayoutOnlyState(30, SimComm(8))    # paper width, no memory
-    >>> state.local_bits, state.shards is None
-    (27, True)
-    >>> state.remap(QubitLayout([29] + list(range(29))))
-    >>> state.comm.stats.total_msgs > 0            # traffic still recorded
-    True
-    """
-
-    shards = None
-
-    def __init__(
-        self,
-        num_qubits: int,
-        comm: SimComm,
-        layout: Optional[QubitLayout] = None,
-    ) -> None:
-        process_bits = _split_bits(num_qubits, comm)
-        self.num_qubits = num_qubits
-        self.comm = comm
-        self.layout = layout or QubitLayout.identity(num_qubits)
-        if self.layout.n != num_qubits:
-            raise ValueError("layout width does not match num_qubits")
-        self.local_bits = num_qubits - process_bits
-        self.process_bits = process_bits
-
-    def remap(self, new_layout: QubitLayout) -> None:
-        """Record the exchange a real remap would perform.
-
-        Zero-traffic transitions (identical layouts, or local-only
-        shuffles whose process mapping is the identity) record no step,
-        agreeing with what the recording transport now does: a remap
-        that moves no bytes across ranks costs nothing.
-        """
-        if new_layout == self.layout:
-            return
-        step = exchange_step_stats(self.layout, new_layout, self.local_bits)
-        if any(step):
-            self.comm.stats.add_step(*step)
-        self.layout = new_layout

@@ -11,11 +11,11 @@ is what keeps consecutive parts from thrashing the same qubits.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..sv.layout import QubitLayout
 
-__all__ = ["plan_layout_for_part", "swap_qubit_positions"]
+__all__ = ["plan_layout_for_part", "remap_schedule", "swap_qubit_positions"]
 
 
 def swap_qubit_positions(
@@ -90,3 +90,33 @@ def plan_layout_for_part(
             positions[qubit],
         )
     return QubitLayout(positions)
+
+
+def remap_schedule(
+    partition, num_qubits: int, local_bits: int
+) -> Iterator[QubitLayout]:
+    """Yield, part by part, the layout each part of ``partition`` runs under.
+
+    Starts from the identity layout; part ``i`` is planned with part
+    ``i + 1``'s working set as lookahead.  Consecutive equal layouts mean
+    that part needs no exchange.  The engine executes this schedule and
+    its dry-run oracle (:func:`repro.dist.analytic.engine_exchange_layouts`)
+    reads the same one, so the two cannot drift apart.
+
+    >>> from repro.circuits.generators import qft
+    >>> from repro.partition import get_partitioner
+    >>> partition = get_partitioner("dagP").partition(qft(6), 4)
+    >>> layouts = list(remap_schedule(partition, 6, local_bits=4))
+    >>> all(layout.position(q) < 4
+    ...     for part, layout in zip(partition.parts, layouts)
+    ...     for q in part.qubits)
+    True
+    """
+    layout = QubitLayout.identity(num_qubits)
+    parts = partition.parts
+    for i, part in enumerate(parts):
+        following = parts[i + 1].qubits if i + 1 < len(parts) else None
+        layout = plan_layout_for_part(
+            layout, part.qubits, local_bits, following
+        )
+        yield layout

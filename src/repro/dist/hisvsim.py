@@ -1,8 +1,9 @@
 """HiSVSIM distributed engine: partition-driven remapping (Sec. III-D).
 
 One remap per part instead of one exchange per gate: before a part runs,
-:func:`~repro.dist.exchange.plan_layout_for_part` swaps exactly the
-missing working-set qubits into local positions (evicting residents the
+the state moves to that part's layout in
+:func:`~repro.dist.exchange.remap_schedule` (exactly the missing
+working-set qubits swapped into local positions, evicting residents the
 next part does not need), then every gate of the part executes locally on
 the shards.  Communication is therefore proportional to the number of
 parts — the quantity the dagP partitioner minimises — rather than to the
@@ -30,9 +31,8 @@ from ..runtime.metrics import ComputeStats, RunReport
 from ..sv.backend import ExecutionBackend, resolve_backend
 from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, PlanCache
 from ._cost import charge_gate
-from .analytic import LayoutOnlyState
-from .exchange import plan_layout_for_part
-from .state import AMP_BYTES, DistributedStateVector
+from .exchange import remap_schedule
+from .state import AMP_BYTES, open_run
 
 __all__ = ["HiSVSimEngine"]
 
@@ -64,7 +64,7 @@ class HiSVSimEngine:
     machine:
         Performance model converting counted work to simulated seconds.
     dry_run:
-        Use :class:`~repro.dist.analytic.LayoutOnlyState`: no amplitudes,
+        Use :class:`~repro.dist.state.LayoutOnlyState`: no amplitudes,
         closed-form traffic — identical accounting to a real run.
     overlap:
         Additionally estimate a compute/communication-overlapped total
@@ -129,72 +129,45 @@ class HiSVSimEngine:
     ):
         """Execute ``circuit`` as partitioned; returns ``(state, report)``.
 
-        ``state`` is a :class:`DistributedStateVector` (or a
-        :class:`LayoutOnlyState` under ``dry_run``); ``report`` is a
+        ``state`` is a :class:`~repro.dist.state.DistributedStateVector`
+        (or a :class:`~repro.dist.state.LayoutOnlyState` under
+        ``dry_run``); ``report`` is a
         :class:`~repro.runtime.metrics.RunReport` with model timings.
 
-        ``comm`` injects the communicator; ``None`` builds a fresh
-        recording :class:`~repro.runtime.comm.SimComm`.  Passing one
-        whose transport is a
+        ``comm`` injects the communicator (checked and reset by
+        :func:`~repro.dist.state.open_run`).  Passing a
         :class:`~repro.dist.transport.SocketTransport` turns this call
         into one rank of an SPMD run: every worker process executes the
         same deterministic loop and ``remap`` moves amplitude blocks
-        over TCP.  An injected comm's stats are reset at the start so
-        the report covers exactly this run.
+        over TCP.
         """
         n = circuit.num_qubits
         if partition.num_qubits != n or partition.num_gates != len(circuit):
             raise ValueError("partition does not describe this circuit")
-        process_bits = self.num_ranks.bit_length() - 1
-        local_bits = n - process_bits
+        if multilevel is not None and multilevel.outer != partition:
+            # Inner partitions index gates relative to *their* outer part, so
+            # a foreign outer would silently regroup gates across dependencies.
+            raise ValueError(
+                "multilevel partition does not describe this partition"
+            )
+        wall0 = time.perf_counter()
+        state = open_run(n, self.num_ranks, comm, self.dry_run, initial_full)
+        comm, local_bits = state.comm, state.local_bits
         working_set = partition.max_working_set()
-        if working_set > max(local_bits, 0):
+        if working_set > local_bits:
             raise ValueError(
                 f"part working set {working_set} exceeds local capacity "
                 f"{local_bits}"
             )
-        if multilevel is not None:
-            self._check_multilevel(partition, multilevel)
-        if self.dry_run and initial_full is not None:
-            raise ValueError("dry_run cannot execute an initial state")
-        if comm is None:
-            comm = SimComm(self.num_ranks)
-        else:
-            if comm.num_ranks != self.num_ranks:
-                raise ValueError(
-                    f"comm spans {comm.num_ranks} ranks, engine wants "
-                    f"{self.num_ranks}"
-                )
-            if self.dry_run and comm.rank is not None:
-                raise ValueError(
-                    "dry_run needs a recording comm (no SPMD transport)"
-                )
-            comm.reset_stats()
-
-        wall0 = time.perf_counter()
-        if self.dry_run:
-            state = LayoutOnlyState(n, comm)
-        elif initial_full is not None:
-            state = DistributedStateVector.from_full(initial_full, comm)
-        else:
-            state = DistributedStateVector.zero(n, comm)
 
         compute = ComputeStats()
         part_comp: List[float] = []
         part_comm: List[float] = []
-        for i, part in enumerate(partition.parts):
-            next_qubits = (
-                partition.parts[i + 1].qubits
-                if i + 1 < partition.num_parts
-                else None
-            )
+        schedule = remap_schedule(partition, n, local_bits)
+        for i, (part, layout) in enumerate(zip(partition.parts, schedule)):
             bytes_before = comm.stats.max_bytes_per_rank
             msgs_before = comm.stats.max_msgs_per_rank
-            state.remap(
-                plan_layout_for_part(
-                    state.layout, part.qubits, local_bits, next_qubits
-                )
-            )
+            state.remap(layout)
             part_comm.append(
                 self.machine.exchange_time(
                     comm.stats.max_bytes_per_rank - bytes_before,
@@ -232,17 +205,6 @@ class HiSVSimEngine:
         return state, report
 
     # -- internals ----------------------------------------------------------
-
-    @staticmethod
-    def _check_multilevel(
-        partition: Partition, multilevel: MultilevelPartition
-    ) -> None:
-        # Inner partitions index gates relative to *their* outer part, so a
-        # foreign outer would silently regroup gates across dependencies.
-        if multilevel.outer != partition:
-            raise ValueError(
-                "multilevel partition does not describe this partition"
-            )
 
     def _execute_part(
         self,

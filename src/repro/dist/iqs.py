@@ -19,7 +19,7 @@ Two published Intel-QS optimisations are modelled as toggles:
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,9 +31,8 @@ from ..runtime.metrics import ComputeStats, RunReport
 from ..sv.kernels import apply_matrix_batched
 from ..sv.layout import QubitLayout
 from ._cost import charge_gate
-from .analytic import LayoutOnlyState
 from .exchange import swap_qubit_positions
-from .state import AMP_BYTES, DistributedStateVector
+from .state import AMP_BYTES, DistributedStateVector, open_run
 
 __all__ = ["IQSEngine"]
 
@@ -82,37 +81,21 @@ class IQSEngine:
         """Execute ``circuit`` gate by gate; returns ``(state, report)``.
 
         ``comm`` injects the communicator (stats reset at the start);
-        it must be a *recording* comm — the baseline's per-gate
+        it must be an *in-process* comm — the baseline's per-gate
         swap-in/swap-out bookkeeping models a static mapping and is not
         wired for SPMD socket transports (use
         :class:`~repro.dist.hisvsim.HiSVSimEngine` for real multi-
         process runs).
         """
         n = circuit.num_qubits
-        if self.dry_run and initial_full is not None:
-            raise ValueError("dry_run cannot execute an initial state")
-        if comm is None:
-            comm = SimComm(self.num_ranks)
-        else:
-            if comm.num_ranks != self.num_ranks:
-                raise ValueError(
-                    f"comm spans {comm.num_ranks} ranks, engine wants "
-                    f"{self.num_ranks}"
-                )
-            if comm.rank is not None:
-                raise ValueError(
-                    "IQSEngine supports recording comms only; SPMD "
-                    "transports go through HiSVSimEngine"
-                )
-            comm.reset_stats()
+        if comm is not None and comm.rank is not None:
+            raise ValueError(
+                "IQSEngine supports in-process comms only; SPMD "
+                "transports go through HiSVSimEngine"
+            )
         wall0 = time.perf_counter()
-        if self.dry_run:
-            state = LayoutOnlyState(n, comm)
-        elif initial_full is not None:
-            state = DistributedStateVector.from_full(initial_full, comm)
-        else:
-            state = DistributedStateVector.zero(n, comm)
-        local_bits = state.local_bits
+        state = open_run(n, self.num_ranks, comm, self.dry_run, initial_full)
+        comm, local_bits = state.comm, state.local_bits
         identity = QubitLayout.identity(n)
         shard_bytes = AMP_BYTES << local_bits
 

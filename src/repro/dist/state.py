@@ -5,10 +5,11 @@ permutation of its logical basis index, described by a
 :class:`~repro.sv.layout.QubitLayout`.  Bits ``0..local_bits-1`` of the
 packed index select the offset inside a rank's shard; bits
 ``local_bits..n-1`` select the rank.  Changing the layout therefore
-requires moving amplitudes between ranks — :meth:`DistributedStateVector.remap`
-builds the destination plan from the bit permutation and executes it as a
-single :meth:`~repro.runtime.comm.SimComm.alltoall_permute`, which records
-the traffic the engines account for.
+requires moving amplitudes between ranks.  :class:`LayoutOnlyState`
+charges a ``remap`` its closed-form traffic (dry runs, no amplitudes);
+:class:`DistributedStateVector` adds the shards and executes it as a
+single :meth:`~repro.runtime.comm.SimComm.exchange`, which records the
+traffic the engines account for.
 """
 
 from __future__ import annotations
@@ -20,18 +21,44 @@ import numpy as np
 from ..runtime.comm import SimComm
 from ..sv.kernels import apply_matrix_batched
 from ..sv.layout import QubitLayout, extract_bits, permute_bits
+from .analytic import exchange_step_stats
 from .transport import AMP_BYTES
 
-__all__ = ["DistributedStateVector", "AMP_BYTES"]
+__all__ = ["LayoutOnlyState", "DistributedStateVector", "open_run", "AMP_BYTES"]
 
 
-class LayoutQueriesMixin:
-    """Layout/topology queries shared by real and layout-only states."""
+class LayoutOnlyState:
+    """A distributed state with no amplitudes — layout and traffic only.
 
-    num_qubits: int
-    local_bits: int
-    process_bits: int
-    layout: QubitLayout
+    The base of :class:`DistributedStateVector`: everything the engines'
+    planning and accounting paths touch (``layout``, ``remap``,
+    residency queries) with ``shards`` left ``None``.
+
+    >>> from repro.runtime.comm import SimComm
+    >>> from repro.sv.layout import QubitLayout
+    >>> state = LayoutOnlyState(30, SimComm(8))    # paper width, no memory
+    >>> state.local_bits, state.shards is None
+    (27, True)
+    >>> state.remap(QubitLayout([29] + list(range(29))))
+    >>> state.comm.stats.total_msgs > 0            # traffic still recorded
+    True
+    """
+
+    shards = None
+
+    def __init__(
+        self,
+        num_qubits: int,
+        comm: SimComm,
+        layout: Optional[QubitLayout] = None,
+    ) -> None:
+        self.local_bits = comm.local_bits(num_qubits)
+        self.process_bits = num_qubits - self.local_bits
+        self.num_qubits = num_qubits
+        self.comm = comm
+        self.layout = layout or QubitLayout.identity(num_qubits)
+        if self.layout.n != num_qubits:
+            raise ValueError("layout width does not match num_qubits")
 
     def local_qubits(self) -> List[int]:
         """Qubits currently stored in shard-offset positions (ascending)."""
@@ -46,32 +73,32 @@ class LayoutQueriesMixin:
     def is_local(self, qubit: int) -> bool:
         return self.layout.position(qubit) < self.local_bits
 
+    def remap(self, new_layout: QubitLayout) -> None:
+        """Move to ``new_layout``, exchanging amplitudes between ranks.
 
-def _split_bits(num_qubits: int, comm: SimComm) -> int:
-    """Process-bit count for ``comm``, validated against the register width."""
-    process_bits = comm.num_ranks.bit_length() - 1
-    if process_bits > num_qubits:
-        raise ValueError(
-            f"{comm.num_ranks} ranks need {process_bits} process qubits but "
-            f"the register only has {num_qubits}"
-        )
-    return process_bits
+        Identical layouts are a true no-op, and a transition that only
+        shuffles local positions records no exchange step either: no
+        bytes cross a rank boundary, so it costs nothing — in the
+        closed-form model and in an executed exchange alike.
+        """
+        if new_layout == self.layout:
+            return
+        if new_layout.n != self.num_qubits:
+            raise ValueError("layout width does not match num_qubits")
+        self._exchange(new_layout)
+        self.layout = new_layout
+
+    def _exchange(self, new_layout: QubitLayout) -> None:
+        """Record the exchange a real remap would perform."""
+        step = exchange_step_stats(self.layout, new_layout, self.local_bits)
+        if any(step):
+            self.comm.stats.add_step(*step)
 
 
-def _shard_rows(comm: SimComm) -> int:
-    """Rows of the local shard matrix: all ranks, or just this one.
-
-    Recording comms (``comm.rank is None``) host every rank in-process,
-    so the shard matrix has ``R`` rows; an SPMD comm holds exactly its
-    own rank's row.
-    """
-    return 1 if comm.rank is not None else comm.num_ranks
-
-
-class DistributedStateVector(LayoutQueriesMixin):
+class DistributedStateVector(LayoutOnlyState):
     """A ``2^n`` state vector sharded over ``comm.num_ranks`` virtual ranks.
 
-    Under a recording comm, ``shards`` is the ``(R, 2^local_bits)``
+    Under an in-process comm, ``shards`` is the ``(R, 2^local_bits)``
     complex matrix whose row ``r`` is rank ``r``'s data, and
     ``shards.flat[p]`` holds the amplitude of logical basis state
     ``layout.logical_index(p)``.  Under an SPMD comm (``comm.rank`` set,
@@ -102,31 +129,24 @@ class DistributedStateVector(LayoutQueriesMixin):
         shards: np.ndarray,
         layout: QubitLayout,
     ) -> None:
-        process_bits = _split_bits(num_qubits, comm)
-        local_bits = num_qubits - process_bits
-        if layout.n != num_qubits:
-            raise ValueError("layout width does not match num_qubits")
-        if shards.shape != (_shard_rows(comm), 1 << local_bits):
+        super().__init__(num_qubits, comm, layout)
+        # An in-process comm hosts every rank's row; an SPMD one its own.
+        rows = comm.num_ranks if comm.rank is None else 1
+        if shards.shape != (rows, 1 << self.local_bits):
             raise ValueError(
-                f"shards must be {(_shard_rows(comm), 1 << local_bits)}, "
+                f"shards must be {(rows, 1 << self.local_bits)}, "
                 f"got {shards.shape}"
             )
-        self.num_qubits = num_qubits
-        self.comm = comm
         self.shards = shards
-        self.layout = layout
-        self.local_bits = local_bits
-        self.process_bits = process_bits
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, num_qubits: int, comm: SimComm) -> "DistributedStateVector":
         """``|0...0>`` sharded under the identity layout."""
-        process_bits = _split_bits(num_qubits, comm)
+        rows = comm.num_ranks if comm.rank is None else 1
         shards = np.zeros(
-            (_shard_rows(comm), 1 << (num_qubits - process_bits)),
-            dtype=np.complex128,
+            (rows, 1 << comm.local_bits(num_qubits)), dtype=np.complex128
         )
         if comm.rank in (None, 0):  # packed index 0 lives on rank 0
             shards[0, 0] = 1.0
@@ -144,12 +164,12 @@ class DistributedStateVector(LayoutQueriesMixin):
         num_qubits = state.size.bit_length() - 1
         if state.size != 1 << num_qubits:
             raise ValueError("state length must be a power of two")
-        process_bits = _split_bits(num_qubits, comm)
+        local_bits = comm.local_bits(num_qubits)
         if layout is None:
             layout = QubitLayout.identity(num_qubits)
         packed = np.arange(state.size, dtype=np.int64)
         shards = state[layout.logical_index(packed)].reshape(
-            comm.num_ranks, 1 << (num_qubits - process_bits)
+            comm.num_ranks, 1 << local_bits
         )
         if comm.rank is not None:
             shards = shards[comm.rank : comm.rank + 1].copy()
@@ -163,7 +183,7 @@ class DistributedStateVector(LayoutQueriesMixin):
         returns the same full vector.  Gather traffic is diagnostic and
         is not recorded in the exchange accounting.
         """
-        shards = self.comm.transport.allgather_rows(self.shards)
+        shards = self.comm.allgather_rows(self.shards)
         packed = np.arange(1 << self.num_qubits, dtype=np.int64)
         full = np.empty(packed.size, dtype=np.complex128)
         full[self.layout.logical_index(packed)] = shards.reshape(-1)
@@ -185,28 +205,15 @@ class DistributedStateVector(LayoutQueriesMixin):
 
     # -- communication --------------------------------------------------------
 
-    def remap(self, new_layout: QubitLayout) -> None:
-        """Move to ``new_layout``, exchanging amplitudes between ranks.
-
-        The destination of every element follows from the position-to-
-        position permutation between the two layouts; identical layouts
-        are a true no-op, and a transition that only shuffles local
-        positions records no exchange step either (no bytes cross a
-        rank boundary, matching the closed-form model).
-        """
-        if new_layout == self.layout:
-            return
-        if new_layout.n != self.num_qubits:
-            raise ValueError("layout width does not match num_qubits")
+    def _exchange(self, new_layout: QubitLayout) -> None:
+        """Scatter the shards: every element's destination follows from
+        the position-to-position permutation between the two layouts."""
         sigma = self.layout.transition_sigma(new_layout)
         new_packed = permute_bits(self._packed_indices(), sigma)
         shape = self.shards.shape
         dest_rank = (new_packed >> self.local_bits).reshape(shape)
         dest_offset = (new_packed & ((1 << self.local_bits) - 1)).reshape(shape)
-        self.shards = self.comm.alltoall_permute(
-            self.shards, dest_rank, dest_offset
-        )
-        self.layout = new_layout
+        self.shards = self.comm.exchange(self.shards, dest_rank, dest_offset)
 
     # -- local computation ----------------------------------------------------
 
@@ -257,3 +264,37 @@ class DistributedStateVector(LayoutQueriesMixin):
         )
         flat = self.shards.reshape(-1)
         flat *= diag[operand_bits]
+
+
+def open_run(
+    num_qubits: int,
+    num_ranks: int,
+    comm: Optional[SimComm],
+    dry_run: bool,
+    initial_full: Optional[np.ndarray] = None,
+) -> LayoutOnlyState:
+    """Open an engine run: check (or build) the comm, return the state.
+
+    An injected ``comm`` must span ``num_ranks`` ranks and has its stats
+    reset so the report covers exactly this run; ``None`` builds a fresh
+    in-process one.  State construction checks the rank count against
+    the register width.  ``dry_run`` returns a :class:`LayoutOnlyState`
+    and accepts neither an initial state nor an SPMD comm (closed-form
+    steps are cluster totals).
+    """
+    if dry_run and initial_full is not None:
+        raise ValueError("dry_run cannot execute an initial state")
+    if comm is None:
+        comm = SimComm(num_ranks)
+    if comm.num_ranks != num_ranks:
+        raise ValueError(
+            f"comm spans {comm.num_ranks} ranks, engine wants {num_ranks}"
+        )
+    if dry_run and comm.rank is not None:
+        raise ValueError("dry_run needs an in-process comm (no SPMD)")
+    comm.reset_stats()
+    if dry_run:
+        return LayoutOnlyState(num_qubits, comm)
+    if initial_full is not None:
+        return DistributedStateVector.from_full(initial_full, comm)
+    return DistributedStateVector.zero(num_qubits, comm)

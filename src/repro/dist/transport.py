@@ -1,18 +1,12 @@
-"""Amplitude transports: how an exchange plan actually moves bytes.
+"""The socket communicator: one OS process per rank over a TCP mesh.
 
-:class:`~repro.runtime.comm.SimComm` describes an exchange as per-element
-destination ``(rank, offset)`` arrays; a *transport* executes that plan.
-Two implementations share the seam:
-
-* :class:`RecordingTransport` — every rank lives in one process as a row
-  of the ``(R, 2^l)`` shard matrix and the exchange is one vectorised
-  scatter.  This is the historical ``SimComm`` behaviour, extracted; no
-  bytes cross a process boundary, only the accounting is real.
-* :class:`SocketTransport` — one OS process per rank (SPMD: every worker
-  runs the same deterministic engine loop), holding a ``(1, 2^l)`` shard.
-  Cross-rank elements travel over TCP in length-prefixed frames; the
-  per-exchange payload is checked against the closed-form dry-run model
-  (:func:`repro.dist.analytic.exchange_rank_stats`) byte for byte.
+:class:`~repro.runtime.comm.SimComm` is the distributed layer's
+communicator and its in-process implementation.  :class:`SocketTransport`
+subclasses it for SPMD runs: every worker runs the same deterministic
+engine loop holding a ``(1, 2^l)`` shard, and cross-rank elements travel
+over TCP in length-prefixed frames; the per-exchange payload is checked
+byte for byte against the closed-form dry-run model
+(:func:`repro.dist.analytic.exchange_rank_stats`).
 
 Wire protocol (``SocketTransport``)
 -----------------------------------
@@ -42,21 +36,18 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import env
-from ..runtime.metrics import CommStats
+from ..runtime.comm import SimComm
 
 __all__ = [
     "AMP_BYTES",
     "ExchangeRecord",
-    "Transport",
     "TransportError",
-    "RecordingTransport",
     "SocketTransport",
-    "dist_env_defaults",
     "run_spmd",
 ]
 
@@ -79,19 +70,6 @@ class TransportError(RuntimeError):
     """
 
 
-def dist_env_defaults() -> Dict[str, object]:
-    """The ``REPRO_DIST_*`` environment defaults as a dict (semantics in
-    ``docs/configuration.md``).
-
-    >>> sorted(dist_env_defaults())
-    ['backoff', 'host', 'port', 'retries', 'timeout']
-    """
-    return {
-        key: env(f"REPRO_DIST_{key.upper()}")
-        for key in ("host", "port", "timeout", "retries", "backoff")
-    }
-
-
 @dataclass(frozen=True)
 class ExchangeRecord:
     """Per-rank traffic of one executed exchange (one ``remap``).
@@ -112,123 +90,6 @@ class ExchangeRecord:
     recv_bytes: int
     recv_msgs: int
     wire_bytes: int
-
-
-class Transport:
-    """The exchange seam between :class:`~repro.runtime.comm.SimComm`
-    and the bytes.
-
-    ``rank`` is ``None`` when one process hosts every rank (recording)
-    and the local rank number in SPMD mode — shard constructors use it
-    to size the shard matrix (``R`` rows vs one row).
-
-    >>> issubclass(RecordingTransport, Transport)
-    True
-    >>> Transport().rank is None
-    True
-    """
-
-    rank: Optional[int] = None
-    num_ranks: int = 1
-
-    def exchange(
-        self,
-        shards: np.ndarray,
-        dest_rank: np.ndarray,
-        dest_offset: np.ndarray,
-        stats: CommStats,
-    ) -> np.ndarray:
-        """Execute one permutation exchange; returns the new shards."""
-        raise NotImplementedError
-
-    def allgather_rows(self, shards: np.ndarray) -> np.ndarray:
-        """The full ``(R, 2^l)`` shard matrix, gathered if necessary.
-
-        Diagnostic collective (``to_full`` / verification); its traffic
-        is *not* part of the engine's exchange accounting.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any connections (idempotent)."""
-
-
-class RecordingTransport(Transport):
-    """All ranks in-process: vectorised scatter plus exact accounting.
-
-    Today's ``SimComm`` semantics, extracted.  ``validate_plans=True``
-    checks the plan for bijectivity before executing it (a corrupted
-    plan would silently drop amplitudes, exactly like overlapping MPI
-    receive buffers).  Exchanges with no cross-rank traffic record no
-    step: a no-op remap costs nothing, in both the recording and the
-    analytic model.
-
-    >>> import numpy as np
-    >>> t = RecordingTransport(2)
-    >>> shards = np.arange(4, dtype=np.complex128).reshape(2, 2)
-    >>> dest_rank = np.array([[0, 1], [0, 1]])
-    >>> dest_offset = np.array([[0, 0], [1, 1]])
-    >>> stats = CommStats()
-    >>> t.exchange(shards, dest_rank, dest_offset, stats).real
-    array([[0., 2.],
-           [1., 3.]])
-    >>> stats.total_bytes, stats.steps
-    (32, 1)
-    """
-
-    def __init__(self, num_ranks: int, validate_plans: bool = False) -> None:
-        self.num_ranks = int(num_ranks)
-        self.validate_plans = bool(validate_plans)
-
-    def exchange(
-        self,
-        shards: np.ndarray,
-        dest_rank: np.ndarray,
-        dest_offset: np.ndarray,
-        stats: CommStats,
-    ) -> np.ndarray:
-        R, local = shards.shape
-        if R != self.num_ranks:
-            raise ValueError(
-                f"shards have {R} rows for a {self.num_ranks}-rank transport"
-            )
-        flat_dest = (
-            dest_rank.astype(np.int64) * local + dest_offset.astype(np.int64)
-        )
-        if self.validate_plans:
-            flat = flat_dest.reshape(-1)
-            if flat.min() < 0 or flat.max() >= R * local:
-                raise ValueError("exchange plan addresses out of range")
-            if np.unique(flat).size != flat.size:
-                raise ValueError("exchange plan is not a bijection")
-        new_flat = np.empty(R * local, dtype=shards.dtype)
-        new_flat[flat_dest.reshape(-1)] = shards.reshape(-1)
-
-        # Accounting: off-diagonal traffic only.  A plan that moves no
-        # element across ranks is free — no step is recorded, matching
-        # exchange_step_stats' closed form for local-only shuffles.
-        src = np.repeat(np.arange(R, dtype=np.int64), local)
-        dst = dest_rank.reshape(-1).astype(np.int64)
-        off_diag = src != dst
-        itemsize = shards.dtype.itemsize
-        if np.any(off_diag):
-            pair_ids = src[off_diag] * R + dst[off_diag]
-            counts = np.bincount(pair_ids, minlength=R * R)
-            counts = counts.reshape(R, R)
-            bytes_out = counts.sum(axis=1) * itemsize
-            bytes_in = counts.sum(axis=0) * itemsize
-            msgs_out = (counts > 0).sum(axis=1)
-            msgs_in = (counts > 0).sum(axis=0)
-            stats.add_step(
-                total_bytes=int(counts.sum()) * itemsize,
-                total_msgs=int((counts > 0).sum()),
-                max_bytes=int(np.maximum(bytes_out, bytes_in).max()),
-                max_msgs=int(np.maximum(msgs_out, msgs_in).max()),
-            )
-        return new_flat.reshape(R, local)
-
-    def allgather_rows(self, shards: np.ndarray) -> np.ndarray:
-        return shards
 
 
 # -- socket plumbing ---------------------------------------------------------
@@ -311,7 +172,7 @@ def _connect_with_retry(
     )
 
 
-class SocketTransport(Transport):
+class SocketTransport(SimComm):
     """One process per rank, exchanging amplitudes over a TCP mesh.
 
     Build one with :meth:`connect` (rendezvous + mesh); the constructor
@@ -319,7 +180,7 @@ class SocketTransport(Transport):
     ``records`` accumulates one :class:`ExchangeRecord` per executed
     exchange — the artifact the dry-run model is checked against.
 
-    The ``CommStats`` this transport feeds are the **rank-local** view:
+    Its ``stats`` are the **rank-local** view:
     ``total_bytes``/``total_msgs`` are this rank's sends and
     ``max_bytes_per_rank``/``max_msgs_per_rank`` the max of its send and
     receive sides — the real cost at this rank, not cluster totals.
@@ -331,9 +192,9 @@ class SocketTransport(Transport):
     >>> def swap(rank, transport):
     ...     row = np.array([[complex(rank)]])
     ...     out = transport.exchange(
-    ...         row, np.array([[1 - rank]]), np.array([[0]]), CommStats()
+    ...         row, np.array([[1 - rank]]), np.array([[0]])
     ...     )
-    ...     return out[0, 0].real
+    ...     return float(out[0, 0].real)
     >>> run_spmd(2, swap)
     [1.0, 0.0]
     """
@@ -345,12 +206,12 @@ class SocketTransport(Transport):
         peers: Dict[int, socket.socket],
         timeout: float = 30.0,
     ) -> None:
+        super().__init__(int(num_ranks))
         if not 0 <= rank < num_ranks:
             raise ValueError(f"rank {rank} out of range for {num_ranks}")
         if sorted(peers) != [r for r in range(num_ranks) if r != rank]:
             raise ValueError("peer map must cover every other rank")
         self.rank = rank
-        self.num_ranks = int(num_ranks)
         self.timeout = float(timeout)
         self._peers = dict(peers)
         self._closed = False
@@ -381,10 +242,12 @@ class SocketTransport(Transport):
         convention: the higher rank connects to the lower rank's data
         listener and introduces itself with a rank frame.
         """
-        defaults = dist_env_defaults()
-        timeout = float(defaults["timeout"] if timeout is None else timeout)
-        retries = int(defaults["retries"] if retries is None else retries)
-        backoff = float(defaults["backoff"] if backoff is None else backoff)
+        if timeout is None:
+            timeout = env("REPRO_DIST_TIMEOUT")
+        if retries is None:
+            retries = env("REPRO_DIST_RETRIES")
+        if backoff is None:
+            backoff = env("REPRO_DIST_BACKOFF")
         if not 0 <= rank < num_ranks:
             raise ValueError(f"rank {rank} out of range for {num_ranks}")
 
@@ -545,10 +408,11 @@ class SocketTransport(Transport):
         shards: np.ndarray,
         dest_rank: np.ndarray,
         dest_offset: np.ndarray,
-        stats: CommStats,
     ) -> np.ndarray:
         if self._closed:
             raise TransportError(f"rank {self.rank}: transport is closed")
+        if dest_rank.shape != shards.shape or dest_offset.shape != shards.shape:
+            raise ValueError("plan shape mismatch")
         if shards.shape[0] != 1:
             raise ValueError(
                 "SPMD shards carry exactly this rank's row; got shape "
@@ -623,7 +487,7 @@ class SocketTransport(Transport):
                            wire_bytes)
         )
         if sent_bytes or recv_bytes:
-            stats.add_step(
+            self.stats.add_step(
                 total_bytes=sent_bytes,
                 total_msgs=sent_msgs,
                 max_bytes=max(sent_bytes, recv_bytes),

@@ -181,6 +181,42 @@ class TestLimitAndRendezvousFlags:
         assert "expected HOST:PORT" in capsys.readouterr().err
 
 
+class TestDistWorkerRankCount:
+    """`dist-worker` sizes its default limit to the shard and rejects
+    rank counts the register cannot host before contacting any peer."""
+
+    def test_default_limit_fits_the_shard(self, tmp_path, capsys):
+        # default_limit(10) = 7, but 16 ranks leave 6 local qubits.
+        import numpy as np
+
+        from repro.circuits import generators
+        from repro.sv.simulator import StateVectorSimulator
+
+        out = tmp_path / "state.npy"
+        assert main(["dist-worker", "--rank", "0", "--ranks", "16",
+                     "--circuit", "qft", "--qubits", "10",
+                     "--transport", "recording", "--out", str(out)]) == 0
+        assert '"verified": true' in capsys.readouterr().out
+        sim = StateVectorSimulator(10)
+        sim.run(generators.build("qft", 10))
+        assert np.allclose(np.load(out), sim.state, atol=1e-10)
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--ranks", "3"], "power of two"),
+        (["--ranks", "2048", "--qubits", "10"],
+         "2048 ranks need 11 process qubits but the register only has 10"),
+    ])
+    def test_bad_rank_count_exits_2_with_one_line(self, extra, message,
+                                                  capsys):
+        # Socket transport (the default): must fail before the rendezvous.
+        argv = ["dist-worker", "--rank", "0", "--circuit", "qft"] + extra
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out
+        assert len(captured.out.strip().splitlines()) == 1
+        assert captured.err == ""
+
+
 def test_empty_scale_env_means_default(monkeypatch):
     """``REPRO_SCALE="" repro table1`` used to die with ``KeyError: ''``."""
     from repro.cli import build_parser

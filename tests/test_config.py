@@ -66,7 +66,6 @@ class TestConsumersUseTheOneReader:
         assert current_scale().name == "small"
 
     def test_malformed_values_name_the_variable(self, monkeypatch):
-        from repro.dist.transport import dist_env_defaults
         from repro.sv.backend import resolve_backend
 
         monkeypatch.setenv("REPRO_THREADS", "abc")
@@ -74,7 +73,7 @@ class TestConsumersUseTheOneReader:
             resolve_backend("threaded")
         monkeypatch.setenv("REPRO_DIST_PORT", "abc")
         with pytest.raises(ValueError, match="REPRO_DIST_PORT"):
-            dist_env_defaults()
+            env("REPRO_DIST_PORT")
 
 
 def test_only_config_reads_the_environment():

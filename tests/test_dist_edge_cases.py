@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist import HiSVSimEngine, IQSEngine
-from repro.dist.analytic import LayoutOnlyState, exchange_step_stats
+from repro.dist.analytic import exchange_step_stats
 from repro.dist.exchange import swap_qubit_positions
-from repro.dist.state import DistributedStateVector
+from repro.dist.state import DistributedStateVector, LayoutOnlyState
 from repro.runtime.comm import SimComm
 from repro.sv.layout import QubitLayout
 from repro.sv.simulator import random_state

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.analytic import LayoutOnlyState, exchange_step_stats
-from repro.dist.exchange import plan_layout_for_part, swap_qubit_positions
-from repro.dist.state import DistributedStateVector
+from repro.circuits import generators
+from repro.dist import HiSVSimEngine
+from repro.dist.analytic import engine_exchange_layouts, exchange_step_stats
+from repro.dist.exchange import (
+    plan_layout_for_part,
+    remap_schedule,
+    swap_qubit_positions,
+)
+from repro.partition import get_partitioner
+from repro.dist.state import DistributedStateVector, LayoutOnlyState
 from repro.runtime.comm import SimComm
 from repro.sv.layout import QubitLayout
 from repro.sv.simulator import random_state
@@ -186,3 +193,47 @@ class TestLayoutOnlyState:
     def test_too_many_ranks(self):
         with pytest.raises(ValueError):
             LayoutOnlyState(2, SimComm(8))
+
+
+class TestRemapSchedule:
+    """One schedule: what the engine remaps to, what ``remap_schedule``
+    yields and what the dry-run oracle checks are the same layouts."""
+
+    @pytest.mark.parametrize("strategy", ["Nat", "DFS", "dagP"])
+    @pytest.mark.parametrize("name", ["qft", "qaoa", "ising"])
+    def test_engine_schedule_and_oracle_agree(
+        self, strategy, name, monkeypatch
+    ):
+        n, ranks, local_bits = 8, 4, 6
+        qc = generators.build(name, n)
+        partition = get_partitioner(strategy).partition(qc, 5)
+
+        remapped = []
+        real_remap = LayoutOnlyState.remap
+
+        def spy(self, new_layout):
+            remapped.append(new_layout)
+            real_remap(self, new_layout)
+
+        monkeypatch.setattr(LayoutOnlyState, "remap", spy)
+        _, report = HiSVSimEngine(ranks).run(qc, partition)
+
+        assert remapped == list(remap_schedule(partition, n, local_bits))
+        for part, layout in zip(partition.parts, remapped):
+            assert all(layout.position(q) < local_bits for q in part.qubits)
+
+        # The oracle's transitions chain through exactly the changed
+        # layouts of that schedule, starting from the identity ...
+        transitions = engine_exchange_layouts(partition, n, ranks)
+        current = QubitLayout.identity(n)
+        changed = []
+        for layout in remapped:
+            if layout != current:
+                changed.append((current, layout))
+                current = layout
+        assert transitions == changed
+        # ... and price them at what the engine's comm recorded.
+        steps = [exchange_step_stats(a, b, local_bits) for a, b in transitions]
+        assert report.comm.steps == sum(1 for step in steps if any(step))
+        assert report.comm.total_bytes == sum(step[0] for step in steps)
+        assert report.comm.total_msgs == sum(step[1] for step in steps)

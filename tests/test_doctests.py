@@ -22,6 +22,7 @@ import repro.dist.exchange
 import repro.dist.hisvsim
 import repro.dist.iqs
 import repro.dist.state
+import repro.dist.transport
 import repro.cut
 import repro.cut.cutter
 import repro.cut.evaluate
@@ -37,6 +38,7 @@ import repro.partition.merge
 import repro.partition.multilevel
 import repro.partition.natural
 import repro.partition.validate
+import repro.runtime.comm
 import repro.serve
 import repro.serve.daemon
 import repro.serve.jobs
@@ -81,6 +83,8 @@ DOCTEST_MODULES = [
     repro.dist.exchange,
     repro.dist.hisvsim,
     repro.dist.iqs,
+    repro.dist.transport,
+    repro.runtime.comm,
     repro.cut,
     repro.cut.cutter,
     repro.cut.fragments,

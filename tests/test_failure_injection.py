@@ -70,7 +70,7 @@ class TestCorruptedExchangePlans:
         dest_rank = np.zeros((2, 4), dtype=np.int64)  # everything to rank 0
         dest_off = np.zeros((2, 4), dtype=np.int64)  # ... offset 0: collision
         with pytest.raises(ValueError, match="bijection"):
-            comm.alltoall_permute(shards, dest_rank, dest_off)
+            comm.exchange(shards, dest_rank, dest_off)
 
     def test_out_of_range_plan_rejected(self):
         comm = SimComm(2, validate_plans=True)
@@ -78,7 +78,7 @@ class TestCorruptedExchangePlans:
         dest_rank = np.full((2, 4), 7, dtype=np.int64)
         dest_off = np.tile(np.arange(4), (2, 1))
         with pytest.raises(ValueError, match="out of range"):
-            comm.alltoall_permute(shards, dest_rank, dest_off)
+            comm.exchange(shards, dest_rank, dest_off)
 
     def test_valid_plans_pass_validation(self):
         """The engine's real plans must survive strict validation."""
@@ -130,6 +130,18 @@ class TestEngineInputGuards:
         qc = generators.build("bv", 3)
         with pytest.raises(ValueError):
             IQSEngine(16).run(qc)
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_rank_count_is_checked_before_the_working_set(self, dry_run):
+        # 2048 ranks leave -1 local qubits: the register-width message
+        # must win over "working set 7 exceeds local capacity -1".
+        qc = generators.build("qft", 10)
+        p = get_partitioner("dagP").partition(qc, 7)
+        message = "2048 ranks need 11 process qubits but the register only has 10"
+        with pytest.raises(ValueError, match=message):
+            HiSVSimEngine(2048, dry_run=dry_run).run(qc, p)
+        with pytest.raises(ValueError, match=message):
+            IQSEngine(2048, dry_run=dry_run).run(qc)
 
     def test_engine_rejects_oversized_working_set(self):
         # Partition computed for a larger local size than the engine has.

@@ -77,7 +77,7 @@ class TestSimComm:
         shards = (np.arange(16, dtype=np.complex128)).reshape(4, 4)
         dest_rank = np.repeat(np.arange(4), 4).reshape(4, 4)
         dest_off = np.tile(np.arange(4), (4, 1))
-        out = comm.alltoall_permute(shards.copy(), dest_rank, dest_off)
+        out = comm.exchange(shards.copy(), dest_rank, dest_off)
         assert np.array_equal(out, shards)
         assert comm.stats.total_bytes == 0
         # A plan with no cross-rank movement is free: no step recorded
@@ -91,7 +91,7 @@ class TestSimComm:
         shards = np.arange(R * L, dtype=np.complex128).reshape(R, L)
         dest_rank = np.tile(((np.arange(R) + 1) % R)[:, None], (1, L))
         dest_off = np.tile(np.arange(L), (R, 1))
-        out = comm.alltoall_permute(shards, dest_rank, dest_off)
+        out = comm.exchange(shards, dest_rank, dest_off)
         assert np.array_equal(out[1], shards[0])
         assert np.array_equal(out[0], shards[3])
         st = comm.stats
@@ -104,11 +104,11 @@ class TestSimComm:
         comm = SimComm(2)
         shards = np.zeros((2, 4), dtype=np.complex128)
         with pytest.raises(ValueError):
-            comm.alltoall_permute(shards, np.zeros((2, 3)), np.zeros((2, 4)))
+            comm.exchange(shards, np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_reset_stats(self):
         comm = SimComm(2)
-        comm.pairwise_exchange_volume(100)
+        comm.stats.add_step(200, 2, 100, 1)
         st = comm.reset_stats()
         assert st.total_bytes == 200
         assert comm.stats.total_bytes == 0

@@ -1,18 +1,19 @@
 """Socket transport tests: the dry-run traffic model as correctness oracle.
 
-The recording transport (all ranks in one process) is the historical
-behaviour every model number in the reproduction is pinned against; the
-socket transport runs one OS process (here: thread, via ``run_spmd``)
-per rank over a real TCP mesh.  These tests hold the two together:
+The in-process ``SimComm`` (all ranks in one process) is the behaviour
+every model number in the reproduction is pinned against; its
+``SocketTransport`` subclass runs one OS process (here: thread, via
+``run_spmd``) per rank over a real TCP mesh.  These tests hold the two
+together:
 
 * differential — SPMD runs produce ``to_full()`` *bit-identical* to the
-  recording transport, across backends and rank counts;
+  in-process comm, across backends and rank counts;
 * traffic oracle — every per-rank :class:`ExchangeRecord` equals the
   closed-form :func:`exchange_rank_stats`, whose rank-sum equals the
   global :func:`exchange_step_stats` already pinned by the dry-run
   suite;
 * the no-op-remap regression — zero-traffic exchanges record no step,
-  in the recording transport, the analytic state and the model alike;
+  in the in-process comm, the analytic state and the model alike;
 * fault injection — dead peers, mid-frame disconnects and truncated
   frames surface as clean :class:`TransportError`\\ s, never hangs.
 """
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
+from repro.config import env
 from repro.dist import (
     DistributedStateVector,
     HiSVSimEngine,
@@ -41,16 +43,14 @@ from repro.dist import (
 from repro.dist.transport import (
     AMP_BYTES,
     ExchangeRecord,
-    RecordingTransport,
     SocketTransport,
     TransportError,
-    dist_env_defaults,
     run_spmd,
 )
 from repro.partition import get_partitioner
 from repro.runtime.comm import SimComm
-from repro.sv.layout import QubitLayout
-from repro.sv.simulator import StateVectorSimulator
+from repro.sv.layout import QubitLayout, permute_bits
+from repro.sv.simulator import StateVectorSimulator, random_state
 
 
 @st.composite
@@ -73,14 +73,88 @@ def spmd_engine_run(num_ranks, name, qubits, strategy="dagP", limit=None):
 
     def worker(rank, transport):
         transports[rank] = transport
-        comm = SimComm(num_ranks, transport=transport)
         engine = HiSVSimEngine(num_ranks=num_ranks)
-        state, report = engine.run(qc, partition, comm=comm)
+        state, report = engine.run(qc, partition, comm=transport)
         return state.to_full(), report
 
     results = run_spmd(num_ranks, worker)
     fulls = [r[0] for r in results]
     return qc, partition, fulls, transports, [r[1] for r in results]
+
+
+class TestCommunicatorContract:
+    """One communicator, two implementations: the same plan through the
+    in-process ``SimComm`` and through ``SocketTransport`` ranks moves
+    the same amplitudes and accounts the same traffic as the model."""
+
+    OLD = QubitLayout.identity(6)
+    NEW = QubitLayout([5, 1, 4, 3, 0, 2])  # local and rank bits both move
+
+    @staticmethod
+    def exchange_everywhere(impl, num_ranks, shards, dest_rank, dest_offset):
+        """Run the plan; returns (new shard matrix, one CommStats per
+        participant — the comm itself, or each SPMD rank)."""
+        if impl == "in-process":
+            comm = SimComm(num_ranks, validate_plans=True)
+            new = comm.exchange(shards, dest_rank, dest_offset)
+            assert comm.allgather_rows(new) is new
+            return new, [comm.stats]
+
+        def worker(rank, transport):
+            assert isinstance(transport, SimComm) and transport.rank == rank
+            mine = slice(rank, rank + 1)
+            row = transport.exchange(
+                shards[mine], dest_rank[mine], dest_offset[mine]
+            )
+            gathered = transport.allgather_rows(row)
+            assert np.array_equal(gathered[mine], row)
+            return gathered, transport.stats
+
+        results = run_spmd(num_ranks, worker)
+        for gathered, _ in results[1:]:
+            assert np.array_equal(gathered, results[0][0])
+        return results[0][0], [stats for _, stats in results]
+
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    @pytest.mark.parametrize("impl", ["in-process", "sockets"])
+    def test_same_plan_same_shards_same_traffic(self, impl, num_ranks):
+        n = self.OLD.n
+        local_bits = n - (num_ranks.bit_length() - 1)
+        local = 1 << local_bits
+        new_packed = permute_bits(
+            np.arange(1 << n, dtype=np.int64),
+            self.OLD.transition_sigma(self.NEW),
+        )
+        dest_rank = (new_packed >> local_bits).reshape(num_ranks, local)
+        dest_offset = (new_packed & (local - 1)).reshape(num_ranks, local)
+        shards = random_state(n, seed=11).reshape(num_ranks, local)
+        reference = np.empty(1 << n, dtype=np.complex128)
+        reference[new_packed] = shards.reshape(-1)
+
+        new, stats = self.exchange_everywhere(
+            impl, num_ranks, shards, dest_rank, dest_offset
+        )
+        assert np.array_equal(
+            new.view(np.uint8),
+            reference.reshape(num_ranks, local).view(np.uint8),
+        )
+        total_bytes, total_msgs, max_bytes, max_msgs = exchange_step_stats(
+            self.OLD, self.NEW, local_bits
+        )
+        assert total_bytes > 0  # the plan crosses ranks: the check has teeth
+        assert sum(s.total_bytes for s in stats) == total_bytes
+        assert sum(s.total_msgs for s in stats) == total_msgs
+        assert max(s.max_bytes_per_rank for s in stats) == max_bytes
+        assert max(s.max_msgs_per_rank for s in stats) == max_msgs
+        assert all(s.steps == 1 for s in stats)
+        if impl == "sockets":
+            for rank, s in enumerate(stats):
+                sent_b, sent_m, recv_b, recv_m = exchange_rank_stats(
+                    self.OLD, self.NEW, local_bits, rank
+                )
+                assert (s.total_bytes, s.total_msgs) == (sent_b, sent_m)
+                assert s.max_bytes_per_rank == max(sent_b, recv_b)
+                assert s.max_msgs_per_rank == max(sent_m, recv_m)
 
 
 class TestRankStatsModel:
@@ -162,11 +236,10 @@ class TestNoOpRemapRegression:
         # peers cannot know it is globally free), but a zero-traffic one
         # contributes no CommStats step — same accounting as recording.
         def worker(rank, transport):
-            comm = SimComm(2, transport=transport)
-            dsv = DistributedStateVector.zero(3, comm)
+            dsv = DistributedStateVector.zero(3, transport)
             dsv.remap(QubitLayout([1, 0, 2]))  # local-only: free
             dsv.remap(QubitLayout([2, 1, 0]))  # paid
-            return comm.stats.steps, len(transport.records)
+            return transport.stats.steps, len(transport.records)
 
         for steps, records in run_spmd(2, worker):
             assert steps == 1
@@ -174,7 +247,7 @@ class TestNoOpRemapRegression:
 
 
 class TestSocketDifferential:
-    """SPMD socket runs against the recording transport, bit for bit."""
+    """SPMD socket runs against the in-process comm, bit for bit."""
 
     @pytest.mark.parametrize("num_ranks", [2, 4])
     @pytest.mark.parametrize("name,qubits", [("qft", 6), ("qaoa", 7)])
@@ -195,9 +268,8 @@ class TestSocketDifferential:
         partition = get_partitioner("dagP").partition(qc, 3)
 
         def worker(rank, transport):
-            comm = SimComm(2, transport=transport)
             engine = HiSVSimEngine(num_ranks=2, backend=backend, threads=2)
-            state, _ = engine.run(qc, partition, comm=comm)
+            state, _ = engine.run(qc, partition, comm=transport)
             return state.to_full()
 
         state, _ = HiSVSimEngine(num_ranks=2, backend="serial").run(
@@ -358,9 +430,7 @@ class TestFaultInjection:
                 dest_rank = np.full((1, 4), 1, dtype=np.int64)
                 dest_off = np.arange(4, dtype=np.int64).reshape(1, 4)
                 with pytest.raises(TransportError):
-                    transport.exchange(
-                        shards, dest_rank, dest_off, SimComm(2).stats
-                    )
+                    transport.exchange(shards, dest_rank, dest_off)
                 return "detected"
             # Rank 1 bypasses exchange(): writes a corrupt frame by hand.
             peer = transport._peers[0]
@@ -382,9 +452,7 @@ class TestFaultInjection:
                 dest_rank = np.zeros((1, 2), dtype=np.int64)
                 dest_off = np.arange(2, dtype=np.int64).reshape(1, 2)
                 with pytest.raises(TransportError):
-                    transport.exchange(
-                        shards, dest_rank, dest_off, SimComm(2).stats
-                    )
+                    transport.exchange(shards, dest_rank, dest_off)
                 return "failed-clean"
             return "vanished"  # never participates in the exchange
 
@@ -406,30 +474,27 @@ class TestEnvDefaults:
                     "REPRO_DIST_TIMEOUT", "REPRO_DIST_RETRIES",
                     "REPRO_DIST_BACKOFF"):
             monkeypatch.delenv(key, raising=False)
-        env = dist_env_defaults()
-        assert env["host"] == "127.0.0.1"
-        assert env["port"] == 29500
-        assert env["timeout"] == 30.0
-        assert env["retries"] == 5
+        assert env("REPRO_DIST_HOST") == "127.0.0.1"
+        assert env("REPRO_DIST_PORT") == 29500
+        assert env("REPRO_DIST_TIMEOUT") == 30.0
+        assert env("REPRO_DIST_RETRIES") == 5
+        assert env("REPRO_DIST_BACKOFF") == 0.05
+
+    def test_connect_reads_env_for_arguments_left_none(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIST_TIMEOUT", "0.5")
+        monkeypatch.setenv("REPRO_DIST_RETRIES", "1")
+        monkeypatch.setenv("REPRO_DIST_BACKOFF", "0.01")
+        with pytest.raises(TransportError, match="2 attempts"):
+            SocketTransport.connect(1, 2, ("127.0.0.1", _free_port()))
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIST_PORT", "12345")
         monkeypatch.setenv("REPRO_DIST_RETRIES", "1")
-        env = dist_env_defaults()
-        assert env["port"] == 12345
-        assert env["retries"] == 1
+        assert env("REPRO_DIST_PORT") == 12345
+        assert env("REPRO_DIST_RETRIES") == 1
 
 
 class TestRecordingTransport:
-    def test_is_the_default_seam(self):
-        comm = SimComm(2)
-        assert isinstance(comm.transport, RecordingTransport)
-        assert comm.rank is None
-
-    def test_rejects_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            SimComm(4, transport=RecordingTransport(2))
-
     def test_exchange_record_is_frozen(self):
         record = ExchangeRecord(16, 1, 16, 1, 40)
         with pytest.raises(AttributeError):

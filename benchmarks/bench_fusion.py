@@ -13,6 +13,11 @@ The sweep-reduction floor is environment-overridable
 (``REPRO_BENCH_FUSION_MIN_SWEEP_REDUCTION``, default ``2.0``) so CI
 smoke runs on loaded runners can't flake on the acceptance bar.
 
+``fusion_bind`` measures the other half of a compiled plan: binding
+fresh matrices against structures compiled once (what every job of a
+parameter sweep pays).  Its gated metrics are exact counts plus agreement
+with the sequential gate-by-gate product; bind seconds are information.
+
 Also runnable without pytest for CI smoke (shared ``repro.bench`` flags)::
 
     python benchmarks/bench_fusion.py --set qubits=12 --set max_fused=4
@@ -21,6 +26,8 @@ Also runnable without pytest for CI smoke (shared ``repro.bench`` flags)::
 from __future__ import annotations
 
 import os
+import random
+import time
 
 import numpy as np
 
@@ -35,6 +42,8 @@ from repro.sv import (
     compile_partition,
     zero_state,
 )
+from repro.sv.fusion import build_part_structure
+from repro.sv.kernels import apply_gate_batched
 
 QFT_QUBITS = 20
 MAX_FUSED = 5
@@ -215,6 +224,73 @@ def run_bench(params):
             "max_err": res["max_err"],
         },
         ok=states_match,
+    )
+
+
+def sequential_product(gates, group) -> np.ndarray:
+    """A group's matrix the gate-by-gate way: every member swept over an
+    identity through the batched kernel (the reference bind must match)."""
+    k = len(group.qubits)
+    pos = {q: i for i, q in enumerate(group.qubits)}
+    cols = np.eye(1 << k, dtype=np.complex128)
+    for m in group.members:
+        apply_gate_batched(cols, gates[m].remap(pos), k)
+    return cols.T
+
+
+@bench.register(
+    "fusion_bind",
+    tags=("smoke",),
+    params={"qubits": 10, "rounds": 3, "binds": 50},
+    repeats=1,
+    warmup=0,
+)
+def run_bind_bench(params):
+    """Bind fresh QAOA angles against part structures compiled once."""
+    n, rounds = params["qubits"], params["rounds"]
+    rng = random.Random(15)
+
+    def fresh():
+        return generators.qaoa(
+            n,
+            p=rounds,
+            gammas=[rng.uniform(0.0, 3.0) for _ in range(rounds)],
+            betas=[rng.uniform(0.0, 1.5) for _ in range(rounds)],
+        )
+
+    first = fresh()
+    parts = get_partitioner("dagP").partition(first, max(3, n - 3)).parts
+    structures = [
+        build_part_structure(first, p.gate_indices, p.qubits) for p in parts
+    ]
+    bind_s, max_dev = 0.0, 0.0
+    for qc in [first] + [fresh() for _ in range(params["binds"] - 1)]:
+        for structure, part in zip(structures, parts):
+            gates = [qc[g] for g in part.gate_indices]
+            t0 = time.perf_counter()
+            plan = structure.bind(gates)
+            bind_s += time.perf_counter() - t0
+            for op, group in zip(plan.ops, structure.groups):
+                dev = np.abs(op.matrix() - sequential_product(gates, group))
+                max_dev = max(max_dev, float(dev.max()))
+    tables = {
+        id(step[-1])
+        for structure in structures
+        for steps in structure._program
+        for step in steps
+        if step[-1] is not None
+    }
+    agrees = max_dev <= 1e-12
+    return bench.payload(
+        metrics={
+            "parts": len(parts),
+            "groups": sum(s.num_ops for s in structures),
+            "source_gates": sum(s.num_source_gates for s in structures),
+            "index_tables": len(tables),
+            "agrees_with_sequential": agrees,
+        },
+        info={"bind_s": bind_s, "binds": params["binds"], "max_dev": max_dev},
+        ok=agrees,
     )
 
 

@@ -12,14 +12,19 @@ Conventions
   built programmatically from the base matrix so that transcription errors
   are impossible.
 
-Every matrix returned by this module is a fresh ``complex128`` array.
+Every matrix returned by this module is a fresh ``complex128`` array,
+except from :func:`shared_gate_matrix`, which hands out the cached
+read-only one.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +33,9 @@ __all__ = [
     "GateDef",
     "GATE_DEFS",
     "gate_matrix",
+    "shared_gate_matrix",
+    "gate_permutation",
+    "MATRIX_CACHE_MAX",
     "make_gate",
     "controlled",
     "reduce_controls",
@@ -359,20 +367,67 @@ class Gate:
         return f"{self.name}{p} {list(self.qubits)}"
 
 
-_MATRIX_CACHE: Dict[Tuple[str, Tuple[float, ...]], np.ndarray] = {}
+#: Entries kept by :func:`shared_gate_matrix` (least recently used go
+#: first): a long-lived process fed fresh angles must not grow one entry
+#: per distinct ``(name, params)`` forever.
+MATRIX_CACHE_MAX = 4096
+
+_MATRIX_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...]], np.ndarray]" = (
+    OrderedDict()
+)
+_MATRIX_CACHE_LOCK = threading.Lock()
+
+
+def shared_gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
+    """The cached unitary itself: **read-only**, shared by every caller.
+
+    For code that only reads the matrix (plan binding looks up thousands
+    per batch); :func:`gate_matrix` is the copying form.
+
+    >>> shared_gate_matrix("h") is shared_gate_matrix("h")
+    True
+    >>> shared_gate_matrix("h").flags.writeable
+    False
+    """
+    key = (name, tuple(float(p) for p in params))
+    with _MATRIX_CACHE_LOCK:
+        m = _MATRIX_CACHE.get(key)
+        if m is not None:
+            _MATRIX_CACHE.move_to_end(key)
+            return m
+    d = GATE_DEFS.get(name)
+    if d is None:
+        raise KeyError(f"unknown gate {name!r}")
+    m = np.asarray(d.factory(*key[1]), dtype=np.complex128)
+    m.setflags(write=False)
+    with _MATRIX_CACHE_LOCK:
+        _MATRIX_CACHE[key] = m
+        while len(_MATRIX_CACHE) > MATRIX_CACHE_MAX:
+            _MATRIX_CACHE.popitem(last=False)
+    return m
+
+
+@lru_cache(maxsize=None)
+def gate_permutation(name: str) -> Optional[Tuple[int, ...]]:
+    """``s`` with ``matrix[a, s[a]] == 1`` when the parameter-free gate
+    ``name`` is a 0/1 permutation matrix — applying it only reorders
+    amplitudes; ``None`` for every other gate.
+
+    >>> gate_permutation("cx"), gate_permutation("h"), gate_permutation("cy")
+    ((0, 3, 2, 1), None, None)
+    """
+    if GATE_DEFS[name].num_params:
+        return None
+    m = shared_gate_matrix(name)
+    if not ((m == 0) | (m == 1)).all():
+        return None
+    return tuple(int(j) for j in m.real.argmax(axis=1))
 
 
 def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
-    """Return the unitary for gate ``name`` with ``params`` (cached)."""
-    key = (name, tuple(float(p) for p in params))
-    m = _MATRIX_CACHE.get(key)
-    if m is None:
-        d = GATE_DEFS.get(name)
-        if d is None:
-            raise KeyError(f"unknown gate {name!r}")
-        m = np.asarray(d.factory(*key[1]), dtype=np.complex128)
-        _MATRIX_CACHE[key] = m
-    return m.copy()
+    """Return the unitary for gate ``name`` with ``params``: a fresh,
+    caller-owned array (the construction itself is cached)."""
+    return shared_gate_matrix(name, params).copy()
 
 
 def make_gate(name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> Gate:

@@ -35,6 +35,7 @@ __all__ = [
     "JobResult",
     "circuit_fingerprint",
     "structural_fingerprint",
+    "fingerprints",
     "load_manifest",
     "results_to_manifest",
 ]
@@ -64,11 +65,33 @@ def structural_fingerprint(circuit: QuantumCircuit) -> str:
     >>> structural_fingerprint(a) == structural_fingerprint(c)
     False
     """
-    h = hashlib.sha256()
-    h.update(f"n={circuit.num_qubits}\n".encode())
-    for g in circuit:
-        h.update(f"{g.name}:{','.join(map(str, g.qubits))}\n".encode())
-    return h.hexdigest()
+    return fingerprints(circuit)[1]
+
+
+def fingerprints(circuit: QuantumCircuit) -> Tuple[str, str]:
+    """``(circuit_fingerprint, structural_fingerprint)`` from one pass
+    over the gate list: the identity digest continues the structural
+    one, so only ``cut_boundary`` tags are hashed on top.
+
+    >>> from repro.circuits.circuit import QuantumCircuit
+    >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
+    >>> identity, structural = fingerprints(qc)
+    >>> identity == circuit_fingerprint(qc) == structural
+    True
+    """
+    h = hashlib.sha256(
+        f"n={circuit.num_qubits}\n".encode()
+        + "".join(
+            f"{g.name}:{','.join(map(str, g.qubits))}\n" for g in circuit
+        ).encode()
+    )
+    structural = h.hexdigest()
+    boundary = getattr(circuit, "cut_boundary", ())
+    if not boundary:
+        return structural, structural
+    for kind, qubit, label in boundary:
+        h.update(f"cut:{kind}:{qubit}:{label}\n".encode())
+    return h.hexdigest(), structural
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
@@ -94,16 +117,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     >>> structural_fingerprint(tagged) == structural_fingerprint(qc)
     True
     """
-    boundary = getattr(circuit, "cut_boundary", ())
-    if not boundary:
-        return structural_fingerprint(circuit)
-    h = hashlib.sha256()
-    h.update(f"n={circuit.num_qubits}\n".encode())
-    for g in circuit:
-        h.update(f"{g.name}:{','.join(map(str, g.qubits))}\n".encode())
-    for kind, qubit, label in boundary:
-        h.update(f"cut:{kind}:{qubit}:{label}\n".encode())
-    return h.hexdigest()
+    return fingerprints(circuit)[0]
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,7 @@ from ..sv.hier import ExecutionTrace, HierarchicalExecutor
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
 from ..sv.stabilizer import StabilizerState
-from .jobs import (
-    JobResult,
-    SimJob,
-    circuit_fingerprint,
-    structural_fingerprint,
-)
+from .jobs import JobResult, SimJob, fingerprints
 from .scheduler import order_jobs
 
 __all__ = ["BatchRunner", "BatchReport", "BatchStats", "default_limit"]
@@ -490,16 +485,15 @@ class BatchRunner:
         counters = _RunCounters()
         # Identity fingerprints name the result (distinct per boundary
         # variant); structural fingerprints key every cache and the
-        # schedule grouping (variants share them by design).
-        fingerprints = [circuit_fingerprint(j.circuit) for j in jobs]
-        structurals = [structural_fingerprint(j.circuit) for j in jobs]
+        # schedule grouping (variants share them by design).  One hash
+        # pass per job yields both.
+        keys = [fingerprints(j.circuit) for j in jobs]
+        structurals = [structural for _, structural in keys]
         order = order_jobs(self.schedule, structurals)
         results: List[Optional[JobResult]] = [None] * len(jobs)
         if self.workers == 1 or len(jobs) <= 1:
             for i in order:
-                results[i] = self._run_one_safe(
-                    jobs[i], fingerprints[i], structurals[i], counters
-                )
+                results[i] = self._run_one_safe(jobs[i], *keys[i], counters)
         else:
             with ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-batch"
@@ -508,11 +502,7 @@ class BatchRunner:
                     (
                         i,
                         pool.submit(
-                            self._run_one_safe,
-                            jobs[i],
-                            fingerprints[i],
-                            structurals[i],
-                            counters,
+                            self._run_one_safe, jobs[i], *keys[i], counters
                         ),
                     )
                     for i in order

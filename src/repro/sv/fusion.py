@@ -23,15 +23,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate
+from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
-from .kernels import apply_matrix_batched
-from .layout import extract_bits, gather_index_table
+from .layout import extract_bits, gather_index_table, spread_bits
 
 __all__ = [
     "FusedGate",
@@ -222,38 +222,114 @@ class FusedGate:
         )
 
 
-def _group_matrix(gates: Sequence[Gate], group: FusionGroup) -> np.ndarray:
-    """Product matrix of a group over its qubit tuple (first operand =
-    least significant bit of the local index, matching the Gate
-    convention)."""
-    k = len(group.qubits)
-    pos = {q: i for i, q in enumerate(group.qubits)}
-    if len(group.members) == 1:
-        g = gates[group.members[0]]
-        if g.qubits == group.qubits:
-            return g.matrix()
-    if group.diagonal:
-        diag = np.ones(1 << k, dtype=np.complex128)
-        idx = np.arange(1 << k, dtype=np.int64)
-        for m in group.members:
+@lru_cache(maxsize=1024)
+def _index_table(width: int, positions: Tuple[int, ...], kind) -> np.ndarray:
+    """Where a member with operands at bit ``positions`` of a
+    ``width``-qubit group acts (shared, read-only; memoised by key, so a
+    part of any length holds a few dozen of these, not one per gate).
+    ``kind="diag"``: ``table[i]`` is the entry of the member's diagonal
+    that scales group index ``i``.  ``kind`` a ``gate_permutation``:
+    ``table[i]`` is the row that moves to row ``i``.  ``kind="dense"``:
+    ``table[0]`` lists the group indices operand-value-major, so the
+    member is one ``2^m``-row GEMM on the rows taken in that order, and
+    ``table[1]``, the inverse permutation, puts them back."""
+    idx = np.arange(1 << width, dtype=np.int64)
+    local = extract_bits(idx, positions)
+    if kind == "diag":
+        table = local
+    elif kind == "dense":
+        rest = [b for b in range(width) if b not in positions]
+        order = (local << len(rest)) | extract_bits(idx, rest)
+        table = np.stack([np.argsort(order), order])
+    else:
+        table = idx ^ spread_bits(local ^ np.array(kind)[local], positions)
+    table.setflags(write=False)
+    return table
+
+
+def _bind_program(groups: Sequence[FusionGroup], gates: Sequence[Gate]):
+    """Per group, its members as ``(gate index, name, qubits, kind, index
+    table)`` — everything :meth:`PartPlanStructure.bind` needs that gate
+    parameters cannot change.  ``table`` is ``None`` for a member that is
+    its whole group: its matrix is the group's, as is."""
+    program = []
+    for grp in groups:
+        width = len(grp.qubits)
+        pos = {q: i for i, q in enumerate(grp.qubits)}
+        steps = []
+        for m in grp.members:
             g = gates[m]
-            gd = np.ascontiguousarray(np.diag(g.matrix()))
-            diag *= gd[extract_bits(idx, [pos[q] for q in g.qubits])]
-        return np.diag(diag)
-    # Columns of the accumulated product are states of the k-qubit space;
-    # keep them as *rows* so each member applies via the batched kernel,
-    # then transpose once at the end.
-    cols = np.eye(1 << k, dtype=np.complex128)
-    for m in group.members:
+            if not set(g.qubits) <= pos.keys() or (
+                grp.diagonal and not g.is_diagonal
+            ):
+                raise ValueError(
+                    f"gate {m} ({g.name} on {g.qubits}) does not belong "
+                    f"to its fusion group over {grp.qubits}"
+                )
+            kind = "diag" if g.is_diagonal else (
+                gate_permutation(g.name) or "dense"
+            )
+            table = None
+            if len(grp.members) > 1 or g.qubits != grp.qubits:
+                table = _index_table(
+                    width, tuple(pos[q] for q in g.qubits), kind
+                )
+            steps.append((m, g.name, g.qubits, kind, table))
+        program.append(tuple(steps))
+    return tuple(program)
+
+
+def _fuse(steps, gates: Sequence[Gate], operands: dict) -> np.ndarray:
+    """Product matrix of one group over its qubit tuple (first operand =
+    least significant bit of the local index, the Gate convention), kept
+    as ``diag(pending) @ acc``: a run of diagonal members only touches
+    the vector ``pending``, a permutation member only reorders rows.
+    ``operands`` holds the ``(name, params)`` matrices (diagonal gates:
+    their diagonals) already looked up for this part."""
+    acc = pending = None  # None = identity
+    for m, name, qubits, kind, table in steps:
         g = gates[m]
-        apply_matrix_batched(
-            cols,
-            g.matrix(),
-            [pos[q] for q in g.qubits],
-            k,
-            diagonal=g.is_diagonal,
-        )
-    return np.ascontiguousarray(cols.T)
+        if g.name != name or g.qubits != qubits:
+            raise ValueError(
+                f"gate {m} is {g.name} on {g.qubits}; the plan structure "
+                f"was built for {name} on {qubits}"
+            )
+        if table is None:
+            return shared_gate_matrix(name, g.params)
+        key = (name, g.params)
+        mat = operands.get(key)
+        if mat is None:
+            mat = shared_gate_matrix(name, g.params)
+            if kind == "diag":
+                mat = mat.diagonal()
+            operands[key] = mat
+        if kind == "diag":
+            if pending is None:
+                pending = mat.take(table)
+            else:
+                pending *= mat.take(table)
+            continue
+        if acc is None:
+            acc = np.identity(table.shape[-1], dtype=np.complex128)
+        if kind == "dense":
+            if pending is not None:
+                acc *= pending[:, None]
+                pending = None
+            acc = (
+                (mat @ acc.take(table[0], axis=0).reshape(len(mat), -1))
+                .reshape(acc.shape)
+                .take(table[1], axis=0)
+            )
+        else:
+            # P @ diag(d) @ M = diag(d[src]) @ (P @ M): nothing to multiply.
+            acc = acc.take(table, axis=0)
+            if pending is not None:
+                pending = pending.take(table)
+    if acc is None:
+        return np.diag(pending)
+    if pending is not None:
+        acc *= pending[:, None]
+    return acc
 
 
 #: Gather tables above this many int64 elements (2 MB) are rebuilt per
@@ -275,8 +351,10 @@ class PartPlanStructure:
     :meth:`bind` attaches concrete matrices for a particular gate list,
     producing a :class:`CompiledPartPlan` that shares this structure's
     gather-table memo.  That split is what lets the serving runtime
-    (:mod:`repro.serve`) compile a parameter sweep's structure once and
-    pay only fresh (cheap, ``2^k``-sized) matrix products per job.
+    (:mod:`repro.serve`) compile a parameter sweep's structure once; a
+    job then pays one pass over the bind program (compiled on the first
+    bind): per source gate a look-up into a running diagonal, a row
+    reorder or one ``2^m``-row GEMM — microseconds each.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc1 = QuantumCircuit(2).rz(0.1, 0).cx(0, 1)
@@ -296,6 +374,7 @@ class PartPlanStructure:
         "fused",
         "max_fused_qubits",
         "_table",
+        "_program",
     )
 
     def __init__(
@@ -312,6 +391,7 @@ class PartPlanStructure:
         self.fused = bool(fused)
         self.max_fused_qubits = int(max_fused_qubits)
         self._table: Optional[Tuple[int, np.ndarray]] = None
+        self._program: Optional[tuple] = None
 
     @property
     def num_ops(self) -> int:
@@ -350,25 +430,31 @@ class PartPlanStructure:
 
         ``gates`` must be structurally identical (same names and
         operands, any parameters) to the gate list the structure was
-        planned from; ``source_indices`` optionally records the gates'
-        original circuit positions on the resulting ops.
+        planned from — checked gate by gate, ``ValueError`` names the
+        first that differs; ``source_indices`` optionally records the
+        gates' original circuit positions on the resulting ops.  The
+        first bind compiles the bind program (a race between threads
+        builds an identical one twice, like the gather-table memo).
         """
         if len(gates) != self.num_source_gates:
             raise ValueError(
                 f"structure spans {self.num_source_gates} gates, "
                 f"got {len(gates)}"
             )
+        if self._program is None:
+            self._program = _bind_program(self.groups, gates)
         idx = tuple(source_indices) if source_indices else None
+        operands: dict = {}
         ops = tuple(
             FusedGate(
                 grp.qubits,
-                _group_matrix(gates, grp),
+                _fuse(steps, gates, operands),
                 grp.diagonal,
                 tuple(idx[m] for m in grp.members)
                 if idx is not None
                 else tuple(grp.members),
             )
-            for grp in self.groups
+            for grp, steps in zip(self.groups, self._program)
         )
         return CompiledPartPlan(
             self.qubits,

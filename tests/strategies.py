@@ -25,6 +25,7 @@ from repro.circuits.gates import GATE_DEFS, make_gate
 #: Gate pools the strategies draw from (parameterised + Clifford mix).
 ONE_QUBIT_GATES = ("h", "x", "s", "t", "rx", "rz", "u3")
 TWO_QUBIT_GATES = ("cx", "cz", "crz", "rzz")
+THREE_QUBIT_GATES = ("ccx", "ccz", "cswap")
 
 _ANGLES = st.floats(
     min_value=0.0,
@@ -48,19 +49,26 @@ def circuits(
     max_qubits: int = 6,
     min_gates: int = 3,
     max_gates: int = 24,
+    three_qubit: bool = False,
 ) -> QuantumCircuit:
-    """A random circuit over :data:`ONE_QUBIT_GATES` / :data:`TWO_QUBIT_GATES`."""
+    """A random circuit over :data:`ONE_QUBIT_GATES` / :data:`TWO_QUBIT_GATES`
+    (and, with ``three_qubit``, :data:`THREE_QUBIT_GATES`)."""
     n = draw(st.integers(min_qubits, max_qubits))
     num_gates = draw(st.integers(min_gates, max_gates))
     qc = QuantumCircuit(n, name="hyp_random")
     for _ in range(num_gates):
-        if n >= 2 and draw(st.booleans()):
+        if three_qubit and n >= 3 and draw(st.integers(0, 4)) == 0:
+            name = draw(st.sampled_from(THREE_QUBIT_GATES))
+            qubits: Tuple[int, ...] = tuple(
+                draw(st.permutations(range(n)))[:3]
+            )
+        elif n >= 2 and draw(st.booleans()):
             name = draw(st.sampled_from(TWO_QUBIT_GATES))
             a = draw(st.integers(0, n - 1))
             b = draw(st.integers(0, n - 2))
             if b >= a:
                 b += 1
-            qubits: Tuple[int, ...] = (a, b)
+            qubits = (a, b)
         else:
             name = draw(st.sampled_from(ONE_QUBIT_GATES))
             qubits = (draw(st.integers(0, n - 1)),)

@@ -358,7 +358,7 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("fusion", "parallel", "batch"):
             assert name in out
-        assert "21 benchmarks" in out
+        assert "22 benchmarks" in out
 
     def test_bench_run_smoke_tiny_and_compare(self, capsys, tmp_path,
                                               monkeypatch):

@@ -1,26 +1,32 @@
 """Part-level gate fusion and compiled execution plan tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
 from repro.partition import get_partitioner
 from repro.sv.fusion import (
     CompiledPartPlan,
     FusedGate,
     PlanCache,
+    build_part_structure,
     compile_part,
     compile_partition,
     plan_fusion_groups,
 )
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
-from repro.sv.kernels import apply_matrix
+from repro.sv.kernels import apply_gate_batched, apply_matrix
 from repro.sv.simulator import StateVectorSimulator, zero_state
 
 from conftest import SUITE_SMALL, random_circuit
+from strategies import circuits
 
 
 def flat_state(qc):
@@ -146,6 +152,210 @@ class TestCompiledPlanEquivalence:
                 plan.num_ops,
                 plan.num_source_gates,
             )
+
+
+def sequential_product(gates, group):
+    """The construction bind replaced, kept as the oracle: every member
+    swept over an identity through the batched kernel, in source order."""
+    k = len(group.qubits)
+    pos = {q: i for i, q in enumerate(group.qubits)}
+    cols = np.eye(1 << k, dtype=np.complex128)
+    for m in group.members:
+        apply_gate_batched(cols, gates[m].remap(pos), k)
+    return cols.T
+
+
+def circuit_of(n, *gates):
+    qc = QuantumCircuit(n)
+    for name, qubits, *params in gates:
+        qc.append(make_gate(name, qubits, params))
+    return qc
+
+
+def whole_structure(qc, **kwargs):
+    return build_part_structure(
+        qc, range(len(qc)), range(qc.num_qubits), **kwargs
+    )
+
+
+def assert_bind_matches_oracle(qc, **kwargs):
+    structure = whole_structure(qc, **kwargs)
+    plan = structure.bind(qc.gates)
+    for op, group in zip(plan.ops, structure.groups):
+        fused = op.matrix()
+        assert op.is_diagonal == group.diagonal
+        np.testing.assert_allclose(
+            fused, sequential_product(qc.gates, group), atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(
+            fused @ fused.conj().T, np.eye(len(fused)), atol=1e-12, rtol=0
+        )
+    return structure, plan
+
+
+def angle_variants(qc, count):
+    """``count`` circuits with ``qc``'s structure and their own angles."""
+    out = []
+    for v in range(count):
+        other = QuantumCircuit(qc.num_qubits)
+        for i, g in enumerate(qc):
+            params = [0.37 * (v + 1) + 0.11 * i + p for p in g.params]
+            other.append(make_gate(g.name, g.qubits, params))
+        out.append(other)
+    return out
+
+
+class TestBindProgram:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        qc=circuits(min_qubits=2, max_qubits=7, max_gates=40, three_qubit=True),
+        cap=st.integers(1, 5),
+        fuse=st.booleans(),
+    )
+    def test_property_bind_equals_sequential_product(self, qc, cap, fuse):
+        assert_bind_matches_oracle(qc, fuse=fuse, max_fused_qubits=cap)
+
+    def test_all_diagonal_group_at_bonus_width(self):
+        # 7 diagonal-only qubits at cap 5: one group, two over the cap.
+        qc = circuit_of(
+            7,
+            ("rz", (0,), 0.3), ("cz", (0, 1)), ("rzz", (1, 2), 0.7),
+            ("ccz", (2, 3, 4)), ("crz", (4, 5), 1.1), ("cu1", (6, 5), 0.4),
+            ("t", (6,)), ("rzz", (6, 0), 0.9), ("s", (3,)),
+        )
+        structure, plan = assert_bind_matches_oracle(qc, max_fused_qubits=5)
+        assert [len(g.qubits) for g in structure.groups] == [7]
+        assert plan.ops[0].is_diagonal
+
+    def test_mixed_diagonal_dense_and_permutation_runs(self):
+        # Diagonal runs before, between and after dense members, and
+        # permutation members (cx, swap, x) with a diagonal run pending.
+        qc = circuit_of(
+            4,
+            ("rz", (1,), 0.2), ("cz", (0, 1)), ("cx", (2, 0)),
+            ("rzz", (0, 3), 0.5), ("h", (3,)), ("t", (3,)), ("swap", (3, 1)),
+            ("x", (2,)), ("crz", (2, 1), 0.8), ("u3", (0,), 0.1, 0.2, 0.3),
+            ("cy", (1, 3)), ("iswap", (0, 2)), ("rz", (2,), 1.3), ("s", (0,)),
+        )
+        structure, _ = assert_bind_matches_oracle(qc, max_fused_qubits=4)
+        assert len(structure.groups) == 1 and not structure.groups[0].diagonal
+
+    def test_three_qubit_members_inside_a_group(self):
+        qc = circuit_of(
+            5,
+            ("h", (4,)), ("ccx", (3, 0, 4)), ("rz", (0,), 0.4),
+            ("cswap", (1, 4, 2)), ("ccz", (2, 1, 0)), ("ry", (3,), 0.6),
+            ("ccx", (4, 2, 1)),
+        )
+        structure, _ = assert_bind_matches_oracle(qc, max_fused_qubits=5)
+        assert len(structure.groups) == 1
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_single_member_groups_are_the_gate_matrix(self, fuse):
+        qc = circuit_of(
+            4, ("cswap", (2, 0, 3)), ("rx", (1,), 0.3), ("cx", (3, 1))
+        )
+        _, plan = assert_bind_matches_oracle(
+            qc, fuse=fuse, max_fused_qubits=1
+        )
+        assert plan.num_ops == len(qc)
+        for op, g in zip(plan.ops, qc):
+            assert op.qubits == g.qubits
+            assert np.array_equal(op.matrix(), g.matrix())
+            assert not op.matrix().flags.writeable
+
+    def test_bind_rejects_a_mismatching_gate_list(self):
+        qc = circuit_of(3, ("h", (0,)), ("cx", (0, 1)), ("rz", (2,), 0.3),
+                        ("cx", (1, 2)))
+        structure = whole_structure(qc)
+        structure.bind(qc.gates)
+        swapped = list(qc.gates)
+        swapped[1] = make_gate("cx", (1, 0))
+        with pytest.raises(ValueError, match="gate 1 "):
+            structure.bind(swapped)
+        renamed = list(qc.gates)
+        renamed[2] = make_gate("u1", (2,), [0.3])
+        with pytest.raises(ValueError, match="gate 2 "):
+            structure.bind(renamed)
+        with pytest.raises(ValueError, match="spans 4 gates"):
+            structure.bind(qc.gates[:3])
+        # A structure never bound before rejects a foreign list too.
+        foreign = list(qc.gates)
+        foreign[3] = make_gate("cx", (1, 5))
+        with pytest.raises(ValueError, match="gate 3 "):
+            whole_structure(qc).bind(foreign)
+        diagonal = circuit_of(2, ("rz", (0,), 0.1), ("cz", (0, 1)))
+        dense = [diagonal[0], make_gate("cx", (0, 1))]
+        with pytest.raises(ValueError, match="gate 1 "):
+            whole_structure(diagonal).bind(dense)
+
+    def test_compile_part_and_get_or_bind_agree_bitwise(self):
+        qc = generators.build("qaoa", 8)
+        part = get_partitioner("dagP").partition(qc, 6).parts[0]
+        direct = compile_part(qc, part.gate_indices, part.qubits)
+        cache = PlanCache()
+        # Bind another angle set first: the cached structure's program
+        # is then already compiled when ``qc`` arrives.
+        cache.get_or_bind(
+            angle_variants(qc, 1)[0], part.gate_indices, part.qubits,
+            structural_key="k",
+        )
+        bound = cache.get_or_bind(
+            qc, part.gate_indices, part.qubits, structural_key="k"
+        )
+        assert cache.structure_hits == 1
+        assert [op.qubits for op in bound.ops] == [
+            op.qubits for op in direct.ops
+        ]
+        for a, b in zip(bound.ops, direct.ops):
+            assert np.array_equal(a.matrix(), b.matrix())
+
+    def test_threads_binding_one_fresh_structure_equal_serial(self):
+        base = generators.build("qaoa", 8)
+        variants = angle_variants(base, 8)
+        serial = [whole_structure(base).bind(v.gates) for v in variants]
+        shared = whole_structure(base)  # no program yet
+        plans = [None] * len(variants)
+        start = threading.Barrier(len(variants))
+
+        def work(i):
+            start.wait(timeout=30)
+            plans[i] = shared.bind(variants[i].gates)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(len(variants))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(plans, serial):
+            assert got is not None
+            for a, b in zip(got.ops, want.ops):
+                assert np.array_equal(a.matrix(), b.matrix())
+
+    def test_index_tables_are_shared_by_key_not_per_gate(self):
+        qc = random_circuit(6, 2000, seed=5)
+        structure = whole_structure(qc, max_fused_qubits=5)
+        structure.bind(qc.gates)
+        tables, keys = set(), set()
+        for group, steps in zip(structure.groups, structure._program):
+            pos = {q: i for i, q in enumerate(group.qubits)}
+            for _, _, qubits, kind, table in steps:
+                if table is not None:
+                    tables.add(id(table))
+                    keys.add(
+                        (len(pos), tuple(pos[q] for q in qubits), kind)
+                    )
+        assert sum(len(steps) for steps in structure._program) == 2000
+        assert 0 < len(tables) <= len(keys) < 400
 
 
 class TestPlanCache:

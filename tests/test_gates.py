@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuits import gates as gates_module
 from repro.circuits.gates import (
     GATE_DEFS,
+    MATRIX_CACHE_MAX,
     Gate,
     controlled,
     gate_matrix,
     is_unitary,
     make_gate,
     reduce_controls,
+    shared_gate_matrix,
 )
 
 
@@ -48,6 +51,31 @@ class TestRegistry:
         m1[0, 0] = 999.0  # vandalise the copy
         m2 = gate_matrix(name, _params_for(name))
         assert m2[0, 0] != 999.0
+
+    def test_matrix_cache_is_a_bounded_lru(self):
+        # A daemon fed fresh angles: 10 000 distinct rz, with a
+        # parameter-free gate in use throughout.
+        h = shared_gate_matrix("h")
+        for k in range(10_000):
+            theta = 1e-3 * k
+            m = gate_matrix("rz", [theta])
+            assert m.flags.writeable and m.flags.owndata
+            assert m[1, 1] == np.exp(0.5j * theta) and m[0, 1] == 0
+            if k % 100 == 0:
+                assert shared_gate_matrix("h") is h  # recently used: kept
+        assert len(gates_module._MATRIX_CACHE) <= MATRIX_CACHE_MAX
+        assert shared_gate_matrix("h") is h
+        # An evicted entry is rebuilt, equal and again caller-owned.
+        assert ("rz", (0.0,)) not in gates_module._MATRIX_CACHE
+        first = gate_matrix("rz", [0.0])
+        first[0, 0] = 999.0
+        assert np.array_equal(gate_matrix("rz", [0.0]), np.eye(2))
+
+    def test_shared_matrix_is_read_only(self):
+        m = shared_gate_matrix("cx")
+        assert m is shared_gate_matrix("cx") and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
     def test_unknown_gate_raises(self):
         with pytest.raises(KeyError):

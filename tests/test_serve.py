@@ -10,6 +10,7 @@ the manifest / CLI surface.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -29,7 +30,9 @@ from repro.serve import (
     load_manifest,
     order_jobs,
     results_to_manifest,
+    structural_fingerprint,
 )
+from repro.serve.jobs import fingerprints
 from repro.sv import (
     HierarchicalExecutor,
     PlanCache,
@@ -91,6 +94,59 @@ class TestFingerprint:
     def test_deterministic_across_copies(self):
         qc = random_circuit(5, 30, seed=3)
         assert circuit_fingerprint(qc) == circuit_fingerprint(qc.copy())
+
+    def test_digests_are_pinned_byte_for_byte(self):
+        """Both fingerprints stay the SHA-256 of the documented line
+        format (re-derived here), for plain and boundary-tagged
+        circuits, whichever function computes them."""
+
+        def reference(qc, with_boundary):
+            boundary = getattr(qc, "cut_boundary", ())
+            h = hashlib.sha256()
+            h.update(f"n={qc.num_qubits}\n".encode())
+            for g in qc:
+                h.update(f"{g.name}:{','.join(map(str, g.qubits))}\n".encode())
+            if with_boundary:
+                for kind, qubit, label in boundary:
+                    h.update(f"cut:{kind}:{qubit}:{label}\n".encode())
+            return h.hexdigest()
+
+        plain = random_circuit(6, 40, seed=9)
+        tagged = plain.copy()
+        tagged.cut_boundary = (("prep", 0, "plus"), ("meas", 11, "Z"))
+        for qc in (plain, tagged, QuantumCircuit(3)):
+            identity, structural = fingerprints(qc)
+            assert structural == structural_fingerprint(qc)
+            assert structural == reference(qc, False)
+            assert identity == circuit_fingerprint(qc)
+            assert identity == reference(qc, True)
+        assert circuit_fingerprint(tagged) != structural_fingerprint(tagged)
+        assert structural_fingerprint(QuantumCircuit(2).h(0).cx(0, 1)) == (
+            "0f6ac9bb0236b16984522c88be652fb1cbb51622f112244c2f446d000732634c"
+        )
+
+    def test_runner_hashes_each_job_once(self, monkeypatch):
+        from repro.serve import runner as runner_module
+
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return fingerprints(circuit)
+
+        monkeypatch.setattr(runner_module, "fingerprints", counting)
+        circuits = sweep_circuits(n=6, jobs=3)
+        tagged = circuits[0].copy()
+        tagged.cut_boundary = (("prep", 0, "plus"),)
+        jobs = [
+            SimJob(f"j{i}", qc) for i, qc in enumerate(circuits + [tagged])
+        ]
+        report = BatchRunner().run(jobs)
+        assert calls == [j.circuit for j in jobs]
+        assert [r.fingerprint for r in report.results] == [
+            circuit_fingerprint(j.circuit) for j in jobs
+        ]
+        assert report.stats.unique_structures == 1
 
 
 # ---------------------------------------------------------------------------

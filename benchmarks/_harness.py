@@ -3,15 +3,15 @@
 Kept outside ``conftest.py`` so the ``bench_*`` scripts can import it
 under a module name that never collides with ``tests/conftest.py``
 (``repro.bench.load_benchmarks`` imports every script in-process, also
-under pytest).  The registry/timing layer itself lives in
-:mod:`repro.bench`; this module only carries the pytest-benchmark glue.
+under pytest).  The registry itself lives in :mod:`repro.bench`; this
+module only carries the pytest-benchmark glue.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.experiments.common import RESULTS_DIR
+from repro.config import env
 
 
 def run_once(benchmark, fn):
@@ -25,8 +25,9 @@ def run_once(benchmark, fn):
 
 def save_result_text(name: str, text: str) -> str:
     """Persist a regenerated table under results/ and return its path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    results_dir = env("REPRO_RESULTS_DIR")
+    os.makedirs(results_dir, exist_ok=True)
+    path = os.path.join(results_dir, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path

@@ -134,8 +134,6 @@ from repro import bench
     tags=("paper", "ablation"),
     params={"qubits": 16, "iqs_qubits": 16, "iqs_ranks": 8},
     smoke={"qubits": 12, "iqs_qubits": 12, "iqs_ranks": 4},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """dagP merge-phase and IQS fast-path ablations (part counts, bytes)."""

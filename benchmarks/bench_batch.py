@@ -1,30 +1,26 @@
-"""Batched serving throughput: amortised vs cold execution.
+"""Batched serving: amortised vs cold execution, counted.
 
 The serving runtime's acceptance bar: a 32-job QAOA angle sweep (one
 graph, fresh ``(gamma, beta)`` angles per job — structurally identical
 circuits) through a shared-cache :class:`~repro.serve.BatchRunner` must
-reach at least **2x** the throughput of the same jobs run through
-sequential *cold* ``HierarchicalExecutor`` calls (fresh partitioner and
-plan cache per job — what every pre-serve entry point did), with every
-per-job final state matching the cold path to ``1e-10``.
+partition once and compile each part's plan structure once, with every
+per-job final state matching sequential *cold* ``HierarchicalExecutor``
+calls (fresh partitioner and plan cache per job — what every pre-serve
+entry point did) to ``1e-10``.
 
 What the batch path amortises, per structure instead of per job:
 partitioning (the dagP multilevel pipeline), fusion grouping, fused
 gather tables, and the ``O(2^n)`` gather index tables.  Only the fused
 matrices (``2^k``-sized products) are rebuilt per job, because only they
-depend on the angles.
+depend on the angles.  What that buys in seconds is the perf harness's
+``sweep_qaoa14`` workload (``BENCHMARK.json``), not this script.
 
-The speedup floor is environment-overridable
-(``REPRO_BENCH_BATCH_MIN_SPEEDUP``, default ``2.0``) so CI smoke runs on
-loaded runners can't flake.  Also runnable without pytest (shared
-``repro.bench`` flags)::
+Also runnable without pytest (shared ``repro.bench`` flags)::
 
     python benchmarks/bench_batch.py --set qubits=12 --set jobs=8
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -38,12 +34,6 @@ from repro.sv import HierarchicalExecutor, zero_state
 NUM_JOBS = 32
 QUBITS = 12
 ROUNDS = 3
-
-
-def min_speedup() -> float:
-    """Acceptance floor for batched throughput (env-overridable)."""
-    value = os.environ.get("REPRO_BENCH_BATCH_MIN_SPEEDUP")
-    return 2.0 if value in (None, "") else float(value)
 
 
 def make_sweep_jobs(num_jobs=NUM_JOBS, qubits=QUBITS, rounds=ROUNDS):
@@ -60,35 +50,28 @@ def make_sweep_jobs(num_jobs=NUM_JOBS, qubits=QUBITS, rounds=ROUNDS):
 def run_cold_sequential(jobs):
     """The pre-serve baseline: per job, partition from scratch and
     execute with a fresh (empty) plan cache."""
-
-    def all_jobs():
-        states = []
-        for job in jobs:
-            n = job.circuit.num_qubits
-            partition = get_partitioner("dagP").partition(
-                job.circuit, default_limit(n)
-            )
-            executor = HierarchicalExecutor(fuse=True)
-            state = zero_state(n)
-            executor.run(job.circuit, partition, state)
-            states.append(state)
-        return states
-
-    stats, states = bench.measure(all_jobs, repeats=1)
-    return states, stats.min
+    states = []
+    for job in jobs:
+        n = job.circuit.num_qubits
+        partition = get_partitioner("dagP").partition(
+            job.circuit, default_limit(n)
+        )
+        executor = HierarchicalExecutor(fuse=True)
+        state = zero_state(n)
+        executor.run(job.circuit, partition, state)
+        states.append(state)
+    return states
 
 
 def run_batched(jobs):
     """The serving path: one runner, shared caches, grouped schedule."""
-    runner = BatchRunner(schedule="grouped")
-    stats, report = bench.measure(lambda: runner.run(jobs), repeats=1)
-    return report, stats.min
+    return BatchRunner(schedule="grouped").run(jobs)
 
 
 def run_comparison(num_jobs=NUM_JOBS, qubits=QUBITS, rounds=ROUNDS):
     jobs = make_sweep_jobs(num_jobs, qubits, rounds)
-    cold_states, cold_s = run_cold_sequential(jobs)
-    report, batch_s = run_batched(jobs)
+    cold_states = run_cold_sequential(jobs)
+    report = run_batched(jobs)
     max_err = max(
         float(np.max(np.abs(res.state - cold)))
         for res, cold in zip(report.results, cold_states)
@@ -97,9 +80,6 @@ def run_comparison(num_jobs=NUM_JOBS, qubits=QUBITS, rounds=ROUNDS):
         "num_jobs": num_jobs,
         "qubits": qubits,
         "gates": len(jobs[0].circuit),
-        "cold_s": cold_s,
-        "batch_s": batch_s,
-        "speedup": cold_s / batch_s,
         "max_err": max_err,
         "stats": report.stats,
     }
@@ -112,13 +92,11 @@ def render(res) -> str:
             f"Batched serving — qaoa angle sweep "
             f"({res['num_jobs']} jobs, {res['qubits']} qubits, "
             f"{res['gates']} gates each)",
-            f"{'cold sequential':>18}: {res['cold_s']:>8.3f}s "
-            f"(partition + compile per job)",
-            f"{'batched (shared)':>18}: {res['batch_s']:>8.3f}s "
-            f"({s.partitions_computed} partition, "
+            f"{'cold sequential':>18}: partition + compile per job",
+            f"{'batched (shared)':>18}: "
+            f"{s.partitions_computed} partition, "
             f"{s.structures_compiled} plan structures, "
-            f"{s.plans_bound} matrix binds)",
-            f"{'throughput':>18}: {res['speedup']:.2f}x",
+            f"{s.plans_bound} matrix binds",
             f"max |batch - cold| = {res['max_err']:.3e}",
         ]
     )
@@ -127,26 +105,22 @@ def render(res) -> str:
 # -- pytest entry points -----------------------------------------------------
 
 
-def test_batch_qaoa_sweep_speedup(save_result):
-    """Acceptance: >= 2x throughput on the 32-job sweep, states equal to
-    the cold path (floor overridable via REPRO_BENCH_BATCH_MIN_SPEEDUP)."""
-    floor = min_speedup()
+def test_batch_qaoa_sweep_partitions_once(save_result):
+    """Acceptance: the 32-job sweep partitions once and its states equal
+    the cold path's."""
     res = run_comparison()
     assert res["max_err"] < 1e-10, (
         f"batched states diverged from cold path: {res['max_err']:.3e}"
     )
     s = res["stats"]
     assert s.partitions_computed == 1 and s.partition_hits == NUM_JOBS - 1
-    assert res["speedup"] >= floor, (
-        f"batched throughput {res['speedup']:.2f}x below the {floor}x floor"
-    )
     save_result("bench_batch_qaoa_sweep", render(res))
 
 
 def test_batch_single_structure_compiles_once(save_result):
     """The 32-job batch compiles each part's plan structure exactly once."""
     jobs = make_sweep_jobs(qubits=10, rounds=1)
-    report, _ = run_batched(jobs)
+    report = run_batched(jobs)
     s = report.stats
     parts = report.results[0].num_parts
     assert s.structures_compiled == parts
@@ -162,17 +136,11 @@ def test_batch_single_structure_compiles_once(save_result):
     tags=("smoke", "accept"),
     params={"jobs": NUM_JOBS, "qubits": QUBITS, "rounds": ROUNDS},
     smoke={"jobs": 8, "qubits": 10, "rounds": 2},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Batched serving vs cold sequential execution on a QAOA sweep.
 
-    Cache accounting and state agreement are the gated metrics; the
-    throughput ratio is host-dependent and stays in ``info`` (the pytest
-    acceptance test carries the ``REPRO_BENCH_BATCH_MIN_SPEEDUP`` floor).
-    The comparison is cold by construction, so the registry entry runs
-    with no warm-up.
+    Cache accounting and state agreement are the gated metrics.
     """
     res = run_comparison(params["jobs"], params["qubits"], params["rounds"])
     stats = res["stats"]
@@ -187,12 +155,7 @@ def run_bench(params):
             "plans_bound": stats.plans_bound,
             "states_match": states_match,
         },
-        info={
-            "cold_s": res["cold_s"],
-            "batch_s": res["batch_s"],
-            "speedup": res["speedup"],
-            "max_err": res["max_err"],
-        },
+        info={"max_err": res["max_err"]},
         ok=states_match,
     )
 

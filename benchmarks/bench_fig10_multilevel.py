@@ -37,8 +37,6 @@ from repro.experiments import SCALES
     "fig10",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 10 single- vs multi-level HiSVSIM at the largest rank counts."""

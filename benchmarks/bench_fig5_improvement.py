@@ -54,8 +54,6 @@ from repro.experiments import SCALES
     "fig5",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 5 improvement factors over IQS (modeled traffic)."""

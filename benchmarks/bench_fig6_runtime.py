@@ -44,8 +44,6 @@ from repro.experiments import SCALES
     "fig6",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 6 strong-scaling runtime decomposition (modeled)."""

@@ -41,8 +41,6 @@ from repro.experiments import SCALES
     "fig7",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 7 per-rank communication time: IQS/dagP gap geomeans."""

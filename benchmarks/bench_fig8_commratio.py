@@ -36,8 +36,6 @@ from repro.experiments import SCALES
     "fig8",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 8 geometric-mean communication ratio by rank count."""

@@ -42,8 +42,6 @@ from repro.experiments import SCALES
     "fig9",
     tags=("paper",),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fig. 9 Dolan-Moré performance profiles: best-shares at theta=1."""

@@ -2,8 +2,8 @@
 complementary" claim, quantified).
 
 Compares hierarchical execution of the same partition with part-level
-gate fusion on and off: kernel sweeps per part, wall-clock, and the
-plan-cache effect of re-running a compiled partition.  The acceptance
+gate fusion on and off: kernel sweeps per part and agreement of both
+final states with the flat simulator.  The acceptance
 bar for the fusion pipeline is encoded in
 ``test_qft20_sweep_reduction_at_least_2x``: on a 20-qubit QFT at
 ``max_fused_qubits=5`` every part must execute in at most half the
@@ -13,10 +13,11 @@ The sweep-reduction floor is environment-overridable
 (``REPRO_BENCH_FUSION_MIN_SWEEP_REDUCTION``, default ``2.0``) so CI
 smoke runs on loaded runners can't flake on the acceptance bar.
 
-``fusion_bind`` measures the other half of a compiled plan: binding
+``fusion_bind`` covers the other half of a compiled plan: binding
 fresh matrices against structures compiled once (what every job of a
 parameter sweep pays).  Its gated metrics are exact counts plus agreement
-with the sequential gate-by-gate product; bind seconds are information.
+with the sequential gate-by-gate product; bind seconds are the perf
+harness's ``fusion.bind_s``.
 
 Also runnable without pytest for CI smoke (shared ``repro.bench`` flags)::
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def _build(num_qubits=QFT_QUBITS, limit=None, name="qft"):
 
 
 def run_comparison(num_qubits=QFT_QUBITS, max_fused=MAX_FUSED, name="qft",
-                   verify=False, warm_repeats=2):
+                   verify=False):
     """Execute fused and unfused, return a result dict."""
     qc, p = _build(num_qubits, name=name)
     rows = []
@@ -73,15 +73,7 @@ def run_comparison(num_qubits=QFT_QUBITS, max_fused=MAX_FUSED, name="qft",
         trace = ExecutionTrace()
         ex = HierarchicalExecutor(fuse=fuse, max_fused_qubits=max_fused)
         state = zero_state(qc.num_qubits)
-        # Cold = first run, compilation included; warm repeats reuse the
-        # compiled plans and are quoted as their median.
-        cold_stats, _ = bench.measure(
-            lambda: ex.run(qc, p, state, trace=trace), repeats=1
-        )
-        warm_stats, _ = bench.measure(
-            lambda: ex.run(qc, p, zero_state(qc.num_qubits)),
-            repeats=warm_repeats,
-        )
+        ex.run(qc, p, state, trace=trace)
         rows.append(
             {
                 "fuse": fuse,
@@ -90,9 +82,6 @@ def run_comparison(num_qubits=QFT_QUBITS, max_fused=MAX_FUSED, name="qft",
                 "per_part": list(
                     zip(trace.part_gates, trace.part_ops)
                 ),
-                "cold_s": cold_stats.min,
-                "warm_s": warm_stats.median,
-                "warm_min_s": warm_stats.min,
             }
         )
         states[fuse] = state
@@ -118,9 +107,9 @@ def render(res) -> str:
     lines = [
         f"Part-level gate fusion — {res['circuit']} "
         f"(parts={res['parts']}, max_fused_qubits={res['max_fused']})",
-        f"{'':>10} {'sweeps':>8} {'cold s':>9} {'warm s':>9}",
-        f"{'unfused':>10} {u['sweeps']:>8} {u['cold_s']:>9.3f} {u['warm_s']:>9.3f}",
-        f"{'fused':>10} {f['sweeps']:>8} {f['cold_s']:>9.3f} {f['warm_s']:>9.3f}",
+        f"{'':>10} {'sweeps':>8}",
+        f"{'unfused':>10} {u['sweeps']:>8}",
+        f"{'fused':>10} {f['sweeps']:>8}",
         f"sweep reduction: {u['sweeps'] / max(f['sweeps'], 1):.1f}x "
         f"({u['sweeps']} -> {f['sweeps']} over {res['parts']} parts)",
     ]
@@ -190,11 +179,8 @@ def test_fusion_comparison_table(save_result):
         "max_fused": MAX_FUSED,
         "circuit": "qft",
         "verify": True,
-        "warm_repeats": 2,
     },
     smoke={"qubits": 12, "max_fused": 4},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Fused vs unfused hierarchical execution: sweeps saved per part."""
@@ -203,7 +189,6 @@ def run_bench(params):
         params["max_fused"],
         params["circuit"],
         verify=params["verify"],
-        warm_repeats=params["warm_repeats"],
     )
     unfused, fused = res["unfused"], res["fused"]
     states_match = res["max_err"] is None or res["max_err"] < 1e-10
@@ -216,13 +201,7 @@ def run_bench(params):
             "sweep_reduction": unfused["sweeps"] / max(fused["sweeps"], 1),
             "states_match": states_match,
         },
-        info={
-            "unfused_cold_s": unfused["cold_s"],
-            "unfused_warm_s": unfused["warm_s"],
-            "fused_cold_s": fused["cold_s"],
-            "fused_warm_s": fused["warm_s"],
-            "max_err": res["max_err"],
-        },
+        info={"max_err": res["max_err"]},
         ok=states_match,
     )
 
@@ -242,8 +221,6 @@ def sequential_product(gates, group) -> np.ndarray:
     "fusion_bind",
     tags=("smoke",),
     params={"qubits": 10, "rounds": 3, "binds": 50},
-    repeats=1,
-    warmup=0,
 )
 def run_bind_bench(params):
     """Bind fresh QAOA angles against part structures compiled once."""
@@ -263,13 +240,11 @@ def run_bind_bench(params):
     structures = [
         build_part_structure(first, p.gate_indices, p.qubits) for p in parts
     ]
-    bind_s, max_dev = 0.0, 0.0
+    max_dev = 0.0
     for qc in [first] + [fresh() for _ in range(params["binds"] - 1)]:
         for structure, part in zip(structures, parts):
             gates = [qc[g] for g in part.gate_indices]
-            t0 = time.perf_counter()
             plan = structure.bind(gates)
-            bind_s += time.perf_counter() - t0
             for op, group in zip(plan.ops, structure.groups):
                 dev = np.abs(op.matrix() - sequential_product(gates, group))
                 max_dev = max(max_dev, float(dev.max()))
@@ -289,7 +264,7 @@ def run_bind_bench(params):
             "index_tables": len(tables),
             "agrees_with_sequential": agrees,
         },
-        info={"bind_s": bind_s, "binds": params["binds"], "max_dev": max_dev},
+        info={"binds": params["binds"], "max_dev": max_dev},
         ok=agrees,
     )
 

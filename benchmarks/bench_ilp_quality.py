@@ -54,8 +54,6 @@ from repro import bench
     tags=("paper",),
     params={"base_qubits": 8, "time_limit": 20.0},
     smoke={"base_qubits": 6, "time_limit": 5.0},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """dagP heuristic quality vs the ILP optimum at small widths."""

@@ -39,8 +39,6 @@ from repro import bench
     tags=("smoke", "paper"),
     params={"qubits": 16, "limit": 12, "circuits": ["bv", "qaoa", "qft"]},
     smoke={"qubits": 12, "limit": 8},
-    repeats=2,
-    warmup=1,
 )
 def run_bench(params):
     """Part counts per strategy — the partitioner-quality head-to-head."""

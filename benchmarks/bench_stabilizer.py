@@ -1,17 +1,12 @@
 """Stabilizer tableau vs dense part sweeps on Clifford circuits.
 
-The per-part engine routing's headline claim, quantified: an
-all-Clifford circuit (GHZ / ``cat_state``) routed through the
-stabilizer tableau engine must beat warm dense hierarchical execution
-of the same partition by at least ``10x`` wall-clock — the tableau
-updates ``O(n)`` bitmask rows per gate while the dense path sweeps
-``2^n`` amplitudes per part.
-
-The speedup floor is environment-overridable
-(``REPRO_BENCH_STABILIZER_MIN_SPEEDUP``, default ``10.0``, ``0``
-disables) so CI smoke runs on loaded runners can't flake on the
-acceptance bar; correctness (phase-exact state agreement at ``1e-10``
-and every part routed to the tableau engine) is gated unconditionally.
+The per-part engine routing's headline claim, checked: an all-Clifford
+circuit (GHZ / ``cat_state``) must route every part through the
+stabilizer tableau engine — which updates ``O(n)`` bitmask rows per
+gate while the dense path sweeps ``2^n`` amplitudes per part — and
+agree phase-exactly (``1e-10``) with dense hierarchical execution of
+the same partition.  The wall-clock ratio is the perf harness's
+``stabilizer.auto_run_s`` vs ``stabilizer.forced_run_s``.
 
 Also runnable without pytest for CI smoke (shared ``repro.bench``
 flags)::
@@ -20,8 +15,6 @@ flags)::
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -40,45 +33,23 @@ GHZ_QUBITS = 24
 SMOKE_QUBITS = 18
 
 
-def min_speedup() -> float:
-    """Acceptance floor for the tableau speedup (env-overridable)."""
-    value = os.environ.get("REPRO_BENCH_STABILIZER_MIN_SPEEDUP")
-    return 10.0 if value in (None, "") else float(value)
-
-
 def _build(num_qubits=GHZ_QUBITS, name="cat_state"):
     qc = generators.build(name, num_qubits)
     p = get_partitioner("dagP").partition(qc, max(3, num_qubits - 3))
     return qc, p
 
 
-def run_comparison(num_qubits=GHZ_QUBITS, name="cat_state", verify=True,
-                   warm_repeats=1):
+def run_comparison(num_qubits=GHZ_QUBITS, name="cat_state", verify=True):
     """Run the same partition dense and via the tableau, return a dict."""
     qc, p = _build(num_qubits, name)
 
     dense_ex = HierarchicalExecutor(method="dense")
     dense_trace = ExecutionTrace()
     dense_state = zero_state(qc.num_qubits)
-    # Cold dense run compiles the plans; the quoted dense time is the
-    # warm median so the comparison is sweeps vs tableau, not compilation.
-    cold_stats, _ = bench.measure(
-        lambda: dense_ex.run(qc, p, dense_state, dense_trace), repeats=1
-    )
-    warm_stats, _ = bench.measure(
-        lambda: dense_ex.run(qc, p, zero_state(qc.num_qubits)),
-        repeats=warm_repeats,
-    )
+    dense_ex.run(qc, p, dense_state, dense_trace)
 
     stab_ex = HierarchicalExecutor(method="auto")
     stab_trace = ExecutionTrace()
-    stab_stats, stab_state = bench.measure(
-        lambda: stab_ex.run(
-            qc, p, stab_ex.initial_state(qc), ExecutionTrace()
-        ),
-        repeats=max(warm_repeats, 1),
-    )
-    # One traced run for the routing metrics (timing excluded above).
     stab_state = stab_ex.run(qc, p, stab_ex.initial_state(qc), stab_trace)
     routed = isinstance(stab_state, StabilizerState)
 
@@ -96,10 +67,6 @@ def run_comparison(num_qubits=GHZ_QUBITS, name="cat_state", verify=True,
         "stabilizer_parts": stab_trace.engine_parts.get("stabilizer", 0),
         "boundary_conversions": stab_trace.boundary_conversions,
         "routed": routed,
-        "dense_cold_s": cold_stats.min,
-        "dense_warm_s": warm_stats.median,
-        "stabilizer_s": stab_stats.median,
-        "speedup": warm_stats.median / max(stab_stats.median, 1e-12),
         "max_err": err,
     }
 
@@ -108,12 +75,11 @@ def render(res) -> str:
     lines = [
         f"Stabilizer fast path — {res['circuit']} "
         f"(parts={res['parts']}, gates={res['gates']})",
-        f"{'dense warm':>12} {res['dense_warm_s']:>10.4f} s "
-        f"({res['dense_sweeps']} sweeps over 2^{res['qubits']} amplitudes)",
-        f"{'tableau':>12} {res['stabilizer_s']:>10.4f} s "
-        f"({res['stabilizer_parts']} parts routed, "
-        f"{res['boundary_conversions']} boundary conversions)",
-        f"speedup: {res['speedup']:.1f}x",
+        f"{'dense':>12}: "
+        f"{res['dense_sweeps']} sweeps over 2^{res['qubits']} amplitudes",
+        f"{'tableau':>12}: "
+        f"{res['stabilizer_parts']} parts routed, "
+        f"{res['boundary_conversions']} boundary conversions",
     ]
     if res["max_err"] is not None:
         lines.append(f"max |tableau - dense| = {res['max_err']:.3e}")
@@ -123,20 +89,14 @@ def render(res) -> str:
 # -- pytest-benchmark entry points ------------------------------------------
 
 
-def test_ghz_stabilizer_speedup(save_result):
-    """Acceptance: tableau beats warm dense by >= 10x on the GHZ
-    benchmark, phase-exactly (floor overridable via
-    REPRO_BENCH_STABILIZER_MIN_SPEEDUP; 0 disables the timing bar)."""
+def test_ghz_routes_to_stabilizer(save_result):
+    """Acceptance: every part of the GHZ benchmark runs on the tableau
+    engine and the result matches dense execution phase-exactly."""
     res = run_comparison(SMOKE_QUBITS)
     assert res["routed"], "all-Clifford circuit did not route to tableau"
     assert res["stabilizer_parts"] == res["parts"]
     assert res["boundary_conversions"] == 0
     assert res["max_err"] is not None and res["max_err"] < 1e-10
-    floor = min_speedup()
-    if floor:
-        assert res["speedup"] >= floor, (
-            f"tableau speedup {res['speedup']:.1f}x below floor {floor}x"
-        )
     save_result("bench_stabilizer_ghz", render(res))
 
 
@@ -156,19 +116,13 @@ def test_stabilizer_execution(benchmark):
         "qubits": GHZ_QUBITS,
         "circuit": "cat_state",
         "verify": True,
-        "warm_repeats": 1,
     },
     smoke={"qubits": SMOKE_QUBITS},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
-    """Stabilizer tableau vs warm dense execution on an all-Clifford GHZ."""
+    """Stabilizer tableau vs dense execution on an all-Clifford GHZ."""
     res = run_comparison(
-        params["qubits"],
-        params["circuit"],
-        verify=params["verify"],
-        warm_repeats=params["warm_repeats"],
+        params["qubits"], params["circuit"], verify=params["verify"]
     )
     states_match = res["max_err"] is None or res["max_err"] < 1e-10
     routed_all = (
@@ -176,7 +130,6 @@ def run_bench(params):
         and res["stabilizer_parts"] == res["parts"]
         and res["boundary_conversions"] == 0
     )
-    floor = min_speedup()
     return bench.payload(
         metrics={
             "qubits": res["qubits"],
@@ -188,15 +141,8 @@ def run_bench(params):
             "routed_all_stabilizer": routed_all,
             "states_match": states_match,
         },
-        info={
-            "dense_cold_s": res["dense_cold_s"],
-            "dense_warm_s": res["dense_warm_s"],
-            "stabilizer_s": res["stabilizer_s"],
-            "speedup": res["speedup"],
-            "max_err": res["max_err"],
-        },
-        ok=states_match and routed_all
-        and (not floor or res["speedup"] >= floor),
+        info={"max_err": res["max_err"]},
+        ok=states_match and routed_all,
     )
 
 

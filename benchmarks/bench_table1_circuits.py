@@ -25,8 +25,6 @@ from repro.experiments import SCALES
     "table1",
     tags=("smoke", "paper"),
     params={"scale": "small"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Table I suite inventory: 13 circuit families, gate/depth counts."""

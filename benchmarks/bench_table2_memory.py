@@ -31,8 +31,6 @@ from repro import bench
     tags=("paper",),
     params={"qubits": 30, "limit": 16},
     smoke={"qubits": 20, "limit": 12},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Table II memory-access breakdown (modeled) for bv and ising."""

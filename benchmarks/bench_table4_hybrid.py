@@ -37,8 +37,6 @@ from repro import bench
     tags=("paper",),
     params={"qubits": 28, "gpus": 4},
     smoke={"qubits": 16},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Table IV hybrid HiSVSIM+HyQuas end-to-end estimate (modeled)."""

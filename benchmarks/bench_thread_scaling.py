@@ -34,8 +34,6 @@ from repro import bench
     tags=("paper",),
     params={"qubits": 24, "limit": 16},
     smoke={"qubits": 18, "limit": 12},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """Thread-scaling model curve (measured column disabled: the modeled

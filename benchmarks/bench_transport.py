@@ -8,11 +8,6 @@ exactly the amplitude volume the closed-form dry-run model
 (:func:`repro.dist.analytic.exchange_rank_stats`) predicts.  Both are
 gated metrics — a single byte of disagreement fails the benchmark.
 
-Timing in ``info`` contrasts the two transports on the same circuit:
-the recording exchange is one vectorised scatter, the socket exchange
-pays real framing, syscalls and loopback copies.  That ratio is
-host-dependent and never gated.
-
 Also runnable without pytest (shared ``repro.bench`` flags)::
 
     python benchmarks/bench_transport.py --set qubits=8
@@ -43,11 +38,8 @@ def run_comparison(num_ranks=NUM_RANKS, qubits=QUBITS, circuit=CIRCUIT):
     partition = get_partitioner("dagP").partition(qc, max(3, qubits - 3))
     local_bits = qubits - (num_ranks.bit_length() - 1)
 
-    def recording():
-        state, report = HiSVSimEngine(num_ranks=num_ranks).run(qc, partition)
-        return state.to_full(), report
-
-    rec_stats, (reference, rec_report) = bench.measure(recording, repeats=1)
+    state, rec_report = HiSVSimEngine(num_ranks=num_ranks).run(qc, partition)
+    reference = state.to_full()
 
     def worker(rank, transport):
         state, report = HiSVSimEngine(num_ranks=num_ranks).run(
@@ -55,10 +47,7 @@ def run_comparison(num_ranks=NUM_RANKS, qubits=QUBITS, circuit=CIRCUIT):
         )
         return state.to_full(), report, list(transport.records)
 
-    def spmd():
-        return run_spmd(num_ranks, worker)
-
-    sock_stats, results = bench.measure(spmd, repeats=1)
+    results = run_spmd(num_ranks, worker)
 
     bitwise = all(
         np.array_equal(full.view(np.uint8), reference.view(np.uint8))
@@ -90,8 +79,6 @@ def run_comparison(num_ranks=NUM_RANKS, qubits=QUBITS, circuit=CIRCUIT):
         "bitwise_identical": bitwise,
         "records_match_model": records_match,
         "volume_matches_recording": volume_matches,
-        "recording_s": rec_stats.min,
-        "socket_s": sock_stats.min,
     }
 
 
@@ -101,10 +88,6 @@ def render(res) -> str:
             f"Socket transport — {res['circuit']} over {res['num_ranks']} "
             f"ranks ({res['exchanges']} exchanges, "
             f"{res['model_bytes']} model bytes)",
-            f"{'recording':>12}: {res['recording_s']:>8.4f}s "
-            f"(in-process scatter)",
-            f"{'socket':>12}: {res['socket_s']:>8.4f}s "
-            f"(real TCP mesh)",
             f"bitwise identical: {res['bitwise_identical']}, "
             f"records == model: {res['records_match_model']}",
         ]
@@ -131,15 +114,13 @@ def test_socket_transport_matches_model(save_result):
     tags=("smoke", "accept"),
     params={"ranks": NUM_RANKS, "qubits": QUBITS, "circuit": CIRCUIT},
     smoke={"ranks": 2, "qubits": 7, "circuit": "qft"},
-    repeats=1,
-    warmup=0,
 )
 def run_bench(params):
     """2-rank socket run vs the in-process comm and the dry-run model.
 
-    Every metric is deterministic (traffic model + agreement flags);
-    wall times stay in ``info``.  ``ok`` is the conjunction of the
-    bit-identity and model-agreement gates.
+    Every metric is deterministic (traffic model + agreement flags).
+    ``ok`` is the conjunction of the bit-identity and model-agreement
+    gates.
     """
     res = run_comparison(
         int(params["ranks"]), int(params["qubits"]), params["circuit"]
@@ -159,11 +140,7 @@ def run_bench(params):
             "bitwise_identical": res["bitwise_identical"],
             "records_match_model": res["records_match_model"],
         },
-        info={
-            "recording_s": res["recording_s"],
-            "socket_s": res["socket_s"],
-            "circuit": res["circuit"],
-        },
+        info={"circuit": res["circuit"]},
         ok=ok,
     )
 

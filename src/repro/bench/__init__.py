@@ -1,10 +1,10 @@
-"""Unified benchmark framework (registry, runner, schema, perf gate).
+"""Benchmark registry for the paper's exact model metrics.
 
 Every script under ``benchmarks/`` registers one entry point with
-:func:`register`; the runner executes selections by name or tag through
-one shared warm-up/repeat timing loop and serialises
-:class:`BenchSuite` JSON; :func:`compare_suites` is the CI
-perf-regression gate (model metrics exact, timing thresholded).
+:func:`register`; the runner calls each selected benchmark once and
+serialises :class:`BenchSuite` JSON; :func:`compare_suites` is the CI
+gate (model metrics exact, parameters and coverage checked).  Nothing
+in this package reads a clock — ``benchmarks/perf`` is the stopwatch.
 
 Typical flow::
 
@@ -20,15 +20,13 @@ From a benchmark script::
                     smoke={"qubits": 12})
     def run_bench(params):
         ...
-        return bench.payload(metrics={"parts": 7}, info={"cold_s": 0.4})
+        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0})
 
 See ``docs/benchmarks.md`` for the benchmark → paper-figure map and the
 baseline-refresh workflow.
 """
 
 from .compare import (
-    DEFAULT_MAX_REGRESSION,
-    DEFAULT_TIMING_FLOOR,
     ComparisonReport,
     ComparisonRow,
     compare_suites,
@@ -45,7 +43,6 @@ from .registry import (
     select,
 )
 from .runner import (
-    measure,
     render_suite,
     run_benchmark,
     run_suite,
@@ -58,7 +55,6 @@ from .schema import (
     BenchSuite,
     EnvironmentFingerprint,
     SchemaError,
-    TimingStats,
 )
 
 __all__ = [
@@ -69,16 +65,12 @@ __all__ = [
     "BenchError",
     "ComparisonReport",
     "ComparisonRow",
-    "DEFAULT_MAX_REGRESSION",
-    "DEFAULT_TIMING_FLOOR",
     "EnvironmentFingerprint",
     "REGISTRY",
     "SchemaError",
-    "TimingStats",
     "compare_suites",
     "find_bench_dir",
     "load_benchmarks",
-    "measure",
     "metrics_equal",
     "payload",
     "register",

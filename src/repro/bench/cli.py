@@ -4,17 +4,15 @@ Usage::
 
     repro bench list [--tag smoke]
     repro bench run [NAME ...] [--tag smoke] [--json BENCH_smoke.json]
-                    [--repeats N] [--warmup N] [--set KEY=VALUE] [--save]
-    repro bench compare run.json baseline.json [--max-regression X]
-                    [--timing-floor S] [--skip-timing]
+                    [--set KEY=VALUE] [--save]
+    repro bench compare run.json baseline.json
 
 ``run`` with no names and no tag executes every registered benchmark.
 ``--tag smoke`` additionally applies each benchmark's registered
 smoke-size parameters, which is what CI runs and what
 ``benchmarks/baselines/smoke.json`` was recorded with.  ``compare``
-exits non-zero when the gate fails; thresholds fall back to
-``REPRO_BENCH_MAX_REGRESSION`` / ``REPRO_BENCH_TIMING_FLOOR`` /
-``REPRO_BENCH_SKIP_TIMING``.
+exits 1 when a model metric, a parameter or the coverage differs from
+the baseline; it compares no timings.
 """
 
 from __future__ import annotations
@@ -48,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(tag 'smoke' also applies smoke-size params)")
     p_run.add_argument("--json", default=None, metavar="PATH",
                        help="write the suite JSON here (BENCH_<suite>.json)")
-    p_run.add_argument("--repeats", type=int, default=None,
-                       help="timed repeats (default: per-benchmark)")
-    p_run.add_argument("--warmup", type=int, default=None,
-                       help="untimed warm-up runs (default: per-benchmark)")
     p_run.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides",
                        help="override a parameter on every selected "
@@ -70,17 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("run", help="suite JSON produced by 'repro bench run'")
     p_cmp.add_argument("baseline", help="baseline suite JSON "
                        "(e.g. benchmarks/baselines/smoke.json)")
-    p_cmp.add_argument("--max-regression", type=float, default=None,
-                       help="timing ceiling: run median / baseline median "
-                            "(default: REPRO_BENCH_MAX_REGRESSION or 10)")
-    p_cmp.add_argument("--timing-floor", type=float, default=None,
-                       metavar="SECONDS",
-                       help="baselines faster than this are not "
-                            "timing-gated (default: REPRO_BENCH_TIMING_FLOOR "
-                            "or 0.05)")
-    p_cmp.add_argument("--skip-timing", action="store_true", default=None,
-                       help="compare model metrics only "
-                            "(default: REPRO_BENCH_SKIP_TIMING)")
     return parser
 
 
@@ -101,8 +84,6 @@ def _cmd_run(args) -> int:
         names=args.names or None,
         tag=args.tag,
         overrides=_parse_set(args.overrides),
-        repeats=args.repeats,
-        warmup=args.warmup,
         smoke=args.smoke,
         suite_name=args.suite,
         progress=lambda name: print(f"[bench] running {name} …", flush=True),
@@ -120,13 +101,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     run = BenchSuite.load(args.run)
     baseline = BenchSuite.load(args.baseline)
-    report = compare_suites(
-        run,
-        baseline,
-        max_regression=args.max_regression,
-        timing_floor=args.timing_floor,
-        skip_timing=args.skip_timing,
-    )
+    report = compare_suites(run, baseline)
     print(report.render())
     return 0 if report.ok else 1
 

@@ -1,4 +1,4 @@
-"""Suite comparison: the perf-regression gate.
+"""Suite comparison: the model-metric gate.
 
 ``repro bench compare run.json baseline.json`` diffs two
 :class:`~repro.bench.schema.BenchSuite` files:
@@ -9,43 +9,26 @@
   drift is a behaviour change, not noise;
 * **parameters** must match — comparing a 12-qubit run against a
   20-qubit baseline is meaningless and fails loudly;
-* **timing** is thresholded: the run's median must stay within
-  ``max_regression`` x the baseline's median.  The default is generous
-  (cross-machine medians vary hugely) and every knob has a
-  ``REPRO_BENCH_*`` override so loaded CI runners can relax the gate
-  without editing the workflow;
 * benchmarks present in the baseline but missing from the run fail
   (coverage must not silently shrink); new benchmarks only note.
+
+No seconds are compared: ``benchmarks/perf`` is the only timing gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List
 
-from ..config import ENV, env
 from .schema import BenchSuite
 
 __all__ = [
-    "DEFAULT_MAX_REGRESSION",
-    "DEFAULT_TIMING_FLOOR",
     "ComparisonRow",
     "ComparisonReport",
     "metrics_equal",
     "compare_suites",
 ]
-
-#: Default ceiling on run-median / baseline-median.  Deliberately
-#: generous: the committed baseline and the CI runner are different
-#: machines.  Tighten via --max-regression / REPRO_BENCH_MAX_REGRESSION
-#: when baseline and run share hardware.
-DEFAULT_MAX_REGRESSION = ENV["REPRO_BENCH_MAX_REGRESSION"].default
-
-#: Baselines faster than this (seconds) are pure noise at CI's timer
-#: resolution and scheduling jitter; their timing is reported but never
-#: gated.
-DEFAULT_TIMING_FLOOR = ENV["REPRO_BENCH_TIMING_FLOOR"].default
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
@@ -79,15 +62,11 @@ def metrics_equal(a: Any, b: Any) -> bool:
 class ComparisonRow:
     name: str
     ok: bool
-    timing_ratio: Optional[float] = None
     notes: List[str] = field(default_factory=list)
 
 
 @dataclass
 class ComparisonReport:
-    max_regression: float
-    timing_floor: float
-    skip_timing: bool
     rows: List[ComparisonRow] = field(default_factory=list)
     environment_drift: List[str] = field(default_factory=list)
 
@@ -96,57 +75,25 @@ class ComparisonReport:
         return all(row.ok for row in self.rows)
 
     def render(self) -> str:
-        lines = [
-            f"perf gate: max_regression={self.max_regression:g}x, "
-            f"timing_floor={self.timing_floor:g}s"
-            + (", timing gate SKIPPED" if self.skip_timing else "")
-        ]
+        lines = ["model-metric gate: metrics exact, params, coverage"]
         for drift in self.environment_drift:
             lines.append(f"note: environment drift — {drift}")
         for row in self.rows:
             status = "ok  " if row.ok else "FAIL"
-            ratio = (
-                f"{row.timing_ratio:.2f}x"
-                if row.timing_ratio is not None
-                else "   —  "
-            )
-            line = f"  [{status}] {row.name:<18} timing {ratio}"
-            lines.append(line)
+            lines.append(f"  [{status}] {row.name}")
             for note in row.notes:
                 lines.append(f"         - {note}")
         verdict = "PASS" if self.ok else "FAIL"
         lines.append(
-            f"perf gate {verdict}: "
+            f"model-metric gate {verdict}: "
             f"{sum(r.ok for r in self.rows)}/{len(self.rows)} benchmarks ok"
         )
         return "\n".join(lines)
 
 
-def compare_suites(
-    run: BenchSuite,
-    baseline: BenchSuite,
-    max_regression: Optional[float] = None,
-    timing_floor: Optional[float] = None,
-    skip_timing: Optional[bool] = None,
-) -> ComparisonReport:
+def compare_suites(run: BenchSuite, baseline: BenchSuite) -> ComparisonReport:
     """Gate ``run`` against ``baseline``; see the module docstring."""
-    report = ComparisonReport(
-        max_regression=(
-            env("REPRO_BENCH_MAX_REGRESSION")
-            if max_regression is None
-            else max_regression
-        ),
-        timing_floor=(
-            env("REPRO_BENCH_TIMING_FLOOR")
-            if timing_floor is None
-            else timing_floor
-        ),
-        skip_timing=(
-            env("REPRO_BENCH_SKIP_TIMING")
-            if skip_timing is None
-            else skip_timing
-        ),
-    )
+    report = ComparisonReport()
 
     env_run, env_base = run.environment, baseline.environment
     for field_name in ("python", "numpy", "platform", "backend", "cpu_count"):
@@ -187,30 +134,6 @@ def compare_suites(
                     f"metric {key!r}: run={res.metrics[key]!r} != "
                     f"baseline={base_result.metrics[key]!r}"
                 )
-
-        base_median = base_result.timing.median
-        if base_median > 0:
-            row.timing_ratio = res.timing.median / base_median
-        if report.skip_timing:
-            continue
-        if base_median < report.timing_floor:
-            row.notes.append(
-                f"timing not gated (baseline median "
-                f"{base_median * 1e3:.1f}ms < floor "
-                f"{report.timing_floor * 1e3:.0f}ms)"
-            )
-            continue
-        if (
-            row.timing_ratio is not None
-            and row.timing_ratio > report.max_regression
-        ):
-            row.ok = False
-            row.notes.append(
-                f"timing regression: median {res.timing.median:.3f}s vs "
-                f"baseline {base_median:.3f}s "
-                f"({row.timing_ratio:.2f}x > {report.max_regression:g}x; "
-                f"override with REPRO_BENCH_MAX_REGRESSION)"
-            )
 
     for name in sorted(run_names - {r.name for r in baseline.results}):
         report.rows.append(

@@ -12,14 +12,15 @@ Benchmark scripts under ``benchmarks/`` register one entry point each::
     )
     def run_bench(params):
         ...
-        return bench.payload(metrics={"parts": 7}, info={"speedup": 2.1})
+        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0})
 
 The registered function receives the merged parameter dict and returns a
 payload (:func:`payload`): ``metrics`` must be deterministic model
-quantities — the perf gate compares them for exact equality — while
-``info`` is free-form.  :func:`load_benchmarks` imports every
-``benchmarks/bench_*.py`` so their registrations run, which is how the
-CLI runner sees the full registry without a hand-maintained list.
+quantities — the gate compares them for exact equality — while
+``info`` is free-form but holds no wall-clock measurement.
+:func:`load_benchmarks` imports every ``benchmarks/bench_*.py`` so their
+registrations run, which is how the CLI runner sees the full registry
+without a hand-maintained list.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class Benchmark:
     tags: Tuple[str, ...]
     params: Dict[str, Any] = field(default_factory=dict)
     smoke: Dict[str, Any] = field(default_factory=dict)
-    repeats: int = 2
-    warmup: int = 1
     description: str = ""
 
     def merged_params(
@@ -97,17 +96,13 @@ def register(
     tags: Iterable[str] = (),
     params: Optional[Dict[str, Any]] = None,
     smoke: Optional[Dict[str, Any]] = None,
-    repeats: int = 2,
-    warmup: int = 1,
 ) -> Callable:
     """Decorator registering ``fn`` as benchmark ``name``.
 
     ``params`` are the full-size defaults, ``smoke`` the overrides
-    applied for smoke runs (``--tag smoke`` / ``--smoke``); ``repeats``
-    and ``warmup`` are the per-benchmark timing-loop defaults, both
-    overridable from the CLI.  Re-registration under the same name
-    replaces the entry (the same script may be imported both by pytest
-    and by the discovery loader).
+    applied for smoke runs (``--tag smoke`` / ``--smoke``).
+    Re-registration under the same name replaces the entry (the same
+    script may be imported both by pytest and by the discovery loader).
     """
 
     def deco(fn: Callable) -> Callable:
@@ -118,8 +113,6 @@ def register(
             tags=tuple(tags),
             params=dict(params or {}),
             smoke=dict(smoke or {}),
-            repeats=repeats,
-            warmup=warmup,
             description=doc[0] if doc else "",
         )
         return fn

@@ -1,28 +1,26 @@
-"""Shared benchmark execution: one timing loop for every script.
+"""Shared benchmark execution: one call per registered benchmark.
 
-The historical ``benchmarks/`` scripts each hand-rolled warm-up/repeat
-timing with subtle differences (some timed a single run, some kept the
-best of two).  :func:`measure` is the one loop everything now goes
-through — warm-up runs execute but are never recorded, every timed
-repeat is kept, and reports quote median + min.  :func:`run_benchmark`
-wraps a registered benchmark in that loop and packages the outcome as a
+:func:`run_benchmark` calls a registered benchmark once with its merged
+parameters and packages the outcome as a
 :class:`~repro.bench.schema.BenchResult`; :func:`run_suite` executes a
 selection and yields the ``BENCH_*.json``-shaped
-:class:`~repro.bench.schema.BenchSuite`.
+:class:`~repro.bench.schema.BenchSuite`.  Nothing is timed here: the
+results are the exact model metrics the paper's claims rest on, and two
+runs on one host serialise identically apart from ``created``.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import json
 import os
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..config import env
 from .registry import Benchmark, BenchError, select
-from .schema import BenchResult, BenchSuite, EnvironmentFingerprint, TimingStats
+from .schema import BenchResult, BenchSuite, EnvironmentFingerprint
 
 __all__ = [
-    "measure",
     "run_benchmark",
     "run_suite",
     "save_per_benchmark",
@@ -30,78 +28,34 @@ __all__ = [
 ]
 
 
-def measure(
-    fn: Callable[[], Any], repeats: int = 1, warmup: int = 0
-) -> Tuple[TimingStats, Any]:
-    """Time ``fn`` with warm-up: returns (stats, last return value).
-
-    Warm-up calls absorb one-time costs (plan compilation, caches,
-    thread-pool spin-up) so the recorded repeats measure steady state.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for _ in range(max(0, warmup)):
-        fn()
-    times: List[float] = []
-    value: Any = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = fn()
-        times.append(time.perf_counter() - t0)
-    return TimingStats.from_times(times, warmup=max(0, warmup)), value
-
-
 def run_benchmark(
     bench: Benchmark,
     overrides: Optional[Dict[str, Any]] = None,
-    repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
     smoke: bool = False,
 ) -> BenchResult:
-    """Execute one registered benchmark through the shared timing loop.
+    """Execute one registered benchmark, once.
 
-    Model metrics must be identical across repeats — a mismatch means
-    the benchmark leaked nondeterminism into the gated section, which
-    would make every later comparison meaningless, so it fails loudly
-    here rather than silently in CI.
+    A payload with ``ok=False`` (a failed correctness check) raises
+    :class:`BenchError` instead of returning a result.
     """
     params = bench.merged_params(overrides, smoke=smoke)
-    repeats = bench.repeats if repeats is None else repeats
-    warmup = bench.warmup if warmup is None else warmup
-
-    payloads: List[Dict[str, Any]] = []
-
-    def call() -> Dict[str, Any]:
-        out = bench.fn(dict(params))
-        if not isinstance(out, dict) or "metrics" not in out:
-            raise BenchError(
-                f"benchmark {bench.name!r} must return bench.payload(...)"
-            )
-        payloads.append(out)
-        return out
-
-    timing, last = measure(call, repeats=repeats, warmup=warmup)
-    timed = payloads[-repeats:]
-    for other in timed[:-1]:
-        if other["metrics"] != last["metrics"]:
-            raise BenchError(
-                f"benchmark {bench.name!r} produced nondeterministic model "
-                f"metrics across repeats: {other['metrics']} != "
-                f"{last['metrics']}"
-            )
-    if not all(p.get("ok", True) for p in payloads):
+    out = bench.fn(dict(params))
+    if not isinstance(out, dict) or "metrics" not in out:
+        raise BenchError(
+            f"benchmark {bench.name!r} must return bench.payload(...)"
+        )
+    if not out.get("ok", True):
         raise BenchError(
             f"benchmark {bench.name!r} failed its correctness check "
-            f"(payload ok=False): metrics={last['metrics']} "
-            f"info={last.get('info', {})}"
+            f"(payload ok=False): metrics={out['metrics']} "
+            f"info={out.get('info', {})}"
         )
     return BenchResult(
         name=bench.name,
         tags=bench.tags,
         params=params,
-        metrics=dict(last["metrics"]),
-        info=dict(last.get("info", {})),
-        timing=timing,
+        metrics=dict(out["metrics"]),
+        info=dict(out.get("info", {})),
     )
 
 
@@ -109,8 +63,6 @@ def run_suite(
     names: Optional[Iterable[str]] = None,
     tag: Optional[str] = None,
     overrides: Optional[Dict[str, Any]] = None,
-    repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
     smoke: Optional[bool] = None,
     suite_name: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -135,13 +87,7 @@ def run_suite(
         if progress is not None:
             progress(bench.name)
         suite.results.append(
-            run_benchmark(
-                bench,
-                overrides=overrides,
-                repeats=repeats,
-                warmup=warmup,
-                smoke=smoke,
-            )
+            run_benchmark(bench, overrides=overrides, smoke=smoke)
         )
     return suite
 
@@ -153,13 +99,9 @@ def save_per_benchmark(suite: BenchSuite, results_dir: Optional[str] = None) -> 
     longitudinal tooling (one file per metric trajectory) consumes.
     """
     if results_dir is None:
-        from ..experiments.common import RESULTS_DIR
-
-        results_dir = RESULTS_DIR
+        results_dir = env("REPRO_RESULTS_DIR")
     out_dir = os.path.join(results_dir, "bench")
     os.makedirs(out_dir, exist_ok=True)
-    import json
-
     for result in suite.results:
         path = os.path.join(out_dir, f"{result.name}.json")
         entry = dict(result.to_dict())
@@ -200,17 +142,13 @@ def render_suite(suite: BenchSuite) -> str:
         f"suite={suite.suite} backend={suite.environment.backend} "
         f"python={suite.environment.python} numpy={suite.environment.numpy} "
         f"cpus={suite.environment.cpu_count}",
-        f"{'benchmark':>16} {'median s':>10} {'min s':>10} "
-        f"{'repeats':>7}  metrics",
+        f"{'benchmark':>16}  metrics",
     ]
     for r in suite.results:
         shown = ", ".join(f"{k}={v}" for k, v in list(r.metrics.items())[:4])
         if len(r.metrics) > 4:
             shown += ", …"
-        lines.append(
-            f"{r.name:>16} {r.timing.median:>10.3f} {r.timing.min:>10.3f} "
-            f"{r.timing.repeats:>7}  {shown}"
-        )
+        lines.append(f"{r.name:>16}  {shown}")
     return "\n".join(lines)
 
 
@@ -219,8 +157,7 @@ def script_main(name: str, argv: Optional[List[str]] = None) -> int:
 
     Replaces the per-script argparse mains: one flag set everywhere
     (``--set key=value`` for parameters, ``--smoke`` for the registered
-    smoke sizes, ``--repeats``/``--warmup`` for the timing loop,
-    ``--json`` for a single-benchmark suite file).
+    smoke sizes, ``--json`` for a single-benchmark suite file).
     """
     import argparse
 
@@ -232,10 +169,6 @@ def script_main(name: str, argv: Optional[List[str]] = None) -> int:
                         help="override a benchmark parameter")
     parser.add_argument("--smoke", action="store_true",
                         help="use the registered smoke-size parameters")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timed repeats (default: per-benchmark)")
-    parser.add_argument("--warmup", type=int, default=None,
-                        help="untimed warm-up runs (default: per-benchmark)")
     parser.add_argument("--json", default=None,
                         help="write a single-benchmark suite JSON here")
     args = parser.parse_args(argv)
@@ -243,8 +176,6 @@ def script_main(name: str, argv: Optional[List[str]] = None) -> int:
     suite = run_suite(
         names=[name],
         overrides=_parse_set(args.overrides),
-        repeats=args.repeats,
-        warmup=args.warmup,
         smoke=args.smoke,
         suite_name=name,
         progress=lambda n: print(f"[bench] running {n} …", flush=True),

@@ -2,21 +2,17 @@
 
 Every benchmark run produces a :class:`BenchResult` — deterministic
 *model metrics* (sweeps, parts, bytes: gated for exact equality by the
-comparator), free-form *info* (wall-clock-derived observations that may
-legitimately vary run to run), and :class:`TimingStats` over the
-runner's warm-up/repeat loop.  A :class:`BenchSuite` bundles the results
-of one ``repro bench run`` invocation together with an
-:class:`EnvironmentFingerprint`, and serialises to the ``BENCH_*.json``
-files CI archives and gates on.
+comparator) and free-form *info* (verification errors, labels: never
+gated); neither holds a wall-clock measurement.  A :class:`BenchSuite`
+bundles the results of one ``repro bench run`` invocation together with
+an :class:`EnvironmentFingerprint`, and serialises to the
+``BENCH_*.json`` files CI archives and gates on.
 
 Example::
 
-    >>> stats = TimingStats.from_times([0.2, 0.1, 0.3], warmup=1)
-    >>> (stats.median, stats.min) == (0.2, 0.1)
-    True
     >>> result = BenchResult(
     ...     name="fusion", tags=("smoke",), params={"qubits": 12},
-    ...     metrics={"parts": 4}, info={}, timing=stats,
+    ...     metrics={"parts": 4}, info={},
     ... )
     >>> BenchResult.from_dict(result.to_dict()) == result
     True
@@ -27,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import statistics
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -37,7 +32,6 @@ from ..config import env
 __all__ = [
     "SCHEMA_VERSION",
     "EnvironmentFingerprint",
-    "TimingStats",
     "BenchResult",
     "BenchSuite",
     "SchemaError",
@@ -45,7 +39,7 @@ __all__ = [
 
 #: Bump when the JSON layout changes incompatibly; the comparator
 #: refuses to diff suites with differing schema versions.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SchemaError(ValueError):
@@ -60,11 +54,10 @@ def _require(mapping: Dict[str, Any], keys: Sequence[str], where: str) -> None:
 
 @dataclass(frozen=True)
 class EnvironmentFingerprint:
-    """Where a suite ran: enough to judge whether timings are comparable.
+    """Where a suite ran.
 
-    Model metrics must not depend on any of these fields; timings almost
-    always do, which is why the comparator only *warns* on fingerprint
-    drift but applies a generous threshold to timing ratios.
+    Model metrics must not depend on any of these fields, which is why
+    the comparator only *notes* fingerprint drift.
     """
 
     python: str
@@ -113,64 +106,13 @@ class EnvironmentFingerprint:
 
 
 @dataclass(frozen=True)
-class TimingStats:
-    """Wall-clock statistics over the runner's repeat loop.
-
-    ``times`` holds every timed repeat (warm-up runs are executed but
-    never recorded); ``median`` and ``min`` are the two numbers the
-    comparator and reports use — median as the robust central estimate,
-    min as the best-case floor.
-    """
-
-    repeats: int
-    warmup: int
-    times: Tuple[float, ...]
-
-    @classmethod
-    def from_times(cls, times: Sequence[float], warmup: int = 0) -> "TimingStats":
-        times = tuple(float(t) for t in times)
-        if not times:
-            raise ValueError("TimingStats needs at least one timed repeat")
-        return cls(repeats=len(times), warmup=warmup, times=times)
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
-
-    @property
-    def min(self) -> float:
-        return min(self.times)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-    def to_dict(self) -> Dict[str, Any]:
-        # median/min/mean are derived but stored too: the JSON files
-        # double as human-readable artefacts.
-        return {
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "times_s": list(self.times),
-            "median_s": self.median,
-            "min_s": self.min,
-            "mean_s": self.mean,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TimingStats":
-        _require(d, ("times_s",), "timing")
-        return cls.from_times(d["times_s"], warmup=int(d.get("warmup", 0)))
-
-
-@dataclass(frozen=True)
 class BenchResult:
     """One benchmark's outcome.
 
     ``metrics`` are the deterministic model quantities (part counts,
-    kernel sweeps, exchanged bytes, gate counts…) the perf gate compares
-    for exact equality; ``info`` carries everything else (measured
-    speedups, verification errors) and is never gated.
+    kernel sweeps, exchanged bytes, gate counts…) the gate compares
+    for exact equality; ``info`` carries everything else (verification
+    errors, labels) and is never gated.
     """
 
     name: str
@@ -178,7 +120,6 @@ class BenchResult:
     params: Dict[str, Any]
     metrics: Dict[str, Any]
     info: Dict[str, Any]
-    timing: TimingStats
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -187,19 +128,17 @@ class BenchResult:
             "params": dict(self.params),
             "metrics": dict(self.metrics),
             "info": dict(self.info),
-            "timing": self.timing.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "BenchResult":
-        _require(d, ("name", "params", "metrics", "timing"), "result")
+        _require(d, ("name", "params", "metrics"), "result")
         return cls(
             name=d["name"],
             tags=tuple(d.get("tags", ())),
             params=dict(d["params"]),
             metrics=dict(d["metrics"]),
             info=dict(d.get("info", {})),
-            timing=TimingStats.from_dict(d["timing"]),
         )
 
 

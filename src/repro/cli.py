@@ -27,9 +27,10 @@ structurally identical circuits) and writes a results manifest.
 ``serve`` keeps that runtime resident behind an asyncio HTTP/JSON API
 (job submission with backpressure, TTL'd results, graceful drain on
 SIGTERM; API schema in ``docs/serving.md``).
-``bench`` drives the unified benchmark registry (:mod:`repro.bench`):
-list/run registered benchmarks with standardized JSON output, and gate
-a run against a committed baseline (see ``docs/benchmarks.md``).
+``bench`` drives the benchmark registry (:mod:`repro.bench`): list/run
+registered benchmarks with standardized JSON output, and gate a run's
+exact model metrics against a committed baseline (see
+``docs/benchmarks.md``).
 
 Defaults and the ``REPRO_*`` environment variables are documented in
 ``docs/configuration.md``.
@@ -60,7 +61,6 @@ from .experiments import (
     table4,
     thread_scaling,
 )
-from .experiments.common import RESULTS_DIR
 from .partition import STRATEGIES
 from .sv.backend import BACKEND_NAMES
 from .sv.engine import METHOD_NAMES
@@ -88,7 +88,10 @@ def _run_one(name: str, scale_name: str, save: bool) -> str:
     text = result.table()
     text += f"\n[{name} @ scale={scale_name}: {time.perf_counter() - t0:.1f}s]\n"
     if save:
-        save_text(os.path.join(RESULTS_DIR, f"{name}_{scale_name}.txt"), text)
+        save_text(
+            os.path.join(env("REPRO_RESULTS_DIR"), f"{name}_{scale_name}.txt"),
+            text,
+        )
     return text
 
 
@@ -142,26 +145,22 @@ def _cross_check(qc, state, label: str) -> int:
 def _simulate(args) -> int:
     """Partition, hierarchically execute and summarise one circuit."""
     from .circuits import generators
-    from .partition import get_partitioner
     from .partition.metrics import evaluate_partition
-    from .serve.runner import default_limit
-    from .sv import ExecutionTrace, HierarchicalExecutor
+    from .serve import BatchRunner
+    from .sv import ExecutionTrace
     from .sv.stabilizer import StabilizerState
 
     options = _run_options(args)
     qc = generators.build(args.name, args.qubits)
-    limit = options.limit or default_limit(qc.num_qubits)
-    p = get_partitioner(options.strategy).partition(qc, limit)
+    runner = BatchRunner(options)
     trace = ExecutionTrace()
-    executor = HierarchicalExecutor(**options.executor_kwargs())
-    state = executor.initial_state(qc)
     t0 = time.perf_counter()
-    state = executor.run(qc, p, state, trace=trace)
+    state, p, _ = runner.execute(qc, trace)
     elapsed = time.perf_counter() - t0
     m = evaluate_partition(qc, p, max_fused_qubits=options.max_fused_qubits)
     print(
         f"{qc.name}: qubits={qc.num_qubits} gates={len(qc)} "
-        f"strategy={options.strategy} limit={limit} parts={p.num_parts}"
+        f"strategy={options.strategy} limit={p.limit} parts={p.num_parts}"
     )
     print(
         f"fusion={'on' if options.fuse else 'off'} "
@@ -173,7 +172,7 @@ def _simulate(args) -> int:
         f"{name}: {count}" for name, count in trace.engine_parts.items()
     )
     print(
-        f"method={executor.method} (parts by engine: {parts_by_engine})"
+        f"method={runner.method} (parts by engine: {parts_by_engine})"
         + (
             f" boundary conversions={trace.boundary_conversions}"
             if trace.boundary_conversions
@@ -184,7 +183,7 @@ def _simulate(args) -> int:
         f"{name}: {count}" for name, count in trace.backend_parts.items()
     )
     print(
-        f"backend={executor.backend.describe()} "
+        f"backend={runner.backend.describe()} "
         f"(parts by backend: {parts_by_backend}) "
         f"part wall time {trace.total_seconds:.3f}s"
     )
@@ -378,8 +377,7 @@ def _dist_worker(args) -> int:
     try:  # before any peer is contacted: a bad rank count cannot mesh
         comm = SimComm(args.ranks)
         local_bits = comm.local_bits(qc.num_qubits)
-        # A part must fit one rank's shard, whatever the width default says.
-        limit = options.limit or min(default_limit(qc.num_qubits), local_bits)
+        limit = options.limit or default_limit(qc.num_qubits, cap=local_bits)
         partition = get_partitioner(options.strategy).partition(qc, limit)
     except ValueError as exc:
         print(exc)
@@ -495,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     # dispatches to it before parse_args ever sees "bench").
     sub.add_parser(
         "bench",
-        help="benchmark registry: list, run, compare (perf gate)",
+        help="benchmark registry: list, run, compare (model-metric gate)",
     )
 
     for name in (*EXPERIMENTS, "all"):
@@ -680,7 +678,7 @@ def main(argv=None) -> int:
         for name in EXPERIMENTS:
             print(f"=== {name} ===")
             print(_run_one(name, args.scale, save=True))
-        print(f"saved under {RESULTS_DIR}/")
+        print(f"saved under {env('REPRO_RESULTS_DIR')}/")
         return 0
     print(_run_one(args.command, args.scale, args.save))
     return 0

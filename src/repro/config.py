@@ -40,18 +40,9 @@ class EnvVar(NamedTuple):
     effect: str
 
 
-def _flag(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError("expected 1/true/yes or 0/false/no")
-
-
 #: Every ``REPRO_*`` variable read under ``src/repro``; a test keeps
-#: ``docs/configuration.md``'s table in step.  ``benchmarks/bench_*.py``
-#: scripts read their own acceptance floors and are not listed here.
+#: ``docs/configuration.md``'s table in step.  ``benchmarks/bench_fusion.py``
+#: reads its own sweep-count floor and is not listed here.
 ENV: Dict[str, EnvVar] = {
     "REPRO_BACKEND": EnvVar(str, "serial", "backend when backend=None"),
     "REPRO_THREADS": EnvVar(int, None, "workers of a backend named by string"),
@@ -61,11 +52,6 @@ ENV: Dict[str, EnvVar] = {
     "REPRO_METHOD": EnvVar(str, "auto", "method when method=None"),
     "REPRO_SCALE": EnvVar(str, "small", "experiment scale"),
     "REPRO_RESULTS_DIR": EnvVar(str, "results", "where tables are saved"),
-    "REPRO_BENCH_MAX_REGRESSION": EnvVar(
-        float, 10.0, "perf-gate ceiling: run median / baseline median"),
-    "REPRO_BENCH_TIMING_FLOOR": EnvVar(
-        float, 0.05, "baselines faster than this are never timing-gated"),
-    "REPRO_BENCH_SKIP_TIMING": EnvVar(_flag, False, "model metrics only"),
     "REPRO_BENCH_DIR": EnvVar(str, None, "where the bench_*.py scripts live"),
     "REPRO_SERVE_HOST": EnvVar(str, "127.0.0.1", "daemon bind address"),
     "REPRO_SERVE_PORT": EnvVar(int, 8035, "daemon port (0 = ephemeral)"),

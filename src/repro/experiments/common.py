@@ -32,10 +32,7 @@ __all__ = [
     "ranks_for",
     "partition_cached",
     "STRATEGY_ORDER",
-    "RESULTS_DIR",
 ]
-
-RESULTS_DIR = env("REPRO_RESULTS_DIR")
 
 STRATEGY_ORDER = ("Nat", "DFS", "dagP")
 

@@ -28,8 +28,13 @@ from .jobs import (
     structural_fingerprint,
 )
 from .queue import AdmissionQueue, QueueClosed, QueuedJob, QueueFull
-from .runner import BatchReport, BatchRunner, BatchStats, default_limit
-from .scheduler import SCHEDULES, fifo_order, grouped_order, order_jobs
+from .runner import (
+    BatchReport,
+    BatchRunner,
+    BatchStats,
+    default_limit,
+    order_jobs,
+)
 from .store import JobRecord, ResultStore
 
 __all__ = [
@@ -43,9 +48,6 @@ __all__ = [
     "BatchReport",
     "BatchStats",
     "default_limit",
-    "SCHEDULES",
-    "fifo_order",
-    "grouped_order",
     "order_jobs",
     "AdmissionQueue",
     "QueuedJob",

@@ -12,12 +12,12 @@ through the hierarchical pipeline with every reusable artefact shared:
 * one **execution backend** — serial, threaded or array
   (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
-Dispatch order comes from a pluggable schedule
-(:mod:`repro.serve.scheduler`); ``workers > 1`` additionally runs jobs
-concurrently on a thread pool (safe: the plan cache is lock-protected,
-partitioning is serialised per structure, and each job owns its state
-vector).  Results always come back in submission order and are
-bit-identical for any schedule or worker count.
+Dispatch order comes from the schedule (:func:`order_jobs`);
+``workers > 1`` additionally runs jobs concurrently on a thread pool
+(safe: the plan cache is lock-protected, partitioning is serialised per
+structure, and each job owns its state vector).  Results always come
+back in submission order and are bit-identical for any schedule or
+worker count.
 """
 
 from __future__ import annotations
@@ -37,25 +37,63 @@ from ..sv.hier import ExecutionTrace, HierarchicalExecutor
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
 from ..sv.stabilizer import StabilizerState
-from .jobs import JobResult, SimJob, fingerprints
-from .scheduler import order_jobs
+from .jobs import JobResult, SimJob, fingerprints, structural_fingerprint
 
-__all__ = ["BatchRunner", "BatchReport", "BatchStats", "default_limit"]
+__all__ = [
+    "BatchRunner",
+    "BatchReport",
+    "BatchStats",
+    "default_limit",
+    "order_jobs",
+]
 
 
-def default_limit(num_qubits: int) -> int:
+def default_limit(num_qubits: int, cap: Optional[int] = None) -> int:
     """The pipeline-wide default working-set limit: ``max(3, n - 3)``.
 
-    Matches ``repro simulate`` — three qubits outside every part keeps
-    the gather matrix at ``>= 8`` rows so row-block backends have work
-    to split.
+    Three qubits outside every part keeps the gather matrix at ``>= 8``
+    rows so row-block backends have work to split.  ``cap`` is the
+    shard width of a distributed run: a part must fit one rank's shard,
+    whatever the width default says.
 
     >>> default_limit(16)
     13
     >>> default_limit(4)
     3
+    >>> default_limit(10, cap=6)
+    6
     """
-    return max(3, num_qubits - 3)
+    limit = max(3, num_qubits - 3)
+    return limit if cap is None else min(limit, cap)
+
+
+def order_jobs(schedule: str, structurals: Sequence[str]) -> List[int]:
+    """Dispatch order for ``schedule`` over structural fingerprints.
+
+    Scheduling never changes results — every output is seeded and every
+    plan is keyed by content — it only changes cache behaviour.
+    ``"fifo"`` preserves submission order.  ``"grouped"`` clusters
+    structurally identical jobs (groups in first-seen order, jobs keeping
+    their relative order inside a group) so each structure's partition
+    and compiled plans are resident when its jobs run, which is what
+    maximises hits in a *bounded* plan cache when many distinct
+    structures interleave.
+
+    >>> order_jobs("fifo", ["a", "b", "a"])
+    [0, 1, 2]
+    >>> order_jobs("grouped", ["a", "b", "a", "c", "b"])
+    [0, 2, 1, 4, 3]
+    """
+    if schedule == "fifo":
+        return list(range(len(structurals)))
+    if schedule != "grouped":
+        raise KeyError(
+            f"unknown schedule {schedule!r}; choose from ['fifo', 'grouped']"
+        )
+    groups: Dict[str, List[int]] = {}
+    for i, structural in enumerate(structurals):
+        groups.setdefault(structural, []).append(i)
+    return [i for members in groups.values() for i in members]
 
 
 @dataclass
@@ -169,7 +207,7 @@ class BatchRunner:
         method).  ``None`` means the defaults.
     schedule:
         Dispatch order policy (``"fifo"`` or ``"grouped"``; see
-        :mod:`repro.serve.scheduler`).
+        :func:`order_jobs`).
     workers:
         Concurrent jobs. ``1`` (default) dispatches sequentially in
         schedule order; ``> 1`` uses a thread pool (results and caches
@@ -231,6 +269,11 @@ class BatchRunner:
         return self._executor.method
 
     @property
+    def backend(self):
+        """The live :class:`~repro.sv.backend.ExecutionBackend`."""
+        return self._executor.backend
+
+    @property
     def resolved(self) -> RunOptions:
         """The options as executed: the live backend's name and pool
         width (``None`` if it has no pool) and the resolved method,
@@ -239,11 +282,10 @@ class BatchRunner:
         >>> BatchRunner(backend="serial").resolved.method
         'auto'
         """
-        backend = self._executor.backend
         return replace(
             self.options,
-            backend=backend.name,
-            threads=getattr(backend, "threads", None),
+            backend=self.backend.name,
+            threads=getattr(self.backend, "threads", None),
             method=self._executor.method,
         )
 
@@ -332,6 +374,43 @@ class BatchRunner:
 
     # -- execution ---------------------------------------------------------
 
+    def execute(
+        self,
+        circuit: QuantumCircuit,
+        trace: Optional[ExecutionTrace] = None,
+        *,
+        structural: Optional[str] = None,
+        counters: Optional[_RunCounters] = None,
+    ):
+        """The one pipeline from a circuit to its final state:
+        ``(state, partition, partition_was_cached)``.
+
+        Partitions through the cache, builds the initial state the
+        resolved method calls for and runs every part on the shared plan
+        cache and backend.  ``state`` is a dense array or, for an
+        all-Clifford run, a :class:`~repro.sv.stabilizer.StabilizerState`.
+        ``structural`` (the circuit's structural fingerprint, hashed
+        here when not given) and ``counters`` are what :meth:`run`
+        already holds for each job.
+
+        >>> from repro.circuits.generators import qft
+        >>> state, partition, cached = BatchRunner(limit=4).execute(qft(6))
+        >>> state.shape, partition.limit, cached
+        ((64,), 4, False)
+        """
+        if structural is None:
+            structural = structural_fingerprint(circuit)
+        partition, cached = self._partition_for(circuit, structural, counters)
+        state = self._executor.run(
+            circuit,
+            partition,
+            self._executor.initial_state(circuit),
+            trace,
+            structural_key=structural,
+            cache_counters=None if counters is None else counters.cache,
+        )
+        return state, partition, cached
+
     def _run_one(
         self,
         job: SimJob,
@@ -342,17 +421,9 @@ class BatchRunner:
         if job.cut is not None:
             return self._run_cut(job, fingerprint)
         t0 = time.perf_counter()
-        partition, cached = self._partition_for(
-            job.circuit, structural, counters
-        )
         trace = ExecutionTrace()
-        state = self._executor.run(
-            job.circuit,
-            partition,
-            self._executor.initial_state(job.circuit),
-            trace,
-            structural_key=structural,
-            cache_counters=counters.cache,
+        state, partition, cached = self.execute(
+            job.circuit, trace, structural=structural, counters=counters
         )
         routed_dense = trace.engine_parts.get("dense", 0)
         routed_stab = trace.engine_parts.get("stabilizer", 0)
@@ -421,8 +492,8 @@ class BatchRunner:
                 strategy=spec.get("strategy", self.options.strategy),
                 limit=None,
                 pad_to=0,
-                backend=self._executor.backend,
-                method=self._executor.method,
+                backend=self.backend,
+                method=self.method,
             ),
             plan_cache=self.plan_cache,
         )

@@ -1,8 +1,8 @@
-"""The unified benchmark registry (repro.bench).
+"""The benchmark registry (repro.bench).
 
-Covers the ISSUE-5 acceptance surface: schema JSON roundtrip, registry
-discovery of all 20 benchmark scripts, comparator pass/fail/threshold
-behaviour, and a ``repro bench run`` CLI smoke at tiny qubit widths.
+Covers schema JSON roundtrip, registry discovery of every benchmark
+script, the model-metric comparator (exact metrics, params, coverage —
+no timing), and a ``repro bench run`` CLI smoke at tiny qubit widths.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from repro.bench import (
     BenchSuite,
     EnvironmentFingerprint,
     SchemaError,
-    TimingStats,
     compare_suites,
     load_benchmarks,
-    measure,
     metrics_equal,
     payload,
     register,
     run_benchmark,
+    run_suite,
     select,
 )
 from repro.bench.registry import Benchmark
@@ -60,14 +59,13 @@ SMOKE_REQUIRED = {"fusion", "parallel", "batch", "stabilizer", "transport",
                   "cut"}
 
 
-def make_result(name="demo", metrics=None, params=None, times=(0.2, 0.1, 0.3)):
+def make_result(name="demo", metrics=None, params=None):
     return BenchResult(
         name=name,
         tags=("smoke",),
         params=dict(params or {"qubits": 8}),
         metrics=dict(metrics if metrics is not None else {"parts": 4}),
-        info={"speedup": 1.5},
-        timing=TimingStats.from_times(times, warmup=1),
+        info={"max_err": 0.0},
     )
 
 
@@ -81,17 +79,6 @@ def make_suite(results, suite="smoke"):
 
 
 class TestSchema:
-    def test_timing_stats(self):
-        stats = TimingStats.from_times([0.3, 0.1, 0.2], warmup=2)
-        assert stats.median == 0.2
-        assert stats.min == 0.1
-        assert stats.repeats == 3
-        assert stats.warmup == 2
-
-    def test_timing_stats_requires_a_repeat(self):
-        with pytest.raises(ValueError):
-            TimingStats.from_times([])
-
     def test_result_roundtrip(self):
         result = make_result()
         assert BenchResult.from_dict(result.to_dict()) == result
@@ -112,8 +99,8 @@ class TestSchema:
         path = tmp_path / "out.json"
         suite.write(str(path))
         raw = json.loads(path.read_text())
-        assert raw["schema"] == SCHEMA_VERSION
-        assert raw["results"][0]["timing"]["median_s"] == 0.2
+        assert raw["schema"] == SCHEMA_VERSION == 2
+        assert "timing" not in raw["results"][0]
         assert raw["environment"]["cpu_count"] >= 1
 
     def test_schema_version_gate(self):
@@ -193,33 +180,21 @@ class TestRegistry:
 
 
 class TestRunner:
-    def test_measure_warmup_not_recorded(self):
-        calls = []
-        stats, value = measure(lambda: calls.append(1) or len(calls),
-                               repeats=3, warmup=2)
-        assert len(calls) == 5
-        assert stats.repeats == 3 and stats.warmup == 2
-        assert value == 5
-
     def test_run_benchmark_packages_payload(self):
         bench = Benchmark(
             name="toy",
             fn=lambda p: payload({"n": p["n"] * 2}, {"note": "hi"}),
             tags=("unit",),
             params={"n": 4},
-            repeats=2,
-            warmup=0,
         )
         result = run_benchmark(bench)
         assert result.metrics == {"n": 8}
         assert result.info == {"note": "hi"}
         assert result.params == {"n": 4}
-        assert result.timing.repeats == 2
 
     def test_run_benchmark_rejects_bad_return(self):
         bench = Benchmark(
             name="bad", fn=lambda p: 42, tags=(), params={},
-            repeats=1, warmup=0,
         )
         with pytest.raises(BenchError, match="payload"):
             run_benchmark(bench)
@@ -233,8 +208,6 @@ class TestRunner:
             fn=lambda p: payload({"states_match": False}, ok=False),
             tags=(),
             params={},
-            repeats=1,
-            warmup=0,
         )
         with pytest.raises(BenchError, match="correctness"):
             run_benchmark(bench)
@@ -242,7 +215,7 @@ class TestRunner:
         # success report.
         from repro.bench import REGISTRY
 
-        register("broken-unit", tags=("unit-only",), repeats=1, warmup=0)(
+        register("broken-unit", tags=("unit-only",))(
             lambda p: payload({"states_match": False}, ok=False)
         )
         try:
@@ -250,19 +223,31 @@ class TestRunner:
         finally:
             REGISTRY.pop("broken-unit", None)
 
-    def test_run_benchmark_rejects_nondeterministic_metrics(self):
-        counter = iter(range(100))
-
+    def test_each_benchmark_runs_once(self):
+        calls = []
         bench = Benchmark(
-            name="flaky",
-            fn=lambda p: payload({"n": next(counter)}),
+            name="once",
+            fn=lambda p: calls.append(1) or payload({"n": 1}),
             tags=(),
-            params={},
-            repeats=2,
-            warmup=0,
         )
-        with pytest.raises(BenchError, match="nondeterministic"):
-            run_benchmark(bench)
+        run_benchmark(bench)
+        assert calls == [1]
+
+    def test_register_takes_no_timing_loop_arguments(self):
+        with pytest.raises(TypeError):
+            register("timed", tags=("unit-only",), repeats=1)
+
+    def test_two_smoke_runs_serialise_identically(self):
+        # The committed baseline is only diffable if a rerun reproduces
+        # it byte for byte; ``created`` is the one field allowed to move.
+        load_benchmarks()
+
+        def dump():
+            doc = run_suite(tag="smoke").to_dict()
+            del doc["created"]
+            return json.dumps(doc, indent=2)
+
+        assert dump() == dump()
 
 
 class TestComparator:
@@ -280,7 +265,7 @@ class TestComparator:
         suite = make_suite([make_result()])
         report = compare_suites(suite, suite)
         assert report.ok
-        assert report.rows[0].timing_ratio == pytest.approx(1.0)
+        assert "timing" not in report.render()
 
     def test_metric_drift_fails(self):
         base = make_suite([make_result(metrics={"parts": 4})])
@@ -313,32 +298,14 @@ class TestComparator:
         assert not by_name["a"].ok
         assert by_name["b"].ok
 
-    def test_timing_regression_gated_by_threshold(self):
-        base = make_suite([make_result(times=(0.1, 0.1, 0.1))])
-        slow = make_suite([make_result(times=(0.5, 0.5, 0.5))])
-        assert not compare_suites(slow, base, max_regression=2.0).ok
-        assert compare_suites(slow, base, max_regression=10.0).ok
-        assert compare_suites(slow, base, max_regression=2.0,
-                              skip_timing=True).ok
-
-    def test_timing_floor_suppresses_noise(self):
-        base = make_suite([make_result(times=(0.001,))])
-        slow = make_suite([make_result(times=(0.1,))])
-        report = compare_suites(slow, base, max_regression=2.0)
-        assert report.ok  # 1 ms baseline is below the 50 ms gating floor
-        report = compare_suites(slow, base, max_regression=2.0,
-                                timing_floor=0.0001)
-        assert not report.ok
-
-    def test_env_overrides(self, monkeypatch):
-        base = make_suite([make_result(times=(0.1,))])
-        slow = make_suite([make_result(times=(5.0,))])
-        assert not compare_suites(slow, base).ok
-        monkeypatch.setenv("REPRO_BENCH_MAX_REGRESSION", "100")
-        assert compare_suites(slow, base).ok
-        monkeypatch.delenv("REPRO_BENCH_MAX_REGRESSION")
-        monkeypatch.setenv("REPRO_BENCH_SKIP_TIMING", "1")
-        assert compare_suites(slow, base).ok
+    def test_retired_timing_variable_changes_nothing(self, monkeypatch):
+        base = make_suite([make_result(metrics={"parts": 4})])
+        drifted = make_suite([make_result(metrics={"parts": 5})])
+        before = (compare_suites(base, base).render(),
+                  compare_suites(drifted, base).render())
+        monkeypatch.setenv("REPRO_BENCH_MAX_REGRESSION", "not-a-number")
+        assert (compare_suites(base, base).render(),
+                compare_suites(drifted, base).render()) == before
 
     def test_environment_drift_noted_not_failed(self):
         base = make_suite([make_result()])
@@ -360,24 +327,20 @@ class TestCli:
             assert name in out
         assert "22 benchmarks" in out
 
-    def test_bench_run_smoke_tiny_and_compare(self, capsys, tmp_path,
-                                              monkeypatch):
+    def test_bench_run_smoke_tiny_and_compare(self, capsys, tmp_path):
         run_path = tmp_path / "BENCH_smoke.json"
         # The smoke tag at tiny widths: every smoke benchmark shrinks
         # further via --set so the gate exercises fusion, parallel,
-        # batch and stabilizer in a few seconds.  At 8 qubits the
-        # tableau's timing bar doesn't hold (dense is also sub-ms), so
-        # relax it the documented way; correctness stays gated.
-        monkeypatch.setenv("REPRO_BENCH_STABILIZER_MIN_SPEEDUP", "0")
+        # batch and stabilizer in a few seconds.
         assert cli_main([
             "bench", "run", "--tag", "smoke",
             "--set", "qubits=8", "--set", "jobs=2", "--set", "threads=2",
             "--set", "limit=5", "--set", "rounds=1",
-            "--repeats", "1", "--warmup", "0",
             "--json", str(run_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "suite=smoke" in out
+        assert "median" not in out and "repeats" not in out
 
         suite = BenchSuite.load(str(run_path))
         names = set(suite.names())
@@ -395,11 +358,13 @@ class TestCli:
         assert stabilizer.metrics["routed_all_stabilizer"] is True
         assert stabilizer.metrics["states_match"] is True
 
-        # Self-compare is the canonical pass case of the perf gate.
+        # Self-compare is the canonical pass case of the gate.
         assert cli_main([
             "bench", "compare", str(run_path), str(run_path),
         ]) == 0
-        assert "perf gate PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "model-metric gate PASS" in out
+        assert "timing" not in out
 
     def test_bench_compare_fails_on_metric_drift(self, capsys, tmp_path):
         suite = make_suite([make_result(metrics={"parts": 4})])
@@ -411,7 +376,31 @@ class TestCli:
         assert cli_main([
             "bench", "compare", str(run_path), str(base_path),
         ]) == 1
-        assert "perf gate FAIL" in capsys.readouterr().out
+        assert "model-metric gate FAIL" in capsys.readouterr().out
+
+    def test_bench_compare_refuses_a_schema_1_file(self, capsys, tmp_path):
+        good = tmp_path / "run.json"
+        make_suite([make_result()]).write(str(good))
+        old = make_suite([make_result()]).to_dict()
+        old["schema"] = 1
+        old["results"][0]["timing"] = {"repeats": 1, "warmup": 0,
+                                       "times_s": [0.1], "median_s": 0.1}
+        old_path = tmp_path / "old.json"
+        old_path.write_text(json.dumps(old))
+        assert cli_main(["bench", "compare", str(good), str(old_path)]) == 2
+        assert "schema version 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "run", "partitioners", "--repeats", "2"],
+        ["bench", "run", "partitioners", "--warmup", "1"],
+        ["bench", "compare", "a.json", "b.json", "--skip-timing"],
+        ["bench", "compare", "a.json", "b.json", "--max-regression", "25"],
+    ])
+    def test_retired_timing_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bench_compare_missing_file(self, capsys, tmp_path):
         assert cli_main([
@@ -425,13 +414,9 @@ class TestCli:
 
     def test_bench_run_single_with_save(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.setattr(
-            "repro.experiments.common.RESULTS_DIR", str(tmp_path)
-        )
         assert cli_main([
             "bench", "run", "partitioners",
-            "--set", "qubits=8", "--set", "limit=5",
-            "--repeats", "1", "--warmup", "0", "--save",
+            "--set", "qubits=8", "--set", "limit=5", "--save",
         ]) == 0
         entry = tmp_path / "bench" / "partitioners.json"
         assert entry.exists()

@@ -33,12 +33,7 @@ class TestCli:
         assert "Table I" in out
 
     def test_experiment_save(self, capsys, monkeypatch, tmp_path):
-        # RESULTS_DIR is read at import time; patch the module constant.
-        import repro.cli as cli_mod
-
-        monkeypatch.setattr(
-            "repro.cli.RESULTS_DIR", str(tmp_path), raising=True
-        )
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         assert main(["table4", "--scale", "tiny", "--save"]) == 0
         files = os.listdir(tmp_path)
         assert any(f.startswith("table4") for f in files)

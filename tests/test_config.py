@@ -44,15 +44,6 @@ def test_malformed_number_names_the_variable(name, monkeypatch):
         env(name)
 
 
-def test_flag_values(monkeypatch):
-    for raw, want in (("1", True), ("TRUE", True), ("no", False)):
-        monkeypatch.setenv("REPRO_BENCH_SKIP_TIMING", raw)
-        assert env("REPRO_BENCH_SKIP_TIMING") is want
-    monkeypatch.setenv("REPRO_BENCH_SKIP_TIMING", "maybe")
-    with pytest.raises(ValueError, match="REPRO_BENCH_SKIP_TIMING"):
-        env("REPRO_BENCH_SKIP_TIMING")
-
-
 class TestConsumersUseTheOneReader:
     """The user-visible disagreements the seven old readers had."""
 

@@ -44,7 +44,6 @@ import repro.serve.daemon
 import repro.serve.jobs
 import repro.serve.queue
 import repro.serve.runner
-import repro.serve.scheduler
 import repro.serve.store
 import repro.sv
 import repro.sv.backend
@@ -91,7 +90,6 @@ DOCTEST_MODULES = [
     repro.cut.evaluate,
     repro.cut.recombine,
     repro.serve.jobs,
-    repro.serve.scheduler,
     repro.serve.runner,
     repro.serve.queue,
     repro.serve.store,
@@ -110,7 +108,6 @@ DATA_EXPORTS = {
     "METHOD_NAMES",
     "RUN_OPTION_FIELDS",
     "STRATEGIES",
-    "SCHEDULES",
     "PauliTerm",
     "MEAS_BASES",
     "PREP_STATES",

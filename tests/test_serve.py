@@ -25,8 +25,6 @@ from repro.serve import (
     SimJob,
     circuit_fingerprint,
     default_limit,
-    fifo_order,
-    grouped_order,
     load_manifest,
     order_jobs,
     results_to_manifest,
@@ -156,16 +154,16 @@ class TestFingerprint:
 
 class TestScheduler:
     def test_fifo_is_identity(self):
-        assert fifo_order(["a", "b", "a", "c"]) == [0, 1, 2, 3]
+        assert order_jobs("fifo", ["a", "b", "a", "c"]) == [0, 1, 2, 3]
 
     def test_grouped_clusters_by_first_seen(self):
-        assert grouped_order(["a", "b", "a", "c", "b", "a"]) == [
+        assert order_jobs("grouped", ["a", "b", "a", "c", "b", "a"]) == [
             0, 2, 5, 1, 4, 3,
         ]
 
     def test_grouped_is_a_permutation(self):
         fps = [f"s{k % 3}" for k in range(10)]
-        assert sorted(grouped_order(fps)) == list(range(10))
+        assert sorted(order_jobs("grouped", fps)) == list(range(10))
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(KeyError):

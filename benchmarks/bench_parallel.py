@@ -1,10 +1,9 @@
-"""Serial vs. threaded vs. array execution backends: bitwise agreement.
+"""Serial vs. threaded execution backends: bitwise agreement.
 
 Runs hierarchical execution (fusion on) of QFT, QAOA and Grover under
 the serial and threaded backends and verifies the two final states are
 **bit-identical** (the threaded backend's row blocks are deterministic
-and disjoint, so this is an equality, not a tolerance); the array
-backend's NumPy module owes the same parity with serial.
+and disjoint, so this is an equality, not a tolerance).
 
 How much faster the threaded backend runs is measured by the perf
 harness (``backend.threaded2.speedup`` in ``BENCHMARK.json``), not here.
@@ -23,7 +22,6 @@ from repro import bench
 from repro.circuits import generators
 from repro.partition import get_partitioner
 from repro.sv import (
-    ArrayBackend,
     HierarchicalExecutor,
     SerialBackend,
     ThreadedBackend,
@@ -65,28 +63,6 @@ def run_comparison(circuits=CIRCUITS, qubits=DEFAULT_QUBITS,
     return [compare_circuit(c, qubits, threads) for c in circuits]
 
 
-def compare_array_backend(name: str, qubits: int):
-    """Array backend (NumPy module) vs serial on one circuit.
-
-    The NumPy module shares the serial kernels, so bitwise identity is
-    the contract here too (see docs/backends.md for the device-module
-    story).
-    """
-    qc = generators.build(name, qubits)
-    p = get_partitioner("dagP").partition(qc, max(3, qubits - 3))
-    serial = _run(qc, p, SerialBackend())
-    backend = ArrayBackend()
-    try:
-        array_state = _run(qc, p, backend)
-    finally:
-        backend.close()
-    return {
-        "circuit": qc.name,
-        "module": backend.module.name,
-        "bit_identical": bool(np.array_equal(serial, array_state)),
-    }
-
-
 def render(results) -> str:
     threads = results[0]["threads"] if results else DEFAULT_THREADS
     lines = [
@@ -109,17 +85,6 @@ def test_qft22_threaded_bit_identical(save_result):
     res = compare_circuit("qft", DEFAULT_QUBITS, DEFAULT_THREADS)
     save_result("bench_parallel_qft", render([res]))
     assert res["bit_identical"], "threaded state deviates from serial"
-
-
-def test_array_backend_bit_identical(save_result):
-    """The array backend's NumPy module owes bitwise parity with serial."""
-    res = compare_array_backend("qft", DEFAULT_QUBITS - 4)
-    save_result(
-        "bench_parallel_array",
-        f"array[{res['module']}] vs serial on {res['circuit']}: "
-        f"{'bitwise equal' if res['bit_identical'] else 'DIFFER'}",
-    )
-    assert res["bit_identical"], "array[numpy] state deviates from serial"
 
 
 def test_parallel_comparison_table(save_result):
@@ -146,7 +111,7 @@ def test_parallel_comparison_table(save_result):
     smoke={"qubits": 14, "threads": 2, "circuits": ["qft"]},
 )
 def run_bench(params):
-    """Serial vs threaded vs array backends: bitwise agreement, part counts."""
+    """Serial vs threaded backends: bitwise agreement, part counts."""
     results = run_comparison(
         params["circuits"], params["qubits"], params["threads"]
     )
@@ -154,15 +119,8 @@ def run_bench(params):
     for requested, r in zip(params["circuits"], results):
         metrics[f"{requested}_parts"] = r["parts"]
         metrics[f"{requested}_bit_identical"] = r["bit_identical"]
-    array_res = compare_array_backend(
-        params["circuits"][0], params["qubits"]
-    )
-    metrics["array_module"] = array_res["module"]
-    metrics["array_bit_identical"] = array_res["bit_identical"]
     return bench.payload(
-        metrics,
-        ok=all(r["bit_identical"] for r in results)
-        and array_res["bit_identical"],
+        metrics, ok=all(r["bit_identical"] for r in results)
     )
 
 

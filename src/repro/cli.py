@@ -19,7 +19,7 @@ Each experiment prints its paper-shaped table and (with ``--save``) writes
 it under ``results/``.  ``simulate`` partitions a generated circuit, runs
 it through the hierarchical executor (part-level gate fusion on by
 default; disable with ``--no-fuse``; pick where sweeps run with
-``--backend serial|threaded|array`` and ``--threads``) and reports the
+``--backend serial|threaded`` and ``--threads``) and reports the
 compiled sweep counts, per-backend wall time and a cross-check against
 the flat simulator.  ``batch`` feeds a JSON job manifest through the
 :mod:`repro.serve` runtime (shared partition/plan caches across
@@ -188,16 +188,10 @@ def _simulate(args) -> int:
         f"part wall time {trace.total_seconds:.3f}s"
     )
     if trace.strided_parts or trace.gathered_parts:
-        module = (
-            f" array module={trace.array_module}"
-            if trace.array_module
-            else ""
-        )
         print(
             f"kernel paths: strided parts={trace.strided_parts} "
             f"(ops={trace.strided_ops}), gathered parts="
             f"{trace.gathered_parts} (ops={trace.gathered_ops})"
-            + module
         )
     print(m.summary())
     print(f"executed in {elapsed:.3f}s")
@@ -414,15 +408,20 @@ def _dist_worker(args) -> int:
         comm.close()
 
 
-def _working_set_limit(text: str) -> int:
-    """argparse type for ``--limit``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"limit must be >= 1 (got {value}); omit the flag to derive "
-            f"the per-circuit default"
-        )
-    return value
+def _at_least_one(name: str, omitted: str):
+    """argparse type for ``--<name>``: an integer >= 1; ``omitted`` says
+    what leaving the flag out means."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= 1 (got {value}); omit the flag {omitted}"
+            )
+        return value
+
+    parse.__name__ = name  # argparse: "invalid <name> value: 'abc'"
+    return parse
 
 
 def _rendezvous(text: str):
@@ -444,7 +443,8 @@ def _rendezvous(text: str):
 _RUN_FLAGS = {
     "strategy": dict(choices=sorted(STRATEGIES),
                      help=f"partitioner (default: {RunOptions.strategy})"),
-    "limit": dict(type=_working_set_limit,
+    "limit": dict(type=_at_least_one(
+                      "limit", "to derive the per-circuit default"),
                   help="working-set limit, >= 1 (default: qubits - 3, min 3)"),
     "max_fused_qubits": dict(type=int,
                              help="arity cap for fused dense unitaries "
@@ -454,8 +454,10 @@ _RUN_FLAGS = {
     "backend": dict(choices=BACKEND_NAMES,
                     help="execution backend (default: REPRO_BACKEND, else "
                          "serial; see docs/configuration.md)"),
-    "threads": dict(type=int, help="backend worker count (default: "
-                                   "REPRO_THREADS, else core count)"),
+    "threads": dict(type=_at_least_one(
+                        "threads", "for REPRO_THREADS, else the core count"),
+                    help="backend worker count, >= 1 (default: "
+                         "REPRO_THREADS, else core count)"),
     "method": dict(choices=METHOD_NAMES,
                    help="simulation method; auto routes all-Clifford circuits "
                         "to the tableau engine (default: REPRO_METHOD)"),

@@ -46,7 +46,6 @@ class EnvVar(NamedTuple):
 ENV: Dict[str, EnvVar] = {
     "REPRO_BACKEND": EnvVar(str, "serial", "backend when backend=None"),
     "REPRO_THREADS": EnvVar(int, None, "workers of a backend named by string"),
-    "REPRO_ARRAY_MODULE": EnvVar(str, "numpy", "array backend's namespace"),
     "REPRO_KERNEL_STRIDED_MAX": EnvVar(
         int, 2, "largest target arity on the gather-free strided path"),
     "REPRO_METHOD": EnvVar(str, "auto", "method when method=None"),

@@ -9,7 +9,6 @@ from .base import (
 )
 from .dagp import DagPPartitioner
 from .dfs import DFSPartitioner
-from .export import PartFile, export_parts, part_subcircuit
 from .ilp import ILPPartitioner, ILPResult
 from .merge import greedy_merge
 from .multilevel import MultilevelPartition, multilevel_partition
@@ -44,9 +43,6 @@ __all__ = [
     "gate_dependency_edges",
     "DagPPartitioner",
     "DFSPartitioner",
-    "PartFile",
-    "export_parts",
-    "part_subcircuit",
     "ILPPartitioner",
     "ILPResult",
     "NaturalPartitioner",

@@ -9,7 +9,7 @@ through the hierarchical pipeline with every reusable artefact shared:
   through its structural layer — fusion groupings and gather tables are
   compiled once per structure, only the fused matrices are rebuilt per
   job (``HierarchicalExecutor.run(structural_key=...)``);
-* one **execution backend** — serial, threaded or array
+* one **execution backend** — serial or threaded
   (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
 Dispatch order comes from the schedule (:func:`order_jobs`);
@@ -212,9 +212,6 @@ class BatchRunner:
         Concurrent jobs. ``1`` (default) dispatches sequentially in
         schedule order; ``> 1`` uses a thread pool (results and caches
         stay deterministic — only timing changes).
-    mode:
-        Part-sweep mode of the underlying
-        :class:`~repro.sv.hier.HierarchicalExecutor`.
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache`; pass one to
         share compiled structures with other runners or executors.
@@ -239,7 +236,6 @@ class BatchRunner:
         *,
         schedule: str = "grouped",
         workers: int = 1,
-        mode: str = "batched",
         plan_cache: Optional[PlanCache] = None,
         **overrides,
     ) -> None:
@@ -251,9 +247,7 @@ class BatchRunner:
         self.workers = int(workers)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor = HierarchicalExecutor(
-            mode=mode,
-            plan_cache=self.plan_cache,
-            **self.options.executor_kwargs(),
+            plan_cache=self.plan_cache, **self.options.executor_kwargs()
         )
         # Key -> Partition, or a threading.Event while one worker computes.
         self._partitions: Dict[Tuple[str, str, int], object] = {}

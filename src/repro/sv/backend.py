@@ -20,21 +20,14 @@ only thing a backend decides is how row ranges are visited — its
   thread count (BLAS GEMM results can shift by an ulp when the
   per-block column count changes, so agreement with serial is pinned
   only to 1e-10 in general).
-* :class:`ArrayBackend` — a pluggable array namespace
-  (:func:`resolve_array_module`: NumPy always, CuPy or PyTorch when
-  importable — ``REPRO_ARRAY_MODULE``).  With NumPy it *is* the serial
-  mapper over the shared core, hence **bit-identical** to
-  :class:`SerialBackend`.  With a device module the state is uploaded
-  once per run (``begin_run``/``end_run``), each plan's matrices and
-  gather table stay device-resident in a per-plan cache, and sweeps run
-  out of place (device namespaces cannot alias views — the one piece of
-  sweep code that genuinely differs).
 
-The three entry points — :meth:`~ExecutionBackend.run_plan` (one
+That is the whole contract — a backend is a block mapper and nothing
+else.  The three entry points — :meth:`~ExecutionBackend.run_plan` (one
 hierarchical part), :meth:`~ExecutionBackend.apply_matrix_rows` (one
 unitary over the distributed engines' shard matrix) and
 :meth:`~ExecutionBackend.apply_gate_flat` (one gate of the flat
-simulator) — are base-class methods over that mapper.
+simulator) — are base-class methods over that mapper, and the
+hierarchical executor calls no other hook.
 
 **The lane rule** (stated here once; ``docs/backends.md`` elaborates):
 a part whose fused ops all have at most ``REPRO_KERNEL_STRIDED_MAX``
@@ -57,7 +50,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,8 +59,6 @@ from ..circuits.gates import Gate
 from ..config import env
 from .kernels import (
     _apply_strided,
-    _diagonal_factor,
-    _gate_axes,
     apply_matrix,
     apply_matrix_batched,
     split_controls,
@@ -79,14 +69,10 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadedBackend",
-    "ArrayBackend",
-    "ArrayModule",
     "BACKEND_NAMES",
-    "ARRAY_MODULE_NAMES",
     "get_backend",
     "shared_backend",
     "resolve_backend",
-    "resolve_array_module",
     "run_part",
     "split_blocks",
     "DEFAULT_MIN_PARALLEL_ELEMENTS",
@@ -262,11 +248,8 @@ class ExecutionBackend:
     change *where* rows run and inherits everything else.  The base
     mapper is inline, which makes a bare subclass a serial backend.
 
-    Backends may hold resources (pools, device arrays); ``close()``
-    releases them and instances are usable as context managers.
-    ``begin_run``/``end_run`` bracket a multi-part execution so backends
-    that stage the state elsewhere (a device) pay the round trip once
-    per run instead of once per part.
+    Backends may hold resources (a thread pool); ``close()`` releases
+    them and instances are usable as context managers.
 
     ``strided_max`` is the lane rule's arity ceiling (default
     ``REPRO_KERNEL_STRIDED_MAX``; negative forces the gather lane).
@@ -279,23 +262,12 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    #: Array-namespace identity (``"numpy"``/``"cupy"``/``"torch"``) for
-    #: backends that route kernels through one; surfaced in
-    #: ``ExecutionTrace.array_module``.
-    array_module: Optional[str] = None
-
     def __init__(self, *, strided_max: Optional[int] = None) -> None:
         self.strided_max = (
             strided_max_qubits() if strided_max is None else int(strided_max)
         )
 
     # -- lifecycle ---------------------------------------------------------
-
-    def begin_run(self, state: np.ndarray) -> None:
-        """Called by the executor before the first part of a run."""
-
-    def end_run(self, state: np.ndarray) -> None:
-        """Called by the executor after the last part of a run."""
 
     def close(self) -> None:
         """Release pools/caches; the backend may be used again after."""
@@ -408,7 +380,7 @@ class ThreadedBackend(ExecutionBackend):
     Parameters
     ----------
     threads:
-        Worker count (default: ``os.cpu_count()``).
+        Worker count, ``>= 1``; only ``None`` means ``os.cpu_count()``.
     min_parallel_elements:
         Workloads touching fewer amplitudes than this run inline
         (default :data:`DEFAULT_MIN_PARALLEL_ELEMENTS`, 16384).  Set 0
@@ -433,7 +405,9 @@ class ThreadedBackend(ExecutionBackend):
         strided_max: Optional[int] = None,
     ) -> None:
         super().__init__(strided_max=strided_max)
-        self.threads = int(threads) if threads else (os.cpu_count() or 1)
+        self.threads = (
+            (os.cpu_count() or 1) if threads is None else int(threads)
+        )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         self.min_parallel_elements = (
@@ -505,312 +479,16 @@ class ThreadedBackend(ExecutionBackend):
         if error is not None:
             raise error
 
-# ---------------------------------------------------------------------------
-# Array-namespace backend
-# ---------------------------------------------------------------------------
-
-#: Array namespaces the :class:`ArrayBackend` knows how to adapt
-#: (``REPRO_ARRAY_MODULE``).  NumPy is always available; CuPy and
-#: PyTorch resolve only when importable.
-ARRAY_MODULE_NAMES = ("numpy", "cupy", "torch")
-
-
-class ArrayModule:
-    """Adapter pairing an array namespace with host-transfer primitives.
-
-    The :class:`ArrayBackend` speaks a tiny dialect — upload
-    (:meth:`from_host`), download (:meth:`to_host`), :meth:`moveaxis`,
-    plus whatever ``reshape`` / ``@`` / advanced indexing the arrays
-    themselves support — so one sweep implementation serves NumPy, CuPy
-    and PyTorch.  ``host`` marks the plain-NumPy module, where device
-    and host memory are the same thing and every transfer is free.
-
-    >>> import numpy as np
-    >>> mod = ArrayModule("numpy", np)
-    >>> mod.host
-    True
-    >>> arr = np.arange(4.0)
-    >>> mod.to_host(mod.from_host(arr)) is arr      # no copies on host
-    True
-    """
-
-    def __init__(self, name: str, xp, *, host: Optional[bool] = None) -> None:
-        self.name = name
-        self.xp = xp
-        self.host = (name == "numpy") if host is None else bool(host)
-        self.device = None
-        if name == "torch":  # pragma: no cover - torch not in CI image
-            self.device = "cuda" if xp.cuda.is_available() else "cpu"
-
-    def from_host(self, arr: np.ndarray):
-        """Upload a host array (no-op identity for the NumPy module)."""
-        if self.name == "torch":  # pragma: no cover
-            return self.xp.as_tensor(arr).to(self.device)
-        return self.xp.asarray(arr)
-
-    def to_host(self, dev) -> np.ndarray:
-        """Download a device array to host NumPy."""
-        if self.name == "torch":  # pragma: no cover
-            return dev.detach().cpu().numpy()
-        if self.name == "cupy":  # pragma: no cover - cupy not in CI image
-            return self.xp.asnumpy(dev)
-        return np.asarray(dev)
-
-    def moveaxis(self, a, src, dst):
-        """``moveaxis`` in whatever spelling the namespace uses."""
-        if self.name == "torch":  # pragma: no cover
-            return self.xp.movedim(a, src, dst)
-        return self.xp.moveaxis(a, src, dst)
-
-    def __repr__(self) -> str:
-        return f"ArrayModule({self.name!r})"
-
-
-def resolve_array_module(
-    spec: Union[None, str, ArrayModule] = None
-) -> ArrayModule:
-    """Resolve an array-namespace spec to an :class:`ArrayModule`.
-
-    ``None`` consults ``REPRO_ARRAY_MODULE`` (empty counts as unset,
-    default ``numpy``); a name imports the module (``cupy`` / ``torch``
-    raise a :class:`RuntimeError` naming the missing dependency when not
-    installed — nothing is ever installed implicitly); an
-    :class:`ArrayModule` instance passes through.
-
-    >>> resolve_array_module().name       # numpy is always available
-    'numpy'
-    >>> resolve_array_module("opencl")
-    Traceback (most recent call last):
-        ...
-    KeyError: "unknown array module 'opencl'; choose from ('numpy', 'cupy', 'torch')"
-    """
-    if isinstance(spec, ArrayModule):
-        return spec
-    if spec is None:
-        spec = env("REPRO_ARRAY_MODULE")
-    if spec not in ARRAY_MODULE_NAMES:
-        raise KeyError(
-            f"unknown array module {spec!r}; choose from {ARRAY_MODULE_NAMES}"
-        )
-    if spec == "numpy":
-        return ArrayModule("numpy", np)
-    try:
-        xp = __import__(spec)
-    except ImportError as exc:
-        raise RuntimeError(
-            f"array module {spec!r} is not importable ({exc}); install it "
-            "or set REPRO_ARRAY_MODULE=numpy"
-        ) from None
-    return ArrayModule(spec, xp)  # pragma: no cover - needs cupy/torch
-
-
-class ArrayBackend(ExecutionBackend):
-    """Kernel sweeps through a pluggable array namespace.
-
-    With the (default) NumPy module this backend inherits the inline
-    mapper and the shared core untouched — including the strided fast
-    lane — so it is bit-identical to :class:`SerialBackend` by
-    construction.  With a device module (CuPy, PyTorch) the state
-    uploads once per run (``begin_run``) and downloads once
-    (``end_run``); in between, every part is one out-of-place sweep of
-    its whole gather matrix (``mode`` is a host-side distinction: a
-    row-at-a-time device loop would be one kernel launch per inner
-    vector) against matrices and gather tables held in a bounded
-    per-plan device cache (``plan_uploads`` / ``plan_cache_hits`` count
-    the round trips saved), so repeated sweeps of a cached plan move no
-    bytes over the host link.  See ``docs/backends.md`` for the
-    residency lifecycle.
-
-    >>> backend = ArrayBackend()              # REPRO_ARRAY_MODULE or numpy
-    >>> backend.describe()
-    'array[numpy]'
-    >>> import numpy as np
-    >>> from repro.circuits.gates import make_gate
-    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> backend.apply_gate_flat(state, make_gate("x", [1]), 2)
-    >>> int(state.argmax())
-    2
-    """
-
-    name = "array"
-
-    #: Device-plan cache entries kept per backend (LRU beyond this).
-    MAX_CACHED_PLANS = 256
-
-    def __init__(
-        self,
-        threads: Optional[int] = None,
-        *,
-        module: Union[None, str, ArrayModule] = None,
-        strided_max: Optional[int] = None,
-    ) -> None:
-        del threads  # accepted for uniform construction; no pool here
-        super().__init__(strided_max=strided_max)
-        self.module = resolve_array_module(module)
-        self.array_module = self.module.name
-        self.plan_uploads = 0
-        self.plan_cache_hits = 0
-        self._plans: "OrderedDict[tuple, dict]" = OrderedDict()
-        self._plans_lock = threading.Lock()
-        self._sessions: Dict[int, object] = {}
-        self._session_lock = threading.Lock()
-
-    def describe(self) -> str:
-        return f"array[{self.module.name}]"
-
-    def close(self) -> None:
-        """Drop cached device plans and abandon any open sessions."""
-        with self._plans_lock:
-            self._plans.clear()
-        with self._session_lock:
-            self._sessions.clear()
-
-    # -- device-residency session -----------------------------------------
-
-    def begin_run(self, state: np.ndarray) -> None:
-        """Upload ``state`` once; sweeps stay device-side until
-        :meth:`end_run` (host module: the state *is* the device array)."""
-        key = id(state)
-        with self._session_lock:
-            if key in self._sessions:
-                raise RuntimeError(
-                    "a run on this state is already in progress"
-                )
-            self._sessions[key] = state if self.module.host else None
-        if not self.module.host:
-            dev = self.module.from_host(state)
-            with self._session_lock:
-                self._sessions[key] = dev
-
-    def end_run(self, state: np.ndarray) -> None:
-        """Download the device state back into ``state`` and close the
-        session (host module: nothing to move)."""
-        with self._session_lock:
-            dev = self._sessions.pop(id(state), None)
-        if dev is None or self.module.host:
-            return
-        state[...] = self.module.to_host(dev)
-
-    def _session_for(self, state: np.ndarray):
-        with self._session_lock:
-            return self._sessions.get(id(state))
-
-    # -- per-plan device cache --------------------------------------------
-
-    def _device_plan(self, plan, num_qubits: int) -> dict:
-        """Device-resident table + op matrices for ``plan`` (LRU cache).
-
-        Keyed by plan identity: the bound plan pins its cache entry, so
-        a ``PlanCache``-reused plan hits here on every subsequent sweep
-        and its matrices never cross the host link again.
-        """
-        key = (id(plan), num_qubits)
-        with self._plans_lock:
-            entry = self._plans.get(key)
-            if entry is not None and entry["plan"] is plan:
-                self.plan_cache_hits += 1
-                self._plans.move_to_end(key)
-                return entry
-        w = len(plan.qubits)
-        entry = {
-            "plan": plan,
-            "table": self.module.from_host(plan.gather_table(num_qubits)),
-            "ops": [
-                self._device_op(op.matrix(), op.qubits, w, op.is_diagonal)
-                for op in plan.local_ops()
-            ],
-            "w": w,
-        }
-        with self._plans_lock:
-            self._plans[key] = entry
-            self.plan_uploads += 1
-            while len(self._plans) > self.MAX_CACHED_PLANS:
-                self._plans.popitem(last=False)
-        return entry
-
-    def _device_op(self, matrix, positions, w: int, diagonal: bool):
-        """One uploaded op in the :meth:`_sweep_rows` format: ``(operand,
-        view axes, diagonal)``.  A diagonal op uploads as its factor,
-        pre-shaped for broadcast over the ``(batch,) + (2,)*w`` view."""
-        axes = _gate_axes(w + 1, w, positions, lead=1)
-        if diagonal:
-            matrix = _diagonal_factor(
-                np.ascontiguousarray(np.diag(matrix)), axes, w + 1
-            )
-        return (self.module.from_host(matrix), axes, diagonal)
-
-    # -- device-only work ---------------------------------------------------
-
-    def _sweep_rows(self, inner, entry: dict):
-        """Apply a cached plan's ops to device rows ``(B, 2^w)``
-        (out of place: device namespaces may not alias views)."""
-        mod = self.module
-        w = entry["w"]
-        batch = inner.shape[0]
-        for dev_op, axes, diagonal in entry["ops"]:
-            view = inner.reshape((batch,) + (2,) * w)
-            if diagonal:
-                inner = (view * dev_op).reshape(batch, 1 << w)
-                continue
-            k = dev_op.shape[0].bit_length() - 1
-            front = list(range(1, k + 1))
-            moved = mod.moveaxis(view, axes, front)
-            shape = tuple(moved.shape)
-            flat = moved.reshape(batch, 1 << k, -1)
-            res = dev_op @ flat
-            inner = mod.moveaxis(
-                res.reshape(shape), front, axes
-            ).reshape(batch, 1 << w)
-        return inner
-
-    def run_plan(self, plan, state, num_qubits, mode="batched"):
-        if self.module.host:
-            return super().run_plan(plan, state, num_qubits, mode)
-        session = self._session_for(state)
-        owned = session is None
-        if owned:
-            # No bracketing run: pay the host transfer at this part
-            # boundary only.
-            self.begin_run(state)
-            session = self._session_for(state)
-        try:
-            entry = self._device_plan(plan, num_qubits)
-            table = entry["table"]
-            session[table] = self._sweep_rows(session[table], entry)
-        finally:
-            if owned:
-                self.end_run(state)
-        return "gather"
-
-    # Row-batched and flat-gate call sites hand us host arrays; with a
-    # device module each call pays its own round trip, so the
-    # hierarchical part path is where this backend earns its keep.
-    def apply_matrix_rows(
-        self, rows, matrix, positions, num_local, *, diagonal=False
-    ):
-        if self.module.host:
-            return super().apply_matrix_rows(
-                rows, matrix, positions, num_local, diagonal=diagonal
-            )
-        entry = {
-            "w": num_local,
-            "ops": [self._device_op(matrix, positions, num_local, diagonal)],
-        }
-        rows[...] = self.module.to_host(
-            self._sweep_rows(self.module.from_host(rows), entry)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Selection / sharing
 # ---------------------------------------------------------------------------
 
-BACKEND_NAMES = ("serial", "threaded", "array")
+BACKEND_NAMES = ("serial", "threaded")
 
 _BACKEND_CLASSES = {
     "serial": SerialBackend,
     "threaded": ThreadedBackend,
-    "array": ArrayBackend,
 }
 
 _shared: Dict[tuple, ExecutionBackend] = {}
@@ -864,8 +542,9 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Resolve a ``backend=`` argument to a live backend.
 
-    ``None`` consults ``REPRO_BACKEND`` (default ``serial``); a string
-    names a shared instance; an :class:`ExecutionBackend` passes
+    ``None`` consults ``REPRO_BACKEND`` (default ``serial``; an unknown
+    name there is a :class:`KeyError` that says where it came from); a
+    string names a shared instance; an :class:`ExecutionBackend` passes
     through.  ``threads`` defaults from ``REPRO_THREADS`` when unset.
 
     >>> resolve_backend("threaded", 2).describe()
@@ -878,8 +557,13 @@ def resolve_backend(
         return spec
     if spec is None:
         spec = env("REPRO_BACKEND")
+        if spec not in BACKEND_NAMES:
+            raise KeyError(
+                f"unknown backend {spec!r} in REPRO_BACKEND; choose from "
+                f"{BACKEND_NAMES}"
+            )
     if threads is None:
         threads = env("REPRO_THREADS")
-    if spec in ("serial", "array"):
+    if spec == "serial":
         threads = None  # one shared instance regardless of thread count
     return shared_backend(spec, threads)

@@ -24,21 +24,21 @@ level part" rule.
 
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
-default), threaded row-block parallelism, or the array-namespace backend
-(NumPy/CuPy/PyTorch).  Results are bitwise reproducible *within* a
-backend and ``array[numpy]`` is bit-identical to serial; threaded
-agrees with serial to 1e-10 (its row blocks change per-GEMM column
-counts, and BLAS may shift an ulp).  Parts whose fused groups are small
-enough skip the gather matrix entirely (the strided fast lane — see
-``docs/backends.md``); the trace records which lane each part took.
+default) or threaded row-block parallelism.  Results are bitwise
+reproducible *within* a backend; threaded agrees with serial to 1e-10
+(its row blocks change per-GEMM column counts, and BLAS may shift an
+ulp).  Parts whose fused groups are small enough skip the gather matrix
+entirely (the strided fast lane — see ``docs/backends.md``); the trace
+records which lane each part took.
 
-*What* runs them is a per-part decision on the state representation
-(``method=``): dense parts go to ``backend.run_plan``; when the state is
-a :class:`~repro.sv.stabilizer.StabilizerState` (see
-:meth:`HierarchicalExecutor.initial_state`), Clifford-only parts apply
-their source gates to the tableau instead.  ``method="auto"`` keeps
-dense inputs on the exact pre-routing path — bit-identical — and only
-all-Clifford circuits start in tableau form.
+*What* runs them is decided per part in :meth:`HierarchicalExecutor.run`
+from the state's representation (``method=`` only picks the starting
+one, see :meth:`~HierarchicalExecutor.initial_state`): a
+:class:`~repro.sv.stabilizer.StabilizerState` takes a Clifford-only
+part's source gates on the tableau; the first other part converts it to
+amplitudes once, and every dense part goes to ``backend.run_plan``.
+``method="auto"`` starts only all-Clifford circuits in tableau form, so
+dense inputs stay on the pre-routing path, bit-identical.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ class ExecutionTrace:
 
     Kernel-path routing: ``strided_parts`` / ``gathered_parts`` count
     dense parts per path (the gather-free strided lane vs the
-    gather-matrix sweep), ``strided_ops`` / ``gathered_ops`` the kernel
-    sweeps each executed, and ``array_module`` records the array
-    namespace when an :class:`~repro.sv.backend.ArrayBackend` ran the
-    parts.  ``gather_elements``/``scatter_elements`` grow only for
-    gathered parts — strided parts move no gather traffic at all.
+    gather-matrix sweep) and ``strided_ops`` / ``gathered_ops`` the
+    kernel sweeps each executed.  ``gather_elements``/``scatter_elements``
+    grow only for gathered parts — strided parts move no gather traffic
+    at all.
 
     >>> trace = ExecutionTrace(part_gates=[10, 6], part_ops=[3, 2])
     >>> trace.num_parts, trace.total_gates, trace.sweeps_saved
@@ -108,7 +107,6 @@ class ExecutionTrace:
     gathered_parts: int = 0
     strided_ops: int = 0
     gathered_ops: int = 0
-    array_module: Optional[str] = None
 
     @property
     def num_parts(self) -> int:
@@ -190,8 +188,8 @@ class HierarchicalExecutor:
         reuse compiled plans across executors and engines.
     backend:
         Where sweeps run: an :class:`~repro.sv.backend.ExecutionBackend`
-        instance, a name (``"serial"`` / ``"threaded"`` / ``"array"``),
-        or ``None`` to follow ``REPRO_BACKEND`` (default serial).
+        instance, a name (``"serial"`` / ``"threaded"``), or ``None`` to
+        follow ``REPRO_BACKEND`` (default serial).
     threads:
         Worker count for a backend resolved by name/environment
         (default: ``REPRO_THREADS`` or the machine's core count).
@@ -258,15 +256,13 @@ class HierarchicalExecutor:
     ) -> Union[np.ndarray, StabilizerState]:
         """Execute all parts in order against ``state``.
 
-        A dense ``state`` is mutated in place and returned, exactly as
-        before engine routing existed.  A
+        A dense ``state`` is mutated in place and returned.  A
         :class:`~repro.sv.stabilizer.StabilizerState` (from
-        :meth:`initial_state`) takes Clifford parts on the tableau
-        (each part's *source* gates, unfused — fused dense matrices are
-        useless to it); at the first non-Clifford part the tableau is
-        materialised to dense amplitudes (counted in
-        ``trace.boundary_conversions``) and the remainder runs dense —
-        the return value is then the dense array, not the input object.
+        :meth:`initial_state`) takes Clifford parts on the tableau (their
+        *source* gates — fused dense matrices are useless to it); the
+        first non-Clifford part materialises it to dense amplitudes
+        (counted in ``trace.boundary_conversions``) and the return value
+        is then that dense array, not the input object.
 
         ``structural_key`` (optional) routes plan lookup through the
         plan cache's structural layer: pass a fingerprint of the
@@ -287,20 +283,21 @@ class HierarchicalExecutor:
         if isinstance(state, StabilizerState):
             if state.num_qubits != n:
                 raise ValueError("state width mismatch")
-            return self._run_hybrid(
-                circuit, partition, state, trace, structural_key, cache_counters
-            )
-        if state.shape != (1 << n,):
+        elif state.shape != (1 << n,):
             raise ValueError("state length mismatch")
-        self.backend.begin_run(state)
-        try:
-            for part in partition.parts:
-                plan = self._dense_plan(
-                    circuit, part, n, structural_key, cache_counters
-                )
-                self._run_part(plan, state, n, trace)
-        finally:
-            self.backend.end_run(state)
+        for part in partition.parts:
+            if isinstance(state, StabilizerState):
+                gates = [circuit[g] for g in part.gate_indices]
+                if is_clifford_circuit(gates):
+                    self._run_tableau_part(part, gates, state, trace)
+                    continue
+                state = state.to_dense()
+                if trace is not None:
+                    trace.boundary_conversions += 1
+            plan = self._dense_plan(
+                circuit, part, n, structural_key, cache_counters
+            )
+            self._run_part(plan, state, n, trace)
         return state
 
     # -- internals --------------------------------------------------------
@@ -330,47 +327,17 @@ class HierarchicalExecutor:
             counters=cache_counters,
         )
 
-    def _run_hybrid(
-        self,
-        circuit: QuantumCircuit,
-        partition: Partition,
-        state: StabilizerState,
-        trace: Optional[ExecutionTrace],
-        structural_key,
-        cache_counters: Optional[CacheCounters],
-    ) -> Union[np.ndarray, StabilizerState]:
-        """Tableau for the Clifford part prefix, dense for the rest."""
-        n = circuit.num_qubits
-        current: Union[np.ndarray, StabilizerState] = state
-        materialized = False
-        try:
-            for part in partition.parts:
-                gates = [circuit[g] for g in part.gate_indices]
-                if not materialized and is_clifford_circuit(gates):
-                    t0 = time.perf_counter()
-                    current.apply_all(gates)
-                    elapsed = time.perf_counter() - t0
-                    if trace is not None:
-                        trace.part_qubits.append(tuple(part.qubits))
-                        trace.part_gates.append(len(gates))
-                        trace.part_ops.append(len(gates))
-                        trace.part_seconds.append(elapsed)
-                        self._record_engine(trace, "stabilizer")
-                    continue
-                if not materialized:
-                    current = current.to_dense()
-                    materialized = True
-                    if trace is not None:
-                        trace.boundary_conversions += 1
-                    self.backend.begin_run(current)
-                plan = self._dense_plan(
-                    circuit, part, n, structural_key, cache_counters
-                )
-                self._run_part(plan, current, n, trace)
-        finally:
-            if materialized:
-                self.backend.end_run(current)
-        return current
+    def _run_tableau_part(self, part, gates, state, trace) -> None:
+        """A Clifford part's *source* gates, applied to the tableau."""
+        t0 = time.perf_counter()
+        state.apply_all(gates)
+        elapsed = time.perf_counter() - t0
+        if trace is not None:
+            trace.part_qubits.append(tuple(part.qubits))
+            trace.part_gates.append(len(gates))
+            trace.part_ops.append(len(gates))
+            trace.part_seconds.append(elapsed)
+            self._record_engine(trace, "stabilizer")
 
     @staticmethod
     def _record_engine(trace: ExecutionTrace, name: str) -> None:
@@ -402,6 +369,4 @@ class HierarchicalExecutor:
                 trace.gathered_ops += plan.num_ops
                 trace.gather_elements += 1 << n
                 trace.scatter_elements += 1 << n
-            if self.backend.array_module is not None:
-                trace.array_module = self.backend.array_module
             self._record_engine(trace, "dense")

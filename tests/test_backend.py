@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.circuits import generators
+from repro.circuits.circuit import QuantumCircuit
 from repro.dist.hisvsim import HiSVSimEngine
 from repro.partition import get_partitioner
 from repro.sv import (
-    ArrayBackend,
-    ArrayModule,
+    ExecutionBackend,
     ExecutionTrace,
     FusedGate,
     HierarchicalExecutor,
@@ -22,10 +22,11 @@ from repro.sv import (
     SerialBackend,
     StateVectorSimulator,
     ThreadedBackend,
+    compile_part,
     gather_index_rows,
     gather_index_table,
     get_backend,
-    resolve_array_module,
+    random_state,
     resolve_backend,
     shared_backend,
     split_blocks,
@@ -96,14 +97,24 @@ class TestSelection:
         assert isinstance(get_backend("serial"), SerialBackend)
         t = get_backend("threaded", threads=3)
         assert isinstance(t, ThreadedBackend) and t.threads == 3
-        a = get_backend("array", threads=2)  # threads accepted, unused
-        assert isinstance(a, ArrayBackend)
 
     def test_invalid_worker_counts(self):
         with pytest.raises(ValueError):
             ThreadedBackend(-2)
         with pytest.raises(ValueError):
             ThreadedBackend(2, block_elements=0)
+
+    def test_zero_threads_is_refused_not_core_count(self, monkeypatch):
+        # Only None means "all cores".
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ThreadedBackend(0)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            get_backend("threaded", threads=0)
+        monkeypatch.setenv("REPRO_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_THREADS", "0")
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            resolve_backend(None)
+        assert ThreadedBackend(None).threads >= 1
 
     def test_resolve_passthrough_instance(self):
         b = ThreadedBackend(2)
@@ -130,14 +141,37 @@ class TestSelection:
     def test_describe(self):
         assert SerialBackend().describe() == "serial"
         assert ThreadedBackend(4).describe() == "threaded[4]"
-        assert ArrayBackend().describe() == "array[numpy]"
 
-    def test_removed_process_backend_is_an_unknown_name(self, monkeypatch):
+    def test_removed_process_backend_is_an_unknown_name(self):
         # The KeyError names the backends that remain.
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(KeyError, match="process") as exc:
-            resolve_backend(None)
-        assert "('serial', 'threaded', 'array')" in str(exc.value)
+        for name in ("process", "array"):
+            for lookup in (get_backend, resolve_backend):
+                with pytest.raises(KeyError, match=name) as exc:
+                    lookup(name)
+                assert "('serial', 'threaded')" in str(exc.value)
+
+    def test_stale_env_backend_names_the_variable(self, monkeypatch):
+        # A leftover REPRO_BACKEND must say where the name came from.
+        from repro.serve import BatchRunner
+
+        monkeypatch.setenv("REPRO_BACKEND", "array")
+        for resolve in (lambda: resolve_backend(None), BatchRunner):
+            with pytest.raises(KeyError, match="unknown backend 'array'") as exc:
+                resolve()
+            assert "REPRO_BACKEND" in str(exc.value)
+            assert "('serial', 'threaded')" in str(exc.value)
+
+    def test_a_backend_is_a_block_mapper_and_nothing_else(self):
+        # No run bracket, no array namespace: the public surface is the
+        # mapper, the three entry points on it, and close/describe.
+        public = [m for m in dir(ExecutionBackend) if not m.startswith("_")]
+        assert public == [
+            "apply_gate_flat", "apply_matrix_rows", "close", "describe",
+            "map_blocks", "name", "run_plan",
+        ]
+        for gone in ("begin_run", "end_run", "array_module"):
+            assert not hasattr(ExecutionBackend, gone)
+        assert not hasattr(ExecutionTrace(), "array_module")
 
     def test_resolve_empty_env_means_serial(self, monkeypatch):
         # CI matrix legs export REPRO_BACKEND="" for the serial leg.
@@ -303,148 +337,85 @@ class TestFusedGatePickle:
 
 
 # ---------------------------------------------------------------------------
-# Array backend
+# The seam contract: overriding map_blocks is all a backend needs
 # ---------------------------------------------------------------------------
 
 
-def _device_numpy() -> ArrayModule:
-    """NumPy masquerading as a device module: exercises the generic
-    upload/sweep/download path with no GPU in the test image."""
-    return ArrayModule("numpy", np, host=False)
+class _RowAtATimeBackend(ExecutionBackend):
+    """One block per row, last row first — as unlike the inline mapper as
+    a legal mapper gets."""
+
+    name = "row-at-a-time"
+
+    def map_blocks(self, fn, rows, elements):
+        for lo in reversed(range(rows)):
+            fn(lo, lo + 1)
 
 
-class TestArrayModuleResolution:
-    def test_selection_and_describe(self):
-        b = get_backend("array")
-        assert isinstance(b, ArrayBackend)
-        assert b.describe() == "array[numpy]"
-        assert b.array_module == "numpy"
-
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert resolve_backend(None).name == "array"
-
-    def test_env_module_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAY_MODULE", raising=False)
-        assert resolve_array_module().name == "numpy"
-        monkeypatch.setenv("REPRO_ARRAY_MODULE", "")
-        assert resolve_array_module().name == "numpy"  # empty = unset
-        monkeypatch.setenv("REPRO_ARRAY_MODULE", "numpy")
-        assert resolve_array_module().name == "numpy"
-
-    def test_unknown_module_rejected(self):
-        with pytest.raises(KeyError, match="opencl"):
-            resolve_array_module("opencl")
-
-    def test_missing_device_module_raises_runtime_error(self):
-        # The container ships neither cupy nor torch; requesting one
-        # must fail loudly (never install implicitly) and name the fix.
-        for name in ("cupy", "torch"):
-            try:
-                __import__(name)
-            except ImportError:
-                with pytest.raises(RuntimeError, match=name):
-                    resolve_array_module(name)
-            else:  # pragma: no cover - module present in this image
-                assert resolve_array_module(name).name == name
-
-    def test_module_instance_passthrough(self):
-        mod = _device_numpy()
-        assert resolve_array_module(mod) is mod
-        assert not mod.host
-        assert ArrayBackend(module=mod).module is mod
+def _state_pair(n):
+    """Two copies of one seeded random state."""
+    state = random_state(n, seed=n)
+    return state, state.copy()
 
 
-class TestArrayBackend:
-    def test_numpy_module_bit_identical_to_serial(self):
-        qc = generators.build("grover", 9)
-        p = get_partitioner("dagP").partition(qc, 6)
-        serial = zero_state(9)
-        HierarchicalExecutor(backend=SerialBackend()).run(qc, p, serial)
-        arr = zero_state(9)
-        with ArrayBackend() as backend:
-            HierarchicalExecutor(backend=backend).run(qc, p, arr)
-        assert np.array_equal(serial, arr)
+def test_map_blocks_override_is_the_whole_backend_contract():
+    """A subclass that overrides only ``map_blocks`` agrees with serial at
+    1e-10 through every entry point and both executors."""
+    ours, serial = _RowAtATimeBackend(), SerialBackend()
 
-    @pytest.mark.parametrize("mode", ["batched", "literal"])
-    def test_device_path_matches_serial(self, mode):
-        qc = random_circuit(7, 20, seed=13)
-        p = get_partitioner("dagP").partition(qc, 5)
-        serial = zero_state(7)
-        HierarchicalExecutor(mode=mode, backend=SerialBackend()).run(
-            qc, p, serial
-        )
-        arr = zero_state(7)
-        with ArrayBackend(module=_device_numpy()) as backend:
-            HierarchicalExecutor(mode=mode, backend=backend).run(qc, p, arr)
-        assert float(np.max(np.abs(arr - serial))) < 1e-12
+    def close(a, b):
+        return float(np.max(np.abs(a - b))) < 1e-10
 
-    def test_device_plan_cache_hits_across_sweeps(self):
-        qc = generators.build("qft", 7)
-        p = get_partitioner("dagP").partition(qc, 5)
-        cache = PlanCache()
-        with ArrayBackend(module=_device_numpy()) as backend:
-            ex = HierarchicalExecutor(backend=backend, plan_cache=cache)
-            ex.run(qc, p, zero_state(7))
-            first_uploads = backend.plan_uploads
-            assert first_uploads == p.num_parts
-            assert backend.plan_cache_hits == 0
-            # Re-running the shared plans must not re-upload anything.
-            ex.run(qc, p, zero_state(7))
-            assert backend.plan_uploads == first_uploads
-            assert backend.plan_cache_hits == p.num_parts
+    # run_plan, both lanes: strided_max=-1 forces the gather lane.
+    qc = random_circuit(7, 20, seed=13)
+    gathering = _RowAtATimeBackend(strided_max=-1)
+    for part in get_partitioner("dagP").partition(qc, 5).parts:
+        plan = compile_part(qc, part.gate_indices, part.qubits, fuse=False)
+        for backend, lane in ((ours, "strided"), (gathering, "gather")):
+            got, want = _state_pair(7)
+            assert backend.run_plan(plan, got, 7) == lane
+            assert serial.run_plan(plan, want, 7) == "strided"
+            assert close(got, want)
 
-    def test_plan_cache_is_bounded(self):
-        with ArrayBackend(module=_device_numpy()) as backend:
-            backend.MAX_CACHED_PLANS = 3
-            plans = []
-            for seed in range(5):
-                qc = random_circuit(4, 6, seed=seed)
-                p = get_partitioner("Nat").partition(qc, 3)
-                ex = HierarchicalExecutor(backend=backend)
-                ex.run(qc, p, zero_state(4))
-                plans.append(p)
-            assert len(backend._plans) <= 3
-
-    def test_session_lifecycle_and_nested_guard(self):
-        backend = ArrayBackend(module=_device_numpy())
-        state = zero_state(4)
-        backend.begin_run(state)
-        try:
-            with pytest.raises(RuntimeError):
-                backend.begin_run(state)
-        finally:
-            backend.end_run(state)
-        assert backend._sessions == {}
-        # end_run without a session is a no-op, not an error.
-        backend.end_run(state)
-
-    def test_apply_gate_flat_device_round_trip(self):
-        from repro.circuits.gates import make_gate
-
-        expected = zero_state(3)
-        apply = zero_state(3)
-        serial = SerialBackend()
-        with ArrayBackend(module=_device_numpy()) as backend:
-            for gate in (
-                make_gate("h", [0]),
-                make_gate("cx", [0, 2]),
-                make_gate("rz", [1], [0.3]),
-            ):
-                serial.apply_gate_flat(expected, gate, 3)
-                backend.apply_gate_flat(apply, gate, 3)
-        assert float(np.max(np.abs(apply - expected))) < 1e-15
-
-    def test_trace_records_array_module(self):
-        qc = generators.build("bv", 7)
-        p = get_partitioner("dagP").partition(qc, 5)
-        trace = ExecutionTrace()
-        with ArrayBackend() as backend:
-            HierarchicalExecutor(backend=backend).run(
-                qc, p, zero_state(7), trace=trace
+    # apply_matrix_rows / apply_gate_flat.
+    for gate in qc:
+        got, want = _state_pair(7)
+        ours.apply_gate_flat(got, gate, 7)
+        serial.apply_gate_flat(want, gate, 7)
+        assert close(got, want)
+        w = max(gate.qubits) + 1
+        got, want = _state_pair(7)
+        for backend, state in ((ours, got), (serial, want)):
+            backend.apply_matrix_rows(
+                state.reshape(-1, 1 << w), gate.matrix(), gate.qubits, w,
+                diagonal=gate.is_diagonal,
             )
-        assert trace.array_module == "numpy"
-        assert trace.strided_parts + trace.gathered_parts == p.num_parts
+        assert close(got, want)
+
+    # Hierarchical executor, tableau prefix then dense remainder.
+    hybrid = QuantumCircuit(6)
+    for q in range(5):
+        hybrid.h(q).cx(q, q + 1)
+    hybrid.t(2).h(2).cx(2, 3).rz(0.3, 4)
+    p = get_partitioner("Nat").partition(hybrid, 3)
+    states, traces = [], []
+    for backend in (ours, serial):
+        ex = HierarchicalExecutor(backend=backend, method="stabilizer")
+        traces.append(ExecutionTrace())
+        states.append(ex.run(hybrid, p, ex.initial_state(hybrid), traces[-1]))
+    assert close(*states)
+    assert traces[0].boundary_conversions == 1
+    assert traces[0].part_engines == traces[1].part_engines
+    assert traces[0].backend_parts.keys() == {"row-at-a-time"}
+
+    # Distributed shard sweep.
+    qft = generators.build("qft", 8)
+    p = get_partitioner("dagP").partition(qft, 5)
+    full = [
+        HiSVSimEngine(4, fuse=True, backend=backend).run(qft, p)[0].to_full()
+        for backend in (ours, serial)
+    ]
+    assert close(*full)
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,12 @@ class TestCli:
         assert "max |fused - flat|" in out
 
     def test_removed_process_backend_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "bv", "--qubits", "8", "--backend", "process"])
-        err = capsys.readouterr().err
-        assert "invalid choice: 'process'" in err
-        assert "'serial', 'threaded', 'array'" in err
+        for name in ("process", "array"):
+            with pytest.raises(SystemExit):
+                main(["simulate", "bv", "--qubits", "8", "--backend", name])
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{name}'" in err
+            assert "(choose from 'serial', 'threaded')" in err
 
     def test_simulate_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -163,6 +164,18 @@ class TestLimitAndRendezvousFlags:
             main(argv + ["--limit", bad])
         assert excinfo.value.code == 2
         assert "limit must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_zero_threads_exits_2(self, command, capsys):
+        # 0 used to mean "all cores"; only an omitted flag does.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                SUBCOMMANDS[command] + ["--threads", "0"]
+            )
+        assert excinfo.value.code == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_omitted_limit_derives_the_default(self, capsys):
         assert main(["simulate", "qft", "--qubits", "9"]) == 0

@@ -67,6 +67,10 @@ class TestConsumersUseTheOneReader:
             env("REPRO_DIST_PORT")
 
 
+def test_removed_array_module_variable_is_not_registered():
+    assert "REPRO_ARRAY_MODULE" not in ENV
+
+
 def test_only_config_reads_the_environment():
     offenders = []
     for root, _dirs, files in os.walk(os.path.join(REPO, "src", "repro")):
@@ -114,3 +118,5 @@ class TestRunOptions:
         )
         with pytest.raises(TypeError):
             BatchRunner(strategey="DFS")
+        with pytest.raises(TypeError):  # no caller ever set it; removed
+            BatchRunner(mode="literal")

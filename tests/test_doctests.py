@@ -32,7 +32,6 @@ import repro.partition
 import repro.partition.base
 import repro.partition.dagp.driver
 import repro.partition.dfs
-import repro.partition.export
 import repro.partition.ilp
 import repro.partition.merge
 import repro.partition.multilevel
@@ -72,7 +71,6 @@ DOCTEST_MODULES = [
     repro.partition.natural,
     repro.partition.dfs,
     repro.partition.dagp.driver,
-    repro.partition.export,
     repro.partition.ilp,
     repro.partition.merge,
     repro.partition.multilevel,
@@ -98,7 +96,6 @@ DOCTEST_MODULES = [
 
 #: Exported names that are plain data (no docstring expected).
 DATA_EXPORTS = {
-    "ARRAY_MODULE_NAMES",
     "BACKEND_NAMES",
     "DEFAULT_BLOCK_ELEMENTS",
     "DEFAULT_MAX_FUSED_QUBITS",

@@ -15,7 +15,6 @@ from repro.circuits.transforms import fuse_single_qubit_runs, inverse_circuit
 from repro.dist import HiSVSimEngine, IQSEngine
 from repro.partition import (
     DagPPartitioner,
-    export_parts,
     get_partitioner,
     multilevel_partition,
     validate_partition,
@@ -40,18 +39,6 @@ class TestQasmToExecution:
         ref = StateVectorSimulator(10)
         ref.run(qc)
         assert np.allclose(state, ref.state, atol=1e-9)
-
-    def test_exported_parts_reload_and_compose(self, tmp_path):
-        qc = generators.build("ising", 9)
-        p = get_partitioner("DFS").partition(qc, 6)
-        export_parts(qc, p, directory=str(tmp_path), local_qubits=6)
-        # Reload every part file; each must be a valid 6-qubit circuit.
-        total = 0
-        for i in range(p.num_parts):
-            sub = qasm.load(str(tmp_path / f"part_{i:03d}.qasm"))
-            assert sub.num_qubits == 6
-            total += len(sub)
-        assert total == len(qc)
 
 
 class TestAlgorithmSemanticsAcrossEngines:

@@ -16,7 +16,6 @@ import pytest
 from repro.circuits.gates import make_gate
 from repro.partition import get_partitioner
 from repro.sv import (
-    ArrayBackend,
     DEFAULT_STRIDED_MAX,
     HierarchicalExecutor,
     SerialBackend,
@@ -192,15 +191,6 @@ class TestStridedVsGatherBackends:
             gather = _run(qc, p, b)
         with ThreadedBackend(4, min_parallel_elements=0) as b:
             strided = _run(qc, p, b)
-        assert np.array_equal(gather, strided)
-
-    def test_array_strided_bit_identical_to_gather(self):
-        qc = random_circuit(7, 18, seed=23)
-        p = get_partitioner("dagP").partition(qc, 5)
-        with ArrayBackend(strided_max=-1) as gather_b:
-            gather = _run(qc, p, gather_b)
-        with ArrayBackend() as strided_b:
-            strided = _run(qc, p, strided_b)
         assert np.array_equal(gather, strided)
 
     def test_top_qubit_targets_span_row_blocks(self):

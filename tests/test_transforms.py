@@ -1,6 +1,4 @@
-"""Circuit transform tests: fusion, inversion, remapping, part export."""
-
-import os
+"""Circuit transform tests: fusion, inversion, remapping."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_matrix
-from repro.circuits.qasm import loads
 from repro.circuits.transforms import (
     decompose_u3,
     decompose_unitary_1q,
@@ -19,7 +16,6 @@ from repro.circuits.transforms import (
     remap_circuit,
 )
 from repro.partition import get_partitioner, validate_partition
-from repro.partition.export import export_parts, part_subcircuit
 from repro.sv.simulator import StateVectorSimulator, random_state
 
 from conftest import SUITE_SMALL, random_circuit
@@ -169,70 +165,3 @@ class TestRemap:
         qc.cx(0, 1)
         with pytest.raises(ValueError):
             remap_circuit(qc, {0: 3, 1: 3})
-
-
-class TestPartExport:
-    def _setup(self):
-        qc = generators.build("qaoa", 8)
-        p = get_partitioner("dagP").partition(qc, 5)
-        return qc, p
-
-    def test_parts_cover_all_gates(self):
-        qc, p = self._setup()
-        files = export_parts(qc, p)
-        assert sum(len(f.circuit) for f in files) == len(qc)
-
-    def test_qubit_slots_compact(self):
-        qc, p = self._setup()
-        for f in export_parts(qc, p):
-            used = f.circuit.qubits_used()
-            assert used == tuple(range(len(used)))
-
-    def test_local_model_padding(self):
-        qc, p = self._setup()
-        files = export_parts(qc, p, local_qubits=7)
-        assert all(f.circuit.num_qubits == 7 for f in files)
-
-    def test_undersized_local_model_rejected(self):
-        qc, p = self._setup()
-        too_small = p.max_working_set() - 1
-        with pytest.raises(ValueError):
-            part_subcircuit(
-                qc,
-                p,
-                max(
-                    range(p.num_parts),
-                    key=lambda i: p.parts[i].working_set_size,
-                ),
-                local_qubits=too_small,
-            )
-
-    def test_qasm_files_written_and_parse(self, tmp_path):
-        qc, p = self._setup()
-        export_parts(qc, p, directory=str(tmp_path))
-        names = sorted(os.listdir(tmp_path))
-        assert names == [f"part_{i:03d}.qasm" for i in range(p.num_parts)]
-        back = loads(open(tmp_path / "part_000.qasm").read())
-        assert len(back) == p.parts[0].num_gates
-
-    def test_semantics_preserved_through_export(self):
-        """Executing the exported parts through gather slots must equal the
-        original circuit (the hybrid flow's correctness condition)."""
-        qc, p = self._setup()
-        n = qc.num_qubits
-        from repro.sv.kernels import apply_gate
-        from repro.sv.layout import gather_index_table
-        from repro.sv.simulator import zero_state
-
-        state = zero_state(n)
-        for f in export_parts(qc, p):
-            w = len(f.qubit_map)
-            inner_qubits = sorted(f.qubit_map, key=f.qubit_map.get)
-            table = gather_index_table(n, inner_qubits)
-            inner = state[table]
-            for g in f.circuit:
-                from repro.sv.kernels import apply_gate_batched
-
-                apply_gate_batched(inner, g, w)
-            state[table] = inner
-        assert np.allclose(state, state_of(qc), atol=1e-9)

@@ -12,7 +12,8 @@ Modules
     :class:`LayoutOnlyState` — layout, residency queries and a ``remap``
     charged in closed form (dry runs at paper widths, no amplitudes) —
     and its subclass :class:`DistributedStateVector`, which adds the
-    shards and executes ``remap`` as one ``SimComm.exchange``.
+    shards and executes ``remap`` as one ``SimComm.exchange`` of the bit
+    permutation between the two layouts.
 ``exchange``
     Layout planning: minimal-motion working-set eviction with next-part
     lookahead (the HiSVSIM remap policy), and :func:`remap_schedule`,

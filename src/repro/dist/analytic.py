@@ -3,10 +3,10 @@
 Dry-run engines at paper widths (30+ qubits, up to 1024 ranks) cannot
 materialise amplitudes, but every reproduced figure needs the *exact*
 traffic a real run would generate.  :func:`exchange_step_stats` computes,
-in O(n) for a layout transition, the same four numbers
-:meth:`~repro.runtime.comm.SimComm.exchange` would record after actually
-scattering ``2^n`` amplitudes (:class:`~repro.dist.state.LayoutOnlyState`
-records them on ``remap``); :func:`exchange_rank_stats` is one rank's
+in O(n) for a layout transition, the same four numbers an elementwise
+scatter of ``2^n`` amplitudes counts pair by pair (the tests' oracle);
+:class:`~repro.dist.state.LayoutOnlyState` records them on ``remap``, for
+dry and in-process runs alike.  :func:`exchange_rank_stats` is one rank's
 share, the oracle :func:`verify_exchange_records` holds a socket run to.
 
 Derivation.  A layout change is a permutation ``sigma`` of storage-bit
@@ -68,9 +68,9 @@ def exchange_step_stats(
     """Traffic of the ``old -> new`` exchange at the given shard split.
 
     Returns ``(total_bytes, total_msgs, max_bytes_per_rank,
-    max_msgs_per_rank)`` — exactly the step
-    :meth:`~repro.runtime.comm.SimComm.exchange` would add, with
-    diagonal (rank-to-self) traffic excluded.
+    max_msgs_per_rank)`` — exactly the step an in-process ``remap``
+    adds to its comm's stats, with diagonal (rank-to-self) traffic
+    excluded.
 
     >>> from repro.sv.layout import QubitLayout
     >>> old, new = QubitLayout.identity(4), QubitLayout([2, 1, 0, 3])

@@ -7,9 +7,12 @@ packed index select the offset inside a rank's shard; bits
 ``local_bits..n-1`` select the rank.  Changing the layout therefore
 requires moving amplitudes between ranks.  :class:`LayoutOnlyState`
 charges a ``remap`` its closed-form traffic (dry runs, no amplitudes);
-:class:`DistributedStateVector` adds the shards and executes it as a
-single :meth:`~repro.runtime.comm.SimComm.exchange`, which records the
-traffic the engines account for.
+:class:`DistributedStateVector` adds the shards and moves them in a
+single :meth:`~repro.runtime.comm.SimComm.exchange` of the
+position-to-position permutation between the two layouts.  Sharding a
+full vector and gathering one back are the same kind of permutation
+(:func:`~repro.sv.layout.permuted_view`), from and to the identity
+layout, so nothing here builds an index array.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from ..runtime.comm import SimComm
 from ..sv.kernels import apply_matrix_batched
-from ..sv.layout import QubitLayout, extract_bits, permute_bits
+from ..sv.layout import QubitLayout, permuted_view
 from .analytic import exchange_step_stats
 from .transport import AMP_BYTES
 
@@ -85,14 +88,20 @@ class LayoutOnlyState:
             return
         if new_layout.n != self.num_qubits:
             raise ValueError("layout width does not match num_qubits")
-        self._exchange(new_layout)
+        if self.comm.rank is None:
+            # Every rank is in this process and nothing crosses a wire,
+            # so the traffic is the closed form, dry run or not (a
+            # socket rank records what it observes instead).
+            step = exchange_step_stats(
+                self.layout, new_layout, self.local_bits
+            )
+            if any(step):
+                self.comm.stats.add_step(*step)
+        if self.shards is not None:
+            self.shards = self.comm.exchange(
+                self.shards, self.layout.transition_sigma(new_layout)
+            )
         self.layout = new_layout
-
-    def _exchange(self, new_layout: QubitLayout) -> None:
-        """Record the exchange a real remap would perform."""
-        step = exchange_step_stats(self.layout, new_layout, self.local_bits)
-        if any(step):
-            self.comm.stats.add_step(*step)
 
 
 class DistributedStateVector(LayoutOnlyState):
@@ -107,7 +116,9 @@ class DistributedStateVector(LayoutOnlyState):
     holds for the packed indices this rank owns
     (``rank * 2^local_bits + offset``); :meth:`remap` then moves
     amplitudes between OS processes and :meth:`to_full` gathers rows
-    from every rank.
+    from every rank.  A remap hands the comm the bit permutation between
+    the two layouts; in process its traffic is the closed form, over
+    sockets what each rank observed.
 
     >>> import numpy as np
     >>> from repro.runtime.comm import SimComm
@@ -118,6 +129,8 @@ class DistributedStateVector(LayoutOnlyState):
     >>> state.remap(QubitLayout([2, 3, 0, 1]))    # qubits 2,3 become local
     >>> state.local_qubits(), round(state.norm(), 12)
     ([2, 3], 1.0)
+    >>> state.comm.stats.total_bytes, state.comm.stats.steps
+    (192, 1)
     >>> int(np.argmax(np.abs(state.to_full())))   # still |0000>
     0
     """
@@ -165,14 +178,14 @@ class DistributedStateVector(LayoutOnlyState):
         if state.size != 1 << num_qubits:
             raise ValueError("state length must be a power of two")
         local_bits = comm.local_bits(num_qubits)
+        identity = QubitLayout.identity(num_qubits)
         if layout is None:
-            layout = QubitLayout.identity(num_qubits)
-        packed = np.arange(state.size, dtype=np.int64)
-        shards = state[layout.logical_index(packed)].reshape(
-            comm.num_ranks, 1 << local_bits
-        )
-        if comm.rank is not None:
-            shards = shards[comm.rank : comm.rank + 1].copy()
+            layout = identity
+        view = permuted_view(state, identity.transition_sigma(layout))
+        if comm.rank is not None:  # the leading axes are the rank's bits
+            process_bits = num_qubits - local_bits
+            view = view[np.unravel_index(comm.rank, (2,) * process_bits)]
+        shards = np.array(view, order="C").reshape(-1, 1 << local_bits)
         return cls(num_qubits, comm, shards, layout)
 
     def to_full(self) -> np.ndarray:
@@ -184,10 +197,11 @@ class DistributedStateVector(LayoutOnlyState):
         is not recorded in the exchange accounting.
         """
         shards = self.comm.allgather_rows(self.shards)
-        packed = np.arange(1 << self.num_qubits, dtype=np.int64)
-        full = np.empty(packed.size, dtype=np.complex128)
-        full[self.layout.logical_index(packed)] = shards.reshape(-1)
-        return full
+        sigma = self.layout.transition_sigma(
+            QubitLayout.identity(self.num_qubits)
+        )
+        view = permuted_view(shards.reshape(-1), sigma)
+        return np.array(view, order="C").reshape(-1)
 
     # -- numerics -------------------------------------------------------------
 
@@ -195,25 +209,6 @@ class DistributedStateVector(LayoutOnlyState):
         """Norm of the locally held rows (the global norm when all ranks
         are in-process; this rank's shard norm under an SPMD comm)."""
         return float(np.linalg.norm(self.shards))
-
-    def _packed_indices(self) -> np.ndarray:
-        """Packed storage indices of the locally held amplitudes."""
-        if self.comm.rank is None:
-            return np.arange(1 << self.num_qubits, dtype=np.int64)
-        base = np.int64(self.comm.rank) << self.local_bits
-        return base + np.arange(1 << self.local_bits, dtype=np.int64)
-
-    # -- communication --------------------------------------------------------
-
-    def _exchange(self, new_layout: QubitLayout) -> None:
-        """Scatter the shards: every element's destination follows from
-        the position-to-position permutation between the two layouts."""
-        sigma = self.layout.transition_sigma(new_layout)
-        new_packed = permute_bits(self._packed_indices(), sigma)
-        shape = self.shards.shape
-        dest_rank = (new_packed >> self.local_bits).reshape(shape)
-        dest_offset = (new_packed & ((1 << self.local_bits) - 1)).reshape(shape)
-        self.shards = self.comm.exchange(self.shards, dest_rank, dest_offset)
 
     # -- local computation ----------------------------------------------------
 
@@ -256,14 +251,23 @@ class DistributedStateVector(LayoutOnlyState):
         Diagonal gates multiply each amplitude by a factor of its own
         basis index, so rank-resident operand bits need no exchange —
         the communication-free fast path of the IQS baseline.
+
+        The rows held here are one ``(2,)*width`` tensor (every rank's
+        under an in-process comm); an operand stored in this process's
+        own rank bits is a constant, so its diagonal entries are picked
+        and the rest is the ordinary diagonal kernel.
         """
-        diag = np.ascontiguousarray(np.diag(gate.matrix()))
-        operand_bits = extract_bits(
-            self._packed_indices(),
-            [self.layout.position(q) for q in gate.qubits],
+        width = self.shards.size.bit_length() - 1  # n, or l on one rank
+        positions = [self.layout.position(q) for q in gate.qubits]
+        pick = tuple(
+            (self.comm.rank >> (p - width)) & 1 if p >= width else slice(None)
+            for p in reversed(positions)  # first operand = last diag axis
         )
-        flat = self.shards.reshape(-1)
-        flat *= diag[operand_bits]
+        diag = np.diag(gate.matrix()).reshape((2,) * len(positions))[pick]
+        apply_matrix_batched(
+            self.shards.reshape(1, -1), np.diag(diag.reshape(-1)),
+            [p for p in positions if p < width], width, diagonal=True,
+        )
 
 
 def open_run(
@@ -278,12 +282,20 @@ def open_run(
     An injected ``comm`` must span ``num_ranks`` ranks and has its stats
     reset so the report covers exactly this run; ``None`` builds a fresh
     in-process one.  State construction checks the rank count against
-    the register width.  ``dry_run`` returns a :class:`LayoutOnlyState`
-    and accepts neither an initial state nor an SPMD comm (closed-form
-    steps are cluster totals).
+    the register width, and an ``initial_full`` of any other width than
+    ``num_qubits`` is refused here, before the comm is touched.
+    ``dry_run`` returns a :class:`LayoutOnlyState` and accepts neither
+    an initial state nor an SPMD comm (closed-form steps are cluster
+    totals).
     """
     if dry_run and initial_full is not None:
         raise ValueError("dry_run cannot execute an initial state")
+    if initial_full is not None and np.size(initial_full) != 1 << num_qubits:
+        size = np.size(initial_full)
+        raise ValueError(
+            f"initial_full has {size} amplitudes (a {size.bit_length() - 1}"
+            f"-qubit state) but the circuit has {num_qubits} qubits"
+        )
     if comm is None:
         comm = SimComm(num_ranks)
     if comm.num_ranks != num_ranks:

@@ -3,22 +3,32 @@
 :class:`~repro.runtime.comm.SimComm` is the distributed layer's
 communicator and its in-process implementation.  :class:`SocketTransport`
 subclasses it for SPMD runs: every worker runs the same deterministic
-engine loop holding a ``(1, 2^l)`` shard, and cross-rank elements travel
-over TCP in length-prefixed frames; the per-exchange payload is checked
-byte for byte against the closed-form dry-run model
+engine loop holding a ``(1, 2^l)`` shard, and what crosses a rank
+boundary travels over TCP in length-prefixed frames; the per-exchange
+payload is checked byte for byte against the closed-form dry-run model
 (:func:`repro.dist.analytic.exchange_rank_stats`).
 
 Wire protocol (``SocketTransport``)
 -----------------------------------
-A *frame* is an 8-byte big-endian payload length followed by the payload.
-An exchange frame's payload is ``count`` (8-byte big-endian), then
-``count`` little-endian int64 destination offsets, then ``count``
-complex128 amplitudes.  Every rank sends exactly one frame — possibly
-empty — to every peer per exchange, so exchanges double as barriers and
-no rank needs global knowledge to know whom to await.  Accounting counts
-amplitude payload only (``count * 16`` bytes, matching the dry-run
-model's ``AMP_BYTES``); framing overhead is tracked separately in
-``ExchangeRecord.wire_bytes``.
+A *frame* is an 8-byte big-endian payload length followed by the
+payload.  Every frame's length is known to its receiver before it
+arrives (registration 16 B, address map ``16 * ranks``, mesh hello 8 B,
+allgather row one shard, exchange slab as below), so a prefix announcing
+anything else is a :class:`TransportError` raised before a byte of
+payload is read.
+
+An exchange frame's payload is amplitudes only: one contiguous *slab*
+of complex128.  The plan is the bit permutation ``sigma``; with ``k``
+destination-rank bits sourced from old local positions, a rank's row
+splits into ``2^k`` slabs of ``2^(l-k)`` amplitudes, one per
+destination (:func:`_crossing`), and the receiver derives both where a
+slab lands and its exact byte length from ``sigma`` and the sender's
+rank.  Every rank sends exactly one frame — empty when the plan routes
+nothing that way — to every peer per exchange, so exchanges double as
+barriers and no rank needs global knowledge to know whom to await.
+Accounting counts the amplitude payload put on and taken off the wire
+(``AMP_BYTES`` each, the dry-run model's unit); the length prefixes are
+tracked separately in ``ExchangeRecord.wire_bytes``.
 
 Connection establishment is a rank-0 rendezvous: every worker opens an
 ephemeral data listener, workers register ``(rank, port)`` with rank 0,
@@ -36,12 +46,13 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import env
 from ..runtime.comm import SimComm
+from ..sv.layout import QubitLayout, permuted_view, spread_bits
 
 __all__ = [
     "AMP_BYTES",
@@ -54,16 +65,16 @@ __all__ = [
 AMP_BYTES = 16  # complex128 — the unit of every byte count in the model
 
 _LEN = struct.Struct(">Q")
-_MAX_FRAME = 1 << 40  # corrupted peer guard: no sane frame is a terabyte
 
 
 class TransportError(RuntimeError):
     """A transport-level failure (connect, send, receive, framing).
 
     Raised instead of hanging: sockets carry timeouts, connects are
-    retried a bounded number of times, and a peer closing mid-frame is
-    detected by the length prefix.  The message names the local rank so
-    multi-process logs stay attributable.
+    retried a bounded number of times, and a peer closing mid-frame or
+    announcing a frame of the wrong length is detected at the length
+    prefix.  The message names the local rank so multi-process logs stay
+    attributable.
 
     >>> issubclass(TransportError, RuntimeError)
     True
@@ -77,11 +88,11 @@ class ExchangeRecord:
     ``sent_bytes``/``recv_bytes`` count amplitude payload only
     (``AMP_BYTES`` per amplitude) to other ranks — the quantity the
     dry-run model predicts; ``sent_msgs``/``recv_msgs`` count non-empty
-    frames.  ``wire_bytes`` adds framing overhead (length prefixes,
-    counts, offset arrays) in both directions, which the model
-    deliberately excludes.
+    frames.  ``wire_bytes`` adds the framing overhead (one 8-byte
+    length prefix per frame, empty ones included) in both directions,
+    which the model deliberately excludes.
 
-    >>> ExchangeRecord(32, 1, 32, 1, 96).sent_bytes
+    >>> ExchangeRecord(32, 1, 32, 1, 80).sent_bytes
     32
     """
 
@@ -95,43 +106,49 @@ class ExchangeRecord:
 # -- socket plumbing ---------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, n: int, rank: int, what: str) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
+def _recv_exact(sock: socket.socket, out, rank: int, what: str) -> None:
+    """Fill the writable byte buffer ``out`` from ``sock``."""
+    view = memoryview(out)
+    got = 0
+    while got < len(view):
         try:
-            chunk = sock.recv(min(n - len(buf), 1 << 20))
+            count = sock.recv_into(view[got:])
         except socket.timeout:
             raise TransportError(
                 f"rank {rank}: timed out waiting for {what} "
-                f"({len(buf)}/{n} bytes)"
+                f"({got}/{len(view)} bytes)"
             ) from None
         except OSError as exc:
             raise TransportError(
                 f"rank {rank}: receive failed mid-{what}: {exc}"
             ) from None
-        if not chunk:
+        if not count:
             raise TransportError(
                 f"rank {rank}: connection closed mid-{what} "
-                f"({len(buf)}/{n} bytes)"
+                f"({got}/{len(view)} bytes)"
             )
-        buf.extend(chunk)
-    return bytes(buf)
+        got += count
 
 
-def _recv_frame(sock: socket.socket, rank: int, what: str) -> bytes:
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size, rank, what))
-    if length > _MAX_FRAME:
+def _recv_frame(sock: socket.socket, out, rank: int, what: str):
+    """Receive one frame into ``out``, whose size is the length the
+    frame must announce; returns ``out``."""
+    prefix = bytearray(_LEN.size)
+    _recv_exact(sock, prefix, rank, what)
+    (length,) = _LEN.unpack(prefix)
+    if length != len(out):
         raise TransportError(
-            f"rank {rank}: insane frame length {length} for {what}"
+            f"rank {rank}: {what} announces {length} bytes, expected "
+            f"{len(out)}"
         )
-    return _recv_exact(sock, length, rank, what)
+    _recv_exact(sock, out, rank, what)
+    return out
 
 
-def _send_frame(
-    sock: socket.socket, payload: bytes, rank: int, what: str
-) -> None:
+def _send_frame(sock: socket.socket, payload, rank: int, what: str) -> None:
     try:
-        sock.sendall(_LEN.pack(len(payload)) + payload)
+        sock.sendall(_LEN.pack(len(payload)))
+        sock.sendall(payload)
     except socket.timeout:
         raise TransportError(
             f"rank {rank}: timed out sending {what}"
@@ -140,6 +157,28 @@ def _send_frame(
         raise TransportError(
             f"rank {rank}: send failed mid-{what}: {exc}"
         ) from None
+
+
+def _crossing(perm: Sequence[int], local_bits: int, rank: int):
+    """The rank bits ``perm`` moves into local positions, and the peers
+    they select (``perm[q]`` is where bit position ``q`` goes).
+
+    Returns ``(local, peers)``: ``local`` lists, by rank bit, the local
+    positions those rank bits land in; ``peers[c]`` is the rank holding
+    the bits of ``c`` at those rank bits and, at every other rank bit
+    ``q``, bit ``perm[q]`` of ``rank`` (a rank-to-rank move).  Under
+    ``sigma`` that is where this rank's new row comes from; under its
+    inverse, where its old row goes.
+    """
+    local, free, fixed = [], [], 0
+    for q in range(local_bits, len(perm)):
+        if perm[q] < local_bits:
+            local.append(perm[q])
+            free.append(q - local_bits)
+        else:
+            bit = (rank >> (perm[q] - local_bits)) & 1
+            fixed |= bit << (q - local_bits)
+    return local, fixed | spread_bits(np.arange(1 << len(free)), free)
 
 
 def _connect_with_retry(
@@ -185,18 +224,16 @@ class SocketTransport(SimComm):
     ``max_bytes_per_rank``/``max_msgs_per_rank`` the max of its send and
     receive sides — the real cost at this rank, not cluster totals.
 
-    Two ranks swapping their single amplitude over real sockets (the
-    :func:`run_spmd` harness handles rendezvous and teardown):
+    Two ranks trading the local bit for the rank bit — a 2x2 transpose
+    — over real sockets (the :func:`run_spmd` harness handles rendezvous
+    and teardown):
 
     >>> import numpy as np
     >>> def swap(rank, transport):
-    ...     row = np.array([[complex(rank)]])
-    ...     out = transport.exchange(
-    ...         row, np.array([[1 - rank]]), np.array([[0]])
-    ...     )
-    ...     return float(out[0, 0].real)
+    ...     row = np.array([[2 * rank, 2 * rank + 1]], dtype=np.complex128)
+    ...     return transport.exchange(row, [1, 0])[0].real.tolist()
     >>> run_spmd(2, swap)
-    [1.0, 0.0]
+    [[0.0, 2.0], [1.0, 3.0]]
     """
 
     def __init__(
@@ -312,9 +349,9 @@ class SocketTransport(SimComm):
                             f"{len(addresses)}/{num_ranks} ranks registered"
                         ) from None
                     conn.settimeout(timeout)
-                    peer_rank, peer_port = struct.unpack(
-                        ">qq", _recv_frame(conn, 0, "rendezvous registration")
-                    )
+                    peer_rank, peer_port = struct.unpack(">qq", _recv_frame(
+                        conn, bytearray(16), 0, "rendezvous registration"
+                    ))
                     if not 0 < peer_rank < num_ranks:
                         raise TransportError(
                             f"rank 0: bogus rendezvous rank {peer_rank}"
@@ -342,11 +379,14 @@ class SocketTransport(SimComm):
                 sock, struct.pack(">qq", rank, data_port),
                 rank, "rendezvous registration",
             )
-            payload = _recv_frame(sock, rank, "rendezvous address map")
+            payload = _recv_frame(
+                sock, bytearray(16 * num_ranks), rank,
+                "rendezvous address map",
+            )
         finally:
             sock.close()
         addresses = {}
-        for i in range(len(payload) // 16):
+        for i in range(num_ranks):
             r, port = struct.unpack_from(">qq", payload, i * 16)
             addresses[int(r)] = (host, int(port))
         if sorted(addresses) != list(range(num_ranks)):
@@ -388,7 +428,7 @@ class SocketTransport(SimComm):
                 conn.settimeout(timeout)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 (peer_rank,) = struct.unpack(
-                    ">q", _recv_frame(conn, rank, "mesh hello")
+                    ">q", _recv_frame(conn, bytearray(8), rank, "mesh hello")
                 )
                 if not rank < peer_rank < num_ranks or peer_rank in peers:
                     raise TransportError(
@@ -404,88 +444,49 @@ class SocketTransport(SimComm):
     # -- collectives -------------------------------------------------------
 
     def exchange(
-        self,
-        shards: np.ndarray,
-        dest_rank: np.ndarray,
-        dest_offset: np.ndarray,
+        self, shards: np.ndarray, sigma: Sequence[int]
     ) -> np.ndarray:
         if self._closed:
             raise TransportError(f"rank {self.rank}: transport is closed")
-        if dest_rank.shape != shards.shape or dest_offset.shape != shards.shape:
-            raise ValueError("plan shape mismatch")
-        if shards.shape[0] != 1:
+        local_bits = self.local_bits(len(sigma))
+        if shards.shape != (1, 1 << local_bits):
             raise ValueError(
-                "SPMD shards carry exactly this rank's row; got shape "
-                f"{shards.shape}"
+                f"SPMD shards carry exactly this rank's row, "
+                f"{(1, 1 << local_bits)} for a {len(sigma)}-bit plan over "
+                f"{self.num_ranks} ranks; got shape {shards.shape}"
             )
-        local = shards.shape[1]
         row = np.ascontiguousarray(shards.reshape(-1), dtype=np.complex128)
-        dr = dest_rank.reshape(-1).astype(np.int64)
-        do = dest_offset.reshape(-1).astype(np.int64)
-        if do.min(initial=0) < 0 or do.max(initial=0) >= local:
-            raise ValueError("exchange plan offsets out of range")
+        # ``sigma`` read as a layout of the old positions: checked to be
+        # a permutation (ValueError), and inverted.
+        inverse = QubitLayout(sigma).qubits_in_positions(0, len(sigma))
+        leaving, dests = _crossing(inverse, local_bits, self.rank)
+        arriving, srcs = _crossing(sigma, local_bits, self.rank)
+        staying = [p for p in range(local_bits) if sigma[p] < local_bits]
 
-        new_row = np.empty_like(row)
-        mine = dr == self.rank
-        new_row[do[mine]] = row[mine]
-        frames: Dict[int, bytes] = {}
-        sent_bytes = sent_msgs = 0
-        for peer in self._peers:
-            sel = dr == peer
-            count = int(np.count_nonzero(sel))
-            frames[peer] = (
-                struct.pack(">Q", count)
-                + do[sel].astype("<i8").tobytes()
-                + row[sel].tobytes()
-            )
-            if count:
-                sent_msgs += 1
-                sent_bytes += count * AMP_BYTES
-        wire_bytes = sum(_LEN.size + len(f) for f in frames.values())
+        # Bits that leave select the slab, above the bits that stay.
+        gather = [0] * local_bits
+        for bit, p in enumerate(staying + leaving):
+            gather[p] = bit
+        send = np.array(permuted_view(row, gather), order="C")
+        send = send.reshape(len(dests), -1)  # slab c goes to dests[c]
+        recv = np.empty_like(send)  # slab c comes from srcs[c]
+        outgoing = {int(d): slab for d, slab in zip(dests, send)}
+        incoming = {int(s): slab for s, slab in zip(srcs, recv)}
+        if self.rank in outgoing:  # the diagonal never touches the wire
+            incoming.pop(self.rank)[:] = outgoing.pop(self.rank)
+        sent_bytes = sum(slab.nbytes for slab in outgoing.values())
+        recv_bytes = sum(slab.nbytes for slab in incoming.values())
+        sent_msgs, recv_msgs = len(outgoing), len(incoming)
+        self._converse(outgoing, incoming, "exchange slab")
+        # A slab's bits land where ``sigma`` sends the staying bits; the
+        # slab index spells the source's bits that arrive here.
+        scatter = [sigma[p] for p in staying] + arriving
+        new_row = np.array(permuted_view(recv.reshape(-1), scatter), order="C")
 
-        received = self._converse(frames, "exchange frame")
-        recv_bytes = recv_msgs = 0
-        filled = int(np.count_nonzero(mine))
-        for peer, payload in received.items():
-            wire_bytes += _LEN.size + len(payload)
-            if len(payload) < 8:
-                raise TransportError(
-                    f"rank {self.rank}: truncated exchange frame from "
-                    f"rank {peer} ({len(payload)} bytes)"
-                )
-            (count,) = struct.unpack_from(">Q", payload)
-            if len(payload) != 8 + count * (8 + AMP_BYTES):
-                raise TransportError(
-                    f"rank {self.rank}: exchange frame from rank {peer} "
-                    f"declares {count} amplitudes but carries "
-                    f"{len(payload)} bytes"
-                )
-            if count:
-                offs = np.frombuffer(
-                    payload, dtype="<i8", count=count, offset=8
-                )
-                vals = np.frombuffer(
-                    payload, dtype=np.complex128, count=count,
-                    offset=8 + 8 * count,
-                )
-                if offs.min() < 0 or offs.max() >= local:
-                    raise TransportError(
-                        f"rank {self.rank}: exchange frame from rank "
-                        f"{peer} addresses offsets out of range"
-                    )
-                new_row[offs] = vals
-                filled += count
-                recv_msgs += 1
-                recv_bytes += count * AMP_BYTES
-        if filled != local:
-            raise TransportError(
-                f"rank {self.rank}: exchange filled {filled}/{local} "
-                f"amplitudes — plan/peer mismatch"
-            )
-        self.records.append(
-            ExchangeRecord(sent_bytes, sent_msgs, recv_bytes, recv_msgs,
-                           wire_bytes)
-        )
+        self.records.append(ExchangeRecord(
+            sent_bytes, sent_msgs, recv_bytes, recv_msgs,
+            sent_bytes + recv_bytes + 2 * len(self._peers) * _LEN.size,
+        ))
         if sent_bytes or recv_bytes:
             self.stats.add_step(
                 total_bytes=sent_bytes,
@@ -493,7 +494,7 @@ class SocketTransport(SimComm):
                 max_bytes=max(sent_bytes, recv_bytes),
                 max_msgs=max(sent_msgs, recv_msgs),
             )
-        return new_row.reshape(1, local)
+        return new_row.reshape(1, -1)
 
     def allgather_rows(self, shards: np.ndarray) -> np.ndarray:
         if self._closed:
@@ -501,46 +502,49 @@ class SocketTransport(SimComm):
         row = np.ascontiguousarray(shards.reshape(-1), dtype=np.complex128)
         out = np.empty((self.num_ranks, row.size), dtype=np.complex128)
         out[self.rank] = row
-        payload = row.tobytes()
-        received = self._converse(
-            {peer: payload for peer in self._peers}, "allgather row"
+        self._converse(
+            {peer: row for peer in self._peers},
+            {peer: out[peer] for peer in self._peers},
+            "allgather row",
         )
-        for peer, data in received.items():
-            if len(data) != row.size * AMP_BYTES:
-                raise TransportError(
-                    f"rank {self.rank}: allgather row from rank {peer} "
-                    f"has {len(data)} bytes, expected "
-                    f"{row.size * AMP_BYTES}"
-                )
-            out[peer] = np.frombuffer(data, dtype=np.complex128)
         return out
 
     def _converse(
-        self, frames: Dict[int, bytes], what: str
-    ) -> Dict[int, bytes]:
+        self,
+        outgoing: Dict[int, np.ndarray],
+        incoming: Dict[int, np.ndarray],
+        what: str,
+    ) -> None:
         """Send one frame to every peer while receiving one from each.
 
+        ``outgoing[peer]`` is sent and ``incoming[peer]`` filled in
+        place (both contiguous arrays; a peer in neither trades empty
+        frames), so the receiver states every frame's length up front.
         Sends run on a helper thread so both sides of every socket pair
         drain concurrently — two ranks blocking in ``sendall`` against
         each other's full buffers would otherwise deadlock.
         """
+        empty = np.empty(0, dtype=np.uint8)
         send_error: List[TransportError] = []
 
         def _send_all() -> None:
             try:
-                for peer in sorted(frames):
-                    _send_frame(self._peers[peer], frames[peer],
-                                self.rank, what)
+                for peer in sorted(self._peers):
+                    payload = outgoing.get(peer, empty).view(np.uint8)
+                    _send_frame(self._peers[peer], payload, self.rank,
+                                f"{what} to rank {peer}")
             except TransportError as exc:
                 send_error.append(exc)
 
         sender = threading.Thread(target=_send_all, daemon=True)
         sender.start()
         try:
-            received = {
-                peer: _recv_frame(self._peers[peer], self.rank, what)
-                for peer in sorted(self._peers)
-            }
+            for peer in sorted(self._peers):
+                _recv_frame(
+                    self._peers[peer],
+                    incoming.get(peer, empty).view(np.uint8),
+                    self.rank, f"{what} from rank {peer}",
+                )
         finally:
             sender.join(self.timeout)
         if send_error:
@@ -549,7 +553,6 @@ class SocketTransport(SimComm):
             raise TransportError(
                 f"rank {self.rank}: send side wedged during {what}"
             )
-        return received
 
     def close(self) -> None:
         if self._closed:

@@ -6,7 +6,8 @@ qubit ``q`` on axis ``n - 1 - q`` (:func:`axis_of_qubit`).
 
 The distributed engine describes data layouts as **bit permutations**; the
 helpers here (``spread_bits`` / ``extract_bits`` / ``permute_bits``) are the
-vectorised primitives used to build gather indices and exchange plans.
+vectorised index primitives (gather tables, rank lists, test oracles), and
+:func:`permuted_view` applies such a permutation to the data itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "extract_bits",
     "permute_bits",
     "gather_index_table",
-    "gather_index_rows",
+    "permuted_view",
     "QubitLayout",
 ]
 
@@ -105,31 +106,40 @@ def gather_index_table(n: int, inner_qubits: Sequence[int]) -> np.ndarray:
     inner = list(inner_qubits)
     if len(set(inner)) != len(inner):
         raise ValueError("inner qubits must be distinct")
-    return gather_index_rows(n, inner, 0, 1 << (n - len(inner)))
-
-
-def gather_index_rows(
-    n: int, inner_qubits: Sequence[int], lo: int, hi: int
-) -> np.ndarray:
-    """Rows ``lo..hi-1`` of :func:`gather_index_table`, built directly.
-
-    Materialises only one block of the gather table (shape
-    ``(hi - lo, 2^w)``) from ``(n, inner_qubits, lo, hi)`` alone, never
-    the full ``O(2^n)`` table; :func:`gather_index_table` is the
-    all-rows case.
-
-    >>> rows = gather_index_rows(3, [1], 2, 4)
-    >>> bool((rows == gather_index_table(3, [1])[2:4]).all())
-    True
-    """
-    inner = list(inner_qubits)
     outer = [q for q in range(n) if q not in set(inner)]
-    w = len(inner)
-    if not 0 <= lo <= hi <= 1 << (n - w):
-        raise ValueError(f"row range [{lo}, {hi}) out of bounds")
-    t_vals = spread_bits(np.arange(lo, hi, dtype=np.int64), outer)
-    j_vals = spread_bits(np.arange(1 << w, dtype=np.int64), inner)
+    t_vals = spread_bits(np.arange(1 << len(outer), dtype=np.int64), outer)
+    j_vals = spread_bits(np.arange(1 << len(inner), dtype=np.int64), inner)
     return t_vals[:, None] + j_vals[None, :]
+
+
+def permuted_view(flat: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
+    """The ``(2,)*n`` view of ``flat`` with its bits permuted by ``sigma``.
+
+    The one place a bit permutation is applied to data: the view's
+    C-order flat index is the *new* packed index, so
+    ``np.array(view, order="C").reshape(-1)[permute_bits(i, sigma)] ==
+    flat[i]`` — one strided copy, no index array.  ``flat`` must hold
+    ``2^len(sigma)`` elements and ``sigma`` be a permutation (checked in
+    O(n)); :func:`permute_bits` is the definition this is tested against.
+
+    >>> view = permuted_view(np.arange(4), [1, 0])    # swap the two bits
+    >>> np.array(view, order="C").reshape(-1)
+    array([0, 2, 1, 3])
+    """
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(
+            f"sigma {list(sigma)} is not a permutation of range({n})"
+        )
+    if flat.shape != (1 << n,):
+        raise ValueError(
+            f"a {n}-bit permutation needs a flat buffer of {1 << n} "
+            f"elements, got shape {flat.shape}"
+        )
+    axes = [0] * n
+    for j, dst in enumerate(sigma):  # bit j = axis n-1-j moves to bit dst
+        axes[axis_of_qubit(n, dst)] = axis_of_qubit(n, j)
+    return flat.reshape((2,) * n).transpose(axes)
 
 
 class QubitLayout:
@@ -205,8 +215,8 @@ class QubitLayout:
         """Position-to-position map realising a layout change.
 
         Returns ``sigma`` with ``sigma[p] = new position of the qubit
-        currently at position p`` — feed to :func:`permute_bits` to map old
-        packed indices to new packed indices.
+        currently at position p`` — :func:`permute_bits` maps old packed
+        indices to new ones with it, :func:`permuted_view` moves the data.
         """
         if new.n != self.n:
             raise ValueError("layout size mismatch")

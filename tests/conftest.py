@@ -11,6 +11,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_DEFS, make_gate
+from repro.sv.layout import permute_bits
 
 
 # Families usable at a given small width, for parametrised suite tests.
@@ -51,6 +52,42 @@ def random_circuit(
         params = tuple(rng.uniform(0, 2 * math.pi) for _ in range(d.num_params))
         qc.append(make_gate(name, qubits, params))
     return qc
+
+
+def scatter_reference(shards: np.ndarray, sigma):
+    """Elementwise oracle for the bit-permutation exchange ``sigma``.
+
+    The definition every production path (transposed view in process,
+    slabs over sockets, closed-form traffic) is held to: each element of
+    the ``(R, local)`` shard matrix is scattered to ``permute_bits`` of
+    its packed index, and traffic is counted per (src, dst) pair.
+    Returns ``(new_shards, step, per_rank)``: the step is ``(total_bytes,
+    total_msgs, max_bytes_per_rank, max_msgs_per_rank)`` and
+    ``per_rank[r]`` is ``(sent_bytes, sent_msgs, recv_bytes, recv_msgs)``,
+    rank-to-self traffic excluded from both.
+    """
+    R, local = shards.shape
+    packed = np.arange(shards.size, dtype=np.int64)
+    dest = permute_bits(packed, sigma)
+    new = np.empty(shards.size, dtype=shards.dtype)
+    new[dest] = shards.reshape(-1)
+    pairs = (packed // local) * R + dest // local
+    counts = np.bincount(pairs, minlength=R * R).reshape(R, R)
+    np.fill_diagonal(counts, 0)
+    nbytes = counts * shards.dtype.itemsize
+    out_b, in_b = nbytes.sum(axis=1), nbytes.sum(axis=0)
+    out_m, in_m = (counts > 0).sum(axis=1), (counts > 0).sum(axis=0)
+    step = (
+        int(nbytes.sum()),
+        int((counts > 0).sum()),
+        int(np.maximum(out_b, in_b).max()),
+        int(np.maximum(out_m, in_m).max()),
+    )
+    per_rank = [
+        (int(out_b[r]), int(out_m[r]), int(in_b[r]), int(in_m[r]))
+        for r in range(R)
+    ]
+    return new.reshape(R, local), step, per_rank
 
 
 def full_unitary(circuit: QuantumCircuit) -> np.ndarray:

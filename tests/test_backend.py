@@ -23,8 +23,6 @@ from repro.sv import (
     StateVectorSimulator,
     ThreadedBackend,
     compile_part,
-    gather_index_rows,
-    gather_index_table,
     get_backend,
     random_state,
     resolve_backend,
@@ -43,7 +41,7 @@ def _reference_state(qc):
 
 
 # ---------------------------------------------------------------------------
-# split_blocks / gather_index_rows
+# split_blocks
 # ---------------------------------------------------------------------------
 
 
@@ -67,20 +65,6 @@ class TestSplitBlocks:
             split_blocks(-1, 2)
         with pytest.raises(ValueError):
             split_blocks(4, 0)
-
-
-class TestGatherIndexRows:
-    def test_matches_full_table_slices(self):
-        table = gather_index_table(6, (1, 4, 2))
-        rows = table.shape[0]
-        for lo, hi in ((0, rows), (0, 1), (3, 7), (rows - 1, rows)):
-            np.testing.assert_array_equal(
-                gather_index_rows(6, (1, 4, 2), lo, hi), table[lo:hi]
-            )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gather_index_rows(4, (0, 1), 0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestProcessOnlyLayoutChange:
 
     def test_matches_real_exchange(self):
         n, local = 6, 4
-        comm = SimComm(4, validate_plans=True)
+        comm = SimComm(4)
         state = random_state(n, seed=12)
         dsv = DistributedStateVector.from_full(state, comm)
         new = swap_qubit_positions(dsv.layout, 4, 5)

@@ -1,5 +1,7 @@
 """DistributedStateVector, exchange planning and analytic accounting tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from repro.dist.state import DistributedStateVector, LayoutOnlyState
 from repro.runtime.comm import SimComm
 from repro.sv.layout import QubitLayout
 from repro.sv.simulator import random_state
+
+from conftest import scatter_reference
 
 
 @st.composite
@@ -84,6 +88,78 @@ class TestRemap:
         assert np.allclose(dsv.to_full(), state, atol=1e-12)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_remap_then_inverse_is_the_bitwise_identity(self, data):
+        n = 6
+        ranks = data.draw(st.sampled_from([2, 4, 8]))
+        old, new = data.draw(layouts(n)), data.draw(layouts(n))
+        dsv = DistributedStateVector.from_full(
+            random_state(n, seed=9), SimComm(ranks), layout=old
+        )
+        before = dsv.shards.copy()
+        dsv.remap(new)  # sigma
+        dsv.remap(old)  # sigma^-1
+        assert np.array_equal(
+            dsv.shards.view(np.uint8), before.view(np.uint8)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_shard_remap_chain_gather_returns_the_input(self, data):
+        n = 6
+        ranks = data.draw(st.sampled_from([1, 2, 4, 8]))
+        chain = data.draw(st.lists(layouts(n), min_size=1, max_size=4))
+        state = random_state(n, seed=10)
+        dsv = DistributedStateVector.from_full(
+            state, SimComm(ranks), layout=chain[0]
+        )
+        assert not np.shares_memory(dsv.shards, state)  # copied
+        for layout in chain[1:]:
+            dsv.remap(layout)
+        full = dsv.to_full()
+        assert np.array_equal(full.view(np.uint8), state.view(np.uint8))
+        assert not np.shares_memory(full, dsv.shards)  # a fresh array
+
+
+class TestAllocation:
+    """A layout change costs about one copy of the state, not a stack of
+    ``2^n``-long index arrays (4.8x / 2.5x the state before)."""
+
+    N, RANKS = 18, 4
+    STATE_BYTES = 16 << N
+
+    def peak_of(self, fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return (tracemalloc.get_traced_memory()[1] - base), result
+        finally:
+            tracemalloc.stop()
+
+    def test_remap_to_full_from_full_allocate_one_state(self):
+        state = random_state(self.N, seed=4)
+        rest = [q for q in range(self.N) if q not in (17, 3, 16)]
+        layout = QubitLayout([17, 3, 16] + rest)
+        budget = 1.25 * self.STATE_BYTES
+
+        peak, dsv = self.peak_of(
+            lambda: DistributedStateVector.from_full(
+                state, SimComm(self.RANKS), layout=layout
+            )
+        )
+        assert peak <= budget, ("from_full", peak / self.STATE_BYTES)
+        new = swap_qubit_positions(swap_qubit_positions(layout, 0, 17), 5, 3)
+        peak, _ = self.peak_of(lambda: dsv.remap(new))
+        assert dsv.comm.stats.steps == 1  # it did cross ranks
+        assert peak <= budget, ("remap", peak / self.STATE_BYTES)
+        peak, full = self.peak_of(dsv.to_full)
+        assert peak <= budget, ("to_full", peak / self.STATE_BYTES)
+        assert np.array_equal(full, state)
+
+
 class TestPlanLayout:
     def test_noop_when_already_local(self):
         lay = QubitLayout.identity(6)
@@ -128,6 +204,8 @@ class TestAnalyticExchange:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_matches_simcomm_accounting(self, data):
+        # The closed form, the step a remap records, and an elementwise
+        # scatter counted pair by pair are the same four numbers.
         n = 5
         old = data.draw(layouts(n))
         new = data.draw(layouts(n))
@@ -137,16 +215,19 @@ class TestAnalyticExchange:
             dsv = DistributedStateVector.from_full(
                 random_state(n, seed=3), comm, layout=old
             )
+            _, counted, _ = scatter_reference(
+                dsv.shards, old.transition_sigma(new)
+            )
             comm.reset_stats()
             dsv.remap(new)
             real = comm.reset_stats()
-            tb, tm, mb, mm = exchange_step_stats(old, new, local_bits)
-            if old == new:
-                continue
-            assert tb == real.total_bytes
-            assert tm == real.total_msgs
-            assert mb == real.max_bytes_per_rank
-            assert mm == real.max_msgs_per_rank
+            assert exchange_step_stats(old, new, local_bits) == counted
+            assert counted == (
+                real.total_bytes,
+                real.total_msgs,
+                real.max_bytes_per_rank,
+                real.max_msgs_per_rank,
+            )
 
     def test_identity_is_zero(self):
         lay = QubitLayout.identity(6)

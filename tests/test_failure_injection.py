@@ -14,7 +14,7 @@ from repro.dist import HiSVSimEngine, IQSEngine
 from repro.dist.state import DistributedStateVector
 from repro.partition import Part, Partition, get_partitioner, validate_partition
 from repro.runtime.comm import SimComm
-from repro.sv import HierarchicalExecutor, zero_state
+from repro.sv import HierarchicalExecutor, random_state, zero_state
 from repro.sv.layout import QubitLayout
 
 
@@ -64,38 +64,33 @@ class TestCorruptedPartitions:
 
 
 class TestCorruptedExchangePlans:
+    """A plan is a bit permutation, checked in O(n) on every exchange."""
+
     def test_non_bijective_plan_rejected(self):
-        comm = SimComm(2, validate_plans=True)
+        comm = SimComm(2)
         shards = np.zeros((2, 4), dtype=np.complex128)
-        dest_rank = np.zeros((2, 4), dtype=np.int64)  # everything to rank 0
-        dest_off = np.zeros((2, 4), dtype=np.int64)  # ... offset 0: collision
-        with pytest.raises(ValueError, match="bijection"):
-            comm.exchange(shards, dest_rank, dest_off)
+        with pytest.raises(ValueError, match="not a permutation"):
+            comm.exchange(shards, [0, 0, 1])  # two bits collide on bit 0
 
     def test_out_of_range_plan_rejected(self):
-        comm = SimComm(2, validate_plans=True)
+        comm = SimComm(2)
         shards = np.zeros((2, 4), dtype=np.complex128)
-        dest_rank = np.full((2, 4), 7, dtype=np.int64)
-        dest_off = np.tile(np.arange(4), (2, 1))
-        with pytest.raises(ValueError, match="out of range"):
-            comm.exchange(shards, dest_rank, dest_off)
+        with pytest.raises(ValueError, match="not a permutation"):
+            comm.exchange(shards, [0, 1, 7])  # there is no bit 7
 
     def test_valid_plans_pass_validation(self):
         """The engine's real plans must survive strict validation."""
         qc = generators.build("qaoa", 10)
         p = get_partitioner("dagP").partition(qc, 7)
-        comm = SimComm(4, validate_plans=True)
+        comm = SimComm(4)
         state = DistributedStateVector.zero(10, comm)
-        # Drive remaps directly through the engine path.
-        engine = HiSVSimEngine(4)
-        # Engine creates its own comm; instead remap manually with strict one.
         from repro.dist.exchange import plan_layout_for_part
 
         for part in p.parts:
             state.remap(
                 plan_layout_for_part(state.layout, part.qubits, state.local_bits)
             )
-        assert comm.stats.steps >= 0  # no exception = plans were bijective
+        assert comm.stats.steps > 0  # no exception = plans were bijective
 
 
 class TestEngineInputGuards:
@@ -143,6 +138,24 @@ class TestEngineInputGuards:
         with pytest.raises(ValueError, match=message):
             IQSEngine(2048, dry_run=dry_run).run(qc)
 
+    def test_hisvsim_rejects_initial_state_of_another_width(self):
+        # Used to surface as "part working set 5 exceeds local capacity 4".
+        qc = generators.build("qft", 8)
+        p = get_partitioner("dagP").partition(qc, 5)
+        comm = SimComm(4)
+        comm.stats.add_step(16, 1, 16, 1)
+        with pytest.raises(ValueError, match="6-qubit state.* 8 qubits"):
+            HiSVSimEngine(4).run(
+                qc, p, initial_full=random_state(6, seed=0), comm=comm
+            )
+        assert comm.stats.steps == 1  # refused before the comm was reset
+
+    def test_iqs_rejects_initial_state_of_another_width(self):
+        # Used to surface as "layout width does not match num_qubits".
+        qc = generators.build("qft", 8)
+        with pytest.raises(ValueError, match="6-qubit state.* 8 qubits"):
+            IQSEngine(4).run(qc, initial_full=random_state(6, seed=0))
+
     def test_engine_rejects_oversized_working_set(self):
         # Partition computed for a larger local size than the engine has.
         qc = generators.build("qaoa", 8)
@@ -154,7 +167,7 @@ class TestEngineInputGuards:
 
 class TestNumericalIntegrity:
     def test_norm_preserved_under_many_remaps(self):
-        comm = SimComm(4, validate_plans=True)
+        comm = SimComm(4)
         state = DistributedStateVector.zero(8, comm)
         state.shards[:] = np.random.default_rng(0).standard_normal(
             state.shards.shape

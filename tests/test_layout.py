@@ -11,6 +11,7 @@ from repro.sv.layout import (
     extract_bits,
     gather_index_table,
     permute_bits,
+    permuted_view,
     spread_bits,
 )
 
@@ -65,6 +66,50 @@ class TestBitOps:
     def test_permute_identity(self):
         vals = np.arange(16, dtype=np.int64)
         assert np.array_equal(permute_bits(vals, [0, 1, 2, 3]), vals)
+
+
+class TestPermutedView:
+    """The transposed view against its definition, ``permute_bits``."""
+
+    @given(perm=permutations(max_n=10))
+    def test_flat_index_is_the_permuted_index(self, perm):
+        data = np.arange(1 << len(perm)) * (1 + 2j)
+        view = permuted_view(data, perm)
+        assert view.shape == (2,) * len(perm)
+        assert np.shares_memory(view, data)  # a view: no index array
+        expected = np.empty_like(data)
+        expected[permute_bits(np.arange(data.size), perm)] = data
+        assert np.array_equal(np.array(view, order="C").reshape(-1), expected)
+
+    @given(perm=permutations(max_n=8))
+    def test_matches_layout_index_maps(self, perm):
+        # logical -> packed and back, as from_full / to_full use it.
+        layout = QubitLayout(perm)
+        identity = QubitLayout.identity(layout.n)
+        logical = np.arange(1 << layout.n, dtype=np.float64)
+        packed = np.array(
+            permuted_view(logical, identity.transition_sigma(layout)),
+            order="C",
+        ).reshape(-1)
+        assert np.array_equal(
+            packed, logical[layout.logical_index(np.arange(logical.size))]
+        )
+        back = permuted_view(packed, layout.transition_sigma(identity))
+        assert np.array_equal(np.array(back, order="C").reshape(-1), logical)
+
+    def test_rejects_non_permutations_and_wrong_sizes(self):
+        data = np.zeros(8)
+        for sigma in ([0, 0, 1], [0, 1, 3], [1, 2, 3]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                permuted_view(data, sigma)
+        with pytest.raises(ValueError, match="8 elements"):
+            permuted_view(np.zeros(4), [0, 1, 2])
+        with pytest.raises(ValueError, match="8 elements"):
+            permuted_view(np.zeros((2, 4)), [0, 1, 2])
+
+    def test_zero_bits(self):
+        view = permuted_view(np.array([3.0]), [])
+        assert view.shape == () and float(np.array(view, order="C")) == 3.0
 
 
 class TestGatherTable:

@@ -75,36 +75,45 @@ class TestSimComm:
     def test_identity_permutation_no_traffic(self):
         comm = SimComm(4)
         shards = (np.arange(16, dtype=np.complex128)).reshape(4, 4)
-        dest_rank = np.repeat(np.arange(4), 4).reshape(4, 4)
-        dest_off = np.tile(np.arange(4), (4, 1))
-        out = comm.exchange(shards.copy(), dest_rank, dest_off)
+        out = comm.exchange(shards, [0, 1, 2, 3])
         assert np.array_equal(out, shards)
+        assert not np.shares_memory(out, shards)  # always a fresh matrix
+        # Moving amplitudes between in-process rows counts nothing by
+        # itself: the state charges a remap its closed-form traffic.
         assert comm.stats.total_bytes == 0
-        # A plan with no cross-rank movement is free: no step recorded
-        # (the closed-form model says the same exchange costs nothing).
         assert comm.stats.steps == 0
 
-    def test_full_rotation_traffic(self):
-        # Every rank ships its whole shard to rank+1 (mod R).
+    def test_rank_bit_swap_trades_whole_shards(self):
+        # Swapping the two rank bits: ranks 1 and 2 trade their whole
+        # shards, ranks 0 and 3 keep theirs.
         R, L = 4, 8
         comm = SimComm(R)
         shards = np.arange(R * L, dtype=np.complex128).reshape(R, L)
-        dest_rank = np.tile(((np.arange(R) + 1) % R)[:, None], (1, L))
-        dest_off = np.tile(np.arange(L), (R, 1))
-        out = comm.exchange(shards, dest_rank, dest_off)
-        assert np.array_equal(out[1], shards[0])
-        assert np.array_equal(out[0], shards[3])
-        st = comm.stats
-        assert st.total_bytes == R * L * 16
-        assert st.total_msgs == R
-        assert st.max_bytes_per_rank == L * 16
-        assert st.max_msgs_per_rank == 1
+        out = comm.exchange(shards, [0, 1, 2, 4, 3])
+        assert np.array_equal(out[[0, 2, 1, 3]], shards)
+
+    def test_local_and_rank_bits_cross(self):
+        # Bit 0 (local) <-> bit 2 (rank) on a 2 x 4 matrix, against the
+        # definition: packed index i moves to permute_bits(i, sigma).
+        comm = SimComm(2)
+        shards = np.arange(8, dtype=np.complex128).reshape(2, 4)
+        out = comm.exchange(shards, [2, 1, 0])
+        assert out.reshape(-1).real.tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
 
     def test_plan_shape_mismatch(self):
         comm = SimComm(2)
         shards = np.zeros((2, 4), dtype=np.complex128)
         with pytest.raises(ValueError):
-            comm.exchange(shards, np.zeros((2, 3)), np.zeros((2, 4)))
+            comm.exchange(shards, [0, 1, 2, 3])  # a 4-bit plan, 3-bit data
+        with pytest.raises(ValueError, match="2 ranks"):
+            comm.exchange(shards.reshape(4, 2), [0, 1, 2])  # 4 rows
+
+    def test_non_permutation_sigma_rejected(self):
+        comm = SimComm(2)
+        shards = np.zeros((2, 4), dtype=np.complex128)
+        for sigma in ([0, 0, 1], [0, 1, 3], [0, 1, -1]):
+            with pytest.raises(ValueError, match="permutation"):
+                comm.exchange(shards, sigma)
 
     def test_reset_stats(self):
         comm = SimComm(2)

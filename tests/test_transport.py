@@ -14,8 +14,12 @@ together:
   suite;
 * the no-op-remap regression — zero-traffic exchanges record no step,
   in the in-process comm, the analytic state and the model alike;
-* fault injection — dead peers, mid-frame disconnects and truncated
-  frames surface as clean :class:`TransportError`\\ s, never hangs.
+* fault injection — dead peers, mid-frame disconnects and frames of
+  any length but the expected one surface as clean
+  :class:`TransportError`\\ s, never hangs.
+
+The oracle for what an exchange moves and counts is the elementwise
+``scatter_reference`` in ``conftest.py``.
 """
 
 import os
@@ -24,6 +28,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
+from repro.circuits.gates import make_gate
 from repro.config import env
 from repro.dist import (
     DistributedStateVector,
@@ -49,8 +55,11 @@ from repro.dist.transport import (
 )
 from repro.partition import get_partitioner
 from repro.runtime.comm import SimComm
-from repro.sv.layout import QubitLayout, permute_bits
+from repro.sv.kernels import apply_circuit
+from repro.sv.layout import QubitLayout
 from repro.sv.simulator import StateVectorSimulator, random_state
+
+from conftest import scatter_reference
 
 
 @st.composite
@@ -82,62 +91,68 @@ def spmd_engine_run(num_ranks, name, qubits, strategy="dagP", limit=None):
     return qc, partition, fulls, transports, [r[1] for r in results]
 
 
+def remap_everywhere(impl, num_ranks, shards, old, new):
+    """Remap ``old -> new`` over one communicator implementation.
+
+    Returns ``(new shard matrix, stats, records)``: one ``CommStats``
+    per participant (the comm itself, or each SPMD rank) and, over
+    sockets, each rank's ``ExchangeRecord``.
+    """
+    if impl == "in-process":
+        comm = SimComm(num_ranks)
+        state = DistributedStateVector(old.n, comm, shards, old)
+        state.remap(new)
+        assert comm.allgather_rows(state.shards) is state.shards
+        return state.shards, [comm.stats], None
+
+    def worker(rank, transport):
+        assert isinstance(transport, SimComm) and transport.rank == rank
+        mine = slice(rank, rank + 1)
+        state = DistributedStateVector(old.n, transport, shards[mine], old)
+        state.remap(new)
+        gathered = transport.allgather_rows(state.shards)
+        assert np.array_equal(gathered[mine], state.shards)
+        return gathered, transport.stats, transport.records
+
+    results = run_spmd(num_ranks, worker)
+    for gathered, _, _ in results[1:]:
+        assert np.array_equal(gathered, results[0][0])
+    return (
+        results[0][0],
+        [stats for _, stats, _ in results],
+        [records for _, _, records in results],
+    )
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8),
+        np.ascontiguousarray(b).view(np.uint8),
+    )
+
+
 class TestCommunicatorContract:
-    """One communicator, two implementations: the same plan through the
+    """One communicator, two implementations: the same remap through the
     in-process ``SimComm`` and through ``SocketTransport`` ranks moves
     the same amplitudes and accounts the same traffic as the model."""
 
     OLD = QubitLayout.identity(6)
     NEW = QubitLayout([5, 1, 4, 3, 0, 2])  # local and rank bits both move
 
-    @staticmethod
-    def exchange_everywhere(impl, num_ranks, shards, dest_rank, dest_offset):
-        """Run the plan; returns (new shard matrix, one CommStats per
-        participant — the comm itself, or each SPMD rank)."""
-        if impl == "in-process":
-            comm = SimComm(num_ranks, validate_plans=True)
-            new = comm.exchange(shards, dest_rank, dest_offset)
-            assert comm.allgather_rows(new) is new
-            return new, [comm.stats]
-
-        def worker(rank, transport):
-            assert isinstance(transport, SimComm) and transport.rank == rank
-            mine = slice(rank, rank + 1)
-            row = transport.exchange(
-                shards[mine], dest_rank[mine], dest_offset[mine]
-            )
-            gathered = transport.allgather_rows(row)
-            assert np.array_equal(gathered[mine], row)
-            return gathered, transport.stats
-
-        results = run_spmd(num_ranks, worker)
-        for gathered, _ in results[1:]:
-            assert np.array_equal(gathered, results[0][0])
-        return results[0][0], [stats for _, stats in results]
-
     @pytest.mark.parametrize("num_ranks", [2, 4])
     @pytest.mark.parametrize("impl", ["in-process", "sockets"])
     def test_same_plan_same_shards_same_traffic(self, impl, num_ranks):
         n = self.OLD.n
         local_bits = n - (num_ranks.bit_length() - 1)
-        local = 1 << local_bits
-        new_packed = permute_bits(
-            np.arange(1 << n, dtype=np.int64),
-            self.OLD.transition_sigma(self.NEW),
+        shards = random_state(n, seed=11).reshape(num_ranks, 1 << local_bits)
+        reference, _, _ = scatter_reference(
+            shards, self.OLD.transition_sigma(self.NEW)
         )
-        dest_rank = (new_packed >> local_bits).reshape(num_ranks, local)
-        dest_offset = (new_packed & (local - 1)).reshape(num_ranks, local)
-        shards = random_state(n, seed=11).reshape(num_ranks, local)
-        reference = np.empty(1 << n, dtype=np.complex128)
-        reference[new_packed] = shards.reshape(-1)
 
-        new, stats = self.exchange_everywhere(
-            impl, num_ranks, shards, dest_rank, dest_offset
+        new, stats, _ = remap_everywhere(
+            impl, num_ranks, shards, self.OLD, self.NEW
         )
-        assert np.array_equal(
-            new.view(np.uint8),
-            reference.reshape(num_ranks, local).view(np.uint8),
-        )
+        assert bitwise_equal(new, reference)
         total_bytes, total_msgs, max_bytes, max_msgs = exchange_step_stats(
             self.OLD, self.NEW, local_bits
         )
@@ -155,6 +170,48 @@ class TestCommunicatorContract:
                 assert (s.total_bytes, s.total_msgs) == (sent_b, sent_m)
                 assert s.max_bytes_per_rank == max(sent_b, recv_b)
                 assert s.max_msgs_per_rank == max(sent_m, recv_m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_permutation_matches_the_elementwise_oracle(self, data):
+        """Transposed view, slabs and both closed forms, all against the
+        elementwise scatter + per-pair count."""
+        n = data.draw(st.integers(min_value=3, max_value=8))
+        num_ranks = data.draw(st.sampled_from([2, 4, 8]))
+        old, new = data.draw(layout_pairs(n))
+        local_bits = n - (num_ranks.bit_length() - 1)
+        seed = data.draw(st.integers(min_value=0, max_value=99))
+        shards = random_state(n, seed=seed).reshape(num_ranks, -1)
+        reference, step, per_rank = scatter_reference(
+            shards, old.transition_sigma(new)
+        )
+        assert step == exchange_step_stats(old, new, local_bits)
+
+        moved, (stats,), _ = remap_everywhere(
+            "in-process", num_ranks, shards, old, new
+        )
+        assert bitwise_equal(moved, reference)
+        recorded = (stats.total_bytes, stats.total_msgs,
+                    stats.max_bytes_per_rank, stats.max_msgs_per_rank)
+        assert recorded == step and stats.steps == (1 if any(step) else 0)
+
+        if old == new:
+            return  # remap is a no-op: nothing reaches the transport
+        rows, _, records = remap_everywhere(
+            "sockets", num_ranks, shards, old, new
+        )
+        assert bitwise_equal(rows, reference)
+        for rank, (record,) in enumerate(records):
+            observed = (record.sent_bytes, record.sent_msgs,
+                        record.recv_bytes, record.recv_msgs)
+            assert observed == per_rank[rank]
+            assert observed == exchange_rank_stats(old, new, local_bits, rank)
+            # Amplitudes only on the wire: payload plus one 8-byte
+            # prefix per frame, one frame each way per peer.
+            assert record.wire_bytes == (
+                record.sent_bytes + record.recv_bytes
+                + 8 * 2 * (num_ranks - 1)
+            )
 
 
 class TestRankStatsModel:
@@ -281,6 +338,27 @@ class TestSocketDifferential:
                 full.view(np.uint8), reference.view(np.uint8)
             )
 
+    def test_diagonal_gate_on_rank_bits_needs_no_exchange(self):
+        # Operands stored in rank bits are constants on a socket rank.
+        gates = [make_gate("rzz", [0, 4], (0.7,)),
+                 make_gate("crz", [3, 1], (1.1,)),
+                 make_gate("cz", [3, 4])]
+        initial = random_state(5, seed=2)
+        layout = QubitLayout([1, 0, 2, 4, 3])
+
+        def run(comm):
+            state = DistributedStateVector.from_full(initial, comm, layout)
+            for gate in gates:
+                state.apply_diagonal_global(gate)
+            return state.to_full(), comm.stats.steps
+
+        reference, _ = run(SimComm(4))
+        expected = apply_circuit(initial.copy(), gates, 5)
+        assert np.allclose(reference, expected, atol=1e-12)
+        for full, steps in run_spmd(4, lambda rank, comm: run(comm)):
+            assert steps == 0
+            assert bitwise_equal(full, reference)
+
     def test_matches_flat_simulator(self):
         qc, _, fulls, _, _ = spmd_engine_run(4, "adder", 6)
         sim = StateVectorSimulator(6)
@@ -315,15 +393,16 @@ class TestTrafficOracle:
             ) == []
 
     def test_payload_bytes_are_pure_amplitude_volume(self):
-        # wire_bytes carries framing + offsets; the modelled volume is
-        # amplitudes only, 16 bytes each, so they must differ whenever
-        # traffic flowed.
+        # The modelled volume is amplitudes only, 16 bytes each, and so
+        # is a frame: the wire adds one 8-byte length prefix per frame,
+        # one frame each way per peer (a 2-rank mesh has one peer).
         _, _, _, transports, _ = spmd_engine_run(2, "qft", 6)
         for transport in transports:
             for record in transport.records:
                 assert record.sent_bytes % AMP_BYTES == 0
-                if record.sent_msgs:
-                    assert record.wire_bytes > record.sent_bytes
+                assert record.wire_bytes == (
+                    record.sent_bytes + record.recv_bytes + 8 * 2
+                )
 
 
 class TestDistWorkerCLI:
@@ -420,27 +499,60 @@ class TestFaultInjection:
             thread.join(5.0)
         assert not failure
 
+    SWAP = [1, 0]  # 2 ranks x 2 amplitudes: each ships one to its peer
+
     def test_truncated_frame_detected(self):
-        # Hand-build a 2-rank mesh, then have rank 1 send a frame whose
-        # header promises more bytes than the payload delivers.
+        # Rank 1 bypasses exchange() and writes a frame one amplitude
+        # short of the slab ``sigma`` implies: refused at the prefix.
         def worker(rank, transport):
             if rank == 0:
-                shards = np.zeros((1, 4), dtype=np.complex128)
-                shards[0, 0] = 1.0
-                dest_rank = np.full((1, 4), 1, dtype=np.int64)
-                dest_off = np.arange(4, dtype=np.int64).reshape(1, 4)
-                with pytest.raises(TransportError):
-                    transport.exchange(shards, dest_rank, dest_off)
-                return "detected"
-            # Rank 1 bypasses exchange(): writes a corrupt frame by hand.
-            peer = transport._peers[0]
-            header = struct.pack(">Q", 8 + 24)  # promises one entry
-            peer.sendall(header + struct.pack(">Q", 1))  # ...then stops
-            peer.shutdown(socket.SHUT_WR)
+                shards = np.zeros((1, 2), dtype=np.complex128)
+                with pytest.raises(TransportError) as excinfo:
+                    transport.exchange(shards, self.SWAP)
+                return str(excinfo.value)
+            transport._peers[0].sendall(struct.pack(">Q", 0))
             return "sent"
 
-        results = run_spmd(2, worker, timeout=30.0)
-        assert results[0] == "detected"
+        message = run_spmd(2, worker, timeout=30.0)[0]
+        assert "rank 0" in message and "from rank 1" in message
+        assert "announces 0 bytes, expected 16" in message
+
+    def test_oversized_frame_refused_before_any_payload(self):
+        # A peer announcing 2^39 bytes used to be buffered until the
+        # socket timeout (30 s here); the receiver knows the slab is 16.
+        done = threading.Event()
+
+        def worker(rank, transport):
+            if rank == 0:
+                shards = np.zeros((1, 2), dtype=np.complex128)
+                start = time.monotonic()
+                try:
+                    with pytest.raises(TransportError) as excinfo:
+                        transport.exchange(shards, self.SWAP)
+                finally:
+                    done.set()
+                return str(excinfo.value), time.monotonic() - start
+            transport._peers[0].sendall(struct.pack(">Q", 1 << 39) + b"x" * 64)
+            done.wait(20.0)  # stay connected: only the prefix can tell
+            return "sent"
+
+        message, seconds = run_spmd(2, worker, connect_timeout=30.0)[0]
+        assert seconds < 1.0
+        assert "rank 0" in message and "from rank 1" in message
+        assert f"announces {1 << 39} bytes, expected 16" in message
+
+    def test_non_permutation_sigma_rejected(self):
+        # Refused on every rank before anything is sent, so nobody hangs.
+        def worker(rank, transport):
+            shards = np.zeros((1, 2), dtype=np.complex128)
+            for sigma in ([0, 0], [0, 2]):
+                with pytest.raises(ValueError, match="permutation"):
+                    transport.exchange(shards, sigma)
+            with pytest.raises(ValueError, match="this rank's row"):
+                transport.exchange(np.zeros((2, 1), complex), self.SWAP)
+            return len(transport.records)
+
+        assert run_spmd(2, worker) == [0, 0]
 
     def test_peer_vanishes_mid_exchange(self):
         # A peer that exits without ever sending its frame: its close()
@@ -449,10 +561,8 @@ class TestFaultInjection:
         def worker(rank, transport):
             if rank == 0:
                 shards = np.zeros((1, 2), dtype=np.complex128)
-                dest_rank = np.zeros((1, 2), dtype=np.int64)
-                dest_off = np.arange(2, dtype=np.int64).reshape(1, 2)
                 with pytest.raises(TransportError):
-                    transport.exchange(shards, dest_rank, dest_off)
+                    transport.exchange(shards, self.SWAP)
                 return "failed-clean"
             return "vanished"  # never participates in the exchange
 

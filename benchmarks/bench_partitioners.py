@@ -1,37 +1,15 @@
-"""Partitioner runtime benchmarks.
+"""Part counts per strategy — the partitioner-quality head-to-head.
 
-Paper claim (Sec. IV-B): "Compared to the runtime of the quantum
-circuits, all three have negligible computation times" — partitioning a
-paper-width circuit must stay far below its simulated execution time.
+Paper claim (Sec. IV): the DAG-aware strategies need fewer parts than the
+written order.  Claimed here: DFS and dagP never need more parts than
+Nat (dagP vs DFS is a heuristic race the gated counts record, not a
+law).  How long partitioning takes is the perf harness's
+``partition.{Nat,DFS,dagP}.s``.
 """
 
-import pytest
-
+from repro import bench
 from repro.circuits.generators import build
 from repro.partition import get_partitioner
-
-CASES = [
-    ("bv", 30, 22),
-    ("qaoa", 30, 22),
-    ("qft", 30, 22),
-    ("qpe", 31, 23),
-]
-
-
-@pytest.mark.parametrize("strategy", ["Nat", "DFS", "dagP"])
-@pytest.mark.parametrize("name,n,limit", CASES)
-def test_partitioner_speed(benchmark, strategy, name, n, limit):
-    circuit = build(name, n)
-    partitioner = get_partitioner(strategy)
-    result = benchmark(lambda: partitioner.partition(circuit, limit))
-    assert result.num_parts >= 1
-    # "Negligible": well under a second even for the widest inputs.
-    assert benchmark.stats["mean"] < 2.0
-
-
-# -- repro.bench registration ------------------------------------------------
-
-from repro import bench
 
 
 @bench.register(
@@ -42,12 +20,19 @@ from repro import bench
 )
 def run_bench(params):
     """Part counts per strategy — the partitioner-quality head-to-head."""
-    metrics = {}
+    metrics, claims = {}, {}
     for name in params["circuits"]:
         circuit = build(name, params["qubits"])
-        for strategy in ("Nat", "DFS", "dagP"):
-            result = get_partitioner(strategy).partition(
-                circuit, params["limit"]
-            )
-            metrics[f"{name}_{strategy}_parts"] = result.num_parts
-    return bench.payload(metrics)
+        parts = {
+            strategy: get_partitioner(strategy)
+            .partition(circuit, params["limit"])
+            .num_parts
+            for strategy in ("Nat", "DFS", "dagP")
+        }
+        for strategy, count in parts.items():
+            metrics[f"{name}_{strategy}_parts"] = count
+        claims[f"{name}: DFS and dagP need no more parts than Nat"] = (
+            min(parts.values()) >= 1
+            and max(parts["DFS"], parts["dagP"]) <= parts["Nat"]
+        )
+    return bench.payload(metrics, ok=claims)

@@ -1,24 +1,7 @@
-"""Table I — regenerate the benchmark-suite inventory."""
-
-from repro.experiments import table1
-
-from _harness import run_once
-
-
-def test_table1(benchmark, scale, save_result):
-    res = run_once(benchmark, lambda: table1.run(scale))
-    save_result(f"table1_{scale.name}", res.table())
-    assert len(res.rows) == 13
-    # Gate counts stay within a factor ~3 of the paper at matched width
-    # structure (exact counts depend on decomposition choices).
-    for row in res.rows:
-        assert row.gates > 0
-
-
-# -- repro.bench registration ------------------------------------------------
+"""Table I — the benchmark-suite inventory."""
 
 from repro import bench
-from repro.experiments import SCALES
+from repro.experiments import SCALES, table1
 
 
 @bench.register(
@@ -35,5 +18,10 @@ def run_bench(params):
             "total_gates": sum(r.gates for r in res.rows),
             "total_qubits": sum(r.qubits for r in res.rows),
             "max_depth": max(r.depth for r in res.rows),
+        },
+        info={"table": res.table()},
+        ok={
+            "the suite has the paper's 13 circuits": len(res.rows) == 13,
+            "every circuit has gates": all(r.gates > 0 for r in res.rows),
         },
     )

@@ -1,32 +1,12 @@
 """Sec. V-A — single-node OpenMP strong scaling (model).
 
 Paper: "HiSVSIM exhibits a close-to-linear speedup in this strong scaling
-case" for thread counts 2..128.  Asserted: monotone speedup, >= 1.6x at 2
+case" for thread counts 2..128.  Claimed: monotone speedup, >= 1.6x at 2
 threads and >= 5x at 16 threads.
 """
 
-from repro.experiments import thread_scaling
-
-from _harness import run_once
-
-
-def test_thread_scaling(benchmark, scale, save_result):
-    res = run_once(
-        benchmark,
-        lambda: thread_scaling.run(num_qubits=24, limit=16),
-    )
-    save_result(f"thread_scaling_{scale.name}", res.table())
-
-    sp = {r.threads: r.speedup for r in res.rows}
-    speeds = [r.speedup for r in res.rows]
-    assert speeds == sorted(speeds)
-    assert sp[2] >= 1.6
-    assert sp[16] >= 5.0
-
-
-# -- repro.bench registration ------------------------------------------------
-
 from repro import bench
+from repro.experiments import thread_scaling
 
 
 @bench.register(
@@ -43,11 +23,18 @@ def run_bench(params):
     )
     sp = {r.threads: r.speedup for r in res.rows}
     speeds = [r.speedup for r in res.rows]
+    monotone = speeds == sorted(speeds)
     return bench.payload(
         metrics={
             "thread_counts": len(res.rows),
             "speedup_2": sp[2],
             "speedup_16": sp[16],
-            "monotone": speeds == sorted(speeds),
+            "monotone": monotone,
+        },
+        info={"table": res.table()},
+        ok={
+            "speedup grows with the thread count": monotone,
+            "speedup >= 1.6x at 2 threads": sp[2] >= 1.6,
+            "speedup >= 5x at 16 threads": sp[16] >= 5.0,
         },
     )

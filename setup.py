@@ -26,7 +26,7 @@ setup(
         "console_scripts": ["repro=repro.cli:main"],
     },
     extras_require={
-        "test": ["pytest>=7", "hypothesis>=6"],
-        "bench": ["pytest>=7", "pytest-benchmark>=4"],
+        "ilp": ["scipy>=1.9"],
+        "test": ["pytest>=7", "hypothesis>=6", "scipy>=1.9"],
     },
 )

@@ -1,16 +1,19 @@
 """Benchmark registry for the paper's exact model metrics.
 
-Every script under ``benchmarks/`` registers one entry point with
-:func:`register`; the runner calls each selected benchmark once and
-serialises :class:`BenchSuite` JSON; :func:`compare_suites` is the CI
-gate (model metrics exact, parameters and coverage checked).  Nothing
-in this package reads a clock — ``benchmarks/perf`` is the stopwatch.
+A paper artefact (Tables I–IV, Figs. 5–10) or an acceptance bar is one
+entry registered with :func:`register` from a script under
+``benchmarks/`` — the only way to run it.  The runner calls each
+selected entry once and serialises :class:`BenchSuite` JSON;
+:func:`compare_suites` is the CI gate (model metrics exact, parameters
+and coverage checked).  Nothing in this package reads a clock —
+``benchmarks/perf`` is the stopwatch.
 
 Typical flow::
 
     repro bench list
-    repro bench run --tag smoke --json BENCH_smoke.json
-    repro bench compare BENCH_smoke.json benchmarks/baselines/smoke.json
+    repro bench run table1 --set scale=paper     # prints Table I
+    repro bench run --tag paper --json BENCH_paper.json
+    repro bench compare BENCH_paper.json benchmarks/baselines/paper.json
 
 From a benchmark script::
 
@@ -20,7 +23,8 @@ From a benchmark script::
                     smoke={"qubits": 12})
     def run_bench(params):
         ...
-        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0})
+        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0},
+                             ok={"states agree to 1e-10": True})
 
 See ``docs/benchmarks.md`` for the benchmark → paper-figure map and the
 baseline-refresh workflow.
@@ -47,7 +51,6 @@ from .runner import (
     run_benchmark,
     run_suite,
     save_per_benchmark,
-    script_main,
 )
 from .schema import (
     SCHEMA_VERSION,
@@ -78,6 +81,5 @@ __all__ = [
     "run_benchmark",
     "run_suite",
     "save_per_benchmark",
-    "script_main",
     "select",
 ]

@@ -7,7 +7,9 @@ Usage::
                     [--set KEY=VALUE] [--save]
     repro bench compare run.json baseline.json
 
-``run`` with no names and no tag executes every registered benchmark.
+``run`` with no names and no tag executes every registered benchmark,
+prints the paper-shaped table of each result that carries one, and
+exits 2 when a benchmark's own claims (``ok``) do not hold.
 ``--tag smoke`` additionally applies each benchmark's registered
 smoke-size parameters, which is what CI runs and what
 ``benchmarks/baselines/smoke.json`` was recorded with.  ``compare``
@@ -52,12 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "benchmark that declares it (repeatable)")
     p_run.add_argument("--smoke", action="store_true", default=None,
                        help="force smoke-size parameters regardless of tag")
-    p_run.add_argument("--suite", default=None,
-                       help="suite name recorded in the JSON "
-                            "(default: tag or 'custom')")
     p_run.add_argument("--save", action="store_true",
-                       help="also write per-benchmark JSON entries under "
-                            "results/bench/")
+                       help="also write per-benchmark JSON entries (and "
+                            "tables) under results/bench/")
 
     p_cmp = sub.add_parser("compare",
                            help="gate a run against a baseline suite")
@@ -85,9 +84,11 @@ def _cmd_run(args) -> int:
         tag=args.tag,
         overrides=_parse_set(args.overrides),
         smoke=args.smoke,
-        suite_name=args.suite,
         progress=lambda name: print(f"[bench] running {name} …", flush=True),
     )
+    for result in suite.results:
+        if "table" in result.info:
+            print(result.info["table"])
     print(render_suite(suite))
     if args.json:
         suite.write(args.json)
@@ -117,9 +118,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BenchError, SchemaError, OSError) as exc:
         print(f"repro bench: {exc}")
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

@@ -1,6 +1,8 @@
 """Benchmark registry and discovery.
 
-Benchmark scripts under ``benchmarks/`` register one entry point each::
+A registered entry is the one definition of a paper artefact or an
+acceptance bar; scripts under ``benchmarks/`` hold nothing else but the
+helpers an entry calls::
 
     from repro import bench
 
@@ -12,12 +14,15 @@ Benchmark scripts under ``benchmarks/`` register one entry point each::
     )
     def run_bench(params):
         ...
-        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0})
+        return bench.payload(metrics={"parts": 7}, info={"max_err": 0.0},
+                             ok={"states agree to 1e-10": True})
 
 The registered function receives the merged parameter dict and returns a
 payload (:func:`payload`): ``metrics`` must be deterministic model
-quantities — the gate compares them for exact equality — while
-``info`` is free-form but holds no wall-clock measurement.
+quantities — the gate compares them for exact equality — ``info`` is
+free-form but holds no wall-clock measurement (``info["table"]`` is the
+paper-shaped table, printed by ``repro bench run``), and ``ok`` holds
+the claims the entry makes about its own numbers.
 :func:`load_benchmarks` imports every ``benchmarks/bench_*.py`` so their
 registrations run, which is how the CLI runner sees the full registry
 without a hand-maintained list.
@@ -29,7 +34,9 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
+)
 
 from ..config import env
 
@@ -101,8 +108,7 @@ def register(
 
     ``params`` are the full-size defaults, ``smoke`` the overrides
     applied for smoke runs (``--tag smoke`` / ``--smoke``).
-    Re-registration under the same name replaces the entry (the same
-    script may be imported both by pytest and by the discovery loader).
+    Re-registration under the same name replaces the entry.
     """
 
     def deco(fn: Callable) -> Callable:
@@ -123,16 +129,21 @@ def register(
 def payload(
     metrics: Dict[str, Any],
     info: Optional[Dict[str, Any]] = None,
-    ok: bool = True,
+    ok: Union[bool, Mapping[str, bool]] = True,
 ) -> Dict[str, Any]:
     """Standard return value of a benchmark function.
 
-    ``ok=False`` marks a failed correctness check (state divergence,
-    broken bitwise agreement): the runner raises and the CLI exits
-    non-zero, so a ``repro bench run`` never reports success on a
-    correctness regression even without a baseline to compare against.
+    ``ok`` is the entry's own verdict: a bool, or a mapping from each
+    claim it checks (state agreement, ``dagP <= DFS <= Nat`` parts, a
+    halved sweep count) to whether it held.  Anything false fails the
+    run — the runner raises naming the failed claims and the CLI exits
+    2 — so a paper claim can fail ``repro bench run`` even after a
+    baseline refresh moved the numbers it is stated over.
     """
-    return {"metrics": dict(metrics), "info": dict(info or {}), "ok": bool(ok)}
+    claims = ok if isinstance(ok, Mapping) else {"payload ok=False": ok}
+    failed = [claim for claim, held in claims.items() if not held]
+    return {"metrics": dict(metrics), "info": dict(info or {}),
+            "ok": not failed, "failed": failed}
 
 
 def select(
@@ -192,12 +203,8 @@ def load_benchmarks(bench_dir: Optional[str] = None) -> Dict[str, Benchmark]:
     """Import every ``bench_*.py`` under ``bench_dir`` and return the
     registry.
 
-    The directory is kept importable during loading so the scripts'
-    ``from _harness import run_once`` (pytest-harness plumbing, kept out
-    of ``conftest.py`` because that name collides with
-    ``tests/conftest.py`` under in-process discovery) resolves.  Modules
-    are cached under ``repro_benchmarks.<stem>`` so repeated discovery
-    is idempotent.
+    Modules are cached under ``repro_benchmarks.<stem>`` so repeated
+    discovery is idempotent.
     """
     bench_dir = bench_dir or find_bench_dir()
     stems = sorted(
@@ -207,24 +214,17 @@ def load_benchmarks(bench_dir: Optional[str] = None) -> Dict[str, Benchmark]:
     )
     if not stems:
         raise BenchError(f"no bench_*.py scripts under {bench_dir}")
-    inserted = bench_dir not in sys.path
-    if inserted:
-        sys.path.insert(0, bench_dir)
-    try:
-        for stem in stems:
-            module_name = f"repro_benchmarks.{stem}"
-            if module_name in sys.modules:
-                continue
-            path = os.path.join(bench_dir, f"{stem}.py")
-            spec = importlib.util.spec_from_file_location(module_name, path)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[module_name] = module
-            try:
-                spec.loader.exec_module(module)
-            except Exception as exc:
-                del sys.modules[module_name]
-                raise BenchError(f"failed to import {path}: {exc}") from exc
-    finally:
-        if inserted:
-            sys.path.remove(bench_dir)
+    for stem in stems:
+        module_name = f"repro_benchmarks.{stem}"
+        if module_name in sys.modules:
+            continue
+        path = os.path.join(bench_dir, f"{stem}.py")
+        spec = importlib.util.spec_from_file_location(module_name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        try:
+            spec.loader.exec_module(module)
+        except Exception as exc:
+            del sys.modules[module_name]
+            raise BenchError(f"failed to import {path}: {exc}") from exc
     return REGISTRY

@@ -14,8 +14,9 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
+from ..analysis.tables import save_text
 from ..config import env
 from .registry import Benchmark, BenchError, select
 from .schema import BenchResult, BenchSuite, EnvironmentFingerprint
@@ -24,7 +25,6 @@ __all__ = [
     "run_benchmark",
     "run_suite",
     "save_per_benchmark",
-    "script_main",
 ]
 
 
@@ -35,8 +35,9 @@ def run_benchmark(
 ) -> BenchResult:
     """Execute one registered benchmark, once.
 
-    A payload with ``ok=False`` (a failed correctness check) raises
-    :class:`BenchError` instead of returning a result.
+    A payload whose ``ok`` does not hold (a failed correctness check or
+    paper claim) raises :class:`BenchError` naming what failed instead
+    of returning a result.
     """
     params = bench.merged_params(overrides, smoke=smoke)
     out = bench.fn(dict(params))
@@ -45,10 +46,11 @@ def run_benchmark(
             f"benchmark {bench.name!r} must return bench.payload(...)"
         )
     if not out.get("ok", True):
+        info = {k: v for k, v in out.get("info", {}).items() if k != "table"}
         raise BenchError(
-            f"benchmark {bench.name!r} failed its correctness check "
-            f"(payload ok=False): metrics={out['metrics']} "
-            f"info={out.get('info', {})}"
+            f"benchmark {bench.name!r} failed its correctness check — "
+            f"not held: {'; '.join(out.get('failed', ()))} — "
+            f"metrics={out['metrics']} info={info}"
         )
     return BenchResult(
         name=bench.name,
@@ -64,7 +66,6 @@ def run_suite(
     tag: Optional[str] = None,
     overrides: Optional[Dict[str, Any]] = None,
     smoke: Optional[bool] = None,
-    suite_name: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchSuite:
     """Run a selection of registered benchmarks into one suite.
@@ -77,7 +78,7 @@ def run_suite(
     if smoke is None:
         smoke = tag == "smoke"
     suite = BenchSuite(
-        suite=suite_name or tag or ("custom" if names else "all"),
+        suite=tag or ("custom" if names else "all"),
         created=_dt.datetime.now(_dt.timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -93,7 +94,8 @@ def run_suite(
 
 
 def save_per_benchmark(suite: BenchSuite, results_dir: Optional[str] = None) -> str:
-    """Write one ``<name>.json`` per result under ``results_dir``/bench.
+    """Write one ``<name>.json`` per result under ``results_dir``/bench,
+    and ``<name>.txt`` next to it for a result that carries a table.
 
     Complements the single suite file: per-benchmark entries are what
     longitudinal tooling (one file per metric trajectory) consumes.
@@ -111,6 +113,11 @@ def save_per_benchmark(suite: BenchSuite, results_dir: Optional[str] = None) -> 
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, indent=2)
             fh.write("\n")
+        if "table" in result.info:
+            save_text(
+                os.path.join(out_dir, f"{result.name}.txt"),
+                result.info["table"],
+            )
     return out_dir
 
 
@@ -150,38 +157,3 @@ def render_suite(suite: BenchSuite) -> str:
             shown += ", …"
         lines.append(f"{r.name:>16}  {shown}")
     return "\n".join(lines)
-
-
-def script_main(name: str, argv: Optional[List[str]] = None) -> int:
-    """Shared ``python benchmarks/bench_<x>.py`` entry point.
-
-    Replaces the per-script argparse mains: one flag set everywhere
-    (``--set key=value`` for parameters, ``--smoke`` for the registered
-    smoke sizes, ``--json`` for a single-benchmark suite file).
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description=f"Run the {name!r} benchmark through repro.bench"
-    )
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="KEY=VALUE", dest="overrides",
-                        help="override a benchmark parameter")
-    parser.add_argument("--smoke", action="store_true",
-                        help="use the registered smoke-size parameters")
-    parser.add_argument("--json", default=None,
-                        help="write a single-benchmark suite JSON here")
-    args = parser.parse_args(argv)
-
-    suite = run_suite(
-        names=[name],
-        overrides=_parse_set(args.overrides),
-        smoke=args.smoke,
-        suite_name=name,
-        progress=lambda n: print(f"[bench] running {n} …", flush=True),
-    )
-    print(render_suite(suite))
-    if args.json:
-        suite.write(args.json)
-        print(f"[bench] suite written to {args.json}")
-    return 0

@@ -1,36 +1,34 @@
-"""Command-line experiment driver.
+"""Command-line driver.
 
 Usage::
 
-    repro list                       # experiments available
-    repro table1 [--scale paper]     # one experiment
-    repro all --scale paper          # everything, saved under results/
     repro circuit bv --qubits 16     # inspect a generated circuit
     repro simulate qft --qubits 16 --no-fuse   # partitioned execution
     repro simulate qft --qubits 20 --backend threaded --threads 4
     repro cut qaoa --qubits 30 --max-width 16 --shots 1024  # wire cutting
     repro batch jobs.json -o results.json      # batched serving runtime
     repro serve --port 8035 --workers 2        # resident serving daemon
-    repro bench list                           # benchmark registry
-    repro bench run --tag smoke --json BENCH_smoke.json
-    repro bench compare BENCH_smoke.json benchmarks/baselines/smoke.json
+    repro bench list                           # the paper's artefacts
+    repro bench run table1 --set scale=paper   # one table or figure
+    repro bench run --tag paper --json BENCH_paper.json
+    repro bench compare BENCH_paper.json benchmarks/baselines/paper.json
 
-Each experiment prints its paper-shaped table and (with ``--save``) writes
-it under ``results/``.  ``simulate`` partitions a generated circuit, runs
-it through the hierarchical executor (part-level gate fusion on by
-default; disable with ``--no-fuse``; pick where sweeps run with
-``--backend serial|threaded`` and ``--threads``) and reports the
-compiled sweep counts, per-backend wall time and a cross-check against
-the flat simulator.  ``batch`` feeds a JSON job manifest through the
+``simulate`` partitions a generated circuit, runs it through the
+hierarchical executor (part-level gate fusion on by default; disable
+with ``--no-fuse``; pick where sweeps run with ``--backend
+serial|threaded`` and ``--threads``) and reports the compiled sweep
+counts, per-backend wall time and a cross-check against the flat
+simulator.  ``batch`` feeds a JSON job manifest through the
 :mod:`repro.serve` runtime (shared partition/plan caches across
 structurally identical circuits) and writes a results manifest.
 ``serve`` keeps that runtime resident behind an asyncio HTTP/JSON API
 (job submission with backpressure, TTL'd results, graceful drain on
 SIGTERM; API schema in ``docs/serving.md``).
-``bench`` drives the benchmark registry (:mod:`repro.bench`): list/run
-registered benchmarks with standardized JSON output, and gate a run's
-exact model metrics against a committed baseline (see
-``docs/benchmarks.md``).
+``bench`` drives the benchmark registry (:mod:`repro.bench`), the one way
+to regenerate a table or figure of the paper: a run prints each
+artefact's paper-shaped table (``--save`` writes it under ``results/``),
+emits standardized JSON, and gates its exact model metrics against a
+committed baseline (see ``docs/benchmarks.md``).
 
 Defaults and the ``REPRO_*`` environment variables are documented in
 ``docs/configuration.md``.
@@ -39,60 +37,13 @@ Defaults and the ``REPRO_*`` environment variables are documented in
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from typing import Callable, Dict
 
-from .analysis.tables import save_text
 from .config import ENV, RUN_OPTION_FIELDS, RunOptions, env
-from .experiments import (
-    SCALES,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    ilp_quality,
-    table1,
-    table2,
-    table3,
-    table4,
-    thread_scaling,
-)
 from .partition import STRATEGIES
 from .sv.backend import BACKEND_NAMES
 from .sv.engine import METHOD_NAMES
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "table1": table1.run,
-    "table2": table2.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "fig10": fig10.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "ilp": ilp_quality.run,
-    "threads": thread_scaling.run,
-}
-
-
-def _run_one(name: str, scale_name: str, save: bool) -> str:
-    scale = SCALES[scale_name]
-    t0 = time.perf_counter()
-    result = EXPERIMENTS[name](scale=scale)
-    text = result.table()
-    text += f"\n[{name} @ scale={scale_name}: {time.perf_counter() - t0:.1f}s]\n"
-    if save:
-        save_text(
-            os.path.join(env("REPRO_RESULTS_DIR"), f"{name}_{scale_name}.txt"),
-            text,
-        )
-    return text
 
 
 def _merged(args, keys, manifest=None) -> dict:
@@ -139,6 +90,23 @@ def _cross_check(qc, state, label: str) -> int:
     if err > 1e-10:
         print("VERIFICATION FAILED")
         return 1
+    return 0
+
+
+def _circuit(args) -> int:
+    """Print a generated circuit's statistics or its OpenQASM."""
+    from .circuits import generators, qasm
+
+    qc = generators.build(args.name, args.qubits)
+    if args.qasm:
+        print(qasm.dumps(qc), end="")
+    else:
+        st = qc.stats()
+        print(
+            f"{qc.name}: qubits={st.num_qubits} gates={st.num_gates} "
+            f"(1q={st.num_1q}, 2q={st.num_2q}, multi={st.num_multi}) "
+            f"depth={st.depth} state={st.memory_human()}"
+        )
     return 0
 
 
@@ -485,28 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (everything except ``bench``)."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="HiSVSIM reproduction experiment driver",
+        description="HiSVSIM reproduction driver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list experiments")
 
     # Help-only stub: real parsing happens in repro.bench.cli (main()
     # dispatches to it before parse_args ever sees "bench").
     sub.add_parser(
         "bench",
-        help="benchmark registry: list, run, compare (model-metric gate)",
+        help="the paper's tables and figures, and the model-metric gate: "
+             "list, run, compare",
     )
-
-    for name in (*EXPERIMENTS, "all"):
-        p = sub.add_parser(
-            name,
-            help="run every experiment" if name == "all"
-            else f"run experiment {name}",
-        )
-        p.add_argument("--scale", default=env("REPRO_SCALE"),
-                       choices=sorted(SCALES))
-        p.add_argument("--save", action="store_true", default=name == "all")
 
     p_circ = sub.add_parser("circuit", help="inspect a generated circuit")
     p_circ.add_argument("name")
@@ -647,43 +604,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # ``repro bench`` owns its own argparse tree (list/run/compare);
-    # dispatch before the experiment parser so its flags stay isolated.
+    # dispatch before this parser so its flags stay isolated.
     if argv[:1] == ["bench"]:
         from .bench.cli import main as bench_main
 
         return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
 
-    handlers = {"simulate": _simulate, "cut": _cut, "batch": _batch,
-                "serve": _serve, "dist-worker": _dist_worker}
-    if args.command in handlers:
-        return handlers[args.command](args)
-    if args.command == "list":
-        for name in EXPERIMENTS:
-            print(name)
-        return 0
-    if args.command == "circuit":
-        from .circuits import generators, qasm
-
-        qc = generators.build(args.name, args.qubits)
-        if args.qasm:
-            print(qasm.dumps(qc), end="")
-        else:
-            st = qc.stats()
-            print(
-                f"{qc.name}: qubits={st.num_qubits} gates={st.num_gates} "
-                f"(1q={st.num_1q}, 2q={st.num_2q}, multi={st.num_multi}) "
-                f"depth={st.depth} state={st.memory_human()}"
-            )
-        return 0
-    if args.command == "all":
-        for name in EXPERIMENTS:
-            print(f"=== {name} ===")
-            print(_run_one(name, args.scale, save=True))
-        print(f"saved under {env('REPRO_RESULTS_DIR')}/")
-        return 0
-    print(_run_one(args.command, args.scale, args.save))
-    return 0
+    handlers = {"circuit": _circuit, "simulate": _simulate, "cut": _cut,
+                "batch": _batch, "serve": _serve, "dist-worker": _dist_worker}
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

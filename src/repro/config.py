@@ -40,16 +40,14 @@ class EnvVar(NamedTuple):
     effect: str
 
 
-#: Every ``REPRO_*`` variable read under ``src/repro``; a test keeps
-#: ``docs/configuration.md``'s table in step.  ``benchmarks/bench_fusion.py``
-#: reads its own sweep-count floor and is not listed here.
+#: Every ``REPRO_*`` variable the repository reads; a test keeps
+#: ``docs/configuration.md``'s table in step.
 ENV: Dict[str, EnvVar] = {
     "REPRO_BACKEND": EnvVar(str, "serial", "backend when backend=None"),
     "REPRO_THREADS": EnvVar(int, None, "workers of a backend named by string"),
     "REPRO_KERNEL_STRIDED_MAX": EnvVar(
         int, 2, "largest target arity on the gather-free strided path"),
     "REPRO_METHOD": EnvVar(str, "auto", "method when method=None"),
-    "REPRO_SCALE": EnvVar(str, "small", "experiment scale"),
     "REPRO_RESULTS_DIR": EnvVar(str, "results", "where tables are saved"),
     "REPRO_BENCH_DIR": EnvVar(str, None, "where the bench_*.py scripts live"),
     "REPRO_SERVE_HOST": EnvVar(str, "127.0.0.1", "daemon bind address"),

@@ -1,4 +1,9 @@
-"""Per-table/figure experiment modules (see DESIGN.md experiment index)."""
+"""Per-table/figure experiment modules.
+
+Each ``run`` computes one artefact of the paper and returns a result with
+a ``table()``; the ``paper``-tagged :mod:`repro.bench` entries under
+``benchmarks/`` are their only callers outside the tests.
+"""
 
 from . import (
     fig5,
@@ -15,12 +20,11 @@ from . import (
     table4,
     thread_scaling,
 )
-from .common import SCALES, Scale, current_scale, suite_circuits
+from .common import SCALES, Scale, suite_circuits
 
 __all__ = [
     "SCALES",
     "Scale",
-    "current_scale",
     "suite_circuits",
     "sweep",
     "table1",

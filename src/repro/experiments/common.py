@@ -3,13 +3,13 @@
 Experiments run at a named *scale*:
 
 * ``tiny``  — real amplitudes end-to-end (numerics verified); used by tests.
-* ``small`` — dry-run engines, 16-qubit base; the default for the
-  benchmark harness (fast, shape-preserving).
+* ``small`` — dry-run engines, 16-qubit base; the default of every
+  ``run`` and of the registered benchmarks (fast, shape-preserving).
 * ``paper`` — dry-run engines at the paper's widths (30–37 qubits) and
-  rank counts (16–1024); what EXPERIMENTS.md records.
+  rank counts (16–1024).
 
-Select with ``REPRO_SCALE=tiny|small|paper`` or pass a
-:class:`Scale` explicitly.
+A scale is a parameter: pass a :class:`Scale` to ``run``, or
+``--set scale=tiny|small|paper`` to ``repro bench run``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.generators import PAPER_SUITE_SPEC, build
-from ..config import env
 from ..partition import Partition, get_partitioner
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 
 __all__ = [
     "Scale",
     "SCALES",
-    "current_scale",
     "suite_circuits",
     "ranks_for",
     "partition_cached",
@@ -60,15 +58,6 @@ SCALES: Dict[str, Scale] = {
     "small": Scale("small", 16, (4, 8, 16), (16, 32), True),
     "paper": Scale("paper", 30, (16, 32, 64, 128, 256), (512, 1024), True),
 }
-
-
-def current_scale() -> Scale:
-    name = env("REPRO_SCALE")
-    if name not in SCALES:
-        raise KeyError(
-            f"REPRO_SCALE={name!r} unknown; choose from {sorted(SCALES)}"
-        )
-    return SCALES[name]
 
 
 @lru_cache(maxsize=None)

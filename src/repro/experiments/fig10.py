@@ -26,7 +26,6 @@ from .common import (
     SCALES,
     STRATEGY_ORDER,
     Scale,
-    current_scale,
     partition_cached,
     ranks_for,
     suite_circuits,
@@ -99,7 +98,7 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
     # scale only supplies the machine model.
     from ..dist.iqs import IQSEngine
 
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     machine = scale.machine
     paper = SCALES["paper"]
     circuits = suite_circuits(paper.base_qubits)

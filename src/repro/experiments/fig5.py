@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import geomean, render_table
-from .common import STRATEGY_ORDER, Scale, current_scale
+from .common import SCALES, STRATEGY_ORDER, Scale
 from .sweep import SweepResult, run_sweep
 
 __all__ = ["Fig5Row", "Fig5Result", "run"]
@@ -80,7 +80,7 @@ class Fig5Result:
 
 
 def run(scale: Optional[Scale] = None) -> Fig5Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     sweep = run_sweep(scale)
     rows: List[Fig5Row] = []
     for circuit in sweep.circuits():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis.tables import render_table
-from .common import Scale, current_scale
+from .common import SCALES, Scale
 from .sweep import ALGORITHMS, SweepResult, run_sweep
 
 __all__ = ["Fig6Row", "Fig6Result", "run"]
@@ -69,7 +69,7 @@ class Fig6Result:
 
 
 def run(scale: Optional[Scale] = None) -> Fig6Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     sweep = run_sweep(scale)
     rows: List[Fig6Row] = []
     for circuit in sweep.circuits():

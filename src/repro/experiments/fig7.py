@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..analysis.tables import render_table
-from .common import Scale, current_scale
+from .common import SCALES, Scale
 from .sweep import ALGORITHMS, SweepResult, run_sweep
 
 __all__ = ["Fig7Row", "Fig7Result", "run"]
@@ -55,7 +55,7 @@ class Fig7Result:
 
 
 def run(scale: Optional[Scale] = None) -> Fig7Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     sweep = run_sweep(scale)
     rows: List[Fig7Row] = []
     for circuit in sweep.circuits():

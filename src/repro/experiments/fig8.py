@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import geomean, render_table
-from .common import Scale, current_scale
+from .common import SCALES, Scale
 from .sweep import ALGORITHMS, SweepResult, run_sweep
 
 __all__ = ["Fig8Result", "run"]
@@ -45,7 +45,7 @@ class Fig8Result:
 
 
 def run(scale: Optional[Scale] = None) -> Fig8Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     sweep = run_sweep(scale)
     buckets: Dict[Tuple[str, int], List[float]] = {}
     for (circuit, ranks, algo), rep in sweep.reports.items():

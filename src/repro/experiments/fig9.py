@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.perfprofile import ProfileCurve, performance_profile
 from ..analysis.tables import render_table
-from .common import STRATEGY_ORDER, Scale, current_scale
+from .common import SCALES, STRATEGY_ORDER, Scale
 from .sweep import ALGORITHMS, SweepResult, run_sweep
 
 __all__ = ["Fig9Result", "run"]
@@ -49,7 +49,7 @@ class Fig9Result:
 
 
 def run(scale: Optional[Scale] = None) -> Fig9Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     sweep = run_sweep(scale)
     runtime_costs: Dict[str, Dict[str, float]] = {a: {} for a in ALGORITHMS}
     comm_costs: Dict[str, Dict[str, float]] = {s: {} for s in STRATEGY_ORDER}

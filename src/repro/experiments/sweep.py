@@ -15,9 +15,9 @@ from ..dist.hisvsim import HiSVSimEngine
 from ..dist.iqs import IQSEngine
 from ..runtime.metrics import RunReport
 from .common import (
+    SCALES,
     STRATEGY_ORDER,
     Scale,
-    current_scale,
     partition_cached,
     ranks_for,
     suite_circuits,
@@ -56,7 +56,7 @@ _SWEEP_CACHE: Dict[str, SweepResult] = {}
 
 def run_sweep(scale: Optional[Scale] = None, use_cache: bool = True) -> SweepResult:
     """Run (or fetch) the full multi-node sweep for ``scale``."""
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     if use_cache and scale.name in _SWEEP_CACHE:
         return _SWEEP_CACHE[scale.name]
     circuits = suite_circuits(scale.base_qubits)

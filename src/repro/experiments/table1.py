@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis.tables import render_table
-from .common import Scale, current_scale, suite_circuits
+from .common import SCALES, Scale, suite_circuits
 
 __all__ = ["PAPER_TABLE1", "Table1Row", "run"]
 
@@ -79,7 +79,7 @@ class Table1Result:
 
 
 def run(scale: Optional[Scale] = None) -> Table1Result:
-    scale = scale or current_scale()
+    scale = scale or SCALES["small"]
     rows: List[Table1Row] = []
     for key, qc in suite_circuits(scale.base_qubits).items():
         st = qc.stats()

@@ -23,7 +23,7 @@ from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
 from ..partition import get_partitioner
 from ..runtime.machine import WORKSTATION_LIKE, MachineModel
-from .common import STRATEGY_ORDER, Scale, current_scale
+from .common import STRATEGY_ORDER, Scale
 
 __all__ = ["PAPER_TABLE2", "Table2Row", "run"]
 

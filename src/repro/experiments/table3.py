@@ -17,7 +17,7 @@ from ..circuits.generators import qaoa
 from ..hybrid.gpu_model import V100, GPUModel
 from ..hybrid.hyquas import HybridEstimate, estimate_hybrid
 from ..partition import get_partitioner
-from .common import STRATEGY_ORDER, Scale, current_scale
+from .common import STRATEGY_ORDER, Scale
 
 __all__ = ["Table3Result", "run", "PAPER_TABLE3"]
 

@@ -21,7 +21,7 @@ from ..hybrid.hyquas import (
     estimate_hyquas_baseline,
 )
 from ..partition import get_partitioner
-from .common import STRATEGY_ORDER, Scale, current_scale
+from .common import STRATEGY_ORDER, Scale
 
 __all__ = ["Table4Result", "run", "PAPER_TABLE4"]
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from ..circuits.circuit import QuantumCircuit
 from .base import Partition, PartitionError, gate_dependency_edges
@@ -54,6 +52,8 @@ class ILPPartitioner:
 
     Minimises the part count via a HiGHS mixed-integer program; falls
     back to reporting non-optimality when the time budget runs out.
+    scipy is the one dependency only this class has, so it is imported
+    on the first solve (``pip install hisvsim-repro[ilp]``).
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
@@ -77,6 +77,13 @@ class ILPPartitioner:
         self.max_parts = max_parts
 
     def solve(self, circuit: QuantumCircuit, limit: int) -> ILPResult:
+        try:
+            from scipy.optimize import Bounds, LinearConstraint, milp
+            from scipy.sparse import lil_matrix
+        except ImportError as exc:
+            raise ImportError(
+                "ILPPartitioner needs scipy: pip install 'hisvsim-repro[ilp]'"
+            ) from exc
         n = len(circuit)
         if n == 0:
             return ILPResult(

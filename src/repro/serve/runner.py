@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -249,8 +250,9 @@ class BatchRunner:
         self._executor = HierarchicalExecutor(
             plan_cache=self.plan_cache, **self.options.executor_kwargs()
         )
-        # Key -> Partition, or a threading.Event while one worker computes.
-        self._partitions: Dict[Tuple[str, str, int], object] = {}
+        # Key -> Partition, or a threading.Event while one worker computes;
+        # least recently used first, bounded like the plan cache.
+        self._partitions: OrderedDict = OrderedDict()
         self._partition_lock = threading.Lock()
         self.partition_hits = 0
         self.partitions_computed = 0
@@ -320,11 +322,14 @@ class BatchRunner:
         Partitioning is keyed by ``(fingerprint, strategy, limit)`` —
         partitioners only consult gate operands and order, never
         parameters, so one partition serves every circuit that shares a
-        structure.  Each structure is partitioned exactly once even
-        under concurrent workers, but *different* structures partition
-        concurrently: the cache lock only guards the dict, and a
-        per-key event makes same-structure followers wait on the one
-        computing thread instead of on a global lock.
+        structure.  Each cached structure is partitioned exactly once
+        even under concurrent workers, but *different* structures
+        partition concurrently: the cache lock only guards the dict, and
+        a per-key event makes same-structure followers wait on the one
+        computing thread instead of on a global lock.  The cache keeps
+        the ``plan_cache.max_entries`` most recently used partitions (an
+        in-flight event is never evicted); an evicted structure is
+        partitioned, and counted, again.
 
         ``options.limit`` is honoured whenever set — only ``None``
         derives the per-circuit :func:`default_limit` (an explicit small
@@ -338,6 +343,7 @@ class BatchRunner:
             with self._partition_lock:
                 entry = self._partitions.get(key)
                 if isinstance(entry, Partition):
+                    self._partitions.move_to_end(key)
                     self.partition_hits += 1
                     if counters is not None:
                         with counters.lock:
@@ -359,7 +365,13 @@ class BatchRunner:
             raise
         with self._partition_lock:
             self._partitions[key] = partition
+            self._partitions.move_to_end(key)
             self.partitions_computed += 1
+            if len(self._partitions) > self.plan_cache.max_entries:
+                done = [k for k, v in self._partitions.items()
+                        if isinstance(v, Partition)]
+                for old in done[:-self.plan_cache.max_entries]:
+                    del self._partitions[old]
         if counters is not None:
             with counters.lock:
                 counters.partitions_computed += 1

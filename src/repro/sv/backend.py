@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -380,7 +381,9 @@ class ThreadedBackend(ExecutionBackend):
     Parameters
     ----------
     threads:
-        Worker count, ``>= 1``; only ``None`` means ``os.cpu_count()``.
+        How many blocks run at once, ``>= 1``, the calling thread
+        included (the pool holds ``threads - 1`` workers; ``1`` builds no
+        pool).  Only ``None`` means ``os.cpu_count()``.
     min_parallel_elements:
         Workloads touching fewer amplitudes than this run inline
         (default :data:`DEFAULT_MIN_PARALLEL_ELEMENTS`, 16384).  Set 0
@@ -432,7 +435,7 @@ class ThreadedBackend(ExecutionBackend):
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads,
+                    max_workers=self.threads - 1,
                     thread_name_prefix="repro-sv",
                 )
             return self._pool
@@ -452,22 +455,31 @@ class ThreadedBackend(ExecutionBackend):
         )
 
     def _map_blocks(self, fn: BlockFn, blocks) -> None:
-        """Run ``fn(lo, hi)`` per block; reuse the caller thread for the
-        last block so a 1-block dispatch never pays pool latency.
+        """Run ``fn(lo, hi)`` per block on at most ``threads`` threads,
+        the caller being one of them, so a 1-block or 1-thread dispatch
+        never pays pool latency.
 
-        Every submitted block is drained before returning *or raising* —
-        propagating early would let pool threads keep mutating the
-        caller's state behind an unwinding stack (and lose their
-        errors).  The first failure (inline block first) is re-raised.
+        Every drainer takes blocks off one queue until it is empty.  All
+        of them are joined before returning *or raising* — propagating
+        early would let pool threads keep mutating the caller's state
+        behind an unwinding stack (and lose their errors).  The first
+        failure (the caller's first) is re-raised.
         """
-        if len(blocks) == 1:
-            fn(*blocks[0])
-            return
-        pool = self._get_pool()
-        futures = [pool.submit(fn, lo, hi) for lo, hi in blocks[:-1]]
+        todo = deque(blocks)
+
+        def drain() -> None:
+            while True:
+                try:
+                    lo, hi = todo.popleft()  # atomic: one taker per block
+                except IndexError:
+                    return
+                fn(lo, hi)
+
+        helpers = min(self.threads, len(blocks)) - 1
+        futures = [self._get_pool().submit(drain) for _ in range(helpers)]
         error: Optional[BaseException] = None
         try:
-            fn(*blocks[-1])
+            drain()
         except BaseException as exc:
             error = exc
         for f in futures:

@@ -210,6 +210,32 @@ class TestThreadedDeterminism:
                 backend._map_blocks(fn, blocks)
         assert sorted(done) == blocks[:-1]
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_at_most_threads_blocks_run_at_once(self, threads):
+        # The caller is one of the ``threads``: a pool of N plus the
+        # caller's inline block ran N + 1 (2 / 3 / 5 here).
+        import time as _time
+
+        lock = threading.Lock()
+        running, peak, visited = [0], [0], []
+
+        def fn(lo, hi):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                visited.append((lo, hi))
+            _time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+
+        with ThreadedBackend(
+            threads, min_parallel_elements=0, block_elements=1
+        ) as backend:
+            backend.map_blocks(fn, 8, 8)
+            assert (backend._pool is None) == (threads == 1)
+        assert sorted(visited) == [(i, i + 1) for i in range(8)]
+        assert peak[0] == threads
+
     def test_threaded_matches_serial_bitwise(self):
         qc = generators.build("grover", 9)
         p = get_partitioner("dagP").partition(qc, 6)

@@ -2,7 +2,10 @@
 
 Covers schema JSON roundtrip, registry discovery of every benchmark
 script, the model-metric comparator (exact metrics, params, coverage —
-no timing), and a ``repro bench run`` CLI smoke at tiny qubit widths.
+no timing), a ``repro bench run`` CLI smoke at tiny qubit widths, and
+the registry as the one front door to the paper's artefacts: tables
+printed and saved, claims (``ok``) that fail a run, both committed
+baselines.
 """
 
 from __future__ import annotations
@@ -223,6 +226,24 @@ class TestRunner:
         finally:
             REGISTRY.pop("broken-unit", None)
 
+    def test_a_false_claim_fails_the_run_by_name(self):
+        bench = Benchmark(
+            name="claims",
+            fn=lambda p: payload(
+                {"dagp_parts": 3, "nat_parts": 2},
+                info={"table": "a long table\n"},
+                ok={"dagP <= Nat parts": 3 <= 2, "gates conserved": True},
+            ),
+            tags=(),
+        )
+        with pytest.raises(BenchError, match="correctness") as exc:
+            run_benchmark(bench)
+        assert "dagP <= Nat parts" in str(exc.value)
+        assert "gates conserved" not in str(exc.value)
+        assert "a long table" not in str(exc.value)
+        held = payload({"n": 1}, ok={"a": True, "b": True})
+        assert held["ok"] is True and held["failed"] == []
+
     def test_each_benchmark_runs_once(self):
         calls = []
         bench = Benchmark(
@@ -425,30 +446,138 @@ class TestCli:
         assert data["environment"]["cpu_count"] >= 1
 
 
+class TestOneFrontDoor:
+    """A paper artefact is one registry entry: ``repro bench run`` prints
+    and saves its table, and its claims can fail the run."""
+
+    def test_run_prints_the_table_the_experiment_renders(self, capsys):
+        from repro.experiments import SCALES, table1
+
+        assert cli_main(["bench", "run", "table1", "--set", "scale=tiny"]) == 0
+        out = capsys.readouterr().out
+        assert table1.run(SCALES["tiny"]).table() in out
+        assert "Table I" in out and "adder37" in out
+
+    def test_save_writes_the_table_next_to_the_json(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import table4
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert cli_main(["bench", "run", "table4", "--smoke", "--save"]) == 0
+        saved = (tmp_path / "bench" / "table4.txt").read_text()
+        assert saved == table4.run(num_qubits=16).table()
+        entry = json.loads((tmp_path / "bench" / "table4.json").read_text())
+        assert entry["info"]["table"] == saved
+
+    def test_every_experiment_is_a_paper_entry_with_a_table(self):
+        # Every module under repro.experiments that can ``run`` is called
+        # by an entry tagged ``paper`` whose result carries the table.
+        import inspect
+        import pkgutil
+
+        import repro.experiments as experiments
+
+        runnable = {
+            info.name
+            for info in pkgutil.iter_modules(experiments.__path__)
+            if hasattr(getattr(experiments, info.name, None), "run")
+        }
+        assert len(runnable) == 12
+        committed = BenchSuite.load(TestCommittedPaperBaseline().baseline)
+        reached = set()
+        for bench in select(tag="paper", registry=load_benchmarks()):
+            source = inspect.getsource(bench.fn)
+            called = {m for m in runnable if f"{m}.run(" in source}
+            if called:
+                table = committed.result(bench.name).info["table"]
+                assert table.count("\n") > 3, bench.name
+            reached |= called
+        assert reached == runnable
+        tiny = run_suite(
+            names=["table1", "fig5", "fig10"], overrides={"scale": "tiny"}
+        )
+        for result in tiny.results:
+            assert result.info["table"].count("\n") > 3, result.name
+
+    def test_smoke_and_paper_gate_every_registered_benchmark(self):
+        registry = load_benchmarks()
+        gated = {
+            b.name
+            for tag in ("smoke", "paper")
+            for b in select(tag=tag, registry=registry)
+        }
+        assert gated == set(registry) and len(gated) == 22
+
+    def test_a_false_paper_claim_exits_2(self, capsys, monkeypatch):
+        # Table III claims dagP <= DFS <= Nat parts; a dagP that cuts
+        # after every gate breaks the claim whatever the baseline says.
+        from repro import partition
+        from repro.partition import Partition
+
+        class OnePartPerGate(partition.NaturalPartitioner):
+            name = "dagP"
+
+            def partition(self, circuit, limit):
+                return Partition.from_assignment(
+                    circuit, list(range(len(circuit))), limit, self.name
+                )
+
+        monkeypatch.setitem(partition.STRATEGIES, "dagP", OnePartPerGate)
+        assert cli_main(["bench", "run", "table3", "--smoke"]) == 2
+        out = capsys.readouterr().out
+        assert "parts: dagP <= DFS <= Nat" in out
+        assert "every strategy's parts cover all gates" not in out
+
+    def test_an_ilp_time_out_fails_the_run_not_a_count(self, capsys):
+        # At 0.05 s HiGHS proves fewer optima and the counts would read
+        # 27 instances / 24 optimal instead of 30 / 25.
+        assert cli_main(
+            ["bench", "run", "ilp", "--set", "time_limit=0.05"]
+        ) == 2
+        out = capsys.readouterr().out
+        assert "qft_n8 @ limit 3: ILP optimum proven within 0.05 s" in out
+        assert "suite=" not in out
+
+
 class TestCommittedBaseline:
     """The committed smoke baseline stays loadable and complete."""
 
-    BASELINE = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "benchmarks", "baselines", "smoke.json",
-    )
+    TAG = "smoke"
+
+    @property
+    def baseline(self):
+        return os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "benchmarks", "baselines", f"{self.TAG}.json",
+        )
 
     def test_baseline_is_schema_valid(self):
-        suite = BenchSuite.load(self.BASELINE)
-        assert suite.suite == "smoke"
-        assert SMOKE_REQUIRED <= set(suite.names())
+        suite = BenchSuite.load(self.baseline)
+        assert suite.suite == self.TAG
+        if self.TAG == "smoke":
+            assert SMOKE_REQUIRED <= set(suite.names())
 
     def test_baseline_names_match_registered_smoke_set(self):
-        suite = BenchSuite.load(self.BASELINE)
+        suite = BenchSuite.load(self.baseline)
         registry = load_benchmarks()
-        smoke = {b.name for b in select(tag="smoke", registry=registry)}
-        assert set(suite.names()) == smoke
+        tagged = {b.name for b in select(tag=self.TAG, registry=registry)}
+        assert set(suite.names()) == tagged
 
     def test_baseline_params_match_registered_smoke_params(self):
-        # CI compares a --tag smoke run against this file; params drift
+        # CI compares a --tag <TAG> run against this file; params drift
         # would fail the gate for every future PR, so pin it here.
-        suite = BenchSuite.load(self.BASELINE)
+        suite = BenchSuite.load(self.baseline)
         registry = load_benchmarks()
         for result in suite.results:
-            expected = registry[result.name].merged_params(smoke=True)
+            expected = registry[result.name].merged_params(
+                smoke=self.TAG == "smoke"
+            )
             assert result.params == expected, result.name
+
+
+class TestCommittedPaperBaseline(TestCommittedBaseline):
+    """The same three checks over ``paper.json`` (full-size parameters):
+    the 14 paper artefacts CI gates next to the smoke suite."""
+
+    TAG = "paper"

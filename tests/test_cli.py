@@ -4,15 +4,28 @@ import os
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+
+PAPER_ARTEFACTS = ("table1", "table2", "table3", "table4", "fig5", "fig6",
+                   "fig7", "fig8", "fig9", "fig10", "ilp", "threads")
 
 
 class TestCli:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        # The registry is the one list of the paper's artefacts.
+        assert main(["bench", "list", "--tag", "paper"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for name in PAPER_ARTEFACTS:
+            assert f"{name} " in out
+
+    @pytest.mark.parametrize("argv", [
+        ["list"], ["all"], ["table1"], ["fig5", "--scale", "tiny"],
+    ])
+    def test_experiment_subcommands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_circuit_stats(self, capsys):
         assert main(["circuit", "bv", "--qubits", "8"]) == 0
@@ -28,15 +41,16 @@ class TestCli:
 
     def test_experiment_runs(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        assert main(["table1", "--scale", "tiny"]) == 0
+        assert main(["bench", "run", "table1", "--set", "scale=tiny"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
+        assert os.listdir(tmp_path) == []  # nothing saved without --save
 
     def test_experiment_save(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        assert main(["table4", "--scale", "tiny", "--save"]) == 0
-        files = os.listdir(tmp_path)
-        assert any(f.startswith("table4") for f in files)
+        assert main(["bench", "run", "table4", "--smoke", "--save"]) == 0
+        files = os.listdir(tmp_path / "bench")
+        assert sorted(files) == ["table4.json", "table4.txt"]
 
     def test_simulate_fused(self, capsys):
         assert main(["simulate", "qft", "--qubits", "8", "--verify"]) == 0
@@ -223,11 +237,3 @@ class TestDistWorkerRankCount:
         assert message in captured.out
         assert len(captured.out.strip().splitlines()) == 1
         assert captured.err == ""
-
-
-def test_empty_scale_env_means_default(monkeypatch):
-    """``REPRO_SCALE="" repro table1`` used to die with ``KeyError: ''``."""
-    from repro.cli import build_parser
-
-    monkeypatch.setenv("REPRO_SCALE", "")
-    assert build_parser().parse_args(["table1"]).scale == "small"

@@ -49,12 +49,12 @@ class TestConsumersUseTheOneReader:
 
     def test_empty_means_unset_everywhere(self, monkeypatch):
         from repro.cut import dense_recombine_width
-        from repro.experiments.common import current_scale
+        from repro.sv.backend import resolve_backend
 
         monkeypatch.setenv("REPRO_CUT_DENSE_WIDTH", "")
         assert dense_recombine_width() == 26
-        monkeypatch.setenv("REPRO_SCALE", "")
-        assert current_scale().name == "small"
+        monkeypatch.setenv("REPRO_BACKEND", "")
+        assert resolve_backend(None).name == "serial"
 
     def test_malformed_values_name_the_variable(self, monkeypatch):
         from repro.sv.backend import resolve_backend
@@ -69,6 +69,12 @@ class TestConsumersUseTheOneReader:
 
 def test_removed_array_module_variable_is_not_registered():
     assert "REPRO_ARRAY_MODULE" not in ENV
+
+
+def test_scale_is_a_benchmark_parameter_not_a_variable():
+    # ``repro bench run --set scale=paper`` is the one way to pick it.
+    assert len(ENV) == 21
+    assert not any(name.endswith("_SCALE") for name in ENV)
 
 
 def test_only_config_reads_the_environment():

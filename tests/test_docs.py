@@ -47,9 +47,8 @@ def test_markdown_links_resolve():
 def test_configuration_page_covers_env_vars():
     """docs/configuration.md's variable table and the registry agree.
 
-    Every ``repro.config.ENV`` key has a table row, and every row names
-    either an ``ENV`` key or a variable a ``benchmarks/bench_*.py``
-    script reads itself (those scripts are not under ``src/repro``).
+    Every ``repro.config.ENV`` key has a table row and every row names
+    an ``ENV`` key.
     """
     import re
 
@@ -61,13 +60,6 @@ def test_configuration_page_covers_env_vars():
         documented = set(
             re.findall(r"^\| `(REPRO_\w+)` \|", fh.read(), flags=re.M)
         )
-    bench_reads = set()
-    for name in os.listdir(os.path.join(REPO, "benchmarks")):
-        if name.startswith("bench_") and name.endswith(".py"):
-            with open(
-                os.path.join(REPO, "benchmarks", name), encoding="utf-8"
-            ) as fh:
-                bench_reads.update(re.findall(r"[\"'](REPRO_\w+)[\"']", fh.read()))
     assert set(ENV) <= documented, sorted(set(ENV) - documented)
-    stale = documented - set(ENV) - bench_reads
+    stale = documented - set(ENV)
     assert not stale, f"documented but read nowhere: {sorted(stale)}"

@@ -19,7 +19,6 @@ from repro.experiments import (
 )
 from repro.experiments.common import (
     Scale,
-    current_scale,
     partition_cached,
     ranks_for,
     suite_circuits,
@@ -46,13 +45,6 @@ class TestCommon:
     def test_scales_defined(self):
         assert set(SCALES) == {"tiny", "small", "paper"}
         assert SCALES["paper"].base_qubits == 30
-
-    def test_current_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        assert current_scale().name == "tiny"
-        monkeypatch.setenv("REPRO_SCALE", "bogus")
-        with pytest.raises(KeyError):
-            current_scale()
 
     def test_suite_has_13_circuits(self):
         suite = suite_circuits(TINY.base_qubits)

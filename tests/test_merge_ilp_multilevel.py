@@ -127,6 +127,47 @@ class TestILP:
         assert res.num_parts == 0
         assert res.optimal
 
+    def test_scipy_is_needed_by_the_ilp_solve_only(self):
+        # setup.py installs numpy; scipy comes with the ``ilp`` extra.
+        # Without it every entry point must still import and run.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent("""
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"blocked: {name}")
+
+            sys.meta_path.insert(0, NoScipy())
+            import repro.cli
+            import repro.serve
+            from repro.circuits.circuit import QuantumCircuit
+            from repro.partition import ILPPartitioner, get_partitioner
+
+            assert get_partitioner("dagP").name == "dagP"
+            assert repro.cli.main(["simulate", "qft", "--qubits", "6"]) == 0
+            try:
+                ILPPartitioner().partition(QuantumCircuit(2).cx(0, 1), 2)
+            except ImportError as exc:
+                assert "hisvsim-repro[ilp]" in str(exc), exc
+            else:
+                raise AssertionError("solved without scipy")
+            assert "scipy" not in sys.modules
+        """)
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestMultilevel:
     def test_structure(self):

@@ -496,6 +496,43 @@ class TestConcurrentRunStats:
                     res.state, flat_state(job.circuit), atol=1e-10, rtol=0
                 )
 
+    def test_partition_cache_is_lru_bounded_like_the_plan_cache(self):
+        from repro.sv import PlanCache
+
+        runner = BatchRunner(plan_cache=PlanCache(max_entries=3))
+        widths = (4, 5, 6, 7)  # max_entries + 1 distinct structures
+        report = runner.run(
+            [SimJob(f"w{n}", qft(n), want_state=True) for n in widths]
+        )
+        assert report.stats.partitions_computed == 4
+        assert report.stats.partition_hits == 0
+        assert len(runner._partitions) == 3
+        # The oldest structure was evicted: it is partitioned, and
+        # counted, again; the most recent one is still a hit.
+        again = runner.run([
+            SimJob("old", qft(4), want_state=True),
+            SimJob("new", qft(7), want_state=True),
+        ])
+        assert again.stats.partitions_computed == 1
+        assert again.stats.partition_hits == 1
+        assert runner.partitions_computed == 5
+        assert len(runner._partitions) == 3
+        np.testing.assert_allclose(
+            again.results[0].state, flat_state(qft(4)), atol=1e-10, rtol=0
+        )
+
+    def test_an_in_flight_partition_is_never_evicted(self):
+        import threading
+
+        from repro.sv import PlanCache
+
+        runner = BatchRunner(plan_cache=PlanCache(max_entries=1))
+        in_flight = threading.Event()
+        runner._partitions[("busy", "dagP", 3)] = in_flight
+        runner.run([SimJob(f"w{n}", qft(n)) for n in (4, 5)])
+        assert runner._partitions[("busy", "dagP", 3)] is in_flight
+        assert len(runner._partitions) == 2  # the event + the newest one
+
     def test_lifetime_totals_still_accumulate(self):
         runner = BatchRunner()
         runner.run([SimJob("x", qft(5), want_state=True)])

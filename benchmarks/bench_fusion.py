@@ -27,6 +27,7 @@ from repro import bench
 
 from repro.circuits import generators
 from repro.partition import get_partitioner
+from repro.serve import default_limit
 from repro.sv import (
     ExecutionTrace,
     HierarchicalExecutor,
@@ -46,7 +47,7 @@ from repro.sv.kernels import apply_gate_batched
 def run_bench(params):
     """Fused vs unfused hierarchical execution: sweeps saved per part."""
     qc = generators.build(params["circuit"], params["qubits"])
-    p = get_partitioner("dagP").partition(qc, max(3, qc.num_qubits - 3))
+    p = get_partitioner("dagP").partition(qc, default_limit(qc.num_qubits))
     traces, states = {}, {}
     for fuse in (False, True):
         traces[fuse] = ExecutionTrace()
@@ -115,7 +116,7 @@ def run_bind_bench(params):
         )
 
     first = fresh()
-    parts = get_partitioner("dagP").partition(first, max(3, n - 3)).parts
+    parts = get_partitioner("dagP").partition(first, default_limit(n)).parts
     structures = [
         build_part_structure(first, p.gate_indices, p.qubits) for p in parts
     ]

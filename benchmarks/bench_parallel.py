@@ -17,6 +17,7 @@ from repro import bench
 
 from repro.circuits import generators
 from repro.partition import get_partitioner
+from repro.serve import default_limit
 from repro.sv import (
     HierarchicalExecutor,
     SerialBackend,
@@ -43,7 +44,7 @@ def run_bench(params):
     metrics, claims = {"threads": threads}, {}
     for name in params["circuits"]:
         qc = generators.build(name, qubits)
-        p = get_partitioner("dagP").partition(qc, max(3, qubits - 3))
+        p = get_partitioner("dagP").partition(qc, default_limit(qubits))
         serial_state = _run(qc, p, SerialBackend())
         with ThreadedBackend(threads, min_parallel_elements=0) as backend:
             threaded_state = _run(qc, p, backend)

@@ -17,6 +17,7 @@ from repro import bench
 
 from repro.circuits import generators
 from repro.partition import get_partitioner
+from repro.serve import default_limit
 from repro.sv import (
     ExecutionTrace,
     HierarchicalExecutor,
@@ -34,7 +35,7 @@ from repro.sv import (
 def run_bench(params):
     """Stabilizer tableau vs dense execution on an all-Clifford GHZ."""
     qc = generators.build(params["circuit"], params["qubits"])
-    p = get_partitioner("dagP").partition(qc, max(3, qc.num_qubits - 3))
+    p = get_partitioner("dagP").partition(qc, default_limit(qc.num_qubits))
 
     dense_trace = ExecutionTrace()
     dense_state = zero_state(qc.num_qubits)

@@ -24,6 +24,7 @@ from repro.dist import (
 )
 from repro.dist.transport import run_spmd
 from repro.partition import get_partitioner
+from repro.serve import default_limit
 
 
 @bench.register(
@@ -39,7 +40,7 @@ def run_bench(params):
     """
     num_ranks, qubits = int(params["ranks"]), int(params["qubits"])
     qc = generators.build(params["circuit"], qubits)
-    partition = get_partitioner("dagP").partition(qc, max(3, qubits - 3))
+    partition = get_partitioner("dagP").partition(qc, default_limit(qubits))
     local_bits = qubits - (num_ranks.bit_length() - 1)
 
     state, rec_report = HiSVSimEngine(num_ranks=num_ranks).run(qc, partition)

@@ -1,7 +1,7 @@
 """Result analysis: performance profiles and table rendering."""
 
 from .perfprofile import ProfileCurve, performance_profile
-from .tables import fmt, geomean, render_table, save_text, write_csv
+from .tables import fmt, geomean, render_table, save_text
 
 __all__ = [
     "ProfileCurve",
@@ -10,5 +10,4 @@ __all__ = [
     "geomean",
     "render_table",
     "save_text",
-    "write_csv",
 ]

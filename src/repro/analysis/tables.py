@@ -1,14 +1,13 @@
-"""Result rendering: aligned text/markdown tables and CSV output."""
+"""Result rendering: aligned text tables, saved as text files."""
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
 from typing import Iterable, List, Optional, Sequence
 
-__all__ = ["render_table", "write_csv", "fmt", "geomean", "save_text"]
+__all__ = ["render_table", "fmt", "geomean", "save_text"]
 
 
 def fmt(value, digits: int = 3) -> str:
@@ -31,9 +30,8 @@ def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence],
     title: Optional[str] = None,
-    markdown: bool = False,
 ) -> str:
-    """Render rows as an aligned table (plain or GitHub markdown)."""
+    """Render rows as an aligned plain-text table."""
     str_rows: List[List[str]] = [[fmt(c) for c in r] for r in rows]
     widths = [len(h) for h in headers]
     for r in str_rows:
@@ -43,36 +41,13 @@ def render_table(
             widths[i] = max(widths[i], len(c))
     out = io.StringIO()
     if title:
-        out.write(f"# {title}\n" if markdown else f"{title}\n")
-    sep = " | " if markdown else "  "
-    edge = "| " if markdown else ""
-    line = edge + sep.join(h.ljust(w) for h, w in zip(headers, widths)) + (
-        " |" if markdown else ""
-    )
+        out.write(f"{title}\n")
+    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     out.write(line + "\n")
-    if markdown:
-        out.write(
-            "|" + "|".join("-" * (w + 2) for w in widths) + "|" + "\n"
-        )
-    else:
-        out.write("-" * len(line) + "\n")
+    out.write("-" * len(line) + "\n")
     for r in str_rows:
-        out.write(
-            edge
-            + sep.join(c.ljust(w) for c, w in zip(r, widths))
-            + (" |" if markdown else "")
-            + "\n"
-        )
+        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)) + "\n")
     return out.getvalue()
-
-
-def write_csv(path: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(headers)
-        for r in rows:
-            w.writerow(list(r))
 
 
 def save_text(path: str, text: str) -> None:

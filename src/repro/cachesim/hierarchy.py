@@ -70,9 +70,6 @@ class CacheHierarchy:
             self.access_line(int(a))
         return {k: self.served[k] - before[k] for k in LEVELS}
 
-    def capacities(self) -> Tuple[int, int, int]:
-        return tuple(lv.size_bytes for lv in self.levels)  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class SweepEvent:

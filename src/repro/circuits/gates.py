@@ -20,8 +20,6 @@ read-only one.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -372,10 +370,15 @@ class Gate:
 #: per distinct ``(name, params)`` forever.
 MATRIX_CACHE_MAX = 4096
 
-_MATRIX_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...]], np.ndarray]" = (
-    OrderedDict()
-)
-_MATRIX_CACHE_LOCK = threading.Lock()
+
+@lru_cache(maxsize=MATRIX_CACHE_MAX)
+def _cached_matrix(name: str, params: Tuple[float, ...]) -> np.ndarray:
+    d = GATE_DEFS.get(name)
+    if d is None:
+        raise KeyError(f"unknown gate {name!r}")
+    m = np.asarray(d.factory(*params), dtype=np.complex128)
+    m.setflags(write=False)
+    return m
 
 
 def shared_gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
@@ -389,22 +392,7 @@ def shared_gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     >>> shared_gate_matrix("h").flags.writeable
     False
     """
-    key = (name, tuple(float(p) for p in params))
-    with _MATRIX_CACHE_LOCK:
-        m = _MATRIX_CACHE.get(key)
-        if m is not None:
-            _MATRIX_CACHE.move_to_end(key)
-            return m
-    d = GATE_DEFS.get(name)
-    if d is None:
-        raise KeyError(f"unknown gate {name!r}")
-    m = np.asarray(d.factory(*key[1]), dtype=np.complex128)
-    m.setflags(write=False)
-    with _MATRIX_CACHE_LOCK:
-        _MATRIX_CACHE[key] = m
-        while len(_MATRIX_CACHE) > MATRIX_CACHE_MAX:
-            _MATRIX_CACHE.popitem(last=False)
-    return m
+    return _cached_matrix(name, tuple(float(p) for p in params))
 
 
 @lru_cache(maxsize=None)

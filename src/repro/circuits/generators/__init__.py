@@ -5,9 +5,10 @@ suite is not redistributable here, so each family is re-implemented from its
 defining algorithm.  Generators are parameterised by width so the harness can
 run laptop-scale versions of the paper's 30–37 qubit configurations.
 
-``build(name, num_qubits)`` builds one circuit; :func:`paper_suite` returns
-the 13-entry suite at a chosen scale with the paper's relative sizing
-(bv/cc/ising appear at two scales, adder is the widest).
+``build(name, num_qubits)`` builds one circuit; :data:`PAPER_SUITE_SPEC`
+lists the 13-entry suite with the paper's relative sizing (bv/cc/ising
+appear at two scales, adder is the widest), which
+``repro.experiments.common.suite_circuits`` builds at a chosen scale.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "stabilizer_random",
     "syndrome",
     "build",
-    "paper_suite",
     "GENERATORS",
     "PAPER_SUITE_SPEC",
 ]
@@ -88,18 +88,3 @@ def build(name: str, num_qubits: int, **kwargs) -> QuantumCircuit:
             f"unknown benchmark {name!r}; choose from {sorted(GENERATORS)}"
         )
     return GENERATORS[name](num_qubits, **kwargs)
-
-
-def paper_suite(base_qubits: int = 16) -> Dict[str, QuantumCircuit]:
-    """Return the 13-circuit Table I suite scaled so the 30-qubit circuits
-    use ``base_qubits`` qubits (the 31/35/36/37-qubit entries keep their
-    relative offsets)."""
-    if base_qubits < 6:
-        raise ValueError("base_qubits must be >= 6")
-    suite: Dict[str, QuantumCircuit] = {}
-    for spec in PAPER_SUITE_SPEC:
-        n = base_qubits + spec["offset"]
-        qc = build(spec["gen"], n)
-        qc.name = spec["key"]
-        suite[spec["key"]] = qc
-    return suite

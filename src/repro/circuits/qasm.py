@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 from typing import Dict, List, Tuple
 
@@ -62,36 +63,53 @@ _GATE_RE = re.compile(
 )
 _QARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+)\]$")
 
-_ALLOWED_AST = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Constant,
-    ast.Name,
-    ast.Load,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.USub,
-    ast.UAdd,
-    ast.Pow,
-)
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: math.pow,
+}
+_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _eval_node(node: ast.AST) -> float:
+    """One node of a parameter expression, on floats only."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        if node.id != "pi":
+            raise QasmError(f"unknown symbol {node.id!r} in parameter")
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_eval_node(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](
+            _eval_node(node.left), _eval_node(node.right)
+        )
+    raise QasmError("disallowed token in parameter")
 
 
 def _eval_param(expr: str) -> float:
-    """Safely evaluate a QASM parameter expression (numbers, pi, + - * / **)."""
+    """Evaluate a QASM parameter expression (numbers, pi, + - * / **).
+
+    The expression is parsed, never executed: arithmetic runs on floats,
+    so ``9**9**9`` overflows at once instead of computing a bigint, and
+    every failure (overflow, division by zero, a complex root, nesting
+    too deep to parse or walk) is a :class:`QasmError`.
+    """
     expr = expr.strip().replace("^", "**")
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:  # pragma: no cover - defensive
-        raise QasmError(f"bad parameter expression {expr!r}") from exc
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_AST):
-            raise QasmError(f"disallowed token in parameter {expr!r}")
-        if isinstance(node, ast.Name) and node.id != "pi":
-            raise QasmError(f"unknown symbol {node.id!r} in parameter")
-    return float(eval(compile(tree, "<qasm>", "eval"), {"__builtins__": {}}, {"pi": math.pi}))
+        value = _eval_node(ast.parse(expr, mode="eval").body)
+    except QasmError:
+        raise
+    except (SyntaxError, ArithmeticError, ValueError, RecursionError) as exc:
+        raise QasmError(
+            f"bad parameter expression {expr!r}: {type(exc).__name__}"
+        ) from None
+    if not math.isfinite(value):
+        raise QasmError(f"parameter {expr!r} is not finite")
+    return value
 
 
 def loads(text: str, name: str = "qasm") -> QuantumCircuit:

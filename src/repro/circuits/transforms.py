@@ -1,36 +1,20 @@
-"""Circuit transformations: fusion, inversion, qubit remapping.
+"""Circuit transformations: inversion and qubit remapping.
 
-The paper positions acyclic partitioning as *orthogonal* to gate-level
-optimisations such as gate fusion (Sec. II-C): "our approach is orthogonal
-and complementary to existing approaches".  :func:`fuse_single_qubit_runs`
-implements the standard fusion pass so that claim can be demonstrated —
-fused circuits partition and simulate through the identical pipeline (see
-``tests/test_transforms.py`` and the ablation benchmarks).
-
-Fused gates are emitted as ``u3`` when the product is exactly a ``u3``,
-and otherwise as the exact trio ``u3 . rz . u1`` — the residual global
-phase ``e^{i a}`` equals ``u1(2a) rz(-2a)``, so fusion is always
-numerically exact (not merely up to phase).
+The two round-trip helpers the property tests are built on: a circuit
+followed by :func:`inverse_circuit` of itself returns ``|0...0>``, and
+:func:`remap_circuit` commutes with simulation up to the same relabelling
+of the state's bits.  (Gate fusion lives in :mod:`repro.sv.fusion`.)
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from .circuit import QuantumCircuit
-from .gates import Gate, make_gate
+from .gates import Gate
 
-__all__ = [
-    "fuse_single_qubit_runs",
-    "inverse_circuit",
-    "remap_circuit",
-    "decompose_u3",
-    "decompose_unitary_1q",
-]
+__all__ = ["inverse_circuit", "remap_circuit"]
 
 _INVERSE_NAME = {
     "id": "id",
@@ -52,129 +36,6 @@ _INVERSE_NAME = {
     "cswap": "cswap",
 }
 _NEGATE_PARAM = {"rx", "ry", "rz", "u1", "cu1", "crx", "cry", "crz", "rzz"}
-
-
-#: Unitarity deviation above which an input is rejected as non-unitary
-#: (rather than as a u3 reconstruction that missed ``atol``).
-_UNITARY_DEVIATION_LIMIT = 1e-6
-
-
-def decompose_unitary_1q(
-    matrix: np.ndarray,
-    *,
-    atol: float = 1e-9,
-) -> Tuple[float, float, float, float]:
-    """(alpha, theta, phi, lam) with
-    ``matrix == e^{i alpha} u3(theta, phi, lam)`` exactly.
-
-    Always succeeds for a 2x2 unitary: u3 covers SU(2) up to phase and the
-    residual global phase is returned separately.  Two distinct failure
-    modes raise distinct errors: a genuinely non-unitary input (unitarity
-    deviation beyond ``_UNITARY_DEVIATION_LIMIT``) is reported as such,
-    while a near-unitary input whose reconstruction residual merely
-    exceeds ``atol`` is reported as a tolerance failure — loosen ``atol``
-    to accept it.
-    """
-    if matrix.shape != (2, 2):
-        raise ValueError("u3 decomposition needs a 2x2 matrix")
-    deviation = float(
-        np.max(np.abs(matrix @ matrix.conj().T - np.eye(2)))
-    )
-    # A caller-supplied looser atol loosens the unitarity gate with it —
-    # an input decomposable within atol must not be pre-rejected here.
-    if deviation > max(_UNITARY_DEVIATION_LIMIT, atol):
-        raise ValueError(
-            f"matrix is not unitary (max |MM^H - I| = {deviation:.3e})"
-        )
-    m00, m01 = matrix[0, 0], matrix[0, 1]
-    m10, m11 = matrix[1, 0], matrix[1, 1]
-    theta = 2.0 * math.atan2(abs(m10), abs(m00))
-    # Factor the phase that makes m00 real non-negative.
-    alpha = cmath.phase(m00) if abs(m00) > 1e-12 else 0.0
-    rot = cmath.exp(-1j * alpha)
-    r10 = m10 * rot
-    r01 = m01 * rot
-    r11 = m11 * rot
-    phi = cmath.phase(r10) if abs(r10) > 1e-12 else 0.0
-    if abs(r01) > 1e-12:
-        lam = cmath.phase(-r01)
-    elif abs(r11) > 1e-12:
-        lam = cmath.phase(r11) - phi
-    else:
-        lam = 0.0
-    from .gates import gate_matrix
-
-    candidate = gate_matrix("u3", (theta, phi, lam))
-    residual = matrix @ candidate.conj().T
-    # residual should be e^{i alpha'} I; read the exact phase off it.
-    alpha = cmath.phase(residual[0, 0])
-    error = float(
-        np.max(np.abs(matrix - cmath.exp(1j * alpha) * candidate))
-    )
-    if error > atol:
-        raise ValueError(
-            f"u3 reconstruction residual {error:.3e} exceeds atol="
-            f"{atol:.1e} (matrix is unitary to {deviation:.3e}; pass a "
-            f"larger atol to accept it)"
-        )
-    return (alpha, theta, phi, lam)
-
-
-def decompose_u3(matrix: np.ndarray) -> Optional[Tuple[float, float, float]]:
-    """(theta, phi, lam) with ``u3(...) == matrix`` exactly (including
-    global phase), or None when a phase residual remains."""
-    alpha, theta, phi, lam = decompose_unitary_1q(matrix)
-    if abs(cmath.exp(1j * alpha) - 1.0) < 1e-9:
-        return (theta, phi, lam)
-    return None
-
-
-def fuse_single_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Fuse maximal runs of single-qubit gates on the same qubit.
-
-    Returns a new circuit in which every maximal run of consecutive
-    1-qubit gates on one qubit is replaced by a single ``u3`` whenever the
-    product admits an exact (global-phase-free) u3 form; otherwise the run
-    is left as-is.  Multi-qubit gates are never touched, so the dependency
-    structure seen by the partitioners only coarsens.
-    """
-    out = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}_fused")
-    pending: Dict[int, List[Gate]] = {}
-
-    def flush(q: int) -> None:
-        run = pending.pop(q, None)
-        if not run:
-            return
-        if len(run) == 1:
-            out.append(run[0])
-            return
-        m = np.eye(2, dtype=np.complex128)
-        for g in run:
-            m = g.matrix() @ m
-        alpha, theta, phi, lam = decompose_unitary_1q(m)
-        phase_free = abs(cmath.exp(1j * alpha) - 1.0) <= 1e-12
-        emitted = 1 if phase_free else 3
-        if emitted >= len(run):
-            # Fusing would not shorten the run; keep the originals.
-            for g in run:
-                out.append(g)
-            return
-        out.append(make_gate("u3", (q,), (theta, phi, lam)))
-        if not phase_free:
-            # Residual global phase, kept exact: e^{ia} = u1(2a) rz(-2a).
-            out.append(make_gate("rz", (q,), (-2.0 * alpha,)))
-            out.append(make_gate("u1", (q,), (2.0 * alpha,)))
-
-    for gate in circuit:
-        if gate.num_qubits == 1:
-            pending.setdefault(gate.qubits[0], []).append(gate)
-        else:
-            for q in gate.qubits:
-                flush(q)
-            out.append(gate)
-    for q in sorted(pending):
-        flush(q)
-    return out
 
 
 def inverse_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -215,8 +76,6 @@ def remap_circuit(circuit: QuantumCircuit, mapping: Dict[int, int],
     """Rename qubits through ``mapping`` (must be injective on used qubits).
 
     ``num_qubits`` defaults to the tightest register holding the image.
-    Used by the hybrid flow to compress a part's working set into the
-    local-qubit model (the paper's "remap the qubits in each part" step).
     """
     used = set(circuit.qubits_used())
     image = [mapping[q] for q in used]

@@ -417,8 +417,6 @@ _RUN_FLAGS = {
     "max_fused_qubits": dict(type=int,
                              help="arity cap for fused dense unitaries "
                                   f"(default: {RunOptions.max_fused_qubits})"),
-    "pad_to": dict(type=int,
-                   help="pad part working sets to this width (default: 0)"),
     "backend": dict(choices=BACKEND_NAMES,
                     help="execution backend (default: REPRO_BACKEND, else "
                          "serial; see docs/configuration.md)"),
@@ -475,9 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("name")
     p_sim.add_argument("--qubits", type=int, default=16)
-    _add_run_options(
-        p_sim, _COMMON_RUN_FLAGS + ("limit", "max_fused_qubits", "pad_to")
-    )
+    _add_run_options(p_sim, _COMMON_RUN_FLAGS + ("limit", "max_fused_qubits"))
     p_sim.add_argument("--verify", action="store_true",
                        help="cross-check against the flat simulator "
                             "(<= 24 qubits)")

@@ -6,8 +6,8 @@ shares:
 * :data:`ENV` — every environment variable the package reads, with its
   cast, default and effect, behind :func:`env`.  This is the only module
   under ``src/repro`` that touches the process environment.
-* :class:`RunOptions` — the eight execution options (the paper's two
-  dials, ``strategy`` and ``limit``, plus this repo's six) with their
+* :class:`RunOptions` — the seven execution options (the paper's two
+  dials, ``strategy`` and ``limit``, plus this repo's five) with their
   defaults.
 
 Precedence is stated in ``docs/configuration.md``; its environment step
@@ -103,8 +103,8 @@ class RunOptions:
 
     ``strategy`` and ``limit`` are the paper's dials (partitioner name;
     working-set limit, ``None`` — and only ``None`` — derives
-    ``max(3, n - 3)`` per circuit).  ``fuse`` / ``max_fused_qubits`` /
-    ``pad_to`` shape the compiled plans; ``backend`` (a name, an
+    ``max(3, n - 3)`` per circuit).  ``fuse`` / ``max_fused_qubits``
+    shape the compiled plans; ``backend`` (a name, an
     ``ExecutionBackend`` instance, or ``None`` for ``REPRO_BACKEND``),
     ``threads`` (``None`` for ``REPRO_THREADS``) and ``method``
     (``None`` for ``REPRO_METHOD``) choose where and how parts run.
@@ -125,7 +125,6 @@ class RunOptions:
     limit: Optional[int] = None
     fuse: bool = True
     max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS
-    pad_to: int = 0
     backend: Any = None
     threads: Optional[int] = None
     method: Optional[str] = None
@@ -142,7 +141,7 @@ class RunOptions:
         but the two partitioning dials.
 
         >>> sorted(RunOptions().executor_kwargs())
-        ['backend', 'fuse', 'max_fused_qubits', 'method', 'pad_to', 'threads']
+        ['backend', 'fuse', 'max_fused_qubits', 'method', 'threads']
         """
         return {
             name: getattr(self, name)

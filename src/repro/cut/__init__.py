@@ -34,7 +34,6 @@ from .cutter import (
     CutPlan,
     WireCut,
     find_cuts,
-    interaction_graph,
     plan_from_assignment,
     plan_from_partition,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_variants",
     "evaluate_fragments",
     "find_cuts",
-    "interaction_graph",
     "plan_from_assignment",
     "plan_from_partition",
     "quasi_probabilities",

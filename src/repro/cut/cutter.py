@@ -37,7 +37,6 @@ __all__ = [
     "WireCut",
     "CutFragment",
     "CutPlan",
-    "interaction_graph",
     "find_cuts",
     "plan_from_assignment",
     "plan_from_partition",
@@ -86,8 +85,8 @@ class CutFragment:
 
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
     >>> frag = plan_from_assignment(qc, [0, 0, 1], max_width=2).fragments[1]
-    >>> (frag.qubits, frag.in_cuts, frag.terminal_qubits, frag.num_bonds)
-    ((1, 2), (0,), (1, 2), 1)
+    >>> (frag.qubits, frag.in_cuts, frag.terminal_qubits, frag.width)
+    ((1, 2), (0,), (1, 2), 2)
     """
 
     index: int
@@ -101,11 +100,6 @@ class CutFragment:
     def width(self) -> int:
         """Dense simulation width of this fragment."""
         return len(self.qubits)
-
-    @property
-    def num_bonds(self) -> int:
-        """Cut wires attached to this fragment (tensor bond count)."""
-        return len(self.in_cuts) + len(self.out_cuts)
 
 
 @dataclass(frozen=True)
@@ -192,29 +186,6 @@ class CutPlan:
             f"{self.num_cuts} cuts [{self.strategy}]: 16^{self.num_cuts} "
             f"= {self.num_variants} logical variants"
         )
-
-
-def interaction_graph(
-    circuit: QuantumCircuit,
-) -> Dict[Tuple[int, int], int]:
-    """Weighted two-qubit-gate interaction graph of a circuit.
-
-    Edge ``(a, b)`` (``a < b``) counts multi-qubit gates touching both
-    qubits — the structure wire cutting severs.  A pair coupled by many
-    gates is expensive to separate; the partitioners minimise exactly
-    these boundary crossings.
-
-    >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(0, 1).cx(1, 2)
-    >>> interaction_graph(qc)
-    {(0, 1): 2, (1, 2): 1}
-    """
-    weights: Dict[Tuple[int, int], int] = {}
-    for g in circuit:
-        qs = sorted(set(g.qubits))
-        for i, a in enumerate(qs):
-            for b in qs[i + 1 :]:
-                weights[(a, b)] = weights.get((a, b), 0) + 1
-    return dict(sorted(weights.items()))
 
 
 def _qubit_fragment_runs(

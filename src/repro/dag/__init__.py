@@ -2,7 +2,6 @@
 
 from .analysis import (
     dag_stats,
-    parts_working_sets,
     qubit_traces,
     working_set_by_inedges,
     working_set_direct,
@@ -15,7 +14,6 @@ __all__ = [
     "NodeKind",
     "build_dag",
     "dag_stats",
-    "parts_working_sets",
     "qubit_traces",
     "working_set_by_inedges",
     "working_set_direct",

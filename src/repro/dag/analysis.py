@@ -9,14 +9,13 @@ implements that; tests assert it agrees with the direct union definition.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .graph import CircuitDAG, NodeKind
 
 __all__ = [
     "working_set_by_inedges",
     "working_set_direct",
-    "parts_working_sets",
     "qubit_traces",
     "dag_stats",
 ]
@@ -38,18 +37,6 @@ def working_set_by_inedges(dag: CircuitDAG, nodes: Iterable[int]) -> int:
             if u not in node_set:
                 qubits.add(q)
     return len(qubits)
-
-
-def parts_working_sets(
-    dag: CircuitDAG, assignment: Sequence[int], num_parts: int
-) -> List[int]:
-    """Qubit-mask per part for a (possibly partial) node assignment."""
-    masks = [0] * num_parts
-    for v in range(dag.num_nodes):
-        p = assignment[v]
-        if p >= 0:
-            masks[p] |= dag.qmask[v]
-    return masks
 
 
 def qubit_traces(dag: CircuitDAG) -> Dict[int, List[int]]:

@@ -86,12 +86,6 @@ class CircuitDAG:
     def out_degree(self, v: int) -> int:
         return len(self.succ[v])
 
-    def successors(self, v: int) -> List[int]:
-        return [w for w, _ in self.succ[v]]
-
-    def predecessors(self, v: int) -> List[int]:
-        return [w for w, _ in self.pred[v]]
-
     # -- orders and checks -------------------------------------------------------
 
     def topological_order(self, priority: Optional[Sequence[int]] = None) -> List[int]:

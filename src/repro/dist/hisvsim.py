@@ -18,7 +18,7 @@ gather/scatter sweep per inner part (Fig. 10's trade).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class HiSVSimEngine:
     dry_run:
         Use :class:`~repro.dist.state.LayoutOnlyState`: no amplitudes,
         closed-form traffic — identical accounting to a real run.
-    overlap:
-        Additionally estimate a compute/communication-overlapped total
-        (each part's remap hidden behind the previous part's execution);
-        reported in ``extras["total_overlapped"]``.
     fuse:
         Compile each part's gate list into fused unitaries via
         :mod:`repro.sv.fusion` before sweeping the shards; every rank's
@@ -98,7 +94,6 @@ class HiSVSimEngine:
         num_ranks: int,
         machine: MachineModel = FRONTERA_LIKE,
         dry_run: bool = False,
-        overlap: bool = False,
         *,
         fuse: bool = False,
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
@@ -111,7 +106,6 @@ class HiSVSimEngine:
         self.num_ranks = num_ranks
         self.machine = machine
         self.dry_run = dry_run
-        self.overlap = overlap
         self.fuse = bool(fuse)
         self.max_fused_qubits = int(max_fused_qubits)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -161,32 +155,22 @@ class HiSVSimEngine:
             )
 
         compute = ComputeStats()
-        part_comp: List[float] = []
-        part_comm: List[float] = []
+        comp_seconds = comm_seconds = 0.0
         schedule = remap_schedule(partition, n, local_bits)
         for i, (part, layout) in enumerate(zip(partition.parts, schedule)):
             bytes_before = comm.stats.max_bytes_per_rank
             msgs_before = comm.stats.max_msgs_per_rank
             state.remap(layout)
-            part_comm.append(
-                self.machine.exchange_time(
-                    comm.stats.max_bytes_per_rank - bytes_before,
-                    comm.stats.max_msgs_per_rank - msgs_before,
-                    self.num_ranks,
-                )
+            comm_seconds += self.machine.exchange_time(
+                comm.stats.max_bytes_per_rank - bytes_before,
+                comm.stats.max_msgs_per_rank - msgs_before,
+                self.num_ranks,
             )
             inner = multilevel.inner[i] if multilevel is not None else None
-            part_comp.append(
-                self._execute_part(
-                    circuit, part, inner, state, local_bits, compute
-                )
+            comp_seconds += self._execute_part(
+                circuit, part, inner, state, local_bits, compute
             )
 
-        comp_seconds = sum(part_comp)
-        comm_seconds = sum(part_comm)
-        extras = {}
-        if self.overlap:
-            extras["total_overlapped"] = _overlapped_total(part_comp, part_comm)
         strategy = partition.strategy + ("-ML" if multilevel is not None else "")
         report = RunReport(
             engine="HiSVSIM",
@@ -200,7 +184,6 @@ class HiSVSimEngine:
             comm=comm.stats,
             compute=compute,
             num_parts=partition.num_parts,
-            extras=extras,
         )
         return state, report
 
@@ -272,15 +255,3 @@ class HiSVSimEngine:
             max_fused_qubits=min(self.max_fused_qubits, max(width, 1)),
         )
         return plan.ops
-
-
-def _overlapped_total(part_comp: List[float], part_comm: List[float]) -> float:
-    """Pipelined schedule: part ``i+1``'s remap hides behind part ``i``'s
-    computation (perfect overlap, the model's upper bound)."""
-    if not part_comp:
-        return 0.0
-    total = part_comm[0]
-    for i in range(len(part_comp) - 1):
-        total += max(part_comp[i], part_comm[i + 1])
-    total += part_comp[-1]
-    return total

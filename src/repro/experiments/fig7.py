@@ -3,6 +3,13 @@
 The paper reports each engine's communication time averaged across MPI
 ranks.  Expected shape: dagP lowest everywhere; IQS highest, increasingly
 so for the wider circuits.
+
+What is reported is ``RunReport.comm_seconds``: the alpha-beta time of
+the *busiest* rank's bytes and messages.  Here that is also the average:
+both engines only ever swap a local bit position with a rank position,
+so every rank moves the same traffic — ``max_bytes_per_rank * ranks ==
+total_bytes``, and the same for messages, in every report of a sweep
+(``tests/test_experiments.py`` asserts it over the tiny one).
 """
 
 from __future__ import annotations
@@ -67,9 +74,7 @@ def run(scale: Optional[Scale] = None) -> Fig7Result:
                         circuit=circuit,
                         ranks=ranks,
                         algorithm=algo,
-                        comm_seconds_avg=rep.extras.get(
-                            "comm_seconds_avg", rep.comm_seconds
-                        ),
+                        comm_seconds_avg=rep.comm_seconds,
                         comm_bytes=rep.comm.total_bytes,
                     )
                 )

@@ -3,6 +3,10 @@
 Per algorithm and rank count: geometric mean over circuits of
 ``avg_comm / (comp + avg_comm)``.  Paper shape: dagP lowest at every rank
 count with the flattest growth; IQS highest (30-45%).
+
+``avg_comm`` is ``RunReport.comm_seconds``, the busiest rank's
+alpha-beta time — equal to the per-rank average because every rank
+moves the same traffic (see :mod:`repro.experiments.fig7`).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def run(scale: Optional[Scale] = None) -> Fig8Result:
     sweep = run_sweep(scale)
     buckets: Dict[Tuple[str, int], List[float]] = {}
     for (circuit, ranks, algo), rep in sweep.reports.items():
-        comm = rep.extras.get("comm_seconds_avg", rep.comm_seconds)
+        comm = rep.comm_seconds
         total = rep.comp_seconds + comm
         if total <= 0:
             continue

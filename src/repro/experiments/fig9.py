@@ -4,6 +4,10 @@
 and IQS.  9b: average communication time for the three HiSVSIM variants.
 Paper reference points: dagP best on ~65% of instances for total runtime
 and within 1.3x of best everywhere; best comm time on ~75% of instances.
+
+The communication time profiled is ``RunReport.comm_seconds``, the
+busiest rank's alpha-beta time — equal to the per-rank average because
+every rank moves the same traffic (see :mod:`repro.experiments.fig7`).
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ def run(scale: Optional[Scale] = None) -> Fig9Result:
         inst = f"{circuit}@{ranks}"
         runtime_costs[algo][inst] = max(rep.total_seconds, 1e-12)
         if algo in comm_costs:
-            comm = rep.extras.get("comm_seconds_avg", rep.comm_seconds)
-            comm_costs[algo][inst] = max(comm, 1e-12)
+            comm_costs[algo][inst] = max(rep.comm_seconds, 1e-12)
     return Fig9Result(
         runtime_profiles=performance_profile(runtime_costs),
         comm_profiles=performance_profile(comm_costs),

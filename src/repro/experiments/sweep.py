@@ -54,10 +54,10 @@ class SweepResult:
 _SWEEP_CACHE: Dict[str, SweepResult] = {}
 
 
-def run_sweep(scale: Optional[Scale] = None, use_cache: bool = True) -> SweepResult:
+def run_sweep(scale: Optional[Scale] = None) -> SweepResult:
     """Run (or fetch) the full multi-node sweep for ``scale``."""
     scale = scale or SCALES["small"]
-    if use_cache and scale.name in _SWEEP_CACHE:
+    if scale.name in _SWEEP_CACHE:
         return _SWEEP_CACHE[scale.name]
     circuits = suite_circuits(scale.base_qubits)
     reports: Dict[Tuple[str, int, str], RunReport] = {}
@@ -81,6 +81,5 @@ def run_sweep(scale: Optional[Scale] = None, use_cache: bool = True) -> SweepRes
             _, rep = iqs.run(circuit)
             reports[(key, ranks, "Intel")] = rep
     result = SweepResult(scale=scale, reports=reports)
-    if use_cache:
-        _SWEEP_CACHE[scale.name] = result
+    _SWEEP_CACHE[scale.name] = result
     return result

@@ -4,7 +4,9 @@ The paper partitions qaoa-28 with each strategy for a 4-GPU run
 (26 local qubits) and reports per-part qubit counts, gate counts and
 single-GPU HyQuas execution times.  Shape to reproduce: dagP has the
 fewest parts, total gates always match the input circuit, and total GPU
-time is similar across strategies (146-366 ms per part at paper scale).
+time is similar across strategies (146-366 ms per part at paper scale;
+the paper's totals over 1652 gates: dagP 2 parts / 329.8 ms, DFS 3 /
+337.7 ms, Nat 6 / 365.9 ms).
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ from ..hybrid.hyquas import HybridEstimate, estimate_hybrid
 from ..partition import get_partitioner
 from .common import STRATEGY_ORDER, Scale
 
-__all__ = ["Table3Result", "run", "PAPER_TABLE3"]
-
-# strategy -> (num parts, total gates, total GPU ms)
-PAPER_TABLE3 = {"dagP": (2, 1652, 329.8), "DFS": (3, 1652, 337.7), "Nat": (6, 1652, 365.9)}
+__all__ = ["Table3Result", "run"]
 
 
 @dataclass

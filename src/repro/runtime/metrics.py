@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["CommStats", "ComputeStats", "RunReport"]
 
@@ -75,7 +75,6 @@ class RunReport:
     comm: CommStats = field(default_factory=CommStats)
     compute: ComputeStats = field(default_factory=ComputeStats)
     num_parts: int = 0
-    extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:

@@ -150,8 +150,8 @@ class SimJob:
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
     >>> job = SimJob("bell", qc, shots=16, observables=("ZZ",))
-    >>> job.wants_anything
-    True
+    >>> job.observables
+    ('ZZ',)
     >>> SimJob("c", qc, shots=4, cut={"cuts": 2})
     Traceback (most recent call last):
         ...
@@ -182,11 +182,6 @@ class SimJob:
             if not isinstance(width, int) or isinstance(width, bool) \
                     or width < 2:
                 raise ValueError("cut spec needs an integer 'max_width' >= 2")
-
-    @property
-    def wants_anything(self) -> bool:
-        """True when at least one output kind was requested."""
-        return bool(self.want_state or self.shots or self.observables)
 
 
 @dataclass
@@ -232,8 +227,16 @@ class JobResult:
 # ---------------------------------------------------------------------------
 
 
-def _build_circuit(spec: Any, base_dir: str, job_id: str) -> QuantumCircuit:
-    """Resolve a manifest circuit spec to a :class:`QuantumCircuit`."""
+def _build_circuit(
+    spec: Any, base_dir: Optional[str], job_id: str
+) -> QuantumCircuit:
+    """Resolve a manifest circuit spec to a :class:`QuantumCircuit`.
+
+    ``base_dir`` is the directory of the manifest *file*, ``None`` for
+    an already-parsed manifest — which may not name files at all: the
+    daemon's request bodies arrive that way, and a client must not make
+    the server open paths of its choosing.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"job {job_id!r}: circuit spec must be an object")
     kinds = [k for k in ("generator", "qasm", "qasm_file") if k in spec]
@@ -252,10 +255,13 @@ def _build_circuit(spec: Any, base_dir: str, job_id: str) -> QuantumCircuit:
         return generators.build(name, int(qubits), **kwargs)
     if kind == "qasm":
         return qasm.loads(spec["qasm"], name=job_id)
-    path = spec["qasm_file"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return qasm.load(path)
+    if base_dir is None:
+        raise ValueError(
+            f"job {job_id!r}: 'qasm_file' is read relative to a manifest "
+            f"file; a manifest passed as an object carries the text as "
+            f"'qasm'"
+        )
+    return qasm.load(os.path.join(base_dir, spec["qasm_file"]))
 
 
 def _parse_observable(term: Any) -> PauliTerm:
@@ -269,7 +275,8 @@ def _parse_observable(term: Any) -> PauliTerm:
 def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
     """Parse a batch manifest into jobs and runner options.
 
-    ``source`` is a path to a JSON file or an already-parsed dict.
+    ``source`` is a path to a JSON file or an already-parsed dict (only
+    the former may name ``qasm_file`` circuits, relative to itself).
     Returns ``(jobs, options)`` where ``options`` holds the top-level
     runner keys present in the manifest (``strategy``, ``schedule``,
     ``workers``, ...).  A job that names no outputs defaults to
@@ -293,7 +300,7 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
         ...
     ValueError: unknown manifest key 'schedles' (did you mean 'schedule'?)
     """
-    base_dir = os.getcwd()
+    base_dir = None
     if isinstance(source, (str, os.PathLike)):
         base_dir = os.path.dirname(os.path.abspath(source))
         with open(source, "r", encoding="utf-8") as fh:

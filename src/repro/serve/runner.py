@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,7 +32,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..config import RunOptions
 from ..partition import get_partitioner
 from ..partition.base import Partition
-from ..sv.fusion import CacheCounters, PlanCache
+from ..sv.fusion import CacheCounters, OnceCache, PlanCache
 from ..sv.hier import ExecutionTrace, HierarchicalExecutor
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
@@ -250,9 +249,7 @@ class BatchRunner:
         self._executor = HierarchicalExecutor(
             plan_cache=self.plan_cache, **self.options.executor_kwargs()
         )
-        # Key -> Partition, or a threading.Event while one worker computes;
-        # least recently used first, bounded like the plan cache.
-        self._partitions: OrderedDict = OrderedDict()
+        self._partitions = OnceCache(self.plan_cache.max_entries)
         self._partition_lock = threading.Lock()
         self.partition_hits = 0
         self.partitions_computed = 0
@@ -322,14 +319,11 @@ class BatchRunner:
         Partitioning is keyed by ``(fingerprint, strategy, limit)`` —
         partitioners only consult gate operands and order, never
         parameters, so one partition serves every circuit that shares a
-        structure.  Each cached structure is partitioned exactly once
-        even under concurrent workers, but *different* structures
-        partition concurrently: the cache lock only guards the dict, and
-        a per-key event makes same-structure followers wait on the one
-        computing thread instead of on a global lock.  The cache keeps
-        the ``plan_cache.max_entries`` most recently used partitions (an
-        in-flight event is never evicted); an evicted structure is
-        partitioned, and counted, again.
+        structure.  The cache is a :class:`~repro.sv.fusion.OnceCache`
+        bounded like the plan cache: each cached structure is
+        partitioned exactly once even under concurrent workers,
+        *different* structures partition concurrently, and an evicted
+        structure is partitioned, and counted, again.
 
         ``options.limit`` is honoured whenever set — only ``None``
         derives the per-circuit :func:`default_limit` (an explicit small
@@ -338,45 +332,22 @@ class BatchRunner:
         strategy, limit = self.options.strategy, self.options.limit
         if limit is None:
             limit = default_limit(circuit.num_qubits)
-        key = (fingerprint, strategy, limit)
-        while True:
-            with self._partition_lock:
-                entry = self._partitions.get(key)
-                if isinstance(entry, Partition):
-                    self._partitions.move_to_end(key)
-                    self.partition_hits += 1
-                    if counters is not None:
-                        with counters.lock:
-                            counters.partition_hits += 1
-                    return entry, True
-                if entry is None:
-                    gate = threading.Event()
-                    self._partitions[key] = gate
-                    break
-            # Another worker is partitioning this structure: wait for it
-            # and re-read (the entry is removed if that worker failed).
-            entry.wait()
-        try:
-            partition = get_partitioner(strategy).partition(circuit, limit)
-        except BaseException:
-            with self._partition_lock:
-                self._partitions.pop(key, None)
-            gate.set()
-            raise
+        partition, cached = self._partitions.get(
+            (fingerprint, strategy, limit),
+            lambda: get_partitioner(strategy).partition(circuit, limit),
+        )
         with self._partition_lock:
-            self._partitions[key] = partition
-            self._partitions.move_to_end(key)
-            self.partitions_computed += 1
-            if len(self._partitions) > self.plan_cache.max_entries:
-                done = [k for k, v in self._partitions.items()
-                        if isinstance(v, Partition)]
-                for old in done[:-self.plan_cache.max_entries]:
-                    del self._partitions[old]
+            if cached:
+                self.partition_hits += 1
+            else:
+                self.partitions_computed += 1
         if counters is not None:
             with counters.lock:
-                counters.partitions_computed += 1
-        gate.set()
-        return partition, False
+                if cached:
+                    counters.partition_hits += 1
+                else:
+                    counters.partitions_computed += 1
+        return partition, cached
 
     # -- execution ---------------------------------------------------------
 
@@ -474,8 +445,8 @@ class BatchRunner:
         The fragment-variant batch runs on an inner runner that shares
         this runner's plan cache (repeat cut jobs reuse compiled
         structures), its live backend and its resolved method; ``limit``
-        and ``pad_to`` were chosen for the full width and do not carry
-        over to the narrower fragments.
+        was chosen for the full width and does not carry over to the
+        narrower fragments.
         ``num_parts`` on the result counts *fragments*;
         ``partition_cached`` is always ``False`` — fragment partitions
         live in the cut pipeline, not this runner's partition cache.
@@ -497,7 +468,6 @@ class BatchRunner:
                 self.options,
                 strategy=spec.get("strategy", self.options.strategy),
                 limit=None,
-                pad_to=0,
                 backend=self.backend,
                 method=self.method,
             ),

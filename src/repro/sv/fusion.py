@@ -24,7 +24,16 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -40,6 +49,7 @@ __all__ = [
     "PartPlanStructure",
     "build_part_structure",
     "CompiledPartPlan",
+    "OnceCache",
     "PlanCache",
     "CacheCounters",
     "compile_part",
@@ -636,7 +646,7 @@ class CacheCounters:
     :meth:`PlanCache.get_or_compile` / :meth:`PlanCache.get_or_bind`
     records the same events into a caller-owned object instead, so each
     run's accounting stays exact however many runs share the cache
-    (increments happen under the cache lock).
+    (increments happen under the cache's counter lock).
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
@@ -653,6 +663,70 @@ class CacheCounters:
     structure_misses: int = 0
 
 
+class OnceCache:
+    """Compute once per key under concurrency, keep the N most recent.
+
+    :meth:`get` returns ``(value, was_cached)``.  A hit moves its key to
+    the most-recent end.  A miss runs ``compute()`` *outside* the lock,
+    so different keys compute concurrently, while callers asking for
+    the key being computed wait on its event and count as hits.  A
+    raising ``compute`` leaves no entry: it wakes the waiters (the next
+    one computes) and re-raises.  Eviction runs after an insert, oldest
+    finished entry first; a key still being computed is not an entry
+    yet, so it is never evicted.
+
+    >>> cache = OnceCache(max_entries=2)
+    >>> cache.get("a", lambda: 1), cache.get("a", lambda: 2)
+    ((1, False), (1, True))
+    >>> _ = cache.get("b", lambda: 3), cache.get("c", lambda: 4)
+    >>> len(cache), cache.get("a", lambda: 5)       # "a" was the oldest
+    (2, (5, False))
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self._entries: OrderedDict = OrderedDict()
+        self._in_flight: Dict[Hashable, threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def get(
+        self, key: Hashable, compute: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        while True:
+            with self._lock:
+                if key in self._entries:
+                    self._entries.move_to_end(key)
+                    return self._entries[key], True
+                gate = self._in_flight.get(key)
+                if gate is None:
+                    gate = self._in_flight[key] = threading.Event()
+                    break
+            # Another thread is computing this key: wait for it and
+            # re-read (there is no entry if that thread failed).
+            gate.wait()
+        try:
+            value = compute()
+            with self._lock:
+                self._entries[key] = value
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            gate.set()
+        return value, False
+
+
 class PlanCache:
     """Bounded cache of :class:`CompiledPartPlan` keyed by part identity.
 
@@ -662,9 +736,10 @@ class PlanCache:
     across repeated runs — that sharing is what makes sweeps and shard
     re-execution pay matrix construction once.
 
-    The cache is **thread-safe**: concurrent ``get_or_compile`` calls for
-    the same part serialise on an internal lock, so a plan is compiled
-    exactly once and never observed half-built.  Compiled plans
+    The cache is **thread-safe**: it is one :class:`OnceCache`, so a
+    plan is compiled exactly once per key — concurrent callers of the
+    same part wait for the one compiling thread — while different parts
+    compile concurrently, outside the lock.  Compiled plans
     themselves are immutable after construction (the lazy ``local_ops``
     / ``gather_table`` memos in :class:`CompiledPartPlan` are idempotent
     — a benign race recomputes an identical value), so returned plans may
@@ -678,7 +753,8 @@ class PlanCache:
     per circuit.  ``structure_hits`` / ``structure_misses`` account that
     layer; a parameter sweep of ``J`` structurally identical jobs over a
     ``P``-part partition shows exactly ``P`` structure misses and
-    ``(J - 1) * P`` structure hits.
+    ``(J - 1) * P`` structure hits.  Both layers share the one
+    ``max_entries`` bound.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
@@ -690,23 +766,31 @@ class PlanCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._lock = threading.RLock()
+        self._cache = OnceCache(max_entries)
+        self._count_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.structure_hits = 0
         self.structure_misses = 0
 
+    @property
+    def max_entries(self) -> int:
+        return self._cache.max_entries
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._cache)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._cache.clear()
+
+    def _count(
+        self, name: str, counters: Optional[CacheCounters]
+    ) -> None:
+        """One event, on the lifetime totals and on the caller's own."""
+        with self._count_lock:
+            setattr(self, name, getattr(self, name) + 1)
+            if counters is not None:
+                setattr(counters, name, getattr(counters, name) + 1)
 
     def get_or_compile(
         self,
@@ -725,28 +809,21 @@ class PlanCache:
             bool(fuse),
             int(max_fused_qubits),
         )
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                if counters is not None:
-                    counters.hits += 1
-                self._entries.move_to_end(key)
-                return entry[1]
-            self.misses += 1
-            if counters is not None:
-                counters.misses += 1
-            plan = compile_part(
+        (_, plan), cached = self._cache.get(
+            key,
+            lambda: (
                 circuit,
-                gate_indices,
-                inner_qubits,
-                fuse=fuse,
-                max_fused_qubits=max_fused_qubits,
-            )
-            self._entries[key] = (circuit, plan)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            return plan
+                compile_part(
+                    circuit,
+                    gate_indices,
+                    inner_qubits,
+                    fuse=fuse,
+                    max_fused_qubits=max_fused_qubits,
+                ),
+            ),
+        )
+        self._count("hits" if cached else "misses", counters)
+        return plan
 
     def get_or_bind(
         self,
@@ -770,69 +847,40 @@ class PlanCache:
         identical *new* circuit reuses the cached
         :class:`PartPlanStructure` and pays only fresh matrix products.
 
-        Matrix binding runs *outside* the cache lock — per-job matrix
-        construction is the part of a batched sweep that scales with the
-        job count, so concurrent workers binding different circuits must
-        not serialise on the cache.  A rare same-circuit race binds
-        twice and keeps the first insertion (structures themselves stay
-        compiled exactly once, under the lock).
+        Per-job matrix construction is the part of a batched sweep that
+        scales with the job count; like every :class:`OnceCache`
+        computation it runs outside the lock, so concurrent workers
+        binding different circuits do not serialise on the cache.
         """
-        bound_key = (
-            "bound",
-            id(circuit),
+        part = (
             tuple(gate_indices),
             tuple(inner_qubits),
             bool(fuse),
             int(max_fused_qubits),
         )
-        struct_key = (
-            "struct",
-            structural_key,
-            tuple(gate_indices),
-            tuple(inner_qubits),
-            bool(fuse),
-            int(max_fused_qubits),
-        )
-        with self._lock:
-            entry = self._entries.get(bound_key)
-            if entry is not None:
-                self.hits += 1
-                if counters is not None:
-                    counters.hits += 1
-                self._entries.move_to_end(bound_key)
-                return entry[1]
-            self.misses += 1
-            if counters is not None:
-                counters.misses += 1
-            sentry = self._entries.get(struct_key)
-            if sentry is not None:
-                self.structure_hits += 1
-                if counters is not None:
-                    counters.structure_hits += 1
-                self._entries.move_to_end(struct_key)
-                structure = sentry[1]
-            else:
-                self.structure_misses += 1
-                if counters is not None:
-                    counters.structure_misses += 1
-                structure = build_part_structure(
+
+        def bind():
+            structure, reused = self._cache.get(
+                ("struct", structural_key) + part,
+                lambda: build_part_structure(
                     circuit,
                     gate_indices,
                     inner_qubits,
                     fuse=fuse,
                     max_fused_qubits=max_fused_qubits,
-                )
-                self._entries[struct_key] = (None, structure)
-        plan = structure.bind(
-            [circuit[g] for g in gate_indices], tuple(gate_indices)
+                ),
+            )
+            self._count(
+                "structure_hits" if reused else "structure_misses", counters
+            )
+            return circuit, structure.bind(
+                [circuit[g] for g in gate_indices], tuple(gate_indices)
+            )
+
+        (_, plan), cached = self._cache.get(
+            ("bound", id(circuit)) + part, bind
         )
-        with self._lock:
-            entry = self._entries.get(bound_key)
-            if entry is not None:
-                return entry[1]
-            self._entries[bound_key] = (circuit, plan)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+        self._count("hits" if cached else "misses", counters)
         return plan
 
 
@@ -840,7 +888,6 @@ def compile_partition(
     circuit: QuantumCircuit,
     partition,
     *,
-    pad_to: int = 0,
     fuse: bool = True,
     max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
     cache: Optional[PlanCache] = None,
@@ -857,20 +904,14 @@ def compile_partition(
     >>> sum(p.num_ops for p in plans) < len(qc)     # fusion saved sweeps
     True
     """
-    from .hier import pad_working_set  # local import: hier imports us too
-
-    n = circuit.num_qubits
     plans: List[CompiledPartPlan] = []
     for part in partition.parts:
-        inner = part.qubits
-        if pad_to:
-            inner = pad_working_set(inner, n, pad_to)
         if cache is not None:
             plans.append(
                 cache.get_or_compile(
                     circuit,
                     part.gate_indices,
-                    inner,
+                    part.qubits,
                     fuse=fuse,
                     max_fused_qubits=max_fused_qubits,
                 )
@@ -880,7 +921,7 @@ def compile_partition(
                 compile_part(
                     circuit,
                     part.gate_indices,
-                    inner,
+                    part.qubits,
                     fuse=fuse,
                     max_fused_qubits=max_fused_qubits,
                 )

@@ -18,10 +18,6 @@ groups collapse to single unitaries, so a part of ``G`` gates costs
 the same partition (sweeps, reruns) skip both grouping and matrix
 construction.  ``fuse=False`` reproduces the one-sweep-per-gate path.
 
-Working sets may be padded with extra qubits (``pad_to``) to exploit
-spatial locality, mirroring the paper's "add the qubits from the higher
-level part" rule.
-
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
 default) or threaded row-block parallelism.  Results are bitwise
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +57,7 @@ from .fusion import (
 )
 from .stabilizer import StabilizerState, is_clifford_circuit
 
-__all__ = ["HierarchicalExecutor", "ExecutionTrace", "pad_working_set"]
+__all__ = ["HierarchicalExecutor", "ExecutionTrace"]
 
 
 @dataclass
@@ -131,32 +127,6 @@ class ExecutionTrace:
         return self.total_gates - self.total_ops
 
 
-def pad_working_set(
-    qubits: Sequence[int], num_qubits: int, pad_to: int
-) -> Tuple[int, ...]:
-    """Extend a working set to ``pad_to`` qubits with the lowest free qubits.
-
-    Larger inner vectors amortise gather/scatter sweeps; the paper pads
-    small parts up to the level limit for spatial locality.  A ``pad_to``
-    at or below the natural working-set size leaves the set unchanged
-    (padding never shrinks a part).
-
-    >>> pad_working_set([2, 5], num_qubits=8, pad_to=4)
-    (0, 1, 2, 5)
-    >>> pad_working_set([2, 5], num_qubits=8, pad_to=0)
-    (2, 5)
-    """
-    out = list(qubits)
-    have = set(out)
-    q = 0
-    while len(out) < min(pad_to, num_qubits) and q < num_qubits:
-        if q not in have:
-            out.append(q)
-            have.add(q)
-        q += 1
-    return tuple(sorted(out))
-
-
 class HierarchicalExecutor:
     """Runs a partitioned circuit against a full state vector.
 
@@ -175,8 +145,6 @@ class HierarchicalExecutor:
     ----------
     mode:
         ``"batched"`` or ``"literal"`` (see module docstring).
-    pad_to:
-        Pad each part's working set to this many qubits (0 = no padding).
     fuse:
         Compile each part's gates into fused unitaries before execution
         (default on; numerically identical to the unfused path).
@@ -204,7 +172,6 @@ class HierarchicalExecutor:
     def __init__(
         self,
         mode: str = "batched",
-        pad_to: int = 0,
         *,
         fuse: bool = True,
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
@@ -216,7 +183,6 @@ class HierarchicalExecutor:
         if mode not in ("batched", "literal"):
             raise ValueError("mode must be 'batched' or 'literal'")
         self.mode = mode
-        self.pad_to = pad_to
         self.fuse = bool(fuse)
         self.max_fused_qubits = int(max_fused_qubits)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -295,7 +261,7 @@ class HierarchicalExecutor:
                 if trace is not None:
                     trace.boundary_conversions += 1
             plan = self._dense_plan(
-                circuit, part, n, structural_key, cache_counters
+                circuit, part, structural_key, cache_counters
             )
             self._run_part(plan, state, n, trace)
         return state
@@ -303,16 +269,13 @@ class HierarchicalExecutor:
     # -- internals --------------------------------------------------------
 
     def _dense_plan(
-        self, circuit, part, n, structural_key, cache_counters
+        self, circuit, part, structural_key, cache_counters
     ) -> CompiledPartPlan:
-        inner_qubits = part.qubits
-        if self.pad_to:
-            inner_qubits = pad_working_set(inner_qubits, n, self.pad_to)
         if structural_key is not None:
             return self.plan_cache.get_or_bind(
                 circuit,
                 part.gate_indices,
-                inner_qubits,
+                part.qubits,
                 structural_key=structural_key,
                 fuse=self.fuse,
                 max_fused_qubits=self.max_fused_qubits,
@@ -321,7 +284,7 @@ class HierarchicalExecutor:
         return self.plan_cache.get_or_compile(
             circuit,
             part.gate_indices,
-            inner_qubits,
+            part.qubits,
             fuse=self.fuse,
             max_fused_qubits=self.max_fused_qubits,
             counters=cache_counters,

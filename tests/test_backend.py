@@ -301,6 +301,63 @@ class TestPlanCacheThreadSafety:
             assert float(np.max(np.abs(state - expected))) < 1e-10
         assert cache.misses == 2 * p.num_parts  # fused + unfused keys
 
+    def test_different_circuits_compile_concurrently(self, monkeypatch):
+        # Compilation runs outside the cache lock: two threads cold-
+        # compiling different circuits are inside compile_part together
+        # (the barrier breaks, and the test fails, if they serialise).
+        from repro.sv import fusion
+
+        inside = threading.Barrier(2)
+        real = fusion.compile_part
+
+        def compile_part_together(*args, **kwargs):
+            inside.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "compile_part", compile_part_together)
+        cache = PlanCache()
+        circuits = [random_circuit(5, 12, seed=s) for s in (1, 2)]
+
+        def compile_whole(qc):
+            return cache.get_or_compile(qc, range(len(qc)), range(5))
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            plans = list(pool.map(compile_whole, circuits))
+        assert plans[0] is not plans[1]
+        assert (cache.misses, cache.hits, len(cache)) == (2, 0, 2)
+
+    def test_one_structure_bound_by_many_threads_counts_exactly(self):
+        import sys
+
+        jobs = 8
+        sweep = [
+            generators.qaoa(8, p=1, gammas=[0.1 * k], betas=[0.2])
+            for k in range(jobs)
+        ]
+        p = get_partitioner("dagP").partition(sweep[0], 5)
+        cache = PlanCache()
+        barrier = threading.Barrier(jobs)
+
+        def run_one(qc):
+            executor = HierarchicalExecutor(plan_cache=cache)
+            barrier.wait(10)
+            state = zero_state(8)
+            executor.run(qc, p, state, structural_key="one-structure")
+            return state
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                states = list(pool.map(run_one, sweep))
+        finally:
+            sys.setswitchinterval(old)
+        for qc, state in zip(sweep, states):
+            assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
+        assert cache.structure_misses == p.num_parts
+        assert cache.structure_hits == (jobs - 1) * p.num_parts
+        assert (cache.misses, cache.hits) == (jobs * p.num_parts, 0)
+
 
 # ---------------------------------------------------------------------------
 # Trace accounting

@@ -70,11 +70,15 @@ class TestCli:
     def test_simulate_options(self, capsys):
         assert main([
             "simulate", "ising", "--qubits", "8", "--limit", "5",
-            "--strategy", "Nat", "--max-fused-qubits", "3", "--pad-to", "6",
+            "--strategy", "Nat", "--max-fused-qubits", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "strategy=Nat" in out
         assert "max_fused_qubits=3" in out
+        # The removed padding option is an ordinary argparse error.
+        with pytest.raises(SystemExit):
+            main(["simulate", "ising", "--qubits", "8", "--pad-to", "4"])
+        assert "unrecognized arguments: --pad-to 4" in capsys.readouterr().err
 
     def test_simulate_threaded_backend(self, capsys):
         assert main([

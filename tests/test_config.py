@@ -91,9 +91,9 @@ def test_only_config_reads_the_environment():
 
 
 class TestRunOptions:
-    def test_fields_are_the_eight_execution_options(self):
+    def test_fields_are_the_seven_execution_options(self):
         assert RUN_OPTION_FIELDS == (
-            "strategy", "limit", "fuse", "max_fused_qubits", "pad_to",
+            "strategy", "limit", "fuse", "max_fused_qubits",
             "backend", "threads", "method",
         )
         assert RUN_OPTION_FIELDS == tuple(
@@ -106,13 +106,14 @@ class TestRunOptions:
         accepted = set(RUN_OPTION_FIELDS) | {"schedule", "workers"}
         everything = {key: None for key in accepted}
         everything.update(strategy="DFS", schedule="fifo", workers=2,
-                          fuse=False, max_fused_qubits=3, pad_to=4,
+                          fuse=False, max_fused_qubits=3,
                           backend="serial", threads=1, method="dense",
                           limit=5)
         _, options = load_manifest({"jobs": [], **everything})
         assert set(options) == accepted
-        with pytest.raises(ValueError, match="unknown manifest key"):
-            load_manifest({"jobs": [], "mode": "literal"})
+        for removed in ("mode", "pad_to"):
+            with pytest.raises(ValueError, match="unknown manifest key"):
+                load_manifest({"jobs": [], removed: 4})
 
     def test_batch_runner_folds_keyword_overrides(self):
         from repro.serve import BatchRunner

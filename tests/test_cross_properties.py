@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.transforms import fuse_single_qubit_runs, inverse_circuit
+from repro.circuits.transforms import inverse_circuit
 from repro.dist import HiSVSimEngine, IQSEngine
 from repro.dist.state import DistributedStateVector
 from repro.partition import get_partitioner
@@ -98,15 +98,13 @@ class TestTransformEngineComposition:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 9999))
     def test_fuse_then_invert_through_partitioned_execution(self, seed):
-        qc = random_circuit(6, 20, seed=seed)
-        fused = fuse_single_qubit_runs(qc)
-        program = fused.copy()
-        program.extend(inverse_circuit(fused).gates)
+        program = random_circuit(6, 20, seed=seed)
+        program.extend(inverse_circuit(program).gates)
         p = get_partitioner("dagP").partition(program, 4)
         state = zero_state(6)
         from repro.sv import HierarchicalExecutor
 
-        HierarchicalExecutor().run(program, p, state)
+        HierarchicalExecutor(fuse=True).run(program, p, state)
         assert np.isclose(abs(state[0]), 1.0, atol=1e-8)
 
 

@@ -25,7 +25,6 @@ from repro.cut import (
     cut_run,
     enumerate_variants,
     find_cuts,
-    interaction_graph,
     plan_from_assignment,
     quasi_probabilities,
     recombine_counts,
@@ -249,10 +248,6 @@ class TestCutter:
         qc = build("qaoa", 12)
         with pytest.raises(CutError, match="budget"):
             find_cuts(qc, 8, max_cuts=3)
-
-    def test_interaction_graph_weights(self):
-        qc = QuantumCircuit(3).h(0).cx(0, 1).cx(0, 1).cx(1, 2)
-        assert interaction_graph(qc) == {(0, 1): 2, (1, 2): 1}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_variant_enumeration_is_16_to_the_k(self, k):

@@ -370,6 +370,32 @@ class TestProtocolErrors:
             daemon.port, "POST", "/jobs", payload={"jobs": []}
         )[0] == 400
 
+    def test_hostile_circuit_specs_answer_400_at_once(self, daemon, tmp_path):
+        # A client may not make the daemon open a path (an endless read,
+        # or an existence / first-token oracle), nor evaluate a bigint
+        # power or a division by zero in a QASM parameter.
+        private = tmp_path / "private.qasm"
+        private.write_text("TOPSECRET q[0];\n")
+        hostile = [
+            {"qasm_file": "/dev/zero"},
+            {"qasm_file": str(private)},
+            {"qasm": "qreg q[1]; rz(9**9**9) q[0];"},
+            {"qasm": "qreg q[1]; rz(1/0) q[0];"},
+        ]
+        for circuit in hostile:
+            t0 = time.monotonic()
+            status, payload, _ = request(
+                daemon.port, "POST", "/jobs",
+                payload={"id": "x", "circuit": circuit}, timeout=10.0,
+            )
+            assert status == 400, (circuit, payload)
+            assert time.monotonic() - t0 < 2.0, circuit
+            assert "TOPSECRET" not in payload["error"]
+        # The daemon is still serving.
+        assert request(
+            daemon.port, "POST", "/jobs", payload=sweep_manifest(jobs=1)
+        )[0] == 202
+
     def test_unknown_manifest_key_rejected(self, daemon):
         manifest = sweep_manifest(jobs=1)
         manifest["schedles"] = "fifo"

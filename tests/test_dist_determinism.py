@@ -36,14 +36,6 @@ class TestDeterministicReports:
         b = get_partitioner("dagP").partition(qc, 8)
         assert a == b
 
-    def test_overlap_extras_deterministic(self):
-        qc = generators.build("ising", 10)
-        p = get_partitioner("dagP").partition(qc, 8)
-        _, first = HiSVSimEngine(4, dry_run=True, overlap=True).run(qc, p)
-        _, second = HiSVSimEngine(4, dry_run=True, overlap=True).run(qc, p)
-        assert model_fields(first) == model_fields(second)
-        assert "total_overlapped" in first.extras
-
     def test_iqs_dry_runs_are_byte_identical(self):
         qc = generators.build("qft", 9)
         _, first = IQSEngine(4, dry_run=True).run(qc)

@@ -158,9 +158,3 @@ class TestPaperShape:
         _, i = IQSEngine(8, dry_run=True).run(qc)
         assert i.total_seconds / h.total_seconds > 1.0
 
-    def test_overlap_option(self):
-        qc = generators.build("bv", 10)
-        p = get_partitioner("dagP").partition(qc, 8)
-        _, rep = HiSVSimEngine(4, overlap=True, dry_run=True).run(qc, p)
-        assert "total_overlapped" in rep.extras
-        assert rep.extras["total_overlapped"] <= rep.total_seconds

@@ -166,6 +166,20 @@ class TestFig7:
                 assert dagp <= intel * 1.001, (c, r)
 
 
+    def test_busiest_rank_time_is_the_per_rank_average(self, tiny_sweep):
+        # Figs. 7-9 report RunReport.comm_seconds (the busiest rank's
+        # alpha-beta time) as the paper's "average per-rank" time.  That
+        # holds because both engines only swap a local position with a
+        # rank position: every rank moves exactly the same traffic.
+        for key, rep in tiny_sweep.reports.items():
+            comm, ranks = rep.comm, rep.num_ranks
+            assert comm.max_bytes_per_rank * ranks == comm.total_bytes, key
+            assert comm.max_msgs_per_rank * ranks == comm.total_msgs, key
+        for row in fig7.run(TINY).rows:
+            rep = tiny_sweep.get(row.circuit, row.ranks, row.algorithm)
+            assert row.comm_seconds_avg == rep.comm_seconds
+
+
 class TestFig8:
     def test_ordering(self, small_sweep):
         res = fig8.run(SMALL)

@@ -15,6 +15,7 @@ from repro.partition import get_partitioner
 from repro.sv.fusion import (
     CompiledPartPlan,
     FusedGate,
+    OnceCache,
     PlanCache,
     build_part_structure,
     compile_part,
@@ -406,6 +407,117 @@ class TestPlanCache:
         t1 = plan.gather_table(6)
         assert t1 is plan.gather_table(6)
         assert plan.gather_table(6).shape == (1 << 3, 1 << 3)
+
+
+class TestOnceCache:
+    """The one compute-once-and-bound mechanism behind the partition
+    cache and both plan-cache layers."""
+
+    def test_many_threads_one_key_one_compute(self):
+        cache, calls = OnceCache(4), []
+        barrier = threading.Barrier(8)
+        results = []
+
+        def compute():
+            calls.append(threading.get_ident())
+            return object()
+
+        def ask():
+            barrier.wait(10)
+            results.append(cache.get("k", compute))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1 and len(results) == 8
+        assert len({id(value) for value, _ in results}) == 1
+        # The computing thread reports a miss, every follower a hit.
+        assert sorted(cached for _, cached in results) == [False] + [True] * 7
+
+    def test_raising_compute_leaves_no_entry_and_wakes_waiters(self):
+        cache = OnceCache(4)
+        entered, release = threading.Event(), threading.Event()
+
+        def boom():
+            entered.set()
+            assert release.wait(10)
+            raise RuntimeError("boom")
+
+        failed = []
+
+        def first():
+            try:
+                cache.get("k", boom)
+            except RuntimeError as exc:
+                failed.append(str(exc))
+
+        got = []
+        owner = threading.Thread(target=first)
+        waiter = threading.Thread(
+            target=lambda: got.append(cache.get("k", lambda: "second"))
+        )
+        owner.start()
+        assert entered.wait(10)
+        waiter.start()
+        release.set()
+        owner.join(10)
+        waiter.join(10)
+        assert not owner.is_alive() and not waiter.is_alive()
+        assert failed == ["boom"]
+        # The waiter was woken, found no entry, and computed itself.
+        assert got == [("second", False)]
+        assert cache.get("k", lambda: "third") == ("second", True)
+
+    def test_evicts_least_recently_used_first(self):
+        cache = OnceCache(2)
+        for key in "abc":
+            cache.get(key, key.upper)
+        assert len(cache) == 2
+        assert cache.get("b", str) == ("B", True)        # refreshed
+        assert cache.get("d", lambda: "D") == ("D", False)  # evicts "c"
+        assert cache.get("b", str) == ("B", True)
+        assert cache.get("c", lambda: "again") == ("again", False)
+        with pytest.raises(ValueError):
+            OnceCache(0)
+
+    def test_an_in_flight_key_is_never_evicted(self):
+        cache, calls = OnceCache(1), []
+        entered, release = threading.Event(), threading.Event()
+
+        def slow():
+            calls.append("slow")
+            entered.set()
+            assert release.wait(10)
+            return "slow"
+
+        got = []
+        owner = threading.Thread(
+            target=lambda: got.append(cache.get("k", slow))
+        )
+        owner.start()
+        assert entered.wait(10)
+        for other in range(3):  # overflow the cache while "k" computes
+            cache.get(other, lambda: other)
+        follower = threading.Thread(
+            target=lambda: got.append(cache.get("k", slow))
+        )
+        follower.start()
+        release.set()
+        owner.join(10)
+        follower.join(10)
+        assert not owner.is_alive() and not follower.is_alive()
+        assert calls == ["slow"]
+        assert sorted(got) == [("slow", False), ("slow", True)]
+        cache.clear()
+        assert len(cache) == 0
 
 
 class TestDistributedFusion:

@@ -63,11 +63,13 @@ class TestRegistry:
             assert m[1, 1] == np.exp(0.5j * theta) and m[0, 1] == 0
             if k % 100 == 0:
                 assert shared_gate_matrix("h") is h  # recently used: kept
-        assert len(gates_module._MATRIX_CACHE) <= MATRIX_CACHE_MAX
+        cache_info = gates_module._cached_matrix.cache_info
+        assert cache_info().currsize <= MATRIX_CACHE_MAX
         assert shared_gate_matrix("h") is h
-        # An evicted entry is rebuilt, equal and again caller-owned.
-        assert ("rz", (0.0,)) not in gates_module._MATRIX_CACHE
+        # An evicted entry is rebuilt (a miss), equal and again caller-owned.
+        misses = cache_info().misses
         first = gate_matrix("rz", [0.0])
+        assert cache_info().misses == misses + 1
         first[0, 0] = 999.0
         assert np.array_equal(gate_matrix("rz", [0.0]), np.eye(2))
 

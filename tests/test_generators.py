@@ -44,17 +44,15 @@ class TestRegistry:
             generators.build("nope", 8)
 
     def test_paper_suite_widths(self):
-        suite = generators.paper_suite(base_qubits=10)
+        from repro.experiments.common import suite_circuits
+
+        suite = suite_circuits(10)
         assert suite["bv"].num_qubits == 10
         assert suite["qnn"].num_qubits == 11
         assert suite["bv35"].num_qubits == 15
         assert suite["cc36"].num_qubits == 16
         assert suite["adder37"].num_qubits == 17
         assert len(suite) == 13
-
-    def test_paper_suite_minimum_width(self):
-        with pytest.raises(ValueError):
-            generators.paper_suite(base_qubits=4)
 
     @pytest.mark.parametrize("name,n", SUITE_SMALL)
     def test_determinism(self, name, n):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.partition import get_partitioner
-from repro.sv.hier import ExecutionTrace, HierarchicalExecutor, pad_working_set
+from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.simulator import StateVectorSimulator, random_state, zero_state
 
 from conftest import SUITE_SMALL, random_circuit
@@ -56,39 +56,6 @@ class TestEquivalence:
         state = zero_state(7)
         HierarchicalExecutor().run(qc, p, state)
         assert np.allclose(state, reference_state(qc), atol=1e-9)
-
-
-class TestPadding:
-    def test_pad_working_set(self):
-        assert pad_working_set((2, 5), 8, 4) == (0, 1, 2, 5)
-        assert pad_working_set((0, 1), 8, 2) == (0, 1)
-        # Cannot pad beyond register width.
-        assert pad_working_set((0,), 2, 5) == (0, 1)
-
-    def test_padded_execution_still_correct(self):
-        qc = generators.build("cc", 8)
-        p = get_partitioner("Nat").partition(qc, 4)
-        state = zero_state(8)
-        HierarchicalExecutor(pad_to=6).run(qc, p, state)
-        assert np.allclose(state, reference_state(qc), atol=1e-9)
-
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_pad_to_smaller_than_natural_working_set(self, fuse):
-        # pad_to below a part's natural working set must never shrink the
-        # set: execution stays correct and traced sets cover the parts.
-        qc = generators.build("qft", 7)
-        p = get_partitioner("dagP").partition(qc, 5)
-        assert p.max_working_set() > 2
-        trace = ExecutionTrace()
-        state = zero_state(7)
-        HierarchicalExecutor(pad_to=2, fuse=fuse).run(qc, p, state, trace=trace)
-        assert np.allclose(state, reference_state(qc), atol=1e-10)
-        for traced, part in zip(trace.part_qubits, p.parts):
-            assert set(part.qubits) <= set(traced)
-            assert len(traced) == part.working_set_size  # no padding added
-
-    def test_pad_working_set_never_shrinks(self):
-        assert pad_working_set((1, 4, 6), 8, 2) == (1, 4, 6)
 
 
 class TestTrace:

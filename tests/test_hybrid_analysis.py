@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.analysis.perfprofile import performance_profile
-from repro.analysis.tables import fmt, geomean, render_table, write_csv
+from repro.analysis.tables import fmt, geomean, render_table
 from repro.circuits.generators import qaoa
 from repro.hybrid import (
     GPUModel,
@@ -132,10 +132,6 @@ class TestTables:
         lines = out.strip().split("\n")
         assert len(lines) == 5  # title, header, rule, 2 rows
 
-    def test_render_markdown(self):
-        out = render_table(["a"], [(1,)], markdown=True)
-        assert out.splitlines()[1].startswith("|")
-
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [(1,)])
@@ -152,9 +148,3 @@ class TestTables:
         assert geomean([1, 4]) == pytest.approx(2.0)
         assert geomean([2, 2, 2]) == pytest.approx(2.0)
         assert geomean([]) == 0.0
-
-    def test_write_csv(self, tmp_path):
-        path = str(tmp_path / "sub" / "x.csv")
-        write_csv(path, ["a", "b"], [(1, 2), (3, 4)])
-        text = open(path).read()
-        assert "a,b" in text and "3,4" in text

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import generators, qasm
-from repro.circuits.transforms import fuse_single_qubit_runs, inverse_circuit
+from repro.circuits.transforms import inverse_circuit
 from repro.dist import HiSVSimEngine, IQSEngine
 from repro.partition import (
     DagPPartitioner,
@@ -81,9 +81,8 @@ class TestAlgorithmSemanticsAcrossEngines:
 class TestTransformPipelines:
     def test_fused_circuit_through_distributed_engine(self):
         qc = generators.build("qnn", 10)
-        fused = fuse_single_qubit_runs(qc)
-        p = get_partitioner("dagP").partition(fused, 7)
-        state, _ = HiSVSimEngine(4).run(fused, p)
+        p = get_partitioner("dagP").partition(qc, 7)
+        state, _ = HiSVSimEngine(4, fuse=True).run(qc, p)
         ref = StateVectorSimulator(10)
         ref.run(qc)
         assert np.allclose(state.to_full(), ref.state, atol=1e-9)

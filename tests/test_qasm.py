@@ -1,6 +1,7 @@
 """OpenQASM writer/parser tests."""
 
 import math
+import time
 
 import pytest
 
@@ -12,7 +13,9 @@ from conftest import SUITE_SMALL, random_circuit
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name,n", SUITE_SMALL)
+    @pytest.mark.parametrize(
+        "name,n", SUITE_SMALL + [("stabilizer_random", 8), ("syndrome", 9)]
+    )
     def test_suite_roundtrip(self, name, n):
         qc = generators.build(name, n)
         back = loads(dumps(qc))
@@ -21,7 +24,7 @@ class TestRoundTrip:
         for a, b in zip(qc, back):
             assert a.name == b.name
             assert a.qubits == b.qubits
-            assert a.params == pytest.approx(b.params)
+            assert a.params == b.params  # bit for bit, not approximately
 
     def test_random_roundtrip(self):
         qc = random_circuit(6, 60, seed=3)
@@ -48,6 +51,18 @@ class TestParsing:
         assert qc[0].params[0] == pytest.approx(math.pi / 2)
         assert qc[1].params[0] == pytest.approx(-math.pi)
         assert qc[2].params[0] == pytest.approx(3 * math.pi / 4 + 1)
+
+    def test_parameter_arithmetic_is_pythons_float_arithmetic(self):
+        # Evaluated on floats by a small tree walk — to the very floats
+        # Python's own arithmetic gives.
+        qc = loads(
+            "qreg q[1]; rx(pi/2) q[0]; rx(-pi) q[0]; rx(2*pi/3) q[0]; "
+            "rx(1e-3) q[0]; rx(2^3) q[0]; rx(2**-1) q[0]; rx(-1/3+pi) q[0];"
+        )
+        assert [g.params[0] for g in qc] == [
+            math.pi / 2, -math.pi, 2 * math.pi / 3, 1e-3, 8.0, 0.5,
+            -1 / 3 + math.pi,
+        ]
 
     def test_measure_barrier_creg_ignored(self):
         qc = loads(
@@ -92,6 +107,21 @@ class TestErrors:
             loads("qreg q[1]; rx(__import__) q[0];")
         with pytest.raises(QasmError):
             loads("qreg q[1]; rx(x) q[0];")
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["9**9**9", "1/0", "0**-1", "(-8)**0.5", "1e999", "1e308*10",
+         "1j", "'a'", "True", "pi pi",
+         pytest.param("-" * 5000 + "1", id="5000-deep-unary"),
+         pytest.param("9" * 5000, id="5000-digit-int")],
+    )
+    def test_hostile_parameter_is_a_fast_qasm_error(self, expr):
+        # Parsed, never executed: no bigint power, no ZeroDivisionError
+        # or OverflowError escaping as a 500, no non-finite angle.
+        t0 = time.perf_counter()
+        with pytest.raises(QasmError):
+            loads(f"qreg q[1]; rz({expr}) q[0];")
+        assert time.perf_counter() - t0 < 0.1
 
     def test_bad_argument_syntax(self):
         with pytest.raises(QasmError):

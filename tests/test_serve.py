@@ -506,7 +506,6 @@ class TestConcurrentRunStats:
         )
         assert report.stats.partitions_computed == 4
         assert report.stats.partition_hits == 0
-        assert len(runner._partitions) == 3
         # The oldest structure was evicted: it is partitioned, and
         # counted, again; the most recent one is still a hit.
         again = runner.run([
@@ -516,22 +515,65 @@ class TestConcurrentRunStats:
         assert again.stats.partitions_computed == 1
         assert again.stats.partition_hits == 1
         assert runner.partitions_computed == 5
-        assert len(runner._partitions) == 3
+        # ... which evicted the next oldest and nothing else.
+        third = runner.run([SimJob(f"w{n}", qft(n)) for n in (6, 5)])
+        assert third.stats.partition_hits == 1
+        assert third.stats.partitions_computed == 1
         np.testing.assert_allclose(
             again.results[0].state, flat_state(qft(4)), atol=1e-10, rtol=0
         )
 
-    def test_an_in_flight_partition_is_never_evicted(self):
+    def test_an_in_flight_partition_is_never_evicted(self, monkeypatch):
         import threading
+        import time
 
+        from repro.serve import runner as runner_module
         from repro.sv import PlanCache
 
+        started, release = threading.Event(), threading.Event()
+        slow_calls = []
+        real = runner_module.get_partitioner
+
+        class SlowAtSixQubits:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def partition(self, circuit, limit):
+                if circuit.num_qubits == 6:
+                    slow_calls.append(limit)
+                    started.set()
+                    assert release.wait(10)
+                return self.inner.partition(circuit, limit)
+
+        monkeypatch.setattr(
+            runner_module, "get_partitioner",
+            lambda name: SlowAtSixQubits(real(name)),
+        )
         runner = BatchRunner(plan_cache=PlanCache(max_entries=1))
-        in_flight = threading.Event()
-        runner._partitions[("busy", "dagP", 3)] = in_flight
-        runner.run([SimJob(f"w{n}", qft(n)) for n in (4, 5)])
-        assert runner._partitions[("busy", "dagP", 3)] is in_flight
-        assert len(runner._partitions) == 2  # the event + the newest one
+        reports = {}
+
+        def submit(name):
+            reports[name] = runner.run([SimJob(name, qft(6))])
+
+        first = threading.Thread(target=submit, args=("first",))
+        first.start()
+        assert started.wait(10)
+        # Two more structures overflow the one-entry cache while qft(6)
+        # is still being partitioned ...
+        busy = runner.run([SimJob(f"w{n}", qft(n)) for n in (4, 5)])
+        assert busy.stats.partitions_computed == 2
+        # ... and its key survives: a second asker waits for the one
+        # computing thread instead of partitioning again.
+        follower = threading.Thread(target=submit, args=("follower",))
+        follower.start()
+        time.sleep(0.1)  # let it reach the in-flight key
+        release.set()
+        first.join(10)
+        follower.join(10)
+        assert not first.is_alive() and not follower.is_alive()
+        assert len(slow_calls) == 1
+        assert reports["first"].stats.partitions_computed == 1
+        assert reports["follower"].stats.partition_hits == 1
 
     def test_lifetime_totals_still_accumulate(self):
         runner = BatchRunner()
@@ -721,6 +763,17 @@ class TestManifests:
         path.write_text(json.dumps(manifest))
         jobs, _ = load_manifest(str(path))
         assert len(jobs[0].circuit) == 2
+        from repro.cli import main
+
+        assert main(["batch", str(path)]) == 0
+        # Only a manifest *file* may name files: the same object handed
+        # over already parsed (every POST /jobs body) is refused before
+        # anything is opened.
+        manifest["jobs"][0]["circuit"]["qasm_file"] = str(
+            tmp_path / "bell.qasm"
+        )
+        with pytest.raises(ValueError, match="'qasm_file' is read relative"):
+            load_manifest(manifest)
 
     @pytest.mark.parametrize(
         "bad",

@@ -6,8 +6,12 @@ gate fusion on and off: kernel sweeps per part and agreement of both
 final states with the flat simulator.  The acceptance bar for the fusion
 pipeline is an exact count: fusion at least halves the kernel sweeps —
 over the circuit, and in every part that has more than one gate to fuse
-(registered: a 20-qubit QFT at ``max_fused_qubits=5``).  What fused and
-unfused execution cost in seconds is the perf harness's
+(registered: a 20-qubit QFT at ``max_fused_qubits=5``).  A second exact
+count pins the kernel classification: ``diagonal_sweeps``, the fused
+sweeps whose product is diagonal and therefore run copy-free — at least
+half of a QFT's, because its ``u1·cx·u1·cx·u1`` controlled phases fuse
+to diagonal products although ``cx`` is not a diagonal gate.  What fused
+and unfused execution cost in seconds is the perf harness's
 ``hier.run_s.*`` / ``kernels.apply_s``.
 
 ``fusion_bind`` covers the other half of a compiled plan: binding
@@ -64,6 +68,7 @@ def run_bench(params):
             for state in states.values()
         )
     unfused, fused = traces[False].total_ops, traces[True].total_ops
+    diagonal = traces[True].diagonal_ops
     per_part = list(zip(traces[True].part_gates, traces[True].part_ops))
     states_match = max_err is None or max_err < 1e-10
     return bench.payload(
@@ -72,6 +77,7 @@ def run_bench(params):
             "gates": traces[False].total_gates,
             "unfused_sweeps": unfused,
             "fused_sweeps": fused,
+            "diagonal_sweeps": diagonal,
             "sweep_reduction": unfused / max(fused, 1),
             "states_match": states_match,
         },
@@ -82,6 +88,8 @@ def run_bench(params):
             "fusion at least halves the sweeps": unfused >= 2 * fused,
             "fusion at least halves the sweeps of every multi-gate part":
                 all(gates >= 2 * ops for gates, ops in per_part if gates > 1),
+            "a cx-conjugated phase ladder fuses to diagonal sweeps":
+                2 * diagonal >= fused,
         },
     )
 

@@ -64,6 +64,20 @@ def _run_options(args, manifest=None) -> RunOptions:
     return RunOptions(**_merged(args, RUN_OPTION_FIELDS, manifest))
 
 
+def _generated(name: str, qubits: int):
+    """The named generator's circuit for an executing subcommand.  An
+    unknown name is the registry's ``KeyError``; re-raised as the
+    ``ValueError`` every other unsatisfiable request already is (a
+    circuit the partitioner or cutter cannot place, an option out of
+    range), so :func:`main` reports it in one line."""
+    from .circuits import generators
+
+    try:
+        return generators.build(name, qubits)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
 def _cross_check(qc, state, label: str) -> int:
     """``--verify``: compare ``state`` with the flat simulator at 1e-10.
 
@@ -112,14 +126,13 @@ def _circuit(args) -> int:
 
 def _simulate(args) -> int:
     """Partition, hierarchically execute and summarise one circuit."""
-    from .circuits import generators
     from .partition.metrics import evaluate_partition
     from .serve import BatchRunner
     from .sv import ExecutionTrace
     from .sv.stabilizer import StabilizerState
 
     options = _run_options(args)
-    qc = generators.build(args.name, args.qubits)
+    qc = _generated(args.name, args.qubits)
     runner = BatchRunner(options)
     trace = ExecutionTrace()
     t0 = time.perf_counter()
@@ -159,7 +172,9 @@ def _simulate(args) -> int:
         print(
             f"kernel paths: strided parts={trace.strided_parts} "
             f"(ops={trace.strided_ops}), gathered parts="
-            f"{trace.gathered_parts} (ops={trace.gathered_ops})"
+            f"{trace.gathered_parts} (ops={trace.gathered_ops}); "
+            f"diagonal ops={trace.diagonal_ops} of "
+            f"{trace.strided_ops + trace.gathered_ops} (copy-free)"
         )
     print(m.summary())
     print(f"executed in {elapsed:.3f}s")
@@ -176,27 +191,22 @@ def _cut(args) -> int:
     """Cut, evaluate and recombine one circuit wider than one host."""
     import json
 
-    from .circuits import generators
-    from .cut import CutError, cut_run
+    from .cut import cut_run
 
     options = _run_options(args)
-    qc = generators.build(args.name, args.qubits)
+    qc = _generated(args.name, args.qubits)
     want_state = args.state or (args.verify and qc.num_qubits <= 24)
-    try:
-        result = cut_run(
-            qc,
-            max_width=args.max_width,
-            max_cuts=args.cuts,
-            want_state=want_state,
-            shots=args.shots,
-            seed=args.seed,
-            observables=args.observables or (),
-            workers=args.workers,
-            options=options,
-        )
-    except CutError as exc:
-        print(f"cut failed: {exc}")
-        return 2
+    result = cut_run(
+        qc,
+        max_width=args.max_width,
+        max_cuts=args.cuts,
+        want_state=want_state,
+        shots=args.shots,
+        seed=args.seed,
+        observables=args.observables or (),
+        workers=args.workers,
+        options=options,
+    )
     plan, trace = result.plan, result.trace
     print(
         f"{qc.name}: qubits={qc.num_qubits} gates={len(qc)} "
@@ -324,7 +334,6 @@ def _dist_worker(args) -> int:
 
     import numpy as np
 
-    from .circuits import generators
     from .dist import HiSVSimEngine, verify_exchange_records
     from .dist.transport import SocketTransport
     from .partition import get_partitioner
@@ -335,15 +344,12 @@ def _dist_worker(args) -> int:
         print(f"rank {args.rank} out of range for {args.ranks} ranks")
         return 2
     options = _run_options(args)
-    qc = generators.build(args.circuit, args.qubits)
-    try:  # before any peer is contacted: a bad rank count cannot mesh
-        comm = SimComm(args.ranks)
-        local_bits = comm.local_bits(qc.num_qubits)
-        limit = options.limit or default_limit(qc.num_qubits, cap=local_bits)
-        partition = get_partitioner(options.strategy).partition(qc, limit)
-    except ValueError as exc:
-        print(exc)
-        return 2
+    qc = _generated(args.circuit, args.qubits)
+    # Before any peer is contacted: a bad rank count cannot mesh.
+    comm = SimComm(args.ranks)
+    local_bits = comm.local_bits(qc.num_qubits)
+    limit = options.limit or default_limit(qc.num_qubits, cap=local_bits)
+    partition = get_partitioner(options.strategy).partition(qc, limit)
 
     spmd = args.transport == "socket"
     if spmd:
@@ -414,8 +420,9 @@ _RUN_FLAGS = {
     "limit": dict(type=_at_least_one(
                       "limit", "to derive the per-circuit default"),
                   help="working-set limit, >= 1 (default: qubits - 3, min 3)"),
-    "max_fused_qubits": dict(type=int,
-                             help="arity cap for fused dense unitaries "
+    "max_fused_qubits": dict(type=_at_least_one(
+                                 "max_fused_qubits", "for the default"),
+                             help="arity cap for fused dense unitaries, >= 1 "
                                   f"(default: {RunOptions.max_fused_qubits})"),
     "backend": dict(choices=BACKEND_NAMES,
                     help="execution backend (default: REPRO_BACKEND, else "
@@ -609,7 +616,15 @@ def main(argv=None) -> int:
 
     handlers = {"circuit": _circuit, "simulate": _simulate, "cut": _cut,
                 "batch": _batch, "serve": _serve, "dist-worker": _dist_worker}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        # The typed refusal of a request: an unknown generator, a circuit
+        # the partitioner (``PartitionError``) or the cutter (``CutError``)
+        # cannot place, an option out of range, a rank count that cannot
+        # mesh.  One line, exit code 2 -- never a traceback.
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -111,7 +111,7 @@ class RunOptions:
 
     Names are checked where they are resolved — ``get_partitioner``,
     ``resolve_backend`` and ``resolve_method`` own those errors; only
-    the range of ``limit`` is checked here.
+    the ranges of ``limit`` and ``max_fused_qubits`` are checked here.
 
     >>> RunOptions(strategy="DFS").limit is None
     True
@@ -134,6 +134,10 @@ class RunOptions:
             raise ValueError(
                 f"limit must be >= 1 (got {self.limit}); pass None to "
                 f"derive the per-circuit default"
+            )
+        if self.max_fused_qubits < 1:
+            raise ValueError(
+                f"max_fused_qubits must be >= 1 (got {self.max_fused_qubits})"
             )
 
     def executor_kwargs(self) -> Dict[str, Any]:

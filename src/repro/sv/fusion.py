@@ -11,11 +11,29 @@ benchmark reruns — pays matrix construction a single time.
 Grouping is dependency-respecting by construction: gate ``g`` may only
 join a group at or after the last group touching any of ``g``'s qubits,
 so any pair of gates whose relative order changes acts on disjoint
-qubits and commutes.  It is diagonal-aware twice over: a group whose
-members are all diagonal stays on the copy-free broadcast kernel, and
-all-diagonal groups may grow to ``max_diag_qubits`` (diagonal products
-cost one multiply per amplitude regardless of arity, so wider diagonal
-fusion is pure win).
+qubits and commutes.
+
+**What "diagonal" means.**  A group is ``diagonal`` when its *product*
+is a diagonal matrix for every value of its members' parameters — not
+when every member happens to be called diagonal.  Circuits arrive in the
+OpenQASM basis, where a controlled phase is ``u1·cx·u1·cx·u1``: one
+``cx`` in the group, and yet ``cx·diag·cx`` is diagonal whatever the
+angles.  Gate names still suffice to decide it: a diagonal gate is
+``diag(d)`` and a ``gate_permutation`` gate (``x``, ``cx``, ``ccx``,
+``swap``, ``cswap``) a 0/1 permutation ``P``, so a product of such
+members is ``diag(d') @ P'`` with ``P'`` the composition of the members'
+index permutations — parameters only move the phases ``d'``, never
+``P'`` — and it is diagonal exactly when ``P'`` is the identity
+(:func:`_permutations_cancel`, once per group when the structure is
+planned).  A group with any other member is called dense without a
+look: no bound matrix is ever scanned.  Diagonal groups take the
+copy-free broadcast kernel (one multiply per amplitude, no transposing
+copy, no GEMM, no temporaries) on every route that reads
+``FusedGate.diagonal``, and the cost model charges them as such.
+Grouping has its own, narrower rule and keeps it: a group may grow to
+``max_diag_qubits`` only while every *member* is a diagonal gate
+(diagonal products cost one multiply per amplitude regardless of
+arity, so wider diagonal fusion is pure win).
 """
 
 from __future__ import annotations
@@ -65,9 +83,10 @@ DIAGONAL_BONUS_QUBITS = 2
 class FusionGroup:
     """One fusion group: member positions (in the source gate list, in
     original order), the union working set in first-seen operand order,
-    whether every member is diagonal, and whether every member is
-    Clifford (detected from ``GateDef.clifford`` — the group-level
-    capability the executor routes engines on).
+    whether the members' product is diagonal for every parameter value
+    (see the module docstring), and whether every member is Clifford
+    (detected from ``GateDef.clifford`` — the group-level capability
+    the executor routes engines on).
 
     >>> FusionGroup(members=(0, 2), qubits=(1, 3), diagonal=False).qubits
     (1, 3)
@@ -90,12 +109,17 @@ def plan_fusion_groups(
     placed in any group at or after the last group that touches one of
     ``g``'s qubits.  Groups are emitted in creation order with members in
     source order, which reproduces the original gate order up to swaps of
-    disjoint (hence commuting) gates.
+    disjoint (hence commuting) gates.  A finished group is ``diagonal``
+    when all its members are diagonal gates, or diagonal and permutation
+    gates whose permutations cancel.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).h(2)
     >>> [g.members for g in plan_fusion_groups(qc.gates, 2)]  # h(2) overflows
     [(0, 1), (2,)]
+    >>> ladder = QuantumCircuit(2).cx(0, 1).rz(0.3, 1).cx(0, 1)
+    >>> [g.diagonal for g in plan_fusion_groups(ladder.gates, 2)]
+    [True]
     """
     if max_fused_qubits < 1:
         raise ValueError("max_fused_qubits must be >= 1")
@@ -108,6 +132,7 @@ def plan_fusion_groups(
     qubit_order: List[List[int]] = []  # first-seen operand order per group
     qubit_sets: List[set] = []
     all_diag: List[bool] = []
+    monomial: List[bool] = []  # every member diagonal or a permutation
     all_cliff: List[bool] = []
     last_group_of: Dict[int, int] = {}
 
@@ -134,6 +159,7 @@ def plan_fusion_groups(
             qubit_order.append([])
             qubit_sets.append(set())
             all_diag.append(True)
+            monomial.append(True)
             all_cliff.append(True)
             placed = len(members) - 1
         members[placed].append(i)
@@ -143,11 +169,21 @@ def plan_fusion_groups(
                 qubit_order[placed].append(q)
             last_group_of[q] = placed
         all_diag[placed] = all_diag[placed] and g.is_diagonal
+        monomial[placed] = monomial[placed] and (
+            g.is_diagonal or gate_permutation(g.name) is not None
+        )
         all_cliff[placed] = all_cliff[placed] and g.is_clifford
 
     return [
-        FusionGroup(tuple(m), tuple(qs), d, c)
-        for m, qs, d, c in zip(members, qubit_order, all_diag, all_cliff)
+        FusionGroup(
+            tuple(m),
+            tuple(qs),
+            d or (mono and _permutations_cancel(gates, m, qs)),
+            c,
+        )
+        for m, qs, d, mono, c in zip(
+            members, qubit_order, all_diag, monomial, all_cliff
+        )
     ]
 
 
@@ -257,11 +293,36 @@ def _index_table(width: int, positions: Tuple[int, ...], kind) -> np.ndarray:
     return table
 
 
+def _permutations_cancel(
+    gates: Sequence[Gate], members: Sequence[int], qubits: Sequence[int]
+) -> bool:
+    """True when the permutation members of a group over ``qubits``
+    compose to the identity on its ``2^k`` indices — asked only of a
+    group whose members are all diagonal or ``gate_permutation`` gates,
+    whose product is then diagonal whatever the parameters.  The row
+    tables are the ones :func:`_fuse` reorders with, in the same order."""
+    pos = {q: i for i, q in enumerate(qubits)}
+    perm = None  # None = identity
+    for m in members:
+        g = gates[m]
+        if g.is_diagonal:
+            continue
+        table = _index_table(
+            len(qubits),
+            tuple(pos[q] for q in g.qubits),
+            gate_permutation(g.name),
+        )
+        perm = table if perm is None else perm.take(table)
+    return perm is None or bool((perm == np.arange(perm.size)).all())
+
+
 def _bind_program(groups: Sequence[FusionGroup], gates: Sequence[Gate]):
     """Per group, its members as ``(gate index, name, qubits, kind, index
     table)`` — everything :meth:`PartPlanStructure.bind` needs that gate
     parameters cannot change.  ``table`` is ``None`` for a member that is
-    its whole group: its matrix is the group's, as is."""
+    its whole group: its matrix is the group's, as is.  A member outside
+    its group's qubits, or a dense one in a diagonal group (diagonal and
+    permutation members both belong there), is a ``ValueError``."""
     program = []
     for grp in groups:
         width = len(grp.qubits)
@@ -269,16 +330,16 @@ def _bind_program(groups: Sequence[FusionGroup], gates: Sequence[Gate]):
         steps = []
         for m in grp.members:
             g = gates[m]
+            kind = "diag" if g.is_diagonal else (
+                gate_permutation(g.name) or "dense"
+            )
             if not set(g.qubits) <= pos.keys() or (
-                grp.diagonal and not g.is_diagonal
+                grp.diagonal and kind == "dense"
             ):
                 raise ValueError(
                     f"gate {m} ({g.name} on {g.qubits}) does not belong "
                     f"to its fusion group over {grp.qubits}"
                 )
-            kind = "diag" if g.is_diagonal else (
-                gate_permutation(g.name) or "dense"
-            )
             table = None
             if len(grp.members) > 1 or g.qubits != grp.qubits:
                 table = _index_table(
@@ -352,19 +413,24 @@ class PartPlanStructure:
     """The parameter-independent half of a compiled part plan.
 
     Everything about a part's execution that does **not** depend on gate
-    parameters lives here: the fusion grouping, the working-set qubit
-    tuple and the (memoised) Algorithm-1 gather table.  Grouping only
-    consults gate *names* and operands — diagonality is a property of
-    the gate definition, never of its angles — so two circuits that
-    differ only in parameters (a QAOA angle sweep) share one structure.
+    parameters lives here: the fusion grouping, each group's kernel
+    class (``FusionGroup.diagonal``), the bind program, the working-set
+    qubit tuple and the (memoised) Algorithm-1 gather table.  All of it
+    only consults gate *names* and operands — whether a group's product
+    is diagonal follows from which members are diagonal gates and which
+    are permutations that cancel, never from an angle or a bound matrix
+    — so two circuits that differ only in parameters (a QAOA angle
+    sweep) share one structure, and the kernel every op runs on is
+    decided once, when the structure is planned, not per bind or per
+    run.
 
     :meth:`bind` attaches concrete matrices for a particular gate list,
     producing a :class:`CompiledPartPlan` that shares this structure's
     gather-table memo.  That split is what lets the serving runtime
     (:mod:`repro.serve`) compile a parameter sweep's structure once; a
-    job then pays one pass over the bind program (compiled on the first
-    bind): per source gate a look-up into a running diagonal, a row
-    reorder or one ``2^m``-row GEMM — microseconds each.
+    job then pays one pass over the bind program: per source gate a
+    look-up into a running diagonal, a row reorder or one ``2^m``-row
+    GEMM — microseconds each.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc1 = QuantumCircuit(2).rz(0.1, 0).cx(0, 1)
@@ -391,17 +457,17 @@ class PartPlanStructure:
         self,
         qubits: Tuple[int, ...],
         groups: Tuple[FusionGroup, ...],
-        num_source_gates: int,
+        gates: Sequence[Gate],
         fused: bool,
         max_fused_qubits: int,
     ) -> None:
         self.qubits = tuple(qubits)
         self.groups = tuple(groups)
-        self.num_source_gates = int(num_source_gates)
+        self.num_source_gates = len(gates)
         self.fused = bool(fused)
         self.max_fused_qubits = int(max_fused_qubits)
         self._table: Optional[Tuple[int, np.ndarray]] = None
-        self._program: Optional[tuple] = None
+        self._program = _bind_program(self.groups, gates)
 
     @property
     def num_ops(self) -> int:
@@ -440,19 +506,17 @@ class PartPlanStructure:
 
         ``gates`` must be structurally identical (same names and
         operands, any parameters) to the gate list the structure was
-        planned from — checked gate by gate, ``ValueError`` names the
-        first that differs; ``source_indices`` optionally records the
-        gates' original circuit positions on the resulting ops.  The
-        first bind compiles the bind program (a race between threads
-        builds an identical one twice, like the gather-table memo).
+        planned from — checked gate by gate on every bind, the first
+        included (a group's kernel class was decided from those names),
+        and ``ValueError`` names the first that differs;
+        ``source_indices`` optionally records the gates' original
+        circuit positions on the resulting ops.
         """
         if len(gates) != self.num_source_gates:
             raise ValueError(
                 f"structure spans {self.num_source_gates} gates, "
                 f"got {len(gates)}"
             )
-        if self._program is None:
-            self._program = _bind_program(self.groups, gates)
         idx = tuple(source_indices) if source_indices else None
         operands: dict = {}
         ops = tuple(
@@ -511,7 +575,7 @@ def build_part_structure(
             for i, g in enumerate(gates)
         ]
     return PartPlanStructure(
-        tuple(inner_qubits), tuple(groups), len(gates), bool(fuse), effective
+        tuple(inner_qubits), tuple(groups), gates, bool(fuse), effective
     )
 
 

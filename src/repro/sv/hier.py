@@ -80,9 +80,11 @@ class ExecutionTrace:
     Kernel-path routing: ``strided_parts`` / ``gathered_parts`` count
     dense parts per path (the gather-free strided lane vs the
     gather-matrix sweep) and ``strided_ops`` / ``gathered_ops`` the
-    kernel sweeps each executed.  ``gather_elements``/``scatter_elements``
-    grow only for gathered parts — strided parts move no gather traffic
-    at all.
+    kernel sweeps each executed; ``diagonal_ops`` counts, across both
+    paths, the sweeps whose fused product is diagonal — the ones that
+    ran as an in-place multiply instead of copy + GEMM + write-back.
+    ``gather_elements``/``scatter_elements`` grow only for gathered
+    parts — strided parts move no gather traffic at all.
 
     >>> trace = ExecutionTrace(part_gates=[10, 6], part_ops=[3, 2])
     >>> trace.num_parts, trace.total_gates, trace.sweeps_saved
@@ -103,6 +105,7 @@ class ExecutionTrace:
     gathered_parts: int = 0
     strided_ops: int = 0
     gathered_ops: int = 0
+    diagonal_ops: int = 0
 
     @property
     def num_parts(self) -> int:
@@ -332,4 +335,5 @@ class HierarchicalExecutor:
                 trace.gathered_ops += plan.num_ops
                 trace.gather_elements += 1 << n
                 trace.scatter_elements += 1 << n
+            trace.diagonal_ops += sum(op.is_diagonal for op in plan.ops)
             self._record_engine(trace, "dense")

@@ -3,7 +3,8 @@
 Two generators:
 
 - :func:`circuits` — unconstrained random circuits over a mixed 1q/2q
-  gate vocabulary, for properties that must hold on *any* circuit.
+  gate vocabulary (or a caller's ``pool``), for properties that must
+  hold on *any* circuit.
 - :func:`chained_circuits` — circuits built from ``k + 1`` windows where
   consecutive windows overlap in **exactly one qubit**, together with the
   gate -> window assignment.  Cutting along the window boundaries severs
@@ -15,7 +16,7 @@ Two generators:
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -50,27 +51,36 @@ def circuits(
     min_gates: int = 3,
     max_gates: int = 24,
     three_qubit: bool = False,
+    pool: Optional[Sequence[str]] = None,
 ) -> QuantumCircuit:
     """A random circuit over :data:`ONE_QUBIT_GATES` / :data:`TWO_QUBIT_GATES`
-    (and, with ``three_qubit``, :data:`THREE_QUBIT_GATES`)."""
+    (and, with ``three_qubit``, :data:`THREE_QUBIT_GATES`) — or over the
+    gate names in ``pool``, split by arity (``three_qubit`` still gates
+    its 3-qubit names)."""
+    by_arity = (ONE_QUBIT_GATES, TWO_QUBIT_GATES, THREE_QUBIT_GATES)
+    if pool is not None:
+        by_arity = tuple(
+            tuple(g for g in pool if GATE_DEFS[g].num_qubits == k)
+            for k in (1, 2, 3)
+        )
     n = draw(st.integers(min_qubits, max_qubits))
     num_gates = draw(st.integers(min_gates, max_gates))
     qc = QuantumCircuit(n, name="hyp_random")
     for _ in range(num_gates):
         if three_qubit and n >= 3 and draw(st.integers(0, 4)) == 0:
-            name = draw(st.sampled_from(THREE_QUBIT_GATES))
+            name = draw(st.sampled_from(by_arity[2]))
             qubits: Tuple[int, ...] = tuple(
                 draw(st.permutations(range(n)))[:3]
             )
         elif n >= 2 and draw(st.booleans()):
-            name = draw(st.sampled_from(TWO_QUBIT_GATES))
+            name = draw(st.sampled_from(by_arity[1]))
             a = draw(st.integers(0, n - 1))
             b = draw(st.integers(0, n - 2))
             if b >= a:
                 b += 1
             qubits = (a, b)
         else:
-            name = draw(st.sampled_from(ONE_QUBIT_GATES))
+            name = draw(st.sampled_from(by_arity[0]))
             qubits = (draw(st.integers(0, n - 1)),)
         qc.append(_draw_gate(draw, name, qubits))
     return qc

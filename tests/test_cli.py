@@ -59,6 +59,13 @@ class TestCli:
         assert "saved" in out
         assert "max |fused - flat|" in out
 
+    def test_simulate_reports_copy_free_sweeps(self, capsys):
+        # qft's cx-conjugated phase ladders fuse to diagonal products.
+        assert main(["simulate", "qft", "--qubits", "16"]) == 0
+        out = capsys.readouterr().out
+        assert "sweeps=35 of 624" in out
+        assert "gathered parts=4 (ops=35); diagonal ops=20 of 35" in out
+
     def test_simulate_no_fuse(self, capsys):
         assert main(
             ["simulate", "bv", "--qubits", "8", "--no-fuse", "--verify"]
@@ -205,6 +212,67 @@ class TestLimitAndRendezvousFlags:
                   "--circuit", "qft", "--rendezvous", "localhost:abc"])
         assert excinfo.value.code == 2
         assert "expected HOST:PORT" in capsys.readouterr().err
+
+
+class TestRefusalsAreOneLine:
+    """A request the pipeline refuses with a typed error ends in its
+    one-line message and exit code 2, never a traceback."""
+
+    COMMANDS = {
+        "simulate": ["simulate"],
+        "cut": ["cut", "--max-width", "4"],
+        "dist-worker": ["dist-worker", "--rank", "0", "--ranks", "2",
+                        "--transport", "recording", "--circuit"],
+    }
+
+    def _refused(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.out
+        assert len(captured.out.strip().splitlines()) == 1
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unknown_circuit(self, command, capsys):
+        argv = self.COMMANDS[command]
+        argv = argv + ["ghz"] if command == "dist-worker" else (
+            argv[:1] + ["ghz"] + argv[1:]
+        )
+        self._refused(argv, "unknown benchmark 'ghz'; choose from", capsys)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "qft", "--qubits", "2", "--limit", "1"],
+         "touches 2 qubits; cannot fit limit 1"),
+        (["dist-worker", "--rank", "0", "--ranks", "1", "--circuit", "qft",
+          "--qubits", "2", "--limit", "1", "--transport", "recording"],
+         "touches 2 qubits; cannot fit limit 1"),
+        (["cut", "qft", "--qubits", "6", "--max-width", "1"],
+         "max_width"),
+    ], ids=["simulate", "dist-worker", "cut"])
+    def test_unplaceable_circuit(self, argv, message, capsys):
+        self._refused(argv, message, capsys)
+
+    @pytest.mark.parametrize("command", ["simulate", "cut"])
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_non_positive_max_fused_qubits_exits_2(self, command, bad,
+                                                   capsys):
+        # Used to be accepted and silently run at 1.
+        with pytest.raises(SystemExit) as excinfo:
+            main(SUBCOMMANDS[command] + ["--max-fused-qubits", bad])
+        assert excinfo.value.code == 2
+        assert "max_fused_qubits must be >= 1" in capsys.readouterr().err
+
+    def test_batch_manifest_with_zero_max_fused_qubits(self, tmp_path,
+                                                       capsys):
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps({
+            "max_fused_qubits": 0,
+            "jobs": [{"circuit": {"generator": "qft", "qubits": 4}}],
+        }))
+        self._refused(["batch", str(manifest)],
+                      "max_fused_qubits must be >= 1 (got 0)", capsys)
 
 
 class TestDistWorkerRankCount:

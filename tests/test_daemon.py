@@ -418,6 +418,14 @@ class TestProtocolErrors:
             daemon.port, "POST", "/jobs", payload=manifest
         )[0] == 202
 
+    def test_zero_max_fused_qubits_is_a_400_not_a_clamp(self, daemon):
+        manifest = sweep_manifest(jobs=1)
+        manifest["max_fused_qubits"] = 0
+        status, payload, _ = request(
+            daemon.port, "POST", "/jobs", payload=manifest
+        )
+        assert status == 400 and "max_fused_qubits=0" in payload["error"]
+
     def test_restating_resolved_options_accepted(self, daemon):
         """Options are compared against what the runner resolved, so a
         manifest naming the effective backend / method / strategy is

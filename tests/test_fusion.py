@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import make_gate
+from repro.circuits.gates import gate_permutation, make_gate
 from repro.partition import get_partitioner
+from repro.sv import fusion
 from repro.sv.fusion import (
     CompiledPartPlan,
     FusedGate,
+    FusionGroup,
     OnceCache,
     PlanCache,
     build_part_structure,
@@ -27,7 +29,7 @@ from repro.sv.kernels import apply_gate_batched, apply_matrix
 from repro.sv.simulator import StateVectorSimulator, zero_state
 
 from conftest import SUITE_SMALL, random_circuit
-from strategies import circuits
+from strategies import _ANGLES, circuits
 
 
 def flat_state(qc):
@@ -289,6 +291,34 @@ class TestBindProgram:
         dense = [diagonal[0], make_gate("cx", (0, 1))]
         with pytest.raises(ValueError, match="gate 1 "):
             whole_structure(diagonal).bind(dense)
+        # A never-bound structure's kernel class came from the planned
+        # names: a permutation swapped for another is refused, not run
+        # as a diagonal it no longer is.
+        ladder = circuit_of(2, ("cx", (0, 1)), ("rz", (1,), 0.3),
+                            ("cx", (0, 1)))
+        assert whole_structure(ladder).groups[0].diagonal
+        with pytest.raises(ValueError, match="gate 2 is swap"):
+            whole_structure(ladder).bind(
+                [*ladder.gates[:2], make_gate("swap", (0, 1))]
+            )
+
+    def test_membership_check_of_a_diagonal_group(self):
+        # Diagonal and permutation members both belong to a diagonal
+        # group; the first dense or out-of-group member is named.
+        gates = [make_gate("cx", (0, 1)), make_gate("rz", (1,), [0.3]),
+                 make_gate("cx", (0, 1)), make_gate("h", (1,)),
+                 make_gate("rx", (0,), [0.2])]
+        group = FusionGroup((0, 1, 2), (0, 1), True)
+        (steps,) = fusion._bind_program([group], gates)
+        assert [kind for _, _, _, kind, _ in steps] == [
+            gate_permutation("cx"), "diag", gate_permutation("cx")
+        ]
+        with pytest.raises(ValueError, match=r"gate 3 \(h on \(1,\)\)"):
+            fusion._bind_program(
+                [FusionGroup((0, 1, 2, 3, 4), (0, 1), True)], gates
+            )
+        with pytest.raises(ValueError, match=r"gate 2 \(cx on \(0, 1\)\)"):
+            fusion._bind_program([FusionGroup((1, 2), (1,), True)], gates)
 
     def test_compile_part_and_get_or_bind_agree_bitwise(self):
         qc = generators.build("qaoa", 8)
@@ -357,6 +387,160 @@ class TestBindProgram:
                     )
         assert sum(len(steps) for steps in structure._program) == 2000
         assert 0 < len(tables) <= len(keys) < 400
+
+
+#: Diagonal gates, 0/1 permutation gates and two dense ones.
+PRODUCT_POOL = ("x", "cx", "ccx", "swap", "cswap", "u1", "rz", "rzz", "cz",
+                "cu1", "t", "s", "h", "rx")
+
+
+def off_diagonal(matrix):
+    return matrix[~np.eye(len(matrix), dtype=bool)]
+
+
+def is_monomial(gates, group):
+    """Every member a diagonal or a 0/1 permutation gate: the product
+    has one non-zero entry per row, so its class is decidable."""
+    return all(
+        gates[m].is_diagonal or gate_permutation(gates[m].name) is not None
+        for m in group.members
+    )
+
+
+def assert_flag_matches_product(structure, *gate_lists):
+    """``diagonal`` ⇒ exactly-zero off-diagonal entries under every angle
+    set; a monomial group left unflagged has a non-zero one."""
+    for gates in gate_lists:
+        plan = structure.bind(gates)
+        for op, group in zip(plan.ops, structure.groups):
+            assert op.is_diagonal == group.diagonal
+            off = off_diagonal(op.matrix())
+            if group.diagonal:
+                assert not off.any(), (group, op.matrix())
+            elif is_monomial(gates, group):
+                assert off.any(), (group, op.matrix())
+
+
+class TestDiagonalByProduct:
+    """A group is diagonal when its product is — for every angle — and
+    that is decided from gate names, once per structure."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        qc=circuits(min_qubits=2, max_qubits=5, max_gates=30,
+                    three_qubit=True, pool=PRODUCT_POOL),
+        cap=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_property_flag_iff_product_is_diagonal(self, qc, cap, data):
+        redrawn = [
+            make_gate(g.name, g.qubits,
+                      [data.draw(_ANGLES) for _ in g.params])
+            for g in qc
+        ]
+        structure = whole_structure(qc, max_fused_qubits=cap)
+        assert_flag_matches_product(structure, qc.gates, redrawn)
+
+    @pytest.mark.parametrize("gates,diagonal", [
+        # The qelib1 controlled phase and its relatives.
+        ([("u1", (0,), 0.2), ("cx", (0, 1)), ("u1", (1,), -0.2),
+          ("cx", (0, 1)), ("u1", (1,), 0.2)], True),
+        ([("cx", (0, 1)), ("rz", (1,), 0.7), ("cx", (0, 1))], True),
+        ([("swap", (0, 2)), ("rzz", (0, 1), 0.4), ("swap", (2, 0))], True),
+        ([("ccx", (0, 1, 2)), ("t", (2,)), ("cz", (0, 2)),
+          ("ccx", (1, 0, 2))], True),
+        ([("cswap", (2, 0, 1)), ("cu1", (0, 2), 0.9),
+          ("cswap", (2, 1, 0))], True),
+        ([("x", (1,)), ("rz", (1,), 0.3), ("x", (1,))], True),
+        ([("cx", (0, 1)), ("cx", (1, 2)), ("s", (2,)), ("cx", (1, 2)),
+          ("cx", (0, 1))], True),
+        ([("cx", (0, 1)), ("cx", (0, 1))], True),
+        # Permutations that do not cancel, at any angle.
+        ([("cx", (0, 1)), ("rz", (1,), 0.7), ("cx", (1, 0))], False),
+        ([("x", (0,)), ("rz", (0,), 0.3)], False),
+        ([("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 1)),
+          ("cx", (1, 2))], False),
+        ([("swap", (0, 1)), ("cz", (0, 1))], False),
+        # One dense member decides it without a look, even when the
+        # product happens to be diagonal at these angles.
+        ([("cx", (0, 1)), ("rz", (1,), 0.7), ("cx", (0, 1)),
+          ("rx", (0,), 0.0)], False),
+        ([("h", (0,)), ("h", (0,))], False),
+    ])
+    def test_named_cases(self, gates, diagonal):
+        qc = circuit_of(3, *gates)
+        structure, plan = assert_bind_matches_oracle(qc, max_fused_qubits=3)
+        assert [g.diagonal for g in structure.groups] == [diagonal]
+        assert_flag_matches_product(
+            structure, qc.gates, angle_variants(qc, 1)[0].gates
+        )
+
+    def test_permutation_members_do_not_earn_the_bonus_width(self):
+        # The grouping rule is the old one: only all-diagonal-gate groups
+        # grow past the dense cap, so group boundaries did not move.
+        gates = [make_gate("cx", (0, 1)), make_gate("rz", (1,), [0.3]),
+                 make_gate("cx", (0, 1)), make_gate("cz", (1, 2)),
+                 make_gate("cz", (2, 3))]
+        groups = plan_fusion_groups(gates, 2, 4)
+        assert [g.members for g in groups] == [(0, 1, 2), (3, 4)]
+        assert [g.diagonal for g in groups] == [True, True]
+        assert [len(g.qubits) for g in groups] == [2, 3]
+
+    def test_dense_groups_are_skipped_without_composing(self, monkeypatch):
+        asked = []
+        real = fusion._permutations_cancel
+        monkeypatch.setattr(
+            fusion, "_permutations_cancel",
+            lambda gates, members, qubits:
+                asked.append(tuple(members))
+                or real(gates, members, qubits),
+        )
+        qc = circuit_of(
+            6, ("h", (0,)), ("cx", (0, 1)), ("rz", (2,), 0.1),
+            ("cz", (2, 3)), ("cx", (4, 5)), ("u1", (5,), 0.4),
+            ("cx", (4, 5)),
+        )
+        structure = whole_structure(qc, max_fused_qubits=2)
+        # h·cx is dense (not asked), rz·cz all-diagonal (not asked).
+        assert asked == [(4, 5, 6)]
+        assert [g.diagonal for g in structure.groups] == [False, True, True]
+
+    def test_a_sweep_composes_each_structure_once(self, monkeypatch):
+        calls = []
+        real = fusion._permutations_cancel
+        monkeypatch.setattr(
+            fusion, "_permutations_cancel",
+            lambda *args: calls.append(tuple(args[1])) or real(*args),
+        )
+        base = generators.build("qaoa", 10)
+        partition = get_partitioner("dagP").partition(base, 7)
+        cache = PlanCache()
+        flagged = 0
+        for job, qc in enumerate([base] + angle_variants(base, 103)):
+            for part in partition.parts:
+                plan = cache.get_or_bind(
+                    qc, part.gate_indices, part.qubits, structural_key="k"
+                )
+                flagged += sum(op.is_diagonal for op in plan.ops)
+            if job == 0:
+                first, per_job = list(calls), flagged
+        # The cx·rz·cx ladders were found on the first job ...
+        assert first and per_job > 0
+        # ... and 103 more binds of the same structures asked nothing.
+        assert calls == first
+        assert flagged == 104 * per_job
+        assert cache.structure_misses == partition.num_parts
+
+    @pytest.mark.parametrize("name", sorted(generators.GENERATORS))
+    def test_every_generator_flag_agrees_with_its_matrices(self, name):
+        qc = generators.build(name, 9)
+        partition = get_partitioner("dagP").partition(qc, 6)
+        for part in partition.parts:
+            gates = [qc[g] for g in part.gate_indices]
+            structure = build_part_structure(
+                qc, part.gate_indices, part.qubits
+            )
+            assert_flag_matches_product(structure, gates)
 
 
 class TestPlanCache:

@@ -344,6 +344,16 @@ class TestLimitHandling:
         with pytest.raises(ValueError, match="limit must be >= 1"):
             BatchRunner(limit=bad)
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_non_positive_max_fused_qubits_rejected(self, bad):
+        # Same typed error from the constructor and from a manifest's
+        # options; it used to be clamped to 1 at compile time.
+        with pytest.raises(ValueError, match="max_fused_qubits must be >= 1"):
+            BatchRunner(max_fused_qubits=bad)
+        _, options = load_manifest({"max_fused_qubits": bad, "jobs": []})
+        with pytest.raises(ValueError, match="max_fused_qubits must be >= 1"):
+            BatchRunner(**options)
+
     def test_none_limit_derives_default(self):
         report = BatchRunner(limit=None).run(
             [SimJob("j", qft(6), want_state=True)]

@@ -13,10 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits import generators
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
+from repro.dist import HiSVSimEngine
 from repro.partition import get_partitioner
 from repro.sv import (
     DEFAULT_STRIDED_MAX,
+    ExecutionTrace,
     HierarchicalExecutor,
     SerialBackend,
     ThreadedBackend,
@@ -25,6 +29,8 @@ from repro.sv import (
     apply_matrix_strided,
     bytes_touched_gather_part,
     bytes_touched_strided,
+    compile_partition,
+    flops_for_gate,
     split_controls,
     strided_max_qubits,
     zero_state,
@@ -209,6 +215,77 @@ class TestStridedVsGatherBackends:
         with ThreadedBackend(4, min_parallel_elements=0) as b:
             threaded = _run(qc, p, b)
         assert float(np.max(np.abs(serial - threaded))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Hidden-diagonal parts: every route reads the one flag
+# ---------------------------------------------------------------------------
+
+
+def _phase_ladder(num_qubits: int, rounds: int = 3) -> QuantumCircuit:
+    """``cx·rz·cx`` on every neighbouring pair: no gate but ``rz`` is
+    called diagonal, every fused group is."""
+    qc = QuantumCircuit(num_qubits, name="phase_ladder")
+    for r in range(rounds):
+        for q in range(num_qubits - 1):
+            qc.cx(q, q + 1).rz(0.3 + 0.1 * q + r, q + 1).cx(q, q + 1)
+    return qc
+
+
+@pytest.mark.parametrize("build,all_diagonal", [
+    (lambda: generators.build("qft", 10), False),
+    (lambda: _phase_ladder(10), True),
+], ids=["qft10", "cx-rz-cx-ladder"])
+def test_hidden_diagonal_routes_agree(build, all_diagonal):
+    qc = build()
+    n, ranks = qc.num_qubits, 4
+    p = get_partitioner("dagP").partition(qc, 7)
+    ops = [op for plan in compile_partition(qc, p) for op in plan.ops]
+    hidden = [
+        op for op in ops
+        if op.is_diagonal
+        and not all(qc[g].is_diagonal for g in op.source_indices)
+    ]
+    assert hidden and all(op.is_diagonal for op in ops) == all_diagonal
+
+    start = _random_state(n, seed=7)
+    want = start.copy()
+    for g in qc:
+        apply_gate_reference(want, g, n)
+
+    def run(backend):
+        state, trace = start.copy(), ExecutionTrace()
+        HierarchicalExecutor(backend=backend).run(qc, p, state, trace=trace)
+        assert trace.diagonal_ops == sum(op.is_diagonal for op in ops)
+        return state, trace
+
+    gathered, trace = run(SerialBackend(strided_max=-1))
+    assert trace.gathered_parts == p.num_parts
+    strided, trace = run(SerialBackend(strided_max=5))
+    assert trace.strided_parts == p.num_parts
+    for state in (gathered, strided):
+        assert float(np.max(np.abs(state - want))) < 1e-10
+    with ThreadedBackend(2, min_parallel_elements=0, strided_max=-1) as b:
+        threaded, _ = run(b)
+    if all_diagonal:
+        # An elementwise multiply does not depend on block boundaries.
+        assert np.array_equal(threaded, gathered)
+    else:
+        assert float(np.max(np.abs(threaded - want))) < 1e-10
+
+    # The sharded route, and its model charges what was executed.
+    shards, report = HiSVSimEngine(ranks, fuse=True).run(
+        qc, p, initial_full=start
+    )
+    assert float(np.max(np.abs(shards.to_full() - want))) < 1e-10
+    local = n - 2
+    assert report.compute.gates == len(ops)
+    assert report.compute.flops == sum(
+        flops_for_gate(op.num_qubits, local, op.is_diagonal) for op in ops
+    )
+    assert report.compute.flops < sum(
+        flops_for_gate(op.num_qubits, local) for op in ops
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,23 @@
 Paper claim (Sec. IV): the DAG-aware strategies need fewer parts than the
 written order.  Claimed here: DFS and dagP never need more parts than
 Nat (dagP vs DFS is a heuristic race the gated counts record, not a
-law).  How long partitioning takes is the perf harness's
-``partition.{Nat,DFS,dagP}.s``.
+law).  Beside each count the entry gates a digest of the partition
+itself, so a gate that moves to another part fails the model-metric gate
+even when the part count survives.  How long partitioning takes is the
+perf harness's ``partition.{Nat,DFS,dagP}.s``.
 """
+
+import hashlib
 
 from repro import bench
 from repro.circuits.generators import build
 from repro.partition import get_partitioner
+
+
+def partition_digest(partition) -> str:
+    """First 12 hex of the sha256 of ``(assignment, [part.qubits ...])``."""
+    content = (partition.assignment(), [p.qubits for p in partition.parts])
+    return hashlib.sha256(repr(content).encode()).hexdigest()[:12]
 
 
 @bench.register(
@@ -23,14 +33,14 @@ def run_bench(params):
     metrics, claims = {}, {}
     for name in params["circuits"]:
         circuit = build(name, params["qubits"])
-        parts = {
-            strategy: get_partitioner(strategy)
-            .partition(circuit, params["limit"])
-            .num_parts
-            for strategy in ("Nat", "DFS", "dagP")
-        }
-        for strategy, count in parts.items():
-            metrics[f"{name}_{strategy}_parts"] = count
+        parts = {}
+        for strategy in ("Nat", "DFS", "dagP"):
+            partition = get_partitioner(strategy).partition(
+                circuit, params["limit"]
+            )
+            parts[strategy] = partition.num_parts
+            metrics[f"{name}_{strategy}_parts"] = partition.num_parts
+            metrics[f"{name}_{strategy}_digest"] = partition_digest(partition)
         claims[f"{name}: DFS and dagP need no more parts than Nat"] = (
             min(parts.values()) >= 1
             and max(parts["DFS"], parts["dagP"]) <= parts["Nat"]

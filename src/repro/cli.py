@@ -109,9 +109,9 @@ def _cross_check(qc, state, label: str) -> int:
 
 def _circuit(args) -> int:
     """Print a generated circuit's statistics or its OpenQASM."""
-    from .circuits import generators, qasm
+    from .circuits import qasm
 
-    qc = generators.build(args.name, args.qubits)
+    qc = _generated(args.name, args.qubits)
     if args.qasm:
         print(qasm.dumps(qc), end="")
     else:
@@ -269,7 +269,12 @@ def _batch(args) -> int:
 
     from .serve import BatchRunner, load_manifest, results_to_manifest
 
-    jobs, options = load_manifest(args.manifest)
+    try:
+        jobs, options = load_manifest(args.manifest)
+    except OSError as exc:
+        # A manifest (or a ``qasm_file`` it names) that is missing, a
+        # directory or unreadable is a refused request, not a crash.
+        raise ValueError(f"cannot read manifest: {exc}") from None
     runner = BatchRunner(
         _run_options(args, options),
         **_merged(args, ("schedule", "workers"), options),
@@ -618,12 +623,13 @@ def main(argv=None) -> int:
                 "batch": _batch, "serve": _serve, "dist-worker": _dist_worker}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # The typed refusal of a request: an unknown generator, a circuit
         # the partitioner (``PartitionError``) or the cutter (``CutError``)
         # cannot place, an option out of range, a rank count that cannot
-        # mesh.  One line, exit code 2 -- never a traceback.
-        print(exc)
+        # mesh, a manifest that cannot be read, a state that cannot be
+        # allocated.  One line, exit code 2 -- never a traceback.
+        print(exc if str(exc) else type(exc).__name__)
         return 2
 
 

@@ -10,7 +10,7 @@ in the quotient graph, which :meth:`~repro.partition.base.Partition`
 rejects), so every transition of a qubit's timeline from one part to
 the next is exactly one cut wire.  :func:`find_cuts` therefore reuses
 the existing partitioners — partition at ``limit=max_width``, glue
-parts back together with :func:`~repro.partition.merge.greedy_merge`
+parts back together with :func:`~repro.partition.merge.merge_assignment`
 to drop needless boundaries, and read the cuts off the qubit
 timelines.
 
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
+from ..dag import GateGraph
 from ..partition import get_partitioner
-from ..partition.base import Partition, PartitionError, gate_dependency_edges
-from ..partition.merge import greedy_merge
+from ..partition.base import Partition, PartitionError
+from ..partition.merge import merge_assignment
 
 __all__ = [
     "CutError",
@@ -343,17 +344,10 @@ def find_cuts(
     if partition.num_parts > 1:
         # Glue parts back together wherever the union still fits: each
         # merge deletes every cut between the merged pair.
-        masks = [p.qmask for p in partition.parts]
-        assignment = partition.assignment()
-        edges = set()
-        for u, v in gate_dependency_edges(circuit):
-            pu, pv = assignment[u], assignment[v]
-            if pu != pv:
-                edges.add((pu, pv))
-        clusters = greedy_merge(masks, sorted(edges), max_width)
-        merged = [clusters[a] for a in assignment]
+        graph = GateGraph.from_circuit(circuit)
+        merged = merge_assignment(graph, partition.assignment(), max_width)
         partition = Partition.from_assignment(
-            circuit, merged, limit=max_width, strategy=strategy
+            circuit, merged, limit=max_width, strategy=strategy, graph=graph
         )
     plan = plan_from_partition(circuit, partition, max_width=max_width)
     if max_cuts is not None and plan.num_cuts > max_cuts:

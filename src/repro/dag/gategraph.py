@@ -1,24 +1,45 @@
-"""Working graph for the dagP partitioner.
+"""The gate-dependency graph every partitioner, the merge phase and the
+cutter read.
 
-A :class:`SubDag` is the induced dependency graph over a subset of a
-circuit's gates (or, after coarsening, over clusters of gates).  Edges are
-deduplicated qubit-timeline dependencies; every node carries a qubit
-bitmask and a weight (= number of original gates it represents), so
-working-set sizes are popcounts and balance is weight arithmetic.
+A :class:`GateGraph` holds the deduplicated qubit-timeline dependencies
+between a circuit's gates (or, after a contraction, between clusters of
+gates).  Every node carries a qubit bitmask and a weight (= number of
+original gates it represents), so working-set sizes are popcounts and
+balance is weight arithmetic.  The quotient graph of a gate -> part map is
+:meth:`GateGraph.contract`; its :meth:`~GateGraph.topological_order` is
+the part execution order.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Sequence, Tuple
 
-from ...circuits.circuit import QuantumCircuit
-from ..base import gate_dependency_edges
+from ..circuits.circuit import QuantumCircuit
 
-__all__ = ["SubDag"]
+__all__ = ["GateGraph", "gate_dependency_edges"]
 
 
-class SubDag:
-    """Induced, deduplicated gate-dependency DAG over clusters of gates."""
+def gate_dependency_edges(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
+    """Qubit-timeline dependency edges (u before v, sharing a qubit).
+
+    >>> from repro.circuits.circuit import QuantumCircuit
+    >>> qc = QuantumCircuit(3).h(0).cx(0, 1).h(2)
+    >>> gate_dependency_edges(qc)     # h(2) depends on nothing
+    [(0, 1)]
+    """
+    last: Dict[int, int] = {}
+    edges: List[Tuple[int, int]] = []
+    for i, g in enumerate(circuit):
+        for q in g.qubits:
+            if q in last:
+                edges.append((last[q], i))
+            last[q] = i
+    return edges
+
+
+class GateGraph:
+    """Deduplicated gate-dependency DAG over clusters of gates."""
 
     __slots__ = ("gate_ids", "qmask", "weight", "succ", "pred")
 
@@ -39,29 +60,20 @@ class SubDag:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_circuit(
-        cls, circuit: QuantumCircuit, gates: Sequence[int] | None = None
-    ) -> "SubDag":
-        """Induced sub-DAG over ``gates`` (default: every gate)."""
-        if gates is None:
-            gates = range(len(circuit))
-        gates = sorted(gates)
-        local: Dict[int, int] = {g: i for i, g in enumerate(gates)}
-        n = len(gates)
+    def from_circuit(cls, circuit: QuantumCircuit) -> "GateGraph":
+        """One node per gate (node id == gate index), in circuit order."""
+        n = len(circuit)
         succ: List[List[int]] = [[] for _ in range(n)]
         pred: List[List[int]] = [[] for _ in range(n)]
         seen = set()
         for u, v in gate_dependency_edges(circuit):
-            if u in local and v in local and (u, v) not in seen:
+            if (u, v) not in seen:
                 seen.add((u, v))
-                succ[local[u]].append(local[v])
-                pred[local[v]].append(local[u])
-        qmask = [
-            sum(1 << q for q in circuit[g].qubits) for g in gates
-        ]
+                succ[u].append(v)
+                pred[v].append(u)
         return cls(
-            gate_ids=[[g] for g in gates],
-            qmask=qmask,
+            gate_ids=[[g] for g in range(n)],
+            qmask=[sum(1 << q for q in g.qubits) for g in circuit],
             weight=[1] * n,
             succ=succ,
             pred=pred,
@@ -87,8 +99,6 @@ class SubDag:
 
     def topological_order(self, priority: Sequence[float] | None = None) -> List[int]:
         """Kahn order with optional tie-break priorities (lower first)."""
-        import heapq
-
         n = self.num_nodes
         indeg = [len(self.pred[v]) for v in range(n)]
         if priority is None:
@@ -104,7 +114,7 @@ class SubDag:
                 if indeg[w] == 0:
                     heapq.heappush(heap, (priority[w], w))
         if len(order) != n:
-            raise ValueError("SubDag contains a cycle")
+            raise ValueError("gate graph contains a cycle")
         return order
 
     def is_acyclic(self) -> bool:
@@ -114,9 +124,9 @@ class SubDag:
         except ValueError:
             return False
 
-    # -- contraction ---------------------------------------------------------
+    # -- derived graphs -------------------------------------------------------
 
-    def contract(self, cluster_of: Sequence[int], num_clusters: int) -> "SubDag":
+    def contract(self, cluster_of: Sequence[int], num_clusters: int) -> "GateGraph":
         """Quotient graph under a node->cluster map (edges deduplicated)."""
         gate_ids: List[List[int]] = [[] for _ in range(num_clusters)]
         qmask = [0] * num_clusters
@@ -137,4 +147,22 @@ class SubDag:
                     seen.add((cu, cv))
                     succ[cu].append(cv)
                     pred[cv].append(cu)
-        return SubDag(gate_ids, qmask, weight, succ, pred)
+        return GateGraph(gate_ids, qmask, weight, succ, pred)
+
+    def induce(self, nodes: Sequence[int]) -> "GateGraph":
+        """Sub-graph over ``nodes`` (kept in the given order)."""
+        local = {v: i for i, v in enumerate(nodes)}
+        succ: List[List[int]] = [[] for _ in nodes]
+        pred: List[List[int]] = [[] for _ in nodes]
+        for v in nodes:
+            for w in self.succ[v]:
+                if w in local:
+                    succ[local[v]].append(local[w])
+                    pred[local[w]].append(local[v])
+        return GateGraph(
+            gate_ids=[list(self.gate_ids[v]) for v in nodes],
+            qmask=[self.qmask[v] for v in nodes],
+            weight=[self.weight[v] for v in nodes],
+            succ=succ,
+            pred=pred,
+        )

@@ -9,7 +9,7 @@ sizes are popcounts and unions are single OR operations.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["NodeKind", "CircuitDAG"]
 
@@ -155,41 +155,3 @@ class CircuitDAG:
             for w, q in self.succ[v]:
                 g.add_edge(v, w, qubit=q)
         return g
-
-    # -- part graph -----------------------------------------------------------
-
-    def part_graph(self, assignment: Sequence[int], num_parts: int) -> List[Set[int]]:
-        """Successor sets of the quotient (part) graph under ``assignment``.
-
-        ``assignment[v] = -1`` nodes are ignored (used when pseudo-nodes are
-        left out).  Self-edges are dropped.
-        """
-        adj: List[Set[int]] = [set() for _ in range(num_parts)]
-        for v in range(self.num_nodes):
-            pv = assignment[v]
-            if pv < 0:
-                continue
-            for w, _ in self.succ[v]:
-                pw = assignment[w]
-                if pw >= 0 and pw != pv:
-                    adj[pv].add(pw)
-        return adj
-
-    @staticmethod
-    def quotient_is_acyclic(adj: List[Set[int]]) -> bool:
-        """Kahn check on a successor-set quotient graph."""
-        n = len(adj)
-        indeg = [0] * n
-        for u in range(n):
-            for v in adj[u]:
-                indeg[v] += 1
-        stack = [v for v in range(n) if indeg[v] == 0]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            seen += 1
-            for v in adj[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        return seen == n

@@ -22,6 +22,7 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.generators import PAPER_SUITE_SPEC, build
 from ..partition import Partition, get_partitioner
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
+from ..serve.jobs import structural_fingerprint
 
 __all__ = [
     "Scale",
@@ -80,14 +81,16 @@ def ranks_for(key: str, scale: Scale) -> Tuple[int, ...]:
     return scale.ranks_large if is_large(key) else scale.ranks_small
 
 
-_PARTITION_CACHE: Dict[Tuple[int, str, str, int], Partition] = {}
+_PARTITION_CACHE: Dict[Tuple[str, str, int], Partition] = {}
 
 
-def partition_cached(
-    circuit: QuantumCircuit, strategy: str, limit: int, base_qubits: int
-) -> Partition:
-    """Partition with memoisation across experiments in one process."""
-    key = (base_qubits, circuit.name, strategy, limit)
+def partition_cached(circuit: QuantumCircuit, strategy: str, limit: int) -> Partition:
+    """Partition with memoisation across experiments in one process.
+
+    Keyed on the circuit's structure (gate names, operands, order), which
+    is all a partitioner reads.
+    """
+    key = (structural_fingerprint(circuit), strategy, limit)
     part = _PARTITION_CACHE.get(key)
     if part is None:
         part = get_partitioner(strategy).partition(circuit, limit)

@@ -112,9 +112,7 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
         # Best single-level strategy at the largest rank count.
         singles = {}
         for strategy in STRATEGY_ORDER:
-            partition = partition_cached(
-                circuit, strategy, local, paper.base_qubits
-            )
+            partition = partition_cached(circuit, strategy, local)
             _, rep = engine.run(circuit, partition)
             singles[strategy] = rep.total_seconds
         best_strategy = min(singles, key=singles.get)
@@ -127,7 +125,7 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
         )
         _, rep = engine.run(
             circuit,
-            partition_cached(circuit, best_strategy, local, paper.base_qubits),
+            partition_cached(circuit, best_strategy, local),
             multilevel=ml,
         )
         _, iqs_rep = IQSEngine(ranks, machine=machine, dry_run=True).run(circuit)

@@ -69,9 +69,7 @@ def run_sweep(scale: Optional[Scale] = None) -> SweepResult:
             if local < max(2, max_arity):
                 continue  # rank count infeasible at this width
             for strategy in STRATEGY_ORDER:
-                partition = partition_cached(
-                    circuit, strategy, local, scale.base_qubits
-                )
+                partition = partition_cached(circuit, strategy, local)
                 engine = HiSVSimEngine(
                     ranks, machine=scale.machine, dry_run=scale.dry_run
                 )

@@ -21,9 +21,8 @@ from ..analysis.tables import render_table
 from ..cachesim.hierarchy import analyze_sweeps
 from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
-from ..partition import get_partitioner
 from ..runtime.machine import WORKSTATION_LIKE, MachineModel
-from .common import STRATEGY_ORDER, Scale
+from .common import STRATEGY_ORDER, Scale, partition_cached
 
 __all__ = ["PAPER_TABLE2", "Table2Row", "run"]
 
@@ -111,7 +110,7 @@ def run(
         circuit = build(name, num_qubits)
         circuit.name = name
         for strategy in STRATEGY_ORDER:
-            partition = get_partitioner(strategy).partition(circuit, limit)
+            partition = partition_cached(circuit, strategy, limit)
             events = sweeps_for_partition(circuit, partition)
             prof = analyze_sweeps(
                 events,

@@ -18,8 +18,7 @@ from ..analysis.tables import render_table
 from ..circuits.generators import qaoa
 from ..hybrid.gpu_model import V100, GPUModel
 from ..hybrid.hyquas import HybridEstimate, estimate_hybrid
-from ..partition import get_partitioner
-from .common import STRATEGY_ORDER, Scale
+from .common import STRATEGY_ORDER, Scale, partition_cached
 
 __all__ = ["Table3Result", "run"]
 
@@ -77,7 +76,7 @@ def run(
     local = num_qubits - (num_gpus.bit_length() - 1)
     estimates: Dict[str, HybridEstimate] = {}
     for strategy in STRATEGY_ORDER:
-        partition = get_partitioner(strategy).partition(circuit, local)
+        partition = partition_cached(circuit, strategy, local)
         estimates[strategy] = estimate_hybrid(circuit, partition, num_gpus, gpu=gpu)
     return Table3Result(
         estimates=estimates,

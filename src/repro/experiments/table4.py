@@ -20,8 +20,7 @@ from ..hybrid.hyquas import (
     estimate_hybrid,
     estimate_hyquas_baseline,
 )
-from ..partition import get_partitioner
-from .common import STRATEGY_ORDER, Scale
+from .common import STRATEGY_ORDER, Scale, partition_cached
 
 __all__ = ["Table4Result", "run", "PAPER_TABLE4"]
 
@@ -76,7 +75,7 @@ def run(
     local = num_qubits - (num_gpus.bit_length() - 1)
     estimates: Dict[str, HybridEstimate] = {}
     for strategy in STRATEGY_ORDER:
-        partition = get_partitioner(strategy).partition(circuit, local)
+        partition = partition_cached(circuit, strategy, local)
         estimates[strategy] = estimate_hybrid(
             circuit, partition, num_gpus, gpu=gpu, machine=GPU_CLUSTER
         )

@@ -29,10 +29,9 @@ from ..analysis.tables import render_table
 from ..cachesim.hierarchy import analyze_sweeps
 from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
-from ..partition import get_partitioner
 from ..runtime.machine import WORKSTATION_LIKE
 from ..sv import HierarchicalExecutor, SerialBackend, ThreadedBackend, zero_state
-from .common import Scale
+from .common import Scale, partition_cached
 
 __all__ = ["ThreadScalingResult", "run", "PAPER_THREADS"]
 
@@ -128,7 +127,7 @@ def run(
         # (tiny runs real amplitudes elsewhere too; don't exceed them).
         measured_qubits = min(measured_qubits, scale.base_qubits)
     circuit = build(circuit_name, num_qubits)
-    partition = get_partitioner("dagP").partition(circuit, limit)
+    partition = partition_cached(circuit, "dagP", limit)
     events = sweeps_for_partition(circuit, partition)
 
     measured: dict = {}
@@ -136,8 +135,8 @@ def run(
     if measure:
         m_qubits = min(measured_qubits, num_qubits)
         m_circuit = build(circuit_name, m_qubits)
-        m_partition = get_partitioner("dagP").partition(
-            m_circuit, min(limit, max(3, m_qubits - 3))
+        m_partition = partition_cached(
+            m_circuit, "dagP", min(limit, max(3, m_qubits - 3))
         )
         m_name = f"{circuit_name}_{m_qubits}"
         for t in threads:

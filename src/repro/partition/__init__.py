@@ -1,12 +1,7 @@
 """Acyclic circuit partitioning: Nat, DFS, dagP, ILP and multilevel."""
 
-from .base import (
-    Part,
-    Partition,
-    PartitionError,
-    Partitioner,
-    gate_dependency_edges,
-)
+from ..dag import gate_dependency_edges
+from .base import Part, Partition, PartitionError, Partitioner
 from .dagp import DagPPartitioner
 from .dfs import DFSPartitioner
 from .ilp import ILPPartitioner, ILPResult

@@ -10,12 +10,13 @@ into that shape, raising if the quotient graph is cyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
+from ..dag import GateGraph
 
-__all__ = ["Part", "Partition", "Partitioner", "gate_dependency_edges", "PartitionError"]
+__all__ = ["Part", "Partition", "Partitioner", "PartitionError"]
 
 
 class PartitionError(ValueError):
@@ -99,14 +100,15 @@ class Partition:
         assignment: Sequence[int],
         limit: int,
         strategy: str,
-        enforce_limit: bool = True,
+        graph: Optional[GateGraph] = None,
     ) -> "Partition":
         """Normalise a raw gate->part map into an ordered valid partition.
 
         Parts are renumbered into a topological order of the quotient graph
-        (stable: ties broken by smallest member gate index).  Raises
-        :class:`PartitionError` on cyclic quotients, uncovered gates or
-        working-set violations.
+        (stable: ties broken by smallest member gate index).  ``graph`` is
+        ``GateGraph.from_circuit(circuit)`` when the caller already holds
+        it.  Raises :class:`PartitionError` on cyclic quotients, uncovered
+        gates or working-set violations.
         """
         n_gates = len(circuit)
         if len(assignment) != n_gates:
@@ -114,36 +116,29 @@ class Partition:
         if n_gates == 0:
             return Partition(circuit.num_qubits, 0, limit, strategy, ())
         raw_ids = sorted(set(assignment))
-        if any(a < 0 for a in raw_ids):
+        if raw_ids[0] < 0:
             raise PartitionError("unassigned gate (negative part id)")
         remap = {r: i for i, r in enumerate(raw_ids)}
-        k = len(raw_ids)
-        members: List[List[int]] = [[] for _ in range(k)]
-        for g, a in enumerate(assignment):
-            members[remap[a]].append(g)
-
-        # Quotient graph over qubit-timeline edges.
-        adj: List[Set[int]] = [set() for _ in range(k)]
-        for u, v in gate_dependency_edges(circuit):
-            pu, pv = remap[assignment[u]], remap[assignment[v]]
-            if pu != pv:
-                adj[pu].add(pv)
-        order = _toposort_quotient(adj, members)
-        if order is None:
-            raise PartitionError(f"{strategy}: quotient graph is cyclic")
+        if graph is None:
+            graph = GateGraph.from_circuit(circuit)
+        quotient = graph.contract([remap[a] for a in assignment], len(raw_ids))
+        try:
+            order = quotient.topological_order(
+                priority=[gates[0] for gates in quotient.gate_ids]
+            )
+        except ValueError:
+            raise PartitionError(f"{strategy}: quotient graph is cyclic") from None
 
         parts: List[Part] = []
         for pid in order:
-            gs = sorted(members[pid])
-            qubits: Set[int] = set()
-            for g in gs:
-                qubits.update(circuit[g].qubits)
-            if enforce_limit and len(qubits) > limit:
+            mask = quotient.qmask[pid]
+            if mask.bit_count() > limit:
                 raise PartitionError(
-                    f"{strategy}: part working set {len(qubits)} exceeds "
+                    f"{strategy}: part working set {mask.bit_count()} exceeds "
                     f"limit {limit}"
                 )
-            parts.append(Part(tuple(gs), tuple(sorted(qubits))))
+            qubits = tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+            parts.append(Part(tuple(quotient.gate_ids[pid]), qubits))
         return Partition(
             num_qubits=circuit.num_qubits,
             num_gates=n_gates,
@@ -151,49 +146,6 @@ class Partition:
             strategy=strategy,
             parts=tuple(parts),
         )
-
-
-def gate_dependency_edges(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
-    """Qubit-timeline dependency edges (u before v, sharing a qubit).
-
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> qc = QuantumCircuit(3).h(0).cx(0, 1).h(2)
-    >>> gate_dependency_edges(qc)     # h(2) depends on nothing
-    [(0, 1)]
-    """
-    last: Dict[int, int] = {}
-    edges: List[Tuple[int, int]] = []
-    for i, g in enumerate(circuit):
-        for q in g.qubits:
-            if q in last:
-                edges.append((last[q], i))
-            last[q] = i
-    return edges
-
-
-def _toposort_quotient(
-    adj: List[Set[int]], members: List[List[int]]
-) -> Optional[List[int]]:
-    """Topological order of part ids, ties by earliest member gate."""
-    import heapq
-
-    k = len(adj)
-    indeg = [0] * k
-    for u in range(k):
-        for v in adj[u]:
-            indeg[v] += 1
-    key = [min(m) if m else 0 for m in members]
-    heap = [(key[v], v) for v in range(k) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: List[int] = []
-    while heap:
-        _, u = heapq.heappop(heap)
-        order.append(u)
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, (key[v], v))
-    return order if len(order) == k else None
 
 
 class Partitioner(Protocol):

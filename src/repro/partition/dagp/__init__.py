@@ -4,11 +4,9 @@ from .bisect import bisection_cost, initial_bisection
 from .coarsen import coarsen, coarsen_once
 from .driver import DagPPartitioner
 from .refine import RefineState, refine_bisection
-from .subdag import SubDag
 
 __all__ = [
     "DagPPartitioner",
-    "SubDag",
     "bisection_cost",
     "coarsen",
     "coarsen_once",

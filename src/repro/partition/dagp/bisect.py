@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .subdag import SubDag
+from ...dag import GateGraph
 
 __all__ = ["initial_bisection", "bisection_cost"]
 
 
-def bisection_cost(sub: SubDag, labels: List[int]) -> Tuple[int, int, int]:
+def bisection_cost(sub: GateGraph, labels: List[int]) -> Tuple[int, int, int]:
     """(max side working set, sum of working sets, weight imbalance)."""
     m0 = m1 = 0
     w0 = w1 = 0
@@ -33,7 +33,7 @@ def bisection_cost(sub: SubDag, labels: List[int]) -> Tuple[int, int, int]:
     return (max(c0, c1), c0 + c1, abs(w0 - w1))
 
 
-def _split_along(sub: SubDag, order: List[int]) -> Optional[List[int]]:
+def _split_along(sub: GateGraph, order: List[int]) -> Optional[List[int]]:
     """Prefix/suffix split of a topological order at ~half weight."""
     total = sub.total_weight()
     if total < 2:
@@ -52,7 +52,7 @@ def _split_along(sub: SubDag, order: List[int]) -> Optional[List[int]]:
     return labels
 
 
-def initial_bisection(sub: SubDag, trials: int = 4, seed: int = 9) -> List[int]:
+def initial_bisection(sub: GateGraph, seed: int = 9) -> List[int]:
     """Labels (0 = early side, 1 = late side) for an acyclic bisection."""
     if sub.num_nodes < 2:
         raise ValueError("cannot bisect fewer than 2 nodes")
@@ -65,9 +65,9 @@ def initial_bisection(sub: SubDag, trials: int = 4, seed: int = 9) -> List[int]:
         for w in sub.succ[v]:
             levels[w] = max(levels[w], levels[v] + 1)
     candidates.append([float(l) for l in levels])
-    # Randomised priorities.
+    # Two randomised priorities.
     rng = random.Random(seed)
-    for _ in range(max(0, trials - len(candidates))):
+    for _ in range(2):
         candidates.append([rng.random() for _ in range(sub.num_nodes)])
 
     best: Optional[List[int]] = None

@@ -18,12 +18,15 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from .subdag import SubDag
+from ...dag import GateGraph
 
 __all__ = ["coarsen_once", "coarsen"]
 
+_MAX_LEVELS = 20
+_MAX_CLUSTER_QUBITS = 64
 
-def _merge_preference(sub: SubDag, u: int, v: int) -> Tuple[int, int]:
+
+def _merge_preference(sub: GateGraph, u: int, v: int) -> Tuple[int, int]:
     """Sort key: (shared qubits desc, resulting working set asc)."""
     shared = (sub.qmask[u] & sub.qmask[v]).bit_count()
     union = (sub.qmask[u] | sub.qmask[v]).bit_count()
@@ -31,11 +34,11 @@ def _merge_preference(sub: SubDag, u: int, v: int) -> Tuple[int, int]:
 
 
 def coarsen_once(
-    sub: SubDag,
+    sub: GateGraph,
     rng: random.Random,
     max_cluster_weight: int,
     max_cluster_qubits: int,
-) -> Tuple[SubDag, List[int]]:
+) -> Tuple[GateGraph, List[int]]:
     """One clustering pass; returns (coarse graph, node->cluster map).
 
     Each node joins at most one merge per pass (matching/agglomeration).
@@ -84,28 +87,24 @@ def coarsen_once(
 
 
 def coarsen(
-    sub: SubDag,
-    target_nodes: int = 64,
-    max_levels: int = 20,
-    seed: int = 5,
-    max_cluster_qubits: int = 64,
-) -> Tuple[List[SubDag], List[List[int]]]:
+    sub: GateGraph, target_nodes: int = 64, seed: int = 5
+) -> Tuple[List[GateGraph], List[List[int]]]:
     """Full coarsening: returns graphs [fine..coarse] and per-level maps.
 
     Stops when the graph is small enough, a pass stops making progress, or
-    ``max_levels`` is reached.  ``maps[i]`` sends level-``i`` node ids to
+    after ``_MAX_LEVELS``.  ``maps[i]`` sends level-``i`` node ids to
     level-``i+1`` cluster ids.
     """
     rng = random.Random(seed)
     graphs = [sub]
     maps: List[List[int]] = []
     total_w = max(1, sub.total_weight())
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         cur = graphs[-1]
         if cur.num_nodes <= target_nodes:
             break
         max_w = max(2, total_w // max(2, target_nodes // 2))
-        coarse, mapping = coarsen_once(cur, rng, max_w, max_cluster_qubits)
+        coarse, mapping = coarsen_once(cur, rng, max_w, _MAX_CLUSTER_QUBITS)
         if coarse.num_nodes >= cur.num_nodes:
             break
         graphs.append(coarse)

@@ -14,16 +14,16 @@ Differences from the published dagP tool that this re-implementation keeps
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, Tuple
 
 from ...circuits.circuit import QuantumCircuit
-from ..base import Partition, PartitionError, gate_dependency_edges
-from ..merge import greedy_merge
+from ...dag import GateGraph
+from ..base import Partition, PartitionError
+from ..merge import merge_assignment
 from .bisect import initial_bisection
 from .coarsen import coarsen
 from .ggg import greedy_grow_assignment
 from .refine import refine_bisection
-from .subdag import SubDag
 
 __all__ = ["DagPPartitioner"]
 
@@ -33,7 +33,8 @@ class DagPPartitioner:
 
     Coarsen the gate DAG, recursively bisect with FM refinement, then
     greedily merge compatible parts — the strongest of the three
-    heuristics on the paper's Table-III/IV circuits.
+    heuristics on the paper's Table-III/IV circuits.  An instance holds
+    configuration only, so one may be shared between threads.
 
     >>> from repro.circuits.generators import qft
     >>> p = DagPPartitioner().partition(qft(6), limit=4)
@@ -44,12 +45,8 @@ class DagPPartitioner:
     ----------
     seed:
         Seed for coarsening / bisection randomisation.
-    coarsen_target:
-        Stop coarsening below this many cluster nodes.
     refine_passes:
         FM passes per uncoarsening level.
-    bisect_trials:
-        Candidate orders tried for the initial bisection.
     do_merge:
         Run the final merge phase (paper default: yes).
     use_ggg:
@@ -63,16 +60,12 @@ class DagPPartitioner:
     def __init__(
         self,
         seed: int = 3,
-        coarsen_target: int = 64,
         refine_passes: int = 8,
-        bisect_trials: int = 4,
         do_merge: bool = True,
         use_ggg: bool = True,
     ) -> None:
         self.seed = seed
-        self.coarsen_target = coarsen_target
         self.refine_passes = refine_passes
-        self.bisect_trials = bisect_trials
         self.do_merge = do_merge
         self.use_ggg = use_ggg
 
@@ -90,36 +83,31 @@ class DagPPartitioner:
         n_gates = len(circuit)
         if n_gates == 0:
             return Partition(circuit.num_qubits, 0, limit, self.name, ())
-        root = SubDag.from_circuit(circuit)
+        root = GateGraph.from_circuit(circuit)
 
         # Candidate 1: multilevel recursive bisection.  Small instances are
         # cheap enough to retry under a few coarsening/bisection seeds (the
         # published dagP tool likewise runs several randomised passes).
         candidates = []
-        base_seed = self.seed
-        num_seeds = 3 if n_gates <= 500 else 1
-        for s in range(num_seeds):
-            self.seed = base_seed + s
-            rb_assignment = [-1] * n_gates
-            self._next_part = 0
-            self._recurse(root, limit, rb_assignment)
-            candidates.append(rb_assignment)
-        self.seed = base_seed
+        for s in range(3 if n_gates <= 500 else 1):
+            assignment = [-1] * n_gates
+            for pid, leaf in enumerate(self._leaves(root, limit, self.seed + s)):
+                for gids in leaf.gate_ids:
+                    for g in gids:
+                        assignment[g] = pid
+            candidates.append(assignment)
         if self.use_ggg:
             # Candidate 2: greedy directed graph growing (global frontier
-            # view).
-            node_assignment = greedy_grow_assignment(root, limit)
-            ggg_assignment = [-1] * n_gates
-            for v in range(root.num_nodes):
-                for g in root.gate_ids[v]:
-                    ggg_assignment[g] = node_assignment[v]
-            candidates.append(ggg_assignment)
+            # view); ``root`` has one node per gate.
+            candidates.append(greedy_grow_assignment(root, limit))
 
         best: Partition | None = None
         for assignment in candidates:
             if self.do_merge:
-                assignment = self._merge_phase(circuit, assignment, limit)
-            cand = Partition.from_assignment(circuit, assignment, limit, self.name)
+                assignment = merge_assignment(root, assignment, limit)
+            cand = Partition.from_assignment(
+                circuit, assignment, limit, self.name, graph=root
+            )
             if best is None or cand.num_parts < best.num_parts:
                 best = cand
         assert best is not None
@@ -127,27 +115,19 @@ class DagPPartitioner:
 
     # -- recursion --------------------------------------------------------
 
-    def _recurse(self, sub: SubDag, limit: int, assignment: List[int]) -> None:
+    def _leaves(self, sub: GateGraph, limit: int, seed: int) -> Iterator[GateGraph]:
+        """The sub-graphs that fit ``limit``, in a topological order."""
         if sub.working_set_size() <= limit:
-            pid = self._next_part
-            self._next_part += 1
-            for gids in sub.gate_ids:
-                for g in gids:
-                    assignment[g] = pid
+            yield sub
             return
-        side0, side1 = self._bisect(sub)
         # Side 0 precedes side 1; recursing 0 first numbers parts in a
         # topological order for free.
-        self._recurse(side0, limit, assignment)
-        self._recurse(side1, limit, assignment)
+        for side in self._bisect(sub, seed):
+            yield from self._leaves(side, limit, seed)
 
-    def _bisect(self, sub: SubDag) -> tuple:
-        graphs, maps = coarsen(
-            sub, target_nodes=self.coarsen_target, seed=self.seed
-        )
-        labels = initial_bisection(
-            graphs[-1], trials=self.bisect_trials, seed=self.seed
-        )
+    def _bisect(self, sub: GateGraph, seed: int) -> Tuple[GateGraph, GateGraph]:
+        graphs, maps = coarsen(sub, seed=seed)
+        labels = initial_bisection(graphs[-1], seed=seed)
         labels = refine_bisection(graphs[-1], labels, max_passes=self.refine_passes)
         # Project back through the levels, refining at each.
         for lvl in range(len(maps) - 1, -1, -1):
@@ -161,41 +141,4 @@ class DagPPartitioner:
         nodes1 = [v for v in range(sub.num_nodes) if labels[v] == 1]
         if not nodes0 or not nodes1:
             raise PartitionError("bisection produced an empty side")
-        return self._induce(sub, nodes0), self._induce(sub, nodes1)
-
-    @staticmethod
-    def _induce(sub: SubDag, nodes: List[int]) -> SubDag:
-        local = {v: i for i, v in enumerate(nodes)}
-        succ: List[List[int]] = [[] for _ in nodes]
-        pred: List[List[int]] = [[] for _ in nodes]
-        for v in nodes:
-            for w in sub.succ[v]:
-                if w in local:
-                    succ[local[v]].append(local[w])
-                    pred[local[w]].append(local[v])
-        return SubDag(
-            gate_ids=[list(sub.gate_ids[v]) for v in nodes],
-            qmask=[sub.qmask[v] for v in nodes],
-            weight=[sub.weight[v] for v in nodes],
-            succ=succ,
-            pred=pred,
-        )
-
-    # -- merge phase ----------------------------------------------------------
-
-    @staticmethod
-    def _merge_phase(
-        circuit: QuantumCircuit, assignment: List[int], limit: int
-    ) -> List[int]:
-        k = max(assignment) + 1
-        masks = [0] * k
-        for g, p in enumerate(assignment):
-            for q in circuit[g].qubits:
-                masks[p] |= 1 << q
-        edges = set()
-        for u, v in gate_dependency_edges(circuit):
-            pu, pv = assignment[u], assignment[v]
-            if pu != pv:
-                edges.add((pu, pv))
-        group = greedy_merge(masks, edges, limit)
-        return [group[assignment[g]] for g in range(len(assignment))]
+        return sub.induce(nodes0), sub.induce(nodes1)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import List
 
-from .subdag import SubDag
+from ...dag import GateGraph
 
 __all__ = ["greedy_grow_assignment"]
 
 
-def greedy_grow_assignment(sub: SubDag, limit: int) -> List[int]:
+def greedy_grow_assignment(sub: GateGraph, limit: int) -> List[int]:
     """Node -> part assignment via greedy directed growing.
 
     Assumes every node's own qubit mask fits ``limit``.

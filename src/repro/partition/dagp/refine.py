@@ -11,9 +11,9 @@ qubit reference counters.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .subdag import SubDag
+from ...dag import GateGraph
 
 __all__ = ["refine_bisection", "RefineState"]
 
@@ -21,7 +21,7 @@ __all__ = ["refine_bisection", "RefineState"]
 class RefineState:
     """Incremental bookkeeping for bisection refinement."""
 
-    def __init__(self, sub: SubDag, labels: List[int]) -> None:
+    def __init__(self, sub: GateGraph, labels: List[int]) -> None:
         self.sub = sub
         self.labels = labels
         n = sub.num_nodes
@@ -123,19 +123,14 @@ class RefineState:
 
 
 def refine_bisection(
-    sub: SubDag,
-    labels: List[int],
-    max_passes: int = 8,
-    max_moves_per_pass: Optional[int] = None,
+    sub: GateGraph, labels: List[int], max_passes: int = 8
 ) -> List[int]:
     """Greedy best-move refinement; returns the improved labels (mutated)."""
     state = RefineState(sub, labels)
     n = sub.num_nodes
-    if max_moves_per_pass is None:
-        max_moves_per_pass = max(8, n)
     for _ in range(max_passes):
         improved = False
-        for _ in range(max_moves_per_pass):
+        for _ in range(max(8, n)):
             cur = state.cost()
             best_v = None
             best_cost = cur

@@ -10,32 +10,25 @@ the order producing the fewest parts.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 from ..circuits.circuit import QuantumCircuit
-from .base import Partition, gate_dependency_edges
+from ..dag import GateGraph
+from .base import Partition
 from .natural import cutoff_assignment
 
 __all__ = ["DFSPartitioner", "random_dfs_topological_order"]
 
 
-def random_dfs_topological_order(
-    num_gates: int,
-    edges: List[Tuple[int, int]],
-    rng: random.Random,
-) -> List[int]:
-    """A randomised DFS-flavoured topological order of gate indices.
+def random_dfs_topological_order(graph: GateGraph, rng: random.Random) -> List[int]:
+    """A randomised DFS-flavoured topological order of ``graph``'s nodes.
 
     Newly-enabled successors are pushed (in shuffled order) onto a LIFO
     stack, so each emitted gate tends to be followed by gates it feeds —
     the depth-first behaviour the paper exploits for locality.
     """
-    succ: List[List[int]] = [[] for _ in range(num_gates)]
-    indeg = [0] * num_gates
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    roots = [v for v in range(num_gates) if indeg[v] == 0]
+    indeg = [len(p) for p in graph.pred]
+    roots = [v for v, d in enumerate(indeg) if d == 0]
     rng.shuffle(roots)
     stack = roots
     order: List[int] = []
@@ -43,13 +36,13 @@ def random_dfs_topological_order(
         v = stack.pop()
         order.append(v)
         ready = []
-        for w in succ[v]:
+        for w in graph.succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
         rng.shuffle(ready)
         stack.extend(ready)
-    if len(order) != num_gates:
+    if len(order) != graph.num_nodes:
         raise ValueError("dependency graph has a cycle")
     return order
 
@@ -79,14 +72,15 @@ class DFSPartitioner:
         self.seed = seed
 
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
-        qmasks = [sum(1 << q for q in g.qubits) for g in circuit]
-        edges = gate_dependency_edges(circuit)
+        graph = GateGraph.from_circuit(circuit)
         best: Partition | None = None
         for t in range(self.trials):
             rng = random.Random(self.seed + t)
-            order = random_dfs_topological_order(len(circuit), edges, rng)
-            assignment = cutoff_assignment(qmasks, order, limit)
-            cand = Partition.from_assignment(circuit, assignment, limit, self.name)
+            order = random_dfs_topological_order(graph, rng)
+            assignment = cutoff_assignment(graph.qmask, order, limit)
+            cand = Partition.from_assignment(
+                circuit, assignment, limit, self.name, graph=graph
+            )
             if best is None or cand.num_parts < best.num_parts:
                 best = cand
         assert best is not None

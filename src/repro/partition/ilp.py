@@ -25,7 +25,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from .base import Partition, PartitionError, gate_dependency_edges
+from ..dag import gate_dependency_edges
+from .base import Partition, PartitionError
 from .natural import NaturalPartitioner
 
 __all__ = ["ILPPartitioner", "ILPResult"]

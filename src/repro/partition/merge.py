@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["greedy_merge", "path_through_third"]
+from ..dag import GateGraph
+
+__all__ = ["greedy_merge", "merge_assignment", "path_through_third"]
 
 
 def _reach_masks(succ: List[int], k: int) -> List[int]:
@@ -61,15 +63,12 @@ def path_through_third(reach: List[int], succ: List[int], a: int, b: int) -> boo
         if not (reach[u] >> v) & 1:
             continue
         # Path exists; is there one of length >= 2?  Yes iff some direct
-        # successor c != v of u reaches v (or equals... c reaches v).
+        # successor c != v of u reaches v.
         m = succ[u] & ~(1 << v)
         while m:
             low = m & -m
             c = low.bit_length() - 1
-            if c == v:
-                m ^= low
-                continue
-            if (reach[c] >> v) & 1 or c == v:
+            if (reach[c] >> v) & 1:
                 return True
             m ^= low
     return False
@@ -151,3 +150,25 @@ def greedy_merge(
             remap[g] = len(remap)
         out.append(remap[g])
     return out
+
+
+def merge_assignment(
+    graph: GateGraph, assignment: Sequence[int], limit: int
+) -> List[int]:
+    """Run the merge phase on a gate->part map (part ids ``0..k-1``).
+
+    The parts' masks and edges are those of the quotient
+    ``graph.contract(assignment)``; the result sends each gate to its
+    merged cluster.  dagP's final phase and the cutter's boundary removal
+    are this one function.
+
+    >>> from repro.circuits.circuit import QuantumCircuit
+    >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
+    >>> graph = GateGraph.from_circuit(qc)
+    >>> merge_assignment(graph, [0, 1, 2], limit=2)
+    [0, 0, 1]
+    """
+    quotient = graph.contract(assignment, max(assignment) + 1)
+    edges = [(u, v) for u, vs in enumerate(quotient.succ) for v in vs]
+    group = greedy_merge(quotient.qmask, edges, limit)
+    return [group[p] for p in assignment]

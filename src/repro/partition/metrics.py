@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..circuits.circuit import QuantumCircuit
+from ..dag import gate_dependency_edges
 from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, plan_fusion_groups
 from ..sv.kernels import flops_for_gate
-from .base import Partition, gate_dependency_edges
+from .base import Partition
 
 __all__ = ["PartitionMetrics", "evaluate_partition"]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..circuits.circuit import QuantumCircuit
+from ..dag import GateGraph
 from .base import Partition, PartitionError
 
 __all__ = ["NaturalPartitioner", "cutoff_assignment"]
@@ -54,6 +55,8 @@ class NaturalPartitioner:
     name = "Nat"
 
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
-        qmasks = [sum(1 << q for q in g.qubits) for g in circuit]
-        assignment = cutoff_assignment(qmasks, range(len(circuit)), limit)
-        return Partition.from_assignment(circuit, assignment, limit, self.name)
+        graph = GateGraph.from_circuit(circuit)
+        assignment = cutoff_assignment(graph.qmask, range(len(circuit)), limit)
+        return Partition.from_assignment(
+            circuit, assignment, limit, self.name, graph=graph
+        )

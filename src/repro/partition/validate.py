@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import List
 
 from ..circuits.circuit import QuantumCircuit
-from .base import Partition, gate_dependency_edges
+from ..dag import gate_dependency_edges
+from .base import Partition
 
 __all__ = ["validate_partition", "ValidationReport"]
 

@@ -523,7 +523,12 @@ class TestOneFrontDoor:
                     circuit, list(range(len(circuit))), limit, self.name
                 )
 
+        from repro.experiments import common
+
         monkeypatch.setitem(partition.STRATEGIES, "dagP", OnePartPerGate)
+        # Table III partitions through the process-wide cache, keyed on
+        # the strategy's name: start cold so the stand-in is reached.
+        monkeypatch.setattr(common, "_PARTITION_CACHE", {})
         assert cli_main(["bench", "run", "table3", "--smoke"]) == 2
         out = capsys.readouterr().out
         assert "parts: dagP <= DFS <= Nat" in out

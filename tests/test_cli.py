@@ -114,9 +114,10 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus-command"])
 
-    def test_unknown_circuit_family(self):
-        with pytest.raises(KeyError):
-            main(["circuit", "bogus"])
+    def test_unknown_circuit_family(self, capsys):
+        # Used to escape as a KeyError traceback.
+        assert main(["circuit", "bogus"]) == 2
+        assert "unknown benchmark 'bogus'" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,7 @@ class TestRefusalsAreOneLine:
     one-line message and exit code 2, never a traceback."""
 
     COMMANDS = {
+        "circuit": ["circuit"],
         "simulate": ["simulate"],
         "cut": ["cut", "--max-width", "4"],
         "dist-worker": ["dist-worker", "--rank", "0", "--ranks", "2",
@@ -273,6 +275,22 @@ class TestRefusalsAreOneLine:
         }))
         self._refused(["batch", str(manifest)],
                       "max_fused_qubits must be >= 1 (got 0)", capsys)
+
+    def test_unreadable_batch_manifest(self, tmp_path, capsys):
+        # Used to escape as FileNotFoundError / IsADirectoryError.
+        for path in (tmp_path / "missing.json", tmp_path):
+            self._refused(["batch", str(path)], "cannot read manifest",
+                          capsys)
+
+    def test_state_that_cannot_be_allocated(self, monkeypatch, capsys):
+        # The 2^n allocation is made to fail, so this neither depends on
+        # the host's overcommit policy nor asks for 16 TiB.
+        def refuse(num_qubits):
+            raise MemoryError(f"Unable to allocate 2^{num_qubits} amplitudes")
+
+        monkeypatch.setattr("repro.sv.simulator.zero_state", refuse)
+        self._refused(["simulate", "qft", "--qubits", "40", "--strategy",
+                       "Nat"], "Unable to allocate 2^40 amplitudes", capsys)
 
 
 class TestDistWorkerRankCount:

@@ -150,20 +150,6 @@ class TestAnalyses:
         assert st_["qubits"] == 3
         assert st_["critical_path"] == 4  # entry->h->cx->cx->exit
 
-    def test_part_graph_and_quotient_check(self):
-        qc = ghz(4)
-        dag = build_dag(qc)
-        gates = dag.gate_nodes()
-        assignment = [-1] * dag.num_nodes
-        for i, g in enumerate(gates):
-            assignment[g] = 0 if i < 2 else 1
-        adj = dag.part_graph(assignment, 2)
-        assert adj[0] == {1}
-        assert CircuitDAG.quotient_is_acyclic(adj)
-        # Force a cycle.
-        adj[1].add(0)
-        assert not CircuitDAG.quotient_is_acyclic(adj)
-
 
 class TestNetworkxCrossCheck:
     @pytest.mark.parametrize("name,n", SUITE_SMALL[:5])

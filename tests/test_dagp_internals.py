@@ -1,4 +1,4 @@
-"""dagP phase-level tests: subdag, coarsening, bisection, refinement, GGG."""
+"""dagP phase-level tests: gate graph, coarsening, bisection, refinement, GGG."""
 
 import random
 
@@ -8,24 +8,24 @@ from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
+from repro.dag import GateGraph
 from repro.partition.dagp.bisect import bisection_cost, initial_bisection
 from repro.partition.dagp.coarsen import coarsen, coarsen_once
 from repro.partition.dagp.ggg import greedy_grow_assignment
 from repro.partition.dagp.refine import RefineState, refine_bisection
-from repro.partition.dagp.subdag import SubDag
 
 from conftest import random_circuit
 
 
 def make_sub(name="ising", n=8):
-    return SubDag.from_circuit(generators.build(name, n))
+    return GateGraph.from_circuit(generators.build(name, n))
 
 
 class TestSubDag:
     def test_from_circuit_counts(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).cx(1, 2)
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         assert sub.num_nodes == 3
         assert sub.total_weight() == 3
         assert sub.working_set_size() == 3
@@ -35,13 +35,13 @@ class TestSubDag:
     def test_edges_deduplicated(self):
         qc = QuantumCircuit(2)
         qc.cx(0, 1).cx(0, 1)  # two shared qubits -> one edge
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         assert sub.succ[0] == [1]
 
     def test_induced_subset(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).cx(1, 2).h(2)
-        sub = SubDag.from_circuit(qc, gates=[1, 2])
+        sub = GateGraph.from_circuit(qc).induce([1, 2])
         assert sub.num_nodes == 2
         assert sub.gate_ids == [[1], [2]]
         assert sub.succ[0] == [1]
@@ -49,14 +49,14 @@ class TestSubDag:
     def test_topological_order_with_priority(self):
         qc = QuantumCircuit(4)
         qc.h(0).h(1).h(2).h(3)  # independent gates
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         order = sub.topological_order(priority=[3, 2, 1, 0])
         assert order == [3, 2, 1, 0]
 
     def test_contract(self):
         qc = QuantumCircuit(3)
         qc.h(0).cx(0, 1).cx(1, 2)
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         coarse = sub.contract([0, 0, 1], 2)
         assert coarse.num_nodes == 2
         assert coarse.weight == [2, 1]
@@ -95,7 +95,7 @@ class TestCoarsen:
     @given(seed=st.integers(0, 9999))
     def test_property_contraction_safety(self, seed):
         qc = random_circuit(6, 25, seed=seed)
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         graphs, _ = coarsen(sub, target_nodes=3, seed=seed)
         assert all(g.is_acyclic() for g in graphs)
 
@@ -115,14 +115,14 @@ class TestBisect:
     def test_cost_components(self):
         qc = QuantumCircuit(4)
         qc.h(0).h(1).h(2).h(3)
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         cost = bisection_cost(sub, [0, 0, 1, 1])
         assert cost == (2, 4, 0)
 
     def test_too_small_to_bisect(self):
         qc = QuantumCircuit(2)
         qc.h(0)
-        sub = SubDag.from_circuit(qc)
+        sub = GateGraph.from_circuit(qc)
         with pytest.raises(ValueError):
             initial_bisection(sub)
 

@@ -28,6 +28,7 @@ import repro.cut.cutter
 import repro.cut.evaluate
 import repro.cut.fragments
 import repro.cut.recombine
+import repro.dag.gategraph
 import repro.partition
 import repro.partition.base
 import repro.partition.dagp.driver
@@ -66,6 +67,7 @@ DOCTEST_MODULES = [
     repro.sv.pauli,
     repro.sv.stabilizer,
     repro.sv.engine,
+    repro.dag.gategraph,
     repro.partition,
     repro.partition.base,
     repro.partition.natural,

@@ -57,9 +57,19 @@ class TestCommon:
 
     def test_partition_cache_hits(self):
         suite = suite_circuits(TINY.base_qubits)
-        a = partition_cached(suite["bv"], "Nat", 6, TINY.base_qubits)
-        b = partition_cached(suite["bv"], "Nat", 6, TINY.base_qubits)
+        a = partition_cached(suite["bv"], "Nat", 6)
+        b = partition_cached(suite["bv"], "Nat", 6)
         assert a is b
+
+    def test_partition_cache_keys_on_structure_not_on_name(self):
+        # Two different circuits sharing a name and a width used to collide.
+        suite = suite_circuits(TINY.base_qubits)
+        bv, ising = suite["bv"], suite["ising"].copy()
+        assert bv.num_qubits == ising.num_qubits
+        ising.name = bv.name
+        a = partition_cached(bv, "Nat", 6)
+        b = partition_cached(ising, "Nat", 6)
+        assert a is not b and b.num_gates == len(ising)
 
 
 class TestSweep:

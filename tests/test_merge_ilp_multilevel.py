@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
+from repro.dag import gate_dependency_edges
 from repro.partition import (
     DagPPartitioner,
     ILPPartitioner,
@@ -16,7 +17,6 @@ from repro.partition import (
     multilevel_partition,
     validate_partition,
 )
-from repro.partition.base import gate_dependency_edges
 from repro.partition.merge import path_through_third
 
 
@@ -58,6 +58,44 @@ class TestGreedyMerge:
         assert path_through_third(reach, succ, 0, 2)
         assert not path_through_third(reach, succ, 0, 1)
         assert not path_through_third(reach, succ, 1, 2)
+
+
+class TestMergeAssignment:
+    """``merge_assignment`` is ``greedy_merge`` over the quotient: the
+    masks and edges below are built the way dagP's merge phase and
+    ``find_cuts`` each used to build them by hand."""
+
+    @pytest.mark.parametrize("name,n,limit", [
+        ("qaoa", 8, 5), ("qft", 9, 6), ("ising", 10, 4), ("adder", 10, 6),
+    ])
+    @pytest.mark.parametrize("source", ["dagP recursion", "cutter input"])
+    def test_equals_greedy_merge_on_hand_built_quotient(
+        self, source, name, n, limit
+    ):
+        from repro.dag import GateGraph
+        from repro.partition.merge import merge_assignment
+
+        # Split two qubits finer than the merge limit, so parts do merge.
+        qc = generators.build(name, n)
+        if source == "dagP recursion":
+            partition = DagPPartitioner(do_merge=False, use_ggg=False).partition(
+                qc, limit - 2
+            )
+        else:
+            partition = NaturalPartitioner().partition(qc, limit - 2)
+        assignment = partition.assignment()
+        masks = [0] * partition.num_parts
+        for g, p in enumerate(assignment):
+            for q in qc[g].qubits:
+                masks[p] |= 1 << q
+        edges = set()
+        for u, v in gate_dependency_edges(qc):
+            if assignment[u] != assignment[v]:
+                edges.add((assignment[u], assignment[v]))
+        group = greedy_merge(masks, sorted(edges), limit)
+        assert len(set(group)) < partition.num_parts  # something merges
+        merged = merge_assignment(GateGraph.from_circuit(qc), assignment, limit)
+        assert merged == [group[p] for p in assignment]
 
 
 def brute_force_min_parts(circuit: QuantumCircuit, limit: int) -> int:

@@ -1,15 +1,15 @@
 """Partition framework tests: normalisation, validation, dependency edges."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.partition.base import (
-    Part,
-    Partition,
-    PartitionError,
-    gate_dependency_edges,
-)
+from repro.dag import gate_dependency_edges
+from repro.partition.base import Part, Partition, PartitionError
 from repro.partition.validate import validate_partition
+
+from strategies import circuits
 
 
 def linear_circuit():
@@ -64,9 +64,9 @@ class TestFromAssignment:
         qc = linear_circuit()
         with pytest.raises(PartitionError):
             Partition.from_assignment(qc, [0, 0, 0, 0], limit=2, strategy="t")
-        # Same assignment passes without enforcement.
+        # Same assignment passes when the limit is the circuit's width.
         p = Partition.from_assignment(
-            qc, [0, 0, 0, 0], limit=2, strategy="t", enforce_limit=False
+            qc, [0, 0, 0, 0], limit=qc.num_qubits, strategy="t"
         )
         assert p.num_parts == 1
 
@@ -83,6 +83,52 @@ class TestFromAssignment:
         p = Partition.from_assignment(qc, [], 2, "t")
         assert p.num_parts == 0
         assert p.max_working_set() == 0
+
+
+@st.composite
+def circuits_with_part_maps(draw):
+    """A circuit and a raw gate -> part map.  Half the maps are interval
+    partitions of the written order (always acyclic) under shuffled part
+    names; the rest are arbitrary, so most of them have a quotient cycle."""
+    qc = draw(circuits(three_qubit=True))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(qc), max_size=len(qc)))
+    if draw(st.booleans()):
+        labels.sort()
+    names = draw(st.permutations([11, 2, 7, 5]))
+    return qc, [names[label] for label in labels]
+
+
+class TestFromAssignmentAgainstNetworkx:
+    """The contraction + Kahn of ``from_assignment`` against a quotient
+    built and ordered by networkx from the circuit alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(circuits_with_part_maps())
+    def test_matches_the_oracle_or_both_reject(self, drawn):
+        import networkx as nx
+
+        qc, raw = drawn
+        quotient = nx.DiGraph()
+        quotient.add_nodes_from(set(raw))
+        last = {}
+        for g, gate in enumerate(qc):
+            for q in gate.qubits:
+                if q in last and raw[last[q]] != raw[g]:
+                    quotient.add_edge(raw[last[q]], raw[g])
+                last[q] = g
+        if not nx.is_directed_acyclic_graph(quotient):
+            with pytest.raises(PartitionError, match="cyclic"):
+                Partition.from_assignment(qc, raw, qc.num_qubits, "t")
+            return
+        order = nx.lexicographical_topological_sort(quotient, key=raw.index)
+        expected = []
+        for name in order:
+            gates = tuple(g for g, a in enumerate(raw) if a == name)
+            qubits = sorted({q for g in gates for q in qc[g].qubits})
+            expected.append(Part(gates, tuple(qubits)))
+        p = Partition.from_assignment(qc, raw, qc.num_qubits, "t")
+        assert p.parts == tuple(expected)
+        assert validate_partition(qc, p).ok
 
 
 class TestPartitionAccessors:

@@ -24,7 +24,7 @@ class TestEvaluate:
 
     def test_edge_cut_bounds(self):
         qc, p, m = self._metrics()
-        from repro.partition.base import gate_dependency_edges
+        from repro.dag import gate_dependency_edges
 
         assert 0 <= m.edge_cut <= len(gate_dependency_edges(qc))
         assert 0.0 <= m.edge_cut_fraction <= 1.0

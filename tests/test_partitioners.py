@@ -51,12 +51,14 @@ class TestDFSOrder:
         import random
 
         qc = random_circuit(6, 40, seed=2)
-        from repro.partition.base import gate_dependency_edges
+        from repro.dag import GateGraph, gate_dependency_edges
 
-        edges = gate_dependency_edges(qc)
-        order = random_dfs_topological_order(len(qc), edges, random.Random(0))
+        order = random_dfs_topological_order(
+            GateGraph.from_circuit(qc), random.Random(0)
+        )
+        assert sorted(order) == list(range(len(qc)))
         pos = {g: i for i, g in enumerate(order)}
-        for u, v in edges:
+        for u, v in gate_dependency_edges(qc):
             assert pos[u] < pos[v]
 
     def test_seed_reproducibility(self):
@@ -151,3 +153,121 @@ def test_property_all_strategies_produce_valid_partitions(seed, limit):
     for strategy in STRATS:
         p = get_partitioner(strategy).partition(qc, limit)
         validate_partition(qc, p, raise_on_error=True)
+
+
+class TestPartitionerObjectsHoldConfigurationOnly:
+    """``partition()`` keeps no per-call state on the instance."""
+
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("make", [
+        DagPPartitioner, lambda: DFSPartitioner(trials=8),
+    ], ids=["dagP", "DFS"])
+    def test_one_instance_shared_by_two_threads(self, make):
+        import sys
+        import threading
+
+        shared = make()
+        work = [(generators.build("qaoa", 8), 5), (generators.build("qft", 9), 6)]
+        serial = [shared.partition(qc, limit).assignment() for qc, limit in work]
+        results = [[] for _ in work]
+
+        def drive(i):
+            qc, limit = work[i]
+            for _ in range(self.ROUNDS):
+                try:
+                    results[i].append(shared.partition(qc, limit).assignment())
+                except Exception as exc:  # recorded, compared below
+                    results[i].append(repr(exc))
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, expected in enumerate(serial):
+            assert results[i] == [expected] * self.ROUNDS
+
+    def test_partition_that_raises_leaves_seed_as_constructed(self, monkeypatch):
+        from repro.partition.dagp import driver
+
+        real = driver.initial_bisection
+
+        def raise_on_second_seed(sub, seed, **kwargs):
+            if seed == 8:
+                raise RuntimeError("second seed")
+            return real(sub, seed=seed, **kwargs)
+
+        monkeypatch.setattr(driver, "initial_bisection", raise_on_second_seed)
+        partitioner = DagPPartitioner(seed=7)
+        before = dict(vars(partitioner))
+        with pytest.raises(RuntimeError, match="second seed"):
+            partitioner.partition(generators.build("qaoa", 8), 5)
+        assert vars(partitioner) == before and partitioner.seed == 7
+
+    @pytest.mark.parametrize("cls", [
+        NaturalPartitioner, DFSPartitioner, DagPPartitioner,
+    ])
+    def test_no_assignment_to_self_outside_init(self, cls):
+        import ast
+        import inspect
+        import textwrap
+
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "__init__":
+                stores = [
+                    node.attr for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ]
+                assert not stores, f"{cls.__name__}.{func.name} sets {stores}"
+
+
+class TestOneDependencyPassPerCall:
+    """A partitioner reads the circuit's dependencies once per call."""
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        """Wrap the dependency pass wherever a module holds a reference."""
+        import sys
+
+        from repro.partition import gate_dependency_edges as real
+
+        reads = []
+
+        def counted(circuit):
+            reads.append(1)
+            return real(circuit)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    getattr(module, "gate_dependency_edges", None) is real:
+                monkeypatch.setattr(module, "gate_dependency_edges", counted)
+        return reads
+
+    @pytest.mark.parametrize("make", [
+        NaturalPartitioner, lambda: DFSPartitioner(trials=8), DagPPartitioner,
+    ], ids=STRATS)
+    def test_partition_reads_dependencies_once(self, make, monkeypatch):
+        reads = self._count_reads(monkeypatch)
+        qc = generators.build("qaoa", 8)
+        partition = make().partition(qc, 5)
+        assert len(reads) == 1
+        assert partition.num_parts > 1
+
+    def test_find_cuts_reads_once_more_for_its_merge(self, monkeypatch):
+        from repro.cut import find_cuts
+
+        reads = self._count_reads(monkeypatch)
+        plan = find_cuts(generators.build("qaoa", 8), max_width=5)
+        assert len(reads) == 2
+        assert plan.num_cuts >= 1

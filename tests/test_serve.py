@@ -428,6 +428,24 @@ class TestErrorIsolation:
                     res.state, flat_state(job.circuit), atol=1e-10, rtol=0
                 )
 
+    def test_unallocatable_state_is_a_per_job_error(self, monkeypatch):
+        from repro.sv import simulator
+
+        real = simulator.zero_state
+
+        def refuse_wide(num_qubits):
+            if num_qubits > 5:
+                raise MemoryError(f"Unable to allocate 2^{num_qubits}")
+            return real(num_qubits)
+
+        monkeypatch.setattr(simulator, "zero_state", refuse_wide)
+        jobs = [SimJob("ok", qft(5), shots=8), SimJob("wide", qft(6), shots=8)]
+        report = BatchRunner().run(jobs)
+        ok, wide = report.results
+        assert ok.error is None and sum(ok.counts.values()) == 8
+        assert wide.error.startswith("MemoryError") and wide.counts is None
+        assert report.stats.errored == 1
+
     def test_error_rendered_in_results_manifest(self):
         jobs = [
             SimJob("ok", qft(5), shots=8),

@@ -228,8 +228,7 @@ def _prefix_circuit(n=6):
 def _two_part_partition(qc, split):
     assignment = [0 if i < split else 1 for i in range(len(qc))]
     return Partition.from_assignment(
-        qc, assignment, limit=qc.num_qubits, strategy="Nat",
-        enforce_limit=False,
+        qc, assignment, limit=qc.num_qubits, strategy="Nat"
     )
 
 
@@ -254,8 +253,7 @@ def test_hybrid_with_clifford_tail_stays_dense_after_conversion():
     for i in range(4):
         qc.cx(i, i + 1)
     partition = Partition.from_assignment(
-        qc, [0] * 5 + [1] * 5 + [2] * 4, limit=5, strategy="Nat",
-        enforce_limit=False,
+        qc, [0] * 5 + [1] * 5 + [2] * 4, limit=qc.num_qubits, strategy="Nat"
     )
     ex = HierarchicalExecutor(method="stabilizer")
     trace = ExecutionTrace()

@@ -11,16 +11,20 @@ trees keep that true:
   listed in :data:`REFERENCES` next to the test module that uses it as
   an oracle;
 * every :class:`~repro.config.RunOptions` field is set, as a keyword
-  argument or a manifest key, by at least one benchmark or example.
+  argument or a manifest key, by at least one benchmark or example — and
+  so is every constructor parameter (``seed`` excepted) of the
+  partitioners in ``partition.STRATEGIES``.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 
 from repro.config import RUN_OPTION_FIELDS
+from repro.partition import STRATEGIES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -123,7 +127,9 @@ def test_every_exported_name_has_a_caller_or_is_a_test_oracle():
         assert name in _read(tree), f"{module} does not use {name}"
 
 
-def test_every_run_option_is_set_by_a_benchmark_or_an_example():
+def _options_set_by_benchmarks_and_examples():
+    """Keyword-argument names and manifest keys under ``benchmarks/`` and
+    ``examples/``."""
     used = set()
     for path in _python_files("benchmarks", "examples"):
         for node in ast.walk(_tree(path)):
@@ -137,7 +143,25 @@ def test_every_run_option_is_set_by_a_benchmark_or_an_example():
     for path in manifests:
         with open(path, encoding="utf-8") as fh:
             used.update(json.load(fh))
+    return used
+
+
+def test_every_run_option_is_set_by_a_benchmark_or_an_example():
+    used = _options_set_by_benchmarks_and_examples()
     unset = [name for name in RUN_OPTION_FIELDS if name not in used]
     assert not unset, (
         f"RunOptions fields no benchmark or example sets: {unset}"
+    )
+
+
+def test_every_partitioner_option_is_set_by_a_benchmark_or_an_example():
+    used = _options_set_by_benchmarks_and_examples()
+    unset = [
+        name
+        for cls in STRATEGIES.values()
+        for name in inspect.signature(cls).parameters
+        if name != "seed" and name not in used
+    ]
+    assert not unset, (
+        f"partitioner options no benchmark or example sets: {unset}"
     )

@@ -43,7 +43,7 @@ def run_bench(params):
     qc = build(CIRCUIT, qubits)
     plan = find_cuts(qc, max_width)
     result = cut_run(qc, plan=plan, want_state=True, shots=shots, seed=SEED)
-    trace = result.trace
+    stats = result.stats
     sim = StateVectorSimulator(qc.num_qubits)
     sim.run(qc)
     max_err = float(np.max(np.abs(result.state - sim.state)))
@@ -57,9 +57,9 @@ def run_bench(params):
             "fragments": plan.num_fragments,
             "widest_fragment": max(plan.widths),
             "logical_variants": plan.num_variants,
-            "variants_evaluated": trace.variants_evaluated,
-            "partitions_computed": trace.partitions_computed,
-            "structures_compiled": trace.structures_compiled,
+            "variants_evaluated": stats.num_jobs,
+            "partitions_computed": stats.partitions_computed,
+            "structures_compiled": stats.structures_compiled,
             "state_match": state_match,
             "counts_exact": counts_exact,
         },
@@ -68,7 +68,7 @@ def run_bench(params):
             "recombined state matches the uncut one to 1e-10": state_match,
             "seeded counts equal the uncut sampler's": counts_exact,
             "each fragment partitions once across its variants": (
-                trace.partitions_computed == trace.num_fragments
+                stats.partitions_computed == plan.num_fragments
             ),
         },
     )

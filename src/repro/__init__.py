@@ -32,6 +32,7 @@ _SUBPACKAGES = (
     "bench",
     "cachesim",
     "circuits",
+    "cut",
     "dag",
     "dist",
     "experiments",

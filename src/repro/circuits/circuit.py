@@ -180,6 +180,9 @@ class QuantumCircuit:
     def swap(self, a: int, b: int):
         return self.add("swap", a, b)
 
+    def iswap(self, a: int, b: int):
+        return self.add("iswap", a, b)
+
     def rzz(self, theta: float, a: int, b: int):
         return self.add("rzz", a, b, params=(theta,))
 

@@ -1,11 +1,11 @@
 """OpenQASM 2.0 subset reader/writer.
 
-Supports the gate vocabulary of :mod:`repro.circuits.gates`, one quantum
-register, arbitrary parameter expressions built from numbers, ``pi``,
-``+ - * /`` and parentheses.  ``measure``/``barrier``/classical registers
-are accepted on input and ignored (the paper's simulators are
-measurement-free).  Round-tripping a circuit through :func:`dumps` /
-:func:`loads` yields an equal circuit.
+Supports the gate vocabulary of :mod:`repro.circuits.gates`, quantum
+registers (concatenated in declaration order), arbitrary parameter
+expressions built from numbers, ``pi``, ``+ - * /`` and parentheses.
+``measure``/``barrier``/classical registers are accepted on input and
+ignored (the paper's simulators are measurement-free).  Round-tripping a
+circuit through :func:`dumps` / :func:`loads` yields an equal circuit.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ def dump(circuit: QuantumCircuit, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _TOKEN_STRIP = re.compile(r"//[^\n]*")
-_GATE_RE = re.compile(
-    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*)$"
-)
+_GATE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\s*")
+_PAREN_OR_COMMA_RE = re.compile(r"[(),]")
 _QARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+)\]$")
 
 _BINARY_OPS = {
@@ -112,6 +111,27 @@ def _eval_param(expr: str) -> float:
     return value
 
 
+def _split_params(stmt: str, start: int) -> Tuple[List[str], int]:
+    """The comma-separated expressions of the parameter list opening at
+    ``stmt[start]`` and the index just past its *balanced* closing
+    parenthesis; commas and parentheses nested inside an expression
+    belong to it."""
+    exprs: List[str] = []
+    depth, begin = 0, start + 1
+    for m in _PAREN_OR_COMMA_RE.finditer(stmt, start):
+        token = m.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        if depth == 0 or (token == "," and depth == 1):
+            exprs.append(stmt[begin:m.start()])
+            begin = m.end()
+            if depth == 0:
+                return exprs, begin
+    raise QasmError(f"unbalanced parentheses in {stmt!r}")
+
+
 def loads(text: str, name: str = "qasm") -> QuantumCircuit:
     """Parse OpenQASM 2.0 text into a :class:`QuantumCircuit`."""
     text = _TOKEN_STRIP.sub("", text)
@@ -135,25 +155,27 @@ def loads(text: str, name: str = "qasm") -> QuantumCircuit:
             m = re.match(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", stmt)
             if not m:
                 raise QasmError(f"bad qreg statement {stmt!r}")
+            if m.group(1) in regs:
+                raise QasmError(f"register {m.group(1)!r} declared twice")
             regs[m.group(1)] = int(m.group(2))
             offsets[m.group(1)] = total
             total += int(m.group(2))
             continue
         if low.startswith("gate ") or low.startswith("opaque"):
             raise QasmError("user-defined gates are not supported")
-        m = _GATE_RE.match(stmt)
+        m = _GATE_NAME_RE.match(stmt)
         if not m:
             raise QasmError(f"unparsable statement {stmt!r}")
-        gname = m.group("name").lower()
+        gname = m.group().strip().lower()
         if gname not in GATE_DEFS:
             raise QasmError(f"unsupported gate {gname!r}")
         params: Tuple[float, ...] = ()
-        if m.group("params") is not None:
-            params = tuple(
-                _eval_param(p) for p in m.group("params").split(",") if p.strip()
-            )
+        end = m.end()
+        if stmt.startswith("(", end):
+            exprs, end = _split_params(stmt, end)
+            params = tuple(_eval_param(p) for p in exprs if p.strip())
         qubits: List[int] = []
-        for arg in m.group("args").split(","):
+        for arg in stmt[end:].split(","):
             arg = arg.strip()
             qm = _QARG_RE.match(arg)
             if not qm:

@@ -192,28 +192,28 @@ def _cut(args) -> int:
     import json
 
     from .cut import cut_run
+    from .serve import BatchRunner
 
     options = _run_options(args)
     qc = _generated(args.name, args.qubits)
     want_state = args.state or (args.verify and qc.num_qubits <= 24)
     result = cut_run(
         qc,
+        runner=BatchRunner(options),
         max_width=args.max_width,
         max_cuts=args.cuts,
         want_state=want_state,
         shots=args.shots,
         seed=args.seed,
         observables=args.observables or (),
-        workers=args.workers,
-        options=options,
     )
-    plan, trace = result.plan, result.trace
+    plan, stats = result.plan, result.stats
     print(
         f"{qc.name}: qubits={qc.num_qubits} gates={len(qc)} "
         f"strategy={options.strategy} max_width={args.max_width}"
     )
     print(plan.summary())
-    print(trace.summary())
+    print(stats.summary())
     if result.counts is not None:
         top = sorted(
             result.counts.items(), key=lambda kv: (-kv[1], kv[0])
@@ -239,8 +239,8 @@ def _cut(args) -> int:
             "fragments": plan.num_fragments,
             "fragment_widths": list(plan.widths),
             "logical_variants": plan.num_variants,
-            "variants_evaluated": trace.variants_evaluated,
-            "seconds": trace.seconds,
+            "variants_evaluated": stats.num_jobs,
+            "seconds": stats.seconds,
         }
         if result.counts is not None:
             payload["counts"] = {
@@ -525,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "full dense state")
     p_cut.add_argument("-o", "--output", default=None,
                        help="write a JSON results file here")
-    p_cut.add_argument("--workers", type=int, default=None,
-                       help="concurrent fragment variants (default: 1)")
     _add_run_options(p_cut, _COMMON_RUN_FLAGS + ("max_fused_qubits",))
     p_cut.add_argument("--verify", action="store_true",
                        help="cross-check the recombined state against "

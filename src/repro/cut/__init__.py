@@ -9,8 +9,9 @@ The pipeline (see ``docs/cutting.md``):
    variants (``u3`` preparations and basis rotations, the CutQC
    4-basis / 4-state decomposition);
 3. :mod:`~repro.cut.evaluate` — run variants through the existing
-   hierarchical executor via a :class:`~repro.serve.runner.BatchRunner`
-   (one partition and one compiled plan structure per fragment);
+   hierarchical executor as one batch on the caller's
+   :class:`~repro.serve.runner.BatchRunner` (one partition and one
+   compiled plan structure per fragment);
 4. :mod:`~repro.cut.recombine` — contract fragment tensors back into
    the state, probabilities, seeded counts or Pauli expectations.
 
@@ -25,19 +26,20 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..config import RunOptions
-from ..sv.fusion import PlanCache
+from ..partition.base import PartitionError
+from ..serve.runner import BatchRunner, BatchStats
 from ..sv.pauli import PauliTerm
 from .cutter import (
     CutError,
     CutFragment,
     CutPlan,
     WireCut,
+    check_max_width,
     find_cuts,
     plan_from_assignment,
     plan_from_partition,
 )
-from .evaluate import CutTrace, FragmentTensor, evaluate_fragments
+from .evaluate import FragmentTensor, evaluate_fragments
 from .fragments import (
     MEAS_BASES,
     PREP_STATES,
@@ -61,7 +63,6 @@ __all__ = [
     "CutFragment",
     "CutPlan",
     "CutResult",
-    "CutTrace",
     "FragmentTensor",
     "WireCut",
     "MEAS_BASES",
@@ -90,8 +91,11 @@ class CutResult:
     """Everything one :func:`cut_run` produced.
 
     ``state`` / ``probabilities`` / ``counts`` / ``expectations`` are
-    ``None`` unless requested; ``plan`` and ``trace`` always describe
-    what ran and what it cost.
+    ``None`` unless requested; ``plan`` says what was cut and
+    ``stats`` what running it cost: the variant batch's
+    :class:`~repro.serve.runner.BatchStats` (``num_jobs`` = physical
+    circuits run) plus, when :func:`cut_run` searched for the cuts, the
+    search's own partition event.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
@@ -101,7 +105,7 @@ class CutResult:
     """
 
     plan: CutPlan
-    trace: CutTrace
+    stats: BatchStats
     state: Optional[np.ndarray] = None
     probabilities: Optional[np.ndarray] = None
     counts: Optional[Dict[int, int]] = None
@@ -111,6 +115,7 @@ class CutResult:
 def cut_run(
     circuit: QuantumCircuit,
     *,
+    runner: Optional[BatchRunner] = None,
     max_width: Optional[int] = None,
     max_cuts: Optional[int] = None,
     plan: Optional[CutPlan] = None,
@@ -119,18 +124,16 @@ def cut_run(
     shots: int = 0,
     seed: int = 0,
     observables: Sequence[PauliTerm] = (),
-    workers: Optional[int] = None,
-    options: Optional[RunOptions] = None,
-    plan_cache: Optional[PlanCache] = None,
 ) -> CutResult:
     """Cut, evaluate and recombine one circuit end to end.
 
     Either pass a prebuilt ``plan`` or a ``max_width`` for
     :func:`find_cuts` (``max_cuts`` bounds the 16^k budget).
-    ``options`` (:class:`~repro.config.RunOptions`, default: the
-    defaults) names the partitioner that finds the cuts and configures
-    fragment evaluation, which also shares ``plan_cache``; ``workers``
-    fans variants out (default 1).
+    Everything runs on ``runner`` (default: a fresh default
+    :class:`~repro.serve.runner.BatchRunner`): its options name the
+    partitioner that finds the cuts and configure fragment evaluation,
+    its partition cache holds the cut search (at ``limit=max_width``)
+    and every fragment, and its ``workers`` fans the variants out.
 
     >>> from repro.circuits.generators import qaoa
     >>> result = cut_run(qaoa(6, p=1), max_width=4, shots=32,
@@ -140,22 +143,28 @@ def cut_run(
     >>> len(result.expectations)
     1
     """
-    options = options or RunOptions()
+    if runner is None:
+        runner = BatchRunner()
+    search_cached = None
     if plan is None:
         if max_width is None:
             raise CutError("cut_run needs a plan or a max_width")
+        check_max_width(circuit, max_width)
+        try:
+            start, search_cached = runner.partition(circuit, limit=max_width)
+        except PartitionError as exc:
+            raise CutError(str(exc)) from exc
         plan = find_cuts(
-            circuit, max_width, strategy=options.strategy, max_cuts=max_cuts
+            circuit, max_width, max_cuts=max_cuts, partition=start
         )
     elif plan.circuit is not circuit and plan.circuit != circuit:
         raise CutError("plan was built for a different circuit")
-    tensors, trace = evaluate_fragments(
-        plan,
-        mode="amplitude",
-        workers=workers,
-        options=options,
-        plan_cache=plan_cache,
-    )
+    tensors, stats = evaluate_fragments(plan, runner)
+    # The search is part of what this cut cost the runner's caches.
+    if search_cached:
+        stats.partition_hits += 1
+    elif search_cached is not None:
+        stats.partitions_computed += 1
     state = recombine_state(plan, tensors) if want_state else None
     probabilities = (
         recombine_probabilities(plan, tensors) if want_probabilities else None
@@ -170,7 +179,7 @@ def cut_run(
     )
     return CutResult(
         plan=plan,
-        trace=trace,
+        stats=stats,
         state=state,
         probabilities=probabilities,
         counts=counts,

@@ -309,20 +309,32 @@ def plan_from_assignment(
     return plan_from_partition(circuit, partition, max_width=width)
 
 
+def check_max_width(circuit: QuantumCircuit, max_width: int) -> None:
+    """Refuse a ``max_width`` no fragment holding the widest gate fits."""
+    arity = max((len(g.qubits) for g in circuit), default=1)
+    if max_width < arity:
+        raise CutError(
+            f"max_width {max_width} below the widest gate ({arity} qubits)"
+        )
+
+
 def find_cuts(
     circuit: QuantumCircuit,
     max_width: int,
     *,
     strategy: str = "dagP",
     max_cuts: Optional[int] = None,
+    partition: Optional[Partition] = None,
 ) -> CutPlan:
     """Find a low-weight wire cutting with every fragment ``<= max_width``.
 
-    Partitions the circuit at ``limit=max_width`` with the named
-    partitioner (which minimises qubit-timeline boundary crossings over
-    the interaction structure), then greedily re-merges parts that fit
-    together — every merge removes at least the cuts between the merged
-    pair — and reads the cuts off the qubit timelines.
+    Starts from ``partition`` — the circuit partitioned at
+    ``limit=max_width``, computed here with the named partitioner
+    (which minimises qubit-timeline boundary crossings over the
+    interaction structure) unless the caller already holds it — then
+    greedily re-merges parts that fit together — every merge removes
+    at least the cuts between the merged pair — and reads the cuts off
+    the qubit timelines.
 
     ``max_cuts`` is a budget: the plan is rejected if it needs more
     cuts (each one multiplies recombination cost by 16).
@@ -332,22 +344,20 @@ def find_cuts(
     >>> plan.max_width, max(plan.widths) <= 2, plan.num_cuts >= 1
     (2, True, True)
     """
-    arity = max((len(g.qubits) for g in circuit), default=1)
-    if max_width < arity:
-        raise CutError(
-            f"max_width {max_width} below the widest gate ({arity} qubits)"
-        )
-    try:
-        partition = get_partitioner(strategy).partition(circuit, max_width)
-    except PartitionError as exc:
-        raise CutError(str(exc)) from exc
+    if partition is None:
+        check_max_width(circuit, max_width)
+        try:
+            partition = get_partitioner(strategy).partition(circuit, max_width)
+        except PartitionError as exc:
+            raise CutError(str(exc)) from exc
     if partition.num_parts > 1:
         # Glue parts back together wherever the union still fits: each
         # merge deletes every cut between the merged pair.
         graph = GateGraph.from_circuit(circuit)
         merged = merge_assignment(graph, partition.assignment(), max_width)
         partition = Partition.from_assignment(
-            circuit, merged, limit=max_width, strategy=strategy, graph=graph
+            circuit, merged, limit=max_width,
+            strategy=partition.strategy, graph=graph,
         )
     plan = plan_from_partition(circuit, partition, max_width=max_width)
     if max_cuts is not None and plan.num_cuts > max_cuts:

@@ -144,8 +144,8 @@ class SimJob:
         When set, run the job through the wire-cutting pipeline
         (:mod:`repro.cut`) instead of simulating the full width
         directly.  A mapping with ``max_width`` (required, ``>= 2``)
-        plus optional ``cuts`` (cut budget), ``strategy`` and
-        ``workers`` (variant fan-out) keys.
+        and optionally ``cuts`` (the cut budget); everything else about
+        the run is the runner's.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
@@ -173,7 +173,7 @@ class SimJob:
         if self.cut is not None:
             if not isinstance(self.cut, dict):
                 raise ValueError("cut spec must be a mapping")
-            unknown = set(self.cut) - {"max_width", "cuts", "strategy", "workers"}
+            unknown = set(self.cut) - {"max_width", "cuts"}
             if unknown:
                 raise ValueError(
                     f"unknown cut spec keys: {', '.join(sorted(unknown))}"

@@ -100,7 +100,12 @@ def order_jobs(schedule: str, structurals: Sequence[str]) -> List[int]:
 class BatchStats:
     """Cache and throughput accounting for one :meth:`BatchRunner.run`.
 
-    ``partitions_computed`` + ``partition_hits`` equals the job count;
+    ``partitions_computed`` + ``partition_hits`` equals the circuits
+    the batch partitioned: one per plain job and, per cut job that
+    succeeded, its cut search plus one per fragment variant (a cut job
+    that fails counts under ``errored`` only).  Summed over a runner's
+    top-level runs these are its lifetime
+    :meth:`~BatchRunner.counters_snapshot`.
     ``structures_compiled`` counts part-plan structures built (fusion
     grouping + gather tables) and ``structure_hits`` the parts that
     reused one.  A ``J``-job single-structure batch over a ``P``-part
@@ -126,6 +131,22 @@ class BatchStats:
     schedule: str = "fifo"
     parts_routed_dense: int = 0
     parts_routed_stabilizer: int = 0
+
+    def absorb(self, inner: "BatchStats") -> None:
+        """Add the cache and routing counts of a batch that ran inside
+        this one (a cut job's variant batch).
+
+        >>> outer = BatchStats(num_jobs=1, partition_hits=1)
+        >>> outer.absorb(BatchStats(num_jobs=5, partitions_computed=2))
+        >>> outer.num_jobs, outer.partitions_computed, outer.partition_hits
+        (1, 2, 1)
+        """
+        for name in (
+            "partitions_computed", "partition_hits", "structures_compiled",
+            "structure_hits", "plans_bound", "parts_routed_dense",
+            "parts_routed_stabilizer",
+        ):
+            setattr(self, name, getattr(self, name) + getattr(inner, name))
 
     def summary(self) -> str:
         """One-line human-readable digest."""
@@ -173,26 +194,17 @@ class _RunCounters:
     worker threads share one runner); snapshot-delta accounting against
     the runner's lifetime totals would interleave, so each run owns one
     of these and every event is recorded here as well as on the shared
-    objects.  Partition events are guarded by ``lock``; plan-cache
-    events land in ``cache`` under the plan cache's own lock.
+    objects.  Partition, routing and cut-job events land on ``stats``
+    under ``lock``; plan-cache events land in ``cache`` under the plan
+    cache's own lock and are folded into ``stats`` when the run ends.
     """
 
-    __slots__ = (
-        "lock",
-        "partitions_computed",
-        "partition_hits",
-        "cache",
-        "parts_routed_dense",
-        "parts_routed_stabilizer",
-    )
+    __slots__ = ("lock", "stats", "cache")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: BatchStats) -> None:
         self.lock = threading.Lock()
-        self.partitions_computed = 0
-        self.partition_hits = 0
+        self.stats = stats
         self.cache = CacheCounters()
-        self.parts_routed_dense = 0
-        self.parts_routed_stabilizer = 0
 
 
 class BatchRunner:
@@ -308,32 +320,49 @@ class BatchRunner:
 
     # -- partition cache ---------------------------------------------------
 
-    def _partition_for(
+    def partition(
         self,
         circuit: QuantumCircuit,
-        fingerprint: str,
+        structural: Optional[str] = None,
         counters: Optional[_RunCounters] = None,
+        *,
+        limit: Optional[int] = None,
     ) -> Tuple[Partition, bool]:
         """Partition from cache; ``(partition, was_cached)``.
 
-        Partitioning is keyed by ``(fingerprint, strategy, limit)`` —
+        Partitioning is keyed by ``(structural, strategy, limit)`` —
         partitioners only consult gate operands and order, never
         parameters, so one partition serves every circuit that shares a
-        structure.  The cache is a :class:`~repro.sv.fusion.OnceCache`
-        bounded like the plan cache: each cached structure is
-        partitioned exactly once even under concurrent workers,
-        *different* structures partition concurrently, and an evicted
-        structure is partitioned, and counted, again.
+        structure (``structural`` is the circuit's structural
+        fingerprint, hashed here when not given).  The cache is a
+        :class:`~repro.sv.fusion.OnceCache` bounded like the plan cache:
+        each cached structure is partitioned exactly once even under
+        concurrent workers, *different* structures partition
+        concurrently, and an evicted structure is partitioned, and
+        counted, again.
 
-        ``options.limit`` is honoured whenever set — only ``None``
-        derives the per-circuit :func:`default_limit` (an explicit small
-        limit such as ``1`` is a real configuration, not "unset").
+        An explicit ``limit`` wins (the cutter searches at its
+        ``max_width``), else ``options.limit`` whenever set — only
+        ``None`` derives the per-circuit :func:`default_limit` (an
+        explicit small limit such as ``1`` is a real configuration, not
+        "unset").
+
+        >>> from repro.circuits.generators import qft
+        >>> runner = BatchRunner(limit=4)
+        >>> runner.partition(qft(6))[0].limit, runner.partition(qft(6))[1]
+        (4, True)
+        >>> runner.partition(qft(6), limit=3)[0].limit
+        3
         """
-        strategy, limit = self.options.strategy, self.options.limit
+        if structural is None:
+            structural = structural_fingerprint(circuit)
+        strategy = self.options.strategy
+        if limit is None:
+            limit = self.options.limit
         if limit is None:
             limit = default_limit(circuit.num_qubits)
         partition, cached = self._partitions.get(
-            (fingerprint, strategy, limit),
+            (structural, strategy, limit),
             lambda: get_partitioner(strategy).partition(circuit, limit),
         )
         with self._partition_lock:
@@ -344,9 +373,9 @@ class BatchRunner:
         if counters is not None:
             with counters.lock:
                 if cached:
-                    counters.partition_hits += 1
+                    counters.stats.partition_hits += 1
                 else:
-                    counters.partitions_computed += 1
+                    counters.stats.partitions_computed += 1
         return partition, cached
 
     # -- execution ---------------------------------------------------------
@@ -377,7 +406,7 @@ class BatchRunner:
         """
         if structural is None:
             structural = structural_fingerprint(circuit)
-        partition, cached = self._partition_for(circuit, structural, counters)
+        partition, cached = self.partition(circuit, structural, counters)
         state = self._executor.run(
             circuit,
             partition,
@@ -396,7 +425,7 @@ class BatchRunner:
         counters: _RunCounters,
     ) -> JobResult:
         if job.cut is not None:
-            return self._run_cut(job, fingerprint)
+            return self._run_cut(job, fingerprint, counters)
         t0 = time.perf_counter()
         trace = ExecutionTrace()
         state, partition, cached = self.execute(
@@ -405,8 +434,8 @@ class BatchRunner:
         routed_dense = trace.engine_parts.get("dense", 0)
         routed_stab = trace.engine_parts.get("stabilizer", 0)
         with counters.lock:
-            counters.parts_routed_dense += routed_dense
-            counters.parts_routed_stabilizer += routed_stab
+            counters.stats.parts_routed_dense += routed_dense
+            counters.stats.parts_routed_stabilizer += routed_stab
         with self._partition_lock:
             self.parts_routed_dense += routed_dense
             self.parts_routed_stabilizer += routed_stab
@@ -439,17 +468,17 @@ class BatchRunner:
             expectations=values,
         )
 
-    def _run_cut(self, job: SimJob, fingerprint: str) -> JobResult:
+    def _run_cut(
+        self, job: SimJob, fingerprint: str, counters: _RunCounters
+    ) -> JobResult:
         """Route a cut-spec job through the wire-cutting pipeline.
 
-        The fragment-variant batch runs on an inner runner that shares
-        this runner's plan cache (repeat cut jobs reuse compiled
-        structures), its live backend and its resolved method; ``limit``
-        was chosen for the full width and does not carry over to the
-        narrower fragments.
-        ``num_parts`` on the result counts *fragments*;
-        ``partition_cached`` is always ``False`` — fragment partitions
-        live in the cut pipeline, not this runner's partition cache.
+        The cut search and the fragment-variant batch run on this
+        runner like any other work — same options (an explicit ``limit``
+        included), caches and backend — and what they cost is added to
+        the enclosing run's statistics.  ``num_parts`` on the result
+        counts *fragments*; ``partition_cached`` says no partition had
+        to be computed, for the search or for any fragment.
         """
         from ..cut import cut_run
 
@@ -457,22 +486,16 @@ class BatchRunner:
         spec = job.cut
         result = cut_run(
             job.circuit,
+            runner=self,
             max_width=spec["max_width"],
             max_cuts=spec.get("cuts"),
             want_state=job.want_state,
             shots=job.shots,
             seed=0 if job.seed is None else job.seed,
             observables=job.observables,
-            workers=spec.get("workers"),
-            options=replace(
-                self.options,
-                strategy=spec.get("strategy", self.options.strategy),
-                limit=None,
-                backend=self.backend,
-                method=self.method,
-            ),
-            plan_cache=self.plan_cache,
         )
+        with counters.lock:
+            counters.stats.absorb(result.stats)
         return JobResult(
             job_id=job.job_id,
             fingerprint=fingerprint,
@@ -480,7 +503,7 @@ class BatchRunner:
             num_gates=len(job.circuit),
             num_parts=result.plan.num_fragments,
             seconds=time.perf_counter() - t0,
-            partition_cached=False,
+            partition_cached=result.stats.partitions_computed == 0,
             state=result.state,
             counts=result.counts,
             expectations=result.expectations,
@@ -529,7 +552,9 @@ class BatchRunner:
         ``partition_hits`` attributes remain lifetime totals).
         """
         t0 = time.perf_counter()
-        counters = _RunCounters()
+        counters = _RunCounters(
+            BatchStats(num_jobs=len(jobs), schedule=self.schedule)
+        )
         # Identity fingerprints name the result (distinct per boundary
         # variant); structural fingerprints key every cache and the
         # schedule grouping (variants share them by design).  One hash
@@ -556,18 +581,11 @@ class BatchRunner:
                 ]
                 for i, f in futures:
                     results[i] = f.result()
-        stats = BatchStats(
-            num_jobs=len(jobs),
-            unique_structures=len(set(structurals)),
-            partitions_computed=counters.partitions_computed,
-            partition_hits=counters.partition_hits,
-            structures_compiled=counters.cache.structure_misses,
-            structure_hits=counters.cache.structure_hits,
-            plans_bound=counters.cache.misses,
-            errored=sum(1 for r in results if r is not None and r.error),
-            seconds=time.perf_counter() - t0,
-            schedule=self.schedule,
-            parts_routed_dense=counters.parts_routed_dense,
-            parts_routed_stabilizer=counters.parts_routed_stabilizer,
-        )
+        stats = counters.stats
+        stats.unique_structures = len(set(structurals))
+        stats.structures_compiled += counters.cache.structure_misses
+        stats.structure_hits += counters.cache.structure_hits
+        stats.plans_bound += counters.cache.misses
+        stats.errored = sum(1 for r in results if r is not None and r.error)
+        stats.seconds = time.perf_counter() - t0
         return BatchReport(results=results, stats=stats)  # type: ignore[arg-type]

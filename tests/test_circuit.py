@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import make_gate
+from repro.circuits.gates import GATE_DEFS, make_gate
 
 
 class TestConstruction:
@@ -20,16 +20,14 @@ class TestConstruction:
             QuantumCircuit(-3)
 
     def test_builder_methods_cover_registry(self):
-        qc = QuantumCircuit(4)
-        qc.id(0).x(0).y(1).z(2).h(3).s(0).sdg(1).t(2).tdg(3).sx(0)
-        qc.rx(0.1, 0).ry(0.2, 1).rz(0.3, 2)
-        qc.u1(0.1, 3).u2(0.1, 0.2, 0).u3(0.1, 0.2, 0.3, 1)
-        qc.cx(0, 1).cy(1, 2).cz(2, 3).ch(3, 0)
-        qc.crx(0.1, 0, 1).cry(0.2, 1, 2).crz(0.3, 2, 3)
-        qc.cu1(0.4, 3, 0).cu3(0.1, 0.2, 0.3, 0, 1)
-        qc.swap(2, 3).rzz(0.5, 0, 2)
-        qc.ccx(0, 1, 2).ccz(1, 2, 3).cswap(0, 2, 3)
-        assert len(qc) == 30
+        """Every registry gate has a helper named after it that takes
+        ``(params..., qubits...)`` and appends exactly that gate."""
+        for name, d in GATE_DEFS.items():
+            params = tuple(0.1 * (k + 1) for k in range(d.num_params))
+            qubits = tuple(range(d.num_qubits))
+            qc = QuantumCircuit(4)
+            assert getattr(qc, name)(*params, *qubits) is qc, name
+            assert list(qc) == [make_gate(name, qubits, params)], name
 
     def test_out_of_range_gate_rejected(self):
         qc = QuantumCircuit(2)

@@ -13,13 +13,14 @@ manifest integration.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.generators import build
-from repro.config import RunOptions
 from repro.cut import (
     CutError,
     cut_run,
@@ -36,6 +37,7 @@ from repro.cut.fragments import amplitude_variants, variant_circuit
 from repro.cut.recombine import bond_tensor
 from repro.serve import (
     BatchRunner,
+    SimJob,
     circuit_fingerprint,
     load_manifest,
     structural_fingerprint,
@@ -105,7 +107,7 @@ class TestDifferential:
             qc,
             plan=plan,
             want_state=True,
-            options=RunOptions(
+            runner=BatchRunner(
                 strategy=strategy, fuse=fuse, backend=backend, threads=threads
             ),
         )
@@ -122,7 +124,7 @@ class TestDifferential:
         assert max(plan.widths) <= 7
         result = cut_run(
             qc, plan=plan, want_state=True,
-            options=RunOptions(strategy=strategy),
+            runner=BatchRunner(strategy=strategy),
         )
         err = float(np.max(np.abs(result.state - uncut_state(qc))))
         assert err < ATOL
@@ -156,8 +158,7 @@ class TestDifferential:
     def test_quasi_probabilities_match_amplitude_path(self):
         qc, assignment = fixed_chain(1)
         plan = plan_from_assignment(qc, assignment, max_width=4)
-        tensors, trace = evaluate_fragments(plan, mode="quasi")
-        assert trace.mode == "quasi"
+        tensors, _ = evaluate_fragments(plan, mode="quasi")
         quasi = quasi_probabilities(plan, tensors)
         dense = np.abs(uncut_state(qc)) ** 2
         assert np.max(np.abs(quasi - dense)) < 1e-8
@@ -165,8 +166,10 @@ class TestDifferential:
     def test_worker_fanout_matches_serial(self):
         qc, assignment = chain_of_cx(3)
         plan = plan_from_assignment(qc, assignment, max_width=2)
-        serial = cut_run(qc, plan=plan, want_state=True, workers=1)
-        fanned = cut_run(qc, plan=plan, want_state=True, workers=3)
+        serial = cut_run(qc, plan=plan, want_state=True)
+        fanned = cut_run(
+            qc, plan=plan, want_state=True, runner=BatchRunner(workers=3)
+        )
         assert np.allclose(serial.state, fanned.state, atol=1e-12)
 
 
@@ -449,13 +452,11 @@ class TestFingerprints:
         """One fragment's whole variant set pays partitioning once."""
         qc, assignment = chain_of_cx(2)
         plan = plan_from_assignment(qc, assignment, max_width=2)
-        _, trace = evaluate_fragments(plan)
-        assert trace.variants_evaluated > plan.num_fragments
-        assert trace.partitions_computed == plan.num_fragments
-        assert trace.partition_hits == (
-            trace.variants_evaluated - plan.num_fragments
-        )
-        assert trace.plans_bound == trace.variants_evaluated
+        _, stats = evaluate_fragments(plan)
+        assert stats.num_jobs > plan.num_fragments
+        assert stats.partitions_computed == plan.num_fragments
+        assert stats.partition_hits == stats.num_jobs - plan.num_fragments
+        assert stats.plans_bound == stats.num_jobs
 
 
 class TestServeIntegration:
@@ -508,6 +509,122 @@ class TestServeIntegration:
                     "cut": {"max_width": 1},
                 }],
             })
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Monkeypatch ``cls.name`` to count its calls; returns the tally."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+#: What ``BatchRunner.counters_snapshot`` reports, by ``BatchStats`` name.
+SNAPSHOT_FIELDS = (
+    "partitions_computed", "partition_hits",
+    "parts_routed_dense", "parts_routed_stabilizer",
+)
+
+
+class TestOnePipeline:
+    """A cut is evaluated on the runner it is given: one partition
+    cache, one plan cache, one set of counters — no runner builds one."""
+
+    def _cut_jobs(self, count, **job):
+        return [
+            SimJob(f"c{k}", build("qnn", 14), cut={"max_width": 9}, **job)
+            for k in range(count)
+        ]
+
+    def test_identical_cut_jobs_partition_once(self, monkeypatch):
+        from repro.partition.dagp import DagPPartitioner
+
+        partitions = _count_calls(monkeypatch, DagPPartitioner, "partition")
+        runners = _count_calls(monkeypatch, BatchRunner, "__init__")
+        runner = BatchRunner()
+        report = runner.run(self._cut_jobs(8, want_state=True))
+        assert [r.error for r in report.results] == [None] * 8
+        fragments = report.results[0].num_parts
+        assert len(partitions) == 1 + fragments  # the search + each fragment
+        assert len(runners) == 1
+        stats = report.stats
+        assert stats.partitions_computed == 1 + fragments
+        assert stats.partition_hits > 0 and stats.plans_bound > 0
+        assert [r.partition_cached for r in report.results] == (
+            [False] + [True] * 7
+        )
+        plain = runner.run([SimJob("p", build("qnn", 14), want_state=True)])
+        assert np.allclose(
+            plain.results[0].state, report.results[-1].state, atol=ATOL
+        )
+        snapshot = runner.counters_snapshot()
+        assert snapshot["partitions_computed"] > 0
+        assert snapshot == {
+            name: getattr(stats, name) + getattr(plain.stats, name)
+            for name in SNAPSHOT_FIELDS
+        }
+
+    def test_runner_limit_applies_to_fragments(self, monkeypatch):
+        from repro.partition.dagp import DagPPartitioner
+
+        partitions = _count_calls(monkeypatch, DagPPartitioner, "partition")
+        jobs = self._cut_jobs(1, want_state=True)
+        report = BatchRunner(limit=3).run(jobs)
+        assert report.results[0].error is None
+        # (circuit, limit) per call: the search at max_width, then every
+        # fragment at the run's explicit limit.
+        assert [args[1] for args in partitions] == [9] + [3] * (
+            len(partitions) - 1
+        )
+        assert np.allclose(
+            report.results[0].state, uncut_state(jobs[0].circuit), atol=ATOL
+        )
+
+    def test_cut_jobs_inside_a_worker_pool(self):
+        """The variant batch nests inside a pool thread of the same
+        runner: it completes, with the serial run's exact bits."""
+        jobs = self._cut_jobs(2, shots=32, seed=5, want_state=True)
+        jobs.append(SimJob("plain", build("qft", 8), want_state=True))
+        serial = BatchRunner(workers=1).run(jobs)
+        pooled = BatchRunner(workers=2).run(jobs)
+        for a, b in zip(serial.results, pooled.results):
+            assert a.error is None and b.error is None
+            assert np.array_equal(a.state, b.state)
+            assert a.counts == b.counts
+        for name in SNAPSHOT_FIELDS + ("plans_bound",):
+            assert getattr(serial.stats, name) == getattr(pooled.stats, name)
+
+    @pytest.mark.parametrize("key,value", [("workers", 2), ("strategy", "DFS")])
+    def test_per_request_run_options_are_not_cut_spec_keys(self, key, value):
+        with pytest.raises(ValueError, match="unknown cut spec keys"):
+            SimJob("c", build("qnn", 8), cut={"max_width": 6, key: value})
+
+    def test_cutter_constructs_no_runner_when_handed_one(self, monkeypatch):
+        qc = build("qnn", 10)
+        runner = BatchRunner()
+        runners = _count_calls(monkeypatch, BatchRunner, "__init__")
+        result = cut_run(qc, runner=runner, max_width=7, want_state=True)
+        evaluate_fragments(result.plan, runner)
+        assert runners == []
+        assert np.allclose(result.state, uncut_state(qc), atol=ATOL)
+        # Searched and evaluated in the runner's caches: a second cut
+        # of the same structure computes no partition at all.
+        again = cut_run(qc, runner=runner, max_width=7)
+        assert again.stats.partitions_computed == 0
+        assert again.stats.partition_hits == 1 + again.stats.num_jobs
+        for gone in ("options", "plan_cache", "workers"):
+            assert gone not in inspect.signature(cut_run).parameters
+            assert gone not in inspect.signature(evaluate_fragments).parameters
+
+    def test_failed_search_is_a_cut_error_on_the_runner_too(self):
+        qc = QuantumCircuit(3).ccx(0, 1, 2)
+        with pytest.raises(CutError, match="widest gate"):
+            cut_run(qc, runner=BatchRunner(), max_width=2)
 
 
 class TestWideCircuits:

@@ -418,6 +418,17 @@ class TestProtocolErrors:
             daemon.port, "POST", "/jobs", payload=manifest
         )[0] == 202
 
+    @pytest.mark.parametrize("key,value", [("workers", 2), ("strategy", "DFS")])
+    def test_run_options_in_a_cut_spec_rejected(self, daemon, key, value):
+        """A cut spec is not a side door for per-request run options."""
+        job = {
+            "id": "c",
+            "circuit": {"generator": "qnn", "qubits": 8},
+            "cut": {"max_width": 6, key: value},
+        }
+        status, payload, _ = request(daemon.port, "POST", "/jobs", payload=job)
+        assert status == 400 and "unknown cut spec keys" in payload["error"]
+
     def test_zero_max_fused_qubits_is_a_400_not_a_clamp(self, daemon):
         manifest = sweep_manifest(jobs=1)
         manifest["max_fused_qubits"] = 0
@@ -819,6 +830,21 @@ class TestMetricsConsistency:
         for key in ("partitions_computed", "partition_hits",
                     "parts_routed_dense", "parts_routed_stabilizer"):
             assert metrics[key] == snap[key]
+
+
+    def test_cut_job_shows_in_metrics(self, daemon):
+        job = {
+            "id": "c",
+            "circuit": {"generator": "qnn", "qubits": 10},
+            "shots": 8,
+            "cut": {"max_width": 7},
+        }
+        status, accepted, _ = request(daemon.port, "POST", "/jobs", payload=job)
+        assert status == 202
+        assert poll_batch(daemon.port, accepted["batch"])["errors"] == 0
+        runner = daemon.metrics()["runner"]
+        for key in ("partitions_computed", "plan_misses", "parts_routed_dense"):
+            assert runner[key] > 0, key
 
 
 class TestDrainGraceBudget:

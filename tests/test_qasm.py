@@ -64,6 +64,18 @@ class TestParsing:
             -1 / 3 + math.pi,
         ]
 
+    def test_parenthesised_parameters(self):
+        """The parameter list ends at its balanced closing parenthesis,
+        and only its own commas separate parameters."""
+        qc = loads(
+            "qreg q[1]; rz((pi)/2) q[0]; rx(2*(pi+1)) q[0]; "
+            "u3((1+1)*pi, (2), -(pi/(2+2))) q[0];"
+        )
+        assert [g.params for g in qc] == [
+            (math.pi / 2,), (2 * (math.pi + 1),),
+            (2 * math.pi, 2.0, -math.pi / 4),
+        ]
+
     def test_measure_barrier_creg_ignored(self):
         qc = loads(
             "qreg q[2]; creg c[2]; h q[0]; barrier q[0]; "
@@ -98,6 +110,17 @@ class TestErrors:
         with pytest.raises(QasmError):
             loads("qreg q[2]; h r[0];")
 
+    def test_redeclared_register(self):
+        # Used to return 4 qubits with the gate on qubit 3.
+        with pytest.raises(QasmError, match="declared twice"):
+            loads("qreg q[2]; qreg q[2]; h q[1];")
+
+    def test_unbalanced_parameter_list(self):
+        with pytest.raises(QasmError, match="unbalanced"):
+            loads("qreg q[1]; rz((pi q[0];")
+        with pytest.raises(QasmError):
+            loads("qreg q[1]; rz(pi)) q[0];")
+
     def test_user_defined_gate_rejected(self):
         with pytest.raises(QasmError):
             loads("qreg q[1]; gate foo a { h a; } foo q[0];")
@@ -118,10 +141,18 @@ class TestErrors:
     def test_hostile_parameter_is_a_fast_qasm_error(self, expr):
         # Parsed, never executed: no bigint power, no ZeroDivisionError
         # or OverflowError escaping as a 500, no non-finite angle.
-        t0 = time.perf_counter()
+        # The regression this guards ran "forever"; the bound is this
+        # thread's CPU time, which a loaded shared host does not move.
+        t0 = time.thread_time()
         with pytest.raises(QasmError):
             loads(f"qreg q[1]; rz({expr}) q[0];")
-        assert time.perf_counter() - t0 < 0.1
+        assert time.thread_time() - t0 < 0.1
+
+    def test_complex_root_fails_as_arithmetic_not_syntax(self):
+        # The whole expression reaches the evaluator (it used to be cut
+        # at the first ")" and fail to parse).
+        with pytest.raises(QasmError, match=r"'\(-8\)\*\*0\.5': ValueError"):
+            loads("qreg q[1]; rz((-8)**0.5) q[0];")
 
     def test_bad_argument_syntax(self):
         with pytest.raises(QasmError):

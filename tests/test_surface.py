@@ -165,3 +165,18 @@ def test_every_partitioner_option_is_set_by_a_benchmark_or_an_example():
     assert not unset, (
         f"partitioner options no benchmark or example sets: {unset}"
     )
+
+
+def test_every_subpackage_is_lazily_reachable():
+    """``import repro; repro.<package>`` works for every package
+    directory: ``repro._SUBPACKAGES`` lists exactly those."""
+    import repro
+
+    root = os.path.join(REPO, "src", "repro")
+    packages = sorted(
+        name for name in os.listdir(root)
+        if os.path.isfile(os.path.join(root, name, "__init__.py"))
+    )
+    assert sorted(repro._SUBPACKAGES) == packages
+    for name in packages:
+        assert getattr(repro, name).__name__ == f"repro.{name}"

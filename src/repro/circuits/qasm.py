@@ -14,10 +14,11 @@ import ast
 import math
 import operator
 import re
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .circuit import QuantumCircuit
-from .gates import GATE_DEFS, make_gate
+from .gates import GATE_DEFS, Gate, make_gate
 
 __all__ = ["dumps", "loads", "dump", "load", "QasmError"]
 
@@ -89,13 +90,15 @@ def _eval_node(node: ast.AST) -> float:
     raise QasmError("disallowed token in parameter")
 
 
+@lru_cache(maxsize=4096)  # deep circuits repeat a few hundred angle texts
 def _eval_param(expr: str) -> float:
     """Evaluate a QASM parameter expression (numbers, pi, + - * / **).
 
     The expression is parsed, never executed: arithmetic runs on floats,
     so ``9**9**9`` overflows at once instead of computing a bigint, and
     every failure (overflow, division by zero, a complex root, nesting
-    too deep to parse or walk) is a :class:`QasmError`.
+    too deep to parse or walk) is a :class:`QasmError`.  A pure function
+    of its text, so results are memoised; a raising expression is not.
     """
     expr = expr.strip().replace("^", "**")
     try:
@@ -139,7 +142,7 @@ def loads(text: str, name: str = "qasm") -> QuantumCircuit:
     stmts = [s.strip() for s in text.replace("\n", " ").split(";")]
     regs: Dict[str, int] = {}
     offsets: Dict[str, int] = {}
-    gates: List[Tuple[str, Tuple[float, ...], Tuple[int, ...]]] = []
+    gates: List[Gate] = []
     total = 0
     for stmt in stmts:
         if not stmt:
@@ -187,12 +190,15 @@ def loads(text: str, name: str = "qasm") -> QuantumCircuit:
             if idx >= regs[reg]:
                 raise QasmError(f"qubit {arg} out of range")
             qubits.append(offsets[reg] + idx)
-        gates.append((gname, params, tuple(qubits)))
+        try:
+            gates.append(make_gate(gname, qubits, params))
+        except ValueError as exc:  # operand or parameter count
+            raise QasmError(f"{exc} in {stmt!r}") from None
     if total == 0:
         raise QasmError("no qreg declared")
     qc = QuantumCircuit(total, name=name)
-    for gname, params, qubits in gates:
-        qc.append(make_gate(gname, qubits, params))
+    for gate in gates:
+        qc.append(gate)
     return qc
 
 

@@ -13,7 +13,9 @@ the part execution order.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from ..circuits.circuit import QuantumCircuit
 
@@ -41,17 +43,17 @@ def gate_dependency_edges(circuit: QuantumCircuit) -> List[Tuple[int, int]]:
 class GateGraph:
     """Deduplicated gate-dependency DAG over clusters of gates."""
 
-    __slots__ = ("gate_ids", "qmask", "weight", "succ", "pred")
+    __slots__ = ("_gate_ids", "qmask", "weight", "succ", "pred")
 
     def __init__(
         self,
-        gate_ids: List[List[int]],
+        gate_ids: Union[List[List[int]], Callable[[], List[List[int]]]],
         qmask: List[int],
         weight: List[int],
         succ: List[List[int]],
         pred: List[List[int]],
     ) -> None:
-        self.gate_ids = gate_ids  # per node: original gate indices
+        self._gate_ids = gate_ids
         self.qmask = qmask
         self.weight = weight
         self.succ = succ
@@ -82,6 +84,14 @@ class GateGraph:
     # -- queries ----------------------------------------------------------
 
     @property
+    def gate_ids(self) -> List[List[int]]:
+        """Per node: original gate indices (a contraction lists them on
+        first use; coarsening levels never ask)."""
+        if callable(self._gate_ids):
+            self._gate_ids = self._gate_ids()
+        return self._gate_ids
+
+    @property
     def num_nodes(self) -> int:
         return len(self.qmask)
 
@@ -89,10 +99,7 @@ class GateGraph:
         return sum(self.weight)
 
     def working_set_mask(self) -> int:
-        m = 0
-        for q in self.qmask:
-            m |= q
-        return m
+        return reduce(or_, self.qmask, 0)
 
     def working_set_size(self) -> int:
         return self.working_set_mask().bit_count()
@@ -128,39 +135,43 @@ class GateGraph:
 
     def contract(self, cluster_of: Sequence[int], num_clusters: int) -> "GateGraph":
         """Quotient graph under a node->cluster map (edges deduplicated)."""
-        gate_ids: List[List[int]] = [[] for _ in range(num_clusters)]
         qmask = [0] * num_clusters
         weight = [0] * num_clusters
-        for v in range(self.num_nodes):
-            c = cluster_of[v]
-            gate_ids[c].extend(self.gate_ids[v])
-            qmask[c] |= self.qmask[v]
-            weight[c] += self.weight[v]
+        for c, m, w in zip(cluster_of, self.qmask, self.weight):
+            qmask[c] |= m
+            weight[c] += w
+
+        def gate_ids() -> List[List[int]]:
+            members: List[List[int]] = [[] for _ in range(num_clusters)]
+            for c, ids in zip(cluster_of, self.gate_ids):
+                members[c] += ids
+            return members
+
         succ: List[List[int]] = [[] for _ in range(num_clusters)]
         pred: List[List[int]] = [[] for _ in range(num_clusters)]
         seen = set()
-        for u in range(self.num_nodes):
-            cu = cluster_of[u]
-            for v in self.succ[u]:
+        for cu, vs in zip(cluster_of, self.succ):
+            for v in vs:
                 cv = cluster_of[v]
-                if cu != cv and (cu, cv) not in seen:
-                    seen.add((cu, cv))
+                key = cu * num_clusters + cv
+                if cu != cv and key not in seen:
+                    seen.add(key)
                     succ[cu].append(cv)
                     pred[cv].append(cu)
         return GateGraph(gate_ids, qmask, weight, succ, pred)
 
     def induce(self, nodes: Sequence[int]) -> "GateGraph":
         """Sub-graph over ``nodes`` (kept in the given order)."""
-        local = {v: i for i, v in enumerate(nodes)}
-        succ: List[List[int]] = [[] for _ in nodes]
+        local = dict(zip(nodes, range(len(nodes)))).get
+        succ: List[List[int]] = []
         pred: List[List[int]] = [[] for _ in nodes]
-        for v in nodes:
-            for w in self.succ[v]:
-                if w in local:
-                    succ[local[v]].append(local[w])
-                    pred[local[w]].append(local[v])
+        for i, v in enumerate(nodes):
+            succ.append([j for j in map(local, self.succ[v]) if j is not None])
+            for j in succ[i]:
+                pred[j].append(i)
+        gate_ids = self.gate_ids
         return GateGraph(
-            gate_ids=[list(self.gate_ids[v]) for v in nodes],
+            gate_ids=[gate_ids[v] for v in nodes],
             qmask=[self.qmask[v] for v in nodes],
             weight=[self.weight[v] for v in nodes],
             succ=succ,

@@ -20,17 +20,13 @@ __all__ = ["initial_bisection", "bisection_cost"]
 
 def bisection_cost(sub: GateGraph, labels: List[int]) -> Tuple[int, int, int]:
     """(max side working set, sum of working sets, weight imbalance)."""
-    m0 = m1 = 0
-    w0 = w1 = 0
-    for v in range(sub.num_nodes):
-        if labels[v] == 0:
-            m0 |= sub.qmask[v]
-            w0 += sub.weight[v]
-        else:
-            m1 |= sub.qmask[v]
-            w1 += sub.weight[v]
-    c0, c1 = m0.bit_count(), m1.bit_count()
-    return (max(c0, c1), c0 + c1, abs(w0 - w1))
+    mask = [0, 0]
+    side_w = [0, 0]
+    for s, m, w in zip(labels, sub.qmask, sub.weight):
+        mask[s] |= m
+        side_w[s] += w
+    c0, c1 = mask[0].bit_count(), mask[1].bit_count()
+    return (max(c0, c1), c0 + c1, abs(side_w[0] - side_w[1]))
 
 
 def _split_along(sub: GateGraph, order: List[int]) -> Optional[List[int]]:
@@ -56,24 +52,25 @@ def initial_bisection(sub: GateGraph, seed: int = 9) -> List[int]:
     """Labels (0 = early side, 1 = late side) for an acyclic bisection."""
     if sub.num_nodes < 2:
         raise ValueError("cannot bisect fewer than 2 nodes")
-    candidates: List[List[float]] = []
-    # Natural order priority.
-    candidates.append([float(min(g)) for g in sub.gate_ids])
-    # Top-level (longest path) priority.
-    levels = [0] * sub.num_nodes
-    for v in sub.topological_order():
+    n = sub.num_nodes
+    # Natural order: lowest node id first (coarsening numbers clusters by
+    # their earliest gate, so this is the written order at every level).
+    orders = [sub.topological_order()]
+    # Top-level (longest path) order; a stable sort by level is the Kahn
+    # order under that priority, since a whole level is ready at once.
+    levels = [0] * n
+    for v in orders[0]:
         for w in sub.succ[v]:
             levels[w] = max(levels[w], levels[v] + 1)
-    candidates.append([float(l) for l in levels])
+    orders.append(sorted(range(n), key=levels.__getitem__))
     # Two randomised priorities.
     rng = random.Random(seed)
     for _ in range(2):
-        candidates.append([rng.random() for _ in range(sub.num_nodes)])
+        orders.append(sub.topological_order([rng.random() for _ in range(n)]))
 
     best: Optional[List[int]] = None
     best_cost = None
-    for prio in candidates:
-        order = sub.topological_order(priority=prio)
+    for order in orders:
         labels = _split_along(sub, order)
         if labels is None:
             continue

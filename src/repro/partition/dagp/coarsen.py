@@ -26,13 +26,6 @@ _MAX_LEVELS = 20
 _MAX_CLUSTER_QUBITS = 64
 
 
-def _merge_preference(sub: GateGraph, u: int, v: int) -> Tuple[int, int]:
-    """Sort key: (shared qubits desc, resulting working set asc)."""
-    shared = (sub.qmask[u] & sub.qmask[v]).bit_count()
-    union = (sub.qmask[u] | sub.qmask[v]).bit_count()
-    return (-shared, union)
-
-
 def coarsen_once(
     sub: GateGraph,
     rng: random.Random,
@@ -42,48 +35,48 @@ def coarsen_once(
     """One clustering pass; returns (coarse graph, node->cluster map).
 
     Each node joins at most one merge per pass (matching/agglomeration).
-    Weight and qubit caps keep clusters usable by later phases.
+    Weight and qubit caps keep clusters usable by later phases.  Among a
+    node's admissible partners the first with the lowest (shared qubits
+    desc, resulting working set asc) wins.
     """
     n = sub.num_nodes
+    succ, pred, qmask, weight = sub.succ, sub.pred, sub.qmask, sub.weight
     cluster_of = list(range(n))
     merged = [False] * n
+    k = n  # clusters left
 
     nodes = list(range(n))
     rng.shuffle(nodes)
-    for u in nodes:
+    # Only a node with one successor, or the sole predecessor of another,
+    # has a partner at all; on a stalled lattice that is almost nobody.
+    sole = {p[0] for p in pred if len(p) == 1}
+    for u in [u for u in nodes if len(succ[u]) == 1 or u in sole]:
         if merged[u]:
             continue
-        candidates: List[int] = []
-        if len(sub.succ[u]) == 1:
-            candidates.append(sub.succ[u][0])
-        for v in sub.succ[u]:
-            if len(sub.pred[v]) == 1:
-                candidates.append(v)
-        best = None
-        best_key = None
-        for v in candidates:
-            if v == u or merged[v]:
+        best = best_key = None
+        only = len(succ[u]) == 1  # else v must have no other predecessor
+        for v in succ[u]:
+            if merged[v] or not (only or len(pred[v]) == 1):
                 continue
-            if sub.weight[u] + sub.weight[v] > max_cluster_weight:
+            if weight[u] + weight[v] > max_cluster_weight:
                 continue
-            if (sub.qmask[u] | sub.qmask[v]).bit_count() > max_cluster_qubits:
+            union = (qmask[u] | qmask[v]).bit_count()
+            if union > max_cluster_qubits:
                 continue
-            key = _merge_preference(sub, u, v)
+            key = (-(qmask[u] & qmask[v]).bit_count(), union)
             if best_key is None or key < best_key:
                 best, best_key = v, key
         if best is not None:
             cluster_of[best] = u
             merged[u] = merged[best] = True
+            k -= 1
 
-    # Compact cluster ids.
-    remap = {}
-    for v in range(n):
-        root = cluster_of[v]
-        if root not in remap:
-            remap[root] = len(remap)
-    compact = [remap[cluster_of[v]] for v in range(n)]
-    coarse = sub.contract(compact, len(remap))
-    return coarse, compact
+    if k == n:  # nothing merged: the caller stops here
+        return sub, cluster_of
+    # Compact cluster ids in order of first appearance.
+    remap = {root: c for c, root in enumerate(dict.fromkeys(cluster_of))}
+    compact = [remap[root] for root in cluster_of]
+    return sub.contract(compact, k), compact
 
 
 def coarsen(
@@ -98,12 +91,11 @@ def coarsen(
     rng = random.Random(seed)
     graphs = [sub]
     maps: List[List[int]] = []
-    total_w = max(1, sub.total_weight())
+    max_w = max(2, max(1, sub.total_weight()) // max(2, target_nodes // 2))
     for _ in range(_MAX_LEVELS):
         cur = graphs[-1]
         if cur.num_nodes <= target_nodes:
             break
-        max_w = max(2, total_w // max(2, target_nodes // 2))
         coarse, mapping = coarsen_once(cur, rng, max_w, _MAX_CLUSTER_QUBITS)
         if coarse.num_nodes >= cur.num_nodes:
             break

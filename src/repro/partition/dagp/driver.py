@@ -128,17 +128,13 @@ class DagPPartitioner:
     def _bisect(self, sub: GateGraph, seed: int) -> Tuple[GateGraph, GateGraph]:
         graphs, maps = coarsen(sub, seed=seed)
         labels = initial_bisection(graphs[-1], seed=seed)
-        labels = refine_bisection(graphs[-1], labels, max_passes=self.refine_passes)
-        # Project back through the levels, refining at each.
-        for lvl in range(len(maps) - 1, -1, -1):
-            fine = graphs[lvl]
-            mapping = maps[lvl]
-            fine_labels = [labels[mapping[v]] for v in range(fine.num_nodes)]
-            labels = refine_bisection(
-                fine, fine_labels, max_passes=self.refine_passes
-            )
-        nodes0 = [v for v in range(sub.num_nodes) if labels[v] == 0]
-        nodes1 = [v for v in range(sub.num_nodes) if labels[v] == 1]
-        if not nodes0 or not nodes1:
+        # Refine at the coarsest level, then project back through the rest.
+        labels = refine_bisection(
+            graphs[-1], labels, self.refine_passes, zip(graphs[-2::-1], maps[::-1])
+        )
+        sides = ([], [])
+        for v, side in enumerate(labels):
+            sides[side].append(v)
+        if not (sides[0] and sides[1]):
             raise PartitionError("bisection produced an empty side")
-        return sub.induce(nodes0), sub.induce(nodes1)
+        return sub.induce(sides[0]), sub.induce(sides[1])

@@ -54,6 +54,118 @@ def random_circuit(
     return qc
 
 
+class RefineReference:
+    """Oracle for ``repro.partition.dagp.refine``: the refinement loop as
+    first written -- every step re-scans all ``n`` nodes through
+    :meth:`legal` and re-derives each candidate's cost bit position by
+    bit position.  The production ``RefineState`` keeps the legal set and
+    the counters incrementally and must agree move for move.
+    """
+
+    def __init__(self, sub, labels: List[int]) -> None:
+        self.sub = sub
+        self.labels = labels
+        n = sub.num_nodes
+        nq = max((m.bit_length() for m in sub.qmask), default=0)
+        self.qcnt = [[0] * nq, [0] * nq]
+        self.weights = [0, 0]
+        self.ws = [0, 0]
+        self.succ0 = [0] * n  # successors in side 0
+        self.pred1 = [0] * n  # predecessors in side 1
+        for v in range(n):
+            s = labels[v]
+            self.weights[s] += sub.weight[v]
+            for q in range(nq):
+                if sub.qmask[v] >> q & 1:
+                    if self.qcnt[s][q] == 0:
+                        self.ws[s] += 1
+                    self.qcnt[s][q] += 1
+        for v in range(n):
+            for w in sub.succ[v]:
+                if labels[w] == 0:
+                    self.succ0[v] += 1
+                if labels[v] == 1:
+                    self.pred1[w] += 1
+
+    def cost(self):
+        return (
+            max(self.ws[0], self.ws[1]),
+            self.ws[0] + self.ws[1],
+            abs(self.weights[0] - self.weights[1]),
+        )
+
+    def cost_after_move(self, v: int):
+        """Cost if ``v`` switched sides (no mutation)."""
+        s = self.labels[v]
+        t = 1 - s
+        ws_s, ws_t = self.ws[s], self.ws[t]
+        for q in range(len(self.qcnt[0])):
+            if self.sub.qmask[v] >> q & 1:
+                if self.qcnt[s][q] == 1:
+                    ws_s -= 1
+                if self.qcnt[t][q] == 0:
+                    ws_t += 1
+        w_s = self.weights[s] - self.sub.weight[v]
+        w_t = self.weights[t] + self.sub.weight[v]
+        return (max(ws_s, ws_t), ws_s + ws_t, abs(w_s - w_t))
+
+    def movable(self, v: int) -> bool:
+        """The boundary rule alone: flipping ``v`` keeps 0 before 1."""
+        return (self.pred1[v] if self.labels[v] else self.succ0[v]) == 0
+
+    def legal(self, v: int) -> bool:
+        """Movable, and the flip does not empty ``v``'s side."""
+        s = self.labels[v]
+        return self.weights[s] - self.sub.weight[v] > 0 and self.movable(v)
+
+    def apply(self, v: int) -> None:
+        s = self.labels[v]
+        t = 1 - s
+        self.labels[v] = t
+        self.weights[s] -= self.sub.weight[v]
+        self.weights[t] += self.sub.weight[v]
+        for q in range(len(self.qcnt[0])):
+            if self.sub.qmask[v] >> q & 1:
+                self.qcnt[s][q] -= 1
+                if self.qcnt[s][q] == 0:
+                    self.ws[s] -= 1
+                if self.qcnt[t][q] == 0:
+                    self.ws[t] += 1
+                self.qcnt[t][q] += 1
+        step = 1 if s else -1  # v left side 1 / side 0
+        for p in self.sub.pred[v]:
+            self.succ0[p] += step
+        for w in self.sub.succ[v]:
+            self.pred1[w] -= step
+
+    def best_move(self) -> Optional[int]:
+        """First node, in id order, whose legal flip costs least and less
+        than the current cost."""
+        best_v, best_cost = None, self.cost()
+        for v in range(self.sub.num_nodes):
+            if self.legal(v):
+                c = self.cost_after_move(v)
+                if c < best_cost:
+                    best_cost, best_v = c, v
+        return best_v
+
+
+def refine_reference(sub, labels: List[int], max_passes: int = 8) -> List[int]:
+    """The reference refinement of ``labels`` on ``sub`` (mutated)."""
+    state = RefineReference(sub, labels)
+    for _ in range(max_passes):
+        improved = False
+        for _ in range(max(8, sub.num_nodes)):
+            v = state.best_move()
+            if v is None:
+                break
+            state.apply(v)
+            improved = True
+        if not improved:
+            break
+    return state.labels
+
+
 def scatter_reference(shards: np.ndarray, sigma):
     """Elementwise oracle for the bit-permutation exchange ``sigma``.
 

@@ -14,7 +14,8 @@ from repro.partition.dagp.coarsen import coarsen, coarsen_once
 from repro.partition.dagp.ggg import greedy_grow_assignment
 from repro.partition.dagp.refine import RefineState, refine_bisection
 
-from conftest import random_circuit
+from conftest import RefineReference, random_circuit, refine_reference
+from strategies import circuits
 
 
 def make_sub(name="ising", n=8):
@@ -127,6 +128,33 @@ class TestBisect:
             initial_bisection(sub)
 
 
+def fresh_reference(state):
+    """A from-scratch reference state on ``state``'s labels, after
+    checking that everything ``state`` maintains equals it."""
+    sub = state.sub
+    fresh = RefineReference(sub, list(state.labels))
+    assert state.legal == set(filter(fresh.movable, range(sub.num_nodes)))
+    assert state.qcnt == fresh.qcnt
+    assert state.cost() == fresh.cost()
+    assert all(state.weights)  # never empties a side
+    for v in range(sub.num_nodes):  # every crossing edge points 0 -> 1
+        assert all(state.labels[v] <= state.labels[w] for w in sub.succ[v])
+    return fresh
+
+
+def check_refinement(sub, labels):
+    """Refine ``labels`` on ``sub`` move by move next to the reference."""
+    state = RefineState(sub, list(labels))
+    while True:
+        v = state.best_move(state.legal)
+        assert v == fresh_reference(state).best_move()
+        if v is None:
+            break
+        state.apply(v)
+    assert state.labels == refine_reference(sub, list(labels), sub.num_nodes)
+    assert state.labels == refine_bisection(sub, list(labels), sub.num_nodes)
+
+
 class TestRefine:
     def _setup(self, name="ising", n=8):
         sub = make_sub(name, n)
@@ -151,17 +179,60 @@ class TestRefine:
     def test_refine_state_incremental_bookkeeping(self):
         sub, labels = self._setup()
         state = RefineState(sub, list(labels))
-        # Apply a few legal moves; cost prediction must match reality.
-        moved = 0
-        for v in range(sub.num_nodes):
-            if state.legal(v):
-                predicted = state.cost_after_move(v)
-                state.apply(v)
-                assert state.cost() == predicted
-                moved += 1
-                if moved >= 5:
-                    break
-        assert moved > 0
+        # Apply a few legal moves, improving or not; the cost prediction
+        # and everything maintained must match a from-scratch state.
+        for _ in range(5):
+            fresh = fresh_reference(state)
+            v = max(filter(fresh.legal, range(sub.num_nodes)))
+            predicted = fresh.cost_after_move(v)
+            state.apply(v)
+            assert state.cost() == predicted
+        fresh_reference(state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(qc=circuits(min_qubits=3, max_qubits=7, min_gates=8, max_gates=60))
+    def test_property_refinement_matches_reference(self, qc):
+        """At every coarsening level, from the initial bisection and from
+        the one-node prefix split, the maintained state equals a
+        from-scratch one after each move and ends on the reference's
+        labels."""
+        for sub in coarsen(GateGraph.from_circuit(qc), target_nodes=4)[0]:
+            if sub.num_nodes >= 2:
+                check_refinement(sub, initial_bisection(sub))
+                first = sub.topological_order()[0]
+                check_refinement(sub, [int(v != first) for v in range(sub.num_nodes)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qc=circuits(min_qubits=3, max_qubits=7, min_gates=8, max_gates=60),
+        passes=st.sampled_from([1, 8]),
+    )
+    def test_property_projection_matches_level_by_level(self, qc, passes):
+        """Carrying one state down the levels (counters projected, a
+        converged level scanning only its split clusters) gives the labels
+        of a fresh reference refinement per level."""
+        graphs, maps = coarsen(GateGraph.from_circuit(qc), target_nodes=4)
+        if graphs[-1].num_nodes < 2:
+            return
+        start = initial_bisection(graphs[-1])
+        want = refine_reference(graphs[-1], list(start), passes)
+        for fine, mapping in zip(graphs[-2::-1], maps[::-1]):
+            want = refine_reference(fine, [want[c] for c in mapping], passes)
+        got = refine_bisection(
+            graphs[-1], list(start), passes, zip(graphs[-2::-1], maps[::-1])
+        )
+        assert got == want
+        # A level that was not refined to convergence earns no shortcut.
+        for coarse, fine, mapping in zip(graphs[1:], graphs, maps):
+            if coarse.num_nodes >= 2:
+                first = coarse.topological_order()[0]
+                labels = [int(v != first) for v in range(coarse.num_nodes)]
+                state = RefineState(coarse, labels)
+                state.project(fine, mapping)
+                state.refine(passes)
+                assert state.labels == refine_reference(
+                    fine, [labels[c] for c in mapping], passes
+                )
 
     def test_sides_never_emptied(self):
         sub, labels = self._setup("bv")

@@ -148,6 +148,35 @@ class TestErrors:
             loads(f"qreg q[1]; rz({expr}) q[0];")
         assert time.thread_time() - t0 < 0.1
 
+    def test_raising_parameter_is_never_cached(self):
+        from repro.circuits.qasm import _eval_param
+
+        assert _eval_param.cache_info().maxsize is not None  # bounded
+        for expr in ("9**9**9", "1/0", "__import__"):
+            for _ in range(3):
+                with pytest.raises(QasmError):
+                    loads(f"qreg q[1]; rz({expr}) q[0];")
+        before = _eval_param.cache_info().hits
+        assert loads("qreg q[1]; rz(pi/8) q[0]; rz(pi/8) q[0];")[1].params == (
+            math.pi / 8,
+        )
+        assert _eval_param.cache_info().hits > before
+
+    @pytest.mark.parametrize(
+        "stmt, complaint",
+        [
+            ("rz() q[0]", "expects 1 params, got 0"),
+            ("cx q[0]", "expects 2 qubits, got 1"),
+            ("cx q[0],q[0]", "duplicate operand"),
+            ("u3(1,2) q[0]", "expects 3 params, got 2"),
+        ],
+    )
+    def test_arity_mistake_names_the_statement(self, stmt, complaint):
+        # Used to escape as make_gate's bare ValueError, statement-less.
+        with pytest.raises(QasmError, match=complaint) as info:
+            loads(f"qreg q[2]; h q[1]; {stmt};")
+        assert repr(stmt) in str(info.value)
+
     def test_complex_root_fails_as_arithmetic_not_syntax(self):
         # The whole expression reaches the evaluator (it used to be cut
         # at the first ")" and fail to parse).

@@ -2,8 +2,11 @@
 
 Runs hierarchical execution (fusion on) of QFT, QAOA and Grover under
 the serial and threaded backends and verifies the two final states are
-**bit-identical** (the threaded backend's row blocks are deterministic
-and disjoint, so this is an equality, not a tolerance).
+**bit-identical** (both backends' row blocks are deterministic and
+disjoint, so this is an equality, not a tolerance).  Both take their
+blocks from one rule and differ only where a state needs fewer than
+``threads`` cache-sized blocks: the smoke run's 14-qubit state is one
+block serially and two threaded.
 
 How much faster the threaded backend runs is measured by the perf
 harness (``backend.threaded2.speedup`` in ``BENCHMARK.json``), not here.
@@ -46,7 +49,7 @@ def run_bench(params):
         qc = generators.build(name, qubits)
         p = get_partitioner("dagP").partition(qc, default_limit(qubits))
         serial_state = _run(qc, p, SerialBackend())
-        with ThreadedBackend(threads, min_parallel_elements=0) as backend:
+        with ThreadedBackend(threads) as backend:
             threaded_state = _run(qc, p, backend)
         identical = bool(np.array_equal(serial_state, threaded_state))
         metrics[f"{name}_parts"] = p.num_parts

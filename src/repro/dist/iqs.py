@@ -28,7 +28,7 @@ from ..circuits.gates import Gate, controlled
 from ..runtime.comm import SimComm
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 from ..runtime.metrics import ComputeStats, RunReport
-from ..sv.kernels import apply_matrix_batched
+from ..sv.backend import shared_backend
 from ..sv.layout import QubitLayout
 from ._cost import charge_gate
 from .exchange import swap_qubit_positions
@@ -186,5 +186,7 @@ class IQSEngine:
         operands = list(local_controls) + list(gate.target_qubits)
         positions = [layout.position(q) for q in operands]
         sub = state.shards[active]
-        apply_matrix_batched(sub, matrix, positions, local_bits)
+        shared_backend("serial").apply_matrix_rows(
+            sub, matrix, positions, local_bits
+        )
         state.shards[active] = sub

@@ -22,6 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..runtime.comm import SimComm
+from ..sv.backend import shared_backend
 from ..sv.kernels import apply_matrix_batched
 from ..sv.layout import QubitLayout, permuted_view
 from .analytic import exchange_step_stats
@@ -219,8 +220,8 @@ class DistributedStateVector(LayoutOnlyState):
 
         ``backend`` (an :class:`~repro.sv.backend.ExecutionBackend`)
         chooses where the shard sweep runs; rank rows are independent,
-        so parallel backends split them block-wise.  ``None`` keeps the
-        direct serial kernel.
+        so the backend's block rule splits them block-wise.  ``None`` is
+        the shared serial backend.
         """
         positions = [self.layout.position(q) for q in qubits]
         if any(p >= self.local_bits for p in positions):
@@ -229,15 +230,10 @@ class DistributedStateVector(LayoutOnlyState):
                 f"current layout"
             )
         if backend is None:
-            apply_matrix_batched(
-                self.shards, matrix, positions, self.local_bits,
-                diagonal=diagonal,
-            )
-        else:
-            backend.apply_matrix_rows(
-                self.shards, matrix, positions, self.local_bits,
-                diagonal=diagonal,
-            )
+            backend = shared_backend("serial")
+        backend.apply_matrix_rows(
+            self.shards, matrix, positions, self.local_bits, diagonal=diagonal
+        )
 
     def apply_gate_local(self, gate, backend=None) -> None:
         """Apply a :class:`~repro.circuits.gates.Gate` with local operands."""

@@ -10,8 +10,9 @@ for 2..128 threads.  Two curves side by side:
   the same partition strategy through
   :class:`~repro.sv.backend.ThreadedBackend` at each thread count, on a
   width small enough to execute for real (``measured_qubits``).  The
-  measured baseline is the serial backend, so measured speedup is
-  exactly what a user gets from ``backend="threaded"``.
+  measured baseline is one thread — the serial backend's mapper — so
+  measured speedup is exactly what a user gets from
+  ``backend="threaded"``.
 
 Measured numbers are bounded by the host (oversubscribed thread counts
 flatten out at ``os.cpu_count()``); the modeled curve keeps the paper's
@@ -30,7 +31,7 @@ from ..cachesim.hierarchy import analyze_sweeps
 from ..cachesim.trace import sweeps_for_partition
 from ..circuits.generators import build
 from ..runtime.machine import WORKSTATION_LIKE
-from ..sv import HierarchicalExecutor, SerialBackend, ThreadedBackend, zero_state
+from ..sv import HierarchicalExecutor, ThreadedBackend, zero_state
 from .common import Scale, partition_cached
 
 __all__ = ["ThreadScalingResult", "run", "PAPER_THREADS"]
@@ -94,21 +95,16 @@ class ThreadScalingResult:
 
 def _measure(circuit, partition, threads: int, repeats: int = 1) -> float:
     """Best-of-``repeats`` wall time of one hierarchical execution."""
-    if threads == 1:
-        backend = SerialBackend()
-    else:
-        backend = ThreadedBackend(threads, min_parallel_elements=0)
-    executor = HierarchicalExecutor(backend=backend)
-    # Compile plans outside the timed region (shared across repeats).
-    executor.run(circuit, partition, zero_state(circuit.num_qubits))
-    best = float("inf")
-    for _ in range(repeats):
-        state = zero_state(circuit.num_qubits)
-        t0 = time.perf_counter()
-        executor.run(circuit, partition, state)
-        best = min(best, time.perf_counter() - t0)
-    if threads != 1:
-        backend.close()
+    with ThreadedBackend(threads) as backend:
+        executor = HierarchicalExecutor(backend=backend)
+        # Compile plans outside the timed region (shared across repeats).
+        executor.run(circuit, partition, zero_state(circuit.num_qubits))
+        best = float("inf")
+        for _ in range(repeats):
+            state = zero_state(circuit.num_qubits)
+            t0 = time.perf_counter()
+            executor.run(circuit, partition, state)
+            best = min(best, time.perf_counter() - t0)
     return best
 
 

@@ -7,19 +7,24 @@ function of a *row range*: rows of the ``(2^(n-w), 2^w)`` gather matrix
 (or of the flat state reshaped around the part's top qubit) are
 independent, because a gate only mixes amplitudes within a row.  So the
 only thing a backend decides is how row ranges are visited — its
-:meth:`~ExecutionBackend.map_blocks`:
+:meth:`~ExecutionBackend.map_blocks`.
 
-* :class:`SerialBackend` — one block, inline: the single-threaded
-  reference.
-* :class:`ThreadedBackend` — ``threads`` deterministic contiguous
-  blocks on a shared ``ThreadPoolExecutor``.  The heavy work per block
-  is a GEMM (``numpy`` matmul) which releases the GIL into BLAS, so
-  this yields real shared-memory parallelism.  Block boundaries depend
-  only on ``(rows, threads)`` and blocks write disjoint row slices, so
-  output is **deterministic**: identical bits on every run at a given
-  thread count (BLAS GEMM results can shift by an ulp when the
-  per-block column count changes, so agreement with serial is pinned
-  only to 1e-10 in general).
+**The block rule** (:func:`_row_blocks`, the only place a block is
+decided): a state of fewer than half of :data:`BLOCK_ELEMENTS`
+amplitudes is one block; anything larger splits into ``min(rows,
+max(threads, ceil(elements / BLOCK_ELEMENTS)))`` contiguous blocks, so
+every fused op of a part sweeps a cache-sized block before the next
+block starts:
+
+* :class:`SerialBackend` — the rule's blocks at ``threads = 1``, in
+  order, on the caller's thread: the single-threaded reference.
+* :class:`ThreadedBackend` — the same rule at its thread count, the
+  blocks drained by ``threads`` threads (the caller and a shared
+  ``ThreadPoolExecutor``).  The heavy work per block is a GEMM
+  (``numpy`` matmul) which releases the GIL into BLAS, so this yields
+  real shared-memory parallelism.  Block boundaries depend only on
+  ``(rows, elements, threads)`` and blocks write disjoint row slices,
+  so output is **deterministic**: identical bits on every run.
 
 That is the whole contract — a backend is a block mapper and nothing
 else.  The three entry points — :meth:`~ExecutionBackend.run_plan` (one
@@ -41,8 +46,8 @@ and the executor's ``ExecutionTrace`` tallies the counts.
 
 Backends are selected per executor (``backend="threaded"``), from the
 CLI (``repro simulate --backend threaded --threads 4``) or globally via
-the environment (``REPRO_BACKEND`` / ``REPRO_THREADS``), and small
-workloads run inline automatically (``min_parallel_elements``) so
+the environment (``REPRO_BACKEND`` / ``REPRO_THREADS``).  A state below
+half of :data:`BLOCK_ELEMENTS` is one block on every backend, so
 parallel dispatch overhead never taxes toy problems.
 """
 
@@ -76,21 +81,14 @@ __all__ = [
     "resolve_backend",
     "run_part",
     "split_blocks",
-    "DEFAULT_MIN_PARALLEL_ELEMENTS",
-    "DEFAULT_BLOCK_ELEMENTS",
+    "BLOCK_ELEMENTS",
 ]
 
-#: Below this many amplitudes a parallel backend runs inline — dispatch
-#: overhead beats any speedup on toy states.  Override per instance
-#: (``min_parallel_elements=``).
-DEFAULT_MIN_PARALLEL_ELEMENTS = 1 << 14
-
-#: Target amplitudes per threaded block (8 MB of complex128).  The
-#: threaded backend splits work into ``max(threads, size/target)``
-#: blocks: beyond pure parallelism, smaller blocks keep each block's
-#: gather/ops/scatter cache-resident across all of a part's fused ops,
-#: which is why threaded execution beats serial even on one core.
-DEFAULT_BLOCK_ELEMENTS = 1 << 19
+#: Amplitudes per block (512 KiB of complex128): a block, the transposed
+#: copy and GEMM result a dense op makes of it, and its int64 gather
+#: rows (1.75 MiB together) fit a 2 MiB L2.  A state of fewer than half
+#: a block is one block on every backend.
+BLOCK_ELEMENTS = 1 << 15
 
 #: ``fn(lo, hi)`` applied to a half-open row range.
 BlockFn = Callable[[int, int], None]
@@ -119,6 +117,31 @@ def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
         blocks.append((lo, hi))
         lo = hi
     return blocks
+
+
+def _row_blocks(
+    rows: int, elements: int, threads: int
+) -> List[Tuple[int, int]]:
+    """The block rule — the one place a block is decided.
+
+    Fewer than half of :data:`BLOCK_ELEMENTS` amplitudes are one block;
+    more split into ``max(threads, ceil(elements / BLOCK_ELEMENTS))``
+    blocks, never more than ``rows``.  For one thread the half-block
+    clause changes nothing (the ceiling is 1 below a block); it is where
+    splitting a state across threads starts to pay.
+
+    >>> _row_blocks(8, 1 << 13, 4)              # small: one block
+    [(0, 8)]
+    >>> _row_blocks(8, 1 << 14, 2)              # half a block: one per thread
+    [(0, 4), (4, 8)]
+    >>> _row_blocks(8, 1 << 17, 1)              # 4 cache-sized blocks
+    [(0, 2), (2, 4), (4, 6), (6, 8)]
+    >>> len(_row_blocks(4, 1 << 20, 1))         # a row is the smallest block
+    4
+    """
+    if 2 * elements < BLOCK_ELEMENTS:
+        return [(0, rows)]
+    return split_blocks(rows, max(threads, -(-elements // BLOCK_ELEMENTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +186,9 @@ def run_part(
 
     Decides the kernel lane (:func:`_strided_eligible`), builds the
     per-row-range body for it, and hands that body to ``map_blocks(fn,
-    rows, elements)``, which visits ``range(rows)`` in whatever blocks
-    the backend likes (``elements`` is the amplitude count, for
-    small-workload cut-offs).  Three bodies exist:
+    rows, elements)``, which visits ``range(rows)`` in the block rule's
+    blocks (``elements`` is the amplitude count they are sized from).
+    Three bodies exist:
 
     * ``"strided"`` — ops carry *global* qubit labels and touch only
       qubits below some axis, so the flat state splits into independent
@@ -247,7 +270,8 @@ class ExecutionBackend:
     All three describe their work as a function of a row range and pass
     it to :meth:`map_blocks`; a subclass overrides that one method to
     change *where* rows run and inherits everything else.  The base
-    mapper is inline, which makes a bare subclass a serial backend.
+    mapper visits the block rule's blocks in order on the caller's
+    thread, which makes a bare subclass a serial backend.
 
     Backends may hold resources (a thread pool); ``close()`` releases
     them and instances are usable as context managers.
@@ -290,8 +314,10 @@ class ExecutionBackend:
         ``range(rows)``; ``elements`` is the amplitude count behind
         them.  Blocks are independent and write disjoint slices; every
         block must have finished (or its error been raised) on return.
-        Inline here: one block, the caller's thread."""
-        fn(0, rows)
+        Here: the block rule's blocks at one thread, in order, on the
+        caller's thread."""
+        for lo, hi in _row_blocks(rows, elements, 1):
+            fn(lo, hi)
 
     # -- work --------------------------------------------------------------
 
@@ -350,7 +376,8 @@ class ExecutionBackend:
 class SerialBackend(ExecutionBackend):
     """Single-threaded execution — the reference all others must match.
 
-    The inline mapper over the shared core: small fused groups run
+    The base mapper (the block rule's blocks one after another on the
+    caller's thread) over the shared core: small fused groups run
     gather-free (``strided_max``, default from
     ``REPRO_KERNEL_STRIDED_MAX``); everything else takes the classic
     gather/execute/scatter sweep.  Both lanes are bit-identical.
@@ -371,30 +398,19 @@ class ThreadedBackend(ExecutionBackend):
 
     >>> import numpy as np
     >>> rows = np.eye(4, dtype=np.complex128)
-    >>> backend = ThreadedBackend(2, min_parallel_elements=0)
+    >>> backend = ThreadedBackend(2)
     >>> X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     >>> backend.apply_matrix_rows(rows, X, [0], 2)
     >>> [int(r.argmax()) for r in rows]       # qubit 0 flipped per row
     [1, 0, 3, 2]
     >>> backend.close()
 
-    Parameters
-    ----------
-    threads:
-        How many blocks run at once, ``>= 1``, the calling thread
-        included (the pool holds ``threads - 1`` workers; ``1`` builds no
-        pool).  Only ``None`` means ``os.cpu_count()``.
-    min_parallel_elements:
-        Workloads touching fewer amplitudes than this run inline
-        (default :data:`DEFAULT_MIN_PARALLEL_ELEMENTS`, 16384).  Set 0
-        to force parallel dispatch (the differential tests do).
-    block_elements:
-        Target amplitudes per block; work splits into
-        ``max(threads, total/block_elements)`` blocks (clipped to the
-        row count) so big parts get cache-sized blocks even when few
-        threads are requested.  Block boundaries depend only on sizes
-        and settings — never on scheduling — so results stay
-        reproducible.
+    ``threads`` is how many blocks run at once, ``>= 1``, the calling
+    thread included (the pool holds ``threads - 1`` workers; ``1``
+    builds no pool and is :class:`SerialBackend`'s mapper).  Only
+    ``None`` means ``os.cpu_count()``.  Blocks come from the block
+    rule at this thread count, so a state of half ``BLOCK_ELEMENTS``
+    amplitudes or more splits into at least ``threads`` blocks.
     """
 
     name = "threaded"
@@ -403,8 +419,6 @@ class ThreadedBackend(ExecutionBackend):
         self,
         threads: Optional[int] = None,
         *,
-        min_parallel_elements: Optional[int] = None,
-        block_elements: int = DEFAULT_BLOCK_ELEMENTS,
         strided_max: Optional[int] = None,
     ) -> None:
         super().__init__(strided_max=strided_max)
@@ -413,20 +427,8 @@ class ThreadedBackend(ExecutionBackend):
         )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        self.min_parallel_elements = (
-            DEFAULT_MIN_PARALLEL_ELEMENTS
-            if min_parallel_elements is None
-            else int(min_parallel_elements)
-        )
-        self.block_elements = int(block_elements)
-        if self.block_elements < 1:
-            raise ValueError("block_elements must be >= 1")
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-
-    def _num_blocks(self, rows: int, total_elements: int) -> int:
-        by_size = -(-total_elements // self.block_elements)  # ceil div
-        return min(rows, max(self.threads, by_size))
 
     def describe(self) -> str:
         return f"threaded[{self.threads}]"
@@ -447,17 +449,9 @@ class ThreadedBackend(ExecutionBackend):
                 self._pool = None
 
     def map_blocks(self, fn: BlockFn, rows: int, elements: int) -> None:
-        if rows < 2 or elements < self.min_parallel_elements:
-            fn(0, rows)
-            return
-        self._map_blocks(
-            fn, split_blocks(rows, self._num_blocks(rows, elements))
-        )
-
-    def _map_blocks(self, fn: BlockFn, blocks) -> None:
-        """Run ``fn(lo, hi)`` per block on at most ``threads`` threads,
-        the caller being one of them, so a 1-block or 1-thread dispatch
-        never pays pool latency.
+        """Run ``fn(lo, hi)`` over the block rule's blocks on at most
+        ``threads`` threads, the caller being one of them, so a 1-block
+        or 1-thread dispatch never pays pool latency.
 
         Every drainer takes blocks off one queue until it is empty.  All
         of them are joined before returning *or raising* — propagating
@@ -465,6 +459,7 @@ class ThreadedBackend(ExecutionBackend):
         behind an unwinding stack (and lose their errors).  The first
         failure (the caller's first) is re-raised.
         """
+        blocks = _row_blocks(rows, elements, self.threads)
         todo = deque(blocks)
 
         def drain() -> None:

@@ -20,10 +20,11 @@ construction.  ``fuse=False`` reproduces the one-sweep-per-gate path.
 
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
-default) or threaded row-block parallelism.  Results are bitwise
-reproducible *within* a backend; threaded agrees with serial to 1e-10
-(its row blocks change per-GEMM column counts, and BLAS may shift an
-ulp).  Parts whose fused groups are small enough skip the gather matrix
+default) or threaded row-block parallelism, both on one block rule.
+Results are bitwise reproducible *within* a backend; threaded agrees
+with serial bit for bit at a power-of-two thread count and to 1e-10
+otherwise (an uneven row split can move a GEMM's last ulp).  Parts
+whose fused groups are small enough skip the gather matrix
 entirely (the strided fast lane — see ``docs/backends.md``); the trace
 records which lane each part took.
 
@@ -225,7 +226,9 @@ class HierarchicalExecutor:
     ) -> Union[np.ndarray, StabilizerState]:
         """Execute all parts in order against ``state``.
 
-        A dense ``state`` is mutated in place and returned.  A
+        A dense ``state`` (``complex128``, ``2^n`` amplitudes; anything
+        else is refused before the first part) is mutated in place and
+        returned.  A
         :class:`~repro.sv.stabilizer.StabilizerState` (from
         :meth:`initial_state`) takes Clifford parts on the tableau (their
         *source* gates — fused dense matrices are useless to it); the
@@ -254,6 +257,8 @@ class HierarchicalExecutor:
                 raise ValueError("state width mismatch")
         elif state.shape != (1 << n,):
             raise ValueError("state length mismatch")
+        elif state.dtype != np.complex128:
+            raise ValueError(f"state must be complex128, got {state.dtype}")
         for part in partition.parts:
             if isinstance(state, StabilizerState):
                 gates = [circuit[g] for g in part.gate_indices]

@@ -235,3 +235,22 @@ def full_unitary(circuit: QuantumCircuit) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrink the block rule's ``BLOCK_ELEMENTS`` to 16 amplitudes (the
+    value is returned), so toy-width states cross block boundaries and
+    reach the thread pool.
+
+    Not smaller: a 16-amplitude block still gives every 1- and 2-qubit
+    op's GEMM at least four columns.  With fewer, BLAS computes the last
+    columns in its edge kernel, whose last bits differ from the full-width
+    kernel's, and the entry points stop agreeing bitwise with each other
+    (at 4 amplitudes they do, by an ulp) — a toy-size artefact: at the real
+    ``BLOCK_ELEMENTS`` such an op has ``2^12`` columns or more per block.
+    """
+    import repro.sv.backend
+
+    monkeypatch.setattr(repro.sv.backend, "BLOCK_ELEMENTS", 16)
+    return 16

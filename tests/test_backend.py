@@ -8,11 +8,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
+from repro.dist import DistributedStateVector, IQSEngine
 from repro.dist.hisvsim import HiSVSimEngine
 from repro.partition import get_partitioner
+from repro.runtime.comm import SimComm
 from repro.sv import (
     ExecutionBackend,
     ExecutionTrace,
@@ -30,6 +34,7 @@ from repro.sv import (
     split_blocks,
     zero_state,
 )
+from repro.sv.backend import BLOCK_ELEMENTS
 
 from conftest import random_circuit
 
@@ -68,6 +73,178 @@ class TestSplitBlocks:
 
 
 # ---------------------------------------------------------------------------
+# The block rule: one decision for every backend
+# ---------------------------------------------------------------------------
+
+
+def _visited(backend, rows, elements):
+    """The blocks ``backend.map_blocks`` hands ``fn``, in visiting order."""
+    seen, lock = [], threading.Lock()
+
+    def spy(lo, hi):
+        with lock:
+            seen.append((lo, hi))
+
+    backend.map_blocks(spy, rows, elements)
+    return seen
+
+
+class TestBlockRule:
+    def test_the_settings_are_threads_and_strided_max(self):
+        import inspect
+
+        params = inspect.signature(ThreadedBackend).parameters.values()
+        assert [(p.name, p.kind.name, p.default) for p in params] == [
+            ("threads", "POSITIONAL_OR_KEYWORD", None),
+            ("strided_max", "KEYWORD_ONLY", None),
+        ]
+        assert BLOCK_ELEMENTS == 1 << 15
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 96),
+        row_bits=st.integers(0, 17),
+        threads=st.integers(1, 6),
+    )
+    def test_property_blocks_cover_rows_and_follow_the_rule(
+        self, rows, row_bits, threads
+    ):
+        elements = rows << row_bits
+        if 2 * elements < BLOCK_ELEMENTS:
+            count = 1
+        else:
+            by_size = -(-elements // BLOCK_ELEMENTS)
+            count = min(rows, max(threads, by_size))
+        with ThreadedBackend(threads) as backend:
+            blocks = sorted(_visited(backend, rows, elements))
+        assert len(blocks) == count
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        for (_, hi), (lo, _) in zip(blocks, blocks[1:]):
+            assert hi == lo  # contiguous, disjoint
+        assert all(lo < hi for lo, hi in blocks)
+        if threads == 1:
+            # The same list, in the same order: threaded(1) is the
+            # serial mapper.
+            assert _visited(SerialBackend(), rows, elements) == blocks
+
+    def test_serial_sweeps_cache_sized_blocks(self):
+        # 2^17 amplitudes in 64 rows: four 2^15-amplitude blocks, in order.
+        assert _visited(SerialBackend(), 64, 1 << 17) == [
+            (0, 16), (16, 32), (32, 48), (48, 64)
+        ]
+        assert _visited(SerialBackend(), 64, (1 << 15) - 1) == [(0, 64)]
+        # Half a block is where threads start to split; one thread not.
+        with ThreadedBackend(2) as b:
+            assert sorted(_visited(b, 64, 1 << 14)) == [(0, 32), (32, 64)]
+            assert _visited(b, 64, (1 << 14) - 1) == [(0, 64)]
+
+
+# At BLOCK_ELEMENTS with no patching: 2^15 amplitudes are one serial
+# block and 2 / 3 / 4 threaded ones, so boundaries differ for all three.
+WIDE = 15
+
+
+def _assert_agree(threads, serial, threaded, what=""):
+    """Bitwise at a power-of-two thread count; within 1e-12 otherwise.
+
+    A power of two splits the power-of-two row count evenly, so every
+    block holds whole BLAS column tiles of each op's GEMM.  Three splits
+    ``2^k`` rows unevenly (5462 / 5461 / 5461 of 2^14), and an op nearly
+    as wide as its row (a 5-qubit fused op in a 6-qubit part, a dense
+    gate on qubit 0 of the flat state) then leaves the last 1-3 columns
+    of a block to BLAS's edge kernel, which can move the last ulp.
+    """
+    if threads & (threads - 1) == 0:
+        assert np.array_equal(serial, threaded), what
+    else:
+        assert float(np.max(np.abs(serial - threaded))) < 1e-12, what
+
+
+def _wide_circuits():
+    return [
+        random_circuit(WIDE, 60, seed=5),
+        generators.build("qft", WIDE),
+        generators.build("qaoa", WIDE),
+    ]
+
+
+class TestSerialThreadedBitwiseUnpatched:
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_run_plan_both_lanes_and_literal(self, threads):
+        for qc in _wide_circuits():
+            p = get_partitioner("dagP").partition(qc, 10)
+            # Unfused ops keep parts strided-eligible; fused ones gather.
+            for strided_max, mode, fuse in (
+                (None, "batched", False),
+                (-1, "batched", True),
+                (None, "literal", True),
+            ):
+                states = []
+                for backend in (
+                    SerialBackend(strided_max=strided_max),
+                    ThreadedBackend(threads, strided_max=strided_max),
+                ):
+                    trace, state = ExecutionTrace(), random_state(WIDE, 3)
+                    with backend:
+                        HierarchicalExecutor(
+                            backend=backend, mode=mode, fuse=fuse
+                        ).run(qc, p, state, trace=trace)
+                    states.append(state)
+                _assert_agree(threads, *states, (qc.name, strided_max, mode))
+                if strided_max is None and mode == "batched":
+                    assert trace.strided_parts > 0
+                else:
+                    assert trace.strided_parts == 0
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_apply_matrix_rows_on_a_shard_matrix(self, threads):
+        # Four rows of 2^14 amplitudes: two blocks serially, `threads`
+        # threaded.  Every block holds whole rows, so every GEMM keeps
+        # whole BLAS column tiles even where three threads split 2/1/1.
+        qc = random_circuit(14, 40, seed=9)
+        serial = random_state(16, 4).reshape(4, 1 << 14)
+        threaded = serial.copy()
+        with ThreadedBackend(threads) as b:
+            for gate in qc:
+                for backend, rows in ((SerialBackend(), serial),
+                                      (b, threaded)):
+                    backend.apply_matrix_rows(
+                        rows, gate.matrix(), gate.qubits, 14,
+                        diagonal=gate.is_diagonal,
+                    )
+        assert np.array_equal(serial, threaded)
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_apply_gate_flat(self, threads):
+        qc = random_circuit(WIDE, 60, seed=7)
+        serial, threaded = _state_pair(WIDE)
+        with ThreadedBackend(threads) as b:
+            for gate in qc:
+                SerialBackend().apply_gate_flat(serial, gate, WIDE)
+                b.apply_gate_flat(threaded, gate, WIDE)
+        _assert_agree(threads, serial, threaded)
+
+    @pytest.mark.parametrize("threads", [2, 3, 4])
+    def test_iqs_shard_sweeps_with_and_without_backend(self, threads):
+        # Every operand local (4 ranks, 15 local qubits of 17): an IQS run
+        # is one apply_gate_local per gate, through the shared serial
+        # backend; the replay hands each sweep a threaded backend.
+        n = 17
+        qc = random_circuit(15, 50, seed=11)
+        wide = QuantumCircuit(n)
+        for gate in qc:
+            wide.append(gate)
+        start = random_state(n, 2)
+        engine = IQSEngine(4, diagonal_fastpath=False)
+        state, _ = engine.run(wide, initial_full=start)
+        replay = DistributedStateVector.from_full(start, SimComm(4))
+        with ThreadedBackend(threads) as b:
+            for gate in wide:
+                replay.apply_gate_local(gate, backend=b)
+        assert np.array_equal(state.shards, replay.shards)
+
+
+# ---------------------------------------------------------------------------
 # Backend selection
 # ---------------------------------------------------------------------------
 
@@ -85,8 +262,6 @@ class TestSelection:
     def test_invalid_worker_counts(self):
         with pytest.raises(ValueError):
             ThreadedBackend(-2)
-        with pytest.raises(ValueError):
-            ThreadedBackend(2, block_elements=0)
 
     def test_zero_threads_is_refused_not_core_count(self, monkeypatch):
         # Only None means "all cores".
@@ -170,12 +345,12 @@ class TestSelection:
 
 
 class TestThreadedDeterminism:
-    def test_bit_identical_across_thread_counts_and_runs(self):
+    def test_bit_identical_across_thread_counts_and_runs(self, small_blocks):
         qc = generators.build("qft", 9)
         p = get_partitioner("dagP").partition(qc, 6)
         results = []
         for threads in (1, 2, 4):
-            backend = ThreadedBackend(threads, min_parallel_elements=0)
+            backend = ThreadedBackend(threads)
             try:
                 for _ in range(2):  # repeated runs must also be identical
                     state = zero_state(9)
@@ -186,14 +361,14 @@ class TestThreadedDeterminism:
         first = results[0]
         for other in results[1:]:
             # Bitwise equality, not tolerance: block boundaries are fixed
-            # by (rows, threads) and blocks write disjoint slices, so no
-            # reduction order ever depends on scheduling.
+            # by (rows, elements, threads) and blocks write disjoint
+            # slices, so no reduction order ever depends on scheduling.
             assert np.array_equal(first, other)
 
-    def test_map_blocks_drains_futures_on_inline_error(self):
-        # When the caller-thread block raises, already-submitted blocks
-        # must be awaited before the exception escapes — otherwise pool
-        # threads keep mutating the caller's state behind its back.
+    def test_map_blocks_drains_futures_on_inline_error(self, small_blocks):
+        # When a block raises, already-submitted blocks must be awaited
+        # before the exception escapes — otherwise pool threads keep
+        # mutating the caller's state behind its back.
         import time as _time
 
         done = []
@@ -207,11 +382,11 @@ class TestThreadedDeterminism:
 
         with ThreadedBackend(2) as backend:
             with pytest.raises(ValueError, match="inline boom"):
-                backend._map_blocks(fn, blocks)
+                backend.map_blocks(fn, 3, 3 * small_blocks)  # a row each
         assert sorted(done) == blocks[:-1]
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_at_most_threads_blocks_run_at_once(self, threads):
+    def test_at_most_threads_blocks_run_at_once(self, threads, small_blocks):
         # The caller is one of the ``threads``: a pool of N plus the
         # caller's inline block ran N + 1 (2 / 3 / 5 here).
         import time as _time
@@ -228,21 +403,19 @@ class TestThreadedDeterminism:
             with lock:
                 running[0] -= 1
 
-        with ThreadedBackend(
-            threads, min_parallel_elements=0, block_elements=1
-        ) as backend:
-            backend.map_blocks(fn, 8, 8)
+        with ThreadedBackend(threads) as backend:
+            backend.map_blocks(fn, 8, 8 * small_blocks)  # a row each
             assert (backend._pool is None) == (threads == 1)
         assert sorted(visited) == [(i, i + 1) for i in range(8)]
         assert peak[0] == threads
 
-    def test_threaded_matches_serial_bitwise(self):
+    def test_threaded_matches_serial_bitwise(self, small_blocks):
         qc = generators.build("grover", 9)
         p = get_partitioner("dagP").partition(qc, 6)
         serial = zero_state(9)
         HierarchicalExecutor(backend=SerialBackend()).run(qc, p, serial)
         threaded = zero_state(9)
-        with ThreadedBackend(4, min_parallel_elements=0) as b:
+        with ThreadedBackend(4) as b:
             HierarchicalExecutor(backend=b).run(qc, p, threaded)
         assert np.array_equal(serial, threaded)
 
@@ -365,11 +538,11 @@ class TestPlanCacheThreadSafety:
 
 
 class TestTraceAccounting:
-    def test_wall_time_and_backend_parts(self):
+    def test_wall_time_and_backend_parts(self, small_blocks):
         qc = generators.build("qaoa", 8)
         p = get_partitioner("dagP").partition(qc, 5)
         trace = ExecutionTrace()
-        with ThreadedBackend(2, min_parallel_elements=0) as b:
+        with ThreadedBackend(2) as b:
             HierarchicalExecutor(backend=b).run(
                 qc, p, zero_state(8), trace=trace
             )
@@ -491,29 +664,29 @@ def test_map_blocks_override_is_the_whole_backend_contract():
 
 
 class TestIntegrationSeams:
-    def test_flat_simulator_threaded_matches_reference(self):
+    def test_flat_simulator_threaded_matches_reference(self, small_blocks):
         qc = random_circuit(8, 24, seed=21)
         expected = _reference_state(qc)
-        with ThreadedBackend(3, min_parallel_elements=0) as b:
+        with ThreadedBackend(3) as b:
             sim = StateVectorSimulator(8, backend=b)
             sim.run(qc)
         assert float(np.max(np.abs(sim.state - expected))) < 1e-10
 
-    def test_flat_simulator_top_qubit_gate_fallback(self):
+    def test_flat_simulator_top_qubit_gate_fallback(self, small_blocks):
         # A gate touching the top qubit leaves a single row block; the
         # threaded flat path must fall back without error.
         qc = random_circuit(6, 12, seed=2)
         expected = _reference_state(qc)
-        with ThreadedBackend(4, min_parallel_elements=0) as b:
+        with ThreadedBackend(4) as b:
             sim = StateVectorSimulator(6, backend=b)
             sim.run(qc)
         assert float(np.max(np.abs(sim.state - expected))) < 1e-10
 
-    def test_hisvsim_threaded_backend(self):
+    def test_hisvsim_threaded_backend(self, small_blocks):
         qc = generators.build("qft", 8)
         p = get_partitioner("dagP").partition(qc, 5)
         expected = _reference_state(qc)
-        with ThreadedBackend(2, min_parallel_elements=0) as b:
+        with ThreadedBackend(2) as b:
             state, report = HiSVSimEngine(4, fuse=True, backend=b).run(qc, p)
         assert float(np.max(np.abs(state.to_full() - expected))) < 1e-10
         assert report.num_parts == p.num_parts

@@ -109,20 +109,21 @@ def _partition(seed: int, strategy: str):
 def backends():
     """One live instance per backend kind, shared across the sweep.
 
-    ``min_parallel_elements=0`` forces the parallel dispatch path even at
-    test widths — without it the fallback would quietly turn the whole
-    grid into serial runs.
+    The tests take ``small_blocks`` as well: without it a toy-width state
+    is one block, and the whole grid would quietly run unblocked.
     """
     made = {
         "serial": SerialBackend(),
-        "threaded": ThreadedBackend(3, min_parallel_elements=0),
+        "threaded": ThreadedBackend(3),
     }
     yield made
     made["threaded"].close()
 
 
 @pytest.mark.parametrize("backend,seed,strategy,fuse,mode", _case_params())
-def test_differential(backends, backend, seed, strategy, fuse, mode):
+def test_differential(
+    backends, small_blocks, backend, seed, strategy, fuse, mode
+):
     qc = _circuit(seed)
     partition = _partition(seed, strategy)
     trace = ExecutionTrace()
@@ -186,7 +187,7 @@ def _apply_through(backend, entry: str, seed: int) -> np.ndarray:
         for seed in seeds
     ],
 )
-def test_entry_points(backends, backend, seed, entry):
+def test_entry_points(backends, small_blocks, backend, seed, entry):
     state = _apply_through(backends[backend], entry, seed)
     err = float(np.max(np.abs(state - _reference(seed))))
     assert err < 1e-10, (

@@ -44,6 +44,49 @@ def test_markdown_links_resolve():
     assert proc.returncode == 0, f"broken markdown links:\n{proc.stdout}"
 
 
+def test_backends_page_example_runs_bitwise_to_serial(small_blocks):
+    """The custom-backend example in docs/backends.md is executed, not
+    just shown: it visits the serial backend's blocks in reverse, so
+    through ``run_plan`` (both lanes) it matches ``SerialBackend`` bit
+    for bit."""
+    import re
+
+    import numpy as np
+
+    from repro.circuits import generators
+    from repro.partition import get_partitioner
+    from repro.sv import ExecutionBackend, SerialBackend, compile_part
+    from repro.sv.simulator import random_state
+
+    page = os.path.join(REPO, "docs", "backends.md")
+    with open(page, encoding="utf-8") as fh:
+        section = fh.read().split("## Writing your own ExecutionBackend")[1]
+    (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    namespace: dict = {}
+    exec(code, namespace)
+    (cls,) = [
+        v for v in namespace.values()
+        if isinstance(v, type) and issubclass(v, ExecutionBackend)
+        and v is not ExecutionBackend
+    ]
+
+    visited = []
+    cls().map_blocks(lambda lo, hi: visited.append(lo), 8, 8 * small_blocks)
+    assert visited == sorted(visited, reverse=True) and len(visited) == 8
+
+    qc = generators.build("qaoa", 9)
+    for strided_max in (None, -1):
+        ours = cls(strided_max=strided_max)
+        serial = SerialBackend(strided_max=strided_max)
+        for part in get_partitioner("dagP").partition(qc, 6).parts:
+            plan = compile_part(qc, part.gate_indices, part.qubits)
+            got, want = random_state(9, 1), random_state(9, 1)
+            assert ours.run_plan(plan, got, 9) == serial.run_plan(
+                plan, want, 9
+            )
+            assert np.array_equal(got, want)
+
+
 def test_configuration_page_covers_env_vars():
     """docs/configuration.md's variable table and the registry agree.
 

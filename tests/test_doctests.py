@@ -99,9 +99,8 @@ DOCTEST_MODULES = [
 #: Exported names that are plain data (no docstring expected).
 DATA_EXPORTS = {
     "BACKEND_NAMES",
-    "DEFAULT_BLOCK_ELEMENTS",
+    "BLOCK_ELEMENTS",
     "DEFAULT_MAX_FUSED_QUBITS",
-    "DEFAULT_MIN_PARALLEL_ELEMENTS",
     "DEFAULT_STRIDED_MAX",
     "ENV",
     "METHOD_NAMES",

@@ -128,3 +128,19 @@ class TestValidation:
         p = get_partitioner("Nat").partition(qc, 5)
         with pytest.raises(ValueError):
             HierarchicalExecutor().run(qc, p, zero_state(7))
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex64", "int64"])
+    def test_non_complex128_state_is_refused_untouched(self, dtype):
+        # float64 used to lose its imaginary parts in the first dense op
+        # and then raise mid-run; complex64 ran outside the 1e-10
+        # contract.  Both are refused before any part touches the array.
+        qc = generators.build("qft", 6)
+        p = get_partitioner("Nat").partition(qc, 4)
+        state = np.zeros(1 << 6, dtype=dtype)
+        state[0] = 1
+        before = state.tobytes()
+        trace = ExecutionTrace()
+        with pytest.raises(ValueError, match=f"complex128, got {dtype}"):
+            HierarchicalExecutor().run(qc, p, state, trace=trace)
+        assert state.tobytes() == before and state.dtype == dtype
+        assert trace.num_parts == 0

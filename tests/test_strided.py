@@ -184,22 +184,21 @@ class TestStridedVsGatherBackends:
         assert np.array_equal(gather, strided)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_threaded_strided_bit_identical_to_gather(self, seed):
-        # The pinned contract is strided-vs-gather *within* a backend
-        # (threaded-vs-serial was never universally bitwise: BLAS GEMM
-        # results shift by an ulp when the column count changes, and the
-        # two backends split rows differently).  min_parallel_elements=0
-        # forces the row-blocked dispatch so the threaded strided lane
-        # actually runs.
+    def test_threaded_strided_bit_identical_to_gather(
+        self, seed, small_blocks
+    ):
+        # The pinned contract is strided-vs-gather *within* a backend.
+        # Small blocks split the toy state so the threaded strided lane
+        # runs row-blocked on the pool.
         qc = random_circuit(8, 20, seed=100 + seed)
         p = get_partitioner("dagP").partition(qc, 6)
-        with ThreadedBackend(4, min_parallel_elements=0, strided_max=-1) as b:
+        with ThreadedBackend(4, strided_max=-1) as b:
             gather = _run(qc, p, b)
-        with ThreadedBackend(4, min_parallel_elements=0) as b:
+        with ThreadedBackend(4) as b:
             strided = _run(qc, p, b)
         assert np.array_equal(gather, strided)
 
-    def test_top_qubit_targets_span_row_blocks(self):
+    def test_top_qubit_targets_span_row_blocks(self, small_blocks):
         # Every gate touches the top qubit: the threaded strided view
         # degenerates to a single row and must fall back to the serial
         # strided sweep without error (and without losing accuracy).
@@ -212,7 +211,7 @@ class TestStridedVsGatherBackends:
             qc.append(g)
         p = get_partitioner("Nat").partition(qc, 6)
         serial = _run(qc, p, SerialBackend())
-        with ThreadedBackend(4, min_parallel_elements=0) as b:
+        with ThreadedBackend(4) as b:
             threaded = _run(qc, p, b)
         assert float(np.max(np.abs(serial - threaded))) < 1e-12
 
@@ -236,7 +235,7 @@ def _phase_ladder(num_qubits: int, rounds: int = 3) -> QuantumCircuit:
     (lambda: generators.build("qft", 10), False),
     (lambda: _phase_ladder(10), True),
 ], ids=["qft10", "cx-rz-cx-ladder"])
-def test_hidden_diagonal_routes_agree(build, all_diagonal):
+def test_hidden_diagonal_routes_agree(build, all_diagonal, small_blocks):
     qc = build()
     n, ranks = qc.num_qubits, 4
     p = get_partitioner("dagP").partition(qc, 7)
@@ -265,7 +264,7 @@ def test_hidden_diagonal_routes_agree(build, all_diagonal):
     assert trace.strided_parts == p.num_parts
     for state in (gathered, strided):
         assert float(np.max(np.abs(state - want))) < 1e-10
-    with ThreadedBackend(2, min_parallel_elements=0, strided_max=-1) as b:
+    with ThreadedBackend(2, strided_max=-1) as b:
         threaded, _ = run(b)
     if all_diagonal:
         # An elementwise multiply does not depend on block boundaries.

@@ -1,12 +1,16 @@
 """State-vector kernel agreement and traffic-model counts.
 
 Not a paper table; these back the Sec. III-A roofline discussion: six
-reference gate applications preserve the norm, and the gather-free
-strided sweep of a single 2-qubit part stays bit-identical to the gather
-sweep while touching fewer model bytes (see docs/backends.md).  What the
-kernels cost in seconds is the perf harness's ``kernels.apply_s``,
-``kernels.strided_1op_s`` vs ``kernels.gathered_1op_s`` and
-``layout.gather_table_s``.
+reference gate applications preserve the norm, the gather-free strided
+sweep of a single 2-qubit part stays bit-identical to the gather sweep
+while touching fewer model bytes, and the streamed shard kernels — a
+diagonal over contiguous runs, a dense op over sub-row blocks — stay
+bit-identical to their one-pass formulations (see docs/backends.md).
+What the kernels cost in seconds is the perf harness's
+``kernels.apply_s``, ``kernels.strided_1op_s`` vs
+``kernels.gathered_1op_s`` and ``layout.gather_table_s``; the per-op
+table of the streamed kernels is in docs/benchmarks.md (a registered
+entry's output holds no wall-clock numbers).
 """
 
 import numpy as np
@@ -17,12 +21,56 @@ from repro.circuits.gates import make_gate
 from repro.sv.backend import SerialBackend
 from repro.sv.fusion import compile_part
 from repro.sv.kernels import (
+    BLOCK_ELEMENTS,
     apply_gate,
+    apply_matrix_batched,
     bytes_touched_gather_part,
     bytes_touched_strided,
 )
 from repro.sv.layout import gather_index_table
 from repro.sv.simulator import random_state
+
+
+def _one_pass_diagonal(rows, diag, positions, width):
+    """The diagonal formulation the streamed kernel replaced: one
+    ``(2,)*width``-shaped factor broadcast over every row (in place)."""
+    view = rows.reshape((rows.shape[0],) + (2,) * width)
+    shape = [1] * view.ndim
+    for q in positions:
+        shape[width - q] = 2
+    # Factor axis j is operand k-1-j; order them by view axis.
+    order = np.argsort([width - q for q in reversed(positions)])
+    fac = diag.reshape((2,) * len(positions)).transpose(tuple(order))
+    view *= fac.reshape(shape)
+
+
+def compare_streamed_vs_one_pass(n: int):
+    """One diagonal and one dense op over a ``(4, 2^(w))`` shard matrix
+    through ``apply_matrix_rows``, each against its one-pass formulation.
+
+    ``w = max(n, 18) - 2``, so every row is wider than a block at every
+    registered width: the diagonal streams (an operand on qubit 0) and
+    the dense op's rows split into virtual rows.
+    """
+    width = max(n, 18) - 2
+    assert 1 << width > BLOCK_ELEMENTS
+    rng = np.random.default_rng(0)
+    start = random_state(width + 2, seed=1).reshape(4, 1 << width)
+    diag_at = sorted({0, 5, width // 2, width - 1})
+    diag = np.exp(1j * rng.standard_normal(1 << len(diag_at)))
+    dense_at = [4, 5, 6, 7, 8]
+    dim = 1 << len(dense_at)
+    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    streamed, reference = start.copy(), start.copy()
+    SerialBackend().apply_matrix_rows(
+        streamed, np.diag(diag), diag_at, width, diagonal=True
+    )
+    _one_pass_diagonal(reference, diag, diag_at, width)
+    diagonal_ok = bool(np.array_equal(streamed, reference))
+    streamed, reference = start.copy(), start.copy()
+    SerialBackend().apply_matrix_rows(streamed, dense, dense_at, width)
+    apply_matrix_batched(reference, dense, dense_at, width)  # one GEMM
+    return diagonal_ok, bool(np.array_equal(streamed, reference))
 
 
 def compare_strided_vs_gather(n: int):
@@ -78,6 +126,7 @@ def run_bench(params):
     norm = float(np.vdot(work, work).real)
     norm_preserved = abs(norm - 1.0) < 1e-9
     strided = compare_strided_vs_gather(n)
+    diagonal_same, dense_same = compare_streamed_vs_one_pass(n)
     return bench.payload(
         metrics={
             "qubits": n,
@@ -100,5 +149,9 @@ def run_bench(params):
             "strided sweep touches fewer model bytes": (
                 strided["strided_bytes"] < strided["gather_bytes"]
             ),
+            "streamed diagonal bit-identical to the one-pass broadcast":
+                diagonal_same,
+            "sub-row dense bit-identical to one GEMM over every row":
+                dense_same,
         },
     )

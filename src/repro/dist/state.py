@@ -23,7 +23,7 @@ import numpy as np
 
 from ..runtime.comm import SimComm
 from ..sv.backend import shared_backend
-from ..sv.kernels import apply_matrix_batched
+from ..sv.kernels import apply_matrix_batched, check_operands
 from ..sv.layout import QubitLayout, permuted_view
 from .analytic import exchange_step_stats
 from .transport import AMP_BYTES
@@ -223,6 +223,7 @@ class DistributedStateVector(LayoutOnlyState):
         so the backend's block rule splits them block-wise.  ``None`` is
         the shared serial backend.
         """
+        check_operands(qubits, self.num_qubits)
         positions = [self.layout.position(q) for q in qubits]
         if any(p >= self.local_bits for p in positions):
             raise ValueError(

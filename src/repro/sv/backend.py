@@ -10,11 +10,13 @@ only thing a backend decides is how row ranges are visited — its
 :meth:`~ExecutionBackend.map_blocks`.
 
 **The block rule** (:func:`_row_blocks`, the only place a block is
-decided): a state of fewer than half of :data:`BLOCK_ELEMENTS`
-amplitudes is one block; anything larger splits into ``min(rows,
-max(threads, ceil(elements / BLOCK_ELEMENTS)))`` contiguous blocks, so
-every fused op of a part sweeps a cache-sized block before the next
-block starts:
+decided): a state of fewer than half of ``BLOCK_ELEMENTS`` amplitudes
+is one block; anything larger splits into ``min(rows, max(threads,
+ceil(elements / BLOCK_ELEMENTS)))`` contiguous blocks, so every fused op
+of a part sweeps a cache-sized block before the next block starts.  For
+a dense op over a row matrix (:meth:`~ExecutionBackend.apply_matrix_rows`)
+the rule first presents each row wider than a block as ``2^s`` virtual
+rows, so no row is too big to be a block:
 
 * :class:`SerialBackend` — the rule's blocks at ``threads = 1``, in
   order, on the caller's thread: the single-threaded reference.
@@ -24,7 +26,8 @@ block starts:
   (``numpy`` matmul) which releases the GIL into BLAS, so this yields
   real shared-memory parallelism.  Block boundaries depend only on
   ``(rows, elements, threads)`` and blocks write disjoint row slices,
-  so output is **deterministic**: identical bits on every run.
+  so output is **deterministic**: identical bits on every run, and a
+  row matrix's identical at every thread count.
 
 That is the whole contract — a backend is a block mapper and nothing
 else.  The three entry points — :meth:`~ExecutionBackend.run_plan` (one
@@ -47,8 +50,8 @@ and the executor's ``ExecutionTrace`` tallies the counts.
 Backends are selected per executor (``backend="threaded"``), from the
 CLI (``repro simulate --backend threaded --threads 4``) or globally via
 the environment (``REPRO_BACKEND`` / ``REPRO_THREADS``).  A state below
-half of :data:`BLOCK_ELEMENTS` is one block on every backend, so
-parallel dispatch overhead never taxes toy problems.
+half of ``BLOCK_ELEMENTS`` is one block on every backend, so parallel
+dispatch overhead never taxes toy problems.
 """
 
 from __future__ import annotations
@@ -63,10 +66,13 @@ import numpy as np
 
 from ..circuits.gates import Gate
 from ..config import env
+from . import kernels  # block constants, read at call time (tests shrink them)
 from .kernels import (
+    _apply_dense_split,
     _apply_strided,
     apply_matrix,
     apply_matrix_batched,
+    check_operands,
     split_controls,
     strided_max_qubits,
 )
@@ -81,14 +87,7 @@ __all__ = [
     "resolve_backend",
     "run_part",
     "split_blocks",
-    "BLOCK_ELEMENTS",
 ]
-
-#: Amplitudes per block (512 KiB of complex128): a block, the transposed
-#: copy and GEMM result a dense op makes of it, and its int64 gather
-#: rows (1.75 MiB together) fit a 2 MiB L2.  A state of fewer than half
-#: a block is one block on every backend.
-BLOCK_ELEMENTS = 1 << 15
 
 #: ``fn(lo, hi)`` applied to a half-open row range.
 BlockFn = Callable[[int, int], None]
@@ -120,28 +119,51 @@ def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
 
 
 def _row_blocks(
-    rows: int, elements: int, threads: int
-) -> List[Tuple[int, int]]:
+    rows: int, elements: int, threads: int, columns: Optional[int] = None
+) -> Tuple[int, List[Tuple[int, int]]]:
     """The block rule — the one place a block is decided.
 
-    Fewer than half of :data:`BLOCK_ELEMENTS` amplitudes are one block;
-    more split into ``max(threads, ceil(elements / BLOCK_ELEMENTS))``
-    blocks, never more than ``rows``.  For one thread the half-block
-    clause changes nothing (the ceiling is 1 below a block); it is where
-    splitting a state across threads starts to pay.
+    Returns ``(split, blocks)``.  ``blocks`` cover the virtual rows:
+    fewer than half of ``BLOCK_ELEMENTS`` amplitudes are one block; more
+    split into ``max(threads, ceil(elements / BLOCK_ELEMENTS))`` blocks,
+    never more than there are virtual rows.  For one thread the
+    half-block clause changes nothing (the ceiling is 1 below a block);
+    it is where splitting a state across threads starts to pay.
+
+    Rows are virtual rows unless ``columns`` — the GEMM columns a dense
+    op has per row — lets the rule reshape them, never below
+    ``MIN_GEMM_COLUMNS`` columns per GEMM:
+
+    * a row wider than a block becomes ``2^split`` virtual rows, as
+      close to one block each as the columns allow;
+    * rows narrower than ``MIN_GEMM_COLUMNS`` columns are grouped
+      ``2^-split`` to a virtual row (``split < 0``; the last one takes
+      the remainder), so every block keeps whole column tiles.
 
     >>> _row_blocks(8, 1 << 13, 4)              # small: one block
-    [(0, 8)]
+    (0, [(0, 8)])
     >>> _row_blocks(8, 1 << 14, 2)              # half a block: one per thread
-    [(0, 4), (4, 8)]
+    (0, [(0, 4), (4, 8)])
     >>> _row_blocks(8, 1 << 17, 1)              # 4 cache-sized blocks
-    [(0, 2), (2, 4), (4, 6), (6, 8)]
-    >>> len(_row_blocks(4, 1 << 20, 1))         # a row is the smallest block
-    4
+    (0, [(0, 2), (2, 4), (4, 6), (6, 8)])
+    >>> _row_blocks(1, 1 << 17, 1, columns=1 << 13)   # 4 virtual rows
+    (2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    >>> _row_blocks(1 << 13, 1 << 15, 3, columns=1)   # 4 rows a GEMM
+    (-2, [(0, 683), (683, 1366), (1366, 2048)])
     """
-    if 2 * elements < BLOCK_ELEMENTS:
-        return [(0, rows)]
-    return split_blocks(rows, max(threads, -(-elements // BLOCK_ELEMENTS)))
+    split = 0
+    if columns is not None:
+        # log2(columns / MIN_GEMM_COLUMNS), both powers of two: the most
+        # a row may split, or (negative) how many rows must group.
+        split = columns.bit_length() - kernels.MIN_GEMM_COLUMNS.bit_length()
+        if split > 0:
+            wide = elements // (rows * kernels.BLOCK_ELEMENTS) if rows else 0
+            split = min(split, max(0, wide.bit_length() - 1))
+    virtual = rows << split if split >= 0 else max(1, rows >> -split)
+    if 2 * elements < kernels.BLOCK_ELEMENTS:
+        return split, [(0, virtual)]
+    parts = max(threads, -(-elements // kernels.BLOCK_ELEMENTS))
+    return split, split_blocks(virtual, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +338,7 @@ class ExecutionBackend:
         block must have finished (or its error been raised) on return.
         Here: the block rule's blocks at one thread, in order, on the
         caller's thread."""
-        for lo, hi in _row_blocks(rows, elements, 1):
+        for lo, hi in _row_blocks(rows, elements, 1)[1]:
             fn(lo, hi)
 
     # -- work --------------------------------------------------------------
@@ -345,14 +367,41 @@ class ExecutionBackend:
         diagonal: bool = False,
     ) -> None:
         """Apply one unitary to every row of ``rows`` (``(B, 2^num_local)``,
-        in place); ``positions`` are row-local qubit indices."""
+        in place); ``positions`` are row-local qubit indices.
 
-        def block(lo: int, hi: int) -> None:
-            apply_matrix_batched(
-                rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
-            )
+        A diagonal op is one in-place multiply per row block.  A dense
+        op runs over the block rule's virtual rows: a row wider than a
+        block splits, one GEMM per virtual row, so a single shard row
+        still spreads over threads; rows of fewer than
+        ``MIN_GEMM_COLUMNS`` columns group.  Either way every GEMM
+        column is computed as in one GEMM over all rows, so the bits do
+        not depend on the thread count."""
+        if rows.ndim != 2 or rows.shape[1] != 1 << num_local:
+            raise ValueError(f"rows must be (B, {1 << num_local})")
+        check_operands(positions, num_local)
+        batch = rows.shape[0]
+        # A diagonal op makes no copy and runs no GEMM: its rows stay whole.
+        columns = None if diagonal else 1 << (num_local - len(positions))
+        split, blocks = _row_blocks(batch, rows.size, 1, columns)
+        virtual = blocks[-1][1]  # the blocks end at the virtual row count
+        if split > 0:
 
-        self.map_blocks(block, rows.shape[0], rows.size)
+            def block(lo: int, hi: int) -> None:
+                _apply_dense_split(
+                    rows, matrix, positions, num_local, split, lo, hi
+                )
+
+        else:
+            group = 1 << -split
+
+            def block(lo: int, hi: int) -> None:
+                stop = batch if hi == virtual else hi * group
+                apply_matrix_batched(
+                    rows[lo * group:stop], matrix, positions, num_local,
+                    diagonal=diagonal,
+                )
+
+        self.map_blocks(block, virtual, rows.size)
 
     def apply_gate_flat(
         self, state: np.ndarray, gate: Gate, num_qubits: int
@@ -459,7 +508,7 @@ class ThreadedBackend(ExecutionBackend):
         behind an unwinding stack (and lose their errors).  The first
         failure (the caller's first) is re-raised.
         """
-        blocks = _row_blocks(rows, elements, self.threads)
+        _, blocks = _row_blocks(rows, elements, self.threads)
         todo = deque(blocks)
 
         def drain() -> None:

@@ -5,7 +5,8 @@ Two interchangeable engines:
 * :func:`apply_gate` / :func:`apply_gate_batched` — production path: a
   single axis permutation exposes the gate's ``2^k`` subspace, one GEMM
   applies the unitary to every pair/quad simultaneously, and diagonal gates
-  take a copy-free broadcast-multiply fast path.
+  take a copy-free in-place multiply (over contiguous runs of
+  ``2^DIAGONAL_RUN_BITS`` amplitudes once the state holds a block).
 * :func:`apply_gate_reference` — literal strided implementation matching
   the paper's Fig. 1 description; used for cross-validation and as the
   access-pattern source for the cache model.
@@ -32,6 +33,8 @@ from ..config import ENV, env
 from .layout import axis_of_qubit, gather_index_table
 
 __all__ = [
+    "BLOCK_ELEMENTS",
+    "check_operands",
     "apply_matrix",
     "apply_matrix_batched",
     "apply_matrix_strided",
@@ -53,6 +56,52 @@ __all__ = [
 #: ``REPRO_KERNEL_STRIDED_MAX``.
 DEFAULT_STRIDED_MAX = ENV["REPRO_KERNEL_STRIDED_MAX"].default
 
+#: Amplitudes per block (512 KiB of complex128): a block, the transposed
+#: copy and GEMM result a dense op makes of it, and its int64 gather
+#: rows (1.75 MiB together) fit a 2 MiB L2.  The block rule
+#: (``backend._row_blocks``) sizes every block from it, and a diagonal
+#: op streams once its rows hold one.
+BLOCK_ELEMENTS = 1 << 15
+
+#: Low bits a streamed diagonal op keeps as one contiguous run: its
+#: factor repeats every ``2^DIAGONAL_RUN_BITS`` amplitudes (16 KiB), so
+#: numpy's inner loop is that long instead of 2 when an operand is a low
+#: qubit.
+DIAGONAL_RUN_BITS = 10
+
+#: No GEMM is split to fewer columns than this: BLAS computes a tile's
+#: last 1-3 columns in its edge kernel, whose last bits differ from the
+#: full-width kernel's, so a power-of-two column count of at least 4
+#: keeps a split GEMM bit-identical to the whole one.
+MIN_GEMM_COLUMNS = 4
+
+
+def check_operands(qubits: Sequence[int], width: int) -> None:
+    """Refuse duplicate or out-of-range operands of a ``width``-qubit
+    state with a :class:`ValueError` that names them.
+
+    Every kernel entry point calls this before touching its state:
+    numpy would otherwise report a duplicate as a "repeated axis", and
+    a negative operand would silently index from the top.
+
+    >>> check_operands((0, 2), 3)
+    >>> check_operands((1, 1), 3)
+    Traceback (most recent call last):
+    ...
+    ValueError: duplicate operands in (1, 1)
+    >>> check_operands((0, 3), 3)
+    Traceback (most recent call last):
+    ...
+    ValueError: operands (3,) of (0, 3) are outside 0..2
+    """
+    bad = tuple(q for q in qubits if not 0 <= q < width)
+    if bad:
+        raise ValueError(
+            f"operands {bad} of {tuple(qubits)} are outside 0..{width - 1}"
+        )
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate operands in {tuple(qubits)}")
+
 
 def _gate_axes(n_axes_total: int, n_qubits: int, qubits: Sequence[int], lead: int) -> list:
     """View axes of the gate operands, most-significant operand first.
@@ -62,15 +111,54 @@ def _gate_axes(n_axes_total: int, n_qubits: int, qubits: Sequence[int], lead: in
     return [lead + axis_of_qubit(n_qubits, q) for q in reversed(list(qubits))]
 
 
+def _gemm_in_place(moved: np.ndarray, matrix: np.ndarray, k: int) -> None:
+    """``matrix`` over the leading ``k`` axes of ``moved`` (in place).
+
+    ``reshape`` copies (the axes are permuted); the GEMM result is
+    written back through ``moved``, which aliases the original array."""
+    res = matrix @ moved.reshape(1 << k, -1)
+    moved[...] = res.reshape(moved.shape)
+
+
 def _apply_dense(view: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> None:
     """Apply ``matrix`` over the listed view axes (in place)."""
     k = len(axes)
-    moved = np.moveaxis(view, axes, range(k))
-    shape = moved.shape
-    # ``reshape`` copies (axes are permuted); the GEMM result is written back
-    # through the moveaxis view, which aliases the original array.
-    res = matrix @ moved.reshape(1 << k, -1)
-    moved[...] = res.reshape(shape)
+    _gemm_in_place(np.moveaxis(view, axes, range(k)), matrix, k)
+
+
+def _apply_dense_split(
+    rows: np.ndarray,
+    matrix: np.ndarray,
+    positions: Sequence[int],
+    width: int,
+    split: int,
+    lo: int,
+    hi: int,
+) -> None:
+    """A dense op over virtual rows ``[lo, hi)`` of ``rows`` (in place).
+
+    Each ``(B, 2^width)`` row is presented as ``2^split`` virtual rows by
+    fixing its ``split`` highest non-operand bits, and each virtual row
+    is its own transposed copy and GEMM, so both stay within one
+    virtual row's amplitudes.  Every GEMM column is a column of the
+    one-pass GEMM, computed alone, so the bits match it as long as a
+    virtual row keeps :data:`MIN_GEMM_COLUMNS` columns — which the block
+    rule guarantees when it chooses ``split``.
+
+    >>> rows = np.arange(8, dtype=np.complex128).reshape(1, 8)
+    >>> X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+    >>> _apply_dense_split(rows, X, [0], 3, 1, 0, 2)  # bit 2 fixed
+    >>> rows.real.tolist()
+    [[1.0, 0.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]]
+    """
+    view = rows.reshape((rows.shape[0],) + (2,) * width)
+    axes = _gate_axes(width, width, positions, lead=1)
+    free = [a for a in range(1, width + 1) if a not in axes]
+    moved = view.transpose([0] + free[:split] + axes + free[split:])
+    for v in range(lo, hi):
+        r, j = divmod(v, 1 << split)
+        fixed = tuple((j >> b) & 1 for b in range(split - 1, -1, -1))
+        _gemm_in_place(moved[(r,) + fixed], matrix, len(axes))
 
 
 def _diagonal_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
@@ -87,8 +175,34 @@ def _diagonal_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.nda
 
 
 def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> None:
-    """Copy-free diagonal-gate path: broadcast multiply over gate axes."""
-    view *= _diagonal_factor(diag, axes, view.ndim)
+    """Copy-free diagonal-gate path: one in-place multiply by ``diag``
+    broadcast over the gate axes of a contiguous ``(…, 2, …, 2)`` view.
+
+    numpy merges adjacent axes over which the factor is constant, so the
+    multiply's inner loop runs over the non-operand bits below the
+    lowest operand — 2 amplitudes long when that is qubit 0.  With an
+    operand among the last :data:`DIAGONAL_RUN_BITS` axes and at least
+    :data:`BLOCK_ELEMENTS` amplitudes, the factor is first written out
+    over those axes (at most ``2^(k + DIAGONAL_RUN_BITS)`` entries) and
+    they are merged, so the inner loop is that many contiguous
+    amplitudes.  Either way each amplitude is multiplied by the same
+    entry of ``diag``, so the bits are the same.
+
+    >>> view = np.ones((2,) * 4, dtype=np.complex128)   # qubit q: axis 3 - q
+    >>> _apply_diagonal(view, np.array([1, 2, 3, 4j]), [0, 3])  # on (0, 3)
+    >>> view.reshape(-1).real.astype(int).tolist()[:10]  # 1, 2 by qubit 0
+    [1, 2, 1, 2, 1, 2, 1, 2, 3, 0]
+    """
+    fac = _diagonal_factor(diag, axes, view.ndim)
+    low = min(DIAGONAL_RUN_BITS, view.ndim - 1)
+    if axes and max(axes) >= view.ndim - low and view.size >= BLOCK_ELEMENTS:
+        lead = fac.shape[: view.ndim - low]
+        # Merging the broadcast axes copies: the factor's run.
+        fac = np.broadcast_to(fac, lead + (2,) * low).reshape(
+            lead + (1 << low,)
+        )
+        view = view.reshape(view.shape[: view.ndim - low] + (1 << low,))
+    view *= fac
 
 
 def apply_matrix(
@@ -121,6 +235,7 @@ def apply_matrix(
             f"{num_qubits} requires {1 << num_qubits}; for batched "
             f"(B, 2^k) inputs use apply_matrix_batched"
         )
+    check_operands(qubits, num_qubits)
     view = state.reshape((2,) * num_qubits)
     axes = _gate_axes(num_qubits, num_qubits, qubits, lead=0)
     if diagonal:
@@ -169,6 +284,7 @@ def apply_matrix_batched(
     """
     if states.ndim != 2 or states.shape[1] != 1 << num_local:
         raise ValueError(f"states must be (B, {1 << num_local})")
+    check_operands(qubits, num_local)
     batch = states.shape[0]
     view = states.reshape((batch,) + (2,) * num_local)
     axes = _gate_axes(num_local + 1, num_local, qubits, lead=1)

@@ -249,8 +249,11 @@ def small_blocks(monkeypatch):
     kernel's, and the entry points stop agreeing bitwise with each other
     (at 4 amplitudes they do, by an ulp) — a toy-size artefact: at the real
     ``BLOCK_ELEMENTS`` such an op has ``2^12`` columns or more per block.
+    The block rule never splits or groups a dense op's rows below
+    ``MIN_GEMM_COLUMNS`` columns, so its virtual rows stay bitwise at
+    this size too.  Diagonal ops stream from 16 amplitudes on.
     """
-    import repro.sv.backend
+    import repro.sv.kernels
 
-    monkeypatch.setattr(repro.sv.backend, "BLOCK_ELEMENTS", 16)
+    monkeypatch.setattr(repro.sv.kernels, "BLOCK_ELEMENTS", 16)
     return 16

@@ -34,7 +34,7 @@ from repro.sv import (
     split_blocks,
     zero_state,
 )
-from repro.sv.backend import BLOCK_ELEMENTS
+from repro.sv.kernels import BLOCK_ELEMENTS
 
 from conftest import random_circuit
 

@@ -141,6 +141,69 @@ class TestValidation:
             apply_matrix(batch, np.eye(2), (0,), 3)
 
 
+#: Operand tuples a 3-qubit row refuses, and the words that name them.
+BAD_OPERANDS = [
+    ((1, 1), r"duplicate operands in \(1, 1\)"),
+    ((2, 0, 2), r"duplicate operands in \(2, 0, 2\)"),
+    ((0, 3), r"operands \(3,\) of \(0, 3\) are outside 0\.\.2"),
+    ((-1,), r"operands \(-1,\) of \(-1,\) are outside 0\.\.2"),
+]
+
+
+class TestOperandChecks:
+    """Every entry point refuses bad operands by name, state untouched.
+
+    Before, a duplicate reached numpy as "repeated axis in `source`" or
+    "cannot reshape", and a negative operand indexed from the top."""
+
+    @pytest.mark.parametrize("operands,message", BAD_OPERANDS)
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_refused_before_the_state_is_touched(
+        self, operands, message, diagonal
+    ):
+        from repro.sv.backend import SerialBackend, ThreadedBackend
+
+        rng = np.random.default_rng(3)
+        matrix = np.diag(np.exp(1j * rng.standard_normal(1 << len(operands))))
+        with ThreadedBackend(2) as threaded:
+            entries = {
+                "apply_matrix": lambda s: apply_matrix(
+                    s[0], matrix, operands, 3, diagonal=diagonal
+                ),
+                "apply_matrix_batched": lambda s: apply_matrix_batched(
+                    s, matrix, operands, 3, diagonal=diagonal
+                ),
+            }
+            for backend in (SerialBackend(), threaded):
+                entries[backend.describe()] = (
+                    lambda s, b=backend: b.apply_matrix_rows(
+                        s, matrix, operands, 3, diagonal=diagonal
+                    )
+                )
+            for name, entry in entries.items():
+                states = random_state(5, seed=4).reshape(4, 8)
+                before = states.copy()
+                with pytest.raises(ValueError, match=message):
+                    entry(states)
+                assert np.array_equal(
+                    states.view(np.uint8), before.view(np.uint8)
+                ), name
+
+    def test_local_matrix_on_an_unknown_or_repeated_qubit(self):
+        from repro.dist import DistributedStateVector
+        from repro.runtime.comm import SimComm
+
+        state = DistributedStateVector.from_full(random_state(4, 5), SimComm(2))
+        before = state.shards.copy()
+        cx = gate_matrix("cx", ())
+        # An unknown qubit used to be a bare IndexError from the layout.
+        with pytest.raises(ValueError, match=r"operands \(9,\) of \(0, 9\)"):
+            state.apply_local_matrix(cx, (0, 9))
+        with pytest.raises(ValueError, match=r"duplicate operands in \(1, 1\)"):
+            state.apply_local_matrix(cx, (1, 1))
+        assert np.array_equal(state.shards.view(np.uint8), before.view(np.uint8))
+
+
 class TestCostModels:
     def test_flops_single_qubit_matches_paper(self):
         # Paper Sec III-A: 2^(n-1) matvecs of 28 flop each.

@@ -14,7 +14,7 @@ import sys
 from repro.analysis.tables import render_table
 from repro.cachesim import analyze_sweeps, sweeps_for_flat, sweeps_for_partition
 from repro.circuits.generators import qft
-from repro.dag import build_dag, dag_stats
+from repro.dag import GateGraph
 from repro.partition import get_partitioner, validate_partition
 from repro.runtime.machine import WORKSTATION_LIKE
 
@@ -24,10 +24,10 @@ def main() -> None:
     limit = int(sys.argv[2]) if len(sys.argv) > 2 else 12
     qc = qft(n)
     print(f"circuit: qft_{n} ({len(qc)} gates), working-set limit {limit}")
-    stats = dag_stats(build_dag(qc))
+    graph = GateGraph.from_circuit(qc)
     print(
-        f"DAG: {stats['nodes']} nodes ({stats['gate_nodes']} gates), "
-        f"{stats['edges']} edges, critical path {stats['critical_path']}\n"
+        f"DAG: {graph.num_nodes} gates, {sum(map(len, graph.succ))} "
+        f"dependency edges, longest path {qc.depth()} gates\n"
     )
 
     flat_prof = analyze_sweeps(sweeps_for_flat(qc))

@@ -84,7 +84,7 @@ PAPER_SUITE_SPEC: List[Dict] = [
 def build(name: str, num_qubits: int, **kwargs) -> QuantumCircuit:
     """Build a benchmark circuit by family name at a given width."""
     if name not in GENERATORS:
-        raise KeyError(
+        raise ValueError(
             f"unknown benchmark {name!r}; choose from {sorted(GENERATORS)}"
         )
     return GENERATORS[name](num_qubits, **kwargs)

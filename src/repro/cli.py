@@ -40,6 +40,7 @@ import argparse
 import sys
 import time
 
+from .circuits import generators
 from .config import ENV, RUN_OPTION_FIELDS, RunOptions, env
 from .partition import STRATEGIES
 from .sv.backend import BACKEND_NAMES
@@ -62,20 +63,6 @@ def _merged(args, keys, manifest=None) -> dict:
 
 def _run_options(args, manifest=None) -> RunOptions:
     return RunOptions(**_merged(args, RUN_OPTION_FIELDS, manifest))
-
-
-def _generated(name: str, qubits: int):
-    """The named generator's circuit for an executing subcommand.  An
-    unknown name is the registry's ``KeyError``; re-raised as the
-    ``ValueError`` every other unsatisfiable request already is (a
-    circuit the partitioner or cutter cannot place, an option out of
-    range), so :func:`main` reports it in one line."""
-    from .circuits import generators
-
-    try:
-        return generators.build(name, qubits)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
 
 
 def _cross_check(qc, state, label: str) -> int:
@@ -111,7 +98,7 @@ def _circuit(args) -> int:
     """Print a generated circuit's statistics or its OpenQASM."""
     from .circuits import qasm
 
-    qc = _generated(args.name, args.qubits)
+    qc = generators.build(args.name, args.qubits)
     if args.qasm:
         print(qasm.dumps(qc), end="")
     else:
@@ -132,7 +119,7 @@ def _simulate(args) -> int:
     from .sv.stabilizer import StabilizerState
 
     options = _run_options(args)
-    qc = _generated(args.name, args.qubits)
+    qc = generators.build(args.name, args.qubits)
     runner = BatchRunner(options)
     trace = ExecutionTrace()
     t0 = time.perf_counter()
@@ -195,7 +182,7 @@ def _cut(args) -> int:
     from .serve import BatchRunner
 
     options = _run_options(args)
-    qc = _generated(args.name, args.qubits)
+    qc = generators.build(args.name, args.qubits)
     want_state = args.state or (args.verify and qc.num_qubits <= 24)
     result = cut_run(
         qc,
@@ -349,7 +336,7 @@ def _dist_worker(args) -> int:
         print(f"rank {args.rank} out of range for {args.ranks} ranks")
         return 2
     options = _run_options(args)
-    qc = _generated(args.circuit, args.qubits)
+    qc = generators.build(args.circuit, args.qubits)
     # Before any peer is contacted: a bad rank count cannot mesh.
     comm = SimComm(args.ranks)
     local_bits = comm.local_bits(qc.num_qubits)
@@ -622,7 +609,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, MemoryError) as exc:
-        # The typed refusal of a request: an unknown generator, a circuit
+        # The typed refusal of a request: an unknown generator, strategy,
+        # backend or schedule (a manifest bypasses argparse), a circuit
         # the partitioner (``PartitionError``) or the cutter (``CutError``)
         # cannot place, an option out of range, a rank count that cannot
         # mesh, a manifest that cannot be read, a state that cannot be

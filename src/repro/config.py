@@ -110,8 +110,9 @@ class RunOptions:
     (``None`` for ``REPRO_METHOD``) choose where and how parts run.
 
     Names are checked where they are resolved — ``get_partitioner``,
-    ``resolve_backend`` and ``resolve_method`` own those errors; only
-    the ranges of ``limit`` and ``max_fused_qubits`` are checked here.
+    ``resolve_backend`` and ``resolve_method`` own those errors, each a
+    :class:`ValueError` naming the choices; only the ranges of
+    ``limit``, ``max_fused_qubits`` and ``threads`` are checked here.
 
     >>> RunOptions(strategy="DFS").limit is None
     True
@@ -138,6 +139,11 @@ class RunOptions:
         if self.max_fused_qubits < 1:
             raise ValueError(
                 f"max_fused_qubits must be >= 1 (got {self.max_fused_qubits})"
+            )
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(
+                f"threads must be >= 1 (got {self.threads}); pass None "
+                f"for REPRO_THREADS, else the core count"
             )
 
     def executor_kwargs(self) -> Dict[str, Any]:

@@ -17,7 +17,7 @@ rounding — this is what pins recombination to the uncut executor at
 only); :func:`recombine_expectations` contracts Pauli matrix elements
 without ever materialising it, and :func:`recombine_counts` samples —
 through the *same* seeded :func:`~repro.sv.simulator.sample_counts`
-path as the uncut pipeline below ``REPRO_CUT_DENSE_WIDTH``, and via a
+path as the uncut pipeline up to ``REPRO_CUT_DENSE_WIDTH``, and via a
 sequential per-fragment conditional sampler (Gram-matrix environments,
 exact but a different seeded stream) beyond it.
 
@@ -67,7 +67,7 @@ _PREP_COEFFS: Dict[str, Dict[str, float]] = {
 def dense_recombine_width() -> int:
     """Widest circuit recombined via a dense ``2^n`` state.
 
-    ``REPRO_CUT_DENSE_WIDTH`` (default 26 = a 1 GiB state): below it,
+    ``REPRO_CUT_DENSE_WIDTH`` (default 26 = a 1 GiB state): at or below it,
     counts come from the materialised state through the exact
     :func:`~repro.sv.simulator.sample_counts` path the uncut pipeline
     uses; above it, the streaming per-fragment sampler takes over.
@@ -233,7 +233,7 @@ def recombine_counts(
 ) -> Dict[int, int]:
     """Seeded measurement counts ``{basis_index: count}``.
 
-    Below ``dense_width`` (default :func:`dense_recombine_width`) the
+    At or below ``dense_width`` (default :func:`dense_recombine_width`) the
     state is materialised and sampled through the *identical*
     :func:`~repro.sv.simulator.sample_counts` call the uncut pipeline
     makes — same seed, same draws, exact distribution agreement.  Wider
@@ -289,24 +289,24 @@ def _stream_counts(
     rng = np.random.default_rng(seed)
 
     # G[beta, beta'] = sum_x A(beta, x) conj(A(beta', x)).
-    envs: List[np.ndarray] = [None] * len(mats)
-    env = np.ones((nb, nb), dtype=np.complex128)
+    suffixes: List[np.ndarray] = [None] * len(mats)
+    suffix = np.ones((nb, nb), dtype=np.complex128)
     for j in range(len(mats) - 1, -1, -1):
-        envs[j] = env
+        suffixes[j] = suffix
         gram = mats[j] @ mats[j].conj().T
-        env = env * gram[np.ix_(projs[j], projs[j])]
+        suffix = suffix * gram[np.ix_(projs[j], projs[j])]
 
     groups: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {
         (): (np.ones(nb, dtype=np.complex128), shots)
     }
     for j, mat in enumerate(mats):
         rows = mat[projs[j], :]  # (2^k, 2^free_j)
-        env = envs[j]
+        suffix = suffixes[j]
         next_groups: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
         for prefix, (partial, m) in groups.items():
             weighted = rows * partial[:, None]
             p = np.einsum(
-                "bx,bc,cx->x", weighted, env, np.conj(weighted)
+                "bx,bc,cx->x", weighted, suffix, np.conj(weighted)
             ).real
             p = np.clip(p, 0.0, None)
             p /= p.sum()

@@ -26,7 +26,7 @@ def get_partitioner(name: str, **kwargs) -> Partitioner:
     2
     """
     if name not in STRATEGIES:
-        raise KeyError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
+        raise ValueError(f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
     return STRATEGIES[name](**kwargs)
 
 

@@ -11,7 +11,7 @@ Architecture (stdlib only):
 * the **event loop** owns the listening socket and parses requests; job
   admission is all-or-nothing against a bounded
   :class:`~repro.serve.queue.AdmissionQueue` (full → ``429`` with
-  ``Retry-After``);
+  ``Retry-After``; a batch larger than the whole queue → ``413``);
 * **worker threads** pull fingerprint-affine batches from the queue,
   execute them through the shared runner (per-job failures isolate into
   ``error`` results — one tenant's bad job never discards a batch), and
@@ -503,11 +503,15 @@ class ServeDaemon:
                     "error": str(exc),
                     "retry_after": exc.retry_after,
                 }, [f"Retry-After: {max(1, round(exc.retry_after))}"]
-            except QueueClosed:
+            except (QueueClosed, ValueError) as exc:
+                # Draining, or a batch no drained queue could ever hold:
+                # neither is backpressure, so nothing counts as rejected.
                 for handle in handles:
                     self._store.discard(handle)
                 with self._metrics_lock:
                     self._submitted -= len(entries)
+                if isinstance(exc, ValueError):
+                    return 413, {"error": str(exc)}, []
                 return 503, {"error": "daemon is draining"}, []
             self._batches[batch_id] = handles
         return 202, {

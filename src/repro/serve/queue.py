@@ -3,8 +3,9 @@
 The daemon's front door: HTTP handlers :meth:`AdmissionQueue.submit`
 jobs (all-or-nothing per batch — a batch either fits under the capacity
 or is rejected whole with :class:`QueueFull`, which the HTTP layer turns
-into ``429 Retry-After``), and worker threads :meth:`AdmissionQueue.get_batch`
-them back out.
+into ``429 Retry-After``; a batch larger than the capacity itself is a
+``ValueError``, answered ``413``), and worker threads
+:meth:`AdmissionQueue.get_batch` them back out.
 
 Dispatch is **fingerprint-affine**: pending jobs are bucketed by
 structural fingerprint, a worker drains one bucket at a time, and the
@@ -94,7 +95,8 @@ class AdmissionQueue:
     ----------
     capacity:
         Maximum number of queued jobs.  A :meth:`submit` that would
-        exceed it raises :class:`QueueFull` without admitting anything.
+        exceed it raises :class:`QueueFull` without admitting anything
+        (a :class:`ValueError` if the batch alone exceeds it).
     retry_after:
         Backpressure hint attached to :class:`QueueFull` (seconds).
 
@@ -133,13 +135,24 @@ class AdmissionQueue:
         """Admit a batch whole, or raise.
 
         Raises :class:`QueueClosed` during drain and :class:`QueueFull`
-        when ``len(entries)`` jobs do not fit under ``capacity`` —
+        when ``len(entries)`` jobs do not fit beside the queued ones —
         nothing is admitted in either case, so a rejected batch can be
-        retried verbatim.
+        retried verbatim.  A batch larger than ``capacity`` never fits:
+        that is a :class:`ValueError`, not backpressure.
+
+        >>> AdmissionQueue(capacity=1).submit([None, None])
+        Traceback (most recent call last):
+        ...
+        ValueError: batch of 2 jobs exceeds the queue capacity of 1; split it
         """
         with self._cv:
             if self._closed:
                 raise QueueClosed("queue is draining; not accepting jobs")
+            if len(entries) > self.capacity:
+                raise ValueError(
+                    f"batch of {len(entries)} jobs exceeds the queue "
+                    f"capacity of {self.capacity}; split it"
+                )
             if self._size + len(entries) > self.capacity:
                 raise QueueFull(retry_after=self.retry_after)
             for entry in entries:

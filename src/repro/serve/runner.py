@@ -87,7 +87,7 @@ def order_jobs(schedule: str, structurals: Sequence[str]) -> List[int]:
     if schedule == "fifo":
         return list(range(len(structurals)))
     if schedule != "grouped":
-        raise KeyError(
+        raise ValueError(
             f"unknown schedule {schedule!r}; choose from ['fifo', 'grouped']"
         )
     groups: Dict[str, List[int]] = {}
@@ -255,6 +255,8 @@ class BatchRunner:
             raise ValueError("workers must be >= 1")
         order_jobs(schedule, [])  # validate the schedule name early
         self.options = replace(options or RunOptions(), **overrides)
+        # Partitioners hold configuration only: one serves every call.
+        self._partitioner = get_partitioner(self.options.strategy)
         self.schedule = schedule
         self.workers = int(workers)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -330,12 +332,13 @@ class BatchRunner:
     ) -> Tuple[Partition, bool]:
         """Partition from cache; ``(partition, was_cached)``.
 
-        Partitioning is keyed by ``(structural, strategy, limit)`` —
-        partitioners only consult gate operands and order, never
-        parameters, so one partition serves every circuit that shares a
-        structure (``structural`` is the circuit's structural
-        fingerprint, hashed here when not given).  The cache is a
-        :class:`~repro.sv.fusion.OnceCache` bounded like the plan cache:
+        Partitioning with the runner's one partitioner is keyed by
+        ``(structural, limit)`` — partitioners only consult gate
+        operands and order, never parameters, so one partition serves
+        every circuit that shares a structure (``structural`` is the
+        circuit's structural fingerprint, hashed here when not given).
+        The cache is a :class:`~repro.sv.fusion.OnceCache` bounded like
+        the plan cache:
         each cached structure is partitioned exactly once even under
         concurrent workers, *different* structures partition
         concurrently, and an evicted structure is partitioned, and
@@ -356,14 +359,13 @@ class BatchRunner:
         """
         if structural is None:
             structural = structural_fingerprint(circuit)
-        strategy = self.options.strategy
         if limit is None:
             limit = self.options.limit
         if limit is None:
             limit = default_limit(circuit.num_qubits)
         partition, cached = self._partitions.get(
-            (structural, strategy, limit),
-            lambda: get_partitioner(strategy).partition(circuit, limit),
+            (structural, limit),
+            lambda: self._partitioner.partition(circuit, limit),
         )
         with self._partition_lock:
             if cached:

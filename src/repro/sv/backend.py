@@ -562,7 +562,7 @@ def get_backend(
     2
     """
     if name not in _BACKEND_CLASSES:
-        raise KeyError(
+        raise ValueError(
             f"unknown backend {name!r}; choose from {BACKEND_NAMES}"
         )
     if name == "serial":
@@ -599,7 +599,7 @@ def resolve_backend(
     """Resolve a ``backend=`` argument to a live backend.
 
     ``None`` consults ``REPRO_BACKEND`` (default ``serial``; an unknown
-    name there is a :class:`KeyError` that says where it came from); a
+    name there is a :class:`ValueError` that says where it came from); a
     string names a shared instance; an :class:`ExecutionBackend` passes
     through.  ``threads`` defaults from ``REPRO_THREADS`` when unset.
 
@@ -614,7 +614,7 @@ def resolve_backend(
     if spec is None:
         spec = env("REPRO_BACKEND")
         if spec not in BACKEND_NAMES:
-            raise KeyError(
+            raise ValueError(
                 f"unknown backend {spec!r} in REPRO_BACKEND; choose from "
                 f"{BACKEND_NAMES}"
             )

@@ -26,9 +26,13 @@ def _normalise(term: PauliTerm, num_qubits: int) -> Dict[int, str]:
             raise ValueError(
                 f"Pauli string length {len(term)} != {num_qubits} qubits"
             )
-        ops = {q: c.upper() for q, c in enumerate(term) if c.upper() != "I"}
-    else:
-        ops = {int(q): str(c).upper() for q, c in term.items() if c.upper() != "I"}
+        term = dict(enumerate(term))
+    ops = {}
+    for q, c in term.items():
+        if not isinstance(c, str):
+            raise ValueError(f"bad Pauli {c!r}")
+        if c.upper() != "I":
+            ops[int(q)] = c.upper()
     for q, c in ops.items():
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range")

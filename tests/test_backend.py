@@ -251,7 +251,7 @@ class TestSerialThreadedBitwiseUnpatched:
 
 class TestSelection:
     def test_get_backend_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="choose from"):
             get_backend("gpu")
 
     def test_get_backend_kinds(self):
@@ -302,10 +302,10 @@ class TestSelection:
         assert ThreadedBackend(4).describe() == "threaded[4]"
 
     def test_removed_process_backend_is_an_unknown_name(self):
-        # The KeyError names the backends that remain.
+        # The ValueError names the backends that remain.
         for name in ("process", "array"):
             for lookup in (get_backend, resolve_backend):
-                with pytest.raises(KeyError, match=name) as exc:
+                with pytest.raises(ValueError, match=name) as exc:
                     lookup(name)
                 assert "('serial', 'threaded')" in str(exc.value)
 
@@ -315,7 +315,7 @@ class TestSelection:
 
         monkeypatch.setenv("REPRO_BACKEND", "array")
         for resolve in (lambda: resolve_backend(None), BatchRunner):
-            with pytest.raises(KeyError, match="unknown backend 'array'") as exc:
+            with pytest.raises(ValueError, match="unknown backend 'array'") as exc:
                 resolve()
             assert "REPRO_BACKEND" in str(exc.value)
             assert "('serial', 'threaded')" in str(exc.value)

@@ -276,6 +276,24 @@ class TestRefusalsAreOneLine:
         self._refused(["batch", str(manifest)],
                       "max_fused_qubits must be >= 1 (got 0)", capsys)
 
+    @pytest.mark.parametrize("option,message", [
+        ({"schedule": "bogus"}, "unknown schedule 'bogus'; choose from"),
+        ({"backend": "gpu"}, "unknown backend 'gpu'; choose from"),
+        ({"strategy": "KL"}, "unknown strategy 'KL'; choose from"),
+        ({"threads": 0}, "threads must be >= 1 (got 0)"),
+    ], ids=["schedule", "backend", "strategy", "threads"])
+    def test_batch_manifest_with_a_bad_option(self, option, message,
+                                              tmp_path, capsys):
+        # Argparse never sees a manifest option: the name or range is
+        # refused where it is resolved, before any job runs.
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps({
+            **option, "jobs": [{"circuit": {"generator": "qft", "qubits": 4}}],
+        }))
+        self._refused(["batch", str(manifest)], message, capsys)
+
     def test_unreadable_batch_manifest(self, tmp_path, capsys):
         # Used to escape as FileNotFoundError / IsADirectoryError.
         for path in (tmp_path / "missing.json", tmp_path):

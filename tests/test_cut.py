@@ -3,7 +3,7 @@
 The load-bearing property: for any circuit, cutting + fragment
 evaluation + recombination must reproduce the uncut dense simulation to
 1e-10 — across partitioner strategies, cut counts 1-3, fusion on/off
-and serial/threaded backends.  Below ``REPRO_CUT_DENSE_WIDTH`` the
+and serial/threaded backends.  Up to ``REPRO_CUT_DENSE_WIDTH`` the
 sampled counts must agree with the uncut path *exactly* (same seeded
 draws).  The rest of the file pins the cutter's legality rules, the
 16^k variant enumeration, a hand-computed contraction, the fingerprint
@@ -222,6 +222,25 @@ class TestStreaming:
         monkeypatch.setenv("REPRO_CUT_DENSE_WIDTH", "2")
         with pytest.raises(CutError, match="dense recombine width"):
             recombine_state(plan, tensors)
+
+    def test_dense_width_is_inclusive(self, monkeypatch):
+        qc, plan, tensors = self._plan()
+        n = qc.num_qubits
+        # n == width: the state materialises and the counts are the
+        # uncut run's seeded draws.
+        monkeypatch.setenv("REPRO_CUT_DENSE_WIDTH", str(n))
+        state = recombine_state(plan, tensors)
+        assert np.max(np.abs(state - uncut_state(qc))) < ATOL
+        assert recombine_counts(plan, tensors, 128, seed=4) == (
+            sample_counts(uncut_state(qc), 128, seed=4)
+        )
+        # n == width + 1: no dense state, so counts stream.
+        monkeypatch.setenv("REPRO_CUT_DENSE_WIDTH", str(n - 1))
+        with pytest.raises(CutError, match="dense recombine width"):
+            recombine_state(plan, tensors)
+        assert recombine_counts(plan, tensors, 128, seed=4) == (
+            recombine_counts(plan, tensors, 128, seed=4, dense_width=0)
+        )
 
 
 class TestCutter:

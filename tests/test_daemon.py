@@ -155,6 +155,13 @@ class TestAdmissionQueue:
         q.submit([_entry("a1", a)])  # a fitting batch still works
         assert q.depth == 2
 
+    def test_batch_larger_than_capacity_is_not_backpressure(self):
+        a = QuantumCircuit(2).h(0)
+        q = AdmissionQueue(capacity=2)
+        with pytest.raises(ValueError, match="batch of 3 jobs exceeds"):
+            q.submit([_entry(f"a{k}", a) for k in range(3)])
+        assert q.depth == 0
+
     def test_close_semantics(self):
         a = QuantumCircuit(2).h(0)
         q = AdmissionQueue(capacity=4)
@@ -521,6 +528,28 @@ class TestBackpressure:
             assert metrics["jobs"]["submitted"] == 2
             assert metrics["jobs"]["rejected"] == 1
             assert metrics["store"]["records"] == 2
+        finally:
+            d.stop()
+
+    def test_batch_larger_than_the_queue_answers_413(self):
+        # No amount of draining makes 3 jobs fit a 2-job queue: a 429
+        # here would have an obedient client retry forever.
+        d = ServeDaemon(ServeConfig(
+            port=0, workers=0, queue_limit=2
+        )).start()
+        try:
+            status, payload, headers = request(
+                d.port, "POST", "/jobs", payload=sweep_manifest(jobs=3)
+            )
+            assert status == 413
+            assert "Retry-After" not in headers
+            assert "batch of 3 jobs" in payload["error"]
+            assert "capacity of 2" in payload["error"]
+            status, metrics, _ = request(d.port, "GET", "/metrics")
+            assert metrics["queue"]["depth"] == 0
+            assert metrics["store"]["records"] == 0
+            assert metrics["jobs"]["submitted"] == 0
+            assert metrics["jobs"]["rejected"] == 0
         finally:
             d.stop()
 

@@ -40,7 +40,7 @@ class TestRegistry:
         assert np.isclose(np.linalg.norm(sim.state), 1.0)
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="choose from"):
             generators.build("nope", 8)
 
     def test_paper_suite_widths(self):

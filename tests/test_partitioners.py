@@ -26,7 +26,7 @@ class TestRegistry:
     def test_get_partitioner(self):
         assert get_partitioner("Nat").name == "Nat"
         assert get_partitioner("DFS", trials=3).trials == 3
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="choose from"):
             get_partitioner("bogus")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.sv.pauli import energy, pauli_expectation
+from repro.sv.pauli import energy, expectations, pauli_expectation
 from repro.sv.simulator import StateVectorSimulator, random_state, zero_state
 
 PAULIS = {
@@ -86,3 +86,9 @@ class TestEnergy:
             pauli_expectation(zero_state(2), {5: "Z"}, 2)  # out of range
         with pytest.raises(ValueError):
             pauli_expectation(np.zeros(3, dtype=complex), "ZZ", 2)
+
+    @pytest.mark.parametrize("op", [1, None])
+    def test_map_op_that_is_not_a_string(self, op):
+        # Used to escape as AttributeError from ``op.upper()``.
+        with pytest.raises(ValueError, match=f"bad Pauli {op!r}"):
+            expectations(zero_state(2), [{0: op}], 2)

@@ -166,7 +166,7 @@ class TestScheduler:
         assert sorted(order_jobs("grouped", fps)) == list(range(10))
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="choose from"):
             order_jobs("shortest-job-first", ["a"])
 
 
@@ -327,10 +327,15 @@ class TestBatchRunner:
         )
 
     def test_bad_configuration_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown schedule"):
             BatchRunner(schedule="lifo")
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
+        # The partitioner is resolved once, at construction.
+        with pytest.raises(ValueError, match="unknown strategy 'KL'"):
+            BatchRunner(strategy="KL")
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            BatchRunner(threads=0)
 
 
 # ---------------------------------------------------------------------------

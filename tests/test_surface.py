@@ -43,10 +43,6 @@ REFERENCES = {
     "CacheHierarchy": "test_cachesim.py",
     "line_trace_flat": "test_cachesim.py",
     "line_trace_hierarchical": "test_cachesim.py",
-    # The paper's Sec. IV-A DAG model (docs/architecture.md).
-    "working_set_by_inedges": "test_dag.py",
-    "working_set_direct": "test_dag.py",
-    "qubit_traces": "test_dag.py",
     # The round-trip helpers of the property tests (and of the
     # roadmap's metamorphic oracle).
     "inverse_circuit": "test_cross_properties.py",

@@ -424,8 +424,9 @@ _RUN_FLAGS = {
                     help="backend worker count, >= 1 (default: "
                          "REPRO_THREADS, else core count)"),
     "method": dict(choices=METHOD_NAMES,
-                   help="simulation method; auto routes all-Clifford circuits "
-                        "to the tableau engine (default: REPRO_METHOD)"),
+                   help="simulation method; auto runs leading Clifford-only "
+                        "parts on the tableau engine, the rest dense "
+                        "(default: REPRO_METHOD)"),
 }
 
 #: The options every executing subcommand takes.

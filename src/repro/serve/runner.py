@@ -395,8 +395,9 @@ class BatchRunner:
 
         Partitions through the cache, builds the initial state the
         resolved method calls for and runs every part on the shared plan
-        cache and backend.  ``state`` is a dense array or, for an
-        all-Clifford run, a :class:`~repro.sv.stabilizer.StabilizerState`.
+        cache and backend.  ``state`` is a dense array or, when every
+        part ran on the tableau (an all-Clifford circuit under ``auto``
+        or ``stabilizer``), a :class:`~repro.sv.stabilizer.StabilizerState`.
         ``structural`` (the circuit's structural fingerprint, hashed
         here when not given) and ``counters`` are what :meth:`run`
         already holds for each job.

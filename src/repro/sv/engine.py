@@ -8,12 +8,13 @@ on the representation it is handed — dense arrays go to an
 parts through ``apply_all`` and converts to dense amplitudes only at the
 first non-Clifford part.
 
-Method selection (``resolve_method``): ``auto`` (default) routes
-all-Clifford circuits to the tableau and everything else through the
-dense path; ``stabilizer`` opts in to hybrid prefix routing (Clifford
-parts in tableau until the first non-Clifford part); ``dense`` forces
-the dense path everywhere.  The environment knob is ``REPRO_METHOD``
-(see ``docs/configuration.md``).
+Method selection (``resolve_method``): ``auto`` (default) runs a
+circuit's leading Clifford-only parts on the tableau and the rest on
+the dense path — a circuit whose first part is not Clifford-only runs
+dense bit-identically, and above 30 qubits only all-Clifford circuits
+start on the tableau; ``stabilizer`` takes the prefix route at every
+width; ``dense`` forces the dense path everywhere.  The environment
+knob is ``REPRO_METHOD`` (see ``docs/configuration.md``).
 """
 
 from __future__ import annotations

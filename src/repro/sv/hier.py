@@ -34,8 +34,11 @@ one, see :meth:`~HierarchicalExecutor.initial_state`): a
 :class:`~repro.sv.stabilizer.StabilizerState` takes a Clifford-only
 part's source gates on the tableau; the first other part converts it to
 amplitudes once, and every dense part goes to ``backend.run_plan``.
-``method="auto"`` starts only all-Clifford circuits in tableau form, so
-dense inputs stay on the pre-routing path, bit-identical.
+``method="auto"`` starts every circuit that could be materialised (and
+every all-Clifford one) in tableau form, so a leading run of Clifford
+parts never sweeps ``2^n`` amplitudes; a circuit whose first part is not
+Clifford-only starts from ``zero_state(n)``, bit-identical to a dense
+start, and a dense array input always takes the pre-routing path.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .fusion import (
     CompiledPartPlan,
     PlanCache,
 )
-from .stabilizer import StabilizerState, is_clifford_circuit
+from .stabilizer import MAX_DENSE_QUBITS, StabilizerState, is_clifford_circuit
 
 __all__ = ["HierarchicalExecutor", "ExecutionTrace"]
 
@@ -200,19 +203,24 @@ class HierarchicalExecutor:
 
         ``method="dense"`` always yields a dense array;
         ``method="stabilizer"`` always yields a tableau (hybrid runs
-        convert at the first non-Clifford part); ``method="auto"``
-        yields a tableau only when *every* gate of the circuit is
-        Clifford — so non-Clifford workloads get a dense array and run
-        bit-identically to the pre-routing executor — and never
-        allocates ``2^n`` amplitudes for all-Clifford circuits.
+        convert at the first non-Clifford part).  ``method="auto"``
+        yields a tableau whenever the run could materialise it — up to
+        :data:`~repro.sv.stabilizer.MAX_DENSE_QUBITS` qubits, or at any
+        width when every gate is Clifford — so :meth:`run` keeps a
+        circuit's leading Clifford parts on the tableau.  A circuit
+        whose first part is not Clifford-only starts from
+        ``zero_state(n)`` in :meth:`run`, bit-identically to a dense
+        start; a wider non-Clifford circuit gets a dense array here.
         """
-        if self.method == "stabilizer":
-            return StabilizerState(circuit.num_qubits)
-        if self.method == "auto" and is_clifford_circuit(circuit.gates):
-            return StabilizerState(circuit.num_qubits)
+        n = circuit.num_qubits
+        if self.method == "stabilizer" or (
+            self.method == "auto"
+            and (n <= MAX_DENSE_QUBITS or is_clifford_circuit(circuit.gates))
+        ):
+            return StabilizerState(n)
         from .simulator import zero_state
 
-        return zero_state(circuit.num_qubits)
+        return zero_state(n)
 
     def run(
         self,
@@ -233,8 +241,10 @@ class HierarchicalExecutor:
         :meth:`initial_state`) takes Clifford parts on the tableau (their
         *source* gates — fused dense matrices are useless to it); the
         first non-Clifford part materialises it to dense amplitudes
-        (counted in ``trace.boundary_conversions``) and the return value
-        is then that dense array, not the input object.
+        (counted in ``trace.boundary_conversions`` unless the tableau is
+        still ``|0...0>``, which becomes ``zero_state(n)`` byte for
+        byte) and the return value is then that dense array, not the
+        input object.
 
         ``structural_key`` (optional) routes plan lookup through the
         plan cache's structural layer: pass a fingerprint of the
@@ -265,9 +275,9 @@ class HierarchicalExecutor:
                 if is_clifford_circuit(gates):
                     self._run_tableau_part(part, gates, state, trace)
                     continue
-                state = state.to_dense()
-                if trace is not None:
+                if trace is not None and not state.is_zero_state:
                     trace.boundary_conversions += 1
+                state = state.to_dense()
             plan = self._dense_plan(
                 circuit, part, structural_key, cache_counters
             )

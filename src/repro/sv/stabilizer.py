@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..circuits.gates import GATE_DEFS, Gate
+from .kernels import check_operands
 
 __all__ = ["StabilizerState", "is_clifford_circuit"]
 
@@ -45,6 +46,10 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 SUPPORTED_GATES = frozenset(
     name for name, d in GATE_DEFS.items() if d.clifford
 )
+#: Widest register :meth:`StabilizerState.to_dense` materialises (16 GiB
+#: of amplitudes); ``method="auto"`` starts every run up to this width
+#: on the tableau, since any of them could convert later.
+MAX_DENSE_QUBITS = 30
 
 
 def is_clifford_circuit(gates: Iterable[Gate]) -> bool:
@@ -125,42 +130,55 @@ class StabilizerState:
         rho = self._relative_amplitude(index)
         return rho * self.ref_amp
 
+    @property
+    def is_zero_state(self) -> bool:
+        """True while the state is exactly ``|0...0>`` with amplitude 1.
+
+        >>> st = StabilizerState(2); st.is_zero_state
+        True
+        >>> st.apply_named("h", (0,)); st.is_zero_state
+        False
+        """
+        return self.ref_index == 0 and self.ref_amp == 1 and not any(self.xs)
+
     def to_dense(self) -> np.ndarray:
         """Materialise the full ``2^n`` dense state vector.
 
         This is the part-boundary conversion: when a non-Clifford part
         consumes a stabilizer-represented state, the executor calls this
-        once and continues on the dense path.  Raises at widths where
-        the dense vector is hopeless rather than thrashing the machine.
+        once and continues on the dense path.  Raises above
+        :data:`MAX_DENSE_QUBITS` rather than thrashing the machine.
+
+        The ``2^k`` support amplitudes are the subset products of the
+        ``k`` pivot Paulis, built by doubling in numpy integer arrays
+        (``uint32`` masks, ``uint8`` phases): at most 12 bytes of
+        temporaries per amplitude beside the 16-byte output.  Each
+        written value is one of four exact ``i^p * ref_amp`` products,
+        so the result is bitwise that of a one-product-per-step walk.
 
         >>> st = StabilizerState(1); st.apply_named("x", (0,))
         >>> st.to_dense().tolist()
         [0j, (1+0j)]
         """
+        from . import simulator
+
         n = self.num_qubits
-        if n > 30:
+        if n > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"refusing to materialise 2^{n} dense amplitudes; "
                 f"keep the state in stabilizer form at this width"
             )
-        out = np.zeros(1 << n, dtype=np.complex128)
+        out = simulator.zero_state(n)
+        out[0] = 0.0
         pivots = self._pivot_paulis()
-        k = len(pivots)
+        if pivots:
+            xs, phases = _subset_products(pivots, self.ref_index)
+            values = np.array([w * self.ref_amp for w in _I_POW])
+            xs ^= np.uint32(self.ref_index)
+            for lo in range(0, len(xs), _SCATTER_CHUNK):
+                hi = lo + _SCATTER_CHUNK
+                out[xs[lo:hi]] = values[phases[lo:hi]]
         out[self.ref_index] = self.ref_amp
-        if k == 0:
-            return out
-        # Gray-code walk over pivot subsets: one Pauli multiply per step.
-        cx = cz = cr = 0
-        code = 0
-        for step in range(1, 1 << k):
-            j = (step & -step).bit_length() - 1
-            px, pz, pr = pivots[j]
-            cr = (cr + pr + 2 * _parity(cz & px)) & 3
-            cx ^= px
-            cz ^= pz
-            code ^= 1 << j
-            phase = (cr + 2 * _parity(cz & self.ref_index)) & 3
-            out[self.ref_index ^ cx] = _I_POW[phase] * self.ref_amp
         return out
 
     def copy(self) -> "StabilizerState":
@@ -198,10 +216,31 @@ class StabilizerState:
         self.apply_named(gate.name, gate.qubits)
 
     def apply_named(self, name: str, qubits: Tuple[int, ...]) -> None:
-        """Apply a Clifford gate by registry name and operand tuple."""
+        """Apply a Clifford gate by registry name and operand tuple.
+
+        A wrong operand count, or an operand that is duplicated or
+        outside the register, is refused before the state is touched.
+
+        >>> st = StabilizerState(2)
+        >>> st.apply_named("cx", (1, 1))
+        Traceback (most recent call last):
+        ...
+        ValueError: duplicate operands in (1, 1)
+        >>> st.apply_named("h", (0, 1))
+        Traceback (most recent call last):
+        ...
+        ValueError: gate 'h' takes 1 qubit(s), got (0, 1)
+        """
         handler = _DISPATCH.get(name)
         if handler is None:
             raise ValueError(f"unsupported stabilizer gate {name!r}")
+        qubits = tuple(qubits)
+        if len(qubits) != GATE_DEFS[name].num_qubits:
+            raise ValueError(
+                f"gate {name!r} takes {GATE_DEFS[name].num_qubits} "
+                f"qubit(s), got {qubits}"
+            )
+        check_operands(qubits, self.num_qubits)
         handler(self, *qubits)
 
     def apply_all(self, gates: Iterable[Gate]) -> None:
@@ -443,7 +482,46 @@ def _parity(x: int) -> int:
     return bin(x).count("1") & 1
 
 
+def _subset_products(
+    pivots: List[Tuple[int, int, int]], ref_index: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """X-masks and amplitude phases of every product of ``pivots``.
+
+    Entry ``s`` of both arrays belongs to the product over the pivots
+    whose bits are set in ``s``: its X-mask, and the power ``p`` of
+    ``i`` with ``<ref ^ mask|psi> = i^p <ref|psi>``.  Doubling appends
+    pivot ``j`` to the ``2^j`` products built so far.  The pivots
+    commute, so the phase of ``P_S * P_j`` adds ``r_j`` and twice the
+    parity of ``z_S & x_j``.  That parity is XOR-linear in ``S``, so
+    bit ``j`` of ``cross[S]`` carries it and doubling builds ``cross``
+    too.  The read-off term ``2 * parity(z_S & ref)`` is linear as
+    well and folds into each pivot's own phase.
+    """
+    k = len(pivots)
+    xs = np.zeros(1 << k, dtype=np.uint32)
+    cross = np.zeros(1 << k, dtype=np.uint32)
+    phases = np.zeros(1 << k, dtype=np.uint8)
+    for j, (px, pz, pr) in enumerate(pivots):
+        h = 1 << j
+        row = sum(
+            _parity(pz & pivots[t][0]) << t for t in range(j + 1, k)
+        )
+        np.bitwise_xor(xs[:h], np.uint32(px), out=xs[h : 2 * h])
+        np.bitwise_xor(cross[:h], np.uint32(row), out=cross[h : 2 * h])
+        step = (cross[:h] >> np.uint32(j)).astype(np.uint8)
+        step &= np.uint8(1)
+        step <<= np.uint8(1)
+        step += phases[:h]
+        step += np.uint8((pr + 2 * _parity(pz & ref_index)) & 3)
+        step &= np.uint8(3)
+        phases[h : 2 * h] = step
+    return xs, phases
+
+
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+#: Amplitudes written per fancy-index call in ``to_dense`` (bounds the
+#: index and value temporaries).
+_SCATTER_CHUNK = 1 << 14
 
 _H_COEFF = ((_SQRT2_INV, _SQRT2_INV), (_SQRT2_INV, -_SQRT2_INV))
 _SX_COEFF = (

@@ -166,6 +166,32 @@ def refine_reference(sub, labels: List[int], max_passes: int = 8) -> List[int]:
     return state.labels
 
 
+def to_dense_reference(state) -> np.ndarray:
+    """Oracle for ``StabilizerState.to_dense``: the conversion as first
+    written -- a Gray-code walk over the pivot Paulis' subsets, one Pauli
+    multiply and one amplitude per step in Python.  The production
+    doubling must agree with it bit for bit, signed zeros included.
+    """
+    from repro.sv.stabilizer import _I_POW
+
+    def parity(x: int) -> int:
+        return bin(x).count("1") & 1
+
+    out = np.zeros(1 << state.num_qubits, dtype=np.complex128)
+    pivots = state._pivot_paulis()
+    out[state.ref_index] = state.ref_amp
+    cx = cz = cr = 0
+    for step in range(1, 1 << len(pivots)):
+        j = (step & -step).bit_length() - 1
+        px, pz, pr = pivots[j]
+        cr = (cr + pr + 2 * parity(cz & px)) & 3
+        cx ^= px
+        cz ^= pz
+        phase = (cr + 2 * parity(cz & state.ref_index)) & 3
+        out[state.ref_index ^ cx] = _I_POW[phase] * state.ref_amp
+    return out
+
+
 def scatter_reference(shards: np.ndarray, sigma):
     """Elementwise oracle for the bit-permutation exchange ``sigma``.
 

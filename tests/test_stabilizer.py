@@ -1,22 +1,33 @@
 """Per-part engine routing and the stabilizer tableau fast path.
 
-Differential coverage for PR 7: seeded random Clifford circuits must
-match the dense path to 1e-10 through every backend/fusion combination;
+Differential coverage: seeded random Clifford circuits must match the
+dense path to 1e-10 through every backend/fusion combination;
 ``method=auto`` must change nothing (byte-identical states, all-dense
-routing) for non-Clifford circuits; hybrid runs must convert at the
-Clifford/non-Clifford part boundary exactly once; and the serving stack
-must validate, route and account the ``method`` option like any other
-runner knob.
+routing) for circuits whose first part is not Clifford-only, and must
+keep a Clifford+T circuit's leading Clifford parts on the tableau;
+hybrid runs must convert at the Clifford/non-Clifford part boundary
+exactly once; ``to_dense`` must equal the test-side Gray-code walk bit
+for bit; and the serving stack must validate, route and account the
+``method`` option like any other runner knob.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_DEFS
-from repro.circuits.generators import build, qft, stabilizer_random, syndrome
+from repro.circuits.generators import (
+    build,
+    ising,
+    qaoa,
+    qft,
+    stabilizer_random,
+    syndrome,
+)
 from repro.partition import get_partitioner
 from repro.partition.base import Partition
 from repro.serve import BatchRunner, SimJob, load_manifest
@@ -29,6 +40,9 @@ from repro.sv import (
     zero_state,
 )
 from repro.sv.simulator import StateVectorSimulator
+
+from conftest import to_dense_reference
+from strategies import circuits
 
 CLIFFORD_NAMES = {
     "id", "x", "y", "z", "h", "s", "sdg", "sx",
@@ -116,6 +130,114 @@ class TestStabilizerState:
 
 
 # ---------------------------------------------------------------------------
+# Operand refusals: a bad operand never reaches the tableau
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(state):
+    return (
+        list(state.xs), list(state.zs), list(state.rs),
+        state.ref_index, state.ref_amp,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, qubits, match",
+    [
+        ("h", (5,), r"operands \(5,\) of \(5,\) are outside 0\.\.1"),
+        ("x", (-1,), r"outside 0\.\.1"),
+        ("swap", (0, 2), r"outside 0\.\.1"),
+        ("cx", (1, 1), r"duplicate operands in \(1, 1\)"),
+        ("h", (0, 1), r"gate 'h' takes 1 qubit\(s\), got \(0, 1\)"),
+        ("cz", (0,), r"gate 'cz' takes 2 qubit\(s\)"),
+        ("t", (0,), "unsupported stabilizer gate 't'"),
+    ],
+)
+def test_bad_operands_are_refused_and_leave_the_state(name, qubits, match):
+    st = StabilizerState(2)
+    st.apply_named("h", (0,))
+    st.apply_named("s", (0,))
+    before = _snapshot(st)
+    with pytest.raises(ValueError, match=match):
+        st.apply_named(name, qubits)
+    assert _snapshot(st) == before
+    assert abs(np.linalg.norm(st.to_dense()) - 1.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# to_dense against the Gray-code walk (conftest.to_dense_reference)
+# ---------------------------------------------------------------------------
+
+#: Clifford gates that map each basis state to one basis state (times a
+#: phase): after an ``h`` on every qubit they keep all ``2^n`` in support.
+MONOMIAL_NAMES = (
+    "x", "y", "z", "s", "sdg", "cx", "cy", "cz", "swap", "iswap",
+)
+
+
+@hst.composite
+def clifford_tableaus(draw):
+    """``(tableau, full)``: a random Clifford circuit of 1-14 qubits
+    applied to ``|0...0>``.  With ``full``, an ``h`` on every qubit comes
+    first and only monomial gates follow, so the support is complete."""
+    full = draw(hst.booleans())
+    body = draw(
+        circuits(
+            min_qubits=1,
+            max_qubits=14,
+            min_gates=0,
+            max_gates=40,
+            pool=MONOMIAL_NAMES if full else sorted(CLIFFORD_NAMES),
+        )
+    )
+    n = body.num_qubits
+    qc = QuantumCircuit(n)
+    if full:
+        for q in range(n):
+            qc.h(q)
+    tableau = StabilizerState(n)
+    tableau.apply_all(qc.compose(body).gates)
+    return tableau, full
+
+
+@settings(max_examples=80, deadline=None)
+@given(clifford_tableaus())
+def test_to_dense_is_the_reference_walk_bit_for_bit(case):
+    tableau, full = case
+    if full:
+        assert tableau.support_rank == tableau.num_qubits
+    got = tableau.to_dense()
+    assert got.tobytes() == to_dense_reference(tableau).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 14])
+def test_to_dense_full_support_off_a_zero_reference(n):
+    qc = QuantumCircuit(n)
+    for q in range(n):
+        qc.h(q)
+    qc.x(n - 1).s(0).y(0).cz(0, n - 1).iswap(0, n - 1)
+    tableau = StabilizerState(n)
+    tableau.apply_all(qc.gates)
+    assert tableau.support_rank == n and tableau.ref_index != 0
+    got = tableau.to_dense()
+    assert got.tobytes() == to_dense_reference(tableau).tobytes()
+    sim = StateVectorSimulator(n)
+    sim.run(qc)
+    assert np.abs(got - sim.state).max() < 1e-12
+
+
+def test_to_dense_allocates_through_zero_state(monkeypatch):
+    from repro.sv import simulator
+
+    def refuse(num_qubits):
+        raise MemoryError(f"Unable to allocate 2^{num_qubits}")
+
+    monkeypatch.setattr(simulator, "zero_state", refuse)
+    with pytest.raises(MemoryError):
+        StabilizerState(3).to_dense()
+
+
+# ---------------------------------------------------------------------------
 # Differential: stabilizer vs dense on >= 100 seeded circuits
 # ---------------------------------------------------------------------------
 
@@ -175,7 +297,6 @@ def test_auto_on_non_clifford_is_byte_identical_and_all_dense():
     partition = get_partitioner("dagP").partition(qc, 5)
     auto_ex = HierarchicalExecutor(method="auto")
     state = auto_ex.initial_state(qc)
-    assert isinstance(state, np.ndarray)  # auto never tableaus non-Clifford
     trace = ExecutionTrace()
     out = auto_ex.run(qc, partition, state, trace)
     ref = HierarchicalExecutor(method="dense").run(
@@ -207,6 +328,109 @@ def test_dense_array_input_never_reroutes():
     out = ex.run(qc, partition, zero_state(6), trace)
     assert isinstance(out, np.ndarray)
     assert set(trace.part_engines) == {"dense"}
+
+
+# ---------------------------------------------------------------------------
+# Routing matrix: method x circuit kind
+# ---------------------------------------------------------------------------
+
+
+def _mix(n, seed=3):
+    """Clifford prefix -> T layer -> Ising suffix, like the perf
+    harness's ``mix`` family."""
+    qc = QuantumCircuit(n, name=f"mix{n}")
+    qc.compose(stabilizer_random(n, seed=seed))
+    for q in range(n):
+        qc.t(q)
+    return qc.compose(ising(n, steps=2))
+
+
+ROUTING_CIRCUITS = {
+    "clifford": lambda: stabilizer_random(8, depth=12, seed=5),
+    "mix": lambda: _mix(10),
+    "qft": lambda: qft(8),
+    "qaoa": lambda: qaoa(8, p=2),
+}
+
+
+def _routed(kind, method):
+    qc = ROUTING_CIRCUITS[kind]()
+    partition = get_partitioner("dagP").partition(qc, qc.num_qubits - 3)
+    ex = HierarchicalExecutor(method=method)
+    trace = ExecutionTrace()
+    out = ex.run(qc, partition, ex.initial_state(qc), trace)
+    return partition, out, trace
+
+
+def _leading_clifford_parts(kind):
+    qc = ROUTING_CIRCUITS[kind]()
+    partition = get_partitioner("dagP").partition(qc, qc.num_qubits - 3)
+    lead = 0
+    for part in partition.parts:
+        if not is_clifford_circuit(qc[g] for g in part.gate_indices):
+            break
+        lead += 1
+    return lead
+
+
+class TestRoutingMatrix:
+    @pytest.mark.parametrize("method", ["auto", "stabilizer"])
+    @pytest.mark.parametrize("kind", sorted(ROUTING_CIRCUITS))
+    def test_amplitudes_agree_with_dense(self, kind, method):
+        _, out, _ = _routed(kind, method)
+        _, ref, _ = _routed(kind, "dense")
+        if isinstance(out, StabilizerState):
+            out = out.to_dense()
+        assert np.abs(out - ref).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ["qft", "qaoa"])
+    def test_non_clifford_first_under_auto_is_a_dense_start(self, kind):
+        assert _leading_clifford_parts(kind) == 0
+        partition, out, trace = _routed(kind, "auto")
+        _, ref, _ = _routed(kind, "dense")
+        assert out.tobytes() == ref.tobytes()
+        assert trace.engine_parts == {"dense": partition.num_parts}
+        assert trace.boundary_conversions == 0
+
+    def test_mix_runs_its_clifford_prefix_on_the_tableau(self):
+        lead = _leading_clifford_parts("mix")
+        assert lead >= 1
+        partition, out, trace = _routed("mix", "auto")
+        assert isinstance(out, np.ndarray)
+        assert trace.part_engines == (
+            ["stabilizer"] * lead + ["dense"] * (partition.num_parts - lead)
+        )
+        assert trace.boundary_conversions == 1
+        # Below the cap, auto and forced tableau routing are one route.
+        _, _, forced = _routed("mix", "stabilizer")
+        assert forced.part_engines == trace.part_engines
+
+    def test_all_clifford_stays_on_the_tableau(self):
+        partition, out, trace = _routed("clifford", "auto")
+        assert isinstance(out, StabilizerState)
+        assert trace.engine_parts == {"stabilizer": partition.num_parts}
+        assert trace.boundary_conversions == 0
+
+    def test_above_the_cap_non_clifford_starts_dense(self, monkeypatch):
+        from repro.sv import simulator
+        from repro.sv.stabilizer import MAX_DENSE_QUBITS
+
+        allocated = []
+
+        def fake_zero_state(num_qubits):
+            allocated.append(num_qubits)
+            return "dense"
+
+        monkeypatch.setattr(simulator, "zero_state", fake_zero_state)
+        ex = HierarchicalExecutor(method="auto")
+        wide = MAX_DENSE_QUBITS + 1
+        assert ex.initial_state(QuantumCircuit(wide).h(0).t(0)) == "dense"
+        assert allocated == [wide]
+        clifford = QuantumCircuit(wide).h(0).cx(0, 1)
+        assert isinstance(ex.initial_state(clifford), StabilizerState)
+        at_cap = QuantumCircuit(MAX_DENSE_QUBITS).h(0).t(0)
+        assert isinstance(ex.initial_state(at_cap), StabilizerState)
+        assert allocated == [wide]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +528,16 @@ class TestServing:
         sim = StateVectorSimulator(5)
         sim.run(jobs[0].circuit)
         assert np.abs(report.results[0].state - sim.state).max() < 1e-10
+
+    def test_runner_routes_a_mix_batch_prefix_to_the_tableau(self):
+        jobs = [
+            SimJob(f"m{seed}", _mix(8, seed=seed), shots=16)
+            for seed in range(3)
+        ]
+        report = BatchRunner(method="auto").run(jobs)
+        assert [r.error for r in report.results] == [None] * 3
+        assert report.stats.parts_routed_stabilizer > 0
+        assert report.stats.parts_routed_dense > 0
 
     def test_runner_method_dense_routes_everything_dense(self):
         jobs = [SimJob("c", stabilizer_random(4, depth=8, seed=2),

@@ -45,8 +45,6 @@ class EnvVar(NamedTuple):
 ENV: Dict[str, EnvVar] = {
     "REPRO_BACKEND": EnvVar(str, "serial", "backend when backend=None"),
     "REPRO_THREADS": EnvVar(int, None, "workers of a backend named by string"),
-    "REPRO_KERNEL_STRIDED_MAX": EnvVar(
-        int, 2, "largest target arity on the gather-free strided path"),
     "REPRO_METHOD": EnvVar(str, "auto", "method when method=None"),
     "REPRO_RESULTS_DIR": EnvVar(str, "results", "where tables are saved"),
     "REPRO_BENCH_DIR": EnvVar(str, None, "where the bench_*.py scripts live"),

@@ -48,7 +48,7 @@ from .jobs import (
     structural_fingerprint,
 )
 from .queue import AdmissionQueue, QueueClosed, QueuedJob, QueueFull
-from .runner import BatchRunner
+from .runner import BatchRunner, BatchStats
 from .store import ResultStore
 
 __all__ = ["ServeConfig", "ServeDaemon"]
@@ -153,6 +153,7 @@ class ServeDaemon:
         self._completed = 0
         self._errored = 0
         self._in_flight = 0
+        self._totals = BatchStats()  # every finished batch, summed
         self._draining = False
         self._started_at: Optional[float] = None
         self.port: Optional[int] = None
@@ -578,8 +579,12 @@ class ServeDaemon:
         }
 
     def metrics(self) -> Dict[str, Any]:
-        """The ``GET /metrics`` payload (also usable in-process)."""
-        cache = self._runner.plan_cache
+        """The ``GET /metrics`` payload (also usable in-process).
+
+        The job counts and the runner block are one snapshot, read under
+        the lock a worker holds while it folds a finished batch in; the
+        runner block is the sum of the finished batches' stats.
+        """
         with self._metrics_lock:
             jobs = {
                 "submitted": self._submitted,
@@ -588,10 +593,18 @@ class ServeDaemon:
                 "errored": self._errored,
                 "in_flight": self._in_flight,
             }
-        # Routing counters are updated in pairs under the runner's own
-        # lock; snapshot them atomically rather than reading attributes
-        # one by one mid-update.
-        routing = self._runner.counters_snapshot()
+            totals = self._totals
+            runner = {
+                "partitions_computed": totals.partitions_computed,
+                "partition_hits": totals.partition_hits,
+                "plan_hits": totals.plan_hits,
+                "plan_misses": totals.plans_bound,
+                "structures_compiled": totals.structures_compiled,
+                "structure_hits": totals.structure_hits,
+                "method": self._runner.method,
+                "parts_routed_dense": totals.parts_routed_dense,
+                "parts_routed_stabilizer": totals.parts_routed_stabilizer,
+            }
         return {
             "uptime_seconds": (
                 0.0 if self._started_at is None
@@ -609,19 +622,7 @@ class ServeDaemon:
                 "expired": self._store.expired,
                 "ttl_seconds": self.config.ttl,
             },
-            "runner": {
-                "partitions_computed": routing["partitions_computed"],
-                "partition_hits": routing["partition_hits"],
-                "plan_hits": cache.hits,
-                "plan_misses": cache.misses,
-                "structures_compiled": cache.structure_misses,
-                "structure_hits": cache.structure_hits,
-                "method": self._runner.method,
-                "parts_routed_dense": routing["parts_routed_dense"],
-                "parts_routed_stabilizer": (
-                    routing["parts_routed_stabilizer"]
-                ),
-            },
+            "runner": runner,
         }
 
     # -- worker threads ----------------------------------------------------
@@ -635,27 +636,29 @@ class ServeDaemon:
                 self._store.mark_running(entry.handle)
             with self._metrics_lock:
                 self._in_flight += len(batch)
-            errored = 0
             try:
                 report = self._runner.run([e.job for e in batch])
                 entries = results_to_manifest(report.results)["jobs"]
-                for queued, result, entry in zip(
-                    batch, report.results, entries
-                ):
-                    self._store.finish(
-                        queued.handle, result=entry, error=result.error
-                    )
+                outcomes = [
+                    {"result": entry, "error": result.error}
+                    for result, entry in zip(report.results, entries)
+                ]
                 errored = sum(1 for r in report.results if r.error)
+                stats = report.stats
             except Exception as exc:  # runner.run isolates job errors;
                 # this guards daemon liveness against anything else.
                 message = f"{type(exc).__name__}: {exc}"
-                for entry in batch:
-                    self._store.finish(entry.handle, error=message)
-                errored = len(batch)
+                outcomes = [{"error": message}] * len(batch)
+                errored, stats = len(batch), BatchStats()
+            # Count the batch before publishing it, so a client that has
+            # seen its results reads metrics that include it.
             with self._metrics_lock:
                 self._in_flight -= len(batch)
                 self._completed += len(batch) - errored
                 self._errored += errored
+                self._totals.absorb(stats)
+            for entry, outcome in zip(batch, outcomes):
+                self._store.finish(entry.handle, **outcome)
             self._store.purge()
 
 

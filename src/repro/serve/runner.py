@@ -103,15 +103,18 @@ class BatchStats:
     ``partitions_computed`` + ``partition_hits`` equals the circuits
     the batch partitioned: one per plain job and, per cut job that
     succeeded, its cut search plus one per fragment variant (a cut job
-    that fails counts under ``errored`` only).  Summed over a runner's
-    top-level runs these are its lifetime
-    :meth:`~BatchRunner.counters_snapshot`.
+    that fails counts under ``errored`` only).
     ``structures_compiled`` counts part-plan structures built (fusion
     grouping + gather tables) and ``structure_hits`` the parts that
     reused one.  A ``J``-job single-structure batch over a ``P``-part
     partition therefore shows ``partitions_computed=1`` and
     ``structures_compiled=P`` however large ``J`` grows — that
-    amortisation is the runtime's reason to exist.
+    amortisation is the runtime's reason to exist.  Every dense part
+    makes one plan lookup: ``plan_hits`` + ``plans_bound`` equals
+    ``parts_routed_dense`` for a batch without errors.
+
+    These are the runner's only counts; a long-lived reader (the serve
+    daemon's ``/metrics``) sums finished batches with :meth:`absorb`.
 
     >>> stats = BatchStats(num_jobs=2, unique_structures=1,
     ...                    partitions_computed=1, partition_hits=1)
@@ -126,6 +129,7 @@ class BatchStats:
     structures_compiled: int = 0
     structure_hits: int = 0
     plans_bound: int = 0
+    plan_hits: int = 0
     errored: int = 0
     seconds: float = 0.0
     schedule: str = "fifo"
@@ -133,8 +137,9 @@ class BatchStats:
     parts_routed_stabilizer: int = 0
 
     def absorb(self, inner: "BatchStats") -> None:
-        """Add the cache and routing counts of a batch that ran inside
-        this one (a cut job's variant batch).
+        """Add the cache and routing counts of another batch: one that
+        ran inside this one (a cut job's variant batch), or a finished
+        one into a running total.
 
         >>> outer = BatchStats(num_jobs=1, partition_hits=1)
         >>> outer.absorb(BatchStats(num_jobs=5, partitions_computed=2))
@@ -143,8 +148,8 @@ class BatchStats:
         """
         for name in (
             "partitions_computed", "partition_hits", "structures_compiled",
-            "structure_hits", "plans_bound", "parts_routed_dense",
-            "parts_routed_stabilizer",
+            "structure_hits", "plans_bound", "plan_hits",
+            "parts_routed_dense", "parts_routed_stabilizer",
         ):
             setattr(self, name, getattr(self, name) + getattr(inner, name))
 
@@ -191,12 +196,11 @@ class _RunCounters:
     """Accounting local to one :meth:`BatchRunner.run` call.
 
     A runner may serve several concurrent ``run()`` calls (the daemon's
-    worker threads share one runner); snapshot-delta accounting against
-    the runner's lifetime totals would interleave, so each run owns one
-    of these and every event is recorded here as well as on the shared
-    objects.  Partition, routing and cut-job events land on ``stats``
-    under ``lock``; plan-cache events land in ``cache`` under the plan
-    cache's own lock and are folded into ``stats`` when the run ends.
+    worker threads share one runner), so each run owns one of these and
+    every event of the run is counted here, once.  Partition, routing
+    and cut-job events land on ``stats`` under ``lock``; plan-cache
+    events land in ``cache`` under the plan cache's own lock and are
+    folded into ``stats`` when the run ends.
     """
 
     __slots__ = ("lock", "stats", "cache")
@@ -264,11 +268,6 @@ class BatchRunner:
             plan_cache=self.plan_cache, **self.options.executor_kwargs()
         )
         self._partitions = OnceCache(self.plan_cache.max_entries)
-        self._partition_lock = threading.Lock()
-        self.partition_hits = 0
-        self.partitions_computed = 0
-        self.parts_routed_dense = 0
-        self.parts_routed_stabilizer = 0
 
     @property
     def method(self) -> str:
@@ -295,30 +294,6 @@ class BatchRunner:
             threads=getattr(self.backend, "threads", None),
             method=self._executor.method,
         )
-
-    def counters_snapshot(self) -> Dict[str, int]:
-        """Lifetime cache/routing counters, read atomically.
-
-        The four counters are updated in pairs under ``_partition_lock``
-        (a partition event bumps exactly one of computed/hits; a routed
-        part bumps dense or stabilizer) — reading the attributes one by
-        one from another thread can observe a torn pair.  Monitoring
-        paths (the serve daemon's ``/metrics``) read through here.
-
-        >>> runner = BatchRunner()
-        >>> sorted(runner.counters_snapshot())
-        ['partition_hits', 'partitions_computed', 'parts_routed_dense', \
-'parts_routed_stabilizer']
-        >>> runner.counters_snapshot()["partitions_computed"]
-        0
-        """
-        with self._partition_lock:
-            return {
-                "partitions_computed": self.partitions_computed,
-                "partition_hits": self.partition_hits,
-                "parts_routed_dense": self.parts_routed_dense,
-                "parts_routed_stabilizer": self.parts_routed_stabilizer,
-            }
 
     # -- partition cache ---------------------------------------------------
 
@@ -367,11 +342,6 @@ class BatchRunner:
             (structural, limit),
             lambda: self._partitioner.partition(circuit, limit),
         )
-        with self._partition_lock:
-            if cached:
-                self.partition_hits += 1
-            else:
-                self.partitions_computed += 1
         if counters is not None:
             with counters.lock:
                 if cached:
@@ -434,14 +404,13 @@ class BatchRunner:
         state, partition, cached = self.execute(
             job.circuit, trace, structural=structural, counters=counters
         )
-        routed_dense = trace.engine_parts.get("dense", 0)
-        routed_stab = trace.engine_parts.get("stabilizer", 0)
         with counters.lock:
-            counters.stats.parts_routed_dense += routed_dense
-            counters.stats.parts_routed_stabilizer += routed_stab
-        with self._partition_lock:
-            self.parts_routed_dense += routed_dense
-            self.parts_routed_stabilizer += routed_stab
+            counters.stats.parts_routed_dense += trace.engine_parts.get(
+                "dense", 0
+            )
+            counters.stats.parts_routed_stabilizer += trace.engine_parts.get(
+                "stabilizer", 0
+            )
         if isinstance(state, StabilizerState) and (
             job.want_state or job.shots or job.observables
         ):
@@ -551,8 +520,7 @@ class BatchRunner:
         set while every other job's result is returned normally.
         Statistics are accounted per run — concurrent ``run()`` calls
         on one shared runner each report exactly their own cache
-        traffic (the runner-level ``partitions_computed`` /
-        ``partition_hits`` attributes remain lifetime totals).
+        traffic, and the runner keeps no totals of its own.
         """
         t0 = time.perf_counter()
         counters = _RunCounters(
@@ -589,6 +557,7 @@ class BatchRunner:
         stats.structures_compiled += counters.cache.structure_misses
         stats.structure_hits += counters.cache.structure_hits
         stats.plans_bound += counters.cache.misses
+        stats.plan_hits += counters.cache.hits
         stats.errored = sum(1 for r in results if r is not None and r.error)
         stats.seconds = time.perf_counter() - t0
         return BatchReport(results=results, stats=stats)  # type: ignore[arg-type]

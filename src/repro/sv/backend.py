@@ -38,8 +38,8 @@ simulator) — are base-class methods over that mapper, and the
 hierarchical executor calls no other hook.
 
 **The lane rule** (stated here once; ``docs/backends.md`` elaborates):
-a part whose fused ops all have at most ``REPRO_KERNEL_STRIDED_MAX``
-target qubits after control extraction (default 2) skips the gather
+a part whose fused ops all have at most ``DEFAULT_STRIDED_MAX`` (2)
+target qubits after control extraction skips the gather
 matrix and applies each op to the flat state through bit-strided views,
 cutting a single-op part's memory traffic ~3x.  Both lanes reduce to
 GEMMs of identical shape, so they are bit-identical within a backend.
@@ -74,7 +74,6 @@ from .kernels import (
     apply_matrix_batched,
     check_operands,
     split_controls,
-    strided_max_qubits,
 )
 
 __all__ = [
@@ -299,7 +298,7 @@ class ExecutionBackend:
     them and instances are usable as context managers.
 
     ``strided_max`` is the lane rule's arity ceiling (default
-    ``REPRO_KERNEL_STRIDED_MAX``; negative forces the gather lane).
+    ``DEFAULT_STRIDED_MAX``; negative forces the gather lane).
 
     >>> resolve_backend("serial").describe()
     'serial'
@@ -311,7 +310,9 @@ class ExecutionBackend:
 
     def __init__(self, *, strided_max: Optional[int] = None) -> None:
         self.strided_max = (
-            strided_max_qubits() if strided_max is None else int(strided_max)
+            kernels.DEFAULT_STRIDED_MAX
+            if strided_max is None
+            else int(strided_max)
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -427,8 +428,8 @@ class SerialBackend(ExecutionBackend):
 
     The base mapper (the block rule's blocks one after another on the
     caller's thread) over the shared core: small fused groups run
-    gather-free (``strided_max``, default from
-    ``REPRO_KERNEL_STRIDED_MAX``); everything else takes the classic
+    gather-free (``strided_max``, default ``DEFAULT_STRIDED_MAX``);
+    everything else takes the classic
     gather/execute/scatter sweep.  Both lanes are bit-identical.
 
     >>> import numpy as np

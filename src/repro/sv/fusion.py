@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
     Any,
@@ -83,10 +83,8 @@ DIAGONAL_BONUS_QUBITS = 2
 class FusionGroup:
     """One fusion group: member positions (in the source gate list, in
     original order), the union working set in first-seen operand order,
-    whether the members' product is diagonal for every parameter value
-    (see the module docstring), and whether every member is Clifford
-    (detected from ``GateDef.clifford`` — the group-level capability
-    the executor routes engines on).
+    and whether the members' product is diagonal for every parameter
+    value (see the module docstring).
 
     >>> FusionGroup(members=(0, 2), qubits=(1, 3), diagonal=False).qubits
     (1, 3)
@@ -95,7 +93,6 @@ class FusionGroup:
     members: Tuple[int, ...]
     qubits: Tuple[int, ...]
     diagonal: bool
-    clifford: bool = False
 
 
 def plan_fusion_groups(
@@ -133,7 +130,6 @@ def plan_fusion_groups(
     qubit_sets: List[set] = []
     all_diag: List[bool] = []
     monomial: List[bool] = []  # every member diagonal or a permutation
-    all_cliff: List[bool] = []
     last_group_of: Dict[int, int] = {}
 
     for i, g in enumerate(gates):
@@ -160,7 +156,6 @@ def plan_fusion_groups(
             qubit_sets.append(set())
             all_diag.append(True)
             monomial.append(True)
-            all_cliff.append(True)
             placed = len(members) - 1
         members[placed].append(i)
         for q in g.qubits:
@@ -172,18 +167,14 @@ def plan_fusion_groups(
         monomial[placed] = monomial[placed] and (
             g.is_diagonal or gate_permutation(g.name) is not None
         )
-        all_cliff[placed] = all_cliff[placed] and g.is_clifford
 
     return [
         FusionGroup(
             tuple(m),
             tuple(qs),
             d or (mono and _permutations_cancel(gates, m, qs)),
-            c,
         )
-        for m, qs, d, mono, c in zip(
-            members, qubit_order, all_diag, monomial, all_cliff
-        )
+        for m, qs, d, mono in zip(members, qubit_order, all_diag, monomial)
     ]
 
 
@@ -203,14 +194,13 @@ class FusedGate:
     (0, 1)
     """
 
-    __slots__ = ("qubits", "diagonal", "source_indices", "_matrix")
+    __slots__ = ("qubits", "diagonal", "_matrix")
 
     def __init__(
         self,
         qubits: Tuple[int, ...],
         matrix: np.ndarray,
         diagonal: bool,
-        source_indices: Tuple[int, ...] = (),
     ) -> None:
         k = len(qubits)
         if matrix.shape != (1 << k, 1 << k):
@@ -220,7 +210,6 @@ class FusedGate:
             )
         self.qubits = tuple(qubits)
         self.diagonal = bool(diagonal)
-        self.source_indices = tuple(source_indices)
         matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
         matrix.setflags(write=False)
         self._matrix = matrix
@@ -242,30 +231,12 @@ class FusedGate:
         out = FusedGate.__new__(FusedGate)
         out.qubits = tuple(mapping[q] for q in self.qubits)
         out.diagonal = self.diagonal
-        out.source_indices = self.source_indices
         out._matrix = self._matrix
         return out
 
-    # Explicit pickle support: ``__slots__`` classes need it spelled out,
-    # and the restored matrix must come back read-only, like the original.
-    def __getstate__(self):
-        return (self.qubits, self.diagonal, self.source_indices, self._matrix)
-
-    def __setstate__(self, state) -> None:
-        qubits, diagonal, source_indices, matrix = state
-        self.qubits = tuple(qubits)
-        self.diagonal = bool(diagonal)
-        self.source_indices = tuple(source_indices)
-        matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-        matrix.setflags(write=False)
-        self._matrix = matrix
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = "diag" if self.diagonal else "dense"
-        return (
-            f"FusedGate({tag}, qubits={list(self.qubits)}, "
-            f"fuses={len(self.source_indices)})"
-        )
+        return f"FusedGate({tag}, qubits={list(self.qubits)})"
 
 
 @lru_cache(maxsize=1024)
@@ -443,46 +414,23 @@ class PartPlanStructure:
     True
     """
 
-    __slots__ = (
-        "qubits",
-        "groups",
-        "num_source_gates",
-        "fused",
-        "max_fused_qubits",
-        "_table",
-        "_program",
-    )
+    __slots__ = ("qubits", "groups", "num_source_gates", "_table", "_program")
 
     def __init__(
         self,
         qubits: Tuple[int, ...],
         groups: Tuple[FusionGroup, ...],
         gates: Sequence[Gate],
-        fused: bool,
-        max_fused_qubits: int,
     ) -> None:
         self.qubits = tuple(qubits)
         self.groups = tuple(groups)
         self.num_source_gates = len(gates)
-        self.fused = bool(fused)
-        self.max_fused_qubits = int(max_fused_qubits)
         self._table: Optional[Tuple[int, np.ndarray]] = None
         self._program = _bind_program(self.groups, gates)
 
     @property
     def num_ops(self) -> int:
         return len(self.groups)
-
-    @property
-    def clifford(self) -> bool:
-        """True when every fusion group (hence every source gate) is
-        Clifford — the plan-time capability engine routing keys on.
-
-        Derived from the groups, never stored, so it is *not* part of
-        any :class:`PlanCache` key: capability is a consequence of
-        structure, and identical structures always agree on it.
-        """
-        return all(g.clifford for g in self.groups)
 
     def gather_table(self, num_qubits: int) -> np.ndarray:
         """Algorithm-1 gather table for this working set (small ones cached).
@@ -497,46 +445,30 @@ class PartPlanStructure:
             self._table = (num_qubits, table)
         return table
 
-    def bind(
-        self,
-        gates: Sequence[Gate],
-        source_indices: Sequence[int] = (),
-    ) -> "CompiledPartPlan":
+    def bind(self, gates: Sequence[Gate]) -> "CompiledPartPlan":
         """Build fused matrices for ``gates`` against this structure.
 
         ``gates`` must be structurally identical (same names and
         operands, any parameters) to the gate list the structure was
         planned from — checked gate by gate on every bind, the first
         included (a group's kernel class was decided from those names),
-        and ``ValueError`` names the first that differs;
-        ``source_indices`` optionally records the gates' original
-        circuit positions on the resulting ops.
+        and ``ValueError`` names the first that differs.  Op ``i`` fuses
+        the source gates ``groups[i].members``.
         """
         if len(gates) != self.num_source_gates:
             raise ValueError(
                 f"structure spans {self.num_source_gates} gates, "
                 f"got {len(gates)}"
             )
-        idx = tuple(source_indices) if source_indices else None
         operands: dict = {}
-        ops = tuple(
-            FusedGate(
-                grp.qubits,
-                _fuse(steps, gates, operands),
-                grp.diagonal,
-                tuple(idx[m] for m in grp.members)
-                if idx is not None
-                else tuple(grp.members),
-            )
-            for grp, steps in zip(self.groups, self._program)
-        )
         return CompiledPartPlan(
-            self.qubits,
-            ops,
-            self.num_source_gates,
-            self.fused,
-            self.max_fused_qubits,
-            structure=self,
+            self,
+            tuple(
+                FusedGate(
+                    grp.qubits, _fuse(steps, gates, operands), grp.diagonal
+                )
+                for grp, steps in zip(self.groups, self._program)
+            ),
         )
 
 
@@ -552,15 +484,27 @@ def build_part_structure(
 
     Fusion arity is capped by the working-set size; with ``fuse=False``
     every gate becomes its own (single-member) group so both paths
-    execute through the identical plan machinery.
+    execute through the identical plan machinery.  A gate with an
+    operand outside ``inner_qubits`` is a ``ValueError`` naming it.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
     >>> s = build_part_structure(qc, [0, 1, 2], [0, 1, 2])
     >>> s.num_ops, s.num_source_gates
     (1, 3)
+    >>> build_part_structure(qc, [2], [0, 1])
+    Traceback (most recent call last):
+        ...
+    ValueError: gate 2 (cx on (1, 2)) lies outside the working set (0, 1)
     """
     gates = [circuit[g] for g in gate_indices]
+    inner = set(inner_qubits)
+    for i, g in zip(gate_indices, gates):
+        if not inner.issuperset(g.qubits):
+            raise ValueError(
+                f"gate {i} ({g.name} on {g.qubits}) lies outside the "
+                f"working set {tuple(inner_qubits)}"
+            )
     width = len(inner_qubits)
     effective = max(1, min(max_fused_qubits, width)) if width else 1
     if fuse and len(gates) > 1:
@@ -571,12 +515,10 @@ def build_part_structure(
         )
     else:
         groups = [
-            FusionGroup((i,), g.qubits, g.is_diagonal, g.is_clifford)
+            FusionGroup((i,), g.qubits, g.is_diagonal)
             for i, g in enumerate(gates)
         ]
-    return PartPlanStructure(
-        tuple(inner_qubits), tuple(groups), gates, bool(fuse), effective
-    )
+    return PartPlanStructure(tuple(inner_qubits), tuple(groups), gates)
 
 
 class CompiledPartPlan:
@@ -600,56 +542,33 @@ class CompiledPartPlan:
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
     >>> plan = compile_part(qc, [0, 1, 2], [0, 1])
-    >>> plan.num_source_gates, plan.num_ops, plan.sweeps_saved
-    (3, 1, 2)
+    >>> plan.num_source_gates, plan.num_ops
+    (3, 1)
     >>> plan.gather_table(2).shape        # one inner vector spans the state
     (1, 4)
     """
 
-    __slots__ = (
-        "qubits",
-        "ops",
-        "num_source_gates",
-        "fused",
-        "max_fused_qubits",
-        "structure",
-        "lane_memo",
-        "_local_ops",
-    )
+    __slots__ = ("structure", "ops", "lane_memo", "_local_ops")
 
     def __init__(
-        self,
-        qubits: Tuple[int, ...],
-        ops: Tuple[FusedGate, ...],
-        num_source_gates: int,
-        fused: bool,
-        max_fused_qubits: int,
-        structure: PartPlanStructure,
+        self, structure: PartPlanStructure, ops: Tuple[FusedGate, ...]
     ) -> None:
-        self.qubits = tuple(qubits)
-        self.ops = tuple(ops)
-        self.num_source_gates = int(num_source_gates)
-        self.fused = bool(fused)
-        self.max_fused_qubits = int(max_fused_qubits)
         self.structure = structure
+        self.ops = ops
         self.lane_memo: Optional[Tuple[int, bool]] = None
         self._local_ops: Optional[Tuple[FusedGate, ...]] = None
 
     @property
+    def qubits(self) -> Tuple[int, ...]:
+        return self.structure.qubits
+
+    @property
+    def num_source_gates(self) -> int:
+        return self.structure.num_source_gates
+
+    @property
     def num_ops(self) -> int:
         return len(self.ops)
-
-    @property
-    def sweeps_saved(self) -> int:
-        """Kernel sweeps avoided relative to one sweep per source gate."""
-        return self.num_source_gates - self.num_ops
-
-    @property
-    def clifford(self) -> bool:
-        """Part capability: True when every source gate is Clifford
-        (delegates to the structure — see
-        :attr:`PartPlanStructure.clifford`)."""
-        return self.structure.clifford
 
     def local_ops(self) -> Tuple[FusedGate, ...]:
         """Ops with operands renamed to inner positions (cached)."""
@@ -687,38 +606,32 @@ def compile_part(
     >>> compile_part(qc, [0, 1, 2], [0, 1], fuse=False).num_ops
     3
     """
-    structure = build_part_structure(
+    return build_part_structure(
         circuit,
         gate_indices,
         inner_qubits,
         fuse=fuse,
         max_fused_qubits=max_fused_qubits,
-    )
-    return structure.bind(
-        [circuit[g] for g in gate_indices], tuple(gate_indices)
-    )
+    ).bind([circuit[g] for g in gate_indices])
 
 
 @dataclass
 class CacheCounters:
-    """Per-caller plan-cache accounting, independent of the cache's own.
+    """One caller's plan-cache events — the only place they are counted.
 
-    A shared :class:`PlanCache` keeps *lifetime* ``hits`` / ``misses``
-    totals; when several batches (or a resident daemon's workers) run
-    concurrently against one cache, before/after deltas of those totals
-    interleave.  Passing a ``CacheCounters`` to
-    :meth:`PlanCache.get_or_compile` / :meth:`PlanCache.get_or_bind`
-    records the same events into a caller-owned object instead, so each
-    run's accounting stays exact however many runs share the cache
-    (increments happen under the cache's counter lock).
+    A :class:`PlanCache` holds no counters: the caller that owns a run
+    passes one of these to :meth:`PlanCache.get_or_compile`, so each
+    run's accounting stays exact however many runs share the cache.
+    Increments happen under the cache's counter lock, because the
+    workers of one run share one object.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
     >>> cache, mine = PlanCache(), CacheCounters()
     >>> _ = cache.get_or_compile(qc, [0, 1], [0, 1], counters=mine)
     >>> _ = cache.get_or_compile(qc, [0, 1], [0, 1], counters=mine)
-    >>> (mine.hits, mine.misses) == (cache.hits, cache.misses) == (1, 1)
-    True
+    >>> mine.hits, mine.misses
+    (1, 1)
     """
 
     hits: int = 0
@@ -794,11 +707,12 @@ class OnceCache:
 class PlanCache:
     """Bounded cache of :class:`CompiledPartPlan` keyed by part identity.
 
-    Keys include ``id(circuit)``; the entry pins the circuit object so the
-    id cannot be recycled while its plans are alive.  One cache instance
-    may be shared across executors (hierarchical and distributed) and
-    across repeated runs — that sharing is what makes sweeps and shard
-    re-execution pay matrix construction once.
+    :meth:`get_or_compile` is the one lookup.  Bound plans are keyed by
+    ``("bound", id(circuit))`` plus the part; the entry pins the circuit
+    object so the id cannot be recycled while its plans are alive.  One
+    cache instance may be shared across executors (hierarchical and
+    distributed) and across repeated runs — that sharing is what makes
+    sweeps and shard re-execution pay matrix construction once.
 
     The cache is **thread-safe**: it is one :class:`OnceCache`, so a
     plan is compiled exactly once per key — concurrent callers of the
@@ -809,33 +723,28 @@ class PlanCache:
     — a benign race recomputes an identical value), so returned plans may
     be used from any number of threads without further locking.
 
-    Beyond the per-circuit (``id``-keyed) plan layer, the cache holds a
-    **structural** layer keyed by a caller-supplied fingerprint (see
-    :func:`repro.serve.circuit_fingerprint`): :meth:`get_or_bind` reuses
-    one :class:`PartPlanStructure` — fusion grouping plus gather tables —
-    across all circuits sharing a structure, binding only fresh matrices
-    per circuit.  ``structure_hits`` / ``structure_misses`` account that
-    layer; a parameter sweep of ``J`` structurally identical jobs over a
-    ``P``-part partition shows exactly ``P`` structure misses and
-    ``(J - 1) * P`` structure hits.  Both layers share the one
-    ``max_entries`` bound.
+    Given a ``structural_key`` (see
+    :func:`repro.serve.circuit_fingerprint`), a miss takes its
+    :class:`PartPlanStructure` — fusion grouping plus gather tables —
+    from a **structural** layer shared by every circuit with that key,
+    and binds only fresh matrices.  A parameter sweep of ``J``
+    structurally identical jobs over a ``P``-part partition shows
+    exactly ``P`` structure misses and ``(J - 1) * P`` structure hits.
+    Both layers share the one ``max_entries`` bound.  The cache holds
+    no counters: events go to the caller's :class:`CacheCounters`.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2).h(0).cx(0, 1)
-    >>> cache = PlanCache()
-    >>> p1 = cache.get_or_compile(qc, [0, 1], [0, 1])
-    >>> p2 = cache.get_or_compile(qc, [0, 1], [0, 1])    # same part: hit
-    >>> p1 is p2, cache.hits, cache.misses
+    >>> cache, seen = PlanCache(), CacheCounters()
+    >>> p1 = cache.get_or_compile(qc, [0, 1], [0, 1], counters=seen)
+    >>> p2 = cache.get_or_compile(qc, [0, 1], [0, 1], counters=seen)
+    >>> p1 is p2, seen.hits, seen.misses                  # same part: hit
     (True, 1, 1)
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
         self._cache = OnceCache(max_entries)
         self._count_lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.structure_hits = 0
-        self.structure_misses = 0
 
     @property
     def max_entries(self) -> int:
@@ -850,10 +759,8 @@ class PlanCache:
     def _count(
         self, name: str, counters: Optional[CacheCounters]
     ) -> None:
-        """One event, on the lifetime totals and on the caller's own."""
-        with self._count_lock:
-            setattr(self, name, getattr(self, name) + 1)
-            if counters is not None:
+        if counters is not None:
+            with self._count_lock:
                 setattr(counters, name, getattr(counters, name) + 1)
 
     def get_or_compile(
@@ -862,54 +769,22 @@ class PlanCache:
         gate_indices: Sequence[int],
         inner_qubits: Sequence[int],
         *,
+        structural_key=None,
         fuse: bool = True,
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         counters: Optional[CacheCounters] = None,
     ) -> CompiledPartPlan:
-        key = (
-            id(circuit),
-            tuple(gate_indices),
-            tuple(inner_qubits),
-            bool(fuse),
-            int(max_fused_qubits),
-        )
-        (_, plan), cached = self._cache.get(
-            key,
-            lambda: (
-                circuit,
-                compile_part(
-                    circuit,
-                    gate_indices,
-                    inner_qubits,
-                    fuse=fuse,
-                    max_fused_qubits=max_fused_qubits,
-                ),
-            ),
-        )
-        self._count("hits" if cached else "misses", counters)
-        return plan
-
-    def get_or_bind(
-        self,
-        circuit: QuantumCircuit,
-        gate_indices: Sequence[int],
-        inner_qubits: Sequence[int],
-        *,
-        structural_key,
-        fuse: bool = True,
-        max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
-        counters: Optional[CacheCounters] = None,
-    ) -> CompiledPartPlan:
-        """Plan via the structural layer: reuse structure, bind matrices.
+        """The plan of one part of ``circuit``, compiled on first use.
 
         ``structural_key`` must identify the circuit's *structure* (gate
         names and operands in order — parameters excluded); callers
-        normally pass :func:`repro.serve.circuit_fingerprint`.  A bound
-        plan is still memoised per concrete circuit object (same ``hits``
-        / ``misses`` accounting as :meth:`get_or_compile`), so re-running
-        one circuit skips even matrix construction; a structurally
-        identical *new* circuit reuses the cached
+        normally pass :func:`repro.serve.circuit_fingerprint`.  With
+        one, a structurally identical *new* circuit reuses the cached
         :class:`PartPlanStructure` and pays only fresh matrix products.
+        Without one, the structure is built for this circuit alone and
+        is not cached on its own.  Either way the bound plan is memoised
+        per circuit object, so re-running one circuit skips even matrix
+        construction.
 
         Per-job matrix construction is the part of a batched sweep that
         scales with the job count; like every :class:`OnceCache`
@@ -924,6 +799,14 @@ class PlanCache:
         )
 
         def bind():
+            if structural_key is None:
+                return circuit, compile_part(
+                    circuit,
+                    gate_indices,
+                    inner_qubits,
+                    fuse=fuse,
+                    max_fused_qubits=max_fused_qubits,
+                )
             structure, reused = self._cache.get(
                 ("struct", structural_key) + part,
                 lambda: build_part_structure(
@@ -937,15 +820,17 @@ class PlanCache:
             self._count(
                 "structure_hits" if reused else "structure_misses", counters
             )
-            return circuit, structure.bind(
-                [circuit[g] for g in gate_indices], tuple(gate_indices)
-            )
+            return circuit, structure.bind([circuit[g] for g in gate_indices])
 
         (_, plan), cached = self._cache.get(
             ("bound", id(circuit)) + part, bind
         )
         self._count("hits" if cached else "misses", counters)
         return plan
+
+    # The perf harness's serve pipeline calls this name; delete it once
+    # the harness stops.
+    get_or_bind = get_or_compile
 
 
 def compile_partition(
@@ -956,7 +841,8 @@ def compile_partition(
     max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
     cache: Optional[PlanCache] = None,
 ) -> List[CompiledPartPlan]:
-    """Compile every part of a partition, in execution order.
+    """Compile every part of a partition, in execution order, through
+    ``cache`` (a fresh one when not given).
 
     >>> from repro.circuits.generators import qft
     >>> from repro.partition import get_partitioner
@@ -968,26 +854,15 @@ def compile_partition(
     >>> sum(p.num_ops for p in plans) < len(qc)     # fusion saved sweeps
     True
     """
-    plans: List[CompiledPartPlan] = []
-    for part in partition.parts:
-        if cache is not None:
-            plans.append(
-                cache.get_or_compile(
-                    circuit,
-                    part.gate_indices,
-                    part.qubits,
-                    fuse=fuse,
-                    max_fused_qubits=max_fused_qubits,
-                )
-            )
-        else:
-            plans.append(
-                compile_part(
-                    circuit,
-                    part.gate_indices,
-                    part.qubits,
-                    fuse=fuse,
-                    max_fused_qubits=max_fused_qubits,
-                )
-            )
-    return plans
+    if cache is None:
+        cache = PlanCache()
+    return [
+        cache.get_or_compile(
+            circuit,
+            part.gate_indices,
+            part.qubits,
+            fuse=fuse,
+            max_fused_qubits=max_fused_qubits,
+        )
+        for part in partition.parts
+    ]

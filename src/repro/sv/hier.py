@@ -246,18 +246,16 @@ class HierarchicalExecutor:
         byte) and the return value is then that dense array, not the
         input object.
 
-        ``structural_key`` (optional) routes plan lookup through the
-        plan cache's structural layer: pass a fingerprint of the
-        circuit's structure (:func:`repro.serve.circuit_fingerprint`)
-        and structurally identical circuits — parameter sweeps — reuse
-        one fusion structure and its gather tables, rebuilding only the
-        fused matrices.  Without it, plans are keyed per circuit object
-        exactly as before.
-
-        ``cache_counters`` (optional) receives this call's plan-cache
-        hit/miss events (:class:`~repro.sv.fusion.CacheCounters`), so a
-        caller sharing the cache with concurrent runs can still account
-        its own run exactly.
+        Every dense part makes one
+        :meth:`~repro.sv.fusion.PlanCache.get_or_compile` lookup.
+        ``structural_key`` (optional) is passed on to it: a fingerprint
+        of the circuit's structure
+        (:func:`repro.serve.circuit_fingerprint`) lets structurally
+        identical circuits — parameter sweeps — reuse one fusion
+        structure and its gather tables, rebuilding only the fused
+        matrices.  ``cache_counters`` (optional) receives this call's
+        plan-cache events (:class:`~repro.sv.fusion.CacheCounters`);
+        the cache itself counts nothing.
         """
         n = circuit.num_qubits
         if partition.num_qubits != n or partition.num_gates != len(circuit):
@@ -278,19 +276,7 @@ class HierarchicalExecutor:
                 if trace is not None and not state.is_zero_state:
                     trace.boundary_conversions += 1
                 state = state.to_dense()
-            plan = self._dense_plan(
-                circuit, part, structural_key, cache_counters
-            )
-            self._run_part(plan, state, n, trace)
-        return state
-
-    # -- internals --------------------------------------------------------
-
-    def _dense_plan(
-        self, circuit, part, structural_key, cache_counters
-    ) -> CompiledPartPlan:
-        if structural_key is not None:
-            return self.plan_cache.get_or_bind(
+            plan = self.plan_cache.get_or_compile(
                 circuit,
                 part.gate_indices,
                 part.qubits,
@@ -299,14 +285,10 @@ class HierarchicalExecutor:
                 max_fused_qubits=self.max_fused_qubits,
                 counters=cache_counters,
             )
-        return self.plan_cache.get_or_compile(
-            circuit,
-            part.gate_indices,
-            part.qubits,
-            fuse=self.fuse,
-            max_fused_qubits=self.max_fused_qubits,
-            counters=cache_counters,
-        )
+            self._run_part(plan, state, n, trace)
+        return state
+
+    # -- internals --------------------------------------------------------
 
     def _run_tableau_part(self, part, gates, state, trace) -> None:
         """A Clifford part's *source* gates, applied to the tableau."""

@@ -17,7 +17,7 @@ unitary directly to the flat state through bit-strided views — no
 ``(2^(n-w), 2^w)`` gather matrix, no index table — and
 :func:`split_controls` peels control qubits off a matrix so controlled
 and diagonal groups touch only the rows they change.  Eligibility is
-governed by ``REPRO_KERNEL_STRIDED_MAX`` (:func:`strided_max_qubits`).
+capped at :data:`DEFAULT_STRIDED_MAX` target qubits.
 
 All kernels operate **in place** and return their input array.
 """
@@ -29,7 +29,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..circuits.gates import Gate
-from ..config import ENV, env
 from .layout import axis_of_qubit, gather_index_table
 
 __all__ = [
@@ -51,10 +50,9 @@ __all__ = [
     "DEFAULT_STRIDED_MAX",
 ]
 
-#: Default arity ceiling (in *target* qubits, after control extraction)
-#: for the gather-free strided path; override via
-#: ``REPRO_KERNEL_STRIDED_MAX``.
-DEFAULT_STRIDED_MAX = ENV["REPRO_KERNEL_STRIDED_MAX"].default
+#: Arity ceiling (in *target* qubits, after control extraction) for the
+#: gather-free strided path; a backend's ``strided_max=`` overrides it.
+DEFAULT_STRIDED_MAX = 2
 
 #: Amplitudes per block (512 KiB of complex128): a block, the transposed
 #: copy and GEMM result a dense op makes of it, and its int64 gather
@@ -362,19 +360,18 @@ def apply_circuit(state: np.ndarray, gates: Sequence[Gate], num_qubits: int) -> 
 
 
 def strided_max_qubits() -> int:
-    """Resolve the strided-path arity ceiling from the environment.
+    """The strided-path arity ceiling, :data:`DEFAULT_STRIDED_MAX`.
 
     Fused groups with at most this many *target* qubits (controls are
     free — they only shrink the touched region) run gather-free via
     :func:`apply_matrix_strided`; larger groups take the gather-matrix
-    path.  Reads ``REPRO_KERNEL_STRIDED_MAX`` (default
-    :data:`DEFAULT_STRIDED_MAX`); a negative value disables the strided
-    path entirely.
+    path.  The perf harness imports this name; delete it once the
+    harness stops.
 
-    >>> strided_max_qubits()            # unset in the test run
+    >>> strided_max_qubits()
     2
     """
-    return env("REPRO_KERNEL_STRIDED_MAX")
+    return DEFAULT_STRIDED_MAX
 
 
 def split_controls(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,9 +17,9 @@ from repro.dist.hisvsim import HiSVSimEngine
 from repro.partition import get_partitioner
 from repro.runtime.comm import SimComm
 from repro.sv import (
+    CacheCounters,
     ExecutionBackend,
     ExecutionTrace,
-    FusedGate,
     HierarchicalExecutor,
     PlanCache,
     SerialBackend,
@@ -430,7 +429,7 @@ class TestPlanCacheThreadSafety:
         qc = random_circuit(6, 20, seed=7)
         p = get_partitioner("dagP").partition(qc, 4)
         expected = _reference_state(qc)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         n_threads = 8
         barrier = threading.Barrier(n_threads)
 
@@ -439,7 +438,7 @@ class TestPlanCacheThreadSafety:
             executor = HierarchicalExecutor(plan_cache=cache)
             barrier.wait()
             state = zero_state(6)
-            executor.run(qc, p, state)
+            executor.run(qc, p, state, cache_counters=seen)
             return state
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -449,30 +448,30 @@ class TestPlanCacheThreadSafety:
             assert float(np.max(np.abs(state - expected))) < 1e-10
         # Each part compiled exactly once: no duplicate builds, no
         # corruption, every other lookup a hit.
-        assert cache.misses == p.num_parts
+        assert seen.misses == p.num_parts
         assert len(cache) == p.num_parts
-        assert cache.hits == (n_threads - 1) * p.num_parts
+        assert seen.hits == (n_threads - 1) * p.num_parts
 
     def test_concurrent_mixed_keys(self):
         # Different fuse settings under one cache, concurrently.
         qc = random_circuit(6, 16, seed=11)
         p = get_partitioner("DFS").partition(qc, 4)
         expected = _reference_state(qc)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         barrier = threading.Barrier(6)
 
         def run_one(i):
             executor = HierarchicalExecutor(fuse=bool(i % 2), plan_cache=cache)
             barrier.wait()
             state = zero_state(6)
-            executor.run(qc, p, state)
+            executor.run(qc, p, state, cache_counters=seen)
             return state
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             states = list(pool.map(run_one, range(6)))
         for state in states:
             assert float(np.max(np.abs(state - expected))) < 1e-10
-        assert cache.misses == 2 * p.num_parts  # fused + unfused keys
+        assert seen.misses == 2 * p.num_parts  # fused + unfused keys
 
     def test_different_circuits_compile_concurrently(self, monkeypatch):
         # Compilation runs outside the cache lock: two threads cold-
@@ -488,16 +487,18 @@ class TestPlanCacheThreadSafety:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fusion, "compile_part", compile_part_together)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         circuits = [random_circuit(5, 12, seed=s) for s in (1, 2)]
 
         def compile_whole(qc):
-            return cache.get_or_compile(qc, range(len(qc)), range(5))
+            return cache.get_or_compile(
+                qc, range(len(qc)), range(5), counters=seen
+            )
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             plans = list(pool.map(compile_whole, circuits))
         assert plans[0] is not plans[1]
-        assert (cache.misses, cache.hits, len(cache)) == (2, 0, 2)
+        assert (seen.misses, seen.hits, len(cache)) == (2, 0, 2)
 
     def test_one_structure_bound_by_many_threads_counts_exactly(self):
         import sys
@@ -508,14 +509,17 @@ class TestPlanCacheThreadSafety:
             for k in range(jobs)
         ]
         p = get_partitioner("dagP").partition(sweep[0], 5)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         barrier = threading.Barrier(jobs)
 
         def run_one(qc):
             executor = HierarchicalExecutor(plan_cache=cache)
             barrier.wait(10)
             state = zero_state(8)
-            executor.run(qc, p, state, structural_key="one-structure")
+            executor.run(
+                qc, p, state, structural_key="one-structure",
+                cache_counters=seen,
+            )
             return state
 
         old = sys.getswitchinterval()
@@ -527,9 +531,9 @@ class TestPlanCacheThreadSafety:
             sys.setswitchinterval(old)
         for qc, state in zip(sweep, states):
             assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
-        assert cache.structure_misses == p.num_parts
-        assert cache.structure_hits == (jobs - 1) * p.num_parts
-        assert (cache.misses, cache.hits) == (jobs * p.num_parts, 0)
+        assert seen.structure_misses == p.num_parts
+        assert seen.structure_hits == (jobs - 1) * p.num_parts
+        assert (seen.misses, seen.hits) == (jobs * p.num_parts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +559,6 @@ class TestTraceAccounting:
         trace = ExecutionTrace()
         assert trace.total_seconds == 0.0
         assert trace.backend_parts == {}
-
-
-# ---------------------------------------------------------------------------
-# FusedGate pickling
-# ---------------------------------------------------------------------------
-
-
-class TestFusedGatePickle:
-    def test_roundtrip_preserves_everything(self):
-        m = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        g = FusedGate((3,), m, False, source_indices=(5, 9))
-        clone = pickle.loads(pickle.dumps(g))
-        assert clone.qubits == (3,)
-        assert clone.is_diagonal is False
-        assert clone.source_indices == (5, 9)
-        np.testing.assert_array_equal(clone.matrix(), m)
-        # Restored matrices come back read-only, like the originals.
-        with pytest.raises(ValueError):
-            clone.matrix()[0, 0] = 7
 
 
 # ---------------------------------------------------------------------------

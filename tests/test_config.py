@@ -73,7 +73,7 @@ def test_removed_array_module_variable_is_not_registered():
 
 def test_scale_is_a_benchmark_parameter_not_a_variable():
     # ``repro bench run --set scale=paper`` is the one way to pick it.
-    assert len(ENV) == 21
+    assert len(ENV) == 20
     assert not any(name.endswith("_SCALE") for name in ENV)
 
 

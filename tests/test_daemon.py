@@ -755,9 +755,9 @@ class TestMetricsConsistency:
     ``submitted`` is incremented under the admission lock *before* the
     queue accepts the batch (rolled back on rejection), so the job-count
     invariant ``submitted >= completed + errored + in_flight`` holds at
-    every instant a concurrent ``/metrics`` read can observe; routing
-    counters are snapshotted atomically from the runner instead of read
-    attribute by attribute mid-update.
+    every instant a concurrent ``/metrics`` read can observe; the runner
+    block is the sum of finished batches' stats, folded in under the
+    same lock as the job counts.
     """
 
     def test_submitted_never_lags_completion(self):
@@ -818,48 +818,75 @@ class TestMetricsConsistency:
         finally:
             d.stop()
 
-    def test_runner_counters_snapshot_is_atomic_pairing(self):
-        runner = BatchRunner(schedule="grouped")
+    def test_metrics_snapshot_is_consistent(self):
+        """Every ``/metrics`` snapshot taken while error-free batches run
+        on two workers pairs its counts: one plan lookup per dense part,
+        and no job accounted beyond those submitted."""
+        d = ServeDaemon(ServeConfig(port=0, workers=2, max_batch=2)).start()
         stop = threading.Event()
-        violations = []
+        seen, violations = [0], []
 
         def watch():
-            # Invariant: computed + hits == jobs finished so far, and a
-            # snapshot may never show hits without a computed partition.
             while not stop.is_set():
-                snap = runner.counters_snapshot()
-                if snap["partition_hits"] and not snap["partitions_computed"]:
-                    violations.append(snap)
+                metrics = d.metrics()
+                runner, jobs = metrics["runner"], metrics["jobs"]
+                seen[0] += 1
+                lookups = runner["plan_hits"] + runner["plan_misses"]
+                if lookups != runner["parts_routed_dense"]:
+                    violations.append(runner)
+                accounted = (
+                    jobs["completed"] + jobs["errored"] + jobs["in_flight"]
+                )
+                if accounted > jobs["submitted"]:
+                    violations.append(jobs)
 
         watcher = threading.Thread(target=watch, daemon=True)
         watcher.start()
         try:
-            jobs = [
-                SimJob(f"j{k}", qaoa(6, p=1, gammas=[0.1 * k], betas=[0.2]),
-                       shots=8, seed=k)
-                for k in range(8)
-            ]
-            runner.run(jobs)
+            batches = []
+            for n in (7, 8, 7, 8):
+                status, accepted, _ = request(
+                    d.port, "POST", "/jobs",
+                    payload=sweep_manifest(jobs=4, n=n, state=False),
+                )
+                assert status == 202
+                batches.append(accepted["batch"])
+            for batch_id in batches:
+                assert poll_batch(d.port, batch_id)["errors"] == 0
         finally:
             stop.set()
             watcher.join(5.0)
-        assert not violations, violations
-        snap = runner.counters_snapshot()
-        assert snap["partitions_computed"] + snap["partition_hits"] == 8
-        assert snap["parts_routed_dense"] + snap["parts_routed_stabilizer"] > 0
+            d.stop()
+        assert seen[0] > 0 and not violations, violations[:3]
+        runner = d.metrics()["runner"]
+        assert runner["partitions_computed"] + runner["partition_hits"] == 16
+        assert runner["plan_hits"] + runner["plan_misses"] == (
+            runner["parts_routed_dense"]
+        ) > 0
+        assert runner["structures_compiled"] <= runner["plan_misses"]
 
     def test_metrics_routing_matches_runner_snapshot(self, daemon):
+        # The runner block sums the finished batches' stats: the counts
+        # one BatchRunner reports for the same manifest.
+        manifest = sweep_manifest(jobs=4, n=5)
         status, accepted, _ = request(
-            daemon.port, "POST", "/jobs", payload=sweep_manifest(jobs=4, n=5)
+            daemon.port, "POST", "/jobs", payload=manifest
         )
         assert status == 202
         poll_batch(daemon.port, accepted["batch"])
         metrics = daemon.metrics()["runner"]
-        snap = daemon._runner.counters_snapshot()
-        for key in ("partitions_computed", "partition_hits",
-                    "parts_routed_dense", "parts_routed_stabilizer"):
-            assert metrics[key] == snap[key]
-
+        stats = BatchRunner().run(load_manifest(manifest)[0]).stats
+        for key, name in (
+            ("partitions_computed", "partitions_computed"),
+            ("partition_hits", "partition_hits"),
+            ("plan_hits", "plan_hits"),
+            ("plan_misses", "plans_bound"),
+            ("structures_compiled", "structures_compiled"),
+            ("structure_hits", "structure_hits"),
+            ("parts_routed_dense", "parts_routed_dense"),
+            ("parts_routed_stabilizer", "parts_routed_stabilizer"),
+        ):
+            assert metrics[key] == getattr(stats, name), key
 
     def test_cut_job_shows_in_metrics(self, daemon):
         job = {

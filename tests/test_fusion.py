@@ -12,8 +12,11 @@ from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_permutation, make_gate
 from repro.partition import get_partitioner
-from repro.sv import fusion
+from repro.partition.base import Partition
+from repro.serve import structural_fingerprint
+from repro.sv import SerialBackend, fusion
 from repro.sv.fusion import (
+    CacheCounters,
     CompiledPartPlan,
     FusedGate,
     FusionGroup,
@@ -99,7 +102,7 @@ class TestFusedGate:
             op.matrix()[0, 0] = 0.0
 
     def test_remap_shares_matrix(self):
-        g = FusedGate((2, 5), np.eye(4, dtype=np.complex128), False, (0,))
+        g = FusedGate((2, 5), np.eye(4, dtype=np.complex128), False)
         r = g.remap({2: 0, 5: 1})
         assert r.qubits == (0, 1)
         assert r.matrix() is g.matrix()
@@ -142,8 +145,7 @@ class TestCompiledPlanEquivalence:
     def test_unfused_plan_one_op_per_gate(self):
         qc = generators.build("qft", 6)
         plan = compile_part(qc, range(len(qc)), range(6), fuse=False)
-        assert plan.num_ops == len(qc)
-        assert plan.sweeps_saved == 0
+        assert plan.num_ops == plan.num_source_gates == len(qc)
 
     def test_fusion_reduces_sweeps_at_least_2x_on_qft(self):
         # Small-scale version of the bench_fusion acceptance criterion.
@@ -324,17 +326,19 @@ class TestBindProgram:
         qc = generators.build("qaoa", 8)
         part = get_partitioner("dagP").partition(qc, 6).parts[0]
         direct = compile_part(qc, part.gate_indices, part.qubits)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         # Bind another angle set first: the cached structure's program
-        # is then already compiled when ``qc`` arrives.
+        # is then already compiled when ``qc`` arrives.  ``get_or_bind``
+        # is the old name of the one lookup.
         cache.get_or_bind(
             angle_variants(qc, 1)[0], part.gate_indices, part.qubits,
-            structural_key="k",
+            structural_key="k", counters=seen,
         )
         bound = cache.get_or_bind(
-            qc, part.gate_indices, part.qubits, structural_key="k"
+            qc, part.gate_indices, part.qubits, structural_key="k",
+            counters=seen,
         )
-        assert cache.structure_hits == 1
+        assert seen.structure_hits == 1
         assert [op.qubits for op in bound.ops] == [
             op.qubits for op in direct.ops
         ]
@@ -514,12 +518,13 @@ class TestDiagonalByProduct:
         )
         base = generators.build("qaoa", 10)
         partition = get_partitioner("dagP").partition(base, 7)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         flagged = 0
         for job, qc in enumerate([base] + angle_variants(base, 103)):
             for part in partition.parts:
-                plan = cache.get_or_bind(
-                    qc, part.gate_indices, part.qubits, structural_key="k"
+                plan = cache.get_or_compile(
+                    qc, part.gate_indices, part.qubits, structural_key="k",
+                    counters=seen,
                 )
                 flagged += sum(op.is_diagonal for op in plan.ops)
             if job == 0:
@@ -529,7 +534,7 @@ class TestDiagonalByProduct:
         # ... and 103 more binds of the same structures asked nothing.
         assert calls == first
         assert flagged == 104 * per_job
-        assert cache.structure_misses == partition.num_parts
+        assert seen.structure_misses == partition.num_parts
 
     @pytest.mark.parametrize("name", sorted(generators.GENERATORS))
     def test_every_generator_flag_agrees_with_its_matrices(self, name):
@@ -547,34 +552,36 @@ class TestPlanCache:
     def test_hits_on_repeated_execution(self):
         qc = generators.build("ising", 8)
         p = get_partitioner("dagP").partition(qc, 5)
-        ex = HierarchicalExecutor(fuse=True)
-        ex.run(qc, p, zero_state(8))
-        assert ex.plan_cache.misses == p.num_parts
-        assert ex.plan_cache.hits == 0
-        ex.run(qc, p, zero_state(8))
-        assert ex.plan_cache.misses == p.num_parts
-        assert ex.plan_cache.hits == p.num_parts
+        ex, seen = HierarchicalExecutor(fuse=True), CacheCounters()
+        ex.run(qc, p, zero_state(8), cache_counters=seen)
+        assert (seen.misses, seen.hits) == (p.num_parts, 0)
+        ex.run(qc, p, zero_state(8), cache_counters=seen)
+        assert (seen.misses, seen.hits) == (p.num_parts, p.num_parts)
 
     def test_shared_cache_across_executors(self):
         qc = generators.build("bv", 8)
         p = get_partitioner("dagP").partition(qc, 5)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         HierarchicalExecutor(fuse=True, plan_cache=cache).run(
             qc, p, zero_state(8)
         )
-        misses = cache.misses
         HierarchicalExecutor(
             mode="literal", fuse=True, plan_cache=cache
-        ).run(qc, p, zero_state(8))
-        assert cache.misses == misses  # second executor fully reused plans
+        ).run(qc, p, zero_state(8), cache_counters=seen)
+        # The second executor fully reused the first one's plans.
+        assert (seen.misses, seen.hits) == (0, p.num_parts)
 
     def test_distinct_options_distinct_entries(self):
         qc = generators.build("bv", 6)
-        cache = PlanCache()
-        a = cache.get_or_compile(qc, range(len(qc)), range(6), fuse=True)
-        b = cache.get_or_compile(qc, range(len(qc)), range(6), fuse=False)
+        cache, seen = PlanCache(), CacheCounters()
+        a = cache.get_or_compile(
+            qc, range(len(qc)), range(6), fuse=True, counters=seen
+        )
+        b = cache.get_or_compile(
+            qc, range(len(qc)), range(6), fuse=False, counters=seen
+        )
         assert a is not b
-        assert cache.misses == 2
+        assert (seen.misses, len(cache)) == (2, 2)
 
     def test_eviction_bound(self):
         qc = generators.build("bv", 6)
@@ -586,11 +593,92 @@ class TestPlanCache:
         assert len(cache) == 2
 
     def test_gather_table_cached_per_plan(self):
-        qc = generators.build("bv", 6)
+        qc = QuantumCircuit(6).h(0).cx(0, 2).h(4)
         plan = compile_part(qc, range(len(qc)), (0, 2, 4), fuse=True)
         t1 = plan.gather_table(6)
         assert t1 is plan.gather_table(6)
         assert plan.gather_table(6).shape == (1 << 3, 1 << 3)
+
+
+def op_bytes(plan):
+    return [
+        (op.qubits, op.diagonal, op.matrix().tobytes()) for op in plan.ops
+    ]
+
+
+class TestOneLookup:
+    """``get_or_compile`` with and without a structural key is what the
+    old per-circuit and structural lookups were."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qc=circuits(max_gates=30, three_qubit=True),
+        strategy=st.sampled_from(["Nat", "DFS", "dagP"]),
+        limit=st.integers(3, 6),
+        fuse=st.booleans(),
+    )
+    def test_property_keyed_and_plain_lookups_agree(
+        self, qc, strategy, limit, fuse
+    ):
+        n = qc.num_qubits
+        partition = get_partitioner(strategy).partition(qc, min(limit, n))
+        parts = partition.num_parts
+        key = structural_fingerprint(qc)
+        keyed, plain = PlanCache(), PlanCache()
+        kseen, pseen = CacheCounters(), CacheCounters()
+        for part in partition.parts:
+            args = (qc, part.gate_indices, part.qubits)
+            a = keyed.get_or_compile(
+                *args, structural_key=key, fuse=fuse, counters=kseen
+            )
+            b = plain.get_or_compile(*args, fuse=fuse, counters=pseen)
+            assert op_bytes(a) == op_bytes(b)
+            # A repeat lookup of the same circuit hits, both ways.
+            assert keyed.get_or_compile(
+                *args, structural_key=key, fuse=fuse, counters=kseen
+            ) is a
+            assert plain.get_or_compile(*args, fuse=fuse, counters=pseen) is b
+        assert (kseen.misses, kseen.hits) == (parts, parts)
+        assert (kseen.structure_misses, kseen.structure_hits) == (parts, 0)
+        assert (pseen.misses, pseen.hits) == (parts, parts)
+        assert (pseen.structure_misses, pseen.structure_hits) == (0, 0)
+
+        # Plans compiled beforehand serve the run: only hits.
+        cache, seen = PlanCache(), CacheCounters()
+        compile_partition(qc, partition, fuse=fuse, cache=cache)
+        HierarchicalExecutor(fuse=fuse, plan_cache=cache, method="dense").run(
+            qc, partition, zero_state(n), cache_counters=seen
+        )
+        assert (seen.misses, seen.hits) == (0, parts)
+
+
+class TestWorkingSet:
+    """A part's gates must lie inside its working set."""
+
+    def test_structure_names_the_stray_gate(self):
+        qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
+        with pytest.raises(
+            ValueError,
+            match=r"gate 2 \(cx on \(1, 2\)\) lies outside the working "
+                  r"set \(0, 1\)",
+        ):
+            build_part_structure(qc, [0, 1, 2], [0, 1])
+
+    @pytest.mark.parametrize("strided_max", [None, -1],
+                             ids=["strided", "gather"])
+    def test_a_foreign_partition_is_refused_on_both_lanes(self, strided_max):
+        qa = QuantumCircuit(2).h(0).h(1)
+        pa = Partition.from_assignment(qa, [1, 0], limit=2, strategy="hand")
+        qb = QuantumCircuit(2).h(0).s(0)
+        executor = HierarchicalExecutor(
+            method="dense", backend=SerialBackend(strided_max=strided_max)
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"gate 1 \(s on \(0,\)\) lies outside the working "
+                  r"set \(1,\)",
+        ):
+            executor.run(qb, pa, zero_state(2))
 
 
 class TestOnceCache:
@@ -732,7 +820,7 @@ class TestDistributedFusion:
         p = get_partitioner("dagP").partition(qc, 7)
         cache = PlanCache()
         HiSVSimEngine(4, fuse=True, plan_cache=cache).run(qc, p)
-        assert cache.misses > 0
-        misses = cache.misses
+        plans = len(cache)
+        assert plans > 0
         HiSVSimEngine(8, fuse=True, plan_cache=cache).run(qc, p)
-        assert cache.misses == misses  # same parts, plans reused
+        assert len(cache) == plans  # same parts, plans reused

@@ -22,6 +22,7 @@ from repro.circuits.generators import qaoa, qft
 from repro.partition import get_partitioner
 from repro.serve import (
     BatchRunner,
+    BatchStats,
     SimJob,
     circuit_fingerprint,
     default_limit,
@@ -32,6 +33,7 @@ from repro.serve import (
 )
 from repro.serve.jobs import fingerprints
 from repro.sv import (
+    CacheCounters,
     HierarchicalExecutor,
     PlanCache,
     StateVectorSimulator,
@@ -180,18 +182,20 @@ class TestStructuralPlanCache:
         a, b = sweep_circuits(n=6, jobs=2)
         limit = default_limit(6)
         partition = get_partitioner("dagP").partition(a, limit)
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         fp = circuit_fingerprint(a)
         part = partition.parts[0]
-        plan_a = cache.get_or_bind(
-            a, part.gate_indices, part.qubits, structural_key=fp
+        plan_a = cache.get_or_compile(
+            a, part.gate_indices, part.qubits, structural_key=fp,
+            counters=seen,
         )
-        plan_b = cache.get_or_bind(
-            b, part.gate_indices, part.qubits, structural_key=fp
+        plan_b = cache.get_or_compile(
+            b, part.gate_indices, part.qubits, structural_key=fp,
+            counters=seen,
         )
         # One structure, shared; distinct matrices (angles differ).
         assert plan_a.structure is plan_b.structure
-        assert cache.structure_misses == 1 and cache.structure_hits == 1
+        assert seen.structure_misses == 1 and seen.structure_hits == 1
         assert plan_a.qubits == plan_b.qubits
         assert any(
             not np.array_equal(oa.matrix(), ob.matrix())
@@ -201,14 +205,14 @@ class TestStructuralPlanCache:
     def test_same_circuit_hits_bound_layer(self):
         (a,) = sweep_circuits(n=6, jobs=1)
         partition = get_partitioner("dagP").partition(a, default_limit(6))
-        cache = PlanCache()
+        cache, seen = PlanCache(), CacheCounters()
         fp = circuit_fingerprint(a)
         part = partition.parts[0]
         args = (a, part.gate_indices, part.qubits)
-        plan1 = cache.get_or_bind(*args, structural_key=fp)
-        plan2 = cache.get_or_bind(*args, structural_key=fp)
+        plan1 = cache.get_or_compile(*args, structural_key=fp, counters=seen)
+        plan2 = cache.get_or_compile(*args, structural_key=fp, counters=seen)
         assert plan1 is plan2
-        assert cache.hits == 1 and cache.misses == 1
+        assert seen.hits == 1 and seen.misses == 1
 
     def test_structural_key_execution_is_correct_per_job(self):
         """The stale-matrix trap: same structure, different angles must
@@ -232,10 +236,10 @@ class TestStructuralPlanCache:
         cache = PlanCache()
         fp = circuit_fingerprint(a)
         part = partition.parts[0]
-        plan_a = cache.get_or_bind(
+        plan_a = cache.get_or_compile(
             a, part.gate_indices, part.qubits, structural_key=fp
         )
-        plan_b = cache.get_or_bind(
+        plan_b = cache.get_or_compile(
             b, part.gate_indices, part.qubits, structural_key=fp
         )
         assert plan_a.gather_table(6) is plan_b.gather_table(6)
@@ -547,7 +551,6 @@ class TestConcurrentRunStats:
         ])
         assert again.stats.partitions_computed == 1
         assert again.stats.partition_hits == 1
-        assert runner.partitions_computed == 5
         # ... which evicted the next oldest and nothing else.
         third = runner.run([SimJob(f"w{n}", qft(n)) for n in (6, 5)])
         assert third.stats.partition_hits == 1
@@ -609,11 +612,16 @@ class TestConcurrentRunStats:
         assert reports["follower"].stats.partition_hits == 1
 
     def test_lifetime_totals_still_accumulate(self):
-        runner = BatchRunner()
-        runner.run([SimJob("x", qft(5), want_state=True)])
-        runner.run([SimJob("y", qft(5).copy(), want_state=True)])
-        assert runner.partitions_computed == 1
-        assert runner.partition_hits == 1
+        # The runner keeps no totals; a long-lived reader sums its
+        # batches' stats, as the serve daemon does for /metrics.
+        runner, total = BatchRunner(), BatchStats()
+        for name, qc in (("x", qft(5)), ("y", qft(5).copy())):
+            total.absorb(runner.run([SimJob(name, qc, want_state=True)]).stats)
+        assert total.partitions_computed == 1
+        assert total.partition_hits == 1
+        assert total.structure_hits == total.structures_compiled > 0
+        assert total.plans_bound == 2 * total.structures_compiled
+        assert total.plan_hits + total.plans_bound == total.parts_routed_dense
 
 
 # ---------------------------------------------------------------------------

@@ -490,23 +490,6 @@ def test_hybrid_with_clifford_tail_stays_dense_after_conversion():
 
 
 # ---------------------------------------------------------------------------
-# Plan-time capability (fusion layer)
-# ---------------------------------------------------------------------------
-
-
-def test_part_plans_record_clifford_capability():
-    from repro.sv import compile_part
-
-    clifford = build("cat_state", 4)
-    plan = compile_part(clifford, range(len(clifford)), [0, 1, 2, 3])
-    assert plan.clifford and plan.structure.clifford
-    assert all(g.clifford for g in plan.structure.groups)
-    mixed = QuantumCircuit(3).h(0).t(1).cx(1, 2)
-    plan2 = compile_part(mixed, [0, 1, 2], [0, 1, 2])
-    assert not plan2.clifford
-
-
-# ---------------------------------------------------------------------------
 # Serving stack: runner stats, manifest option, daemon wiring
 # ---------------------------------------------------------------------------
 
@@ -518,11 +501,14 @@ class TestServing:
                    want_state=True),
             SimJob("q", qft(5), want_state=True),
         ]
-        runner = BatchRunner(method="auto")
-        report = runner.run(jobs)
+        report = BatchRunner(method="auto").run(jobs)
         assert report.stats.parts_routed_stabilizer > 0
         assert report.stats.parts_routed_dense > 0
-        assert runner.parts_routed_stabilizer > 0  # lifetime totals too
+        # One plan lookup per dense part; tableau parts make none.
+        assert (
+            report.stats.plan_hits + report.stats.plans_bound
+            == report.stats.parts_routed_dense
+        )
         assert report.results[0].error is None
         # Tableau results materialise for outputs and match dense.
         sim = StateVectorSimulator(5)

@@ -19,7 +19,6 @@ from repro.circuits.gates import make_gate
 from repro.dist import HiSVSimEngine
 from repro.partition import get_partitioner
 from repro.sv import (
-    DEFAULT_STRIDED_MAX,
     ExecutionTrace,
     HierarchicalExecutor,
     SerialBackend,
@@ -32,7 +31,6 @@ from repro.sv import (
     compile_partition,
     flops_for_gate,
     split_controls,
-    strided_max_qubits,
     zero_state,
 )
 
@@ -239,11 +237,16 @@ def test_hidden_diagonal_routes_agree(build, all_diagonal, small_blocks):
     qc = build()
     n, ranks = qc.num_qubits, 4
     p = get_partitioner("dagP").partition(qc, 7)
-    ops = [op for plan in compile_partition(qc, p) for op in plan.ops]
+    plans = compile_partition(qc, p)
+    ops = [op for plan in plans for op in plan.ops]
     hidden = [
-        op for op in ops
+        op
+        for part, plan in zip(p.parts, plans)
+        for op, group in zip(plan.ops, plan.structure.groups)
         if op.is_diagonal
-        and not all(qc[g].is_diagonal for g in op.source_indices)
+        and not all(
+            qc[part.gate_indices[m]].is_diagonal for m in group.members
+        )
     ]
     assert hidden and all(op.is_diagonal for op in ops) == all_diagonal
 
@@ -293,30 +296,6 @@ def test_hidden_diagonal_routes_agree(build, all_diagonal, small_blocks):
 
 
 class TestStridedConfig:
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_STRIDED_MAX", raising=False)
-        assert strided_max_qubits() == DEFAULT_STRIDED_MAX
-        monkeypatch.setenv("REPRO_KERNEL_STRIDED_MAX", "")
-        assert strided_max_qubits() == DEFAULT_STRIDED_MAX  # empty = unset
-        monkeypatch.setenv("REPRO_KERNEL_STRIDED_MAX", "4")
-        assert strided_max_qubits() == 4
-        monkeypatch.setenv("REPRO_KERNEL_STRIDED_MAX", "-1")
-        assert strided_max_qubits() == -1
-
-    def test_disable_via_env_forces_gather(self, monkeypatch):
-        from repro.sv import ExecutionTrace
-
-        monkeypatch.setenv("REPRO_KERNEL_STRIDED_MAX", "-1")
-        qc = random_circuit(6, 10, seed=5)
-        p = get_partitioner("Nat").partition(qc, 4)
-        trace = ExecutionTrace()
-        state = zero_state(6)
-        HierarchicalExecutor(backend=SerialBackend()).run(
-            qc, p, state, trace=trace
-        )
-        assert trace.strided_parts == 0
-        assert trace.gathered_parts == p.num_parts
-
     def test_traffic_model_favors_strided_for_small_groups(self):
         n = 20
         # One 2-qubit op: the gather part moves table + gather + op +

@@ -35,7 +35,6 @@ REFERENCES = {
     # model are checked against.
     "apply_circuit": "test_kernels.py",
     "is_unitary": "test_gates.py",
-    "DEFAULT_STRIDED_MAX": "test_strided.py",
     "quasi_probabilities": "test_cut.py",
     "enumerate_variants": "test_cut.py",
     "num_amplitude_variants": "test_cut.py",

@@ -69,6 +69,7 @@ from ..config import env
 from . import kernels  # block constants, read at call time (tests shrink them)
 from .kernels import (
     _apply_dense_split,
+    _apply_diagonal,
     _apply_strided,
     apply_matrix,
     apply_matrix_batched,
@@ -169,6 +170,29 @@ def _row_blocks(
 # The part-sweep core
 # ---------------------------------------------------------------------------
 
+#: Each thread's gather workspace: two complex128 buffers, one holding a
+#: gathered block and one taking the next copy or GEMM result.
+_workspaces = threading.local()
+
+
+def _workspace(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Two buffers of at least ``size`` amplitudes for this thread.
+
+    A pair of at most ``2 * BLOCK_ELEMENTS`` amplitudes (1 MiB each) is
+    kept for the thread's next block, so a sweep of cache-sized blocks
+    allocates nothing after its first; a wider block (one gather row
+    above that) gets a fresh pair that is freed with it."""
+    pair = getattr(_workspaces, "pair", None)
+    if pair is not None and pair[0].size >= size:
+        return pair
+    pair = (
+        np.empty(size, dtype=np.complex128),
+        np.empty(size, dtype=np.complex128),
+    )
+    if size <= 2 * kernels.BLOCK_ELEMENTS:
+        _workspaces.pair = pair
+    return pair
+
 
 def _strided_eligible(plan, strided_max: int) -> bool:
     """True when every op of ``plan`` fits the gather-free strided path:
@@ -216,7 +240,14 @@ def run_part(
       leading rows and each op lands on them through bit-strided views:
       no index table, no gathered copy;
     * ``"gather"``, ``mode="batched"`` — gather the rows' inner vectors
-      into a matrix, sweep every op over it, scatter back;
+      into this thread's workspace (:func:`_workspace`), sweep every op
+      over it, scatter back.  A dense op leaves its GEMM result in its
+      own axis order, so it costs at most one transposing copy and a
+      GEMM; a diagonal op multiplies in whatever order the block is in,
+      and one copy restores natural order before the scatter.  The
+      orders are planned once per part structure and row count
+      (``PartPlanStructure.sweep_plan``); every GEMM keeps the shape
+      and columns of a copy-GEMM-write-back sweep, so the bits are its;
     * ``"gather"``, ``mode="literal"`` — the paper's loop, one inner
       state vector at a time (validation reference; never strided).
 
@@ -250,20 +281,51 @@ def run_part(
             map_blocks(block, view.shape[0], state.size)
         return "strided"
     w = len(plan.qubits)
-    ops = plan.local_ops()
     table = plan.gather_table(num_qubits)
     if mode == "batched":
 
         def block(lo: int, hi: int) -> None:
-            sub = table[lo:hi]
-            inner = state[sub]  # (hi - lo, 2^w) copy
-            for op in ops:
-                apply_matrix_batched(
-                    inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
+            rows = hi - lo
+            steps, restore = plan.structure.sweep_plan(rows)
+            size = rows << w
+            cur, spare = (buf[:size] for buf in _workspace(size))
+            # "clip": the table is in range, and the default "raise"
+            # would stage the gather in a temporary before ``out``.
+            np.take(
+                state, table[lo:hi], out=cur.reshape(rows, -1), mode="clip"
+            )
+            for (shape, perm, target, gemm), op in zip(steps, plan.ops):
+                if gemm is None:
+                    # Diagonal: in place, in the current order (the step
+                    # holds the operand axes and the row axis).
+                    _apply_diagonal(
+                        cur.reshape(shape),
+                        np.ascontiguousarray(np.diag(op.matrix())),
+                        perm,
+                        target,
+                    )
+                    continue
+                if perm is not None:
+                    np.copyto(
+                        spare.reshape(target),
+                        cur.reshape(shape).transpose(perm),
+                    )
+                    cur, spare = spare, cur
+                np.matmul(
+                    op.matrix(), cur.reshape(gemm), out=spare.reshape(gemm)
                 )
-            state[sub] = inner
+                cur, spare = spare, cur
+            if restore is not None:
+                shape, perm = restore
+                np.copyto(
+                    spare.reshape((rows,) + (2,) * w),
+                    cur.reshape(shape).transpose(perm),
+                )
+                cur = spare
+            state[table[lo:hi]] = cur.reshape(rows, -1)
 
     else:
+        ops = plan.local_ops()
 
         def block(lo: int, hi: int) -> None:
             for t in range(lo, hi):

@@ -58,6 +58,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
+from .kernels import _gathered_sweep_plan
 from .layout import extract_bits, gather_index_table, spread_bits
 
 __all__ = [
@@ -386,7 +387,8 @@ class PartPlanStructure:
     Everything about a part's execution that does **not** depend on gate
     parameters lives here: the fusion grouping, each group's kernel
     class (``FusionGroup.diagonal``), the bind program, the working-set
-    qubit tuple and the (memoised) Algorithm-1 gather table.  All of it
+    qubit tuple, the (memoised) Algorithm-1 gather table and the axis
+    orders a gathered block is swept in.  All of it
     only consults gate *names* and operands — whether a group's product
     is diagonal follows from which members are diagonal gates and which
     are permutations that cancel, never from an angle or a bound matrix
@@ -414,7 +416,10 @@ class PartPlanStructure:
     True
     """
 
-    __slots__ = ("qubits", "groups", "num_source_gates", "_table", "_program")
+    __slots__ = (
+        "qubits", "groups", "num_source_gates", "_table", "_sweeps",
+        "_program",
+    )
 
     def __init__(
         self,
@@ -426,6 +431,7 @@ class PartPlanStructure:
         self.groups = tuple(groups)
         self.num_source_gates = len(gates)
         self._table: Optional[Tuple[int, np.ndarray]] = None
+        self._sweeps: Dict[int, tuple] = {}
         self._program = _bind_program(self.groups, gates)
 
     @property
@@ -444,6 +450,26 @@ class PartPlanStructure:
         if table.size <= _TABLE_CACHE_MAX_ELEMENTS:
             self._table = (num_qubits, table)
         return table
+
+    def sweep_plan(self, rows: int) -> tuple:
+        """How a gathered block of ``rows`` rows runs this part's ops:
+        :func:`repro.sv.kernels._gathered_sweep_plan`, kept per row
+        count (a part's blocks have one or two) and shared by every plan
+        bound from this structure — a benign race between threads
+        recomputes an identical tuple.
+        """
+        sweep = self._sweeps.get(rows)
+        if sweep is None:
+            pos = {q: i for i, q in enumerate(self.qubits)}
+            sweep = self._sweeps[rows] = _gathered_sweep_plan(
+                rows,
+                len(self.qubits),
+                [
+                    (tuple(pos[q] for q in grp.qubits), grp.diagonal)
+                    for grp in self.groups
+                ],
+            )
+        return sweep
 
     def bind(self, gates: Sequence[Gate]) -> "CompiledPartPlan":
         """Build fused matrices for ``gates`` against this structure.

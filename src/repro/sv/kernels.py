@@ -172,7 +172,12 @@ def _diagonal_factor(diag: np.ndarray, axes: Sequence[int], ndim: int) -> np.nda
     return fac.reshape(shape)
 
 
-def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> None:
+def _apply_diagonal(
+    view: np.ndarray,
+    diag: np.ndarray,
+    axes: Sequence[int],
+    batch_axis: int = 0,
+) -> None:
     """Copy-free diagonal-gate path: one in-place multiply by ``diag``
     broadcast over the gate axes of a contiguous ``(…, 2, …, 2)`` view.
 
@@ -184,7 +189,9 @@ def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> 
     over those axes (at most ``2^(k + DIAGONAL_RUN_BITS)`` entries) and
     they are merged, so the inner loop is that many contiguous
     amplitudes.  Either way each amplitude is multiplied by the same
-    entry of ``diag``, so the bits are the same.
+    entry of ``diag``, so the bits are the same.  Only axes after
+    ``batch_axis`` merge: a gathered block in a dense op's order
+    (:func:`_gathered_sweep_plan`) has qubit axes before its row axis.
 
     >>> view = np.ones((2,) * 4, dtype=np.complex128)   # qubit q: axis 3 - q
     >>> _apply_diagonal(view, np.array([1, 2, 3, 4j]), [0, 3])  # on (0, 3)
@@ -192,7 +199,7 @@ def _apply_diagonal(view: np.ndarray, diag: np.ndarray, axes: Sequence[int]) -> 
     [1, 2, 1, 2, 1, 2, 1, 2, 3, 0]
     """
     fac = _diagonal_factor(diag, axes, view.ndim)
-    low = min(DIAGONAL_RUN_BITS, view.ndim - 1)
+    low = min(DIAGONAL_RUN_BITS, view.ndim - 1 - batch_axis)
     if axes and max(axes) >= view.ndim - low and view.size >= BLOCK_ELEMENTS:
         lead = fac.shape[: view.ndim - low]
         # Merging the broadcast axes copies: the factor's run.
@@ -312,6 +319,77 @@ def apply_gate_batched(
         num_local,
         diagonal=gate.is_diagonal,
     )
+
+
+def _gathered_sweep_plan(
+    rows: int, width: int, ops: Sequence[Tuple[Tuple[int, ...], bool]]
+) -> Tuple[tuple, tuple]:
+    """Axis orders for sweeping ``ops`` — ``(local qubits, diagonal)``
+    pairs — over a gathered ``(rows, 2^width)`` block without writing a
+    dense op's result back: ``(steps, restore)``.
+
+    Axis ``0`` of the block is its row, axis ``a >= 1`` qubit
+    ``width - a``.  A dense op on view axes ``A`` (most significant
+    operand first) runs its GEMM on the block in order ``A``, row, the
+    other axes ascending — the order :func:`_apply_dense` moves them to,
+    so the GEMM has the same shape and columns and the same bits — and
+    the block stays in that order.  One step per op:
+
+    * dense: ``(shape, perm, target, gemm)`` — ``perm`` transposes the
+      block from ``shape`` (its current order) into ``target``, or is
+      ``None`` when the bytes are already in order (the operands lead,
+      or only a one-row axis moves); ``gemm`` is the GEMM operand shape;
+    * diagonal: ``(shape, axes, batch_axis, None)`` — the operands'
+      positions and the row axis's in the current order, for
+      :func:`_apply_diagonal`.
+
+    ``restore`` is ``(shape, perm)`` back to natural order, or ``None``.
+    Depends only on its arguments, so a part structure keeps one per row
+    count; operands are checked here, once, not per sweep.
+
+    >>> steps, restore = _gathered_sweep_plan(4, 3, [((0,), False),
+    ...                                              ((0,), False),
+    ...                                              ((2,), True)])
+    >>> steps[0]       # qubit 0 (axis 3) leads: one copy, 2 x 16 GEMM
+    ((4, 2, 2, 2), (3, 0, 1, 2), (2, 4, 2, 2), (2, 16))
+    >>> steps[1][1] is None                # already in order: no copy
+    True
+    >>> steps[2]       # qubit 2 (axis 1) sits at position 2, row at 1
+    ((2, 4, 2, 2), (2,), 1, None)
+    >>> restore
+    ((2, 4, 2, 2), (1, 2, 3, 0))
+    """
+    sizes = (rows,) + (2,) * width
+    natural = tuple(range(width + 1))
+
+    def perm(src: tuple, dst: tuple):
+        def moved(order):  # a one-row axis may sit anywhere
+            return [a for a in order if sizes[a] > 1]
+
+        if moved(src) == moved(dst):
+            return None
+        return tuple(src.index(a) for a in dst)
+
+    order = natural
+    steps = []
+    for qubits, diagonal in ops:
+        check_operands(qubits, width)
+        axes = tuple(_gate_axes(width + 1, width, qubits, lead=1))
+        shape = tuple(sizes[a] for a in order)
+        if diagonal:
+            where = tuple(order.index(a) for a in axes)
+            steps.append((shape, where, order.index(0), None))
+            continue
+        target = axes + tuple(a for a in natural if a not in axes)
+        gemm = (1 << len(axes), rows << (width - len(axes)))
+        steps.append(
+            (shape, perm(order, target), tuple(sizes[a] for a in target), gemm)
+        )
+        order = target
+    restore = perm(order, natural)
+    if restore is not None:
+        restore = (tuple(sizes[a] for a in order), restore)
+    return tuple(steps), restore
 
 
 def apply_gate_reference(
@@ -526,6 +604,7 @@ def apply_matrix_strided(
             f"state has {state.size} amplitudes but num_qubits="
             f"{num_qubits} requires {1 << num_qubits}"
         )
+    check_operands(qubits, num_qubits)
     view = state.reshape((2,) * num_qubits)
     _apply_strided(view, matrix, qubits, num_qubits, 0, diagonal)
     return state

@@ -192,6 +192,30 @@ def to_dense_reference(state) -> np.ndarray:
     return out
 
 
+def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
+    """Oracle for ``run_part``'s batched gather lane (mutates ``state``):
+    the body as first written -- per block of the block rule at
+    ``threads`` threads, gather ``state[table]``, run each local op
+    through ``apply_matrix_batched`` (a transposing copy, a GEMM and a
+    write-back every time), scatter.  The production body keeps the
+    block in a workspace in the last dense op's axis order and must
+    agree with it byte for byte.
+    """
+    from repro.sv.backend import _row_blocks
+    from repro.sv.kernels import apply_matrix_batched
+
+    table = plan.gather_table(n)
+    w = len(plan.qubits)
+    for lo, hi in _row_blocks(table.shape[0], table.size, threads)[1]:
+        inner = state[table[lo:hi]]
+        for op in plan.local_ops():
+            apply_matrix_batched(
+                inner, op.matrix(), op.qubits, w, diagonal=op.is_diagonal
+            )
+        state[table[lo:hi]] = inner
+    return state
+
+
 def scatter_reference(shards: np.ndarray, sigma):
     """Elementwise oracle for the bit-permutation exchange ``sigma``.
 

@@ -13,6 +13,7 @@ from repro.sv.kernels import (
     apply_gate_reference,
     apply_matrix,
     apply_matrix_batched,
+    apply_matrix_strided,
     bytes_touched_for_gate,
     flops_for_gate,
 )
@@ -172,6 +173,9 @@ class TestOperandChecks:
                 ),
                 "apply_matrix_batched": lambda s: apply_matrix_batched(
                     s, matrix, operands, 3, diagonal=diagonal
+                ),
+                "apply_matrix_strided": lambda s: apply_matrix_strided(
+                    s[0], matrix, operands, 3, diagonal=diagonal
                 ),
             }
             for backend in (SerialBackend(), threaded):

@@ -72,6 +72,10 @@ _BINARY_OPS = {
 }
 _UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
+#: Longest parameter expression parsed, in characters: a ``repr`` float
+#: is at most 24, and the bound keeps ``ast.parse``'s tree small.
+MAX_PARAM_CHARS = 256
+
 
 def _eval_node(node: ast.AST) -> float:
     """One node of a parameter expression, on floats only."""
@@ -99,8 +103,14 @@ def _eval_param(expr: str) -> float:
     every failure (overflow, division by zero, a complex root, nesting
     too deep to parse or walk) is a :class:`QasmError`.  A pure function
     of its text, so results are memoised; a raising expression is not.
+    An expression longer than :data:`MAX_PARAM_CHARS` is refused unparsed.
     """
     expr = expr.strip().replace("^", "**")
+    if len(expr) > MAX_PARAM_CHARS:
+        raise QasmError(
+            f"parameter expression of {len(expr)} characters (more than "
+            f"{MAX_PARAM_CHARS})"
+        )
     try:
         value = _eval_node(ast.parse(expr, mode="eval").body)
     except QasmError:

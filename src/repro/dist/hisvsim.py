@@ -4,21 +4,25 @@ One remap per part instead of one exchange per gate: before a part runs,
 the state moves to that part's layout in
 :func:`~repro.dist.exchange.remap_schedule` (exactly the missing
 working-set qubits swapped into local positions, evicting residents the
-next part does not need), then every gate of the part executes locally on
-the shards.  Communication is therefore proportional to the number of
-parts — the quantity the dagP partitioner minimises — rather than to the
-number of gates on high qubits, which is the IQS baseline's cost.
+next part does not need).  After that staging step a part is an
+ordinary part of the rows held here: it runs through the one copy of
+Algorithm 1, :meth:`~repro.sv.backend.ExecutionBackend.run_plan`, with
+its plan renamed to the positions its qubits now hold.  Communication is
+therefore proportional to the number of parts — the quantity the dagP
+partitioner minimises — rather than to the number of gates on high
+qubits, which is the IQS baseline's cost.
 
-Multi-level execution (Sec. IV) reorders each part's gates by its level-2
-partition and charges computation against the *inner* working set: inner
-state vectors sized to the LLC run at cache bandwidth at the price of one
-gather/scatter sweep per inner part (Fig. 10's trade).
+Multi-level execution (Sec. IV) runs each part as its level-2 inner
+parts, in order, one ``run_plan`` each, and charges computation against
+the *inner* working set: inner state vectors sized to the LLC run at
+cache bandwidth at the price of one gather/scatter sweep per inner part
+(Fig. 10's trade).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,9 +44,12 @@ __all__ = ["HiSVSimEngine"]
 class HiSVSimEngine:
     """Simulated multi-node execution of an acyclic partition.
 
-    One layout exchange per part (instead of per gate), then every gate
-    of the part executes locally on the rank shards — the paper's core
-    claim, with byte-exact communication accounting on ``report``.
+    One layout exchange per part (instead of per gate), then one
+    ``backend.run_plan`` over the rows held here — every rank's shard in
+    process (``num_qubits = n``), this rank's one row on a socket rank
+    (``num_qubits = local_bits``) — with the part's plan renamed to
+    layout positions.  That is the paper's core claim, with byte-exact
+    communication accounting on ``report``.
 
     >>> import numpy as np
     >>> from repro.circuits.generators import qft
@@ -68,23 +75,23 @@ class HiSVSimEngine:
         closed-form traffic — identical accounting to a real run.
     fuse:
         Compile each part's gate list into fused unitaries via
-        :mod:`repro.sv.fusion` before sweeping the shards; every rank's
-        shard reuses the same compiled plan, and repeated runs hit the
-        (shareable) ``plan_cache``.  Off by default so the paper's
-        gate-for-gate model comparisons against the IQS baseline stay
-        unchanged; turn on for throughput-oriented runs.
+        :mod:`repro.sv.fusion`; unfused, every gate is its own op.
+        Either way a part's plan comes from the (shareable)
+        ``plan_cache``, so repeated runs reuse it.  Off by default so
+        the paper's gate-for-gate model comparisons against the IQS
+        baseline stay unchanged; turn on for throughput-oriented runs.
     max_fused_qubits:
-        Dense fusion arity cap (clipped to each part's working set).
+        Dense fusion arity cap (clipped to each part's working set),
+        ``>= 1``.
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache` — pass the
         hierarchical executor's cache to share compiled parts across
         engines.
     backend:
-        Execution backend for the shard sweeps (rank rows are
-        independent, so parallel backends split them block-wise):
-        an :class:`~repro.sv.backend.ExecutionBackend`, a name, or
-        ``None`` to follow ``REPRO_BACKEND``.  Model accounting is
-        backend-independent; only measured wall time changes.
+        Execution backend the parts run on (its block rule splits them
+        block-wise): an :class:`~repro.sv.backend.ExecutionBackend`, a
+        name, or ``None`` to follow ``REPRO_BACKEND``.  Model accounting
+        is backend-independent; only measured wall time changes.
     threads:
         Worker count for a backend resolved by name/environment.
     """
@@ -108,6 +115,10 @@ class HiSVSimEngine:
         self.dry_run = dry_run
         self.fuse = bool(fuse)
         self.max_fused_qubits = int(max_fused_qubits)
+        if self.max_fused_qubits < 1:
+            raise ValueError(
+                f"max_fused_qubits must be >= 1 (got {self.max_fused_qubits})"
+            )
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.backend: ExecutionBackend = resolve_backend(backend, threads)
 
@@ -225,33 +236,25 @@ class HiSVSimEngine:
                 working_set = AMP_BYTES << width
             else:
                 working_set = shard_bytes
-            for op in self._ops_for(circuit, indices, width, qubits):
-                # FusedGate duck-types Gate for both the cost model
-                # (num_qubits / is_diagonal) and the shard kernels
-                # (qubits / matrix()); every rank's shard row executes
-                # the same compiled op in one batched sweep.
+            plan = self.plan_cache.get_or_compile(
+                circuit,
+                indices,
+                qubits,
+                fuse=self.fuse,
+                max_fused_qubits=min(self.max_fused_qubits, max(width, 1)),
+            )
+            for op in plan.ops:
                 seconds += charge_gate(
                     self.machine, compute, op, local_bits, working_set
                 )
-                if not self.dry_run:
-                    state.apply_gate_local(op, backend=self.backend)
+            if not self.dry_run:
+                # After ``remap`` the group's qubits sit at local
+                # positions, so it is an ordinary part of the rows held
+                # here: all ranks' shards in process, one on a socket rank.
+                flat = state.shards.reshape(-1)
+                self.backend.run_plan(
+                    plan.relabel(map(state.layout.position, plan.qubits)),
+                    flat,
+                    flat.size.bit_length() - 1,
+                )
         return seconds
-
-    def _ops_for(
-        self,
-        circuit: QuantumCircuit,
-        indices: Tuple[int, ...],
-        width: int,
-        qubits: Tuple[int, ...],
-    ):
-        """Ops to sweep for one gate group: fused plan or raw gates."""
-        if not self.fuse:
-            return [circuit[g] for g in indices]
-        plan = self.plan_cache.get_or_compile(
-            circuit,
-            indices,
-            qubits,
-            fuse=True,
-            max_fused_qubits=min(self.max_fused_qubits, max(width, 1)),
-        )
-        return plan.ops

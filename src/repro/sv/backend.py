@@ -31,21 +31,26 @@ rows, so no row is too big to be a block:
 
 That is the whole contract — a backend is a block mapper and nothing
 else.  The three entry points — :meth:`~ExecutionBackend.run_plan` (one
-hierarchical part), :meth:`~ExecutionBackend.apply_matrix_rows` (one
-unitary over the distributed engines' shard matrix) and
+part, for the hierarchical executor and the distributed engine alike),
+:meth:`~ExecutionBackend.apply_matrix_rows` (one unitary over a row
+matrix, such as the IQS baseline's shards) and
 :meth:`~ExecutionBackend.apply_gate_flat` (one gate of the flat
-simulator) — are base-class methods over that mapper, and the
-hierarchical executor calls no other hook.
+simulator) — are base-class methods over that mapper, and the executors
+call no other hook.
 
 **The lane rule** (stated here once; ``docs/backends.md`` elaborates):
 a part whose fused ops all have at most ``DEFAULT_STRIDED_MAX`` (2)
 target qubits after control extraction skips the gather
 matrix and applies each op to the flat state through bit-strided views,
-cutting a single-op part's memory traffic ~3x.  Both lanes reduce to
-GEMMs of identical shape, so they are bit-identical within a backend.
+cutting a single-op part's memory traffic ~3x.  Any other part gathers
+— unless its gather row is wider than the kept workspace (``2^w >
+2 * BLOCK_ELEMENTS``): then it runs in place, row by row, each op through
+the shard kernel over the row's virtual rows.  Every lane reduces to
+GEMMs over the same columns, so they are bit-identical within a backend.
 The decision is made in :func:`run_part` only and remembered on the
-bound plan; ``run_plan`` reports the lane (``"strided"`` / ``"gather"``)
-and the executor's ``ExecutionTrace`` tallies the counts.
+bound plan; ``run_plan`` reports the lane (``"strided"`` / ``"gather"``,
+in place or not) and the executor's ``ExecutionTrace`` tallies the
+counts.
 
 Backends are selected per executor (``backend="threaded"``), from the
 CLI (``repro simulate --backend threaded --threads 4``) or globally via
@@ -166,6 +171,38 @@ def _row_blocks(
     return split, split_blocks(virtual, parts)
 
 
+def _map_row_groups(
+    map_blocks: Callable[[BlockFn, int, int], None],
+    fn: BlockFn,
+    rows: int,
+    elements: int,
+    columns: Optional[int],
+) -> None:
+    """``fn(lo, hi)`` over ``range(rows)`` in blocks of whole GEMM tiles.
+
+    Rows whose dense ops have fewer than ``MIN_GEMM_COLUMNS`` GEMM
+    ``columns`` each (a power of two; ``None``: no GEMM) are grouped
+    ``MIN_GEMM_COLUMNS / columns`` to a virtual row, the last one taking
+    the remainder — the block rule's grouping — so no block's GEMM is
+    narrower than a whole-state one would be."""
+    group = max(1, kernels.MIN_GEMM_COLUMNS // columns) if columns else 1
+    virtual = max(1, rows // group)
+
+    def block(lo: int, hi: int) -> None:
+        fn(lo * group, rows if hi == virtual else hi * group)
+
+    map_blocks(block, virtual, elements)
+
+
+def _gemm_columns(plan, width: int) -> int:
+    """GEMM columns per ``2^width``-amplitude row of ``plan``'s widest
+    dense op."""
+    k = max(
+        (len(op.qubits) for op in plan.ops if not op.is_diagonal), default=0
+    )
+    return 1 << (width - k)
+
+
 # ---------------------------------------------------------------------------
 # The part-sweep core
 # ---------------------------------------------------------------------------
@@ -176,21 +213,27 @@ _workspaces = threading.local()
 
 
 def _workspace(size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Two buffers of at least ``size`` amplitudes for this thread.
+    """Two buffers of at least ``size`` amplitudes for this thread, kept
+    for its next block, so a sweep allocates nothing after its first.
 
-    A pair of at most ``2 * BLOCK_ELEMENTS`` amplitudes (1 MiB each) is
-    kept for the thread's next block, so a sweep of cache-sized blocks
-    allocates nothing after its first; a wider block (one gather row
-    above that) gets a fresh pair that is freed with it."""
+    The block rule bounds what is kept: a gathered block of ``w``-qubit
+    rows holds at most ``max(BLOCK_ELEMENTS, 2^w)`` amplitudes, and
+    :func:`run_part` gathers no row wider than ``2 * BLOCK_ELEMENTS``.
+
+    >>> B = kernels.BLOCK_ELEMENTS
+    >>> max(
+    ...     (hi - lo) << w
+    ...     for w in range(17) for n in range(w, 24) for threads in (1, 2, 3)
+    ...     for lo, hi in _row_blocks(1 << (n - w), 1 << n, threads)[1]
+    ... ) == 2 * B
+    True
+    """
     pair = getattr(_workspaces, "pair", None)
-    if pair is not None and pair[0].size >= size:
-        return pair
-    pair = (
-        np.empty(size, dtype=np.complex128),
-        np.empty(size, dtype=np.complex128),
-    )
-    if size <= 2 * kernels.BLOCK_ELEMENTS:
-        _workspaces.pair = pair
+    if pair is None or pair[0].size < size:
+        pair = _workspaces.pair = (
+            np.empty(size, dtype=np.complex128),
+            np.empty(size, dtype=np.complex128),
+        )
     return pair
 
 
@@ -219,6 +262,49 @@ def _strided_eligible(plan, strided_max: int) -> bool:
     return eligible
 
 
+def _apply_rows(
+    rows: np.ndarray,
+    matrix: np.ndarray,
+    positions: Sequence[int],
+    num_local: int,
+    diagonal: bool,
+    map_blocks: Callable[[BlockFn, int, int], None],
+) -> None:
+    """The shard kernel: one unitary over every row of ``rows``
+    (``(B, 2^num_local)``, in place; ``positions`` are row-local qubit
+    indices), its blocks visited by ``map_blocks``.
+
+    A diagonal op is one in-place multiply per row block.  A dense op
+    runs over the block rule's virtual rows: a row wider than a block
+    splits, one GEMM per virtual row, so a single row still spreads over
+    threads; rows of fewer than ``MIN_GEMM_COLUMNS`` columns group.
+    Either way every GEMM column is computed as in one GEMM over all
+    rows, so the bits do not depend on the thread count."""
+    if rows.ndim != 2 or rows.shape[1] != 1 << num_local:
+        raise ValueError(f"rows must be (B, {1 << num_local})")
+    check_operands(positions, num_local)
+    batch = rows.shape[0]
+    # A diagonal op makes no copy and runs no GEMM: its rows stay whole.
+    columns = None if diagonal else 1 << (num_local - len(positions))
+    split = _row_blocks(batch, rows.size, 1, columns)[0]
+    if split > 0:
+
+        def block(lo: int, hi: int) -> None:
+            _apply_dense_split(
+                rows, matrix, positions, num_local, split, lo, hi
+            )
+
+        map_blocks(block, batch << split, rows.size)
+        return
+
+    def block(lo: int, hi: int) -> None:
+        apply_matrix_batched(
+            rows[lo:hi], matrix, positions, num_local, diagonal=diagonal
+        )
+
+    _map_row_groups(map_blocks, block, batch, rows.size, columns)
+
+
 def run_part(
     plan,
     state: np.ndarray,
@@ -229,25 +315,34 @@ def run_part(
 ) -> str:
     """Algorithm 1 for one part — the only copy; returns the lane that ran.
 
+    ``plan``'s qubits are bits of ``state``'s index (the circuit's
+    qubits on a flat state; layout positions on a distributed one).
     Decides the kernel lane (:func:`_strided_eligible`), builds the
     per-row-range body for it, and hands that body to ``map_blocks(fn,
     rows, elements)``, which visits ``range(rows)`` in the block rule's
     blocks (``elements`` is the amplitude count they are sized from).
-    Three bodies exist:
+    Four bodies exist:
 
-    * ``"strided"`` — ops carry *global* qubit labels and touch only
-      qubits below some axis, so the flat state splits into independent
-      leading rows and each op lands on them through bit-strided views:
-      no index table, no gathered copy;
-    * ``"gather"``, ``mode="batched"`` — gather the rows' inner vectors
-      into this thread's workspace (:func:`_workspace`), sweep every op
-      over it, scatter back.  A dense op leaves its GEMM result in its
-      own axis order, so it costs at most one transposing copy and a
-      GEMM; a diagonal op multiplies in whatever order the block is in,
-      and one copy restores natural order before the scatter.  The
-      orders are planned once per part structure and row count
-      (``PartPlanStructure.sweep_plan``); every GEMM keeps the shape
-      and columns of a copy-GEMM-write-back sweep, so the bits are its;
+    * ``"strided"`` — ops touch only qubits below some axis, so the
+      flat state splits into independent leading rows and each op lands
+      on them through bit-strided views: no index table, no gathered
+      copy;
+    * ``"gather"``, ``mode="batched"``, in place — a gather row wider
+      than the kept workspace (``2^w > 2 * BLOCK_ELEMENTS``) is not
+      gathered: the flat state splits into leading rows as above, and
+      row by row every op runs through the shard kernel
+      (:func:`_apply_rows`) over the row's virtual rows, so the part
+      still finishes one row before the next starts;
+    * ``"gather"``, ``mode="batched"``, gathered — gather the rows'
+      inner vectors into this thread's workspace (:func:`_workspace`),
+      sweep every op over it, scatter back.  A dense op leaves its GEMM
+      result in its own axis order, so it costs at most one transposing
+      copy and a GEMM; a diagonal op multiplies in whatever order the
+      block is in, and one copy restores natural order before the
+      scatter.  The orders are planned once per part structure and row
+      count (``PartPlanStructure.sweep_plan``); every GEMM keeps the
+      shape and columns of a copy-GEMM-write-back sweep, so the bits
+      are its;
     * ``"gather"``, ``mode="literal"`` — the paper's loop, one inner
       state vector at a time (validation reference; never strided).
 
@@ -278,11 +373,31 @@ def run_part(
                         sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
                     )
 
-            map_blocks(block, view.shape[0], state.size)
+            _map_row_groups(
+                map_blocks, block, view.shape[0], state.size,
+                _gemm_columns(plan, local),
+            )
         return "strided"
     w = len(plan.qubits)
+    if mode == "batched" and 1 << w > 2 * kernels.BLOCK_ELEMENTS:
+        # A gather row wider than the kept workspace: sweep the part in
+        # place, one row of the flat state at a time (more only where a
+        # row holds too few GEMM columns), every op on a row before the
+        # next row starts.
+        local = 1 + max(plan.qubits)
+        view = state.reshape(-1, 1 << local)
+        step = max(1, kernels.MIN_GEMM_COLUMNS // _gemm_columns(plan, local))
+        for r in range(0, view.shape[0], step):
+            for op in plan.ops:
+                _apply_rows(
+                    view[r:r + step], op.matrix(), op.qubits, local,
+                    op.is_diagonal, map_blocks,
+                )
+        return "gather"
     table = plan.gather_table(num_qubits)
+    columns = None
     if mode == "batched":
+        columns = _gemm_columns(plan, w)
 
         def block(lo: int, hi: int) -> None:
             rows = hi - lo
@@ -337,7 +452,7 @@ def run_part(
                     )
                 state[table[t]] = in_sv
 
-    map_blocks(block, table.shape[0], table.size)
+    _map_row_groups(map_blocks, block, table.shape[0], table.size, columns)
     return "gather"
 
 
@@ -430,41 +545,11 @@ class ExecutionBackend:
         diagonal: bool = False,
     ) -> None:
         """Apply one unitary to every row of ``rows`` (``(B, 2^num_local)``,
-        in place); ``positions`` are row-local qubit indices.
-
-        A diagonal op is one in-place multiply per row block.  A dense
-        op runs over the block rule's virtual rows: a row wider than a
-        block splits, one GEMM per virtual row, so a single shard row
-        still spreads over threads; rows of fewer than
-        ``MIN_GEMM_COLUMNS`` columns group.  Either way every GEMM
-        column is computed as in one GEMM over all rows, so the bits do
-        not depend on the thread count."""
-        if rows.ndim != 2 or rows.shape[1] != 1 << num_local:
-            raise ValueError(f"rows must be (B, {1 << num_local})")
-        check_operands(positions, num_local)
-        batch = rows.shape[0]
-        # A diagonal op makes no copy and runs no GEMM: its rows stay whole.
-        columns = None if diagonal else 1 << (num_local - len(positions))
-        split, blocks = _row_blocks(batch, rows.size, 1, columns)
-        virtual = blocks[-1][1]  # the blocks end at the virtual row count
-        if split > 0:
-
-            def block(lo: int, hi: int) -> None:
-                _apply_dense_split(
-                    rows, matrix, positions, num_local, split, lo, hi
-                )
-
-        else:
-            group = 1 << -split
-
-            def block(lo: int, hi: int) -> None:
-                stop = batch if hi == virtual else hi * group
-                apply_matrix_batched(
-                    rows[lo * group:stop], matrix, positions, num_local,
-                    diagonal=diagonal,
-                )
-
-        self.map_blocks(block, virtual, rows.size)
+        in place); ``positions`` are row-local qubit indices
+        (:func:`_apply_rows` on this backend's mapper)."""
+        _apply_rows(
+            rows, matrix, positions, num_local, diagonal, self.map_blocks
+        )
 
     def apply_gate_flat(
         self, state: np.ndarray, gate: Gate, num_qubits: int

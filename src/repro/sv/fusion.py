@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import (
     Any,
@@ -471,6 +471,25 @@ class PartPlanStructure:
             )
         return sweep
 
+    def relabel(self, mapping: Dict[int, int]) -> "PartPlanStructure":
+        """This structure with every qubit renamed through ``mapping``.
+
+        Renaming keeps each operand's index within ``qubits``, so the
+        sweep orders are this structure's, and their memo is shared; the
+        gather table is the renamed working set's own.
+        """
+        out = PartPlanStructure.__new__(PartPlanStructure)
+        out.qubits = tuple(mapping[q] for q in self.qubits)
+        out.groups = tuple(
+            replace(grp, qubits=tuple(mapping[q] for q in grp.qubits))
+            for grp in self.groups
+        )
+        out.num_source_gates = self.num_source_gates
+        out._table = None
+        out._sweeps = self._sweeps
+        out._program = self._program
+        return out
+
     def bind(self, gates: Sequence[Gate]) -> "CompiledPartPlan":
         """Build fused matrices for ``gates`` against this structure.
 
@@ -550,10 +569,11 @@ def build_part_structure(
 class CompiledPartPlan:
     """A part's gate list compiled to fused ops, plus cached index tables.
 
-    ``ops`` carry **global** qubit labels (usable directly by the
-    distributed engines, whose remap step makes part qubits local);
-    :meth:`local_ops` returns the same ops renamed to positions within
-    ``qubits`` for the hierarchical gather/execute/scatter path.
+    ``ops`` act on the labels in ``qubits``: the circuit's qubits for a
+    plan from :func:`compile_part` or a :class:`PlanCache`.
+    :meth:`relabel` renames both — the distributed engine runs a part at
+    the positions its qubits hold after ``remap``, and :meth:`local_ops`
+    is the rename to ``0..w-1`` the literal gather loop applies.
 
     Every plan is bound from a :class:`PartPlanStructure`
     (``structure``) and shares that structure's gather-table memo, so
@@ -572,9 +592,14 @@ class CompiledPartPlan:
     (3, 1)
     >>> plan.gather_table(2).shape        # one inner vector spans the state
     (1, 4)
+    >>> moved = plan.relabel((5, 2))      # qubit 0 at 5, qubit 1 at 2
+    >>> moved.qubits, moved.ops[0].qubits
+    ((5, 2), (5, 2))
+    >>> moved.ops[0].matrix() is plan.ops[0].matrix()
+    True
     """
 
-    __slots__ = ("structure", "ops", "lane_memo", "_local_ops")
+    __slots__ = ("structure", "ops", "lane_memo", "_relabelled")
 
     def __init__(
         self, structure: PartPlanStructure, ops: Tuple[FusedGate, ...]
@@ -582,7 +607,7 @@ class CompiledPartPlan:
         self.structure = structure
         self.ops = ops
         self.lane_memo: Optional[Tuple[int, bool]] = None
-        self._local_ops: Optional[Tuple[FusedGate, ...]] = None
+        self._relabelled: Dict[Tuple[int, ...], "CompiledPartPlan"] = {}
 
     @property
     def qubits(self) -> Tuple[int, ...]:
@@ -596,12 +621,25 @@ class CompiledPartPlan:
     def num_ops(self) -> int:
         return len(self.ops)
 
+    def relabel(self, qubits: Sequence[int]) -> "CompiledPartPlan":
+        """This plan with ``self.qubits[i]`` renamed ``qubits[i]``: the
+        same fused matrices on renamed operands, memoised per tuple (a
+        benign race between threads builds an equal plan twice)."""
+        qubits = tuple(qubits)
+        if qubits == self.qubits:
+            return self
+        plan = self._relabelled.get(qubits)
+        if plan is None:
+            mapping = dict(zip(self.qubits, qubits))
+            plan = self._relabelled[qubits] = CompiledPartPlan(
+                self.structure.relabel(mapping),
+                tuple(op.remap(mapping) for op in self.ops),
+            )
+        return plan
+
     def local_ops(self) -> Tuple[FusedGate, ...]:
         """Ops with operands renamed to inner positions (cached)."""
-        if self._local_ops is None:
-            pos = {q: i for i, q in enumerate(self.qubits)}
-            self._local_ops = tuple(op.remap(pos) for op in self.ops)
-        return self._local_ops
+        return self.relabel(range(len(self.qubits))).ops
 
     def gather_table(self, num_qubits: int) -> np.ndarray:
         """Algorithm-1 gather table for this working set (small ones cached).
@@ -744,7 +782,7 @@ class PlanCache:
     plan is compiled exactly once per key — concurrent callers of the
     same part wait for the one compiling thread — while different parts
     compile concurrently, outside the lock.  Compiled plans
-    themselves are immutable after construction (the lazy ``local_ops``
+    themselves are immutable after construction (the lazy ``relabel``
     / ``gather_table`` memos in :class:`CompiledPartPlan` are idempotent
     — a benign race recomputes an identical value), so returned plans may
     be used from any number of threads without further locking.

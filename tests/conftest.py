@@ -199,14 +199,23 @@ def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
     through ``apply_matrix_batched`` (a transposing copy, a GEMM and a
     write-back every time), scatter.  The production body keeps the
     block in a workspace in the last dense op's axis order and must
-    agree with it byte for byte.
+    agree with it byte for byte.  Blocks hold whole groups of rows when
+    a row gives the widest dense op fewer than ``MIN_GEMM_COLUMNS``
+    GEMM columns, as the production blocks do.
     """
     from repro.sv.backend import _row_blocks
-    from repro.sv.kernels import apply_matrix_batched
+    from repro.sv.kernels import MIN_GEMM_COLUMNS, apply_matrix_batched
 
     table = plan.gather_table(n)
     w = len(plan.qubits)
-    for lo, hi in _row_blocks(table.shape[0], table.size, threads)[1]:
+    rows = table.shape[0]
+    k = max(
+        (len(op.qubits) for op in plan.ops if not op.is_diagonal), default=0
+    )
+    group = max(1, MIN_GEMM_COLUMNS >> (w - k))
+    virtual = max(1, rows // group)
+    for lo, hi in _row_blocks(virtual, table.size, threads)[1]:
+        lo, hi = lo * group, rows if hi == virtual else hi * group
         inner = state[table[lo:hi]]
         for op in plan.local_ops():
             apply_matrix_batched(
@@ -214,6 +223,59 @@ def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
             )
         state[table[lo:hi]] = inner
     return state
+
+
+def shard_sweep_reference(
+    engine, circuit, part, inner, state, local_bits, compute
+):
+    """Oracle for ``HiSVSimEngine._execute_part`` (same signature, with
+    the engine first): the shard loop as first written -- per gate group
+    (the part, or its inner parts in order), the fused plan's ops (or the
+    raw gates, unfused) each charged, then applied to every rank's shard
+    row through ``state.apply_gate_local``.  The production engine runs
+    each group as one ``run_plan`` and must agree with it byte for byte,
+    model seconds included.
+    """
+    from repro.dist._cost import charge_gate
+    from repro.dist.state import AMP_BYTES
+
+    gate_indices = part.gate_indices
+    shard_bytes = AMP_BYTES << local_bits
+    seconds = 0.0
+    if inner is None or inner.num_parts <= 1:
+        groups = [(gate_indices, local_bits, part.qubits)]
+    else:
+        groups = [
+            (
+                tuple(gate_indices[j] for j in ip.gate_indices),
+                ip.working_set_size,
+                ip.qubits,
+            )
+            for ip in inner.parts
+        ]
+    for indices, width, qubits in groups:
+        if width < local_bits:
+            seconds += engine.machine.memcpy_time(2 * shard_bytes)
+            working_set = AMP_BYTES << width
+        else:
+            working_set = shard_bytes
+        if engine.fuse:
+            ops = engine.plan_cache.get_or_compile(
+                circuit,
+                indices,
+                qubits,
+                fuse=True,
+                max_fused_qubits=min(engine.max_fused_qubits, max(width, 1)),
+            ).ops
+        else:
+            ops = [circuit[g] for g in indices]
+        for op in ops:
+            seconds += charge_gate(
+                engine.machine, compute, op, local_bits, working_set
+            )
+            if not engine.dry_run:
+                state.apply_gate_local(op, backend=engine.backend)
+    return seconds
 
 
 def scatter_reference(shards: np.ndarray, sigma):

@@ -29,6 +29,18 @@ class TestNonPowerOfTwoRanks:
             IQSEngine(ranks)
 
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_engine_rejects_a_fused_width_below_one(self, width):
+        # The same refusal, in the same words, as RunOptions.
+        from repro.config import RunOptions
+
+        with pytest.raises(ValueError) as options:
+            RunOptions(max_fused_qubits=width)
+        with pytest.raises(ValueError) as engine:
+            HiSVSimEngine(2, fuse=True, max_fused_qubits=width)
+        assert str(engine.value) == str(options.value)
+
+
 class TestSingleRankDegenerate:
     """R=1: the whole state is one shard and nothing ever communicates."""
 

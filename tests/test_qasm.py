@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,20 @@ class TestErrors:
         with pytest.raises(QasmError):
             loads(f"qreg q[1]; rz({expr}) q[0];")
         assert time.thread_time() - t0 < 0.1
+
+    def test_a_long_parameter_is_refused_before_it_is_parsed(self):
+        # A 5000-deep unary chain used to reach ast.parse, whose tree
+        # (over 1 MiB) let a garbage-collection pause land in the bound
+        # above; the length check refuses it with nothing allocated.
+        text = "qreg q[1]; rz(" + "-" * 5000 + "1) q[0];"
+        tracemalloc.start()
+        try:
+            with pytest.raises(QasmError, match="characters"):
+                loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_raising_parameter_is_never_cached(self):
         from repro.circuits.qasm import _eval_param

@@ -181,6 +181,7 @@ class HiSVSimEngine:
             comp_seconds += self._execute_part(
                 circuit, part, inner, state, local_bits, compute
             )
+        state.release_spare()
 
         strategy = partition.strategy + ("-ML" if multilevel is not None else "")
         report = RunReport(

@@ -134,6 +134,7 @@ class IQSEngine:
                 state.remap(identity)
             elif not self.dry_run:
                 self._apply(state, gate)
+        state.release_spare()
 
         comm_seconds = self.machine.exchange_time(
             comm.stats.max_bytes_per_rank,

@@ -49,6 +49,9 @@ class LayoutOnlyState:
     """
 
     shards = None
+    #: The buffer the last exchanging remap moved out of, which the next
+    #: one writes to (``None``: none held).
+    _spare = None
 
     def __init__(
         self,
@@ -99,10 +102,22 @@ class LayoutOnlyState:
             if any(step):
                 self.comm.stats.add_step(*step)
         if self.shards is not None:
-            self.shards = self.comm.exchange(
-                self.shards, self.layout.transition_sigma(new_layout)
+            shards = self.comm.exchange(
+                self.shards,
+                self.layout.transition_sigma(new_layout),
+                out=self._spare,
             )
+            self._spare, self.shards = self.shards, shards
         self.layout = new_layout
+
+    def release_spare(self) -> None:
+        """Free the buffer :meth:`remap` keeps for its next exchange.
+
+        Remaps ping-pong between ``shards`` and one spare buffer of the
+        same size, so a run of them allocates once, and an engine
+        releases the spare when its run ends: the state it returns
+        holds its shards only."""
+        self._spare = None
 
 
 class DistributedStateVector(LayoutOnlyState):
@@ -119,7 +134,9 @@ class DistributedStateVector(LayoutOnlyState):
     amplitudes between OS processes and :meth:`to_full` gathers rows
     from every rank.  A remap hands the comm the bit permutation between
     the two layouts; in process its traffic is the closed form, over
-    sockets what each rank observed.
+    sockets what each rank observed.  It writes the new shards into the
+    buffer the previous remap moved out of, so an array read from
+    ``shards`` holds the state only until the second remap after it.
 
     >>> import numpy as np
     >>> from repro.runtime.comm import SimComm

@@ -444,7 +444,10 @@ class SocketTransport(SimComm):
     # -- collectives -------------------------------------------------------
 
     def exchange(
-        self, shards: np.ndarray, sigma: Sequence[int]
+        self,
+        shards: np.ndarray,
+        sigma: Sequence[int],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         if self._closed:
             raise TransportError(f"rank {self.rank}: transport is closed")
@@ -481,7 +484,10 @@ class SocketTransport(SimComm):
         # A slab's bits land where ``sigma`` sends the staying bits; the
         # slab index spells the source's bits that arrive here.
         scatter = [sigma[p] for p in staying] + arriving
-        new_row = np.array(permuted_view(recv.reshape(-1), scatter), order="C")
+        view = permuted_view(recv.reshape(-1), scatter)
+        if out is None:
+            out = np.empty((1, 1 << local_bits), dtype=np.complex128)
+        np.copyto(out.reshape(view.shape), view)
 
         self.records.append(ExchangeRecord(
             sent_bytes, sent_msgs, recv_bytes, recv_msgs,
@@ -494,7 +500,7 @@ class SocketTransport(SimComm):
                 max_bytes=max(sent_bytes, recv_bytes),
                 max_msgs=max(sent_msgs, recv_msgs),
             )
-        return new_row.reshape(1, -1)
+        return out
 
     def allgather_rows(self, shards: np.ndarray) -> np.ndarray:
         if self._closed:

@@ -63,7 +63,7 @@ class SimComm:
 
     # -- collectives --------------------------------------------------------
 
-    def exchange(self, shards, sigma: Sequence[int]):
+    def exchange(self, shards, sigma: Sequence[int], out=None):
         """Execute a bit-permutation exchange; returns the new shards.
 
         Parameters
@@ -76,6 +76,10 @@ class SimComm:
             packed index ``i`` (``rank * local + offset``) moves to
             ``permute_bits(i, sigma)``.  Anything but a permutation of
             ``range(n)`` is a ``ValueError``.
+        out:
+            A C-contiguous array of ``shards``' shape that the new
+            shards are written to and returned (``None``: a fresh one),
+            so a caller can reuse the buffer the previous exchange freed.
         """
         local_bits = self.local_bits(len(sigma))
         if shards.shape != (self.num_ranks, 1 << local_bits):
@@ -85,7 +89,10 @@ class SimComm:
                 f"{shards.shape}"
             )
         view = permuted_view(shards.reshape(-1), sigma)
-        return np.array(view, order="C").reshape(shards.shape)
+        if out is None:
+            out = np.empty_like(shards, order="C")
+        np.copyto(out.reshape(view.shape), view)
+        return out
 
     def allgather_rows(self, shards):
         """The full ``(R, 2^l)`` shard matrix, gathered if necessary.

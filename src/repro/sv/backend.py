@@ -195,11 +195,16 @@ def _map_row_groups(
 
 
 def _gemm_columns(plan, width: int) -> int:
-    """GEMM columns per ``2^width``-amplitude row of ``plan``'s widest
-    dense op."""
-    k = max(
-        (len(op.qubits) for op in plan.ops if not op.is_diagonal), default=0
-    )
+    """Columns per ``2^width``-amplitude row of ``plan``'s widest op: a
+    dense op's GEMM columns, or the amplitudes per row that one entry
+    of a diagonal op's factor multiplies.
+
+    Diagonal ops count too because numpy multiplies a one-amplitude
+    loop on its scalar path, whose complex product can round apart from
+    its vector path's: a block of whole groups keeps every strided
+    slice at two amplitudes or more, so the bits do not depend on how
+    the rows were split."""
+    k = max((len(op.qubits) for op in plan.ops), default=0)
     return 1 << (width - k)
 
 
@@ -335,7 +340,9 @@ def run_part(
       still finishes one row before the next starts;
     * ``"gather"``, ``mode="batched"``, gathered — gather the rows'
       inner vectors into this thread's workspace (:func:`_workspace`),
-      sweep every op over it, scatter back.  A dense op leaves its GEMM
+      sweep every op over it, scatter back; the block's gather indices
+      come from ``plan.gather_rows``, so no ``2^n``-entry table is built
+      that is too big to keep.  A dense op leaves its GEMM
       result in its own axis order, so it costs at most one transposing
       copy and a GEMM; a diagonal op multiplies in whatever order the
       block is in, and one copy restores natural order before the
@@ -394,7 +401,7 @@ def run_part(
                     op.is_diagonal, map_blocks,
                 )
         return "gather"
-    table = plan.gather_table(num_qubits)
+    gather_rows = plan.gather_rows(num_qubits)
     columns = None
     if mode == "batched":
         columns = _gemm_columns(plan, w)
@@ -404,11 +411,10 @@ def run_part(
             steps, restore = plan.structure.sweep_plan(rows)
             size = rows << w
             cur, spare = (buf[:size] for buf in _workspace(size))
-            # "clip": the table is in range, and the default "raise"
+            index = gather_rows(lo, hi)
+            # "clip": the index is in range, and the default "raise"
             # would stage the gather in a temporary before ``out``.
-            np.take(
-                state, table[lo:hi], out=cur.reshape(rows, -1), mode="clip"
-            )
+            np.take(state, index, out=cur.reshape(rows, -1), mode="clip")
             for (shape, perm, target, gemm), op in zip(steps, plan.ops):
                 if gemm is None:
                     # Diagonal: in place, in the current order (the step
@@ -437,22 +443,24 @@ def run_part(
                     cur.reshape(shape).transpose(perm),
                 )
                 cur = spare
-            state[table[lo:hi]] = cur.reshape(rows, -1)
+            state[index] = cur.reshape(rows, -1)
 
     else:
         ops = plan.local_ops()
 
         def block(lo: int, hi: int) -> None:
-            for t in range(lo, hi):
-                in_sv = state[table[t]].copy()
+            for index in gather_rows(lo, hi):
+                in_sv = state[index]
                 for op in ops:
                     apply_matrix(
                         in_sv, op.matrix(), op.qubits, w,
                         diagonal=op.is_diagonal,
                     )
-                state[table[t]] = in_sv
+                state[index] = in_sv
 
-    _map_row_groups(map_blocks, block, table.shape[0], table.size, columns)
+    _map_row_groups(
+        map_blocks, block, 1 << (num_qubits - w), state.size, columns
+    )
     return "gather"
 
 

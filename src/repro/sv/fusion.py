@@ -59,7 +59,12 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
 from .kernels import _gathered_sweep_plan
-from .layout import extract_bits, gather_index_table, spread_bits
+from .layout import (
+    extract_bits,
+    gather_index_factors,
+    gather_index_table,
+    spread_bits,
+)
 
 __all__ = [
     "FusedGate",
@@ -375,9 +380,10 @@ def _fuse(steps, gates: Sequence[Gate], operands: dict) -> np.ndarray:
     return acc
 
 
-#: Gather tables above this many int64 elements (2 MB) are rebuilt per
-#: call instead of retained — plans live in long-lived caches, and an
-#: O(2^n) table pinned per part would dwarf the fused matrices.
+#: Gather tables above this many int64 elements (2 MB) are not retained
+#: — plans live in long-lived caches, and an O(2^n) table pinned per
+#: part would dwarf the fused matrices — and a run never builds them
+#: whole (``PartPlanStructure.gather_rows``).
 _TABLE_CACHE_MAX_ELEMENTS = 1 << 18
 
 
@@ -450,6 +456,20 @@ class PartPlanStructure:
         if table.size <= _TABLE_CACHE_MAX_ELEMENTS:
             self._table = (num_qubits, table)
         return table
+
+    def gather_rows(self, num_qubits: int) -> Callable[[int, int], np.ndarray]:
+        """``rows(lo, hi)``: rows ``[lo, hi)`` of :meth:`gather_table`.
+
+        A table small enough to memoise is sliced.  A bigger one is never
+        built: each call adds its two factors
+        (:func:`~repro.sv.layout.gather_index_factors`), so a run holds
+        one block's indices at a time, not ``2^n`` of them.
+        """
+        if 1 << num_qubits <= _TABLE_CACHE_MAX_ELEMENTS:
+            table = self.gather_table(num_qubits)
+            return lambda lo, hi: table[lo:hi]
+        t_vals, j_vals = gather_index_factors(num_qubits, self.qubits)
+        return lambda lo, hi: t_vals[lo:hi, None] + j_vals
 
     def sweep_plan(self, rows: int) -> tuple:
         """How a gathered block of ``rows`` rows runs this part's ops:
@@ -648,6 +668,11 @@ class CompiledPartPlan:
         from it.
         """
         return self.structure.gather_table(num_qubits)
+
+    def gather_rows(self, num_qubits: int) -> Callable[[int, int], np.ndarray]:
+        """Row blocks of :meth:`gather_table` (the structure's
+        :meth:`~PartPlanStructure.gather_rows`)."""
+        return self.structure.gather_rows(num_qubits)
 
 
 def compile_part(

@@ -22,6 +22,7 @@ __all__ = [
     "extract_bits",
     "permute_bits",
     "gather_index_table",
+    "gather_index_factors",
     "permuted_view",
     "QubitLayout",
 ]
@@ -103,13 +104,29 @@ def gather_index_table(n: int, inner_qubits: Sequence[int]) -> np.ndarray:
            [4, 6],
            [5, 7]])
     """
+    t_vals, j_vals = gather_index_factors(n, inner_qubits)
+    return t_vals[:, None] + j_vals[None, :]
+
+
+def gather_index_factors(
+    n: int, inner_qubits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two factors of :func:`gather_index_table`: ``(t_vals,
+    j_vals)``, the flat index of each row's first amplitude
+    (``2^(n-w)`` entries) and each column's offset from it (``2^w``).
+    The inner and outer qubits are disjoint, so ``table[t, j] ==
+    t_vals[t] + j_vals[j]``.
+
+    >>> gather_index_factors(3, [1])
+    (array([0, 1, 4, 5]), array([0, 2]))
+    """
     inner = list(inner_qubits)
     if len(set(inner)) != len(inner):
         raise ValueError("inner qubits must be distinct")
     outer = [q for q in range(n) if q not in set(inner)]
     t_vals = spread_bits(np.arange(1 << len(outer), dtype=np.int64), outer)
     j_vals = spread_bits(np.arange(1 << len(inner), dtype=np.int64), inner)
-    return t_vals[:, None] + j_vals[None, :]
+    return t_vals, j_vals
 
 
 def permuted_view(flat: np.ndarray, sigma: Sequence[int]) -> np.ndarray:

@@ -159,6 +159,47 @@ class TestAllocation:
         assert peak <= budget, ("to_full", peak / self.STATE_BYTES)
         assert np.array_equal(full, state)
 
+    def test_remaps_write_into_the_buffer_the_last_one_left(self):
+        # Only the first remap allocates a state: later ones ping-pong,
+        # so the memory a run holds does not depend on how the allocator
+        # placed a stream of freed 2^n-amplitude buffers.
+        state = random_state(self.N, seed=5)
+        dsv = DistributedStateVector.from_full(state, SimComm(self.RANKS))
+        first = dsv.shards
+        a = swap_qubit_positions(QubitLayout.identity(self.N), 0, 17)
+        b = swap_qubit_positions(a, 1, 16)
+        dsv.remap(a)
+
+        def two_remaps():
+            dsv.remap(b)
+            dsv.remap(a)
+
+        peak, _ = self.peak_of(two_remaps)
+        assert dsv.comm.stats.steps == 3
+        assert peak < self.STATE_BYTES / 8
+        assert dsv.shards is not first
+        dsv.remap(b)
+        assert dsv.shards is first
+        assert np.array_equal(dsv.to_full(), state)
+        dsv.release_spare()
+        peak, _ = self.peak_of(lambda: dsv.remap(a))
+        assert peak >= self.STATE_BYTES  # the spare is gone
+
+    def test_an_engine_run_returns_its_state_without_the_spare(self):
+        qc = generators.build("qft", self.N)
+        partition = get_partitioner("dagP").partition(qc, self.N - 2)
+        engine = HiSVSimEngine(self.RANKS, fuse=True)
+        engine.run(qc, partition)  # its plans are cached before tracing
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dsv, report = engine.run(qc, partition)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.comm.steps > 1
+        assert held < 1.25 * self.STATE_BYTES
+
 
 class TestPlanLayout:
     def test_noop_when_already_local(self):

@@ -599,6 +599,15 @@ class TestPlanCache:
         assert t1 is plan.gather_table(6)
         assert plan.gather_table(6).shape == (1 << 3, 1 << 3)
 
+    @pytest.mark.parametrize("n", [6, 19])  # memoised, too big to keep
+    def test_gather_rows_are_row_blocks_of_the_table(self, n):
+        qc = QuantumCircuit(n).h(0).cx(0, 2).h(4)
+        plan = compile_part(qc, range(len(qc)), (4, 0, 2), fuse=True)
+        table = plan.gather_table(n)
+        rows = plan.gather_rows(n)
+        for lo, hi in [(0, 1), (3, 7), (0, table.shape[0])]:
+            assert np.array_equal(rows(lo, hi), table[lo:hi])
+
 
 def op_bytes(plan):
     return [

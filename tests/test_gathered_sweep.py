@@ -231,6 +231,21 @@ def test_a_warm_part_allocates_nothing_block_sized():
     assert peak < 64 << 10
 
 
+def test_a_gathered_part_of_a_wide_state_builds_no_whole_table():
+    # 2^19 amplitudes: the gather table (4 MiB of int64) is too big to
+    # memoise, so each block adds its rows from the table's two factors.
+    n = 19
+    qc = QuantumCircuit(n).h(0).cx(0, 18).rx(0.3, 9).cx(9, 4).ry(0.2, 18)
+    plan = _part(qc, (0, 4, 9, 18, 11, 2, 7, 13, 16, 1))
+    backend = SerialBackend(strided_max=-1)
+    state = random_state(n, seed=3)
+    want = gather_sweep_reference(plan, state.copy(), n)
+    assert backend.run_plan(plan, state, n) == "gather"
+    assert same_bytes(state, want)
+    peak, _ = _traced(lambda: backend.run_plan(plan, state, n))
+    assert peak < 1 << 20
+
+
 def test_a_block_above_the_keep_limit_frees_its_workspace():
     # One gather row of 2^17 amplitudes is wider than the kept pair of
     # 2 * BLOCK_ELEMENTS: the part runs in place, row by row, through the

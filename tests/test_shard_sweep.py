@@ -168,9 +168,16 @@ def test_property_engine_matches_the_shard_loop(
     # Bitwise needs every dense op's GEMM to keep MIN_GEMM_COLUMNS
     # columns, which a state two qubits wider than the op allows; a
     # 2-qubit op on a 2-qubit state has one column however it is run,
-    # and BLAS's edge kernel moves its last bits.
+    # and BLAS's edge kernel moves its last bits.  An unfused diagonal
+    # gate as wide as the state is alike: the strided lane multiplies
+    # one amplitude per factor entry, which numpy runs on its scalar
+    # loop, whose complex product can round apart from the vector loop
+    # the shard kernel's whole-row multiply takes.
     widest = min(DEFAULT_MAX_FUSED_QUBITS, limit) if fuse else max(
         (len(g.qubits) for g in qc if not g.is_diagonal), default=0
+    )
+    full_diagonal = not fuse and any(
+        g.is_diagonal and len(g.qubits) == n for g in qc
     )
     with pytest.MonkeyPatch.context() as mp:
         if small:
@@ -178,7 +185,7 @@ def test_property_engine_matches_the_shard_loop(
         run_both(
             qc, partition, ranks, backends[backend],
             fuse=fuse, multilevel=multilevel, seed=seed,
-            bitwise=n - widest >= 2,
+            bitwise=n - widest >= 2 and not full_diagonal,
         )
 
 
@@ -223,6 +230,21 @@ def test_a_small_part_is_strided(backends):
     qc = QuantumCircuit(8).h(1).cx(1, 4).rz(0.7, 4).h(4)
     sweeps = run_both(qc, _one_part(qc), 2, backends["serial"], fuse=True)
     assert sweeps.lanes == ["strided"]
+
+
+def test_a_strided_diagonal_split_over_threads_keeps_its_bits(
+    backends, small_blocks
+):
+    # Three threads would split these four 4-amplitude rows 2/1/1; a
+    # single row leaves the crz one amplitude per factor entry, which
+    # numpy multiplies on its scalar loop (rounding apart from the shard
+    # kernel's vector loop), so the rows group in fours.
+    qc = QuantumCircuit(4).cx(0, 1).h(0).crz(1.0, 0, 2).h(1)
+    sweeps = run_both(
+        qc, get_partitioner("Nat").partition(qc, 2), 4,
+        backends["threaded[3]"], fuse=False,
+    )
+    assert sweeps.lanes == ["strided"] * 3
 
 
 @pytest.mark.parametrize("fuse", [False, True])

@@ -6,7 +6,9 @@ circuits) through a shared-cache :class:`~repro.serve.BatchRunner` must
 partition once and compile each part's plan structure once, with every
 per-job final state matching sequential *cold* ``HierarchicalExecutor``
 calls (fresh partitioner and plan cache per job — what every pre-serve
-entry point did) to ``1e-10``.
+entry point did) to ``1e-10`` — and in fact byte for byte
+(``states_bitwise``): the runner sweeps same-structure jobs as one
+stack, and a stacked job's bits are its bits alone.
 
 What the batch path amortises, per structure instead of per job:
 partitioning (the dagP multilevel pipeline), fusion grouping, fused
@@ -78,6 +80,7 @@ def run_bench(params):
         report.stats, report.results[0].num_parts, len(jobs) - 1
     )
     states_match = max_err < 1e-10
+    states_bitwise = max_err == 0.0
     return bench.payload(
         metrics={
             "jobs": len(jobs),
@@ -87,10 +90,13 @@ def run_bench(params):
             "structures_compiled": stats.structures_compiled,
             "plans_bound": stats.plans_bound,
             "states_match": states_match,
+            "states_bitwise": states_bitwise,
         },
         info={"max_err": max_err},
         ok={
             "batched states match cold execution to 1e-10": states_match,
+            "batched states are byte-identical to cold sequential "
+            "execution": states_bitwise,
             "the sweep partitions once": (
                 stats.partitions_computed == 1
                 and stats.partition_hits == repeats

@@ -132,7 +132,7 @@ def run_bind_bench(params):
     for qc in [first] + [fresh() for _ in range(params["binds"] - 1)]:
         for structure, part in zip(structures, parts):
             gates = [qc[g] for g in part.gate_indices]
-            plan = structure.bind(gates)
+            (plan,) = structure.bind([gates])
             for op, group in zip(plan.ops, structure.groups):
                 dev = np.abs(op.matrix() - sequential_product(gates, group))
                 max_dev = max(max_dev, float(dev.max()))

@@ -12,12 +12,16 @@ through the hierarchical pipeline with every reusable artefact shared:
 * one **execution backend** — serial or threaded
   (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
-Dispatch order comes from the schedule (:func:`order_jobs`);
-``workers > 1`` additionally runs jobs concurrently on a thread pool
-(safe: the plan cache is lock-protected, partitioning is serialised per
-structure, and each job owns its state vector).  Results always come
-back in submission order and are bit-identical for any schedule or
-worker count.
+Dispatch is by **group**: the schedule (:func:`order_jobs`) fixes the
+order, and consecutive jobs of one structure in that order, up to
+:func:`~repro.sv.backend.stack_limit` of them, run as one stack — one
+partition lookup, one bind pass per part for all of them, one stacked
+sweep per gathered part.  ``workers > 1`` additionally runs groups
+concurrently on a thread pool (safe: the plan cache is lock-protected,
+partitioning is serialised per structure, and each job owns its state
+vector).  Results always come back in submission order and are
+bit-identical for any schedule, worker count or grouping: a stacked job
+is counted and computed exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ..partition import get_partitioner
 from ..partition.base import Partition
 from ..sv.fusion import CacheCounters, OnceCache, PlanCache
 from ..sv.hier import ExecutionTrace, HierarchicalExecutor
+from ..sv.backend import stack_limit
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
 from ..sv.stabilizer import StabilizerState
@@ -225,7 +230,7 @@ class BatchRunner:
         Dispatch order policy (``"fifo"`` or ``"grouped"``; see
         :func:`order_jobs`).
     workers:
-        Concurrent jobs. ``1`` (default) dispatches sequentially in
+        Concurrent groups. ``1`` (default) dispatches sequentially in
         schedule order; ``> 1`` uses a thread pool (results and caches
         stay deterministic — only timing changes).
     plan_cache:
@@ -370,7 +375,8 @@ class BatchRunner:
         or ``stabilizer``), a :class:`~repro.sv.stabilizer.StabilizerState`.
         ``structural`` (the circuit's structural fingerprint, hashed
         here when not given) and ``counters`` are what :meth:`run`
-        already holds for each job.
+        already holds for each job.  This is :meth:`_execute_group` for
+        one circuit; its exception, if any, is raised.
 
         >>> from repro.circuits.generators import qft
         >>> state, partition, cached = BatchRunner(limit=4).execute(qft(6))
@@ -379,31 +385,138 @@ class BatchRunner:
         """
         if structural is None:
             structural = structural_fingerprint(circuit)
-        partition, cached = self.partition(circuit, structural, counters)
-        state = self._executor.run(
-            circuit,
-            partition,
-            self._executor.initial_state(circuit),
-            trace,
-            structural_key=structural,
-            cache_counters=None if counters is None else counters.cache,
+        (state,), partition, cached = self._execute_group(
+            [circuit], [trace], structural, counters
         )
+        if isinstance(state, Exception):
+            raise state
         return state, partition, cached
+
+    def _execute_group(
+        self,
+        circuits: Sequence[QuantumCircuit],
+        traces: Sequence[Optional[ExecutionTrace]],
+        structural: str,
+        counters: Optional[_RunCounters],
+    ):
+        """The pipeline for ``K`` circuits of one structure:
+        ``(states, partition, partition_was_cached)``, where ``states[k]``
+        is circuit ``k``'s final state or the exception that stopped it.
+
+        One partition lookup serves the group; the other circuits count
+        as the hits they would have been alone.  Each circuit gets its
+        own initial state, and the executor runs them together
+        (:meth:`~repro.sv.hier.HierarchicalExecutor.run_group`).  A
+        failed partition raises: nothing was counted, so every circuit
+        may retry alone.  A sweep that raises fails the circuits it was
+        sweeping.
+        """
+        partition, cached = self.partition(circuits[0], structural, counters)
+        if counters is not None and len(circuits) > 1:
+            with counters.lock:
+                counters.stats.partition_hits += len(circuits) - 1
+        states: List = []
+        for circuit in circuits:
+            try:
+                states.append(self._executor.initial_state(circuit))
+            except Exception as exc:
+                states.append(exc)
+        live = [
+            k for k, s in enumerate(states) if not isinstance(s, Exception)
+        ]
+        if live:
+            try:
+                finals = self._executor.run_group(
+                    [circuits[k] for k in live],
+                    partition,
+                    [states[k] for k in live],
+                    [traces[k] for k in live],
+                    structural_key=structural,
+                    cache_counters=(
+                        None if counters is None else counters.cache
+                    ),
+                )
+            except Exception as exc:  # a sweep failed: its stack with it
+                finals = [exc] * len(live)
+            for k, final in zip(live, finals):
+                states[k] = final
+        return states, partition, cached
+
+    def _run_group(
+        self,
+        members: Sequence[Tuple[SimJob, str, str]],
+        counters: _RunCounters,
+    ) -> List[JobResult]:
+        """Run ``(job, fingerprint, structural)`` members of one structure
+        as one stack; one result per member, failures as errored results.
+
+        One bad job (malformed observable, partitioner failure, ...)
+        must not discard the rest of its batch: the daemon serves many
+        tenants through one runner, and a partial batch with per-job
+        ``error`` fields is the contract both the batch CLI and the
+        serving daemon rely on.  So every member's state, outputs and
+        errors are its own: a failed partition reruns each member alone
+        (nothing was counted), and a member that fails later errors
+        alone.  Only :class:`Exception` is captured —
+        ``KeyboardInterrupt`` / ``SystemExit`` still propagate.  Each
+        member's ``seconds`` is its share of the group's execution (the
+        stack's time over ``K``, as ``ExecutionTrace.part_seconds``
+        shares a part's) plus its own outputs, so the members' seconds
+        add up to the group's time, not more.
+        """
+        t0 = time.perf_counter()
+        job, fingerprint, structural = members[0]
+        try:
+            if job.cut is not None:  # always a group of one
+                return [self._run_cut(job, fingerprint, counters)]
+            traces = [ExecutionTrace() for _ in members]
+            states, partition, cached = self._execute_group(
+                [job.circuit for job, _, _ in members],
+                traces,
+                structural,
+                counters,
+            )
+        except Exception as exc:
+            if len(members) == 1:
+                return [self._failed(job, fingerprint, t0, exc)]
+            return [
+                result
+                for member in members
+                for result in self._run_group([member], counters)
+            ]
+        share = (time.perf_counter() - t0) / len(members)
+        results = []
+        for k, ((job, fingerprint, _), state, trace) in enumerate(
+            zip(members, states, traces)
+        ):
+            # Backdated by the share: ``seconds`` = share + own outputs.
+            start = time.perf_counter() - share
+            if isinstance(state, Exception):
+                results.append(self._failed(job, fingerprint, start, state))
+                continue
+            try:
+                results.append(
+                    self._run_one(
+                        job, fingerprint, state, trace, partition,
+                        cached or k > 0, counters, start,
+                    )
+                )
+            except Exception as exc:
+                results.append(self._failed(job, fingerprint, start, exc))
+        return results
 
     def _run_one(
         self,
         job: SimJob,
         fingerprint: str,
-        structural: str,
+        state,
+        trace: ExecutionTrace,
+        partition: Partition,
+        cached: bool,
         counters: _RunCounters,
+        t0: float,
     ) -> JobResult:
-        if job.cut is not None:
-            return self._run_cut(job, fingerprint, counters)
-        t0 = time.perf_counter()
-        trace = ExecutionTrace()
-        state, partition, cached = self.execute(
-            job.circuit, trace, structural=structural, counters=counters
-        )
+        """One executed job's routing counts and outputs."""
         with counters.lock:
             counters.stats.parts_routed_dense += trace.engine_parts.get(
                 "dense", 0
@@ -438,6 +551,22 @@ class BatchRunner:
             state=state if job.want_state else None,
             counts=counts,
             expectations=values,
+        )
+
+    @staticmethod
+    def _failed(
+        job: SimJob, fingerprint: str, t0: float, exc: Exception
+    ) -> JobResult:
+        """The errored result of ``job``."""
+        return JobResult(
+            job_id=job.job_id,
+            fingerprint=fingerprint,
+            num_qubits=job.circuit.num_qubits,
+            num_gates=len(job.circuit),
+            num_parts=0,
+            seconds=time.perf_counter() - t0,
+            partition_cached=False,
+            error=f"{type(exc).__name__}: {exc}",
         )
 
     def _run_cut(
@@ -481,37 +610,6 @@ class BatchRunner:
             expectations=result.expectations,
         )
 
-    def _run_one_safe(
-        self,
-        job: SimJob,
-        fingerprint: str,
-        structural: str,
-        counters: _RunCounters,
-    ) -> JobResult:
-        """Run one job, converting any failure into an errored result.
-
-        One bad job (malformed observable, partitioner failure, ...)
-        must not discard the rest of its batch: the daemon serves many
-        tenants through one runner, and a partial batch with per-job
-        ``error`` fields is the contract both the batch CLI and the
-        serving daemon rely on.  Only :class:`Exception` is captured —
-        ``KeyboardInterrupt`` / ``SystemExit`` still propagate.
-        """
-        t0 = time.perf_counter()
-        try:
-            return self._run_one(job, fingerprint, structural, counters)
-        except Exception as exc:
-            return JobResult(
-                job_id=job.job_id,
-                fingerprint=fingerprint,
-                num_qubits=job.circuit.num_qubits,
-                num_gates=len(job.circuit),
-                num_parts=0,
-                seconds=time.perf_counter() - t0,
-                partition_cached=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
     def run(self, jobs: Sequence[SimJob]) -> BatchReport:
         """Execute every job; results return in **submission** order.
 
@@ -533,25 +631,37 @@ class BatchRunner:
         keys = [fingerprints(j.circuit) for j in jobs]
         structurals = [structural for _, structural in keys]
         order = order_jobs(self.schedule, structurals)
+        # Consecutive jobs of one structure in dispatch order run as one
+        # stack, up to the width's stack limit; a cut job runs alone.
+        groups: List[List[int]] = []
+        for i in order:
+            last = groups[-1] if groups else None
+            if (
+                last is not None
+                and jobs[i].cut is None
+                and jobs[last[0]].cut is None
+                and structurals[i] == structurals[last[0]]
+                and len(last) < stack_limit(jobs[i].circuit.num_qubits)
+            ):
+                last.append(i)
+            else:
+                groups.append([i])
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        if self.workers == 1 or len(jobs) <= 1:
-            for i in order:
-                results[i] = self._run_one_safe(jobs[i], *keys[i], counters)
+
+        def dispatch(group: List[int]) -> None:
+            members = [(jobs[i], *keys[i]) for i in group]
+            for i, result in zip(group, self._run_group(members, counters)):
+                results[i] = result
+
+        if self.workers == 1 or len(groups) <= 1:
+            for group in groups:
+                dispatch(group)
         else:
             with ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-batch"
             ) as pool:
-                futures = [
-                    (
-                        i,
-                        pool.submit(
-                            self._run_one_safe, jobs[i], *keys[i], counters
-                        ),
-                    )
-                    for i in order
-                ]
-                for i, f in futures:
-                    results[i] = f.result()
+                for future in [pool.submit(dispatch, g) for g in groups]:
+                    future.result()
         stats = counters.stats
         stats.unique_structures = len(set(structurals))
         stats.structures_compiled += counters.cache.structure_misses

@@ -2,7 +2,8 @@
 
 The paper's Algorithm 1 is one loop — per part: gather the inner
 vectors, run the part's gates, scatter — and this module holds exactly
-one copy of it, :func:`run_part`.  Every unit of work it produces is a
+one copy of it, :func:`run_part_group` (``K`` jobs of one part at once;
+:func:`run_part` is one job).  Every unit of work it produces is a
 function of a *row range*: rows of the ``(2^(n-w), 2^w)`` gather matrix
 (or of the flat state reshaped around the part's top qubit) are
 independent, because a gate only mixes amplitudes within a row.  So the
@@ -30,10 +31,12 @@ rows, so no row is too big to be a block:
   row matrix's identical at every thread count.
 
 That is the whole contract — a backend is a block mapper and nothing
-else.  The three entry points — :meth:`~ExecutionBackend.run_plan` (one
-part, for the hierarchical executor and the distributed engine alike),
-:meth:`~ExecutionBackend.apply_matrix_rows` (one unitary over a row
-matrix, such as the IQS baseline's shards) and
+else.  The hierarchical executor calls :func:`run_part_group` over the
+backend's :meth:`~ExecutionBackend.map_blocks` and
+:attr:`~ExecutionBackend.strided_max`; the three entry points —
+:meth:`~ExecutionBackend.run_plan` (one part of one job, for the
+distributed engine), :meth:`~ExecutionBackend.apply_matrix_rows` (one
+unitary over a row matrix, such as the IQS baseline's shards) and
 :meth:`~ExecutionBackend.apply_gate_flat` (one gate of the flat
 simulator) — are base-class methods over that mapper, and the executors
 call no other hook.
@@ -47,8 +50,8 @@ cutting a single-op part's memory traffic ~3x.  Any other part gathers
 2 * BLOCK_ELEMENTS``): then it runs in place, row by row, each op through
 the shard kernel over the row's virtual rows.  Every lane reduces to
 GEMMs over the same columns, so they are bit-identical within a backend.
-The decision is made in :func:`run_part` only and remembered on the
-bound plan; ``run_plan`` reports the lane (``"strided"`` / ``"gather"``,
+The decision is made in :func:`run_part_group` only and remembered on the
+bound plan; it reports each job's lane (``"strided"`` / ``"gather"``,
 in place or not) and the executor's ``ExecutionTrace`` tallies the
 counts.
 
@@ -81,6 +84,7 @@ from .kernels import (
     check_operands,
     split_controls,
 )
+from .fusion import OpStacks, _stack
 
 __all__ = [
     "ExecutionBackend",
@@ -91,7 +95,9 @@ __all__ = [
     "shared_backend",
     "resolve_backend",
     "run_part",
+    "run_part_group",
     "split_blocks",
+    "stack_limit",
 ]
 
 #: ``fn(lo, hi)`` applied to a half-open row range.
@@ -223,7 +229,8 @@ def _workspace(size: int) -> Tuple[np.ndarray, np.ndarray]:
 
     The block rule bounds what is kept: a gathered block of ``w``-qubit
     rows holds at most ``max(BLOCK_ELEMENTS, 2^w)`` amplitudes, and
-    :func:`run_part` gathers no row wider than ``2 * BLOCK_ELEMENTS``.
+    :func:`run_part_group` gathers no row wider than ``2 *
+    BLOCK_ELEMENTS``, and stacks no more jobs than :func:`stack_limit`.
 
     >>> B = kernels.BLOCK_ELEMENTS
     >>> max(
@@ -310,23 +317,179 @@ def _apply_rows(
     _map_row_groups(map_blocks, block, batch, rows.size, columns)
 
 
-def run_part(
-    plan,
-    state: np.ndarray,
+def stack_limit(num_qubits: int) -> int:
+    """How many same-structure jobs of ``num_qubits`` qubits sweep a part
+    together: ``max(1, 2 * BLOCK_ELEMENTS >> num_qubits)``, so the
+    stacked gathered blocks stay within the workspace bound that
+    :func:`_workspace` keeps, and every block is whole jobs.
+
+    >>> [stack_limit(n) for n in (12, 14, 15, 16, 20)]
+    [16, 4, 2, 1, 1]
+    """
+    return max(1, (2 * kernels.BLOCK_ELEMENTS) >> num_qubits)
+
+
+def _op_stacks(plans) -> OpStacks:
+    """The op matrix stacks of ``plans`` (one part's plans for ``K``
+    jobs): their bind's own when the plans were bound together, in this
+    order; any other group is stacked here (one plan is viewed, not
+    copied)."""
+    group = plans[0].stack[0]
+    if group.jobs == len(plans) and (
+        len(plans) == 1
+        or all(
+            p.stack[0] is group and p.stack[1] == k
+            for k, p in enumerate(plans)
+        )
+    ):
+        return group
+    return OpStacks(
+        tuple(
+            _stack([plan.ops[i].matrix() for plan in plans])
+            for i in range(plans[0].num_ops)
+        ),
+        len(plans),
+    )
+
+
+def _sweep_operands(plans) -> tuple:
+    """Per op of ``plans``, what the gathered sweep multiplies by: a
+    dense op's ``(K, d, d)`` matrix stack, a diagonal op's contiguous
+    ``(K, d)`` diagonals, without the job axis for one job — built once
+    per bound group (a benign race between threads builds an equal
+    tuple)."""
+    group = plans[0].stack[0]
+    if len(plans) == 1 == group.jobs and group.operands is not None:
+        return group.operands  # one job bound alone: the common rerun
+    group = _op_stacks(plans)
+    if group.operands is None:
+        operands = [
+            np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2))
+            if op.is_diagonal
+            else stack
+            for stack, op in zip(group.matrices, plans[0].ops)
+        ]
+        if group.jobs == 1:
+            operands = [op[0] for op in operands]  # no job axis
+        group.operands = tuple(operands)
+    return group.operands
+
+
+def _sweep_gathered(
+    plans,
+    states: Sequence[np.ndarray],
+    num_qubits: int,
+    map_blocks: Callable[[BlockFn, int, int], None],
+) -> None:
+    """The gather body of :func:`run_part_group` for ``K`` jobs whose
+    plans share one structure: per block, gather every job's rows into
+    one ``(K, rows, 2^w)`` workspace stack, sweep each op over all ``K``
+    — a dense op is at most one transposing copy and one stacked
+    ``np.matmul``, a diagonal op one in-place multiply per job — and
+    scatter each job's rows back.  Blocks come from one job's amplitude
+    count, so each job's GEMMs keep the shape and columns they have
+    alone, and its bits.  A block whose stacked workspace cannot be
+    allocated runs its jobs one at a time."""
+    plan = plans[0]
+    structure = plan.structure
+    w = len(plan.qubits)
+    operands = _sweep_operands(plans)
+    gather_rows = plan.gather_rows(num_qubits)
+
+    def sweep(states, operands, pair, rows, index) -> None:
+        # ``states`` (one or more jobs) through ``operands`` in ``pair``.
+        stack = len(states)
+        size = rows << w
+        cur, spare = pair[0][: stack * size], pair[1][: stack * size]
+        # "clip": the index is in range, and the default "raise" would
+        # stage the gather in a temporary before ``out``.
+        if stack == 1:
+            np.take(states[0], index, out=cur.reshape(rows, -1), mode="clip")
+        else:
+            for state, rows_k in zip(states, cur.reshape(stack, rows, -1)):
+                np.take(state, index, out=rows_k, mode="clip")
+        steps, restore = structure.sweep_plan(rows, stack)
+        for (shape, perm, target, gemm), mat in zip(steps, operands):
+            if gemm is None:
+                # Diagonal: in place, in the current order (the step
+                # holds the operand axes and the row axis), job by job.
+                if stack == 1:
+                    _apply_diagonal(cur.reshape(shape), mat, perm, target)
+                    continue
+                for k in range(stack):
+                    _apply_diagonal(
+                        cur[k * size : (k + 1) * size].reshape(shape),
+                        mat[k],
+                        perm,
+                        target,
+                    )
+                continue
+            if perm is not None:
+                np.copyto(
+                    spare.reshape(target), cur.reshape(shape).transpose(perm)
+                )
+                cur, spare = spare, cur
+            np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
+            cur, spare = spare, cur
+        if restore is not None:
+            shape, perm = restore
+            natural = cur.reshape(shape).transpose(perm)
+            np.copyto(spare.reshape(natural.shape), natural)
+            cur = spare
+        if stack == 1:
+            states[0][index] = cur.reshape(rows, -1)
+            return
+        for state, rows_k in zip(states, cur.reshape(stack, rows, -1)):
+            state[index] = rows_k
+
+    def block(lo: int, hi: int) -> None:
+        rows = hi - lo
+        index = gather_rows(lo, hi)
+        if len(states) == 1:
+            sweep(states, operands, _workspace(rows << w), rows, index)
+            return
+        try:
+            pair = _workspace(len(states) * (rows << w))
+        except MemoryError:
+            for k, state in enumerate(states):
+                sweep(
+                    [state],
+                    [op[k] for op in operands],
+                    _workspace(rows << w),
+                    rows,
+                    index,
+                )
+            return
+        sweep(states, operands, pair, rows, index)
+
+    _map_row_groups(
+        map_blocks,
+        block,
+        1 << (num_qubits - w),
+        states[0].size,
+        _gemm_columns(plan, w),
+    )
+
+
+def run_part_group(
+    plans,
+    states: Sequence[np.ndarray],
     num_qubits: int,
     mode: str,
     strided_max: int,
     map_blocks: Callable[[BlockFn, int, int], None],
-) -> str:
-    """Algorithm 1 for one part — the only copy; returns the lane that ran.
+) -> List[str]:
+    """Algorithm 1 for one part of ``K`` jobs — the only copy; returns
+    the lane each job ran.
 
-    ``plan``'s qubits are bits of ``state``'s index (the circuit's
-    qubits on a flat state; layout positions on a distributed one).
-    Decides the kernel lane (:func:`_strided_eligible`), builds the
-    per-row-range body for it, and hands that body to ``map_blocks(fn,
-    rows, elements)``, which visits ``range(rows)`` in the block rule's
-    blocks (``elements`` is the amplitude count they are sized from).
-    Four bodies exist:
+    ``plans[k]`` (each bound for the same part) runs on ``states[k]``;
+    their qubits are bits of the states' index (the circuit's qubits on
+    a flat state; layout positions on a distributed one).  Decides each
+    job's kernel lane (:func:`_strided_eligible`),
+    builds the per-row-range body for it, and hands that body to
+    ``map_blocks(fn, rows, elements)``, which visits ``range(rows)`` in
+    the block rule's blocks (``elements`` is one job's amplitude count
+    they are sized from).  Four bodies exist:
 
     * ``"strided"`` — ops touch only qubits below some axis, so the
       flat state splits into independent leading rows and each op lands
@@ -338,20 +501,138 @@ def run_part(
       row by row every op runs through the shard kernel
       (:func:`_apply_rows`) over the row's virtual rows, so the part
       still finishes one row before the next starts;
-    * ``"gather"``, ``mode="batched"``, gathered — gather the rows'
-      inner vectors into this thread's workspace (:func:`_workspace`),
-      sweep every op over it, scatter back; the block's gather indices
-      come from ``plan.gather_rows``, so no ``2^n``-entry table is built
-      that is too big to keep.  A dense op leaves its GEMM
-      result in its own axis order, so it costs at most one transposing
-      copy and a GEMM; a diagonal op multiplies in whatever order the
-      block is in, and one copy restores natural order before the
-      scatter.  The orders are planned once per part structure and row
-      count (``PartPlanStructure.sweep_plan``); every GEMM keeps the
-      shape and columns of a copy-GEMM-write-back sweep, so the bits
-      are its;
+    * ``"gather"``, ``mode="batched"``, gathered — the jobs on this
+      lane whose plans share one structure (one ``PartPlanStructure``
+      object), up to :func:`stack_limit` at a time, are swept together
+      (:func:`_sweep_gathered`): gather the rows' inner vectors into
+      this thread's workspace (:func:`_workspace`), sweep every op over
+      the stack, scatter back; the block's gather indices come from
+      ``plan.gather_rows``, so no ``2^n``-entry table is built that is
+      too big to keep.  A dense op leaves its GEMM result in its own
+      axis order, so it costs at most one transposing copy and a GEMM;
+      a diagonal op multiplies in whatever order the block is in, and
+      one copy restores natural order before the scatter.  The orders
+      are planned once per part structure and row count
+      (``PartPlanStructure.sweep_plan``); every GEMM keeps the shape
+      and columns of a copy-GEMM-write-back sweep of its job alone, so
+      the bits are its;
     * ``"gather"``, ``mode="literal"`` — the paper's loop, one inner
       state vector at a time (validation reference; never strided).
+
+    The strided, in-place and literal bodies run job by job.
+
+    >>> from repro.circuits.generators import qaoa
+    >>> from repro.sv.fusion import PlanCache
+    >>> jobs = [qaoa(4, p=1, gammas=[g], betas=[0.4]) for g in (0.1, 0.2)]
+    >>> plans = PlanCache().get_or_compile_group(
+    ...     jobs, range(len(jobs[0])), range(4), structural_key="qaoa4")
+    >>> states = [np.zeros(16, dtype=np.complex128) for _ in jobs]
+    >>> for state in states:
+    ...     state[0] = 1.0
+    >>> inline = lambda fn, rows, elements: fn(0, rows)
+    >>> run_part_group(plans, states, 4, "batched", 2, inline)
+    ['gather', 'gather']
+    >>> bool((states[0] != states[1]).any())
+    True
+    """
+    if mode != "batched":
+        for plan, state in zip(plans, states):
+            _sweep_literal(plan, state, num_qubits, map_blocks)
+        return ["gather"] * len(plans)
+    lanes = []
+    stacks: Dict[object, tuple] = {}  # gathered (plans, states) by structure
+    for plan, state in zip(plans, states):
+        if _strided_eligible(plan, strided_max):
+            lanes.append("strided")
+            _sweep_strided(plan, state, map_blocks)
+            continue
+        lanes.append("gather")
+        if 1 << len(plan.qubits) > 2 * kernels.BLOCK_ELEMENTS:
+            _sweep_in_place(plan, state, map_blocks)
+            continue
+        group = stacks.get(plan.structure)
+        if group is None:
+            group = stacks[plan.structure] = ([], [])
+        group[0].append(plan)
+        group[1].append(state)
+    limit = stack_limit(num_qubits)
+    for group_plans, group_states in stacks.values():
+        for i in range(0, len(group_plans), limit):
+            _sweep_gathered(
+                group_plans[i : i + limit],
+                group_states[i : i + limit],
+                num_qubits,
+                map_blocks,
+            )
+    return lanes
+
+
+def _sweep_strided(plan, state, map_blocks) -> None:
+    """The strided body of :func:`run_part_group` for one job."""
+    if not plan.ops:
+        return
+    local = 1 + max(q for op in plan.ops for q in op.qubits)
+    view = state.reshape(-1, 1 << local)
+
+    def block(lo: int, hi: int) -> None:
+        sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
+        for op in plan.ops:
+            _apply_strided(
+                sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
+            )
+
+    _map_row_groups(
+        map_blocks, block, view.shape[0], state.size,
+        _gemm_columns(plan, local),
+    )
+
+
+def _sweep_in_place(plan, state, map_blocks) -> None:
+    """The in-place body of :func:`run_part_group` for one job: a gather
+    row wider than the kept workspace is swept one row of the flat state
+    at a time (more only where a row holds too few GEMM columns), every
+    op on a row before the next row starts."""
+    local = 1 + max(plan.qubits)
+    view = state.reshape(-1, 1 << local)
+    step = max(1, kernels.MIN_GEMM_COLUMNS // _gemm_columns(plan, local))
+    for r in range(0, view.shape[0], step):
+        for op in plan.ops:
+            _apply_rows(
+                view[r:r + step], op.matrix(), op.qubits, local,
+                op.is_diagonal, map_blocks,
+            )
+
+
+def _sweep_literal(plan, state, num_qubits, map_blocks) -> None:
+    """The literal body of :func:`run_part_group` for one job: the
+    paper's loop, one inner state vector at a time."""
+    w = len(plan.qubits)
+    gather_rows = plan.gather_rows(num_qubits)
+    ops = plan.local_ops()
+
+    def block(lo: int, hi: int) -> None:
+        for index in gather_rows(lo, hi):
+            in_sv = state[index]
+            for op in ops:
+                apply_matrix(
+                    in_sv, op.matrix(), op.qubits, w,
+                    diagonal=op.is_diagonal,
+                )
+            state[index] = in_sv
+
+    _map_row_groups(map_blocks, block, 1 << (num_qubits - w), state.size, None)
+
+
+def run_part(
+    plan,
+    state: np.ndarray,
+    num_qubits: int,
+    mode: str,
+    strided_max: int,
+    map_blocks: Callable[[BlockFn, int, int], None],
+) -> str:
+    """:func:`run_part_group` for one job: ``plan`` on ``state``; returns
+    the lane that ran.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> from repro.sv.fusion import compile_part
@@ -368,100 +649,10 @@ def run_part(
     >>> state.real.tolist()
     [0.0, 0.0, 1.0, 0.0]
     """
-    if mode == "batched" and _strided_eligible(plan, strided_max):
-        if plan.ops:
-            local = 1 + max(q for op in plan.ops for q in op.qubits)
-            view = state.reshape(-1, 1 << local)
-
-            def block(lo: int, hi: int) -> None:
-                sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
-                for op in plan.ops:
-                    _apply_strided(
-                        sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
-                    )
-
-            _map_row_groups(
-                map_blocks, block, view.shape[0], state.size,
-                _gemm_columns(plan, local),
-            )
-        return "strided"
-    w = len(plan.qubits)
-    if mode == "batched" and 1 << w > 2 * kernels.BLOCK_ELEMENTS:
-        # A gather row wider than the kept workspace: sweep the part in
-        # place, one row of the flat state at a time (more only where a
-        # row holds too few GEMM columns), every op on a row before the
-        # next row starts.
-        local = 1 + max(plan.qubits)
-        view = state.reshape(-1, 1 << local)
-        step = max(1, kernels.MIN_GEMM_COLUMNS // _gemm_columns(plan, local))
-        for r in range(0, view.shape[0], step):
-            for op in plan.ops:
-                _apply_rows(
-                    view[r:r + step], op.matrix(), op.qubits, local,
-                    op.is_diagonal, map_blocks,
-                )
-        return "gather"
-    gather_rows = plan.gather_rows(num_qubits)
-    columns = None
-    if mode == "batched":
-        columns = _gemm_columns(plan, w)
-
-        def block(lo: int, hi: int) -> None:
-            rows = hi - lo
-            steps, restore = plan.structure.sweep_plan(rows)
-            size = rows << w
-            cur, spare = (buf[:size] for buf in _workspace(size))
-            index = gather_rows(lo, hi)
-            # "clip": the index is in range, and the default "raise"
-            # would stage the gather in a temporary before ``out``.
-            np.take(state, index, out=cur.reshape(rows, -1), mode="clip")
-            for (shape, perm, target, gemm), op in zip(steps, plan.ops):
-                if gemm is None:
-                    # Diagonal: in place, in the current order (the step
-                    # holds the operand axes and the row axis).
-                    _apply_diagonal(
-                        cur.reshape(shape),
-                        np.ascontiguousarray(np.diag(op.matrix())),
-                        perm,
-                        target,
-                    )
-                    continue
-                if perm is not None:
-                    np.copyto(
-                        spare.reshape(target),
-                        cur.reshape(shape).transpose(perm),
-                    )
-                    cur, spare = spare, cur
-                np.matmul(
-                    op.matrix(), cur.reshape(gemm), out=spare.reshape(gemm)
-                )
-                cur, spare = spare, cur
-            if restore is not None:
-                shape, perm = restore
-                np.copyto(
-                    spare.reshape((rows,) + (2,) * w),
-                    cur.reshape(shape).transpose(perm),
-                )
-                cur = spare
-            state[index] = cur.reshape(rows, -1)
-
-    else:
-        ops = plan.local_ops()
-
-        def block(lo: int, hi: int) -> None:
-            for index in gather_rows(lo, hi):
-                in_sv = state[index]
-                for op in ops:
-                    apply_matrix(
-                        in_sv, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[index] = in_sv
-
-    _map_row_groups(
-        map_blocks, block, 1 << (num_qubits - w), state.size, columns
+    (lane,) = run_part_group(
+        [plan], [state], num_qubits, mode, strided_max, map_blocks
     )
-    return "gather"
+    return lane
 
 
 class ExecutionBackend:

@@ -33,25 +33,31 @@ from the state's representation (``method=`` only picks the starting
 one, see :meth:`~HierarchicalExecutor.initial_state`): a
 :class:`~repro.sv.stabilizer.StabilizerState` takes a Clifford-only
 part's source gates on the tableau; the first other part converts it to
-amplitudes once, and every dense part goes to ``backend.run_plan``.
+amplitudes once, and every dense part goes to the backend's part sweep
+(:func:`~repro.sv.backend.run_part_group`).
 ``method="auto"`` starts every circuit that could be materialised (and
 every all-Clifford one) in tableau form, so a leading run of Clifford
 parts never sweeps ``2^n`` amplitudes; a circuit whose first part is not
 Clifford-only starts from ``zero_state(n)``, bit-identical to a dense
 start, and a dense array input always takes the pre-routing path.
+
+:meth:`HierarchicalExecutor.run_group` runs ``K`` circuits of one
+structure over one partition together: each part binds their plans in
+one pass and sweeps their dense states as one stack, every circuit's
+bits and counts being those of :meth:`~HierarchicalExecutor.run` alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..partition.base import Partition
-from .backend import ExecutionBackend, resolve_backend
+from .backend import ExecutionBackend, resolve_backend, run_part_group
 from .engine import resolve_method
 from .fusion import (
     DEFAULT_MAX_FUSED_QUBITS,
@@ -255,29 +261,107 @@ class HierarchicalExecutor:
         structure and its gather tables, rebuilding only the fused
         matrices.  ``cache_counters`` (optional) receives this call's
         plan-cache events (:class:`~repro.sv.fusion.CacheCounters`);
-        the cache itself counts nothing.
+        the cache itself counts nothing.  This is :meth:`run_group` for
+        one circuit; its exception, if any, is raised.
         """
-        n = circuit.num_qubits
-        if partition.num_qubits != n or partition.num_gates != len(circuit):
-            raise ValueError("partition does not describe this circuit")
-        if isinstance(state, StabilizerState):
-            if state.num_qubits != n:
-                raise ValueError("state width mismatch")
-        elif state.shape != (1 << n,):
-            raise ValueError("state length mismatch")
-        elif state.dtype != np.complex128:
-            raise ValueError(f"state must be complex128, got {state.dtype}")
+        (out,) = self.run_group(
+            [circuit],
+            partition,
+            [state],
+            [trace],
+            structural_key=structural_key,
+            cache_counters=cache_counters,
+        )
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def run_group(
+        self,
+        circuits: Sequence[QuantumCircuit],
+        partition: Partition,
+        states: Sequence[Union[np.ndarray, StabilizerState]],
+        traces: Optional[Sequence[Optional[ExecutionTrace]]] = None,
+        *,
+        structural_key=None,
+        cache_counters: Optional[CacheCounters] = None,
+    ) -> List[Union[np.ndarray, StabilizerState, Exception]]:
+        """:meth:`run` for ``K`` circuits that share ``partition``: item
+        ``k`` is circuit ``k``'s final state, or the exception that
+        stopped it.
+
+        Each circuit is routed, looked up, counted and traced
+        (``traces[k]``) exactly as :meth:`run` does it alone.  Per part,
+        the circuits whose state is a tableau and whose part is
+        Clifford-only run it on their tableau one by one; every other
+        one is dense for it, and the dense ones make one
+        :meth:`~repro.sv.fusion.PlanCache.get_or_compile_group` lookup
+        and one :func:`~repro.sv.backend.run_part_group` call on the
+        backend's mapper, which sweeps the plans of one structure as
+        one stack.  Circuits of one structure share plan structures
+        only under one ``structural_key``; without one, each circuit's
+        plans are its own and it sweeps alone.  A circuit
+        whose check, conversion or bind fails drops out with its
+        exception; the others go on.
+
+        >>> from repro.circuits.generators import qaoa
+        >>> from repro.partition import get_partitioner
+        >>> jobs = [qaoa(6, p=1, gammas=[g], betas=[0.3]) for g in (0.2, 0.4)]
+        >>> partition = get_partitioner("dagP").partition(jobs[0], 4)
+        >>> ex = HierarchicalExecutor(method="dense")
+        >>> states = [ex.initial_state(qc) for qc in jobs]
+        >>> a, b = ex.run_group(jobs, partition, states, structural_key="q6")
+        >>> bool(np.array_equal(a, ex.run(jobs[0], partition,
+        ...                               ex.initial_state(jobs[0]))))
+        True
+        """
+        jobs = len(circuits)
+        if traces is None:
+            traces = [None] * jobs
+        out: List = list(states)
+        for k, (circuit, state) in enumerate(zip(circuits, states)):
+            n = circuit.num_qubits
+            if partition.num_qubits != n or partition.num_gates != len(
+                circuit
+            ):
+                out[k] = ValueError("partition does not describe this circuit")
+            elif isinstance(state, StabilizerState):
+                if state.num_qubits != n:
+                    out[k] = ValueError("state width mismatch")
+            elif state.shape != (1 << n,):
+                out[k] = ValueError("state length mismatch")
+            elif state.dtype != np.complex128:
+                out[k] = ValueError(
+                    f"state must be complex128, got {state.dtype}"
+                )
+        n = partition.num_qubits
         for part in partition.parts:
-            if isinstance(state, StabilizerState):
-                gates = [circuit[g] for g in part.gate_indices]
-                if is_clifford_circuit(gates):
-                    self._run_tableau_part(part, gates, state, trace)
-                    continue
-                if trace is not None and not state.is_zero_state:
-                    trace.boundary_conversions += 1
-                state = state.to_dense()
-            plan = self.plan_cache.get_or_compile(
-                circuit,
+            dense = []
+            for k, state in enumerate(out):
+                if isinstance(state, np.ndarray):
+                    dense.append(k)
+                elif isinstance(state, StabilizerState):
+                    try:
+                        gates = [circuits[k][g] for g in part.gate_indices]
+                        if is_clifford_circuit(gates):
+                            self._run_tableau_part(
+                                part, gates, state, traces[k]
+                            )
+                            continue
+                        if traces[k] is not None and not state.is_zero_state:
+                            traces[k].boundary_conversions += 1
+                        out[k] = state.to_dense()
+                    except Exception as exc:
+                        out[k] = exc
+                        continue
+                    dense.append(k)
+            if not dense:
+                continue
+            group = circuits
+            if len(dense) < jobs:
+                group = [circuits[k] for k in dense]
+            plans = self.plan_cache.get_or_compile_group(
+                group,
                 part.gate_indices,
                 part.qubits,
                 structural_key=structural_key,
@@ -285,8 +369,23 @@ class HierarchicalExecutor:
                 max_fused_qubits=self.max_fused_qubits,
                 counters=cache_counters,
             )
-            self._run_part(plan, state, n, trace)
-        return state
+            if any(isinstance(plan, Exception) for plan in plans):
+                # Failed lookups drop out; the others sweep.
+                for k, plan in zip(dense, plans):
+                    if isinstance(plan, Exception):
+                        out[k] = plan
+                dense = [k for k in dense if isinstance(out[k], np.ndarray)]
+                plans = [p for p in plans if not isinstance(p, Exception)]
+            if len(dense) == jobs:  # every circuit sweeps this part
+                self._run_part(plans, out, n, traces)
+            elif dense:
+                self._run_part(
+                    plans,
+                    [out[k] for k in dense],
+                    n,
+                    [traces[k] for k in dense],
+                )
+        return out
 
     # -- internals --------------------------------------------------------
 
@@ -309,20 +408,26 @@ class HierarchicalExecutor:
 
     def _run_part(
         self,
-        plan: CompiledPartPlan,
-        state: np.ndarray,
+        plans: List[CompiledPartPlan],
+        states: List[np.ndarray],
         n: int,
-        trace: Optional[ExecutionTrace],
+        traces: List[Optional[ExecutionTrace]],
     ) -> None:
         t0 = time.perf_counter()
-        path = self.backend.run_plan(plan, state, n, self.mode)
-        elapsed = time.perf_counter() - t0
-        if trace is not None:
+        lanes = run_part_group(
+            plans, states, n, self.mode, self.backend.strided_max,
+            self.backend.map_blocks,
+        )
+        # The stack's jobs share its time.
+        elapsed = (time.perf_counter() - t0) / len(plans)
+        label = self.backend.describe()
+        for plan, path, trace in zip(plans, lanes, traces):
+            if trace is None:
+                continue
             trace.part_qubits.append(tuple(plan.qubits))
             trace.part_gates.append(plan.num_source_gates)
             trace.part_ops.append(plan.num_ops)
             trace.part_seconds.append(elapsed)
-            label = self.backend.describe()
             trace.backend_parts[label] = trace.backend_parts.get(label, 0) + 1
             if path == "strided":
                 trace.strided_parts += 1

@@ -484,20 +484,20 @@ def split_controls(
         raise ValueError(
             f"matrix shape {matrix.shape} does not match {k} qubits"
         )
-    idx = np.arange(dim)
     control_pos = []
     for c in range(k):
-        bits = (idx >> c) & 1
-        if matrix[bits[:, None] != bits[None, :]].any():
+        # Row and column index as (high bits, bit c, low bits).
+        high, low = dim >> (c + 1), 1 << c
+        m = matrix.reshape(high, 2, low, high, 2, low)
+        if m[:, 0, :, :, 1].any() or m[:, 1, :, :, 0].any():
             continue  # mixes the bit=0 / bit=1 halves
-        zero_half = idx[bits == 0]
-        block = matrix[np.ix_(zero_half, zero_half)]
+        block = m[:, 0, :, :, 0].reshape(dim >> 1, dim >> 1)
         if not np.array_equal(block, np.eye(dim >> 1)):
             continue  # acts on the bit=0 half
         control_pos.append(c)
     if not control_pos:
         return (), qubits, matrix
-    keep = idx
+    keep = np.arange(dim)
     for c in control_pos:
         keep = keep[((keep >> c) & 1) == 1]
     sub = np.ascontiguousarray(matrix[np.ix_(keep, keep)])

@@ -75,7 +75,7 @@ def sample_counts(
     p = p / p.sum()
     outcomes = rng.choice(p.size, size=shots, p=p)
     vals, counts = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
+    return dict(zip(vals.tolist(), counts.tolist()))
 
 
 class StateVectorSimulator:

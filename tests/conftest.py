@@ -166,6 +166,63 @@ def refine_reference(sub, labels: List[int], max_passes: int = 8) -> List[int]:
     return state.labels
 
 
+def fuse_reference(steps, gates, operands: dict) -> np.ndarray:
+    """Oracle for ``repro.sv.fusion._fuse``: one group's product matrix
+    for one gate list, as first written -- ``diag(pending) @ acc`` over
+    the bind program's steps, a ``2^m``-row GEMM per dense member.  The
+    production ``_fuse`` builds a ``(K, d, d)`` stack for ``K`` gate
+    lists in one pass, and each slice must agree with this byte for
+    byte.  ``operands`` memoises ``(name, params)`` matrices across the
+    groups of one part, as a bind does.
+    """
+    from repro.circuits.gates import shared_gate_matrix
+
+    acc = pending = None  # None = identity
+    for m, name, qubits, kind, table in steps:
+        g = gates[m]
+        if g.name != name or g.qubits != qubits:
+            raise ValueError(
+                f"gate {m} is {g.name} on {g.qubits}; the plan structure "
+                f"was built for {name} on {qubits}"
+            )
+        if table is None:
+            return shared_gate_matrix(name, g.params)
+        key = (name, g.params)
+        mat = operands.get(key)
+        if mat is None:
+            mat = shared_gate_matrix(name, g.params)
+            if kind == "diag":
+                mat = mat.diagonal()
+            operands[key] = mat
+        if kind == "diag":
+            if pending is None:
+                pending = mat.take(table)
+            else:
+                pending *= mat.take(table)
+            continue
+        if acc is None:
+            acc = np.identity(table.shape[-1], dtype=np.complex128)
+        if kind == "dense":
+            if pending is not None:
+                acc *= pending[:, None]
+                pending = None
+            acc = (
+                (mat @ acc.take(table[0], axis=0).reshape(len(mat), -1))
+                .reshape(acc.shape)
+                .take(table[1], axis=0)
+            )
+        else:
+            # P @ diag(d) @ M = diag(d[src]) @ (P @ M): nothing to multiply.
+            acc = acc.take(table, axis=0)
+            if pending is not None:
+                pending = pending.take(table)
+    if acc is None:
+        return np.diag(pending)
+    if pending is not None:
+        acc *= pending[:, None]
+    return acc
+
+
 def to_dense_reference(state) -> np.ndarray:
     """Oracle for ``StabilizerState.to_dense``: the conversion as first
     written -- a Gray-code walk over the pivot Paulis' subsets, one Pauli

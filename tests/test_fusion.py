@@ -185,7 +185,7 @@ def whole_structure(qc, **kwargs):
 
 def assert_bind_matches_oracle(qc, **kwargs):
     structure = whole_structure(qc, **kwargs)
-    plan = structure.bind(qc.gates)
+    plan = structure.bind([qc.gates])[0]
     for op, group in zip(plan.ops, structure.groups):
         fused = op.matrix()
         assert op.is_diagonal == group.diagonal
@@ -273,26 +273,26 @@ class TestBindProgram:
         qc = circuit_of(3, ("h", (0,)), ("cx", (0, 1)), ("rz", (2,), 0.3),
                         ("cx", (1, 2)))
         structure = whole_structure(qc)
-        structure.bind(qc.gates)
+        structure.bind([qc.gates])
         swapped = list(qc.gates)
         swapped[1] = make_gate("cx", (1, 0))
         with pytest.raises(ValueError, match="gate 1 "):
-            structure.bind(swapped)
+            structure.bind([swapped])
         renamed = list(qc.gates)
         renamed[2] = make_gate("u1", (2,), [0.3])
         with pytest.raises(ValueError, match="gate 2 "):
-            structure.bind(renamed)
+            structure.bind([renamed])
         with pytest.raises(ValueError, match="spans 4 gates"):
-            structure.bind(qc.gates[:3])
+            structure.bind([qc.gates[:3]])
         # A structure never bound before rejects a foreign list too.
         foreign = list(qc.gates)
         foreign[3] = make_gate("cx", (1, 5))
         with pytest.raises(ValueError, match="gate 3 "):
-            whole_structure(qc).bind(foreign)
+            whole_structure(qc).bind([foreign])
         diagonal = circuit_of(2, ("rz", (0,), 0.1), ("cz", (0, 1)))
         dense = [diagonal[0], make_gate("cx", (0, 1))]
         with pytest.raises(ValueError, match="gate 1 "):
-            whole_structure(diagonal).bind(dense)
+            whole_structure(diagonal).bind([dense])
         # A never-bound structure's kernel class came from the planned
         # names: a permutation swapped for another is refused, not run
         # as a diagonal it no longer is.
@@ -301,7 +301,7 @@ class TestBindProgram:
         assert whole_structure(ladder).groups[0].diagonal
         with pytest.raises(ValueError, match="gate 2 is swap"):
             whole_structure(ladder).bind(
-                [*ladder.gates[:2], make_gate("swap", (0, 1))]
+                [[*ladder.gates[:2], make_gate("swap", (0, 1))]]
             )
 
     def test_membership_check_of_a_diagonal_group(self):
@@ -348,14 +348,14 @@ class TestBindProgram:
     def test_threads_binding_one_fresh_structure_equal_serial(self):
         base = generators.build("qaoa", 8)
         variants = angle_variants(base, 8)
-        serial = [whole_structure(base).bind(v.gates) for v in variants]
+        serial = whole_structure(base).bind([v.gates for v in variants])
         shared = whole_structure(base)  # no program yet
         plans = [None] * len(variants)
         start = threading.Barrier(len(variants))
 
         def work(i):
             start.wait(timeout=30)
-            plans[i] = shared.bind(variants[i].gates)
+            plans[i] = shared.bind([variants[i].gates])[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -379,7 +379,7 @@ class TestBindProgram:
     def test_index_tables_are_shared_by_key_not_per_gate(self):
         qc = random_circuit(6, 2000, seed=5)
         structure = whole_structure(qc, max_fused_qubits=5)
-        structure.bind(qc.gates)
+        structure.bind([qc.gates])
         tables, keys = set(), set()
         for group, steps in zip(structure.groups, structure._program):
             pos = {q: i for i, q in enumerate(group.qubits)}
@@ -415,7 +415,7 @@ def assert_flag_matches_product(structure, *gate_lists):
     """``diagonal`` ⇒ exactly-zero off-diagonal entries under every angle
     set; a monomial group left unflagged has a non-zero one."""
     for gates in gate_lists:
-        plan = structure.bind(gates)
+        plan = structure.bind([gates])[0]
         for op, group in zip(plan.ops, structure.groups):
             assert op.is_diagonal == group.diagonal
             off = off_diagonal(op.matrix())

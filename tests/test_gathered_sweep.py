@@ -151,7 +151,7 @@ def test_one_structure_bound_twice_shares_its_plan(backends):
 
     qc1, qc2 = circuit(0.3, 1.2), circuit(2.1, 0.4)
     structure = build_part_structure(qc1, range(len(qc1)), (0, 1, 2, 3))
-    plan1, plan2 = structure.bind(qc1.gates), structure.bind(qc2.gates)
+    plan1, plan2 = structure.bind([qc1.gates, qc2.gates])
     got1 = _check(backends[1], 1, [plan1], 5)
     sweep = structure.sweep_plan(2)
     got2 = _check(backends[1], 1, [plan2], 5)

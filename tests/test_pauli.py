@@ -92,3 +92,49 @@ class TestEnergy:
         # Used to escape as AttributeError from ``op.upper()``.
         with pytest.raises(ValueError, match=f"bad Pauli {op!r}"):
             expectations(zero_state(2), [{0: op}], 2)
+
+
+def pauli_expectation_reference(state, term, num_qubits):
+    """Oracle for ``pauli_expectation``: the body as first written, its
+    sign vector and flip index built on every call.  The production
+    function keeps them per ``(term, n)`` and reverses axes instead of
+    indexing; its bits must not move."""
+    from repro.sv.pauli import _normalise
+
+    ops = _normalise(term, num_qubits)
+    idx = np.arange(state.size, dtype=np.int64)
+    xmask = 0
+    phase = np.ones(state.size, dtype=np.complex128)
+    for q, c in ops.items():
+        bit = (idx >> q) & 1
+        if c == "Z":
+            phase *= 1.0 - 2.0 * bit
+        elif c == "X":
+            xmask |= 1 << q
+        else:
+            xmask |= 1 << q
+            phase *= -1j * (1.0 - 2.0 * bit)
+    if xmask == 0:
+        return float(np.real(np.sum(phase * np.abs(state) ** 2)))
+    flipped = state[idx ^ xmask]
+    return float(np.real(np.sum(np.conj(state) * phase * flipped)))
+
+
+class TestKeptMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 6, 17]),
+        seed=st.integers(0, 999),
+        data=st.data(),
+    )
+    def test_property_kept_masks_keep_the_bits(self, n, seed, data):
+        state = random_state(n, seed=seed)
+        qubits = data.draw(st.permutations(range(n)))
+        ops = data.draw(st.lists(st.sampled_from("IXYZxyz"), min_size=n,
+                                 max_size=n))
+        # Sparse maps in a drawn order: factors multiply in that order.
+        for term in ("".join(ops).upper(), dict(zip(qubits, ops))):
+            want = pauli_expectation_reference(state, term, n)
+            for _ in range(2):  # built, then kept
+                got = pauli_expectation(state, term, n)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()

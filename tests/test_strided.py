@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
@@ -33,8 +35,16 @@ from repro.sv import (
     split_controls,
     zero_state,
 )
+from repro.sv.fusion import compile_part
 
 from conftest import random_circuit
+from strategies import circuits
+
+#: Controlled gates and what commutes with their controls: fused groups
+#: of these keep control structure.
+CONTROLLED_POOL = (
+    "cx", "cz", "ccx", "ccz", "cswap", "cu1", "crz", "ch", "x", "rz", "t",
+)
 
 
 def _random_state(num_qubits: int, seed: int) -> np.ndarray:
@@ -82,6 +92,35 @@ class TestSplitControls:
         assert targets == (3, 5)
         assert sub is m or np.array_equal(sub, m)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        qc=st.one_of(
+            circuits(max_qubits=5, max_gates=12, three_qubit=True),
+            circuits(
+                max_qubits=5, max_gates=12, three_qubit=True,
+                pool=CONTROLLED_POOL,
+            ),
+        ),
+        cap=st.integers(1, 5),
+    )
+    def test_property_controls_follow_the_mask_rule(self, qc, cap):
+        # Every fused matrix gets the controls the rule as first written
+        # (bit masks and np.ix_ blocks) finds, and the same reduced
+        # matrix.
+        plan = compile_part(
+            qc, range(len(qc)), range(qc.num_qubits), max_fused_qubits=cap
+        )
+        for op in plan.ops:
+            m = op.matrix()
+            controls, targets, sub = split_controls(m, op.qubits)
+            found = _controls_reference(m, len(op.qubits))
+            assert controls == tuple(op.qubits[c] for c in found)
+            keep = [
+                i for i in range(len(m)) if all((i >> c) & 1 for c in found)
+            ]
+            assert np.array_equal(sub, m[np.ix_(keep, keep)])
+            assert len(targets) + len(controls) == len(op.qubits)
+
     def test_near_identity_block_is_not_a_control(self):
         # The bit=0 block must be *exactly* identity — a 1e-16 smudge
         # disqualifies the operand, keeping extraction exact.
@@ -91,6 +130,22 @@ class TestSplitControls:
         controls, targets, _ = split_controls(m, (0, 1))
         assert controls == ()
         assert targets == (0, 1)
+
+
+def _controls_reference(matrix: np.ndarray, k: int) -> list:
+    """Operand positions that are controls, by the rule as first
+    written: block diagonal in the bit, the bit=0 block exactly I."""
+    dim = 1 << k
+    idx = np.arange(dim)
+    found = []
+    for c in range(k):
+        bits = (idx >> c) & 1
+        if matrix[bits[:, None] != bits[None, :]].any():
+            continue
+        zero = idx[bits == 0]
+        if np.array_equal(matrix[np.ix_(zero, zero)], np.eye(dim >> 1)):
+            found.append(c)
+    return found
 
 
 # ---------------------------------------------------------------------------

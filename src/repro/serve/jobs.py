@@ -20,6 +20,7 @@ import difflib
 import hashlib
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -251,9 +252,21 @@ def _build_circuit(
         qubits = spec.get("qubits")
         if qubits is None:
             raise ValueError(f"job {job_id!r}: generator spec needs 'qubits'")
-        kwargs = dict(spec.get("args", {}))
-        return generators.build(name, int(qubits), **kwargs)
+        qubits = _field(job_id, "qubits", int, qubits)
+        kwargs = _field(job_id, "args", dict, spec.get("args", {}))
+        try:
+            return generators.build(str(name), qubits, **kwargs)
+        except (TypeError, OverflowError) as exc:
+            # A width or argument the generator cannot take (a float it
+            # overflows, a keyword it lacks) is the spec's fault.
+            raise ValueError(
+                f"job {job_id!r}: generator {name!r} cannot build "
+                f"'qubits' {qubits} with 'args' {reprlib.repr(kwargs)}: "
+                f"{exc}"
+            ) from None
     if kind == "qasm":
+        if not isinstance(spec["qasm"], str):
+            raise ValueError(f"job {job_id!r}: 'qasm' must be a string")
         return qasm.loads(spec["qasm"], name=job_id)
     if base_dir is None:
         raise ValueError(
@@ -262,6 +275,27 @@ def _build_circuit(
             f"'qasm'"
         )
     return qasm.load(os.path.join(base_dir, spec["qasm_file"]))
+
+
+def _field(job_id: str, key: str, convert, value: Any):
+    """``convert(value)``, job ``job_id``'s field ``key``: a value it
+    refuses, or overflows (``int(1e400)``), is a :class:`ValueError`
+    naming the job and the field.
+
+    >>> _field("j", "shots", int, 8.0)
+    8
+    >>> _field("j", "seed", int, 1e400)
+    Traceback (most recent call last):
+    ...
+    ValueError: job 'j': bad 'seed' inf (cannot convert float infinity
+    to integer)
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"job {job_id!r}: bad {key!r} {reprlib.repr(value)} ({exc})"
+        ) from None
 
 
 def _parse_observable(term: Any) -> PauliTerm:
@@ -331,16 +365,23 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
                 f"(got {limit!r}); omit it to derive the per-circuit "
                 f"default"
             )
+    if not isinstance(manifest["jobs"], list):
+        raise ValueError("manifest 'jobs' must be a list")
     jobs: List[SimJob] = []
     for i, entry in enumerate(manifest["jobs"]):
         if not isinstance(entry, dict):
             raise ValueError(f"job #{i} must be an object")
         job_id = str(entry.get("id", f"job-{i}"))
         circuit = _build_circuit(entry.get("circuit"), base_dir, job_id)
-        shots = int(entry.get("shots", 0))
+        shots = _field(job_id, "shots", int, entry.get("shots", 0))
         seed = entry.get("seed")
-        observables = tuple(
-            _parse_observable(t) for t in entry.get("observables", ())
+        if seed is not None:
+            seed = _field(job_id, "seed", int, seed)
+        observables = _field(
+            job_id,
+            "observables",
+            lambda terms: tuple(_parse_observable(t) for t in terms),
+            entry.get("observables", ()),
         )
         want_state = bool(entry.get("state", False))
         if not (want_state or shots or observables):
@@ -352,9 +393,9 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
                 circuit=circuit,
                 want_state=want_state,
                 shots=shots,
-                seed=None if seed is None else int(seed),
+                seed=seed,
                 observables=observables,
-                cut=None if cut is None else dict(cut),
+                cut=None if cut is None else _field(job_id, "cut", dict, cut),
             )
         )
     return jobs, options

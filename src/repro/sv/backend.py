@@ -64,6 +64,7 @@ dispatch overhead never taxes toy problems.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from collections import deque
@@ -79,6 +80,7 @@ from .kernels import (
     _apply_dense_split,
     _apply_diagonal,
     _apply_strided,
+    _order_perm,
     apply_matrix,
     apply_matrix_batched,
     check_operands,
@@ -88,10 +90,12 @@ from .fusion import OpStacks, _stack
 
 __all__ = [
     "ExecutionBackend",
+    "ResidentBlock",
     "SerialBackend",
     "ThreadedBackend",
     "BACKEND_NAMES",
     "get_backend",
+    "one_block",
     "shared_backend",
     "resolve_backend",
     "run_part",
@@ -375,25 +379,182 @@ def _sweep_operands(plans) -> tuple:
     return group.operands
 
 
+def one_block(
+    map_blocks: Callable[[BlockFn, int, int], None], num_qubits: int
+) -> bool:
+    """True when ``map_blocks`` visits a ``num_qubits``-qubit state as
+    one block however finely its rows are cut: one amplitude a row, the
+    finest any part cuts it into, still comes back whole.  Every gathered
+    part then sweeps the whole state as one block, so a run of them can
+    keep it resident (:class:`ResidentBlock`).  Under the block rule
+    that is ``2^n < BLOCK_ELEMENTS / 2``, or ``2^n <= BLOCK_ELEMENTS`` on
+    one thread.  A state wider than the kept workspace (``2 *
+    BLOCK_ELEMENTS``) is never resident, so its mapper is not asked.
+
+    >>> [one_block(SerialBackend().map_blocks, n) for n in (15, 16)]
+    [True, False]
+    >>> threaded = ThreadedBackend(2)
+    >>> [one_block(threaded.map_blocks, n) for n in (13, 14)]
+    [True, False]
+    >>> threaded.close()
+    """
+    elements = 1 << num_qubits
+    if elements > 2 * kernels.BLOCK_ELEMENTS:
+        return False
+    blocks: List[Tuple[int, int]] = []
+    map_blocks(lambda lo, hi: blocks.append((lo, hi)), elements, elements)
+    return blocks == [(0, elements)]
+
+
+class ResidentBlock:
+    """The state of ``K`` jobs held gathered across a run of parts.
+
+    When the whole state is one block (:func:`one_block`), gathering it
+    is a copy and buys no locality, so consecutive gathered parts share
+    one resident block: :func:`run_part_group` copies the jobs' states
+    into this thread's workspace pair (:func:`_workspace`; a ``(K,
+    2^n)`` stack within :func:`stack_limit`) when a run starts, each part
+    sweeps it from the axis order the previous part left it in (one axis
+    per qubit, ``order``, most significant first), and :meth:`flush`
+    writes it back in natural order once, when the run ends: at a part
+    some job takes another lane for, when the jobs change (one dropped
+    out with an error, or a tableau joined), or when the caller is done.
+    Every GEMM keeps the shape and columns it has in a sweep of one part
+    alone, so the bits are that sweep's.  A sweep that raises loses the
+    block: its states keep what they held when the run began.
+
+    >>> from repro.circuits.circuit import QuantumCircuit
+    >>> from repro.sv.fusion import compile_part
+    >>> qc = QuantumCircuit(3).h(0).cx(0, 1).ry(0.4, 2).cx(2, 1)
+    >>> parts = [compile_part(qc, [0, 1], [0, 1]),
+    ...          compile_part(qc, [2, 3], [2, 1])]
+    >>> inline = lambda fn, rows, elements: fn(0, rows)
+    >>> state = np.zeros(8, dtype=np.complex128); state[0] = 1.0
+    >>> alone = state.copy()
+    >>> resident = ResidentBlock()
+    >>> for plan in parts:      # strided_max=-1: every part gathers
+    ...     _ = run_part_group([plan], [state], 3, "batched", -1, inline,
+    ...                        resident)
+    ...     _ = run_part_group([plan], [alone], 3, "batched", -1, inline)
+    >>> float(state[0].real), resident.order   # the block is resident
+    (1.0, (1, 2, 0))
+    >>> resident.flush()
+    >>> bool(np.array_equal(state, alone))
+    True
+    """
+
+    __slots__ = ("states", "cur", "spare", "order")
+
+    def __init__(self) -> None:
+        self.states: Tuple[np.ndarray, ...] = ()
+        self.cur: Optional[np.ndarray] = None
+        self.spare: Optional[np.ndarray] = None
+        self.order: Tuple[int, ...] = ()
+
+    def holds(self, states: Sequence[np.ndarray]) -> bool:
+        """Whether the block is ``states``, job for job."""
+        return len(states) == len(self.states) and all(
+            map(operator.is_, states, self.states)
+        )
+
+    def load(self, states: Sequence[np.ndarray]) -> None:
+        """Start a run: copy ``states`` into this thread's workspace in
+        natural order (the workspace may raise :class:`MemoryError`)."""
+        size = states[0].size
+        pair = _workspace(len(states) * size)
+        cur = pair[0][: len(states) * size]
+        for k, state in enumerate(states):
+            cur[k * size : (k + 1) * size] = state
+        self.states = tuple(states)
+        self.cur, self.spare = cur, pair[1][: cur.size]
+        self.order = tuple(range(size.bit_length() - 2, -1, -1))
+
+    def flush(self) -> None:
+        """End the run: write each job's block back to its state in
+        natural order, one (transposing) copy each."""
+        if not self.states:
+            return
+        size = self.states[0].size
+        n = size.bit_length() - 1
+        shape = (2,) * n
+        perm = _order_perm(shape, self.order, tuple(range(n - 1, -1, -1)))
+        for k, state in enumerate(self.states):
+            block = self.cur[k * size : (k + 1) * size]
+            if perm is None:
+                np.copyto(state, block)
+            else:
+                np.copyto(
+                    state.reshape(shape), block.reshape(shape).transpose(perm)
+                )
+        self.states = ()
+        self.cur = self.spare = None
+
+
+def _sweep_ops(steps, operands, cur, spare, stack: int, size: int):
+    """Run a part's ``steps`` (:meth:`PartPlanStructure.sweep_plan`) with
+    their ``operands`` over a gathered block of ``stack`` jobs of
+    ``size`` amplitudes in ``cur``: a dense op is at most one transposing
+    copy into ``spare`` and one stacked ``np.matmul``, a diagonal op one
+    in-place multiply per job.  Returns ``(cur, spare)``, the block in
+    ``cur``."""
+    for (shape, perm, target, gemm), mat in zip(steps, operands):
+        if gemm is None:
+            # Diagonal: in place, in the current order (the step holds
+            # the operand axes and the row axis), job by job.
+            if stack == 1:
+                _apply_diagonal(cur.reshape(shape), mat, perm, target)
+                continue
+            for k in range(stack):
+                _apply_diagonal(
+                    cur[k * size : (k + 1) * size].reshape(shape),
+                    mat[k],
+                    perm,
+                    target,
+                )
+            continue
+        if perm is not None:
+            np.copyto(
+                spare.reshape(target), cur.reshape(shape).transpose(perm)
+            )
+            cur, spare = spare, cur
+        np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
+        cur, spare = spare, cur
+    return cur, spare
+
+
 def _sweep_gathered(
     plans,
     states: Sequence[np.ndarray],
     num_qubits: int,
     map_blocks: Callable[[BlockFn, int, int], None],
+    resident: Optional[ResidentBlock] = None,
 ) -> None:
     """The gather body of :func:`run_part_group` for ``K`` jobs whose
     plans share one structure: per block, gather every job's rows into
     one ``(K, rows, 2^w)`` workspace stack, sweep each op over all ``K``
-    — a dense op is at most one transposing copy and one stacked
-    ``np.matmul``, a diagonal op one in-place multiply per job — and
-    scatter each job's rows back.  Blocks come from one job's amplitude
-    count, so each job's GEMMs keep the shape and columns they have
-    alone, and its bits.  A block whose stacked workspace cannot be
-    allocated runs its jobs one at a time."""
+    (:func:`_sweep_ops`) and scatter each job's rows back.  Blocks come
+    from one job's amplitude count, so each job's GEMMs keep the shape
+    and columns they have alone, and its bits.  A block whose stacked
+    workspace cannot be allocated runs its jobs one at a time.
+
+    With ``resident`` (holding ``states``) the block is already
+    gathered: the ops sweep it where it is, from the order the last
+    part left, and it stays there for the next part."""
     plan = plans[0]
     structure = plan.structure
     w = len(plan.qubits)
     operands = _sweep_operands(plans)
+    if resident is not None:
+        stack = len(states)
+        steps, order = structure.sweep_plan(
+            1 << (num_qubits - w), stack, resident.order
+        )
+        resident.cur, resident.spare = _sweep_ops(
+            steps, operands, resident.cur, resident.spare, stack,
+            1 << num_qubits,
+        )
+        resident.order = order
+        return
     gather_rows = plan.gather_rows(num_qubits)
 
     def sweep(states, operands, pair, rows, index) -> None:
@@ -409,28 +570,7 @@ def _sweep_gathered(
             for state, rows_k in zip(states, cur.reshape(stack, rows, -1)):
                 np.take(state, index, out=rows_k, mode="clip")
         steps, restore = structure.sweep_plan(rows, stack)
-        for (shape, perm, target, gemm), mat in zip(steps, operands):
-            if gemm is None:
-                # Diagonal: in place, in the current order (the step
-                # holds the operand axes and the row axis), job by job.
-                if stack == 1:
-                    _apply_diagonal(cur.reshape(shape), mat, perm, target)
-                    continue
-                for k in range(stack):
-                    _apply_diagonal(
-                        cur[k * size : (k + 1) * size].reshape(shape),
-                        mat[k],
-                        perm,
-                        target,
-                    )
-                continue
-            if perm is not None:
-                np.copyto(
-                    spare.reshape(target), cur.reshape(shape).transpose(perm)
-                )
-                cur, spare = spare, cur
-            np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
-            cur, spare = spare, cur
+        cur, spare = _sweep_ops(steps, operands, cur, spare, stack, size)
         if restore is not None:
             shape, perm = restore
             natural = cur.reshape(shape).transpose(perm)
@@ -471,6 +611,30 @@ def _sweep_gathered(
     )
 
 
+def _joins_run(plans, lanes, states, num_qubits, resident) -> bool:
+    """Whether this part sweeps ``resident``'s block: every job gathers,
+    in one stack of one structure within the workspace bound.  Starts a
+    run (loads the block) when ``resident`` holds other states, ending
+    theirs; a part that cannot join ends it too.  A stack the workspace
+    cannot take sweeps this part as if nothing were resident."""
+    structure = plans[0].structure
+    if (
+        "strided" in lanes
+        or len(states) << num_qubits > 2 * kernels.BLOCK_ELEMENTS
+        or len(plans) > 1
+        and any(plan.structure is not structure for plan in plans)
+    ):
+        resident.flush()
+        return False
+    if not resident.holds(states):
+        resident.flush()
+        try:
+            resident.load(states)
+        except MemoryError:
+            return False
+    return True
+
+
 def run_part_group(
     plans,
     states: Sequence[np.ndarray],
@@ -478,6 +642,7 @@ def run_part_group(
     mode: str,
     strided_max: int,
     map_blocks: Callable[[BlockFn, int, int], None],
+    resident: Optional[ResidentBlock] = None,
 ) -> List[str]:
     """Algorithm 1 for one part of ``K`` jobs — the only copy; returns
     the lane each job ran.
@@ -521,6 +686,12 @@ def run_part_group(
 
     The strided, in-place and literal bodies run job by job.
 
+    ``resident`` (a :class:`ResidentBlock`, given only where
+    :func:`one_block` holds and ``mode="batched"``) carries a run of
+    parts: a part every job gathers for, in one stack, sweeps the
+    resident block where the last part left it (:func:`_joins_run`), no
+    gather and no scatter; any other part first writes it back.
+
     >>> from repro.circuits.generators import qaoa
     >>> from repro.sv.fusion import PlanCache
     >>> jobs = [qaoa(4, p=1, gammas=[g], betas=[0.4]) for g in (0.1, 0.2)]
@@ -539,14 +710,20 @@ def run_part_group(
         for plan, state in zip(plans, states):
             _sweep_literal(plan, state, num_qubits, map_blocks)
         return ["gather"] * len(plans)
-    lanes = []
+    lanes = [
+        "strided" if _strided_eligible(plan, strided_max) else "gather"
+        for plan in plans
+    ]
+    if resident is not None and _joins_run(
+        plans, lanes, states, num_qubits, resident
+    ):
+        _sweep_gathered(plans, states, num_qubits, map_blocks, resident)
+        return lanes
     stacks: Dict[object, tuple] = {}  # gathered (plans, states) by structure
-    for plan, state in zip(plans, states):
-        if _strided_eligible(plan, strided_max):
-            lanes.append("strided")
+    for plan, state, lane in zip(plans, states, lanes):
+        if lane == "strided":
             _sweep_strided(plan, state, map_blocks)
             continue
-        lanes.append("gather")
         if 1 << len(plan.qubits) > 2 * kernels.BLOCK_ELEMENTS:
             _sweep_in_place(plan, state, map_blocks)
             continue

@@ -59,7 +59,12 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
-from .kernels import _gathered_sweep_plan
+from .kernels import (
+    _gate_axes,
+    _gathered_sweep_plan,
+    _order_perm,
+    check_operands,
+)
 from .layout import (
     extract_bits,
     gather_index_factors,
@@ -487,21 +492,40 @@ class PartPlanStructure:
         t_vals, j_vals = gather_index_factors(num_qubits, self.qubits)
         return lambda lo, hi: t_vals[lo:hi, None] + j_vals
 
-    def sweep_plan(self, rows: int, jobs: int = 1) -> tuple:
+    def sweep_plan(
+        self,
+        rows: int,
+        jobs: int = 1,
+        start: Optional[Tuple[int, ...]] = None,
+    ) -> tuple:
         """How a gathered block of ``rows`` rows runs this part's ops:
-        :func:`repro.sv.kernels._gathered_sweep_plan`, or for ``jobs > 1``
-        every dense step's shapes and transpositions lifted over a
-        leading axis of ``jobs`` (the stacked sweep of
+        ``(steps, restore)`` from
+        :func:`repro.sv.kernels._gathered_sweep_plan`, ``restore`` being
+        ``(shape, perm)`` back to natural order or ``None``.  For ``jobs
+        > 1`` every dense step's shapes and transpositions are lifted
+        over a leading axis of ``jobs`` (the stacked sweep of
         :func:`repro.sv.backend.run_part_group` moves each job's block
-        alike; diagonal steps stay one job's).  Kept per row count (a
-        part's blocks have one or two) and job count, and shared by
-        every plan bound from this structure — a benign race between
-        threads recomputes an identical tuple.
+        alike; diagonal steps stay one job's).
+
+        With ``start`` the block is a resident one
+        (:class:`repro.sv.backend.ResidentBlock`): the whole
+        ``n``-qubit state, one axis per qubit, arriving in order
+        ``start`` (qubits, most significant first) as the previous part
+        left it, so ``rows`` is ``2^(n - w)``.  The second item is then
+        the order the sweep leaves the block in; nothing is restored.
+
+        Kept per row count (a part's blocks have one or two) or start
+        order, and job count, and shared by every plan bound from this
+        structure — a benign race between threads recomputes an
+        identical tuple.
         """
-        key = rows if jobs == 1 else (rows, jobs)
+        if start is None:
+            key = rows if jobs == 1 else (rows, jobs)
+        else:  # in qubits, so a relabelled structure has keys of its own
+            key = (start, self.qubits, jobs)
         sweep = self._sweeps.get(key)
         if sweep is None and jobs > 1:
-            steps, restore = self.sweep_plan(rows)
+            steps, tail = self.sweep_plan(rows, 1, start)
             lead = (jobs,)
 
             def lift(perm):
@@ -513,21 +537,41 @@ class PartPlanStructure:
                     return step  # diagonal: swept one job at a time
                 return lead + shape, lift(perm), lead + target, lead + gemm
 
+            if start is None and tail is not None:
+                tail = (lead + tail[0], lift(tail[1]))
+            sweep = self._sweeps[key] = (tuple(map(lift_step, steps)), tail)
+        elif sweep is None and start is None:
+            w = len(self.qubits)
+            pos = {q: i for i, q in enumerate(self.qubits)}
+            ops = []
+            for grp in self.groups:
+                local = tuple(pos[q] for q in grp.qubits)
+                check_operands(local, w)
+                axes = tuple(_gate_axes(w + 1, w, local, 1))
+                ops.append((axes, grp.diagonal))
+            sizes = (rows,) + (2,) * w
+            natural = tuple(range(w + 1))
+            steps, end = _gathered_sweep_plan(sizes, natural, ops)
+            restore = _order_perm(sizes, end, natural)
             sweep = self._sweeps[key] = (
-                tuple(map(lift_step, steps)),
+                steps,
                 None if restore is None else (
-                    lead + restore[0], lift(restore[1])
+                    tuple(sizes[a] for a in end), restore
                 ),
             )
         elif sweep is None:
-            pos = {q: i for i, q in enumerate(self.qubits)}
+            # Axis labels are qubits; the part's natural order is its
+            # gather table's: outer qubits (the row), then its own.
+            n = len(start)
+            inner = set(self.qubits)
+            natural = tuple(
+                q for q in range(n - 1, -1, -1) if q not in inner
+            ) + self.qubits[::-1]
             sweep = self._sweeps[key] = _gathered_sweep_plan(
-                rows,
-                len(self.qubits),
-                [
-                    (tuple(pos[q] for q in grp.qubits), grp.diagonal)
-                    for grp in self.groups
-                ],
+                (2,) * n,
+                natural,
+                [(grp.qubits[::-1], grp.diagonal) for grp in self.groups],
+                start,
             )
         return sweep
 

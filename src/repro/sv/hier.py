@@ -45,6 +45,14 @@ start, and a dense array input always takes the pre-routing path.
 structure over one partition together: each part binds their plans in
 one pass and sweeps their dense states as one stack, every circuit's
 bits and counts being those of :meth:`~HierarchicalExecutor.run` alone.
+
+When the block rule makes a state one block
+(:func:`~repro.sv.backend.one_block`: ``2^15`` amplitudes or fewer on
+one thread), gathering it buys no locality: a run of consecutive
+gathered parts keeps it in the workspace
+(:class:`~repro.sv.backend.ResidentBlock`), one gather and one scatter
+per run instead of per part, with the bits and the per-part trace of
+parts run alone.
 """
 
 from __future__ import annotations
@@ -57,7 +65,13 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from ..partition.base import Partition
-from .backend import ExecutionBackend, resolve_backend, run_part_group
+from .backend import (
+    ExecutionBackend,
+    ResidentBlock,
+    one_block,
+    resolve_backend,
+    run_part_group,
+)
 from .engine import resolve_method
 from .fusion import (
     DEFAULT_MAX_FUSED_QUBITS,
@@ -302,7 +316,9 @@ class HierarchicalExecutor:
         only under one ``structural_key``; without one, each circuit's
         plans are its own and it sweeps alone.  A circuit
         whose check, conversion or bind fails drops out with its
-        exception; the others go on.
+        exception; the others go on.  Where the state is one block, the
+        dense parts share a :class:`~repro.sv.backend.ResidentBlock`,
+        written back when a part cannot join its run and at the end.
 
         >>> from repro.circuits.generators import qaoa
         >>> from repro.partition import get_partitioner
@@ -335,6 +351,12 @@ class HierarchicalExecutor:
                     f"state must be complex128, got {state.dtype}"
                 )
         n = partition.num_qubits
+        # A state that is one block stays gathered across a run of parts.
+        resident = (
+            ResidentBlock()
+            if self.mode == "batched" and one_block(self.backend.map_blocks, n)
+            else None
+        )
         for part in partition.parts:
             dense = []
             for k, state in enumerate(out):
@@ -377,14 +399,17 @@ class HierarchicalExecutor:
                 dense = [k for k in dense if isinstance(out[k], np.ndarray)]
                 plans = [p for p in plans if not isinstance(p, Exception)]
             if len(dense) == jobs:  # every circuit sweeps this part
-                self._run_part(plans, out, n, traces)
+                self._run_part(plans, out, n, traces, resident)
             elif dense:
                 self._run_part(
                     plans,
                     [out[k] for k in dense],
                     n,
                     [traces[k] for k in dense],
+                    resident,
                 )
+        if resident is not None:
+            resident.flush()
         return out
 
     # -- internals --------------------------------------------------------
@@ -412,11 +437,12 @@ class HierarchicalExecutor:
         states: List[np.ndarray],
         n: int,
         traces: List[Optional[ExecutionTrace]],
+        resident: Optional[ResidentBlock],
     ) -> None:
         t0 = time.perf_counter()
         lanes = run_part_group(
             plans, states, n, self.mode, self.backend.strided_max,
-            self.backend.map_blocks,
+            self.backend.map_blocks, resident,
         )
         # The stack's jobs share its time.
         elapsed = (time.perf_counter() - t0) / len(plans)

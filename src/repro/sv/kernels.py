@@ -24,7 +24,7 @@ All kernels operate **in place** and return their input array.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -321,75 +321,98 @@ def apply_gate_batched(
     )
 
 
-def _gathered_sweep_plan(
-    rows: int, width: int, ops: Sequence[Tuple[Tuple[int, ...], bool]]
-) -> Tuple[tuple, tuple]:
-    """Axis orders for sweeping ``ops`` — ``(local qubits, diagonal)``
-    pairs — over a gathered ``(rows, 2^width)`` block without writing a
-    dense op's result back: ``(steps, restore)``.
+def _order_perm(
+    sizes: Sequence[int], src: Tuple[int, ...], dst: Tuple[int, ...]
+) -> Optional[Tuple[int, ...]]:
+    """The transposition taking a block whose axes (labels, axis ``a``
+    being ``sizes[a]`` long) are in order ``src`` into order ``dst``, or
+    ``None`` when the bytes are already in order: the orders agree but
+    for where their one-long axes sit.
 
-    Axis ``0`` of the block is its row, axis ``a >= 1`` qubit
-    ``width - a``.  A dense op on view axes ``A`` (most significant
-    operand first) runs its GEMM on the block in order ``A``, row, the
-    other axes ascending — the order :func:`_apply_dense` moves them to,
-    so the GEMM has the same shape and columns and the same bits — and
-    the block stays in that order.  One step per op:
+    >>> _order_perm((4, 2, 2), (0, 1, 2), (2, 0, 1))
+    (2, 0, 1)
+    >>> _order_perm((1, 2, 2), (0, 1, 2), (1, 0, 2)) is None
+    True
+    """
+
+    def moved(order):  # a one-long axis may sit anywhere
+        return [a for a in order if sizes[a] > 1]
+
+    if moved(src) == moved(dst):
+        return None
+    return tuple(src.index(a) for a in dst)
+
+
+def _gathered_sweep_plan(
+    sizes: Sequence[int],
+    natural: Tuple[int, ...],
+    ops: Sequence[Tuple[Tuple[int, ...], bool]],
+    start: Optional[Tuple[int, ...]] = None,
+) -> Tuple[tuple, Tuple[int, ...]]:
+    """Axis orders for sweeping ``ops`` over a gathered block without
+    writing a dense op's result back: ``(steps, end)``.
+
+    The block's axes are labels, axis ``a`` being ``sizes[a]`` long.
+    ``natural`` is the order a copy-GEMM-write-back sweep keeps the block
+    in — its first axis is the rows: a part's gathered ``(rows, 2^w)``
+    block has its row axis, then its qubits, most significant first — and
+    each op is ``(axes, diagonal)``, its operands' axes most significant
+    first.  A dense op runs its GEMM on the block in order: its operands,
+    then ``natural``'s other axes — the order :func:`_apply_dense` moves
+    them to, so the GEMM has the same shape and columns and the same
+    bits — and the block stays in that order.  The block arrives in
+    order ``start`` (default ``natural``); ``end`` is the order the
+    sweep leaves it in.  One step per op:
 
     * dense: ``(shape, perm, target, gemm)`` — ``perm`` transposes the
       block from ``shape`` (its current order) into ``target``, or is
-      ``None`` when the bytes are already in order (the operands lead,
-      or only a one-row axis moves); ``gemm`` is the GEMM operand shape;
-    * diagonal: ``(shape, axes, batch_axis, None)`` — the operands'
-      positions and the row axis's in the current order, for
-      :func:`_apply_diagonal`.
+      ``None`` when the bytes are already in order (see
+      :func:`_order_perm`); ``gemm`` is the GEMM operand shape;
+    * diagonal: ``(shape, where, batch_axis, None)`` — the operands'
+      positions and the row axis's (``natural[0]``) in the current
+      order, for :func:`_apply_diagonal`.
 
-    ``restore`` is ``(shape, perm)`` back to natural order, or ``None``.
-    Depends only on its arguments, so a part structure keeps one per row
-    count; operands are checked here, once, not per sweep.
+    Depends only on its arguments, so a part structure keeps one per
+    row count and start order.
 
-    >>> steps, restore = _gathered_sweep_plan(4, 3, [((0,), False),
-    ...                                              ((0,), False),
-    ...                                              ((2,), True)])
+    >>> sizes, natural = (4, 2, 2, 2), (0, 1, 2, 3)   # 4 rows of 3 qubits
+    >>> steps, end = _gathered_sweep_plan(sizes, natural, [((3,), False),
+    ...                                                    ((3,), False),
+    ...                                                    ((1,), True)])
     >>> steps[0]       # qubit 0 (axis 3) leads: one copy, 2 x 16 GEMM
     ((4, 2, 2, 2), (3, 0, 1, 2), (2, 4, 2, 2), (2, 16))
     >>> steps[1][1] is None                # already in order: no copy
     True
     >>> steps[2]       # qubit 2 (axis 1) sits at position 2, row at 1
     ((2, 4, 2, 2), (2,), 1, None)
-    >>> restore
-    ((2, 4, 2, 2), (1, 2, 3, 0))
+    >>> end, _order_perm(sizes, end, natural)   # the way back
+    ((3, 0, 1, 2), (1, 2, 3, 0))
+    >>> _gathered_sweep_plan(sizes, natural, [((1,), False)], start=end)[0]
+    (((2, 4, 2, 2), (2, 1, 3, 0), (2, 4, 2, 2), (2, 16)),)
     """
-    sizes = (rows,) + (2,) * width
-    natural = tuple(range(width + 1))
-
-    def perm(src: tuple, dst: tuple):
-        def moved(order):  # a one-row axis may sit anywhere
-            return [a for a in order if sizes[a] > 1]
-
-        if moved(src) == moved(dst):
-            return None
-        return tuple(src.index(a) for a in dst)
-
-    order = natural
+    order = natural if start is None else start
+    total = 1
+    for a in natural:
+        total *= sizes[a]
     steps = []
-    for qubits, diagonal in ops:
-        check_operands(qubits, width)
-        axes = tuple(_gate_axes(width + 1, width, qubits, lead=1))
+    for axes, diagonal in ops:
         shape = tuple(sizes[a] for a in order)
         if diagonal:
             where = tuple(order.index(a) for a in axes)
-            steps.append((shape, where, order.index(0), None))
+            steps.append((shape, where, order.index(natural[0]), None))
             continue
         target = axes + tuple(a for a in natural if a not in axes)
-        gemm = (1 << len(axes), rows << (width - len(axes)))
+        gemm = (1 << len(axes), total >> len(axes))
         steps.append(
-            (shape, perm(order, target), tuple(sizes[a] for a in target), gemm)
+            (
+                shape,
+                _order_perm(sizes, order, target),
+                tuple(sizes[a] for a in target),
+                gemm,
+            )
         )
         order = target
-    restore = perm(order, natural)
-    if restore is not None:
-        restore = (tuple(sizes[a] for a in order), restore)
-    return tuple(steps), restore
+    return tuple(steps), order
 
 
 def apply_gate_reference(

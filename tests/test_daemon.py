@@ -403,6 +403,20 @@ class TestProtocolErrors:
             daemon.port, "POST", "/jobs", payload=sweep_manifest(jobs=1)
         )[0] == 202
 
+    def test_overflowing_manifest_numbers_answer_400(self, daemon):
+        # 1e400 parses as JSON infinity; int() of it overflows, as does
+        # the qft generator at 2000 qubits.  Neither may escape as a 500.
+        for job in (
+            {"circuit": {"generator": "qft", "qubits": 4}, "shots": 1e400},
+            {"circuit": {"generator": "qft", "qubits": 4}, "seed": 1e400},
+            {"circuit": {"generator": "qft", "qubits": 1e400}},
+            {"circuit": {"generator": "qft", "qubits": 2000}},
+        ):
+            body = json.dumps({"id": "big", **job}).encode()
+            status, payload, _ = daemon._admit(body)
+            assert status == 400, (job, payload)
+            assert "job 'big'" in payload["error"]
+
     def test_unknown_manifest_key_rejected(self, daemon):
         manifest = sweep_manifest(jobs=1)
         manifest["schedles"] = "fifo"

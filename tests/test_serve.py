@@ -829,6 +829,26 @@ class TestManifests:
         with pytest.raises(ValueError):
             load_manifest(bad)
 
+    @pytest.mark.parametrize(
+        "job,field",
+        [
+            ({"circuit": {"generator": "qft", "qubits": 4}, "shots": 1e400},
+             "'shots'"),
+            ({"circuit": {"generator": "qft", "qubits": 4}, "seed": 1e400},
+             "'seed'"),
+            ({"circuit": {"generator": "qft", "qubits": 1e400}}, "'qubits'"),
+            ({"circuit": {"generator": "qft", "qubits": 2000}}, "'qubits'"),
+        ],
+    )
+    def test_overflowing_numbers_are_value_errors_naming_the_field(
+        self, job, field
+    ):
+        # int(1e400) and a generator's float overflow are OverflowErrors:
+        # the loader names the job and the field in a ValueError.
+        with pytest.raises(ValueError, match="job 'big'") as err:
+            load_manifest({"jobs": [{"id": "big", **job}]})
+        assert field in str(err.value)
+
     def test_results_roundtrip_json(self):
         jobs, options = load_manifest(MANIFEST)
         report = BatchRunner(**options).run(jobs)

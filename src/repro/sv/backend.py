@@ -81,12 +81,11 @@ from .kernels import (
     _apply_diagonal,
     _apply_strided,
     _order_perm,
-    apply_matrix,
     apply_matrix_batched,
     check_operands,
     split_controls,
 )
-from .fusion import OpStacks, _stack
+from .fusion import ROW, OpStacks, _stack, axis_sizes
 
 __all__ = [
     "ExecutionBackend",
@@ -407,21 +406,33 @@ def one_block(
 
 
 class ResidentBlock:
-    """The state of ``K`` jobs held gathered across a run of parts.
+    """The gathered block of ``K`` jobs: a part's row block, or a whole
+    state held across a run of parts.
 
-    When the whole state is one block (:func:`one_block`), gathering it
-    is a copy and buys no locality, so consecutive gathered parts share
-    one resident block: :func:`run_part_group` copies the jobs' states
-    into this thread's workspace pair (:func:`_workspace`; a ``(K,
-    2^n)`` stack within :func:`stack_limit`) when a run starts, each part
-    sweeps it from the axis order the previous part left it in (one axis
-    per qubit, ``order``, most significant first), and :meth:`flush`
-    writes it back in natural order once, when the run ends: at a part
-    some job takes another lane for, when the jobs change (one dropped
-    out with an error, or a tableau joined), or when the caller is done.
-    Every GEMM keeps the shape and columns it has in a sweep of one part
-    alone, so the bits are that sweep's.  A sweep that raises loses the
-    block: its states keep what they held when the run began.
+    Its amplitudes sit in this thread's workspace pair
+    (:func:`_workspace`; a ``(K, size)`` stack within
+    :func:`stack_limit`) as labelled axes in ``order``, most
+    significant first: the qubits, and :data:`~repro.sv.fusion.ROW` for
+    a row block's gather row.
+
+    * :meth:`gather` takes rows ``index`` of a part's gather table from
+      each job's state, in order ``(ROW,) + qubits[::-1]``;
+    * :meth:`load` copies whole states, one axis per qubit.  When the
+      state is one block (:func:`one_block`) gathering it buys no
+      locality, so :func:`run_part_group` keeps one loaded block across
+      a run of gathered parts and writes it back when the run ends: at
+      a part some job takes another lane for, when the jobs change (one
+      dropped out with an error, or a tableau joined), or when the
+      caller is done.
+
+    :meth:`sweep` runs a part's ops from the order the block is in and
+    leaves it in the last dense op's order; :meth:`flush` writes it back
+    in natural order — a whole state by one transposing copy, a row
+    block by a transposing copy into the spare buffer, then the
+    scatter.  Every GEMM keeps the shape and columns it has in a
+    copy-GEMM-write-back sweep of its part alone, so the bits are that
+    sweep's.  A sweep that raises loses the block: its states keep what
+    they held when it was taken.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> from repro.sv.fusion import compile_part
@@ -433,9 +444,8 @@ class ResidentBlock:
     >>> alone = state.copy()
     >>> resident = ResidentBlock()
     >>> for plan in parts:      # strided_max=-1: every part gathers
-    ...     _ = run_part_group([plan], [state], 3, "batched", -1, inline,
-    ...                        resident)
-    ...     _ = run_part_group([plan], [alone], 3, "batched", -1, inline)
+    ...     _ = run_part_group([plan], [state], 3, -1, inline, resident)
+    ...     _ = run_part_group([plan], [alone], 3, -1, inline)
     >>> float(state[0].real), resident.order   # the block is resident
     (1.0, (1, 2, 0))
     >>> resident.flush()
@@ -443,13 +453,16 @@ class ResidentBlock:
     True
     """
 
-    __slots__ = ("states", "cur", "spare", "order")
+    __slots__ = ("states", "index", "rows", "natural", "order", "cur", "spare")
 
     def __init__(self) -> None:
         self.states: Tuple[np.ndarray, ...] = ()
+        self.index: Optional[np.ndarray] = None
+        self.rows = 1
+        self.natural: Tuple[int, ...] = ()
+        self.order: Tuple[int, ...] = ()
         self.cur: Optional[np.ndarray] = None
         self.spare: Optional[np.ndarray] = None
-        self.order: Tuple[int, ...] = ()
 
     def holds(self, states: Sequence[np.ndarray]) -> bool:
         """Whether the block is ``states``, job for job."""
@@ -457,69 +470,103 @@ class ResidentBlock:
             map(operator.is_, states, self.states)
         )
 
-    def load(self, states: Sequence[np.ndarray]) -> None:
-        """Start a run: copy ``states`` into this thread's workspace in
-        natural order (the workspace may raise :class:`MemoryError`)."""
-        size = states[0].size
+    def _take(self, states: Sequence[np.ndarray], size: int) -> np.ndarray:
+        """This thread's workspace for ``states``, ``size`` amplitudes
+        each (it may raise :class:`MemoryError`): ``(K, size)`` in
+        ``cur``."""
         pair = _workspace(len(states) * size)
-        cur = pair[0][: len(states) * size]
-        for k, state in enumerate(states):
-            cur[k * size : (k + 1) * size] = state
+        self.cur = pair[0][: len(states) * size]
+        self.spare = pair[1][: self.cur.size]
         self.states = tuple(states)
-        self.cur, self.spare = cur, pair[1][: cur.size]
-        self.order = tuple(range(size.bit_length() - 2, -1, -1))
+        return self.cur.reshape(len(states), size)
+
+    def load(self, states: Sequence[np.ndarray]) -> None:
+        """Take whole ``states`` in natural order."""
+        for block, state in zip(self._take(states, states[0].size), states):
+            block[...] = state
+        self.index, self.rows = None, 1
+        n = states[0].size.bit_length() - 1
+        self.natural = self.order = tuple(range(n - 1, -1, -1))
+
+    def gather(
+        self,
+        states: Sequence[np.ndarray],
+        index: np.ndarray,
+        qubits: Tuple[int, ...],
+    ) -> None:
+        """Take rows ``index`` (a block of a part's gather table, whose
+        columns are ``qubits``) of every state in ``states``."""
+        rows = index.shape[0]
+        for block, state in zip(
+            self._take(states, rows << len(qubits)), states
+        ):
+            # "clip": the index is in range, and the default "raise"
+            # would stage the gather in a temporary before ``out``.
+            np.take(state, index, out=block.reshape(rows, -1), mode="clip")
+        self.index, self.rows = index, rows
+        self.natural = self.order = (ROW,) + qubits[::-1]
+
+    def sweep(self, structure, operands: tuple) -> None:
+        """Run a part's ops (``structure``, multiplying by ``operands``,
+        :func:`_sweep_operands`) over the block from its current order:
+        a dense op is at most one transposing copy into ``spare`` and one
+        stacked ``np.matmul``, a diagonal op one in-place multiply per
+        job."""
+        stack = len(self.states)
+        size = self.cur.size // stack
+        steps, end = structure.sweep_plan(self.order, self.rows, stack)
+        cur, spare = self.cur, self.spare
+        for (shape, perm, target, gemm), mat in zip(steps, operands):
+            if gemm is None:
+                # Diagonal: in place, in the current order (the step
+                # holds the operand axes and the row axis), job by job.
+                if stack == 1:
+                    _apply_diagonal(cur.reshape(shape), mat, perm, target)
+                    continue
+                for k in range(stack):
+                    _apply_diagonal(
+                        cur[k * size : (k + 1) * size].reshape(shape),
+                        mat[k],
+                        perm,
+                        target,
+                    )
+                continue
+            if perm is not None:
+                np.copyto(
+                    spare.reshape(target), cur.reshape(shape).transpose(perm)
+                )
+                cur, spare = spare, cur
+            np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
+            cur, spare = spare, cur
+        self.cur, self.spare, self.order = cur, spare, end
 
     def flush(self) -> None:
-        """End the run: write each job's block back to its state in
-        natural order, one (transposing) copy each."""
+        """Write each job's block back to its state in natural order."""
         if not self.states:
             return
-        size = self.states[0].size
-        n = size.bit_length() - 1
-        shape = (2,) * n
-        perm = _order_perm(shape, self.order, tuple(range(n - 1, -1, -1)))
+        size = self.cur.size // len(self.states)
+        sizes = axis_sizes(self.order, self.rows)
+        perm = _order_perm(sizes, self.order, self.natural)
+        shape = tuple(sizes[a] for a in self.order)
+        natural = tuple(sizes[a] for a in self.natural)
         for k, state in enumerate(self.states):
             block = self.cur[k * size : (k + 1) * size]
-            if perm is None:
-                np.copyto(state, block)
-            else:
+            # A whole state transposes straight back; a row block into
+            # ``spare``, then scatters.
+            if perm is not None:
+                out = state if self.index is None else self.spare[
+                    k * size : (k + 1) * size
+                ]
                 np.copyto(
-                    state.reshape(shape), block.reshape(shape).transpose(perm)
+                    out.reshape(natural), block.reshape(shape).transpose(perm)
                 )
+                block = out
+            if self.index is not None:
+                state[self.index] = block.reshape(self.rows, -1)
+            elif block is not state:
+                np.copyto(state, block)
         self.states = ()
-        self.cur = self.spare = None
-
-
-def _sweep_ops(steps, operands, cur, spare, stack: int, size: int):
-    """Run a part's ``steps`` (:meth:`PartPlanStructure.sweep_plan`) with
-    their ``operands`` over a gathered block of ``stack`` jobs of
-    ``size`` amplitudes in ``cur``: a dense op is at most one transposing
-    copy into ``spare`` and one stacked ``np.matmul``, a diagonal op one
-    in-place multiply per job.  Returns ``(cur, spare)``, the block in
-    ``cur``."""
-    for (shape, perm, target, gemm), mat in zip(steps, operands):
-        if gemm is None:
-            # Diagonal: in place, in the current order (the step holds
-            # the operand axes and the row axis), job by job.
-            if stack == 1:
-                _apply_diagonal(cur.reshape(shape), mat, perm, target)
-                continue
-            for k in range(stack):
-                _apply_diagonal(
-                    cur[k * size : (k + 1) * size].reshape(shape),
-                    mat[k],
-                    perm,
-                    target,
-                )
-            continue
-        if perm is not None:
-            np.copyto(
-                spare.reshape(target), cur.reshape(shape).transpose(perm)
-            )
-            cur, spare = spare, cur
-        np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
-        cur, spare = spare, cur
-    return cur, spare
+        self.index = self.cur = self.spare = None
 
 
 def _sweep_gathered(
@@ -529,85 +576,47 @@ def _sweep_gathered(
     map_blocks: Callable[[BlockFn, int, int], None],
     resident: Optional[ResidentBlock] = None,
 ) -> None:
-    """The gather body of :func:`run_part_group` for ``K`` jobs whose
+    """The gathered body of :func:`run_part_group` for ``K`` jobs whose
     plans share one structure: per block, gather every job's rows into
-    one ``(K, rows, 2^w)`` workspace stack, sweep each op over all ``K``
-    (:func:`_sweep_ops`) and scatter each job's rows back.  Blocks come
-    from one job's amplitude count, so each job's GEMMs keep the shape
-    and columns they have alone, and its bits.  A block whose stacked
-    workspace cannot be allocated runs its jobs one at a time.
+    one :class:`ResidentBlock`, sweep each op over all ``K`` and flush.
+    Blocks come from one job's amplitude count, so each job's GEMMs keep
+    the shape and columns they have alone, and its bits.  A block whose
+    stacked workspace cannot be allocated runs its jobs one at a time.
 
     With ``resident`` (holding ``states``) the block is already
-    gathered: the ops sweep it where it is, from the order the last
-    part left, and it stays there for the next part."""
+    gathered: the ops sweep it where the last part left it, and it
+    stays there for the next part."""
     plan = plans[0]
     structure = plan.structure
-    w = len(plan.qubits)
     operands = _sweep_operands(plans)
     if resident is not None:
-        stack = len(states)
-        steps, order = structure.sweep_plan(
-            1 << (num_qubits - w), stack, resident.order
-        )
-        resident.cur, resident.spare = _sweep_ops(
-            steps, operands, resident.cur, resident.spare, stack,
-            1 << num_qubits,
-        )
-        resident.order = order
+        resident.sweep(structure, operands)
         return
     gather_rows = plan.gather_rows(num_qubits)
 
-    def sweep(states, operands, pair, rows, index) -> None:
-        # ``states`` (one or more jobs) through ``operands`` in ``pair``.
-        stack = len(states)
-        size = rows << w
-        cur, spare = pair[0][: stack * size], pair[1][: stack * size]
-        # "clip": the index is in range, and the default "raise" would
-        # stage the gather in a temporary before ``out``.
-        if stack == 1:
-            np.take(states[0], index, out=cur.reshape(rows, -1), mode="clip")
-        else:
-            for state, rows_k in zip(states, cur.reshape(stack, rows, -1)):
-                np.take(state, index, out=rows_k, mode="clip")
-        steps, restore = structure.sweep_plan(rows, stack)
-        cur, spare = _sweep_ops(steps, operands, cur, spare, stack, size)
-        if restore is not None:
-            shape, perm = restore
-            natural = cur.reshape(shape).transpose(perm)
-            np.copyto(spare.reshape(natural.shape), natural)
-            cur = spare
-        if stack == 1:
-            states[0][index] = cur.reshape(rows, -1)
-            return
-        for state, rows_k in zip(states, cur.reshape(stack, rows, -1)):
-            state[index] = rows_k
-
     def block(lo: int, hi: int) -> None:
-        rows = hi - lo
         index = gather_rows(lo, hi)
-        if len(states) == 1:
-            sweep(states, operands, _workspace(rows << w), rows, index)
-            return
+        stacked = ResidentBlock()
         try:
-            pair = _workspace(len(states) * (rows << w))
+            stacked.gather(states, index, plan.qubits)
         except MemoryError:
+            if len(states) == 1:
+                raise
             for k, state in enumerate(states):
-                sweep(
-                    [state],
-                    [op[k] for op in operands],
-                    _workspace(rows << w),
-                    rows,
-                    index,
-                )
+                alone = ResidentBlock()
+                alone.gather([state], index, plan.qubits)
+                alone.sweep(structure, [op[k] for op in operands])
+                alone.flush()
             return
-        sweep(states, operands, pair, rows, index)
+        stacked.sweep(structure, operands)
+        stacked.flush()
 
     _map_row_groups(
         map_blocks,
         block,
-        1 << (num_qubits - w),
+        1 << (num_qubits - len(plan.qubits)),
         states[0].size,
-        _gemm_columns(plan, w),
+        _gemm_columns(plan, len(plan.qubits)),
     )
 
 
@@ -639,7 +648,6 @@ def run_part_group(
     plans,
     states: Sequence[np.ndarray],
     num_qubits: int,
-    mode: str,
     strided_max: int,
     map_blocks: Callable[[BlockFn, int, int], None],
     resident: Optional[ResidentBlock] = None,
@@ -654,43 +662,42 @@ def run_part_group(
     builds the per-row-range body for it, and hands that body to
     ``map_blocks(fn, rows, elements)``, which visits ``range(rows)`` in
     the block rule's blocks (``elements`` is one job's amplitude count
-    they are sized from).  Four bodies exist:
+    they are sized from).  Three bodies exist:
 
     * ``"strided"`` — ops touch only qubits below some axis, so the
       flat state splits into independent leading rows and each op lands
       on them through bit-strided views: no index table, no gathered
       copy;
-    * ``"gather"``, ``mode="batched"``, in place — a gather row wider
-      than the kept workspace (``2^w > 2 * BLOCK_ELEMENTS``) is not
-      gathered: the flat state splits into leading rows as above, and
-      row by row every op runs through the shard kernel
-      (:func:`_apply_rows`) over the row's virtual rows, so the part
-      still finishes one row before the next starts;
-    * ``"gather"``, ``mode="batched"``, gathered — the jobs on this
-      lane whose plans share one structure (one ``PartPlanStructure``
-      object), up to :func:`stack_limit` at a time, are swept together
-      (:func:`_sweep_gathered`): gather the rows' inner vectors into
-      this thread's workspace (:func:`_workspace`), sweep every op over
-      the stack, scatter back; the block's gather indices come from
-      ``plan.gather_rows``, so no ``2^n``-entry table is built that is
-      too big to keep.  A dense op leaves its GEMM result in its own
-      axis order, so it costs at most one transposing copy and a GEMM;
-      a diagonal op multiplies in whatever order the block is in, and
-      one copy restores natural order before the scatter.  The orders
-      are planned once per part structure and row count
+    * ``"gather"``, in place — a gather row wider than the kept
+      workspace (``2^w > 2 * BLOCK_ELEMENTS``) is not gathered: the
+      flat state splits into leading rows as above, and row by row
+      every op runs through the shard kernel (:func:`_apply_rows`) over
+      the row's virtual rows, so the part still finishes one row before
+      the next starts;
+    * ``"gather"``, gathered — the jobs on this lane whose plans share
+      one structure (one ``PartPlanStructure`` object), up to
+      :func:`stack_limit` at a time, are swept together
+      (:func:`_sweep_gathered`): per block, a :class:`ResidentBlock`
+      gathers the rows' inner vectors into this thread's workspace,
+      sweeps every op over the stack and flushes them back; the block's
+      gather indices come from ``plan.gather_rows``, so no
+      ``2^n``-entry table is built that is too big to keep.  A dense op
+      leaves its GEMM result in its own axis order, so it costs at most
+      one transposing copy and a GEMM; a diagonal op multiplies in
+      whatever order the block is in, and one copy restores natural
+      order before the scatter.  The orders are planned once per part
+      structure, start order and row count
       (``PartPlanStructure.sweep_plan``); every GEMM keeps the shape
       and columns of a copy-GEMM-write-back sweep of its job alone, so
-      the bits are its;
-    * ``"gather"``, ``mode="literal"`` — the paper's loop, one inner
-      state vector at a time (validation reference; never strided).
+      the bits are its.
 
-    The strided, in-place and literal bodies run job by job.
+    The strided and in-place bodies run job by job.
 
     ``resident`` (a :class:`ResidentBlock`, given only where
-    :func:`one_block` holds and ``mode="batched"``) carries a run of
-    parts: a part every job gathers for, in one stack, sweeps the
-    resident block where the last part left it (:func:`_joins_run`), no
-    gather and no scatter; any other part first writes it back.
+    :func:`one_block` holds) carries a run of parts: a part every job
+    gathers for, in one stack, sweeps the resident block where the last
+    part left it (:func:`_joins_run`), no gather and no scatter; any
+    other part first writes it back.
 
     >>> from repro.circuits.generators import qaoa
     >>> from repro.sv.fusion import PlanCache
@@ -701,15 +708,11 @@ def run_part_group(
     >>> for state in states:
     ...     state[0] = 1.0
     >>> inline = lambda fn, rows, elements: fn(0, rows)
-    >>> run_part_group(plans, states, 4, "batched", 2, inline)
+    >>> run_part_group(plans, states, 4, 2, inline)
     ['gather', 'gather']
     >>> bool((states[0] != states[1]).any())
     True
     """
-    if mode != "batched":
-        for plan, state in zip(plans, states):
-            _sweep_literal(plan, state, num_qubits, map_blocks)
-        return ["gather"] * len(plans)
     lanes = [
         "strided" if _strided_eligible(plan, strided_max) else "gather"
         for plan in plans
@@ -780,31 +783,10 @@ def _sweep_in_place(plan, state, map_blocks) -> None:
             )
 
 
-def _sweep_literal(plan, state, num_qubits, map_blocks) -> None:
-    """The literal body of :func:`run_part_group` for one job: the
-    paper's loop, one inner state vector at a time."""
-    w = len(plan.qubits)
-    gather_rows = plan.gather_rows(num_qubits)
-    ops = plan.local_ops()
-
-    def block(lo: int, hi: int) -> None:
-        for index in gather_rows(lo, hi):
-            in_sv = state[index]
-            for op in ops:
-                apply_matrix(
-                    in_sv, op.matrix(), op.qubits, w,
-                    diagonal=op.is_diagonal,
-                )
-            state[index] = in_sv
-
-    _map_row_groups(map_blocks, block, 1 << (num_qubits - w), state.size, None)
-
-
 def run_part(
     plan,
     state: np.ndarray,
     num_qubits: int,
-    mode: str,
     strided_max: int,
     map_blocks: Callable[[BlockFn, int, int], None],
 ) -> str:
@@ -817,17 +799,17 @@ def run_part(
     >>> plan = compile_part(qc, [0, 1], [0, 1])
     >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
     >>> inline = lambda fn, rows, elements: fn(0, rows)
-    >>> run_part(plan, state, 2, "batched", 2, inline)
+    >>> run_part(plan, state, 2, 2, inline)
     'strided'
     >>> state.real.tolist()
     [0.0, 0.0, 0.0, 1.0]
-    >>> run_part(plan, state, 2, "literal", 2, inline)   # never strided
+    >>> run_part(plan, state, 2, -1, inline)   # strided_max=-1: gathered
     'gather'
     >>> state.real.tolist()
     [0.0, 0.0, 1.0, 0.0]
     """
     (lane,) = run_part_group(
-        [plan], [state], num_qubits, mode, strided_max, map_blocks
+        [plan], [state], num_qubits, strided_max, map_blocks
     )
     return lane
 
@@ -897,18 +879,12 @@ class ExecutionBackend:
 
     # -- work --------------------------------------------------------------
 
-    def run_plan(
-        self,
-        plan,
-        state: np.ndarray,
-        num_qubits: int,
-        mode: str = "batched",
-    ) -> str:
+    def run_plan(self, plan, state: np.ndarray, num_qubits: int) -> str:
         """Execute one part plan; returns the kernel path that ran
         (``"strided"`` for the gather-free fast lane, ``"gather"`` for
         the gather-matrix sweep)."""
         return run_part(
-            plan, state, num_qubits, mode, self.strided_max, self.map_blocks
+            plan, state, num_qubits, self.strided_max, self.map_blocks
         )
 
     def apply_matrix_rows(

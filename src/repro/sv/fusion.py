@@ -59,12 +59,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
-from .kernels import (
-    _gate_axes,
-    _gathered_sweep_plan,
-    _order_perm,
-    check_operands,
-)
+from .kernels import _gathered_sweep_plan
 from .layout import (
     extract_bits,
     gather_index_factors,
@@ -90,6 +85,20 @@ __all__ = [
 
 #: All-diagonal groups may exceed the dense limit by this many qubits.
 DIAGONAL_BONUS_QUBITS = 2
+
+#: The axis label of a row block's gather row in
+#: :meth:`PartPlanStructure.sweep_plan`; every other axis is a qubit.
+ROW = -1
+
+
+def axis_sizes(order: Sequence[int], rows: int) -> Dict[int, int]:
+    """The length of each axis of ``order``: ``rows`` for :data:`ROW`,
+    2 for a qubit.
+
+    >>> axis_sizes((ROW, 3, 1), 4)
+    {-1: 4, 3: 2, 1: 2}
+    """
+    return {a: rows if a == ROW else 2 for a in order}
 
 
 @dataclass(frozen=True)
@@ -458,7 +467,7 @@ class PartPlanStructure:
         self.groups = tuple(groups)
         self.num_source_gates = len(gates)
         self._table: Optional[Tuple[int, np.ndarray]] = None
-        self._sweeps: Dict[int, tuple] = {}
+        self._sweeps: Dict[tuple, tuple] = {}
         self._program = _bind_program(self.groups, gates)
 
     @property
@@ -493,94 +502,78 @@ class PartPlanStructure:
         return lambda lo, hi: t_vals[lo:hi, None] + j_vals
 
     def sweep_plan(
-        self,
-        rows: int,
-        jobs: int = 1,
-        start: Optional[Tuple[int, ...]] = None,
-    ) -> tuple:
-        """How a gathered block of ``rows`` rows runs this part's ops:
-        ``(steps, restore)`` from
-        :func:`repro.sv.kernels._gathered_sweep_plan`, ``restore`` being
-        ``(shape, perm)`` back to natural order or ``None``.  For ``jobs
-        > 1`` every dense step's shapes and transpositions are lifted
-        over a leading axis of ``jobs`` (the stacked sweep of
+        self, start: Tuple[int, ...], rows: int = 1, jobs: int = 1
+    ) -> Tuple[tuple, Tuple[int, ...]]:
+        """How a gathered block runs this part's ops: ``(steps, end)``
+        from :func:`repro.sv.kernels._gathered_sweep_plan`.
+
+        The block's axes are labels: qubits, each 2 long, and
+        :data:`ROW`, ``rows`` long, for a row block's gather row.  It
+        arrives in order ``start`` and ``end`` is the order the sweep
+        leaves it in.  Every GEMM takes the shape and columns it has in
+        the part's natural order — the labels outside the part (most
+        significant first), then the part's qubits, most significant
+        first — which is how a copy-GEMM-write-back sweep holds it:
+
+        * a part's row block (:meth:`repro.sv.backend.ResidentBlock.gather`)
+          arrives in natural order, ``(ROW,) + qubits[::-1]``;
+        * a resident whole state
+          (:meth:`~repro.sv.backend.ResidentBlock.load`) has one axis
+          per qubit and arrives in the order the previous part left it.
+
+        For ``jobs > 1`` every dense step's shapes and transpositions are
+        lifted over a leading axis of ``jobs`` (the stacked sweep of
         :func:`repro.sv.backend.run_part_group` moves each job's block
         alike; diagonal steps stay one job's).
 
-        With ``start`` the block is a resident one
-        (:class:`repro.sv.backend.ResidentBlock`): the whole
-        ``n``-qubit state, one axis per qubit, arriving in order
-        ``start`` (qubits, most significant first) as the previous part
-        left it, so ``rows`` is ``2^(n - w)``.  The second item is then
-        the order the sweep leaves the block in; nothing is restored.
+        Kept per ``(start, rows, jobs)`` and shared by every plan bound
+        from this structure — a benign race between threads recomputes
+        an identical tuple.
 
-        Kept per row count (a part's blocks have one or two) or start
-        order, and job count, and shared by every plan bound from this
-        structure — a benign race between threads recomputes an
-        identical tuple.
+        >>> from repro.circuits.circuit import QuantumCircuit
+        >>> qc = QuantumCircuit(3).h(0).cx(0, 2)
+        >>> s = build_part_structure(qc, [0, 1], [0, 2], fuse=False)
+        >>> steps, end = s.sweep_plan((ROW, 2, 0), rows=2)
+        >>> end             # cx's order: its operands, then the row
+        (2, 0, -1)
+        >>> s.sweep_plan((2, 1, 0))[1]    # the whole 3-qubit state
+        (2, 0, 1)
         """
-        if start is None:
-            key = rows if jobs == 1 else (rows, jobs)
-        else:  # in qubits, so a relabelled structure has keys of its own
-            key = (start, self.qubits, jobs)
+        key = (start, rows, jobs)
         sweep = self._sweeps.get(key)
-        if sweep is None and jobs > 1:
-            steps, tail = self.sweep_plan(rows, 1, start)
+        if sweep is not None:
+            return sweep
+        if jobs > 1:
+            steps, end = self.sweep_plan(start, rows)
             lead = (jobs,)
-
-            def lift(perm):
-                return None if perm is None else (0, *[a + 1 for a in perm])
 
             def lift_step(step):
                 shape, perm, target, gemm = step
                 if gemm is None:
                     return step  # diagonal: swept one job at a time
-                return lead + shape, lift(perm), lead + target, lead + gemm
+                if perm is not None:
+                    perm = (0, *[a + 1 for a in perm])
+                return lead + shape, perm, lead + target, lead + gemm
 
-            if start is None and tail is not None:
-                tail = (lead + tail[0], lift(tail[1]))
-            sweep = self._sweeps[key] = (tuple(map(lift_step, steps)), tail)
-        elif sweep is None and start is None:
-            w = len(self.qubits)
-            pos = {q: i for i, q in enumerate(self.qubits)}
-            ops = []
-            for grp in self.groups:
-                local = tuple(pos[q] for q in grp.qubits)
-                check_operands(local, w)
-                axes = tuple(_gate_axes(w + 1, w, local, 1))
-                ops.append((axes, grp.diagonal))
-            sizes = (rows,) + (2,) * w
-            natural = tuple(range(w + 1))
-            steps, end = _gathered_sweep_plan(sizes, natural, ops)
-            restore = _order_perm(sizes, end, natural)
-            sweep = self._sweeps[key] = (
-                steps,
-                None if restore is None else (
-                    tuple(sizes[a] for a in end), restore
-                ),
-            )
-        elif sweep is None:
-            # Axis labels are qubits; the part's natural order is its
-            # gather table's: outer qubits (the row), then its own.
-            n = len(start)
+            sweep = (tuple(map(lift_step, steps)), end)
+        else:
             inner = set(self.qubits)
-            natural = tuple(
-                q for q in range(n - 1, -1, -1) if q not in inner
-            ) + self.qubits[::-1]
-            sweep = self._sweeps[key] = _gathered_sweep_plan(
-                (2,) * n,
-                natural,
+            outer = sorted((a for a in start if a not in inner), reverse=True)
+            sweep = _gathered_sweep_plan(
+                axis_sizes(start, rows),
+                tuple(outer) + self.qubits[::-1],
                 [(grp.qubits[::-1], grp.diagonal) for grp in self.groups],
                 start,
             )
+        self._sweeps[key] = sweep
         return sweep
 
     def relabel(self, mapping: Dict[int, int]) -> "PartPlanStructure":
         """This structure with every qubit renamed through ``mapping``.
 
-        Renaming keeps each operand's index within ``qubits``, so the
-        sweep orders are this structure's, and their memo is shared; the
-        gather table is the renamed working set's own.
+        The bind program is shared; the gather table and the sweep
+        orders, whose axes are the qubits themselves, are the renamed
+        working set's own.
         """
         out = PartPlanStructure.__new__(PartPlanStructure)
         out.qubits = tuple(mapping[q] for q in self.qubits)
@@ -590,7 +583,7 @@ class PartPlanStructure:
         )
         out.num_source_gates = self.num_source_gates
         out._table = None
-        out._sweeps = self._sweeps
+        out._sweeps = {}
         out._program = self._program
         return out
 
@@ -729,7 +722,7 @@ class CompiledPartPlan:
     plan from :func:`compile_part` or a :class:`PlanCache`.
     :meth:`relabel` renames both — the distributed engine runs a part at
     the positions its qubits hold after ``remap``, and :meth:`local_ops`
-    is the rename to ``0..w-1`` the literal gather loop applies.
+    is the rename to ``0..w-1`` that ops on a gathered row apply.
 
     Every plan is bound from a :class:`PartPlanStructure`
     (``structure``) and shares that structure's gather-table memo, so

@@ -1,14 +1,12 @@
 """Hierarchical Gather-Execute-Scatter execution (Algorithm 1, Sec. III-C).
 
 For each part: build inner state vectors over the part's working set,
-execute the part's gates on them, scatter results back.  Two engines:
-
-* ``mode="batched"`` (default): the gather index table turns the outer
-  state into a ``(2^(n-w), 2^w)`` matrix whose rows are all the inner
-  state vectors at once; gates run batched across rows.  Numerically
-  identical to the literal loop, dramatically faster in numpy.
-* ``mode="literal"``: the paper's loop — one inner state vector per
-  combination of non-part qubits — kept for validation and cache tracing.
+execute the part's gates on them, scatter results back.  The gather
+index table turns the outer state into a ``(2^(n-w), 2^w)`` matrix
+whose rows are all the inner state vectors at once, and gates run
+batched across rows: numerically the paper's loop (one inner state
+vector per combination of non-part qubits, kept test-side as the
+reference), dramatically faster in numpy.
 
 Before execution, each part's gate list is compiled through
 :mod:`repro.sv.fusion` (default on): maximal ``<= max_fused_qubits``
@@ -171,7 +169,7 @@ class HierarchicalExecutor:
     Parameters
     ----------
     mode:
-        ``"batched"`` or ``"literal"`` (see module docstring).
+        ``"batched"``, the only value (kept for callers that pass it).
     fuse:
         Compile each part's gates into fused unitaries before execution
         (default on; numerically identical to the unfused path).
@@ -207,9 +205,8 @@ class HierarchicalExecutor:
         threads: Optional[int] = None,
         method: Optional[str] = None,
     ) -> None:
-        if mode not in ("batched", "literal"):
-            raise ValueError("mode must be 'batched' or 'literal'")
-        self.mode = mode
+        if mode != "batched":
+            raise ValueError(f"mode must be 'batched', got {mode!r}")
         self.fuse = bool(fuse)
         self.max_fused_qubits = int(max_fused_qubits)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -254,9 +251,9 @@ class HierarchicalExecutor:
     ) -> Union[np.ndarray, StabilizerState]:
         """Execute all parts in order against ``state``.
 
-        A dense ``state`` (``complex128``, ``2^n`` amplitudes; anything
-        else is refused before the first part) is mutated in place and
-        returned.  A
+        A dense ``state`` (a writable ``complex128`` array of ``2^n``
+        amplitudes; anything else is refused before the first part) is
+        mutated in place and returned.  A
         :class:`~repro.sv.stabilizer.StabilizerState` (from
         :meth:`initial_state`) takes Clifford parts on the tableau (their
         *source* gates — fused dense matrices are useless to it); the
@@ -344,18 +341,23 @@ class HierarchicalExecutor:
             elif isinstance(state, StabilizerState):
                 if state.num_qubits != n:
                     out[k] = ValueError("state width mismatch")
+            elif not isinstance(state, np.ndarray):
+                out[k] = ValueError(
+                    "state must be a numpy array or a StabilizerState, "
+                    f"got {type(state).__name__}"
+                )
             elif state.shape != (1 << n,):
                 out[k] = ValueError("state length mismatch")
             elif state.dtype != np.complex128:
                 out[k] = ValueError(
                     f"state must be complex128, got {state.dtype}"
                 )
+            elif not state.flags.writeable:
+                out[k] = ValueError("state is read-only")
         n = partition.num_qubits
         # A state that is one block stays gathered across a run of parts.
         resident = (
-            ResidentBlock()
-            if self.mode == "batched" and one_block(self.backend.map_blocks, n)
-            else None
+            ResidentBlock() if one_block(self.backend.map_blocks, n) else None
         )
         for part in partition.parts:
             dense = []
@@ -441,7 +443,7 @@ class HierarchicalExecutor:
     ) -> None:
         t0 = time.perf_counter()
         lanes = run_part_group(
-            plans, states, n, self.mode, self.backend.strided_max,
+            plans, states, n, self.backend.strided_max,
             self.backend.map_blocks, resident,
         )
         # The stack's jobs share its time.

@@ -282,6 +282,100 @@ def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
     return state
 
 
+def sweep_plan_reference(structure, rows: int, jobs: int = 1):
+    """Oracle for ``PartPlanStructure.sweep_plan`` over a row block: the
+    positional planner as first written -- axis 0 the gather row, axis
+    ``i + 1`` the part's qubit ``w - 1 - i`` -- returning ``(steps,
+    restore)``, ``restore`` being ``(shape, perm)`` back to natural
+    order or ``None``.  For ``jobs > 1`` every dense step and the
+    restore are lifted over a leading job axis.
+    """
+    from repro.sv.kernels import (
+        _gate_axes,
+        _gathered_sweep_plan,
+        _order_perm,
+        check_operands,
+    )
+
+    w = len(structure.qubits)
+    pos = {q: i for i, q in enumerate(structure.qubits)}
+    ops = []
+    for grp in structure.groups:
+        local = tuple(pos[q] for q in grp.qubits)
+        check_operands(local, w)
+        ops.append((tuple(_gate_axes(w + 1, w, local, 1)), grp.diagonal))
+    sizes = (rows,) + (2,) * w
+    natural = tuple(range(w + 1))
+    steps, end = _gathered_sweep_plan(sizes, natural, ops)
+    perm = _order_perm(sizes, end, natural)
+    restore = None if perm is None else (tuple(sizes[a] for a in end), perm)
+    if jobs == 1:
+        return steps, restore
+
+    def lift(perm):
+        return None if perm is None else (0, *[a + 1 for a in perm])
+
+    def lift_step(step):
+        shape, perm, target, gemm = step
+        if gemm is None:
+            return step
+        return (jobs,) + shape, lift(perm), (jobs,) + target, (jobs,) + gemm
+
+    if restore is not None:
+        restore = ((jobs,) + restore[0], lift(restore[1]))
+    return tuple(map(lift_step, steps)), restore
+
+
+def literal_reference(
+    circuit,
+    partition,
+    state: np.ndarray,
+    *,
+    fuse: bool = True,
+    backend=None,
+    plan_cache=None,
+    counters=None,
+) -> np.ndarray:
+    """Oracle for ``HierarchicalExecutor.run`` on a dense ``state``
+    (mutated and returned): the paper's Algorithm 1 as written -- per
+    part, per inner state vector (one row of the part's gather table),
+    gather it, apply each of the part's ops to it with ``apply_matrix``
+    and scatter it back.  Plans come from ``plan_cache`` (a fresh
+    ``PlanCache`` by default) through ``get_or_compile``, whose events
+    ``counters`` receives; ``backend`` (resolved as the executor
+    resolves it) visits the rows in its blocks.
+    """
+    from repro.sv.backend import resolve_backend
+    from repro.sv.fusion import PlanCache
+    from repro.sv.kernels import apply_matrix
+
+    backend = resolve_backend(backend)
+    if plan_cache is None:
+        plan_cache = PlanCache()
+    n = circuit.num_qubits
+    for part in partition.parts:
+        plan = plan_cache.get_or_compile(
+            circuit, part.gate_indices, part.qubits, fuse=fuse,
+            counters=counters,
+        )
+        w = len(plan.qubits)
+        table = plan.gather_table(n)
+        ops = plan.local_ops()
+
+        def block(lo, hi):
+            for index in table[lo:hi]:
+                inner = state[index]
+                for op in ops:
+                    apply_matrix(
+                        inner, op.matrix(), op.qubits, w,
+                        diagonal=op.is_diagonal,
+                    )
+                state[index] = inner
+
+        backend.map_blocks(block, table.shape[0], state.size)
+    return state
+
+
 def shard_sweep_reference(
     engine, circuit, part, inner, state, local_bits, compute
 ):

@@ -35,7 +35,7 @@ from repro.sv import (
 )
 from repro.sv.kernels import BLOCK_ELEMENTS
 
-from conftest import random_circuit
+from conftest import literal_reference, random_circuit
 
 
 def _reference_state(qc):
@@ -170,6 +170,8 @@ def _wide_circuits():
 class TestSerialThreadedBitwiseUnpatched:
     @pytest.mark.parametrize("threads", [2, 3, 4])
     def test_run_plan_both_lanes_and_literal(self, threads):
+        # The literal leg is the paper's loop (conftest.literal_reference)
+        # on each backend's block mapper.
         for qc in _wide_circuits():
             p = get_partitioner("dagP").partition(qc, 10)
             # Unfused ops keep parts strided-eligible; fused ones gather.
@@ -185,15 +187,18 @@ class TestSerialThreadedBitwiseUnpatched:
                 ):
                     trace, state = ExecutionTrace(), random_state(WIDE, 3)
                     with backend:
-                        HierarchicalExecutor(
-                            backend=backend, mode=mode, fuse=fuse
-                        ).run(qc, p, state, trace=trace)
+                        if mode == "literal":
+                            literal_reference(
+                                qc, p, state, fuse=fuse, backend=backend
+                            )
+                        else:
+                            HierarchicalExecutor(
+                                backend=backend, fuse=fuse
+                            ).run(qc, p, state, trace=trace)
                     states.append(state)
                 _assert_agree(threads, *states, (qc.name, strided_max, mode))
-                if strided_max is None and mode == "batched":
-                    assert trace.strided_parts > 0
-                else:
-                    assert trace.strided_parts == 0
+                if mode == "batched":
+                    assert (trace.strided_parts > 0) == (strided_max is None)
 
     @pytest.mark.parametrize("threads", [2, 3, 4])
     def test_apply_matrix_rows_on_a_shard_matrix(self, threads):

@@ -1,9 +1,11 @@
 """Randomized differential harness over the whole execution matrix.
 
 Every combination of {partitioner} x {fuse on/off} x {serial, threaded
-backend} x {batched, literal mode} must produce the same final state as
-the literal per-gate reference kernels, on seeded random circuits drawn
-from the full gate vocabulary.  This is the repo's broadest property
+backend} x {batched executor, literal loop} must produce the same final
+state as the literal per-gate reference kernels, on seeded random
+circuits drawn from the full gate vocabulary.  The literal loop is the
+paper's Algorithm 1 one inner vector at a time
+(``conftest.literal_reference``), over the same plans and block mapper.  This is the repo's broadest property
 test: any regression in partitioning, fusion, backends, gather tables or
 kernels lands somewhere in this grid.
 
@@ -34,7 +36,7 @@ from repro.sv import (
     compile_part,
 )
 
-from conftest import random_circuit
+from conftest import literal_reference, random_circuit
 
 NUM_QUBITS = 6
 NUM_GATES = 16
@@ -129,15 +131,21 @@ def test_differential(
     trace = ExecutionTrace()
     state = np.zeros(1 << NUM_QUBITS, dtype=np.complex128)
     state[0] = 1.0
-    HierarchicalExecutor(
-        mode=mode, fuse=fuse, backend=backends[backend]
-    ).run(qc, partition, state, trace=trace)
+    if mode == "literal":
+        literal_reference(qc, partition, state, fuse=fuse,
+                          backend=backends[backend])
+    else:
+        HierarchicalExecutor(fuse=fuse, backend=backends[backend]).run(
+            qc, partition, state, trace=trace
+        )
 
     err = float(np.max(np.abs(state - _reference(seed))))
     assert err < 1e-10, (
         f"{backend}/{strategy}/fuse={fuse}/{mode} seed={seed}: "
         f"max deviation {err:.3e} from reference kernels"
     )
+    if mode == "literal":
+        return
     # Source-gate accounting must be exact regardless of fusion/backend.
     assert trace.total_gates == len(qc)
     assert trace.num_parts == partition.num_parts

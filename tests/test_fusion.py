@@ -31,7 +31,7 @@ from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.kernels import apply_gate_batched, apply_matrix
 from repro.sv.simulator import StateVectorSimulator, zero_state
 
-from conftest import SUITE_SMALL, random_circuit
+from conftest import SUITE_SMALL, literal_reference, random_circuit
 from strategies import _ANGLES, circuits
 
 
@@ -565,9 +565,9 @@ class TestPlanCache:
         HierarchicalExecutor(fuse=True, plan_cache=cache).run(
             qc, p, zero_state(8)
         )
-        HierarchicalExecutor(
-            mode="literal", fuse=True, plan_cache=cache
-        ).run(qc, p, zero_state(8), cache_counters=seen)
+        literal_reference(
+            qc, p, zero_state(8), fuse=True, plan_cache=cache, counters=seen
+        )
         # The second executor fully reused the first one's plans.
         assert (seen.misses, seen.hits) == (0, p.num_parts)
 

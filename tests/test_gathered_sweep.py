@@ -1,11 +1,14 @@
 """The gather lane's workspace sweep is the old loop, byte for byte.
 
-``run_part``'s batched gather body keeps a gathered block in two
-per-thread workspace buffers and leaves it in the axis order of the last
-dense op instead of writing each GEMM result back.  Every GEMM keeps its
-shape and its columns, so the bits must not move: each run is held to
-``conftest.gather_sweep_reference``, the body as first written (a
-transposing copy, a GEMM and a write-back per op), on the same blocks.
+``run_part``'s gathered body keeps each row block in two per-thread
+workspace buffers (``backend.ResidentBlock``) and leaves it in the axis
+order of the last dense op instead of writing each GEMM result back.
+Every GEMM keeps its shape and its columns, so the bits must not move:
+each run is held to ``conftest.gather_sweep_reference``, the body as
+first written (a transposing copy, a GEMM and a write-back per op), on
+the same blocks.  The orders come from one labelled planner,
+``PartPlanStructure.sweep_plan``, held to the positional planner it
+replaced (``conftest.sweep_plan_reference``).
 """
 
 from __future__ import annotations
@@ -24,13 +27,16 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.partition import get_partitioner
 from repro.sv.backend import SerialBackend, ThreadedBackend
 from repro.sv.fusion import (
+    ROW,
+    axis_sizes,
     build_part_structure,
     compile_part,
     compile_partition,
 )
+from repro.sv.kernels import _order_perm
 from repro.sv.simulator import random_state
 
-from conftest import gather_sweep_reference
+from conftest import gather_sweep_reference, sweep_plan_reference
 from strategies import circuits
 
 
@@ -99,22 +105,60 @@ def _part(qc, qubits, fuse=False):
     return compile_part(qc, range(len(qc)), qubits, fuse=fuse)
 
 
+def _row_plan(structure, rows):
+    """``structure``'s sweep of a ``rows``-row block arriving in gather
+    order, and whether its flush needs a transposing copy."""
+    start = (ROW,) + structure.qubits[::-1]
+    steps, end = structure.sweep_plan(start, rows)
+    return steps, _order_perm(axis_sizes(end, rows), end, start) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qc=circuits(min_qubits=1, max_qubits=7, max_gates=20, three_qubit=True),
+    fuse=st.booleans(),
+    rows=st.integers(1, 64),
+    jobs=st.integers(1, 4),
+    data=st.data(),
+)
+def test_property_sweep_plan_matches_the_positional_planner(
+    qc, fuse, rows, jobs, data
+):
+    # A random working set (in a random order) and the gates inside it.
+    n = qc.num_qubits
+    width = data.draw(st.integers(1, n), label="width")
+    working = tuple(data.draw(st.permutations(range(n)), label="order"))
+    working = working[:width]
+    gates = [i for i, g in enumerate(qc) if set(g.qubits) <= set(working)]
+    structure = build_part_structure(qc, gates, working, fuse=fuse)
+    want_steps, restore = sweep_plan_reference(structure, rows, jobs)
+    start = (ROW,) + working[::-1]
+    steps, end = structure.sweep_plan(start, rows, jobs)
+    assert steps == want_steps
+    perm = _order_perm(axis_sizes(end, rows), end, start)
+    if restore is None:
+        assert perm is None
+    else:
+        lift = (0, *[a + 1 for a in perm]) if jobs > 1 else perm
+        assert perm is not None and lift == restore[1]
+
+
 def test_an_all_diagonal_part_makes_no_copy(backends):
     qc = QuantumCircuit(5).rz(0.3, 0).cz(1, 2).t(3).crz(0.7, 3, 0)
     qc.rzz(1.1, 1, 3)
     plan = _part(qc, (0, 1, 2, 3))
-    steps, restore = plan.structure.sweep_plan(2)
-    assert all(gemm is None for *_, gemm in steps) and restore is None
+    steps, copy_back = _row_plan(plan.structure, 2)
+    assert all(gemm is None for *_, gemm in steps) and not copy_back
     _check(backends[1], 1, [plan], 5)
 
 
 def test_consecutive_dense_ops_on_the_same_operands_share_one_order(backends):
     qc = QuantumCircuit(5).h(1).rx(0.4, 1).cx(0, 2).cx(0, 2).ry(0.2, 3)
     plan = _part(qc, (0, 1, 2, 3))
-    steps, restore = plan.structure.sweep_plan(2)
+    steps, copy_back = _row_plan(plan.structure, 2)
     copies = [perm is not None for _, perm, _, gemm in steps]
     assert copies == [True, False, True, False, True]
-    assert restore is not None
+    assert copy_back
     _check(backends[1], 1, [plan], 5)
 
 
@@ -123,16 +167,16 @@ def test_ops_on_the_top_axes_of_a_one_row_block_make_no_copy(backends):
     # are the top axes in order, so a single row is already in place.
     qc = QuantumCircuit(3).h(2).cx(1, 2)
     plan = _part(qc, (0, 1, 2))
-    steps, restore = plan.structure.sweep_plan(1)
+    steps, copy_back = _row_plan(plan.structure, 1)
     assert [perm for _, perm, _, _ in steps] == [None, None]
-    assert restore is None
+    assert not copy_back
     _check(backends[1], 1, [plan], 3)
     # With four rows the row axis follows each op's operands: both copy.
     wide = QuantumCircuit(5).h(2).cx(1, 2)
     plan = _part(wide, (0, 1, 2))
-    steps, restore = plan.structure.sweep_plan(4)
+    steps, copy_back = _row_plan(plan.structure, 4)
     assert [perm is None for _, perm, _, _ in steps] == [False, False]
-    assert restore is not None
+    assert copy_back
     _check(backends[1], 1, [plan], 5)
 
 
@@ -152,10 +196,11 @@ def test_one_structure_bound_twice_shares_its_plan(backends):
     qc1, qc2 = circuit(0.3, 1.2), circuit(2.1, 0.4)
     structure = build_part_structure(qc1, range(len(qc1)), (0, 1, 2, 3))
     plan1, plan2 = structure.bind([qc1.gates, qc2.gates])
+    start = (ROW,) + structure.qubits[::-1]
     got1 = _check(backends[1], 1, [plan1], 5)
-    sweep = structure.sweep_plan(2)
+    sweep = structure.sweep_plan(start, 2)
     got2 = _check(backends[1], 1, [plan2], 5)
-    assert structure.sweep_plan(2) is sweep
+    assert structure.sweep_plan(start, 2) is sweep
     assert not np.array_equal(got1, got2)
 
 

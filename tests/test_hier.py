@@ -10,7 +10,7 @@ from repro.partition import get_partitioner
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.simulator import StateVectorSimulator, random_state, zero_state
 
-from conftest import SUITE_SMALL, random_circuit
+from conftest import SUITE_SMALL, literal_reference, random_circuit
 
 
 def reference_state(qc, initial=None):
@@ -36,8 +36,8 @@ class TestEquivalence:
         p = get_partitioner("dagP").partition(qc, max(3, n - 3))
         a = zero_state(n)
         b = zero_state(n)
-        HierarchicalExecutor(mode="batched").run(qc, p, a)
-        HierarchicalExecutor(mode="literal").run(qc, p, b)
+        HierarchicalExecutor().run(qc, p, a)
+        literal_reference(qc, p, b)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_arbitrary_initial_state(self):
@@ -83,18 +83,18 @@ class TestFusedTrace:
         ref = reference_state(qc)
         for fuse in (True, False):
             state = zero_state(7)
-            HierarchicalExecutor(mode=mode, fuse=fuse).run(qc, p, state)
+            if mode == "literal":
+                literal_reference(qc, p, state, fuse=fuse)
+            else:
+                HierarchicalExecutor(fuse=fuse).run(qc, p, state)
             assert np.allclose(state, ref, atol=1e-10), (mode, fuse)
 
-    @pytest.mark.parametrize("mode", ["batched", "literal"])
-    def test_trace_accounting_fused_vs_unfused(self, mode):
+    def test_trace_accounting_fused_vs_unfused(self):
         qc = generators.build("qft", 7)
         p = get_partitioner("dagP").partition(qc, 5)
         fused, unfused = ExecutionTrace(), ExecutionTrace()
-        HierarchicalExecutor(mode=mode, fuse=True).run(
-            qc, p, zero_state(7), trace=fused
-        )
-        HierarchicalExecutor(mode=mode, fuse=False).run(
+        HierarchicalExecutor(fuse=True).run(qc, p, zero_state(7), trace=fused)
+        HierarchicalExecutor(fuse=False).run(
             qc, p, zero_state(7), trace=unfused
         )
         # Source-gate accounting is fusion-invariant.
@@ -122,6 +122,32 @@ class TestValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             HierarchicalExecutor(mode="warp")
+        # The paper's loop is a test reference now, not a mode.
+        with pytest.raises(ValueError, match="'literal'"):
+            HierarchicalExecutor(mode="literal")
+
+    @pytest.mark.parametrize("bad", ["list", "read-only"])
+    def test_run_group_refuses_a_bad_state_for_its_circuit_only(self, bad):
+        # A state no part can be swept into -- not an array, or an
+        # array the write-back cannot write -- is that circuit's
+        # ValueError before the first part; the other circuit runs on
+        # (a one-block state: the resident block writes back at the end).
+        qc = generators.build("qft", 6)
+        p = get_partitioner("dagP").partition(qc, 4)
+        good = zero_state(6)
+        if bad == "list":
+            other = zero_state(6).tolist()
+        else:
+            other = zero_state(6)
+            other.setflags(write=False)
+        ex = HierarchicalExecutor(method="dense")
+        done, err = ex.run_group([qc, qc], p, [good, other])
+        assert done is good
+        assert np.allclose(good, reference_state(qc), atol=1e-10)
+        assert isinstance(err, ValueError)
+        assert ("read-only" if bad == "read-only" else "list") in str(err)
+        if bad == "read-only":
+            assert np.array_equal(other, zero_state(6))
 
     def test_state_length_mismatch(self):
         qc = generators.build("bv", 8)

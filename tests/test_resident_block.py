@@ -5,8 +5,8 @@ When the block rule makes a state one block (``backend.one_block``),
 parts (``backend.ResidentBlock``): one copy in, every part's ops swept
 where the last part left the block, one write-back when the run ends.
 The reference is the same executor with residency switched off, so that
-every part runs alone through ``run_part_group`` — gather, sweep,
-restore, scatter.  States, every ``ExecutionTrace`` field but the
+every part runs alone through ``run_part_group`` — per row block a
+gather, a sweep and a flush.  States, every ``ExecutionTrace`` field but the
 measured seconds, and every ``BatchStats`` count must not move.
 """
 

@@ -32,7 +32,10 @@ def main() -> None:
         _, iqs = IQSEngine(ranks, dry_run=True).run(qc)
         for strategy in ("Nat", "DFS", "dagP"):
             partition = get_partitioner(strategy).partition(qc, local)
-            _, rep = HiSVSimEngine(ranks, dry_run=True).run(qc, partition)
+            # Gate for gate (fuse=False), as the paper compares with IQS.
+            _, rep = HiSVSimEngine(ranks, dry_run=True, fuse=False).run(
+                qc, partition
+            )
             rows.append(
                 (
                     ranks,

@@ -42,7 +42,8 @@ def main() -> None:
         f"(trivial: {ml.is_trivial})"
     )
 
-    engine = HiSVSimEngine(ranks, dry_run=True)
+    # Gate for gate (fuse=False), as the paper compares with IQS.
+    engine = HiSVSimEngine(ranks, dry_run=True, fuse=False)
     _, single = engine.run(qc, partition)
     _, multi = engine.run(qc, partition, multilevel=ml)
     _, iqs = IQSEngine(ranks, dry_run=True).run(qc)

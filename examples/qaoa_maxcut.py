@@ -67,7 +67,8 @@ def main() -> None:
     print("\ndistributed cost of the best evaluation (8 virtual ranks):")
     for strategy in ("Nat", "DFS", "dagP"):
         part = get_partitioner(strategy).partition(qc, n - 3)
-        _, rep = HiSVSimEngine(8, dry_run=True).run(qc, part)
+        # The paper's gate-for-gate cost model (fuse=False).
+        _, rep = HiSVSimEngine(8, dry_run=True, fuse=False).run(qc, part)
         print(
             f"  {strategy:5s}: {part.num_parts:2d} parts, "
             f"simulated {rep.total_seconds * 1e3:7.3f} ms "

@@ -59,7 +59,8 @@ def main() -> None:
 
     # --- 3. simulated multi-node run --------------------------------------
     ranks = 8
-    engine = HiSVSimEngine(ranks)
+    # Gate for gate (fuse=False), as the paper compares with IQS.
+    engine = HiSVSimEngine(ranks, fuse=False)
     local = n - (ranks.bit_length() - 1)
     dist_partition = get_partitioner("dagP").partition(qc, local)
     dist_state, run_report = engine.run(qc, dist_partition)

@@ -347,7 +347,7 @@ def _dist_worker(args) -> int:
     if spmd:
         comm = SocketTransport.connect(args.rank, args.ranks, args.rendezvous)
     try:
-        engine = HiSVSimEngine(num_ranks=args.ranks)
+        engine = HiSVSimEngine(args.ranks, options=options)
         state, report = engine.run(qc, partition, comm=comm)
         full = state.to_full()  # collective: every rank participates
 
@@ -374,16 +374,16 @@ def _dist_worker(args) -> int:
         comm.close()
 
 
-def _at_least_one(name: str, omitted: str):
-    """argparse type for ``--<name>``: an integer >= 1; ``omitted`` says
-    what leaving the flag out means."""
+def _checked(name: str):
+    """argparse type for ``--<name>``: an integer ``RunOptions`` accepts
+    for that field (its check, not a second one)."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"{name} must be >= 1 (got {value}); omit the flag {omitted}"
-            )
+        try:
+            RunOptions(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     parse.__name__ = name  # argparse: "invalid <name> value: 'abc'"
@@ -409,18 +409,15 @@ def _rendezvous(text: str):
 _RUN_FLAGS = {
     "strategy": dict(choices=sorted(STRATEGIES),
                      help=f"partitioner (default: {RunOptions.strategy})"),
-    "limit": dict(type=_at_least_one(
-                      "limit", "to derive the per-circuit default"),
+    "limit": dict(type=_checked("limit"),
                   help="working-set limit, >= 1 (default: qubits - 3, min 3)"),
-    "max_fused_qubits": dict(type=_at_least_one(
-                                 "max_fused_qubits", "for the default"),
+    "max_fused_qubits": dict(type=_checked("max_fused_qubits"),
                              help="arity cap for fused dense unitaries, >= 1 "
                                   f"(default: {RunOptions.max_fused_qubits})"),
     "backend": dict(choices=BACKEND_NAMES,
                     help="execution backend (default: REPRO_BACKEND, else "
                          "serial; see docs/configuration.md)"),
-    "threads": dict(type=_at_least_one(
-                        "threads", "for REPRO_THREADS, else the core count"),
+    "threads": dict(type=_checked("threads"),
                     help="backend worker count, >= 1 (default: "
                          "REPRO_THREADS, else core count)"),
     "method": dict(choices=METHOD_NAMES,

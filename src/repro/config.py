@@ -8,7 +8,7 @@ shares:
   under ``src/repro`` that touches the process environment.
 * :class:`RunOptions` — the seven execution options (the paper's two
   dials, ``strategy`` and ``limit``, plus this repo's five) with their
-  defaults.
+  defaults and checks; every engine takes one.
 
 Precedence is stated in ``docs/configuration.md``; its environment step
 applies to ``backend`` / ``threads`` / ``method`` left at ``None`` and
@@ -19,9 +19,11 @@ happens where they are resolved (``resolve_backend`` /
 
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional
+import reprlib
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 __all__ = [
     "ENV",
@@ -107,17 +109,18 @@ class RunOptions:
     ``threads`` (``None`` for ``REPRO_THREADS``) and ``method``
     (``None`` for ``REPRO_METHOD``) choose where and how parts run.
 
-    Names are checked where they are resolved — ``get_partitioner``,
-    ``resolve_backend`` and ``resolve_method`` own those errors, each a
-    :class:`ValueError` naming the choices; only the ranges of
-    ``limit``, ``max_fused_qubits`` and ``threads`` are checked here.
+    Each field's type and range is checked here and nowhere else (a
+    ``bool`` or ``2.5`` is no integer); names are checked where they are
+    resolved — ``get_partitioner``, ``resolve_backend`` and
+    ``resolve_method`` each raise a :class:`ValueError` naming the
+    choices.  The engines take a ``RunOptions`` (:meth:`fold`).
 
     >>> RunOptions(strategy="DFS").limit is None
     True
     >>> RunOptions(limit=0)
     Traceback (most recent call last):
         ...
-    ValueError: limit must be >= 1 (got 0); pass None to derive the per-circuit default
+    ValueError: limit must be >= 1 (got 0); leave it unset to derive the per-circuit default
     """
 
     strategy: str = "dagP"
@@ -129,33 +132,50 @@ class RunOptions:
     method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(
-                f"limit must be >= 1 (got {self.limit}); pass None to "
-                f"derive the per-circuit default"
-            )
-        if self.max_fused_qubits < 1:
-            raise ValueError(
-                f"max_fused_qubits must be >= 1 (got {self.max_fused_qubits})"
-            )
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(
-                f"threads must be >= 1 (got {self.threads}); pass None "
-                f"for REPRO_THREADS, else the core count"
-            )
+        for name, ok, expected in (
+            ("strategy", isinstance(self.strategy, str), "a str"),
+            ("fuse", isinstance(self.fuse, bool), "a bool"),
+            # A backend is a block mapper (repro.sv imports this module).
+            ("backend", self.backend is None or isinstance(self.backend, str)
+             or hasattr(self.backend, "map_blocks"), "a name or a backend"),
+            ("method", self.method is None or isinstance(self.method, str),
+             "a str or None"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {expected} "
+                    f"(got {reprlib.repr(getattr(self, name))})"
+                )
+        for name, hint in (
+            ("limit", "; leave it unset to derive the per-circuit default"),
+            ("max_fused_qubits", ""),
+            ("threads",
+             "; leave it unset for REPRO_THREADS, else the core count"),
+        ):
+            value = getattr(self, name)
+            if value is None and name != "max_fused_qubits":
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ValueError(
+                    f"{name} must be an int (got {reprlib.repr(value)})"
+                )
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1 (got {value}){hint}")
 
-    def executor_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``HierarchicalExecutor``: every option
-        but the two partitioning dials.
-
-        >>> sorted(RunOptions().executor_kwargs())
-        ['backend', 'fuse', 'max_fused_qubits', 'method', 'threads']
-        """
-        return {
-            name: getattr(self, name)
-            for name in RUN_OPTION_FIELDS
-            if name not in ("strategy", "limit")
-        }
+    @classmethod
+    def fold(cls, options: Optional["RunOptions"], overrides: Dict[str, Any],
+             owner: str, unread: Tuple[str, ...] = ()) -> "RunOptions":
+        """``options`` (``None``: the defaults) with an engine's keyword
+        ``overrides`` folded in; one the engine ``owner`` does not read
+        (``unread``, or no field) is a :class:`TypeError` naming it."""
+        for name in overrides:
+            if name not in RUN_OPTION_FIELDS or name in unread:
+                raise TypeError(
+                    f"{owner}() got an unexpected keyword argument {name!r}"
+                )
+        return replace(options or cls(), **overrides)
 
 
 #: The option names, in declaration order.

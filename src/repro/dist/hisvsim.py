@@ -27,13 +27,15 @@ from typing import Optional
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import RunOptions
 from ..partition.base import Partition
 from ..partition.multilevel import MultilevelPartition
 from ..runtime.comm import SimComm
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 from ..runtime.metrics import ComputeStats, RunReport
-from ..sv.backend import ExecutionBackend, resolve_backend
-from ..sv.fusion import DEFAULT_MAX_FUSED_QUBITS, PlanCache
+from ..sv.backend import _gemm_columns, resolve_backend
+from ..sv.fusion import PlanCache
+from ..sv.kernels import MIN_GEMM_COLUMNS
 from ._cost import charge_gate
 from .exchange import remap_schedule
 from .state import AMP_BYTES, open_run
@@ -73,27 +75,18 @@ class HiSVSimEngine:
     dry_run:
         Use :class:`~repro.dist.state.LayoutOnlyState`: no amplitudes,
         closed-form traffic — identical accounting to a real run.
-    fuse:
-        Compile each part's gate list into fused unitaries via
-        :mod:`repro.sv.fusion`; unfused, every gate is its own op.
-        Either way a part's plan comes from the (shareable)
-        ``plan_cache``, so repeated runs reuse it.  Off by default so
-        the paper's gate-for-gate model comparisons against the IQS
-        baseline stay unchanged; turn on for throughput-oriented runs.
-    max_fused_qubits:
-        Dense fusion arity cap (clipped to each part's working set),
-        ``>= 1``.
+    options:
+        The :class:`~repro.config.RunOptions` (``None``: the defaults,
+        fused).  It reads ``fuse``, ``max_fused_qubits``, ``backend`` and
+        ``threads``; the paper's gate-for-gate model, as the figures
+        compare it with IQS, is ``fuse=False``.
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache` — pass the
         hierarchical executor's cache to share compiled parts across
         engines.
-    backend:
-        Execution backend the parts run on (its block rule splits them
-        block-wise): an :class:`~repro.sv.backend.ExecutionBackend`, a
-        name, or ``None`` to follow ``REPRO_BACKEND``.  Model accounting
-        is backend-independent; only measured wall time changes.
-    threads:
-        Worker count for a backend resolved by name/environment.
+    **overrides:
+        Fields it reads, by keyword (``fuse=False``), folded into
+        ``options``.
     """
 
     def __init__(
@@ -101,26 +94,22 @@ class HiSVSimEngine:
         num_ranks: int,
         machine: MachineModel = FRONTERA_LIKE,
         dry_run: bool = False,
+        options: Optional[RunOptions] = None,
         *,
-        fuse: bool = False,
-        max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         plan_cache: Optional[PlanCache] = None,
-        backend=None,
-        threads: Optional[int] = None,
+        **overrides,
     ) -> None:
         if num_ranks < 1 or (num_ranks & (num_ranks - 1)) != 0:
             raise ValueError("num_ranks must be a positive power of two")
         self.num_ranks = num_ranks
         self.machine = machine
         self.dry_run = dry_run
-        self.fuse = bool(fuse)
-        self.max_fused_qubits = int(max_fused_qubits)
-        if self.max_fused_qubits < 1:
-            raise ValueError(
-                f"max_fused_qubits must be >= 1 (got {self.max_fused_qubits})"
-            )
+        self.options = options = RunOptions.fold(
+            options, overrides, "HiSVSimEngine",
+            ("strategy", "limit", "method"),
+        )
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.backend: ExecutionBackend = resolve_backend(backend, threads)
+        self.backend = resolve_backend(options.backend, options.threads)
 
     # -- public API ---------------------------------------------------------
 
@@ -241,8 +230,8 @@ class HiSVSimEngine:
                 circuit,
                 indices,
                 qubits,
-                fuse=self.fuse,
-                max_fused_qubits=min(self.max_fused_qubits, max(width, 1)),
+                fuse=self.options.fuse,
+                max_fused_qubits=self.options.max_fused_qubits,
             )
             for op in plan.ops:
                 seconds += charge_gate(
@@ -252,10 +241,24 @@ class HiSVSimEngine:
                 # After ``remap`` the group's qubits sit at local
                 # positions, so it is an ordinary part of the rows held
                 # here: all ranks' shards in process, one on a socket rank.
-                flat = state.shards.reshape(-1)
-                self.backend.run_plan(
+                self._run_held(
                     plan.relabel(map(state.layout.position, plan.qubits)),
-                    flat,
-                    flat.size.bit_length() - 1,
+                    state.shards.reshape(-1),
                 )
         return seconds
+
+    def _run_held(self, plan, flat: np.ndarray) -> None:
+        """``backend.run_plan`` over ``flat``, the rows held here, padded
+        with zero rows to ``MIN_GEMM_COLUMNS`` columns of the widest op
+        if narrower: a socket rank's lone shard then takes the kernels
+        (no BLAS edge kernel, no scalar loop) and bits of the in-process
+        run over every rank's shard."""
+        width = flat.size.bit_length() - 1
+        grow = MIN_GEMM_COLUMNS // _gemm_columns(plan, width)
+        if grow <= 1:
+            self.backend.run_plan(plan, flat, width)
+            return
+        padded = np.zeros(flat.size * grow, dtype=flat.dtype)
+        padded[: flat.size] = flat
+        self.backend.run_plan(plan, padded, width + grow.bit_length() - 1)
+        flat[:] = padded[: flat.size]

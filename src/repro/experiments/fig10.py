@@ -108,7 +108,7 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
         circuit = circuits[key]
         ranks = max(ranks_for(key, paper))
         local = circuit.num_qubits - (ranks.bit_length() - 1)
-        engine = HiSVSimEngine(ranks, machine=machine, dry_run=True)
+        engine = HiSVSimEngine(ranks, machine, dry_run=True, fuse=False)
         # Best single-level strategy at the largest rank count.
         singles = {}
         for strategy in STRATEGY_ORDER:

@@ -70,8 +70,8 @@ def run_sweep(scale: Optional[Scale] = None) -> SweepResult:
                 continue  # rank count infeasible at this width
             for strategy in STRATEGY_ORDER:
                 partition = partition_cached(circuit, strategy, local)
-                engine = HiSVSimEngine(
-                    ranks, machine=scale.machine, dry_run=scale.dry_run
+                engine = HiSVSimEngine(  # gate for gate, as IQS runs
+                    ranks, scale.machine, scale.dry_run, fuse=False
                 )
                 _, rep = engine.run(circuit, partition)
                 reports[(key, ranks, strategy)] = rep

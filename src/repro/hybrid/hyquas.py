@@ -107,7 +107,7 @@ def estimate_hybrid(
             )
         )
         est.gpu_seconds += t
-    engine = HiSVSimEngine(num_gpus, machine=machine, dry_run=True)
+    engine = HiSVSimEngine(num_gpus, machine, dry_run=True, fuse=False)
     _, report = engine.run(circuit, partition)
     est.comm_seconds = report.comm_seconds
     return est

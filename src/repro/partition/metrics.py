@@ -17,7 +17,7 @@ actually pays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..circuits.circuit import QuantumCircuit
 from ..dag import gate_dependency_edges
@@ -68,13 +68,12 @@ def evaluate_partition(
     circuit: QuantumCircuit,
     partition: Partition,
     *,
-    max_fused_qubits: Optional[int] = None,
+    max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
 ) -> PartitionMetrics:
     """Compute :class:`PartitionMetrics` for a partition of ``circuit``.
 
     ``max_fused_qubits`` caps the fusion arity used for the fused cost
-    columns; it defaults to :data:`~repro.sv.fusion.DEFAULT_MAX_FUSED_QUBITS`
-    clipped to the partition's working-set limit.
+    columns, clipped to each part's working set.
     """
     k = partition.num_parts
     if k == 0:
@@ -96,10 +95,6 @@ def evaluate_partition(
         incoming = len(qb - qa)
         moved.append(1.0 - 0.5**incoming if incoming else 0.0)
 
-    if max_fused_qubits is None:
-        max_fused_qubits = DEFAULT_MAX_FUSED_QUBITS
-        if partition.limit:
-            max_fused_qubits = min(max_fused_qubits, partition.limit)
     n = circuit.num_qubits
     sweeps_unfused = partition.num_gates
     sweeps_fused = 0

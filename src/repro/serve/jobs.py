@@ -19,6 +19,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import numbers
 import os
 import reprlib
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..circuits import generators, qasm
 from ..circuits.circuit import QuantumCircuit
-from ..config import RUN_OPTION_FIELDS
+from ..config import RUN_OPTION_FIELDS, RunOptions
 from ..sv.pauli import PauliTerm
 
 __all__ = [
@@ -282,9 +283,9 @@ def _field(job_id: str, key: str, convert, value: Any):
     refuses, or overflows (``int(1e400)``), is a :class:`ValueError`
     naming the job and the field.
 
-    >>> _field("j", "shots", int, 8.0)
+    >>> _field("j", "shots", _integral, 8.0)
     8
-    >>> _field("j", "seed", int, 1e400)
+    >>> _field("j", "seed", _integral, 1e400)
     Traceback (most recent call last):
     ...
     ValueError: job 'j': bad 'seed' inf (cannot convert float infinity
@@ -296,6 +297,23 @@ def _field(job_id: str, key: str, convert, value: Any):
         raise ValueError(
             f"job {job_id!r}: bad {key!r} {reprlib.repr(value)} ({exc})"
         ) from None
+
+
+def check_workers(workers: Any) -> int:
+    """A runner's worker-thread count, for ``BatchRunner`` and manifests
+    alike: an integer >= 1, never a bool."""
+    if isinstance(workers, bool) or not isinstance(
+        workers, numbers.Integral
+    ) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1 (got {workers!r})")
+    return int(workers)
+
+
+def _integral(value: Any) -> int:
+    """``int(value)`` of an integral number: no bool, fraction or str."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def _parse_observable(term: Any) -> PauliTerm:
@@ -318,8 +336,9 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
 
     Unknown top-level keys are rejected (with the nearest valid option
     named), so a typo'd option fails loudly instead of silently running
-    defaults; ``limit`` must be ``null``/absent (derive per circuit) or
-    an integer ``>= 1``.
+    defaults.  Option values are typed, each refusal a
+    :class:`ValueError` naming the key (``"limit": null`` derives the
+    limit per circuit).
 
     >>> jobs, options = load_manifest({
     ...     "schedule": "fifo",
@@ -354,17 +373,20 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
     options = {
         k: manifest[k] for k in MANIFEST_OPTION_KEYS if k in manifest
     }
-    if "limit" in options:
-        limit = options["limit"]
-        if limit is None:
-            del options["limit"]  # explicit null = derive per circuit
-        elif not isinstance(limit, int) or isinstance(limit, bool) \
-                or limit < 1:
+    if options.get("limit", 0) is None:
+        del options["limit"]  # explicit null = derive per circuit
+    for key, value in options.items():
+        try:  # a run option's type and range are RunOptions'
+            if key == "schedule" and not isinstance(value, str):
+                raise ValueError("schedule must be a str")
+            if key == "workers":
+                check_workers(value)
+            if key in RUN_OPTION_FIELDS:
+                RunOptions(**{key: value})
+        except ValueError as exc:
             raise ValueError(
-                f"manifest 'limit' must be an integer >= 1 or null "
-                f"(got {limit!r}); omit it to derive the per-circuit "
-                f"default"
-            )
+                f"manifest option {key}={reprlib.repr(value)} refused: {exc}"
+            ) from None
     if not isinstance(manifest["jobs"], list):
         raise ValueError("manifest 'jobs' must be a list")
     jobs: List[SimJob] = []
@@ -373,17 +395,21 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
             raise ValueError(f"job #{i} must be an object")
         job_id = str(entry.get("id", f"job-{i}"))
         circuit = _build_circuit(entry.get("circuit"), base_dir, job_id)
-        shots = _field(job_id, "shots", int, entry.get("shots", 0))
+        shots = _field(job_id, "shots", _integral, entry.get("shots", 0))
         seed = entry.get("seed")
         if seed is not None:
-            seed = _field(job_id, "seed", int, seed)
+            seed = _field(job_id, "seed", _integral, seed)
         observables = _field(
             job_id,
             "observables",
             lambda terms: tuple(_parse_observable(t) for t in terms),
             entry.get("observables", ()),
         )
-        want_state = bool(entry.get("state", False))
+        want_state = entry.get("state", False)
+        if not isinstance(want_state, bool):
+            raise ValueError(
+                f"job {job_id!r}: bad 'state' {reprlib.repr(want_state)}"
+            )
         if not (want_state or shots or observables):
             want_state = True
         cut = entry.get("cut")

@@ -42,7 +42,8 @@ from ..sv.backend import stack_limit
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
 from ..sv.stabilizer import StabilizerState
-from .jobs import JobResult, SimJob, fingerprints, structural_fingerprint
+from .jobs import JobResult, SimJob, check_workers, fingerprints
+from .jobs import structural_fingerprint
 
 __all__ = [
     "BatchRunner",
@@ -222,10 +223,10 @@ class BatchRunner:
     Parameters
     ----------
     options:
-        The :class:`~repro.config.RunOptions` every job runs with
-        (partitioner, working-set limit — ``None`` derives
-        :func:`default_limit` per circuit width — fusion, backend,
-        method).  ``None`` means the defaults.
+        The :class:`~repro.config.RunOptions` every job runs with: the
+        runner partitions by ``strategy`` / ``limit`` (``None`` derives
+        :func:`default_limit` per circuit) and hands the object whole to
+        its ``HierarchicalExecutor``.  ``None`` means the defaults.
     schedule:
         Dispatch order policy (``"fifo"`` or ``"grouped"``; see
         :func:`order_jobs`).
@@ -260,17 +261,15 @@ class BatchRunner:
         plan_cache: Optional[PlanCache] = None,
         **overrides,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         order_jobs(schedule, [])  # validate the schedule name early
-        self.options = replace(options or RunOptions(), **overrides)
+        self.options = RunOptions.fold(options, overrides, "BatchRunner")
         # Partitioners hold configuration only: one serves every call.
         self._partitioner = get_partitioner(self.options.strategy)
         self.schedule = schedule
-        self.workers = int(workers)
+        self.workers = check_workers(workers)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor = HierarchicalExecutor(
-            plan_cache=self.plan_cache, **self.options.executor_kwargs()
+            self.options, plan_cache=self.plan_cache
         )
         self._partitions = OnceCache(self.plan_cache.max_entries)
 

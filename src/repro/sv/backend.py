@@ -16,8 +16,8 @@ is one block; anything larger splits into ``min(rows, max(threads,
 ceil(elements / BLOCK_ELEMENTS)))`` contiguous blocks, so every fused op
 of a part sweeps a cache-sized block before the next block starts.  For
 a dense op over a row matrix (:meth:`~ExecutionBackend.apply_matrix_rows`)
-the rule first presents each row wider than a block as ``2^s`` virtual
-rows, so no row is too big to be a block:
+each row wider than a block is first presented as ``2^s`` virtual rows
+(:func:`_dense_split`), so no row is too big to be a block:
 
 * :class:`SerialBackend` — the rule's blocks at ``threads = 1``, in
   order, on the caller's thread: the single-threaded reference.
@@ -133,51 +133,44 @@ def split_blocks(total: int, parts: int) -> List[Tuple[int, int]]:
 
 
 def _row_blocks(
-    rows: int, elements: int, threads: int, columns: Optional[int] = None
-) -> Tuple[int, List[Tuple[int, int]]]:
+    rows: int, elements: int, threads: int
+) -> List[Tuple[int, int]]:
     """The block rule — the one place a block is decided.
 
-    Returns ``(split, blocks)``.  ``blocks`` cover the virtual rows:
-    fewer than half of ``BLOCK_ELEMENTS`` amplitudes are one block; more
-    split into ``max(threads, ceil(elements / BLOCK_ELEMENTS))`` blocks,
-    never more than there are virtual rows.  For one thread the
-    half-block clause changes nothing (the ceiling is 1 below a block);
-    it is where splitting a state across threads starts to pay.
-
-    Rows are virtual rows unless ``columns`` — the GEMM columns a dense
-    op has per row — lets the rule reshape them, never below
-    ``MIN_GEMM_COLUMNS`` columns per GEMM:
-
-    * a row wider than a block becomes ``2^split`` virtual rows, as
-      close to one block each as the columns allow;
-    * rows narrower than ``MIN_GEMM_COLUMNS`` columns are grouped
-      ``2^-split`` to a virtual row (``split < 0``; the last one takes
-      the remainder), so every block keeps whole column tiles.
+    ``rows`` rows of ``elements`` amplitudes in all: fewer than half of
+    ``BLOCK_ELEMENTS`` amplitudes are one block; more split into
+    ``max(threads, ceil(elements / BLOCK_ELEMENTS))`` contiguous blocks,
+    never more than there are rows.  For one thread the half-block
+    clause changes nothing (the ceiling is 1 below a block); it is where
+    splitting a state across threads starts to pay.
 
     >>> _row_blocks(8, 1 << 13, 4)              # small: one block
-    (0, [(0, 8)])
+    [(0, 8)]
     >>> _row_blocks(8, 1 << 14, 2)              # half a block: one per thread
-    (0, [(0, 4), (4, 8)])
+    [(0, 4), (4, 8)]
     >>> _row_blocks(8, 1 << 17, 1)              # 4 cache-sized blocks
-    (0, [(0, 2), (2, 4), (4, 6), (6, 8)])
-    >>> _row_blocks(1, 1 << 17, 1, columns=1 << 13)   # 4 virtual rows
-    (2, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    >>> _row_blocks(1 << 13, 1 << 15, 3, columns=1)   # 4 rows a GEMM
-    (-2, [(0, 683), (683, 1366), (1366, 2048)])
+    [(0, 2), (2, 4), (4, 6), (6, 8)]
     """
-    split = 0
-    if columns is not None:
-        # log2(columns / MIN_GEMM_COLUMNS), both powers of two: the most
-        # a row may split, or (negative) how many rows must group.
-        split = columns.bit_length() - kernels.MIN_GEMM_COLUMNS.bit_length()
-        if split > 0:
-            wide = elements // (rows * kernels.BLOCK_ELEMENTS) if rows else 0
-            split = min(split, max(0, wide.bit_length() - 1))
-    virtual = rows << split if split >= 0 else max(1, rows >> -split)
     if 2 * elements < kernels.BLOCK_ELEMENTS:
-        return split, [(0, virtual)]
+        return [(0, rows)]
     parts = max(threads, -(-elements // kernels.BLOCK_ELEMENTS))
-    return split, split_blocks(virtual, parts)
+    return split_blocks(rows, parts)
+
+
+def _dense_split(rows: int, elements: int, columns: int) -> int:
+    """``s >= 0``: a dense op of ``columns`` GEMM columns per row runs
+    each row wider than a block as ``2^s`` virtual rows of about a block,
+    never below ``MIN_GEMM_COLUMNS`` columns per GEMM.
+
+    >>> _dense_split(1, 1 << 17, 1 << 13), _row_blocks(4, 1 << 17, 1)
+    (2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    """
+    # log2(columns / MIN_GEMM_COLUMNS), both powers of two.
+    split = columns.bit_length() - kernels.MIN_GEMM_COLUMNS.bit_length()
+    if split <= 0 or not rows:
+        return 0
+    wide = elements // (rows * kernels.BLOCK_ELEMENTS)
+    return min(split, max(0, wide.bit_length() - 1))
 
 
 def _map_row_groups(
@@ -192,8 +185,15 @@ def _map_row_groups(
     Rows whose dense ops have fewer than ``MIN_GEMM_COLUMNS`` GEMM
     ``columns`` each (a power of two; ``None``: no GEMM) are grouped
     ``MIN_GEMM_COLUMNS / columns`` to a virtual row, the last one taking
-    the remainder — the block rule's grouping — so no block's GEMM is
-    narrower than a whole-state one would be."""
+    the remainder, and the block rule splits the virtual rows — so no
+    block's GEMM is narrower than a whole-state one would be.
+
+    >>> seen = []                               # 4 rows a GEMM, 3 threads
+    >>> _map_row_groups(lambda f, r, e: [f(*b) for b in _row_blocks(r, e, 3)],
+    ...                 lambda *b: seen.append(b), 1 << 13, 1 << 15, 1)
+    >>> seen
+    [(0, 2732), (2732, 5464), (5464, 8192)]
+    """
     group = max(1, kernels.MIN_GEMM_COLUMNS // columns) if columns else 1
     virtual = max(1, rows // group)
 
@@ -239,7 +239,7 @@ def _workspace(size: int) -> Tuple[np.ndarray, np.ndarray]:
     >>> max(
     ...     (hi - lo) << w
     ...     for w in range(17) for n in range(w, 24) for threads in (1, 2, 3)
-    ...     for lo, hi in _row_blocks(1 << (n - w), 1 << n, threads)[1]
+    ...     for lo, hi in _row_blocks(1 << (n - w), 1 << n, threads)
     ... ) == 2 * B
     True
     """
@@ -301,8 +301,8 @@ def _apply_rows(
     batch = rows.shape[0]
     # A diagonal op makes no copy and runs no GEMM: its rows stay whole.
     columns = None if diagonal else 1 << (num_local - len(positions))
-    split = _row_blocks(batch, rows.size, 1, columns)[0]
-    if split > 0:
+    split = _dense_split(batch, rows.size, columns) if columns else 0
+    if split:
 
         def block(lo: int, hi: int) -> None:
             _apply_dense_split(
@@ -874,7 +874,7 @@ class ExecutionBackend:
         block must have finished (or its error been raised) on return.
         Here: the block rule's blocks at one thread, in order, on the
         caller's thread."""
-        for lo, hi in _row_blocks(rows, elements, 1)[1]:
+        for lo, hi in _row_blocks(rows, elements, 1):
             fn(lo, hi)
 
     # -- work --------------------------------------------------------------
@@ -1008,7 +1008,7 @@ class ThreadedBackend(ExecutionBackend):
         behind an unwinding stack (and lose their errors).  The first
         failure (the caller's first) is re-raised.
         """
-        _, blocks = _row_blocks(rows, elements, self.threads)
+        blocks = _row_blocks(rows, elements, self.threads)
         todo = deque(blocks)
 
         def drain() -> None:

@@ -62,21 +62,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import RunOptions
 from ..partition.base import Partition
 from .backend import (
-    ExecutionBackend,
     ResidentBlock,
     one_block,
     resolve_backend,
     run_part_group,
 )
 from .engine import resolve_method
-from .fusion import (
-    DEFAULT_MAX_FUSED_QUBITS,
-    CacheCounters,
-    CompiledPartPlan,
-    PlanCache,
-)
+from .fusion import CacheCounters, CompiledPartPlan, PlanCache
 from .stabilizer import MAX_DENSE_QUBITS, StabilizerState, is_clifford_circuit
 
 __all__ = ["HierarchicalExecutor", "ExecutionTrace"]
@@ -168,50 +163,37 @@ class HierarchicalExecutor:
 
     Parameters
     ----------
+    options:
+        The :class:`~repro.config.RunOptions` (``None``: the defaults).
+        It reads every field but ``strategy`` and ``limit``; ``method``
+        picks what :meth:`initial_state` hands out, while :meth:`run`
+        routes on the *state representation*.
     mode:
         ``"batched"``, the only value (kept for callers that pass it).
-    fuse:
-        Compile each part's gates into fused unitaries before execution
-        (default on; numerically identical to the unfused path).
-    max_fused_qubits:
-        Arity cap for fused dense unitaries (clipped to the working-set
-        size per part).
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache`; pass one to
         reuse compiled plans across executors and engines.
-    backend:
-        Where sweeps run: an :class:`~repro.sv.backend.ExecutionBackend`
-        instance, a name (``"serial"`` / ``"threaded"``), or ``None`` to
-        follow ``REPRO_BACKEND`` (default serial).
-    threads:
-        Worker count for a backend resolved by name/environment
-        (default: ``REPRO_THREADS`` or the machine's core count).
-    method:
-        Simulation method — ``"auto"`` / ``"dense"`` / ``"stabilizer"``,
-        or ``None`` to follow ``REPRO_METHOD`` (default ``auto``).  The
-        method decides what :meth:`initial_state` hands out; :meth:`run`
-        itself routes on the *state representation*, so dense arrays
-        always take the exact pre-routing path.
+    **overrides:
+        Fields it reads, by keyword (``fuse=False``), folded into
+        ``options``.
     """
 
     def __init__(
         self,
-        mode: str = "batched",
+        options: Optional[RunOptions] = None,
         *,
-        fuse: bool = True,
-        max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
+        mode: str = "batched",
         plan_cache: Optional[PlanCache] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
-        threads: Optional[int] = None,
-        method: Optional[str] = None,
+        **overrides,
     ) -> None:
         if mode != "batched":
             raise ValueError(f"mode must be 'batched', got {mode!r}")
-        self.fuse = bool(fuse)
-        self.max_fused_qubits = int(max_fused_qubits)
+        self.options = options = RunOptions.fold(
+            options, overrides, "HierarchicalExecutor", ("strategy", "limit")
+        )
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.backend = resolve_backend(backend, threads)
-        self.method = resolve_method(method)
+        self.backend = resolve_backend(options.backend, options.threads)
+        self.method = resolve_method(options.method)
 
     def initial_state(
         self, circuit: QuantumCircuit
@@ -389,8 +371,8 @@ class HierarchicalExecutor:
                 part.gate_indices,
                 part.qubits,
                 structural_key=structural_key,
-                fuse=self.fuse,
-                max_fused_qubits=self.max_fused_qubits,
+                fuse=self.options.fuse,
+                max_fused_qubits=self.options.max_fused_qubits,
                 counters=cache_counters,
             )
             if any(isinstance(plan, Exception) for plan in plans):

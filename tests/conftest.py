@@ -28,6 +28,42 @@ SUITE_SMALL = [
     ("adder", 8),
 ]
 
+#: Manifest values of a valid key but the wrong type, as ``(scope, key,
+#: value)``: ``"option"`` sets a top-level runner option, ``"job"`` a
+#: field of the one job.  Each was run, truncated or escaped as a bare
+#: ``TypeError``; now each is a ``ValueError`` naming its key
+#: (:func:`manifest_refusal`), through every path a manifest takes.
+BAD_MANIFEST_VALUES = [
+    ("option", "fuse", "false"),
+    ("option", "max_fused_qubits", 2.5),
+    ("option", "threads", 1.5),
+    ("option", "max_fused_qubits", "3"),
+    ("option", "threads", "2"),
+    ("option", "workers", "2"),
+    ("option", "strategy", ["dagP"]),
+    ("option", "fuse", None),
+    ("job", "shots", 2.7),
+    ("job", "shots", True),
+    ("job", "seed", 2.5),
+    ("job", "state", "false"),
+]
+
+
+def bad_manifest(scope: str, key: str, value) -> dict:
+    """A one-job manifest (4-qubit QFT, id ``j``) with ``key`` set to
+    ``value`` at ``scope``: one :data:`BAD_MANIFEST_VALUES` case."""
+    job = {"id": "j", "circuit": {"generator": "qft", "qubits": 4}}
+    if scope == "job":
+        return {"jobs": [{**job, key: value}]}
+    return {key: value, "jobs": [job]}
+
+
+def manifest_refusal(scope: str, key: str, value) -> str:
+    """The start of the message refusing :func:`bad_manifest`."""
+    if scope == "job":
+        return f"job 'j': bad {key!r}"
+    return f"manifest option {key}={value!r} refused"
+
 
 def random_circuit(
     num_qubits: int,
@@ -271,7 +307,7 @@ def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
     )
     group = max(1, MIN_GEMM_COLUMNS >> (w - k))
     virtual = max(1, rows // group)
-    for lo, hi in _row_blocks(virtual, table.size, threads)[1]:
+    for lo, hi in _row_blocks(virtual, table.size, threads):
         lo, hi = lo * group, rows if hi == virtual else hi * group
         inner = state[table[lo:hi]]
         for op in plan.local_ops():
@@ -410,13 +446,13 @@ def shard_sweep_reference(
             working_set = AMP_BYTES << width
         else:
             working_set = shard_bytes
-        if engine.fuse:
+        if engine.options.fuse:
             ops = engine.plan_cache.get_or_compile(
                 circuit,
                 indices,
                 qubits,
                 fuse=True,
-                max_fused_qubits=min(engine.max_fused_qubits, max(width, 1)),
+                max_fused_qubits=engine.options.max_fused_qubits,
             ).ops
         else:
             ops = [circuit[g] for g in indices]

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 
+from conftest import BAD_MANIFEST_VALUES, bad_manifest, manifest_refusal
+
 PAPER_ARTEFACTS = ("table1", "table2", "table3", "table4", "fig5", "fig6",
                    "fig7", "fig8", "fig9", "fig10", "ilp", "threads")
 
@@ -293,6 +295,16 @@ class TestRefusalsAreOneLine:
             **option, "jobs": [{"circuit": {"generator": "qft", "qubits": 4}}],
         }))
         self._refused(["batch", str(manifest)], message, capsys)
+
+    @pytest.mark.parametrize("scope,key,value", BAD_MANIFEST_VALUES)
+    def test_batch_manifest_with_a_mistyped_value(self, scope, key, value,
+                                                  tmp_path, capsys):
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps(bad_manifest(scope, key, value)))
+        self._refused(["batch", str(manifest)],
+                      manifest_refusal(scope, key, value), capsys)
 
     def test_unreadable_batch_manifest(self, tmp_path, capsys):
         # Used to escape as FileNotFoundError / IsADirectoryError.

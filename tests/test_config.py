@@ -9,6 +9,8 @@ environment and that the manifest keys are derived from ``RunOptions``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import os
 import re
 
@@ -127,3 +129,89 @@ class TestRunOptions:
             BatchRunner(strategey="DFS")
         with pytest.raises(TypeError):  # no caller ever set it; removed
             BatchRunner(mode="literal")
+
+    @pytest.mark.parametrize("field,value", [
+        ("strategy", ["dagP"]),
+        ("limit", True),
+        ("limit", 2.0),
+        ("fuse", "false"),
+        ("fuse", 1),
+        ("max_fused_qubits", 2.5),
+        ("max_fused_qubits", "3"),
+        ("backend", 3),
+        ("threads", 1.5),
+        ("threads", "2"),
+        ("method", 1),
+    ])
+    def test_a_mistyped_field_is_a_value_error_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunOptions(**{field: value})
+
+    def test_integers_and_backends_of_any_kind_are_accepted(self):
+        import numpy as np
+
+        from repro.sv.backend import SerialBackend
+
+        backend = SerialBackend()
+        options = RunOptions(limit=np.int64(4), backend=backend)
+        assert options.limit == 4 and options.backend is backend
+
+
+#: The constructors that run with a ``RunOptions``, and the fields each
+#: refuses as an override because it does not read them.
+ENGINES = {
+    "HierarchicalExecutor": ("strategy", "limit"),
+    "HiSVSimEngine": ("strategy", "limit", "method"),
+    "BatchRunner": (),
+}
+
+
+def _engine(name):
+    """``name``'s constructor (the distributed one at 2 ranks)."""
+    from repro.dist import HiSVSimEngine
+    from repro.serve import BatchRunner
+    from repro.sv.hier import HierarchicalExecutor
+
+    return {
+        "HierarchicalExecutor": HierarchicalExecutor,
+        "HiSVSimEngine": functools.partial(HiSVSimEngine, 2),
+        "BatchRunner": BatchRunner,
+    }[name]
+
+
+class TestOneConfiguration:
+    """``RunOptions`` is the only place an execution option is declared:
+    the engines take one (or keyword overrides folded into one) and
+    restate none of its fields."""
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_no_constructor_restates_an_option(self, name):
+        params = inspect.signature(_engine(name)).parameters
+        assert "options" in params
+        assert not set(params) & set(RUN_OPTION_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_every_override_it_reads_is_folded(self, name):
+        make = _engine(name)
+        reads = [f for f in RUN_OPTION_FIELDS if f not in ENGINES[name]]
+        engine = make(fuse=False, max_fused_qubits=3, backend="serial",
+                      threads=1, **({"method": "dense"}
+                                    if "method" in reads else {}))
+        assert engine.options.fuse is False
+        assert engine.options.max_fused_qubits == 3
+        assert engine.options == make(options=engine.options).options
+
+    @pytest.mark.parametrize("name,field", [
+        (name, field) for name, unread in sorted(ENGINES.items())
+        for field in unread + ("strategey",)
+    ])
+    def test_an_override_it_does_not_read_is_a_type_error(self, name, field):
+        value = {"limit": 4, "method": "dense"}.get(field, "DFS")
+        with pytest.raises(TypeError, match=f"{name}.*'{field}'"):
+            _engine(name)(**{field: value})
+
+    def test_the_distributed_default_is_the_one_default(self):
+        from repro.dist import HiSVSimEngine
+
+        assert HiSVSimEngine(2).options == RunOptions()
+        assert HiSVSimEngine(2).options.fuse is True

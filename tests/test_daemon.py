@@ -39,6 +39,8 @@ from repro.serve import (
     results_to_manifest,
 )
 
+from conftest import BAD_MANIFEST_VALUES, bad_manifest, manifest_refusal
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -457,6 +459,19 @@ class TestProtocolErrors:
             daemon.port, "POST", "/jobs", payload=manifest
         )
         assert status == 400 and "max_fused_qubits=0" in payload["error"]
+
+    @pytest.mark.parametrize("scope,key,value", BAD_MANIFEST_VALUES)
+    def test_a_mistyped_value_is_a_400_naming_its_key(
+        self, daemon, scope, key, value
+    ):
+        status, payload, _ = request(
+            daemon.port, "POST", "/jobs",
+            payload=bad_manifest(scope, key, value),
+        )
+        assert status == 400
+        assert payload["error"].startswith(
+            manifest_refusal(scope, key, value)
+        )
 
     def test_restating_resolved_options_accepted(self, daemon):
         """Options are compared against what the runner resolved, so a

@@ -42,7 +42,13 @@ from repro.sv import (
     zero_state,
 )
 
-from conftest import full_unitary, random_circuit
+from conftest import (
+    BAD_MANIFEST_VALUES,
+    bad_manifest,
+    full_unitary,
+    manifest_refusal,
+    random_circuit,
+)
 
 
 def sweep_circuits(n=8, jobs=4, rounds=1):
@@ -355,13 +361,13 @@ class TestLimitHandling:
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_non_positive_max_fused_qubits_rejected(self, bad):
-        # Same typed error from the constructor and from a manifest's
-        # options; it used to be clamped to 1 at compile time.
+        # Same typed error from the constructor and from a manifest,
+        # which RunOptions checks as it loads; it used to be clamped to
+        # 1 at compile time.
         with pytest.raises(ValueError, match="max_fused_qubits must be >= 1"):
             BatchRunner(max_fused_qubits=bad)
-        _, options = load_manifest({"max_fused_qubits": bad, "jobs": []})
         with pytest.raises(ValueError, match="max_fused_qubits must be >= 1"):
-            BatchRunner(**options)
+            load_manifest({"max_fused_qubits": bad, "jobs": []})
 
     def test_none_limit_derives_default(self):
         report = BatchRunner(limit=None).run(
@@ -391,6 +397,15 @@ class TestLimitHandling:
             load_manifest({"limit": -3, "jobs": []})
         with pytest.raises(ValueError, match="limit"):
             load_manifest({"limit": "4", "jobs": []})
+
+    @pytest.mark.parametrize("scope,key,value", BAD_MANIFEST_VALUES)
+    def test_a_mistyped_manifest_value_is_refused(self, scope, key, value):
+        with pytest.raises(ValueError) as excinfo:
+            jobs, options = load_manifest(bad_manifest(scope, key, value))
+            BatchRunner(**options).run(jobs)
+        assert str(excinfo.value).startswith(
+            manifest_refusal(scope, key, value)
+        )
 
     def test_manifest_limit_null_and_valid(self):
         _, options = load_manifest({"limit": None, "jobs": []})

@@ -60,6 +60,7 @@ from repro.sv.layout import QubitLayout
 from repro.sv.simulator import StateVectorSimulator, random_state
 
 from conftest import scatter_reference
+from strategies import circuits
 
 
 @st.composite
@@ -318,6 +319,47 @@ class TestSocketDifferential:
             assert np.array_equal(
                 full.view(np.uint8), reference.view(np.uint8)
             ), f"rank {rank} diverged"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qc=circuits(min_qubits=3, max_qubits=7, three_qubit=True),
+        fuse=st.booleans(),
+        threads=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+    )
+    def test_property_narrow_shards_stay_bit_identical(
+        self, qc, fuse, threads, data
+    ):
+        # Shards as narrow as the widest op: a rank's own rows leave its
+        # GEMMs fewer than MIN_GEMM_COLUMNS columns, and the engine pads
+        # them so each rank rounds as the in-process run over all ranks.
+        n = qc.num_qubits
+        arity = max(len(g.qubits) for g in qc)
+        low = max(arity, n - 3)  # at most 8 ranks
+        local_bits = data.draw(
+            st.integers(low, min(low + 1, n)), label="local_bits"
+        )
+        num_ranks = 1 << (n - local_bits)
+        partition = get_partitioner("dagP").partition(
+            qc, data.draw(st.integers(arity, local_bits), label="limit")
+        )
+        start = random_state(n, seed=data.draw(st.integers(0, 99)))
+        options = dict(fuse=fuse, backend="threaded", threads=threads)
+        state, _ = HiSVSimEngine(num_ranks, **options).run(
+            qc, partition, initial_full=start
+        )
+
+        def worker(rank, transport):
+            engine = HiSVSimEngine(num_ranks, **options)
+            return engine.run(
+                qc, partition, initial_full=start, comm=transport
+            )[0].to_full()
+
+        reference = state.to_full()
+        for full in run_spmd(num_ranks, worker):
+            assert np.array_equal(
+                full.view(np.uint8), reference.view(np.uint8)
+            )
 
     @pytest.mark.parametrize("backend", ["serial", "threaded"])
     def test_backend_matrix(self, backend):

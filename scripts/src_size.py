@@ -10,9 +10,14 @@ Markdown table, so CI's docs job appends it to the job summary.
 Usage::
 
     python scripts/src_size.py [CHECKOUT]
+    python scripts/src_size.py --check [CHECKOUT]
 
 ``CHECKOUT`` (default: this one) is the root of the checkout to measure,
 so a parent commit's copy can be measured with the same script.
+``--check`` is the size ratchet: it prints the total beside the ceiling
+committed in ``scripts/src_ceiling.txt`` and exits 1 when the total is
+above it.  A change may lower the ceiling; one that must raise it says
+why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Dict, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
+CEILING = os.path.join(REPO, "scripts", "src_ceiling.txt")
 
 
 def count_lines(root: str = SRC) -> Dict[str, Tuple[int, int]]:
@@ -53,9 +59,24 @@ def knobs(root: str = SRC) -> Tuple[int, int]:
     return len(ENV), len(RUN_OPTION_FIELDS)
 
 
+def check(root: str = SRC, ceiling_file: str = CEILING) -> int:
+    """Exit status of the ratchet: 1 when ``root``'s total is above the
+    ceiling in ``ceiling_file``, else 0; prints both."""
+    lines = sum(n for _, n in count_lines(root).values())
+    with open(ceiling_file, encoding="utf-8") as fh:
+        ceiling = int(fh.read())
+    verdict = "above the ceiling" if lines > ceiling else "ok"
+    print(f"src/ is {lines} lines, ceiling {ceiling}: {verdict}")
+    return int(lines > ceiling)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    ratchet = "--check" in argv
+    argv = [a for a in argv if a != "--check"]
     root = os.path.join(argv[0], "src") if argv else SRC
+    if ratchet:
+        return check(root)
     sizes = count_lines(root)
     print("| package | files | lines |")
     print("|---|---:|---:|")

@@ -36,7 +36,6 @@ __all__ = [
     "MATRIX_CACHE_MAX",
     "make_gate",
     "controlled",
-    "reduce_controls",
     "is_unitary",
     "SQRT2_INV",
 ]
@@ -176,21 +175,6 @@ def _rzz(theta: float) -> np.ndarray:
     ph = np.exp(-1j * theta / 2)
     phc = np.exp(1j * theta / 2)
     return np.diag([ph, phc, phc, ph]).astype(np.complex128)
-
-
-def reduce_controls(matrix: np.ndarray, num_controls: int) -> np.ndarray:
-    """Strip leading control operands: the block where all controls are 1.
-
-    Inverse of :func:`controlled` (controls occupy the low bits).
-    """
-    if num_controls == 0:
-        return matrix.copy()
-    dim = matrix.shape[0]
-    cmask = (1 << num_controls) - 1
-    idx = np.array(
-        [i for i in range(dim) if (i & cmask) == cmask], dtype=np.int64
-    )
-    return matrix[np.ix_(idx, idx)].copy()
 
 
 def is_unitary(m: np.ndarray, atol: float = 1e-10) -> bool:
@@ -342,16 +326,8 @@ class Gate:
         return GATE_DEFS[self.name].num_controls
 
     @property
-    def control_qubits(self) -> Tuple[int, ...]:
-        return self.qubits[: self.num_controls]
-
-    @property
     def target_qubits(self) -> Tuple[int, ...]:
         return self.qubits[self.num_controls :]
-
-    def base_matrix(self) -> np.ndarray:
-        """Unitary on the targets alone (controls stripped)."""
-        return reduce_controls(gate_matrix(self.name, self.params), self.num_controls)
 
     def matrix(self) -> np.ndarray:
         return gate_matrix(self.name, self.params)

@@ -323,6 +323,7 @@ def _dist_worker(args) -> int:
     model — any byte of disagreement is a non-zero exit.
     """
     import json
+    import socket
 
     import numpy as np
 
@@ -335,17 +336,34 @@ def _dist_worker(args) -> int:
     if not 0 <= args.rank < args.ranks:
         print(f"rank {args.rank} out of range for {args.ranks} ranks")
         return 2
+    spmd = args.transport == "socket"
+    host, port = args.rendezvous
+    if spmd and port == 0 and args.rank != 0:
+        print(f"rank {args.rank} needs rank 0's rendezvous port, not 0")
+        return 2
     options = _run_options(args)
     qc = generators.build(args.circuit, args.qubits)
     # Before any peer is contacted: a bad rank count cannot mesh.
     comm = SimComm(args.ranks)
     local_bits = comm.local_bits(qc.num_qubits)
+    arity = max((gate.num_qubits for gate in qc), default=0)
+    if local_bits < arity:
+        print(f"{args.ranks} ranks leave {local_bits} local qubits of "
+              f"{qc.num_qubits}, but the widest gate acts on {arity}")
+        return 2
     limit = options.limit or default_limit(qc.num_qubits, cap=local_bits)
     partition = get_partitioner(options.strategy).partition(qc, limit)
 
-    spmd = args.transport == "socket"
     if spmd:
-        comm = SocketTransport.connect(args.rank, args.ranks, args.rendezvous)
+        listener = None
+        if port == 0:  # rank 0 binds an ephemeral port and says which
+            listener = socket.create_server((host, 0), backlog=args.ranks)
+            port = listener.getsockname()[1]
+            print(json.dumps({"rendezvous": f"{host}:{port}"}), flush=True)
+        comm = SocketTransport.connect(
+            args.rank, args.ranks, args.rendezvous,
+            rendezvous_listener=listener,
+        )
     try:
         engine = HiSVSimEngine(args.ranks, options=options)
         state, report = engine.run(qc, partition, comm=comm)
@@ -572,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="total rank count (power of two)")
     p_dw.add_argument("--rendezvous", type=_rendezvous, default=":",
                       help="HOST:PORT of rank 0's rendezvous listener "
-                           "(default: REPRO_DIST_HOST:REPRO_DIST_PORT)")
+                           "(default: REPRO_DIST_HOST:REPRO_DIST_PORT); "
+                           "port 0 makes rank 0 bind a free port and print "
+                           "it first, as {\"rendezvous\": \"HOST:PORT\"}")
     p_dw.add_argument("--circuit", required=True,
                       help="generator name (see `repro circuit`)")
     p_dw.add_argument("--qubits", type=int, default=10)

@@ -5,9 +5,10 @@ the state moves to that part's layout in
 :func:`~repro.dist.exchange.remap_schedule` (exactly the missing
 working-set qubits swapped into local positions, evicting residents the
 next part does not need).  After that staging step a part is an
-ordinary part of the rows held here: it runs through the one copy of
-Algorithm 1, :meth:`~repro.sv.backend.ExecutionBackend.run_plan`, with
-its plan renamed to the positions its qubits now hold.  Communication is
+ordinary part of the rows held here: it runs through
+:meth:`~repro.dist.state.DistributedStateVector.run_plan`, the part
+runner the IQS baseline uses too, with its plan renamed to the positions
+its qubits now hold.  Communication is
 therefore proportional to the number of parts — the quantity the dagP
 partitioner minimises — rather than to the number of gates on high
 qubits, which is the IQS baseline's cost.
@@ -33,9 +34,8 @@ from ..partition.multilevel import MultilevelPartition
 from ..runtime.comm import SimComm
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 from ..runtime.metrics import ComputeStats, RunReport
-from ..sv.backend import _gemm_columns, resolve_backend
+from ..sv.backend import resolve_backend
 from ..sv.fusion import PlanCache
-from ..sv.kernels import MIN_GEMM_COLUMNS
 from ._cost import charge_gate
 from .exchange import remap_schedule
 from .state import AMP_BYTES, open_run
@@ -47,11 +47,9 @@ class HiSVSimEngine:
     """Simulated multi-node execution of an acyclic partition.
 
     One layout exchange per part (instead of per gate), then one
-    ``backend.run_plan`` over the rows held here — every rank's shard in
-    process (``num_qubits = n``), this rank's one row on a socket rank
-    (``num_qubits = local_bits``) — with the part's plan renamed to
-    layout positions.  That is the paper's core claim, with byte-exact
-    communication accounting on ``report``.
+    ``state.run_plan`` over the rows held here — every rank's shard in
+    process, this rank's one row on a socket rank.  That is the paper's
+    core claim, with byte-exact communication accounting on ``report``.
 
     >>> import numpy as np
     >>> from repro.circuits.generators import qft
@@ -240,25 +238,6 @@ class HiSVSimEngine:
             if not self.dry_run:
                 # After ``remap`` the group's qubits sit at local
                 # positions, so it is an ordinary part of the rows held
-                # here: all ranks' shards in process, one on a socket rank.
-                self._run_held(
-                    plan.relabel(map(state.layout.position, plan.qubits)),
-                    state.shards.reshape(-1),
-                )
+                # here.
+                state.run_plan(plan, self.backend)
         return seconds
-
-    def _run_held(self, plan, flat: np.ndarray) -> None:
-        """``backend.run_plan`` over ``flat``, the rows held here, padded
-        with zero rows to ``MIN_GEMM_COLUMNS`` columns of the widest op
-        if narrower: a socket rank's lone shard then takes the kernels
-        (no BLAS edge kernel, no scalar loop) and bits of the in-process
-        run over every rank's shard."""
-        width = flat.size.bit_length() - 1
-        grow = MIN_GEMM_COLUMNS // _gemm_columns(plan, width)
-        if grow <= 1:
-            self.backend.run_plan(plan, flat, width)
-            return
-        padded = np.zeros(flat.size * grow, dtype=flat.dtype)
-        padded[: flat.size] = flat
-        self.backend.run_plan(plan, padded, width + grow.bit_length() - 1)
-        flat[:] = padded[: flat.size]

@@ -8,12 +8,18 @@ which is the per-gate communication HiSVSIM's per-part remapping avoids.
 
 Two published Intel-QS optimisations are modelled as toggles:
 
-* ``control_fastpath`` — a rank-resident *control* never moves: ranks
-  whose address bit is 0 are spectators, the rest apply the reduced gate.
-  Only targets are swapped in.
-* ``diagonal_fastpath`` — diagonal gates multiply every amplitude by a
-  factor of its own basis index, so they execute with no communication
-  regardless of operand residency.
+* ``control_fastpath`` — a rank-resident *control* never moves; only
+  targets are swapped in.
+* ``diagonal_fastpath`` — a diagonal gate multiplies every amplitude by
+  a factor of its own basis index, so nothing is swapped in.
+
+The fast paths decide layouts, not kernels: each gate then runs as a
+one-gate plan through ``DistributedStateVector.run_plan``, the part
+runner :class:`~repro.dist.hisvsim.HiSVSimEngine` uses.  An
+operand left on a rank bit is a high bit of the rows held in process:
+the strided lane's control peel touches only the control-1 slices (the
+active ranks) and a diagonal op multiplies in place.  Staging is the
+only thing that tells the baseline apart.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from typing import Optional
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..circuits.gates import Gate, controlled
 from ..runtime.comm import SimComm
 from ..runtime.machine import FRONTERA_LIKE, MachineModel
 from ..runtime.metrics import ComputeStats, RunReport
 from ..sv.backend import shared_backend
+from ..sv.fusion import compile_part
 from ..sv.layout import QubitLayout
 from ._cost import charge_gate
 from .exchange import swap_qubit_positions
-from .state import AMP_BYTES, DistributedStateVector, open_run
+from .state import AMP_BYTES, open_run
 
 __all__ = ["IQSEngine"]
 
@@ -81,9 +87,8 @@ class IQSEngine:
         """Execute ``circuit`` gate by gate; returns ``(state, report)``.
 
         ``comm`` injects the communicator (stats reset at the start);
-        it must be an *in-process* comm — the baseline's per-gate
-        swap-in/swap-out bookkeeping models a static mapping and is not
-        wired for SPMD socket transports (use
+        it must be an *in-process* comm: a socket rank does not hold an
+        operand the fast paths leave on a rank bit (use
         :class:`~repro.dist.hisvsim.HiSVSimEngine` for real multi-
         process runs).
         """
@@ -101,7 +106,8 @@ class IQSEngine:
 
         compute = ComputeStats()
         comp_seconds = 0.0
-        for gate in circuit:
+        backend = shared_backend("serial")
+        for i, gate in enumerate(circuit):
             if gate.num_qubits > local_bits:
                 raise ValueError(
                     f"gate {gate.name} needs {gate.num_qubits} operands but "
@@ -111,14 +117,11 @@ class IQSEngine:
                 self.machine, compute, gate, local_bits, shard_bytes
             )
             if self.diagonal_fastpath and gate.is_diagonal:
-                if not self.dry_run:
-                    state.apply_diagonal_global(gate)
-                continue
-            required = (
-                gate.target_qubits
-                if self.control_fastpath and gate.num_controls
-                else gate.qubits
-            )
+                required = ()
+            elif self.control_fastpath:
+                required = gate.target_qubits
+            else:
+                required = gate.qubits
             swapped_in = [q for q in required if q >= local_bits]
             if swapped_in:
                 operands = set(gate.qubits)
@@ -129,11 +132,12 @@ class IQSEngine:
                 for high, low in zip(swapped_in, scratch):
                     layout = swap_qubit_positions(layout, high, low)
                 state.remap(layout)
-                if not self.dry_run:
-                    self._apply(state, gate)
-                state.remap(identity)
-            elif not self.dry_run:
-                self._apply(state, gate)
+            if not self.dry_run:
+                state.run_plan(
+                    compile_part(circuit, [i], gate.qubits, fuse=False),
+                    backend,
+                )
+            state.remap(identity)
         state.release_spare()
 
         comm_seconds = self.machine.exchange_time(
@@ -154,40 +158,3 @@ class IQSEngine:
             compute=compute,
         )
         return state, report
-
-    # -- internals ----------------------------------------------------------
-
-    def _apply(self, state: DistributedStateVector, gate: Gate) -> None:
-        """Apply a (non-fastpathed-diagonal) gate under the current layout."""
-        layout = state.layout
-        local_bits = state.local_bits
-        if not (self.control_fastpath and gate.num_controls):
-            state.apply_gate_local(gate)
-            return
-        process_controls = [
-            q for q in gate.control_qubits
-            if layout.position(q) >= local_bits
-        ]
-        local_controls = [
-            q for q in gate.control_qubits
-            if layout.position(q) < local_bits
-        ]
-        if not process_controls:
-            state.apply_gate_local(gate)
-            return
-        # Rank-resident controls select the participating ranks; the rest
-        # of the gate (surviving controls + targets) applies locally.
-        ranks = np.arange(state.comm.num_ranks, dtype=np.int64)
-        active = np.ones(ranks.size, dtype=bool)
-        for q in process_controls:
-            active &= ((ranks >> (layout.position(q) - local_bits)) & 1) == 1
-        if not np.any(active):
-            return
-        matrix = controlled(gate.base_matrix(), len(local_controls))
-        operands = list(local_controls) + list(gate.target_qubits)
-        positions = [layout.position(q) for q in operands]
-        sub = state.shards[active]
-        shared_backend("serial").apply_matrix_rows(
-            sub, matrix, positions, local_bits
-        )
-        state.shards[active] = sub

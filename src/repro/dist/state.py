@@ -13,6 +13,9 @@ position-to-position permutation between the two layouts.  Sharding a
 full vector and gathering one back are the same kind of permutation
 (:func:`~repro.sv.layout.permuted_view`), from and to the identity
 layout, so nothing here builds an index array.
+:meth:`DistributedStateVector.run_plan` is the one way either engine
+runs gates on the shards: the engines' layouts (and the IQS fast paths)
+decide where qubits sit, never which kernel runs.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..runtime.comm import SimComm
-from ..sv.backend import shared_backend
-from ..sv.kernels import apply_matrix_batched, check_operands
+from ..sv.backend import _gemm_columns, shared_backend
+from ..sv.kernels import MIN_GEMM_COLUMNS, check_operands
 from ..sv.layout import QubitLayout, permuted_view
 from .analytic import exchange_step_stats
 from .transport import AMP_BYTES
@@ -230,57 +233,50 @@ class DistributedStateVector(LayoutOnlyState):
 
     # -- local computation ----------------------------------------------------
 
-    def apply_local_matrix(
-        self, matrix: np.ndarray, qubits, diagonal=False, backend=None
-    ) -> None:
-        """Apply a unitary whose operands are all locally resident.
+    def run_plan(self, plan, backend) -> None:
+        """Run a compiled part ``plan`` on the rows held here: every
+        rank's shard in process, this rank's one row on a socket rank.
 
-        ``backend`` (an :class:`~repro.sv.backend.ExecutionBackend`)
-        chooses where the shard sweep runs; rank rows are independent,
-        so the backend's block rule splits them block-wise.  ``None`` is
-        the shared serial backend.
+        The one way either engine runs gates.  The plan is renamed to
+        the positions its qubits hold now and swept by
+        ``backend.run_plan`` as one ``2^width`` state.  In process an
+        operand on a rank bit is just a high bit of that state.  Rows
+        narrower than ``MIN_GEMM_COLUMNS`` columns of the widest op run
+        zero-padded: a socket rank's lone shard then takes the kernels
+        (no BLAS edge kernel, no scalar loop) and bits of the in-process
+        run over every rank's shard.
         """
-        check_operands(qubits, self.num_qubits)
-        positions = [self.layout.position(q) for q in qubits]
+        flat = self.shards.reshape(-1)
+        width = flat.size.bit_length() - 1  # n, or local_bits on one rank
+        plan = plan.relabel(map(self.layout.position, plan.qubits))
+        grow = MIN_GEMM_COLUMNS // _gemm_columns(plan, width)
+        if grow <= 1:
+            backend.run_plan(plan, flat, width)
+            return
+        padded = np.zeros(flat.size * grow, dtype=flat.dtype)
+        padded[: flat.size] = flat
+        backend.run_plan(plan, padded, width + grow.bit_length() - 1)
+        flat[:] = padded[: flat.size]
+
+    # The perf harness's shard entry (``benchmarks/perf``); delete it
+    # once the harness runs parts through :meth:`run_plan`.
+    def apply_gate_local(self, gate, backend=None) -> None:
+        """Apply ``gate`` (``matrix()``, ``qubits``, ``is_diagonal``)
+        whose operands are all local to every row held here, through
+        ``backend.apply_matrix_rows`` (``None``: the shared serial
+        backend)."""
+        check_operands(gate.qubits, self.num_qubits)
+        positions = [self.layout.position(q) for q in gate.qubits]
         if any(p >= self.local_bits for p in positions):
             raise ValueError(
-                f"operands {tuple(qubits)} are not all local under the "
-                f"current layout"
+                f"operands {tuple(gate.qubits)} are not all local under "
+                f"the current layout"
             )
         if backend is None:
             backend = shared_backend("serial")
         backend.apply_matrix_rows(
-            self.shards, matrix, positions, self.local_bits, diagonal=diagonal
-        )
-
-    def apply_gate_local(self, gate, backend=None) -> None:
-        """Apply a :class:`~repro.circuits.gates.Gate` with local operands."""
-        self.apply_local_matrix(
-            gate.matrix(), gate.qubits, gate.is_diagonal, backend=backend
-        )
-
-    def apply_diagonal_global(self, gate) -> None:
-        """Apply a diagonal gate regardless of operand residency.
-
-        Diagonal gates multiply each amplitude by a factor of its own
-        basis index, so rank-resident operand bits need no exchange —
-        the communication-free fast path of the IQS baseline.
-
-        The rows held here are one ``(2,)*width`` tensor (every rank's
-        under an in-process comm); an operand stored in this process's
-        own rank bits is a constant, so its diagonal entries are picked
-        and the rest is the ordinary diagonal kernel.
-        """
-        width = self.shards.size.bit_length() - 1  # n, or l on one rank
-        positions = [self.layout.position(q) for q in gate.qubits]
-        pick = tuple(
-            (self.comm.rank >> (p - width)) & 1 if p >= width else slice(None)
-            for p in reversed(positions)  # first operand = last diag axis
-        )
-        diag = np.diag(gate.matrix()).reshape((2,) * len(positions))[pick]
-        apply_matrix_batched(
-            self.shards.reshape(1, -1), np.diag(diag.reshape(-1)),
-            [p for p in positions if p < width], width, diagonal=True,
+            self.shards, gate.matrix(), positions, self.local_bits,
+            diagonal=gate.is_diagonal,
         )
 
 

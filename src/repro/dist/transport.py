@@ -272,12 +272,12 @@ class SocketTransport(SimComm):
     ) -> "SocketTransport":
         """Rendezvous at rank 0 and build the full TCP mesh.
 
-        Rank 0 listens at ``rendezvous`` (or on the pre-bound
-        ``rendezvous_listener``, for harnesses that must pick an
-        ephemeral port first); other ranks register their data-listener
-        address there and receive the full address map back.  Mesh
-        convention: the higher rank connects to the lower rank's data
-        listener and introduces itself with a rank frame.
+        Rank 0 listens at ``rendezvous`` (or on ``rendezvous_listener``,
+        pre-bound to an ephemeral port and closed with the rendezvous);
+        other ranks register their data-listener address there and
+        receive the full address map back.  Mesh convention: the higher
+        rank connects to the lower rank's data listener and introduces
+        itself with a rank frame.
         """
         if timeout is None:
             timeout = env("REPRO_DIST_TIMEOUT")
@@ -321,8 +321,7 @@ class SocketTransport(SimComm):
         """Collect (rank 0) or register (others) data addresses."""
         host = rendezvous[0]
         if rank == 0:
-            own_listener = listener is None
-            if own_listener:
+            if listener is None:
                 listener = socket.socket()
                 listener.setsockopt(
                     socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
@@ -367,8 +366,7 @@ class SocketTransport(SimComm):
             finally:
                 for _, conn in conns:
                     conn.close()
-                if own_listener:
-                    listener.close()
+                listener.close()
             return addresses
         sock = _connect_with_retry(
             rendezvous, timeout, retries, backoff, rank, "rendezvous"

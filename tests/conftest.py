@@ -465,6 +465,62 @@ def shard_sweep_reference(
     return seconds
 
 
+def iqs_reference_apply(engine, state, gate, keep_diagonal=True) -> None:
+    """Oracle for how ``IQSEngine`` runs one gate on an in-process
+    ``state`` under its current layout: its own kernels as first
+    written, before every gate became a one-gate plan through
+    ``state.run_plan``.
+
+    * Diagonal fast path: one diagonal multiply over the flat state,
+      whatever bits the operands sit on.
+    * Control fast path, a control on a rank bit: the ranks whose
+      control bits are all 1 apply the gate with those controls
+      stripped (the rest are spectators), over a fancy-indexed copy of
+      their rows written back.
+    * Otherwise every operand is local: one shard-matrix sweep.
+
+    ``keep_diagonal=False`` is the old engine exactly: its stripped gate
+    lost the diagonal flag, so a diagonal gate with a control on a rank
+    bit (diagonal fast path off) ran as a dense GEMM, which rounds up
+    to one ulp apart from the in-place multiply ``run_plan`` makes.
+    ``True`` keeps the flag, the one departure from the old kernels.
+    """
+    from repro.circuits.gates import controlled
+    from repro.sv.backend import shared_backend
+    from repro.sv.kernels import apply_matrix_batched
+
+    layout, local_bits = state.layout, state.local_bits
+    positions = [layout.position(q) for q in gate.qubits]
+    if engine.diagonal_fastpath and gate.is_diagonal:
+        apply_matrix_batched(
+            state.shards.reshape(1, -1), np.diag(np.diag(gate.matrix())),
+            positions, state.num_qubits, diagonal=True,
+        )
+        return
+    c = gate.num_controls
+    process = [i for i in range(c) if positions[i] >= local_bits]
+    if not (engine.control_fastpath and process):
+        state.apply_gate_local(gate)
+        return
+    ranks = np.arange(state.comm.num_ranks, dtype=np.int64)
+    active = np.ones(ranks.size, dtype=bool)
+    for i in process:
+        active &= ((ranks >> (positions[i] - local_bits)) & 1) == 1
+    if not np.any(active):
+        return
+    full, mask = gate.matrix(), (1 << c) - 1
+    keep = [j for j in range(len(full)) if j & mask == mask]
+    local = [i for i in range(c) if i not in process]
+    matrix = controlled(full[np.ix_(keep, keep)], len(local))
+    operands = local + list(range(c, gate.num_qubits))
+    sub = state.shards[active]
+    shared_backend("serial").apply_matrix_rows(
+        sub, matrix, [positions[i] for i in operands], local_bits,
+        diagonal=keep_diagonal and gate.is_diagonal,
+    )
+    state.shards[active] = sub
+
+
 def scatter_reference(shards: np.ndarray, sigma):
     """Elementwise oracle for the bit-permutation exchange ``sigma``.
 

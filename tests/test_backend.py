@@ -231,8 +231,9 @@ class TestSerialThreadedBitwiseUnpatched:
     @pytest.mark.parametrize("threads", [2, 3, 4])
     def test_iqs_shard_sweeps_with_and_without_backend(self, threads):
         # Every operand local (4 ranks, 15 local qubits of 17): an IQS run
-        # is one apply_gate_local per gate, through the shared serial
-        # backend; the replay hands each sweep a threaded backend.
+        # is one one-gate plan per gate through ``state.run_plan`` on the
+        # shared serial backend; the replay runs each gate through the
+        # shard entry ``apply_gate_local`` on a threaded backend.
         n = 17
         qc = random_circuit(15, 50, seed=11)
         wide = QuantumCircuit(n)

@@ -252,7 +252,12 @@ class TestRefusalsAreOneLine:
          "touches 2 qubits; cannot fit limit 1"),
         (["cut", "qft", "--qubits", "6", "--max-width", "1"],
          "max_width"),
-    ], ids=["simulate", "dist-worker", "cut"])
+        # 8 ranks leave a 3-qubit register no local qubit; no limit was
+        # set, so the refusal must not blame one.
+        (["dist-worker", "--rank", "0", "--ranks", "8", "--circuit", "qft",
+          "--qubits", "3", "--transport", "recording"],
+         "8 ranks leave 0 local qubits of 3, but the widest gate acts on 2"),
+    ], ids=["simulate", "dist-worker", "cut", "dist-worker-ranks"])
     def test_unplaceable_circuit(self, argv, message, capsys):
         self._refused(argv, message, capsys)
 

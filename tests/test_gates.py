@@ -14,7 +14,6 @@ from repro.circuits.gates import (
     gate_matrix,
     is_unitary,
     make_gate,
-    reduce_controls,
     shared_gate_matrix,
 )
 
@@ -151,19 +150,6 @@ class TestControlled:
             assert is_unitary(controlled(base, 1))
             assert is_unitary(controlled(base, 2))
 
-    def test_reduce_controls_roundtrip(self):
-        for name in ("x", "h", "rz"):
-            base = gate_matrix(name, _params_for(name))
-            for c in (1, 2):
-                assert np.allclose(reduce_controls(controlled(base, c), c), base)
-
-    def test_reduce_zero_controls_is_copy(self):
-        m = gate_matrix("h")
-        r = reduce_controls(m, 0)
-        assert np.allclose(r, m)
-        r[0, 0] = 5
-        assert m[0, 0] != 5
-
     def test_negative_controls_rejected(self):
         with pytest.raises(ValueError):
             controlled(gate_matrix("x"), -1)
@@ -175,12 +161,7 @@ class TestGateInstance:
         assert g.qubits == (3, 1)
         assert g.num_qubits == 2
         assert g.num_controls == 1
-        assert g.control_qubits == (3,)
         assert g.target_qubits == (1,)
-
-    def test_base_matrix_of_controlled(self):
-        g = make_gate("crz", [0, 1], [0.5])
-        assert np.allclose(g.base_matrix(), gate_matrix("rz", (0.5,)))
 
     def test_wrong_operand_count(self):
         with pytest.raises(ValueError):

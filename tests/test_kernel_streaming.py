@@ -18,17 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
-from repro.circuits.gates import make_gate
-from repro.dist import DistributedStateVector
 from repro.dist.hisvsim import HiSVSimEngine
 from repro.dist.transport import run_spmd
 from repro.partition import get_partitioner
-from repro.runtime.comm import SimComm
 from repro.sv.backend import SerialBackend, ThreadedBackend
 from repro.sv.fusion import FusedGate
 from repro.sv.kernels import BLOCK_ELEMENTS, apply_matrix, apply_matrix_batched
-from repro.sv.layout import QubitLayout
-from repro.sv.simulator import random_state
 
 
 def one_pass(rows, matrix, positions, width, diagonal):
@@ -126,8 +121,7 @@ def _check_every_entry_point(backends, case):
             )
 
 
-# The zero-operand diagonal is what ``apply_diagonal_global`` sends when
-# every operand of a gate sits on this rank's bits: a scalar factor.
+# A zero-operand diagonal is a scalar factor.
 @settings(max_examples=60, deadline=None)
 @given(case=ops(17))
 @example(case=(16, 1, (), True, 0))
@@ -155,30 +149,6 @@ def test_property_every_entry_point_matches_one_pass_small_blocks(
     backends, small_blocks, case
 ):
     _check_every_entry_point(backends, case)
-
-
-def test_diagonal_on_rank_bits_of_a_wide_socket_rank():
-    # rz on qubit 0, stored in the rank bit: a socket rank sends its
-    # 2^16-amplitude row a zero-operand diagonal (one scalar factor);
-    # crz(0, 1) leaves one operand, at the bottom bit, to stream.
-    n = 17
-    initial = random_state(n, seed=6)
-    layout = QubitLayout(list(range(1, n)) + [0])  # position -> qubit
-    gates = [make_gate("rz", [0], (0.7,)), make_gate("crz", [0, 1], (1.1,))]
-
-    def run(comm):
-        state = DistributedStateVector.from_full(initial, comm, layout)
-        for gate in gates:
-            state.apply_diagonal_global(gate)
-        return state.to_full()
-
-    reference = run(SimComm(2))
-    expected = initial.copy()
-    for gate in gates:
-        apply_matrix(expected, gate.matrix(), gate.qubits, n, diagonal=True)
-    assert np.allclose(reference, expected, atol=1e-12)
-    for full in run_spmd(2, lambda rank, comm: run(comm)):
-        assert same_bytes(full, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -196,15 +196,18 @@ class TestOperandChecks:
     def test_local_matrix_on_an_unknown_or_repeated_qubit(self):
         from repro.dist import DistributedStateVector
         from repro.runtime.comm import SimComm
+        from repro.sv.fusion import FusedGate
 
         state = DistributedStateVector.from_full(random_state(4, 5), SimComm(2))
         before = state.shards.copy()
         cx = gate_matrix("cx", ())
-        # An unknown qubit used to be a bare IndexError from the layout.
+        # An unknown qubit used to be a bare IndexError from the layout;
+        # a Gate refuses a repeated operand itself, so a fused op (the
+        # perf harness's argument) carries it.
         with pytest.raises(ValueError, match=r"operands \(9,\) of \(0, 9\)"):
-            state.apply_local_matrix(cx, (0, 9))
+            state.apply_gate_local(FusedGate((0, 9), cx, False))
         with pytest.raises(ValueError, match=r"duplicate operands in \(1, 1\)"):
-            state.apply_local_matrix(cx, (1, 1))
+            state.apply_gate_local(FusedGate((1, 1), cx, False))
         assert np.array_equal(state.shards.view(np.uint8), before.view(np.uint8))
 
 

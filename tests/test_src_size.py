@@ -33,3 +33,18 @@ def test_total_is_a_direct_count(capsys):
     out = capsys.readouterr().out
     assert f"| **total** | {files} | {lines} |" in out
 
+
+
+def test_total_is_within_the_committed_ceiling(capsys):
+    assert src_size.main(["--check"]) == 0
+    assert capsys.readouterr().out.endswith(": ok\n")
+
+
+def test_a_total_above_the_ceiling_fails(tmp_path, capsys):
+    lines = sum(n for _, n in src_size.count_lines().values())
+    ceiling = tmp_path / "ceiling.txt"
+    ceiling.write_text(f"{lines - 1}\n")
+    assert src_size.check(ceiling_file=str(ceiling)) == 1
+    assert "above the ceiling" in capsys.readouterr().out
+    ceiling.write_text(f"{lines}\n")
+    assert src_size.check(ceiling_file=str(ceiling)) == 0

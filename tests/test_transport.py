@@ -22,6 +22,7 @@ The oracle for what an exchange moves and counts is the elementwise
 ``scatter_reference`` in ``conftest.py``.
 """
 
+import json
 import os
 import socket
 import struct
@@ -36,7 +37,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators
-from repro.circuits.gates import make_gate
 from repro.config import env
 from repro.dist import (
     DistributedStateVector,
@@ -55,7 +55,6 @@ from repro.dist.transport import (
 )
 from repro.partition import get_partitioner
 from repro.runtime.comm import SimComm
-from repro.sv.kernels import apply_circuit
 from repro.sv.layout import QubitLayout
 from repro.sv.simulator import StateVectorSimulator, random_state
 
@@ -380,27 +379,6 @@ class TestSocketDifferential:
                 full.view(np.uint8), reference.view(np.uint8)
             )
 
-    def test_diagonal_gate_on_rank_bits_needs_no_exchange(self):
-        # Operands stored in rank bits are constants on a socket rank.
-        gates = [make_gate("rzz", [0, 4], (0.7,)),
-                 make_gate("crz", [3, 1], (1.1,)),
-                 make_gate("cz", [3, 4])]
-        initial = random_state(5, seed=2)
-        layout = QubitLayout([1, 0, 2, 4, 3])
-
-        def run(comm):
-            state = DistributedStateVector.from_full(initial, comm, layout)
-            for gate in gates:
-                state.apply_diagonal_global(gate)
-            return state.to_full(), comm.stats.steps
-
-        reference, _ = run(SimComm(4))
-        expected = apply_circuit(initial.copy(), gates, 5)
-        assert np.allclose(reference, expected, atol=1e-12)
-        for full, steps in run_spmd(4, lambda rank, comm: run(comm)):
-            assert steps == 0
-            assert bitwise_equal(full, reference)
-
     def test_matches_flat_simulator(self):
         qc, _, fulls, _, _ = spmd_engine_run(4, "adder", 6)
         sim = StateVectorSimulator(6)
@@ -451,15 +429,17 @@ class TestDistWorkerCLI:
     """Two real OS processes through `repro dist-worker`."""
 
     def test_two_process_run(self, tmp_path):
-        port = _free_port()
+        # Rank 0 binds an ephemeral rendezvous port itself and prints it
+        # first, so no port is released between picking and binding it.
         env = dict(os.environ, PYTHONPATH=_src_path())
         out = tmp_path / "rank0.npy"
         procs = []
+        rendezvous = "127.0.0.1:0"
         for rank in range(2):
             cmd = [
                 sys.executable, "-m", "repro.cli", "dist-worker",
                 "--rank", str(rank), "--ranks", "2",
-                "--rendezvous", f"127.0.0.1:{port}",
+                "--rendezvous", rendezvous,
                 "--circuit", "qft", "--qubits", "6",
             ]
             if rank == 0:
@@ -468,10 +448,15 @@ class TestDistWorkerCLI:
                 cmd, env=env,
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             ))
+            if rank == 0:
+                first = json.loads(procs[0].stdout.readline())
+                rendezvous = first["rendezvous"]
+                assert rendezvous.startswith("127.0.0.1:")
+                assert not rendezvous.endswith(":0")
         for rank, proc in enumerate(procs):
             stdout, stderr = proc.communicate(timeout=120)
             assert proc.returncode == 0, (rank, stdout, stderr)
-            assert '"verified": true' in stdout
+            assert json.loads(stdout.strip().splitlines()[-1])["verified"]
 
         qc = generators.build("qft", 6)
         partition = get_partitioner("dagP").partition(qc, 3)
@@ -491,6 +476,20 @@ class TestDistWorkerCLI:
         )
         assert result.returncode == 2
         assert "out of range" in result.stdout
+
+    def test_port_zero_is_for_rank_0_only(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "dist-worker",
+             "--rank", "1", "--ranks", "2", "--rendezvous", "127.0.0.1:0",
+             "--circuit", "qft", "--qubits", "4"],
+            env=dict(os.environ, PYTHONPATH=_src_path()),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout.splitlines() == [
+            "rank 1 needs rank 0's rendezvous port, not 0"
+        ]
+        assert result.stderr == ""
 
 
 class TestFaultInjection:

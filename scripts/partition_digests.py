@@ -10,7 +10,8 @@ scales and three limits, and four non-default configurations.
 
     PYTHONPATH=src python scripts/partition_digests.py --write   # parent tree
     PYTHONPATH=src python scripts/partition_digests.py --check   # exit 1 on a diff
-    PYTHONPATH=src python scripts/partition_digests.py --time [--cases deep/]
+    PYTHONPATH=src python scripts/partition_digests.py --time [--cases deep/] \
+        [--repeat N]
 
 ``--write`` belongs to the commit *before* a partitioner change;
 ``tests/test_dagp_golden.py`` is ``--check`` in tier 1.
@@ -23,6 +24,7 @@ import importlib.util
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from typing import Callable, Dict, Iterator, List, Tuple
@@ -154,26 +156,30 @@ PHASES = (
 )
 
 
-def time_phases(prefix: str = "") -> Tuple[float, int, List[Tuple[str, int, float]]]:
-    """One sweep over the :func:`cases` whose key starts with ``prefix``,
-    every phase wrap-timed.
+def time_phases(
+    prefix: str = "", repeat: int = 1
+) -> Tuple[float, int, List[Tuple[str, int, float]]]:
+    """``repeat`` sweeps over the :func:`cases` whose key starts with
+    ``prefix``, every phase wrap-timed in CPU seconds of this process.
 
-    Returns ``(total seconds, cases, [(label, calls, seconds) ...])``;
-    the wrappers cost ~0.2 us a call, so the total reads a few percent
-    above an untimed sweep.
+    Returns ``(total seconds, cases, [(label, calls, seconds) ...])``,
+    each a median over the sweeps (calls are per sweep); the wrappers
+    cost ~0.2 us a call, so the total reads a few percent above an
+    untimed sweep.
     """
-    stats = {label: [0, 0.0] for label, _, _ in PHASES}
+    sweeps = []
     saved = []
+    stats: Dict[str, List] = {}
 
     def wrap(label: str, fn: Callable) -> Callable:
         def timed(*args, **kwargs):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
                 cell = stats[label]
                 cell[0] += 1
-                cell[1] += time.perf_counter() - t0
+                cell[1] += time.process_time() - t0
 
         return timed
 
@@ -187,14 +193,21 @@ def time_phases(prefix: str = "") -> Tuple[float, int, List[Tuple[str, int, floa
         setattr(owner, attr, wrapped)
     try:
         todo = [case for case in cases() if case[0].startswith(prefix)]
-        t0 = time.perf_counter()
-        for _, qc, limit, kwargs in todo:
-            DagPPartitioner(**kwargs).partition(qc, limit)
-        total = time.perf_counter() - t0
+        for _ in range(repeat):
+            stats.update({label: [0, 0.0] for label, _, _ in PHASES})
+            t0 = time.process_time()
+            for _, qc, limit, kwargs in todo:
+                DagPPartitioner(**kwargs).partition(qc, limit)
+            sweeps.append((time.process_time() - t0, dict(stats)))
     finally:
         for owner, attr, raw in saved:
             setattr(owner, attr, raw)
-    return total, len(todo), [(k, c, s) for k, (c, s) in stats.items()]
+    rows = [
+        (label, sweeps[0][1][label][0],
+         statistics.median(sweep[label][1] for _, sweep in sweeps))
+        for label, _, _ in PHASES
+    ]
+    return statistics.median(t for t, _ in sweeps), len(todo), rows
 
 
 def main(argv=None) -> int:
@@ -210,10 +223,19 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cases", default="", help="with --time: only keys with this prefix"
     )
+    parser.add_argument(
+        "--repeat", type=int, default=1,
+        help="with --time: sweeps, each phase's median reported",
+    )
     args = parser.parse_args(argv)
     if args.time:
-        total, count, rows = time_phases(args.cases)
-        print(f"dagP over {count} cases: {total:.3f} s")
+        if args.repeat < 1:
+            parser.error("--repeat must be >= 1")
+        total, count, rows = time_phases(args.cases, args.repeat)
+        print(
+            f"dagP over {count} cases: {total:.3f} s CPU "
+            f"(median of {args.repeat} sweeps)"
+        )
         for label, calls, seconds in rows:
             print(f"  {label:<28}{calls:>7} calls {seconds:>8.3f} s")
         return 0

@@ -61,6 +61,8 @@ def dump(circuit: QuantumCircuit, path: str) -> None:
 _TOKEN_STRIP = re.compile(r"//[^\n]*")
 _GATE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\s*")
 _PAREN_OR_COMMA_RE = re.compile(r"[(),]")
+#: Statements read and ignored (the simulators are measurement-free).
+_IGNORED = ("openqasm", "include", "creg", "barrier", "measure", "reset")
 _QARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+)\]$")
 
 _BINARY_OPS = {
@@ -153,16 +155,19 @@ def loads(text: str, name: str = "qasm") -> QuantumCircuit:
     regs: Dict[str, int] = {}
     offsets: Dict[str, int] = {}
     gates: List[Gate] = []
+    # A gate statement's text fixes its gate (registers are never
+    # redeclared), so a repeated one is parsed once.
+    parsed: Dict[str, Gate] = {}
     total = 0
     for stmt in stmts:
+        gate = parsed.get(stmt)
+        if gate is not None:
+            gates.append(gate)
+            continue
         if not stmt:
             continue
         low = stmt.lower()
-        if low.startswith("openqasm") or low.startswith("include"):
-            continue
-        if low.startswith("creg") or low.startswith("barrier"):
-            continue
-        if low.startswith("measure") or low.startswith("reset"):
+        if low.startswith(_IGNORED):
             continue
         if low.startswith("qreg"):
             m = re.match(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", stmt)
@@ -201,9 +206,10 @@ def loads(text: str, name: str = "qasm") -> QuantumCircuit:
                 raise QasmError(f"qubit {arg} out of range")
             qubits.append(offsets[reg] + idx)
         try:
-            gates.append(make_gate(gname, qubits, params))
+            gate = parsed[stmt] = make_gate(gname, qubits, params)
         except ValueError as exc:  # operand or parameter count
             raise QasmError(f"{exc} in {stmt!r}") from None
+        gates.append(gate)
     if total == 0:
         raise QasmError("no qreg declared")
     qc = QuantumCircuit(total, name=name)

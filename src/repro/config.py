@@ -30,6 +30,7 @@ __all__ = [
     "env",
     "RunOptions",
     "RUN_OPTION_FIELDS",
+    "check_count",
     "DEFAULT_MAX_FUSED_QUBITS",
 ]
 
@@ -97,6 +98,22 @@ def env(name: str) -> Any:
 DEFAULT_MAX_FUSED_QUBITS = 5
 
 
+def check_count(name: str, value: Any, hint: str = "") -> None:
+    """The one integer rule of an option or argument that counts
+    something: an ``int`` (not a ``bool``) of at least 1, else a
+    :class:`ValueError` naming ``name`` (and ending in ``hint``).
+
+    >>> check_count("limit", 2.5)
+    Traceback (most recent call last):
+        ...
+    ValueError: limit must be an int (got 2.5)
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int (got {reprlib.repr(value)})")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1 (got {value}){hint}")
+
+
 @dataclass(frozen=True)
 class RunOptions:
     """How a circuit is partitioned and executed.
@@ -155,14 +172,7 @@ class RunOptions:
             value = getattr(self, name)
             if value is None and name != "max_fused_qubits":
                 continue
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ValueError(
-                    f"{name} must be an int (got {reprlib.repr(value)})"
-                )
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1 (got {value}){hint}")
+            check_count(name, value, hint)
 
     @classmethod
     def fold(cls, options: Optional["RunOptions"], overrides: Dict[str, Any],

@@ -67,10 +67,10 @@ class GateGraph:
         n = len(circuit)
         succ: List[List[int]] = [[] for _ in range(n)]
         pred: List[List[int]] = [[] for _ in range(n)]
-        seen = set()
         for u, v in gate_dependency_edges(circuit):
-            if (u, v) not in seen:
-                seen.add((u, v))
+            # A repeated edge comes from two qubits of gate v, so v's own
+            # short list tells.
+            if u not in pred[v]:
                 succ[u].append(v)
                 pred[v].append(u)
         return cls(
@@ -85,8 +85,8 @@ class GateGraph:
 
     @property
     def gate_ids(self) -> List[List[int]]:
-        """Per node: original gate indices (a contraction lists them on
-        first use; coarsening levels never ask)."""
+        """Per node: original gate indices (a contraction or an induced
+        sub-graph lists them on first use; dagP's levels never ask)."""
         if callable(self._gate_ids):
             self._gate_ids = self._gate_ids()
         return self._gate_ids
@@ -105,11 +105,18 @@ class GateGraph:
         return self.working_set_mask().bit_count()
 
     def topological_order(self, priority: Sequence[float] | None = None) -> List[int]:
-        """Kahn order with optional tie-break priorities (lower first)."""
+        """Kahn order with optional tie-break priorities (lower first, then
+        the lower id).
+
+        Without priorities ties go to the lowest id, so a graph whose
+        every edge points to a higher id is visited as ``range(n)``.
+        """
         n = self.num_nodes
-        indeg = [len(self.pred[v]) for v in range(n)]
         if priority is None:
-            priority = list(range(n))
+            if all(not ws or v < min(ws) for v, ws in enumerate(self.succ)):
+                return list(range(n))
+            priority = range(n)
+        indeg = [len(self.pred[v]) for v in range(n)]
         heap = [(priority[v], v) for v in range(n) if indeg[v] == 0]
         heapq.heapify(heap)
         order: List[int] = []
@@ -134,7 +141,8 @@ class GateGraph:
     # -- derived graphs -------------------------------------------------------
 
     def contract(self, cluster_of: Sequence[int], num_clusters: int) -> "GateGraph":
-        """Quotient graph under a node->cluster map (edges deduplicated)."""
+        """Quotient graph under a node->cluster map (edges deduplicated,
+        each list in order of first appearance)."""
         qmask = [0] * num_clusters
         weight = [0] * num_clusters
         for c, m, w in zip(cluster_of, self.qmask, self.weight):
@@ -149,29 +157,29 @@ class GateGraph:
 
         succ: List[List[int]] = [[] for _ in range(num_clusters)]
         pred: List[List[int]] = [[] for _ in range(num_clusters)]
-        seen = set()
         for cu, vs in zip(cluster_of, self.succ):
+            out = succ[cu]  # a cluster's own list is short: scan it
             for v in vs:
                 cv = cluster_of[v]
-                key = cu * num_clusters + cv
-                if cu != cv and key not in seen:
-                    seen.add(key)
-                    succ[cu].append(cv)
+                if cv != cu and cv not in out:
+                    out.append(cv)
                     pred[cv].append(cu)
         return GateGraph(gate_ids, qmask, weight, succ, pred)
 
     def induce(self, nodes: Sequence[int]) -> "GateGraph":
         """Sub-graph over ``nodes`` (kept in the given order)."""
-        local = dict(zip(nodes, range(len(nodes)))).get
+        local = [-1] * self.num_nodes
+        for i, v in enumerate(nodes):
+            local[v] = i
         succ: List[List[int]] = []
         pred: List[List[int]] = [[] for _ in nodes]
         for i, v in enumerate(nodes):
-            succ.append([j for j in map(local, self.succ[v]) if j is not None])
-            for j in succ[i]:
+            out = [j for j in map(local.__getitem__, self.succ[v]) if j >= 0]
+            succ.append(out)
+            for j in out:
                 pred[j].append(i)
-        gate_ids = self.gate_ids
         return GateGraph(
-            gate_ids=[gate_ids[v] for v in nodes],
+            gate_ids=lambda: [self.gate_ids[v] for v in nodes],
             qmask=[self.qmask[v] for v in nodes],
             weight=[self.weight[v] for v in nodes],
             succ=succ,

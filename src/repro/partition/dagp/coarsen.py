@@ -16,6 +16,7 @@ cares about.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import List, Tuple
 
 from ...dag import GateGraph
@@ -41,16 +42,25 @@ def coarsen_once(
     """
     n = sub.num_nodes
     succ, pred, qmask, weight = sub.succ, sub.pred, sub.qmask, sub.weight
-    cluster_of = list(range(n))
     merged = [False] * n
-    k = n  # clusters left
+    merges = []  # per merge, its two members, lower id first
 
+    # ``rng.shuffle(nodes)``, inline: the same getrandbits draws.
     nodes = list(range(n))
-    rng.shuffle(nodes)
+    getrandbits = rng.getrandbits
+    for i in range(n - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        nodes[i], nodes[j] = nodes[j], nodes[i]
     # Only a node with one successor, or the sole predecessor of another,
     # has a partner at all; on a stalled lattice that is almost nobody.
-    sole = {p[0] for p in pred if len(p) == 1}
-    for u in [u for u in nodes if len(succ[u]) == 1 or u in sole]:
+    candidate = [len(s) == 1 for s in succ]
+    for p in pred:
+        if len(p) == 1:
+            candidate[p[0]] = True
+    for u in [u for u in nodes if candidate[u]]:
         if merged[u]:
             continue
         best = best_key = None
@@ -67,16 +77,22 @@ def coarsen_once(
             if best_key is None or key < best_key:
                 best, best_key = v, key
         if best is not None:
-            cluster_of[best] = u
             merged[u] = merged[best] = True
-            k -= 1
+            merges.append((u, best) if u < best else (best, u))
 
-    if k == n:  # nothing merged: the caller stops here
-        return sub, cluster_of
-    # Compact cluster ids in order of first appearance.
-    remap = {root: c for c, root in enumerate(dict.fromkeys(cluster_of))}
-    compact = [remap[root] for root in cluster_of]
-    return sub.contract(compact, k), compact
+    if not merges:  # nothing merged: the caller stops here
+        return sub, list(range(n))
+    # Cluster ids in order of first appearance: a running count of first
+    # members (node 0 is one, and counts as 0), which a later member
+    # then overrides with its partner's id.
+    first = [1] * n
+    first[0] = 0
+    for _, v in merges:
+        first[v] = 0
+    compact = list(accumulate(first))
+    for u, v in merges:
+        compact[v] = compact[u]
+    return sub.contract(compact, n - len(merges)), compact
 
 
 def coarsen(

@@ -10,13 +10,20 @@ Differences from the published dagP tool that this re-implementation keeps
 * a **final merging phase** glues sibling parts back together while the
   quotient stays acyclic and under the limit;
 * weight balance is relaxed (the paper sets imbalance ``eps <= 1.5``).
+
+Only a side that is bisected again is induced as a graph; a side that
+fits is a leaf, its gate ids read off the bisected graph's node list.
+Only the candidate returned is built into a ``Partition``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from functools import reduce
+from operator import or_
+from typing import Iterator, List, Sequence, Tuple
 
 from ...circuits.circuit import QuantumCircuit
+from ...config import check_count
 from ...dag import GateGraph
 from ..base import Partition, PartitionError
 from ..merge import merge_assignment
@@ -72,8 +79,7 @@ class DagPPartitioner:
     # -- public API -------------------------------------------------------
 
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
+        check_count("limit", limit)
         for i, g in enumerate(circuit):
             if g.num_qubits > limit:
                 raise PartitionError(
@@ -89,52 +95,55 @@ class DagPPartitioner:
         # cheap enough to retry under a few coarsening/bisection seeds (the
         # published dagP tool likewise runs several randomised passes).
         candidates = []
+        whole = root.working_set_size() <= limit
         for s in range(3 if n_gates <= 500 else 1):
             assignment = [-1] * n_gates
-            for pid, leaf in enumerate(self._leaves(root, limit, self.seed + s)):
-                for gids in leaf.gate_ids:
-                    for g in gids:
-                        assignment[g] = pid
+            leaves = [range(n_gates)] if whole else self._leaves(
+                root, range(n_gates), limit, self.seed + s
+            )
+            for pid, gates in enumerate(leaves):
+                for g in gates:
+                    assignment[g] = pid
             candidates.append(assignment)
         if self.use_ggg:
             # Candidate 2: greedy directed graph growing (global frontier
             # view); ``root`` has one node per gate.
             candidates.append(greedy_grow_assignment(root, limit))
 
-        best: Partition | None = None
-        for assignment in candidates:
-            if self.do_merge:
-                assignment = merge_assignment(root, assignment, limit)
-            cand = Partition.from_assignment(
-                circuit, assignment, limit, self.name, graph=root
-            )
-            if best is None or cand.num_parts < best.num_parts:
-                best = cand
-        assert best is not None
-        return best
+        if self.do_merge:
+            candidates = [merge_assignment(root, a, limit) for a in candidates]
+        # The first candidate with the fewest parts; only it is built.
+        best = min(candidates, key=lambda assignment: len(set(assignment)))
+        return Partition.from_assignment(circuit, best, limit, self.name, graph=root)
 
     # -- recursion --------------------------------------------------------
 
-    def _leaves(self, sub: GateGraph, limit: int, seed: int) -> Iterator[GateGraph]:
-        """The sub-graphs that fit ``limit``, in a topological order."""
-        if sub.working_set_size() <= limit:
-            yield sub
-            return
+    def _leaves(
+        self, sub: GateGraph, gates: Sequence[int], limit: int, seed: int
+    ) -> Iterator[Sequence[int]]:
+        """The gate ids of each sub-graph of ``sub`` (which does not fit
+        ``limit``) that fits it, in a topological order; node ``v`` of
+        ``sub`` is gate ``gates[v]``."""
         # Side 0 precedes side 1; recursing 0 first numbers parts in a
         # topological order for free.
-        for side in self._bisect(sub, seed):
-            yield from self._leaves(side, limit, seed)
+        for nodes in self._bisect(sub, seed):
+            side = [gates[v] for v in nodes]
+            if reduce(or_, map(sub.qmask.__getitem__, nodes)).bit_count() <= limit:
+                yield side  # a leaf: no graph is built for it
+            else:
+                yield from self._leaves(sub.induce(nodes), side, limit, seed)
 
-    def _bisect(self, sub: GateGraph, seed: int) -> Tuple[GateGraph, GateGraph]:
+    def _bisect(self, sub: GateGraph, seed: int) -> Tuple[List[int], List[int]]:
+        """The node lists of ``sub``'s two sides, each in id order."""
         graphs, maps = coarsen(sub, seed=seed)
         labels = initial_bisection(graphs[-1], seed=seed)
         # Refine at the coarsest level, then project back through the rest.
         labels = refine_bisection(
             graphs[-1], labels, self.refine_passes, zip(graphs[-2::-1], maps[::-1])
         )
-        sides = ([], [])
+        sides: Tuple[List[int], List[int]] = ([], [])
         for v, side in enumerate(labels):
             sides[side].append(v)
         if not (sides[0] and sides[1]):
             raise PartitionError("bisection produced an empty side")
-        return sub.induce(sides[0]), sub.induce(sides[1])
+        return sides

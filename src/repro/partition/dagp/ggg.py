@@ -27,6 +27,8 @@ def greedy_grow_assignment(sub: GateGraph, limit: int) -> List[int]:
     indeg = [len(sub.pred[v]) for v in range(n)]
     # Ready = unassigned nodes whose predecessors are all assigned.
     ready = set(v for v in range(n) if indeg[v] == 0)
+    qmask = sub.qmask
+    earliest = [min(ids) for ids in sub.gate_ids]
     part = 0
     mask = 0
     remaining = n
@@ -36,11 +38,11 @@ def greedy_grow_assignment(sub: GateGraph, limit: int) -> List[int]:
         best = None
         best_key = None
         for v in ready:
-            union = (mask | sub.qmask[v]).bit_count()
+            union = (mask | qmask[v]).bit_count()
             if union > limit:
                 continue
-            overlap = (mask & sub.qmask[v]).bit_count()
-            key = (union, -overlap, min(sub.gate_ids[v]))
+            overlap = (mask & qmask[v]).bit_count()
+            key = (union, -overlap, earliest[v])
             if best_key is None or key < best_key:
                 best, best_key = v, key
         if best is None:
@@ -49,7 +51,7 @@ def greedy_grow_assignment(sub: GateGraph, limit: int) -> List[int]:
             mask = 0
             continue
         assignment[best] = part
-        mask |= sub.qmask[best]
+        mask |= qmask[best]
         ready.discard(best)
         for w in sub.succ[best]:
             indeg[w] -= 1

@@ -51,13 +51,19 @@ class RefineState:
     def _count(self, s: int, m: int, step: int = 1) -> None:
         """``step`` more side-``s`` nodes on every qubit of ``m``."""
         cnt = self.qcnt[s]
-        while m:
-            b = m & -m
-            m ^= b
+        one = zero = 0  # qubits of m whose count is now 1 / 0
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
             q = b.bit_length() - 1
-            cnt[q] += step
-            self.touched[s] = self.touched[s] | b if cnt[q] else self.touched[s] & ~b
-            self.alone[s] = self.alone[s] | b if cnt[q] == 1 else self.alone[s] & ~b
+            c = cnt[q] = cnt[q] + step
+            if c == 1:
+                one |= b
+            elif not c:
+                zero |= b
+        self.touched[s] = (self.touched[s] | m) & ~zero
+        self.alone[s] = (self.alone[s] & ~m) | one
 
     # -- cost / legality --------------------------------------------------
 
@@ -83,24 +89,24 @@ class RefineState:
         """The node of ``nodes`` (all movable) whose flip costs least and
         less than now, lowest id first; a flip may not empty a side."""
         labels, qmask, weight = self.labels, self.sub.qmask, self.sub.weight
-        weights, touched, alone = self.weights, self.touched, self.alone
-        ws = (touched[0].bit_count(), touched[1].bit_count())
+        ws = [self.touched[0].bit_count(), self.touched[1].bit_count()]
+        # Per side s, the other side t: what a flip from s frees (qubits
+        # only v holds there) and adds (qubits t does not touch yet).
+        frees, misses = self.alone, [~self.touched[1], ~self.touched[0]]
+        weights = self.weights
         best = self.cost() + (-1,)
         for v in nodes:
             s = labels[v]
-            t = 1 - s
             w = weight[v]
             if weights[s] <= w:
                 continue
             m = qmask[v]
-            left = ws[s] - (m & alone[s]).bit_count()
-            gained = ws[t] + (m & ~touched[t]).bit_count()
-            key = (
-                max(left, gained),
-                left + gained,
-                abs(weights[s] - weights[t] - 2 * w),
-                v,
-            )
+            left = ws[s] - (m & frees[s]).bit_count()
+            gained = ws[1 - s] + (m & misses[s]).bit_count()
+            top = max(left, gained)
+            if top > best[0]:
+                continue
+            key = (top, left + gained, abs(weights[s] - weights[1 - s] - 2 * w), v)
             if key < best:
                 best = key
         return best[3] if best[3] >= 0 else None
@@ -125,25 +131,40 @@ class RefineState:
     def project(self, fine: GateGraph, mapping: Sequence[int]) -> None:
         """Re-express the state on the finer level ``mapping`` coarsens.
 
-        Sides, weights and touched qubits carry over; a qubit's count
-        grows where several members of one cluster share it.  Members of
-        such split clusters are the only nodes that differ from a coarse
-        node, so after a converged level only they can improve.
+        ``mapping`` is a matching, as :func:`~.coarsen.coarsen_once`
+        builds it: clusters of one or two nodes, numbered in order of
+        their first member.  Sides, weights and touched qubits carry
+        over; a qubit's count grows where the two members of a cluster
+        share it.  Members of such split clusters are the only nodes that
+        differ from a coarse node, so after a converged level only they
+        can improve.
         """
         coarse = self.labels
         self.sub = fine
-        self.labels = [coarse[c] for c in mapping]
+        self.labels = list(map(coarse.__getitem__, mapping))
         self.legal = None
+        qmask = fine.qmask
+        # A cluster's first member is where its id first appears, so the
+        # ids' first positions, in order, are the clusters' first members.
         n = len(mapping)
-        first = dict(zip(reversed(mapping), range(n - 1, -1, -1)))
-        union = {}
-        self.split = []
-        for v in [v for v, c in enumerate(mapping) if first[c] != v]:
+        first = sorted(dict(zip(reversed(mapping), range(n - 1, -1, -1))).values())
+        self.split = split = []
+        twice = [0, 0]  # per side, the qubits a split cluster now counts twice
+        for v in sorted(set(range(n)).difference(first)):
             c = mapping[v]
-            seen = union.get(c, fine.qmask[first[c]])
-            self._count(coarse[c], seen & fine.qmask[v])
-            union[c] = seen | fine.qmask[v]
-            self.split += (first[c], v)
+            u = first[c]
+            side, m = coarse[c], qmask[u] & qmask[v]
+            twice[side] |= m
+            cnt = self.qcnt[side]
+            while m:
+                b = m & -m
+                m ^= b
+                cnt[b.bit_length() - 1] += 1
+            split += (u, v)
+        # The cluster touched every qubit its members share, so those
+        # counts were at least 1: now they are at least 2, never alone.
+        self.alone[0] &= ~twice[0]
+        self.alone[1] &= ~twice[1]
 
     def refine(self, max_passes: int = 8) -> None:
         """Apply best moves until none improves (or ``max_passes`` rounds

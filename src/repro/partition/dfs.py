@@ -13,6 +13,7 @@ import random
 from typing import List
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import check_count
 from ..dag import GateGraph
 from .base import Partition
 from .natural import cutoff_assignment
@@ -72,6 +73,7 @@ class DFSPartitioner:
         self.seed = seed
 
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
+        check_count("limit", limit)
         graph = GateGraph.from_circuit(circuit)
         best: Partition | None = None
         for t in range(self.trials):

@@ -25,6 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import check_count
 from ..dag import gate_dependency_edges
 from .base import Partition, PartitionError
 from .natural import NaturalPartitioner
@@ -78,6 +79,7 @@ class ILPPartitioner:
         self.max_parts = max_parts
 
     def solve(self, circuit: QuantumCircuit, limit: int) -> ILPResult:
+        check_count("limit", limit)
         try:
             from scipy.optimize import Bounds, LinearConstraint, milp
             from scipy.sparse import lil_matrix

@@ -11,6 +11,7 @@ stopping rule.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..dag import GateGraph
@@ -103,11 +104,11 @@ def greedy_merge(
     alive = [True] * k
     group = list(range(k))
 
+    reach = _reach_masks(succ, k)
     while True:
         live = [i for i in range(k) if alive[i]]
         if len(live) < 2:
             break
-        reach = _reach_masks(succ, k)
         best: Optional[Tuple[int, int]] = None
         best_key = None
         for ia, a in enumerate(live):
@@ -140,6 +141,15 @@ def greedy_merge(
             if pred[i] & bbit:
                 pred[i] = (pred[i] & ~bbit) | (abit if i != a else 0)
         succ[b] = pred[b] = 0
+        # Who reached a or b now reaches the merged part and all it
+        # reaches; nothing else changes, since no third part lay between
+        # a and b.
+        both = abit | bbit
+        onward = (reach[a] | reach[b]) & ~both
+        for i in range(k):
+            if reach[i] & both:
+                reach[i] = (reach[i] | onward | abit) & ~bbit
+        reach[a], reach[b] = onward, 0
 
     # Compact ids.
     remap = {}
@@ -158,9 +168,9 @@ def merge_assignment(
     """Run the merge phase on a gate->part map (part ids ``0..k-1``).
 
     The parts' masks and edges are those of the quotient
-    ``graph.contract(assignment)``; the result sends each gate to its
-    merged cluster.  dagP's final phase and the cutter's boundary removal
-    are this one function.
+    ``graph.contract(assignment)``, read without building it; the result
+    sends each gate to its merged cluster.  dagP's final phase and the
+    cutter's boundary removal are this one function.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
@@ -168,7 +178,12 @@ def merge_assignment(
     >>> merge_assignment(graph, [0, 1, 2], limit=2)
     [0, 0, 1]
     """
-    quotient = graph.contract(assignment, max(assignment) + 1)
-    edges = [(u, v) for u, vs in enumerate(quotient.succ) for v in vs]
-    group = greedy_merge(quotient.qmask, edges, limit)
-    return [group[p] for p in assignment]
+    k = max(assignment) + 1
+    masks = [0] * k
+    for p, m in zip(assignment, graph.qmask):
+        masks[p] |= m
+    # The quotient's edges: each gate edge's (part, part), read in C.
+    heads = chain.from_iterable(map(repeat, assignment, map(len, graph.succ)))
+    tails = map(assignment.__getitem__, chain.from_iterable(graph.succ))
+    group = greedy_merge(masks, set(zip(heads, tails)), limit)
+    return list(map(group.__getitem__, assignment))

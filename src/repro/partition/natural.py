@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..circuits.circuit import QuantumCircuit
+from ..config import check_count
 from ..dag import GateGraph
 from .base import Partition, PartitionError
 
@@ -55,6 +56,7 @@ class NaturalPartitioner:
     name = "Nat"
 
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
+        check_count("limit", limit)
         graph = GateGraph.from_circuit(circuit)
         assignment = cutoff_assignment(graph.qmask, range(len(circuit)), limit)
         return Partition.from_assignment(

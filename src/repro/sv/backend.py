@@ -83,7 +83,6 @@ from .kernels import (
     _order_perm,
     apply_matrix_batched,
     check_operands,
-    split_controls,
 )
 from .fusion import ROW, OpStacks, _stack, axis_sizes
 
@@ -256,10 +255,11 @@ def _strided_eligible(plan, strided_max: int) -> bool:
     """True when every op of ``plan`` fits the gather-free strided path:
     at most ``strided_max`` target qubits after control extraction.
 
-    Control extraction is a scan of every fused matrix, so the answer is
-    remembered on the bound plan (``plan.lane_memo``) per ``strided_max``.
-    The write is idempotent — concurrent runs sharing a plan can only
-    store the same tuple — so it needs no lock."""
+    Control extraction is a scan of a fused matrix, kept on its op
+    (``FusedGate.peeled``) for the kernel, and the answer is remembered
+    on the bound plan (``plan.lane_memo``) per ``strided_max``.  The
+    write is idempotent — concurrent runs sharing a plan can only store
+    the same tuple — so it needs no lock."""
     if strided_max < 0:
         return False
     memo = plan.lane_memo
@@ -269,8 +269,7 @@ def _strided_eligible(plan, strided_max: int) -> bool:
     for op in plan.ops:
         if len(op.qubits) <= strided_max:
             continue  # controls can only shrink the target count
-        _, targets, _ = split_controls(op.matrix(), op.qubits)
-        if len(targets) > strided_max:
+        if len(op.peeled()[1]) > strided_max:
             eligible = False
             break
     plan.lane_memo = (strided_max, eligible)
@@ -758,7 +757,8 @@ def _sweep_strided(plan, state, map_blocks) -> None:
         sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
         for op in plan.ops:
             _apply_strided(
-                sub, op.matrix(), op.qubits, local, 1, op.is_diagonal
+                sub, op.matrix(), op.qubits, local, 1, op.is_diagonal,
+                op.peeled(),
             )
 
     _map_row_groups(

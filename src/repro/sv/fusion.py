@@ -59,7 +59,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
-from .kernels import _gathered_sweep_plan
+from .kernels import _gathered_sweep_plan, split_controls
 from .layout import (
     extract_bits,
     gather_index_factors,
@@ -216,7 +216,7 @@ class FusedGate:
     (0, 1)
     """
 
-    __slots__ = ("qubits", "diagonal", "_matrix")
+    __slots__ = ("qubits", "diagonal", "_matrix", "_peeled")
 
     def __init__(
         self,
@@ -235,6 +235,7 @@ class FusedGate:
         matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
         matrix.setflags(write=False)
         self._matrix = matrix
+        self._peeled: Optional[tuple] = None
 
     @property
     def num_qubits(self) -> int:
@@ -248,12 +249,21 @@ class FusedGate:
         """The fused unitary (shared, read-only — do not mutate)."""
         return self._matrix
 
+    def peeled(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray]:
+        """:func:`~repro.sv.kernels.split_controls` of this op, peeled on
+        first use (the strided lane's rule and kernel both read it; a
+        benign race between threads peels twice)."""
+        if self._peeled is None:
+            self._peeled = split_controls(self._matrix, self.qubits)
+        return self._peeled
+
     def remap(self, mapping: Dict[int, int]) -> "FusedGate":
         """Rename operands through ``mapping``; the matrix is shared."""
         out = FusedGate.__new__(FusedGate)
         out.qubits = tuple(mapping[q] for q in self.qubits)
         out.diagonal = self.diagonal
         out._matrix = self._matrix
+        out._peeled = None
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -539,15 +539,17 @@ def _apply_strided(
     num_local: int,
     lead: int,
     diagonal: bool,
+    peeled: Optional[tuple] = None,
 ) -> None:
     """Strided core: apply over a ``(…batch…,) + (2,)*num_local`` view.
 
-    Controls are peeled off and index the view down to the changed
-    slice; diagonal factors multiply only their non-identity entries.
-    ``lead`` counts leading batch axes (0 for a flat state, 1 for the
-    threaded backend's row blocks).
+    Controls are peeled off (``peeled``: :func:`split_controls` of
+    ``matrix``, if the caller holds it) and index the view down to the
+    changed slice; diagonal factors multiply only their non-identity
+    entries.  ``lead`` counts leading batch axes (0 for a flat state, 1
+    for the threaded backend's row blocks).
     """
-    controls, targets, sub = split_controls(matrix, qubits)
+    controls, targets, sub = peeled or split_controls(matrix, qubits)
     if controls and not targets and not diagonal:
         # Fully-controlled dense op: the active block is a 1x1 phase.
         # Demote one control back to a target so the work stays a GEMM,

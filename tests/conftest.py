@@ -202,6 +202,356 @@ def refine_reference(sub, labels: List[int], max_passes: int = 8) -> List[int]:
     return state.labels
 
 
+# -- dagP as first written ---------------------------------------------------
+#
+# Oracles for ``repro.dag.gategraph`` and ``repro.partition.dagp``: each
+# phase as it stood before the phases were rewritten for speed.  The
+# production phases must return the same graphs (successor and
+# predecessor lists in the same order), draw the same random numbers and
+# give the same partitions.
+
+
+def from_circuit_reference(circuit):
+    """``GateGraph.from_circuit``: edges deduplicated through a global set
+    of edge tuples."""
+    from repro.dag import GateGraph
+    from repro.dag.gategraph import gate_dependency_edges
+
+    n = len(circuit)
+    succ: List[List[int]] = [[] for _ in range(n)]
+    pred: List[List[int]] = [[] for _ in range(n)]
+    seen = set()
+    for u, v in gate_dependency_edges(circuit):
+        if (u, v) not in seen:
+            seen.add((u, v))
+            succ[u].append(v)
+            pred[v].append(u)
+    return GateGraph(
+        [[g] for g in range(n)],
+        [sum(1 << q for q in g.qubits) for g in circuit],
+        [1] * n,
+        succ,
+        pred,
+    )
+
+
+def contract_reference(graph, cluster_of, num_clusters: int):
+    """``GateGraph.contract``: edges deduplicated through a global set of
+    integer keys."""
+    from repro.dag import GateGraph
+
+    qmask = [0] * num_clusters
+    weight = [0] * num_clusters
+    for c, m, w in zip(cluster_of, graph.qmask, graph.weight):
+        qmask[c] |= m
+        weight[c] += w
+    members: List[List[int]] = [[] for _ in range(num_clusters)]
+    for c, ids in zip(cluster_of, graph.gate_ids):
+        members[c] += ids
+    succ: List[List[int]] = [[] for _ in range(num_clusters)]
+    pred: List[List[int]] = [[] for _ in range(num_clusters)]
+    seen = set()
+    for cu, vs in zip(cluster_of, graph.succ):
+        for v in vs:
+            cv = cluster_of[v]
+            key = cu * num_clusters + cv
+            if cu != cv and key not in seen:
+                seen.add(key)
+                succ[cu].append(cv)
+                pred[cv].append(cu)
+    return GateGraph(members, qmask, weight, succ, pred)
+
+
+def induce_reference(graph, nodes):
+    """``GateGraph.induce``: ids mapped through a dict."""
+    from repro.dag import GateGraph
+
+    local = dict(zip(nodes, range(len(nodes)))).get
+    succ: List[List[int]] = []
+    pred: List[List[int]] = [[] for _ in nodes]
+    for i, v in enumerate(nodes):
+        succ.append([j for j in map(local, graph.succ[v]) if j is not None])
+        for j in succ[i]:
+            pred[j].append(i)
+    return GateGraph(
+        [graph.gate_ids[v] for v in nodes],
+        [graph.qmask[v] for v in nodes],
+        [graph.weight[v] for v in nodes],
+        succ,
+        pred,
+    )
+
+
+def topological_order_reference(graph, priority=None) -> List[int]:
+    """``GateGraph.topological_order``: Kahn's algorithm on a heap of
+    ``(priority, id)`` pairs, ids as the default priorities."""
+    import heapq
+
+    n = graph.num_nodes
+    indeg = [len(graph.pred[v]) for v in range(n)]
+    if priority is None:
+        priority = list(range(n))
+    heap = [(priority[v], v) for v in range(n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    order: List[int] = []
+    while heap:
+        _, v = heapq.heappop(heap)
+        order.append(v)
+        for w in graph.succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, (priority[w], w))
+    if len(order) != n:
+        raise ValueError("gate graph contains a cycle")
+    return order
+
+
+def coarsen_once_reference(sub, rng, max_cluster_weight: int, max_cluster_qubits: int):
+    """``dagp.coarsen_once``: ``rng.shuffle``, a set of sole
+    predecessors, compaction through a dict, :func:`contract_reference`."""
+    n = sub.num_nodes
+    succ, pred, qmask, weight = sub.succ, sub.pred, sub.qmask, sub.weight
+    cluster_of = list(range(n))
+    merged = [False] * n
+    k = n
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    sole = {p[0] for p in pred if len(p) == 1}
+    for u in [u for u in nodes if len(succ[u]) == 1 or u in sole]:
+        if merged[u]:
+            continue
+        best = best_key = None
+        only = len(succ[u]) == 1
+        for v in succ[u]:
+            if merged[v] or not (only or len(pred[v]) == 1):
+                continue
+            if weight[u] + weight[v] > max_cluster_weight:
+                continue
+            union = (qmask[u] | qmask[v]).bit_count()
+            if union > max_cluster_qubits:
+                continue
+            key = (-(qmask[u] & qmask[v]).bit_count(), union)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        if best is not None:
+            cluster_of[best] = u
+            merged[u] = merged[best] = True
+            k -= 1
+    if k == n:
+        return sub, cluster_of
+    remap = {root: c for c, root in enumerate(dict.fromkeys(cluster_of))}
+    compact = [remap[root] for root in cluster_of]
+    return contract_reference(sub, compact, k), compact
+
+
+def coarsen_reference(sub, target_nodes: int = 64, seed: int = 5):
+    """``dagp.coarsen`` over :func:`coarsen_once_reference`."""
+    import importlib
+
+    module = importlib.import_module("repro.partition.dagp.coarsen")
+
+    rng = random.Random(seed)
+    graphs, maps = [sub], []
+    max_w = max(2, max(1, sub.total_weight()) // max(2, target_nodes // 2))
+    for _ in range(module._MAX_LEVELS):
+        cur = graphs[-1]
+        if cur.num_nodes <= target_nodes:
+            break
+        coarse, mapping = coarsen_once_reference(
+            cur, rng, max_w, module._MAX_CLUSTER_QUBITS
+        )
+        if coarse.num_nodes >= cur.num_nodes:
+            break
+        graphs.append(coarse)
+        maps.append(mapping)
+    return graphs, maps
+
+
+def bisection_cost(sub, labels: List[int]):
+    """(max side working set, sum of working sets, weight imbalance) of
+    a bisection: the cost ``dagp.initial_bisection`` and the refinement
+    minimise, lexicographically."""
+    mask = [0, 0]
+    side_w = [0, 0]
+    for s, m, w in zip(labels, sub.qmask, sub.weight):
+        mask[s] |= m
+        side_w[s] += w
+    c0, c1 = mask[0].bit_count(), mask[1].bit_count()
+    return (max(c0, c1), c0 + c1, abs(side_w[0] - side_w[1]))
+
+
+def initial_bisection_reference(sub, seed: int = 9) -> List[int]:
+    """``dagp.initial_bisection``: every candidate labelled, then costed
+    by :func:`bisection_cost`."""
+    n = sub.num_nodes
+    orders = [topological_order_reference(sub)]
+    levels = [0] * n
+    for v in orders[0]:
+        for w in sub.succ[v]:
+            levels[w] = max(levels[w], levels[v] + 1)
+    orders.append(sorted(range(n), key=levels.__getitem__))
+    rng = random.Random(seed)
+    for _ in range(2):
+        orders.append(
+            topological_order_reference(sub, [rng.random() for _ in range(n)])
+        )
+    total = sub.total_weight()
+    best = best_cost = None
+    for order in orders:
+        labels = [1] * n
+        acc = 0
+        for i, v in enumerate(order):
+            if acc >= (total + 1) // 2 and i > 0:
+                break
+            labels[v] = 0
+            acc += sub.weight[v]
+        if acc == total:
+            labels[order[-1]] = 1
+        cost = bisection_cost(sub, labels)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = labels, cost
+    return best
+
+
+def project_reference(state, fine, mapping) -> None:
+    """``RefineState.project`` for any cluster map: first members found
+    through a dict, each further member counted bit by bit."""
+    coarse = state.labels
+    state.sub = fine
+    state.labels = [coarse[c] for c in mapping]
+    state.legal = None
+    n = len(mapping)
+    first = dict(zip(reversed(mapping), range(n - 1, -1, -1)))
+    union = {}
+    state.split = []
+    for v in [v for v, c in enumerate(mapping) if first[c] != v]:
+        c = mapping[v]
+        s = coarse[c]
+        seen = union.get(c, fine.qmask[first[c]])
+        m = seen & fine.qmask[v]
+        while m:
+            b = m & -m
+            m ^= b
+            q = b.bit_length() - 1
+            state.qcnt[s][q] += 1
+            state.touched[s] |= b
+            if state.qcnt[s][q] == 1:
+                state.alone[s] |= b
+            else:
+                state.alone[s] &= ~b
+        union[c] = seen | fine.qmask[v]
+        state.split += (first[c], v)
+
+
+def dagp_leaves_reference(partitioner, sub, limit: int, seed: int):
+    """``DagPPartitioner._leaves``: both sides of every bisection induced
+    as graphs, a leaf being a graph that fits ``limit``."""
+    from repro.partition.base import PartitionError
+    from repro.partition.dagp.refine import refine_bisection
+
+    if sub.working_set_size() <= limit:
+        yield sub
+        return
+    graphs, maps = coarsen_reference(sub, seed=seed)
+    labels = initial_bisection_reference(graphs[-1], seed=seed)
+    labels = refine_bisection(
+        graphs[-1], labels, partitioner.refine_passes,
+        zip(graphs[-2::-1], maps[::-1]),
+    )
+    sides = ([], [])
+    for v, side in enumerate(labels):
+        sides[side].append(v)
+    if not (sides[0] and sides[1]):
+        raise PartitionError("bisection produced an empty side")
+    for nodes in sides:
+        yield from dagp_leaves_reference(
+            partitioner, induce_reference(sub, nodes), limit, seed
+        )
+
+
+def greedy_merge_reference(masks, edges, limit: int) -> List[int]:
+    """``partition.merge.greedy_merge``: reachability recomputed from
+    scratch before every merge."""
+    from repro.partition.merge import _reach_masks, path_through_third
+
+    k = len(masks)
+    mask = list(masks)
+    succ, pred = [0] * k, [0] * k
+    for u, v in edges:
+        if u != v:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+    alive = [True] * k
+    group = list(range(k))
+    while True:
+        live = [i for i in range(k) if alive[i]]
+        if len(live) < 2:
+            break
+        reach = _reach_masks(succ, k)
+        best = best_key = None
+        for ia, a in enumerate(live):
+            for b in live[ia + 1:]:
+                union = mask[a] | mask[b]
+                if union.bit_count() > limit:
+                    continue
+                if path_through_third(reach, succ, a, b):
+                    continue
+                key = (-(mask[a] & mask[b]).bit_count(), union.bit_count())
+                if best_key is None or key < best_key:
+                    best, best_key = (a, b), key
+        if best is None:
+            break
+        a, b = best
+        alive[b] = False
+        group = [a if g == b else g for g in group]
+        mask[a] |= mask[b]
+        succ[a] = (succ[a] | succ[b]) & ~((1 << a) | (1 << b))
+        pred[a] = (pred[a] | pred[b]) & ~((1 << a) | (1 << b))
+        for i in range(k):
+            if succ[i] >> b & 1:
+                succ[i] = (succ[i] & ~(1 << b)) | ((1 << a) if i != a else 0)
+            if pred[i] >> b & 1:
+                pred[i] = (pred[i] & ~(1 << b)) | ((1 << a) if i != a else 0)
+        succ[b] = pred[b] = 0
+    remap = {}
+    return [remap.setdefault(g, len(remap)) for g in group]
+
+
+def dagp_partition_reference(partitioner, circuit, limit: int):
+    """``DagPPartitioner.partition`` over the references above: every
+    candidate merged and built into a ``Partition``, the first with the
+    fewest parts kept."""
+    from repro.partition.base import Partition
+    from repro.partition.dagp.ggg import greedy_grow_assignment
+
+    n_gates = len(circuit)
+    root = from_circuit_reference(circuit)
+    candidates = []
+    for s in range(3 if n_gates <= 500 else 1):
+        assignment = [-1] * n_gates
+        leaves = dagp_leaves_reference(partitioner, root, limit, partitioner.seed + s)
+        for pid, leaf in enumerate(leaves):
+            for gids in leaf.gate_ids:
+                for g in gids:
+                    assignment[g] = pid
+        candidates.append(assignment)
+    if partitioner.use_ggg:
+        candidates.append(greedy_grow_assignment(root, limit))
+    best = None
+    for assignment in candidates:
+        if partitioner.do_merge:
+            quotient = contract_reference(root, assignment, max(assignment) + 1)
+            edges = [(u, v) for u, vs in enumerate(quotient.succ) for v in vs]
+            group = greedy_merge_reference(quotient.qmask, edges, limit)
+            assignment = [group[p] for p in assignment]
+        cand = Partition.from_assignment(
+            circuit, assignment, limit, partitioner.name, graph=root
+        )
+        if best is None or cand.num_parts < best.num_parts:
+            best = cand
+    return best
+
+
 def fuse_reference(steps, gates, operands: dict) -> np.ndarray:
     """Oracle for ``repro.sv.fusion._fuse``: one group's product matrix
     for one gate list, as first written -- ``diag(pending) @ acc`` over

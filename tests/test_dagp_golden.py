@@ -67,3 +67,17 @@ def test_time_reports_every_phase(capsys):
     assert "dagP over 7 cases" in out  # deep/10 .. deep/16
     for label, _, _ in partition_digests.PHASES:
         assert label.strip() in out
+
+
+def test_time_repeats_report_medians(capsys, monkeypatch):
+    seconds = iter([0.0, 5.0, 10.0, 11.0, 20.0, 29.0])  # sweeps of 5, 1 and 9 s
+    monkeypatch.setattr(
+        partition_digests.time, "process_time", lambda: next(seconds)
+    )
+    monkeypatch.setattr(partition_digests, "PHASES", ())
+    assert partition_digests.main(
+        ["--time", "--cases", "deep/16", "--repeat", "3"]
+    ) == 0
+    assert "dagP over 1 cases: 5.000 s CPU (median of 3 sweeps)" in (
+        capsys.readouterr().out
+    )

@@ -9,12 +9,28 @@ from hypothesis import strategies as st
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
 from repro.dag import GateGraph
-from repro.partition.dagp.bisect import bisection_cost, initial_bisection
+from repro.partition.dagp.bisect import initial_bisection
 from repro.partition.dagp.coarsen import coarsen, coarsen_once
 from repro.partition.dagp.ggg import greedy_grow_assignment
+from repro.partition.dagp import DagPPartitioner
 from repro.partition.dagp.refine import RefineState, refine_bisection
+from repro.partition.merge import greedy_merge
 
-from conftest import RefineReference, random_circuit, refine_reference
+from conftest import (
+    RefineReference,
+    bisection_cost,
+    coarsen_once_reference,
+    contract_reference,
+    dagp_partition_reference,
+    from_circuit_reference,
+    greedy_merge_reference,
+    induce_reference,
+    initial_bisection_reference,
+    project_reference,
+    random_circuit,
+    refine_reference,
+    topological_order_reference,
+)
 from strategies import circuits
 
 
@@ -261,3 +277,123 @@ class TestGGG:
         sub = make_sub("bv", 6)
         a = greedy_grow_assignment(sub, 6)
         assert set(a) == {0}
+
+
+def assert_same_graph(got, want):
+    """Field by field, list order included."""
+    assert got.qmask == want.qmask
+    assert got.weight == want.weight
+    assert got.succ == want.succ
+    assert got.pred == want.pred
+    assert got.gate_ids == want.gate_ids
+
+
+#: Circuits with one- and two-qubit gates, and with three-qubit ones.
+PHASE_CIRCUITS = st.one_of(
+    circuits(min_qubits=3, max_qubits=8, min_gates=4, max_gates=80),
+    circuits(min_qubits=3, max_qubits=7, min_gates=4, max_gates=60,
+             three_qubit=True),
+)
+
+
+class TestSamePhasesAsFirstWritten:
+    """Every rewritten dagP phase returns what it returned as first
+    written (the ``*_reference`` oracles in ``conftest``): equal graphs,
+    the same random draws, the same partitions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(qc=PHASE_CIRCUITS, data=st.data())
+    def test_property_graph_operations(self, qc, data):
+        root = GateGraph.from_circuit(qc)
+        assert_same_graph(root, from_circuit_reference(qc))
+        n = root.num_nodes
+        nodes = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        assert_same_graph(root.induce(nodes), induce_reference(root, nodes))
+        # Any cluster map whose quotient stays acyclic: a cut of the
+        # written order into intervals, numbered in order or not.
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=8)))
+        cuts = [c for c in cuts if c < n]
+        interval = [sum(c <= v for c in cuts) for v in range(n)]
+        k = len(cuts) + 1
+        perm = data.draw(st.permutations(range(k)))
+        for cluster_of in (interval, [perm[c] for c in interval]):
+            got = root.contract(cluster_of, k)
+            want = contract_reference(root, cluster_of, k)
+            assert_same_graph(got, want)
+            assert got.topological_order() == topological_order_reference(want)
+        priority = data.draw(st.lists(
+            st.floats(0, 1), min_size=n, max_size=n))
+        assert root.topological_order(priority) == \
+            topological_order_reference(root, priority)
+
+    @settings(max_examples=40, deadline=None)
+    @given(qc=PHASE_CIRCUITS, seed=st.integers(0, 2**32 - 1),
+           max_weight=st.sampled_from([2, 3, 8, 1000]))
+    def test_property_coarsening_levels(self, qc, seed, max_weight):
+        """Level by level: the same coarse graph, map and RNG state."""
+        sub = GateGraph.from_circuit(qc)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            coarse, mapping = coarsen_once(sub, rng, max_weight, 64)
+            want, want_map = coarsen_once_reference(sub, ref_rng, max_weight, 64)
+            assert mapping == want_map
+            assert rng.getstate() == ref_rng.getstate()
+            assert_same_graph(coarse, want)
+            assert coarse.topological_order() == topological_order_reference(want)
+            if sub.num_nodes >= 2:
+                assert initial_bisection(sub, seed) == \
+                    initial_bisection_reference(sub, seed)
+            if coarse is sub:
+                break
+            labels = [random.Random(seed).randrange(2) for _ in want.qmask]
+            state = RefineState(want, list(labels))
+            ref = RefineState(want, list(labels))
+            state.project(sub, mapping)
+            project_reference(ref, sub, mapping)
+            for field in ("labels", "qcnt", "touched", "alone", "weights", "split"):
+                assert getattr(state, field) == getattr(ref, field), field
+            sub = coarse
+
+    @settings(max_examples=30, deadline=None)
+    @given(qc=PHASE_CIRCUITS, limit=st.integers(3, 7), seed=st.integers(0, 50),
+           config=st.sampled_from([{}, {"use_ggg": False}, {"do_merge": False},
+                                   {"refine_passes": 1}]))
+    def test_property_partitions(self, qc, limit, seed, config):
+        partitioner = DagPPartitioner(seed=seed, **config)
+        got = partitioner.partition(qc, limit)
+        assert got == dagp_partition_reference(partitioner, qc, limit)
+
+    @pytest.mark.parametrize("name, n, limit", [
+        ("ising", 12, 5), ("qaoa", 11, 6), ("qft", 10, 4), ("grover", 9, 5),
+    ])
+    def test_only_sides_that_do_not_fit_become_graphs(
+        self, name, n, limit, monkeypatch
+    ):
+        """A side that fits ``limit`` is a leaf of gate ids: every graph
+        the recursion induces is one it bisects again."""
+        induced = []
+        real = GateGraph.induce
+
+        def spy(graph, nodes):
+            sub = real(graph, nodes)
+            induced.append(sub.working_set_size())
+            return sub
+
+        monkeypatch.setattr(GateGraph, "induce", spy)
+        qc = generators.build(name, n)
+        got = DagPPartitioner().partition(qc, limit)
+        assert induced and min(induced) > limit
+        assert got == dagp_partition_reference(DagPPartitioner(), qc, limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 12), limit=st.integers(1, 6))
+    def test_property_greedy_merge(self, data, k, limit):
+        """Reachability kept up to date across merges gives the merges of
+        recomputing it each time."""
+        masks = data.draw(st.lists(st.integers(1, 63), min_size=k, max_size=k))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges = []
+        if pairs:
+            edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * k))
+        assert greedy_merge(masks, edges, limit) == \
+            greedy_merge_reference(masks, edges, limit)

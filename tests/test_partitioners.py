@@ -1,5 +1,7 @@
 """Strategy tests: Nat, DFS, dagP end-to-end on the benchmark suite."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.partition import (
     DagPPartitioner,
     DFSPartitioner,
+    ILPPartitioner,
     NaturalPartitioner,
     PartitionError,
     get_partitioner,
@@ -137,6 +140,25 @@ class TestEdgeCases:
     def test_dagp_invalid_limit(self):
         with pytest.raises(ValueError):
             DagPPartitioner().partition(QuantumCircuit(2), 0)
+
+    @pytest.mark.parametrize("make", [
+        NaturalPartitioner, DFSPartitioner, DagPPartitioner, ILPPartitioner,
+    ], ids=STRATS + ["ILP"])
+    @pytest.mark.parametrize("limit, complaint", [
+        (2.5, "an int (got 2.5)"),
+        (True, "an int (got True)"),
+        ("3", "an int (got '3')"),
+        (None, "an int (got None)"),
+        (0, ">= 1 (got 0)"),
+        (-1, ">= 1 (got -1)"),
+    ], ids=["float", "bool", "str", "None", "zero", "negative"])
+    def test_limit_follows_the_option_rule(self, make, limit, complaint):
+        """Every strategy refuses a bad ``limit`` before any work, with
+        the message ``RunOptions`` gives (``config.check_count``)."""
+        qc = QuantumCircuit(2).cx(0, 1)
+        message = re.escape(f"limit must be {complaint}") + "$"
+        with pytest.raises(ValueError, match=message):
+            make().partition(qc, limit)
 
     def test_dagp_no_merge_option(self):
         qc = generators.build("ising", 8)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import make_gate
 from repro.circuits.qasm import QasmError, dumps, loads
 
 from conftest import SUITE_SMALL, random_circuit
@@ -172,10 +173,21 @@ class TestErrors:
                 with pytest.raises(QasmError):
                     loads(f"qreg q[1]; rz({expr}) q[0];")
         before = _eval_param.cache_info().hits
-        assert loads("qreg q[1]; rz(pi/8) q[0]; rz(pi/8) q[0];")[1].params == (
+        # Two statements sharing an angle: a repeated statement is parsed
+        # once, so the second one must differ to reach the cache.
+        assert loads("qreg q[1]; rz(pi/8) q[0]; rx(pi/8) q[0];")[1].params == (
             math.pi / 8,
         )
         assert _eval_param.cache_info().hits > before
+
+    def test_repeated_statement_is_the_same_gate(self):
+        qc = loads("qreg q[2]; cx q[0],q[1]; rz(0.5) q[1]; cx q[0],q[1]; rz(0.5) q[1];")
+        assert list(qc) == [
+            make_gate("cx", (0, 1)),
+            make_gate("rz", (1,), (0.5,)),
+            make_gate("cx", (0, 1)),
+            make_gate("rz", (1,), (0.5,)),
+        ]
 
     @pytest.mark.parametrize(
         "stmt, complaint",

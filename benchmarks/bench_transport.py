@@ -5,8 +5,8 @@ localhost TCP sockets must (a) produce a final state **bit-identical**
 to the in-process communicator (all ranks in one ``SimComm`` — the
 behaviour every pinned model number rests on), and (b) move, per
 exchange and per rank, exactly the amplitude volume the closed-form
-dry-run model
-(:func:`repro.dist.analytic.exchange_rank_stats`) predicts.  Both are
+dry-run model predicts
+(:func:`repro.dist.verify_exchange_records`).  Both are
 gated metrics — a single byte of disagreement fails the benchmark.
 """
 
@@ -20,7 +20,7 @@ from repro.circuits import generators
 from repro.dist import (
     HiSVSimEngine,
     engine_exchange_layouts,
-    exchange_rank_stats,
+    verify_exchange_records,
 )
 from repro.dist.transport import run_spmd
 from repro.partition import get_partitioner
@@ -41,7 +41,6 @@ def run_bench(params):
     num_ranks, qubits = int(params["ranks"]), int(params["qubits"])
     qc = generators.build(params["circuit"], qubits)
     partition = get_partitioner("dagP").partition(qc, default_limit(qubits))
-    local_bits = qubits - (num_ranks.bit_length() - 1)
 
     state, rec_report = HiSVSimEngine(num_ranks=num_ranks).run(qc, partition)
     reference = state.to_full()
@@ -58,25 +57,20 @@ def run_bench(params):
         np.array_equal(full.view(np.uint8), reference.view(np.uint8))
         for full, _ in results
     )
-    expected = engine_exchange_layouts(partition, qubits, num_ranks)
-    records_match = True
-    rank_sent_total = 0
-    for rank, (_, records) in enumerate(results):
-        if len(records) != len(expected):
-            records_match = False
-            continue
-        for record, (old, new) in zip(records, expected):
-            model = exchange_rank_stats(old, new, local_bits, rank)
-            observed = (record.sent_bytes, record.sent_msgs,
-                        record.recv_bytes, record.recv_msgs)
-            if observed != model:
-                records_match = False
-            rank_sent_total += record.sent_bytes
+    records_match = not any(
+        verify_exchange_records(records, partition, qubits, num_ranks, rank)
+        for rank, (_, records) in enumerate(results)
+    )
+    rank_sent_total = sum(
+        record.sent_bytes for _, records in results for record in records
+    )
     return bench.payload(
         metrics={
             "ranks": num_ranks,
             "qubits": qubits,
-            "exchanges": len(expected),
+            "exchanges": len(
+                engine_exchange_layouts(partition, qubits, num_ranks)
+            ),
             "model_bytes": rec_report.comm.total_bytes,
             "model_msgs": rec_report.comm.total_msgs,
             "bitwise_identical": bitwise,

@@ -7,12 +7,36 @@ simulator in this repository.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gates import Gate, make_gate
 
-__all__ = ["QuantumCircuit", "CircuitStats"]
+__all__ = ["QuantumCircuit", "CircuitStats", "gate_budget"]
+
+#: The most gates a circuit created in this context may hold.
+_MAX_GATES: ContextVar[float] = ContextVar("max_gates", default=float("inf"))
+
+
+@contextmanager
+def gate_budget(max_gates: int):
+    """Within the block, a new circuit refuses a gate beyond
+    ``max_gates`` with a :class:`ValueError`, so a generator of unknown
+    size stops after bounded work.  The budget is per thread.
+
+    >>> with gate_budget(2):
+    ...     QuantumCircuit(1).h(0).h(0).h(0)
+    Traceback (most recent call last):
+        ...
+    ValueError: circuit exceeds its budget of 2 gates
+    """
+    token = _MAX_GATES.set(max_gates)
+    try:
+        yield
+    finally:
+        _MAX_GATES.reset(token)
 
 
 @dataclass(frozen=True)
@@ -58,6 +82,7 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: List[Gate] = []
+        self._max_gates = _MAX_GATES.get()
 
     # -- container protocol -------------------------------------------------
 
@@ -94,6 +119,10 @@ class QuantumCircuit:
         if max(gate.qubits) >= self.num_qubits:
             raise ValueError(
                 f"gate {gate} out of range for {self.num_qubits} qubits"
+            )
+        if len(self._gates) >= self._max_gates:
+            raise ValueError(
+                f"circuit exceeds its budget of {self._max_gates} gates"
             )
         self._gates.append(gate)
         return self

@@ -264,7 +264,7 @@ def _batch(args) -> int:
         raise ValueError(f"cannot read manifest: {exc}") from None
     runner = BatchRunner(
         _run_options(args, options),
-        **_merged(args, ("schedule", "workers"), options),
+        **_merged(args, ("workers",), options),
     )
     report = runner.run(jobs)
     print(report.stats.summary())
@@ -545,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("manifest", help="path to the JSON job manifest")
     p_batch.add_argument("-o", "--output", default=None,
                          help="write a JSON results manifest here")
-    p_batch.add_argument("--schedule", default=None,
-                         choices=["fifo", "grouped"],
-                         help="dispatch order (default: grouped — cluster "
-                              "structurally identical jobs)")
     p_batch.add_argument("--workers", type=int, default=None,
                          help="concurrent jobs (default: 1)")
     _add_run_options(p_batch, _COMMON_RUN_FLAGS + ("limit",))
@@ -628,7 +624,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ValueError, MemoryError) as exc:
         # The typed refusal of a request: an unknown generator, strategy,
-        # backend or schedule (a manifest bypasses argparse), a circuit
+        # backend (a manifest bypasses argparse), a circuit
         # the partitioner (``PartitionError``) or the cutter (``CutError``)
         # cannot place, an option out of range, a rank count that cannot
         # mesh, a manifest that cannot be read, a state that cannot be

@@ -75,15 +75,16 @@ class DFSPartitioner:
     def partition(self, circuit: QuantumCircuit, limit: int) -> Partition:
         check_count("limit", limit)
         graph = GateGraph.from_circuit(circuit)
-        best: Partition | None = None
+        best: List[int] = []
+        best_parts = 0
         for t in range(self.trials):
             rng = random.Random(self.seed + t)
             order = random_dfs_topological_order(graph, rng)
             assignment = cutoff_assignment(graph.qmask, order, limit)
-            cand = Partition.from_assignment(
-                circuit, assignment, limit, self.name, graph=graph
-            )
-            if best is None or cand.num_parts < best.num_parts:
-                best = cand
-        assert best is not None
-        return best
+            # The cutoff numbers its parts 0, 1, ... along the order.
+            parts = max(assignment, default=-1) + 1
+            if t == 0 or parts < best_parts:  # the first best wins
+                best, best_parts = assignment, parts
+        return Partition.from_assignment(
+            circuit, best, limit, self.name, graph=graph
+        )

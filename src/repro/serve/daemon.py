@@ -432,14 +432,13 @@ class ServeDaemon:
         lie or fork the caches, so mismatches are rejected explicitly.
         Options are compared against what the runner *resolved*, so a
         manifest naming an effective default (``backend: "serial"``,
-        ``method: "auto"``) is accepted.  ``schedule`` and ``workers``
-        are dispatch knobs with no meaning per request here (the queue
-        orders, threads execute) — they are accepted only at the
-        runner's values too, for symmetry.
+        ``method: "auto"``) is accepted.  ``workers`` is a dispatch knob
+        with no meaning per request here (the queue orders, threads
+        execute) — it is accepted only at the runner's value too, for
+        symmetry.
         """
         configured = {
             **vars(self._runner.resolved),
-            "schedule": self._runner.schedule,
             "workers": self._runner.workers,
         }
         for key, value in options.items():

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuits import generators, qasm
-from ..circuits.circuit import QuantumCircuit
+from ..circuits.circuit import QuantumCircuit, gate_budget
 from ..config import RUN_OPTION_FIELDS, RunOptions
 from ..sv.pauli import PauliTerm
 
@@ -43,8 +43,13 @@ __all__ = [
 ]
 
 #: Manifest keys that configure the runner rather than a job: the
-#: execution options plus the two dispatch knobs of ``BatchRunner``.
-MANIFEST_OPTION_KEYS = RUN_OPTION_FIELDS + ("schedule", "workers")
+#: execution options plus ``BatchRunner``'s dispatch knob.
+MANIFEST_OPTION_KEYS = RUN_OPTION_FIELDS + ("workers",)
+
+#: The most gates a manifest's generator circuit may hold: the daemon
+#: builds circuits at admission, so a bigger spec (``qaoa(2000,
+#: p=2000)``: ~22M gates) is refused after ~0.5 s of building.
+MAX_GENERATOR_GATES = 100_000
 
 
 def structural_fingerprint(circuit: QuantumCircuit) -> str:
@@ -53,10 +58,10 @@ def structural_fingerprint(circuit: QuantumCircuit) -> str:
     Hashes the register width and the ordered ``(name, qubits)`` list;
     gate parameters are deliberately left out.  Two circuits share a
     structural fingerprint exactly when they share gate names, operands
-    and order — the condition under which they partition identically
-    and their fused-plan structures (groupings, gather tables) are
-    interchangeable.  This is the cache key for partitions, compiled
-    plan structures and schedule grouping.
+    and order — the condition under which they partition identically.
+    This is the key of the partition cache and of the runner's dispatch
+    grouping; compiled plan structures need no fingerprint, since the
+    plan cache keys each by its part's content.
 
     >>> from repro.circuits.generators import qaoa
     >>> a = qaoa(6, p=1, gammas=[0.1], betas=[0.2])
@@ -256,10 +261,12 @@ def _build_circuit(
         qubits = _field(job_id, "qubits", int, qubits)
         kwargs = _field(job_id, "args", dict, spec.get("args", {}))
         try:
-            return generators.build(str(name), qubits, **kwargs)
-        except (TypeError, OverflowError) as exc:
-            # A width or argument the generator cannot take (a float it
-            # overflows, a keyword it lacks) is the spec's fault.
+            with gate_budget(MAX_GENERATOR_GATES):
+                return generators.build(str(name), qubits, **kwargs)
+        except (TypeError, OverflowError, ValueError) as exc:
+            # A name, width or argument the generator cannot take (a
+            # float it overflows, a keyword it lacks, a circuit over the
+            # gate budget) is the spec's fault.
             raise ValueError(
                 f"job {job_id!r}: generator {name!r} cannot build "
                 f"'qubits' {qubits} with 'args' {reprlib.repr(kwargs)}: "
@@ -330,8 +337,8 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
     ``source`` is a path to a JSON file or an already-parsed dict (only
     the former may name ``qasm_file`` circuits, relative to itself).
     Returns ``(jobs, options)`` where ``options`` holds the top-level
-    runner keys present in the manifest (``strategy``, ``schedule``,
-    ``workers``, ...).  A job that names no outputs defaults to
+    runner keys present in the manifest (``strategy``, ``workers``,
+    ...).  A job that names no outputs defaults to
     ``want_state=True``.
 
     Unknown top-level keys are rejected (with the nearest valid option
@@ -341,17 +348,17 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
     limit per circuit).
 
     >>> jobs, options = load_manifest({
-    ...     "schedule": "fifo",
+    ...     "strategy": "DFS",
     ...     "jobs": [{"id": "g",
     ...               "circuit": {"generator": "qft", "qubits": 4},
     ...               "shots": 8}],
     ... })
     >>> options, jobs[0].job_id, jobs[0].shots, jobs[0].want_state
-    ({'schedule': 'fifo'}, 'g', 8, False)
-    >>> load_manifest({"schedles": "fifo", "jobs": []})
+    ({'strategy': 'DFS'}, 'g', 8, False)
+    >>> load_manifest({"strategi": "DFS", "jobs": []})
     Traceback (most recent call last):
         ...
-    ValueError: unknown manifest key 'schedles' (did you mean 'schedule'?)
+    ValueError: unknown manifest key 'strategi' (did you mean 'strategy'?)
     """
     base_dir = None
     if isinstance(source, (str, os.PathLike)):
@@ -377,8 +384,6 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
         del options["limit"]  # explicit null = derive per circuit
     for key, value in options.items():
         try:  # a run option's type and range are RunOptions'
-            if key == "schedule" and not isinstance(value, str):
-                raise ValueError("schedule must be a str")
             if key == "workers":
                 check_workers(value)
             if key in RUN_OPTION_FIELDS:

@@ -13,7 +13,7 @@ queue prefers handing a worker the bucket it (or any worker) touched
 last while jobs for it keep arriving.  A parameter sweep trickling in
 over many requests therefore keeps hitting one resident partition and
 one compiled plan structure — the serving-time analogue of the batch
-runner's ``grouped`` schedule.  Buckets are otherwise served oldest
+runner's grouped dispatch order.  Buckets are otherwise served oldest
 first, and the bounded capacity caps how long affinity can defer another
 structure's jobs.
 

@@ -5,22 +5,22 @@ through the hierarchical pipeline with every reusable artefact shared:
 
 * one **partition cache** keyed by structural fingerprint — a QAOA
   angle sweep partitions once, not once per job;
-* one **plan cache** (:class:`~repro.sv.fusion.PlanCache`) routed
-  through its structural layer — fusion groupings and gather tables are
-  compiled once per structure, only the fused matrices are rebuilt per
-  job (``HierarchicalExecutor.run(structural_key=...)``);
+* one **plan cache** (:class:`~repro.sv.fusion.PlanCache`) whose
+  structural layer is keyed by part content — fusion groupings and
+  gather tables are compiled once per distinct part, only the fused
+  matrices are rebuilt per job;
 * one **execution backend** — serial or threaded
   (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
-Dispatch is by **group**: the schedule (:func:`order_jobs`) fixes the
-order, and consecutive jobs of one structure in that order, up to
+Dispatch is by **group**: :func:`order_jobs` fixes the order, and
+consecutive jobs of one structure in that order, up to
 :func:`~repro.sv.backend.stack_limit` of them, run as one stack — one
 partition lookup, one bind pass per part for all of them, one stacked
 sweep per gathered part.  ``workers > 1`` additionally runs groups
 concurrently on a thread pool (safe: the plan cache is lock-protected,
 partitioning is serialised per structure, and each job owns its state
 vector).  Results always come back in submission order and are
-bit-identical for any schedule, worker count or grouping: a stacked job
+bit-identical for any worker count or grouping: a stacked job
 is counted and computed exactly as it would be alone.
 """
 
@@ -73,29 +73,21 @@ def default_limit(num_qubits: int, cap: Optional[int] = None) -> int:
     return limit if cap is None else min(limit, cap)
 
 
-def order_jobs(schedule: str, structurals: Sequence[str]) -> List[int]:
-    """Dispatch order for ``schedule`` over structural fingerprints.
+def order_jobs(structurals: Sequence[str]) -> List[int]:
+    """Dispatch order over structural fingerprints: structurally
+    identical jobs clustered (groups in first-seen order, jobs keeping
+    their relative order inside a group).
 
-    Scheduling never changes results — every output is seeded and every
-    plan is keyed by content — it only changes cache behaviour.
-    ``"fifo"`` preserves submission order.  ``"grouped"`` clusters
-    structurally identical jobs (groups in first-seen order, jobs keeping
-    their relative order inside a group) so each structure's partition
-    and compiled plans are resident when its jobs run, which is what
+    The order never changes results — every output is seeded and every
+    plan is keyed by content — only cache behaviour: each structure's
+    partition and compiled plans are resident when its jobs run, which
     maximises hits in a *bounded* plan cache when many distinct
-    structures interleave.
+    structures interleave, and a structure's jobs are consecutive, so
+    they stack.
 
-    >>> order_jobs("fifo", ["a", "b", "a"])
-    [0, 1, 2]
-    >>> order_jobs("grouped", ["a", "b", "a", "c", "b"])
+    >>> order_jobs(["a", "b", "a", "c", "b"])
     [0, 2, 1, 4, 3]
     """
-    if schedule == "fifo":
-        return list(range(len(structurals)))
-    if schedule != "grouped":
-        raise ValueError(
-            f"unknown schedule {schedule!r}; choose from ['fifo', 'grouped']"
-        )
     groups: Dict[str, List[int]] = {}
     for i, structural in enumerate(structurals):
         groups.setdefault(structural, []).append(i)
@@ -112,10 +104,13 @@ class BatchStats:
     that fails counts under ``errored`` only).
     ``structures_compiled`` counts part-plan structures built (fusion
     grouping + gather tables) and ``structure_hits`` the parts that
-    reused one.  A ``J``-job single-structure batch over a ``P``-part
-    partition therefore shows ``partitions_computed=1`` and
-    ``structures_compiled=P`` however large ``J`` grows — that
-    amortisation is the runtime's reason to exist.  Every dense part
+    reused one; a structure is keyed by its part's content, so parts
+    with the same gates share one, within a circuit and across jobs.
+    A ``J``-job single-structure batch over a ``P``-part partition
+    therefore shows ``partitions_computed=1`` and at most ``P``
+    ``structures_compiled`` (one per distinct part content) however
+    large ``J`` grows — that amortisation is the runtime's reason to
+    exist.  Every dense part
     makes one plan lookup: ``plan_hits`` + ``plans_bound`` equals
     ``parts_routed_dense`` for a batch without errors.
 
@@ -138,7 +133,6 @@ class BatchStats:
     plan_hits: int = 0
     errored: int = 0
     seconds: float = 0.0
-    schedule: str = "fifo"
     parts_routed_dense: int = 0
     parts_routed_stabilizer: int = 0
 
@@ -163,7 +157,7 @@ class BatchStats:
         """One-line human-readable digest."""
         return (
             f"{self.num_jobs} jobs ({self.unique_structures} structures) "
-            f"in {self.seconds:.3f}s [{self.schedule}]: "
+            f"in {self.seconds:.3f}s: "
             f"partitions {self.partitions_computed} computed / "
             f"{self.partition_hits} cached, "
             f"plan structures {self.structures_compiled} compiled / "
@@ -228,11 +222,11 @@ class BatchRunner:
         :func:`default_limit` per circuit) and hands the object whole to
         its ``HierarchicalExecutor``.  ``None`` means the defaults.
     schedule:
-        Dispatch order policy (``"fifo"`` or ``"grouped"``; see
-        :func:`order_jobs`).
+        ``"grouped"``, the only value (kept for callers that pass it;
+        the order is :func:`order_jobs`).
     workers:
         Concurrent groups. ``1`` (default) dispatches sequentially in
-        schedule order; ``> 1`` uses a thread pool (results and caches
+        that order; ``> 1`` uses a thread pool (results and caches
         stay deterministic — only timing changes).
     plan_cache:
         Optional shared :class:`~repro.sv.fusion.PlanCache`; pass one to
@@ -245,7 +239,7 @@ class BatchRunner:
     >>> from repro.serve import SimJob
     >>> jobs = [SimJob(f"j{k}", qaoa(6, p=1, gammas=[0.1 * k], betas=[0.2]),
     ...                want_state=True) for k in range(4)]
-    >>> report = BatchRunner(schedule="grouped").run(jobs)
+    >>> report = BatchRunner().run(jobs)
     >>> report.stats.partitions_computed, report.stats.partition_hits
     (1, 3)
     >>> len(report.results[0].state)
@@ -261,11 +255,11 @@ class BatchRunner:
         plan_cache: Optional[PlanCache] = None,
         **overrides,
     ) -> None:
-        order_jobs(schedule, [])  # validate the schedule name early
+        if schedule != "grouped":
+            raise ValueError(f"schedule must be 'grouped', got {schedule!r}")
         self.options = RunOptions.fold(options, overrides, "BatchRunner")
         # Partitioners hold configuration only: one serves every call.
         self._partitioner = get_partitioner(self.options.strategy)
-        self.schedule = schedule
         self.workers = check_workers(workers)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor = HierarchicalExecutor(
@@ -430,7 +424,6 @@ class BatchRunner:
                     partition,
                     [states[k] for k in live],
                     [traces[k] for k in live],
-                    structural_key=structural,
                     cache_counters=(
                         None if counters is None else counters.cache
                     ),
@@ -621,15 +614,15 @@ class BatchRunner:
         """
         t0 = time.perf_counter()
         counters = _RunCounters(
-            BatchStats(num_jobs=len(jobs), schedule=self.schedule)
+            BatchStats(num_jobs=len(jobs))
         )
         # Identity fingerprints name the result (distinct per boundary
-        # variant); structural fingerprints key every cache and the
-        # schedule grouping (variants share them by design).  One hash
+        # variant); structural fingerprints key the partition cache and
+        # the dispatch grouping (variants share them by design).  One hash
         # pass per job yields both.
         keys = [fingerprints(j.circuit) for j in jobs]
         structurals = [structural for _, structural in keys]
-        order = order_jobs(self.schedule, structurals)
+        order = order_jobs(structurals)
         # Consecutive jobs of one structure in dispatch order run as one
         # stack, up to the width's stack limit; a cut job runs alone.
         groups: List[List[int]] = []

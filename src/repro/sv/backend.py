@@ -702,7 +702,7 @@ def run_part_group(
     >>> from repro.sv.fusion import PlanCache
     >>> jobs = [qaoa(4, p=1, gammas=[g], betas=[0.4]) for g in (0.1, 0.2)]
     >>> plans = PlanCache().get_or_compile_group(
-    ...     jobs, range(len(jobs[0])), range(4), structural_key="qaoa4")
+    ...     jobs, range(len(jobs[0])), range(4))
     >>> states = [np.zeros(16, dtype=np.complex128) for _ in jobs]
     >>> for state in states:
     ...     state[0] = 1.0

@@ -966,13 +966,12 @@ class PlanCache:
     — a benign race recomputes an identical value), so returned plans may
     be used from any number of threads without further locking.
 
-    Given a ``structural_key`` (see
-    :func:`repro.serve.circuit_fingerprint`), a miss takes its
-    :class:`PartPlanStructure` — fusion grouping plus gather tables —
-    from a **structural** layer shared by every circuit with that key,
-    and binds only fresh matrices.  A parameter sweep of ``J``
-    structurally identical jobs over a ``P``-part partition shows
-    exactly ``P`` structure misses and ``(J - 1) * P`` structure hits.
+    A miss takes its :class:`PartPlanStructure` — fusion grouping plus
+    gather tables — from a **structural** layer keyed by what the part
+    computes: its gates' ordered ``(name, qubits)``, its working set as
+    given, ``fuse`` and the fused width, never a parameter.  A sweep of
+    ``J`` jobs of one structure over a ``P``-part partition builds at
+    most ``P`` structures, one per distinct part content.
     Both layers share the one ``max_entries`` bound.  The cache holds
     no counters: events go to the caller's :class:`CacheCounters`.
 
@@ -1012,31 +1011,20 @@ class PlanCache:
         gate_indices: Sequence[int],
         inner_qubits: Sequence[int],
         *,
-        structural_key=None,
         fuse: bool = True,
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         counters: Optional[CacheCounters] = None,
     ) -> CompiledPartPlan:
         """The plan of one part of ``circuit``, compiled on first use.
 
-        ``structural_key`` must identify the circuit's *structure* (gate
-        names and operands in order — parameters excluded); callers
-        normally pass :func:`repro.serve.circuit_fingerprint`.  With
-        one, a structurally identical *new* circuit reuses the cached
-        :class:`PartPlanStructure` and pays only fresh matrix products.
-        Without one, the structure is built for this circuit alone and
-        is not cached on its own.  Either way the bound plan is memoised
-        per circuit object, so re-running one circuit skips even matrix
-        construction.
-
-        This is :meth:`get_or_compile_group` for one circuit; its
+        The plan is memoised per circuit object, so re-running one
+        circuit skips even matrix construction.  This is :meth:`get_or_compile_group` for one circuit; its
         exception, if any, is raised.
         """
         (plan,) = self.get_or_compile_group(
             [circuit],
             gate_indices,
             inner_qubits,
-            structural_key=structural_key,
             fuse=fuse,
             max_fused_qubits=max_fused_qubits,
             counters=counters,
@@ -1051,20 +1039,20 @@ class PlanCache:
         gate_indices: Sequence[int],
         inner_qubits: Sequence[int],
         *,
-        structural_key=None,
         fuse: bool = True,
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         counters: Optional[CacheCounters] = None,
     ) -> List[Union[CompiledPartPlan, Exception]]:
-        """One part's plans for ``K`` circuits of one structure: item
-        ``k`` is circuit ``k``'s plan, or the exception its lookup raised.
+        """One part's plans for ``K`` circuits: item ``k`` is circuit
+        ``k``'s plan, or the exception its lookup raised.
 
         Each circuit makes the lookup :meth:`get_or_compile` describes
-        and is counted as if it ran alone.  With a ``structural_key``,
-        the first miss binds every circuit not yet cached in one stacked
-        pass (:meth:`PartPlanStructure.bind`) and later misses take their
-        plans from it; if that pass raises, each circuit binds alone, so
-        an error stays its own circuit's.
+        and is counted as if it ran alone.  The first miss binds every
+        later circuit not yet cached in one stacked pass over its
+        structure (:meth:`PartPlanStructure.bind`, whose per-gate check
+        admits only that content); if the pass raises, each circuit
+        binds alone under its own content key, so an error stays its
+        own circuit's.
 
         Per-job matrix construction is the part of a batched sweep that
         scales with the job count; like every :class:`OnceCache`
@@ -1075,8 +1063,7 @@ class PlanCache:
         >>> sweep = [qaoa(4, p=1, gammas=[g], betas=[0.3]) for g in (0.1, 0.2)]
         >>> cache, seen = PlanCache(), CacheCounters()
         >>> a, b = cache.get_or_compile_group(
-        ...     sweep, range(len(sweep[0])), range(4), structural_key="s",
-        ...     counters=seen)
+        ...     sweep, range(len(sweep[0])), range(4), counters=seen)
         >>> a.stack[0] is b.stack[0], seen.misses, seen.structure_hits
         (True, 2, 1)
         """
@@ -1087,25 +1074,22 @@ class PlanCache:
             bool(fuse),
             int(max_fused_qubits),
         )
-        prebound: Dict[int, CompiledPartPlan] = {}
-        stacked = False
+        grouped: Optional[Dict[int, CompiledPartPlan]] = None
 
         def gates(k: int) -> List[Gate]:
             return [circuits[k][g] for g in gate_indices]
 
         def bind(k: int):
-            nonlocal stacked
+            nonlocal grouped
             circuit = circuits[k]
-            if structural_key is None:
-                return circuit, compile_part(
-                    circuit,
-                    gate_indices,
-                    inner_qubits,
-                    fuse=fuse,
-                    max_fused_qubits=max_fused_qubits,
-                )
+            if grouped is not None and k in grouped:
+                self._count("structure_hits", counters)
+                return circuit, grouped.pop(k)
+            mine = gates(k)
+            # What the part computes, parameters left out.
+            content = tuple((g.name, g.qubits) for g in mine)
             structure, reused = self._cache.get(
-                ("struct", structural_key) + part,
+                ("struct", content) + part[1:],
                 lambda: build_part_structure(
                     circuit,
                     gate_indices,
@@ -1117,9 +1101,8 @@ class PlanCache:
             self._count(
                 "structure_hits" if reused else "structure_misses", counters
             )
-            plan = prebound.pop(k, None)
-            if plan is None and not stacked:
-                stacked = True
+            if grouped is None:  # the group's first miss
+                grouped = {}
                 rest = [
                     j
                     for j in range(k + 1, len(circuits))
@@ -1128,13 +1111,13 @@ class PlanCache:
                 if rest:
                     try:
                         plan, *plans = structure.bind(
-                            [gates(j) for j in [k] + rest]
+                            [mine] + [gates(j) for j in rest]
                         )
-                        prebound.update(zip(rest, plans))
+                        grouped.update(zip(rest, plans))
+                        return circuit, plan
                     except Exception:
-                        plan = None  # each circuit binds alone
-            if plan is None:
-                (plan,) = structure.bind([gates(k)])
+                        pass  # each circuit binds alone
+            (plan,) = structure.bind([mine])
             return circuit, plan
 
         out: List[Union[CompiledPartPlan, Exception]] = []
@@ -1150,9 +1133,11 @@ class PlanCache:
             out.append(plan)
         return out
 
-    # The perf harness's serve pipeline calls this name; delete it once
-    # the harness stops.
-    get_or_bind = get_or_compile
+    def get_or_bind(self, *args, structural_key=None, **kwargs):
+        """:meth:`get_or_compile` by the name the perf harness's serve
+        pipeline calls; it ignores ``structural_key`` (structures are
+        keyed by content).  Delete it once the harness stops."""
+        return self.get_or_compile(*args, **kwargs)
 
 
 def compile_partition(

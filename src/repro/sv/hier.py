@@ -228,7 +228,6 @@ class HierarchicalExecutor:
         state: Union[np.ndarray, StabilizerState],
         trace: Optional[ExecutionTrace] = None,
         *,
-        structural_key=None,
         cache_counters: Optional[CacheCounters] = None,
     ) -> Union[np.ndarray, StabilizerState]:
         """Execute all parts in order against ``state``.
@@ -246,23 +245,17 @@ class HierarchicalExecutor:
         input object.
 
         Every dense part makes one
-        :meth:`~repro.sv.fusion.PlanCache.get_or_compile` lookup.
-        ``structural_key`` (optional) is passed on to it: a fingerprint
-        of the circuit's structure
-        (:func:`repro.serve.circuit_fingerprint`) lets structurally
-        identical circuits — parameter sweeps — reuse one fusion
-        structure and its gather tables, rebuilding only the fused
-        matrices.  ``cache_counters`` (optional) receives this call's
-        plan-cache events (:class:`~repro.sv.fusion.CacheCounters`);
-        the cache itself counts nothing.  This is :meth:`run_group` for
-        one circuit; its exception, if any, is raised.
+        :meth:`~repro.sv.fusion.PlanCache.get_or_compile` lookup;
+        ``cache_counters`` (optional) receives this call's plan-cache
+        events (:class:`~repro.sv.fusion.CacheCounters`); the cache
+        itself counts nothing.  This is :meth:`run_group` for one
+        circuit; its exception, if any, is raised.
         """
         (out,) = self.run_group(
             [circuit],
             partition,
             [state],
             [trace],
-            structural_key=structural_key,
             cache_counters=cache_counters,
         )
         if isinstance(out, Exception):
@@ -276,7 +269,6 @@ class HierarchicalExecutor:
         states: Sequence[Union[np.ndarray, StabilizerState]],
         traces: Optional[Sequence[Optional[ExecutionTrace]]] = None,
         *,
-        structural_key=None,
         cache_counters: Optional[CacheCounters] = None,
     ) -> List[Union[np.ndarray, StabilizerState, Exception]]:
         """:meth:`run` for ``K`` circuits that share ``partition``: item
@@ -291,9 +283,8 @@ class HierarchicalExecutor:
         :meth:`~repro.sv.fusion.PlanCache.get_or_compile_group` lookup
         and one :func:`~repro.sv.backend.run_part_group` call on the
         backend's mapper, which sweeps the plans of one structure as
-        one stack.  Circuits of one structure share plan structures
-        only under one ``structural_key``; without one, each circuit's
-        plans are its own and it sweeps alone.  A circuit
+        one stack; every part with the same gates shares one plan
+        structure, so circuits of one structure stack.  A circuit
         whose check, conversion or bind fails drops out with its
         exception; the others go on.  Where the state is one block, the
         dense parts share a :class:`~repro.sv.backend.ResidentBlock`,
@@ -305,7 +296,7 @@ class HierarchicalExecutor:
         >>> partition = get_partitioner("dagP").partition(jobs[0], 4)
         >>> ex = HierarchicalExecutor(method="dense")
         >>> states = [ex.initial_state(qc) for qc in jobs]
-        >>> a, b = ex.run_group(jobs, partition, states, structural_key="q6")
+        >>> a, b = ex.run_group(jobs, partition, states)
         >>> bool(np.array_equal(a, ex.run(jobs[0], partition,
         ...                               ex.initial_state(jobs[0]))))
         True
@@ -370,7 +361,6 @@ class HierarchicalExecutor:
                 group,
                 part.gate_indices,
                 part.qubits,
-                structural_key=structural_key,
                 fuse=self.options.fuse,
                 max_fused_qubits=self.options.max_fused_qubits,
                 counters=cache_counters,

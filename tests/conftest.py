@@ -90,6 +90,37 @@ def random_circuit(
     return qc
 
 
+def part_contents(circuit: QuantumCircuit, partition) -> set:
+    """What each part of ``partition`` computes, as the plan cache keys
+    its structures: the ordered ``(name, qubits)`` of the part's gates
+    and its working set.  One structure is built per distinct entry."""
+    return {
+        (
+            tuple((circuit[g].name, circuit[g].qubits) for g in part.gate_indices),
+            tuple(part.qubits),
+        )
+        for part in partition.parts
+    }
+
+
+def refuse_gate_matrix(monkeypatch, name: str, params: tuple) -> str:
+    """Make binding ``name`` with ``params`` raise ``ValueError`` — a
+    failure of one job's parameters that no plan key can prevent.
+    Returns the message."""
+    from repro.sv import fusion
+
+    message = f"refused {name}{params}"
+    real = fusion.shared_gate_matrix
+
+    def matrix(gate, values):
+        if gate == name and tuple(values) == params:
+            raise ValueError(message)
+        return real(gate, values)
+
+    monkeypatch.setattr(fusion, "shared_gate_matrix", matrix)
+    return message
+
+
 class RefineReference:
     """Oracle for ``repro.partition.dagp.refine``: the refinement loop as
     first written -- every step re-scans all ``n`` nodes through
@@ -546,6 +577,31 @@ def dagp_partition_reference(partitioner, circuit, limit: int):
             assignment = [group[p] for p in assignment]
         cand = Partition.from_assignment(
             circuit, assignment, limit, partitioner.name, graph=root
+        )
+        if best is None or cand.num_parts < best.num_parts:
+            best = cand
+    return best
+
+
+def dfs_partition_reference(partitioner, circuit, limit: int):
+    """``DFSPartitioner.partition`` as first written: every trial's
+    order cut and built into a ``Partition``, the first with the fewest
+    parts kept."""
+    import random
+
+    from repro.dag import GateGraph
+    from repro.partition.base import Partition
+    from repro.partition.dfs import random_dfs_topological_order
+    from repro.partition.natural import cutoff_assignment
+
+    graph = GateGraph.from_circuit(circuit)
+    best = None
+    for t in range(partitioner.trials):
+        rng = random.Random(partitioner.seed + t)
+        order = random_dfs_topological_order(graph, rng)
+        assignment = cutoff_assignment(graph.qmask, order, limit)
+        cand = Partition.from_assignment(
+            circuit, assignment, limit, partitioner.name, graph=graph
         )
         if best is None or cand.num_parts < best.num_parts:
             best = cand

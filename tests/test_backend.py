@@ -35,7 +35,7 @@ from repro.sv import (
 )
 from repro.sv.kernels import BLOCK_ELEMENTS
 
-from conftest import literal_reference, random_circuit
+from conftest import literal_reference, part_contents, random_circuit
 
 
 def _reference_state(qc):
@@ -453,9 +453,12 @@ class TestPlanCacheThreadSafety:
         for state in states:
             assert float(np.max(np.abs(state - expected))) < 1e-10
         # Each part compiled exactly once: no duplicate builds, no
-        # corruption, every other lookup a hit.
+        # corruption, every other lookup a hit.  The cache holds a plan
+        # per part and a structure per distinct part content.
+        structures = len(part_contents(qc, p))
         assert seen.misses == p.num_parts
-        assert len(cache) == p.num_parts
+        assert seen.structure_misses == structures
+        assert len(cache) == p.num_parts + structures
         assert seen.hits == (n_threads - 1) * p.num_parts
 
     def test_concurrent_mixed_keys(self):
@@ -481,18 +484,19 @@ class TestPlanCacheThreadSafety:
 
     def test_different_circuits_compile_concurrently(self, monkeypatch):
         # Compilation runs outside the cache lock: two threads cold-
-        # compiling different circuits are inside compile_part together
-        # (the barrier breaks, and the test fails, if they serialise).
+        # compiling different circuits are inside build_part_structure
+        # together (the barrier breaks, and the test fails, if they
+        # serialise).
         from repro.sv import fusion
 
         inside = threading.Barrier(2)
-        real = fusion.compile_part
+        real = fusion.build_part_structure
 
-        def compile_part_together(*args, **kwargs):
+        def build_together(*args, **kwargs):
             inside.wait(10)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fusion, "compile_part", compile_part_together)
+        monkeypatch.setattr(fusion, "build_part_structure", build_together)
         cache, seen = PlanCache(), CacheCounters()
         circuits = [random_circuit(5, 12, seed=s) for s in (1, 2)]
 
@@ -504,7 +508,9 @@ class TestPlanCacheThreadSafety:
         with ThreadPoolExecutor(max_workers=2) as pool:
             plans = list(pool.map(compile_whole, circuits))
         assert plans[0] is not plans[1]
-        assert (seen.misses, seen.hits, len(cache)) == (2, 0, 2)
+        # Two plans and, the contents differing, two structures.
+        assert plans[0].structure is not plans[1].structure
+        assert (seen.misses, seen.hits, len(cache)) == (2, 0, 4)
 
     def test_one_structure_bound_by_many_threads_counts_exactly(self):
         import sys
@@ -522,10 +528,7 @@ class TestPlanCacheThreadSafety:
             executor = HierarchicalExecutor(plan_cache=cache)
             barrier.wait(10)
             state = zero_state(8)
-            executor.run(
-                qc, p, state, structural_key="one-structure",
-                cache_counters=seen,
-            )
+            executor.run(qc, p, state, cache_counters=seen)
             return state
 
         old = sys.getswitchinterval()
@@ -537,8 +540,9 @@ class TestPlanCacheThreadSafety:
             sys.setswitchinterval(old)
         for qc, state in zip(sweep, states):
             assert float(np.max(np.abs(state - _reference_state(qc)))) < 1e-10
-        assert seen.structure_misses == p.num_parts
-        assert seen.structure_hits == (jobs - 1) * p.num_parts
+        structures = len(part_contents(sweep[0], p))
+        assert seen.structure_misses == structures
+        assert seen.structure_hits == jobs * p.num_parts - structures
         assert (seen.misses, seen.hits) == (jobs * p.num_parts, 0)
 
 

@@ -164,7 +164,7 @@ class TestSharedRunFlags:
         from repro.config import RunOptions
 
         manifest = {"strategy": "Nat", "method": "dense", "fuse": False,
-                    "schedule": "fifo"}
+                    "workers": 3}
         args = build_parser().parse_args(
             ["batch", "jobs.json", "--strategy", "DFS", "--fuse",
              "--workers", "2"]
@@ -174,9 +174,7 @@ class TestSharedRunFlags:
             fuse=True,          # --fuse beats manifest false
             method="dense",     # manifest beats default
         )                       # everything else: the dataclass default
-        assert _merged(args, ("schedule", "workers"), manifest) == {
-            "schedule": "fifo", "workers": 2,
-        }
+        assert _merged(args, ("workers",), manifest) == {"workers": 2}
 
 
 class TestLimitAndRendezvousFlags:
@@ -284,7 +282,7 @@ class TestRefusalsAreOneLine:
                       "max_fused_qubits must be >= 1 (got 0)", capsys)
 
     @pytest.mark.parametrize("option,message", [
-        ({"schedule": "bogus"}, "unknown schedule 'bogus'; choose from"),
+        ({"schedule": "grouped"}, "unknown manifest key 'schedule'"),
         ({"backend": "gpu"}, "unknown backend 'gpu'; choose from"),
         ({"strategy": "KL"}, "unknown strategy 'KL'; choose from"),
         ({"threads": 0}, "threads must be >= 1 (got 0)"),

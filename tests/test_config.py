@@ -105,15 +105,15 @@ class TestRunOptions:
     def test_manifest_keys_derive_from_the_dataclass(self):
         from repro.serve import load_manifest
 
-        accepted = set(RUN_OPTION_FIELDS) | {"schedule", "workers"}
+        accepted = set(RUN_OPTION_FIELDS) | {"workers"}
         everything = {key: None for key in accepted}
-        everything.update(strategy="DFS", schedule="fifo", workers=2,
+        everything.update(strategy="DFS", workers=2,
                           fuse=False, max_fused_qubits=3,
                           backend="serial", threads=1, method="dense",
                           limit=5)
         _, options = load_manifest({"jobs": [], **everything})
         assert set(options) == accepted
-        for removed in ("mode", "pad_to"):
+        for removed in ("mode", "pad_to", "schedule"):
             with pytest.raises(ValueError, match="unknown manifest key"):
                 load_manifest({"jobs": [], removed: 4})
 

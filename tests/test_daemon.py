@@ -421,11 +421,11 @@ class TestProtocolErrors:
 
     def test_unknown_manifest_key_rejected(self, daemon):
         manifest = sweep_manifest(jobs=1)
-        manifest["schedles"] = "fifo"
+        manifest["strategi"] = "DFS"
         status, payload, _ = request(
             daemon.port, "POST", "/jobs", payload=manifest
         )
-        assert status == 400 and "schedule" in payload["error"]
+        assert status == 400 and "strategy" in payload["error"]
 
     def test_conflicting_runner_option_rejected(self, daemon):
         manifest = sweep_manifest(jobs=1)

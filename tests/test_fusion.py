@@ -13,7 +13,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_permutation, make_gate
 from repro.partition import get_partitioner
 from repro.partition.base import Partition
-from repro.serve import structural_fingerprint
 from repro.sv import SerialBackend, fusion
 from repro.sv.fusion import (
     CacheCounters,
@@ -31,7 +30,7 @@ from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.kernels import apply_gate_batched, apply_matrix
 from repro.sv.simulator import StateVectorSimulator, zero_state
 
-from conftest import SUITE_SMALL, literal_reference, random_circuit
+from conftest import SUITE_SMALL, literal_reference, part_contents, random_circuit
 from strategies import _ANGLES, circuits
 
 
@@ -329,13 +328,14 @@ class TestBindProgram:
         cache, seen = PlanCache(), CacheCounters()
         # Bind another angle set first: the cached structure's program
         # is then already compiled when ``qc`` arrives.  ``get_or_bind``
-        # is the old name of the one lookup.
+        # is the old name of the one lookup; the key it still accepts
+        # is ignored, so even a lying one shares nothing wrong.
         cache.get_or_bind(
             angle_variants(qc, 1)[0], part.gate_indices, part.qubits,
             structural_key="k", counters=seen,
         )
         bound = cache.get_or_bind(
-            qc, part.gate_indices, part.qubits, structural_key="k",
+            qc, part.gate_indices, part.qubits, structural_key="other",
             counters=seen,
         )
         assert seen.structure_hits == 1
@@ -523,8 +523,7 @@ class TestDiagonalByProduct:
         for job, qc in enumerate([base] + angle_variants(base, 103)):
             for part in partition.parts:
                 plan = cache.get_or_compile(
-                    qc, part.gate_indices, part.qubits, structural_key="k",
-                    counters=seen,
+                    qc, part.gate_indices, part.qubits, counters=seen
                 )
                 flagged += sum(op.is_diagonal for op in plan.ops)
             if job == 0:
@@ -534,7 +533,7 @@ class TestDiagonalByProduct:
         # ... and 103 more binds of the same structures asked nothing.
         assert calls == first
         assert flagged == 104 * per_job
-        assert seen.structure_misses == partition.num_parts
+        assert seen.structure_misses == len(part_contents(base, partition))
 
     @pytest.mark.parametrize("name", sorted(generators.GENERATORS))
     def test_every_generator_flag_agrees_with_its_matrices(self, name):
@@ -580,8 +579,9 @@ class TestPlanCache:
         b = cache.get_or_compile(
             qc, range(len(qc)), range(6), fuse=False, counters=seen
         )
-        assert a is not b
-        assert (seen.misses, len(cache)) == (2, 2)
+        assert a is not b and a.structure is not b.structure
+        # Two plans and two structures: ``fuse`` is part of the key.
+        assert (seen.misses, seen.structure_misses, len(cache)) == (2, 2, 4)
 
     def test_eviction_bound(self):
         qc = generators.build("bv", 6)
@@ -615,9 +615,22 @@ def op_bytes(plan):
     ]
 
 
+def renamed(qc, positions):
+    """``qc`` with the gates at ``positions`` swapped for another
+    parameterless gate on the same operands: other part contents."""
+    swap = {1: ("h", "x"), 2: ("cz", "cx"), 3: ("ccz", "ccx")}
+    out = QuantumCircuit(qc.num_qubits)
+    for i, g in enumerate(qc):
+        if i in positions:
+            a, b = swap[len(g.qubits)]
+            g = make_gate(b if g.name == a else a, g.qubits, ())
+        out.append(g)
+    return out
+
+
 class TestOneLookup:
-    """``get_or_compile`` with and without a structural key is what the
-    old per-circuit and structural lookups were."""
+    """``get_or_compile`` keys a part's structure by what it computes:
+    every plan has the bits of ``compile_part`` of its circuit alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -632,25 +645,18 @@ class TestOneLookup:
         n = qc.num_qubits
         partition = get_partitioner(strategy).partition(qc, min(limit, n))
         parts = partition.num_parts
-        key = structural_fingerprint(qc)
-        keyed, plain = PlanCache(), PlanCache()
-        kseen, pseen = CacheCounters(), CacheCounters()
+        structures = len(part_contents(qc, partition))
+        cache, seen = PlanCache(), CacheCounters()
         for part in partition.parts:
             args = (qc, part.gate_indices, part.qubits)
-            a = keyed.get_or_compile(
-                *args, structural_key=key, fuse=fuse, counters=kseen
-            )
-            b = plain.get_or_compile(*args, fuse=fuse, counters=pseen)
-            assert op_bytes(a) == op_bytes(b)
-            # A repeat lookup of the same circuit hits, both ways.
-            assert keyed.get_or_compile(
-                *args, structural_key=key, fuse=fuse, counters=kseen
-            ) is a
-            assert plain.get_or_compile(*args, fuse=fuse, counters=pseen) is b
-        assert (kseen.misses, kseen.hits) == (parts, parts)
-        assert (kseen.structure_misses, kseen.structure_hits) == (parts, 0)
-        assert (pseen.misses, pseen.hits) == (parts, parts)
-        assert (pseen.structure_misses, pseen.structure_hits) == (0, 0)
+            a = cache.get_or_compile(*args, fuse=fuse, counters=seen)
+            assert op_bytes(a) == op_bytes(compile_part(*args, fuse=fuse))
+            # A repeat lookup of the same circuit hits.
+            assert cache.get_or_compile(*args, fuse=fuse, counters=seen) is a
+        assert (seen.misses, seen.hits) == (parts, parts)
+        assert (seen.structure_misses, seen.structure_hits) == (
+            structures, parts - structures,
+        )
 
         # Plans compiled beforehand serve the run: only hits.
         cache, seen = PlanCache(), CacheCounters()
@@ -659,6 +665,66 @@ class TestOneLookup:
             qc, partition, zero_state(n), cache_counters=seen
         )
         assert (seen.misses, seen.hits) == (0, parts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=circuits(max_gates=16, three_qubit=True),
+        repeat=st.integers(1, 3),
+        strategy=st.sampled_from(["Nat", "DFS", "dagP"]),
+        limit=st.integers(3, 6),
+        jobs=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_property_groups_share_structures_by_content(
+        self, base, repeat, strategy, limit, jobs, data
+    ):
+        """Groups of ``jobs`` circuits — angle variants, some with gates
+        renamed (mixed contents) — under both ``fuse`` values and both
+        working-set orders, through one cache: each plan has its circuit's
+        own bits, parts of equal content share one structure object, and
+        one structure is built per distinct content."""
+        qc = QuantumCircuit(base.num_qubits)
+        for _ in range(repeat):  # repeated blocks: parts of equal content
+            qc.extend(base)
+        partition = get_partitioner(strategy).partition(
+            qc, min(limit, qc.num_qubits)
+        )
+        group = angle_variants(qc, jobs)
+        if data.draw(st.booleans(), label="mixed"):
+            flips = data.draw(
+                st.sets(st.integers(0, len(qc) - 1), max_size=4),
+                label="renamed gates",
+            )
+            group = [
+                renamed(v, flips) if data.draw(st.booleans()) else v
+                for v in group
+            ]
+        cache, seen = PlanCache(), CacheCounters()
+        shared, lookups = {}, 0
+        for fuse in (True, False):
+            for part in partition.parts:
+                for inner in dict.fromkeys((part.qubits, part.qubits[::-1])):
+                    lookups += jobs
+                    plans = cache.get_or_compile_group(
+                        group, part.gate_indices, inner, fuse=fuse,
+                        counters=seen,
+                    )
+                    for v, plan in zip(group, plans):
+                        alone = compile_part(
+                            v, part.gate_indices, inner, fuse=fuse
+                        )
+                        assert op_bytes(plan) == op_bytes(alone)
+                        content = (
+                            tuple((v[g].name, v[g].qubits)
+                                  for g in part.gate_indices),
+                            tuple(inner), fuse,
+                        )
+                        assert shared.setdefault(
+                            content, plan.structure
+                        ) is plan.structure
+        assert seen.structure_misses == len(shared)
+        assert seen.structure_misses + seen.structure_hits == lookups
+        assert (seen.misses, seen.hits) == (lookups, 0)
 
 
 class TestWorkingSet:

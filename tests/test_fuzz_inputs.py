@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import copy
 import math
+import time
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import generators, qasm
@@ -69,7 +71,7 @@ def test_fuzzed_qasm_parses_or_raises_qasm_error(text):
 
 #: A valid manifest using every job field the loader reads.
 BASE = {
-    "schedule": "fifo",
+    "workers": 1,
     "jobs": [
         {
             "id": "gen",
@@ -139,15 +141,34 @@ def mutated_manifests(draw):
     return manifest
 
 
+#: A generator spec of ~22M gates: more than any host should build at
+#: admission.
+HOSTILE_SPEC = {"generator": "qaoa", "qubits": 2000, "args": {"p": 2000}}
+
+
 @settings(
     max_examples=400,
-    deadline=5000,  # a valid 2000-qubit qaoa builds in ~0.4 s
+    deadline=5000,  # a valid 2000-qubit qaoa builds in ~0.5 s
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(manifest=mutated_manifests())
+@example(manifest={"jobs": [{"id": "huge", "circuit": HOSTILE_SPEC}]})
 def test_fuzzed_manifests_load_or_raise_value_error(manifest):
     try:
         jobs, _ = load_manifest(manifest)
     except ValueError:
         return
     assert all(isinstance(job.circuit, QuantumCircuit) for job in jobs)
+
+
+def test_an_unbounded_generator_spec_is_refused_quickly():
+    # The generator stops at the gate budget: the refusal names the job
+    # and costs the budget's gates, not the spec's.
+    start = time.process_time()
+    with pytest.raises(ValueError, match="job 'huge'.*budget of 100000 gates"):
+        load_manifest({"jobs": [{"id": "huge", "circuit": HOSTILE_SPEC}]})
+    assert time.process_time() - start < 1.0
+    # The widest spec the budget is sized for still loads.
+    jobs, _ = load_manifest({"jobs": [{"id": "wide", "circuit": {
+        "generator": "qaoa", "qubits": 2000, "args": {"p": 8}}}]})
+    assert len(jobs[0].circuit) == 90_000

@@ -20,7 +20,8 @@ from repro.partition import (
 from repro.partition.dfs import random_dfs_topological_order
 from repro.partition.natural import cutoff_assignment
 
-from conftest import SUITE_SMALL, random_circuit
+from conftest import SUITE_SMALL, dfs_partition_reference, random_circuit
+from strategies import circuits
 
 STRATS = ["Nat", "DFS", "dagP"]
 
@@ -73,6 +74,19 @@ class TestDFSOrder:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             DFSPartitioner(trials=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(qc=circuits(max_qubits=8, max_gates=40), limit=st.integers(2, 6),
+           trials=st.integers(1, 8), seed=st.integers(0, 50))
+    def test_property_same_partition_as_first_written(
+        self, qc, limit, trials, seed
+    ):
+        """Comparing trials by part count alone keeps the partition the
+        loop that built every trial's ``Partition`` kept, first best
+        winning ties."""
+        partitioner = DFSPartitioner(trials=trials, seed=seed)
+        got = partitioner.partition(qc, limit)
+        assert got == dfs_partition_reference(partitioner, qc, limit)
 
 
 @pytest.mark.parametrize("strategy", STRATS)

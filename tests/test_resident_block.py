@@ -38,6 +38,7 @@ from repro.sv.backend import (
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.stabilizer import StabilizerState
 
+from conftest import refuse_gate_matrix
 from strategies import circuits
 
 #: Every count of a batch; ``seconds`` is a time, not a count.
@@ -139,13 +140,11 @@ def backends():
         backend.close()
 
 
-def run_group(executor, variants, partition, key="sweep"):
+def run_group(executor, variants, partition):
     """States (or errors) and traces of one ``run_group`` call."""
     traces = [ExecutionTrace() for _ in variants]
     starts = [executor.initial_state(qc) for qc in variants]
-    outs = executor.run_group(
-        variants, partition, starts, traces, structural_key=key
-    )
+    outs = executor.run_group(variants, partition, starts, traces)
     return outs, traces
 
 
@@ -164,9 +163,7 @@ def assert_same_runs(got, want, n):
 
 
 def batch(jobs, backend, **config):
-    report = BatchRunner(
-        schedule="fifo", backend=backend, **config
-    ).run(jobs)
+    report = BatchRunner(backend=backend, **config).run(jobs)
     return report.results, {n: getattr(report.stats, n) for n in COUNTS}
 
 
@@ -247,12 +244,12 @@ def test_serial_narrow_states_form_runs_and_threaded_splits_do_not():
     assert_same_runs(got, want, 12)
 
 
-def test_a_bind_failure_inside_a_run_flushes_every_job():
-    # Three circuits under one structural key, the middle one a stranger
-    # (its last gate, an rx, is an h): its lookup fails at the part
-    # holding that gate, and it drops out of the stack there.  The
-    # others' run restarts; the stranger's array keeps the parts
-    # before, as when parts run alone.
+def test_a_bind_failure_inside_a_run_flushes_every_job(monkeypatch):
+    # Three circuits of one structure, the middle one a stranger whose
+    # last gate, an rx, has an angle that cannot be bound: its lookup
+    # fails at the part holding that gate, and it drops out of the
+    # stack there.  The others' run restarts; the stranger's array
+    # keeps the parts before, as when parts run alone.
     good = [
         qaoa(8, p=2, gammas=[0.1 * k, 0.4], betas=[0.3, 0.2 * k])
         for k in (1, 2)
@@ -262,7 +259,8 @@ def test_a_bind_failure_inside_a_run_flushes_every_job():
     assert last.name == "rx"
     for g in head:
         stranger.append(g)
-    stranger.append(make_gate("h", last.qubits))
+    stranger.append(make_gate("rx", last.qubits, (0.777,)))
+    refused = refuse_gate_matrix(monkeypatch, "rx", (0.777,))
     group = [good[0], stranger, good[1]]
     partition = get_partitioner("dagP").partition(good[0], 5)
     executor = HierarchicalExecutor(method="dense", backend=SerialBackend())
@@ -270,18 +268,14 @@ def test_a_bind_failure_inside_a_run_flushes_every_job():
     def run():
         starts = [executor.initial_state(qc) for qc in group]
         traces = [ExecutionTrace() for _ in group]
-        outs = executor.run_group(
-            group, partition, starts, traces, structural_key="qaoa8"
-        )
+        outs = executor.run_group(group, partition, starts, traces)
         return outs, starts, traces
 
     with counted_loads() as loads:
         outs, starts, traces = run()
     with parts_alone():
         ref_outs, ref_starts, ref_traces = run()
-    assert isinstance(outs[1], ValueError) and "plan structure" in str(
-        outs[1]
-    )
+    assert isinstance(outs[1], ValueError) and str(outs[1]) == refused
     assert loads[0] == 3 and 2 in loads  # the run restarted without it
     assert str(outs[1]) == str(ref_outs[1])
     for k in (0, 2):

@@ -161,21 +161,22 @@ class TestFingerprint:
 
 
 class TestScheduler:
-    def test_fifo_is_identity(self):
-        assert order_jobs("fifo", ["a", "b", "a", "c"]) == [0, 1, 2, 3]
-
     def test_grouped_clusters_by_first_seen(self):
-        assert order_jobs("grouped", ["a", "b", "a", "c", "b", "a"]) == [
+        assert order_jobs(["a", "b", "a", "c", "b", "a"]) == [
             0, 2, 5, 1, 4, 3,
         ]
 
     def test_grouped_is_a_permutation(self):
         fps = [f"s{k % 3}" for k in range(10)]
-        assert sorted(order_jobs("grouped", fps)) == list(range(10))
+        assert sorted(order_jobs(fps)) == list(range(10))
 
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="choose from"):
-            order_jobs("shortest-job-first", ["a"])
+        # Grouped dispatch is the only order; the keyword is kept for
+        # callers that pass it.
+        assert BatchRunner(schedule="grouped").workers == 1
+        for schedule in ("fifo", "shortest-job-first"):
+            with pytest.raises(ValueError, match="schedule must be 'grouped'"):
+                BatchRunner(schedule=schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +190,12 @@ class TestStructuralPlanCache:
         limit = default_limit(6)
         partition = get_partitioner("dagP").partition(a, limit)
         cache, seen = PlanCache(), CacheCounters()
-        fp = circuit_fingerprint(a)
         part = partition.parts[0]
         plan_a = cache.get_or_compile(
-            a, part.gate_indices, part.qubits, structural_key=fp,
-            counters=seen,
+            a, part.gate_indices, part.qubits, counters=seen
         )
         plan_b = cache.get_or_compile(
-            b, part.gate_indices, part.qubits, structural_key=fp,
-            counters=seen,
+            b, part.gate_indices, part.qubits, counters=seen
         )
         # One structure, shared; distinct matrices (angles differ).
         assert plan_a.structure is plan_b.structure
@@ -212,26 +210,25 @@ class TestStructuralPlanCache:
         (a,) = sweep_circuits(n=6, jobs=1)
         partition = get_partitioner("dagP").partition(a, default_limit(6))
         cache, seen = PlanCache(), CacheCounters()
-        fp = circuit_fingerprint(a)
         part = partition.parts[0]
         args = (a, part.gate_indices, part.qubits)
-        plan1 = cache.get_or_compile(*args, structural_key=fp, counters=seen)
-        plan2 = cache.get_or_compile(*args, structural_key=fp, counters=seen)
+        plan1 = cache.get_or_compile(*args, counters=seen)
+        plan2 = cache.get_or_compile(*args, counters=seen)
         assert plan1 is plan2
         assert seen.hits == 1 and seen.misses == 1
 
     def test_structural_key_execution_is_correct_per_job(self):
-        """The stale-matrix trap: same structure, different angles must
-        yield each job's own state, not the first job's."""
+        """The stale-matrix trap: one structure key (the parts' content),
+        different angles must yield each job's own state, not the first
+        job's."""
         circuits = sweep_circuits(n=7, jobs=3)
         partition = get_partitioner("dagP").partition(
             circuits[0], default_limit(7)
         )
         executor = HierarchicalExecutor()
-        fp = circuit_fingerprint(circuits[0])
         for qc in circuits:
             state = zero_state(7)
-            executor.run(qc, partition, state, structural_key=fp)
+            executor.run(qc, partition, state)
             np.testing.assert_allclose(
                 state, flat_state(qc), atol=1e-10, rtol=0
             )
@@ -240,14 +237,9 @@ class TestStructuralPlanCache:
         a, b = sweep_circuits(n=6, jobs=2)
         partition = get_partitioner("dagP").partition(a, default_limit(6))
         cache = PlanCache()
-        fp = circuit_fingerprint(a)
         part = partition.parts[0]
-        plan_a = cache.get_or_compile(
-            a, part.gate_indices, part.qubits, structural_key=fp
-        )
-        plan_b = cache.get_or_compile(
-            b, part.gate_indices, part.qubits, structural_key=fp
-        )
+        plan_a = cache.get_or_compile(a, part.gate_indices, part.qubits)
+        plan_b = cache.get_or_compile(b, part.gate_indices, part.qubits)
         assert plan_a.gather_table(6) is plan_b.gather_table(6)
 
 
@@ -264,7 +256,7 @@ class TestBatchRunner:
             SimJob(f"j{k}", qc, want_state=True)
             for k, qc in enumerate(sweep_circuits(n=8, jobs=32))
         ]
-        runner = BatchRunner(schedule="grouped")
+        runner = BatchRunner()
         report = runner.run(jobs)
         s = report.stats
         parts = report.results[0].num_parts
@@ -274,7 +266,7 @@ class TestBatchRunner:
         assert s.structure_hits == 31 * parts
         assert s.plans_bound == 32 * parts
 
-    @pytest.mark.parametrize("schedule", ["fifo", "grouped"])
+    @pytest.mark.parametrize("schedule", ["grouped"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_states_match_flat_simulator(self, schedule, workers):
         circuits = sweep_circuits(n=7, jobs=3) + [qft(6), qft(6)]
@@ -290,21 +282,23 @@ class TestBatchRunner:
             )
 
     def test_results_deterministic_across_schedules_and_workers(self):
-        circuits = sweep_circuits(n=6, jobs=4)
+        # Submission order moves each job's place in dispatch (and in
+        # its stack); neither it nor the worker count moves a result.
+        circuits = sweep_circuits(n=6, jobs=4) + [qft(6)]
         jobs = [
             SimJob(f"j{k}", qc, shots=64, seed=5, observables=("ZZIIII",))
             for k, qc in enumerate(circuits)
         ]
         reports = [
-            BatchRunner(schedule=schedule, workers=workers).run(jobs)
-            for schedule in ("fifo", "grouped")
+            BatchRunner(workers=workers).run(order)
+            for order in (jobs, [jobs[4], *jobs[2:4], *jobs[:2]])
             for workers in (1, 2)
         ]
-        ref = reports[0]
+        ref = {r.job_id: r for r in reports[0].results}
         for rep in reports[1:]:
-            for a, b in zip(ref.results, rep.results):
-                assert a.counts == b.counts
-                assert a.expectations == b.expectations
+            for b in rep.results:
+                assert ref[b.job_id].counts == b.counts
+                assert ref[b.job_id].expectations == b.expectations
 
     def test_outputs_only_when_requested(self):
         qc = qft(5)
@@ -337,7 +331,7 @@ class TestBatchRunner:
         )
 
     def test_bad_configuration_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
+        with pytest.raises(ValueError, match="schedule must be 'grouped'"):
             BatchRunner(schedule="lifo")
         with pytest.raises(ValueError):
             BatchRunner(workers=0)
@@ -508,7 +502,7 @@ class TestConcurrentRunStats:
         snapshot delta."""
         import threading
 
-        runner = BatchRunner(schedule="grouped")
+        runner = BatchRunner()
         jobs_a = [
             SimJob(f"a{k}", qc, want_state=True)
             for k, qc in enumerate(sweep_circuits(n=6, jobs=6))
@@ -648,7 +642,7 @@ class TestManifestUnknownKeys:
     @pytest.mark.parametrize(
         "typo, suggestion",
         [
-            ("schedles", "schedule"),
+            ("methd", "method"),
             ("stragety", "strategy"),
             ("worker", "workers"),
             ("bakend", "backend"),
@@ -772,7 +766,7 @@ class TestExpectationOutputs:
 
 
 MANIFEST = {
-    "schedule": "grouped",
+    "workers": 1,
     "jobs": [
         {
             "id": "gen",
@@ -799,7 +793,7 @@ MANIFEST = {
 class TestManifests:
     def test_load_manifest_from_dict(self):
         jobs, options = load_manifest(MANIFEST)
-        assert options == {"schedule": "grouped"}
+        assert options == {"workers": 1}
         assert [j.job_id for j in jobs] == ["gen", "inline", "defaulted"]
         assert jobs[0].shots == 32 and jobs[0].seed == 3
         assert jobs[1].observables == ("ZZ", {0: "X", 1: "X"})
@@ -898,14 +892,27 @@ class TestBatchCLI:
         results = json.loads(out_path.read_text())
         assert len(results["jobs"]) == 3
 
-    def test_batch_cli_flags_override_manifest(self, tmp_path, capsys):
+    def test_batch_cli_flags_override_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve
         from repro.cli import main
 
+        runners = []
+
+        class Recorded(BatchRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(self)
+
+        monkeypatch.setattr(repro.serve, "BatchRunner", Recorded)
         manifest_path = tmp_path / "jobs.json"
         manifest_path.write_text(json.dumps(MANIFEST))
         rc = main(
-            ["batch", str(manifest_path), "--schedule", "fifo",
-             "--strategy", "DFS", "--workers", "2"]
+            ["batch", str(manifest_path), "--strategy", "DFS",
+             "--workers", "2"]
         )
         assert rc == 0
-        assert "[fifo]" in capsys.readouterr().out
+        assert "3 jobs" in capsys.readouterr().out
+        (runner,) = runners
+        assert (runner.options.strategy, runner.workers) == ("DFS", 2)

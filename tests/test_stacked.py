@@ -36,7 +36,7 @@ from repro.sv.fusion import (
 from repro.sv.hier import HierarchicalExecutor
 from repro.sv.kernels import split_controls
 
-from conftest import fuse_reference
+from conftest import fuse_reference, refuse_gate_matrix
 from strategies import circuits
 
 #: Angles a sweep draws: any; a multiple of pi/2 (Clifford for the
@@ -177,7 +177,6 @@ class TestStackedIsAlone:
     @given(
         data=st.data(),
         mixed=st.booleans(),
-        schedule=st.sampled_from(["fifo", "grouped"]),
         workers=st.sampled_from([1, 2]),
         backend=st.sampled_from(["serial", "threaded[2]", "threaded[3]"]),
         gather=st.booleans(),
@@ -185,8 +184,7 @@ class TestStackedIsAlone:
         cap=st.integers(1, 5),
     )
     def test_property_stacked_batch_equals_jobs_alone(
-        self, backends, data, mixed, schedule, workers, backend, gather,
-        small, cap,
+        self, backends, data, mixed, workers, backend, gather, small, cap,
     ):
         variants = data.draw(sweeps())
         circuits_ = list(variants)
@@ -199,7 +197,6 @@ class TestStackedIsAlone:
         limit = min(n, max(3, n - 1))
         assert_binds_match_reference(variants, limit, cap)
         config = dict(
-            schedule=schedule,
             workers=workers,
             backend=backends[backend, gather],
             limit=limit,
@@ -237,11 +234,11 @@ class TestStackedIsAlone:
             qaoa(6, p=2, gammas=[0.3 + 0.2 * k, 0.2], betas=[0.7, 0.1 * k])
             for k in range(4)
         ]
-        runner = BatchRunner(schedule="fifo", method="dense")
+        runner = BatchRunner(method="dense")
         jobs = as_jobs(sweep)
         runner.run(jobs)
         again = runner.run(jobs[::-1])
-        want, _ = alone(jobs[::-1], schedule="fifo", method="dense")
+        want, _ = alone(jobs[::-1], method="dense")
         assert again.stats.plans_bound == 0
         for got, ref in zip(again.results, want):
             assert same_bytes(got.state, ref.state)
@@ -250,9 +247,9 @@ class TestStackedIsAlone:
     def test_unkeyed_circuits_of_other_structures_sweep_apart(
         self, monkeypatch
     ):
-        # Without a structural key every circuit compiles its own
-        # structure: same width and gate count, other gates.  Only plans
-        # of one structure may share a stacked sweep.
+        # Circuits of the same width and gate count but other gates
+        # compile their own structures, one per part content.  Only
+        # plans of one structure may share a stacked sweep.
         a = QuantumCircuit(5).h(0).cx(0, 1).ccx(0, 1, 2).ry(0.3, 3)
         a.cx(3, 4).rz(0.5, 2).ccx(2, 3, 4).h(1)
         b = QuantumCircuit(5).x(4).cx(4, 3).ccx(4, 3, 2).rx(0.7, 1)
@@ -358,21 +355,20 @@ class TestErrorsStayPerJob:
         report = assert_stacked_is_alone(as_jobs(sweep), method="dense")
         assert refused and report.stats.errored == 0
 
-    def test_a_failed_stacked_bind_binds_each_circuit_alone(self):
-        # Three circuits filed under one structural key, one of which
-        # is not that structure: only its lookup fails.
+    def test_a_failed_stacked_bind_binds_each_circuit_alone(
+        self, monkeypatch
+    ):
+        # Three circuits of one structure, one of whose parameters
+        # cannot be bound: only its lookup fails.
         good = [qaoa(4, p=1, gammas=[g], betas=[0.3]) for g in (0.1, 0.2)]
-        stranger = QuantumCircuit(4)
-        for g in good[0]:
-            stranger.append(make_gate("h", (g.qubits[0],)) if g.name == "rx"
-                            else g)
+        stranger = qaoa(4, p=1, gammas=[0.1], betas=[0.35])
+        refused = refuse_gate_matrix(monkeypatch, "rx", (0.7,))
         cache, seen = PlanCache(), CacheCounters()
         gates = range(len(good[0]))
         a, bad, b = cache.get_or_compile_group(
-            [good[0], stranger, good[1]], gates, range(4),
-            structural_key="qaoa4", counters=seen,
+            [good[0], stranger, good[1]], gates, range(4), counters=seen,
         )
-        assert isinstance(bad, ValueError) and "plan structure" in str(bad)
+        assert isinstance(bad, ValueError) and str(bad) == refused
         for plan, qc in ((a, good[0]), (b, good[1])):
             (alone_,) = build_part_structure(qc, gates, range(4)).bind(
                 [qc.gates]

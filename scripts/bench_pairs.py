@@ -16,12 +16,16 @@ the change in the median and the pairs in which the change read lower
 -- followed by every run, pair by pair.  A metric is "unresolved" when
 the parent's own quartile spread exceeds the metric's bound, and "over
 bound" when the change's median is worse than the parent's by more than
-it.
+it.  ``--claim WORKLOAD.METRIC`` ends the output with one verdict line,
+"met" or "not met": the change must be better, in the metric's
+``better`` direction, in at least nine tenths of the pairs (ties count
+for neither side), and its median must differ from the parent's by more
+than the parent's quartile spread (q3 - q1).
 
 Usage::
 
     python scripts/bench_pairs.py --parent-dir DIR [--pairs 10] [--seed 1]
-        [--seconds 30] [--workload W ...]
+        [--seconds 30] [--workload W ...] [--claim WORKLOAD.METRIC]
 
 Nothing under ``benchmarks/perf`` is touched.
 """
@@ -116,6 +120,38 @@ def every_run(
     return lines
 
 
+def claim_verdict(
+    parent: Sequence[dict], change: Sequence[dict], metric: dict
+) -> Tuple[bool, str]:
+    """Whether the change's gain on ``metric`` (an ``end_to_end`` entry
+    of ``BENCHMARK.json``) is claimable from these pairs, and the
+    verdict line that says so.
+
+    >>> lower = {"name": "t", "unit": "s", "better": "lower"}
+    >>> runs = lambda *v: [{"end_to_end": {"t": {"value": x}}} for x in v]
+    >>> claim_verdict(runs(2, 2, 3), runs(1, 1, 1), lower)[0]
+    True
+    >>> print(claim_verdict(runs(2, 2, 3), runs(1, 2, 1), lower)[1])
+    not met (better in 2/3 pairs; median 2.000 -> 1.000, gain 1.000 against
+    the parent's q3 - q1 of 0.500)
+    """
+    name = metric["name"]
+    a = [run["end_to_end"][name]["value"] for run in parent]
+    b = [run["end_to_end"][name]["value"] for run in change]
+    sign = 1 if metric["better"] == "higher" else -1
+    better = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    (pq1, pm, pq3), (_, cm, _) = quartiles(a), quartiles(b)
+    gain = sign * (cm - pm)
+    met = 10 * better >= 9 * len(a) and gain > pq3 - pq1
+    digits = DECIMALS.get(metric["unit"], 3)
+    return met, (
+        f"{'met' if met else 'not met'} (better in {better}/{len(a)} pairs; "
+        f"median {pm:.{digits}f} -> {cm:.{digits}f}, "
+        f"{'gain' if gain > 0 else 'loss'} {abs(gain):.{digits}f} against "
+        f"the parent's q3 - q1 of {pq3 - pq1:.{digits}f})"
+    )
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``; its ``--json`` result document."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,12 +178,25 @@ def main(argv=None) -> int:
                         help="default: every workload of BENCHMARK.json")
     parser.add_argument("--parent-dir", required=True,
                         help="a checkout of the parent revision")
+    parser.add_argument("--claim", metavar="WORKLOAD.METRIC",
+                        help="print whether a gain on it is claimable")
     args = parser.parse_args(argv)
 
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
+    metrics = bench["end_to_end"]
+    claim = None
+    if args.claim is not None:
+        workload, _, name = args.claim.partition(".")
+        by_name = {m["name"]: m for m in metrics}
+        if workload not in workloads or name not in by_name:
+            parser.error(
+                f"--claim {args.claim!r}: need WORKLOAD.METRIC with a "
+                f"workload of {workloads} and a metric of {sorted(by_name)}"
+            )
+        claim = workload, by_name[name]
     runs: Dict[str, Dict[str, List[dict]]] = {
         w: {"parent": [], "change": []} for w in workloads
     }
@@ -161,7 +210,6 @@ def main(argv=None) -> int:
                 ))
             print(f"pair {i}/{args.pairs}: {workload} done", file=sys.stderr)
 
-    metrics = bench["end_to_end"]
     print("| workload | metric | parent | change | Δ median | lower |")
     print("| --- | --- | --- | --- | --- | --- |")
     for workload in workloads:
@@ -173,6 +221,11 @@ def main(argv=None) -> int:
         for line in every_run(runs[workload]["parent"],
                               runs[workload]["change"], metrics):
             print(f"  {line}")
+    if claim is not None:
+        workload, metric = claim
+        _, line = claim_verdict(runs[workload]["parent"],
+                                runs[workload]["change"], metric)
+        print(f"\nclaim {workload}.{metric['name']}: {line}")
     return 0
 
 

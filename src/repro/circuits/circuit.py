@@ -121,11 +121,18 @@ class QuantumCircuit:
                 f"gate {gate} out of range for {self.num_qubits} qubits"
             )
         if len(self._gates) >= self._max_gates:
+            self.reserve(1)  # refuses it
+        self._gates.append(gate)
+        return self
+
+    def reserve(self, count: int) -> None:
+        """Refuse now, as :meth:`append` would later, ``count`` more gates
+        than the budget (:func:`gate_budget`) admits: a generator whose
+        work before its gates grows with its arguments calls it first."""
+        if len(self._gates) + count > self._max_gates:
             raise ValueError(
                 f"circuit exceeds its budget of {self._max_gates} gates"
             )
-        self._gates.append(gate)
-        return self
 
     def add(self, name: str, *qubits: int, params: Sequence[float] = ()) -> "QuantumCircuit":
         return self.append(make_gate(name, qubits, params))

@@ -8,6 +8,7 @@ This is Table I's ``adder37`` family.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 from ..circuit import QuantumCircuit
@@ -50,22 +51,23 @@ def adder(
         raise ValueError("adder needs >= 6 qubits")
     n_bits = (num_qubits - 2) // 2
     spare = num_qubits - (2 * n_bits + 2)  # 0 or 1
-    if a_value is None:
-        a_value = (1 << n_bits) - 1  # all ones: worst-case carry chain
     if b_value is None:
         b_value = 1
-    if not (0 <= a_value < (1 << n_bits) and 0 <= b_value < (1 << n_bits)):
-        raise ValueError("input values out of range")
+    # ``a_value`` None is all ones (worst-case carry chain), never built.
+    for value in (b_value,) if a_value is None else (a_value, b_value):
+        value = operator.index(value)
+        if value < 0 or value.bit_length() > n_bits:
+            raise ValueError("input values out of range")
 
     cin = 0
-    a = [1 + 2 * i for i in range(n_bits)]
-    b = [2 + 2 * i for i in range(n_bits)]
+    a = range(1, 2 * n_bits, 2)
+    b = range(2, 2 * n_bits + 1, 2)
     cout = 2 * n_bits + 1
     qc = QuantumCircuit(num_qubits, name=f"adder_n{num_qubits}")
 
     # Load classical inputs.
     for i in range(n_bits):
-        if (a_value >> i) & 1:
+        if a_value is None or (a_value >> i) & 1:
             qc.x(a[i])
         if (b_value >> i) & 1:
             qc.x(b[i])

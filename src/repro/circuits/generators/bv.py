@@ -29,11 +29,10 @@ def bv(num_qubits: int, secret: Optional[Sequence[int]] = None) -> QuantumCircui
     if num_qubits < 2:
         raise ValueError("bv needs >= 2 qubits")
     n_data = num_qubits - 1
-    if secret is None:
-        secret = [1] * n_data
-    secret = [int(b) for b in secret]
-    if len(secret) != n_data or any(b not in (0, 1) for b in secret):
-        raise ValueError("secret must be 0/1 of length num_qubits-1")
+    if secret is not None:  # the default, all ones, is never built
+        secret = [int(b) for b in secret]
+        if len(secret) != n_data or any(b not in (0, 1) for b in secret):
+            raise ValueError("secret must be 0/1 of length num_qubits-1")
     qc = QuantumCircuit(num_qubits, name=f"bv_n{num_qubits}")
     anc = num_qubits - 1
     # Ancilla |-> = HX|0>
@@ -42,7 +41,7 @@ def bv(num_qubits: int, secret: Optional[Sequence[int]] = None) -> QuantumCircui
     for q in range(n_data):
         qc.h(q)
     for q in range(n_data):
-        if secret[q]:
+        if secret is None or secret[q]:
             qc.cx(q, anc)
     for q in range(n_data):
         qc.h(q)

@@ -37,7 +37,7 @@ def cc(num_qubits: int, fake: Optional[int] = None, queried: Optional[Sequence[i
     if not 0 <= fake < n_coins:
         raise ValueError("fake coin index out of range")
     if queried is None:
-        queried = list(range(n_coins))
+        queried = range(n_coins)
     qc = QuantumCircuit(num_qubits, name=f"cc_n{num_qubits}")
     # Superpose query strings.
     for q in queried:

@@ -70,15 +70,16 @@ def grover(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     d = (num_qubits + 1) // 2
-    anc: List[int] = list(range(d, d + (d - 2)))
+    anc = range(d, d + (d - 2))
     out = d + (d - 2)
     spare = out + 1 if out + 1 < num_qubits else None
-    data = list(range(d))
-    if marked is None:
-        marked = [1] * d
-    marked = [int(b) for b in marked]
-    if len(marked) != d or any(b not in (0, 1) for b in marked):
-        raise ValueError(f"marked must be 0/1 of length {d}")
+    data = range(d)
+    flips: List[int] = []  # data qubits the oracle conjugates with X
+    if marked is not None:  # the default, all ones, is never built
+        marked = [int(b) for b in marked]
+        if len(marked) != d or any(b not in (0, 1) for b in marked):
+            raise ValueError(f"marked must be 0/1 of length {d}")
+        flips = [q for q, b in zip(data, marked) if not b]
 
     qc = QuantumCircuit(num_qubits, name=f"grover_n{num_qubits}")
     # Uniform superposition + kickback qubit in |->.
@@ -91,13 +92,11 @@ def grover(
 
     for _ in range(iterations):
         # Oracle: flip phase of |marked>.
-        for q, b in zip(data, marked):
-            if not b:
-                qc.x(q)
+        for q in flips:
+            qc.x(q)
         _mcx_vchain(qc, data, out, anc)
-        for q, b in zip(data, marked):
-            if not b:
-                qc.x(q)
+        for q in flips:
+            qc.x(q)
         # Diffusion: H X (MCZ) X H on data.
         for q in data:
             qc.h(q)

@@ -39,12 +39,12 @@ def ising(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     qc = QuantumCircuit(num_qubits, name=f"ising_n{num_qubits}")
-    pairs = [(i, i + 1) for i in range(num_qubits - 1)]
-    if periodic and num_qubits > 2:
-        pairs.append((num_qubits - 1, 0))
     # Initial superposition (quench from |+...+>).
     for q in range(num_qubits):
         qc.h(q)
+    pairs = [(i, i + 1) for i in range(num_qubits - 1)]
+    if periodic and num_qubits > 2:
+        pairs.append((num_qubits - 1, 0))
     for _ in range(steps):
         for a, b in pairs:
             qc.cx(a, b)

@@ -74,26 +74,27 @@ def qaoa(
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    # Angles and edges are checked and made as the gates go, so a huge
+    # ``p`` or width costs no more than the gates a budget admits.
+    for angles in (gammas, betas):
+        if angles is not None and len(angles) != p:
+            raise ValueError("gammas/betas must have length p")
+    qc = QuantumCircuit(num_qubits, name=f"qaoa_n{num_qubits}")
+    for q in range(num_qubits):
+        qc.h(q)
     if edges is None:
         edges = random_regular_edges(num_qubits, 3, seed)
     for a, b in edges:
         if not (0 <= a < num_qubits and 0 <= b < num_qubits and a != b):
             raise ValueError(f"bad edge ({a},{b})")
-    if gammas is None:
-        gammas = [0.3 + 0.1 * k for k in range(p)]
-    if betas is None:
-        betas = [0.7 - 0.05 * k for k in range(p)]
-    if len(gammas) != p or len(betas) != p:
-        raise ValueError("gammas/betas must have length p")
-    qc = QuantumCircuit(num_qubits, name=f"qaoa_n{num_qubits}")
-    for q in range(num_qubits):
-        qc.h(q)
     for k in range(p):
+        gamma = 0.3 + 0.1 * k if gammas is None else gammas[k]
+        beta = 0.7 - 0.05 * k if betas is None else betas[k]
         for a, b in edges:
             # exp(-i gamma Z_a Z_b) decomposed CX-RZ-CX.
             qc.cx(a, b)
-            qc.rz(2.0 * gammas[k], b)
+            qc.rz(2.0 * gamma, b)
             qc.cx(a, b)
         for q in range(num_qubits):
-            qc.rx(2.0 * betas[k], q)
+            qc.rx(2.0 * beta, q)
     return qc

@@ -52,11 +52,13 @@ def stabilizer_random(
     qc = QuantumCircuit(
         num_qubits, name=f"stabilizer_random_n{num_qubits}_d{depth}"
     )
+    # Each layer pairs the first 2k shuffled qubits, 1q gates on the
+    # rest: refuse an over-budget circuit before shuffling the qubits.
+    pairs = num_qubits // 2 if num_qubits > 2 else 1
+    qc.reserve(depth * (num_qubits - pairs + 1))
     qubits = list(range(num_qubits))
     for _ in range(depth):
         rng.shuffle(qubits)
-        # Pair the first 2k shuffled qubits; 1q gates on the rest.
-        pairs = num_qubits // 2 if num_qubits > 2 else 1
         for k in range(pairs):
             a, b = qubits[2 * k], qubits[2 * k + 1]
             qc.add(rng.choice(_TWO_QUBIT), a, b)

@@ -38,8 +38,8 @@ def syndrome(num_qubits: int, rounds: int = 2) -> QuantumCircuit:
     qc = QuantumCircuit(
         num_qubits, name=f"syndrome_n{num_qubits}_r{rounds}"
     )
-    data = list(range(0, num_qubits, 2))
-    ancilla = list(range(1, num_qubits, 2))
+    data = range(0, num_qubits, 2)
+    ancilla = range(1, num_qubits, 2)
     # Logical |+> across the data chain.
     qc.h(data[0])
     for a, b in zip(data, data[1:]):

@@ -4,7 +4,8 @@ A long-running asyncio HTTP/JSON front end over the batch runtime.  One
 shared :class:`~repro.serve.runner.BatchRunner` keeps the partition and
 plan-structure caches continuously warm across requests, so a parameter
 sweep submitted job-by-job over hours amortises compilation exactly like
-a one-shot ``repro batch`` manifest does.
+a one-shot ``repro batch`` manifest does; it keeps no job's bound plans,
+so what it holds is bounded by distinct structures, not by jobs served.
 
 Architecture (stdlib only):
 
@@ -596,7 +597,6 @@ class ServeDaemon:
             runner = {
                 "partitions_computed": totals.partitions_computed,
                 "partition_hits": totals.partition_hits,
-                "plan_hits": totals.plan_hits,
                 "plan_misses": totals.plans_bound,
                 "structures_compiled": totals.structures_compiled,
                 "structure_hits": totals.structure_hits,

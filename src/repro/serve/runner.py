@@ -5,10 +5,11 @@ through the hierarchical pipeline with every reusable artefact shared:
 
 * one **partition cache** keyed by structural fingerprint — a QAOA
   angle sweep partitions once, not once per job;
-* one **plan cache** (:class:`~repro.sv.fusion.PlanCache`) whose
-  structural layer is keyed by part content — fusion groupings and
-  gather tables are compiled once per distinct part, only the fused
-  matrices are rebuilt per job;
+* one **plan cache** (:class:`~repro.sv.fusion.PlanCache`) that holds
+  only structures, keyed by part content — fusion groupings and gather
+  tables are compiled once per distinct part; the fused matrices are
+  bound per group for its sweep and dropped with it, since every job
+  runs once;
 * one **execution backend** — serial or threaded
   (:mod:`repro.sv.backend`), exactly as for single-circuit runs.
 
@@ -110,8 +111,8 @@ class BatchStats:
     therefore shows ``partitions_computed=1`` and at most ``P``
     ``structures_compiled`` (one per distinct part content) however
     large ``J`` grows — that amortisation is the runtime's reason to
-    exist.  Every dense part
-    makes one plan lookup: ``plan_hits`` + ``plans_bound`` equals
+    exist.  Every dense part binds its plan for its sweep (the runner
+    keeps structures, never bound plans): ``plans_bound`` equals
     ``parts_routed_dense`` for a batch without errors.
 
     These are the runner's only counts; a long-lived reader (the serve
@@ -130,7 +131,6 @@ class BatchStats:
     structures_compiled: int = 0
     structure_hits: int = 0
     plans_bound: int = 0
-    plan_hits: int = 0
     errored: int = 0
     seconds: float = 0.0
     parts_routed_dense: int = 0
@@ -148,8 +148,8 @@ class BatchStats:
         """
         for name in (
             "partitions_computed", "partition_hits", "structures_compiled",
-            "structure_hits", "plans_bound", "plan_hits",
-            "parts_routed_dense", "parts_routed_stabilizer",
+            "structure_hits", "plans_bound", "parts_routed_dense",
+            "parts_routed_stabilizer",
         ):
             setattr(self, name, getattr(self, name) + getattr(inner, name))
 
@@ -659,7 +659,6 @@ class BatchRunner:
         stats.structures_compiled += counters.cache.structure_misses
         stats.structure_hits += counters.cache.structure_hits
         stats.plans_bound += counters.cache.misses
-        stats.plan_hits += counters.cache.hits
         stats.errored = sum(1 for r in results if r is not None and r.error)
         stats.seconds = time.perf_counter() - t0
         return BatchReport(results=results, stats=stats)  # type: ignore[arg-type]

@@ -914,11 +914,6 @@ class OnceCache:
         with self._lock:
             self._entries.clear()
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` is a finished entry (a peek: no reordering)."""
-        with self._lock:
-            return key in self._entries
-
     def get(
         self, key: Hashable, compute: Callable[[], Any]
     ) -> Tuple[Any, bool]:
@@ -948,14 +943,15 @@ class OnceCache:
 
 
 class PlanCache:
-    """Bounded cache of :class:`CompiledPartPlan` keyed by part identity.
+    """Bounded cache of part plans, with one lookup per kind of caller.
 
-    :meth:`get_or_compile` is the one lookup.  Bound plans are keyed by
-    ``("bound", id(circuit))`` plus the part; the entry pins the circuit
-    object so the id cannot be recycled while its plans are alive.  One
-    cache instance may be shared across executors (hierarchical and
-    distributed) and across repeated runs — that sharing is what makes
-    sweeps and shard re-execution pay matrix construction once.
+    :meth:`get_or_compile` memoises bound plans under
+    ``("bound", id(circuit))`` plus the part, for the callers that rerun
+    one circuit object (:meth:`~repro.sv.hier.HierarchicalExecutor.run`,
+    :class:`~repro.dist.hisvsim.HiSVSimEngine`); the entry pins the
+    circuit so the id cannot be recycled while its plans are alive.
+    :meth:`get_or_compile_group`, the batch runner's lookup, binds for
+    the sweep in hand and keeps only structures: its jobs run once.
 
     The cache is **thread-safe**: it is one :class:`OnceCache`, so a
     plan is compiled exactly once per key — concurrent callers of the
@@ -999,11 +995,11 @@ class PlanCache:
         self._cache.clear()
 
     def _count(
-        self, name: str, counters: Optional[CacheCounters]
+        self, name: str, counters: Optional[CacheCounters], n: int = 1
     ) -> None:
         if counters is not None:
             with self._count_lock:
-                setattr(counters, name, getattr(counters, name) + 1)
+                setattr(counters, name, getattr(counters, name) + n)
 
     def get_or_compile(
         self,
@@ -1015,22 +1011,26 @@ class PlanCache:
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         counters: Optional[CacheCounters] = None,
     ) -> CompiledPartPlan:
-        """The plan of one part of ``circuit``, compiled on first use.
-
-        The plan is memoised per circuit object, so re-running one
-        circuit skips even matrix construction.  This is :meth:`get_or_compile_group` for one circuit; its
-        exception, if any, is raised.
+        """The plan of one part of ``circuit``, memoised per circuit
+        object, so re-running one circuit skips even matrix
+        construction.  A miss is :meth:`get_or_compile_group` for one
+        circuit; its exception, if any, is raised, and nothing is kept.
         """
-        (plan,) = self.get_or_compile_group(
-            [circuit],
-            gate_indices,
-            inner_qubits,
-            fuse=fuse,
-            max_fused_qubits=max_fused_qubits,
-            counters=counters,
-        )
-        if isinstance(plan, Exception):
-            raise plan
+        key = ("bound", id(circuit), tuple(gate_indices), tuple(inner_qubits),
+               bool(fuse), int(max_fused_qubits))
+
+        def bind():
+            (plan,) = self.get_or_compile_group(
+                [circuit], gate_indices, inner_qubits, fuse=fuse,
+                max_fused_qubits=max_fused_qubits, counters=counters,
+            )
+            if isinstance(plan, Exception):
+                raise plan
+            return circuit, plan
+
+        (_, plan), cached = self._cache.get(key, bind)
+        if cached:
+            self._count("hits", counters)
         return plan
 
     def get_or_compile_group(
@@ -1043,21 +1043,17 @@ class PlanCache:
         max_fused_qubits: int = DEFAULT_MAX_FUSED_QUBITS,
         counters: Optional[CacheCounters] = None,
     ) -> List[Union[CompiledPartPlan, Exception]]:
-        """One part's plans for ``K`` circuits: item ``k`` is circuit
-        ``k``'s plan, or the exception its lookup raised.
+        """One part's plans for ``K`` circuits, bound for this sweep and
+        not kept: item ``k`` is circuit ``k``'s plan, or the exception
+        its bind raised.
 
-        Each circuit makes the lookup :meth:`get_or_compile` describes
-        and is counted as if it ran alone.  The first miss binds every
-        later circuit not yet cached in one stacked pass over its
-        structure (:meth:`PartPlanStructure.bind`, whose per-gate check
-        admits only that content); if the pass raises, each circuit
-        binds alone under its own content key, so an error stays its
-        own circuit's.
-
-        Per-job matrix construction is the part of a batched sweep that
-        scales with the job count; like every :class:`OnceCache`
-        computation it runs outside the lock, so concurrent workers
-        binding different circuits do not serialise on the cache.
+        Every circuit counts a miss, and a structure event as if it ran
+        alone.  The first circuit's structure, found by content, binds
+        every later one in one stacked pass (:meth:`PartPlanStructure.bind`,
+        whose per-gate check admits only that content); if the pass
+        raises, each circuit binds alone under its own content key, so an
+        error stays its own circuit's.  Binding, the part of a sweep that
+        scales with the job count, runs outside the cache's lock.
 
         >>> from repro.circuits.generators import qaoa
         >>> sweep = [qaoa(4, p=1, gammas=[g], betas=[0.3]) for g in (0.1, 0.2)]
@@ -1066,70 +1062,50 @@ class PlanCache:
         ...     sweep, range(len(sweep[0])), range(4), counters=seen)
         >>> a.stack[0] is b.stack[0], seen.misses, seen.structure_hits
         (True, 2, 1)
+        >>> len(cache)                                 # the structure only
+        1
         """
         gate_indices = tuple(gate_indices)
-        part = (
-            gate_indices,
-            tuple(inner_qubits),
-            bool(fuse),
-            int(max_fused_qubits),
-        )
-        grouped: Optional[Dict[int, CompiledPartPlan]] = None
+        key = (tuple(inner_qubits), bool(fuse), int(max_fused_qubits))
 
         def gates(k: int) -> List[Gate]:
             return [circuits[k][g] for g in gate_indices]
 
-        def bind(k: int):
-            nonlocal grouped
-            circuit = circuits[k]
-            if grouped is not None and k in grouped:
-                self._count("structure_hits", counters)
-                return circuit, grouped.pop(k)
-            mine = gates(k)
-            # What the part computes, parameters left out.
-            content = tuple((g.name, g.qubits) for g in mine)
-            structure, reused = self._cache.get(
-                ("struct", content) + part[1:],
-                lambda: build_part_structure(
-                    circuit,
-                    gate_indices,
-                    inner_qubits,
-                    fuse=fuse,
-                    max_fused_qubits=max_fused_qubits,
-                ),
-            )
-            self._count(
-                "structure_hits" if reused else "structure_misses", counters
-            )
-            if grouped is None:  # the group's first miss
-                grouped = {}
-                rest = [
-                    j
-                    for j in range(k + 1, len(circuits))
-                    if ("bound", id(circuits[j])) + part not in self._cache
-                ]
-                if rest:
-                    try:
-                        plan, *plans = structure.bind(
-                            [mine] + [gates(j) for j in rest]
-                        )
-                        grouped.update(zip(rest, plans))
-                        return circuit, plan
-                    except Exception:
-                        pass  # each circuit binds alone
-            (plan,) = structure.bind([mine])
-            return circuit, plan
-
         out: List[Union[CompiledPartPlan, Exception]] = []
+        stacked = False  # the one stacked pass has been tried
         for k, circuit in enumerate(circuits):
             try:
-                (_, plan), cached = self._cache.get(
-                    ("bound", id(circuit)) + part, lambda k=k: bind(k)
+                mine = gates(k)
+                # What the part computes, parameters left out.
+                content = tuple((g.name, g.qubits) for g in mine)
+                structure, reused = self._cache.get(
+                    ("struct", content) + key,
+                    lambda: build_part_structure(
+                        circuit, gate_indices, inner_qubits, fuse=fuse,
+                        max_fused_qubits=max_fused_qubits,
+                    ),
                 )
+                self._count(
+                    "structure_hits" if reused else "structure_misses",
+                    counters,
+                )
+                if not stacked and k + 1 < len(circuits):
+                    stacked = True
+                    try:
+                        plans = structure.bind([mine] + [
+                            gates(j) for j in range(k + 1, len(circuits))
+                        ])
+                    except Exception:
+                        pass  # each circuit binds alone
+                    else:
+                        self._count("structure_hits", counters, len(plans) - 1)
+                        self._count("misses", counters, len(plans))
+                        return out + plans
+                (plan,) = structure.bind([mine])
             except Exception as exc:
                 out.append(exc)
                 continue
-            self._count("hits" if cached else "misses", counters)
+            self._count("misses", counters)
             out.append(plan)
         return out
 

@@ -12,9 +12,10 @@ Before execution, each part's gate list is compiled through
 :mod:`repro.sv.fusion` (default on): maximal ``<= max_fused_qubits``
 groups collapse to single unitaries, so a part of ``G`` gates costs
 ``~G / fusion_factor`` kernel sweeps over the inner vectors instead of
-``G``.  Compiled plans are cached per part, so repeated executions of
-the same partition (sweeps, reruns) skip both grouping and matrix
-construction.  ``fuse=False`` reproduces the one-sweep-per-gate path.
+``G``.  Plan structures are cached per part content; ``run`` also
+memoises the bound plans of the circuit it ran, so a rerun skips matrix
+construction (``run_group``, the batch runner's call, keeps only
+structures).  ``fuse=False`` reproduces the one-sweep-per-gate path.
 
 Where the sweeps run is delegated to an
 :class:`~repro.sv.backend.ExecutionBackend` (``backend=``): serial (the
@@ -245,18 +246,15 @@ class HierarchicalExecutor:
         input object.
 
         Every dense part makes one
-        :meth:`~repro.sv.fusion.PlanCache.get_or_compile` lookup;
-        ``cache_counters`` (optional) receives this call's plan-cache
-        events (:class:`~repro.sv.fusion.CacheCounters`); the cache
-        itself counts nothing.  This is :meth:`run_group` for one
-        circuit; its exception, if any, is raised.
+        :meth:`~repro.sv.fusion.PlanCache.get_or_compile` lookup, which
+        memoises the bound plan: running the same circuit object again
+        binds nothing.  ``cache_counters`` (optional) receives this
+        call's plan-cache events (:class:`~repro.sv.fusion.CacheCounters`).
+        Otherwise this is :meth:`run_group` for one circuit; its
+        exception, if any, is raised.
         """
-        (out,) = self.run_group(
-            [circuit],
-            partition,
-            [state],
-            [trace],
-            cache_counters=cache_counters,
+        (out,) = self._run(
+            [circuit], partition, [state], [trace], cache_counters, True
         )
         if isinstance(out, Exception):
             raise out
@@ -281,8 +279,10 @@ class HierarchicalExecutor:
         Clifford-only run it on their tableau one by one; every other
         one is dense for it, and the dense ones make one
         :meth:`~repro.sv.fusion.PlanCache.get_or_compile_group` lookup
-        and one :func:`~repro.sv.backend.run_part_group` call on the
-        backend's mapper, which sweeps the plans of one structure as
+        (bound for this sweep: only the structure stays cached, since a
+        batch's circuits run once) and one
+        :func:`~repro.sv.backend.run_part_group` call on the backend's
+        mapper, which sweeps the plans of one structure as
         one stack; every part with the same gates shares one plan
         structure, so circuits of one structure stack.  A circuit
         whose check, conversion or bind fails drops out with its
@@ -301,6 +301,12 @@ class HierarchicalExecutor:
         ...                               ex.initial_state(jobs[0]))))
         True
         """
+        return self._run(circuits, partition, states, traces, cache_counters)
+
+    def _run(self, circuits, partition, states, traces, cache_counters,
+             rerun: bool = False) -> List:
+        """:meth:`run_group`; ``rerun`` (:meth:`run`'s one circuit)
+        memoises its bound plans for the next run of that object."""
         jobs = len(circuits)
         if traces is None:
             traces = [None] * jobs
@@ -357,14 +363,18 @@ class HierarchicalExecutor:
             group = circuits
             if len(dense) < jobs:
                 group = [circuits[k] for k in dense]
-            plans = self.plan_cache.get_or_compile_group(
-                group,
-                part.gate_indices,
-                part.qubits,
-                fuse=self.options.fuse,
-                max_fused_qubits=self.options.max_fused_qubits,
-                counters=cache_counters,
-            )
+            args = (part.gate_indices, part.qubits)
+            kw = dict(fuse=self.options.fuse, counters=cache_counters,
+                      max_fused_qubits=self.options.max_fused_qubits)
+            try:  # only run() memoises: its caller may rerun the object
+                cache = self.plan_cache
+                plans = (
+                    [cache.get_or_compile(circuits[0], *args, **kw)]
+                    if rerun
+                    else cache.get_or_compile_group(group, *args, **kw)
+                )
+            except Exception as exc:
+                plans = [exc]
             if any(isinstance(plan, Exception) for plan in plans):
                 # Failed lookups drop out; the others sweep.
                 for k, plan in zip(dense, plans):

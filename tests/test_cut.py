@@ -575,11 +575,9 @@ class TestOnePipeline:
             plain.results[0].state, report.results[-1].state, atol=ATOL
         )
         # A cut job's variant batches count once, into the enclosing
-        # run: one plan lookup per dense part, cut or plain.
+        # run: one bind per dense part, cut or plain.
         for batch in (stats, plain.stats):
-            assert batch.plan_hits + batch.plans_bound == (
-                batch.parts_routed_dense
-            ) > 0
+            assert batch.plans_bound == batch.parts_routed_dense > 0
 
     def test_runner_limit_applies_to_fragments(self, monkeypatch):
         from repro.partition.dagp import DagPPartitioner
@@ -610,7 +608,7 @@ class TestOnePipeline:
             assert a.counts == b.counts
         for name in (
             "partitions_computed", "partition_hits", "parts_routed_dense",
-            "parts_routed_stabilizer", "plans_bound", "plan_hits",
+            "parts_routed_stabilizer", "plans_bound",
         ):
             assert getattr(serial.stats, name) == getattr(pooled.stats, name)
 

@@ -849,8 +849,9 @@ class TestMetricsConsistency:
 
     def test_metrics_snapshot_is_consistent(self):
         """Every ``/metrics`` snapshot taken while error-free batches run
-        on two workers pairs its counts: one plan lookup per dense part,
-        and no job accounted beyond those submitted."""
+        on two workers pairs its counts: one bind per dense part (the
+        runner memoises no plan), and no job accounted beyond those
+        submitted."""
         d = ServeDaemon(ServeConfig(port=0, workers=2, max_batch=2)).start()
         stop = threading.Event()
         seen, violations = [0], []
@@ -860,8 +861,7 @@ class TestMetricsConsistency:
                 metrics = d.metrics()
                 runner, jobs = metrics["runner"], metrics["jobs"]
                 seen[0] += 1
-                lookups = runner["plan_hits"] + runner["plan_misses"]
-                if lookups != runner["parts_routed_dense"]:
+                if runner["plan_misses"] != runner["parts_routed_dense"]:
                     violations.append(runner)
                 accounted = (
                     jobs["completed"] + jobs["errored"] + jobs["in_flight"]
@@ -889,9 +889,8 @@ class TestMetricsConsistency:
         assert seen[0] > 0 and not violations, violations[:3]
         runner = d.metrics()["runner"]
         assert runner["partitions_computed"] + runner["partition_hits"] == 16
-        assert runner["plan_hits"] + runner["plan_misses"] == (
-            runner["parts_routed_dense"]
-        ) > 0
+        assert "plan_hits" not in runner
+        assert runner["plan_misses"] == runner["parts_routed_dense"] > 0
         assert runner["structures_compiled"] <= runner["plan_misses"]
 
     def test_metrics_routing_matches_runner_snapshot(self, daemon):
@@ -908,7 +907,6 @@ class TestMetricsConsistency:
         for key, name in (
             ("partitions_computed", "partitions_computed"),
             ("partition_hits", "partition_hits"),
-            ("plan_hits", "plan_hits"),
             ("plan_misses", "plans_bound"),
             ("structures_compiled", "structures_compiled"),
             ("structure_hits", "structure_hits"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import generators, qasm
 from repro.circuits.circuit import QuantumCircuit
+import repro.serve.jobs as jobs_module
 from repro.serve.jobs import load_manifest
 
 #: Valid QASM texts the text fuzzer starts from.
@@ -172,3 +174,28 @@ def test_an_unbounded_generator_spec_is_refused_quickly():
     jobs, _ = load_manifest({"jobs": [{"id": "wide", "circuit": {
         "generator": "qaoa", "qubits": 2000, "args": {"p": 8}}}]})
     assert len(jobs[0].circuit) == 90_000
+
+
+def test_a_huge_round_count_is_refused_at_the_budget(monkeypatch):
+    # qaoa once built its angle lists, p long, before its first gate: at
+    # p=2_000_000 the refusal came after 1.57 s and 211 MiB.  Now it
+    # costs the budget's gates, whatever p is.
+    def manifest(p):
+        return {"jobs": [{"id": "rounds", "circuit": {
+            "generator": "qaoa", "qubits": 4, "args": {"p": p}}}]}
+
+    start = time.process_time()
+    with pytest.raises(ValueError, match="job 'rounds'.*budget of 100000"):
+        load_manifest(manifest(10**9))
+    assert time.process_time() - start < 1.0
+    # Under a budget of 1,000 gates what is left is the gates' ~0.2 MiB;
+    # lists of 10^9 angles would hold 16 GB.
+    monkeypatch.setattr(jobs_module, "MAX_GENERATOR_GATES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget of 1000 gates"):
+            load_manifest(manifest(10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

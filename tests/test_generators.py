@@ -1,11 +1,16 @@
 """Benchmark circuit generator tests: structure and algorithmic correctness."""
 
+import hashlib
+import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.circuits import generators
+from repro.circuits.circuit import gate_budget
 from repro.circuits.generators import (
     adder,
     bv,
@@ -239,3 +244,70 @@ class TestAdder:
     def test_value_range_check(self):
         with pytest.raises(ValueError):
             adder(8, a_value=100)
+
+
+#: ``[name, width, kwargs, digest]`` of every generator's gates (names,
+#: operands, parameters), written before the generators stopped building
+#: argument-sized lists ahead of their first gate.
+DIGESTS = os.path.join(os.path.dirname(__file__), "data", "generator_digests.json")
+
+
+def gate_digest(qc):
+    h = hashlib.sha256()
+    for g in qc:
+        h.update(repr((g.name, g.qubits, g.params)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestWorkBeforeTheFirstGate:
+    """A generator does no work sized by an argument before the gate
+    budget can stop it: what it builds ahead of its gates is made as the
+    gates go, or the circuit reserves its gates first."""
+
+    @pytest.mark.parametrize(
+        "name,n,kwargs,digest",
+        [tuple(row) for row in json.load(open(DIGESTS, encoding="utf-8"))],
+    )
+    def test_same_gates_as_before(self, name, n, kwargs, digest):
+        assert gate_digest(generators.build(name, n, **kwargs)) == digest
+
+    def test_default_qaoa_angles_are_the_listed_ones(self):
+        for n, p in ((4, 1), (6, 3), (9, 8)):
+            listed = qaoa(
+                n,
+                p=p,
+                gammas=[0.3 + 0.1 * k for k in range(p)],
+                betas=[0.7 - 0.05 * k for k in range(p)],
+            )
+            assert qaoa(n, p=p).gates == listed.gates
+
+    @staticmethod
+    def peak_of_refusal(name, n, **kwargs):
+        tracemalloc.start()
+        try:
+            with gate_budget(1000), pytest.raises(
+                ValueError, match="budget of 1000 gates"
+            ):
+                generators.build(name, n, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", sorted(generators.GENERATORS))
+    def test_a_huge_width_costs_only_the_budget(self, name):
+        # A list of 10^6 qubits alone is 8 MB of pointers.
+        assert self.peak_of_refusal(name, 10**6) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("qaoa", {"p": 10**9}),
+            ("ising", {"steps": 10**9}),
+            ("qnn", {"layers": 10**9}),
+            ("grover", {"iterations": 10**9}),
+            ("syndrome", {"rounds": 10**9}),
+            ("stabilizer_random", {"depth": 10**9}),
+        ],
+    )
+    def test_a_huge_repeat_count_costs_only_the_budget(self, name, kwargs):
+        assert self.peak_of_refusal(name, 6, **kwargs) < 1 << 20

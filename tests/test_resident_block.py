@@ -44,7 +44,7 @@ from strategies import circuits
 #: Every count of a batch; ``seconds`` is a time, not a count.
 COUNTS = (
     "partitions_computed", "partition_hits", "structures_compiled",
-    "structure_hits", "plans_bound", "plan_hits", "errored",
+    "structure_hits", "plans_bound", "errored",
     "parts_routed_dense", "parts_routed_stabilizer",
 )
 

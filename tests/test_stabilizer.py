@@ -504,11 +504,8 @@ class TestServing:
         report = BatchRunner(method="auto").run(jobs)
         assert report.stats.parts_routed_stabilizer > 0
         assert report.stats.parts_routed_dense > 0
-        # One plan lookup per dense part; tableau parts make none.
-        assert (
-            report.stats.plan_hits + report.stats.plans_bound
-            == report.stats.parts_routed_dense
-        )
+        # One bind per dense part; tableau parts make none.
+        assert report.stats.plans_bound == report.stats.parts_routed_dense
         assert report.results[0].error is None
         # Tableau results materialise for outputs and match dense.
         sim = StateVectorSimulator(5)

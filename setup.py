@@ -18,7 +18,7 @@ setup(
         "of Quantum Circuits via Acyclic Graph Partitioning' "
         "(Fang et al., CLUSTER 2022)"
     ),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy>=1.22"],

@@ -20,7 +20,7 @@ read-only one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -34,6 +34,7 @@ __all__ = [
     "shared_gate_matrix",
     "gate_permutation",
     "MATRIX_CACHE_MAX",
+    "GATE_CACHE_MAX",
     "make_gate",
     "controlled",
     "is_unitary",
@@ -276,18 +277,19 @@ GATE_DEFS: Dict[str, GateDef] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A gate instance: a registry name, operand qubits and parameters.
 
     ``qubits`` are global qubit indices in operand order (controls first for
     controlled gates).  Matrices are produced lazily via :func:`gate_matrix`
-    so circuits stay cheap to build, copy and serialise.
+    so circuits stay cheap to build, copy and serialise.  A gate has no
+    ``__dict__``, and :func:`make_gate` shares every parameterless one.
     """
 
     name: str
     qubits: Tuple[int, ...]
-    params: Tuple[float, ...] = field(default_factory=tuple)
+    params: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         d = GATE_DEFS.get(self.name)
@@ -334,7 +336,7 @@ class Gate:
 
     def remap(self, mapping: Dict[int, int]) -> "Gate":
         """Return a copy with operand qubits renamed through ``mapping``."""
-        return Gate(self.name, tuple(mapping[q] for q in self.qubits), self.params)
+        return make_gate(self.name, [mapping[q] for q in self.qubits], self.params)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         p = "(" + ",".join(f"{x:g}" for x in self.params) + ")" if self.params else ""
@@ -394,6 +396,21 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     return shared_gate_matrix(name, params).copy()
 
 
+#: Parameterless gates kept by :func:`make_gate`, one per name and
+#: operands (least recently used go first), so wide registers stay bounded.
+GATE_CACHE_MAX = 4096
+_shared_gate = lru_cache(maxsize=GATE_CACHE_MAX)(Gate)
+
+
 def make_gate(name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> Gate:
-    """Convenience constructor with operand validation."""
-    return Gate(name, tuple(int(q) for q in qubits), tuple(float(p) for p in params))
+    """The validated gate, operands ``int`` and parameters ``float``.  A
+    parameterless gate is one shared instance per name and operands (a
+    raising call is never cached); one with parameters is built fresh.
+
+    >>> make_gate("cx", [0, 1]) is make_gate("cx", (0, 1))
+    True
+    """
+    qubits, params = tuple(map(int, qubits)), tuple(map(float, params))
+    if params:
+        return Gate(name, qubits, params)
+    return _shared_gate(name, qubits)

@@ -74,6 +74,13 @@ _BINARY_OPS = {
 }
 _UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
+#: What ``ast.parse`` would warn about on stderr before failing: a
+#: character no expression uses (a quote, a backslash), or a number run
+#: straight into a keyword (``1if``, ``0x1for``).  Refused unparsed.
+_UNPARSABLE = re.compile(
+    r"[^\w\s.+\-*/()]|[\d.a-fA-FjJ](?:and|else|for|if|in|is|not|or)"
+)
+
 #: Longest parameter expression parsed, in characters: a ``repr`` float
 #: is at most 24, and the bound keeps ``ast.parse``'s tree small.
 MAX_PARAM_CHARS = 256
@@ -114,6 +121,8 @@ def _eval_param(expr: str) -> float:
             f"{MAX_PARAM_CHARS})"
         )
     try:
+        if _UNPARSABLE.search(expr):
+            raise SyntaxError(expr)
         value = _eval_node(ast.parse(expr, mode="eval").body)
     except QasmError:
         raise

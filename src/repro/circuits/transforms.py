@@ -12,7 +12,7 @@ import math
 from typing import Dict, Optional
 
 from .circuit import QuantumCircuit
-from .gates import Gate
+from .gates import make_gate
 
 __all__ = ["inverse_circuit", "remap_circuit"]
 
@@ -43,29 +43,20 @@ def inverse_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
     out = QuantumCircuit(circuit.num_qubits, name=f"{circuit.name}_inv")
     for gate in reversed(circuit.gates):
         if gate.name in _INVERSE_NAME:
-            out.append(Gate(_INVERSE_NAME[gate.name], gate.qubits, gate.params))
+            out.append(make_gate(_INVERSE_NAME[gate.name], gate.qubits))
         elif gate.name in _NEGATE_PARAM:
-            out.append(Gate(gate.name, gate.qubits, tuple(-p for p in gate.params)))
-        elif gate.name == "u1":
-            out.append(Gate("u1", gate.qubits, (-gate.params[0],)))
+            out.append(make_gate(gate.name, gate.qubits, tuple(-p for p in gate.params)))
         elif gate.name == "u2":
             # u2(phi, lam) = u3(pi/2, phi, lam).
             phi, lam = gate.params
-            out.append(Gate("u3", gate.qubits, (-math.pi / 2, -lam, -phi)))
-        elif gate.name == "u3":
+            out.append(make_gate("u3", gate.qubits, (-math.pi / 2, -lam, -phi)))
+        elif gate.name in ("u3", "cu3"):
             th, phi, lam = gate.params
-            out.append(Gate("u3", gate.qubits, (-th, -lam, -phi)))
-        elif gate.name == "cu3":
-            th, phi, lam = gate.params
-            out.append(Gate("cu3", gate.qubits, (-th, -lam, -phi)))
-        elif gate.name == "sx":
-            # sx^4 = X^2 = I exactly, so sx^-1 = sx^3.
-            for _ in range(3):
-                out.append(gate)
-        elif gate.name == "iswap":
-            # iswap^-1 = iswap^3; emit three applications.
-            for _ in range(3):
-                out.append(gate)
+            out.append(make_gate(gate.name, gate.qubits, (-th, -lam, -phi)))
+        elif gate.name in ("sx", "iswap"):
+            # sx^4 = X^2 = I and iswap^4 = I exactly, so the inverse is
+            # three applications.
+            out.extend((gate,) * 3)
         else:  # pragma: no cover - registry is closed
             raise ValueError(f"no inverse rule for {gate.name!r}")
     return out

@@ -638,6 +638,33 @@ class TestTTLExpiry:
             d.stop()
 
 
+    def test_purge_drops_only_fully_expired_batch_indexes(self, monkeypatch):
+        # No server and no workers: admit two batches, finish their jobs
+        # on the store's clock, then step the clock past the TTL.
+        d = ServeDaemon(ServeConfig(port=0, workers=0, ttl=10.0))
+        t = [0.0]
+        monkeypatch.setattr(d._store, "_clock", lambda: t[0])
+        gone, kept = (d._admit(json.dumps(sweep_manifest(jobs=2)).encode())
+                      for _ in range(2))
+        assert gone[0] == kept[0] == 202
+        handles = [job["handle"] for job in gone[1]["jobs"] + kept[1]["jobs"]]
+        for handle in handles[:3]:
+            d._store.finish(handle, result={})
+        t[0] = 5.0
+        d._store.finish(handles[3], result={})
+        t[0] = 12.0  # the first three are past the TTL, the fourth is not
+        d._purge_batches()
+        assert list(d._batches) == [kept[1]["batch"]]
+        status, payload, _ = d._batch_status(kept[1]["batch"])
+        assert status == 200
+        assert [j["status"] for j in payload["jobs"]] == ["expired", "done"]
+        status, payload, _ = d._batch_status(gone[1]["batch"])
+        assert status == 404 and "unknown batch" in payload["error"]
+        t[0] = 15.0
+        d._purge_batches()
+        assert d._batches == {}
+
+
 # ---------------------------------------------------------------------------
 # Graceful drain
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Unit tests for the gate registry and matrix factory."""
 
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.circuits import generators, qasm
 from repro.circuits import gates as gates_module
 from repro.circuits.gates import (
+    GATE_CACHE_MAX,
     GATE_DEFS,
     MATRIX_CACHE_MAX,
     Gate,
@@ -196,3 +200,78 @@ class TestGateInstance:
     def test_diagonal_property(self):
         assert make_gate("rz", [0], [0.1]).is_diagonal
         assert not make_gate("rx", [0], [0.1]).is_diagonal
+
+
+class TestSharedGates:
+    """A parameterless gate is one shared value per name and operands;
+    a gate with parameters is built fresh; no gate has a ``__dict__``."""
+
+    def test_every_builder_hands_out_the_same_parameterless_gate(self):
+        a, b = generators.qaoa(6, p=2), generators.qaoa(6, p=2)
+        assert a == b
+        shared = [(x, y) for x, y in zip(a, b) if not x.params]
+        assert len(shared) == 6 + 2 * 2 * 9  # the H layer and two CX per edge
+        assert all(x is y for x, y in shared)
+        text = "OPENQASM 2.0; qreg q[3]; h q[0]; cx q[0],q[2]; rz(0.5) q[2];"
+        first, second = qasm.loads(text), qasm.loads(text)
+        assert first[0] is second[0] is make_gate("h", [0])
+        assert first[1] is second[1] is make_gate("cx", (0, 2))
+        assert first[2] == second[2]
+        assert make_gate("cx", [0, 1]).remap({0: 4, 1: 3}) is make_gate("cx", [4, 3])
+
+    def test_operands_are_normalised_before_the_lookup(self):
+        # Fresh keys: the first call of each decides what the table holds.
+        g = make_gate("cswap", [np.int64(101), np.int64(57), 83.0])
+        assert g.qubits == (101, 57, 83)
+        assert all(type(q) is int for q in g.qubits)
+        assert make_gate("cswap", (101, 57, 83)) is g
+        assert make_gate("ccz", range(201, 204)) is make_gate("ccz", [201, 202, 203])
+
+    def test_gates_with_parameters_are_plain_values(self):
+        g = make_gate("u3", [np.int64(1)], [np.float32(0.5), 1, np.float64(2.0)])
+        assert g == Gate("u3", (1,), (0.5, 1.0, 2.0))
+        assert [type(x) for x in g.qubits + g.params] == [int, float, float, float]
+
+    def test_gate_has_no_instance_dict(self):
+        g = Gate("h", (0,))
+        assert g.params == ()
+        assert not hasattr(g, "__dict__")
+        assert Gate.__slots__ == ("name", "qubits", "params")
+        with pytest.raises(AttributeError):
+            g.name = "x"  # frozen
+        for gate in (g, make_gate("cx", [0, 1]), make_gate("rzz", [0, 1], [0.3])):
+            assert pickle.loads(pickle.dumps(gate)) == gate
+
+    @pytest.mark.parametrize(
+        "name, qubits, error",
+        [("nope", [0], KeyError), ("cx", [0], ValueError),
+         ("cx", [1, 1], ValueError), ("x", [-1], ValueError),
+         ("rz", [0], ValueError)],
+    )
+    def test_a_bad_gate_raises_on_every_call(self, name, qubits, error):
+        size = gates_module._shared_gate.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                make_gate(name, qubits)
+        assert gates_module._shared_gate.cache_info().currsize == size
+
+    def test_the_table_is_a_bounded_lru(self):
+        h = make_gate("h", [0])
+        for k in range(2 * GATE_CACHE_MAX):
+            assert make_gate("x", [1000 + k]).qubits == (1000 + k,)
+            if k % 100 == 0:
+                assert make_gate("h", [0]) is h  # recently used: kept
+        assert gates_module._shared_gate.cache_info().currsize <= GATE_CACHE_MAX
+        assert make_gate("x", [1000]) == Gate("x", (1000,))  # evicted, rebuilt
+
+    def test_a_budget_sized_circuit_holds_under_10_mib(self):
+        # 99,994 gates on four qubits, the largest qaoa(4) a manifest job
+        # may build: ~18 MiB while every gate had its own __dict__.
+        tracemalloc.start()
+        try:
+            qc = generators.qaoa(4, p=4545)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(qc) == 99_994
+        assert held < 10 << 20, held / 2**20

@@ -250,6 +250,8 @@ class TestAdder:
 #: operands, parameters), written before the generators stopped building
 #: argument-sized lists ahead of their first gate.
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "generator_digests.json")
+with open(DIGESTS, encoding="utf-8") as _fh:
+    DIGEST_ROWS = [tuple(row) for row in json.load(_fh)]
 
 
 def gate_digest(qc):
@@ -266,7 +268,7 @@ class TestWorkBeforeTheFirstGate:
 
     @pytest.mark.parametrize(
         "name,n,kwargs,digest",
-        [tuple(row) for row in json.load(open(DIGESTS, encoding="utf-8"))],
+        DIGEST_ROWS,
     )
     def test_same_gates_as_before(self, name, n, kwargs, digest):
         assert gate_digest(generators.build(name, n, **kwargs)) == digest

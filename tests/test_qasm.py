@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -163,6 +164,26 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 10
+
+    @pytest.mark.parametrize(
+        "expr", ["1if 2 else 3", "1or 2", "2in 3", "0x1for", "1e-3and 2",
+                 "1jor 2", r"'\d'"],
+    )
+    def test_what_the_python_parser_warns_about_is_refused_quietly(self, expr):
+        # ast.parse writes a SyntaxWarning (a quote's bad escape: a
+        # DeprecationWarning) to stderr before it fails on these.
+        text = f"qreg q[1]; rz({expr}) q[0];"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QasmError, match="SyntaxError"):
+                loads(text)
+        assert [str(w.message) for w in caught] == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QasmError, match="SyntaxError"):
+                loads(text)
+            qc = loads("qreg q[1]; rz(1.5e-3) q[0]; rx(2E3) q[0]; ry(.5e+1) q[0];")
+        assert [g.params for g in qc] == [(1.5e-3,), (2e3,), (5.0,)]
 
     def test_raising_parameter_is_never_cached(self):
         from repro.circuits.qasm import _eval_param

@@ -495,11 +495,10 @@ class TestDistWorkerCLI:
 class TestFaultInjection:
     """Dropped peers and mangled frames fail cleanly, never hang."""
 
-    def test_connect_to_dead_port_bounded_retry(self):
-        port = _free_port()  # nothing listens here
+    def test_connect_to_dead_port_bounded_retry(self, refusing_port):
         with pytest.raises(TransportError) as excinfo:
             SocketTransport.connect(
-                1, 2, ("127.0.0.1", port),
+                1, 2, ("127.0.0.1", refusing_port),
                 timeout=0.5, retries=2, backoff=0.01,
             )
         assert "3 attempts" in str(excinfo.value)
@@ -631,12 +630,14 @@ class TestEnvDefaults:
         assert env("REPRO_DIST_RETRIES") == 5
         assert env("REPRO_DIST_BACKOFF") == 0.05
 
-    def test_connect_reads_env_for_arguments_left_none(self, monkeypatch):
+    def test_connect_reads_env_for_arguments_left_none(
+        self, monkeypatch, refusing_port
+    ):
         monkeypatch.setenv("REPRO_DIST_TIMEOUT", "0.5")
         monkeypatch.setenv("REPRO_DIST_RETRIES", "1")
         monkeypatch.setenv("REPRO_DIST_BACKOFF", "0.01")
         with pytest.raises(TransportError, match="2 attempts"):
-            SocketTransport.connect(1, 2, ("127.0.0.1", _free_port()))
+            SocketTransport.connect(1, 2, ("127.0.0.1", refusing_port))
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_DIST_PORT", "12345")
@@ -652,12 +653,13 @@ class TestRecordingTransport:
             record.sent_bytes = 0
 
 
-def _free_port() -> int:
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+@pytest.fixture
+def refusing_port():
+    """A port bound for the whole test but never listening: a connect to
+    it is refused, and no other process can take it in between."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield sock.getsockname()[1]
 
 
 def _src_path() -> str:

@@ -35,11 +35,11 @@ from repro.serve import default_limit
 from repro.sv import (
     ExecutionTrace,
     HierarchicalExecutor,
+    SerialBackend,
     StateVectorSimulator,
     zero_state,
 )
 from repro.sv.fusion import build_part_structure
-from repro.sv.kernels import apply_gate_batched
 
 
 @bench.register(
@@ -96,12 +96,16 @@ def run_bench(params):
 
 def sequential_product(gates, group) -> np.ndarray:
     """A group's matrix the gate-by-gate way: every member swept over an
-    identity through the batched kernel (the reference bind must match)."""
+    identity through the row kernel (the reference bind must match)."""
     k = len(group.qubits)
     pos = {q: i for i, q in enumerate(group.qubits)}
     cols = np.eye(1 << k, dtype=np.complex128)
+    backend = SerialBackend()
     for m in group.members:
-        apply_gate_batched(cols, gates[m].remap(pos), k)
+        gate = gates[m].remap(pos)
+        backend.apply_matrix_rows(
+            cols, gate.matrix(), gate.qubits, k, diagonal=gate.is_diagonal
+        )
     return cols.T
 
 

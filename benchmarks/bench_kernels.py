@@ -1,7 +1,7 @@
 """State-vector kernel agreement and traffic-model counts.
 
 Not a paper table; these back the Sec. III-A roofline discussion: six
-reference gate applications preserve the norm, the gather-free strided
+gates applied through the backend's flat entry preserve the norm, the gather-free strided
 sweep of a single 2-qubit part stays bit-identical to the gather sweep
 while touching fewer model bytes, and the streamed shard kernels — a
 diagonal over contiguous runs, a dense op over sub-row blocks — stay
@@ -22,7 +22,6 @@ from repro.sv.backend import SerialBackend
 from repro.sv.fusion import compile_part
 from repro.sv.kernels import (
     BLOCK_ELEMENTS,
-    apply_gate,
     apply_matrix_batched,
     bytes_touched_gather_part,
     bytes_touched_strided,
@@ -106,7 +105,7 @@ def compare_strided_vs_gather(n: int):
 def run_bench(params):
     """Kernel sweeps: norm, gather-table shape, strided == gather bitwise.
 
-    Six reference gate applications, one gather table, and one 1-op part
+    Six gates through ``apply_gate_flat``, one gather table, and one 1-op part
     swept on both kernel paths (bitwise agreement, model bytes).
     """
     n = params["qubits"]
@@ -119,8 +118,9 @@ def run_bench(params):
         make_gate("rz", [n // 2], [0.3]),
         make_gate("rx", [n // 2], [0.3]),
     ]
+    backend = SerialBackend()
     for gate in gates:
-        apply_gate(work, gate, n)
+        backend.apply_gate_flat(work, gate, n)
     targets = sorted({3, 7, n // 2, n - 1})
     table = gather_index_table(n, targets)
     norm = float(np.vdot(work, work).real)

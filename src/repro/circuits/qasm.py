@@ -2,7 +2,8 @@
 
 Supports the gate vocabulary of :mod:`repro.circuits.gates`, quantum
 registers (concatenated in declaration order), arbitrary parameter
-expressions built from numbers, ``pi``, ``+ - * /`` and parentheses.
+expressions built from reals, ``pi``, ``+ - * /``, ``^`` (or ``**``),
+unary signs and parentheses.
 ``measure``/``barrier``/classical registers are accepted on input and
 ignored (the paper's simulators are measurement-free).  Round-tripping a
 circuit through :func:`dumps` / :func:`loads` yields an equal circuit.
@@ -10,7 +11,6 @@ circuit through :func:`dumps` / :func:`loads` yields an equal circuit.
 
 from __future__ import annotations
 
-import ast
 import math
 import operator
 import re
@@ -65,68 +65,97 @@ _PAREN_OR_COMMA_RE = re.compile(r"[(),]")
 _IGNORED = ("openqasm", "include", "creg", "barrier", "measure", "reset")
 _QARG_RE = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\[(?P<idx>\d+)\]$")
 
-_BINARY_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: math.pow,
-}
-_UNARY_OPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
-
-#: What ``ast.parse`` would warn about on stderr before failing: a
-#: character no expression uses (a quote, a backslash), or a number run
-#: straight into a keyword (``1if``, ``0x1for``).  Refused unparsed.
-_UNPARSABLE = re.compile(
-    r"[^\w\s.+\-*/()]|[\d.a-fA-FjJ](?:and|else|for|if|in|is|not|or)"
+#: A parameter token after optional blanks: a QASM real (ASCII digits),
+#: a name, or an operator.
+_PARAM_TOKEN = re.compile(
+    r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_]\w*)"
+    r"|(\*\*|[-+*/^()]))",
+    re.ASCII,
 )
+#: Operators: (binding strength, function).  A sign binds at 3, between
+#: ``* /`` and the right-associative power, as in Python: ``-2^2`` is -4
+#: and ``2^-1`` is 0.5.
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv),
+           "^": (4, math.pow), "**": (4, math.pow)}
+_SIGNS = {"-": (3, operator.neg), "+": (3, operator.pos)}
 
-#: Longest parameter expression parsed, in characters: a ``repr`` float
-#: is at most 24, and the bound keeps ``ast.parse``'s tree small.
+#: Longest parameter expression evaluated, in characters: a ``repr``
+#: float is at most 24, and no literal this short overflows a float.
 MAX_PARAM_CHARS = 256
 
 
-def _eval_node(node: ast.AST) -> float:
-    """One node of a parameter expression, on floats only."""
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        if node.id != "pi":
-            raise QasmError(f"unknown symbol {node.id!r} in parameter")
-        return math.pi
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-        return _UNARY_OPS[type(node.op)](_eval_node(node.operand))
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        return _BINARY_OPS[type(node.op)](
-            _eval_node(node.left), _eval_node(node.right)
-        )
-    raise QasmError("disallowed token in parameter")
+def _evaluate(expr: str) -> float:
+    """``expr``'s value by operator precedence on two stacks: no
+    recursion, and operators apply in the order a left-to-right walk of
+    the expression tree applies them."""
+    values: List[float] = []
+    ops: list = []  # (binding strength, function), or None for "("
+
+    def reduce() -> None:
+        strength, fn = ops.pop()
+        right = values.pop()
+        values.append(fn(right) if strength == 3 else fn(values.pop(), right))
+
+    operand, pos = True, 0  # whether an operand comes next
+    while pos < len(expr):
+        m = _PARAM_TOKEN.match(expr, pos)
+        if m is None:
+            raise SyntaxError(expr)
+        pos, (number, name, op) = m.end(), m.groups()
+        if operand and (number or name):
+            if name and name != "pi":
+                raise QasmError(f"unknown symbol {name!r} in parameter")
+            values.append(float(number) if number else math.pi)
+            operand = False
+        elif operand and op in ("(", "-", "+"):
+            ops.append(_SIGNS.get(op))
+        elif not operand and op == ")" and None in ops:
+            while ops[-1] is not None:
+                reduce()
+            ops.pop()
+        elif not operand and op in _BINARY:
+            strength = _BINARY[op][0]
+            # Left-associative but for the power.
+            while ops and ops[-1] is not None and (
+                ops[-1][0] > strength or ops[-1][0] == strength < 4
+            ):
+                reduce()
+            ops.append(_BINARY[op])
+            operand = True
+        else:
+            raise SyntaxError(expr)
+    if operand or None in ops:
+        raise SyntaxError(expr)
+    while ops:
+        reduce()
+    return values[0]
 
 
 @lru_cache(maxsize=4096)  # deep circuits repeat a few hundred angle texts
 def _eval_param(expr: str) -> float:
-    """Evaluate a QASM parameter expression (numbers, pi, + - * / **).
+    """Evaluate a QASM parameter expression: reals, ``pi``, ``+ - * /``,
+    ``^`` or ``**``, unary signs and parentheses.
 
     The expression is parsed, never executed: arithmetic runs on floats,
     so ``9**9**9`` overflows at once instead of computing a bigint, and
-    every failure (overflow, division by zero, a complex root, nesting
-    too deep to parse or walk) is a :class:`QasmError`.  A pure function
-    of its text, so results are memoised; a raising expression is not.
-    An expression longer than :data:`MAX_PARAM_CHARS` is refused unparsed.
+    every failure (overflow, division by zero, a complex root, a token
+    outside the grammar such as ``0x10`` or ``1_0``) is a
+    :class:`QasmError`.  A pure function of its text, so results are
+    memoised; a raising expression is not.  An expression longer than
+    :data:`MAX_PARAM_CHARS` is refused unparsed.
     """
-    expr = expr.strip().replace("^", "**")
+    expr = expr.strip()
     if len(expr) > MAX_PARAM_CHARS:
         raise QasmError(
             f"parameter expression of {len(expr)} characters (more than "
             f"{MAX_PARAM_CHARS})"
         )
     try:
-        if _UNPARSABLE.search(expr):
-            raise SyntaxError(expr)
-        value = _eval_node(ast.parse(expr, mode="eval").body)
+        value = _evaluate(expr)
     except QasmError:
         raise
-    except (SyntaxError, ArithmeticError, ValueError, RecursionError) as exc:
+    except (SyntaxError, ArithmeticError, ValueError) as exc:
         raise QasmError(
             f"bad parameter expression {expr!r}: {type(exc).__name__}"
         ) from None

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..config import env
 from ..sv.layout import extract_bits, spread_bits
-from ..sv.pauli import PauliTerm, _normalise
+from ..sv.pauli import PauliTerm, _normalise, _term_masks
 from ..sv.simulator import sample_counts
 from .cutter import CutError, CutPlan
 from .evaluate import FragmentTensor
@@ -386,26 +386,13 @@ def recombine_expectations(
 
 
 def _pauli_block(mat: np.ndarray, ops: Dict[int, str]) -> np.ndarray:
-    """``M[b', b] = <A(b')| P |A(b)>`` over a fragment's free qubits.
-
-    Same sign/permutation technique as
-    :func:`repro.sv.pauli.pauli_expectation`, applied rowwise.
-    """
-    size = mat.shape[1]
-    idx = np.arange(size, dtype=np.int64)
-    xmask = 0
-    phase = np.ones(size, dtype=np.complex128)
-    for pos, c in ops.items():
-        bit = (idx >> pos) & 1
-        if c == "Z":
-            phase *= 1.0 - 2.0 * bit
-        elif c == "X":
-            xmask |= 1 << pos
-        else:  # Y
-            xmask |= 1 << pos
-            phase *= -1j * (1.0 - 2.0 * bit)
-    applied = mat[:, idx ^ xmask] * phase[None, :]
-    return mat.conj() @ applied.T
+    """``M[b', b] = <A(b')| P |A(b)>`` over a fragment's free qubits:
+    :func:`repro.sv.pauli.pauli_expectation`'s phase and flip, rowwise."""
+    rows, size = mat.shape
+    width = size.bit_length() - 1
+    phase, flip = _term_masks(tuple(ops.items()), width)
+    view = np.flip(mat.reshape((rows,) + (2,) * width), [1 + a for a in flip])
+    return mat.conj() @ (view.reshape(rows, size) * phase[None, :]).T
 
 
 def quasi_probabilities(

@@ -31,7 +31,7 @@ def charge_gate(
     bandwidth win.
     """
     flops = flops_for_gate(gate.num_qubits, local_bits, gate.is_diagonal)
-    bytes_swept = bytes_touched_for_gate(local_bits, gate.is_diagonal)
+    bytes_swept = bytes_touched_for_gate(local_bits)
     compute.flops += flops
     compute.bytes_swept += bytes_swept
     compute.gates += 1

@@ -915,6 +915,7 @@ class ExecutionBackend:
             raise ValueError(
                 f"state must be a flat vector of {1 << num_qubits} amplitudes"
             )
+        check_operands(gate.qubits, num_qubits)
         w = max(gate.qubits) + 1
         self.apply_matrix_rows(
             state.reshape(-1, 1 << w), gate.matrix(), gate.qubits, w,

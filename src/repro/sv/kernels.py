@@ -1,23 +1,20 @@
-"""Vectorised state-vector gate kernels.
+"""Vectorised state-vector gate kernels, the execution backends' core
+(:mod:`repro.sv.backend`): a gate reaches amplitudes only through a
+backend's ``apply_gate_flat`` / ``apply_matrix_rows`` or
+``run_part_group``.
 
-Two interchangeable engines:
-
-* :func:`apply_gate` / :func:`apply_gate_batched` — production path: a
-  single axis permutation exposes the gate's ``2^k`` subspace, one GEMM
-  applies the unitary to every pair/quad simultaneously, and diagonal gates
+* :func:`apply_matrix_batched` — the row kernel: one axis permutation
+  exposes an op's ``2^k`` subspace in every row of a ``(B, 2^w)``
+  matrix and one GEMM applies the unitary to all of it; diagonal ops
   take a copy-free in-place multiply (over contiguous runs of
-  ``2^DIAGONAL_RUN_BITS`` amplitudes once the state holds a block).
-* :func:`apply_gate_reference` — literal strided implementation matching
-  the paper's Fig. 1 description; used for cross-validation and as the
-  access-pattern source for the cache model.
-
-A third, gather-free path backs the execution backends'
-small-fused-group fast lane: :func:`apply_matrix_strided` applies a
-unitary directly to the flat state through bit-strided views — no
-``(2^(n-w), 2^w)`` gather matrix, no index table — and
-:func:`split_controls` peels control qubits off a matrix so controlled
-and diagonal groups touch only the rows they change.  Eligibility is
-capped at :data:`DEFAULT_STRIDED_MAX` target qubits.
+  ``2^DIAGONAL_RUN_BITS`` amplitudes once the rows hold a block).
+* :func:`apply_matrix_strided` — the gather-free lane of small fused
+  groups (at most :data:`DEFAULT_STRIDED_MAX` targets): bit-strided
+  views of the flat state, no gather matrix or index table, with
+  :func:`split_controls` peeling controls off so an op touches only
+  the rows it changes.
+* :func:`apply_gate_reference` — the literal gather implementation of
+  the paper's Fig. 1, kept as the oracle the kernels are tested against.
 
 All kernels operate **in place** and return their input array.
 """
@@ -34,13 +31,9 @@ from .layout import axis_of_qubit, gather_index_table
 __all__ = [
     "BLOCK_ELEMENTS",
     "check_operands",
-    "apply_matrix",
     "apply_matrix_batched",
     "apply_matrix_strided",
-    "apply_gate",
-    "apply_gate_batched",
     "apply_gate_reference",
-    "apply_circuit",
     "split_controls",
     "strided_max_qubits",
     "flops_for_gate",
@@ -210,62 +203,6 @@ def _apply_diagonal(
     view *= fac
 
 
-def apply_matrix(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-    num_qubits: int,
-    *,
-    diagonal: bool = False,
-) -> np.ndarray:
-    """Apply a ``2^k x 2^k`` unitary to ``qubits`` of a flat state (in place).
-
-    ``qubits`` are in operand order (first operand = least significant bit
-    of the matrix's local index).
-
-    >>> import numpy as np
-    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    >>> apply_matrix(state, X, [1], 2)       # flip qubit 1: |00> -> |10>
-    array([0.+0.j, 0.+0.j, 1.+0.j, 0.+0.j])
-    """
-    k = len(qubits)
-    if matrix.shape != (1 << k, 1 << k):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {k} qubits"
-        )
-    if state.size != 1 << num_qubits:
-        raise ValueError(
-            f"state has {state.size} amplitudes but num_qubits="
-            f"{num_qubits} requires {1 << num_qubits}; for batched "
-            f"(B, 2^k) inputs use apply_matrix_batched"
-        )
-    check_operands(qubits, num_qubits)
-    view = state.reshape((2,) * num_qubits)
-    axes = _gate_axes(num_qubits, num_qubits, qubits, lead=0)
-    if diagonal:
-        _apply_diagonal(view, np.ascontiguousarray(np.diag(matrix)), axes)
-    else:
-        _apply_dense(view, matrix, axes)
-    return state
-
-
-def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Apply a :class:`Gate` to a flat ``(2^n,)`` state vector (in place).
-
-    >>> import numpy as np
-    >>> from repro.circuits.gates import make_gate
-    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> _ = apply_gate(state, make_gate("x", [0]), 2)     # |00> -> |01>
-    >>> _ = apply_gate(state, make_gate("cx", [0, 1]), 2) # -> |11>
-    >>> state
-    array([0.+0.j, 0.+0.j, 0.+0.j, 1.+0.j])
-    """
-    return apply_matrix(
-        state, gate.matrix(), gate.qubits, num_qubits, diagonal=gate.is_diagonal
-    )
-
-
 def apply_matrix_batched(
     states: np.ndarray,
     matrix: np.ndarray,
@@ -298,27 +235,6 @@ def apply_matrix_batched(
     else:
         _apply_dense(view, matrix, axes)
     return states
-
-
-def apply_gate_batched(
-    states: np.ndarray, gate: Gate, num_local: int
-) -> np.ndarray:
-    """:func:`apply_matrix_batched` for a :class:`Gate` instance.
-
-    >>> import numpy as np
-    >>> from repro.circuits.gates import make_gate
-    >>> rows = np.zeros((2, 4), dtype=np.complex128); rows[:, 0] = 1.0
-    >>> _ = apply_gate_batched(rows, make_gate("x", [1]), 2)
-    >>> [int(r.argmax()) for r in rows]     # both rows now |10>
-    [2, 2]
-    """
-    return apply_matrix_batched(
-        states,
-        gate.matrix(),
-        gate.qubits,
-        num_local,
-        diagonal=gate.is_diagonal,
-    )
 
 
 def _order_perm(
@@ -422,36 +338,19 @@ def apply_gate_reference(
 
     Builds the ``(2^(n-k), 2^k)`` index table of strided amplitude groups,
     gathers each small vector, multiplies by the gate matrix and scatters
-    back.  O(2^n) extra memory; for validation and cache tracing only.
+    back.  O(2^n) extra memory; for validation only.
 
     >>> import numpy as np
     >>> from repro.circuits.gates import make_gate
     >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> ref = apply_gate_reference(state.copy(), make_gate("h", [0]), 2)
-    >>> fast = apply_gate(state.copy(), make_gate("h", [0]), 2)
-    >>> bool(np.allclose(ref, fast))
-    True
+    >>> out = apply_gate_reference(state, make_gate("h", [0]), 2)
+    >>> [round(float(abs(a)) ** 2, 3) for a in out]  # (|00> + |01>) / sqrt 2
+    [0.5, 0.5, 0.0, 0.0]
     """
     table = gather_index_table(num_qubits, gate.qubits)
     small = state[table]  # (groups, 2^k)
     small = small @ gate.matrix().T
     state[table] = small
-    return state
-
-
-def apply_circuit(state: np.ndarray, gates: Sequence[Gate], num_qubits: int) -> np.ndarray:
-    """Apply a gate sequence in order (in place).
-
-    >>> import numpy as np
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> qc = QuantumCircuit(2).h(0).cx(0, 1)           # Bell pair
-    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> out = apply_circuit(state, qc.gates, 2)
-    >>> [round(float(abs(a)) ** 2, 3) for a in out]
-    [0.5, 0.0, 0.0, 0.5]
-    """
-    for g in gates:
-        apply_gate(state, g, num_qubits)
     return state
 
 
@@ -602,10 +501,10 @@ def apply_matrix_strided(
 ) -> np.ndarray:
     """Gather-free in-place application through bit-strided views.
 
-    Equivalent to :func:`apply_matrix` — and bit-identical to applying
-    the same op through the hierarchical gather path — but never builds
-    an index table or a gathered copy of the state: the flat array is
-    reshaped to ``(2,)*n`` (a view) and the op touches only the slices
+    Bit-identical to applying the same op through the row kernel
+    (:func:`apply_matrix_batched`, the hierarchical gather path), but
+    never builds an index table or a gathered copy of the state: the
+    flat array is reshaped to ``(2,)*n`` (a view) and the op touches only the slices
     it changes.  Control qubits (:func:`split_controls`) restrict the
     sweep to the rows where every control bit is 1, and identity entries
     of diagonal ops are skipped outright, so a ``ccx`` on a 20-qubit
@@ -662,7 +561,7 @@ def flops_for_gate(gate_qubits: int, num_qubits: int, diagonal: bool = False) ->
     return groups * per_group
 
 
-def bytes_touched_for_gate(num_qubits: int, diagonal: bool = False) -> int:
+def bytes_touched_for_gate(num_qubits: int) -> int:
     """Bytes moved through the memory system by one gate sweep.
 
     Every amplitude is read and written once (16 B complex128 each way);
@@ -671,7 +570,6 @@ def bytes_touched_for_gate(num_qubits: int, diagonal: bool = False) -> int:
     >>> bytes_touched_for_gate(10)
     32768
     """
-    del diagonal  # same traffic either way; parameter kept for clarity
     return 2 * 16 * (1 << num_qubits)
 
 

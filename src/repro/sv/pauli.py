@@ -63,11 +63,7 @@ def pauli_expectation(
     ops = _normalise(term, num_qubits)
     if state.shape != (1 << num_qubits,):
         raise ValueError("state length mismatch")
-    factors = tuple(ops.items())
-    # Terms of at most 16 qubits keep their masks: 16 of them hold at
-    # most 24 MiB.
-    masks = _term_masks if num_qubits <= 16 else _term_masks.__wrapped__
-    phase, flip = masks(factors, num_qubits)
+    phase, flip = _term_masks(tuple(ops.items()), num_qubits)
     if not flip:
         return float(np.real(np.sum(phase * np.abs(state) ** 2)))
     # Amplitude i XOR the X/Y mask: the state with those bits' axes
@@ -76,7 +72,6 @@ def pauli_expectation(
     return float(np.real(np.sum(np.conj(state) * phase * flipped)))
 
 
-@lru_cache(maxsize=16)
 def _term_masks(
     factors: Tuple[Tuple[int, str], ...], num_qubits: int
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:
@@ -86,7 +81,16 @@ def _term_masks(
     ``flip`` the axes of a ``(2,) * n`` view of the state those qubits
     index (empty when there are none).  Factors multiply in the term's
     order, so the phase has the bits of a per-call build; it is shared
-    read-only."""
+    read-only.  Terms of at most 16 qubits keep their masks: the 16 kept
+    hold at most 24 MiB."""
+    build = _build_masks if num_qubits <= 16 else _build_masks.__wrapped__
+    return build(factors, num_qubits)
+
+
+@lru_cache(maxsize=16)
+def _build_masks(
+    factors: Tuple[Tuple[int, str], ...], num_qubits: int
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
     idx = np.arange(1 << num_qubits, dtype=np.int64)
     flip = []
     phase = np.ones(idx.size, dtype=np.complex128)

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 from .backend import ExecutionBackend, resolve_backend
-from .kernels import apply_gate_reference
 from .layout import extract_bits
 
 __all__ = [
@@ -98,15 +97,10 @@ class StateVectorSimulator:
         Register width.
     initial_state:
         Optional starting state (copied); defaults to ``|0...0>``.
-    reference_kernels:
-        Use the literal strided kernels instead of the batched-GEMM path
-        (slower; for validation).
     backend:
-        Execution backend for the production kernel path: an
+        Execution backend every gate runs on (``apply_gate_flat``): an
         :class:`~repro.sv.backend.ExecutionBackend`, a name, or ``None``
-        to follow ``REPRO_BACKEND``.  Ignored under
-        ``reference_kernels`` (the reference path stays single-sweep
-        serial by design).
+        to follow ``REPRO_BACKEND``.
     threads:
         Worker count for a backend resolved by name/environment.
     """
@@ -115,7 +109,6 @@ class StateVectorSimulator:
         self,
         num_qubits: int,
         initial_state: Optional[np.ndarray] = None,
-        reference_kernels: bool = False,
         backend: Union[None, str, ExecutionBackend] = None,
         threads: Optional[int] = None,
     ) -> None:
@@ -129,7 +122,6 @@ class StateVectorSimulator:
             if initial_state.shape != (1 << num_qubits,):
                 raise ValueError("initial state has wrong length")
             self.state = initial_state.copy()
-        self._reference = reference_kernels
         self.backend = resolve_backend(backend, threads)
         self.gates_applied = 0
 
@@ -142,12 +134,8 @@ class StateVectorSimulator:
                 f"circuit width {circuit.num_qubits} != simulator width "
                 f"{self.num_qubits}"
             )
-        if self._reference:
-            for g in circuit:
-                apply_gate_reference(self.state, g, self.num_qubits)
-        else:
-            for g in circuit:
-                self.backend.apply_gate_flat(self.state, g, self.num_qubits)
+        for g in circuit:
+            self.backend.apply_gate_flat(self.state, g, self.num_qubits)
         self.gates_applied += len(circuit)
         return self.state
 

@@ -768,6 +768,40 @@ def sweep_plan_reference(structure, rows: int, jobs: int = 1):
     return tuple(map(lift_step, steps)), restore
 
 
+def one_pass(rows, matrix, positions, width, diagonal):
+    """The one-pass formulation of one op over every row of ``rows``
+    (``(B, 2^width)``, in place; ``positions`` are row-local qubits):
+    the independent byte oracle every kernel entry point is held to.
+
+    A diagonal op broadcasts ``diag`` shaped to the ``(B,) + (2,)*width``
+    view; a dense op is one transposed copy and one GEMM over every row.
+    """
+    view = rows.reshape((rows.shape[0],) + (2,) * width)
+    axes = [width - q for q in reversed(list(positions))]
+    k = len(axes)
+    if diagonal:
+        fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * k)
+        fac = fac.transpose(tuple(np.argsort(axes)))
+        shape = [1] * view.ndim
+        for ax in axes:
+            shape[ax] = 2
+        view *= fac.reshape(shape)
+    else:
+        moved = np.moveaxis(view, axes, range(k))
+        res = matrix @ moved.reshape(1 << k, -1)
+        moved[...] = res.reshape(moved.shape)
+    return rows
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shapes and equal bytes (so ``-0.0`` differs from ``0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint8),
+        np.ascontiguousarray(b).view(np.uint8),
+    )
+
+
 def literal_reference(
     circuit,
     partition,
@@ -781,7 +815,7 @@ def literal_reference(
     """Oracle for ``HierarchicalExecutor.run`` on a dense ``state``
     (mutated and returned): the paper's Algorithm 1 as written -- per
     part, per inner state vector (one row of the part's gather table),
-    gather it, apply each of the part's ops to it with ``apply_matrix``
+    gather it, apply each of the part's ops to it with :func:`one_pass`
     and scatter it back.  Plans come from ``plan_cache`` (a fresh
     ``PlanCache`` by default) through ``get_or_compile``, whose events
     ``counters`` receives; ``backend`` (resolved as the executor
@@ -789,7 +823,6 @@ def literal_reference(
     """
     from repro.sv.backend import resolve_backend
     from repro.sv.fusion import PlanCache
-    from repro.sv.kernels import apply_matrix
 
     backend = resolve_backend(backend)
     if plan_cache is None:
@@ -806,13 +839,10 @@ def literal_reference(
 
         def block(lo, hi):
             for index in table[lo:hi]:
-                inner = state[index]
+                inner = state[index][None, :]
                 for op in ops:
-                    apply_matrix(
-                        inner, op.matrix(), op.qubits, w,
-                        diagonal=op.is_diagonal,
-                    )
-                state[index] = inner
+                    one_pass(inner, op.matrix(), op.qubits, w, op.is_diagonal)
+                state[index] = inner[0]
 
         backend.map_blocks(block, table.shape[0], state.size)
     return state

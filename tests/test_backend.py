@@ -33,15 +33,16 @@ from repro.sv import (
     split_blocks,
     zero_state,
 )
-from repro.sv.kernels import BLOCK_ELEMENTS
+from repro.sv.kernels import BLOCK_ELEMENTS, apply_gate_reference
 
 from conftest import literal_reference, part_contents, random_circuit
 
 
 def _reference_state(qc):
-    sim = StateVectorSimulator(qc.num_qubits, reference_kernels=True)
-    sim.run(qc)
-    return sim.state
+    state = zero_state(qc.num_qubits)
+    for gate in qc:
+        apply_gate_reference(state, gate, qc.num_qubits)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import inspect
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.generators import build
@@ -34,7 +35,7 @@ from repro.cut import (
 )
 from repro.cut.evaluate import evaluate_fragments
 from repro.cut.fragments import amplitude_variants, variant_circuit
-from repro.cut.recombine import bond_tensor
+from repro.cut.recombine import _pauli_block, bond_tensor
 from repro.serve import (
     BatchRunner,
     SimJob,
@@ -171,6 +172,53 @@ class TestDifferential:
             qc, plan=plan, want_state=True, runner=BatchRunner(workers=3)
         )
         assert np.allclose(serial.state, fanned.state, atol=1e-12)
+
+
+def pauli_block_reference(mat, ops):
+    """``_pauli_block`` as first written, kept as the oracle: its own
+    sign mask and X-mask, the row matrix indexed with ``idx ^ xmask``."""
+    size = mat.shape[1]
+    idx = np.arange(size, dtype=np.int64)
+    xmask = 0
+    phase = np.ones(size, dtype=np.complex128)
+    for pos, c in ops.items():
+        bit = (idx >> pos) & 1
+        if c == "Z":
+            phase *= 1.0 - 2.0 * bit
+        elif c == "X":
+            xmask |= 1 << pos
+        else:  # Y
+            xmask |= 1 << pos
+            phase *= -1j * (1.0 - 2.0 * bit)
+    applied = mat[:, idx ^ xmask] * phase[None, :]
+    return mat.conj() @ applied.T
+
+
+@st.composite
+def pauli_blocks(draw):
+    """A random ``(2^bonds, 2^width)`` row matrix and a Pauli map over
+    some of its ``width`` positions, in a random order."""
+    width = draw(st.integers(0, 7))
+    rows = 1 << draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    positions = draw(st.permutations(range(width)))
+    ops = {
+        pos: draw(st.sampled_from("XYZ"))
+        for pos in positions[: draw(st.integers(0, width))]
+    }
+    rng = np.random.default_rng(seed)
+    shape = (rows, 1 << width)
+    mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return mat, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pauli_blocks())
+def test_property_pauli_block_matches_its_first_form_bitwise(case):
+    mat, ops = case
+    got, want = _pauli_block(mat, ops), pauli_block_reference(mat, ops)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), ops
 
 
 class TestStreaming:

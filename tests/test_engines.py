@@ -15,7 +15,6 @@ from repro.dist.state import AMP_BYTES
 from repro.partition import DagPPartitioner, get_partitioner, multilevel_partition
 from repro.runtime.comm import SimComm
 from repro.runtime.metrics import ComputeStats
-from repro.sv.kernels import apply_circuit
 from repro.sv.layout import QubitLayout
 from repro.sv.simulator import StateVectorSimulator, random_state
 
@@ -211,7 +210,7 @@ class TestIQSRunsPlans:
         initial = random_state(5, seed=2)
         state, report = IQSEngine(4).run(qc, initial_full=initial)
         assert report.comm.steps == 0
-        expected = apply_circuit(initial.copy(), gates, 5)
+        expected = flat(qc, initial)
         assert np.allclose(state.to_full(), expected, atol=1e-12)
 
 

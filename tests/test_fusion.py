@@ -27,10 +27,15 @@ from repro.sv.fusion import (
     plan_fusion_groups,
 )
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
-from repro.sv.kernels import apply_gate_batched, apply_matrix
 from repro.sv.simulator import StateVectorSimulator, zero_state
 
-from conftest import SUITE_SMALL, literal_reference, part_contents, random_circuit
+from conftest import (
+    SUITE_SMALL,
+    literal_reference,
+    one_pass,
+    part_contents,
+    random_circuit,
+)
 from strategies import _ANGLES, circuits
 
 
@@ -117,11 +122,10 @@ class TestCompiledPlanEquivalence:
         qc = generators.build(name, n)
         plan = compile_part(qc, range(len(qc)), range(n), fuse=True,
                             max_fused_qubits=5)
-        state = zero_state(n)
+        state = zero_state(n)[None, :]
         for op in plan.local_ops():
-            apply_matrix(state, op.matrix(), op.qubits, n,
-                         diagonal=op.is_diagonal)
-        assert np.allclose(state, flat_state(qc), atol=1e-10)
+            one_pass(state, op.matrix(), op.qubits, n, op.is_diagonal)
+        assert np.allclose(state[0], flat_state(qc), atol=1e-10)
 
     @pytest.mark.parametrize("name,n", SUITE_SMALL)
     @pytest.mark.parametrize("strategy", ["Nat", "dagP"])
@@ -160,12 +164,13 @@ class TestCompiledPlanEquivalence:
 
 def sequential_product(gates, group):
     """The construction bind replaced, kept as the oracle: every member
-    swept over an identity through the batched kernel, in source order."""
+    swept over an identity as one pass over its rows, in source order."""
     k = len(group.qubits)
     pos = {q: i for i, q in enumerate(group.qubits)}
     cols = np.eye(1 << k, dtype=np.complex128)
     for m in group.members:
-        apply_gate_batched(cols, gates[m].remap(pos), k)
+        gate = gates[m].remap(pos)
+        one_pass(cols, gate.matrix(), gate.qubits, k, gate.is_diagonal)
     return cols.T
 
 

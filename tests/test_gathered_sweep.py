@@ -36,14 +36,8 @@ from repro.sv.fusion import (
 from repro.sv.kernels import _order_perm
 from repro.sv.simulator import random_state
 
-from conftest import gather_sweep_reference, sweep_plan_reference
+from conftest import gather_sweep_reference, same_bytes, sweep_plan_reference
 from strategies import circuits
-
-
-def same_bytes(a, b):
-    return a.shape == b.shape and np.array_equal(
-        a.view(np.uint8), b.view(np.uint8)
-    )
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@
 Diagonal ops multiply contiguous runs (``kernels._apply_diagonal``) and
 dense ops over a row matrix run on the block rule's virtual rows
 (``backend._row_blocks``).  Neither may move a bit: every entry point is
-held byte for byte to the formulation the kernels had before, kept here
-as the oracle — a broadcast ``(2,)*n`` factor for a diagonal op, one
-GEMM over every row for a dense one.
+held byte for byte to the formulation the kernels had before, kept as
+the oracle ``conftest.one_pass`` — a broadcast ``(2,)*n`` factor for a
+diagonal op, one GEMM over every row for a dense one.
 """
 
 from __future__ import annotations
@@ -23,37 +23,9 @@ from repro.dist.transport import run_spmd
 from repro.partition import get_partitioner
 from repro.sv.backend import SerialBackend, ThreadedBackend
 from repro.sv.fusion import FusedGate
-from repro.sv.kernels import BLOCK_ELEMENTS, apply_matrix, apply_matrix_batched
+from repro.sv.kernels import BLOCK_ELEMENTS, apply_matrix_batched
 
-
-def one_pass(rows, matrix, positions, width, diagonal):
-    """The formulation the streamed kernels must match (in place).
-
-    A diagonal op broadcasts ``diag`` shaped to the ``(B,) + (2,)*width``
-    view; a dense op is one transposed copy and one GEMM over every row.
-    """
-    view = rows.reshape((rows.shape[0],) + (2,) * width)
-    axes = [width - q for q in reversed(list(positions))]
-    k = len(axes)
-    if diagonal:
-        fac = np.ascontiguousarray(np.diag(matrix)).reshape((2,) * k)
-        fac = fac.transpose(tuple(np.argsort(axes)))
-        shape = [1] * view.ndim
-        for ax in axes:
-            shape[ax] = 2
-        view *= fac.reshape(shape)
-    else:
-        moved = np.moveaxis(view, axes, range(k))
-        res = matrix @ moved.reshape(1 << k, -1)
-        moved[...] = res.reshape(moved.shape)
-    return rows
-
-
-def same_bytes(a, b):
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint8),
-        np.ascontiguousarray(b).view(np.uint8),
-    )
+from conftest import one_pass, same_bytes
 
 
 @st.composite
@@ -104,13 +76,9 @@ def _check_every_entry_point(backends, case):
         start.copy(), matrix, positions, width, diagonal=diagonal
     )
     assert same_bytes(got, want), "apply_matrix_batched"
-    # The flat entry points see row 0 alone as a width-qubit state (one
+    # The flat entry point sees row 0 alone as a width-qubit state (one
     # GEMM over its columns only).
     flat_want = one_pass(start[:1].copy(), matrix, positions, width, diagonal)[0]
-    got = apply_matrix(
-        start[0].copy(), matrix, positions, width, diagonal=diagonal
-    )
-    assert same_bytes(got, flat_want), "apply_matrix"
     if positions:  # a gate has at least one qubit
         gate = FusedGate(positions, matrix, diagonal)
         for backend in backends:

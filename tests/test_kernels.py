@@ -1,25 +1,46 @@
-"""Gate-kernel tests: every engine against an independent dense reference."""
+"""Gate-kernel tests: the flat simulator (every gate through the
+backend's ``apply_gate_flat``) and the row kernels against independent
+references — the dense unitary, the literal reference kernel
+``apply_gate_reference`` and the one-pass formulation ``one_pass``."""
+
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_matrix, make_gate
+from repro.sv.backend import SerialBackend, ThreadedBackend
+from repro.sv.fusion import FusedGate
 from repro.sv.kernels import (
-    apply_circuit,
-    apply_gate,
-    apply_gate_batched,
     apply_gate_reference,
-    apply_matrix,
     apply_matrix_batched,
     apply_matrix_strided,
     bytes_touched_for_gate,
     flops_for_gate,
 )
-from repro.sv.simulator import random_state, zero_state
+from repro.sv.simulator import StateVectorSimulator, random_state, zero_state
 
-from conftest import full_unitary, random_circuit
+from conftest import full_unitary, one_pass, random_circuit
+
+
+def run_flat(gates, state):
+    """``gates`` through the flat simulator from ``state`` (copied)."""
+    n = state.size.bit_length() - 1
+    qc = QuantumCircuit(n)
+    for g in gates:
+        qc.append(g)
+    return StateVectorSimulator(n, initial_state=state).run(qc)
+
+
+def run_reference(gates, state):
+    """``gates`` through ``apply_gate_reference`` on a copy of ``state``."""
+    state = state.copy()
+    for g in gates:
+        apply_gate_reference(state, g, state.size.bit_length() - 1)
+    return state
 
 
 class TestAgainstDenseReference:
@@ -29,27 +50,20 @@ class TestAgainstDenseReference:
         qc = random_circuit(n, 12, seed=seed)
         u = full_unitary(qc)
         state = random_state(n, seed=seed)
-        expected = u @ state
-        got = apply_circuit(state.copy(), list(qc), n)
-        assert np.allclose(got, expected, atol=1e-9)
+        got = run_flat(qc, state)
+        assert np.allclose(got, u @ state, atol=1e-9)
 
     def test_single_gates_all_positions(self):
         n = 4
         for name, k in [("h", 1), ("x", 1), ("rz", 1), ("cx", 2), ("swap", 2), ("ccx", 3)]:
             params = (0.7,) if name == "rz" else ()
-            from itertools import permutations
-
             for qs in permutations(range(n), k):
                 g = make_gate(name, qs, params)
-                qc_like = [g]
-                import repro.circuits.circuit as cc
-
-                qc = cc.QuantumCircuit(n)
+                qc = QuantumCircuit(n)
                 qc.append(g)
-                u = full_unitary(qc)
                 state = random_state(n, seed=1)
                 assert np.allclose(
-                    apply_gate(state.copy(), g, n), u @ state, atol=1e-9
+                    run_flat([g], state), full_unitary(qc) @ state, atol=1e-9
                 ), (name, qs)
 
 
@@ -58,20 +72,20 @@ class TestEngineEquivalence:
     def test_reference_kernel_matches_fast_kernel(self, seed):
         n = 6
         qc = random_circuit(n, 20, seed=seed)
-        a = random_state(n, seed=seed)
-        b = a.copy()
-        for g in qc:
-            apply_gate(a, g, n)
-            apply_gate_reference(b, g, n)
-        assert np.allclose(a, b, atol=1e-9)
+        state = random_state(n, seed=seed)
+        assert np.allclose(
+            run_flat(qc, state), run_reference(qc, state), atol=1e-9
+        )
 
     def test_batched_matches_loop(self):
         n_local, batch = 4, 8
         rng = np.random.default_rng(5)
         states = rng.standard_normal((batch, 16)) + 1j * rng.standard_normal((batch, 16))
         g = make_gate("cx", [1, 3])
-        expected = np.stack([apply_gate(s.copy(), g, n_local) for s in states])
-        got = apply_gate_batched(states.copy().astype(np.complex128), g, n_local)
+        expected = np.stack([run_flat([g], s) for s in states])
+        got = apply_matrix_batched(
+            states.copy().astype(np.complex128), g.matrix(), g.qubits, n_local
+        )
         assert np.allclose(got, expected, atol=1e-9)
 
     def test_batched_diagonal_matches_loop(self):
@@ -81,16 +95,20 @@ class TestEngineEquivalence:
             rng.standard_normal((batch, 32)) + 1j * rng.standard_normal((batch, 32))
         ).astype(np.complex128)
         g = make_gate("cu1", [4, 0], [0.9])
-        expected = np.stack([apply_gate(s.copy(), g, n_local) for s in states])
-        got = apply_gate_batched(states.copy(), g, n_local)
+        expected = np.stack([run_flat([g], s) for s in states])
+        got = apply_matrix_batched(
+            states.copy(), g.matrix(), g.qubits, n_local, diagonal=True
+        )
         assert np.allclose(got, expected, atol=1e-9)
 
     def test_diagonal_path_matches_dense_path(self):
         n = 5
-        state = random_state(n, seed=7)
+        rows = random_state(n, seed=7)[None, :]
         m = gate_matrix("rzz", (1.3,))
-        dense = apply_matrix(state.copy(), m, (1, 3), n, diagonal=False)
-        diag = apply_matrix(state.copy(), m, (1, 3), n, diagonal=True)
+        backend = SerialBackend()
+        dense, diag = rows.copy(), rows.copy()
+        backend.apply_matrix_rows(dense, m, (1, 3), n, diagonal=False)
+        backend.apply_matrix_rows(diag, m, (1, 3), n, diagonal=True)
         assert np.allclose(dense, diag, atol=1e-10)
 
     def test_matrix_batched_arbitrary_unitary(self):
@@ -102,29 +120,32 @@ class TestEngineEquivalence:
             rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
         ).astype(np.complex128)
         got = apply_matrix_batched(states.copy(), q, (0, 2), 4)
-        expected = np.stack(
-            [apply_matrix(s.copy(), q, (0, 2), 4) for s in states]
+        expected = np.concatenate(
+            [one_pass(s.copy()[None, :], q, (0, 2), 4, False) for s in states]
         )
         assert np.allclose(got, expected, atol=1e-9)
 
 
 class TestInPlaceSemantics:
     def test_apply_gate_returns_same_array(self):
+        # The flat entry works on the array it is handed; the simulator
+        # hands back its live state.
         state = zero_state(3)
-        out = apply_gate(state, make_gate("h", [0]), 3)
-        assert out is state
+        SerialBackend().apply_gate_flat(state, make_gate("h", [0]), 3)
+        assert np.allclose(state[:2], 2**-0.5) and not state[2:].any()
+        sim = StateVectorSimulator(3)
+        assert sim.run(QuantumCircuit(3).h(0)) is sim.state
 
     def test_norm_preserved(self):
         state = random_state(6, seed=9)
-        qc = random_circuit(6, 30, seed=9)
-        apply_circuit(state, list(qc), 6)
-        assert np.isclose(np.linalg.norm(state), 1.0)
+        out = run_flat(random_circuit(6, 30, seed=9), state)
+        assert np.isclose(np.linalg.norm(out), 1.0)
 
 
 class TestValidation:
     def test_matrix_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_matrix(zero_state(3), np.eye(4), (0,), 3)
+        with pytest.raises(ValueError, match="does not match 1 qubits"):
+            apply_matrix_strided(zero_state(3), np.eye(4), (0,), 3)
 
     def test_batched_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -132,14 +153,15 @@ class TestValidation:
 
     def test_state_size_mismatch_clear_error(self):
         with pytest.raises(ValueError, match="amplitudes"):
-            apply_matrix(zero_state(4), np.eye(2), (0,), 3)
+            SerialBackend().apply_gate_flat(
+                zero_state(4), make_gate("h", [0]), 3
+            )
 
     def test_batched_array_rejected_by_flat_kernel(self):
-        # Regression: a (B, 2^n) batch has a matching last axis and used to
-        # slip past the guard, dying inside reshape with an opaque error.
+        # A (B, 2^n) batch is not a flat state, whatever its last axis.
         batch = np.zeros((4, 8), dtype=np.complex128)
-        with pytest.raises(ValueError, match="apply_matrix_batched"):
-            apply_matrix(batch, np.eye(2), (0,), 3)
+        with pytest.raises(ValueError, match="flat vector of 8"):
+            SerialBackend().apply_gate_flat(batch, make_gate("h", [0]), 3)
 
 
 #: Operand tuples a 3-qubit row refuses, and the words that name them.
@@ -162,15 +184,11 @@ class TestOperandChecks:
     def test_refused_before_the_state_is_touched(
         self, operands, message, diagonal
     ):
-        from repro.sv.backend import SerialBackend, ThreadedBackend
-
         rng = np.random.default_rng(3)
         matrix = np.diag(np.exp(1j * rng.standard_normal(1 << len(operands))))
         with ThreadedBackend(2) as threaded:
+            gate = FusedGate(operands, matrix, diagonal)
             entries = {
-                "apply_matrix": lambda s: apply_matrix(
-                    s[0], matrix, operands, 3, diagonal=diagonal
-                ),
                 "apply_matrix_batched": lambda s: apply_matrix_batched(
                     s, matrix, operands, 3, diagonal=diagonal
                 ),
@@ -184,6 +202,9 @@ class TestOperandChecks:
                         s, matrix, operands, 3, diagonal=diagonal
                     )
                 )
+                entries["flat " + backend.describe()] = (
+                    lambda s, b=backend: b.apply_gate_flat(s[0], gate, 3)
+                )
             for name, entry in entries.items():
                 states = random_state(5, seed=4).reshape(4, 8)
                 before = states.copy()
@@ -196,7 +217,6 @@ class TestOperandChecks:
     def test_local_matrix_on_an_unknown_or_repeated_qubit(self):
         from repro.dist import DistributedStateVector
         from repro.runtime.comm import SimComm
-        from repro.sv.fusion import FusedGate
 
         state = DistributedStateVector.from_full(random_state(4, 5), SimComm(2))
         before = state.shards.copy()
@@ -234,10 +254,8 @@ class TestCostModels:
     n=st.integers(2, 6),
 )
 def test_property_random_circuit_unitary_preserves_norm(seed, n):
-    qc = random_circuit(n, 15, seed=seed)
-    state = random_state(n, seed=seed)
-    apply_circuit(state, list(qc), n)
-    assert np.isclose(np.linalg.norm(state), 1.0, atol=1e-9)
+    out = run_flat(random_circuit(n, 15, seed=seed), random_state(n, seed=seed))
+    assert np.isclose(np.linalg.norm(out), 1.0, atol=1e-9)
 
 
 @settings(max_examples=15, deadline=None)
@@ -245,9 +263,5 @@ def test_property_random_circuit_unitary_preserves_norm(seed, n):
 def test_property_fast_and_reference_kernels_agree(seed):
     n = 5
     qc = random_circuit(n, 10, seed=seed)
-    a = random_state(n, seed=seed)
-    b = a.copy()
-    for g in qc:
-        apply_gate(a, g, n)
-        apply_gate_reference(b, g, n)
-    assert np.allclose(a, b, atol=1e-9)
+    state = random_state(n, seed=seed)
+    assert np.allclose(run_flat(qc, state), run_reference(qc, state), atol=1e-9)

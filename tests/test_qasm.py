@@ -1,16 +1,23 @@
 """OpenQASM writer/parser tests."""
 
+import ast
 import math
+import operator
+import struct
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import generators
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
-from repro.circuits.qasm import QasmError, dumps, loads
+from repro.circuits.qasm import MAX_PARAM_CHARS, QasmError, _eval_param, dumps, loads
 
 from conftest import SUITE_SMALL, random_circuit
 
@@ -186,8 +193,6 @@ class TestErrors:
         assert [g.params for g in qc] == [(1.5e-3,), (2e3,), (5.0,)]
 
     def test_raising_parameter_is_never_cached(self):
-        from repro.circuits.qasm import _eval_param
-
         assert _eval_param.cache_info().maxsize is not None  # bounded
         for expr in ("9**9**9", "1/0", "__import__"):
             for _ in range(3):
@@ -234,3 +239,137 @@ class TestErrors:
     def test_bad_argument_syntax(self):
         with pytest.raises(QasmError):
             loads("qreg q[2]; cx q[0] q[1];")  # missing comma
+
+
+def ast_reference(expr: str) -> float:
+    """The evaluator the grammar replaced, kept as the oracle: ``^`` read
+    as ``**``, Python's parser, then a walk over floats only."""
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: math.pow}
+    unary = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id == "pi":
+            return math.pi
+        if isinstance(node, ast.UnaryOp) and type(node.op) in unary:
+            return unary[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in binary:
+            return binary[type(node.op)](walk(node.left), walk(node.right))
+        raise ValueError("outside the grammar")
+
+    expr = expr.strip().replace("^", "**")
+    assert len(expr) <= MAX_PARAM_CHARS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = walk(ast.parse(expr, mode="eval").body)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def same_outcome(expr: str) -> bool:
+    """The grammar and :func:`ast_reference` both refuse ``expr``, or
+    both give the same float, bit for bit."""
+    try:
+        want = ast_reference(expr)
+    except (SyntaxError, ArithmeticError, ValueError, RecursionError):
+        with pytest.raises(QasmError):
+            _eval_param(expr)
+        return True
+    return struct.pack("d", _eval_param(expr)) == struct.pack("d", want)
+
+
+#: QASM reals, but for integers with a leading zero (``007``), which the
+#: grammar reads and Python's parser refused.
+_REALS = st.from_regex(
+    r"((0|[1-9][0-9]{0,2})(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][+-]?[0-9]{1,2})?",
+    fullmatch=True,
+)
+_OPERATORS = ["+", "-", "*", "/", "^", "**"]
+
+
+def _extend(children):
+    gap = st.sampled_from(["", " "])
+    return st.one_of(
+        st.tuples(children, gap, st.sampled_from(_OPERATORS), gap, children)
+        .map("".join),
+        st.tuples(st.sampled_from(["-", "+"]), children).map("".join),
+        children.map(lambda c: f"({c})"),
+    )
+
+
+#: Well-formed expressions: reals and ``pi`` under every operator.
+_EXPRESSIONS = st.recursive(
+    st.one_of(_REALS, st.just("pi")), _extend, max_leaves=8
+)
+#: Token soup, mostly ill-formed: one blank between tokens.
+_SOUP = st.lists(
+    st.sampled_from(["1", "2.5", ".5e1", "3E-2", "pi", "(", ")"] + _OPERATORS),
+    min_size=1,
+    max_size=12,
+).map(" ".join)
+
+
+def _at_the_recursion_limit(fn, headroom=25):
+    """``fn()`` called ``headroom`` frames below the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n):
+        return fn() if n == 0 else down(n - 1)
+
+    return down(sys.getrecursionlimit() - depth - headroom)
+
+
+class TestParameterGrammar:
+    """Parameters are read by a small grammar: QASM reals, ``pi``,
+    ``+ - * /``, ``^`` / ``**``, unary signs and parentheses."""
+
+    @pytest.mark.parametrize("expr", ["0x10", "1_0", "0b11", "0o7", "0X1F"])
+    def test_python_only_literals_are_refused(self, expr):
+        # Each used to read as a number (16.0, 10.0, 3.0, 7.0, 31.0).
+        with pytest.raises(QasmError, match="SyntaxError"):
+            loads(f"qreg q[1]; rz({expr}) q[0];")
+
+    @pytest.mark.parametrize("expr,value", [
+        ("-2^2", -4.0), ("2**-1", 0.5), ("2^3^2", 512.0), ("2*-3**2", -18.0),
+        ("-2*3", -6.0), ("1-2-3", -4.0), ("8/4/2", 1.0), ("--1", 1.0),
+        ("2 ** 3", 8.0), ("(2^3)^2", 64.0), ("1.e1", 10.0), (".5E+1", 5.0),
+    ])
+    def test_precedence_and_values_are_kept(self, expr, value):
+        assert struct.pack("d", _eval_param(expr)) == struct.pack("d", value)
+
+    @pytest.mark.parametrize("expr,value", [
+        ("(" * 127 + "1" + ")" * 127, 1.0),
+        ("-" * 255 + "1", -1.0),
+    ], ids=["127-nested-parentheses", "255-long-sign-run"])
+    def test_nesting_up_to_the_length_bound_never_recurses(self, expr, value):
+        assert len(expr) <= MAX_PARAM_CHARS
+
+        def evaluate():
+            _eval_param.cache_clear()  # evaluate, do not look it up
+            return _eval_param(expr)
+
+        assert evaluate() == value
+        assert _at_the_recursion_limit(evaluate) == value
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.append(_at_the_recursion_limit(evaluate))
+        )
+        worker.start()
+        worker.join()
+        assert seen == [value]
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=_EXPRESSIONS)
+    def test_property_legal_expressions_keep_their_value(self, expr):
+        assert same_outcome(expr), expr
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=_SOUP)
+    def test_property_token_soup_is_refused_or_kept(self, expr):
+        assert same_outcome(expr), expr

@@ -16,7 +16,6 @@ import contextlib
 import math
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +37,7 @@ from repro.sv.backend import (
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.stabilizer import StabilizerState
 
-from conftest import refuse_gate_matrix
+from conftest import refuse_gate_matrix, same_bytes
 from strategies import circuits
 
 #: Every count of a batch; ``seconds`` is a time, not a count.
@@ -54,14 +53,6 @@ ANGLES = st.one_of(
     st.floats(0.0, 2 * math.pi, allow_nan=False, allow_infinity=False),
     st.integers(0, 7).map(lambda j: j * math.pi / 2),
 )
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint8),
-        np.ascontiguousarray(b).view(np.uint8),
-    )
 
 
 @contextlib.contextmanager

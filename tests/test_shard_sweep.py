@@ -31,14 +31,8 @@ from repro.sv.backend import SerialBackend, ThreadedBackend
 from repro.sv.fusion import DEFAULT_MAX_FUSED_QUBITS
 from repro.sv.simulator import random_state
 
-from conftest import shard_sweep_reference
+from conftest import same_bytes, shard_sweep_reference
 from strategies import circuits
-
-
-def same_bytes(a, b):
-    return a.shape == b.shape and np.array_equal(
-        a.view(np.uint8), b.view(np.uint8)
-    )
 
 
 @pytest.fixture(scope="module")

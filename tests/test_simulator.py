@@ -128,12 +128,3 @@ class TestMeasurement:
         assert np.isclose(sim.fidelity(other), 0.0)
         with pytest.raises(ValueError):
             sim.fidelity(zero_state(3))
-
-    def test_reference_kernels_flag(self):
-        qc = QuantumCircuit(4)
-        qc.h(0).cx(0, 1).ccx(0, 1, 2).swap(2, 3)
-        a = StateVectorSimulator(4)
-        b = StateVectorSimulator(4, reference_kernels=True)
-        a.run(qc)
-        b.run(qc)
-        assert np.allclose(a.state, b.state, atol=1e-10)

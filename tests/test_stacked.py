@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +35,7 @@ from repro.sv.fusion import (
 from repro.sv.hier import HierarchicalExecutor
 from repro.sv.kernels import split_controls
 
-from conftest import fuse_reference, refuse_gate_matrix
+from conftest import fuse_reference, refuse_gate_matrix, same_bytes
 from strategies import circuits
 
 #: Angles a sweep draws: any; a multiple of pi/2 (Clifford for the
@@ -55,14 +54,6 @@ COUNTS = (
     "structure_hits", "plans_bound", "errored",
     "parts_routed_dense", "parts_routed_stabilizer",
 )
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(
-        np.ascontiguousarray(a).view(np.uint8),
-        np.ascontiguousarray(b).view(np.uint8),
-    )
 
 
 @st.composite

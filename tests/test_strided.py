@@ -26,7 +26,6 @@ from repro.sv import (
     SerialBackend,
     ThreadedBackend,
     apply_gate_reference,
-    apply_matrix,
     apply_matrix_strided,
     bytes_touched_gather_part,
     bytes_touched_strided,
@@ -37,7 +36,7 @@ from repro.sv import (
 )
 from repro.sv.fusion import compile_part
 
-from conftest import random_circuit
+from conftest import one_pass, random_circuit
 from strategies import circuits
 
 #: Controlled gates and what commutes with their controls: fused groups
@@ -149,7 +148,7 @@ def _controls_reference(matrix: np.ndarray, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# apply_matrix_strided vs the gather-path kernels
+# apply_matrix_strided vs the one-pass row formulation
 # ---------------------------------------------------------------------------
 
 
@@ -159,7 +158,7 @@ class TestStridedKernel:
     def _check(self, matrix, qubits, diagonal=False, seed=0):
         state = _random_state(self.N, seed)
         via_gather = state.copy()
-        apply_matrix(via_gather, matrix, qubits, self.N, diagonal=diagonal)
+        one_pass(via_gather[None, :], matrix, qubits, self.N, diagonal)
         via_strided = state.copy()
         apply_matrix_strided(
             via_strided, matrix, qubits, self.N, diagonal=diagonal

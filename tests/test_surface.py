@@ -33,7 +33,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCES = {
     # Reference implementations the kernels, the cutter and the cache
     # model are checked against.
-    "apply_circuit": "test_kernels.py",
+    "apply_gate_reference": "test_kernels.py",
     "is_unitary": "test_gates.py",
     "quasi_probabilities": "test_cut.py",
     "enumerate_variants": "test_cut.py",

@@ -8,8 +8,9 @@ the 30-qubit group (paper: 2.5-3.9x vs 1.15-2.2x).
 
 from repro import bench
 from repro.analysis.tables import geomean
-from repro.experiments import SCALES, fig5
+from repro.experiments import SCALES
 from repro.experiments.common import is_large
+from repro.experiments.sweep import run_sweep
 
 
 @bench.register(
@@ -19,21 +20,20 @@ from repro.experiments.common import is_large
 )
 def run_bench(params):
     """Fig. 5 improvement factors over IQS (modeled traffic)."""
-    res = fig5.run(scale=SCALES[params["scale"]])
-    factors = res.factors("dagP")
+    sweep = run_sweep(SCALES[params["scale"]])
+    factors = sweep.factors("dagP")
     wins = sum(1 for f in factors if f > 1.0)
     claims = {
         "dagP beats IQS on > 80 % of instances": wins > 0.8 * len(factors),
-        "dagP geomean factor over IQS > 1": res.geomean("dagP") > 1.0,
+        "dagP geomean factor over IQS > 1": geomean(factors) > 1.0,
     }
     if params["scale"] == "paper":
         # Only meaningful at the paper's widths/rank counts: at reduced
         # scale small circuits are communication-dominated and the gap
         # inverts.
         groups = {True: [], False: []}
-        for r in res.rows:
-            if r.strategy == "dagP":
-                groups[is_large(r.circuit)].append(r.factor)
+        for (c, _), factor in zip(sweep.instances(), factors):
+            groups[is_large(c)].append(factor)
         claims[">=35-qubit group gains more than the 30-qubit group"] = (
             geomean(groups[True]) > geomean(groups[False])
         )
@@ -41,9 +41,9 @@ def run_bench(params):
         metrics={
             "instances": len(factors),
             "dagp_wins": wins,
-            "dagp_geomean": res.geomean("dagP"),
-            "dagp_geomean_at_max_ranks": res.geomean_at_max_ranks("dagP"),
+            "dagp_geomean": geomean(factors),
+            "dagp_geomean_at_max_ranks": sweep.geomean_at_max_ranks("dagP"),
         },
-        info={"table": res.table()},
+        info={"table": sweep.fig5_table()},
         ok=claims,
     )

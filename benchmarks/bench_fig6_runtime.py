@@ -6,7 +6,8 @@ IQS's.
 """
 
 from repro import bench
-from repro.experiments import SCALES, fig6
+from repro.experiments import SCALES
+from repro.experiments.sweep import run_sweep
 
 
 @bench.register(
@@ -16,15 +17,14 @@ from repro.experiments import SCALES, fig6
 )
 def run_bench(params):
     """Fig. 6 strong-scaling runtime decomposition (modeled)."""
-    res = fig6.run(scale=SCALES[params["scale"]])
-    circuits = res.sweep.circuits()
-    improving = sum(1 for c in circuits if res.speedup(c, "dagP") > 1.0)
-    comp = {(r.circuit, r.ranks, r.algorithm): r.comp_seconds for r in res.rows}
+    sweep = run_sweep(SCALES[params["scale"]])
+    circuits = sweep.circuits()
+    improving = sum(1 for c in circuits if sweep.speedup(c, "dagP") > 1.0)
     claims = {
         "(III) HiSVSIM comp <= IQS comp everywhere (1 % slack)": all(
-            comp[c, ranks, "dagP"] <= comp[c, ranks, "Intel"] * 1.01
-            for c in circuits
-            for ranks in res.sweep.ranks(c)
+            sweep.get(c, r, "dagP").comp_seconds
+            <= sweep.get(c, r, "Intel").comp_seconds * 1.01
+            for c, r in sweep.instances()
         ),
     }
     if params["scale"] != "tiny":
@@ -36,9 +36,9 @@ def run_bench(params):
     return bench.payload(
         metrics={
             "circuits": len(circuits),
-            "rows": len(res.rows),
+            "rows": len(sweep.reports),
             "dagp_improving": improving,
         },
-        info={"table": res.table()},
+        info={"table": sweep.fig6_table()},
         ok=claims,
     )

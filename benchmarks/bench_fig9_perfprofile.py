@@ -7,7 +7,9 @@ at theta=1 (paper: its best result is 1.2x off the best).
 """
 
 from repro import bench
-from repro.experiments import SCALES, fig9
+from repro.experiments import SCALES
+from repro.experiments.common import STRATEGY_ORDER
+from repro.experiments.sweep import ALGORITHMS, run_sweep
 
 
 @bench.register(
@@ -17,14 +19,16 @@ from repro.experiments import SCALES, fig9
 )
 def run_bench(params):
     """Fig. 9 Dolan-Moré performance profiles: best-shares at theta=1."""
-    res = fig9.run(scale=SCALES[params["scale"]])
-    runtime = {a: res.best_share(a) for a in ("Nat", "DFS", "dagP", "Intel")}
-    comm = {a: res.best_share(a, "comm") for a in ("Nat", "DFS", "dagP")}
+    sweep = run_sweep(SCALES[params["scale"]])
+    runtime_profiles, comm_profiles = sweep.profiles()
+    # rho at theta=1: the share of instances where an algorithm is best.
+    runtime = {a: runtime_profiles[a].rho_at(1.0) for a in ALGORITHMS}
+    comm = {a: comm_profiles[a].rho_at(1.0) for a in STRATEGY_ORDER}
     metrics = {f"{a}_runtime_best": share for a, share in runtime.items()}
     metrics.update({f"{a}_comm_best": share for a, share in comm.items()})
     return bench.payload(
         metrics,
-        info={"table": res.table()},
+        info={"table": sweep.fig9_table()},
         ok={
             "dagP wins the largest share of runtime instances": (
                 runtime["dagP"] == max(runtime.values())

@@ -35,7 +35,7 @@ def main() -> None:
 
     partitioner = DagPPartitioner()
     partition = partitioner.partition(qc, local)
-    ml = multilevel_partition(qc, partitioner, local, limit2)
+    ml = multilevel_partition(qc, partition, partitioner, limit2)
     print(
         f"level 1: {partition.num_parts} parts; "
         f"level 2: {ml.total_inner_parts()} inner parts "

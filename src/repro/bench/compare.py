@@ -9,6 +9,12 @@
   drift is a behaviour change, not noise;
 * **parameters** must match — comparing a 12-qubit run against a
   20-qubit baseline is meaningless and fails loudly;
+* **printed tables** of ``paper``-tagged entries must match the
+  baseline's ``info["table"]`` text, where it stores one: the table is
+  the artefact the paper is read from, built from model quantities, so
+  a changed character is a changed artefact (the first differing line
+  is named).  Other entries' tables may print timings and are not
+  compared;
 * benchmarks present in the baseline but missing from the run fail
   (coverage must not silently shrink); new benchmarks only note.
 
@@ -17,9 +23,10 @@ No seconds are compared: ``benchmarks/perf`` is the only timing gate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Any, List, Optional
 
 from .schema import BenchSuite
 
@@ -58,6 +65,22 @@ def metrics_equal(a: Any, b: Any) -> bool:
     return a == b
 
 
+def _table_difference(run: Optional[str], baseline: str) -> Optional[str]:
+    """The first line where a run's table departs from the baseline's,
+    described, or ``None`` when the two texts are the same.
+
+    >>> _table_difference("a\\nb", "a\\nc")
+    "table line 2: run='b' baseline='c'"
+    """
+    if run is None:
+        return "table missing from the run"
+    lines = itertools.zip_longest(run.split("\n"), baseline.split("\n"))
+    for number, (got, want) in enumerate(lines, 1):
+        if got != want:
+            return f"table line {number}: run={got!r} baseline={want!r}"
+    return None
+
+
 @dataclass
 class ComparisonRow:
     name: str
@@ -75,7 +98,9 @@ class ComparisonReport:
         return all(row.ok for row in self.rows)
 
     def render(self) -> str:
-        lines = ["model-metric gate: metrics exact, params, coverage"]
+        lines = [
+            "model-metric gate: metrics exact, params, paper tables, coverage"
+        ]
         for drift in self.environment_drift:
             lines.append(f"note: environment drift — {drift}")
         for row in self.rows:
@@ -134,6 +159,14 @@ def compare_suites(run: BenchSuite, baseline: BenchSuite) -> ComparisonReport:
                     f"metric {key!r}: run={res.metrics[key]!r} != "
                     f"baseline={base_result.metrics[key]!r}"
                 )
+
+        if "paper" in base_result.tags and "table" in base_result.info:
+            drift = _table_difference(
+                res.info.get("table"), base_result.info["table"]
+            )
+            if drift is not None:
+                row.ok = False
+                row.notes.append(drift)
 
     for name in sorted(run_names - {r.name for r in baseline.results}):
         report.rows.append(

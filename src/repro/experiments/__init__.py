@@ -1,16 +1,15 @@
 """Per-table/figure experiment modules.
 
-Each ``run`` computes one artefact of the paper and returns a result with
-a ``table()``; the ``paper``-tagged :mod:`repro.bench` entries under
-``benchmarks/`` are their only callers outside the tests.
+Each table module's ``run`` computes one artefact of the paper and
+returns a result with a ``table()``.  Figs. 5-9 are five readings of one
+grid of runs, :func:`~repro.experiments.sweep.run_sweep`, whose
+:class:`~repro.experiments.sweep.SweepResult` holds their tables and the
+values computed from several reports.  The ``paper``-tagged
+:mod:`repro.bench` entries under ``benchmarks/`` are their only callers
+outside the tests.
 """
 
 from . import (
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
     fig10,
     ilp_quality,
     sweep,
@@ -31,11 +30,6 @@ __all__ = [
     "table2",
     "table3",
     "table4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
     "fig10",
     "ilp_quality",
     "thread_scaling",

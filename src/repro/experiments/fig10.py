@@ -120,14 +120,11 @@ def run(scale: Optional[Scale] = None) -> Fig10Result:
         limit2 = min(llc_limit, local - 1)
         if limit2 < 2:
             continue
+        partition = partition_cached(circuit, best_strategy, local)
         ml = multilevel_partition(
-            circuit, get_partitioner(best_strategy), local, limit2
+            circuit, partition, get_partitioner(best_strategy), limit2
         )
-        _, rep = engine.run(
-            circuit,
-            partition_cached(circuit, best_strategy, local),
-            multilevel=ml,
-        )
+        _, rep = engine.run(circuit, partition, multilevel=ml)
         _, iqs_rep = IQSEngine(ranks, machine=machine, dry_run=True).run(circuit)
         rows.append(
             Fig10Row(

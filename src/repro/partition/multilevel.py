@@ -30,7 +30,8 @@ class MultilevelPartition:
 
     >>> from repro.circuits.generators import qft
     >>> from repro.partition import NaturalPartitioner
-    >>> ml = multilevel_partition(qft(8), NaturalPartitioner(), 6, 4)
+    >>> qc, nat = qft(8), NaturalPartitioner()
+    >>> ml = multilevel_partition(qc, nat.partition(qc, 6), nat, 4)
     >>> len(ml.inner) == ml.outer.num_parts
     True
     >>> ml.is_trivial, ml.total_inner_parts() >= ml.outer.num_parts
@@ -52,21 +53,24 @@ class MultilevelPartition:
 
 def multilevel_partition(
     circuit: QuantumCircuit,
+    outer: Partition,
     partitioner: Partitioner,
-    limit1: int,
     limit2: int,
 ) -> MultilevelPartition:
-    """Partition at ``limit1`` then re-partition each part at ``limit2``.
+    """Re-partition each part of ``outer``, the level-1 partition of
+    ``circuit`` the caller holds, at ``limit2``.
 
     >>> from repro.circuits.generators import qft
     >>> from repro.partition import NaturalPartitioner
-    >>> ml = multilevel_partition(qft(8), NaturalPartitioner(), 6, 4)
+    >>> qc, nat = qft(8), NaturalPartitioner()
+    >>> ml = multilevel_partition(qc, nat.partition(qc, 6), nat, 4)
     >>> all(p.max_working_set() <= 4 for p in ml.inner)
     True
     """
-    if limit2 > limit1:
-        raise ValueError("limit2 must be <= limit1")
-    outer = partitioner.partition(circuit, limit1)
+    if limit2 > outer.limit:
+        raise ValueError(
+            f"limit2 must be <= the level-1 limit {outer.limit} (got {limit2})"
+        )
     inner: List[Partition] = []
     for part in outer.parts:
         sub = circuit.subcircuit(part.gate_indices)

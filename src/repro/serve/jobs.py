@@ -19,7 +19,6 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
-import numbers
 import os
 import reprlib
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 
 from ..circuits import generators, qasm
 from ..circuits.circuit import QuantumCircuit, gate_budget
-from ..config import RUN_OPTION_FIELDS, RunOptions
+from ..config import RUN_OPTION_FIELDS, RunOptions, check_count
 from ..sv.pauli import PauliTerm
 
 __all__ = [
@@ -306,16 +305,6 @@ def _field(job_id: str, key: str, convert, value: Any):
         ) from None
 
 
-def check_workers(workers: Any) -> int:
-    """A runner's worker-thread count, for ``BatchRunner`` and manifests
-    alike: an integer >= 1, never a bool."""
-    if isinstance(workers, bool) or not isinstance(
-        workers, numbers.Integral
-    ) or workers < 1:
-        raise ValueError(f"workers must be an int >= 1 (got {workers!r})")
-    return int(workers)
-
-
 def _integral(value: Any) -> int:
     """``int(value)`` of an integral number: no bool, fraction or str."""
     if isinstance(value, bool) or int(value) != value:
@@ -385,7 +374,7 @@ def load_manifest(source) -> Tuple[List[SimJob], Dict[str, Any]]:
     for key, value in options.items():
         try:  # a run option's type and range are RunOptions'
             if key == "workers":
-                check_workers(value)
+                check_count("workers", value)
             if key in RUN_OPTION_FIELDS:
                 RunOptions(**{key: value})
         except ValueError as exc:

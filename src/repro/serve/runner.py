@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
-from ..config import RunOptions
+from ..config import RunOptions, check_count
 from ..partition import get_partitioner
 from ..partition.base import Partition
 from ..sv.fusion import CacheCounters, OnceCache, PlanCache
@@ -43,7 +43,7 @@ from ..sv.backend import stack_limit
 from ..sv.pauli import expectations
 from ..sv.simulator import sample_counts
 from ..sv.stabilizer import StabilizerState
-from .jobs import JobResult, SimJob, check_workers, fingerprints
+from .jobs import JobResult, SimJob, fingerprints
 from .jobs import structural_fingerprint
 
 __all__ = [
@@ -260,7 +260,8 @@ class BatchRunner:
         self.options = RunOptions.fold(options, overrides, "BatchRunner")
         # Partitioners hold configuration only: one serves every call.
         self._partitioner = get_partitioner(self.options.strategy)
-        self.workers = check_workers(workers)
+        check_count("workers", workers)
+        self.workers = workers
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._executor = HierarchicalExecutor(
             self.options, plan_cache=self.plan_cache
@@ -400,8 +401,9 @@ class BatchRunner:
         as the hits they would have been alone.  Each circuit gets its
         own initial state, and the executor runs them together
         (:meth:`~repro.sv.hier.HierarchicalExecutor.run_group`).  A
-        failed partition raises: nothing was counted, so every circuit
-        may retry alone.  A sweep that raises fails the circuits it was
+        failed partition raises, and nothing was counted: it is the
+        group's one lookup, and it would fail the same way for every
+        circuit alone.  A sweep that raises fails the circuits it was
         sweeping.
         """
         partition, cached = self.partition(circuits[0], structural, counters)
@@ -447,14 +449,16 @@ class BatchRunner:
         tenants through one runner, and a partial batch with per-job
         ``error`` fields is the contract both the batch CLI and the
         serving daemon rely on.  So every member's state, outputs and
-        errors are its own: a failed partition reruns each member alone
-        (nothing was counted), and a member that fails later errors
-        alone.  Only :class:`Exception` is captured —
-        ``KeyboardInterrupt`` / ``SystemExit`` still propagate.  Each
-        member's ``seconds`` is its share of the group's execution (the
-        stack's time over ``K``, as ``ExecutionTrace.part_seconds``
-        shares a part's) plus its own outputs, so the members' seconds
-        add up to the group's time, not more.
+        errors are its own, except a failed partition: the lookup is
+        keyed by structure, so it fails the same way for every member,
+        and each gets that one error (nothing was counted).  A member
+        that fails later errors alone.  Only :class:`Exception` is
+        captured — ``KeyboardInterrupt`` / ``SystemExit`` still
+        propagate.  Each member's ``seconds`` is its share of the
+        group's execution (the stack's time over ``K``, as
+        ``ExecutionTrace.part_seconds`` shares a part's) plus its own
+        outputs, so the members' seconds add up to the group's time,
+        not more.
         """
         t0 = time.perf_counter()
         job, fingerprint, structural = members[0]
@@ -469,12 +473,11 @@ class BatchRunner:
                 counters,
             )
         except Exception as exc:
-            if len(members) == 1:
-                return [self._failed(job, fingerprint, t0, exc)]
+            share = (time.perf_counter() - t0) / len(members)
+            start = time.perf_counter() - share
             return [
-                result
-                for member in members
-                for result in self._run_group([member], counters)
+                self._failed(job, fingerprint, start, exc)
+                for job, fingerprint, _ in members
             ]
         share = (time.perf_counter() - t0) / len(members)
         results = []

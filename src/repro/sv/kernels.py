@@ -94,7 +94,7 @@ def check_operands(qubits: Sequence[int], width: int) -> None:
         raise ValueError(f"duplicate operands in {tuple(qubits)}")
 
 
-def _gate_axes(n_axes_total: int, n_qubits: int, qubits: Sequence[int], lead: int) -> list:
+def _gate_axes(n_qubits: int, qubits: Sequence[int], lead: int) -> list:
     """View axes of the gate operands, most-significant operand first.
 
     ``lead`` counts extra leading (batch) axes before the qubit axes.
@@ -143,7 +143,7 @@ def _apply_dense_split(
     [[1.0, 0.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0]]
     """
     view = rows.reshape((rows.shape[0],) + (2,) * width)
-    axes = _gate_axes(width, width, positions, lead=1)
+    axes = _gate_axes(width, positions, lead=1)
     free = [a for a in range(1, width + 1) if a not in axes]
     moved = view.transpose([0] + free[:split] + axes + free[split:])
     for v in range(lo, hi):
@@ -229,7 +229,7 @@ def apply_matrix_batched(
     check_operands(qubits, num_local)
     batch = states.shape[0]
     view = states.reshape((batch,) + (2,) * num_local)
-    axes = _gate_axes(num_local + 1, num_local, qubits, lead=1)
+    axes = _gate_axes(num_local, qubits, lead=1)
     if diagonal:
         _apply_diagonal(view, np.ascontiguousarray(np.diag(matrix)), axes)
     else:

@@ -745,7 +745,7 @@ def sweep_plan_reference(structure, rows: int, jobs: int = 1):
     for grp in structure.groups:
         local = tuple(pos[q] for q in grp.qubits)
         check_operands(local, w)
-        ops.append((tuple(_gate_axes(w + 1, w, local, 1)), grp.diagonal))
+        ops.append((tuple(_gate_axes(w, local, 1)), grp.diagonal))
     sizes = (rows,) + (2,) * w
     natural = tuple(range(w + 1))
     steps, end = _gathered_sweep_plan(sizes, natural, ops)

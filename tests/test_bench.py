@@ -62,13 +62,14 @@ SMOKE_REQUIRED = {"fusion", "parallel", "batch", "stabilizer", "transport",
                   "cut"}
 
 
-def make_result(name="demo", metrics=None, params=None):
+def make_result(name="demo", metrics=None, params=None, tags=("smoke",),
+                info=None):
     return BenchResult(
         name=name,
-        tags=("smoke",),
+        tags=tags,
         params=dict(params or {"qubits": 8}),
         metrics=dict(metrics if metrics is not None else {"parts": 4}),
-        info={"max_err": 0.0},
+        info=dict(info or {"max_err": 0.0}),
     )
 
 
@@ -319,6 +320,37 @@ class TestComparator:
         assert not by_name["a"].ok
         assert by_name["b"].ok
 
+    def test_paper_table_drift_fails_naming_the_first_line(self):
+        def paper(table):
+            return make_result(tags=("paper",), info={"table": table})
+
+        base = make_suite([paper("Fig 5\nbv  4  1.25\nbv  8  1.5")])
+        assert compare_suites(make_suite([paper(
+            "Fig 5\nbv  4  1.25\nbv  8  1.5"
+        )]), base).ok
+        report = compare_suites(
+            make_suite([paper("Fig 5\nbv  4  1.26\nbv  8  1.6")]), base
+        )
+        assert not report.ok
+        assert report.rows[0].notes == [
+            "table line 2: run='bv  4  1.26' baseline='bv  4  1.25'"
+        ]
+        shorter = make_suite([paper("Fig 5\nbv  4  1.25")])
+        assert compare_suites(shorter, base).rows[0].notes == [
+            "table line 3: run=None baseline='bv  8  1.5'"
+        ]
+        untabled = make_suite([make_result(tags=("paper",))])
+        assert compare_suites(untabled, base).rows[0].notes == [
+            "table missing from the run"
+        ]
+        assert "FAIL" in report.render()
+
+    def test_smoke_tables_are_not_compared(self):
+        # A smoke entry's table may print timings.
+        base = make_suite([make_result(info={"table": "took 1.0 s"})])
+        run = make_suite([make_result(info={"table": "took 1.1 s"})])
+        assert compare_suites(run, base).ok
+
     def test_retired_timing_variable_changes_nothing(self, monkeypatch):
         base = make_suite([make_result(metrics={"parts": 4})])
         drifted = make_suite([make_result(metrics={"parts": 5})])
@@ -472,7 +504,8 @@ class TestOneFrontDoor:
 
     def test_every_experiment_is_a_paper_entry_with_a_table(self):
         # Every module under repro.experiments that can ``run`` is called
-        # by an entry tagged ``paper`` whose result carries the table.
+        # by an entry tagged ``paper`` whose result carries the table, and
+        # so is the sweep, by the five entries of Figs. 5-9.
         import inspect
         import pkgutil
 
@@ -483,17 +516,20 @@ class TestOneFrontDoor:
             for info in pkgutil.iter_modules(experiments.__path__)
             if hasattr(getattr(experiments, info.name, None), "run")
         }
-        assert len(runnable) == 12
+        assert len(runnable) == 7
         committed = BenchSuite.load(TestCommittedPaperBaseline().baseline)
-        reached = set()
+        reached, sweep_readers = set(), set()
         for bench in select(tag="paper", registry=load_benchmarks()):
             source = inspect.getsource(bench.fn)
             called = {m for m in runnable if f"{m}.run(" in source}
-            if called:
+            if "run_sweep(" in source:
+                sweep_readers.add(bench.name)
+            if called or "run_sweep(" in source:
                 table = committed.result(bench.name).info["table"]
                 assert table.count("\n") > 3, bench.name
             reached |= called
         assert reached == runnable
+        assert sweep_readers == {f"fig{k}" for k in range(5, 10)}
         tiny = run_suite(
             names=["table1", "fig5", "fig10"], overrides={"scale": "tiny"}
         )

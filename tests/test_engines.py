@@ -68,7 +68,10 @@ class TestMultilevelEngine:
     def test_multilevel_matches_flat(self, name, n):
         qc = generators.build(name, n)
         local = n - 2
-        ml = multilevel_partition(qc, DagPPartitioner(), local, max(2, local - 2))
+        dagp = DagPPartitioner()
+        ml = multilevel_partition(
+            qc, dagp.partition(qc, local), dagp, max(2, local - 2)
+        )
         state, report = HiSVSimEngine(4).run(
             qc, ml.outer, multilevel=ml
         )

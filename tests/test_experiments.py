@@ -1,15 +1,11 @@
-"""Experiment-harness tests: every table/figure module runs at tiny scale
-and exhibits the paper's qualitative shape."""
+"""Experiment-harness tests: every table module, Fig. 10 and the sweep
+Figs. 5-9 are read from run and exhibit the paper's qualitative shape."""
 
 import pytest
 
+from repro.analysis.tables import geomean
 from repro.experiments import (
     SCALES,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
     fig10,
     table1,
     table2,
@@ -122,59 +118,48 @@ class TestTable2:
 
 class TestFig5:
     def test_improvement_factors_above_one_for_dagp(self, small_sweep):
-        res = fig5.run(SMALL)
-        factors = res.factors("dagP")
+        factors = small_sweep.factors("dagP")
         assert factors
         # dagP beats IQS on the overwhelming majority of instances.
         wins = sum(1 for f in factors if f > 1.0)
         assert wins / len(factors) > 0.8
-        assert res.geomean("dagP") > 1.0
+        assert geomean(factors) > 1.0
 
     def test_factor_grows_with_scale_group(self, small_sweep):
-        res = fig5.run(SMALL)
-        small = [r.factor for r in res.rows if r.circuit == "bv" and r.strategy == "dagP"]
-        large = [r.factor for r in res.rows if r.circuit == "bv35" and r.strategy == "dagP"]
+        def factors(circuit):
+            return [
+                small_sweep.improvement_factor(circuit, r, "dagP")
+                for r in small_sweep.ranks(circuit)
+            ]
+
+        small, large = factors("bv"), factors("bv35")
         assert max(large) >= max(small) * 0.8  # larger circuits at least comparable
 
     def test_render(self, small_sweep):
-        assert "improvement factor" in fig5.run(SMALL).table()
+        assert "improvement factor" in small_sweep.fig5_table()
 
 
 class TestFig6:
     def test_strong_scaling(self, small_sweep):
-        res = fig6.run(SMALL)
         # More ranks -> faster (close-to-linear): check every circuit/algo.
-        for c in res.sweep.circuits():
+        for c in small_sweep.circuits():
             for algo in ("dagP", "Intel"):
-                sp = res.speedup(c, algo)
+                sp = small_sweep.speedup(c, algo)
                 assert sp > 1.0, (c, algo)
 
     def test_hisvsim_compute_not_worse_than_iqs(self, small_sweep):
-        res = fig6.run(SMALL)
-        for c in res.sweep.circuits():
-            for r in res.sweep.ranks(c):
-                dag = [
-                    x
-                    for x in res.rows
-                    if (x.circuit, x.ranks, x.algorithm) == (c, r, "dagP")
-                ][0]
-                iqs = [
-                    x
-                    for x in res.rows
-                    if (x.circuit, x.ranks, x.algorithm) == (c, r, "Intel")
-                ][0]
-                assert dag.comp_seconds <= iqs.comp_seconds * 1.01
+        for c, r in small_sweep.instances():
+            dag = small_sweep.get(c, r, "dagP")
+            iqs = small_sweep.get(c, r, "Intel")
+            assert dag.comp_seconds <= iqs.comp_seconds * 1.01
 
 
 class TestFig7:
     def test_dagp_lowest_comm(self, small_sweep):
-        res = fig7.run(SMALL)
-        for c in res.sweep.circuits():
-            for r in res.sweep.ranks(c):
-                dagp = res.value(c, r, "dagP")
-                intel = res.value(c, r, "Intel")
-                assert dagp <= intel * 1.001, (c, r)
-
+        for c, r in small_sweep.instances():
+            dagp = small_sweep.get(c, r, "dagP").comm_seconds
+            intel = small_sweep.get(c, r, "Intel").comm_seconds
+            assert dagp <= intel * 1.001, (c, r)
 
     def test_busiest_rank_time_is_the_per_rank_average(self, tiny_sweep):
         # Figs. 7-9 report RunReport.comm_seconds (the busiest rank's
@@ -185,32 +170,29 @@ class TestFig7:
             comm, ranks = rep.comm, rep.num_ranks
             assert comm.max_bytes_per_rank * ranks == comm.total_bytes, key
             assert comm.max_msgs_per_rank * ranks == comm.total_msgs, key
-        for row in fig7.run(TINY).rows:
-            rep = tiny_sweep.get(row.circuit, row.ranks, row.algorithm)
-            assert row.comm_seconds_avg == rep.comm_seconds
 
 
 class TestFig8:
     def test_ordering(self, small_sweep):
-        res = fig8.run(SMALL)
-        for ranks in {k[1] for k in res.ratios}:
-            dagp = res.ratios.get(("dagP", ranks))
-            intel = res.ratios.get(("Intel", ranks))
+        ratios = small_sweep.comm_ratios()
+        for ranks in {k[1] for k in ratios}:
+            dagp = ratios.get(("dagP", ranks))
+            intel = ratios.get(("Intel", ranks))
             if dagp is not None and intel is not None:
                 assert dagp < intel
 
     def test_render(self, small_sweep):
-        assert "communication ratio" in fig8.run(SMALL).table()
+        assert "communication ratio" in small_sweep.fig8_table()
 
 
 class TestFig9:
     def test_profiles(self, small_sweep):
-        res = fig9.run(SMALL)
+        runtime, comm = small_sweep.profiles()
         # dagP should win the largest share of runtime instances (paper: 65%).
-        best = {a: res.best_share(a) for a in ("Nat", "DFS", "dagP", "Intel")}
+        best = {a: runtime[a].rho_at(1.0) for a in ("Nat", "DFS", "dagP", "Intel")}
         assert best["dagP"] == max(best.values())
-        assert res.best_share("dagP", "comm") >= 0.5
-        assert "θ=1.3" in res.table()
+        assert comm["dagP"].rho_at(1.0) >= 0.5
+        assert "θ=1.3" in small_sweep.fig9_table()
 
 
 class TestFig10:

@@ -68,7 +68,8 @@ class TestAlgorithmSemanticsAcrossEngines:
 
     def test_ghz_correlations_multilevel(self):
         qc = generators.cat_state(10, mirror=False)
-        ml = multilevel_partition(qc, DagPPartitioner(), 7, 5)
+        dagp = DagPPartitioner()
+        ml = multilevel_partition(qc, dagp.partition(qc, 7), dagp, 5)
         state, _ = HiSVSimEngine(4).run(qc, ml.outer, multilevel=ml)
         full = state.to_full()
         assert pauli_expectation(full, "Z" * 10, 10) == pytest.approx(1.0)

@@ -210,7 +210,8 @@ class TestILP:
 class TestMultilevel:
     def test_structure(self):
         qc = generators.build("ising", 8)
-        ml = multilevel_partition(qc, DagPPartitioner(), limit1=6, limit2=4)
+        dagp = DagPPartitioner()
+        ml = multilevel_partition(qc, dagp.partition(qc, 6), dagp, limit2=4)
         assert isinstance(ml, MultilevelPartition)
         assert len(ml.inner) == ml.outer.num_parts
         assert ml.limit2 == 4
@@ -220,22 +221,26 @@ class TestMultilevel:
 
     def test_inner_indices_are_subcircuit_relative(self):
         qc = generators.build("qft", 7)
-        ml = multilevel_partition(qc, NaturalPartitioner(), limit1=5, limit2=3)
+        nat = NaturalPartitioner()
+        ml = multilevel_partition(qc, nat.partition(qc, 5), nat, limit2=3)
         for outer_part, inner in zip(ml.outer.parts, ml.inner):
             for ip in inner.parts:
                 assert all(0 <= j < outer_part.num_gates for j in ip.gate_indices)
 
     def test_trivial_when_limits_equal(self):
         qc = generators.build("bv", 8)
-        ml = multilevel_partition(qc, DagPPartitioner(), limit1=5, limit2=5)
+        dagp = DagPPartitioner()
+        ml = multilevel_partition(qc, dagp.partition(qc, 5), dagp, limit2=5)
         assert ml.is_trivial
 
     def test_limit_order_enforced(self):
         qc = generators.build("bv", 8)
-        with pytest.raises(ValueError):
-            multilevel_partition(qc, DagPPartitioner(), limit1=4, limit2=6)
+        dagp = DagPPartitioner()
+        with pytest.raises(ValueError, match="level-1 limit 4"):
+            multilevel_partition(qc, dagp.partition(qc, 4), dagp, limit2=6)
 
     def test_total_inner_parts(self):
         qc = generators.build("qaoa", 8)
-        ml = multilevel_partition(qc, DagPPartitioner(), limit1=6, limit2=4)
+        dagp = DagPPartitioner()
+        ml = multilevel_partition(qc, dagp.partition(qc, 6), dagp, limit2=4)
         assert ml.total_inner_parts() >= ml.outer.num_parts

@@ -665,6 +665,13 @@ class TestManifestUnknownKeys:
         )
         assert options == {"strategy": "DFS", "workers": 2}
 
+    @pytest.mark.parametrize("workers", [True, 2.5, "3", 0, -1])
+    def test_workers_refused_alike_by_runner_and_manifest(self, workers):
+        with pytest.raises(ValueError, match="workers must be"):
+            BatchRunner(workers=workers)
+        with pytest.raises(ValueError, match="workers must be"):
+            load_manifest({"workers": workers, "jobs": []})
+
 
 # ---------------------------------------------------------------------------
 # Sampling and expectation outputs

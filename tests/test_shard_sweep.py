@@ -151,13 +151,11 @@ def test_property_engine_matches_the_shard_loop(
         st.integers(arity, local_bits), label="limit"
     )
     partitioner = get_partitioner(strategy)
+    partition = partitioner.partition(qc, limit)
     multilevel = None
     if data.draw(st.booleans(), label="multilevel"):
         limit2 = data.draw(st.integers(arity, limit), label="limit2")
-        multilevel = multilevel_partition(qc, partitioner, limit, limit2)
-        partition = multilevel.outer
-    else:
-        partition = partitioner.partition(qc, limit)
+        multilevel = multilevel_partition(qc, partition, partitioner, limit2)
     seed = data.draw(st.integers(0, 2**16), label="seed")
     # Bitwise needs every dense op's GEMM to keep MIN_GEMM_COLUMNS
     # columns, which a state two qubits wider than the op allows; a
@@ -244,7 +242,8 @@ def test_a_strided_diagonal_split_over_threads_keeps_its_bits(
 @pytest.mark.parametrize("fuse", [False, True])
 def test_inner_parts_run_in_their_order(backends, fuse):
     qc = generators.build("qft", 9)
-    multilevel = multilevel_partition(qc, get_partitioner("dagP"), 7, 4)
+    dagp = get_partitioner("dagP")
+    multilevel = multilevel_partition(qc, dagp.partition(qc, 7), dagp, 4)
     assert not multilevel.is_trivial
     sweeps = run_both(
         qc, multilevel.outer, 4, backends["serial"],

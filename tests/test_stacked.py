@@ -329,6 +329,25 @@ class TestErrorsStayPerJob:
         assert errors[:2] + errors[3:] == [None] * 3
         assert report.stats.errored == 1
 
+    def test_a_failed_partition_is_asked_once_for_the_group(self):
+        # The lookup is keyed by structure: a group whose partition
+        # fails gets that one error for every member, not one retry each.
+        sweep = [
+            qaoa(6, p=1, gammas=[0.1 * (k + 1)], betas=[0.2]) for k in range(4)
+        ]
+        runner = BatchRunner(limit=1)
+        partitioner = runner._partitioner
+        with mock.patch.object(
+            partitioner, "partition", wraps=partitioner.partition
+        ) as spy:
+            report = runner.run(as_jobs(sweep))
+        assert spy.call_count == 1
+        errors = {r.error for r in report.results}
+        assert len(errors) == 1 and errors.pop().startswith("PartitionError")
+        assert report.stats.partitions_computed == 0
+        assert report.stats.errored == 4
+        assert_stacked_is_alone(as_jobs(sweep), limit=1)
+
     def test_an_unallocatable_stack_runs_its_jobs_alone(self, monkeypatch):
         n = 8
         real = backend_module._workspace

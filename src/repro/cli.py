@@ -302,7 +302,7 @@ _SERVER_FLAGS = (
 
 def _serve(args) -> int:
     """Run the resident serving daemon until drained."""
-    from .serve import ServeConfig, ServeDaemon
+    from .serve.daemon import ServeConfig, ServeDaemon
 
     config = ServeConfig.from_env(
         run=_run_options(args), **_merged(args, _SERVER_FLAGS)

@@ -31,7 +31,9 @@ Modules
     :class:`SocketTransport` — the ``SimComm`` subclass that runs one OS
     process per rank over a TCP mesh (launched via ``repro
     dist-worker``), verified byte-for-byte against the closed-form
-    model.  ``SimComm`` itself is the in-process implementation.
+    model.  ``SimComm`` itself is the in-process implementation.  It is
+    imported from its module (``repro.dist.transport``), so importing
+    the package does not load the socket layer.
 """
 
 from .analytic import (
@@ -48,12 +50,6 @@ from .exchange import (
 from .hisvsim import HiSVSimEngine
 from .iqs import IQSEngine
 from .state import DistributedStateVector, LayoutOnlyState
-from .transport import (
-    ExchangeRecord,
-    SocketTransport,
-    TransportError,
-    run_spmd,
-)
 
 __all__ = [
     "DistributedStateVector",
@@ -67,8 +63,4 @@ __all__ = [
     "swap_qubit_positions",
     "HiSVSimEngine",
     "IQSEngine",
-    "TransportError",
-    "SocketTransport",
-    "ExchangeRecord",
-    "run_spmd",
 ]

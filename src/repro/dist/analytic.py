@@ -30,14 +30,16 @@ from typing import List, Tuple
 
 from ..sv.layout import QubitLayout
 from .exchange import remap_schedule
-from .transport import AMP_BYTES
 
 __all__ = [
+    "AMP_BYTES",
     "exchange_step_stats",
     "exchange_rank_stats",
     "engine_exchange_layouts",
     "verify_exchange_records",
 ]
+
+AMP_BYTES = 16  # complex128 — the unit of every byte count in the model
 
 
 def _rank_bit_sources(

@@ -28,8 +28,7 @@ from ..runtime.comm import SimComm
 from ..sv.backend import _gemm_columns, shared_backend
 from ..sv.kernels import MIN_GEMM_COLUMNS, check_operands
 from ..sv.layout import QubitLayout, permuted_view
-from .analytic import exchange_step_stats
-from .transport import AMP_BYTES
+from .analytic import AMP_BYTES, exchange_step_stats
 
 __all__ = ["LayoutOnlyState", "DistributedStateVector", "open_run", "AMP_BYTES"]
 
@@ -242,21 +241,16 @@ class DistributedStateVector(LayoutOnlyState):
         ``backend.run_plan`` as one ``2^width`` state.  In process an
         operand on a rank bit is just a high bit of that state.  Rows
         narrower than ``MIN_GEMM_COLUMNS`` columns of the widest op run
-        zero-padded: a socket rank's lone shard then takes the kernels
-        (no BLAS edge kernel, no scalar loop) and bits of the in-process
-        run over every rank's shard.
+        at a width that has them, which zero-pads them (the part
+        program's ``pad`` step): a socket rank's lone shard then takes
+        the kernels (no BLAS edge kernel, no scalar loop) and bits of the
+        in-process run over every rank's shard.
         """
         flat = self.shards.reshape(-1)
         width = flat.size.bit_length() - 1  # n, or local_bits on one rank
         plan = plan.relabel(map(self.layout.position, plan.qubits))
-        grow = MIN_GEMM_COLUMNS // _gemm_columns(plan, width)
-        if grow <= 1:
-            backend.run_plan(plan, flat, width)
-            return
-        padded = np.zeros(flat.size * grow, dtype=flat.dtype)
-        padded[: flat.size] = flat
-        backend.run_plan(plan, padded, width + grow.bit_length() - 1)
-        flat[:] = padded[: flat.size]
+        grow = MIN_GEMM_COLUMNS // _gemm_columns(plan.ops, width)
+        backend.run_plan(plan, flat, width + max(grow, 1).bit_length() - 1)
 
     # The perf harness's shard entry (``benchmarks/perf``); delete it
     # once the harness runs parts through :meth:`run_plan`.

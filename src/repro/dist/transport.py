@@ -53,6 +53,7 @@ import numpy as np
 from ..config import env
 from ..runtime.comm import SimComm
 from ..sv.layout import QubitLayout, permuted_view, spread_bits
+from .analytic import AMP_BYTES
 
 __all__ = [
     "AMP_BYTES",
@@ -61,8 +62,6 @@ __all__ = [
     "SocketTransport",
     "run_spmd",
 ]
-
-AMP_BYTES = 16  # complex128 — the unit of every byte count in the model
 
 _LEN = struct.Struct(">Q")
 

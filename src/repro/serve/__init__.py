@@ -11,14 +11,15 @@ key on results, which additionally separates wire-cut boundary
 variants (``cut_boundary`` tags) that are structurally identical on
 purpose.  A job carrying a ``cut`` spec routes through
 :mod:`repro.cut` instead of simulating its full width.  ``repro batch`` drives one manifest end to
-end; ``repro serve`` (:class:`ServeDaemon`) keeps the same runner
+end; ``repro serve`` (:class:`~repro.serve.daemon.ServeDaemon`, imported
+from its module so that importing the package loads no HTTP or asyncio
+machinery) keeps the same runner
 resident behind an asyncio HTTP/JSON API — bounded admission
 (:class:`AdmissionQueue`), fingerprint-affine dispatch, a TTL'd
 :class:`ResultStore`, and graceful drain.  See ``docs/serving.md`` for
 the manifest/API schemas and the amortisation model.
 """
 
-from .daemon import ServeConfig, ServeDaemon
 from .jobs import (
     JobResult,
     SimJob,
@@ -55,6 +56,4 @@ __all__ = [
     "QueueClosed",
     "ResultStore",
     "JobRecord",
-    "ServeConfig",
-    "ServeDaemon",
 ]

@@ -3,12 +3,12 @@
 The paper's Algorithm 1 is one loop — per part: gather the inner
 vectors, run the part's gates, scatter — and this module holds exactly
 one copy of it, :func:`run_part_group` (``K`` jobs of one part at once;
-:func:`run_part` is one job).  Every unit of work it produces is a
-function of a *row range*: rows of the ``(2^(n-w), 2^w)`` gather matrix
-(or of the flat state reshaped around the part's top qubit) are
-independent, because a gate only mixes amplitudes within a row.  So the
-only thing a backend decides is how row ranges are visited — its
-:meth:`~ExecutionBackend.map_blocks`.
+:meth:`~ExecutionBackend.run_plan` is one job).  Every unit of work it
+produces is a function of a *row range*: rows of the ``(2^(n-w), 2^w)``
+gather matrix (or of the flat state reshaped around the part's top
+qubit) are independent, because a gate only mixes amplitudes within a
+row.  So the only thing a backend decides is how row ranges are visited
+— its :meth:`~ExecutionBackend.map_blocks`.
 
 **The block rule** (:func:`_row_blocks`, the only place a block is
 decided): a state of fewer than half of ``BLOCK_ELEMENTS`` amplitudes
@@ -41,19 +41,19 @@ unitary over a row matrix, such as the IQS baseline's shards) and
 simulator) — are base-class methods over that mapper, and the executors
 call no other hook.
 
-**The lane rule** (stated here once; ``docs/backends.md`` elaborates):
-a part whose fused ops all have at most ``DEFAULT_STRIDED_MAX`` (2)
-target qubits after control extraction skips the gather
-matrix and applies each op to the flat state through bit-strided views,
-cutting a single-op part's memory traffic ~3x.  Any other part gathers
-— unless its gather row is wider than the kept workspace (``2^w >
-2 * BLOCK_ELEMENTS``): then it runs in place, row by row, each op through
-the shard kernel over the row's virtual rows.  Every lane reduces to
-GEMMs over the same columns, so they are bit-identical within a backend.
-The decision is made in :func:`run_part_group` only and remembered on the
-bound plan; it reports each job's lane (``"strided"`` / ``"gather"``,
-in place or not) and the executor's ``ExecutionTrace`` tallies the
-counts.
+**The lane rule** (stated here once; ``docs/backends.md`` elaborates),
+per bound plan (:func:`run_part_group`): a part whose fused ops all
+have at most ``DEFAULT_STRIDED_MAX`` (2) target qubits after control
+extraction runs ``strided``, through bit-strided views of the flat
+state (a single-op part moves ~3x less memory); one whose gather row is
+wider than the kept workspace (``2^w > 2 * BLOCK_ELEMENTS``) runs
+``in_place``, row by row; any other gathers.  A part structure
+compiles each lane once into a program of steps
+(``PartPlanStructure.program``), and :func:`run_part_group` walks it
+(its docstring holds the step table).  Every lane reduces to GEMMs over
+the same columns, so they are bit-identical within a backend; the
+executor's ``ExecutionTrace`` tallies the lane each job reports
+(``"strided"`` / ``"gather"``).
 
 Backends are selected per executor (``backend="threaded"``), from the
 CLI (``repro simulate --backend threaded --threads 4``) or globally via
@@ -80,11 +80,10 @@ from .kernels import (
     _apply_dense_split,
     _apply_diagonal,
     _apply_strided,
-    _order_perm,
     apply_matrix_batched,
     check_operands,
 )
-from .fusion import ROW, OpStacks, _stack, axis_sizes
+from .fusion import OpStacks, _stack
 
 __all__ = [
     "ExecutionBackend",
@@ -96,7 +95,6 @@ __all__ = [
     "one_block",
     "shared_backend",
     "resolve_backend",
-    "run_part",
     "run_part_group",
     "split_blocks",
     "stack_limit",
@@ -202,8 +200,8 @@ def _map_row_groups(
     map_blocks(block, virtual, elements)
 
 
-def _gemm_columns(plan, width: int) -> int:
-    """Columns per ``2^width``-amplitude row of ``plan``'s widest op: a
+def _gemm_columns(ops, width: int) -> int:
+    """Columns per ``2^width``-amplitude row of the widest of ``ops``: a
     dense op's GEMM columns, or the amplitudes per row that one entry
     of a diagonal op's factor multiplies.
 
@@ -212,7 +210,7 @@ def _gemm_columns(plan, width: int) -> int:
     its vector path's: a block of whole groups keeps every strided
     slice at two amplitudes or more, so the bits do not depend on how
     the rows were split."""
-    k = max((len(op.qubits) for op in plan.ops), default=0)
+    k = max((len(op.qubits) for op in ops), default=0)
     return 1 << (width - k)
 
 
@@ -331,39 +329,24 @@ def stack_limit(num_qubits: int) -> int:
     return max(1, (2 * kernels.BLOCK_ELEMENTS) >> num_qubits)
 
 
-def _op_stacks(plans) -> OpStacks:
-    """The op matrix stacks of ``plans`` (one part's plans for ``K``
-    jobs): their bind's own when the plans were bound together, in this
-    order; any other group is stacked here (one plan is viewed, not
-    copied)."""
-    group = plans[0].stack[0]
-    if group.jobs == len(plans) and (
-        len(plans) == 1
-        or all(
-            p.stack[0] is group and p.stack[1] == k
-            for k, p in enumerate(plans)
-        )
-    ):
-        return group
-    return OpStacks(
-        tuple(
-            _stack([plan.ops[i].matrix() for plan in plans])
-            for i in range(plans[0].num_ops)
-        ),
-        len(plans),
-    )
-
-
 def _sweep_operands(plans) -> tuple:
-    """Per op of ``plans``, what the gathered sweep multiplies by: a
-    dense op's ``(K, d, d)`` matrix stack, a diagonal op's contiguous
-    ``(K, d)`` diagonals, without the job axis for one job — built once
-    per bound group (a benign race between threads builds an equal
-    tuple)."""
+    """Per op of ``plans`` (one part's plans for ``K`` jobs), what a
+    ``dense`` or ``diag`` step multiplies by: a dense op's ``(K, d, d)``
+    matrix stack, a diagonal op's contiguous ``(K, d)`` diagonals,
+    without the job axis for one job.  Kept on the plans' bind
+    (:class:`~repro.sv.fusion.OpStacks`) when they are its, in order
+    (a benign race between threads builds an equal tuple)."""
     group = plans[0].stack[0]
-    if len(plans) == 1 == group.jobs and group.operands is not None:
-        return group.operands  # one job bound alone: the common rerun
-    group = _op_stacks(plans)
+    if group.jobs != len(plans) or any(
+        p.stack != (group, k) for k, p in enumerate(plans)
+    ):
+        group = OpStacks(
+            tuple(
+                _stack([plan.ops[i].matrix() for plan in plans])
+                for i in range(plans[0].num_ops)
+            ),
+            len(plans),
+        )
     if group.operands is None:
         operands = [
             np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2))
@@ -405,33 +388,13 @@ def one_block(
 
 
 class ResidentBlock:
-    """The gathered block of ``K`` jobs: a part's row block, or a whole
-    state held across a run of parts.
-
-    Its amplitudes sit in this thread's workspace pair
-    (:func:`_workspace`; a ``(K, size)`` stack within
-    :func:`stack_limit`) as labelled axes in ``order``, most
-    significant first: the qubits, and :data:`~repro.sv.fusion.ROW` for
-    a row block's gather row.
-
-    * :meth:`gather` takes rows ``index`` of a part's gather table from
-      each job's state, in order ``(ROW,) + qubits[::-1]``;
-    * :meth:`load` copies whole states, one axis per qubit.  When the
-      state is one block (:func:`one_block`) gathering it buys no
-      locality, so :func:`run_part_group` keeps one loaded block across
-      a run of gathered parts and writes it back when the run ends: at
-      a part some job takes another lane for, when the jobs change (one
-      dropped out with an error, or a tableau joined), or when the
-      caller is done.
-
-    :meth:`sweep` runs a part's ops from the order the block is in and
-    leaves it in the last dense op's order; :meth:`flush` writes it back
-    in natural order — a whole state by one transposing copy, a row
-    block by a transposing copy into the spare buffer, then the
-    scatter.  Every GEMM keeps the shape and columns it has in a
-    copy-GEMM-write-back sweep of its part alone, so the bits are that
-    sweep's.  A sweep that raises loses the block: its states keep what
-    they held when it was taken.
+    """The gathered amplitudes of ``K`` jobs (``states``): a part's row
+    block, or whole states held across a run of parts.  ``cur`` holds
+    them in this thread's workspace pair (:func:`_workspace`), a ``(K,
+    size)`` stack, as labelled axes in ``order``, most significant
+    first; ``spare`` takes the next copy or GEMM result.  :meth:`flush`
+    walks ``tail``, the flush step a resident run left out of its last
+    program, when the run ends.
 
     >>> from repro.circuits.circuit import QuantumCircuit
     >>> from repro.sv.fusion import compile_part
@@ -452,16 +415,12 @@ class ResidentBlock:
     True
     """
 
-    __slots__ = ("states", "index", "rows", "natural", "order", "cur", "spare")
+    __slots__ = ("states", "cur", "spare", "order", "tail")
 
-    def __init__(self) -> None:
-        self.states: Tuple[np.ndarray, ...] = ()
-        self.index: Optional[np.ndarray] = None
-        self.rows = 1
-        self.natural: Tuple[int, ...] = ()
-        self.order: Tuple[int, ...] = ()
-        self.cur: Optional[np.ndarray] = None
-        self.spare: Optional[np.ndarray] = None
+    def __init__(self, states: Sequence[np.ndarray] = ()) -> None:
+        self.states = tuple(states)
+        self.cur = self.spare = None
+        self.order = self.tail = ()
 
     def holds(self, states: Sequence[np.ndarray]) -> bool:
         """Whether the block is ``states``, job for job."""
@@ -469,178 +428,118 @@ class ResidentBlock:
             map(operator.is_, states, self.states)
         )
 
-    def _take(self, states: Sequence[np.ndarray], size: int) -> np.ndarray:
+    def take(self, states: Sequence[np.ndarray], size: int) -> None:
         """This thread's workspace for ``states``, ``size`` amplitudes
-        each (it may raise :class:`MemoryError`): ``(K, size)`` in
-        ``cur``."""
+        each (it may raise :class:`MemoryError`, holding nothing)."""
         pair = _workspace(len(states) * size)
         self.cur = pair[0][: len(states) * size]
         self.spare = pair[1][: self.cur.size]
         self.states = tuple(states)
-        return self.cur.reshape(len(states), size)
 
-    def load(self, states: Sequence[np.ndarray]) -> None:
-        """Take whole ``states`` in natural order."""
-        for block, state in zip(self._take(states, states[0].size), states):
-            block[...] = state
-        self.index, self.rows = None, 1
-        n = states[0].size.bit_length() - 1
-        self.natural = self.order = tuple(range(n - 1, -1, -1))
+    def flush(self) -> None:
+        """Walk the left-out flush step: each job's state written back
+        in natural order."""
+        if self.states:
+            _walk(self.tail, self, ())
+        self.states = self.tail = ()
+        self.cur = self.spare = None
 
-    def gather(
-        self,
-        states: Sequence[np.ndarray],
-        index: np.ndarray,
-        qubits: Tuple[int, ...],
-    ) -> None:
-        """Take rows ``index`` (a block of a part's gather table, whose
-        columns are ``qubits``) of every state in ``states``."""
-        rows = index.shape[0]
-        for block, state in zip(
-            self._take(states, rows << len(qubits)), states
-        ):
-            # "clip": the index is in range, and the default "raise"
-            # would stage the gather in a temporary before ``out``.
-            np.take(state, index, out=block.reshape(rows, -1), mode="clip")
-        self.index, self.rows = index, rows
-        self.natural = self.order = (ROW,) + qubits[::-1]
 
-    def sweep(self, structure, operands: tuple) -> None:
-        """Run a part's ops (``structure``, multiplying by ``operands``,
-        :func:`_sweep_operands`) over the block from its current order:
-        a dense op is at most one transposing copy into ``spare`` and one
-        stacked ``np.matmul``, a diagonal op one in-place multiply per
-        job."""
-        stack = len(self.states)
-        size = self.cur.size // stack
-        steps, end = structure.sweep_plan(self.order, self.rows, stack)
-        cur, spare = self.cur, self.spare
-        for (shape, perm, target, gemm), mat in zip(steps, operands):
-            if gemm is None:
-                # Diagonal: in place, in the current order (the step
-                # holds the operand axes and the row axis), job by job.
-                if stack == 1:
-                    _apply_diagonal(cur.reshape(shape), mat, perm, target)
-                    continue
-                for k in range(stack):
-                    _apply_diagonal(
-                        cur[k * size : (k + 1) * size].reshape(shape),
-                        mat[k],
-                        perm,
-                        target,
-                    )
-                continue
+def _walk(steps, block, operands, index=None, map_blocks=None) -> None:
+    """The one loop every program runs in: ``steps`` (see
+    :func:`~repro.sv.kernels._part_program`) over ``block``'s jobs.
+
+    ``operands[i]`` is op ``i``: the :func:`_sweep_operands` of the
+    jobs' plans for the workspace steps, the plan's ``FusedGate`` for
+    ``strided`` and ``in_place`` (one job, on its flat state, visited by
+    ``map_blocks``).  ``index`` is a row block's gather rows.  A walk
+    that raises loses the block: the states keep what they held when
+    it was taken."""
+    states = block.states
+    cur, spare = block.cur, block.spare
+    jobs = len(states)
+    for step in steps:
+        kind = step[0]
+        if kind == "dense":
+            _, i, shape, perm, target, gemm = step
             if perm is not None:
                 np.copyto(
                     spare.reshape(target), cur.reshape(shape).transpose(perm)
                 )
                 cur, spare = spare, cur
-            np.matmul(mat, cur.reshape(gemm), out=spare.reshape(gemm))
+            np.matmul(operands[i], cur.reshape(gemm), out=spare.reshape(gemm))
             cur, spare = spare, cur
-        self.cur, self.spare, self.order = cur, spare, end
+            continue
+        if kind == "strided" or kind == "in_place":
+            local = step[1]
+            view = states[0].reshape(-1, 1 << local)
+            columns = _gemm_columns(operands, local)
+            if kind == "in_place":  # every op on a row before the next
+                width = max(1, kernels.MIN_GEMM_COLUMNS // columns)
+                for r in range(0, len(view), width):
+                    for op in operands:
+                        _apply_rows(
+                            view[r : r + width], op.matrix(), op.qubits,
+                            local, op.is_diagonal, map_blocks,
+                        )
+                continue
 
-    def flush(self) -> None:
-        """Write each job's block back to its state in natural order."""
-        if not self.states:
-            return
-        size = self.cur.size // len(self.states)
-        sizes = axis_sizes(self.order, self.rows)
-        perm = _order_perm(sizes, self.order, self.natural)
-        shape = tuple(sizes[a] for a in self.order)
-        natural = tuple(sizes[a] for a in self.natural)
-        for k, state in enumerate(self.states):
-            block = self.cur[k * size : (k + 1) * size]
-            # A whole state transposes straight back; a row block into
-            # ``spare``, then scatters.
-            if perm is not None:
-                out = state if self.index is None else self.spare[
-                    k * size : (k + 1) * size
-                ]
-                np.copyto(
-                    out.reshape(natural), block.reshape(shape).transpose(perm)
-                )
-                block = out
-            if self.index is not None:
-                state[self.index] = block.reshape(self.rows, -1)
-            elif block is not state:
-                np.copyto(state, block)
-        self.states = ()
-        self.index = self.cur = self.spare = None
+            def rows(lo: int, hi: int) -> None:
+                sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
+                for op in operands:
+                    _apply_strided(
+                        sub, op.matrix(), op.qubits, local, 1,
+                        op.is_diagonal, op.peeled(),
+                    )
+
+            _map_row_groups(map_blocks, rows, len(view), view.size, columns)
+            continue
+        size = cur.size // jobs
+        for k, state in enumerate(states):
+            mine = cur if jobs == 1 else cur[k * size : (k + 1) * size]
+            if kind == "diag":
+                _, i, shape, where, row = step
+                op = operands[i] if jobs == 1 else operands[i][k]
+                _apply_diagonal(mine.reshape(shape), op, where, row)
+            elif kind == "gather":
+                # "clip": the index is in range, and the default "raise"
+                # would stage the gather in a temporary before ``out``.
+                out = mine.reshape(len(index), -1)
+                np.take(state, index, out=out, mode="clip")
+            elif kind == "load":
+                mine[...] = state
+            elif kind == "flush":
+                _, shape, perm, home = step
+                src = mine.reshape(shape)
+                if perm is not None:
+                    src = src.transpose(perm)
+                out = state
+                if index is not None:
+                    out = spare[k * size : (k + 1) * size]
+                np.copyto(out.reshape(home), src)
+            elif kind == "scatter":
+                state[index] = mine.reshape(len(index), -1)
+        if kind == "flush" and index is not None:
+            cur, spare = spare, cur
+    block.cur, block.spare = cur, spare
 
 
-def _sweep_gathered(
-    plans,
-    states: Sequence[np.ndarray],
-    num_qubits: int,
-    map_blocks: Callable[[BlockFn, int, int], None],
-    resident: Optional[ResidentBlock] = None,
-) -> None:
-    """The gathered body of :func:`run_part_group` for ``K`` jobs whose
-    plans share one structure: per block, gather every job's rows into
-    one :class:`ResidentBlock`, sweep each op over all ``K`` and flush.
-    Blocks come from one job's amplitude count, so each job's GEMMs keep
-    the shape and columns they have alone, and its bits.  A block whose
-    stacked workspace cannot be allocated runs its jobs one at a time.
-
-    With ``resident`` (holding ``states``) the block is already
-    gathered: the ops sweep it where the last part left it, and it
-    stays there for the next part."""
-    plan = plans[0]
-    structure = plan.structure
-    operands = _sweep_operands(plans)
-    if resident is not None:
-        resident.sweep(structure, operands)
+def _sweep_rows(structure, states, operands, index) -> None:
+    """One row block of a gathered stack: walk the ``"gather"`` program
+    over rows ``index`` of every state.  A stack whose workspace cannot
+    be allocated walks its jobs one at a time."""
+    rows = len(index)
+    steps, _ = structure.program("gather", None, rows, len(states))
+    block = ResidentBlock()
+    try:
+        block.take(states, rows << len(structure.qubits))
+    except MemoryError:
+        if len(states) == 1:
+            raise
+        for k, state in enumerate(states):
+            _sweep_rows(structure, [state], [op[k] for op in operands], index)
         return
-    gather_rows = plan.gather_rows(num_qubits)
-
-    def block(lo: int, hi: int) -> None:
-        index = gather_rows(lo, hi)
-        stacked = ResidentBlock()
-        try:
-            stacked.gather(states, index, plan.qubits)
-        except MemoryError:
-            if len(states) == 1:
-                raise
-            for k, state in enumerate(states):
-                alone = ResidentBlock()
-                alone.gather([state], index, plan.qubits)
-                alone.sweep(structure, [op[k] for op in operands])
-                alone.flush()
-            return
-        stacked.sweep(structure, operands)
-        stacked.flush()
-
-    _map_row_groups(
-        map_blocks,
-        block,
-        1 << (num_qubits - len(plan.qubits)),
-        states[0].size,
-        _gemm_columns(plan, len(plan.qubits)),
-    )
-
-
-def _joins_run(plans, lanes, states, num_qubits, resident) -> bool:
-    """Whether this part sweeps ``resident``'s block: every job gathers,
-    in one stack of one structure within the workspace bound.  Starts a
-    run (loads the block) when ``resident`` holds other states, ending
-    theirs; a part that cannot join ends it too.  A stack the workspace
-    cannot take sweeps this part as if nothing were resident."""
-    structure = plans[0].structure
-    if (
-        "strided" in lanes
-        or len(states) << num_qubits > 2 * kernels.BLOCK_ELEMENTS
-        or len(plans) > 1
-        and any(plan.structure is not structure for plan in plans)
-    ):
-        resident.flush()
-        return False
-    if not resident.holds(states):
-        resident.flush()
-        try:
-            resident.load(states)
-        except MemoryError:
-            return False
-    return True
+    _walk(steps, block, operands, index)
 
 
 def run_part_group(
@@ -651,52 +550,45 @@ def run_part_group(
     map_blocks: Callable[[BlockFn, int, int], None],
     resident: Optional[ResidentBlock] = None,
 ) -> List[str]:
-    """Algorithm 1 for one part of ``K`` jobs — the only copy; returns
-    the lane each job ran.
+    """Algorithm 1 for one part of ``K`` jobs -- the only copy; returns
+    the lane each job ran (``"strided"`` or ``"gather"``).
 
     ``plans[k]`` (each bound for the same part) runs on ``states[k]``;
     their qubits are bits of the states' index (the circuit's qubits on
-    a flat state; layout positions on a distributed one).  Decides each
-    job's kernel lane (:func:`_strided_eligible`),
-    builds the per-row-range body for it, and hands that body to
-    ``map_blocks(fn, rows, elements)``, which visits ``range(rows)`` in
-    the block rule's blocks (``elements`` is one job's amplitude count
-    they are sized from).  Three bodies exist:
+    a flat state; layout positions on a distributed one).  Each job
+    takes its plan's lane (the module's lane rule).  Consecutive jobs
+    that gather with one structure (one ``PartPlanStructure`` object),
+    up to :func:`stack_limit` of them, form one stack; any other job is
+    a stack of its own.  Each stack walks its structure's program for
+    the lane (``PartPlanStructure.program``) through :func:`_walk`:
 
-    * ``"strided"`` — ops touch only qubits below some axis, so the
-      flat state splits into independent leading rows and each op lands
-      on them through bit-strided views: no index table, no gathered
-      copy;
-    * ``"gather"``, in place — a gather row wider than the kept
-      workspace (``2^w > 2 * BLOCK_ELEMENTS``) is not gathered: the
-      flat state splits into leading rows as above, and row by row
-      every op runs through the shard kernel (:func:`_apply_rows`) over
-      the row's virtual rows, so the part still finishes one row before
-      the next starts;
-    * ``"gather"``, gathered — the jobs on this lane whose plans share
-      one structure (one ``PartPlanStructure`` object), up to
-      :func:`stack_limit` at a time, are swept together
-      (:func:`_sweep_gathered`): per block, a :class:`ResidentBlock`
-      gathers the rows' inner vectors into this thread's workspace,
-      sweeps every op over the stack and flushes them back; the block's
-      gather indices come from ``plan.gather_rows``, so no
-      ``2^n``-entry table is built that is too big to keep.  A dense op
-      leaves its GEMM result in its own axis order, so it costs at most
-      one transposing copy and a GEMM; a diagonal op multiplies in
-      whatever order the block is in, and one copy restores natural
-      order before the scatter.  The orders are planned once per part
-      structure, start order and row count
-      (``PartPlanStructure.sweep_plan``); every GEMM keeps the shape
-      and columns of a copy-GEMM-write-back sweep of its job alone, so
-      the bits are its.
+    ========== ==============================================================
+    step       what it does
+    ========== ==============================================================
+    pad        a state narrower than ``num_qubits`` runs zero-extended to
+               it (here, before the lanes), then is cut back
+    strided    every op through bit-strided views of the flat state's
+               leading rows: no index table, no gathered copy
+    in_place   a gather row wider than the kept workspace, every op on a
+               row (through :func:`_apply_rows`) before the next row
+    load       whole states into the workspace (a resident run's start)
+    gather     a row block of every job, by ``plan.gather_rows``, into
+               the workspace: no ``2^n``-entry table too big to keep
+    dense      one op: at most one transposing copy, one stacked GEMM
+    diag       one op: an in-place multiply per job, in any order
+    flush      each job's block back to natural order
+    scatter    a row block back to its rows
+    ========== ==============================================================
 
-    The strided and in-place bodies run job by job.
-
-    ``resident`` (a :class:`ResidentBlock`, given only where
-    :func:`one_block` holds) carries a run of parts: a part every job
-    gathers for, in one stack, sweeps the resident block where the last
-    part left it (:func:`_joins_run`), no gather and no scatter; any
-    other part first writes it back.
+    A gathered stack maps ``gather ... scatter`` over the block rule's
+    row blocks (``map_blocks(fn, rows, elements)``, ``elements`` one
+    job's amplitude count); blocks come from one job's amplitudes, so
+    each job's GEMMs keep the shape and columns they have alone, and its
+    bits.  ``resident`` (a :class:`ResidentBlock`, given only where
+    :func:`one_block` holds) carries a run of parts instead: a part
+    whose jobs all gather in one stack walks ``load ... flush`` over
+    whole states, and consecutive such parts leave out the ``flush`` /
+    ``load`` pair between them; any other part first flushes the run.
 
     >>> from repro.circuits.generators import qaoa
     >>> from repro.sv.fusion import PlanCache
@@ -712,112 +604,76 @@ def run_part_group(
     >>> bool((states[0] != states[1]).any())
     True
     """
+    size = 1 << num_qubits
+    if states[0].size < size:  # the pad step
+        padded = [np.pad(state, (0, size - state.size)) for state in states]
+        lanes = run_part_group(
+            plans, padded, num_qubits, strided_max, map_blocks
+        )
+        for pad, state in zip(padded, states):
+            state[:] = pad[: state.size]
+        return lanes
     lanes = [
-        "strided" if _strided_eligible(plan, strided_max) else "gather"
+        "strided" if _strided_eligible(plan, strided_max)
+        else "in_place" if 1 << len(plan.qubits) > 2 * kernels.BLOCK_ELEMENTS
+        else "gather"
         for plan in plans
     ]
-    if resident is not None and _joins_run(
-        plans, lanes, states, num_qubits, resident
-    ):
-        _sweep_gathered(plans, states, num_qubits, map_blocks, resident)
-        return lanes
-    stacks: Dict[object, tuple] = {}  # gathered (plans, states) by structure
-    for plan, state, lane in zip(plans, states, lanes):
-        if lane == "strided":
-            _sweep_strided(plan, state, map_blocks)
-            continue
-        if 1 << len(plan.qubits) > 2 * kernels.BLOCK_ELEMENTS:
-            _sweep_in_place(plan, state, map_blocks)
-            continue
-        group = stacks.get(plan.structure)
-        if group is None:
-            group = stacks[plan.structure] = ([], [])
-        group[0].append(plan)
-        group[1].append(state)
     limit = stack_limit(num_qubits)
-    for group_plans, group_states in stacks.values():
-        for i in range(0, len(group_plans), limit):
-            _sweep_gathered(
-                group_plans[i : i + limit],
-                group_states[i : i + limit],
-                num_qubits,
-                map_blocks,
-            )
-    return lanes
+    first = 0
+    while first < len(plans):
+        lane, structure = lanes[first], plans[first].structure
+        last = first + 1
+        while (
+            last < len(plans) and last - first < limit and lane == "gather"
+            and lanes[last] == lane and plans[last].structure is structure
+        ):
+            last += 1
+        stack, group = plans[first:last], states[first:last]
+        first = last
+        whole = lane == "gather" and len(stack) == len(plans)
+        held = resident if whole else None
+        if resident is not None and not whole:
+            resident.flush()
+        if lane != "gather":
+            steps, _ = structure.program(lane)
+            _walk(steps, ResidentBlock(group), stack[0].ops, None, map_blocks)
+            continue
+        operands = _sweep_operands(stack)
+        if held is not None:
+            if held.holds(group):
+                steps, end = structure.program(
+                    "resident", held.order, 1, len(group)
+                )
+            else:
+                held.flush()
+                natural = tuple(range(num_qubits - 1, -1, -1))
+                steps, end = structure.program("load", natural, 1, len(group))
+                try:
+                    held.take(group, size)
+                except MemoryError:
+                    steps = None  # the part runs as if nothing were held
+            if steps is not None:
+                _walk(steps[:-1], held, operands)
+                held.order, held.tail = end, steps[-1:]
+                continue
+        gather_rows = structure.gather_rows(num_qubits)
+        w = len(structure.qubits)
 
+        def block(lo: int, hi: int) -> None:
+            _sweep_rows(structure, group, operands, gather_rows(lo, hi))
 
-def _sweep_strided(plan, state, map_blocks) -> None:
-    """The strided body of :func:`run_part_group` for one job."""
-    if not plan.ops:
-        return
-    local = 1 + max(q for op in plan.ops for q in op.qubits)
-    view = state.reshape(-1, 1 << local)
-
-    def block(lo: int, hi: int) -> None:
-        sub = view[lo:hi].reshape((hi - lo,) + (2,) * local)
-        for op in plan.ops:
-            _apply_strided(
-                sub, op.matrix(), op.qubits, local, 1, op.is_diagonal,
-                op.peeled(),
-            )
-
-    _map_row_groups(
-        map_blocks, block, view.shape[0], state.size,
-        _gemm_columns(plan, local),
-    )
-
-
-def _sweep_in_place(plan, state, map_blocks) -> None:
-    """The in-place body of :func:`run_part_group` for one job: a gather
-    row wider than the kept workspace is swept one row of the flat state
-    at a time (more only where a row holds too few GEMM columns), every
-    op on a row before the next row starts."""
-    local = 1 + max(plan.qubits)
-    view = state.reshape(-1, 1 << local)
-    step = max(1, kernels.MIN_GEMM_COLUMNS // _gemm_columns(plan, local))
-    for r in range(0, view.shape[0], step):
-        for op in plan.ops:
-            _apply_rows(
-                view[r:r + step], op.matrix(), op.qubits, local,
-                op.is_diagonal, map_blocks,
-            )
-
-
-def run_part(
-    plan,
-    state: np.ndarray,
-    num_qubits: int,
-    strided_max: int,
-    map_blocks: Callable[[BlockFn, int, int], None],
-) -> str:
-    """:func:`run_part_group` for one job: ``plan`` on ``state``; returns
-    the lane that ran.
-
-    >>> from repro.circuits.circuit import QuantumCircuit
-    >>> from repro.sv.fusion import compile_part
-    >>> qc = QuantumCircuit(2).x(0).cx(0, 1)
-    >>> plan = compile_part(qc, [0, 1], [0, 1])
-    >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
-    >>> inline = lambda fn, rows, elements: fn(0, rows)
-    >>> run_part(plan, state, 2, 2, inline)
-    'strided'
-    >>> state.real.tolist()
-    [0.0, 0.0, 0.0, 1.0]
-    >>> run_part(plan, state, 2, -1, inline)   # strided_max=-1: gathered
-    'gather'
-    >>> state.real.tolist()
-    [0.0, 0.0, 1.0, 0.0]
-    """
-    (lane,) = run_part_group(
-        [plan], [state], num_qubits, strided_max, map_blocks
-    )
-    return lane
+        _map_row_groups(
+            map_blocks, block, 1 << (num_qubits - w), size,
+            _gemm_columns(stack[0].ops, w),
+        )
+    return ["gather" if lane == "in_place" else lane for lane in lanes]
 
 
 class ExecutionBackend:
     """A block mapper plus the three entry points built on it.
 
-    * :meth:`run_plan` — one hierarchical part (:func:`run_part`).
+    * :meth:`run_plan` — one hierarchical part (:func:`run_part_group`).
     * :meth:`apply_matrix_rows` — one unitary over a row-batched state
       (the distributed engines' shard matrix).
     * :meth:`apply_gate_flat` — one gate on a flat ``2^n`` state (the
@@ -880,12 +736,25 @@ class ExecutionBackend:
     # -- work --------------------------------------------------------------
 
     def run_plan(self, plan, state: np.ndarray, num_qubits: int) -> str:
-        """Execute one part plan; returns the kernel path that ran
-        (``"strided"`` for the gather-free fast lane, ``"gather"`` for
-        the gather-matrix sweep)."""
-        return run_part(
-            plan, state, num_qubits, self.strided_max, self.map_blocks
+        """:func:`run_part_group` for one job: ``plan`` on ``state``;
+        returns the lane that ran (``"strided"`` for the gather-free
+        fast lane, ``"gather"`` for the gather-matrix sweep).
+
+        >>> from repro.circuits.circuit import QuantumCircuit
+        >>> from repro.sv.fusion import compile_part
+        >>> plan = compile_part(QuantumCircuit(2).x(0).cx(0, 1), [0, 1],
+        ...                     [0, 1])
+        >>> state = np.zeros(4, dtype=np.complex128); state[0] = 1.0
+        >>> SerialBackend().run_plan(plan, state, 2), state.real.tolist()
+        ('strided', [0.0, 0.0, 0.0, 1.0])
+        >>> gathered = SerialBackend(strided_max=-1)
+        >>> gathered.run_plan(plan, state, 2), state.real.tolist()
+        ('gather', [0.0, 0.0, 1.0, 0.0])
+        """
+        (lane,) = run_part_group(
+            [plan], [state], num_qubits, self.strided_max, self.map_blocks
         )
+        return lane
 
     def apply_matrix_rows(
         self,

@@ -59,7 +59,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate, gate_permutation, shared_gate_matrix
 from ..config import DEFAULT_MAX_FUSED_QUBITS
-from .kernels import _gathered_sweep_plan, split_controls
+from .kernels import _part_program, split_controls
 from .layout import (
     extract_bits,
     gather_index_factors,
@@ -85,21 +85,6 @@ __all__ = [
 
 #: All-diagonal groups may exceed the dense limit by this many qubits.
 DIAGONAL_BONUS_QUBITS = 2
-
-#: The axis label of a row block's gather row in
-#: :meth:`PartPlanStructure.sweep_plan`; every other axis is a qubit.
-ROW = -1
-
-
-def axis_sizes(order: Sequence[int], rows: int) -> Dict[int, int]:
-    """The length of each axis of ``order``: ``rows`` for :data:`ROW`,
-    2 for a qubit.
-
-    >>> axis_sizes((ROW, 3, 1), 4)
-    {-1: 4, 3: 2, 1: 2}
-    """
-    return {a: rows if a == ROW else 2 for a in order}
-
 
 @dataclass(frozen=True)
 class FusionGroup:
@@ -433,8 +418,8 @@ class PartPlanStructure:
     Everything about a part's execution that does **not** depend on gate
     parameters lives here: the fusion grouping, each group's kernel
     class (``FusionGroup.diagonal``), the bind program, the working-set
-    qubit tuple, the (memoised) Algorithm-1 gather table and the axis
-    orders a gathered block is swept in.  All of it
+    qubit tuple, the (memoised) Algorithm-1 gather table and the step
+    programs a part runs in (:meth:`program`).  All of it
     only consults gate *names* and operands — whether a group's product
     is diagonal follows from which members are diagonal gates and which
     are permutations that cancel, never from an angle or a bound matrix
@@ -463,7 +448,7 @@ class PartPlanStructure:
     """
 
     __slots__ = (
-        "qubits", "groups", "num_source_gates", "_table", "_sweeps",
+        "qubits", "groups", "num_source_gates", "_table", "_programs",
         "_program",
     )
 
@@ -477,7 +462,7 @@ class PartPlanStructure:
         self.groups = tuple(groups)
         self.num_source_gates = len(gates)
         self._table: Optional[Tuple[int, np.ndarray]] = None
-        self._sweeps: Dict[tuple, tuple] = {}
+        self._programs: Dict[tuple, tuple] = {}
         self._program = _bind_program(self.groups, gates)
 
     @property
@@ -511,78 +496,45 @@ class PartPlanStructure:
         t_vals, j_vals = gather_index_factors(num_qubits, self.qubits)
         return lambda lo, hi: t_vals[lo:hi, None] + j_vals
 
-    def sweep_plan(
-        self, start: Tuple[int, ...], rows: int = 1, jobs: int = 1
-    ) -> Tuple[tuple, Tuple[int, ...]]:
-        """How a gathered block runs this part's ops: ``(steps, end)``
-        from :func:`repro.sv.kernels._gathered_sweep_plan`.
+    def program(
+        self,
+        lane: str,
+        start: Optional[Tuple[int, ...]] = None,
+        rows: int = 1,
+        jobs: int = 1,
+    ) -> Tuple[tuple, Optional[Tuple[int, ...]]]:
+        """The steps ``jobs`` stacked jobs run this part in on ``lane``
+        from order ``start`` over ``rows``-row blocks: ``(steps, end)``
+        from :func:`repro.sv.kernels._part_program`, which
+        :func:`repro.sv.backend.run_part_group` walks.
 
-        The block's axes are labels: qubits, each 2 long, and
-        :data:`ROW`, ``rows`` long, for a row block's gather row.  It
-        arrives in order ``start`` and ``end`` is the order the sweep
-        leaves it in.  Every GEMM takes the shape and columns it has in
-        the part's natural order — the labels outside the part (most
-        significant first), then the part's qubits, most significant
-        first — which is how a copy-GEMM-write-back sweep holds it:
-
-        * a part's row block (:meth:`repro.sv.backend.ResidentBlock.gather`)
-          arrives in natural order, ``(ROW,) + qubits[::-1]``;
-        * a resident whole state
-          (:meth:`~repro.sv.backend.ResidentBlock.load`) has one axis
-          per qubit and arrives in the order the previous part left it.
-
-        For ``jobs > 1`` every dense step's shapes and transpositions are
-        lifted over a leading axis of ``jobs`` (the stacked sweep of
-        :func:`repro.sv.backend.run_part_group` moves each job's block
-        alike; diagonal steps stay one job's).
-
-        Kept per ``(start, rows, jobs)`` and shared by every plan bound
-        from this structure — a benign race between threads recomputes
-        an identical tuple.
+        Kept per ``(lane, start, rows, jobs)`` and shared by every plan
+        bound from this structure -- a benign race between threads
+        recomputes an identical tuple.
 
         >>> from repro.circuits.circuit import QuantumCircuit
         >>> qc = QuantumCircuit(3).h(0).cx(0, 2)
         >>> s = build_part_structure(qc, [0, 1], [0, 2], fuse=False)
-        >>> steps, end = s.sweep_plan((ROW, 2, 0), rows=2)
-        >>> end             # cx's order: its operands, then the row
-        (2, 0, -1)
-        >>> s.sweep_plan((2, 1, 0))[1]    # the whole 3-qubit state
+        >>> steps, end = s.program("gather", rows=2)
+        >>> [step[0] for step in steps], end
+        (['gather', 'dense', 'dense', 'flush', 'scatter'], (2, 0, -1))
+        >>> s.program("resident", (2, 1, 0))[1]    # a whole 3-qubit state
         (2, 0, 1)
         """
-        key = (start, rows, jobs)
-        sweep = self._sweeps.get(key)
-        if sweep is not None:
-            return sweep
-        if jobs > 1:
-            steps, end = self.sweep_plan(start, rows)
-            lead = (jobs,)
-
-            def lift_step(step):
-                shape, perm, target, gemm = step
-                if gemm is None:
-                    return step  # diagonal: swept one job at a time
-                if perm is not None:
-                    perm = (0, *[a + 1 for a in perm])
-                return lead + shape, perm, lead + target, lead + gemm
-
-            sweep = (tuple(map(lift_step, steps)), end)
-        else:
-            inner = set(self.qubits)
-            outer = sorted((a for a in start if a not in inner), reverse=True)
-            sweep = _gathered_sweep_plan(
-                axis_sizes(start, rows),
-                tuple(outer) + self.qubits[::-1],
-                [(grp.qubits[::-1], grp.diagonal) for grp in self.groups],
-                start,
+        key = (lane, start, rows, jobs)
+        program = self._programs.get(key)
+        if program is None:
+            ops = [(grp.qubits[::-1], grp.diagonal) for grp in self.groups]
+            program = self._programs[key] = _part_program(
+                lane, self.qubits, ops, start, rows, jobs
             )
-        self._sweeps[key] = sweep
-        return sweep
+        return program
 
     def relabel(self, mapping: Dict[int, int]) -> "PartPlanStructure":
         """This structure with every qubit renamed through ``mapping``.
 
-        The bind program is shared; the gather table and the sweep
-        orders, whose axes are the qubits themselves, are the renamed
+        The bind program is shared; the gather table and the step
+        programs, whose axes are the qubits themselves, are the renamed
         working set's own.
         """
         out = PartPlanStructure.__new__(PartPlanStructure)
@@ -593,7 +545,7 @@ class PartPlanStructure:
         )
         out.num_source_gates = self.num_source_gates
         out._table = None
-        out._sweeps = {}
+        out._programs = {}
         out._program = self._program
         return out
 
@@ -817,11 +769,6 @@ class CompiledPartPlan:
         from it.
         """
         return self.structure.gather_table(num_qubits)
-
-    def gather_rows(self, num_qubits: int) -> Callable[[int, int], np.ndarray]:
-        """Row blocks of :meth:`gather_table` (the structure's
-        :meth:`~PartPlanStructure.gather_rows`)."""
-        return self.structure.gather_rows(num_qubits)
 
 
 def compile_part(

@@ -47,11 +47,9 @@ bits and counts being those of :meth:`~HierarchicalExecutor.run` alone.
 
 When the block rule makes a state one block
 (:func:`~repro.sv.backend.one_block`: ``2^15`` amplitudes or fewer on
-one thread), gathering it buys no locality: a run of consecutive
-gathered parts keeps it in the workspace
-(:class:`~repro.sv.backend.ResidentBlock`), one gather and one scatter
-per run instead of per part, with the bits and the per-part trace of
-parts run alone.
+one thread), a run of consecutive gathered parts keeps it in a
+:class:`~repro.sv.backend.ResidentBlock`: one ``load`` and one ``flush``
+per run, with the bits and the per-part trace of parts run alone.
 """
 
 from __future__ import annotations
@@ -360,9 +358,7 @@ class HierarchicalExecutor:
                     dense.append(k)
             if not dense:
                 continue
-            group = circuits
-            if len(dense) < jobs:
-                group = [circuits[k] for k in dense]
+            group = [circuits[k] for k in dense]
             args = (part.gate_indices, part.qubits)
             kw = dict(fuse=self.options.fuse, counters=cache_counters,
                       max_fused_qubits=self.options.max_fused_qubits)
@@ -382,16 +378,9 @@ class HierarchicalExecutor:
                         out[k] = plan
                 dense = [k for k in dense if isinstance(out[k], np.ndarray)]
                 plans = [p for p in plans if not isinstance(p, Exception)]
-            if len(dense) == jobs:  # every circuit sweeps this part
-                self._run_part(plans, out, n, traces, resident)
-            elif dense:
-                self._run_part(
-                    plans,
-                    [out[k] for k in dense],
-                    n,
-                    [traces[k] for k in dense],
-                    resident,
-                )
+            if dense:
+                self._run_part(plans, [out[k] for k in dense], n,
+                               [traces[k] for k in dense], resident)
         if resident is not None:
             resident.flush()
         return out

@@ -21,6 +21,7 @@ All kernels operate **in place** and return their input array.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,7 +185,7 @@ def _apply_diagonal(
     amplitudes.  Either way each amplitude is multiplied by the same
     entry of ``diag``, so the bits are the same.  Only axes after
     ``batch_axis`` merge: a gathered block in a dense op's order
-    (:func:`_gathered_sweep_plan`) has qubit axes before its row axis.
+    (:func:`_part_program`) has qubit axes before its row axis.
 
     >>> view = np.ones((2,) * 4, dtype=np.complex128)   # qubit q: axis 3 - q
     >>> _apply_diagonal(view, np.array([1, 2, 3, 4j]), [0, 3])  # on (0, 3)
@@ -259,75 +260,111 @@ def _order_perm(
     return tuple(src.index(a) for a in dst)
 
 
-def _gathered_sweep_plan(
-    sizes: Sequence[int],
-    natural: Tuple[int, ...],
+#: The axis label of a row block's gather row in a part's program
+#: (:func:`_part_program`); every other axis is a qubit.
+ROW = -1
+
+
+def axis_sizes(order: Sequence[int], rows: int) -> dict:
+    """The length of each axis of ``order``: ``rows`` for :data:`ROW`,
+    2 for a qubit.
+
+    >>> axis_sizes((ROW, 3, 1), 4)
+    {-1: 4, 3: 2, 1: 2}
+    """
+    return {a: rows if a == ROW else 2 for a in order}
+
+
+def _part_program(
+    lane: str,
+    qubits: Tuple[int, ...],
     ops: Sequence[Tuple[Tuple[int, ...], bool]],
     start: Optional[Tuple[int, ...]] = None,
-) -> Tuple[tuple, Tuple[int, ...]]:
-    """Axis orders for sweeping ``ops`` over a gathered block without
-    writing a dense op's result back: ``(steps, end)``.
+    rows: int = 1,
+    jobs: int = 1,
+) -> Tuple[tuple, Optional[Tuple[int, ...]]]:
+    """The steps one lane runs a part's ``ops`` in: ``(steps, end)``
+    (:func:`repro.sv.backend.run_part_group` holds the step table).
 
-    The block's axes are labels, axis ``a`` being ``sizes[a]`` long.
-    ``natural`` is the order a copy-GEMM-write-back sweep keeps the block
-    in — its first axis is the rows: a part's gathered ``(rows, 2^w)``
-    block has its row axis, then its qubits, most significant first — and
-    each op is ``(axes, diagonal)``, its operands' axes most significant
-    first.  A dense op runs its GEMM on the block in order: its operands,
-    then ``natural``'s other axes — the order :func:`_apply_dense` moves
-    them to, so the GEMM has the same shape and columns and the same
-    bits — and the block stays in that order.  The block arrives in
-    order ``start`` (default ``natural``); ``end`` is the order the
-    sweep leaves it in.  One step per op:
+    ``qubits`` is the part's working set and each op is ``(axes,
+    diagonal)``, its qubits most significant first.  ``"strided"`` and
+    ``"in_place"`` are one step over the flat state.  The other lanes
+    sweep a block of labelled axes (:data:`ROW`, ``rows`` long, and
+    qubits) that arrives in order ``start`` and is left in order
+    ``end``: a ``"gather"`` row block in natural order ``(ROW,) +
+    qubits[::-1]``, and whole states, ``"load"``-ed in natural order or
+    ``"resident"`` in any.  A dense op runs its GEMM on the block in
+    order: its operands, then the natural order's other axes (the labels
+    outside the part, most significant first, then the part's qubits) --
+    the order a copy-GEMM-write-back sweep moves them to, so the GEMM
+    has its shape, columns and bits -- and the block stays in that
+    order.  Steps are tuples, their kind first:
 
-    * dense: ``(shape, perm, target, gemm)`` — ``perm`` transposes the
-      block from ``shape`` (its current order) into ``target``, or is
-      ``None`` when the bytes are already in order (see
-      :func:`_order_perm`); ``gemm`` is the GEMM operand shape;
-    * diagonal: ``(shape, where, batch_axis, None)`` — the operands'
-      positions and the row axis's (``natural[0]``) in the current
-      order, for :func:`_apply_diagonal`.
+    * ``("dense", i, shape, perm, target, gemm)``: op ``i``; ``perm``
+      transposes the block from ``shape`` into ``target``, or is ``None``
+      when the bytes are in order (:func:`_order_perm`); ``gemm`` is the
+      GEMM operand shape.  For ``jobs > 1`` all four are lifted over a
+      leading job axis;
+    * ``("diag", i, shape, where, row)``: op ``i``'s operand positions
+      and the first natural axis's, per job;
+    * ``("flush", shape, perm, home)``: each job's block from ``shape``
+      to natural order (``home`` its shape), ending a whole state's
+      program; a row block has one where ``perm`` is not ``None``;
+    * ``("strided", local)`` and ``("in_place", local)``: the flat
+      state as rows of ``2^local`` amplitudes.
 
-    Depends only on its arguments, so a part structure keeps one per
-    row count and start order.
-
-    >>> sizes, natural = (4, 2, 2, 2), (0, 1, 2, 3)   # 4 rows of 3 qubits
-    >>> steps, end = _gathered_sweep_plan(sizes, natural, [((3,), False),
-    ...                                                    ((3,), False),
-    ...                                                    ((1,), True)])
-    >>> steps[0]       # qubit 0 (axis 3) leads: one copy, 2 x 16 GEMM
-    ((4, 2, 2, 2), (3, 0, 1, 2), (2, 4, 2, 2), (2, 16))
-    >>> steps[1][1] is None                # already in order: no copy
+    >>> ops = [((0,), False), ((0,), False), ((2,), True)]
+    >>> steps, end = _part_program("gather", (0, 1, 2), ops, rows=4)
+    >>> [s[0] for s in steps]
+    ['gather', 'dense', 'dense', 'diag', 'flush', 'scatter']
+    >>> steps[1]       # qubit 0 leads: one copy, a 2 x 16 GEMM
+    ('dense', 0, (4, 2, 2, 2), (3, 0, 1, 2), (2, 4, 2, 2), (2, 16))
+    >>> steps[2][3] is None                # already in order: no copy
     True
-    >>> steps[2]       # qubit 2 (axis 1) sits at position 2, row at 1
-    ((2, 4, 2, 2), (2,), 1, None)
-    >>> end, _order_perm(sizes, end, natural)   # the way back
-    ((3, 0, 1, 2), (1, 2, 3, 0))
-    >>> _gathered_sweep_plan(sizes, natural, [((1,), False)], start=end)[0]
-    (((2, 4, 2, 2), (2, 1, 3, 0), (2, 4, 2, 2), (2, 16)),)
+    >>> steps[3], end  # qubit 2 sits at position 2, the row at 1
+    (('diag', 2, (2, 4, 2, 2), (2,), 1), (0, -1, 2, 1))
+    >>> _part_program("resident", (0, 1, 2), ops[2:], start=(2, 1, 0))[0]
+    (('diag', 0, (2, 2, 2), (0,), 0), ('flush', (2, 2, 2), None, (2, 2, 2)))
+    >>> _part_program("strided", (0, 1, 2), ops)[0]
+    (('strided', 3),)
     """
-    order = natural if start is None else start
-    total = 1
-    for a in natural:
-        total *= sizes[a]
-    steps = []
-    for axes, diagonal in ops:
+    if lane == "strided":
+        local = 1 + max((q for axes, _ in ops for q in axes), default=0)
+        return (("strided", local),) if ops else (), start
+    if lane == "in_place":
+        return (("in_place", 1 + max(qubits)),), start
+    if start is None:
+        start = (ROW,) + qubits[::-1]
+    sizes = axis_sizes(start, rows)
+    outer = sorted((a for a in start if a not in qubits), reverse=True)
+    natural = tuple(outer) + qubits[::-1]
+    home = start if lane == "gather" else tuple(sorted(start, reverse=True))
+    total = math.prod(sizes.values())
+    lead = (jobs,) if jobs > 1 else ()
+    steps: list = [(lane,)] if lane in ("gather", "load") else []
+    order = start
+    for i, (axes, diagonal) in enumerate(ops):
         shape = tuple(sizes[a] for a in order)
         if diagonal:
             where = tuple(order.index(a) for a in axes)
-            steps.append((shape, where, order.index(natural[0]), None))
+            steps.append(("diag", i, shape, where, order.index(natural[0])))
             continue
         target = axes + tuple(a for a in natural if a not in axes)
-        gemm = (1 << len(axes), total >> len(axes))
-        steps.append(
-            (
-                shape,
-                _order_perm(sizes, order, target),
-                tuple(sizes[a] for a in target),
-                gemm,
-            )
-        )
+        perm = _order_perm(sizes, order, target)
+        if perm is not None and lead:
+            perm = (0, *[a + 1 for a in perm])
+        steps.append((
+            "dense", i, lead + shape, perm,
+            lead + tuple(sizes[a] for a in target),
+            lead + (1 << len(axes), total >> len(axes)),
+        ))
         order = target
+    perm = _order_perm(sizes, order, home)
+    if perm is not None or lane != "gather":
+        shape = tuple(sizes[a] for a in order)
+        steps.append(("flush", shape, perm, tuple(sizes[a] for a in home)))
+    if lane == "gather":
+        steps.append(("scatter",))
     return tuple(steps), order
 
 

@@ -12,7 +12,8 @@ each pay one multiply-sum per term.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,6 +73,14 @@ def pauli_expectation(
     return float(np.real(np.sum(np.conj(state) * phase * flipped)))
 
 
+#: Kept masks, least recently used first, and the bytes they hold (a
+#: term counts its phase's, at least 4 KiB): at most 24 MiB.
+_MASKS: "OrderedDict[tuple, tuple]" = OrderedDict()
+_MASK_BUDGET = 24 << 20
+_MASKS_LOCK = threading.Lock()
+_masks_held = 0
+
+
 def _term_masks(
     factors: Tuple[Tuple[int, str], ...], num_qubits: int
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:
@@ -81,13 +90,24 @@ def _term_masks(
     ``flip`` the axes of a ``(2,) * n`` view of the state those qubits
     index (empty when there are none).  Factors multiply in the term's
     order, so the phase has the bits of a per-call build; it is shared
-    read-only.  Terms of at most 16 qubits keep their masks: the 16 kept
-    hold at most 24 MiB."""
-    build = _build_masks if num_qubits <= 16 else _build_masks.__wrapped__
-    return build(factors, num_qubits)
+    read-only.  The most recently used terms keep their masks, as many
+    as 24 MiB holds (96 terms at 14 qubits, 24 at 16, none past 20)."""
+    global _masks_held
+    key = (factors, num_qubits)
+    with _MASKS_LOCK:
+        if key in _MASKS:
+            _MASKS.move_to_end(key)
+            return _MASKS[key]
+    masks = _build_masks(factors, num_qubits)
+    with _MASKS_LOCK:  # a term wider than the budget is not kept
+        if key not in _MASKS and masks[0].nbytes <= _MASK_BUDGET:
+            _MASKS[key] = masks
+            _masks_held += max(masks[0].nbytes, 4096)
+        while _masks_held > _MASK_BUDGET:
+            _masks_held -= max(_MASKS.popitem(last=False)[1][0].nbytes, 4096)
+    return masks
 
 
-@lru_cache(maxsize=16)
 def _build_masks(
     factors: Tuple[Tuple[int, str], ...], num_qubits: int
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:

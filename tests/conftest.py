@@ -692,7 +692,7 @@ def to_dense_reference(state) -> np.ndarray:
 
 
 def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
-    """Oracle for ``run_part``'s batched gather lane (mutates ``state``):
+    """Oracle for the gather lane's program (mutates ``state``):
     the body as first written -- per block of the block rule at
     ``threads`` threads, gather ``state[table]``, run each local op
     through ``apply_matrix_batched`` (a transposing copy, a GEMM and a
@@ -725,47 +725,44 @@ def gather_sweep_reference(plan, state: np.ndarray, n: int, threads: int = 1):
 
 
 def sweep_plan_reference(structure, rows: int, jobs: int = 1):
-    """Oracle for ``PartPlanStructure.sweep_plan`` over a row block: the
-    positional planner as first written -- axis 0 the gather row, axis
-    ``i + 1`` the part's qubit ``w - 1 - i`` -- returning ``(steps,
+    """Oracle for the ``dense`` and ``diag`` steps of a row block's
+    program (``PartPlanStructure.program("gather", None, rows, jobs)``):
+    the positional planner as first written -- axis 0 the gather row,
+    axis ``i + 1`` the part's qubit ``w - 1 - i`` -- returning ``(steps,
     restore)``, ``restore`` being ``(shape, perm)`` back to natural
-    order or ``None``.  For ``jobs > 1`` every dense step and the
-    restore are lifted over a leading job axis.
+    order (the flush step's) or ``None``.  For ``jobs > 1`` every dense
+    step is lifted over a leading job axis; the restore is each job's.
     """
-    from repro.sv.kernels import (
-        _gate_axes,
-        _gathered_sweep_plan,
-        _order_perm,
-        check_operands,
-    )
+    from repro.sv.kernels import _gate_axes, _order_perm, check_operands
 
     w = len(structure.qubits)
     pos = {q: i for i, q in enumerate(structure.qubits)}
-    ops = []
-    for grp in structure.groups:
+    sizes = (rows,) + (2,) * w
+    natural = order = tuple(range(w + 1))
+    lead = (jobs,) if jobs > 1 else ()
+    steps = []
+    for i, grp in enumerate(structure.groups):
         local = tuple(pos[q] for q in grp.qubits)
         check_operands(local, w)
-        ops.append((tuple(_gate_axes(w, local, 1)), grp.diagonal))
-    sizes = (rows,) + (2,) * w
-    natural = tuple(range(w + 1))
-    steps, end = _gathered_sweep_plan(sizes, natural, ops)
-    perm = _order_perm(sizes, end, natural)
-    restore = None if perm is None else (tuple(sizes[a] for a in end), perm)
-    if jobs == 1:
-        return steps, restore
-
-    def lift(perm):
-        return None if perm is None else (0, *[a + 1 for a in perm])
-
-    def lift_step(step):
-        shape, perm, target, gemm = step
-        if gemm is None:
-            return step
-        return (jobs,) + shape, lift(perm), (jobs,) + target, (jobs,) + gemm
-
-    if restore is not None:
-        restore = ((jobs,) + restore[0], lift(restore[1]))
-    return tuple(map(lift_step, steps)), restore
+        axes = tuple(_gate_axes(w, local, 1))
+        shape = tuple(sizes[a] for a in order)
+        if grp.diagonal:
+            where = tuple(order.index(a) for a in axes)
+            steps.append(("diag", i, shape, where, order.index(0)))
+            continue
+        target = axes + tuple(a for a in natural if a not in axes)
+        perm = _order_perm(sizes, order, target)
+        if perm is not None and lead:
+            perm = (0, *[a + 1 for a in perm])
+        gemm = (1 << len(axes), (rows << w) >> len(axes))
+        steps.append((
+            "dense", i, lead + shape, perm,
+            lead + tuple(sizes[a] for a in target), lead + gemm,
+        ))
+        order = target
+    perm = _order_perm(sizes, order, natural)
+    restore = None if perm is None else (tuple(sizes[a] for a in order), perm)
+    return tuple(steps), restore
 
 
 def one_pass(rows, matrix, positions, width, diagonal):

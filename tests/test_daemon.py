@@ -31,13 +31,12 @@ from repro.serve import (
     QueuedJob,
     QueueFull,
     ResultStore,
-    ServeConfig,
-    ServeDaemon,
     SimJob,
     circuit_fingerprint,
     load_manifest,
     results_to_manifest,
 )
+from repro.serve.daemon import ServeConfig, ServeDaemon
 
 from conftest import BAD_MANIFEST_VALUES, bad_manifest, manifest_refusal
 

@@ -609,7 +609,7 @@ class TestPlanCache:
         qc = QuantumCircuit(n).h(0).cx(0, 2).h(4)
         plan = compile_part(qc, range(len(qc)), (4, 0, 2), fuse=True)
         table = plan.gather_table(n)
-        rows = plan.gather_rows(n)
+        rows = plan.structure.gather_rows(n)
         for lo, hi in [(0, 1), (3, 7), (0, table.shape[0])]:
             assert np.array_equal(rows(lo, hi), table[lo:hi])
 

@@ -1,14 +1,14 @@
 """The gather lane's workspace sweep is the old loop, byte for byte.
 
-``run_part``'s gathered body keeps each row block in two per-thread
+The gather lane's program keeps each row block in two per-thread
 workspace buffers (``backend.ResidentBlock``) and leaves it in the axis
 order of the last dense op instead of writing each GEMM result back.
 Every GEMM keeps its shape and its columns, so the bits must not move:
 each run is held to ``conftest.gather_sweep_reference``, the body as
 first written (a transposing copy, a GEMM and a write-back per op), on
-the same blocks.  The orders come from one labelled planner,
-``PartPlanStructure.sweep_plan``, held to the positional planner it
-replaced (``conftest.sweep_plan_reference``).
+the same blocks.  The orders come from one labelled planner, the
+``dense`` and ``diag`` steps of ``PartPlanStructure.program``, held to
+the positional planner it replaced (``conftest.sweep_plan_reference``).
 """
 
 from __future__ import annotations
@@ -22,18 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sv.backend as backend_module
 import repro.sv.kernels as kernels
 from repro.circuits.circuit import QuantumCircuit
 from repro.partition import get_partitioner
-from repro.sv.backend import SerialBackend, ThreadedBackend
+from repro.sv.backend import (
+    ResidentBlock,
+    SerialBackend,
+    ThreadedBackend,
+    one_block,
+    run_part_group,
+)
 from repro.sv.fusion import (
-    ROW,
-    axis_sizes,
     build_part_structure,
     compile_part,
     compile_partition,
 )
-from repro.sv.kernels import _order_perm
 from repro.sv.simulator import random_state
 
 from conftest import gather_sweep_reference, same_bytes, sweep_plan_reference
@@ -52,17 +56,46 @@ def backends():
         backend.close()
 
 
-def _check(backend, threads, plans, n, seed=0):
+def _check(backend, threads, plans, n, seed=0, jobs=1, held=None, pad=0):
     """Run ``plans`` in order on one state through ``backend`` and
     through the reference on the same blocks; both must agree bytewise.
-    Returns the state."""
-    start = random_state(n, seed=seed)
-    got, want = start.copy(), start.copy()
+    Returns the state.
+
+    With ``jobs > 1`` that many states (seeds from ``seed`` up) sweep as
+    one stack of the same plans; ``held`` (a ``ResidentBlock``) carries
+    them across the parts where the state is one block; ``pad`` runs
+    them at ``pad`` more qubits, zero-extended, as a narrow socket
+    rank's shard runs (the reference runs the zero-extended state)."""
+    starts = [random_state(n, seed=seed + k) for k in range(jobs)]
+    got = [s.copy() for s in starts]
+    want = [np.pad(s, (0, (1 << (n + pad)) - s.size)) for s in starts]
+    if held is not None and not one_block(backend.map_blocks, n + pad):
+        held = None
     for plan in plans:
-        assert backend.run_plan(plan, got, n) == "gather"
-        gather_sweep_reference(plan, want, n, threads)
-    assert same_bytes(got, want), backend.describe()
-    return got
+        lanes = run_part_group(
+            [plan] * jobs, got, n + pad, -1, backend.map_blocks, held
+        )
+        assert lanes == ["gather"] * jobs
+        for w in want:
+            gather_sweep_reference(plan, w, n + pad, threads)
+    if held is not None:
+        held.flush()
+    for g, w in zip(got, want):
+        assert same_bytes(g, w[: g.size]), backend.describe()
+    return got[0]
+
+
+def _refusing(mp, n):
+    """Refuse (``MemoryError``) every workspace wider than one job's
+    ``n``-qubit state: a stacked sweep's, where the state is one block."""
+    real = backend_module._workspace
+
+    def workspace(size):
+        if size > 1 << n:
+            raise MemoryError(f"Unable to allocate {size} amplitudes")
+        return real(size)
+
+    mp.setattr(backend_module, "_workspace", workspace)
 
 
 # Each example runs its plans at the real block size and again at
@@ -73,10 +106,14 @@ def _check(backend, threads, plans, n, seed=0):
     strategy=st.sampled_from(["Nat", "DFS", "dagP"]),
     fuse=st.booleans(),
     threads=st.sampled_from([1, 2, 3, 4]),
+    jobs=st.sampled_from([1, 2, 4]),
+    resident=st.booleans(),
+    pad=st.integers(0, 2),
+    refuse=st.booleans(),
     data=st.data(),
 )
 def test_property_run_plan_matches_the_reference(
-    backends, qc, strategy, fuse, threads, data
+    backends, qc, strategy, fuse, threads, jobs, resident, pad, refuse, data
 ):
     n = qc.num_qubits
     arity = max(len(g.qubits) for g in qc)
@@ -87,7 +124,12 @@ def test_property_run_plan_matches_the_reference(
     for block in (kernels.BLOCK_ELEMENTS, 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "BLOCK_ELEMENTS", block)
-            got = _check(backends[threads], threads, plans, n, seed)
+            if refuse:
+                _refusing(mp, n + pad)
+            got = _check(
+                backends[threads], threads, plans, n, seed, jobs,
+                ResidentBlock() if resident else None, pad,
+            )
             if threads == 3:  # uneven rows: pinned to serial at 1e-12
                 serial = random_state(n, seed=seed)
                 for plan in plans:
@@ -99,12 +141,16 @@ def _part(qc, qubits, fuse=False):
     return compile_part(qc, range(len(qc)), qubits, fuse=fuse)
 
 
+def _sweep(program):
+    """The ``dense`` and ``diag`` steps of a program."""
+    return tuple(step for step in program if step[0] in ("dense", "diag"))
+
+
 def _row_plan(structure, rows):
-    """``structure``'s sweep of a ``rows``-row block arriving in gather
-    order, and whether its flush needs a transposing copy."""
-    start = (ROW,) + structure.qubits[::-1]
-    steps, end = structure.sweep_plan(start, rows)
-    return steps, _order_perm(axis_sizes(end, rows), end, start) is not None
+    """The op steps of ``structure``'s program for a ``rows``-row block,
+    and whether its flush needs a transposing copy."""
+    program, _ = structure.program("gather", None, rows)
+    return _sweep(program), any(step[0] == "flush" for step in program)
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,15 +172,10 @@ def test_property_sweep_plan_matches_the_positional_planner(
     gates = [i for i, g in enumerate(qc) if set(g.qubits) <= set(working)]
     structure = build_part_structure(qc, gates, working, fuse=fuse)
     want_steps, restore = sweep_plan_reference(structure, rows, jobs)
-    start = (ROW,) + working[::-1]
-    steps, end = structure.sweep_plan(start, rows, jobs)
-    assert steps == want_steps
-    perm = _order_perm(axis_sizes(end, rows), end, start)
-    if restore is None:
-        assert perm is None
-    else:
-        lift = (0, *[a + 1 for a in perm]) if jobs > 1 else perm
-        assert perm is not None and lift == restore[1]
+    program, _ = structure.program("gather", None, rows, jobs)
+    assert _sweep(program) == want_steps
+    flush = [step[1:3] for step in program if step[0] == "flush"]
+    assert flush == ([] if restore is None else [restore])
 
 
 def test_an_all_diagonal_part_makes_no_copy(backends):
@@ -142,7 +183,7 @@ def test_an_all_diagonal_part_makes_no_copy(backends):
     qc.rzz(1.1, 1, 3)
     plan = _part(qc, (0, 1, 2, 3))
     steps, copy_back = _row_plan(plan.structure, 2)
-    assert all(gemm is None for *_, gemm in steps) and not copy_back
+    assert all(step[0] == "diag" for step in steps) and not copy_back
     _check(backends[1], 1, [plan], 5)
 
 
@@ -150,7 +191,7 @@ def test_consecutive_dense_ops_on_the_same_operands_share_one_order(backends):
     qc = QuantumCircuit(5).h(1).rx(0.4, 1).cx(0, 2).cx(0, 2).ry(0.2, 3)
     plan = _part(qc, (0, 1, 2, 3))
     steps, copy_back = _row_plan(plan.structure, 2)
-    copies = [perm is not None for _, perm, _, gemm in steps]
+    copies = [step[3] is not None for step in steps]
     assert copies == [True, False, True, False, True]
     assert copy_back
     _check(backends[1], 1, [plan], 5)
@@ -162,14 +203,14 @@ def test_ops_on_the_top_axes_of_a_one_row_block_make_no_copy(backends):
     qc = QuantumCircuit(3).h(2).cx(1, 2)
     plan = _part(qc, (0, 1, 2))
     steps, copy_back = _row_plan(plan.structure, 1)
-    assert [perm for _, perm, _, _ in steps] == [None, None]
+    assert [step[3] for step in steps] == [None, None]
     assert not copy_back
     _check(backends[1], 1, [plan], 3)
     # With four rows the row axis follows each op's operands: both copy.
     wide = QuantumCircuit(5).h(2).cx(1, 2)
     plan = _part(wide, (0, 1, 2))
     steps, copy_back = _row_plan(plan.structure, 4)
-    assert [perm is None for _, perm, _, _ in steps] == [False, False]
+    assert [step[3] is None for step in steps] == [False, False]
     assert copy_back
     _check(backends[1], 1, [plan], 5)
 
@@ -190,16 +231,15 @@ def test_one_structure_bound_twice_shares_its_plan(backends):
     qc1, qc2 = circuit(0.3, 1.2), circuit(2.1, 0.4)
     structure = build_part_structure(qc1, range(len(qc1)), (0, 1, 2, 3))
     plan1, plan2 = structure.bind([qc1.gates, qc2.gates])
-    start = (ROW,) + structure.qubits[::-1]
     got1 = _check(backends[1], 1, [plan1], 5)
-    sweep = structure.sweep_plan(start, 2)
+    program = structure.program("gather", None, 2)
     got2 = _check(backends[1], 1, [plan2], 5)
-    assert structure.sweep_plan(start, 2) is sweep
+    assert structure.program("gather", None, 2) is program
     assert not np.array_equal(got1, got2)
 
 
 def test_threads_sharing_one_fresh_structure_keep_their_own_blocks():
-    # Every thread races to fill one structure's sweep-plan memo and
+    # Every thread races to fill one structure's program memo and
     # sweeps its own state through its own workspace; a shared buffer or
     # a torn plan would corrupt some thread's result.
     n, workers = 12, 8

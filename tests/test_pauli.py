@@ -138,3 +138,73 @@ class TestKeptMasks:
             for _ in range(2):  # built, then kept
                 got = pauli_expectation(state, term, n)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_seventeen_terms_cycled_at_fourteen_qubits_stay_kept(
+        self, monkeypatch
+    ):
+        # A job's observable set larger than a count-bounded cache: the
+        # masks are built on the first pass and kept for every later one.
+        import repro.sv.pauli as pauli_module
+
+        n = 14
+        terms = [{q: "Z", (q + 1) % n: "X"} for q in range(n)]
+        terms += [{0: "Y"}, {3: "Z", 9: "Z"}, {5: "X", 11: "Y"}]
+        assert len(terms) == 17
+        built = []
+        real = pauli_module._build_masks
+
+        def build(factors, num_qubits):
+            built.append(factors)
+            return real(factors, num_qubits)
+
+        monkeypatch.setattr(pauli_module, "_build_masks", build)
+        state = random_state(n, seed=4)
+        first = expectations(state, terms, n)
+        builds = len(built)
+        for _ in range(3):
+            assert expectations(state, terms, n) == first
+        assert len(built) == builds <= 17
+
+    def test_threads_cycling_terms_keep_the_budget_and_the_bits(self):
+        # Eight threads cycle more terms than 24 MiB holds at 14 qubits,
+        # so entries are kept and evicted concurrently: every value must
+        # match a lone thread's, and the bytes charged must still be the
+        # kept entries' own, within the budget.
+        import sys
+        import threading
+
+        import repro.sv.pauli as pauli_module
+
+        n, workers = 14, 8
+        # 182 distinct terms of 256 KiB: 45 MiB, against 24 kept.
+        terms = [{q: "Z", (q + k) % n: "Y"} for k in range(1, n)
+                 for q in range(n)]
+        state = random_state(n, seed=9)
+        want = expectations(state, terms, n)
+        got, errors = [None] * workers, []
+
+        def worker(i):
+            try:
+                got[i] = expectations(state, terms[i:] + terms[:i], n)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        for i, values in enumerate(got):
+            assert values == want[i:] + want[:i]
+        kept = pauli_module._MASKS.values()
+        held = sum(max(phase.nbytes, 4096) for phase, _ in kept)
+        assert pauli_module._masks_held == held <= pauli_module._MASK_BUDGET

@@ -23,6 +23,8 @@ from repro.sv.backend import stack_limit
 from repro.sv.fusion import CacheCounters, PartPlanStructure
 from repro.sv.hier import HierarchicalExecutor
 
+from conftest import random_circuit
+
 
 def sweep(n, count, offset=0.0, p=2):
     """``count`` jobs of one ``qaoa(n)`` structure, fresh angles each."""
@@ -123,3 +125,30 @@ class TestRerunsKeepTheirMemo:
         again, _ = engine.run(qc, partition)
         assert binds == []
         assert np.array_equal(first.to_full(), again.to_full())
+
+    def test_a_warm_rerun_builds_no_program(self, monkeypatch):
+        # A deep 12-qubit circuit run twice by one executor, as the
+        # benchmark's warm pass reruns it: every part's program --
+        # resident runs included, whose start orders repeat -- is the
+        # structure's memo the first run filled.
+        import repro.sv.fusion as fusion_module
+
+        qc = random_circuit(12, 600, seed=21)
+        partition = get_partitioner("dagP").partition(qc, 9)
+        assert partition.num_parts > 3
+        ex = HierarchicalExecutor()
+        first = ex.run(qc, partition, ex.initial_state(qc))
+        built = []
+        real = fusion_module._part_program
+
+        def program(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(fusion_module, "_part_program", program)
+        again = ex.run(qc, partition, ex.initial_state(qc))
+        assert built == []
+        assert np.array_equal(first, again)
+        ex.plan_cache.clear()  # new structures compile their programs
+        ex.run(qc, partition, ex.initial_state(qc))
+        assert "load" in built

@@ -2,8 +2,9 @@
 
 When the block rule makes a state one block (``backend.one_block``),
 ``HierarchicalExecutor.run_group`` keeps it gathered across a run of
-parts (``backend.ResidentBlock``): one copy in, every part's ops swept
-where the last part left the block, one write-back when the run ends.
+parts (``backend.ResidentBlock``): one ``load`` in, every part's
+program walked where the last part left the block, the ``flush`` /
+``load`` pair between parts left out, one write-back when the run ends.
 The reference is the same executor with residency switched off, so that
 every part runs alone through ``run_part_group`` — per row block a
 gather, a sweep and a flush.  States, every ``ExecutionTrace`` field but the
@@ -28,12 +29,8 @@ from repro.circuits.gates import make_gate
 from repro.circuits.generators import qaoa
 from repro.partition import get_partitioner
 from repro.serve import BatchRunner, SimJob
-from repro.sv.backend import (
-    ResidentBlock,
-    SerialBackend,
-    ThreadedBackend,
-    one_block,
-)
+from repro.sv.backend import SerialBackend, ThreadedBackend, one_block
+from repro.sv.fusion import PartPlanStructure
 from repro.sv.hier import ExecutionTrace, HierarchicalExecutor
 from repro.sv.stabilizer import StabilizerState
 
@@ -79,16 +76,33 @@ def forced_strided(keys):
 
 @contextlib.contextmanager
 def counted_loads():
-    """The job count of every resident run started."""
+    """The job count of every resident run started (each asks for its
+    part's ``load`` program first)."""
     loads = []
-    real = ResidentBlock.load
+    real = PartPlanStructure.program
 
-    def load(self, states):
-        loads.append(len(states))
-        return real(self, states)
+    def program(self, lane, *args):
+        if lane == "load":
+            loads.append(args[2])
+        return real(self, lane, *args)
 
-    with mock.patch.object(ResidentBlock, "load", load):
+    with mock.patch.object(PartPlanStructure, "program", program):
         yield loads
+
+
+@contextlib.contextmanager
+def refused_stacks(n):
+    """Every workspace wider than one ``n``-qubit state raises
+    ``MemoryError`` (``None``: none does)."""
+    real = backend_module._workspace
+
+    def workspace(size):
+        if n is not None and size > 1 << n:
+            raise MemoryError(f"Unable to allocate {size} amplitudes")
+        return real(size)
+
+    with mock.patch.object(backend_module, "_workspace", workspace):
+        yield
 
 
 def trace_fields(trace):
@@ -166,9 +180,10 @@ def batch(jobs, backend, **config):
     backend=st.sampled_from(["serial", "threaded[2]", "threaded[3]"]),
     gather=st.booleans(),
     small=st.booleans(),
+    refuse=st.booleans(),
 )
 def test_property_resident_runs_equal_parts_alone(
-    backends, data, strategy, method, backend, gather, small
+    backends, data, strategy, method, backend, gather, small, refuse
 ):
     variants = data.draw(sweeps())
     qc = variants[0]
@@ -185,8 +200,10 @@ def test_property_resident_runs_equal_parts_alone(
     }
     mapper = backends[backend, gather]
     block = 16 if small else kernels.BLOCK_ELEMENTS
+    # ``refuse``: no workspace wider than one job's state, so a stacked
+    # run falls back to its jobs one at a time.
     with mock.patch.object(kernels, "BLOCK_ELEMENTS", block), \
-            forced_strided(forced):
+            forced_strided(forced), refused_stacks(n if refuse else None):
         executor = HierarchicalExecutor(method=method, backend=mapper)
         with counted_loads() as loads:
             got = run_group(executor, variants, partition)

@@ -1,4 +1,4 @@
-"""The distributed engine runs its parts through ``run_part``, byte for byte.
+"""The distributed engine runs its parts through ``run_plan``, byte for byte.
 
 ``HiSVSimEngine`` used to loop every op of a part over the ``(R, 2^l)``
 shard matrix through ``state.apply_gate_local``.  It now runs each part
@@ -48,18 +48,18 @@ def backends():
 
 
 class Sweeps:
-    """What ``run_part`` did during one engine run: per ``run_part``
-    call, its lane and the row each in-place op ran on (the row's
-    offset into the flat state, in the order the ops ran)."""
+    """What ``backend.run_plan`` did during one engine run: per call,
+    its lane and the row each in-place op ran on (the row's offset into
+    the flat state, in the order the ops ran)."""
 
     def __init__(self, monkeypatch):
         self.parts = []
-        real_part = backend_module.run_part
+        real_part = backend_module.ExecutionBackend.run_plan
         real_rows = backend_module._apply_rows
 
-        def run_part(plan, state, *args):
+        def run_plan(backend, plan, state, *args):
             self.parts.append([None, state.ctypes.data, []])
-            self.parts[-1][0] = real_part(plan, state, *args)
+            self.parts[-1][0] = real_part(backend, plan, state, *args)
             return self.parts[-1][0]
 
         def apply_rows(rows, *args):
@@ -67,7 +67,9 @@ class Sweeps:
             part[2].append((rows.ctypes.data - part[1]) // rows.itemsize)
             return real_rows(rows, *args)
 
-        monkeypatch.setattr(backend_module, "run_part", run_part)
+        monkeypatch.setattr(
+            backend_module.ExecutionBackend, "run_plan", run_plan
+        )
         monkeypatch.setattr(backend_module, "_apply_rows", apply_rows)
 
     @property
@@ -182,7 +184,7 @@ def test_property_engine_matches_the_shard_loop(
 
 
 # ---------------------------------------------------------------------------
-# One case per body of run_part
+# One case per lane of run_plan
 # ---------------------------------------------------------------------------
 
 

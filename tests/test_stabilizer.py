@@ -551,7 +551,7 @@ class TestServing:
             BatchRunner(method="tensor")
 
     def test_daemon_healthz_and_metrics_report_method(self):
-        from repro.serve import ServeConfig, ServeDaemon
+        from repro.serve.daemon import ServeConfig, ServeDaemon
 
         daemon = ServeDaemon(ServeConfig(port=0, workers=0))
         assert daemon._healthz()["method"] == "auto"
@@ -562,7 +562,7 @@ class TestServing:
 
     def test_daemon_rejects_conflicting_method(self):
         from repro.config import RunOptions
-        from repro.serve import ServeConfig, ServeDaemon
+        from repro.serve.daemon import ServeConfig, ServeDaemon
 
         daemon = ServeDaemon(
             ServeConfig(port=0, workers=0, run=RunOptions(method="dense"))

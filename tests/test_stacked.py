@@ -11,6 +11,7 @@ one-job bind as first written), and every state, count, expectation and
 
 from __future__ import annotations
 
+import contextlib
 import math
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sv.backend as backend_module
+import repro.sv.hier as hier_module
 import repro.sv.kernels as kernels
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import make_gate
@@ -173,9 +175,12 @@ class TestStackedIsAlone:
         gather=st.booleans(),
         small=st.booleans(),
         cap=st.integers(1, 5),
+        resident=st.booleans(),
+        refuse=st.booleans(),
     )
     def test_property_stacked_batch_equals_jobs_alone(
         self, backends, data, mixed, workers, backend, gather, small, cap,
+        resident, refuse,
     ):
         variants = data.draw(sweeps())
         circuits_ = list(variants)
@@ -193,9 +198,28 @@ class TestStackedIsAlone:
             limit=limit,
             max_fused_qubits=cap,
         )
+        # ``resident`` off: every part runs alone (no run held across
+        # parts); ``refuse``: no workspace wider than the widest job's
+        # state, so a stack falls back to its jobs one at a time.
+        real = backend_module._workspace
+        widest = max(qc.num_qubits for qc in circuits_)
+
+        def workspace(size):
+            if size > 1 << widest:
+                raise MemoryError(f"Unable to allocate {size} amplitudes")
+            return real(size)
+
         with mock.patch.object(
             kernels, "BLOCK_ELEMENTS", 16 if small else kernels.BLOCK_ELEMENTS
-        ):
+        ), contextlib.ExitStack() as stack:
+            if not resident:
+                stack.enter_context(mock.patch.object(
+                    hier_module, "one_block", lambda *args: False
+                ))
+            if refuse:
+                stack.enter_context(mock.patch.object(
+                    backend_module, "_workspace", workspace
+                ))
             assert_stacked_is_alone(as_jobs(circuits_), **config)
 
     def test_a_fourteen_qubit_sweep_stacks_four_at_a_time(self, monkeypatch):
@@ -250,13 +274,13 @@ class TestStackedIsAlone:
         partition = get_partitioner("dagP").partition(a, 5)
         ex = HierarchicalExecutor(method="dense", backend=SerialBackend())
         structures = []
-        real = backend_module._sweep_gathered
+        real = backend_module._sweep_operands
 
-        def spy(plans, *args):
+        def spy(plans):
             structures.append({id(p.structure) for p in plans})
-            return real(plans, *args)
+            return real(plans)
 
-        monkeypatch.setattr(backend_module, "_sweep_gathered", spy)
+        monkeypatch.setattr(backend_module, "_sweep_operands", spy)
         group = [a, b, a]
         got = ex.run_group(
             group, partition, [ex.initial_state(qc) for qc in group]
@@ -270,16 +294,17 @@ class TestStackedIsAlone:
 
 
 def stack_sizes(monkeypatch, jobs, **config):
-    """The job count of every stacked gather sweep of one batch."""
+    """The job count of every stacked gather sweep of one batch (each
+    takes its stack's operands once)."""
     sizes = []
-    real = backend_module._sweep_gathered
+    real = backend_module._sweep_operands
 
-    def spy(plans, *args):
+    def spy(plans):
         sizes.append(len(plans))
-        return real(plans, *args)
+        return real(plans)
 
     with monkeypatch.context() as patch:
-        patch.setattr(backend_module, "_sweep_gathered", spy)
+        patch.setattr(backend_module, "_sweep_operands", spy)
         BatchRunner(**config).run(jobs)
     return sizes
 

@@ -22,6 +22,8 @@ import ast
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 from repro.config import RUN_OPTION_FIELDS
 from repro.partition import STRATEGIES
@@ -175,3 +177,19 @@ def test_every_subpackage_is_lazily_reachable():
     assert sorted(repro._SUBPACKAGES) == packages
     for name in packages:
         assert getattr(repro, name).__name__ == f"repro.{name}"
+
+
+def test_importing_serve_and_dist_loads_no_daemon_or_socket_layer():
+    """The packages the benchmark imports leave the daemon (HTTP,
+    ``asyncio``, ``ssl``) and the socket transport to their modules."""
+    code = (
+        "import sys, repro.serve, repro.dist; print(sorted(m for m in "
+        "('repro.serve.daemon', 'repro.dist.transport', 'asyncio', 'ssl')"
+        " if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
